@@ -15,21 +15,13 @@
 //! [--json FILE]` (`--smoke` shrinks scales for CI; `--json` merges
 //! `adaptive.*` metrics into a flat `BENCH_sched.json`-style file).
 
-use bench::{ms, render_table, round_sig, write_bench_json};
+use bench::{emit_bench_json, ms, parse_bench_args, render_table, round_sig};
 use benchmarks::{fanout_mix, mixed_makespans, MixedScale, MIXED_SUITES};
 use grcuda::PlacementPolicy;
 
 fn main() {
-    let mut smoke = false;
-    let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--json" => json_path = Some(args.next().expect("--json FILE")),
-            other => panic!("unknown argument `{other}` (try --smoke/--json FILE)"),
-        }
-    }
+    let (smoke, json_path) =
+        parse_bench_args(std::env::args().skip(1), true).unwrap_or_else(|e| panic!("{e}"));
     let wall_start = std::time::Instant::now();
     let scale = if smoke {
         MixedScale::quick()
@@ -116,9 +108,6 @@ fn main() {
 
     let wall = wall_start.elapsed().as_secs_f64();
     json.push(("wall.adaptive.wall_s".to_string(), wall));
-    if let Some(path) = json_path {
-        write_bench_json(&path, &json).expect("write bench json");
-        println!("\nwrote {} metrics to {path}", json.len());
-    }
+    emit_bench_json(json_path.as_deref(), &json).expect("write bench json");
     println!("\nRESULT adaptive ok wall_s={wall:.2}");
 }

@@ -30,43 +30,48 @@
 
 use std::time::Instant;
 
-use bench::{render_table, write_bench_json};
+use bench::{emit_bench_json, parse_bench_args, render_table};
 use benchmarks::{
-    multi_gpu_arrays, read_multi_gpu_outputs, refresh_multi_gpu_arrays, scales, Bench, PlanArg,
+    grcuda_arrays, read_grcuda_outputs, refresh_grcuda_arrays, scales, Bench, BenchSpec, PlanArg,
 };
-use gpu_sim::{DeviceProfile, Grid};
-use grcuda::{Arg, AuditReport, GrCuda, MultiArg, MultiGpu, Options, PlacementPolicy};
+use gpu_sim::{DeviceProfile, Grid, Topology};
+use grcuda::{Arg, AuditReport, DeviceArray, GrCuda, Options, PlacementPolicy};
+
+/// Launch every op of the spec once and audit the complete inferred
+/// schedule before anything retires it.
+fn launch_and_audit(g: &GrCuda, spec: &BenchSpec) -> (Vec<DeviceArray>, AuditReport) {
+    let arrays = grcuda_arrays(g, spec);
+    refresh_grcuda_arrays(spec, &arrays);
+    for op in &spec.ops {
+        let args: Vec<Arg> = op
+            .args
+            .iter()
+            .map(|a| match a {
+                PlanArg::Arr(i) => Arg::array(&arrays[*i]),
+                PlanArg::Scalar(v) => Arg::scalar(*v),
+            })
+            .collect();
+        g.build_kernel(op.def)
+            .expect("suite signatures parse")
+            .launch(op.grid, &args)
+            .expect("suite launches validate");
+    }
+    let report = g.audit();
+    (arrays, report)
+}
 
 /// Run one suite under one placement policy and audit the complete
 /// inferred schedule before the host reads retire it.
 fn audit_suite(b: Bench, policy: PlacementPolicy, n_devices: usize) -> AuditReport {
     let spec = b.build(scales::tiny(b));
-    let mut m = MultiGpu::new(
-        DeviceProfile::tesla_p100(),
-        n_devices,
-        Options::parallel(),
-        policy,
-    );
-    let arrays = multi_gpu_arrays(&mut m, &spec);
-    refresh_multi_gpu_arrays(&mut m, &spec, &arrays);
-    for op in &spec.ops {
-        let args: Vec<MultiArg> = op
-            .args
-            .iter()
-            .map(|a| match a {
-                PlanArg::Arr(k) => MultiArg::array(&arrays[*k]),
-                PlanArg::Scalar(v) => MultiArg::scalar(*v),
-            })
-            .collect();
-        m.launch(op.def, op.grid, &args)
-            .expect("suite launches validate");
-    }
-    let report = m.audit();
-    read_multi_gpu_outputs(&m, &spec, &arrays);
-    m.sync();
-    assert_eq!(
-        m.races(),
-        0,
+    let dev = DeviceProfile::tesla_p100();
+    let topo = Topology::pcie_only(n_devices, &dev);
+    let g = GrCuda::with_topology(dev, topo, Options::parallel(), policy);
+    let (arrays, report) = launch_and_audit(&g, &spec);
+    read_grcuda_outputs(&spec, &arrays);
+    g.sync();
+    assert!(
+        g.races().is_empty(),
         "{} under {policy:?}: dynamic race despite clean audit",
         spec.name
     );
@@ -85,28 +90,8 @@ fn inject_inference_off() -> AuditReport {
             .without_dependency_inference()
             .with_prefetch(grcuda::PrefetchPolicy::None),
     );
-    let arrays = benchmarks::grcuda_arrays(&g, &spec);
-    benchmarks::refresh_grcuda_arrays(&spec, &arrays);
-    let kernels: Vec<_> = spec
-        .ops
-        .iter()
-        .map(|op| g.build_kernel(op.def).expect("suite signatures parse"))
-        .collect();
-    for (op, kernel) in spec.ops.iter().zip(&kernels) {
-        let args: Vec<Arg> = op
-            .args
-            .iter()
-            .map(|a| match a {
-                PlanArg::Arr(i) => Arg::array(&arrays[*i]),
-                PlanArg::Scalar(v) => Arg::scalar(*v),
-            })
-            .collect();
-        kernel
-            .launch(op.grid, &args)
-            .expect("suite launches validate");
-    }
     // Audit before anything retires: the evidence is the point.
-    g.audit()
+    launch_and_audit(&g, &spec).1
 }
 
 /// Negative control #2: a kernel that writes through a pointer its NIDL
@@ -148,16 +133,8 @@ fn inject_lying_signature() -> AuditReport {
 }
 
 fn main() {
-    let mut json_path: Option<String> = None;
-    let mut smoke = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--json" => json_path = Some(args.next().expect("--json FILE")),
-            other => panic!("unknown argument `{other}` (try --smoke/--json FILE)"),
-        }
-    }
+    let (smoke, json_path) =
+        parse_bench_args(std::env::args().skip(1), true).unwrap_or_else(|e| panic!("{e}"));
     let device_counts: &[usize] = if smoke { &[2] } else { &[1, 2, 4] };
 
     let start = Instant::now();
@@ -265,17 +242,14 @@ fn main() {
     );
 
     let wall = start.elapsed().as_secs_f64();
-    if let Some(path) = json_path {
-        let metrics = vec![
-            ("audit.violations".to_string(), violations as f64),
-            ("audit.dead_writes".to_string(), dead_writes as f64),
-            ("audit.checked_pairs".to_string(), checked as f64),
-            ("audit.redundant_edges".to_string(), redundant as f64),
-            ("wall.audit.wall_s".to_string(), wall),
-        ];
-        write_bench_json(&path, &metrics).expect("write bench json");
-        println!("wrote {} metrics to {path}", metrics.len());
-    }
+    let metrics = [
+        ("audit.violations".to_string(), violations as f64),
+        ("audit.dead_writes".to_string(), dead_writes as f64),
+        ("audit.checked_pairs".to_string(), checked as f64),
+        ("audit.redundant_edges".to_string(), redundant as f64),
+        ("wall.audit.wall_s".to_string(), wall),
+    ];
+    emit_bench_json(json_path.as_deref(), &metrics).expect("write bench json");
     println!(
         "RESULT audit ok combos={combos} violations={violations} dead_writes={dead_writes} \
          checked_pairs={checked} redundant_edges={redundant} \

@@ -11,23 +11,15 @@
 //! [--json FILE]` (`--smoke` shrinks the input for CI; `--json` merges
 //! `autotune.*` metrics into a flat `BENCH_sched.json`-style file).
 
-use bench::{ms, render_table, round_sig, write_bench_json};
+use bench::{emit_bench_json, ms, parse_bench_args, render_table, round_sig};
 use gpu_sim::DeviceProfile;
 use grcuda::history::CANDIDATE_BLOCK_SIZES;
 use grcuda::{Arg, GrCuda, Options};
 use kernels::vec_ops::{REDUCE_SUM_DIFF, SQUARE};
 
 fn main() {
-    let mut smoke = false;
-    let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--json" => json_path = Some(args.next().expect("--json FILE")),
-            other => panic!("unknown argument `{other}` (try --smoke/--json FILE)"),
-        }
-    }
+    let (smoke, json_path) =
+        parse_bench_args(std::env::args().skip(1), true).unwrap_or_else(|e| panic!("{e}"));
     let wall_start = std::time::Instant::now();
     let g = GrCuda::new(DeviceProfile::gtx1660_super(), Options::parallel());
     let n = if smoke { 1 << 20 } else { 1 << 22 };
@@ -116,9 +108,6 @@ fn main() {
 
     let wall = wall_start.elapsed().as_secs_f64();
     json.push(("wall.autotune.wall_s".to_string(), wall));
-    if let Some(path) = json_path {
-        write_bench_json(&path, &json).expect("write bench json");
-        println!("\nwrote {} metrics to {path}", json.len());
-    }
+    emit_bench_json(json_path.as_deref(), &json).expect("write bench json");
     println!("\nRESULT autotune ok wall_s={wall:.2}");
 }

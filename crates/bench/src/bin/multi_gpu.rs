@@ -33,13 +33,13 @@
 //! file). Every section also prints one-line `RESULT ...` records so CI
 //! logs show throughput at a glance.
 
-use bench::{ms, render_table, write_bench_json};
+use bench::{emit_bench_json, ms, parse_bench_args, render_table};
 use benchmarks::{
     oversub_capacity, oversub_configs, oversubscribe, run_multi_gpu, scales, transfer_chain, Bench,
     OversubResult, TransferChainResult,
 };
 use gpu_sim::{DeviceProfile, Grid, Topology, TopologyKind};
-use grcuda::{MultiArg, MultiGpu, Options, PlacementPolicy};
+use grcuda::{Arg, GrCuda, Options, PlacementPolicy};
 use kernels::black_scholes::BLACK_SCHOLES;
 use kernels::util::SCALE;
 use metrics::OverlapMetrics;
@@ -49,65 +49,63 @@ const G: Grid = Grid {
     threads: (256, 1, 1),
 };
 
+/// `n_dev` Tesla P100s over host (PCIe) links only.
+fn machine(n_dev: usize, policy: PlacementPolicy) -> GrCuda {
+    let dev = DeviceProfile::tesla_p100();
+    let topo = Topology::pcie_only(n_dev, &dev);
+    GrCuda::with_topology(dev, topo, Options::parallel(), policy)
+}
+
 fn pricing(n_dev: usize, policy: PlacementPolicy, n: usize) -> (f64, usize) {
-    let mut m = MultiGpu::new(
-        DeviceProfile::tesla_p100(),
-        n_dev,
-        Options::parallel(),
-        policy,
-    );
+    let g = machine(n_dev, policy);
+    let bs = g.build_kernel(&BLACK_SCHOLES).unwrap();
     for _ in 0..8 {
-        let x = m.array_f64(n);
-        let y = m.array_f64(n);
-        m.write_f64(&x, &vec![100.0; n]);
-        m.launch(
-            &BLACK_SCHOLES,
+        let x = g.array_f64(n);
+        let y = g.array_f64(n);
+        x.copy_from_f64(&vec![100.0; n]);
+        bs.launch(
             G,
             &[
-                MultiArg::array(&x),
-                MultiArg::array(&y),
-                MultiArg::scalar(n as f64),
-                MultiArg::scalar(100.0),
-                MultiArg::scalar(0.02),
-                MultiArg::scalar(0.3),
-                MultiArg::scalar(1.0),
+                Arg::array(&x),
+                Arg::array(&y),
+                Arg::scalar(n as f64),
+                Arg::scalar(100.0),
+                Arg::scalar(0.02),
+                Arg::scalar(0.3),
+                Arg::scalar(1.0),
             ],
         )
         .unwrap();
     }
-    m.sync();
-    assert_eq!(m.races(), 0);
-    (m.makespan(), m.migration_stats().0)
+    g.sync();
+    assert!(g.races().is_empty());
+    (g.now(), g.migration_stats().0)
 }
 
 fn chain(n_dev: usize, policy: PlacementPolicy, n: usize) -> (f64, usize, usize) {
-    let mut m = MultiGpu::new(
-        DeviceProfile::tesla_p100(),
-        n_dev,
-        Options::parallel(),
-        policy,
-    );
-    let x = m.array_f32(n);
-    let y = m.array_f32(n);
-    m.write_f32(&x, &vec![1.0; n]);
+    let g = machine(n_dev, policy);
+    let scale = g.build_kernel(&SCALE).unwrap();
+    let x = g.array_f32(n);
+    let y = g.array_f32(n);
+    x.copy_from_f32(&vec![1.0; n]);
     for i in 0..12 {
         let (src, dst) = if i % 2 == 0 { (&x, &y) } else { (&y, &x) };
-        m.launch(
-            &SCALE,
-            G,
-            &[
-                MultiArg::array(src),
-                MultiArg::array(dst),
-                MultiArg::scalar(1.001),
-                MultiArg::scalar(n as f64),
-            ],
-        )
-        .unwrap();
+        scale
+            .launch(
+                G,
+                &[
+                    Arg::array(src),
+                    Arg::array(dst),
+                    Arg::scalar(1.001),
+                    Arg::scalar(n as f64),
+                ],
+            )
+            .unwrap();
     }
-    m.sync();
-    assert_eq!(m.races(), 0);
-    let (migs, bytes) = m.migration_stats();
-    (m.makespan(), migs, bytes)
+    g.sync();
+    assert!(g.races().is_empty());
+    let (migs, bytes) = g.migration_stats();
+    (g.now(), migs, bytes)
 }
 
 /// Suite × devices × policy sweep: every combination must validate
@@ -129,7 +127,8 @@ fn policy_sweep(smoke: bool) {
                 if n_dev == 1 && policy != PlacementPolicy::SingleGpu {
                     continue; // placement is moot on one device
                 }
-                let r = run_multi_gpu(&spec, &dev, Options::parallel(), n_dev, policy, iters);
+                let r =
+                    run_multi_gpu(&spec, &dev, Options::parallel(), n_dev, policy, iters).unwrap();
                 assert_eq!(r.run.races, 0, "{} x{n_dev} {policy:?}: raced", spec.name);
                 r.run.valid.as_ref().unwrap_or_else(|e| {
                     panic!(
@@ -381,16 +380,8 @@ fn oversubscribe_sweep(smoke: bool) -> Vec<(String, f64)> {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--json" => json_path = Some(args.next().expect("--json FILE")),
-            other => panic!("unknown argument `{other}` (try --smoke/--json FILE)"),
-        }
-    }
+    let (smoke, json_path) =
+        parse_bench_args(std::env::args().skip(1), true).unwrap_or_else(|e| panic!("{e}"));
     let wall_start = std::time::Instant::now();
     let mut json: Vec<(String, f64)> = Vec::new();
 
@@ -415,7 +406,8 @@ fn main() {
             4,
             PlacementPolicy::StreamAware,
             2,
-        );
+        )
+        .unwrap();
         r.run.valid.as_ref().expect("sweep run validates");
         let ov = OverlapMetrics::from_timeline(&r.run.timeline);
         println!(
@@ -490,9 +482,6 @@ fn main() {
 
     let wall = wall_start.elapsed().as_secs_f64();
     json.push(("wall.multi_gpu.wall_s".to_string(), wall));
-    if let Some(path) = json_path {
-        write_bench_json(&path, &json).expect("write bench json");
-        println!("\nwrote {} metrics to {path}", json.len());
-    }
+    emit_bench_json(json_path.as_deref(), &json).expect("write bench json");
     println!("\nRESULT multi_gpu ok wall_s={wall:.2}");
 }

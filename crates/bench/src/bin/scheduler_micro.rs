@@ -28,10 +28,10 @@ use std::collections::HashMap;
 use std::hint::black_box;
 use std::time::Instant;
 
-use bench::{render_table, round_sig, write_bench_json};
+use bench::{emit_bench_json, parse_bench_args, render_table, round_sig};
 use dag::DenseMap;
-use gpu_sim::{DeviceProfile, Grid};
-use grcuda::{Arg, BatchLaunch, GrCuda, MultiArg, MultiGpu, Options, PlacementPolicy};
+use gpu_sim::{DeviceProfile, Grid, Topology};
+use grcuda::{Arg, BatchLaunch, GrCuda, Options, PlacementPolicy};
 use kernels::util::SCALE;
 
 /// Ops per arena measurement (insert + window probe + retire).
@@ -72,14 +72,8 @@ fn time_submit(g: &GrCuda, submit: impl FnOnce()) -> (f64, f64) {
 }
 
 fn main() {
-    let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => json_path = Some(args.next().expect("--json FILE")),
-            other => panic!("unknown argument `{other}` (try --json FILE)"),
-        }
-    }
+    let (_, json_path) =
+        parse_bench_args(std::env::args().skip(1), false).unwrap_or_else(|e| panic!("{e}"));
 
     // --- arena: DenseMap vs HashMap under the launch-path pattern ---
     let mut dm: DenseMap<u64, u64> = DenseMap::new();
@@ -138,48 +132,50 @@ fn main() {
     let batch_speedup = round_sig(serial_virt_us / batch_virt_us, 6);
 
     // --- pipeline: 4-device round-robin chains (placement + solver) ---
-    let mut m = MultiGpu::new(
-        DeviceProfile::tesla_p100(),
-        4,
-        Options::parallel(),
-        PlacementPolicy::RoundRobin,
-    );
-    let chains: Vec<[grcuda::MultiArray; 2]> = (0..PIPE_CHAINS)
+    let dev = DeviceProfile::tesla_p100();
+    let topo = Topology::pcie_only(4, &dev);
+    let m = GrCuda::with_topology(dev, topo, Options::parallel(), PlacementPolicy::RoundRobin);
+    let scale = m.build_kernel(&SCALE).expect("signature parses");
+    let chains: Vec<[grcuda::DeviceArray; 2]> = (0..PIPE_CHAINS)
         .map(|_| [m.array_f32(n), m.array_f32(n)])
         .collect();
     for [a, b] in &chains {
-        m.write_f32(a, &vec![1.0; n]);
-        m.write_f32(b, &vec![0.0; n]);
+        a.copy_from_f32(&vec![1.0; n]);
+        b.copy_from_f32(&vec![0.0; n]);
     }
     m.sync();
-    let v0 = m.runtime().now();
+    let v0 = m.now();
     let t0 = Instant::now();
     let pipe_launches = PIPE_CHAINS * PIPE_ROUNDS;
     for round in 0..PIPE_ROUNDS {
         // One launch per chain per round; round-robin pins chain c to
         // device c % 4, so after the initial transfers each device runs
         // an independent kernel pipeline.
-        let calls: Vec<_> = chains
+        let args: Vec<[Arg; 4]> = chains
             .iter()
             .map(|[a, b]| {
                 let (src, dst) = if round % 2 == 0 { (a, b) } else { (b, a) };
-                (
-                    &SCALE,
-                    grid,
-                    vec![
-                        MultiArg::array(src),
-                        MultiArg::array(dst),
-                        MultiArg::scalar(1.01),
-                        MultiArg::scalar(n as f64),
-                    ],
-                )
+                [
+                    Arg::array(src),
+                    Arg::array(dst),
+                    Arg::scalar(1.01),
+                    Arg::scalar(n as f64),
+                ]
+            })
+            .collect();
+        let calls: Vec<BatchLaunch<'_>> = args
+            .iter()
+            .map(|args| BatchLaunch {
+                kernel: &scale,
+                grid,
+                args,
             })
             .collect();
         m.launch_batch(&calls).expect("pipeline batch");
     }
     m.sync();
     let pipe_wall_ns = t0.elapsed().as_secs_f64() * 1e9 / pipe_launches as f64;
-    let pipe_rate = pipe_launches as f64 / (m.runtime().now() - v0);
+    let pipe_rate = pipe_launches as f64 / (m.now() - v0);
     let st = m.stats();
     let solver_touched = st.rate_tasks_solved + st.rate_tasks_reused;
     let hit_pct = 100.0 * st.rate_tasks_reused as f64 / solver_touched.max(1) as f64;
@@ -215,25 +211,22 @@ fn main() {
         render_table(&["stage", "fast path", "reference"], &rows)
     );
 
-    if let Some(path) = json_path {
-        let metrics = vec![
-            ("sched.serial_submit_virtual_us".to_string(), serial_virt_us),
-            ("sched.batch_submit_virtual_us".to_string(), batch_virt_us),
-            ("sched.batch_submit_speedup_x".to_string(), batch_speedup),
-            (
-                "sched.pipeline_virtual_launches_per_s".to_string(),
-                pipe_rate,
-            ),
-            ("sched.solver_reuse_hit_pct".to_string(), hit_pct),
-            ("wall.sched.densemap_op_ns".to_string(), dense_ns),
-            ("wall.sched.hashmap_op_ns".to_string(), hash_ns),
-            ("wall.sched.serial_submit_ns".to_string(), serial_wall_ns),
-            ("wall.sched.batch_submit_ns".to_string(), batch_wall_ns),
-            ("wall.sched.pipeline_launch_ns".to_string(), pipe_wall_ns),
-        ];
-        write_bench_json(&path, &metrics).expect("write bench json");
-        println!("wrote {} metrics to {path}", metrics.len());
-    }
+    let metrics = [
+        ("sched.serial_submit_virtual_us".to_string(), serial_virt_us),
+        ("sched.batch_submit_virtual_us".to_string(), batch_virt_us),
+        ("sched.batch_submit_speedup_x".to_string(), batch_speedup),
+        (
+            "sched.pipeline_virtual_launches_per_s".to_string(),
+            pipe_rate,
+        ),
+        ("sched.solver_reuse_hit_pct".to_string(), hit_pct),
+        ("wall.sched.densemap_op_ns".to_string(), dense_ns),
+        ("wall.sched.hashmap_op_ns".to_string(), hash_ns),
+        ("wall.sched.serial_submit_ns".to_string(), serial_wall_ns),
+        ("wall.sched.batch_submit_ns".to_string(), batch_wall_ns),
+        ("wall.sched.pipeline_launch_ns".to_string(), pipe_wall_ns),
+    ];
+    emit_bench_json(json_path.as_deref(), &metrics).expect("write bench json");
     println!(
         "RESULT scheduler_micro ok batch_speedup_x={batch_speedup:.1} \
          solver_hit_pct={hit_pct:.1} pipeline_virtual_launches_per_s={pipe_rate:.0}"

@@ -33,7 +33,7 @@
 
 use std::time::Instant;
 
-use bench::{render_table, round_sig, write_bench_json};
+use bench::{emit_bench_json, render_table, round_sig};
 use gpu_sim::DeviceProfile;
 use grcuda::serve::{
     ArgSpec, CallSpec, ElemKind, Fairness, KernelRef, RequestSpec, ServeConfig, ServeError, Server,
@@ -329,23 +329,20 @@ fn main() {
     ];
     println!("{}", render_table(&["phase", "measure", "detail"], &rows));
 
-    if let Some(path) = json_path {
-        let metrics = vec![
-            (
-                "serve.single_virtual_launches_per_s".to_string(),
-                single_rate,
-            ),
-            ("serve.agg_virtual_launches_per_s".to_string(), agg_rate),
-            ("serve.scaling_x".to_string(), scaling),
-            ("serve.p50_virtual_us".to_string(), lat.p50),
-            ("serve.p99_virtual_us".to_string(), lat.p99),
-            ("serve.fifo_sensitive_p99_us".to_string(), fifo_p99),
-            ("serve.deadline_sensitive_p99_us".to_string(), deadline_p99),
-            ("wall.serve.threaded_launches_per_s".to_string(), wall_rate),
-        ];
-        write_bench_json(&path, &metrics).expect("write bench json");
-        println!("wrote {} metrics to {path}", metrics.len());
-    }
+    let metrics = [
+        (
+            "serve.single_virtual_launches_per_s".to_string(),
+            single_rate,
+        ),
+        ("serve.agg_virtual_launches_per_s".to_string(), agg_rate),
+        ("serve.scaling_x".to_string(), scaling),
+        ("serve.p50_virtual_us".to_string(), lat.p50),
+        ("serve.p99_virtual_us".to_string(), lat.p99),
+        ("serve.fifo_sensitive_p99_us".to_string(), fifo_p99),
+        ("serve.deadline_sensitive_p99_us".to_string(), deadline_p99),
+        ("wall.serve.threaded_launches_per_s".to_string(), wall_rate),
+    ];
+    emit_bench_json(json_path.as_deref(), &metrics).expect("write bench json");
     println!(
         "RESULT serve ok clients={clients} requests_per_client={requests} \
          agg_virtual_launches_per_s={agg_rate:.0} scaling_x={scaling} \

@@ -36,7 +36,7 @@
 
 use std::time::Instant;
 
-use bench::{render_table, write_bench_json};
+use bench::{emit_bench_json, render_table};
 use benchmarks::{
     grcuda_arrays, read_grcuda_outputs, refresh_grcuda_arrays, scales, Bench, PlanArg,
 };
@@ -304,16 +304,13 @@ fn main() {
         "soak OK: {launches} launches in {wall:.2} s wall — sustained {wall_rate:.0} launches/s \
          ({virtual_rate:.0}/simulated s); all scheduler maps drained to 0 after every sync"
     );
-    if let Some(path) = json_path {
-        let metrics = vec![
-            ("soak.launches".to_string(), launches as f64),
-            ("soak.virtual_launches_per_s".to_string(), virtual_rate),
-            ("wall.soak.launches_per_s".to_string(), wall_rate),
-            ("wall.soak.wall_s".to_string(), wall),
-        ];
-        write_bench_json(&path, &metrics).expect("write bench json");
-        println!("wrote {} metrics to {path}", metrics.len());
-    }
+    let metrics = [
+        ("soak.launches".to_string(), launches as f64),
+        ("soak.virtual_launches_per_s".to_string(), virtual_rate),
+        ("wall.soak.launches_per_s".to_string(), wall_rate),
+        ("wall.soak.wall_s".to_string(), wall),
+    ];
+    emit_bench_json(json_path.as_deref(), &metrics).expect("write bench json");
     println!(
         "RESULT soak ok launches={launches} wall_s={wall:.2} \
          launches_per_s={wall_rate:.0} virtual_launches_per_s={virtual_rate:.0}"

@@ -169,6 +169,43 @@ pub fn write_bench_json(path: &str, entries: &[(String, f64)]) -> std::io::Resul
     std::fs::write(path, render_bench_json(&merged))
 }
 
+/// Parse the command line the sweep binaries share: `--json FILE`, and
+/// `--smoke` for binaries that have a reduced CI variant
+/// (`accepts_smoke`). Returns `(smoke, json_path)`, or the usage
+/// message for an unknown flag or a `--json` without its file.
+pub fn parse_bench_args(
+    mut args: impl Iterator<Item = String>,
+    accepts_smoke: bool,
+) -> Result<(bool, Option<String>), String> {
+    let (mut smoke, mut json_path) = (false, None);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--smoke" if accepts_smoke => smoke = true,
+            "--json" => json_path = Some(args.next().ok_or("--json FILE")?),
+            other => {
+                let flags = if accepts_smoke {
+                    "--smoke/--json FILE"
+                } else {
+                    "--json FILE"
+                };
+                return Err(format!("unknown argument `{other}` (try {flags})"));
+            }
+        }
+    }
+    Ok((smoke, json_path))
+}
+
+/// The tail of every `--json` binary: merge `metrics` into the file the
+/// flag named ([`write_bench_json`]) and say so; nothing without the
+/// flag.
+pub fn emit_bench_json(json_path: Option<&str>, metrics: &[(String, f64)]) -> std::io::Result<()> {
+    if let Some(path) = json_path {
+        write_bench_json(path, metrics)?;
+        println!("wrote {} metrics to {path}", metrics.len());
+    }
+    Ok(())
+}
+
 /// Round to `digits` significant decimal digits. Derived ratios
 /// (speedups, scaling factors) go through this before RESULT/JSON
 /// emission: the quotient of two exact virtual times can land on a
@@ -254,6 +291,30 @@ mod tests {
         assert!(read_bench_json("not json").is_err());
         assert!(read_bench_json("{\"k\": nope}").is_err());
         assert_eq!(read_bench_json("{}").unwrap(), vec![]);
+    }
+
+    #[test]
+    fn bench_args_parse_the_shared_flags() {
+        let parse =
+            |args: &[&str], smoke| parse_bench_args(args.iter().map(|a| a.to_string()), smoke);
+        assert_eq!(parse(&[], true), Ok((false, None)));
+        assert_eq!(
+            parse(&["--smoke", "--json", "out.json"], true),
+            Ok((true, Some("out.json".to_string())))
+        );
+        assert_eq!(
+            parse(&["--json", "out.json"], false),
+            Ok((false, Some("out.json".to_string())))
+        );
+        assert_eq!(
+            parse(&["--smoke"], false),
+            Err("unknown argument `--smoke` (try --json FILE)".to_string())
+        );
+        assert_eq!(
+            parse(&["--fast"], true),
+            Err("unknown argument `--fast` (try --smoke/--json FILE)".to_string())
+        );
+        assert_eq!(parse(&["--json"], true), Err("--json FILE".to_string()));
     }
 
     #[test]

@@ -24,9 +24,8 @@
 //! identical across policies (placement moves work, never results).
 
 use gpu_sim::{DeviceProfile, Grid, TopologyKind};
-use grcuda::{Cluster, MultiArg, MultiArray, MultiGpu, NicKind, Options, PlacementPolicy};
+use grcuda::{Arg, BatchLaunch, Cluster, DeviceArray, GrCuda, NicKind, Options, PlacementPolicy};
 use kernels::util::SCALE;
-use kernels::KernelDef;
 
 /// The three cluster suites, in sweep order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,12 +98,15 @@ pub fn cluster_run(
         TopologyKind::PcieOnly,
         NicKind::InfinibandHdr,
     );
-    let mut m = MultiGpu::with_cluster(
+    let g = GrCuda::with_cluster(
         DeviceProfile::tesla_p100(),
         &cluster,
         Options::parallel(),
         policy,
     );
+    let scale = g
+        .build_kernel(&SCALE)
+        .expect("SCALE is a registered signature");
 
     // An odd chain count never divides an even GPU total, so policies
     // that ignore the partition (e.g. round-robin) provably rotate
@@ -121,84 +123,82 @@ pub fn cluster_run(
     // Chain state: each chain scales x into y and back, forever on the
     // same pair of arrays — the partitioner sees one component per
     // chain in every batch and must pin it to one node.
-    let chain_arrays: Vec<(MultiArray, MultiArray)> = (0..chains)
+    let chain_arrays: Vec<(DeviceArray, DeviceArray)> = (0..chains)
         .map(|c| {
-            let x = m.array_f32(n);
-            let y = m.array_f32(n);
-            m.write_f32(&x, &vec![1.0 + c as f32; n]);
+            let x = g.array_f32(n);
+            let y = g.array_f32(n);
+            x.copy_from_f32(&vec![1.0 + c as f32; n]);
             (x, y)
         })
         .collect();
+    let scale_args = |src: &DeviceArray, dst: &DeviceArray, factor: f64| {
+        [
+            Arg::array(src),
+            Arg::array(dst),
+            Arg::scalar(factor),
+            Arg::scalar(n as f64),
+        ]
+    };
 
-    let mut last_fans: Vec<MultiArray> = Vec::new();
+    let mut last_fans: Vec<DeviceArray> = Vec::new();
     for step in 0..steps {
-        let mut calls: Vec<(&KernelDef, Grid, Vec<MultiArg>)> = Vec::new();
+        let mut args: Vec<[Arg; 4]> = Vec::new();
         for (x, y) in &chain_arrays {
             let (src, dst) = if step.is_multiple_of(2) {
                 (x, y)
             } else {
                 (y, x)
             };
-            calls.push((
-                &SCALE,
-                G,
-                vec![
-                    MultiArg::array(src),
-                    MultiArg::array(dst),
-                    MultiArg::scalar(1.001),
-                    MultiArg::scalar(n as f64),
-                ],
-            ));
+            args.push(scale_args(src, dst, 1.001));
         }
         // Fanout work is fresh every step: host-written inputs, so the
         // H2D leg is cheap anywhere and no node owns the data yet.
-        let fan_arrays: Vec<(MultiArray, MultiArray)> = (0..fans)
+        let fan_arrays: Vec<(DeviceArray, DeviceArray)> = (0..fans)
             .map(|f| {
-                let src = m.array_f32(n);
-                let dst = m.array_f32(n);
-                m.write_f32(&src, &vec![0.5 + f as f32; n]);
+                let src = g.array_f32(n);
+                let dst = g.array_f32(n);
+                src.copy_from_f32(&vec![0.5 + f as f32; n]);
                 (src, dst)
             })
             .collect();
         for (src, dst) in &fan_arrays {
-            calls.push((
-                &SCALE,
-                G,
-                vec![
-                    MultiArg::array(src),
-                    MultiArg::array(dst),
-                    MultiArg::scalar(2.0),
-                    MultiArg::scalar(n as f64),
-                ],
-            ));
+            args.push(scale_args(src, dst, 2.0));
         }
-        m.launch_batch(&calls).unwrap();
+        let calls: Vec<BatchLaunch<'_>> = args
+            .iter()
+            .map(|args| BatchLaunch {
+                kernel: &scale,
+                grid: G,
+                args,
+            })
+            .collect();
+        g.launch_batch(&calls).unwrap();
         // Keep the final round's fanout outputs alive so they join the
         // cross-policy checksum.
         if step + 1 == steps {
             last_fans = fan_arrays.into_iter().map(|(_, dst)| dst).collect();
         }
     }
-    m.sync();
+    g.sync();
 
     let mut checksum = 0.0f64;
     for (x, y) in &chain_arrays {
         let last = if steps.is_multiple_of(2) { x } else { y };
-        checksum += m.get_f32(last, 7) as f64;
+        checksum += last.get_f32(7) as f64;
     }
     for dst in &last_fans {
-        checksum += m.get_f32(dst, 7) as f64;
+        checksum += dst.get_f32(7) as f64;
     }
 
-    let stats = m.scheduler_stats();
+    let stats = g.scheduler_stats();
     ClusterResult {
-        makespan: m.makespan(),
-        cross_node: m.cross_node_migration_stats(),
-        migrations: m.migration_stats(),
+        makespan: g.now(),
+        cross_node: g.cross_node_migration_stats(),
+        migrations: g.migration_stats(),
         partitioned_batches: stats.cluster.partitioned_batches,
         cut_bytes: stats.cluster.partition_cut_bytes,
         checksum,
-        races: m.races(),
+        races: g.races().len(),
     }
 }
 

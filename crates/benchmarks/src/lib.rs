@@ -43,8 +43,7 @@ pub use oversub::{
     OVERSUB_DEVICES,
 };
 pub use runners::{
-    grcuda_arrays, multi_gpu_arrays, read_grcuda_outputs, read_multi_gpu_outputs,
-    refresh_grcuda_arrays, refresh_multi_gpu_arrays, run_graph_capture, run_graph_manual,
+    grcuda_arrays, read_grcuda_outputs, refresh_grcuda_arrays, run_graph_capture, run_graph_manual,
     run_grcuda, run_handtuned, run_multi_gpu, run_multi_gpu_topo, MultiRunResult, RunResult,
 };
 pub use spec::{ArraySpec, BenchSpec, PlanArg, PlanOp};

@@ -25,9 +25,8 @@
 //! whenever heavy ≥ 3·short. The first round is an unmeasured warmup
 //! that primes the calibration priors; measurement starts at its sync.
 
-use gpu_sim::DeviceProfile;
-use gpu_sim::{EvictionPolicy, Grid, TopologyKind};
-use grcuda::{MultiArg, MultiArray, MultiGpu, Options, PlacementPolicy};
+use gpu_sim::{DeviceProfile, EvictionPolicy, Grid, Topology, TopologyKind};
+use grcuda::{Arg, DeviceArray, GrCuda, Options, PlacementPolicy};
 use kernels::black_scholes::BLACK_SCHOLES;
 use kernels::image::GAUSSIAN_BLUR;
 
@@ -80,12 +79,15 @@ pub fn fanout_mix_opts(
     options: Options,
 ) -> FanoutMixResult {
     let grid = Grid::d1(256, 256);
-    let mut m = MultiGpu::new(
-        DeviceProfile::gtx1660_super(),
-        FANOUT_DEVICES,
-        options,
-        policy,
-    );
+    let dev = DeviceProfile::gtx1660_super();
+    let topo = Topology::pcie_only(FANOUT_DEVICES, &dev);
+    let g = GrCuda::with_topology(dev, topo, options, policy);
+    let heavy = g
+        .build_kernel(&BLACK_SCHOLES)
+        .expect("BLACK_SCHOLES is a registered signature");
+    let blur = g
+        .build_kernel(&GAUSSIAN_BLUR)
+        .expect("GAUSSIAN_BLUR is a registered signature");
     // Short kernels blur a side×side image whose pixel count is n/4;
     // the heavy kernel prices 2n fp64 options (~300 fp64 ops each on a
     // 1/32-rate part), so one heavy ≈ 3–4 shorts in duration.
@@ -98,66 +100,65 @@ pub fn fanout_mix_opts(
         // Fresh arrays every round: all-host data costs every device the
         // same single H2D leg, so the placement decision is exactly the
         // policy's load model — nothing is pinned by prior residency.
-        let hx = m.array_f64(heavy_n);
-        let hy = m.array_f64(heavy_n);
-        m.write_f64(&hx, &vec![90.0 + round as f64; heavy_n]);
-        m.launch(
-            &BLACK_SCHOLES,
-            grid,
-            &[
-                MultiArg::array(&hx),
-                MultiArg::array(&hy),
-                MultiArg::scalar(heavy_n as f64),
-                MultiArg::scalar(100.0),
-                MultiArg::scalar(0.02),
-                MultiArg::scalar(0.30),
-                MultiArg::scalar(1.0),
-            ],
-        )
-        .unwrap();
-        let shorts: Vec<MultiArray> = (0..FANOUT_SHORTS)
+        let hx = g.array_f64(heavy_n);
+        let hy = g.array_f64(heavy_n);
+        hx.copy_from_f64(&vec![90.0 + round as f64; heavy_n]);
+        heavy
+            .launch(
+                grid,
+                &[
+                    Arg::array(&hx),
+                    Arg::array(&hy),
+                    Arg::scalar(heavy_n as f64),
+                    Arg::scalar(100.0),
+                    Arg::scalar(0.02),
+                    Arg::scalar(0.30),
+                    Arg::scalar(1.0),
+                ],
+            )
+            .unwrap();
+        let shorts: Vec<DeviceArray> = (0..FANOUT_SHORTS)
             .map(|k| {
-                let img = m.array_f32(side * side);
-                let out = m.array_f32(side * side);
-                let kern = m.array_f32(d * d);
-                m.write_f32(&img, &vec![0.5 + 0.25 * k as f32; side * side]);
-                m.write_f32(&kern, &vec![1.0 / (d * d) as f32; d * d]);
-                m.launch(
-                    &GAUSSIAN_BLUR,
+                let img = g.array_f32(side * side);
+                let out = g.array_f32(side * side);
+                let kern = g.array_f32(d * d);
+                img.copy_from_f32(&vec![0.5 + 0.25 * k as f32; side * side]);
+                kern.copy_from_f32(&vec![1.0 / (d * d) as f32; d * d]);
+                blur.launch(
                     grid,
                     &[
-                        MultiArg::array(&img),
-                        MultiArg::array(&out),
-                        MultiArg::scalar(side as f64),
-                        MultiArg::scalar(side as f64),
-                        MultiArg::array(&kern),
-                        MultiArg::scalar(d as f64),
+                        Arg::array(&img),
+                        Arg::array(&out),
+                        Arg::scalar(side as f64),
+                        Arg::scalar(side as f64),
+                        Arg::array(&kern),
+                        Arg::scalar(d as f64),
                     ],
                 )
                 .unwrap();
                 out
             })
             .collect();
-        m.sync();
+        g.sync();
         if round == 0 {
             // Warmup done: priors are primed, the machine is idle.
             // Measure from here.
-            t0 = m.runtime().now();
+            t0 = g.now();
         } else if round == rounds {
             // Verify outputs once, on the final round — host read-back
             // is policy-neutral noise, so keep it out of the middle of
             // the measurement.
-            checksum += m.get_f64(&hy, 1);
+            checksum += hy.get_f64(1);
             for out in &shorts {
-                checksum += m.get_f32(out, 1) as f64;
+                checksum += out.get_f32(1) as f64;
             }
         }
     }
     FanoutMixResult {
-        makespan: m.runtime().now() - t0,
+        makespan: g.now() - t0,
         checksum,
-        calib_kernel_samples: m.runtime().calibration_stats().kernel_samples,
-        races: m.races(),
+        calib_kernel_samples: g.calibration_stats().kernel_samples,
+        races: g.races().len(),
     }
 }
 

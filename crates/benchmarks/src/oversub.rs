@@ -33,8 +33,8 @@
 //!   bytes collapse and the makespan with them.
 
 use gpu_sim::memgr::{EvictionPolicy, MemoryConfig};
-use gpu_sim::{DeviceProfile, Grid};
-use grcuda::{MultiArg, MultiArray, MultiGpu, Options, PlacementPolicy, TopologyKind};
+use gpu_sim::{DeviceProfile, Grid, Topology};
+use grcuda::{Arg, DeviceArray, GrCuda, Options, PlacementPolicy};
 use kernels::util::{JOIN, PIN};
 
 /// Devices the workload is shaped for.
@@ -110,82 +110,79 @@ pub fn oversubscribe_opts(
 ) -> OversubResult {
     let grid = Grid::d1(64, 256);
     let memory = MemoryConfig { capacity, eviction };
-    let mut m = MultiGpu::with_memory(
-        DeviceProfile::tesla_p100(),
-        OVERSUB_DEVICES,
-        options,
-        policy,
-        TopologyKind::PcieOnly,
-        memory,
-    );
+    let dev = DeviceProfile::tesla_p100();
+    let topo = Topology::pcie_only(OVERSUB_DEVICES, &dev).with_memory(memory);
+    let g = GrCuda::with_topology(dev, topo, options, policy);
+    let pin = g.build_kernel(&PIN).expect("PIN is a registered signature");
+    let join = g
+        .build_kernel(&JOIN)
+        .expect("JOIN is a registered signature");
     let an = anchor_bytes(n) / 4; // anchor element count
     let jn = 256.min(n);
 
-    let anchor = m.array_f32(an);
-    m.write_f32(&anchor, &vec![2.0; an]);
-    let weights: Vec<MultiArray> = (0..N_WEIGHTS)
+    let anchor = g.array_f32(an);
+    anchor.copy_from_f32(&vec![2.0; an]);
+    let weights: Vec<DeviceArray> = (0..N_WEIGHTS)
         .map(|i| {
-            let w = m.array_f32(n);
-            m.write_f32(&w, &vec![1.0 + i as f32; n]);
+            let w = g.array_f32(n);
+            w.copy_from_f32(&vec![1.0 + i as f32; n]);
             w
         })
         .collect();
-    let states: Vec<MultiArray> = (0..N_STATES)
+    let states: Vec<DeviceArray> = (0..N_STATES)
         .map(|i| {
-            let s = m.array_f32(n);
-            m.write_f32(&s, &vec![0.5 + 0.125 * i as f32; n]);
+            let s = g.array_f32(n);
+            s.copy_from_f32(&vec![0.5 + 0.125 * i as f32; n]);
             s
         })
         .collect();
-    let outs: Vec<MultiArray> = (0..N_STATES).map(|_| m.array_f32(jn)).collect();
+    let outs: Vec<DeviceArray> = (0..N_STATES).map(|_| g.array_f32(jn)).collect();
 
     for _iter in 0..iters {
         for j in 0..N_STATES {
-            m.launch(
-                &PIN,
+            pin.launch(
                 grid,
                 &[
-                    MultiArg::array(&anchor),
-                    MultiArg::array(&states[j]),
-                    MultiArg::scalar(an as f64),
-                    MultiArg::scalar(n as f64),
+                    Arg::array(&anchor),
+                    Arg::array(&states[j]),
+                    Arg::scalar(an as f64),
+                    Arg::scalar(n as f64),
                 ],
             )
             .unwrap();
-            m.launch(
-                &JOIN,
+            join.launch(
                 grid,
                 &[
-                    MultiArg::array(&weights[j % N_WEIGHTS]),
-                    MultiArg::array(&states[j]),
-                    MultiArg::array(&outs[j]),
-                    MultiArg::scalar(n as f64),
-                    MultiArg::scalar(n as f64),
-                    MultiArg::scalar(jn as f64),
+                    Arg::array(&weights[j % N_WEIGHTS]),
+                    Arg::array(&states[j]),
+                    Arg::array(&outs[j]),
+                    Arg::scalar(n as f64),
+                    Arg::scalar(n as f64),
+                    Arg::scalar(jn as f64),
                 ],
             )
             .unwrap();
         }
     }
-    m.sync();
+    g.sync();
 
     let checksum = states
         .iter()
         .chain(outs.iter())
-        .flat_map(|a| m.read_f32(a))
+        .flat_map(|a| a.to_vec_f32())
         .map(|x| x as f64)
         .sum::<f64>();
-    let st = m.memory_stats();
+    let st = g.memory_stats();
     OversubResult {
-        makespan: m.makespan(),
+        makespan: g.now(),
         evictions: st.evictions,
         spilled_bytes: st.spilled_bytes,
         peak_resident: st.peak_resident.clone(),
         prefetch: (st.prefetch_issued, st.prefetch_hits, st.prefetch_skipped),
         prefetch_hit_rate: st.prefetch_hit_rate(),
-        host_link_bytes: m.host_link_bytes(),
+        host_link_bytes: g.host_link_bytes(),
         checksum,
-        races: m.races(),
+        races: g.races().len(),
     }
 }
 

@@ -6,12 +6,12 @@
 //! execution"), the last iteration's timeline, and a bit-exact
 //! validation against the sequential CPU reference.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::rc::Rc;
 
 use cuda_sim::{Cuda, CudaGraph, KernelExec, StreamId, UnifiedArray};
 use gpu_sim::{DataBuffer, DeviceProfile, Timeline, TypedData};
-use grcuda::{Arg, GrCuda, MultiArg, MultiArray, MultiGpu, Options, PlacementPolicy, Signature};
+use grcuda::{Arg, GrCuda, Options, PlacementPolicy, Signature, Topology};
 
 use crate::spec::{BenchSpec, PlanArg, PlanOp};
 
@@ -211,24 +211,21 @@ pub fn read_grcuda_outputs(spec: &BenchSpec, arrays: &[grcuda::DeviceArray]) {
     }
 }
 
-/// Run the spec through the GrCUDA runtime. With
-/// [`Options::serial`] this is the paper's baseline; with
-/// [`Options::parallel`] it is the paper's contribution. Stream and
-/// dependency hints in the plan are ignored — the scheduler infers
-/// everything.
-pub fn run_grcuda(
-    spec: &BenchSpec,
-    dev: &DeviceProfile,
-    options: Options,
-    iters: usize,
-) -> RunResult {
-    let g = GrCuda::new(dev.clone(), options);
-    let arrays = grcuda_arrays(&g, spec);
+/// The iterate / launch / read / sync / validate loop every GrCUDA
+/// runner shares: whatever machine `g` was built over, the spec runs
+/// the same way. Stream and dependency hints in the plan are ignored —
+/// the scheduler infers everything. A spec whose kernel signatures or
+/// launch arguments the runtime rejects is an `Err` naming the kernel.
+fn run_on(g: &GrCuda, spec: &BenchSpec, iters: usize) -> Result<RunResult, String> {
+    let arrays = grcuda_arrays(g, spec);
     let mut kernels: HashMap<&'static str, grcuda::Kernel> = HashMap::new();
     for op in &spec.ops {
-        kernels
-            .entry(op.def.name)
-            .or_insert_with(|| g.build_kernel(op.def).expect("suite signatures parse"));
+        if let Entry::Vacant(slot) = kernels.entry(op.def.name) {
+            let kernel = g
+                .build_kernel(op.def)
+                .map_err(|e| format!("{}: kernel `{}`: {e}", spec.name, op.def.name))?;
+            slot.insert(kernel);
+        }
     }
 
     let mut iter_times = Vec::with_capacity(iters);
@@ -246,7 +243,7 @@ pub fn run_grcuda(
                 .collect();
             kernels[op.def.name]
                 .launch(op.grid, &args)
-                .expect("suite launches validate");
+                .map_err(|e| format!("{}: {e}", spec.name))?;
         }
         read_grcuda_outputs(spec, &arrays);
         g.sync();
@@ -255,13 +252,32 @@ pub fn run_grcuda(
 
     let buffers: Vec<DataBuffer> = arrays.iter().map(|a| a.raw_buffer()).collect();
     let timeline = g.timeline();
-    RunResult {
+    Ok(RunResult {
         iter_times,
         streams_used: timeline.streams_used(),
         races: g.races().len(),
         valid: validate(spec, &buffers, iters),
         timeline,
-    }
+    })
+}
+
+/// Run the spec through the GrCUDA runtime on one device. With
+/// [`Options::serial`] this is the paper's baseline; with
+/// [`Options::parallel`] it is the paper's contribution.
+///
+/// # Panics
+///
+/// If the runtime rejects one of the spec's kernel signatures or
+/// launches (the signature is frozen by `benchmark/`; the multi-device
+/// runners return the error instead).
+pub fn run_grcuda(
+    spec: &BenchSpec,
+    dev: &DeviceProfile,
+    options: Options,
+    iters: usize,
+) -> RunResult {
+    let g = GrCuda::new(dev.clone(), options);
+    run_on(&g, spec, iters).unwrap_or_else(|e| panic!("{e}"))
 }
 
 // ---------------------------------------------------------------------
@@ -287,80 +303,12 @@ impl MultiRunResult {
     }
 }
 
-/// Allocate the spec's managed arrays in a multi-GPU front-end and write
-/// their initial contents (every element type the specs use, including
-/// `sint32`).
-pub fn multi_gpu_arrays(m: &mut MultiGpu, spec: &BenchSpec) -> Vec<MultiArray> {
-    spec.arrays
-        .iter()
-        .map(|a| match &a.init {
-            TypedData::F32(v) => {
-                let d = m.array_f32(v.len());
-                m.write_f32(&d, v);
-                d
-            }
-            TypedData::F64(v) => {
-                let d = m.array_f64(v.len());
-                m.write_f64(&d, v);
-                d
-            }
-            TypedData::I32(v) => {
-                let d = m.array_i32(v.len());
-                m.write_i32(&d, v);
-                d
-            }
-            TypedData::U8(v) => {
-                let d = m.array_u8(v.len());
-                m.write_u8(&d, v);
-                d
-            }
-        })
-        .collect()
-}
-
-/// Re-write streaming inputs with their initial contents, as each
-/// iteration of the paper's benchmarks does.
-pub fn refresh_multi_gpu_arrays(m: &mut MultiGpu, spec: &BenchSpec, arrays: &[MultiArray]) {
-    for (i, a) in spec.arrays.iter().enumerate() {
-        if a.refresh_each_iter {
-            match &a.init {
-                TypedData::F32(v) => m.write_f32(&arrays[i], v),
-                TypedData::F64(v) => m.write_f64(&arrays[i], v),
-                TypedData::I32(v) => m.write_i32(&arrays[i], v),
-                TypedData::U8(v) => m.write_u8(&arrays[i], v),
-            }
-        }
-    }
-}
-
-/// The spec's end-of-iteration host reads (fine-grained sync points).
-pub fn read_multi_gpu_outputs(m: &MultiGpu, spec: &BenchSpec, arrays: &[MultiArray]) {
-    for (k, cnt) in &spec.outputs {
-        for i in 0..*cnt {
-            match &spec.arrays[*k].init {
-                TypedData::F32(_) => {
-                    m.get_f32(&arrays[*k], i);
-                }
-                TypedData::F64(_) => {
-                    m.get_f64(&arrays[*k], i);
-                }
-                TypedData::I32(_) => {
-                    m.get_i32(&arrays[*k], i);
-                }
-                TypedData::U8(_) => {
-                    m.get_u8(&arrays[*k], i);
-                }
-            }
-        }
-    }
-}
-
-/// Run the spec through the unified multi-GPU scheduler: `n_devices`
-/// simulated devices behind one DAG/stream-manager core, with placement
-/// decided per-kernel by `policy`. Results are validated against the
-/// same sequential CPU reference as every other runner, so any two
-/// policies (or device counts) that validate are bit-identical to each
-/// other — the parity the policy sweep asserts.
+/// Run the spec through the unified scheduler on `n_devices` simulated
+/// devices over host (PCIe) links, with placement decided per-kernel by
+/// `policy`. Results are validated against the same sequential CPU
+/// reference as every other runner, so any two policies (or device
+/// counts) that validate are bit-identical to each other — the parity
+/// the policy sweep asserts.
 pub fn run_multi_gpu(
     spec: &BenchSpec,
     dev: &DeviceProfile,
@@ -368,68 +316,29 @@ pub fn run_multi_gpu(
     n_devices: usize,
     policy: PlacementPolicy,
     iters: usize,
-) -> MultiRunResult {
-    run_multi_gpu_topo(
-        spec,
-        dev,
-        options,
-        n_devices,
-        policy,
-        grcuda::TopologyKind::PcieOnly,
-        iters,
-    )
+) -> Result<MultiRunResult, String> {
+    let topo = Topology::pcie_only(n_devices, dev);
+    run_multi_gpu_topo(spec, dev, options, topo, policy, iters)
 }
 
-/// [`run_multi_gpu`] on an explicit interconnect preset — the same DAG
-/// scheduled on a different machine. Validation is topology-independent:
+/// [`run_multi_gpu`] on an explicit machine — the same DAG scheduled
+/// over a different [`Topology`]. Validation is topology-independent:
 /// links change transfer routes and timing, never results.
-#[allow(clippy::too_many_arguments)]
 pub fn run_multi_gpu_topo(
     spec: &BenchSpec,
     dev: &DeviceProfile,
     options: Options,
-    n_devices: usize,
+    topo: Topology,
     policy: PlacementPolicy,
-    topology: grcuda::TopologyKind,
     iters: usize,
-) -> MultiRunResult {
-    let mut m = MultiGpu::with_topology(dev.clone(), n_devices, options, policy, topology);
-    let arrays = multi_gpu_arrays(&mut m, spec);
-
-    let mut iter_times = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        refresh_multi_gpu_arrays(&mut m, spec, &arrays);
-        m.clear_timeline();
-        for op in &spec.ops {
-            let args: Vec<MultiArg> = op
-                .args
-                .iter()
-                .map(|a| match a {
-                    PlanArg::Arr(k) => MultiArg::array(&arrays[*k]),
-                    PlanArg::Scalar(v) => MultiArg::scalar(*v),
-                })
-                .collect();
-            m.launch(op.def, op.grid, &args)
-                .expect("suite launches validate");
-        }
-        read_multi_gpu_outputs(&m, spec, &arrays);
-        m.sync();
-        iter_times.push(m.runtime().timeline().gpu_span());
-    }
-
-    let buffers: Vec<DataBuffer> = arrays.iter().map(|a| a.raw_buffer()).collect();
-    let timeline = m.runtime().timeline();
-    MultiRunResult {
-        migrations: m.migration_stats(),
-        devices_used: timeline.devices_used().len(),
-        run: RunResult {
-            iter_times,
-            streams_used: timeline.streams_used(),
-            races: m.races(),
-            valid: validate(spec, &buffers, iters),
-            timeline,
-        },
-    }
+) -> Result<MultiRunResult, String> {
+    let g = GrCuda::with_topology(dev.clone(), topo, options, policy);
+    let run = run_on(&g, spec, iters)?;
+    Ok(MultiRunResult {
+        migrations: g.migration_stats(),
+        devices_used: run.timeline.devices_used().len(),
+        run,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -700,10 +609,33 @@ mod tests {
             2,
             PlacementPolicy::RoundRobin,
             2,
-        );
+        )
+        .unwrap();
         r.assert_ok();
         assert_eq!(r.devices_used, 2, "round-robin must reach both devices");
         assert!(r.migrations.0 >= 1, "HITS chains must migrate under RR");
+
+        // A spec the runtime rejects is an error value, not a panic:
+        // first an unparsable signature, then a launch short one argument.
+        let run = |spec: &BenchSpec| {
+            run_multi_gpu(
+                spec,
+                &dev(),
+                Options::parallel(),
+                2,
+                PlacementPolicy::RoundRobin,
+                1,
+            )
+        };
+        let mut bad = Bench::Hits.build(scales::tiny(Bench::Hits));
+        bad.ops[0].def = Box::leak(Box::new(kernels::KernelDef {
+            nidl: "pointer nonsense",
+            ..*bad.ops[0].def
+        }));
+        assert!(run(&bad).unwrap_err().contains(bad.ops[0].def.name));
+        let mut short = spec;
+        short.ops[0].args.pop();
+        assert!(run(&short).unwrap_err().contains("arguments"));
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! [`grcuda::PlacementPolicy::RoundRobin`] ignores data entirely and
 //! additionally drags the big anchor weights around.
 
-use gpu_sim::{DeviceProfile, Grid};
-use grcuda::{MultiArg, MultiArray, MultiGpu, Options, PlacementPolicy, TopologyKind};
+use gpu_sim::{DeviceProfile, Grid, Topology};
+use grcuda::{Arg, DeviceArray, GrCuda, Options, PlacementPolicy, TopologyKind};
 use kernels::util::{JOIN, PIN, SCALE};
 use kernels::vec_ops::SQUARE;
 
@@ -76,13 +76,13 @@ pub fn transfer_chain_opts(
     options: Options,
 ) -> TransferChainResult {
     let grid = Grid::d1(64, 256);
-    let mut m = MultiGpu::with_topology(
-        DeviceProfile::tesla_p100(),
-        TRANSFER_CHAIN_DEVICES,
-        options,
-        policy,
-        topology,
-    );
+    let dev = DeviceProfile::tesla_p100();
+    let topo = Topology::preset(topology, TRANSFER_CHAIN_DEVICES, &dev);
+    let g = GrCuda::with_topology(dev, topo, options, policy);
+    let [square, scale, pin, join] = [&SQUARE, &SCALE, &PIN, &JOIN].map(|def| {
+        g.build_kernel(def)
+            .expect("the chain's kernels are registered signatures")
+    });
     let sn = n * 3 / 4; // state is slightly smaller than the input
     let wn = n * 3 / 2; // anchor weights dominate any argument set
     let jn = 1024.min(n);
@@ -91,87 +91,82 @@ pub fn transfer_chain_opts(
     // tie-break lands W0..W3 on devices 0..3 for every policy (and
     // round-robin cycles onto the same devices). After this, W2 pins the
     // chain state's island.
-    let ws: Vec<MultiArray> = (0..TRANSFER_CHAIN_DEVICES)
+    let ws: Vec<DeviceArray> = (0..TRANSFER_CHAIN_DEVICES)
         .map(|i| {
-            let w = m.array_f32(wn);
-            m.write_f32(&w, &vec![0.5 + 0.25 * i as f32; wn]);
-            m.launch(
-                &SQUARE,
-                grid,
-                &[MultiArg::array(&w), MultiArg::scalar(wn as f64)],
-            )
-            .unwrap();
+            let w = g.array_f32(wn);
+            w.copy_from_f32(&vec![0.5 + 0.25 * i as f32; wn]);
+            square
+                .launch(grid, &[Arg::array(&w), Arg::scalar(wn as f64)])
+                .unwrap();
             w
         })
         .collect();
-    m.sync();
+    g.sync();
 
-    let a = m.array_f32(n);
-    let t = m.array_f32(n);
-    let s = m.array_f32(sn);
-    let j = m.array_f32(jn);
-    m.write_f32(&s, &vec![1.0; sn]);
+    let a = g.array_f32(n);
+    let t = g.array_f32(n);
+    let s = g.array_f32(sn);
+    let j = g.array_f32(jn);
+    s.copy_from_f32(&vec![1.0; sn]);
 
     for iter in 0..iters {
         // Fresh streaming input each iteration.
-        m.write_f32(&a, &vec![1.0 + 0.001 * iter as f32; n]);
-        m.launch(
-            &SCALE,
+        a.copy_from_f32(&vec![1.0 + 0.001 * iter as f32; n]);
+        scale
+            .launch(
+                grid,
+                &[
+                    Arg::array(&a),
+                    Arg::array(&t),
+                    Arg::scalar(1.0001),
+                    Arg::scalar(n as f64),
+                ],
+            )
+            .unwrap();
+        pin.launch(
             grid,
             &[
-                MultiArg::array(&a),
-                MultiArg::array(&t),
-                MultiArg::scalar(1.0001),
-                MultiArg::scalar(n as f64),
+                Arg::array(&ws[2]),
+                Arg::array(&s),
+                Arg::scalar(wn as f64),
+                Arg::scalar(sn as f64),
             ],
         )
         .unwrap();
-        m.launch(
-            &PIN,
+        join.launch(
             grid,
             &[
-                MultiArg::array(&ws[2]),
-                MultiArg::array(&s),
-                MultiArg::scalar(wn as f64),
-                MultiArg::scalar(sn as f64),
-            ],
-        )
-        .unwrap();
-        m.launch(
-            &JOIN,
-            grid,
-            &[
-                MultiArg::array(&a),
-                MultiArg::array(&s),
-                MultiArg::array(&j),
-                MultiArg::scalar(n as f64),
-                MultiArg::scalar(sn as f64),
-                MultiArg::scalar(jn as f64),
+                Arg::array(&a),
+                Arg::array(&s),
+                Arg::array(&j),
+                Arg::scalar(n as f64),
+                Arg::scalar(sn as f64),
+                Arg::scalar(jn as f64),
             ],
         )
         .unwrap();
     }
-    m.sync();
+    g.sync();
 
-    let checksum = m
-        .read_f32(&j)
+    let checksum = j
+        .to_vec_f32()
         .iter()
-        .chain(m.read_f32(&s).iter())
+        .chain(s.to_vec_f32().iter())
         .map(|&x| x as f64)
         .sum::<f64>()
-        + m.read_f32(&t)[..16.min(n)]
+        + t.to_vec_f32()[..16.min(n)]
             .iter()
             .map(|&x| x as f64)
             .sum::<f64>();
 
     TransferChainResult {
-        makespan: m.makespan(),
-        migrations: m.migration_stats(),
-        p2p_migrations: m.p2p_migration_stats(),
-        host_link_bytes: m.host_link_bytes(),
-        link_traffic: m.link_traffic(),
+        makespan: g.now(),
+        migrations: g.migration_stats(),
+        p2p_migrations: g.p2p_migration_stats(),
+        host_link_bytes: g.host_link_bytes(),
+        link_traffic: g.link_traffic(),
         checksum,
-        races: m.races(),
+        races: g.races().len(),
     }
 }
 

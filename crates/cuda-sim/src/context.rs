@@ -103,33 +103,29 @@ pub struct Cuda {
 }
 
 impl Cuda {
-    /// Create a context for the given device profile.
+    /// Create a single-device context for the given device profile.
     pub fn new(dev: DeviceProfile) -> Self {
-        Self::new_multi(dev, 1)
+        let topo = Topology::pcie_only(1, &dev);
+        Self::with_topology(dev, topo)
     }
 
-    /// Create a context spanning `n` identical devices sharing one
-    /// virtual clock, connected by host (PCIe) links only. Streams are
-    /// created on a device ([`Cuda::stream_create_on`]) and data moves
-    /// between devices through host-mediated migrations charged on both
-    /// PCIe links.
-    pub fn new_multi(dev: DeviceProfile, n: usize) -> Self {
-        Self::new_multi_topo(dev, n, TopologyKind::PcieOnly)
-    }
-
-    /// [`Cuda::new_multi`] with an explicit interconnect preset. Where
-    /// the topology has a direct device↔device link, cross-device
-    /// migrations use peer-to-peer DMA over that link (charged to it and
-    /// contending on it); device pairs without a link fall back to
-    /// host-mediated staging over both PCIe links.
+    /// [`Cuda::with_topology`] on an interconnect preset over `n`
+    /// identical devices. Retained for `benchmark/`; retire in the next
+    /// benchmark PR.
     pub fn new_multi_topo(dev: DeviceProfile, n: usize, kind: TopologyKind) -> Self {
-        Self::with_topology(dev.clone(), Topology::preset(kind, n, &dev))
+        let topo = Topology::preset(kind, n, &dev);
+        Self::with_topology(dev, topo)
     }
 
-    /// [`Cuda::new_multi`] over a fully custom [`Topology`]. The
-    /// topology's [`gpu_sim::MemoryConfig`] gives every device its
-    /// finite memory: allocations and migrations that would exceed it
-    /// evict resident arrays back to the host as real copy tasks.
+    /// Create a context spanning the identical devices of a [`Topology`],
+    /// sharing one virtual clock. Streams are created on a device
+    /// ([`Cuda::stream_create_on`]). Where the topology has a direct
+    /// device↔device link, cross-device migrations use peer-to-peer DMA
+    /// over that link (charged to it and contending on it); device pairs
+    /// without a link fall back to host-mediated staging over both PCIe
+    /// links. The topology's [`gpu_sim::MemoryConfig`] gives every device
+    /// its finite memory: allocations and migrations that would exceed
+    /// it evict resident arrays back to the host as real copy tasks.
     pub fn with_topology(dev: DeviceProfile, topo: Topology) -> Self {
         let n = topo.device_count();
         let n_links = topo.links().len();
@@ -1533,7 +1529,7 @@ mod tests {
 
     #[test]
     fn cross_device_migration_is_charged_and_ordered() {
-        let c = Cuda::new_multi(DeviceProfile::tesla_p100(), 2);
+        let c = Cuda::new_multi_topo(DeviceProfile::tesla_p100(), 2, TopologyKind::PcieOnly);
         let bytes = 4 << 20;
         let a = c.alloc_f32(bytes / 4);
         let s0 = c.default_stream();
@@ -1724,7 +1720,7 @@ mod tests {
     fn host_staged_data_reaches_other_devices_without_migration() {
         // Fresh host data is placement-neutral: any device takes it with
         // a plain H2D, never a cross-device migration.
-        let c = Cuda::new_multi(DeviceProfile::tesla_p100(), 2);
+        let c = Cuda::new_multi_topo(DeviceProfile::tesla_p100(), 2, TopologyKind::PcieOnly);
         let a = c.alloc_f32(1 << 18);
         let b = c.alloc_f32(1 << 18);
         let s1 = c.stream_create_on(1);

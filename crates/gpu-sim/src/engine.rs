@@ -164,24 +164,19 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// A fresh engine for the given device, at virtual time zero.
+    /// A fresh single-device engine, at virtual time zero.
     pub fn new(dev: DeviceProfile) -> Self {
-        Self::new_multi(dev, 1)
-    }
-
-    /// An engine simulating `n` identical devices over host (PCIe) links
-    /// only. Tasks are placed with [`TaskSpec::on_device`]; each device
-    /// has its own resource pool, so tasks on different devices progress
-    /// independently.
-    pub fn new_multi(dev: DeviceProfile, n: usize) -> Self {
-        let topo = Topology::pcie_only(n, &dev);
+        let topo = Topology::pcie_only(1, &dev);
         Self::with_topology(dev, topo)
     }
 
     /// An engine spanning the devices of an explicit interconnect
-    /// [`Topology`]. Peer links become machine-wide resources in the
-    /// fluid solver: concurrent [`TaskSpec::p2p_copy`] tasks on the same
-    /// link share its aggregate bandwidth, whichever devices they run on.
+    /// [`Topology`]. Tasks are placed with [`TaskSpec::on_device`]; each
+    /// device has its own resource pool, so tasks on different devices
+    /// progress independently. Peer links become machine-wide resources
+    /// in the fluid solver: concurrent [`TaskSpec::p2p_copy`] tasks on
+    /// the same link share its aggregate bandwidth, whichever devices
+    /// they run on.
     pub fn with_topology(dev: DeviceProfile, topo: Topology) -> Self {
         let n = topo.device_count();
         let n_links = topo.links().len();
@@ -971,6 +966,12 @@ mod tests {
         DeviceProfile::gtx1660_super()
     }
 
+    /// An engine over `n` devices joined by host (PCIe) links only.
+    fn pcie(d: DeviceProfile, n: usize) -> Engine {
+        let topo = Topology::pcie_only(n, &d);
+        Engine::with_topology(d, topo)
+    }
+
     #[test]
     fn drained_engine_reclaims_task_states() {
         let mut e = Engine::new(dev());
@@ -1053,7 +1054,7 @@ mod tests {
     fn devices_do_not_contend_with_each_other() {
         // Two full-machine kernels: on one device they halve each other's
         // rate (2 ms); on two devices they run at full speed (1 ms).
-        let mut e = Engine::new_multi(dev(), 2);
+        let mut e = pcie(dev(), 2);
         e.submit(TaskSpec::kernel("a", 0).fluid(1e-3).sm_frac(1.0), &[]);
         e.submit(
             TaskSpec::kernel("b", 1)
@@ -1071,7 +1072,7 @@ mod tests {
 
     #[test]
     fn same_device_tasks_still_contend_in_multi_engines() {
-        let mut e = Engine::new_multi(dev(), 4);
+        let mut e = pcie(dev(), 4);
         e.submit(
             TaskSpec::kernel("a", 0)
                 .on_device(3)
@@ -1145,7 +1146,7 @@ mod tests {
     #[test]
     fn host_transfers_are_charged_to_their_device_host_link() {
         let d = dev();
-        let mut e = Engine::new_multi(d.clone(), 2);
+        let mut e = pcie(d.clone(), 2);
         let c0 = e.submit(TaskSpec::bulk_copy(TaskKind::CopyH2D, "x", 0, 1e6, &d), &[]);
         let c1 = e.submit(
             TaskSpec::bulk_copy(TaskKind::CopyD2H, "y", 1, 2e6, &d).on_device(1),
@@ -1162,7 +1163,7 @@ mod tests {
 
     #[test]
     fn device_load_tracks_in_flight_tasks() {
-        let mut e = Engine::new_multi(dev(), 2);
+        let mut e = pcie(dev(), 2);
         let a = e.submit(TaskSpec::kernel("a", 0).fluid(1e-3).sm_frac(0.2), &[]);
         e.submit(
             TaskSpec::kernel("b", 1)

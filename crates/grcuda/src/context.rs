@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use cuda_sim::{Cuda, KernelExec, MemEventKind, StreamId, UnifiedArray};
 use dag::{ArgAccess, ComputationDag, DenseMap, ElementKind, Value, VertexId};
-use gpu_sim::memgr::{MemoryConfig, MemoryStats};
+use gpu_sim::memgr::MemoryStats;
 use gpu_sim::{
     Architecture, DataBuffer, DeviceProfile, EngineStats, Grid, RaceReport, TaskId, Time, Timeline,
     Topology, TopologyKind,
@@ -157,52 +157,76 @@ pub struct GrCuda {
 }
 
 impl GrCuda {
-    /// Create a runtime for a device with the given scheduler options.
+    /// Create a single-device runtime with the given scheduler options.
     pub fn new(dev: DeviceProfile, options: Options) -> Self {
-        Self::new_multi(dev, 1, options, PlacementPolicy::SingleGpu)
+        let topo = Topology::pcie_only(1, &dev);
+        Self::with_topology(dev, topo, options, PlacementPolicy::SingleGpu)
     }
 
-    /// Create a runtime spanning `n` identical devices behind one
-    /// scheduler core: one computation DAG, one stream manager with
-    /// per-device pools, one engine — so multi-GPU launches get
-    /// dependency inference, first-child stream claims, retire/compact
-    /// and [`GrCuda::scheduler_stats`] exactly like single-GPU ones. The
-    /// placement policy is consulted once per computational element with
-    /// its DAG context (parent devices, argument residency, per-device
-    /// load).
-    pub fn new_multi(
-        dev: DeviceProfile,
-        n: usize,
-        options: Options,
-        placement: PlacementPolicy,
-    ) -> Self {
-        Self::with_placement(dev, n, options, placement.build())
-    }
-
-    /// [`GrCuda::new_multi`] with an explicit interconnect preset. The
-    /// topology decides how cross-device migrations travel (direct P2P
-    /// DMA over peer links, host-mediated staging otherwise) and feeds
-    /// the per-candidate transfer-time estimates the placement policy
-    /// sees ([`PlacementCtx::est_transfer_time`]).
-    pub fn new_multi_topo(
-        dev: DeviceProfile,
-        n: usize,
-        options: Options,
-        placement: PlacementPolicy,
-        topology: TopologyKind,
-    ) -> Self {
-        Self::with_placement_topo(dev, n, options, placement.build(), topology)
-    }
-
-    /// [`GrCuda::new_multi`] with a custom [`DeviceSelectionPolicy`] —
-    /// the extension point for placement strategies beyond the built-in
-    /// ones (sharding, batching, heterogeneous-device weighting, ...).
+    /// Create a runtime over the machine a [`Topology`] describes —
+    /// its identical devices, host/peer/NIC links, node map and
+    /// [`gpu_sim::MemoryConfig`] — behind one scheduler core: one
+    /// computation DAG, one stream manager with per-device pools, one
+    /// engine. So multi-GPU launches get dependency inference,
+    /// first-child stream claims, retire/compact and
+    /// [`GrCuda::scheduler_stats`] exactly like single-GPU ones, and
+    /// every policy computes bit-identical results (ordering always
+    /// comes from the shared DAG; policies only move work).
+    ///
+    /// * The links decide how cross-device migrations travel (direct
+    ///   P2P DMA over peer links, host-mediated staging otherwise) and
+    ///   feed the per-candidate transfer-time estimates the placement
+    ///   policy sees ([`PlacementCtx::est_transfer_time`]).
+    /// * A finite memory config ([`Topology::with_memory`]) gives every
+    ///   device `capacity` bytes: launches whose arguments exceed the
+    ///   headroom evict resident arrays under its eviction policy (spill
+    ///   copies contend on the interconnect like any other transfer),
+    ///   and the policy sees per-device free bytes
+    ///   ([`PlacementCtx::free_bytes`]) —
+    ///   [`PlacementPolicy::MemoryAware`] is built for this setting.
+    /// * `placement` is consulted once per computational element with
+    ///   its DAG context (parent devices, argument residency, per-device
+    ///   load): a built-in [`PlacementPolicy`], or any boxed
+    ///   [`DeviceSelectionPolicy`] — the extension point for strategies
+    ///   beyond the built-in ones (sharding, heterogeneous-device
+    ///   weighting, ...).
     ///
     /// # Examples
+    ///
+    /// A built-in policy on an interconnect preset:
+    ///
+    /// ```
+    /// use grcuda::{
+    ///     Arg, DeviceProfile, GrCuda, Grid, Options, PlacementPolicy, Topology, TopologyKind,
+    /// };
+    /// use kernels::vec_ops::SQUARE;
+    ///
+    /// let dev = DeviceProfile::tesla_p100();
+    /// let topo = Topology::preset(TopologyKind::NvlinkPair, 4, &dev);
+    /// let g = GrCuda::with_topology(
+    ///     dev,
+    ///     topo,
+    ///     Options::parallel(),
+    ///     PlacementPolicy::TransferAware,
+    /// );
+    /// let n = 1 << 12;
+    /// let x = g.array_f32(n);
+    /// x.copy_from_f32(&vec![3.0; n]);
+    /// let square = g.build_kernel(&SQUARE).unwrap();
+    /// square
+    ///     .launch_placed(Grid::d1(16, 256), &[Arg::array(&x), Arg::scalar(n as f64)])
+    ///     .unwrap();
+    /// g.sync();
+    /// assert_eq!(x.get_f32(0), 9.0);
+    /// assert!(g.now() > 0.0);
+    /// ```
+    ///
+    /// A custom policy:
     ///
     /// ```
     /// use grcuda::{
     ///     Arg, DeviceProfile, DeviceSelectionPolicy, GrCuda, Grid, Options, PlacementCtx,
+    ///     Topology,
     /// };
     /// use kernels::vec_ops::SQUARE;
     ///
@@ -218,12 +242,10 @@ impl GrCuda {
     ///     }
     /// }
     ///
-    /// let g = GrCuda::with_placement(
-    ///     DeviceProfile::tesla_p100(),
-    ///     4,
-    ///     Options::parallel(),
-    ///     Box::new(FollowParent),
-    /// );
+    /// let dev = DeviceProfile::tesla_p100();
+    /// let topo = Topology::pcie_only(4, &dev);
+    /// let policy: Box<dyn DeviceSelectionPolicy> = Box::new(FollowParent);
+    /// let g = GrCuda::with_topology(dev, topo, Options::parallel(), policy);
     /// let x = g.array_f32(256);
     /// x.fill_f32(3.0);
     /// let sq = g.build_kernel(&SQUARE).unwrap();
@@ -232,77 +254,12 @@ impl GrCuda {
     /// g.sync();
     /// assert_eq!(x.get_f32(0), 9.0);
     /// ```
-    pub fn with_placement(
+    pub fn with_topology(
         dev: DeviceProfile,
-        n: usize,
+        topo: Topology,
         options: Options,
-        placement: Box<dyn DeviceSelectionPolicy>,
+        placement: impl Into<Box<dyn DeviceSelectionPolicy>>,
     ) -> Self {
-        Self::with_placement_topo(dev, n, options, placement, TopologyKind::PcieOnly)
-    }
-
-    /// [`GrCuda::new_multi_topo`] with a finite device-memory
-    /// configuration: every device gets `memory.capacity` bytes, and
-    /// launches whose arguments exceed the headroom evict resident
-    /// arrays under `memory.eviction` (spill copies contend on the
-    /// interconnect like any other transfer). The placement policy sees
-    /// per-device free bytes ([`PlacementCtx::free_bytes`]);
-    /// [`PlacementPolicy::MemoryAware`] is built for exactly this
-    /// setting.
-    pub fn new_multi_mem(
-        dev: DeviceProfile,
-        n: usize,
-        options: Options,
-        placement: PlacementPolicy,
-        topology: TopologyKind,
-        memory: MemoryConfig,
-    ) -> Self {
-        let topo = Topology::preset(topology, n, &dev).with_memory(memory);
-        let cuda = Cuda::with_topology(dev, topo);
-        Self::from_cuda(cuda, options, placement.build())
-    }
-
-    /// Custom placement policy *and* interconnect preset.
-    pub fn with_placement_topo(
-        dev: DeviceProfile,
-        n: usize,
-        options: Options,
-        placement: Box<dyn DeviceSelectionPolicy>,
-        topology: TopologyKind,
-    ) -> Self {
-        let cuda = Cuda::new_multi_topo(dev, n, topology);
-        Self::from_cuda(cuda, options, placement)
-    }
-
-    /// [`GrCuda::new_multi`] over a multi-node [`gpu_sim::Cluster`]:
-    /// one scheduler core spanning every GPU of every node, with NIC
-    /// links in the same global rate solve, the deterministic batch
-    /// partitioner active on [`GrCuda::launch_batch`], and cross-node
-    /// migrations routed GPU→host→NIC→host→GPU. Pair it with
-    /// [`PlacementPolicy::NodeAware`] so placement honors the
-    /// partition; a one-node cluster is bit-identical to
-    /// [`GrCuda::new_multi_topo`] on the same preset.
-    pub fn with_cluster(
-        dev: DeviceProfile,
-        cluster: &gpu_sim::Cluster,
-        options: Options,
-        placement: PlacementPolicy,
-    ) -> Self {
-        let topo = cluster.build(&dev);
-        let cuda = Cuda::with_topology(dev, topo);
-        Self::from_cuda(cuda, options, placement.build())
-    }
-
-    /// Shared constructor tail over a ready [`Cuda`] context.
-    fn from_cuda(cuda: Cuda, options: Options, placement: Box<dyn DeviceSelectionPolicy>) -> Self {
-        // The scheduler drains eviction/prefetch events after every
-        // launch to annotate its DAG; recording is safe to leave on
-        // because the drain keeps the buffer bounded.
-        cuda.record_mem_events(true);
-        if options.calibrate {
-            cuda.enable_calibration(true);
-        }
-        let topo = cuda.topology();
         let node_of: Vec<u32> = if topo.node_count() > 1 {
             (0..topo.device_count() as u32)
                 .map(|d| topo.node_of(d))
@@ -310,13 +267,21 @@ impl GrCuda {
         } else {
             Vec::new()
         };
+        let cuda = Cuda::with_topology(dev, topo);
+        // The scheduler drains eviction/prefetch events after every
+        // launch to annotate its DAG; recording is safe to leave on
+        // because the drain keeps the buffer bounded.
+        cuda.record_mem_events(true);
+        if options.calibrate {
+            cuda.enable_calibration(true);
+        }
         GrCuda {
             inner: Rc::new(RefCell::new(Ctx {
                 cuda,
                 options,
                 dag: ComputationDag::new(),
                 streams: StreamManager::new(options.dep_stream, options.stream_reuse),
-                placement,
+                placement: placement.into(),
                 vertex_task: DenseMap::new(),
                 vertex_stream: DenseMap::new(),
                 vertex_device: DenseMap::new(),
@@ -331,6 +296,89 @@ impl GrCuda {
                 partition_cut_bytes: 0,
             })),
         }
+    }
+
+    /// [`GrCuda::with_topology`] on an interconnect preset over `n`
+    /// devices with a boxed policy. Retained for `benchmark/`; retire in
+    /// the next benchmark PR.
+    pub fn with_placement_topo(
+        dev: DeviceProfile,
+        n: usize,
+        options: Options,
+        placement: Box<dyn DeviceSelectionPolicy>,
+        topology: TopologyKind,
+    ) -> Self {
+        let topo = Topology::preset(topology, n, &dev);
+        Self::with_topology(dev, topo, options, placement)
+    }
+
+    /// [`GrCuda::with_topology`] over a multi-node [`gpu_sim::Cluster`]:
+    /// one scheduler core spanning every GPU of every node, with NIC
+    /// links in the same global rate solve, the deterministic batch
+    /// partitioner (see [`crate::partition`]) active on
+    /// [`GrCuda::launch_batch`], and cross-node migrations routed
+    /// GPU→host→NIC→host→GPU. Pair it with
+    /// [`PlacementPolicy::NodeAware`] so placement honors the
+    /// partition; a one-node cluster is bit-identical to
+    /// [`GrCuda::with_topology`] on the node's preset. Shorthand for
+    /// `with_topology(dev, cluster.build(&dev), ..)`, retained for
+    /// `benchmark/`; retire in the next benchmark PR.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use grcuda::{
+    ///     Arg, BatchLaunch, Cluster, DeviceProfile, GrCuda, Grid, NicKind, Options,
+    ///     PlacementPolicy, TopologyKind,
+    /// };
+    /// use kernels::util::SCALE;
+    ///
+    /// // 2 nodes × 2 GPUs joined by InfiniBand HDR NICs.
+    /// let cluster = Cluster::new(2, 2, TopologyKind::PcieOnly, NicKind::InfinibandHdr);
+    /// let g = GrCuda::with_cluster(
+    ///     DeviceProfile::tesla_p100(),
+    ///     &cluster,
+    ///     Options::parallel(),
+    ///     PlacementPolicy::NodeAware,
+    /// );
+    /// assert_eq!(g.device_count(), 4);
+    /// assert_eq!(g.node_count(), 2);
+    ///
+    /// // Two independent chains, batch-submitted: the partitioner keeps
+    /// // each chain on one node, so nothing crosses the NICs.
+    /// let n = 1 << 12;
+    /// let scale = g.build_kernel(&SCALE).unwrap();
+    /// let arrays: Vec<_> = (0..4).map(|_| g.array_f32(n)).collect();
+    /// let args: Vec<_> = (0..2)
+    ///     .map(|c| {
+    ///         [
+    ///             Arg::array(&arrays[2 * c]),
+    ///             Arg::array(&arrays[2 * c + 1]),
+    ///             Arg::scalar(2.0),
+    ///             Arg::scalar(n as f64),
+    ///         ]
+    ///     })
+    ///     .collect();
+    /// let calls: Vec<_> = args
+    ///     .iter()
+    ///     .map(|args| BatchLaunch {
+    ///         kernel: &scale,
+    ///         grid: Grid::d1(16, 256),
+    ///         args,
+    ///     })
+    ///     .collect();
+    /// g.launch_batch(&calls).unwrap();
+    /// g.sync();
+    /// assert_eq!(g.cross_node_migration_stats(), (0, 0));
+    /// ```
+    pub fn with_cluster(
+        dev: DeviceProfile,
+        cluster: &gpu_sim::Cluster,
+        options: Options,
+        placement: PlacementPolicy,
+    ) -> Self {
+        let topo = cluster.build(&dev);
+        Self::with_topology(dev, topo, options, placement)
     }
 
     /// Number of identical devices this runtime schedules.
@@ -1894,5 +1942,294 @@ mod tests {
         }
         // One stream suffices: after each sync it is empty and reused.
         assert_eq!(g.streams_created(), 1);
+    }
+
+    // --------------------------------------------------------------
+    // multi-device machines: the same runtime on a bigger topology
+    // --------------------------------------------------------------
+
+    /// `n` Tesla P100s over host (PCIe) links only.
+    fn mgpu(n: usize, policy: PlacementPolicy) -> GrCuda {
+        let dev = DeviceProfile::tesla_p100();
+        let topo = Topology::pcie_only(n, &dev);
+        GrCuda::with_topology(dev, topo, Options::parallel(), policy)
+    }
+
+    fn bs_args(x: &DeviceArray, y: &DeviceArray, n: usize) -> [Arg; 7] {
+        [
+            Arg::array(x),
+            Arg::array(y),
+            Arg::scalar(n as f64),
+            Arg::scalar(100.0),
+            Arg::scalar(0.02),
+            Arg::scalar(0.3),
+            Arg::scalar(1.0),
+        ]
+    }
+
+    /// The `(src, dst, factor, n)` argument shape of SCALE, AXPY,
+    /// SCALE_I32 and THRESHOLD_U8.
+    fn map_args(src: &DeviceArray, dst: &DeviceArray, a: f64, n: usize) -> [Arg; 4] {
+        [
+            Arg::array(src),
+            Arg::array(dst),
+            Arg::scalar(a),
+            Arg::scalar(n as f64),
+        ]
+    }
+
+    /// `count` fresh `(input, output)` f64 pairs, inputs host-written.
+    fn bs_arrays(g: &GrCuda, count: usize, n: usize) -> Vec<(DeviceArray, DeviceArray)> {
+        (0..count)
+            .map(|_| {
+                let x = g.array_f64(n);
+                let y = g.array_f64(n);
+                x.copy_from_f64(&vec![100.0; n]);
+                (x, y)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batched_launches_spread_and_compute_like_serial_ones() {
+        use kernels::black_scholes::BLACK_SCHOLES;
+        let g = mgpu(2, PlacementPolicy::RoundRobin);
+        let n = 1 << 14;
+        let bs = g.build_kernel(&BLACK_SCHOLES).unwrap();
+        let arrays = bs_arrays(&g, 4, n);
+        let args: Vec<[Arg; 7]> = arrays.iter().map(|(x, y)| bs_args(x, y, n)).collect();
+        let calls: Vec<BatchLaunch<'_>> = args
+            .iter()
+            .map(|args| BatchLaunch {
+                kernel: &bs,
+                grid: G,
+                args,
+            })
+            .collect();
+        let placements = g.launch_batch(&calls).unwrap();
+        g.sync();
+        assert_eq!(placements, vec![0, 1, 0, 1], "batch goes through placement");
+        assert_eq!(g.races().len(), 0);
+        for (_, y) in &arrays {
+            assert!(y.to_vec_f64().iter().all(|&p| p > 0.0));
+        }
+    }
+
+    #[test]
+    fn independent_work_spreads_round_robin() {
+        use kernels::black_scholes::BLACK_SCHOLES;
+        let g = mgpu(2, PlacementPolicy::RoundRobin);
+        let n = 1 << 18;
+        let bs = g.build_kernel(&BLACK_SCHOLES).unwrap();
+        let arrays = bs_arrays(&g, 4, n);
+        let mut placements = Vec::new();
+        for (x, y) in &arrays {
+            placements.push(bs.launch_placed(G, &bs_args(x, y, n)).unwrap());
+        }
+        g.sync();
+        assert_eq!(placements, vec![0, 1, 0, 1]);
+        assert_eq!(g.races().len(), 0);
+        for (_, y) in &arrays {
+            assert!(y.to_vec_f64().iter().all(|&p| p > 0.0));
+        }
+    }
+
+    #[test]
+    fn locality_aware_keeps_chains_on_one_device() {
+        let g = mgpu(2, PlacementPolicy::LocalityAware);
+        let n = 1 << 16;
+        let x = g.array_f32(n);
+        let y = g.array_f32(n);
+        x.copy_from_f32(&vec![1.0; n]);
+        let scale = g.build_kernel(&SCALE).unwrap();
+        let axpy = g.build_kernel(&AXPY).unwrap();
+        let d1 = scale.launch_placed(G, &map_args(&x, &y, 2.0, n)).unwrap();
+        let d2 = axpy.launch_placed(G, &map_args(&x, &y, 1.0, n)).unwrap();
+        assert_eq!(
+            d1, d2,
+            "locality-aware placement must not migrate the chain"
+        );
+        assert_eq!(g.migration_stats().0, 0);
+        g.sync();
+        assert_eq!(y.get_f32(7), 3.0);
+    }
+
+    #[test]
+    fn round_robin_pays_migrations_on_dependent_chains() {
+        let g = mgpu(2, PlacementPolicy::RoundRobin);
+        let n = 1 << 16;
+        let x = g.array_f32(n);
+        let y = g.array_f32(n);
+        x.copy_from_f32(&vec![1.0; n]);
+        let scale = g.build_kernel(&SCALE).unwrap();
+        let axpy = g.build_kernel(&AXPY).unwrap();
+        scale.launch(G, &map_args(&x, &y, 2.0, n)).unwrap();
+        axpy.launch(G, &map_args(&x, &y, 1.0, n)).unwrap();
+        let (migs, bytes) = g.migration_stats();
+        assert!(migs >= 1, "round-robin must migrate the dependent data");
+        assert!(bytes >= n * 4);
+        g.sync();
+        assert_eq!(y.get_f32(7), 3.0, "migration must preserve values");
+        assert_eq!(g.races().len(), 0);
+    }
+
+    #[test]
+    fn two_gpus_scale_independent_throughput() {
+        use kernels::black_scholes::BLACK_SCHOLES;
+        let run = |n_dev: usize| -> f64 {
+            let policy = if n_dev == 1 {
+                PlacementPolicy::SingleGpu
+            } else {
+                PlacementPolicy::RoundRobin
+            };
+            let g = mgpu(n_dev, policy);
+            let n = 1 << 20;
+            let bs = g.build_kernel(&BLACK_SCHOLES).unwrap();
+            for _ in 0..4 {
+                let x = g.array_f64(n);
+                let y = g.array_f64(n);
+                x.copy_from_f64(&vec![100.0; n]);
+                bs.launch(G, &bs_args(&x, &y, n)).unwrap();
+            }
+            g.sync();
+            g.now()
+        };
+        let one = run(1);
+        let two = run(2);
+        assert!(
+            two < 0.75 * one,
+            "2 GPUs must be markedly faster: {two} vs {one}"
+        );
+    }
+
+    #[test]
+    fn stream_aware_balances_a_fanout_across_all_devices() {
+        use kernels::black_scholes::BLACK_SCHOLES;
+        let g = mgpu(4, PlacementPolicy::StreamAware);
+        let n = 1 << 18;
+        let bs = g.build_kernel(&BLACK_SCHOLES).unwrap();
+        let mut placements = Vec::new();
+        let mut ys = Vec::new();
+        for _ in 0..8 {
+            let x = g.array_f64(n);
+            let y = g.array_f64(n);
+            x.copy_from_f64(&vec![100.0; n]);
+            placements.push(bs.launch_placed(G, &bs_args(&x, &y, n)).unwrap());
+            ys.push(y);
+        }
+        g.sync();
+        let mut used = placements.clone();
+        used.sort_unstable();
+        used.dedup();
+        assert_eq!(
+            used,
+            vec![0, 1, 2, 3],
+            "min-load placement must reach every device: {placements:?}"
+        );
+        assert_eq!(g.races().len(), 0);
+        for y in &ys {
+            assert!(y.get_f64(0) > 0.0);
+        }
+    }
+
+    #[test]
+    fn u8_arrays_stage_and_migrate_across_devices() {
+        use kernels::util::THRESHOLD_U8;
+        let g = mgpu(2, PlacementPolicy::RoundRobin);
+        let n = 4096;
+        let x = g.array_u8(n);
+        let y = g.array_u8(n);
+        let z = g.array_u8(n);
+        let input: Vec<u8> = (0..n).map(|i| (i % 256) as u8).collect();
+        x.copy_from_u8(&input);
+        let threshold = g.build_kernel(&THRESHOLD_U8).unwrap();
+        // Op 1 lands on device 0 (taking the host u8 data with a plain
+        // H2D); op 2 lands on device 1 and must *migrate* y — the chain
+        // exercises both u8 data paths.
+        let d1 = threshold
+            .launch_placed(G, &map_args(&x, &y, 128.0, n))
+            .unwrap();
+        let d2 = threshold
+            .launch_placed(G, &map_args(&y, &z, 1.0, n))
+            .unwrap();
+        assert_ne!(d1, d2, "round robin spreads the chain");
+        let (migs, bytes) = g.migration_stats();
+        assert!(migs >= 1, "dependent u8 data must migrate");
+        assert!(bytes >= n);
+        g.sync();
+        let want: Vec<u8> = input
+            .iter()
+            .map(|&v| if v >= 128 { 255u8 } else { 0 })
+            .collect();
+        assert_eq!(y.to_vec_u8(), want, "migration preserved the u8 values");
+        assert!(z.to_vec_u8().iter().all(|&v| v == 0 || v == 255));
+        assert_eq!(z.get_u8(200), 255);
+        assert_eq!(g.races().len(), 0);
+    }
+
+    #[test]
+    fn i32_accessors_round_trip_through_kernels_and_migrations() {
+        use kernels::util::SCALE_I32;
+        let g = mgpu(2, PlacementPolicy::RoundRobin);
+        let n = 4096;
+        let x = g.array_i32(n);
+        let y = g.array_i32(n);
+        let input: Vec<i32> = (0..n as i32).collect();
+        x.copy_from_i32(&input);
+        assert_eq!(x.to_vec_i32(), input, "host round-trip before any launch");
+        let scale = g.build_kernel(&SCALE_I32).unwrap();
+        let d1 = scale.launch_placed(G, &map_args(&x, &y, 3.0, n)).unwrap();
+        // Second step reads y (produced on d1) — lands on the other
+        // device under round-robin and must migrate the i32 data.
+        let d2 = scale.launch_placed(G, &map_args(&y, &x, 2.0, n)).unwrap();
+        assert_ne!(d1, d2);
+        assert!(g.migration_stats().0 >= 1, "i32 chain must migrate");
+        g.sync();
+        let want: Vec<i32> = input.iter().map(|v| 3 * v).collect();
+        assert_eq!(y.to_vec_i32(), want);
+        assert_eq!(y.get_i32(5), 15);
+        assert_eq!(
+            x.to_vec_i32(),
+            input.iter().map(|v| 6 * v).collect::<Vec<_>>()
+        );
+        assert_eq!(g.races().len(), 0);
+    }
+
+    #[test]
+    fn single_gpu_policy_matches_plain_grcuda_semantics() {
+        let g = mgpu(3, PlacementPolicy::SingleGpu);
+        let n = 4096;
+        let x = g.array_f32(n);
+        let y = g.array_f32(n);
+        x.copy_from_f32(&vec![3.0; n]);
+        let scale = g.build_kernel(&SCALE).unwrap();
+        scale.launch(G, &map_args(&x, &y, 2.0, n)).unwrap();
+        assert_eq!(y.get_f32(0), 6.0);
+        assert_eq!(g.device_count(), 3);
+        assert_eq!(g.timeline().devices_used(), vec![0]);
+        assert_eq!(g.migration_stats().0, 0);
+    }
+
+    #[test]
+    fn unified_core_exposes_scheduler_stats_and_drains_on_sync() {
+        let g = mgpu(2, PlacementPolicy::RoundRobin);
+        let n = 1 << 14;
+        let x = g.array_f32(n);
+        let y = g.array_f32(n);
+        x.copy_from_f32(&vec![1.0; n]);
+        let scale = g.build_kernel(&SCALE).unwrap();
+        for _ in 0..6 {
+            scale.launch(G, &map_args(&x, &y, 1.5, n)).unwrap();
+        }
+        assert!(g.scheduler_stats().live_vertices > 0, "DAG is shared");
+        g.sync();
+        let st = g.scheduler_stats();
+        assert_eq!(st.live_vertices, 0);
+        assert_eq!(st.stored_vertices, 0);
+        assert_eq!(st.stream_claims, 0);
+        assert_eq!(st.vertex_tasks, 0);
+        assert_eq!(st.vertex_streams, 0);
+        assert_eq!(st.vertex_devices, 0);
+        assert_eq!(g.stats().retained_tasks, 0);
     }
 }

@@ -171,9 +171,8 @@ impl Kernel {
     }
 
     /// [`Kernel::launch`], additionally reporting the device the
-    /// placement policy chose (always 0 on single-device runtimes). The
-    /// multi-GPU front-end and the placement tests use this to observe
-    /// scheduling decisions without changing them.
+    /// placement policy chose (always 0 on single-device runtimes) —
+    /// how callers observe scheduling decisions without changing them.
     pub fn launch_placed(&self, grid: Grid, args: &[Arg]) -> Result<u32, LaunchError> {
         self.validate(args)?;
         self.ctx

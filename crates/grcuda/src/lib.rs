@@ -62,7 +62,6 @@ pub mod context;
 pub mod history;
 pub mod kernel;
 pub mod library;
-pub mod multi;
 pub mod nidl;
 pub mod options;
 pub mod partition;
@@ -79,7 +78,6 @@ pub use context::{GrCuda, SchedulerStats};
 pub use history::KernelHistory;
 pub use kernel::{Arg, BatchLaunch, Kernel, LaunchError};
 pub use library::Library;
-pub use multi::{MultiArg, MultiArray, MultiGpu};
 pub use nidl::{NidlError, NidlParam, NidlType, Signature};
 pub use options::{DepStreamPolicy, Options, PrefetchPolicy, SchedulePolicy, StreamReusePolicy};
 pub use partition::{partition_batch, BatchPartition, NodeAware};

@@ -314,6 +314,12 @@ impl PlacementPolicy {
     }
 }
 
+impl From<PlacementPolicy> for Box<dyn DeviceSelectionPolicy> {
+    fn from(policy: PlacementPolicy) -> Self {
+        policy.build()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,7 @@ use gpu_sim::{DeviceProfile, Grid};
 use kernels::util::{AXPY, COPY_F32, DOT, SCALE};
 use kernels::KernelDef;
 
-use crate::{Arg, BatchLaunch, GrCuda, Options};
+use crate::{Arg, BatchLaunch, DeviceArray, GrCuda, Kernel, Options};
 
 const N_ARRAYS: usize = 4;
 const ARRAY_LEN: usize = 257; // odd on purpose: catches off-by-ones
@@ -142,26 +142,16 @@ fn timeline_sig(g: &GrCuda) -> Vec<IntervalSig> {
         .collect()
 }
 
-/// Run a kernel-only program either as one [`GrCuda::launch_batch`] or
-/// as serial per-call launches. Returns final array contents, the full
-/// timeline signature, the bit pattern of the final virtual time, the
-/// race count, and the host time spent *submitting* (before the sync).
-type BatchRun = (Vec<Vec<f32>>, Vec<IntervalSig>, u64, usize, f64);
-
-fn run_kernel_program(steps: &[Step], dev: DeviceProfile, batch: bool) -> BatchRun {
-    let g = GrCuda::new(dev, Options::parallel());
-    let arrays: Vec<_> = (0..N_ARRAYS).map(|_| g.array_f32(ARRAY_LEN)).collect();
-    for (i, a) in arrays.iter().enumerate() {
-        let init: Vec<f32> = (0..ARRAY_LEN)
-            .map(|j| ((i * 31 + j * 7) % 11) as f32 - 5.0)
-            .collect();
-        a.copy_from_f32(&init);
-    }
-    let grid = Grid::d1(16, 64);
-    let nf = ARRAY_LEN as f64;
+/// The program's four kernels, in the order [`kernel_calls`] indexes.
+fn program_kernels(g: &GrCuda) -> [Kernel; 4] {
     let k = |def: &KernelDef| g.build_kernel(def).unwrap();
-    let kernels = [k(&SCALE), k(&AXPY), k(&COPY_F32), k(&DOT)];
-    let calls: Vec<(usize, Vec<Arg>)> = steps
+    [k(&SCALE), k(&AXPY), k(&COPY_F32), k(&DOT)]
+}
+
+/// A kernel-only program as `(index into program_kernels, args)` calls.
+fn kernel_calls(steps: &[Step], arrays: &[DeviceArray]) -> Vec<(usize, Vec<Arg>)> {
+    let nf = ARRAY_LEN as f64;
+    steps
         .iter()
         .map(|s| match *s {
             Step::Scale { src, dst, a } => (
@@ -203,7 +193,27 @@ fn run_kernel_program(steps: &[Step], dev: DeviceProfile, batch: bool) -> BatchR
                 unreachable!("kernel-only programs")
             }
         })
-        .collect();
+        .collect()
+}
+
+/// Run a kernel-only program either as one [`GrCuda::launch_batch`] or
+/// as serial per-call launches. Returns final array contents, the full
+/// timeline signature, the bit pattern of the final virtual time, the
+/// race count, and the host time spent *submitting* (before the sync).
+type BatchRun = (Vec<Vec<f32>>, Vec<IntervalSig>, u64, usize, f64);
+
+fn run_kernel_program(steps: &[Step], dev: DeviceProfile, batch: bool) -> BatchRun {
+    let g = GrCuda::new(dev, Options::parallel());
+    let arrays: Vec<_> = (0..N_ARRAYS).map(|_| g.array_f32(ARRAY_LEN)).collect();
+    for (i, a) in arrays.iter().enumerate() {
+        let init: Vec<f32> = (0..ARRAY_LEN)
+            .map(|j| ((i * 31 + j * 7) % 11) as f32 - 5.0)
+            .collect();
+        a.copy_from_f32(&init);
+    }
+    let grid = Grid::d1(16, 64);
+    let kernels = program_kernels(&g);
+    let calls = kernel_calls(steps, &arrays);
     let t0 = g.now();
     if batch {
         let batch_calls: Vec<BatchLaunch<'_>> = calls
@@ -409,47 +419,16 @@ proptest! {
     fn audit_of_inferred_schedule_is_clean_under_all_policies(
         steps in proptest::collection::vec(kernel_step_strategy(), 1..16),
     ) {
-        use crate::{MultiArg, MultiGpu, PlacementPolicy};
+        use crate::PlacementPolicy;
         for policy in PlacementPolicy::ALL {
-            let mut mg = MultiGpu::new(
-                DeviceProfile::tesla_p100(),
-                2,
-                Options::parallel(),
-                policy,
-            );
+            let dev = DeviceProfile::tesla_p100();
+            let topo = gpu_sim::Topology::pcie_only(2, &dev);
+            let mg = GrCuda::with_topology(dev, topo, Options::parallel(), policy);
             let arrays: Vec<_> = (0..N_ARRAYS).map(|_| mg.array_f32(ARRAY_LEN)).collect();
             let grid = Grid::d1(16, 64);
-            let nf = ARRAY_LEN as f64;
-            for s in &steps {
-                let (def, args) = match *s {
-                    Step::Scale { src, dst, a } => (&SCALE, vec![
-                        MultiArg::Array(arrays[src].clone()),
-                        MultiArg::Array(arrays[dst].clone()),
-                        MultiArg::Scalar(a as f64),
-                        MultiArg::Scalar(nf),
-                    ]),
-                    Step::Axpy { src, dst, a } => (&AXPY, vec![
-                        MultiArg::Array(arrays[src].clone()),
-                        MultiArg::Array(arrays[dst].clone()),
-                        MultiArg::Scalar(a as f64),
-                        MultiArg::Scalar(nf),
-                    ]),
-                    Step::Copy { src, dst } => (&COPY_F32, vec![
-                        MultiArg::Array(arrays[src].clone()),
-                        MultiArg::Array(arrays[dst].clone()),
-                        MultiArg::Scalar(nf),
-                    ]),
-                    Step::Dot { a, b, dst } => (&DOT, vec![
-                        MultiArg::Array(arrays[a].clone()),
-                        MultiArg::Array(arrays[b].clone()),
-                        MultiArg::Array(arrays[dst].clone()),
-                        MultiArg::Scalar(nf),
-                    ]),
-                    Step::HostRead { .. } | Step::HostFill { .. } => {
-                        unreachable!("kernel-only programs")
-                    }
-                };
-                mg.launch(def, grid, &args).unwrap();
+            let kernels = program_kernels(&mg);
+            for (ki, args) in kernel_calls(&steps, &arrays) {
+                kernels[ki].launch(grid, &args).unwrap();
             }
             // Audit before the sync retires the schedule away.
             let report = mg.audit();
@@ -459,7 +438,7 @@ proptest! {
             );
             prop_assert!(report.dead_writes.is_empty(), "{policy:?}:\n{report}");
             mg.sync();
-            prop_assert_eq!(mg.races(), 0, "{:?}", policy);
+            prop_assert_eq!(mg.races().len(), 0, "{:?}", policy);
         }
     }
 

@@ -26,7 +26,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use gpu_sim::{DeviceProfile, Grid, MemoryConfig, TopologyKind, TypedData};
+use gpu_sim::{DeviceProfile, Grid, MemoryConfig, Topology, TopologyKind, TypedData};
 use kernels::KernelDef;
 
 use crate::array::DeviceArray;
@@ -322,14 +322,9 @@ pub struct ServiceCore {
 impl ServiceCore {
     /// Build a core (and its scheduler runtime) from a configuration.
     pub fn new(config: ServeConfig) -> Self {
-        let g = GrCuda::new_multi_mem(
-            config.device,
-            config.devices,
-            config.options,
-            config.placement,
-            config.topology,
-            config.memory,
-        );
+        let topo = Topology::preset(config.topology, config.devices, &config.device)
+            .with_memory(config.memory);
+        let g = GrCuda::with_topology(config.device, topo, config.options, config.placement);
         ServiceCore {
             g,
             fairness: config.fairness.build(),

@@ -8,8 +8,8 @@
 //!
 //! Run: `cargo run --release --example multi_gpu_pricing`
 
-use gpu_sim::{DeviceProfile, Grid};
-use grcuda::{MultiArg, MultiGpu, Options, PlacementPolicy};
+use gpu_sim::{DeviceProfile, Grid, Topology};
+use grcuda::{Arg, GrCuda, Options, PlacementPolicy};
 use kernels::black_scholes::BLACK_SCHOLES;
 use kernels::util::AXPY;
 
@@ -20,78 +20,76 @@ const G: Grid = Grid {
     threads: (256, 1, 1),
 };
 
+/// The same runtime on a bigger machine: `gpus` Tesla P100s over PCIe.
+fn machine(gpus: usize, policy: PlacementPolicy) -> GrCuda {
+    let dev = DeviceProfile::tesla_p100();
+    let topo = Topology::pcie_only(gpus, &dev);
+    GrCuda::with_topology(dev, topo, Options::parallel(), policy)
+}
+
 fn price_books(gpus: usize, policy: PlacementPolicy) -> (f64, usize, f32) {
-    let mut m = MultiGpu::new(
-        DeviceProfile::tesla_p100(),
-        gpus,
-        Options::parallel(),
-        policy,
-    );
+    let g = machine(gpus, policy);
+    let price = g.build_kernel(&BLACK_SCHOLES).unwrap();
     let n = OPTIONS_PER_BOOK;
 
     // Independent books: one pricing kernel each.
     let books: Vec<_> = (0..BOOKS)
         .map(|b| {
-            let spots = m.array_f64(n);
-            let prices = m.array_f64(n);
+            let spots = g.array_f64(n);
+            let prices = g.array_f64(n);
             let data: Vec<f64> = (0..n)
                 .map(|i| 80.0 + (b * 5) as f64 + (i % 50) as f64)
                 .collect();
-            m.write_f64(&spots, &data);
+            spots.copy_from_f64(&data);
             (spots, prices)
         })
         .collect();
     for (spots, prices) in &books {
-        m.launch(
-            &BLACK_SCHOLES,
-            G,
-            &[
-                MultiArg::array(spots),
-                MultiArg::array(prices),
-                MultiArg::scalar(n as f64),
-                MultiArg::scalar(100.0),
-                MultiArg::scalar(0.02),
-                MultiArg::scalar(0.30),
-                MultiArg::scalar(1.0),
-            ],
-        )
-        .unwrap();
+        price
+            .launch(
+                G,
+                &[
+                    Arg::array(spots),
+                    Arg::array(prices),
+                    Arg::scalar(n as f64),
+                    Arg::scalar(100.0),
+                    Arg::scalar(0.02),
+                    Arg::scalar(0.30),
+                    Arg::scalar(1.0),
+                ],
+            )
+            .unwrap();
     }
-    m.sync();
-    assert_eq!(m.races(), 0);
-    let checksum: f32 = books.iter().map(|(_, p)| m.read_f64(p)[0] as f32).sum();
-    (m.makespan(), m.migration_stats().0, checksum)
+    g.sync();
+    assert!(g.races().is_empty());
+    let checksum: f32 = books.iter().map(|(_, p)| p.to_vec_f64()[0] as f32).sum();
+    (g.now(), g.migration_stats().0, checksum)
 }
 
 fn dependent_chain(gpus: usize, policy: PlacementPolicy) -> (f64, usize) {
-    let mut m = MultiGpu::new(
-        DeviceProfile::tesla_p100(),
-        gpus,
-        Options::parallel(),
-        policy,
-    );
+    let g = machine(gpus, policy);
+    let axpy = g.build_kernel(&AXPY).unwrap();
     let n = 1 << 21;
-    let acc = m.array_f32(n);
-    let delta = m.array_f32(n);
-    m.write_f32(&acc, &vec![0.0; n]);
-    m.write_f32(&delta, &vec![0.01; n]);
+    let acc = g.array_f32(n);
+    let delta = g.array_f32(n);
+    acc.copy_from_f32(&vec![0.0; n]);
+    delta.copy_from_f32(&vec![0.01; n]);
     // A strictly serial accumulation: each step reads delta and updates
     // acc — no parallelism to extract, only migrations to avoid.
     for _ in 0..10 {
-        m.launch(
-            &AXPY,
+        axpy.launch(
             G,
             &[
-                MultiArg::array(&delta),
-                MultiArg::array(&acc),
-                MultiArg::scalar(1.0),
-                MultiArg::scalar(n as f64),
+                Arg::array(&delta),
+                Arg::array(&acc),
+                Arg::scalar(1.0),
+                Arg::scalar(n as f64),
             ],
         )
         .unwrap();
     }
-    m.sync();
-    (m.makespan(), m.migration_stats().0)
+    g.sync();
+    (g.now(), g.migration_stats().0)
 }
 
 fn main() {

@@ -8,8 +8,31 @@
 //! growing.
 
 use benchmarks::{grcuda_arrays, scales, Bench, PlanArg};
-use gpu_sim::DeviceProfile;
-use grcuda::{Arg, GrCuda, Options};
+use gpu_sim::{DeviceProfile, Grid, MemoryConfig, Topology};
+use grcuda::{Arg, DeviceArray, GrCuda, Options, PlacementPolicy};
+use kernels::util::SCALE;
+
+/// Two Tesla P100s over PCIe with the given device memory.
+fn machine(memory: MemoryConfig, policy: PlacementPolicy) -> GrCuda {
+    let dev = DeviceProfile::tesla_p100();
+    let topo = Topology::pcie_only(2, &dev).with_memory(memory);
+    GrCuda::with_topology(dev, topo, Options::parallel(), policy)
+}
+
+const GRID: Grid = Grid {
+    blocks: (16, 1, 1),
+    threads: (256, 1, 1),
+};
+
+/// SCALE's `(src, dst, 1.0, n)` arguments.
+fn copy_args(src: &DeviceArray, dst: &DeviceArray) -> [Arg; 4] {
+    [
+        Arg::array(src),
+        Arg::array(dst),
+        Arg::scalar(1.0),
+        Arg::scalar(src.len() as f64),
+    ]
+}
 
 /// Drive `cycles` full passes of a suite's kernel chain with a sync at
 /// the end of each, returning the peak stored-vertex count observed.
@@ -82,7 +105,6 @@ fn every_suite_keeps_scheduler_state_bounded() {
 fn fine_grained_service_loop_stays_bounded_without_full_syncs() {
     // A request loop that *never* calls sync(): each request's CPU read
     // retires its chain, and auto-compaction must keep storage flat.
-    use kernels::util::SCALE;
     let g = GrCuda::new(DeviceProfile::tesla_p100(), Options::parallel());
     let n = 1 << 12;
     let x = g.array_f32(n);
@@ -135,7 +157,6 @@ fn serial_mode_launch_loop_keeps_launch_info_bounded() {
     // The paper's serial baseline never builds a DAG, but it still
     // records launch metadata for the history harvest: a sync-free
     // serial service must not accumulate it forever either.
-    use kernels::util::SCALE;
     let g = GrCuda::new(DeviceProfile::tesla_p100(), Options::serial());
     let n = 1 << 12;
     let x = g.array_f32(n);
@@ -170,13 +191,12 @@ fn serial_mode_launch_loop_keeps_launch_info_bounded() {
 
 #[test]
 fn multi_gpu_soak_drains_all_scheduler_maps_after_every_sync() {
-    // The unified MultiGpu path rides the exact same scheduler core, so
+    // Multi-device machines ride the exact same scheduler core, so
     // the same bounded-state guarantee must hold with work spread over
     // several devices: after each sync, every per-vertex map — including
     // the vertex→device placements — is back to the empty-frontier
     // baseline, whatever the placement policy.
-    use benchmarks::{multi_gpu_arrays, read_multi_gpu_outputs, refresh_multi_gpu_arrays};
-    use grcuda::{MultiArg, MultiGpu, PlacementPolicy};
+    use benchmarks::{read_grcuda_outputs, refresh_grcuda_arrays};
 
     for policy in [
         PlacementPolicy::RoundRobin,
@@ -185,26 +205,31 @@ fn multi_gpu_soak_drains_all_scheduler_maps_after_every_sync() {
     ] {
         for b in [Bench::Vec, Bench::Ml] {
             let spec = b.build(scales::tiny(b));
-            let mut m = MultiGpu::new(DeviceProfile::tesla_p100(), 2, Options::parallel(), policy);
-            let arrays = multi_gpu_arrays(&mut m, &spec);
+            let m = machine(MemoryConfig::default(), policy);
+            let arrays = grcuda_arrays(&m, &spec);
+            let kernels: Vec<_> = spec
+                .ops
+                .iter()
+                .map(|op| m.build_kernel(op.def).unwrap())
+                .collect();
             let mut launches = 0usize;
             let mut peak_stored = 0usize;
             for cycle in 0..20 {
-                refresh_multi_gpu_arrays(&mut m, &spec, &arrays);
-                for op in &spec.ops {
-                    let args: Vec<MultiArg> = op
+                refresh_grcuda_arrays(&spec, &arrays);
+                for (op, k) in spec.ops.iter().zip(&kernels) {
+                    let args: Vec<Arg> = op
                         .args
                         .iter()
                         .map(|a| match a {
-                            PlanArg::Arr(i) => MultiArg::array(&arrays[*i]),
-                            PlanArg::Scalar(v) => MultiArg::scalar(*v),
+                            PlanArg::Arr(i) => Arg::array(&arrays[*i]),
+                            PlanArg::Scalar(v) => Arg::scalar(*v),
                         })
                         .collect();
-                    m.launch(op.def, op.grid, &args).unwrap();
+                    k.launch(op.grid, &args).unwrap();
                     launches += 1;
                     peak_stored = peak_stored.max(m.scheduler_stats().stored_vertices);
                 }
-                read_multi_gpu_outputs(&m, &spec, &arrays);
+                read_grcuda_outputs(&spec, &arrays);
                 m.sync();
                 m.clear_timeline();
                 let st = m.scheduler_stats();
@@ -231,7 +256,7 @@ fn multi_gpu_soak_drains_all_scheduler_maps_after_every_sync() {
                 "{} {policy:?}: peak stored {peak_stored}",
                 spec.name
             );
-            assert_eq!(m.races(), 0, "{} {policy:?}", spec.name);
+            assert!(m.races().is_empty(), "{} {policy:?}", spec.name);
         }
     }
 }
@@ -244,42 +269,27 @@ fn finite_memory_soak_drains_to_the_live_working_set() {
     // after every sync() they must be bounded by the live working set
     // (what the program's arrays could occupy at most) — eviction keeps
     // the resident set honest, and nothing leaks cycle over cycle.
-    use gpu_sim::{EvictionPolicy, MemoryConfig, TopologyKind};
-    use grcuda::{MultiArg, MultiGpu, PlacementPolicy};
-    use kernels::util::SCALE;
+    use gpu_sim::EvictionPolicy;
 
     let n = 1 << 12; // 16 KiB arrays
     let bytes = 4 * n;
     let capacity = 2 * bytes + bytes / 2; // 2.5 arrays per device
-    let mut m = MultiGpu::with_memory(
-        DeviceProfile::tesla_p100(),
-        2,
-        Options::parallel(),
-        PlacementPolicy::MemoryAware,
-        TopologyKind::PcieOnly,
+    let m = machine(
         MemoryConfig::with_capacity(capacity).with_eviction(EvictionPolicy::CostAware),
+        PlacementPolicy::MemoryAware,
     );
+    let scale = m.build_kernel(&SCALE).unwrap();
     // 6 arrays = 96 KiB working set vs 40 KiB per-device capacity.
     let arrays: Vec<_> = (0..6).map(|_| m.array_f32(n)).collect();
     let working_set: usize = arrays.iter().map(|a| a.byte_len()).sum();
     for (i, a) in arrays.iter().enumerate() {
-        m.write_f32(a, &vec![i as f32; n]);
+        a.copy_from_f32(&vec![i as f32; n]);
     }
     let mut last_evictions = 0;
     for cycle in 0..15 {
         for i in 0..arrays.len() {
             let (src, dst) = (&arrays[i], &arrays[(i + 1) % arrays.len()]);
-            m.launch(
-                &SCALE,
-                gpu_sim::Grid::d1(16, 256),
-                &[
-                    MultiArg::array(src),
-                    MultiArg::array(dst),
-                    MultiArg::scalar(1.0),
-                    MultiArg::scalar(n as f64),
-                ],
-            )
-            .unwrap();
+            scale.launch(GRID, &copy_args(src, dst)).unwrap();
             let mem = m.scheduler_stats().memory;
             for (d, &r) in mem.resident_bytes.iter().enumerate() {
                 assert!(r <= capacity, "cycle {cycle}: device {d} over capacity");
@@ -307,7 +317,7 @@ fn finite_memory_soak_drains_to_the_live_working_set() {
         last_evictions = st.memory.evictions;
     }
     assert!(last_evictions > 0, "the working set must have evicted");
-    assert_eq!(m.races(), 0);
+    assert!(m.races().is_empty());
 }
 
 #[test]
@@ -317,37 +327,39 @@ fn cluster_soak_drains_the_cluster_section_after_every_sync() {
     // drained after each sync — per-node in-flight work back to zero —
     // while the partition and cross-node counters stay monotone.
     use gpu_sim::TopologyKind;
-    use grcuda::{Cluster, MultiArg, MultiGpu, NicKind, PlacementPolicy};
-    use kernels::util::SCALE;
+    use grcuda::{BatchLaunch, Cluster, NicKind};
 
     let cluster = Cluster::new(2, 2, TopologyKind::PcieOnly, NicKind::Ethernet25g);
-    let mut m = MultiGpu::with_cluster(
+    let m = GrCuda::with_cluster(
         DeviceProfile::tesla_p100(),
         &cluster,
         Options::parallel(),
         PlacementPolicy::NodeAware,
     );
+    let scale = m.build_kernel(&SCALE).unwrap();
     let n = 1 << 12;
     let pairs: Vec<_> = (0..4).map(|_| (m.array_f32(n), m.array_f32(n))).collect();
     for (x, _) in &pairs {
-        m.write_f32(x, &vec![1.0; n]);
+        x.copy_from_f32(&vec![1.0; n]);
     }
     let mut last_batches = 0;
     for cycle in 0..20 {
-        let calls: Vec<_> = pairs
+        let args: Vec<[Arg; 4]> = pairs
             .iter()
             .map(|(x, y)| {
-                let (src, dst) = if cycle % 2 == 0 { (x, y) } else { (y, x) };
-                (
-                    &SCALE,
-                    gpu_sim::Grid::d1(16, 256),
-                    vec![
-                        MultiArg::array(src),
-                        MultiArg::array(dst),
-                        MultiArg::scalar(1.0),
-                        MultiArg::scalar(n as f64),
-                    ],
-                )
+                if cycle % 2 == 0 {
+                    copy_args(x, y)
+                } else {
+                    copy_args(y, x)
+                }
+            })
+            .collect();
+        let calls: Vec<BatchLaunch<'_>> = args
+            .iter()
+            .map(|args| BatchLaunch {
+                kernel: &scale,
+                grid: GRID,
+                args,
             })
             .collect();
         m.launch_batch(&calls).unwrap();
@@ -367,7 +379,7 @@ fn cluster_soak_drains_the_cluster_section_after_every_sync() {
         );
     }
     assert_eq!(last_batches, 20);
-    assert_eq!(m.races(), 0);
+    assert!(m.races().is_empty());
 }
 
 #[test]

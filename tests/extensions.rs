@@ -2,10 +2,31 @@
 //! here: the block-size autotuner (§VI / §IV-A kernel history) and the
 //! multi-GPU scheduler (§VI).
 
-use gpu_sim::DeviceProfile;
-use grcuda::{Arg, GrCuda, MultiArg, MultiGpu, Options, PlacementPolicy};
+use gpu_sim::{DeviceProfile, Grid, Topology};
+use grcuda::{Arg, DeviceArray, GrCuda, Options, PlacementPolicy};
 use kernels::util::SCALE;
 use kernels::vec_ops::SQUARE;
+
+/// `n` devices over host (PCIe) links only.
+fn machine(dev: DeviceProfile, n: usize, policy: PlacementPolicy) -> GrCuda {
+    let topo = Topology::pcie_only(n, &dev);
+    GrCuda::with_topology(dev, topo, Options::parallel(), policy)
+}
+
+const GRID: Grid = Grid {
+    blocks: (64, 1, 1),
+    threads: (256, 1, 1),
+};
+
+/// SCALE's `(src, dst, factor, n)` arguments.
+fn scale_args(src: &DeviceArray, dst: &DeviceArray, factor: f64) -> [Arg; 4] {
+    [
+        Arg::array(src),
+        Arg::array(dst),
+        Arg::scalar(factor),
+        Arg::scalar(src.len() as f64),
+    ]
+}
 
 #[test]
 fn autotuner_explores_then_converges() {
@@ -87,28 +108,19 @@ fn multi_gpu_locality_beats_round_robin_on_chains() {
     // A long dependent chain: locality-aware stays put; round-robin
     // ping-pongs the data between devices and pays migrations.
     let run = |policy: PlacementPolicy| -> (f64, usize) {
-        let mut m = MultiGpu::new(DeviceProfile::tesla_p100(), 2, Options::parallel(), policy);
+        let g = machine(DeviceProfile::tesla_p100(), 2, policy);
+        let scale = g.build_kernel(&SCALE).unwrap();
         let n = 1 << 20;
-        let x = m.array_f32(n);
-        let y = m.array_f32(n);
-        m.write_f32(&x, &vec![1.0; n]);
+        let x = g.array_f32(n);
+        let y = g.array_f32(n);
+        x.copy_from_f32(&vec![1.0; n]);
         for i in 0..6 {
             let (src, dst) = if i % 2 == 0 { (&x, &y) } else { (&y, &x) };
-            m.launch(
-                &SCALE,
-                gpu_sim::Grid::d1(64, 256),
-                &[
-                    MultiArg::array(src),
-                    MultiArg::array(dst),
-                    MultiArg::scalar(1.01),
-                    MultiArg::scalar(n as f64),
-                ],
-            )
-            .unwrap();
+            scale.launch(GRID, &scale_args(src, dst, 1.01)).unwrap();
         }
-        m.sync();
-        assert_eq!(m.races(), 0);
-        (m.makespan(), m.migration_stats().0)
+        g.sync();
+        assert!(g.races().is_empty());
+        (g.now(), g.migration_stats().0)
     };
     let (t_local, m_local) = run(PlacementPolicy::LocalityAware);
     let (t_rr, m_rr) = run(PlacementPolicy::RoundRobin);
@@ -123,42 +135,18 @@ fn multi_gpu_locality_beats_round_robin_on_chains() {
 #[test]
 fn multi_gpu_results_are_policy_independent() {
     let run = |policy: PlacementPolicy| -> Vec<f32> {
-        let mut m = MultiGpu::new(
-            DeviceProfile::gtx1660_super(),
-            3,
-            Options::parallel(),
-            policy,
-        );
+        let g = machine(DeviceProfile::gtx1660_super(), 3, policy);
+        let scale = g.build_kernel(&SCALE).unwrap();
         let n = 4096;
-        let x = m.array_f32(n);
-        let y = m.array_f32(n);
-        m.write_f32(&x, &(0..n).map(|i| i as f32 * 0.5).collect::<Vec<_>>());
+        let x = g.array_f32(n);
+        let y = g.array_f32(n);
+        x.copy_from_f32(&(0..n).map(|i| i as f32 * 0.5).collect::<Vec<_>>());
         for _ in 0..4 {
-            m.launch(
-                &SCALE,
-                gpu_sim::Grid::d1(64, 256),
-                &[
-                    MultiArg::array(&x),
-                    MultiArg::array(&y),
-                    MultiArg::scalar(2.0),
-                    MultiArg::scalar(n as f64),
-                ],
-            )
-            .unwrap();
-            m.launch(
-                &SCALE,
-                gpu_sim::Grid::d1(64, 256),
-                &[
-                    MultiArg::array(&y),
-                    MultiArg::array(&x),
-                    MultiArg::scalar(0.5),
-                    MultiArg::scalar(n as f64),
-                ],
-            )
-            .unwrap();
+            scale.launch(GRID, &scale_args(&x, &y, 2.0)).unwrap();
+            scale.launch(GRID, &scale_args(&y, &x, 0.5)).unwrap();
         }
-        m.sync();
-        m.read_f32(&x)
+        g.sync();
+        x.to_vec_f32()
     };
     let a = run(PlacementPolicy::SingleGpu);
     let b = run(PlacementPolicy::RoundRobin);

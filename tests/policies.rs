@@ -6,11 +6,28 @@ use benchmarks::{
     cluster_run, mixed_makespans, oversub_capacity, oversubscribe, run_grcuda, run_multi_gpu,
     scales, transfer_chain, Bench, ClusterSuite, MixedScale,
 };
-use gpu_sim::{DeviceProfile, EvictionPolicy, Grid, MemoryConfig, TopologyKind};
+use gpu_sim::{DeviceProfile, EvictionPolicy, Grid, MemoryConfig, Topology, TopologyKind};
 use grcuda::{
-    Cluster, DepStreamPolicy, MultiArg, MultiGpu, NicKind, Options, PlacementPolicy,
+    Arg, Cluster, DepStreamPolicy, DeviceArray, GrCuda, NicKind, Options, PlacementPolicy,
     PrefetchPolicy, StreamReusePolicy,
 };
+
+/// `n` Tesla P100s on an interconnect preset.
+fn machine(n: usize, kind: TopologyKind, policy: PlacementPolicy) -> GrCuda {
+    let dev = DeviceProfile::tesla_p100();
+    let topo = Topology::preset(kind, n, &dev);
+    GrCuda::with_topology(dev, topo, Options::parallel(), policy)
+}
+
+/// SCALE's `(src, dst, 2.0, n)` arguments.
+fn double_args(src: &DeviceArray, dst: &DeviceArray) -> [Arg; 4] {
+    [
+        Arg::array(src),
+        Arg::array(dst),
+        Arg::scalar(2.0),
+        Arg::scalar(src.len() as f64),
+    ]
+}
 
 #[test]
 fn every_policy_combination_is_correct() {
@@ -94,30 +111,22 @@ fn single_stream_child_policy_reduces_concurrency() {
 /// Drive a strictly serial kernel chain through a 2-device scheduler and
 /// report `(migration count, migrated bytes, final y[7])`.
 fn dependent_chain(policy: PlacementPolicy) -> (usize, usize, f32) {
-    let mut m = MultiGpu::new(DeviceProfile::tesla_p100(), 2, Options::parallel(), policy);
+    let g = machine(2, TopologyKind::PcieOnly, policy);
     let n = 1 << 18;
-    let x = m.array_f32(n);
-    let y = m.array_f32(n);
-    m.write_f32(&x, &vec![1.0; n]);
-    use kernels::util::SCALE;
+    let x = g.array_f32(n);
+    let y = g.array_f32(n);
+    x.copy_from_f32(&vec![1.0; n]);
+    let scale = g.build_kernel(&kernels::util::SCALE).unwrap();
     for i in 0..8 {
         let (src, dst) = if i % 2 == 0 { (&x, &y) } else { (&y, &x) };
-        m.launch(
-            &SCALE,
-            Grid::d1(64, 256),
-            &[
-                MultiArg::array(src),
-                MultiArg::array(dst),
-                MultiArg::scalar(2.0),
-                MultiArg::scalar(n as f64),
-            ],
-        )
-        .unwrap();
+        scale
+            .launch(Grid::d1(64, 256), &double_args(src, dst))
+            .unwrap();
     }
-    m.sync();
-    assert_eq!(m.races(), 0);
-    let (migs, bytes) = m.migration_stats();
-    (migs, bytes, m.get_f32(&y, 7))
+    g.sync();
+    assert_eq!(g.races().len(), 0);
+    let (migs, bytes) = g.migration_stats();
+    (migs, bytes, y.get_f32(7))
 }
 
 #[test]
@@ -248,50 +257,45 @@ fn node_aware_beats_round_robin_across_a_cluster() {
     assert_eq!(na.partitioned_batches, rr.partitioned_batches);
 }
 
-/// Every observable the committed bench metrics are built from.
+/// Every observable the committed bench metrics are built from, plus
+/// the full timeline (every interval's ids, placement and exact times).
 #[derive(Debug, PartialEq)]
 struct Observables {
     makespan: f64,
+    timeline: String,
     migrations: (usize, usize),
     host_migrations: (usize, usize),
     host_link_bytes: f64,
     data: Vec<f32>,
 }
 
-/// Drive the same small workload through any `MultiGpu` and report
-/// every observable the committed bench metrics are built from.
-fn observables(mut m: MultiGpu) -> Observables {
-    use kernels::util::SCALE;
+/// Drive the same small workload through any runtime and report every
+/// observable the committed bench metrics are built from.
+fn observables(g: GrCuda) -> Observables {
     let n = 1 << 14;
-    let x = m.array_f32(n);
-    let y = m.array_f32(n);
-    m.write_f32(&x, &vec![1.5; n]);
+    let x = g.array_f32(n);
+    let y = g.array_f32(n);
+    x.copy_from_f32(&vec![1.5; n]);
+    let scale = g.build_kernel(&kernels::util::SCALE).unwrap();
     for i in 0..6usize {
         let (src, dst) = if i.is_multiple_of(2) {
             (&x, &y)
         } else {
             (&y, &x)
         };
-        m.launch(
-            &SCALE,
-            Grid::d1(64, 256),
-            &[
-                MultiArg::array(src),
-                MultiArg::array(dst),
-                MultiArg::scalar(2.0),
-                MultiArg::scalar(n as f64),
-            ],
-        )
-        .unwrap();
+        scale
+            .launch(Grid::d1(64, 256), &double_args(src, dst))
+            .unwrap();
     }
-    m.sync();
-    assert_eq!(m.races(), 0);
+    g.sync();
+    assert_eq!(g.races().len(), 0);
     Observables {
-        makespan: m.makespan(),
-        migrations: m.migration_stats(),
-        host_migrations: m.host_migration_stats(),
-        host_link_bytes: m.host_link_bytes(),
-        data: m.read_f32(&x),
+        makespan: g.now(),
+        timeline: format!("{:?}", g.timeline().intervals()),
+        migrations: g.migration_stats(),
+        host_migrations: g.host_migration_stats(),
+        host_link_bytes: g.host_link_bytes(),
+        data: x.to_vec_f32(),
     }
 }
 
@@ -299,27 +303,58 @@ fn observables(mut m: MultiGpu) -> Observables {
 fn single_node_clusters_are_bit_identical_to_the_single_box_path() {
     // Backward compatibility: a 1-node Cluster must take the exact
     // single-box code path — no partition pre-pass, no node hints —
-    // and reproduce every committed metric bit-for-bit.
+    // and reproduce every committed metric bit-for-bit. The same rows
+    // pin the constructor shims retained for `benchmark/`: each must be
+    // bit-equal to `with_topology` on the equivalent `Topology`.
     let dev = DeviceProfile::tesla_p100;
+    let opts = Options::parallel;
     for policy in [
         PlacementPolicy::RoundRobin,
         PlacementPolicy::TransferAware,
         PlacementPolicy::NodeAware,
     ] {
         let cluster = Cluster::new(1, 4, TopologyKind::NvlinkPair, NicKind::Ethernet25g);
-        let clustered = MultiGpu::with_cluster(dev(), &cluster, Options::parallel(), policy);
-        assert_eq!(clustered.node_count(), 1);
-        let boxed = MultiGpu::with_topology(
-            dev(),
-            4,
-            Options::parallel(),
-            policy,
-            TopologyKind::NvlinkPair,
-        );
-        let a = observables(clustered);
-        let b = observables(boxed);
-        assert_eq!(a, b, "{policy:?} diverged between cluster and box");
+        let boxed = observables(machine(4, TopologyKind::NvlinkPair, policy));
+        let rows = [
+            (
+                "with_cluster",
+                GrCuda::with_cluster(dev(), &cluster, opts(), policy),
+            ),
+            (
+                "with_topology on Cluster::build",
+                GrCuda::with_topology(dev(), cluster.build(&dev()), opts(), policy),
+            ),
+            (
+                "with_placement_topo",
+                GrCuda::with_placement_topo(
+                    dev(),
+                    4,
+                    opts(),
+                    policy.build(),
+                    TopologyKind::NvlinkPair,
+                ),
+            ),
+        ];
+        for (constructor, g) in rows {
+            assert_eq!(g.node_count(), 1);
+            assert_eq!(
+                observables(g),
+                boxed,
+                "{policy:?}: {constructor} diverged from with_topology on the box preset"
+            );
+        }
     }
+    let one = GrCuda::with_topology(
+        dev(),
+        Topology::pcie_only(1, &dev()),
+        opts(),
+        PlacementPolicy::SingleGpu,
+    );
+    assert_eq!(
+        observables(GrCuda::new(dev(), opts())),
+        observables(one),
+        "GrCuda::new diverged from with_topology on the one-device box"
+    );
 }
 
 #[test]
@@ -451,28 +486,15 @@ fn out_of_memory_is_a_loud_launch_error() {
     use kernels::util::SCALE;
     // 64 KiB capacity, 256 KiB arrays: no device can ever hold the
     // argument set — the launch must fail recoverably, not panic.
-    let mut m = MultiGpu::with_memory(
-        DeviceProfile::tesla_p100(),
-        2,
-        Options::parallel(),
-        PlacementPolicy::MemoryAware,
-        TopologyKind::PcieOnly,
-        MemoryConfig::with_capacity(64 << 10),
-    );
+    let dev = DeviceProfile::tesla_p100();
+    let topo = Topology::pcie_only(2, &dev).with_memory(MemoryConfig::with_capacity(64 << 10));
+    let g = GrCuda::with_topology(dev, topo, Options::parallel(), PlacementPolicy::MemoryAware);
+    let scale = g.build_kernel(&SCALE).unwrap();
     let n = 1 << 16;
-    let x = m.array_f32(n);
-    let y = m.array_f32(n);
-    let err = m
-        .launch(
-            &SCALE,
-            Grid::d1(64, 256),
-            &[
-                MultiArg::array(&x),
-                MultiArg::array(&y),
-                MultiArg::scalar(2.0),
-                MultiArg::scalar(n as f64),
-            ],
-        )
+    let x = g.array_f32(n);
+    let y = g.array_f32(n);
+    let err = scale
+        .launch(Grid::d1(64, 256), &double_args(&x, &y))
         .unwrap_err();
     match err {
         grcuda::LaunchError::OutOfMemory {
@@ -485,21 +507,13 @@ fn out_of_memory_is_a_loud_launch_error() {
     }
     assert!(err.to_string().contains("out of memory"));
     // A fitting launch on the same runtime still works.
-    let small = m.array_f32(1 << 10);
-    let small2 = m.array_f32(1 << 10);
-    m.launch(
-        &SCALE,
-        Grid::d1(16, 256),
-        &[
-            MultiArg::array(&small),
-            MultiArg::array(&small2),
-            MultiArg::scalar(2.0),
-            MultiArg::scalar((1 << 10) as f64),
-        ],
-    )
-    .unwrap();
-    m.sync();
-    assert_eq!(m.races(), 0);
+    let small = g.array_f32(1 << 10);
+    let small2 = g.array_f32(1 << 10);
+    scale
+        .launch(Grid::d1(16, 256), &double_args(&small, &small2))
+        .unwrap();
+    g.sync();
+    assert_eq!(g.races().len(), 0);
 }
 
 #[test]
@@ -507,37 +521,32 @@ fn stream_aware_balances_an_embarrassingly_parallel_fanout() {
     // 8 independent pricing kernels on 4 devices: min-device-load
     // placement must reach every device and spread the work evenly.
     use kernels::black_scholes::BLACK_SCHOLES;
-    let mut m = MultiGpu::new(
-        DeviceProfile::tesla_p100(),
-        4,
-        Options::parallel(),
-        PlacementPolicy::StreamAware,
-    );
+    let g = machine(4, TopologyKind::PcieOnly, PlacementPolicy::StreamAware);
+    let bs = g.build_kernel(&BLACK_SCHOLES).unwrap();
     let n = 1 << 18;
     let mut counts = vec![0usize; 4];
     for _ in 0..8 {
-        let x = m.array_f64(n);
-        let y = m.array_f64(n);
-        m.write_f64(&x, &vec![100.0; n]);
-        let d = m
-            .launch(
-                &BLACK_SCHOLES,
+        let x = g.array_f64(n);
+        let y = g.array_f64(n);
+        x.copy_from_f64(&vec![100.0; n]);
+        let d = bs
+            .launch_placed(
                 Grid::d1(64, 256),
                 &[
-                    MultiArg::array(&x),
-                    MultiArg::array(&y),
-                    MultiArg::scalar(n as f64),
-                    MultiArg::scalar(100.0),
-                    MultiArg::scalar(0.02),
-                    MultiArg::scalar(0.3),
-                    MultiArg::scalar(1.0),
+                    Arg::array(&x),
+                    Arg::array(&y),
+                    Arg::scalar(n as f64),
+                    Arg::scalar(100.0),
+                    Arg::scalar(0.02),
+                    Arg::scalar(0.3),
+                    Arg::scalar(1.0),
                 ],
             )
             .unwrap();
-        counts[d] += 1;
+        counts[d as usize] += 1;
     }
-    m.sync();
-    assert_eq!(m.races(), 0);
+    g.sync();
+    assert_eq!(g.races().len(), 0);
     assert!(
         counts.iter().all(|&c| c >= 1),
         "every device must carry work: {counts:?}"
@@ -548,7 +557,10 @@ fn stream_aware_balances_an_embarrassingly_parallel_fanout() {
         "fan-out must balance across devices: {counts:?}"
     );
     // The balance shows on the per-device timeline gauges too.
-    let times = m.device_times();
+    let timeline = g.timeline();
+    let times: Vec<f64> = (0..g.device_count() as u32)
+        .map(|d| timeline.device_span(d))
+        .collect();
     assert_eq!(times.len(), 4);
     assert!(times.iter().all(|&t| t > 0.0), "{times:?}");
 }
@@ -563,7 +575,7 @@ fn placement_policies_compute_identical_results_on_every_suite() {
     for b in Bench::ALL {
         let spec = b.build(scales::tiny(b));
         for policy in PlacementPolicy::ALL {
-            let r = run_multi_gpu(&spec, &dev, Options::parallel(), 4, policy, 2);
+            let r = run_multi_gpu(&spec, &dev, Options::parallel(), 4, policy, 2).unwrap();
             assert_eq!(r.run.races, 0, "{} {policy:?}", spec.name);
             r.run
                 .valid
