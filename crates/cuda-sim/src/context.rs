@@ -7,13 +7,14 @@ use std::rc::Rc;
 
 use gpu_sim::memgr::{MemoryManager, MemoryStats};
 use gpu_sim::{
-    DeviceProfile, Engine, EngineStats, RaceReport, TaskId, TaskKind, TaskSpec, Time, Timeline,
-    Topology, TopologyKind, TypedData, ValueId,
+    DeviceProfile, Engine, EngineStats, LinkId, RaceReport, TaskId, TaskKind, TaskSpec, Time,
+    Timeline, Topology, TopologyKind, TypedData, ValueId,
 };
 
 use crate::exec::KernelExec;
 use crate::graph::CaptureState;
 use crate::memory::{ArrayState, MemEvent, MemEventKind, Residency, UnifiedArray};
+use crate::route::{route, Route};
 
 /// Handle to an in-order execution stream. Stream 0 is the default
 /// stream and always exists.
@@ -49,37 +50,30 @@ pub(crate) struct Inner {
     streams: Vec<StreamState>,
     pub(crate) events: Vec<EventTarget>,
     pub(crate) capture: Option<CaptureState>,
-    /// Bulk copies in the same direction serialize through a single DMA
-    /// copy engine per device, like real hardware — the reason the
-    /// paper's VEC benchmark shows zero computation/computation overlap:
-    /// the second vector's data arrives only after the first vector's
-    /// copy is done. Indexed by device.
-    last_h2d: Vec<Option<TaskId>>,
-    /// Per-device D2H DMA engine, used by the device→host leg of
-    /// cross-device migrations (host reads block the virtual host, so
-    /// their ordering is implicit).
-    last_d2h: Vec<Option<TaskId>>,
-    /// Per-link, per-direction P2P DMA engine: same-direction peer
-    /// copies on one link serialize like bulk copies do on the host
-    /// links; opposite directions run concurrently and contend on the
-    /// link's aggregate bandwidth in the rate solver. Indexed by link
-    /// id; `[0]` is low→high device order, `[1]` the reverse.
-    last_p2p: Vec<[Option<TaskId>; 2]>,
-    /// Cross-device migrations performed (count, bytes): the run-time
-    /// migration-cost accounting the paper's §VI calls for. Counts both
-    /// peer-to-peer and host-mediated migrations.
-    migrations: usize,
-    migrated_bytes: usize,
-    /// The subset of `migrations`/`migrated_bytes` that went over a
-    /// direct peer link instead of staging through the host.
-    p2p_migrations: usize,
-    p2p_migrated_bytes: usize,
-    /// NIC legs of cross-node migrations (count, bytes): host-mediated
-    /// migrations whose source and target devices sit on different
-    /// cluster nodes additionally forward the host copy over the NIC
-    /// link between the nodes. Zero on single-node machines.
-    cross_node_migrations: usize,
-    cross_node_bytes: usize,
+    /// Per-link, per-direction DMA copy engines (the last copy queued on
+    /// each), indexed by link id. Bulk copies in the same direction
+    /// serialize through a single engine, like real hardware — the
+    /// reason the paper's VEC benchmark shows zero
+    /// computation/computation overlap: the second vector's data arrives
+    /// only after the first vector's copy is done. Opposite directions
+    /// run concurrently and contend on the link's aggregate bandwidth in
+    /// the rate solver. A device's host link has its [`H2D`] and [`D2H`]
+    /// engines (host reads block the virtual host, so their ordering is
+    /// implicit); on peer and NIC links `[0]` is low→high endpoint
+    /// order, `[1]` the reverse.
+    dma: Vec<[Option<TaskId>; 2]>,
+    /// Cross-device migrations performed, as `(count, bytes)`: the
+    /// run-time migration-cost accounting the paper's §VI calls for.
+    /// Counts both peer-to-peer and host-mediated migrations.
+    migrated: (usize, usize),
+    /// The subset of `migrated` that went over a direct peer link
+    /// instead of staging through the host.
+    p2p_migrated: (usize, usize),
+    /// NIC legs of cross-node migrations: host-mediated migrations whose
+    /// source and target devices sit on different cluster nodes
+    /// additionally forward the host copy over the NIC link between the
+    /// nodes. Zero on single-node machines.
+    cross_node_migrated: (usize, usize),
     /// Capacity accounting, eviction-victim selection and prefetch
     /// bookkeeping (built from the topology's [`gpu_sim::MemoryConfig`];
     /// unlimited by default, in which case every check is a no-op).
@@ -88,9 +82,9 @@ pub(crate) struct Inner {
     /// on that device — the set prefetch *hits* are counted against.
     /// Indexed by device.
     prefetched: Vec<HashSet<ValueId>>,
-    /// Eviction/prefetch events awaiting [`Cuda::take_mem_events`]
-    /// (recorded only while enabled, so raw contexts that never drain
-    /// them stay bounded).
+    /// Eviction, prefetch and migration events awaiting
+    /// [`Cuda::take_mem_events`] (recorded only while enabled, so raw
+    /// contexts that never drain them stay bounded).
     mem_events: Vec<MemEvent>,
     record_mem_events: bool,
 }
@@ -141,15 +135,10 @@ impl Cuda {
                 streams: vec![StreamState::default()], // default stream, device 0
                 events: Vec::new(),
                 capture: None,
-                last_h2d: vec![None; n],
-                last_d2h: vec![None; n],
-                last_p2p: vec![[None; 2]; n_links],
-                migrations: 0,
-                migrated_bytes: 0,
-                p2p_migrations: 0,
-                p2p_migrated_bytes: 0,
-                cross_node_migrations: 0,
-                cross_node_bytes: 0,
+                dma: vec![[None; 2]; n_links],
+                migrated: (0, 0),
+                p2p_migrated: (0, 0),
+                cross_node_migrated: (0, 0),
                 memgr,
                 prefetched: vec![HashSet::new(); n],
                 mem_events: Vec::new(),
@@ -166,11 +155,6 @@ impl Cuda {
     /// Number of identical devices in this context.
     pub fn device_count(&self) -> usize {
         self.inner.borrow().n_devices as usize
-    }
-
-    /// The device a stream issues onto.
-    pub fn stream_device(&self, stream: StreamId) -> u32 {
-        self.inner.borrow().streams[stream.0 as usize].device
     }
 
     /// Submitted-but-unfinished tasks on a device (in-flight load gauge).
@@ -195,54 +179,26 @@ impl Cuda {
         out.extend((0..inner.n_devices).map(|d| inner.memgr.free_bytes(d)));
     }
 
-    /// One-borrow placement probe for one argument array: adds its
-    /// estimated transfer time to `est[d]` for every device `d` (the
-    /// exact math of [`Cuda::transfer_time_estimate`], applied in the
-    /// same per-device order) and returns the device holding its
+    /// One-borrow placement probe for one argument array: adds to
+    /// `est[d]`, for every device `d`, the estimated time to make its
+    /// data resident there — `0` when already resident, one host-link
+    /// leg when a valid host copy exists, one peer-link leg over a
+    /// direct link, two host-link legs (plus the NIC leg across nodes)
+    /// for host-mediated migrations; every leg `latency + bytes /
+    /// bandwidth`, scaled by the link's calibrated contention. This is
+    /// the per-candidate cost transfer-aware placement minimizes —
+    /// transfer *time*, not raw bytes — priced along the very route the
+    /// migration will take. Returns the device holding the array's
     /// current device copy, if any.
     pub fn placement_probe(&self, a: &UnifiedArray, est: &mut [f64]) -> Option<u32> {
         let inner = self.inner.borrow();
         debug_assert_eq!(est.len(), inner.n_devices as usize);
         let st = &inner.arrays[&a.id];
-        let bytes = st.bytes as f64;
         let topo = inner.engine.topology();
         let calib = inner.engine.calibration();
         for (d, acc) in est.iter_mut().enumerate() {
             let target = d as u32;
-            let host_id = topo.host_link(target);
-            let host = topo.link(host_id);
-            // Observed contention scales the uncontended leg estimates
-            // when calibration is enabled; `link_scale` is exactly 1.0
-            // otherwise, keeping the default bit-identical.
-            let host_leg =
-                (host.latency + bytes / host.bandwidth) * calib.link_scale(host_id.0 as usize);
-            *acc += match st.residency {
-                Residency::Host => host_leg,
-                Residency::Both if st.device == target => 0.0,
-                Residency::Both => host_leg,
-                Residency::Device if st.device == target => 0.0,
-                Residency::Device => match topo.d2d_link(st.device, target) {
-                    Some(l) => {
-                        let link = topo.link(l);
-                        (link.latency + bytes / link.bandwidth) * calib.link_scale(l.0 as usize)
-                    }
-                    // Host-mediated route: two host-link legs, plus the
-                    // NIC leg when the source sits on another node
-                    // (`nic_link` is `None` in-node, so single-box
-                    // estimates are bit-identical).
-                    None => {
-                        let mut t = 2.0 * host_leg;
-                        if let Some(l) =
-                            topo.nic_link(topo.node_of(st.device), topo.node_of(target))
-                        {
-                            let link = topo.link(l);
-                            t += (link.latency + bytes / link.bandwidth)
-                                * calib.link_scale(l.0 as usize);
-                        }
-                        t
-                    }
-                },
-            };
+            *acc += route(st, target, topo).cost(st.bytes, target, topo, calib);
         }
         st.residency.on_device().then_some(st.device)
     }
@@ -250,25 +206,21 @@ impl Cuda {
     /// Cross-device migrations performed so far as `(count, bytes)`,
     /// peer-to-peer and host-mediated combined.
     pub fn migration_stats(&self) -> (usize, usize) {
-        let inner = self.inner.borrow();
-        (inner.migrations, inner.migrated_bytes)
+        self.inner.borrow().migrated
     }
 
     /// Cross-device migrations that went over a direct peer link, as
     /// `(count, bytes)`.
     pub fn p2p_migration_stats(&self) -> (usize, usize) {
-        let inner = self.inner.borrow();
-        (inner.p2p_migrations, inner.p2p_migrated_bytes)
+        self.inner.borrow().p2p_migrated
     }
 
     /// Cross-device migrations that staged through the host, as
     /// `(count, bytes)`.
     pub fn host_migration_stats(&self) -> (usize, usize) {
         let inner = self.inner.borrow();
-        (
-            inner.migrations - inner.p2p_migrations,
-            inner.migrated_bytes - inner.p2p_migrated_bytes,
-        )
+        let (all, p2p) = (inner.migrated, inner.p2p_migrated);
+        (all.0 - p2p.0, all.1 - p2p.1)
     }
 
     /// NIC legs of cross-node migrations, as `(count, bytes)`: the
@@ -276,8 +228,7 @@ impl Cuda {
     /// devices sit on different cluster nodes. Always zero on a
     /// single-node machine.
     pub fn cross_node_migration_stats(&self) -> (usize, usize) {
-        let inner = self.inner.borrow();
-        (inner.cross_node_migrations, inner.cross_node_bytes)
+        self.inner.borrow().cross_node_migrated
     }
 
     /// The interconnect topology of this context.
@@ -292,20 +243,9 @@ impl Cuda {
         self.inner.borrow().memgr.stats()
     }
 
-    /// True when the topology configures a finite per-device capacity.
-    pub fn memory_limited(&self) -> bool {
-        self.inner.borrow().memgr.is_limited()
-    }
-
     /// The configured per-device capacity (`None` = unlimited).
     pub fn device_capacity(&self) -> Option<usize> {
         self.inner.borrow().memgr.capacity(0)
-    }
-
-    /// Free device-memory bytes on a device (`usize::MAX` when
-    /// unlimited) — the headroom gauge memory-aware placement consults.
-    pub fn free_device_bytes(&self, device: u32) -> usize {
-        self.inner.borrow().memgr.free_bytes(device)
     }
 
     /// Per-device `(time, resident bytes)` step samples, recorded while
@@ -315,7 +255,7 @@ impl Cuda {
         self.inner.borrow().memgr.timeline().to_vec()
     }
 
-    /// Enable (or disable) recording of eviction/prefetch
+    /// Enable (or disable) recording of eviction, prefetch and migration
     /// [`MemEvent`]s. Off by default so contexts that never drain them
     /// stay bounded; the grcuda scheduler enables it and drains after
     /// every launch to annotate its DAG.
@@ -323,19 +263,9 @@ impl Cuda {
         self.inner.borrow_mut().record_mem_events = on;
     }
 
-    /// Drain the recorded eviction/prefetch events.
+    /// Drain the recorded [`MemEvent`]s.
     pub fn take_mem_events(&self) -> Vec<MemEvent> {
         std::mem::take(&mut self.inner.borrow_mut().mem_events)
-    }
-
-    /// True if the topology has a direct peer link between two devices.
-    pub fn has_p2p(&self, a: u32, b: u32) -> bool {
-        self.inner
-            .borrow()
-            .engine
-            .topology()
-            .d2d_link(a, b)
-            .is_some()
     }
 
     /// Lifetime `(bytes, transfers)` per link, indexed like
@@ -354,60 +284,11 @@ impl Cuda {
         (0..inner.n_devices as usize).map(|d| traffic[d].0).sum()
     }
 
-    /// Estimated time to make an array's data resident on `target`,
-    /// given where its current copy lives and the links available:
-    /// `0` when already resident, `bytes / host-link bandwidth` when a
-    /// valid host copy exists, `bytes / peer-link bandwidth (+ latency)`
-    /// over a direct link, and two full host-link legs for host-mediated
-    /// migrations. This is the per-candidate cost the transfer-aware
-    /// placement policy minimizes — transfer *time*, not raw bytes.
-    pub fn transfer_time_estimate(&self, a: &UnifiedArray, target: u32) -> Time {
-        let inner = self.inner.borrow();
-        let st = &inner.arrays[&a.id];
-        let bytes = st.bytes as f64;
-        let topo = inner.engine.topology();
-        let calib = inner.engine.calibration();
-        let host_id = topo.host_link(target);
-        let host = topo.link(host_id);
-        // Every leg carries its link's fixed latency, so small-array
-        // estimates do not spuriously favor a host-mediated route (two
-        // legs, two setups) over a low-latency peer link. With
-        // calibration enabled, each leg is additionally scaled by its
-        // link's observed contention ratio (`link_scale` is exactly 1.0
-        // otherwise — the default estimate is bit-identical).
-        let host_leg =
-            (host.latency + bytes / host.bandwidth) * calib.link_scale(host_id.0 as usize);
-        match st.residency {
-            Residency::Host => host_leg,
-            Residency::Both if st.device == target => 0.0,
-            Residency::Both => host_leg,
-            Residency::Device if st.device == target => 0.0,
-            Residency::Device => match topo.d2d_link(st.device, target) {
-                Some(l) => {
-                    let link = topo.link(l);
-                    (link.latency + bytes / link.bandwidth) * calib.link_scale(l.0 as usize)
-                }
-                // Host-mediated route; cross-node sources additionally
-                // pay the NIC leg between the two nodes (see
-                // [`Cuda::placement_probe`] — the two must agree).
-                None => {
-                    let mut t = 2.0 * host_leg;
-                    if let Some(l) = topo.nic_link(topo.node_of(st.device), topo.node_of(target)) {
-                        let link = topo.link(l);
-                        t += (link.latency + bytes / link.bandwidth)
-                            * calib.link_scale(l.0 as usize);
-                    }
-                    t
-                }
-            },
-        }
-    }
-
     /// Enable (or disable) online calibration: from then on every
     /// completed kernel feeds a decaying per-signature duration prior
     /// ([`Cuda::kernel_duration_prior`]) and every completed transfer
     /// feeds its link's contention scale, which multiplies into
-    /// [`Cuda::transfer_time_estimate`] / [`Cuda::placement_probe`].
+    /// [`Cuda::placement_probe`].
     /// Off by default: a default context estimates and measures
     /// bit-identically to one built before calibration existed.
     pub fn enable_calibration(&self, on: bool) {
@@ -529,15 +410,8 @@ impl Cuda {
         let mut inner = self.inner.borrow_mut();
         let st = inner.arrays.get_mut(&a.id).expect("unknown array");
         st.bytes = a.byte_len();
-        let old = st.residency.on_device().then_some(st.device);
-        st.residency = Residency::Host;
-        st.last_writer = None;
-        if let Some(d) = old {
-            let now = inner.engine.now();
-            inner.memgr.remove(d, a.id, now);
-            inner.prefetched[d as usize].remove(&a.id);
-        }
-        inner.sync_residency_cell(a.id);
+        let device = st.device;
+        inner.set_copies(a.id, Residency::Host, device, None);
     }
 
     /// Model the CPU touching `bytes` of the array (e.g. reading a
@@ -547,46 +421,36 @@ impl Cuda {
     pub fn host_read(&self, a: &UnifiedArray, bytes: usize) -> Time {
         let mut inner = self.inner.borrow_mut();
         let t0 = inner.engine.now();
-        inner.arrays.get_mut(&a.id).expect("unknown array").bytes = a.byte_len();
-        let st = inner.arrays.get(&a.id).expect("unknown array").clone();
-        if st.residency == Residency::Host {
+        let st = inner.arrays.get_mut(&a.id).expect("unknown array");
+        st.bytes = a.byte_len();
+        let (residency, device, last_writer) = (st.residency, st.device, st.last_writer);
+        match residency {
             // Host-only data is immediately readable — unless an
             // eviction spill is still carrying it back, in which case
             // the host blocks on the spill copy (already charged to the
             // host link; no second migration is paid).
-            if let Some(w) = st.last_writer {
-                inner.engine.sync_task(w);
+            Residency::Host => {
+                if let Some(w) = last_writer {
+                    inner.engine.sync_task(w);
+                }
             }
-        } else if !st.residency.on_host() {
-            let dev = inner.dev.clone();
-            let spec = if dev.supports_page_faults() {
-                TaskSpec::fault_migration(
-                    TaskKind::FaultD2H,
-                    format!("umfault<-{:?}", a.id),
-                    u32::MAX,
-                    bytes as f64,
-                    &dev,
-                )
-                .on_device(st.device)
-                .reading(&[a.id])
-            } else {
-                TaskSpec::bulk_copy(
-                    TaskKind::CopyD2H,
-                    format!("d2h<-{:?}", a.id),
-                    u32::MAX,
-                    bytes as f64,
-                    &dev,
-                )
-                .on_device(st.device)
-                .reading(&[a.id])
-            };
-            let deps: Vec<TaskId> = st.last_writer.into_iter().collect();
-            let t = inner.engine.submit(spec, &deps);
-            inner.engine.sync_task(t);
-            // Whole-array state machine: after touching it the host can
-            // see it (pages migrate lazily; we charge only what was
-            // touched but flip the flag).
-            inner.arrays.get_mut(&a.id).unwrap().residency = Residency::Both;
+            Residency::Both => {}
+            Residency::Device => {
+                let (size, dev) = (bytes as f64, &inner.dev);
+                let spec = if dev.supports_page_faults() {
+                    let label = format!("umfault<-{:?}", a.id);
+                    TaskSpec::fault_migration(TaskKind::FaultD2H, label, u32::MAX, size, dev)
+                } else {
+                    let label = format!("d2h<-{:?}", a.id);
+                    TaskSpec::bulk_copy(TaskKind::CopyD2H, label, u32::MAX, size, dev)
+                };
+                // Whole-array state machine: after touching it the host
+                // can see it (pages migrate lazily; we charge only what
+                // was touched but flip the flag).
+                let lands = (Residency::Both, device);
+                let t = inner.submit_leg(a.id, spec.on_device(device), None, lands);
+                inner.engine.sync_task(t);
+            }
         }
         inner.engine.now() - t0
     }
@@ -615,7 +479,7 @@ impl Cuda {
     }
 
     fn prefetch_inner(&self, stream: StreamId, a: &UnifiedArray, charge: bool) -> Option<TaskId> {
-        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *self.inner.borrow_mut();
         if inner.capture.is_some() {
             return None; // not capturable
         }
@@ -623,64 +487,30 @@ impl Cuda {
             return None; // no UM migration engine on pre-Pascal
         }
         let target = inner.streams[stream.0 as usize].device;
-        inner.arrays.get_mut(&a.id).expect("unknown array").bytes = a.byte_len();
-        let st = inner.arrays[&a.id].clone();
-        if st.residency.on_device() && st.device == target {
+        let bytes = a.byte_len();
+        let st = inner.arrays.get_mut(&a.id).expect("unknown array");
+        st.bytes = bytes;
+        let route = route(st, target, inner.engine.topology());
+        if route == Route::InPlace {
             return None;
         }
         // Capacity admission: prefetches are opportunistic — they use
         // headroom but never evict anything. Without headroom the copy
         // is left to the launch-time migration, which may.
         let free = inner.memgr.free_bytes(target);
-        if !inner.memgr.prefetcher.admit(free, st.bytes) {
+        if !inner.memgr.prefetcher.admit(free, bytes) {
             return None;
         }
-        let dev = inner.dev.clone();
         if charge {
-            let overhead = dev.host_api_overhead;
+            let overhead = inner.dev.host_api_overhead;
             inner.engine.advance_host(overhead);
         }
-        // Current copy only on another device: direct peer-to-peer DMA
-        // when the topology has a link, host-mediated migration (the D2H
-        // leg on the source device, chained on the producer) otherwise.
-        if st.residency == Residency::Device {
-            if let Some(t) = inner.p2p_migrate(a.id, target, stream) {
-                inner.note_prefetched(target, a.id, st.bytes);
-                return Some(t);
-            }
-            inner.migrate_to_host(a.id);
-            let _ = inner.nic_forward(a.id, st.device, target);
-        }
-        let spec = TaskSpec::bulk_copy(
-            TaskKind::CopyH2D,
-            format!("prefetch {:?}", a.id),
-            stream.0,
-            st.bytes as f64,
-            &dev,
-        )
-        .on_device(target)
-        .reading(&[a.id]);
-        let mut deps = stream_deps(&inner.streams, stream);
-        deps.extend(inner.last_h2d[target as usize]);
-        // Chain on whatever produced the current host copy (a migration
-        // D2H leg, possibly still in flight behind its writer): residency
-        // flips at submission time, so the dependency carries the
-        // ordering.
-        deps.extend(inner.arrays[&a.id].last_writer);
-        let t = inner.engine.submit(spec, &deps);
-        inner.streams[stream.0 as usize].last = Some(t);
-        inner.last_h2d[target as usize] = Some(t);
-        let old = {
-            let stm = inner.arrays.get_mut(&a.id).unwrap();
-            let old = stm.residency.on_device().then_some(stm.device);
-            stm.residency = Residency::Both;
-            stm.device = target;
-            stm.last_writer = Some(t);
-            old
-        };
-        inner.move_resident_record(a.id, old, target, st.bytes);
-        inner.note_prefetched(target, a.id, st.bytes);
-        Some(t)
+        let t = inner.execute(route, a.id, target, stream, Fetch::Prefetch);
+        // A later kernel finding the array there counts as a prefetch
+        // hit.
+        inner.prefetched[target as usize].insert(a.id);
+        inner.note(a.id, bytes, target, MemEventKind::Prefetched);
+        t
     }
 
     // ------------------------------------------------------------------
@@ -876,6 +706,29 @@ impl Cuda {
     }
 }
 
+/// Direction slots of a host link's entry in [`Inner::dma`].
+const H2D: usize = 0;
+const D2H: usize = 1;
+
+/// Why an array is being made resident — decides the shape of the H2D
+/// leg.
+#[derive(Debug, Clone, Copy)]
+enum Fetch {
+    /// A kernel needs it now: a page-fault migration on fault-capable
+    /// devices, an eager bulk copy on older ones.
+    Demand,
+    /// `cudaMemPrefetchAsync`: a bulk copy at full link bandwidth.
+    Prefetch,
+}
+
+/// A DMA copy engine: `(link, direction)` into [`Inner::dma`].
+type DmaEngine = (LinkId, usize);
+
+fn count(counter: &mut (usize, usize), bytes: usize) {
+    counter.0 += 1;
+    counter.1 += bytes;
+}
+
 impl Inner {
     /// Shared kernel-submission path (used by direct launches and graph
     /// replays): migrate non-resident arguments, then submit the kernel
@@ -886,7 +739,6 @@ impl Inner {
         exec: &KernelExec,
         extra_deps: &[TaskId],
     ) -> TaskId {
-        let dev = self.dev.clone();
         let kdev = self.streams[stream.0 as usize].device;
         // Unified-memory migrations for non-resident arguments. The
         // kernel's own argument set is pinned: making room for one
@@ -901,9 +753,10 @@ impl Inner {
             let st = self
                 .arrays
                 .get(v)
-                .expect("kernel argument not allocated here")
-                .clone();
-            if st.residency.on_device() && st.device == kdev {
+                .expect("kernel argument not allocated here");
+            let bytes = st.bytes;
+            let route = route(st, kdev, self.engine.topology());
+            if route == Route::InPlace {
                 // Already in place: bump the LRU clock, and credit the
                 // prefetcher if a prefetch put it there.
                 self.memgr.touch(kdev, *v);
@@ -914,74 +767,14 @@ impl Inner {
             }
             // The argument is about to land on this kernel's device:
             // spill victims first if it would not fit.
-            self.ensure_fit(kdev, *v, st.bytes, &pinned);
-            // Current copy only on another device: direct peer-to-peer
-            // DMA when the topology links the two devices (no host
-            // involvement, no H2D leg), else a host-mediated migration
-            // (D2H on the source, then the H2D below onto this kernel's
-            // device).
-            if st.residency == Residency::Device {
-                if self.p2p_migrate(*v, kdev, stream).is_some() {
-                    continue;
-                }
-                let src = st.device;
-                self.migrate_to_host(*v);
-                let _ = self.nic_forward(*v, src, kdev);
-            }
-            let bytes = st.bytes as f64;
-            let spec = if dev.supports_page_faults() {
-                TaskSpec::fault_migration(
-                    TaskKind::FaultH2D,
-                    format!("umfault->{v:?}"),
-                    stream.0,
-                    bytes,
-                    &dev,
-                )
-                .on_device(kdev)
-                .reading(&[*v])
-            } else {
-                TaskSpec::bulk_copy(
-                    TaskKind::CopyH2D,
-                    format!("h2d->{v:?}"),
-                    stream.0,
-                    bytes,
-                    &dev,
-                )
-                .on_device(kdev)
-                .reading(&[*v])
-            };
-            let mut deps = stream_deps(&self.streams, stream);
-            if dev.supports_page_faults() {
-                // Fault-path migrations interleave page-by-page; they
-                // contend through the fault controller instead.
-            } else {
-                deps.extend(self.last_h2d[kdev as usize]);
-            }
-            // Chain on whatever produced the current host copy (possibly
-            // a migration D2H leg still queued behind its writer):
-            // residency flips at submission time, so this dependency
-            // carries the cross-device ordering.
-            deps.extend(self.arrays[v].last_writer);
-            let t = self.engine.submit(spec, &deps);
-            self.streams[stream.0 as usize].last = Some(t);
-            if !dev.supports_page_faults() {
-                self.last_h2d[kdev as usize] = Some(t);
-            }
-            let old = {
-                let stm = self.arrays.get_mut(v).unwrap();
-                let old = stm.residency.on_device().then_some(stm.device);
-                stm.residency = Residency::Both;
-                stm.device = kdev;
-                stm.last_writer = Some(t);
-                old
-            };
-            self.move_resident_record(*v, old, kdev, st.bytes);
+            self.ensure_fit(kdev, *v, bytes, &pinned);
+            self.execute(route, *v, kdev, stream, Fetch::Demand);
         }
 
-        let (solo, demand) = exec.cost.solo_profile(exec.grid, &dev);
+        let (solo, demand) = exec.cost.solo_profile(exec.grid, &self.dev);
         let mut spec = TaskSpec::kernel(exec.name.clone(), stream.0);
         spec.device = kdev;
-        spec.fixed_latency = dev.launch_overhead;
+        spec.fixed_latency = self.dev.launch_overhead;
         spec.fluid_work = solo;
         spec.demand = demand;
         spec.reads = exec.reads();
@@ -1001,165 +794,181 @@ impl Inner {
         // A kernel that writes an array makes the device copy the only
         // current one.
         for v in exec.writes() {
-            let st = self.arrays.get_mut(&v).unwrap();
-            st.residency = Residency::Device;
-            st.device = kdev;
-            st.last_writer = Some(t);
-            self.sync_residency_cell(v);
+            self.set_copies(v, Residency::Device, kdev, Some(t));
         }
         t
     }
 
-    /// Direct device→device migration over a peer link, if the topology
-    /// has one between the source and `dst` (returns `None` otherwise).
-    /// The copy is chained on the consuming stream, on the producer of
-    /// the current copy, and on the link's same-direction DMA engine; it
-    /// contends with opposite-direction traffic on the link's aggregate
-    /// bandwidth in the rate solver. Counts toward
-    /// [`Cuda::migration_stats`] and [`Cuda::p2p_migration_stats`].
-    fn p2p_migrate(&mut self, v: ValueId, dst: u32, stream: StreamId) -> Option<TaskId> {
-        let st = self.arrays[&v].clone();
-        let src = st.device;
-        let lid = self.engine.topology().d2d_link(src, dst)?;
-        let link = self.engine.topology().link(lid).clone();
-        let dir = (src > dst) as usize;
-        let spec = TaskSpec::p2p_copy(
-            format!("p2p {v:?} d{src}->d{dst}"),
-            stream.0,
-            st.bytes as f64,
-            lid,
-            &link,
-        )
-        .on_device(dst)
-        .reading(&[v]);
-        let mut deps = stream_deps(&self.streams, stream);
-        deps.extend(self.last_p2p[lid.0 as usize][dir]);
-        deps.extend(st.last_writer);
-        let t = self.engine.submit(spec, &deps);
-        self.streams[stream.0 as usize].last = Some(t);
-        self.last_p2p[lid.0 as usize][dir] = Some(t);
-        self.migrations += 1;
-        self.migrated_bytes += st.bytes;
-        self.p2p_migrations += 1;
-        self.p2p_migrated_bytes += st.bytes;
-        {
-            let stm = self.arrays.get_mut(&v).unwrap();
-            stm.residency = Residency::Device; // the host copy stays stale
-            stm.device = dst;
-            stm.last_writer = Some(t);
-        }
-        self.move_resident_record(v, Some(src), dst, st.bytes);
-        Some(t)
-    }
+    // ------------------------------------------------------------------
+    // residency & migration
+    // ------------------------------------------------------------------
 
-    /// NIC leg of a cross-node migration: after [`Inner::migrate_to_host`]
-    /// lands the current copy in the *source node's* host memory, this
-    /// forwards it host→host over the NIC link joining the two nodes (a
-    /// no-op when both devices share a node, or on single-node
-    /// machines). The copy is chained on the D2H leg via the array's
-    /// `last_writer` and serialized through the link's same-direction
-    /// DMA engine; the H2D leg the caller submits next chains on it the
-    /// same way, so the full GPU→host→NIC→host→GPU route is ordered
-    /// without new bookkeeping. Counts toward
-    /// [`Cuda::cross_node_migration_stats`].
-    fn nic_forward(&mut self, v: ValueId, src: u32, dst: u32) -> Option<TaskId> {
+    /// Make `v` resident on `target` along `route` (see
+    /// [`crate::route`]), the consumer-side copies issued on `stream`:
+    /// one leg per link the route crosses, submitted in travel order.
+    /// This is the only place migrations are submitted — launches,
+    /// graph replays and prefetches all come through here. Returns the
+    /// copy the consumer must wait for, `None` when nothing moves.
+    fn execute(
+        &mut self,
+        route: Route,
+        v: ValueId,
+        target: u32,
+        stream: StreamId,
+        fetch: Fetch,
+    ) -> Option<TaskId> {
+        let st = &self.arrays[&v];
+        let (bytes, src) = (st.bytes, st.device);
+        let size = bytes as f64;
         let topo = self.engine.topology();
-        let (sn, dn) = (topo.node_of(src), topo.node_of(dst));
-        let lid = topo.nic_link(sn, dn)?;
-        let link = topo.link(lid).clone();
-        let st = self.arrays[&v].clone();
-        let dir = (sn > dn) as usize;
-        let spec = TaskSpec::p2p_copy(
-            format!("nic {v:?} n{sn}->n{dn}"),
-            u32::MAX,
-            st.bytes as f64,
-            lid,
-            &link,
-        )
-        .on_device(dst)
-        .reading(&[v]);
-        let mut deps: Vec<TaskId> = st.last_writer.into_iter().collect();
-        deps.extend(self.last_p2p[lid.0 as usize][dir]);
-        let t = self.engine.submit(spec, &deps);
-        self.last_p2p[lid.0 as usize][dir] = Some(t);
-        self.cross_node_migrations += 1;
-        self.cross_node_bytes += st.bytes;
-        // The host copy stays current (`Residency::Both`), now on the
-        // target's node; only the ordering handle moves forward.
-        self.arrays.get_mut(&v).unwrap().last_writer = Some(t);
-        Some(t)
+        match route {
+            Route::InPlace => return None,
+            Route::HostLeg => {}
+            // Direct peer-to-peer DMA: no host involvement, no H2D leg,
+            // and the host copy stays stale. Contends with
+            // opposite-direction traffic on the link's aggregate
+            // bandwidth in the rate solver.
+            Route::Peer(link) => {
+                let label = format!("p2p {v:?} d{src}->d{target}");
+                let spec = TaskSpec::p2p_copy(label, stream.0, size, link, topo.link(link));
+                let dma = Some((link, (src > target) as usize));
+                count(&mut self.migrated, bytes);
+                count(&mut self.p2p_migrated, bytes);
+                let (p2p, cross_node) = (true, false);
+                self.note(v, bytes, target, MemEventKind::Migrated { p2p, cross_node });
+                let lands = (Residency::Device, target);
+                return Some(self.submit_leg(v, spec.on_device(target), dma, lands));
+            }
+            // Host-mediated: a bulk D2H on the source device makes the
+            // host copy current again; across nodes it lands in the
+            // *source node's* host memory and is forwarded host→host
+            // over the NIC link; the H2D below completes the route.
+            // None of it blocks the host: each leg chains on the one
+            // before through the array's `last_writer`.
+            Route::Staged { nic } => {
+                let label = format!("migrate<-{v:?}");
+                let d2h = TaskSpec::bulk_copy(TaskKind::CopyD2H, label, u32::MAX, size, &self.dev);
+                let d2h_engine = Some((topo.host_link(src), D2H));
+                let forward = nic.map(|link| {
+                    let (sn, dn) = (topo.node_of(src), topo.node_of(target));
+                    let label = format!("nic {v:?} n{sn}->n{dn}");
+                    let spec = TaskSpec::p2p_copy(label, u32::MAX, size, link, topo.link(link));
+                    (spec.on_device(target), Some((link, (sn > dn) as usize)))
+                });
+                let lands = (Residency::Both, src);
+                count(&mut self.migrated, bytes);
+                self.submit_leg(v, d2h.on_device(src), d2h_engine, lands);
+                if let Some((spec, dma)) = forward {
+                    count(&mut self.cross_node_migrated, bytes);
+                    self.submit_leg(v, spec, dma, lands);
+                }
+                let (p2p, cross_node) = (false, nic.is_some());
+                self.note(v, bytes, target, MemEventKind::Migrated { p2p, cross_node });
+            }
+        }
+        let dev = &self.dev;
+        let (spec, dma) = if matches!(fetch, Fetch::Demand) && dev.supports_page_faults() {
+            // Fault-path migrations interleave page-by-page; they
+            // contend through the fault controller, not a copy engine.
+            let (kind, label) = (TaskKind::FaultH2D, format!("umfault->{v:?}"));
+            let spec = TaskSpec::fault_migration(kind, label, stream.0, size, dev);
+            (spec, None)
+        } else {
+            let label = match fetch {
+                Fetch::Demand => format!("h2d->{v:?}"),
+                Fetch::Prefetch => format!("prefetch {v:?}"),
+            };
+            let spec = TaskSpec::bulk_copy(TaskKind::CopyH2D, label, stream.0, size, dev);
+            (spec, Some((self.engine.topology().host_link(target), H2D)))
+        };
+        let lands = (Residency::Both, target);
+        Some(self.submit_leg(v, spec.on_device(target), dma, lands))
     }
 
-    /// Device→host leg of a cross-device migration: a bulk D2H on the
-    /// source device, chained on the task producing the current copy and
-    /// serialized through the source's D2H DMA engine. Counts toward
-    /// [`Cuda::migration_stats`]; the caller submits the H2D leg onto the
-    /// target and must depend on the returned task.
-    fn migrate_to_host(&mut self, v: ValueId) -> TaskId {
-        let st = self.arrays[&v].clone();
-        let src = st.device;
-        let dev = self.dev.clone();
-        let spec = TaskSpec::bulk_copy(
-            TaskKind::CopyD2H,
-            format!("migrate<-{v:?}"),
-            u32::MAX,
-            st.bytes as f64,
-            &dev,
-        )
-        .on_device(src)
-        .reading(&[v]);
-        let mut deps: Vec<TaskId> = st.last_writer.into_iter().collect();
-        deps.extend(self.last_d2h[src as usize]);
-        let t = self.engine.submit(spec, &deps);
-        self.last_d2h[src as usize] = Some(t);
-        self.migrations += 1;
-        self.migrated_bytes += st.bytes;
-        let stm = self.arrays.get_mut(&v).unwrap();
-        stm.residency = Residency::Both; // the host copy is current again
-        stm.last_writer = Some(t);
+    /// Submit one copy of `v` — a leg of a migration, an eviction spill
+    /// or a host read — chained on the stream it is issued on (legs
+    /// that run beside the streams carry the `u32::MAX` stream id), on
+    /// the DMA engine it serializes through, and on whatever produced
+    /// the copy it reads (a writing kernel or the previous leg,
+    /// possibly still queued). The stream and the engine then advance
+    /// to it and the array's copies become `lands`: residency flips at
+    /// submission time, so these dependencies are what carries the
+    /// ordering.
+    fn submit_leg(
+        &mut self,
+        v: ValueId,
+        spec: TaskSpec,
+        dma: Option<DmaEngine>,
+        lands: (Residency, u32),
+    ) -> TaskId {
+        let stream = (spec.stream != u32::MAX).then_some(spec.stream as usize);
+        let mut deps: Vec<TaskId> = Vec::new();
+        if let Some(s) = stream {
+            deps.extend(self.streams[s].last);
+        }
+        if let Some((link, dir)) = dma {
+            deps.extend(self.dma[link.0 as usize][dir]);
+        }
+        deps.extend(self.arrays[&v].last_writer);
+        let t = self.engine.submit(spec.reading(&[v]), &deps);
+        if let Some(s) = stream {
+            self.streams[s].last = Some(t);
+        }
+        if let Some((link, dir)) = dma {
+            self.dma[link.0 as usize][dir] = Some(t);
+        }
+        self.set_copies(v, lands.0, lands.1, Some(t));
         t
+    }
+
+    /// The one residency transition: `v`'s current copies become
+    /// `residency` (the device copy, if any, on `device`), produced by
+    /// `producer`. The memory manager's record follows the device copy
+    /// — a copy leaving a device forfeits its pending prefetch credit
+    /// there — and the cell behind [`UnifiedArray::resident_device`] is
+    /// refreshed.
+    fn set_copies(
+        &mut self,
+        v: ValueId,
+        residency: Residency,
+        device: u32,
+        producer: Option<TaskId>,
+    ) {
+        let now = self.engine.now();
+        let st = self.arrays.get_mut(&v).expect("unknown array");
+        let old = st.residency.on_device().then_some(st.device);
+        let new = residency.on_device().then_some(device);
+        st.residency = residency;
+        st.device = new.unwrap_or(st.device);
+        st.last_writer = producer;
+        st.resident_cell.set(new);
+        if old != new {
+            let bytes = st.bytes;
+            if let Some(od) = old {
+                self.memgr.remove(od, v, now);
+                self.prefetched[od as usize].remove(&v);
+            }
+            if let Some(nd) = new {
+                self.memgr.insert(nd, v, bytes, now);
+            }
+        }
+    }
+
+    /// Record a [`MemEvent`] for the layer above, while it is listening.
+    fn note(&mut self, value: ValueId, bytes: usize, device: u32, kind: MemEventKind) {
+        if self.record_mem_events {
+            self.mem_events.push(MemEvent {
+                value,
+                bytes,
+                device,
+                kind,
+            });
+        }
     }
 
     // ------------------------------------------------------------------
     // finite device memory
     // ------------------------------------------------------------------
-
-    /// Mirror the residency state machine into the shared cell behind
-    /// [`UnifiedArray::resident_device`].
-    fn sync_residency_cell(&self, v: ValueId) {
-        let st = &self.arrays[&v];
-        st.resident_cell
-            .set(st.residency.on_device().then_some(st.device));
-    }
-
-    /// Update the memory manager after a device copy moved from `old`
-    /// (if any) to `new`: the old record (and any pending prefetch
-    /// credit there) is dropped, the new one inserted.
-    fn move_resident_record(&mut self, v: ValueId, old: Option<u32>, new: u32, bytes: usize) {
-        let now = self.engine.now();
-        if let Some(od) = old {
-            if od != new {
-                self.memgr.remove(od, v, now);
-                self.prefetched[od as usize].remove(&v);
-            }
-        }
-        self.memgr.insert(new, v, bytes, now);
-        self.sync_residency_cell(v);
-    }
-
-    /// Mark an array as prefetch-resident on a device (a later kernel
-    /// finding it there counts as a prefetch hit) and record the event.
-    fn note_prefetched(&mut self, device: u32, v: ValueId, bytes: usize) {
-        self.prefetched[device as usize].insert(v);
-        if self.record_mem_events {
-            self.mem_events.push(MemEvent {
-                value: v,
-                bytes,
-                device,
-                kind: MemEventKind::Prefetched,
-            });
-        }
-    }
 
     /// Make room for `bytes` of new resident data on `device`, spilling
     /// victims chosen by the configured eviction policy. `pinned`
@@ -1176,28 +985,20 @@ impl Inner {
         if need == 0 {
             return;
         }
-        let victims = {
-            let Inner {
-                memgr,
-                arrays,
-                engine,
-                ..
-            } = self;
-            let topo = engine.topology();
-            let link = topo.link(topo.host_link(device));
-            let leg = |b: usize| link.latency + b as f64 / link.bandwidth;
-            // Cost-aware victim pricing: a still-valid host copy makes
-            // the spill free (the device copy is just dropped) and the
-            // possible re-fetch one host-link leg; dirty data pays the
-            // spill leg too — both over the device's actual link.
-            memgr.select_victims(device, need, pinned, |vid, vbytes| {
-                let refetch = leg(vbytes);
-                match arrays[&vid].residency {
-                    Residency::Device => leg(vbytes) + refetch,
-                    _ => refetch,
-                }
-            })
+        let (topo, calib) = (self.engine.topology(), self.engine.calibration());
+        // Cost-aware victim pricing — what bringing the victim back would
+        // cost over the device's actual link: a still-valid host copy
+        // makes the spill free (the device copy is just dropped) and the
+        // possible re-fetch one host-link leg; dirty data pays the spill
+        // leg too, a host-staged round trip.
+        let price = |vid: ValueId, vbytes: usize| {
+            let back = match self.arrays[&vid].residency {
+                Residency::Device => Route::Staged { nic: None },
+                _ => Route::HostLeg,
+            };
+            back.cost(vbytes, device, topo, calib)
         };
+        let victims = self.memgr.select_victims(device, need, pinned, price);
         let freed: usize = victims.iter().map(|vic| vic.bytes).sum();
         let cap = self
             .memgr
@@ -1222,54 +1023,32 @@ impl Inner {
     /// free. Either way the array becomes host-resident, and its next
     /// kernel use pays a fresh migration chained on the spill.
     fn evict(&mut self, device: u32, v: ValueId) {
-        let st = self.arrays[&v].clone();
+        let st = &self.arrays[&v];
         debug_assert!(st.residency.on_device() && st.device == device);
+        let bytes = st.bytes;
         let spilled = if st.residency == Residency::Device {
-            let dev = self.dev.clone();
-            let spec = TaskSpec::bulk_copy(
-                TaskKind::CopyD2H,
-                format!("evict<-{v:?}"),
-                u32::MAX,
-                st.bytes as f64,
-                &dev,
-            )
-            .on_device(device)
-            .reading(&[v]);
-            let mut deps: Vec<TaskId> = st.last_writer.into_iter().collect();
-            deps.extend(self.last_d2h[device as usize]);
-            let t = self.engine.submit(spec, &deps);
-            self.last_d2h[device as usize] = Some(t);
-            let stm = self.arrays.get_mut(&v).unwrap();
-            stm.residency = Residency::Host;
             // The spill is the host copy's producer: host reads block on
             // it, and the next migration of this array chains after it.
-            stm.last_writer = Some(t);
-            st.bytes
+            let label = format!("evict<-{v:?}");
+            let size = bytes as f64;
+            let spill = TaskSpec::bulk_copy(TaskKind::CopyD2H, label, u32::MAX, size, &self.dev);
+            let dma = Some((self.engine.topology().host_link(device), D2H));
+            let lands = (Residency::Host, device);
+            self.submit_leg(v, spill.on_device(device), dma, lands);
+            bytes
         } else {
             // A valid host copy exists: drop the device copy for free.
             // The host copy never depended on the task that produced
             // the device copy (an H2D/prefetch), so clear `last_writer`
             // — a later host read must not block on it.
-            let stm = self.arrays.get_mut(&v).unwrap();
-            stm.residency = Residency::Host;
-            stm.last_writer = None;
+            self.set_copies(v, Residency::Host, device, None);
             0
         };
-        let now = self.engine.now();
-        self.memgr.remove(device, v, now);
         self.memgr.record_eviction(spilled);
-        self.prefetched[device as usize].remove(&v);
-        self.sync_residency_cell(v);
-        if self.record_mem_events {
-            self.mem_events.push(MemEvent {
-                value: v,
-                bytes: st.bytes,
-                device,
-                kind: MemEventKind::Evicted {
-                    spilled: spilled > 0,
-                },
-            });
-        }
+        let kind = MemEventKind::Evicted {
+            spilled: spilled > 0,
+        };
+        self.note(v, bytes, device, kind);
     }
 
     /// Ensure a stream id exists (graph replay may ask for fresh ones).
@@ -1534,8 +1313,9 @@ mod tests {
         let a = c.alloc_f32(bytes / 4);
         let s0 = c.default_stream();
         let s1 = c.stream_create_on(1);
-        assert_eq!(c.stream_device(s0), 0);
-        assert_eq!(c.stream_device(s1), 1);
+        let stream_device = |s: StreamId| c.inner.borrow().streams[s.0 as usize].device;
+        assert_eq!(stream_device(s0), 0);
+        assert_eq!(stream_device(s1), 1);
         let k = simple_kernel(&c, "produce", &a, 1.0);
         c.launch(s0, &k);
         assert_eq!(c.device_residency(&a), Some(0));
@@ -1641,8 +1421,13 @@ mod tests {
     }
 
     #[test]
-    fn transfer_time_estimates_follow_the_links() {
+    fn placement_probe_estimates_follow_the_links() {
         let c = Cuda::new_multi_topo(DeviceProfile::tesla_p100(), 4, TopologyKind::NvlinkPair);
+        let estimate = |a: &UnifiedArray, d: usize| {
+            let mut est = vec![0.0; 4];
+            c.placement_probe(a, &mut est);
+            est[d]
+        };
         let dev = c.device();
         let n = 1 << 20;
         let bytes = (n * 4) as f64;
@@ -1650,15 +1435,15 @@ mod tests {
         let a = c.alloc_f32(n);
         // Host-resident: one H2D leg (latency + transfer) to any device.
         for d in 0..4 {
-            assert!((c.transfer_time_estimate(&a, d) - host_leg).abs() < 1e-12);
+            assert!((estimate(&a, d) - host_leg).abs() < 1e-12);
         }
         // Device-only on dev 0 after a writing kernel.
         let k = simple_kernel(&c, "w", &a, 0.1);
         let t = c.launch(c.default_stream(), &k).unwrap();
         c.task_sync(t);
-        assert_eq!(c.transfer_time_estimate(&a, 0), 0.0);
-        let linked = c.transfer_time_estimate(&a, 1);
-        let crossed = c.transfer_time_estimate(&a, 2);
+        assert_eq!(estimate(&a, 0), 0.0);
+        let linked = estimate(&a, 1);
+        let crossed = estimate(&a, 2);
         assert!(
             linked < host_leg,
             "nvlink beats even one PCIe leg: {linked}"
@@ -1670,8 +1455,8 @@ mod tests {
         // After a host read the copy is valid on both sides: one H2D leg
         // to anywhere else, free where it lives.
         c.host_read(&a, n * 4);
-        assert_eq!(c.transfer_time_estimate(&a, 0), 0.0);
-        assert!((c.transfer_time_estimate(&a, 2) - host_leg).abs() < 1e-12);
+        assert_eq!(estimate(&a, 0), 0.0);
+        assert!((estimate(&a, 2) - host_leg).abs() < 1e-12);
         // Small arrays: the peer link's low latency must keep the direct
         // hop cheaper than a host-mediated round trip.
         let small = c.alloc_f32(64);
@@ -1679,7 +1464,7 @@ mod tests {
         let ts = c.launch(c.default_stream(), &ks).unwrap();
         c.task_sync(ts);
         assert!(
-            c.transfer_time_estimate(&small, 1) < c.transfer_time_estimate(&small, 2),
+            estimate(&small, 1) < estimate(&small, 2),
             "linked hop must beat the two-leg host route even for tiny arrays"
         );
     }
@@ -1950,8 +1735,10 @@ mod tests {
         let a = c.alloc_f32(1 << 20);
         c.prefetch_async(c.default_stream(), &a);
         c.device_sync();
-        assert!(!c.memory_limited());
-        assert_eq!(c.free_device_bytes(0), usize::MAX);
+        assert_eq!(c.device_capacity(), None);
+        let mut free = Vec::new();
+        c.free_device_bytes_into(&mut free);
+        assert_eq!(free, [usize::MAX]);
         let st = c.memory_stats();
         assert_eq!(st.evictions, 0);
         assert_eq!(st.capacity, None);
@@ -2173,8 +1960,9 @@ mod edge_tests {
         c.launch(c.default_stream(), &k0);
         // The producing kernel wrote `a` on device 0: the estimates must
         // price the NIC leg into cross-node candidates only.
-        let same_node = c.transfer_time_estimate(&a, 1);
-        let cross_node = c.transfer_time_estimate(&a, 2);
+        let mut est = vec![0.0; 4];
+        c.placement_probe(&a, &mut est);
+        let (same_node, cross_node) = (est[1], est[2]);
         assert!(
             cross_node > same_node,
             "cross-node route must cost more: {cross_node} vs {same_node}"

@@ -33,6 +33,7 @@ pub mod context;
 pub mod exec;
 pub mod graph;
 pub mod memory;
+mod route;
 
 pub use context::{Cuda, EventId, StreamId};
 pub use exec::KernelExec;

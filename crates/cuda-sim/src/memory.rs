@@ -106,9 +106,9 @@ pub(crate) struct ArrayState {
     pub resident_cell: Rc<Cell<Option<u32>>>,
 }
 
-/// What the memory manager did to an allocation — drained by the layer
-/// above (the grcuda scheduler annotates its computation DAG with these
-/// so `to_dot` renders eviction and prefetch traffic).
+/// What the unified-memory layer did to an allocation — drained by the
+/// layer above (the grcuda scheduler annotates its computation DAG with
+/// these so `to_dot` renders eviction, prefetch and migration traffic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemEvent {
     /// The allocation involved.
@@ -134,6 +134,17 @@ pub enum MemEventKind {
     },
     /// The allocation was bulk-prefetched ahead of a launch.
     Prefetched,
+    /// The only current copy sat on another device and was migrated to
+    /// [`MemEvent::device`] — the route actually taken, whether a
+    /// prefetch or a launch triggered it.
+    Migrated {
+        /// True when the copy went over a direct peer link; false when
+        /// it staged through the host.
+        p2p: bool,
+        /// True when the staged copy also crossed a NIC link between
+        /// cluster nodes.
+        cross_node: bool,
+    },
 }
 
 #[cfg(test)]

@@ -255,7 +255,7 @@ mod tests {
         );
         dag.set_device(k1, 0);
         dag.set_device(k2, 1);
-        dag.annotate_migration(k2, Value(0), 4 << 20, false);
+        dag.annotate_migration_route(k2, Value(0), 4 << 20, false, false);
         let dot = to_dot(&dag, "multi");
         assert!(dot.contains("@dev0") && dot.contains("@dev1"));
         assert!(dot.contains("fillcolor=lightblue"));
@@ -278,16 +278,21 @@ mod tests {
             "K2",
             vec![ArgAccess::read(Value(0)), ArgAccess::write(Value(1))],
         );
+        // Annotated the way the scheduler does it: each vertex as it is
+        // placed, before the next one is added.
+        dag.set_device(k1, 0);
+        dag.set_device(k2, 1);
+        dag.annotate_migration_route(k2, Value(0), 4 << 20, true, false);
         let (k3, _) = dag.add_computation(
             ElementKind::Kernel,
             "K3",
             vec![ArgAccess::read(Value(1)), ArgAccess::write(Value(2))],
         );
-        dag.set_device(k1, 0);
-        dag.set_device(k2, 1);
         dag.set_device(k3, 2);
-        dag.annotate_migration(k2, Value(0), 4 << 20, true);
-        dag.annotate_migration(k3, Value(1), 3 << 10, false);
+        dag.annotate_migration_route(k3, Value(1), 3 << 10, false, false);
+        // Only the newest vertex's incoming edges are ever scanned: a
+        // late annotation of an older vertex changes nothing.
+        dag.annotate_migration_route(k2, Value(0), 1, false, true);
         let p2p_edges: Vec<_> = dag.edges().iter().filter(|e| e.p2p).collect();
         assert_eq!(p2p_edges.len(), 1);
         assert_eq!((p2p_edges[0].from, p2p_edges[0].to), (k1, k2));
@@ -319,7 +324,7 @@ mod tests {
         dag.set_device(r1, 1);
         dag.set_device(r2, 0);
         dag.set_device(w2, 0);
-        dag.annotate_migration(w2, Value(0), 1024, false);
+        dag.annotate_migration_route(w2, Value(0), 1024, false, false);
         let stamped: Vec<_> = dag
             .edges()
             .iter()
@@ -408,15 +413,15 @@ mod tests {
             "K2",
             vec![ArgAccess::read(Value(0)), ArgAccess::write(Value(1))],
         );
+        dag.set_device(k1, 0);
+        dag.set_device(k2, 2);
+        dag.annotate_migration_route(k2, Value(0), 4 << 20, false, true);
         let (k3, _) = dag.add_computation(
             ElementKind::Kernel,
             "K3",
             vec![ArgAccess::read(Value(1)), ArgAccess::write(Value(2))],
         );
-        dag.set_device(k1, 0);
-        dag.set_device(k2, 2);
         dag.set_device(k3, 3);
-        dag.annotate_migration_route(k2, Value(0), 4 << 20, false, true);
         dag.annotate_migration_route(k3, Value(1), 1 << 20, true, false);
         let node_of = [0, 0, 1, 1];
         let dot = to_dot_clustered(&dag, "cluster", &node_of);

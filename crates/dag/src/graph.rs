@@ -17,7 +17,8 @@ pub struct DepEdge {
     pub read_only: bool,
     /// Bytes migrated across devices to satisfy this edge (0 when both
     /// endpoints ran on the same device or the data was host-staged).
-    /// Set by the scheduler via [`ComputationDag::annotate_migration`].
+    /// Set by the scheduler via
+    /// [`ComputationDag::annotate_migration_route`].
     pub migrated_bytes: usize,
     /// True when the migration went over a direct peer-to-peer link;
     /// false for host-mediated migrations (meaningful only when
@@ -25,9 +26,8 @@ pub struct DepEdge {
     pub p2p: bool,
     /// True when the migration crossed a cluster-node boundary (a
     /// GPU→host→NIC→host→GPU route; meaningful only when
-    /// `migrated_bytes > 0`). Set via
-    /// [`ComputationDag::annotate_migration_route`]; rendered with its
-    /// own color by [`crate::to_dot_clustered`].
+    /// `migrated_bytes > 0`). Rendered with its own color by
+    /// [`crate::to_dot_clustered`].
     pub cross_node: bool,
     /// True when the edge is individually redundant: a parallel edge or
     /// transitive path orders the same pair, so dropping just this edge
@@ -445,19 +445,18 @@ impl ComputationDag {
     /// Record that satisfying `to`'s dependency on `value` migrated
     /// `bytes` across devices — the run-time migration-cost accounting
     /// rendered by [`crate::to_dot`]. `p2p` records whether the move
-    /// went over a direct peer link or staged through the host (the two
-    /// are styled differently in the render). Exactly one incoming edge
-    /// is stamped (a writer after several readers has one WAR edge per
-    /// reader for the same value, but the data moved once): preferably
-    /// the edge whose source sits on another device, else the first
-    /// match.
-    pub fn annotate_migration(&mut self, to: VertexId, value: Value, bytes: usize, p2p: bool) {
-        self.annotate_migration_route(to, value, bytes, p2p, false);
-    }
-
-    /// [`ComputationDag::annotate_migration`] with the cluster route
-    /// recorded: `cross_node` marks migrations whose endpoints sit on
-    /// different cluster nodes (the GPU→host→NIC→host→GPU path).
+    /// went over a direct peer link or staged through the host, and
+    /// `cross_node` whether its endpoints sit on different cluster nodes
+    /// (the GPU→host→NIC→host→GPU path); the three are styled
+    /// differently in the render. Exactly one incoming edge is stamped
+    /// (a writer after several readers has one WAR edge per reader for
+    /// the same value, but the data moved once): preferably the edge
+    /// whose source sits on another device, else the first match.
+    ///
+    /// `to` must be the most recently added vertex — the scheduler
+    /// annotates each computation as it places it — so its incoming
+    /// edges are the tail of the edge list and nothing older is scanned;
+    /// for any other vertex this is a no-op.
     pub fn annotate_migration_route(
         &mut self,
         to: VertexId,
@@ -467,19 +466,14 @@ impl ComputationDag {
         cross_node: bool,
     ) {
         let to_device = self.try_vertex(to).and_then(|v| v.device);
-        let matches: Vec<usize> = self
-            .edges
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.to == to && e.value == value)
-            .map(|(i, _)| i)
-            .collect();
-        let cross = matches.iter().copied().find(|&i| {
-            let from = self.edges[i].from;
-            let from_device = self.try_vertex(from).and_then(|v| v.device);
+        let incoming = self.edges.iter().rev().take_while(|e| e.to == to).count();
+        let tail = self.edges.len() - incoming;
+        let matches = || (tail..self.edges.len()).filter(|&i| self.edges[i].value == value);
+        let cross = matches().find(|&i| {
+            let from_device = self.try_vertex(self.edges[i].from).and_then(|v| v.device);
             from_device.is_some() && from_device != to_device
         });
-        if let Some(i) = cross.or_else(|| matches.first().copied()) {
+        if let Some(i) = cross.or_else(|| matches().next()) {
             self.edges[i].migrated_bytes = bytes;
             self.edges[i].p2p = p2p;
             self.edges[i].cross_node = cross_node;

@@ -381,6 +381,12 @@ impl GrCuda {
         Self::with_topology(dev, topo, options, placement)
     }
 
+    /// True when `other` is a handle to this same runtime (clones share
+    /// one context; separately constructed runtimes never do).
+    pub(crate) fn same_runtime(&self, other: &GrCuda) -> bool {
+        Rc::ptr_eq(&self.inner, &other.inner)
+    }
+
     /// Number of identical devices this runtime schedules.
     pub fn device_count(&self) -> usize {
         self.inner.borrow().cuda.device_count()
@@ -793,8 +799,10 @@ impl GrCuda {
     /// bit-identical under zero overheads). Under the serial scheduler
     /// batching is a plain loop: the host blocks per launch anyway.
     ///
-    /// Kernels in the batch must belong to this runtime. Returns the
-    /// device the placement policy chose for each call, in order.
+    /// Kernels in the batch must belong to this runtime: a call whose
+    /// kernel (and so, once validated, whose arrays) came from another
+    /// one fails with [`LaunchError::ForeignArray`]. Returns the device
+    /// the placement policy chose for each call, in order.
     ///
     /// # Examples
     ///
@@ -823,6 +831,13 @@ impl GrCuda {
     pub fn launch_batch(&self, calls: &[BatchLaunch<'_>]) -> Result<Vec<u32>, LaunchError> {
         for c in calls {
             c.kernel.validate(c.args)?;
+            if !c.kernel.ctx.same_runtime(self) {
+                let is_array = |a: &Arg| matches!(a, Arg::Array(_));
+                return Err(LaunchError::ForeignArray {
+                    kernel: c.kernel.def.name.into(),
+                    index: c.args.iter().position(is_array).unwrap_or(0),
+                });
+            }
         }
         let (amortize, overhead) = {
             let ctx = self.inner.borrow();
@@ -1040,30 +1055,6 @@ impl GrCuda {
                 ctx.vertex_device.insert(vid, device);
                 chosen_device = device;
 
-                // Arguments whose only current copy lives on another
-                // device will cross-migrate at submission: annotate the
-                // DAG edges with the migrated bytes and route (direct
-                // P2P vs staged through the host) for the DOT render.
-                if n_dev > 1 {
-                    for arr in &arrays {
-                        if ctx.cuda.residency(arr) == cuda_sim::Residency::Device
-                            && ctx.cuda.device_residency(arr) != Some(device)
-                        {
-                            let src = ctx.cuda.device_residency(arr).unwrap_or(0);
-                            let p2p = ctx.cuda.has_p2p(src, device);
-                            let cross_node = !ctx.node_of.is_empty()
-                                && ctx.node_of[src as usize] != ctx.node_of[device as usize];
-                            ctx.dag.annotate_migration_route(
-                                vid,
-                                Value(arr.id.0),
-                                arr.byte_len(),
-                                p2p,
-                                cross_node,
-                            );
-                        }
-                    }
-                }
-
                 let Ctx {
                     streams,
                     vertex_stream,
@@ -1117,19 +1108,22 @@ impl GrCuda {
                 ctx.vertex_stream.insert(vid, stream);
                 let elements = arrays.iter().map(|a| a.len()).max().unwrap_or(0);
                 ctx.launch_info.insert(t.0, (grid, elements));
-                // Annotate the DAG with what the memory manager did
-                // while placing this computation — the evictions it
-                // forced and the prefetches issued ahead of it —
-                // rendered by `dag::to_dot` as orange/green note nodes.
+                // Annotate the DAG with what the unified-memory layer did
+                // while placing this computation: the evictions it
+                // forced and the prefetches issued ahead of it (rendered
+                // by `dag::to_dot` as orange/green note nodes), and the
+                // cross-device migrations it paid, stamped on the edge
+                // they satisfied with the bytes and the route taken.
                 for ev in ctx.cuda.take_mem_events() {
+                    let value = Value(ev.value.0);
                     match ev.kind {
                         MemEventKind::Evicted { spilled } => {
-                            ctx.dag
-                                .annotate_evict(vid, Value(ev.value.0), ev.bytes, spilled)
+                            ctx.dag.annotate_evict(vid, value, ev.bytes, spilled)
                         }
-                        MemEventKind::Prefetched => {
-                            ctx.dag.annotate_prefetch(vid, Value(ev.value.0), ev.bytes)
-                        }
+                        MemEventKind::Prefetched => ctx.dag.annotate_prefetch(vid, value, ev.bytes),
+                        MemEventKind::Migrated { p2p, cross_node } => ctx
+                            .dag
+                            .annotate_migration_route(vid, value, ev.bytes, p2p, cross_node),
                     }
                 }
             }
@@ -1670,6 +1664,58 @@ mod tests {
         ms.launch(G, &[Arg::array(&x), Arg::scalar(5.0), Arg::scalar(8.0)])
             .unwrap();
         assert_eq!(x.get_f32(3), 5.0);
+    }
+
+    #[test]
+    fn arrays_from_another_runtime_are_refused_before_the_dag() {
+        // Value ids are per-runtime counters from 0: `theirs` would
+        // alias `ours` (same id) if it ever reached this runtime's DAG.
+        let (g, other) = (p100(), p100());
+        let ours = g.array_f32(8);
+        let theirs = other.array_f32(8);
+        ours.fill_f32(1.0);
+        theirs.fill_f32(1.0);
+        let foreign = |r: Result<(), crate::LaunchError>, kernel: &str, index: usize| {
+            let kernel = kernel.to_string();
+            assert_eq!(r, Err(crate::LaunchError::ForeignArray { kernel, index }));
+        };
+        let args = |a: &DeviceArray| [Arg::array(a), Arg::scalar(5.0), Arg::scalar(8.0)];
+        let ms = g.build_kernel(&MEMSET_F32).unwrap();
+        let their_ms = other.build_kernel(&MEMSET_F32).unwrap();
+
+        foreign(ms.launch(G, &args(&theirs)), "memset_f32", 0);
+        let mixed = [
+            Arg::array(&ours),
+            Arg::array(&theirs),
+            Arg::scalar(2.0),
+            Arg::scalar(8.0),
+        ];
+        let scale = g.build_kernel(&SCALE).unwrap();
+        foreign(scale.launch(G, &mixed), "scale", 1);
+        let lib = g.register_library(&MEMSET_F32, G, true).unwrap();
+        foreign(lib.call(&args(&theirs)), "memset_f32", 0);
+        // Batches check every call up front — the good first call is
+        // not submitted either — and both ways round: a foreign array
+        // under a local kernel, a foreign kernel with its own arrays.
+        let (good, bad) = (args(&ours), args(&theirs));
+        let call = |kernel, args| BatchLaunch {
+            kernel,
+            grid: G,
+            args,
+        };
+        let batch = [call(&ms, &good), call(&ms, &bad)];
+        foreign(g.launch_batch(&batch).map(|_| ()), "memset_f32", 0);
+        let batch = [call(&ms, &good), call(&their_ms, &bad)];
+        foreign(g.launch_batch(&batch).map(|_| ()), "memset_f32", 0);
+
+        for rt in [&g, &other] {
+            assert_eq!(rt.dag_len(), 0, "nothing entered either DAG");
+        }
+        assert_eq!((ours.get_f32(3), theirs.get_f32(3)), (1.0, 1.0));
+        // Each runtime still launches on its own arrays.
+        ms.launch(G, &good).unwrap();
+        their_ms.launch(G, &bad).unwrap();
+        assert_eq!((ours.get_f32(3), theirs.get_f32(3)), (5.0, 5.0));
     }
 
     #[test]

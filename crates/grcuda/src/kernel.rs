@@ -65,6 +65,16 @@ pub enum LaunchError {
         /// Element type of the array supplied.
         got: String,
     },
+    /// An array argument was allocated by a different [`GrCuda`]
+    /// runtime than the one launching. Array identities are only
+    /// meaningful inside the runtime that issued them, so the launch is
+    /// refused before anything enters the DAG.
+    ForeignArray {
+        /// Kernel name.
+        kernel: String,
+        /// Zero-based parameter index.
+        index: usize,
+    },
     /// The launch's argument set is larger than any device's memory:
     /// even evicting every other resident array could not make it fit.
     /// Raised only under a finite [`gpu_sim::MemoryConfig`] capacity.
@@ -102,6 +112,10 @@ impl fmt::Display for LaunchError {
             } => write!(
                 f,
                 "kernel `{kernel}` argument {index}: expected {expected} array, got {got}"
+            ),
+            LaunchError::ForeignArray { kernel, index } => write!(
+                f,
+                "kernel `{kernel}` argument {index}: array belongs to another runtime"
             ),
             LaunchError::OutOfMemory {
                 kernel,
@@ -215,7 +229,8 @@ impl Kernel {
         Ok(grid)
     }
 
-    /// Check arity, kinds and element types.
+    /// Check arity, kinds and element types, and that every array
+    /// belongs to this kernel's runtime.
     pub(crate) fn validate(&self, args: &[Arg]) -> Result<(), LaunchError> {
         if args.len() != self.sig.params.len() {
             return Err(LaunchError::ArityMismatch {
@@ -227,6 +242,12 @@ impl Kernel {
         for (i, (p, a)) in self.sig.params.iter().zip(args).enumerate() {
             match (p, a) {
                 (NidlParam::Pointer { ty, .. }, Arg::Array(arr)) => {
+                    if !arr.ctx.same_runtime(&self.ctx) {
+                        return Err(LaunchError::ForeignArray {
+                            kernel: self.def.name.into(),
+                            index: i,
+                        });
+                    }
                     if let Some(expected) = ty.buffer_type_name() {
                         let got = arr.type_name();
                         if got != expected {

@@ -21,11 +21,15 @@ pub struct PlacementCtx<'a> {
     /// placement-neutral).
     pub resident_bytes: &'a [usize],
     /// Estimated seconds to make every argument resident on each
-    /// candidate device, given where the copies live and the
-    /// interconnect links available: `bytes / link bandwidth` over the
-    /// best path, two host-link legs when a migration must stage through
-    /// the host, zero for data already in place. Unlike
-    /// `resident_bytes`, this sees link *speed*, not just byte counts.
+    /// candidate device, summed by [`cuda_sim::Cuda::placement_probe`]
+    /// along the route each migration would actually take: one
+    /// `latency + bytes / bandwidth` leg per link crossed (scaled by the
+    /// link's contention when calibration is on) — a host-link leg from
+    /// a valid host copy, a peer-link leg over a direct link, two
+    /// host-link legs (plus the NIC leg across nodes) when a migration
+    /// must stage through the host, zero for data already in place.
+    /// Unlike `resident_bytes`, this sees link *speed*, not just byte
+    /// counts.
     pub est_transfer_time: &'a [f64],
     /// Submitted-but-unfinished tasks per device (kernels, copies and
     /// markers alike) — the load gauge.

@@ -3,8 +3,8 @@
 //! told the plan's explicit edges.
 
 use benchmarks::{scales, Bench, PlanArg};
-use gpu_sim::DeviceProfile;
-use grcuda::{Arg, GrCuda, Options};
+use gpu_sim::{DeviceProfile, Grid, TopologyKind};
+use grcuda::{Arg, GrCuda, Options, PlacementPolicy, PrefetchPolicy};
 
 /// Replay a benchmark through the scheduler and return (DAG size,
 /// inferred edges as (from, to) pairs over op indices).
@@ -126,4 +126,84 @@ fn reachable(edges: &[(usize, usize)], from: usize, to: usize) -> bool {
         }
     }
     false
+}
+
+/// A `scale` chain under round-robin placement on `topo`: kernel `i`
+/// reads array `i`, writes array `i + 1` and lands on device `i`, so
+/// every hop crosses whatever joins devices `i - 1` and `i`. Returns the
+/// migration-stamped edge lines of the live DOT render.
+fn chain_migration_edges(topo: &gpu_sim::Topology, prefetch: PrefetchPolicy) -> Vec<String> {
+    let n = 1 << 10; // 4 KiB per array
+    let g = GrCuda::with_topology(
+        DeviceProfile::tesla_p100(),
+        topo.clone(),
+        Options::parallel().with_prefetch(prefetch),
+        PlacementPolicy::RoundRobin,
+    );
+    let scale = g.build_kernel(&kernels::util::SCALE).unwrap();
+    let hops = topo.device_count();
+    let arrays: Vec<_> = (0..=hops).map(|_| g.array_f32(n)).collect();
+    for i in 0..hops {
+        let args = [
+            Arg::array(&arrays[i]),
+            Arg::array(&arrays[i + 1]),
+            Arg::scalar(2.0),
+            Arg::scalar(n as f64),
+        ];
+        let placed = scale.launch_placed(Grid::d1(4, 256), &args).unwrap();
+        assert_eq!(placed as usize, i, "round-robin walks the devices");
+    }
+    let dot = g.dag_dot("chain");
+    g.sync();
+    assert!(g.races().is_empty());
+    dot.lines()
+        .filter(|l| l.contains("migrated"))
+        .map(|l| l.trim().to_string())
+        .collect()
+}
+
+#[test]
+fn nvlink_pair_dot_labels_p2p_and_host_staged_hops() {
+    // d0-d1 and d2-d3 are linked; d1→d2 must stage through the host.
+    let dev = DeviceProfile::tesla_p100();
+    let topo = gpu_sim::Topology::preset(TopologyKind::NvlinkPair, 4, &dev);
+    // Prefetch and launch-time fault migrations take the same routes.
+    for prefetch in [PrefetchPolicy::Auto, PrefetchPolicy::None] {
+        assert_eq!(
+            chain_migration_edges(&topo, prefetch),
+            [
+                r#"n0 -> n1 [label="v1\n4.0 KiB migrated (p2p)", style=bold, color=blue];"#,
+                r#"n1 -> n2 [label="v2\n4.0 KiB migrated (via host)", style=bold, color=red];"#,
+                r#"n2 -> n3 [label="v3\n4.0 KiB migrated (p2p)", style=bold, color=blue];"#,
+            ],
+            "{prefetch:?}"
+        );
+    }
+}
+
+#[test]
+fn cluster_dot_labels_p2p_host_staged_and_cross_node_hops() {
+    // 2 nodes × 3 GPUs, NVLink pairs inside each node: d0-d1 linked,
+    // d2 alone on node 0; d3-d4 linked, d5 alone on node 1.
+    let dev = DeviceProfile::tesla_p100();
+    let topo = gpu_sim::Cluster::new(
+        2,
+        3,
+        TopologyKind::NvlinkPair,
+        gpu_sim::NicKind::InfinibandHdr,
+    )
+    .build(&dev);
+    for prefetch in [PrefetchPolicy::Auto, PrefetchPolicy::None] {
+        assert_eq!(
+            chain_migration_edges(&topo, prefetch),
+            [
+                r#"n0 -> n1 [label="v1\n4.0 KiB migrated (p2p)", style=bold, color=blue];"#,
+                r#"n1 -> n2 [label="v2\n4.0 KiB migrated (via host)", style=bold, color=red];"#,
+                r#"n2 -> n3 [label="v3\n4.0 KiB migrated (cross-node)", style=bold, color=magenta];"#,
+                r#"n3 -> n4 [label="v4\n4.0 KiB migrated (p2p)", style=bold, color=blue];"#,
+                r#"n4 -> n5 [label="v5\n4.0 KiB migrated (via host)", style=bold, color=red];"#,
+            ],
+            "{prefetch:?}"
+        );
+    }
 }
