@@ -1,0 +1,37 @@
+#!/usr/bin/env bash
+# Size census: how much non-test code and public surface the workspace
+# carries. Informational — simplicity PRs quote its before/after output
+# instead of re-deriving the counts by hand.
+#
+#   ci/census.sh
+#
+# (i)  Non-test code lines per crate: for every crates/<crate>/src/**.rs,
+#      the lines above the file's first `#[cfg(test)]`, blank and
+#      comment-only (`//`, `///`, `//!`) lines excluded. Files that are
+#      test-only modules (`prop_tests.rs`, declared under `#[cfg(test)]`
+#      by their parent) count as zero.
+# (ii) Public-item census: `pub fn|struct|enum|trait|type|const` lines in
+#      the four library crates whose API the layers above program against.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+total=0
+for crate in crates/*/; do
+    name=$(basename "$crate")
+    lines=$(find "$crate/src" -name '*.rs' ! -name 'prop_tests.rs' -print0 |
+        xargs -0 awk '
+            FNR == 1 { in_tests = 0 }
+            /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+            in_tests { next }
+            /^[[:space:]]*$/ { next }
+            /^[[:space:]]*\/\// { next }
+            { n++ }
+            END { print n + 0 }')
+    printf 'non-test code lines  %-12s %6d\n' "$name" "$lines"
+    total=$((total + lines))
+done
+printf 'non-test code lines  %-12s %6d\n' total "$total"
+
+public=$(grep -rEn "^\s*pub (fn|struct|enum|trait|type|const) " \
+    crates/{grcuda,cuda-sim,gpu-sim,benchmarks}/src | wc -l)
+printf 'public items         %-12s %6d\n' "(4 crates)" "$public"

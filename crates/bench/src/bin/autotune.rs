@@ -52,7 +52,7 @@ fn main() {
                 ],
             )
             .unwrap();
-        g.sync(); // harvest measurements into the history
+        g.sync(); // the kernels complete: their measurements are recorded
     }
 
     let mut rows = Vec::new();

@@ -7,8 +7,8 @@ use std::rc::Rc;
 
 use gpu_sim::memgr::{MemoryManager, MemoryStats};
 use gpu_sim::{
-    DeviceProfile, Engine, EngineStats, LinkId, RaceReport, TaskId, TaskKind, TaskSpec, Time,
-    Timeline, Topology, TopologyKind, TypedData, ValueId,
+    Calibration, DeviceProfile, Engine, EngineStats, LinkId, RaceReport, TaskId, TaskKind,
+    TaskSpec, Time, Timeline, Topology, TopologyKind, TypedData, ValueId,
 };
 
 use crate::exec::KernelExec;
@@ -286,8 +286,8 @@ impl Cuda {
 
     /// Enable (or disable) online calibration: from then on every
     /// completed kernel feeds a decaying per-signature duration prior
-    /// ([`Cuda::kernel_duration_prior`]) and every completed transfer
-    /// feeds its link's contention scale, which multiplies into
+    /// ([`gpu_sim::Calibration::kernel_prior`]) and every completed
+    /// transfer feeds its link's contention scale, which multiplies into
     /// [`Cuda::placement_probe`].
     /// Off by default: a default context estimates and measures
     /// bit-identically to one built before calibration existed.
@@ -299,23 +299,12 @@ impl Cuda {
             .set_enabled(on);
     }
 
-    /// True when online calibration is collecting observations.
-    pub fn calibration_enabled(&self) -> bool {
-        self.inner.borrow().engine.calibration().enabled()
-    }
-
-    /// The decaying mean duration observed for a kernel signature, or
-    /// `None` while calibration is disabled or has no samples for it —
-    /// the task-duration prior history-driven placement weighs
-    /// in-flight work by.
-    pub fn kernel_duration_prior(&self, label: &str) -> Option<Time> {
-        self.inner.borrow().engine.calibration().kernel_prior(label)
-    }
-
-    /// Aggregate calibration sample counters (kernel samples, transfer
-    /// samples, distinct signatures).
-    pub fn calibration_stats(&self) -> gpu_sim::CalibrationStats {
-        self.inner.borrow().engine.calibration().stats()
+    /// Read the engine's calibration state: the per-signature duration
+    /// priors, the sample counters, and the block-size history every
+    /// completed kernel launch — direct, serial or graph replay — is
+    /// recorded into as the simulator completes it.
+    pub fn calibration<R>(&self, f: impl FnOnce(&Calibration) -> R) -> R {
+        f(self.inner.borrow().engine.calibration())
     }
 
     /// Current virtual time in seconds.
@@ -655,11 +644,6 @@ impl Cuda {
         self.inner.borrow_mut().engine.sync_task(t);
     }
 
-    /// True once the task completed in virtual time.
-    pub fn task_query(&self, t: TaskId) -> bool {
-        self.inner.borrow().engine.is_complete(t)
-    }
-
     /// Block the host until the whole device drains
     /// (`cudaDeviceSynchronize`).
     pub fn device_sync(&self) {
@@ -679,12 +663,6 @@ impl Cuda {
     /// Snapshot of the execution timeline.
     pub fn timeline(&self) -> Timeline {
         self.inner.borrow().engine.timeline().clone()
-    }
-
-    /// Visit the execution timeline without cloning it (for frequent
-    /// bookkeeping passes like the grcuda history harvest).
-    pub fn with_timeline<R>(&self, f: impl FnOnce(&Timeline) -> R) -> R {
-        f(self.inner.borrow().engine.timeline())
     }
 
     /// Reset the timeline between measured iterations (the memory
@@ -784,6 +762,10 @@ impl Inner {
         spec.meta.flops64 = exec.cost.flops64;
         spec.meta.l2_bytes = exec.cost.l2_bytes;
         spec.meta.instructions = exec.cost.instructions;
+        // The launch shape travels with the task: the engine records it
+        // beside the measured duration when the kernel completes.
+        let elements = exec.buffers.iter().map(|b| b.len()).max().unwrap_or(0);
+        spec.launch_shape = Some((exec.grid, elements));
         spec.on_complete = Some(exec.make_payload());
 
         let mut deps = stream_deps(&self.streams, stream);

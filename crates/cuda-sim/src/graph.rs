@@ -405,6 +405,26 @@ mod tests {
     }
 
     #[test]
+    fn graph_replays_feed_the_block_size_history() {
+        // Replays go through the same kernel-submission path as direct
+        // launches, so every replayed node leaves a history sample.
+        let c = ctx();
+        let a = c.alloc_f32(4096);
+        c.begin_capture();
+        c.launch(c.default_stream(), &kern("k", &a, 0.01, true));
+        c.launch(c.default_stream(), &kern("k", &a, 0.01, true));
+        let g = c.end_capture();
+        assert_eq!(c.calibration(|h| h.history_samples("k")), 0, "captured");
+        for replay in 1..=3 {
+            let done = g.launch(&c);
+            c.task_sync(done);
+            c.clear_timeline();
+            assert_eq!(c.calibration(|h| h.history_samples("k")), 2 * replay);
+        }
+        assert_eq!(c.calibration(|h| h.best_block_size("k", 4096)), Some(128));
+    }
+
+    #[test]
     fn manual_graph_assigns_first_child_to_parent_stream() {
         let c = ctx();
         let a = c.alloc_f32(16);

@@ -20,6 +20,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::calibrate::Calibration;
+use crate::cost::Grid;
 use crate::fluid::{max_min_rates, max_min_rates_vec};
 use crate::profile::DeviceProfile;
 use crate::race::{check_conflict, RaceReport};
@@ -73,6 +74,7 @@ struct TaskState {
     writes: Vec<crate::data::ValueId>,
     on_complete: Option<Box<dyn FnOnce()>>,
     meta: TaskMeta,
+    launch_shape: Option<(Grid, usize)>,
     phase: Phase,
     dependents: Vec<TaskId>,
     /// When the task became ready (start of its timeline interval).
@@ -156,10 +158,10 @@ pub struct Engine {
     timeline: Timeline,
     races: Vec<RaceReport>,
     stats: EngineStats,
-    /// Online calibration: decaying per-kernel-signature duration
-    /// priors and per-link contention scales harvested from completed
-    /// tasks. Off by default — observation is skipped entirely while
-    /// disabled (see [`crate::calibrate`]).
+    /// Online calibration: per-kernel-signature duration priors and
+    /// block-size history and per-link contention scales, recorded as
+    /// tasks complete. The priors and scales are off by default (see
+    /// [`crate::calibrate`]).
     calib: Calibration,
 }
 
@@ -218,8 +220,7 @@ impl Engine {
         }
     }
 
-    /// The online calibration state (off by default; see
-    /// [`crate::calibrate`]).
+    /// The online calibration state (see [`crate::calibrate`]).
     pub fn calibration(&self) -> &Calibration {
         &self.calib
     }
@@ -311,6 +312,7 @@ impl Engine {
             writes: spec.writes,
             on_complete: spec.on_complete,
             meta: spec.meta,
+            launch_shape: spec.launch_shape,
             phase: Phase::Waiting(open_deps),
             dependents: Vec::new(),
             started: 0.0,
@@ -799,22 +801,24 @@ impl Engine {
                 self.link_transfers[l.0 as usize] += 1;
             }
         }
-        if self.calib.enabled() {
-            // Every completion is a calibration observation: kernels
-            // feed the per-signature duration prior, transfers feed
-            // their link's contention scale (observed wall duration
-            // over the solo time the specs were submitted with).
-            match iv.kind {
-                TaskKind::Kernel => self.calib.observe_kernel(&iv.label, iv.duration()),
-                k if k.is_transfer() => {
-                    if let Some(l) = link {
-                        let solo = self.tasks[i].fixed_latency + self.tasks[i].fluid_work;
-                        self.calib
-                            .observe_transfer(l.0 as usize, iv.duration(), solo);
-                    }
-                }
-                _ => {}
+        // Every completion is a calibration observation, recorded here
+        // and nowhere else: kernels feed their signature's duration
+        // prior and block-size history, transfers feed their link's
+        // contention scale (observed wall duration over the solo time
+        // the specs were submitted with).
+        match iv.kind {
+            TaskKind::Kernel => {
+                let shape = self.tasks[i].launch_shape;
+                self.calib.observe_kernel(&iv.label, iv.duration(), shape);
             }
+            k if k.is_transfer() => {
+                if let Some(l) = link {
+                    let solo = self.tasks[i].fixed_latency + self.tasks[i].fluid_work;
+                    self.calib
+                        .observe_transfer(l.0 as usize, iv.duration(), solo);
+                }
+            }
+            _ => {}
         }
         self.timeline.push(iv);
         if let Some(f) = self.tasks[i].on_complete.take() {
@@ -1424,6 +1428,34 @@ mod tests {
         assert_eq!(s.submitted, 2);
         assert_eq!(s.completed, 2);
         assert!(s.kernel_time > 0.0 && s.transfer_time > 0.0);
+    }
+
+    #[test]
+    fn completion_records_the_launch_shape_where_the_duration_is_known() {
+        let mut e = Engine::new(dev());
+        let shaped = |label: &str, stream, work, threads| {
+            let mut spec = TaskSpec::kernel(label, stream).fluid(work).sm_frac(0.1);
+            spec.launch_shape = Some((Grid::d1(64, threads), 1 << 14));
+            spec
+        };
+        let long = e.submit(shaped("k", 0, 1e-2, 128), &[]);
+        let short = e.submit(shaped("k", 1, 1e-4, 256), &[]);
+        e.submit(TaskSpec::kernel("k", 2).fluid(1e-4).sm_frac(0.1), &[]);
+        assert_eq!(e.calibration().history_samples("k"), 0, "nothing completed");
+        // The short kernel (higher id) completes first: its sample is
+        // visible at once; the shapeless kernel leaves none.
+        e.sync_task(short);
+        assert!(!e.is_complete(long));
+        assert_eq!(e.calibration().history_samples("k"), 1);
+        assert!(e.calibration().mean_duration("k", 128, 1 << 14).is_none());
+        e.sync_all();
+        assert_eq!(e.calibration().history_samples("k"), 2);
+        let iv = e.timeline().kernels().find(|iv| iv.task == long.0).unwrap();
+        let mean = e.calibration().mean_duration("k", 128, 1 << 14);
+        assert_eq!(mean, Some(iv.duration()), "the measured duration");
+        // Clearing the timeline does not touch the history.
+        e.clear_timeline();
+        assert_eq!(e.calibration().history_samples("k"), 2);
     }
 
     #[test]

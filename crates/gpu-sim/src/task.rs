@@ -1,5 +1,6 @@
 //! Task descriptions submitted to the [`crate::engine::Engine`].
 
+use crate::cost::Grid;
 use crate::data::ValueId;
 use crate::profile::DeviceProfile;
 use crate::Time;
@@ -160,6 +161,13 @@ pub struct TaskSpec {
     pub on_complete: Option<Box<dyn FnOnce()>>,
     /// Raw counters for hardware metrics.
     pub meta: TaskMeta,
+    /// Launch shape of a kernel task, `(grid, elements)`: its launch
+    /// configuration and the element count of its largest argument
+    /// buffer. The layer that submits real kernel launches stamps it so
+    /// the engine can record it beside the measured duration when the
+    /// task completes (the block-size history of [`crate::calibrate`]).
+    /// `None`, the default, for every other task.
+    pub launch_shape: Option<(Grid, usize)>,
 }
 
 impl std::fmt::Debug for TaskSpec {
@@ -194,6 +202,7 @@ impl TaskSpec {
             writes: Vec::new(),
             on_complete: None,
             meta: TaskMeta::default(),
+            launch_shape: None,
         }
     }
 

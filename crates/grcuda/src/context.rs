@@ -20,8 +20,7 @@ use gpu_sim::{
 use kernels::KernelDef;
 
 use crate::array::DeviceArray;
-use crate::history::KernelHistory;
-use crate::kernel::{Arg, BatchLaunch, Kernel, LaunchError};
+use crate::kernel::{distinct_arrays, Arg, BatchLaunch, Kernel, LaunchError};
 use crate::nidl::{NidlError, NidlParam, Signature};
 use crate::options::{Options, PrefetchPolicy, SchedulePolicy};
 use crate::policy::{DeviceSelectionPolicy, PlacementCtx, PlacementPolicy};
@@ -39,21 +38,6 @@ pub(crate) struct Ctx {
     /// Device each live vertex was placed on (same lifecycle as the
     /// task/stream maps: retired with the vertex).
     pub vertex_device: DenseMap<VertexId, u32>,
-    /// Measured-performance history feeding the autotuner (§IV-A).
-    pub history: KernelHistory,
-    /// Launch metadata by engine task, consumed by the history harvest.
-    /// Entries are removed when harvested (or found orphaned), so the
-    /// map tracks in-flight launches, not every launch ever made.
-    /// Arena-addressed by the monotonic engine task id.
-    pub launch_info: DenseMap<u32, (Grid, usize)>,
-    /// `launch_info` size that triggers the next opportunistic harvest
-    /// on the fine-grained retire path (doubling watermark, so sync-free
-    /// services pay an amortized, not per-access, harvest cost).
-    pub harvest_floor: usize,
-    /// Timeline intervals already scanned by the harvest. Intervals are
-    /// appended in completion order, so each one is visited exactly once
-    /// over the context's lifetime (reset when the timeline is cleared).
-    pub timeline_cursor: usize,
     /// Reused per-device vectors for placement consultation: allocated
     /// once per runtime, not once per launch.
     pub place_scratch: PlaceScratch,
@@ -83,11 +67,7 @@ pub(crate) struct PlaceScratch {
     est_transfer_time: Vec<f64>,
     inflight: Vec<usize>,
     free_bytes: Vec<usize>,
-    seen: Vec<gpu_sim::ValueId>,
 }
-
-/// Initial/minimum value of [`Ctx::harvest_floor`].
-const HARVEST_FLOOR_MIN: usize = 64;
 
 /// Sizes of the scheduler-side bookkeeping (§IV-B state). On a
 /// long-running service these gauges must track the *live* frontier: the
@@ -114,7 +94,10 @@ pub struct SchedulerStats {
     pub vertex_streams: usize,
     /// vertex → device map entries.
     pub vertex_devices: usize,
-    /// Launch-metadata entries awaiting history harvest.
+    /// Always 0: a launch's metadata now travels with its engine task
+    /// and is recorded when the task completes, so nothing waits on the
+    /// scheduler side. Retained for `benchmark/`; retire in the next
+    /// benchmark PR.
     pub launch_infos: usize,
     /// Device-memory gauges from the capacity-aware memory manager:
     /// per-device resident/peak bytes, evictions, spilled bytes and
@@ -285,10 +268,6 @@ impl GrCuda {
                 vertex_task: DenseMap::new(),
                 vertex_stream: DenseMap::new(),
                 vertex_device: DenseMap::new(),
-                history: KernelHistory::new(),
-                launch_info: DenseMap::new(),
-                harvest_floor: HARVEST_FLOOR_MIN,
-                timeline_cursor: 0,
                 place_scratch: PlaceScratch::default(),
                 effects: crate::audit::EffectsTable::new(),
                 node_of,
@@ -542,9 +521,9 @@ impl GrCuda {
 
     /// Synchronize the whole device, retire every DAG vertex and reclaim
     /// all per-vertex scheduler state (DAG storage, stream claims, task
-    /// and stream maps, orphaned launch metadata) — after a `sync()` the
-    /// scheduler's footprint is back to its empty-frontier baseline no
-    /// matter how many launches preceded it.
+    /// and stream maps) — after a `sync()` the scheduler's footprint is
+    /// back to its empty-frontier baseline no matter how many launches
+    /// preceded it.
     pub fn sync(&self) {
         // Debug builds audit the schedule before it is retired away:
         // every violation the sanitizer can prove statically panics the
@@ -599,34 +578,29 @@ impl GrCuda {
         crate::audit::audit_dag(&ctx.dag, &ctx.effects, view)
     }
 
-    /// Fold completed kernel executions into the per-kernel history
-    /// (called automatically by [`GrCuda::sync`]; call it manually when
-    /// using fine-grained synchronization only).
-    pub fn harvest_history(&self) {
-        self.inner.borrow_mut().harvest_history();
+    /// Read the engine's calibration state — the one store behind the
+    /// kernel-history and calibration readouts below.
+    fn calibration<R>(&self, f: impl FnOnce(&gpu_sim::Calibration) -> R) -> R {
+        self.inner.borrow().cuda.calibration(f)
     }
 
-    /// Measured executions recorded for a kernel.
+    /// Measured 1-D executions recorded for a kernel — one per launch
+    /// the simulator has completed (see [`Kernel::launch_autotuned`] for
+    /// when that is).
     pub fn history_samples(&self, kernel: &str) -> usize {
-        self.inner.borrow().history.samples(kernel)
+        self.calibration(|c| c.history_samples(kernel))
     }
 
     /// The autotuner's current best block size for a kernel at a given
     /// input magnitude (None until it has data).
     pub fn best_block_size(&self, kernel: &str, elements: usize) -> Option<u32> {
-        self.inner
-            .borrow()
-            .history
-            .best_block_size(kernel, elements)
+        self.calibration(|c| c.best_block_size(kernel, elements))
     }
 
     /// The block size the autotuner would pick right now
     /// (explore-then-exploit; 256 with no information).
     pub(crate) fn choose_block_size(&self, kernel: &str, elements: usize) -> u32 {
-        self.inner
-            .borrow()
-            .history
-            .choose_block_size(kernel, elements, 256)
+        self.calibration(|c| c.choose_block_size(kernel, elements, 256))
     }
 
     /// Mean measured duration of a (kernel, block size) pair at this
@@ -637,24 +611,7 @@ impl GrCuda {
         block_size: u32,
         elements: usize,
     ) -> Option<Time> {
-        self.inner
-            .borrow()
-            .history
-            .mean_duration(kernel, block_size, elements)
-    }
-
-    /// True when online calibration is feeding observed durations and
-    /// transfer contention back into the estimate seams (see
-    /// [`Options::calibrate`]).
-    pub fn calibration_enabled(&self) -> bool {
-        self.inner.borrow().cuda.calibration_enabled()
-    }
-
-    /// Toggle online calibration at run time (the constructor applies
-    /// [`Options::calibrate`]; this flips it afterwards — accumulated
-    /// observations survive a disable/re-enable cycle).
-    pub fn set_calibration(&self, on: bool) {
-        self.inner.borrow().cuda.enable_calibration(on);
+        self.calibration(|c| c.mean_duration(kernel, block_size, elements))
     }
 
     /// The calibrated decaying-mean duration for a kernel signature, or
@@ -662,12 +619,12 @@ impl GrCuda {
     /// is the prior [`crate::policy::Adaptive`] weights its
     /// predicted-seconds ledger by.
     pub fn kernel_duration_prior(&self, kernel: &str) -> Option<Time> {
-        self.inner.borrow().cuda.kernel_duration_prior(kernel)
+        self.calibration(|c| c.kernel_prior(kernel))
     }
 
     /// Observation counters for the online calibration layer.
     pub fn calibration_stats(&self) -> gpu_sim::CalibrationStats {
-        self.inner.borrow().cuda.calibration_stats()
+        self.calibration(|c| c.stats())
     }
 
     /// Execution timeline snapshot.
@@ -675,18 +632,15 @@ impl GrCuda {
         self.inner.borrow().cuda.timeline()
     }
 
-    /// Reset the timeline between measured iterations. Completed kernel
-    /// intervals are harvested into the history first — dropping them
-    /// unharvested would strand their `launch_info` entries forever.
+    /// Reset the timeline between measured iterations. Only the
+    /// recording is dropped: the kernel history was written when each
+    /// kernel completed, so clearing loses no samples.
     ///
     /// The timeline is the one recording surface that grows with
     /// launches until it is reset; long-running services should call
     /// this periodically (as the `soak` harness does).
     pub fn clear_timeline(&self) {
-        let mut ctx = self.inner.borrow_mut();
-        ctx.harvest_history();
-        ctx.cuda.clear_timeline();
-        ctx.timeline_cursor = 0;
+        self.inner.borrow().cuda.clear_timeline();
     }
 
     /// Data races detected by the simulator (must stay empty — the
@@ -730,7 +684,7 @@ impl GrCuda {
             vertex_tasks: ctx.vertex_task.len(),
             vertex_streams: ctx.vertex_stream.len(),
             vertex_devices: ctx.vertex_device.len(),
-            launch_infos: ctx.launch_info.len(),
+            launch_infos: 0,
             memory: ctx.cuda.memory_stats(),
             cluster,
         }
@@ -907,7 +861,6 @@ impl GrCuda {
 
         // Split arguments by NIDL parameter kind.
         let mut buffers: Vec<DataBuffer> = Vec::new();
-        let mut arrays: Vec<UnifiedArray> = Vec::new();
         let mut accesses: Vec<(gpu_sim::ValueId, bool)> = Vec::new();
         let mut dag_args: Vec<ArgAccess> = Vec::new();
         let mut scalars: Vec<f64> = Vec::new();
@@ -915,7 +868,6 @@ impl GrCuda {
             match (p, a) {
                 (NidlParam::Pointer { read_only, .. }, Arg::Array(arr)) => {
                     buffers.push(arr.arr.buf.clone());
-                    arrays.push(arr.arr.clone());
                     accesses.push((arr.arr.id, *read_only));
                     dag_args.push(ArgAccess {
                         value: Value(arr.arr.id.0),
@@ -927,20 +879,12 @@ impl GrCuda {
             }
         }
 
-        // Total distinct argument bytes: what must be resident on the
-        // chosen device for the kernel to run. Nothing can fit a launch
-        // whose arguments alone exceed a device's whole memory —
-        // that is a recoverable error, not a scheduling problem.
-        let mut arg_bytes = 0usize;
-        {
-            let mut seen: Vec<gpu_sim::ValueId> = Vec::new();
-            for arr in &arrays {
-                if !seen.contains(&arr.id) {
-                    seen.push(arr.id);
-                    arg_bytes += arr.byte_len();
-                }
-            }
-        }
+        // The distinct argument arrays and their total bytes: what must
+        // be resident on the chosen device for the kernel to run.
+        // Nothing can fit a launch whose arguments alone exceed a
+        // device's whole memory — that is a recoverable error, not a
+        // scheduling problem.
+        let (arrays, arg_bytes) = distinct_arrays(args);
         if let Some(capacity) = ctx.cuda.device_capacity() {
             if arg_bytes > capacity {
                 return Err(LaunchError::OutOfMemory {
@@ -971,8 +915,6 @@ impl GrCuda {
                 let s = ctx.cuda.default_stream();
                 let t = ctx.cuda.launch(s, &exec).expect("not capturing");
                 ctx.cuda.task_sync(t);
-                let elements = arrays.iter().map(|a| a.len()).max().unwrap_or(0);
-                ctx.launch_info.insert(t.0, (grid, elements));
                 // No DAG to annotate in serial mode: drop the events so
                 // the buffer stays bounded.
                 ctx.cuda.take_mem_events();
@@ -1017,16 +959,11 @@ impl GrCuda {
                     // Per-candidate estimated transfer time: what moving
                     // this computation's arguments to each device would
                     // cost over the actual links (each distinct array
-                    // counted once, duplicates skipped). One borrow per
-                    // distinct array, one per gauge — not per device.
+                    // counted once). One borrow per distinct array, one
+                    // per gauge — not per device.
                     s.est_transfer_time.clear();
                     s.est_transfer_time.resize(n_dev, 0.0);
-                    s.seen.clear();
                     for arr in &arrays {
-                        if s.seen.contains(&arr.id) {
-                            continue;
-                        }
-                        s.seen.push(arr.id);
                         if let Some(d) = cuda.placement_probe(arr, &mut s.est_transfer_time) {
                             s.resident_bytes[d as usize] += arr.byte_len();
                         }
@@ -1042,7 +979,7 @@ impl GrCuda {
                         free_bytes: &s.free_bytes,
                         arg_bytes,
                         kernel: kernel.def.name,
-                        duration_prior: cuda.kernel_duration_prior(kernel.def.name),
+                        duration_prior: cuda.calibration(|c| c.kernel_prior(kernel.def.name)),
                         node_hint,
                         node_of,
                     })
@@ -1106,8 +1043,6 @@ impl GrCuda {
                 .expect("not capturing");
                 ctx.vertex_task.insert(vid, t);
                 ctx.vertex_stream.insert(vid, stream);
-                let elements = arrays.iter().map(|a| a.len()).max().unwrap_or(0);
-                ctx.launch_info.insert(t.0, (grid, elements));
                 // Annotate the DAG with what the unified-memory layer did
                 // while placing this computation: the evictions it
                 // forced and the prefetches issued ahead of it (rendered
@@ -1128,10 +1063,6 @@ impl GrCuda {
                 }
             }
         }
-        // Sync-free programs (serial launch loops, fine-grained parallel
-        // reads) never reach the `sync()` harvest: keep `launch_info`
-        // bounded from the launch path itself.
-        ctx.maybe_harvest();
         Ok(chosen_device)
     }
 
@@ -1179,8 +1110,8 @@ impl GrCuda {
                     // Without the visibility trick, the CPU may not touch
                     // managed memory while any kernel runs: full sync —
                     // the same retire path `sync()` takes, so stream
-                    // claims, vertex maps and history are reclaimed here
-                    // too instead of leaking until the next `sync()`.
+                    // claims and vertex maps are reclaimed here too
+                    // instead of leaking until the next `sync()`.
                     ctx.cuda.device_sync();
                     ctx.retire_everything();
                 } else {
@@ -1214,54 +1145,6 @@ impl GrCuda {
 }
 
 impl Ctx {
-    /// Fold completed kernel executions into the per-kernel history.
-    ///
-    /// Harvesting is keyed by the pending `launch_info` entry — removing
-    /// it makes the pass idempotent and independent of completion order
-    /// (kernels on concurrent streams routinely finish out of task-id
-    /// order, so a high-water-mark would silently skip late stragglers).
-    /// Entries whose task completed but no longer has a timeline interval
-    /// (the timeline was cleared before they could be harvested) can
-    /// never be recorded: they are dropped so the map stays bounded.
-    fn harvest_history(&mut self) {
-        let Ctx {
-            cuda,
-            launch_info,
-            history,
-            timeline_cursor,
-            ..
-        } = self;
-        cuda.with_timeline(|tl| {
-            // Resume where the last harvest stopped: intervals are
-            // appended in completion order, so the scan is O(new
-            // completions), not O(lifetime timeline).
-            let intervals = tl.intervals();
-            for iv in &intervals[*timeline_cursor..] {
-                if iv.kind != gpu_sim::TaskKind::Kernel {
-                    continue;
-                }
-                if let Some((grid, elements)) = launch_info.remove(iv.task) {
-                    history.record(&iv.label, grid, elements, iv.duration());
-                }
-            }
-            *timeline_cursor = intervals.len();
-        });
-        let cuda = &self.cuda;
-        self.launch_info.retain(|t, _| !cuda.task_query(TaskId(t)));
-    }
-
-    /// Opportunistic harvest keeping `launch_info` bounded for programs
-    /// that never call `sync()` (serial or fine-grained parallel): once
-    /// the map outgrows a doubling watermark of its post-harvest size,
-    /// completed launches are folded into the history. Called on every
-    /// launch; amortized cost is O(completions), not O(lifetime).
-    fn maybe_harvest(&mut self) {
-        if self.launch_info.len() >= self.harvest_floor {
-            self.harvest_history();
-            self.harvest_floor = (self.launch_info.len() * 2).max(HARVEST_FLOOR_MIN);
-        }
-    }
-
     /// The full-synchronization retire path, shared by [`GrCuda::sync`]
     /// and the pre-Pascal `host_access` branch: every vertex is retired,
     /// so *all* per-vertex scheduler state can be reclaimed at once.
@@ -1272,7 +1155,6 @@ impl Ctx {
         self.vertex_task.clear();
         self.vertex_stream.clear();
         self.vertex_device.clear();
-        self.harvest_history();
     }
 }
 
@@ -1745,11 +1627,10 @@ mod tests {
     }
 
     #[test]
-    fn history_harvest_survives_out_of_order_completion() {
+    fn a_history_sample_appears_when_its_kernel_completes() {
         // A long kernel is launched first (lower task id), a short one
-        // second; the short one completes first. A high-water-mark
-        // harvest would record the short kernel, advance past the long
-        // one's task id, and silently drop its sample when it completes.
+        // second; the short one completes first. Each sample is recorded
+        // by the completion itself, in whatever order completions come.
         let g = p100();
         let n_long = 1 << 24;
         let n_short = 1 << 12;
@@ -1766,16 +1647,20 @@ mod tests {
             &[Arg::array(&y), Arg::scalar(n_short as f64)],
         )
         .unwrap();
-        // Sync only the short kernel (fine-grained), then harvest: the
-        // short kernel's sample lands while the long one is in flight.
+        assert_eq!(g.history_samples("square"), 0, "nothing completed yet");
+        // Sync only the short kernel (fine-grained read, no `sync()`):
+        // its sample is visible at once, while the long one is in flight
+        // and has left none.
         let _ = y.get_f32(0);
-        g.harvest_history();
         assert_eq!(g.history_samples("square"), 1);
+        assert!(g.mean_kernel_duration("square", 256, n_short).is_some());
+        assert_eq!(g.mean_kernel_duration("square", 256, n_long), None);
         let st = g.stats();
         assert!(st.completed < st.submitted, "long kernel still running");
-        // Now the long (lower-task-id) kernel completes: its sample must
-        // still be harvested.
+        // Now the long (lower-task-id) kernel completes: its sample
+        // appears too.
         g.sync();
+        assert!(g.mean_kernel_duration("square", 256, n_long).is_some());
         assert_eq!(
             g.history_samples("square"),
             2,
@@ -1784,10 +1669,10 @@ mod tests {
     }
 
     #[test]
-    fn harvest_accumulates_duplicate_samples_for_one_signature() {
-        // Several identical launches of one kernel signature between
-        // harvests must each land as a distinct sample (no dedup, no
-        // overwrite), and a mixed batch must split by label.
+    fn history_accumulates_duplicate_samples_for_one_signature() {
+        // Several identical launches of one kernel signature must each
+        // land as a distinct sample (no dedup, no overwrite), and a
+        // mixed batch must split by label.
         let g = p100();
         let n = 1 << 14;
         let x = g.array_f32(n);
@@ -1818,11 +1703,10 @@ mod tests {
     }
 
     #[test]
-    fn unknown_signatures_and_empty_harvests_are_inert() {
+    fn unknown_signatures_are_inert() {
         let g = p100();
-        // Nothing launched: a harvest is a no-op and unknown signatures
-        // report "no data" rather than panicking or fabricating values.
-        g.harvest_history();
+        // Nothing launched: unknown signatures report "no data" rather
+        // than panicking or fabricating values.
         assert_eq!(g.history_samples("nonexistent"), 0);
         assert_eq!(g.best_block_size("nonexistent", 1 << 14), None);
         assert_eq!(g.mean_kernel_duration("nonexistent", 256, 1 << 14), None);
@@ -1835,18 +1719,16 @@ mod tests {
         g.sync();
         assert_eq!(g.history_samples("square"), 1);
         assert_eq!(g.history_samples("sqaure"), 0, "no fuzzy matching");
-        // A redundant harvest right after sync finds no new completions
-        // and must not double-count the existing ones.
-        g.harvest_history();
+        // A second sync finds no new completions and must not
+        // double-count the existing ones.
+        g.sync();
         assert_eq!(g.history_samples("square"), 1);
     }
 
     #[test]
-    fn harvest_after_compact_neither_loses_nor_duplicates_samples() {
-        // sync() retires the DAG, compacts storage and harvests; a
-        // manual harvest after the compaction must see an empty frontier
-        // (cursor already advanced) and later launches must keep
-        // harvesting into the same history.
+    fn retire_and_compact_neither_lose_nor_duplicate_samples() {
+        // sync() retires the DAG and compacts storage; the history is
+        // not part of that state, so later launches keep adding to it.
         let g = p100();
         let n = 1 << 14;
         let x = g.array_f32(n);
@@ -1854,19 +1736,18 @@ mod tests {
         for round in 1..=3 {
             sq.launch(G, &[Arg::array(&x), Arg::scalar(n as f64)])
                 .unwrap();
-            g.sync(); // retire_everything(): compact + harvest
-            g.harvest_history(); // must be a no-op on compacted state
+            g.sync(); // retire_everything(): retire + compact
             assert_eq!(g.history_samples("square"), round);
             assert_eq!(
                 g.scheduler_stats().launch_infos,
                 0,
-                "no launch metadata may survive the post-sync harvest"
+                "no launch metadata is kept on the scheduler side"
             );
         }
     }
 
     #[test]
-    fn clearing_the_timeline_does_not_strand_launch_info() {
+    fn clearing_the_timeline_keeps_history_samples() {
         let g = p100();
         let n = 1 << 14;
         let x = g.array_f32(n);
@@ -1875,8 +1756,8 @@ mod tests {
             sq.launch(G, &[Arg::array(&x), Arg::scalar(n as f64)])
                 .unwrap();
             g.sync();
-            // Clearing between iterations must neither strand metadata
-            // nor lose the samples of already-completed kernels.
+            // Clearing between iterations must neither leave metadata
+            // behind nor lose the samples of already-completed kernels.
             g.clear_timeline();
             assert_eq!(g.scheduler_stats().launch_infos, 0);
         }
@@ -1886,8 +1767,8 @@ mod tests {
     #[test]
     fn maxwell_full_sync_branch_reclaims_scheduler_state() {
         // The pre-Pascal visibility branch takes the same retire path as
-        // `sync()`: claims, vertex maps, launch metadata and DAG storage
-        // are all reclaimed, and completed kernels reach the history.
+        // `sync()`: claims, vertex maps and DAG storage are all
+        // reclaimed, and completed kernels are in the history.
         let g = GrCuda::new(
             DeviceProfile::gtx960(),
             Options::parallel().with_visibility_restriction(false),
@@ -1913,7 +1794,7 @@ mod tests {
         assert_eq!(
             g.history_samples("square"),
             2,
-            "full-sync branch harvests history like sync() does"
+            "full-sync branch completes the kernels like sync() does"
         );
     }
 

@@ -4,209 +4,13 @@
 //! to allow the creation of heuristics that guide future scheduling of
 //! the same kernel." §VI lists one such heuristic as future work:
 //! "estimating the ideal block size based on data size and previous
-//! executions." This module implements both: a per-kernel record of
-//! measured (virtual-time) durations keyed by launch configuration and
-//! input magnitude, and an explore-then-exploit block-size chooser used
-//! by [`crate::Kernel::launch_autotuned`].
+//! executions." Both live where a kernel's duration becomes known: the
+//! engine records every completed launch into [`gpu_sim::Calibration`]
+//! (per-signature `(block size, size bucket)` cells), which also holds
+//! the explore-then-exploit block-size chooser used by
+//! [`crate::Kernel::launch_autotuned`]. Read it through
+//! [`crate::GrCuda::history_samples`],
+//! [`crate::GrCuda::best_block_size`] and
+//! [`crate::GrCuda::mean_kernel_duration`].
 
-use std::collections::HashMap;
-
-use gpu_sim::{Grid, Time};
-
-/// Block sizes the autotuner explores (the paper's Fig. 7 sweep).
-pub const CANDIDATE_BLOCK_SIZES: [u32; 6] = [32, 64, 128, 256, 512, 1024];
-
-/// One completed kernel execution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExecutionRecord {
-    /// 1-D block size of the launch.
-    pub block_size: u32,
-    /// Log2 bucket of the total argument elements (launches of similar
-    /// magnitude share a bucket).
-    pub size_bucket: u32,
-    /// Measured duration in virtual seconds.
-    pub duration: Time,
-}
-
-/// Per-kernel execution history.
-#[derive(Debug, Default)]
-pub struct KernelHistory {
-    records: HashMap<String, Vec<ExecutionRecord>>,
-}
-
-/// Bucket input magnitudes by powers of two so "the same data size"
-/// tolerates small variations.
-pub fn size_bucket(elements: usize) -> u32 {
-    (elements.max(1) as f64).log2().round() as u32
-}
-
-impl KernelHistory {
-    /// Empty history.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a completed execution of `kernel`.
-    pub fn record(&mut self, kernel: &str, grid: Grid, elements: usize, duration: Time) {
-        // Only 1-D launches participate in block-size tuning.
-        if grid.threads.1 != 1 || grid.threads.2 != 1 {
-            return;
-        }
-        self.records
-            .entry(kernel.to_string())
-            .or_default()
-            .push(ExecutionRecord {
-                block_size: grid.threads.0,
-                size_bucket: size_bucket(elements),
-                duration,
-            });
-    }
-
-    /// Number of recorded executions for a kernel.
-    pub fn samples(&self, kernel: &str) -> usize {
-        self.records.get(kernel).map_or(0, |v| v.len())
-    }
-
-    /// The next block size to *explore* for this (kernel, size) pair, if
-    /// any candidate has never been tried.
-    pub fn unexplored(&self, kernel: &str, elements: usize) -> Option<u32> {
-        let bucket = size_bucket(elements);
-        let tried: Vec<u32> = self
-            .records
-            .get(kernel)
-            .map(|v| {
-                v.iter()
-                    .filter(|r| r.size_bucket == bucket)
-                    .map(|r| r.block_size)
-                    .collect()
-            })
-            .unwrap_or_default();
-        CANDIDATE_BLOCK_SIZES
-            .iter()
-            .copied()
-            .find(|b| !tried.contains(b))
-    }
-
-    /// The block size with the lowest mean measured duration for this
-    /// (kernel, size) pair, or `None` with no data.
-    pub fn best_block_size(&self, kernel: &str, elements: usize) -> Option<u32> {
-        let bucket = size_bucket(elements);
-        let recs = self.records.get(kernel)?;
-        let mut by_block: HashMap<u32, (f64, usize)> = HashMap::new();
-        for r in recs.iter().filter(|r| r.size_bucket == bucket) {
-            let e = by_block.entry(r.block_size).or_insert((0.0, 0));
-            e.0 += r.duration;
-            e.1 += 1;
-        }
-        let mut means: Vec<(u32, f64)> = by_block
-            .into_iter()
-            .map(|(b, (sum, n))| (b, sum / n as f64))
-            .collect();
-        // Deterministic tie-break: equal means prefer the larger block
-        // (better occupancy headroom for co-running kernels).
-        means.sort_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
-        means.first().map(|&(b, _)| b)
-    }
-
-    /// Choose a block size: explore untried candidates first, then
-    /// exploit the best observed one. Falls back to `default` with no
-    /// information at all.
-    pub fn choose_block_size(&self, kernel: &str, elements: usize, default: u32) -> u32 {
-        self.unexplored(kernel, elements)
-            .or_else(|| self.best_block_size(kernel, elements))
-            .unwrap_or(default)
-    }
-
-    /// Mean duration of a (kernel, block size, size bucket) triple —
-    /// exposed for reporting.
-    pub fn mean_duration(&self, kernel: &str, block_size: u32, elements: usize) -> Option<Time> {
-        let bucket = size_bucket(elements);
-        let recs = self.records.get(kernel)?;
-        let matching: Vec<f64> = recs
-            .iter()
-            .filter(|r| r.block_size == block_size && r.size_bucket == bucket)
-            .map(|r| r.duration)
-            .collect();
-        if matching.is_empty() {
-            None
-        } else {
-            Some(matching.iter().sum::<f64>() / matching.len() as f64)
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn buckets_group_similar_sizes() {
-        assert_eq!(size_bucket(1000), size_bucket(1100));
-        assert_ne!(size_bucket(1000), size_bucket(100_000));
-        assert_eq!(size_bucket(0), 0);
-    }
-
-    #[test]
-    fn exploration_walks_all_candidates() {
-        let mut h = KernelHistory::new();
-        let n = 1 << 20;
-        for expect in CANDIDATE_BLOCK_SIZES {
-            assert_eq!(h.unexplored("k", n), Some(expect));
-            h.record("k", Grid::d1(64, expect), n, 1e-3);
-        }
-        assert_eq!(h.unexplored("k", n), None);
-    }
-
-    #[test]
-    fn exploitation_picks_the_fastest() {
-        let mut h = KernelHistory::new();
-        let n = 1 << 20;
-        for (bs, d) in [
-            (32u32, 3e-3),
-            (64, 2e-3),
-            (128, 1e-3),
-            (256, 0.5e-3),
-            (512, 0.8e-3),
-            (1024, 2e-3),
-        ] {
-            h.record("k", Grid::d1(64, bs), n, d);
-        }
-        assert_eq!(h.best_block_size("k", n), Some(256));
-        assert_eq!(h.choose_block_size("k", n, 32), 256);
-    }
-
-    #[test]
-    fn different_sizes_are_tuned_independently() {
-        let mut h = KernelHistory::new();
-        h.record("k", Grid::d1(64, 32), 1 << 10, 1e-6);
-        assert_eq!(
-            h.unexplored("k", 1 << 20),
-            Some(32),
-            "new bucket restarts exploration"
-        );
-        assert_eq!(h.best_block_size("k", 1 << 10), Some(32));
-    }
-
-    #[test]
-    fn multidimensional_launches_are_ignored() {
-        let mut h = KernelHistory::new();
-        h.record("k", Grid::d2(8, 8, 8, 8), 1 << 10, 1e-6);
-        assert_eq!(h.samples("k"), 0);
-    }
-
-    #[test]
-    fn default_used_with_no_history_and_candidates_exhausted() {
-        let h = KernelHistory::new();
-        // Untried candidates exist, so exploration wins over default.
-        assert_eq!(h.choose_block_size("k", 1024, 777), 32);
-    }
-
-    #[test]
-    fn mean_duration_averages() {
-        let mut h = KernelHistory::new();
-        h.record("k", Grid::d1(64, 128), 4096, 2e-3);
-        h.record("k", Grid::d1(64, 128), 4096, 4e-3);
-        assert!((h.mean_duration("k", 128, 4096).unwrap() - 3e-3).abs() < 1e-12);
-        assert_eq!(h.mean_duration("k", 256, 4096), None);
-    }
-}
+pub use gpu_sim::calibrate::CANDIDATE_BLOCK_SIZES;

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use cuda_sim::UnifiedArray;
 use gpu_sim::Grid;
 use kernels::KernelDef;
 
@@ -32,6 +33,26 @@ impl Arg {
     pub fn scalar(v: f64) -> Arg {
         Arg::Scalar(v)
     }
+}
+
+/// The distinct arrays among a validated launch's arguments, in
+/// first-use order, and their total bytes — what must be resident on
+/// the chosen device for the kernel to run. The one place duplicates
+/// are folded: the scheduler's [`LaunchError::OutOfMemory`] check, its
+/// placement probe and prefetch loops, and the serving layer's
+/// admission control all use this answer.
+pub(crate) fn distinct_arrays(args: &[Arg]) -> (Vec<UnifiedArray>, usize) {
+    let mut arrays: Vec<UnifiedArray> = Vec::new();
+    let mut bytes = 0usize;
+    for a in args {
+        if let Arg::Array(arr) = a {
+            if !arrays.iter().any(|seen| seen.id == arr.arr.id) {
+                bytes += arr.arr.byte_len();
+                arrays.push(arr.arr.clone());
+            }
+        }
+    }
+    (arrays, bytes)
 }
 
 /// Errors raised when a launch does not match the kernel's NIDL
@@ -206,9 +227,16 @@ impl Kernel {
     /// future-work heuristic: "estimating the ideal block size based on
     /// data size and previous executions"). The runtime's per-kernel
     /// history first explores the candidate block sizes for this input
-    /// magnitude, then exploits the fastest observed one. Call
-    /// [`crate::GrCuda::sync`] (or `harvest_history`) between launches so
-    /// measurements reach the tuner. Returns the grid it chose.
+    /// magnitude, then exploits the fastest observed one. Returns the
+    /// grid it chose.
+    ///
+    /// A launch's measurement reaches the tuner as soon as the simulator
+    /// completes the kernel — at any [`crate::GrCuda::sync`], array read
+    /// or other call that advances virtual time past its end — and not
+    /// before: launches issued back to back while the first is still
+    /// running all see the same history and pick the same block size.
+    /// Synchronize between launches so each one builds on the last. The
+    /// moment is deterministic (it is virtual time).
     ///
     /// `blocks` is the fixed 1-D block count (the paper tunes only the
     /// threads-per-block dimension).

@@ -75,7 +75,6 @@ pub use audit::{
     ScheduleViolation,
 };
 pub use context::{GrCuda, SchedulerStats};
-pub use history::KernelHistory;
 pub use kernel::{Arg, BatchLaunch, Kernel, LaunchError};
 pub use library::Library;
 pub use nidl::{NidlError, NidlParam, NidlType, Signature};

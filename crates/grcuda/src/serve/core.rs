@@ -31,7 +31,7 @@ use kernels::KernelDef;
 
 use crate::array::DeviceArray;
 use crate::context::GrCuda;
-use crate::kernel::{Arg, BatchLaunch, Kernel, LaunchError};
+use crate::kernel::{distinct_arrays, Arg, BatchLaunch, Kernel, LaunchError};
 use crate::nidl::NidlParam;
 use crate::options::Options;
 use crate::policy::PlacementPolicy;
@@ -132,9 +132,10 @@ pub struct RequestSpec {
     pub deadline_us: Option<f64>,
 }
 
-/// Errors surfaced by the serving layer. All of them are *recoverable
-/// per tenant*: the core keeps serving every other tenant (and further
-/// requests of the failing one).
+/// Errors surfaced by the serving layer. All but
+/// [`ServeError::Unavailable`] are *recoverable per tenant*: the core
+/// keeps serving every other tenant (and further requests of the
+/// failing one).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
     /// The tenant id is not registered with this core.
@@ -154,6 +155,10 @@ pub enum ServeError {
     /// The request is malformed (signature mismatch, bad write shape,
     /// zero-length allocation, unparsable kernel).
     Invalid(String),
+    /// The service thread is gone ([`crate::serve::Server::shutdown`]
+    /// ran, or the server was dropped): the call never reached the
+    /// core. Only the threaded front-end returns it.
+    Unavailable,
 }
 
 impl std::fmt::Display for ServeError {
@@ -166,6 +171,7 @@ impl std::fmt::Display for ServeError {
             ServeError::BadHandle(i) => write!(f, "handle index {i} does not exist"),
             ServeError::Rejected(e) => write!(f, "admission rejected: {e}"),
             ServeError::Invalid(m) => write!(f, "invalid request: {m}"),
+            ServeError::Unavailable => write!(f, "service unavailable: it has shut down"),
         }
     }
 }
@@ -524,12 +530,13 @@ impl ServiceCore {
             kernel
                 .validate(&args)
                 .map_err(|e| ServeError::Invalid(e.to_string()))?;
-            // Admission control: the same distinct-argument-bytes bound
-            // the scheduler enforces per launch, applied *before* the
-            // request enters the queue — so a can-never-fit launch is a
-            // clean per-tenant error, not a mid-batch failure.
+            // Admission control: the distinct-argument-bytes bound the
+            // scheduler enforces per launch (the same helper computes
+            // both), applied *before* the request enters the queue — so
+            // a can-never-fit launch is a clean per-tenant error, not a
+            // mid-batch failure.
             if let Some(cap) = capacity {
-                let needed = distinct_arg_bytes(&args);
+                let (_, needed) = distinct_arrays(&args);
                 if needed > cap {
                     let tenant = self.tenant_mut(t)?;
                     tenant.rejected += 1;
@@ -768,7 +775,9 @@ impl ServiceCore {
     /// Housekeeping for long-lived services: when fully idle, sync the
     /// scheduler (running its retire audit) and drop the accumulated
     /// timeline so a service processing millions of requests stays
-    /// O(live work). No-op while anything is queued or in flight.
+    /// O(live work). Both are pure reclamation — the kernel history was
+    /// recorded as each kernel completed and is untouched. No-op while
+    /// anything is queued or in flight.
     pub fn maintain(&mut self) {
         if self.idle() {
             self.g.sync();
@@ -785,21 +794,4 @@ fn read_elem(arr: &DeviceArray, i: usize) -> f64 {
         "sint32" => arr.get_i32(i) as f64,
         _ => arr.get_u8(i) as f64,
     }
-}
-
-/// Total bytes of the distinct arrays among `args` — the residency the
-/// scheduler will demand for the launch.
-fn distinct_arg_bytes(args: &[Arg]) -> usize {
-    let mut seen: Vec<gpu_sim::DataBuffer> = Vec::new();
-    let mut bytes = 0usize;
-    for a in args {
-        if let Arg::Array(arr) = a {
-            let buf = arr.raw_buffer();
-            if !seen.iter().any(|s| s.same_buffer(&buf)) {
-                bytes += arr.byte_len();
-                seen.push(buf);
-            }
-        }
-    }
-    bytes
 }

@@ -52,55 +52,30 @@ impl ServiceReport {
     }
 }
 
+/// One message to the service thread: a call to run against the core
+/// (the closure sends its own reply), or the order to stop.
 enum Envelope {
-    AddTenant {
-        name: String,
-        weight: u32,
-        reply: Sender<TenantId>,
-    },
-    Alloc {
-        tenant: TenantId,
-        kind: ElemKind,
-        n: usize,
-        reply: Sender<Result<ArrayRef, ServeError>>,
-    },
-    Write {
-        tenant: TenantId,
-        array: ArrayRef,
-        data: TypedData,
-        reply: Sender<Result<(), ServeError>>,
-    },
-    Fill {
-        tenant: TenantId,
-        array: ArrayRef,
-        value: f64,
-        reply: Sender<Result<(), ServeError>>,
-    },
-    Kernel {
-        tenant: TenantId,
-        def: &'static KernelDef,
-        reply: Sender<Result<KernelRef, ServeError>>,
-    },
-    Submit {
-        tenant: TenantId,
-        spec: RequestSpec,
-        reply: Sender<Result<RequestId, ServeError>>,
-    },
-    Read {
-        tenant: TenantId,
-        array: ArrayRef,
-        index: usize,
-        reply: Sender<Result<f64, ServeError>>,
-    },
-    Drain {
-        tenant: TenantId,
-        reply: Sender<Result<TenantStats, ServeError>>,
-    },
-    Stats {
-        tenant: TenantId,
-        reply: Sender<Result<TenantStats, ServeError>>,
-    },
+    Call(Box<dyn FnOnce(&mut ServiceCore) + Send>),
     Shutdown,
+}
+
+/// Run `f` against the core on the service thread and wait for its
+/// result: the one RPC every [`Client`] method (and tenant registration)
+/// is. Fails with [`ServeError::Unavailable`] when the service thread
+/// is gone — the send finds the queue closed, or the call is dropped
+/// unanswered because a shutdown got in first.
+fn call<T: Send + 'static>(
+    tx: &Sender<Envelope>,
+    f: impl FnOnce(&mut ServiceCore) -> T + Send + 'static,
+) -> Result<T, ServeError> {
+    let (reply, rx) = std::sync::mpsc::channel();
+    let run = move |core: &mut ServiceCore| {
+        // A caller that stopped waiting is not the service's problem.
+        let _ = reply.send(f(core));
+    };
+    tx.send(Envelope::Call(Box::new(run)))
+        .map_err(|_| ServeError::Unavailable)?;
+    rx.recv().map_err(|_| ServeError::Unavailable)
 }
 
 /// The service front-end: owns the service thread. Create clients with
@@ -129,25 +104,21 @@ impl Server {
     /// Register a tenant and return its client handle. The handle is
     /// `Send + Clone`; clones share the tenant's namespace.
     pub fn client(&self, name: &str, weight: u32) -> Client {
-        let (reply, rx) = std::sync::mpsc::channel();
-        self.tx
-            .send(Envelope::AddTenant {
-                name: name.to_string(),
-                weight,
-                reply,
-            })
+        let name = name.to_string();
+        // The server owns the service thread, which stops only through
+        // `shutdown(self)` or `Drop`: while `&self` exists it is alive.
+        let tenant = call(&self.tx, move |core| core.add_tenant(&name, weight))
             .expect("service thread alive");
-        let tenant = rx.recv().expect("service thread alive");
         Client {
             tx: self.tx.clone(),
             tenant,
         }
     }
 
-    /// Stop the service: queued messages are processed, the core drains
-    /// every pending request, and the final per-tenant report comes
-    /// back. Clients must be done submitting — an RPC racing a
-    /// shutdown panics its calling thread.
+    /// Stop the service: messages queued so far are processed, the core
+    /// drains every pending request, and the final per-tenant report
+    /// comes back. A [`Client`] call that races the shutdown, or is
+    /// made after it, fails with [`ServeError::Unavailable`].
     pub fn shutdown(mut self) -> ServiceReport {
         self.tx
             .send(Envelope::Shutdown)
@@ -170,7 +141,8 @@ impl Drop for Server {
 }
 
 /// A tenant's handle to the service: `Send + Clone`, backed by the
-/// server's submission queue. All methods are synchronous RPCs;
+/// server's submission queue. All methods are synchronous RPCs (each
+/// ships one closure to the service thread and waits for its result);
 /// [`Client::submit`] returns as soon as admission control accepts (or
 /// rejects) the request — completion is asynchronous, observed via
 /// [`Client::drain`] or by [`Client::read`] of an output element.
@@ -186,49 +158,32 @@ impl Client {
         self.tenant
     }
 
-    fn rpc<T>(&self, make: impl FnOnce(Sender<T>) -> Envelope) -> T {
-        let (reply, rx) = std::sync::mpsc::channel();
-        self.tx.send(make(reply)).expect("service thread alive");
-        rx.recv().expect("service thread alive")
+    fn rpc<T: Send + 'static>(
+        &self,
+        f: impl FnOnce(&mut ServiceCore, TenantId) -> Result<T, ServeError> + Send + 'static,
+    ) -> Result<T, ServeError> {
+        let tenant = self.tenant;
+        call(&self.tx, move |core| f(core, tenant))?
     }
 
     /// Allocate an array in this tenant's namespace.
     pub fn alloc(&self, kind: ElemKind, n: usize) -> Result<ArrayRef, ServeError> {
-        self.rpc(|reply| Envelope::Alloc {
-            tenant: self.tenant,
-            kind,
-            n,
-            reply,
-        })
+        self.rpc(move |core, t| core.alloc(t, kind, n))
     }
 
     /// Copy host data into a tenant array.
     pub fn write(&self, array: ArrayRef, data: TypedData) -> Result<(), ServeError> {
-        self.rpc(|reply| Envelope::Write {
-            tenant: self.tenant,
-            array,
-            data,
-            reply,
-        })
+        self.rpc(move |core, t| core.write(t, array, &data))
     }
 
     /// Fill a tenant array with a scalar.
     pub fn fill(&self, array: ArrayRef, value: f64) -> Result<(), ServeError> {
-        self.rpc(|reply| Envelope::Fill {
-            tenant: self.tenant,
-            array,
-            value,
-            reply,
-        })
+        self.rpc(move |core, t| core.fill(t, array, value))
     }
 
     /// Build a kernel in this tenant's namespace.
     pub fn kernel(&self, def: &'static KernelDef) -> Result<KernelRef, ServeError> {
-        self.rpc(|reply| Envelope::Kernel {
-            tenant: self.tenant,
-            def,
-            reply,
-        })
+        self.rpc(move |core, t| core.register_kernel(t, def))
     }
 
     /// Submit a request (admission-checked synchronously, executed
@@ -273,106 +228,26 @@ impl Client {
     /// server.shutdown();
     /// ```
     pub fn submit(&self, spec: RequestSpec) -> Result<RequestId, ServeError> {
-        self.rpc(|reply| Envelope::Submit {
-            tenant: self.tenant,
-            spec,
-            reply,
-        })
+        self.rpc(move |core, t| core.submit(t, spec))
     }
 
     /// Read one element of a tenant array (synchronizes with the GPU
     /// work producing it).
     pub fn read(&self, array: ArrayRef, index: usize) -> Result<f64, ServeError> {
-        self.rpc(|reply| Envelope::Read {
-            tenant: self.tenant,
-            array,
-            index,
-            reply,
-        })
+        self.rpc(move |core, t| core.read(t, array, index))
     }
 
     /// Block until everything this tenant submitted has completed;
     /// returns the tenant's statistics (including per-request virtual
     /// latencies).
     pub fn drain(&self) -> Result<TenantStats, ServeError> {
-        self.rpc(|reply| Envelope::Drain {
-            tenant: self.tenant,
-            reply,
-        })
+        self.rpc(|core, t| core.drain_tenant(t).and_then(|()| core.tenant_stats(t)))
     }
 
     /// Snapshot this tenant's statistics without waiting.
     pub fn stats(&self) -> Result<TenantStats, ServeError> {
-        self.rpc(|reply| Envelope::Stats {
-            tenant: self.tenant,
-            reply,
-        })
+        self.rpc(|core, t| core.tenant_stats(t))
     }
-}
-
-fn handle(core: &mut ServiceCore, msg: Envelope) -> bool {
-    match msg {
-        Envelope::AddTenant {
-            name,
-            weight,
-            reply,
-        } => {
-            let _ = reply.send(core.add_tenant(&name, weight));
-        }
-        Envelope::Alloc {
-            tenant,
-            kind,
-            n,
-            reply,
-        } => {
-            let _ = reply.send(core.alloc(tenant, kind, n));
-        }
-        Envelope::Write {
-            tenant,
-            array,
-            data,
-            reply,
-        } => {
-            let _ = reply.send(core.write(tenant, array, &data));
-        }
-        Envelope::Fill {
-            tenant,
-            array,
-            value,
-            reply,
-        } => {
-            let _ = reply.send(core.fill(tenant, array, value));
-        }
-        Envelope::Kernel { tenant, def, reply } => {
-            let _ = reply.send(core.register_kernel(tenant, def));
-        }
-        Envelope::Submit {
-            tenant,
-            spec,
-            reply,
-        } => {
-            let _ = reply.send(core.submit(tenant, spec));
-        }
-        Envelope::Read {
-            tenant,
-            array,
-            index,
-            reply,
-        } => {
-            let _ = reply.send(core.read(tenant, array, index));
-        }
-        Envelope::Drain { tenant, reply } => {
-            let res = core
-                .drain_tenant(tenant)
-                .and_then(|()| core.tenant_stats(tenant));
-            let _ = reply.send(res);
-        }
-        Envelope::Stats { tenant, reply } => {
-            let _ = reply.send(core.tenant_stats(tenant));
-        }
-        Envelope::Shutdown => return false,
-    }
-    true
 }
 
 fn run_service(config: ServeConfig, rx: Receiver<Envelope>) -> ServiceReport {
@@ -383,12 +258,8 @@ fn run_service(config: ServeConfig, rx: Receiver<Envelope>) -> ServiceReport {
         // pump cycle) without blocking.
         if core.idle() {
             match rx.recv() {
-                Ok(msg) => {
-                    if !handle(&mut core, msg) {
-                        break 'serve;
-                    }
-                }
-                Err(_) => break 'serve,
+                Ok(Envelope::Call(f)) => f(&mut core),
+                Ok(Envelope::Shutdown) | Err(_) => break 'serve,
             }
             // The timeline and retired bookkeeping stay bounded across
             // idle periods of a long-lived service.
@@ -396,13 +267,9 @@ fn run_service(config: ServeConfig, rx: Receiver<Envelope>) -> ServiceReport {
         } else {
             loop {
                 match rx.try_recv() {
-                    Ok(msg) => {
-                        if !handle(&mut core, msg) {
-                            break 'serve;
-                        }
-                    }
+                    Ok(Envelope::Call(f)) => f(&mut core),
                     Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => break 'serve,
+                    Ok(Envelope::Shutdown) | Err(TryRecvError::Disconnected) => break 'serve,
                 }
             }
             // One coalesced cycle; when the window is idle-full (no new

@@ -43,7 +43,7 @@ fn autotuner_explores_then_converges() {
             .launch_autotuned(64, &[Arg::array(&x), Arg::scalar(n as f64)])
             .unwrap();
         chosen.push(grid.threads.0);
-        g.sync(); // harvest the measurement
+        g.sync(); // the kernel completes: its measurement is recorded
     }
     let mut explored = chosen.clone();
     explored.sort_unstable();

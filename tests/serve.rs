@@ -339,6 +339,52 @@ fn threaded_clients_submit_concurrently_with_isolation() {
 }
 
 #[test]
+fn clients_outliving_the_server_get_unavailable_not_a_panic() {
+    let n = 256;
+    let server = Server::start(base_config());
+    let client = server.client("survivor", 1);
+    let x = client.alloc(ElemKind::F32, n).unwrap();
+    let y = client.alloc(ElemKind::F32, n).unwrap();
+    let sc = client.kernel(&SCALE).unwrap();
+    let request = move || RequestSpec {
+        calls: chain(1, sc, sc, x, y, n),
+        deadline_us: None,
+    };
+    client.submit(request()).unwrap();
+    let survivor = client.clone();
+    let report = server.shutdown();
+    assert_eq!(report.total_completed(), 1, "shutdown drained the request");
+
+    // On another thread, as a real straggler would be: every call
+    // returns the typed error, and the thread joins cleanly.
+    let straggler = std::thread::spawn(move || {
+        (
+            survivor.alloc(ElemKind::F32, n).err(),
+            survivor
+                .write(x, gpu_sim::TypedData::F32(vec![1.0; n]))
+                .err(),
+            survivor.fill(x, 1.0).err(),
+            survivor.kernel(&AXPY).err(),
+            survivor.submit(request()).err(),
+            survivor.read(y, 0).err(),
+            survivor.drain().err(),
+            survivor.stats().err(),
+        )
+    });
+    let errs = straggler.join().expect("no RPC panicked its thread");
+    let down = Some(ServeError::Unavailable);
+    assert_eq!(errs.0, down, "alloc");
+    assert_eq!(errs.1, down, "write");
+    assert_eq!(errs.2, down, "fill");
+    assert_eq!(errs.3, down, "kernel");
+    assert_eq!(errs.4, down, "submit");
+    assert_eq!(errs.5, down, "read");
+    assert_eq!(errs.6, down, "drain");
+    assert_eq!(errs.7, down, "stats");
+    assert_eq!(client.stats().err(), down, "the original handle too");
+}
+
+#[test]
 fn malformed_requests_fail_cleanly() {
     let mut core = ServiceCore::new(base_config());
     let t = core.add_tenant("t", 1);
