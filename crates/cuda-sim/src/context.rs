@@ -34,7 +34,7 @@ pub(crate) enum EventTarget {
     CaptureNode(u32),
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, Copy)]
 struct StreamState {
     last: Option<TaskId>,
     /// Device the stream issues onto (0 on single-device contexts).
@@ -87,6 +87,11 @@ pub(crate) struct Inner {
     /// contexts that never drain them stay bounded).
     mem_events: Vec<MemEvent>,
     record_mem_events: bool,
+    /// Retained buffers of [`Inner::submit_kernel`] (a launch's
+    /// dependency list and pinned argument set), so a launch does not
+    /// allocate them anew.
+    deps: Vec<TaskId>,
+    pinned: Vec<ValueId>,
 }
 
 /// A simulated CUDA device context. Cheap to clone; clones share the
@@ -143,6 +148,8 @@ impl Cuda {
                 prefetched: vec![HashSet::new(); n],
                 mem_events: Vec::new(),
                 record_mem_events: false,
+                deps: Vec::new(),
+                pinned: Vec::new(),
             })),
         }
     }
@@ -231,7 +238,15 @@ impl Cuda {
         self.inner.borrow().cross_node_migrated
     }
 
-    /// The interconnect topology of this context.
+    /// Read the device profile and the interconnect topology in place:
+    /// what a per-launch caller uses instead of the copies
+    /// [`Cuda::device`] and [`Cuda::topology`] hand out.
+    pub fn machine<R>(&self, f: impl FnOnce(&DeviceProfile, &Topology) -> R) -> R {
+        let inner = self.inner.borrow();
+        f(&inner.dev, inner.engine.topology())
+    }
+
+    /// The interconnect topology of this context (a copy).
     pub fn topology(&self) -> Topology {
         self.inner.borrow().engine.topology().clone()
     }
@@ -372,6 +387,7 @@ impl Cuda {
                 bytes: arr.byte_len(),
                 device: 0,
                 last_writer: None,
+                host_writer: None,
                 resident_cell: arr.resident.clone(),
             },
         );
@@ -399,6 +415,7 @@ impl Cuda {
         let mut inner = self.inner.borrow_mut();
         let st = inner.arrays.get_mut(&a.id).expect("unknown array");
         st.bytes = a.byte_len();
+        st.host_writer = None;
         let device = st.device;
         inner.set_copies(a.id, Residency::Host, device, None);
     }
@@ -576,10 +593,9 @@ impl Cuda {
         }
         let overhead = inner.dev.event_overhead;
         inner.engine.advance_host(overhead);
-        let deps = stream_deps(&inner.streams, stream);
-        let device = inner.streams[stream.0 as usize].device;
+        let StreamState { last, device } = inner.streams[stream.0 as usize];
         let spec = TaskSpec::marker(format!("event s{}", stream.0), stream.0).on_device(device);
-        let t = inner.engine.submit(spec, &deps);
+        let t = inner.engine.submit(spec, last.as_slice());
         inner.streams[stream.0 as usize].last = Some(t);
         inner.events.push(EventTarget::Task(t));
         EventId(inner.events.len() as u32 - 1)
@@ -604,9 +620,8 @@ impl Cuda {
                 panic!("event recorded during capture used outside its graph")
             }
         };
-        let mut deps = stream_deps(&inner.streams, stream);
-        deps.push(ev_task);
-        let device = inner.streams[stream.0 as usize].device;
+        let StreamState { last, device } = inner.streams[stream.0 as usize];
+        let deps: Vec<TaskId> = last.into_iter().chain([ev_task]).collect();
         let spec = TaskSpec::marker(format!("wait s{}", stream.0), stream.0).on_device(device);
         let t = inner.engine.submit(spec, &deps);
         inner.streams[stream.0 as usize].last = Some(t);
@@ -721,7 +736,8 @@ impl Inner {
         // Unified-memory migrations for non-resident arguments. The
         // kernel's own argument set is pinned: making room for one
         // argument must never evict a sibling.
-        let mut pinned: Vec<ValueId> = Vec::new();
+        let mut pinned = std::mem::take(&mut self.pinned);
+        pinned.clear();
         for (v, _) in &exec.accesses {
             if !pinned.contains(v) {
                 pinned.push(*v);
@@ -768,16 +784,22 @@ impl Inner {
         spec.launch_shape = Some((exec.grid, elements));
         spec.on_complete = Some(exec.make_payload());
 
-        let mut deps = stream_deps(&self.streams, stream);
+        let mut deps = std::mem::take(&mut self.deps);
+        deps.clear();
+        deps.extend(self.streams[stream.0 as usize].last);
         deps.extend_from_slice(extra_deps);
         let t = self.engine.submit(spec, &deps);
+        self.deps = deps;
         self.streams[stream.0 as usize].last = Some(t);
 
         // A kernel that writes an array makes the device copy the only
         // current one.
-        for v in exec.writes() {
-            self.set_copies(v, Residency::Device, kdev, Some(t));
+        for &(v, read_only) in &exec.accesses {
+            if !read_only {
+                self.set_copies(v, Residency::Device, kdev, Some(t));
+            }
         }
+        self.pinned = pinned;
         t
     }
 
@@ -884,15 +906,18 @@ impl Inner {
         lands: (Residency, u32),
     ) -> TaskId {
         let stream = (spec.stream != u32::MAX).then_some(spec.stream as usize);
-        let mut deps: Vec<TaskId> = Vec::new();
-        if let Some(s) = stream {
-            deps.extend(self.streams[s].last);
+        let waits = [
+            stream.and_then(|s| self.streams[s].last),
+            dma.and_then(|(link, dir)| self.dma[link.0 as usize][dir]),
+            self.arrays[&v].last_writer,
+        ];
+        let mut deps = [TaskId(0); 3];
+        let mut n = 0;
+        for t in waits.into_iter().flatten() {
+            deps[n] = t;
+            n += 1;
         }
-        if let Some((link, dir)) = dma {
-            deps.extend(self.dma[link.0 as usize][dir]);
-        }
-        deps.extend(self.arrays[&v].last_writer);
-        let t = self.engine.submit(spec.reading(&[v]), &deps);
+        let t = self.engine.submit(spec.reading(&[v]), &deps[..n]);
         if let Some(s) = stream {
             self.streams[s].last = Some(t);
         }
@@ -920,6 +945,13 @@ impl Inner {
         let st = self.arrays.get_mut(&v).expect("unknown array");
         let old = st.residency.on_device().then_some(st.device);
         let new = residency.on_device().then_some(device);
+        // Whoever makes the host copy current produced it; it keeps its
+        // producer while it stays current and has none once stale.
+        st.host_writer = match (st.residency.on_host(), residency.on_host()) {
+            (true, true) => st.host_writer,
+            (false, true) => producer,
+            (_, false) => None,
+        };
         st.residency = residency;
         st.device = new.unwrap_or(st.device);
         st.last_writer = producer;
@@ -1020,10 +1052,14 @@ impl Inner {
             bytes
         } else {
             // A valid host copy exists: drop the device copy for free.
-            // The host copy never depended on the task that produced
-            // the device copy (an H2D/prefetch), so clear `last_writer`
-            // — a later host read must not block on it.
-            self.set_copies(v, Residency::Host, device, None);
+            // The array goes back to what produced the host copy — not
+            // to the leg that brought the dropped copy in, which a
+            // later host read must not block on. While that leg is
+            // still queued the host copy's producer (the spill of an
+            // earlier eviction, and behind it the kernel that wrote the
+            // data) may be too, and the next re-fetch has to wait for
+            // it like the dropped one did.
+            self.set_copies(v, Residency::Host, device, st.host_writer);
             0
         };
         self.memgr.record_eviction(spilled);
@@ -1044,10 +1080,6 @@ impl Inner {
         self.streams.push(StreamState::default());
         StreamId(self.streams.len() as u32 - 1)
     }
-}
-
-fn stream_deps(streams: &[StreamState], stream: StreamId) -> Vec<TaskId> {
-    streams[stream.0 as usize].last.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -1598,6 +1630,67 @@ mod tests {
                 .count(),
             1
         );
+    }
+
+    #[test]
+    fn a_dropped_clean_copy_goes_back_to_the_producer_of_its_host_copy() {
+        let n = 1 << 10;
+        // Room for exactly one array.
+        let c = limited_ctx(4 * n, gpu_sim::EvictionPolicy::CostAware);
+        let (a, b) = (c.alloc_f32(n), c.alloc_f32(n));
+        let streams = [(); 4].map(|_| c.stream_create());
+        let reader = |name, arr: &UnifiedArray| {
+            let cost = KernelCost {
+                min_time: 1e-4,
+                ..Default::default()
+            };
+            let accesses = vec![(arr.id, true)];
+            let buffers = vec![arr.buf.clone()];
+            KernelExec::new(
+                name,
+                Grid::d1(64, 256),
+                cost,
+                buffers,
+                accesses,
+                Rc::new(|_| {}),
+            )
+        };
+        // A long kernel writes `a`; nothing below waits for it on the
+        // host, so it is still running at every later submission.
+        c.launch(streams[0], &simple_kernel(&c, "write a", &a, 5.0));
+        // `b` pushes `a` out (a spill behind the writer); reading `a`
+        // brings it back behind the spill and pushes `b` out; `b`
+        // returns and drops the clean copy of `a` before its fetch has
+        // run; a second reader fetches `a` again on an idle stream.
+        c.launch(streams[1], &simple_kernel(&c, "write b", &b, 0.1));
+        c.launch(streams[2], &reader("read a", &a));
+        c.launch(streams[1], &simple_kernel(&c, "write b again", &b, 0.1));
+        let last = c.launch(streams[3], &reader("read a again", &a)).unwrap();
+        c.task_sync(last);
+        assert_eq!(c.races(), vec![], "the second fetch waits for the spill");
+        let tl = c.timeline();
+        let spill_of_a = format!("evict<-{:?}", a.id);
+        let spilled = tl.transfers().find(|iv| iv.label == spill_of_a).unwrap();
+        // The first fetch of `a` served its writer; the two after it
+        // are the re-fetches.
+        let fetches: Vec<_> = tl
+            .of_kind(TaskKind::FaultH2D)
+            .filter(|iv| iv.label.ends_with(&format!("{:?}", a.id)))
+            .collect();
+        assert_eq!(fetches.len(), 3);
+        assert!(fetches[1..].iter().all(|iv| iv.start >= spilled.end));
+
+        // A copy whose host copy nothing is producing — prefetched,
+        // then dropped with the prefetch still in flight — leaves no
+        // producer behind: a host read returns at once.
+        let c = limited_ctx(4 * n, gpu_sim::EvictionPolicy::CostAware);
+        let (clean, other) = (c.alloc_u8(4 * n), c.alloc_f32(n));
+        let s = c.default_stream();
+        c.prefetch_async(s, &clean);
+        c.launch(c.stream_create(), &simple_kernel(&c, "w", &other, 0.1));
+        assert_eq!(clean.resident_device(), None, "dropped for `other`");
+        assert!(!c.stream_query(s), "its prefetch is still in flight");
+        assert_eq!(c.host_read(&clean, 4 * n), 0.0);
     }
 
     #[test]

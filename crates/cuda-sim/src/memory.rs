@@ -101,6 +101,13 @@ pub(crate) struct ArrayState {
     /// device→host leg on it so causality is preserved without blocking
     /// the host.
     pub last_writer: Option<gpu_sim::TaskId>,
+    /// The task that produced the host copy, while there is a current
+    /// one: the eviction spill, migration leg or host read that carried
+    /// the data back (`None` when the CPU wrote it). An H2D leg only
+    /// reads the host copy and leaves this alone, so a device copy
+    /// dropped while its H2D is still queued hands the array back to
+    /// what the host copy really waits for.
+    pub host_writer: Option<gpu_sim::TaskId>,
     /// Mirror of the residency device shared with the user-facing
     /// [`UnifiedArray`] handles (see [`UnifiedArray::resident_device`]).
     pub resident_cell: Rc<Cell<Option<u32>>>,

@@ -21,7 +21,7 @@ use std::collections::BinaryHeap;
 
 use crate::calibrate::Calibration;
 use crate::cost::Grid;
-use crate::fluid::{max_min_rates, max_min_rates_vec};
+use crate::fluid::{progressive_fill, FillScratch};
 use crate::profile::DeviceProfile;
 use crate::race::{check_conflict, RaceReport};
 use crate::task::{capacities, ResourceDemand, TaskKind, TaskMeta, TaskSpec, NUM_RESOURCES};
@@ -63,6 +63,7 @@ enum Phase {
 
 struct TaskState {
     kind: TaskKind,
+    /// Moved into the timeline interval when the task completes.
     label: String,
     stream: u32,
     device: u32,
@@ -114,6 +115,59 @@ pub struct EngineStats {
     pub rate_tasks_reused: usize,
 }
 
+/// Working storage of the incremental rate refresh, kept across
+/// refreshes so a refresh allocates nothing and touches only the nodes
+/// the active set occupies. The two per-node vectors are left in their
+/// rest state (`parent[x] == x`, `comp_dirty[x] == false`) by every
+/// refresh; everything else is cleared before use and grows to the
+/// largest active set seen, never with the number of tasks run.
+struct SolveScratch {
+    /// Union-find forest over rate-solve nodes.
+    parent: Vec<u32>,
+    /// Whether the component rooted at a node must be re-solved.
+    comp_dirty: Vec<bool>,
+    /// `(component root, position in `active`)` of every task to
+    /// re-solve, sorted so each component's members are contiguous and
+    /// in active-set order.
+    work: Vec<(u32, u32)>,
+    /// Devices and links the component being solved occupies,
+    /// ascending: its resource columns are the devices' blocks, then
+    /// one column per link.
+    devices: Vec<u32>,
+    links: Vec<u32>,
+    caps: Vec<f64>,
+    /// Row-major members × columns demand matrix.
+    demands: Vec<f64>,
+    rates: Vec<f64>,
+    fill: FillScratch,
+}
+
+impl SolveScratch {
+    fn new(n_nodes: usize) -> Self {
+        SolveScratch {
+            parent: (0..n_nodes as u32).collect(),
+            comp_dirty: vec![false; n_nodes],
+            work: Vec::new(),
+            devices: Vec::new(),
+            links: Vec::new(),
+            caps: Vec::new(),
+            demands: Vec::new(),
+            rates: Vec::new(),
+            fill: FillScratch::default(),
+        }
+    }
+}
+
+/// Root of `x` in the union-find forest `parent` (path halving).
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        let g = parent[parent[x as usize] as usize];
+        parent[x as usize] = g;
+        x = g;
+    }
+    x
+}
+
 /// The simulator engine. See the [crate docs](crate) for the model.
 pub struct Engine {
     dev: DeviceProfile,
@@ -142,13 +196,14 @@ pub struct Engine {
     /// Cached rates aligned with `active`; rebuilt when `rates_dirty`.
     rates: Vec<f64>,
     rates_dirty: bool,
-    /// Devices whose active-set membership changed since the last rate
-    /// refresh. Seeds the incremental solve: only connected components
-    /// touching a dirty device (or link) are re-solved.
-    dirty_dev: Vec<bool>,
-    /// Links whose active-set membership changed, aligned with
-    /// [`Topology::links`].
-    dirty_link: Vec<bool>,
+    /// Rate-solve nodes (device `d` is node `d`, link `l` is node
+    /// `n_devices + l`) whose active-set membership changed since the
+    /// last rate refresh, in transition order, repeats allowed. Seeds
+    /// the incremental solve: only connected components touching one of
+    /// them are re-solved.
+    dirty: Vec<u32>,
+    /// Retained working storage of [`Engine::refresh_rates`].
+    solve: SolveScratch,
     /// Pending activation events: (time, task) min-heap.
     latent: BinaryHeap<Reverse<(TimeKey, u32)>>,
     /// Submitted-but-unfinished task count per device, maintained at
@@ -209,8 +264,8 @@ impl Engine {
             active: Vec::new(),
             rates: Vec::new(),
             rates_dirty: false,
-            dirty_dev: vec![false; n],
-            dirty_link: vec![false; n_links],
+            dirty: Vec::new(),
+            solve: SolveScratch::new(n + n_links),
             latent: BinaryHeap::new(),
             inflight: vec![0; n],
             timeline: Timeline::new(),
@@ -457,13 +512,8 @@ impl Engine {
         // them instead of the whole lifetime task vector, so long-running
         // services pay O(in-flight), not O(launches-ever).
         let mut found: Vec<RaceReport> = Vec::new();
-        let running: Vec<u32> = self
-            .active
-            .iter()
-            .copied()
-            .chain(self.latent.iter().map(|Reverse((_, i))| *i))
-            .collect();
-        for j in running {
+        let latent = self.latent.iter().map(|Reverse((_, i))| *i);
+        for j in self.active.iter().copied().chain(latent) {
             if j == new_id {
                 continue;
             }
@@ -512,142 +562,146 @@ impl Engine {
     /// re-solve.
     fn mark_transition(&mut self, slot: usize) {
         let t = &self.tasks[slot];
-        self.dirty_dev[t.device as usize] = true;
+        self.dirty.push(t.device);
         if let Some(l) = t.link {
-            self.dirty_link[l.0 as usize] = true;
+            self.dirty.push(self.n_devices + l.0);
         }
     }
 
     /// Recompute `rates` for the current active set, re-solving only the
     /// connected components (devices coupled by shared links) whose
-    /// membership changed since the last refresh; tasks in clean
-    /// components keep their cached rate.
+    /// membership changed since the last refresh, each over only the
+    /// resources its members occupy; tasks in clean components keep
+    /// their cached rate. The cost follows the active set and the
+    /// transitions since the last refresh, not the width of the machine.
     ///
-    /// This is bit-identical to the full solve ([`Engine::solve_rates_full`],
-    /// cross-checked in debug builds) because progressive filling
-    /// decomposes exactly along components: a task's demand is zero
-    /// outside its own device/link block, adding those zeros to load
-    /// sums is exact in IEEE arithmetic, a binding resource only ever
-    /// freezes tasks of its own component, and freezing them subtracts
-    /// exact zeros from every other component's residuals — so each
-    /// component's freeze sequence is independent of the others.
+    /// This is bit-identical to the dense full solve
+    /// ([`Engine::solve_rates_full`], cross-checked in debug builds)
+    /// because progressive filling decomposes exactly along components:
+    /// a task's demand is zero outside its own device/link block, adding
+    /// those zeros to load sums is exact in IEEE arithmetic, a binding
+    /// resource only ever freezes tasks of its own component, and
+    /// freezing them subtracts exact zeros from every other component's
+    /// residuals — so each component's freeze sequence is independent
+    /// of the others, and of the columns nobody in it demands.
     fn refresh_rates(&mut self) {
         if !self.rates_dirty {
             return;
         }
-        let n_dev = self.n_devices as usize;
-        let n_links = self.topo.links().len();
-        let n_nodes = n_dev + n_links;
-        let base = self.base;
+        let Engine {
+            dev,
+            n_devices,
+            topo,
+            tasks,
+            base,
+            active,
+            rates,
+            dirty,
+            solve: s,
+            stats,
+            ..
+        } = self;
+        let (n_dev, base) = (*n_devices, *base);
 
-        // Union-find over device and link nodes (path-halving find):
-        // each active link occupant couples its device to its link, so
-        // chains of shared links merge devices into one component.
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                let g = parent[parent[x as usize] as usize];
-                parent[x as usize] = g;
-                x = g;
-            }
-            x
-        }
-        let mut parent: Vec<u32> = (0..n_nodes as u32).collect();
-        for &i in &self.active {
-            let t = &self.tasks[(i - base) as usize];
+        // Union-find over device and link nodes: each active link
+        // occupant couples its device to its link, so chains of shared
+        // links merge devices into one component.
+        for &i in active.iter() {
+            let t = &tasks[(i - base) as usize];
             if let Some(l) = t.link {
-                let a = find(&mut parent, t.device);
-                let b = find(&mut parent, n_dev as u32 + l.0);
+                let a = find(&mut s.parent, t.device);
+                let b = find(&mut s.parent, n_dev + l.0);
                 if a != b {
-                    parent[a as usize] = b;
+                    s.parent[a as usize] = b;
                 }
             }
         }
 
         // A component needs re-solving iff it contains a dirty node.
-        let mut comp_dirty = vec![false; n_nodes];
-        for d in 0..n_dev {
-            if self.dirty_dev[d] {
-                comp_dirty[find(&mut parent, d as u32) as usize] = true;
-            }
-        }
-        for l in 0..n_links {
-            if self.dirty_link[l] {
-                comp_dirty[find(&mut parent, (n_dev + l) as u32) as usize] = true;
-            }
+        for &node in dirty.iter() {
+            let root = find(&mut s.parent, node);
+            s.comp_dirty[root as usize] = true;
         }
 
-        // Scatter cached rates for clean components; bucket dirty
+        // Scatter cached rates for clean components; list dirty
         // components' active positions for re-solving.
-        self.rates.clear();
-        self.rates.resize(self.active.len(), 1.0);
-        let mut comp_has_link = vec![false; n_nodes];
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_nodes];
-        let (mut solved, mut reused) = (0usize, 0usize);
-        for (k, &i) in self.active.iter().enumerate() {
-            let t = &self.tasks[(i - base) as usize];
-            let root = find(&mut parent, t.device) as usize;
-            if t.link.is_some() {
-                comp_has_link[root] = true;
-            }
-            if comp_dirty[root] {
-                members[root].push(k);
-                solved += 1;
+        rates.clear();
+        rates.resize(active.len(), 1.0);
+        s.work.clear();
+        for (k, &i) in active.iter().enumerate() {
+            let t = &tasks[(i - base) as usize];
+            let root = find(&mut s.parent, t.device);
+            if s.comp_dirty[root as usize] {
+                s.work.push((root, k as u32));
             } else {
-                self.rates[k] = t.rate;
-                reused += 1;
+                rates[k] = t.rate;
             }
         }
-        self.stats.rate_refreshes += 1;
-        self.stats.rate_tasks_solved += solved;
-        self.stats.rate_tasks_reused += reused;
+        s.work.sort_unstable();
+        stats.rate_refreshes += 1;
+        stats.rate_tasks_solved += s.work.len();
+        stats.rate_tasks_reused += active.len() - s.work.len();
 
-        for root in 0..n_nodes {
-            let idxs = &members[root];
-            if idxs.is_empty() {
-                continue;
+        let dev_caps = capacities(dev);
+        let col = |ids: &[u32], id: u32| ids.binary_search(&id).expect("a member's own id");
+        for members in s.work.chunk_by(|a, b| a.0 == b.0) {
+            // Solve over only the resources the members occupy, in the
+            // full solve's order (device blocks ascending, then links
+            // ascending): every column left out carries zero load there
+            // and never binds, so ties break the same way and the rates
+            // come out bit-identical.
+            s.devices.clear();
+            s.links.clear();
+            for &(_, k) in members {
+                let t = &tasks[(active[k as usize] - base) as usize];
+                s.devices.push(t.device);
+                s.links.extend(t.link.map(|l| l.0));
             }
-            let rs = if comp_has_link[root] {
-                // Link-coupled component: solve over the global resource
-                // space (per-device blocks plus one slot per link) so
-                // resource indexing — and hence tie-breaking — matches
-                // the full solve exactly. Other components' slots carry
-                // zero demand and never bind.
-                let dev_caps = capacities(&self.dev);
-                let mut caps = Vec::with_capacity(n_dev * NUM_RESOURCES + n_links);
-                for _ in 0..n_dev {
-                    caps.extend_from_slice(&dev_caps);
+            s.devices.sort_unstable();
+            s.devices.dedup();
+            s.links.sort_unstable();
+            s.links.dedup();
+            let link_cols = s.devices.len() * NUM_RESOURCES;
+            let width = link_cols + s.links.len();
+            s.caps.clear();
+            for _ in &s.devices {
+                s.caps.extend_from_slice(&dev_caps);
+            }
+            let bandwidth = |&l: &u32| topo.link(LinkId(l)).bandwidth;
+            s.caps.extend(s.links.iter().map(bandwidth));
+            s.demands.clear();
+            s.demands.resize(members.len() * width, 0.0);
+            for (row, &(_, k)) in s.demands.chunks_exact_mut(width).zip(members) {
+                let t = &tasks[(active[k as usize] - base) as usize];
+                let block = col(&s.devices, t.device) * NUM_RESOURCES;
+                row[block..block + NUM_RESOURCES].copy_from_slice(&t.demand.as_vec());
+                if let Some(l) = t.link {
+                    row[link_cols + col(&s.links, l.0)] = t.demand.link_bps;
                 }
-                caps.extend(self.topo.links().iter().map(|l| l.bandwidth));
-                let demands: Vec<Vec<f64>> = idxs
-                    .iter()
-                    .map(|&k| {
-                        let t = &self.tasks[(self.active[k] - base) as usize];
-                        let mut d = vec![0.0; caps.len()];
-                        let dbase = t.device as usize * NUM_RESOURCES;
-                        d[dbase..dbase + NUM_RESOURCES].copy_from_slice(&t.demand.as_vec());
-                        if let Some(l) = t.link {
-                            d[n_dev * NUM_RESOURCES + l.0 as usize] = t.demand.link_bps;
-                        }
-                        d
-                    })
-                    .collect();
-                max_min_rates_vec(&demands, &caps)
-            } else {
-                // Single-device component: the fixed-width solve.
-                let demands: Vec<ResourceDemand> = idxs
-                    .iter()
-                    .map(|&k| self.tasks[(self.active[k] - base) as usize].demand)
-                    .collect();
-                max_min_rates(&demands, &self.dev)
-            };
-            for (&k, r) in idxs.iter().zip(rs) {
-                self.rates[k] = r;
-                self.tasks[(self.active[k] - base) as usize].rate = r;
+            }
+            s.rates.resize(members.len(), 0.0);
+            let demand = |i: usize| &s.demands[i * width..(i + 1) * width];
+            progressive_fill(demand, &s.caps, &mut s.fill, &mut s.rates);
+            for (&(_, k), &r) in members.iter().zip(&s.rates) {
+                rates[k as usize] = r;
+                tasks[(active[k as usize] - base) as usize].rate = r;
             }
         }
 
-        self.dirty_dev.iter_mut().for_each(|d| *d = false);
-        self.dirty_link.iter_mut().for_each(|d| *d = false);
+        // Back to the rest state, touching only what this refresh did:
+        // the dirty roots, then the forest edges (every non-identity
+        // parent belongs to an active link occupant's device or link).
+        for node in dirty.drain(..) {
+            let root = find(&mut s.parent, node);
+            s.comp_dirty[root as usize] = false;
+        }
+        for &i in active.iter() {
+            let t = &tasks[(i - base) as usize];
+            if let Some(l) = t.link {
+                s.parent[t.device as usize] = t.device;
+                s.parent[(n_dev + l.0) as usize] = n_dev + l.0;
+            }
+        }
         self.rates_dirty = false;
 
         #[cfg(debug_assertions)]
@@ -665,6 +719,7 @@ impl Engine {
     /// the debug-mode cross-check and the differential-test oracle.
     #[cfg(any(test, debug_assertions))]
     fn solve_rates_full(&self) -> Vec<f64> {
+        use crate::fluid::{max_min_rates, max_min_rates_vec};
         let any_link = self
             .active
             .iter()
@@ -785,7 +840,7 @@ impl Engine {
             stream: self.tasks[i].stream,
             device: self.tasks[i].device,
             link: link.map(|l| l.0),
-            label: self.tasks[i].label.clone(),
+            label: std::mem::take(&mut self.tasks[i].label),
             start: self.tasks[i].started,
             end: self.now,
             meta: self.tasks[i].meta,
@@ -1530,6 +1585,71 @@ mod prop {
             }
             e.sync_all();
             e.assert_rates_match_full_solve();
+        }
+
+        /// The sparse component solve against the dense oracle on the
+        /// machines whose components are interesting: NVLink pairs
+        /// (two-device islands), a ring (one link chains every device
+        /// together), and clusters whose NIC couples whole nodes. Mixes
+        /// kernels, host copies, peer copies and NIC forwards placed on
+        /// a third device, so components span several device blocks and
+        /// links, sit beside idle devices, or consist of a lone copy
+        /// whose link nobody else occupies.
+        #[test]
+        fn sparse_component_solve_matches_full_solve(
+            machine in 0usize..5,
+            ops in proptest::collection::vec(
+                (0u8..4, 0u32..16, 0u32..16, 1u32..20, 0u8..4), 1..32),
+        ) {
+            use crate::topology::{Cluster, NicKind};
+            let d = DeviceProfile::tesla_p100();
+            let topo = match machine {
+                0 => Topology::preset(TopologyKind::NvlinkPair, 6, &d),
+                1 => Topology::preset(TopologyKind::Ring, 5, &d),
+                2 => Cluster::new(2, 4, TopologyKind::NvlinkPair, NicKind::InfinibandHdr).build(&d),
+                3 => Cluster::new(3, 2, TopologyKind::PcieOnly, NicKind::Ethernet25g).build(&d),
+                _ => Cluster::new(2, 8, TopologyKind::NvlinkPair, NicKind::InfinibandHdr).build(&d),
+            };
+            let n_dev = topo.device_count() as u32;
+            let mut e = Engine::with_topology(d.clone(), topo.clone());
+            let mut prev: Option<TaskId> = None;
+            for (i, &(kind, da, db, work, then)) in ops.iter().enumerate() {
+                let (dev_a, dev_b) = (da % n_dev, db % n_dev);
+                let w = work as f64 * 1e-4;
+                let stream = i as u32;
+                let copy = |l: LinkId, on: u32| {
+                    let link = topo.link(l);
+                    TaskSpec::p2p_copy(format!("p{i}"), stream, link.bandwidth * w, l, link)
+                        .on_device(on)
+                };
+                let nic = topo.nic_link(topo.node_of(dev_a), topo.node_of(dev_b));
+                let spec = match (kind, topo.d2d_link(dev_a, dev_b), nic) {
+                    (2, Some(l), _) => copy(l, dev_b),
+                    (3, _, Some(l)) => copy(l, dev_b),
+                    (1, _, _) => {
+                        TaskSpec::bulk_copy(TaskKind::CopyD2H, format!("c{i}"), stream, d.pcie_bw * w, &d)
+                            .on_device(dev_a)
+                    }
+                    _ => TaskSpec::kernel(format!("k{i}"), stream)
+                        .on_device(dev_a)
+                        .fluid(w)
+                        .sm_frac(0.8)
+                        .dram(d.dram_bw * 0.6),
+                };
+                let deps: Vec<TaskId> = if then == 0 { prev.into_iter().collect() } else { Vec::new() };
+                prev = Some(e.submit(spec, &deps));
+                e.assert_rates_match_full_solve();
+                match then {
+                    1 => e.advance_host(1.5e-4),
+                    2 => e.sync_task(prev.unwrap()),
+                    _ => {}
+                }
+                e.assert_rates_match_full_solve();
+            }
+            e.sync_all();
+            e.assert_rates_match_full_solve();
+            prop_assert!(e.solve.parent.iter().enumerate().all(|(x, &p)| p == x as u32));
+            prop_assert!(e.solve.comp_dirty.iter().all(|&c| !c));
         }
     }
 }

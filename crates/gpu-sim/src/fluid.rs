@@ -33,7 +33,7 @@ pub fn max_min_rates_raw(
     demands: &[[f64; NUM_RESOURCES]],
     caps: &[f64; NUM_RESOURCES],
 ) -> Vec<f64> {
-    progressive_fill(demands, caps)
+    solve(demands, caps)
 }
 
 /// Progressive filling over variable-length demand vectors: the global
@@ -42,45 +42,76 @@ pub fn max_min_rates_raw(
 /// link contention cannot be solved per device). All demand vectors must
 /// have the same length as `caps`.
 pub fn max_min_rates_vec(demands: &[Vec<f64>], caps: &[f64]) -> Vec<f64> {
-    progressive_fill(demands, caps)
-}
-
-/// The shared progressive-filling core, generic over the demand-vector
-/// storage so the fixed-width per-device path stays allocation-free (it
-/// runs on every rate refresh of the engine's hottest loop) while the
-/// global link-aware path can use dynamically-sized vectors.
-fn progressive_fill<D: AsRef<[f64]>>(demands: &[D], caps: &[f64]) -> Vec<f64> {
-    let n = demands.len();
-    let nr = caps.len();
-    let mut rates = vec![0.0f64; n];
-    if n == 0 {
-        return rates;
-    }
     // Validate shapes up front: a short demand vector would otherwise
     // panic deep inside the solve with an index error that names neither
-    // the task nor the expected width (release builds skipped the old
-    // debug_assert entirely).
+    // the task nor the expected width.
+    let nr = caps.len();
     for (i, d) in demands.iter().enumerate() {
-        let got = d.as_ref().len();
+        let got = d.len();
         assert_eq!(
             got, nr,
             "demand vector of task {i} has {got} entries but the solve spans {nr} resources"
         );
     }
-    let mut frozen = vec![false; n];
-    // Residual capacity after subtracting frozen tasks' consumption.
-    let mut residual = caps.to_vec();
+    solve(demands, caps)
+}
+
+/// One-off solve over a slice of demand vectors, with fresh buffers.
+fn solve<D: AsRef<[f64]>>(demands: &[D], caps: &[f64]) -> Vec<f64> {
+    let mut rates = vec![0.0; demands.len()];
+    let mut scratch = FillScratch::default();
+    progressive_fill(|i| demands[i].as_ref(), caps, &mut scratch, &mut rates);
+    rates
+}
+
+/// Working storage of [`progressive_fill`], kept by the caller so the
+/// engine's rate refresh — which runs on every change of the active
+/// set — allocates nothing once the buffers have grown to the largest
+/// component solved so far.
+#[derive(Debug, Default)]
+pub(crate) struct FillScratch {
+    frozen: Vec<bool>,
+    /// Residual capacity after subtracting frozen tasks' consumption.
+    residual: Vec<f64>,
+}
+
+/// The progressive-filling core, over whatever storage the caller
+/// keeps its demand vectors in: `demand(i)` is task `i`'s vector, one
+/// entry per resource of `caps`; one rate per task is written to
+/// `rates`.
+///
+/// A resource no task demands carries zero load in every round and is
+/// skipped, so leaving such columns out of the matrix changes neither
+/// which resource binds, nor the order tasks freeze in, nor any rate:
+/// the engine relies on this to solve a component over only the
+/// resources its members occupy.
+pub(crate) fn progressive_fill<'a>(
+    demand: impl Fn(usize) -> &'a [f64],
+    caps: &[f64],
+    scratch: &mut FillScratch,
+    rates: &mut [f64],
+) {
+    let n = rates.len();
+    debug_assert!((0..n).all(|i| demand(i).len() == caps.len()));
+    rates.fill(0.0);
+    if n == 0 {
+        return;
+    }
+    let FillScratch { frozen, residual } = scratch;
+    frozen.clear();
+    frozen.resize(n, false);
+    residual.clear();
+    residual.extend_from_slice(caps);
+    // Plain slices from here on: the solve never resizes them.
+    let (frozen, residual) = (frozen.as_mut_slice(), residual.as_mut_slice());
 
     loop {
         // Uniform growth level `t` for all unfrozen tasks, bounded by the
         // most congested resource and by the solo ceiling of 1.0.
         let mut t = 1.0f64;
         let mut binding: Option<usize> = None;
-        for (r, res) in residual.iter().enumerate().take(nr) {
-            let load: f64 = (0..n)
-                .filter(|&i| !frozen[i])
-                .map(|i| demands[i].as_ref()[r])
-                .sum();
+        for (r, res) in residual.iter().enumerate() {
+            let load: f64 = (0..n).filter(|&i| !frozen[i]).map(|i| demand(i)[r]).sum();
             if load <= 0.0 {
                 continue;
             }
@@ -107,11 +138,11 @@ fn progressive_fill<D: AsRef<[f64]>>(demands: &[D], caps: &[f64]) -> Vec<f64> {
                 // resource at level `t`; charge its usage to residual.
                 let mut any = false;
                 for i in 0..n {
-                    if !frozen[i] && demands[i].as_ref()[r] > 0.0 {
+                    if !frozen[i] && demand(i)[r] > 0.0 {
                         frozen[i] = true;
                         rates[i] = t;
                         any = true;
-                        for (res, d) in residual.iter_mut().zip(demands[i].as_ref().iter()) {
+                        for (res, d) in residual.iter_mut().zip(demand(i)) {
                             *res -= t * d;
                         }
                     }
@@ -150,10 +181,9 @@ fn progressive_fill<D: AsRef<[f64]>>(demands: &[D], caps: &[f64]) -> Vec<f64> {
     }
     // Numerical guard: tasks must always make progress, and never exceed
     // solo speed.
-    for x in &mut rates {
+    for x in rates.iter_mut() {
         *x = x.clamp(1e-9, 1.0);
     }
-    rates
 }
 
 #[cfg(test)]

@@ -351,11 +351,15 @@ impl MemoryManager {
                 candidates.sort_by_key(|(v, e)| (std::cmp::Reverse(e.bytes), *v));
             }
             EvictionPolicy::CostAware => {
-                candidates.sort_by(|(va, ea), (vb, eb)| {
-                    refetch_cost(*va, ea.bytes)
-                        .total_cmp(&refetch_cost(*vb, eb.bytes))
-                        .then(va.cmp(vb))
-                });
+                // Price every candidate once, then sort the priced list:
+                // a comparator that priced on demand would call
+                // `refetch_cost` about 2·n·log n times.
+                let mut priced: Vec<(f64, (ValueId, Entry))> = candidates
+                    .drain(..)
+                    .map(|c| (refetch_cost(c.0, c.1.bytes), c))
+                    .collect();
+                priced.sort_by(|(ca, (va, _)), (cb, (vb, _))| ca.total_cmp(cb).then(va.cmp(vb)));
+                candidates.extend(priced.into_iter().map(|(_, c)| c));
             }
         }
         let mut victims = Vec::new();
@@ -521,6 +525,29 @@ mod tests {
         let cost = |v: ValueId, _b: usize| if v == V[0] { 2.0 } else { 1.0 };
         let vs = m.select_victims(0, 100, &[], cost);
         assert_eq!(vs[0].value, V[1]);
+    }
+
+    #[test]
+    fn cost_aware_prices_each_candidate_once_and_breaks_ties_on_value_id() {
+        use std::cell::Cell;
+        let mut m = limited(10_000, EvictionPolicy::CostAware);
+        for (i, v) in V.iter().enumerate() {
+            m.insert(0, *v, 100 + i, 0.0);
+        }
+        let calls = Cell::new(0);
+        // V1 and V3 are cheap and tie; V0, V2, V4 are dear and tie.
+        let cost = |v: ValueId, _b: usize| {
+            calls.set(calls.get() + 1);
+            if v.0 % 2 == 1 {
+                1.0
+            } else {
+                2.0
+            }
+        };
+        let vs = m.select_victims(0, usize::MAX, &[], cost);
+        let order: Vec<ValueId> = vs.iter().map(|v| v.value).collect();
+        assert_eq!(order, vec![V[1], V[3], V[0], V[2], V[4]]);
+        assert_eq!(calls.get(), V.len(), "one price per candidate");
     }
 
     #[test]

@@ -162,9 +162,58 @@ pub struct Topology {
     node_of: Vec<u32>,
     /// Number of cluster nodes (1 for a single-box machine).
     n_nodes: u32,
+    /// `d2d[a * n_devices + b]`: the direct link between devices `a` and
+    /// `b`. Built once from `links`, so the per-candidate route queries
+    /// of every launch are a table read instead of a scan over every
+    /// link of the machine.
+    d2d: Vec<Option<LinkId>>,
+    /// `nic[a * n_nodes + b]`: the NIC link between nodes `a` and `b`.
+    nic: Vec<Option<LinkId>>,
 }
 
 impl Topology {
+    /// Assemble a machine from its links (host links first) and index
+    /// the device↔device and node↔node links by endpoint pair. Where
+    /// two links join the same pair the lower link id answers.
+    fn from_links(
+        kind: TopologyKind,
+        links: Vec<Link>,
+        memory: MemoryConfig,
+        node_of: Vec<u32>,
+        n_nodes: u32,
+    ) -> Self {
+        let n = node_of.len();
+        let mut d2d = vec![None; n * n];
+        let mut nic = vec![None; (n_nodes * n_nodes) as usize];
+        fn index(table: &mut [Option<LinkId>], width: usize, a: u32, b: u32, id: LinkId) {
+            let (a, b) = (a as usize, b as usize);
+            if a < b && table[a * width + b].is_none() {
+                table[a * width + b] = Some(id);
+                table[b * width + a] = Some(id);
+            }
+        }
+        for (i, l) in links.iter().enumerate() {
+            let id = LinkId(i as u32);
+            match (l.a, l.b) {
+                (Endpoint::Device(a), Endpoint::Device(b)) => index(&mut d2d, n, a, b, id),
+                (Endpoint::Node(a), Endpoint::Node(b)) => {
+                    index(&mut nic, n_nodes as usize, a, b, id)
+                }
+                _ => {}
+            }
+        }
+        Topology {
+            kind,
+            n_devices: n as u32,
+            links,
+            memory,
+            node_of,
+            n_nodes,
+            d2d,
+            nic,
+        }
+    }
+
     /// Build a preset topology for `n` devices, with host links at the
     /// device's PCIe bandwidth and NVLink-class device↔device links.
     pub fn preset(kind: TopologyKind, n: usize, dev: &DeviceProfile) -> Self {
@@ -194,14 +243,7 @@ impl Topology {
             })
             .collect();
         push_d2d_links(&mut links, kind, 0, n, d2d_bw);
-        Topology {
-            kind,
-            n_devices: n as u32,
-            links,
-            memory: MemoryConfig::default(),
-            node_of: vec![0; n],
-            n_nodes: 1,
-        }
+        Self::from_links(kind, links, MemoryConfig::default(), vec![0; n], 1)
     }
 
     /// Give every device a finite memory (builder-style): capacity and
@@ -249,14 +291,11 @@ impl Topology {
     /// topology has one (peer-to-peer DMA is possible exactly when it
     /// does).
     pub fn d2d_link(&self, a: u32, b: u32) -> Option<LinkId> {
-        if a == b {
+        let n = self.n_devices;
+        if a >= n || b >= n {
             return None;
         }
-        let (lo, hi) = (Endpoint::Device(a.min(b)), Endpoint::Device(a.max(b)));
-        self.links
-            .iter()
-            .position(|l| l.a == lo && l.b == hi)
-            .map(|i| LinkId(i as u32))
+        self.d2d[(a * n + b) as usize]
     }
 
     /// Number of cluster nodes this machine spans (1 for a single box).
@@ -272,14 +311,11 @@ impl Topology {
     /// The NIC link joining two cluster nodes, if the machine has one
     /// (`None` for the same node or on single-box machines).
     pub fn nic_link(&self, a: u32, b: u32) -> Option<LinkId> {
-        if a == b {
+        let n = self.n_nodes;
+        if a >= n || b >= n {
             return None;
         }
-        let (lo, hi) = (Endpoint::Node(a.min(b)), Endpoint::Node(a.max(b)));
-        self.links
-            .iter()
-            .position(|l| l.a == lo && l.b == hi)
-            .map(|i| LinkId(i as u32))
+        self.nic[(a * n + b) as usize]
     }
 }
 
@@ -492,14 +528,13 @@ impl Cluster {
             }
         }
         let node_of = (0..n).map(|d| (d / self.gpus_per_node) as u32).collect();
-        Topology {
-            kind: self.node_kind,
-            n_devices: n as u32,
+        Topology::from_links(
+            self.node_kind,
             links,
-            memory: self.memory.clone(),
+            self.memory.clone(),
             node_of,
-            n_nodes: self.nodes as u32,
-        }
+            self.nodes as u32,
+        )
     }
 }
 
@@ -672,6 +707,62 @@ mod tests {
             }
         }
         assert_eq!(t.link(t.nic_link(2, 3).unwrap()).label(), "n2-n3");
+    }
+
+    /// The lookup the tables replaced: the first link whose endpoints
+    /// are exactly the ordered pair.
+    fn scan(t: &Topology, a: u32, b: u32, end: fn(u32) -> Endpoint) -> Option<LinkId> {
+        if a == b {
+            return None;
+        }
+        let (lo, hi) = (end(a.min(b)), end(a.max(b)));
+        t.links()
+            .iter()
+            .position(|l| l.a == lo && l.b == hi)
+            .map(|i| LinkId(i as u32))
+    }
+
+    #[test]
+    fn link_tables_equal_a_scan_of_the_links_for_every_pair() {
+        let dev = DeviceProfile::tesla_p100();
+        let mut machines = Vec::new();
+        for kind in TopologyKind::ALL {
+            for n in [1usize, 2, 3, 4, 8, 16] {
+                machines.push(topo(kind, n));
+            }
+            for (nodes, gpus) in [(2usize, 8usize), (4, 2), (3, 3), (1, 4)] {
+                for nic in NicKind::ALL {
+                    machines.push(Cluster::new(nodes, gpus, kind, nic).build(&dev));
+                }
+            }
+        }
+        for t in &machines {
+            // Two ids past the end on each axis: out-of-range queries
+            // answer `None`, as the scan did.
+            let (n, nodes) = (t.device_count() as u32, t.node_count() as u32);
+            for a in 0..n + 2 {
+                for b in 0..n + 2 {
+                    assert_eq!(t.d2d_link(a, b), scan(t, a, b, Endpoint::Device));
+                }
+            }
+            for a in 0..nodes + 2 {
+                for b in 0..nodes + 2 {
+                    assert_eq!(t.nic_link(a, b), scan(t, a, b, Endpoint::Node));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn node_of_an_unknown_device_still_panics() {
+        topo(TopologyKind::NvlinkPair, 4).node_of(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown device 4")]
+    fn host_link_of_an_unknown_device_still_panics() {
+        topo(TopologyKind::NvlinkPair, 4).host_link(4);
     }
 
     #[test]

@@ -402,7 +402,10 @@ impl GrCuda {
     /// Number of cluster nodes this runtime spans (1 on single-box
     /// machines).
     pub fn node_count(&self) -> usize {
-        self.inner.borrow().cuda.topology().node_count()
+        self.inner
+            .borrow()
+            .cuda
+            .machine(|_, topo| topo.node_count())
     }
 
     /// The interconnect topology this runtime schedules over.
@@ -795,10 +798,10 @@ impl GrCuda {
         }
         let (amortize, overhead) = {
             let ctx = self.inner.borrow();
-            let dev = ctx.cuda.device();
             (
                 ctx.options.schedule == SchedulePolicy::ParallelAsync,
-                dev.host_api_overhead + dev.sched_overhead,
+                ctx.cuda
+                    .machine(|dev, _| dev.host_api_overhead + dev.sched_overhead),
             )
         };
         if amortize && !calls.is_empty() {
@@ -814,7 +817,7 @@ impl GrCuda {
             if ctx.node_of.is_empty() || calls.is_empty() {
                 None
             } else {
-                let nodes = ctx.cuda.topology().node_count();
+                let nodes = ctx.cuda.machine(|_, topo| topo.node_count());
                 let items: Vec<Vec<(u64, usize)>> = calls
                     .iter()
                     .map(|c| {
@@ -857,7 +860,9 @@ impl GrCuda {
         node_hint: Option<u32>,
     ) -> Result<u32, LaunchError> {
         let mut ctx = self.inner.borrow_mut();
-        let dev = ctx.cuda.device();
+        let (sched_overhead, event_overhead) = ctx
+            .cuda
+            .machine(|dev, _| (dev.sched_overhead, dev.event_overhead));
 
         // Split arguments by NIDL parameter kind.
         let mut buffers: Vec<DataBuffer> = Vec::new();
@@ -925,7 +930,7 @@ impl GrCuda {
                 // overheads" of §V-D — present, but small). Batched
                 // submission charges it once per batch instead.
                 if charge {
-                    ctx.cuda.host_spin(dev.sched_overhead);
+                    ctx.cuda.host_spin(sched_overhead);
                 }
 
                 let (vid, mut deps) = ctx.dag.add_computation(kind, kernel.def.name, dag_args);
@@ -1031,7 +1036,7 @@ impl GrCuda {
                     }
                 }
                 if charge && !dep_tasks.is_empty() {
-                    let ev = dev.event_overhead * dep_tasks.len() as f64;
+                    let ev = event_overhead * dep_tasks.len() as f64;
                     ctx.cuda.host_spin(ev);
                 }
 
@@ -1104,8 +1109,7 @@ impl GrCuda {
                 // cost applies.
             }
             SchedulePolicy::ParallelAsync => {
-                let dev = ctx.cuda.device();
-                let pre_pascal = dev.arch == Architecture::Maxwell;
+                let pre_pascal = ctx.cuda.machine(|dev, _| dev.arch == Architecture::Maxwell);
                 if pre_pascal && !ctx.options.visibility_restriction {
                     // Without the visibility trick, the CPU may not touch
                     // managed memory while any kernel runs: full sync —

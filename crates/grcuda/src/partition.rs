@@ -10,8 +10,8 @@
 //! The pre-pass here follows the deterministic-partitioning shape of
 //! Bobpp-style frameworks: the *policy* (which node) is a pure function
 //! of the submitted batch, with every tie broken on vertex id — no
-//! `HashMap` iteration order, no randomness — so the same batch always
-//! shards the same way:
+//! hashing, no randomness — so the same batch always shards the same
+//! way:
 //!
 //! 1. **Seed by connected components.** Two launches sharing an array
 //!    argument are connected; components are the natural unsplittable
@@ -29,8 +29,6 @@
 //! per-vertex node hints: it narrows the placement context to the
 //! hinted node's GPUs and delegates the in-node choice to a wrapped
 //! single-box policy (transfer-aware by default).
-
-use std::collections::HashMap;
 
 use crate::policy::{DeviceSelectionPolicy, PlacementCtx, PlacementPolicy};
 
@@ -64,29 +62,54 @@ pub fn partition_batch(items: &[Vec<(u64, usize)>], nodes: usize) -> BatchPartit
         };
     }
 
-    // Values in first-encounter order: (bytes, referencing items). The
-    // HashMap is only probed, never iterated, so bucket order cannot
-    // leak into the result.
-    let mut value_slot: HashMap<u64, usize> = HashMap::new();
-    let mut values: Vec<(usize, Vec<usize>)> = Vec::new();
-    let mut item_values: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut weight = vec![0usize; n];
+    // Every distinct (value, item) use, sorted by value then item, so
+    // the uses of one value are a contiguous run with its items
+    // ascending. A value an item names twice counts once, at the size
+    // given first (the sort is stable). Values are numbered by run —
+    // ascending id — which nothing below depends on: sizes and gains
+    // are integer sums and every tie breaks on the item index.
+    let mut uses: Vec<(u64, u32, usize)> = Vec::with_capacity(items.iter().map(Vec::len).sum());
     for (i, args) in items.iter().enumerate() {
-        for &(v, bytes) in args {
-            let slot = *value_slot.entry(v).or_insert_with(|| {
-                values.push((bytes, Vec::new()));
-                values.len() - 1
-            });
-            if item_values[i].contains(&slot) {
-                continue;
-            }
-            item_values[i].push(slot);
-            weight[i] += bytes;
-            let entry = &mut values[slot];
-            entry.0 = entry.0.max(bytes);
-            entry.1.push(i);
+        uses.extend(args.iter().map(|&(v, bytes)| (v, i as u32, bytes)));
+    }
+    uses.sort_by_key(|u| (u.0, u.1));
+    uses.dedup_by_key(|u| (u.0, u.1));
+
+    // Value s is referenced by `uses[value_start[s]..value_start[s + 1]]`
+    // and is as large as its largest use; an item weighs what its uses
+    // say. `item_values[item_start[i]..item_start[i + 1]]` are the
+    // values item i references.
+    let mut value_start: Vec<usize> = Vec::with_capacity(uses.len() + 1);
+    let mut value_bytes: Vec<usize> = Vec::with_capacity(uses.len());
+    let mut weight = vec![0usize; n];
+    let mut item_start = vec![0usize; n + 1];
+    for (k, &(v, i, bytes)) in uses.iter().enumerate() {
+        if k == 0 || uses[k - 1].0 != v {
+            value_start.push(k);
+            value_bytes.push(0);
+        }
+        let size = value_bytes.last_mut().expect("pushed above");
+        *size = (*size).max(bytes);
+        weight[i as usize] += bytes;
+        item_start[i as usize + 1] += 1;
+    }
+    value_start.push(uses.len());
+    for i in 0..n {
+        item_start[i + 1] += item_start[i];
+    }
+    let mut item_values = vec![0u32; uses.len()];
+    let mut cursor = item_start.clone();
+    for slot in 0..value_bytes.len() {
+        for &(_, i, _) in &uses[value_start[slot]..value_start[slot + 1]] {
+            item_values[cursor[i as usize]] = slot as u32;
+            cursor[i as usize] += 1;
         }
     }
+    let refs = |slot: usize| {
+        uses[value_start[slot]..value_start[slot + 1]]
+            .iter()
+            .map(|u| u.1 as usize)
+    };
 
     // Union-find over items through shared values.
     let mut parent: Vec<usize> = (0..n).collect();
@@ -97,13 +120,16 @@ pub fn partition_batch(items: &[Vec<(u64, usize)>], nodes: usize) -> BatchPartit
         }
         x
     }
-    for (_, refs) in &values {
-        for w in refs.windows(2) {
-            let (a, b) = (find(&mut parent, w[0]), find(&mut parent, w[1]));
+    for slot in 0..value_bytes.len() {
+        let mut items = refs(slot);
+        let mut prev = items.next().expect("a value has a use");
+        for next in items {
+            let (a, b) = (find(&mut parent, prev), find(&mut parent, next));
             if a != b {
                 // Root at the smaller id, so representatives are stable.
                 parent[a.max(b)] = a.min(b);
             }
+            prev = next;
         }
     }
 
@@ -130,6 +156,10 @@ pub fn partition_batch(items: &[Vec<(u64, usize)>], nodes: usize) -> BatchPartit
     let least_loaded =
         |load: &[usize]| (0..load.len()).min_by_key(|&d| (load[d], d)).unwrap_or(0) as u32;
 
+    // Per-item state of the BFS growth, indexed by item like `weight`:
+    // placed in an earlier part, in the part being grown, bytes shared
+    // with the part being grown.
+    let mut assigned = vec![false; n];
     let mut in_s = vec![false; n];
     let mut gain = vec![0usize; n];
     for (comp_weight, members) in &comps {
@@ -142,9 +172,7 @@ pub fn partition_batch(items: &[Vec<(u64, usize)>], nodes: usize) -> BatchPartit
             continue;
         }
         // Oversized component: carve fair-share parts by BFS growth.
-        let mut assigned = vec![false; members.len()];
-        let pos: HashMap<usize, usize> = members.iter().enumerate().map(|(p, &i)| (i, p)).collect();
-        while let Some(seed_pos) = (0..members.len()).find(|&p| !assigned[p]) {
+        while let Some(seed) = members.iter().copied().find(|&i| !assigned[i]) {
             let mut part: Vec<usize> = Vec::new();
             let mut part_weight = 0usize;
             let absorb = |i: usize,
@@ -156,29 +184,22 @@ pub fn partition_batch(items: &[Vec<(u64, usize)>], nodes: usize) -> BatchPartit
                 *part_weight += weight[i];
                 in_s[i] = true;
                 gain[i] = 0;
-                for &slot in &item_values[i] {
-                    let (bytes, refs) = &values[slot];
-                    for &j in refs {
-                        if !in_s[j] && !assigned[pos[&j]] {
-                            gain[j] += bytes;
+                for &slot in &item_values[item_start[i]..item_start[i + 1]] {
+                    for j in refs(slot as usize) {
+                        if !in_s[j] && !assigned[j] {
+                            gain[j] += value_bytes[slot as usize];
                         }
                     }
                 }
             };
-            absorb(
-                members[seed_pos],
-                &mut part,
-                &mut part_weight,
-                &mut in_s,
-                &mut gain,
-            );
+            absorb(seed, &mut part, &mut part_weight, &mut in_s, &mut gain);
             while part_weight < target {
                 // Frontier vertex with the most connecting bytes; ties
                 // break to the lowest vertex id (members are ascending).
                 let next = members
                     .iter()
                     .copied()
-                    .filter(|&j| !in_s[j] && !assigned[pos[&j]] && gain[j] > 0)
+                    .filter(|&j| !in_s[j] && !assigned[j] && gain[j] > 0)
                     .max_by(|&a, &b| gain[a].cmp(&gain[b]).then(b.cmp(&a)));
                 let Some(j) = next else { break };
                 absorb(j, &mut part, &mut part_weight, &mut in_s, &mut gain);
@@ -187,7 +208,7 @@ pub fn partition_batch(items: &[Vec<(u64, usize)>], nodes: usize) -> BatchPartit
             load[node as usize] += part_weight;
             for &i in &part {
                 assignment[i] = node;
-                assigned[pos[&i]] = true;
+                assigned[i] = true;
                 in_s[i] = false;
             }
             // Reset gains touched while growing this part.
@@ -200,9 +221,9 @@ pub fn partition_batch(items: &[Vec<(u64, usize)>], nodes: usize) -> BatchPartit
     // Cut accounting: each value pays once per extra node touching it.
     let mut cut_bytes = 0usize;
     let mut seen_nodes: Vec<u32> = Vec::new();
-    for (bytes, refs) in &values {
+    for (slot, bytes) in value_bytes.iter().enumerate() {
         seen_nodes.clear();
-        for &i in refs {
+        for i in refs(slot) {
             if !seen_nodes.contains(&assignment[i]) {
                 seen_nodes.push(assignment[i]);
             }
@@ -390,6 +411,94 @@ mod tests {
             let b = partition_batch(&relabeled, nodes);
             assert_eq!(a, b, "nodes={nodes}");
         }
+    }
+
+    /// One sweep of the fork/join program `placement_cluster` submits
+    /// per batch: every group forks its source into two arms (one
+    /// folding in a shared read-only array) and joins them, then joins
+    /// its join with another group's and folds that back into its
+    /// source. Array sizes differ by group so gains rarely tie.
+    ///
+    /// Modelled on `fork_join` in `benchmark/src/gen.rs`, with a fixed
+    /// partner formula in place of its seeded draws. The recorded
+    /// assignments below pin this generator: change it and they fail.
+    fn fork_join_batch(groups: u64) -> Vec<Vec<(u64, usize)>> {
+        let size = |g: u64| (1 + g as usize % 3) * MIB;
+        let mut items = Vec::new();
+        for g in 0..groups {
+            let (b, s) = (5 * g, size(g));
+            let cold = (1000 + (g * 7) % 4, 4 * MIB);
+            items.push(vec![(b, s), (b + 1, s)]);
+            items.push(vec![(b, s), cold, (b + 2, s)]);
+            items.push(vec![(b + 1, s), (b + 2, s), (b + 3, s)]);
+        }
+        for g in 0..groups {
+            let (b, s) = (5 * g, size(g));
+            let partner = (g + 1 + (g * 7 + 3) % (groups - 1)) % groups;
+            items.push(vec![
+                (b + 3, s),
+                (5 * partner + 3, size(partner)),
+                (b + 4, s),
+            ]);
+            items.push(vec![(b + 4, s), (b, s)]);
+        }
+        items
+    }
+
+    /// `partition_batch` on `items`, the assignment as one digit per
+    /// item.
+    fn sharded(items: &[Vec<(u64, usize)>], nodes: usize) -> (String, usize, usize) {
+        let p = partition_batch(items, nodes);
+        let digits = p.assignment.iter().map(|a| a.to_string()).collect();
+        (digits, p.cut_bytes, p.parts)
+    }
+
+    #[test]
+    fn fork_join_batches_shard_as_recorded() {
+        // Recorded from the partitioner before its position map and
+        // value table became dense vectors: seeds, gains and tie-breaks
+        // are the same, so assignments, cut bytes and part counts are.
+        let golden = [
+            (
+                (16, 2),
+                "00000011110100010111000000011111100010111111110100001111001101000011010011111111",
+                27_262_976,
+                2,
+            ),
+            (
+                (16, 3),
+                "00011111120200011122000000021222220220211122222200111212001102000022021222112222",
+                49_283_072,
+                3,
+            ),
+            ((6, 4), "333000110222333301330011223313", 26_214_400, 4),
+            ((2, 2), "0001110001", 4_194_304, 2),
+        ];
+        for ((groups, nodes), assignment, cut, parts) in golden {
+            let got = sharded(&fork_join_batch(groups), nodes);
+            assert_eq!(
+                got,
+                (assignment.to_string(), cut, parts),
+                "{groups} groups on {nodes} nodes"
+            );
+        }
+    }
+
+    #[test]
+    fn repeated_arguments_and_disagreeing_sizes_shard_as_recorded() {
+        // A value named twice by one item counts once, at the size
+        // given first; a value is as large as its largest use; an item
+        // without arrays is a component of its own.
+        let items = vec![
+            vec![(7, 100), (7, 900), (8, 50)],
+            vec![(8, 70), (9, 10)],
+            vec![(9, 10), (7, 300)],
+            vec![(20, 500)],
+            vec![],
+            vec![(21, 1), (20, 400)],
+        ];
+        assert_eq!(sharded(&items, 2), ("111010".to_string(), 0, 2));
+        assert_eq!(sharded(&items, 3), ("222011".to_string(), 500, 3));
     }
 
     #[test]

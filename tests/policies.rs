@@ -2,6 +2,8 @@
 //! every device-selection policy is correct; policies only change
 //! performance and placement, never results.
 
+mod common;
+
 use benchmarks::{
     cluster_run, mixed_makespans, oversub_capacity, oversubscribe, run_grcuda, run_multi_gpu,
     scales, transfer_chain, Bench, ClusterSuite, MixedScale,
@@ -479,6 +481,58 @@ fn unlimited_capacity_is_bit_identical_and_eviction_free() {
     );
     assert!(limited.evictions > 0, "finite capacity must evict here");
     assert_eq!(unlimited.checksum, limited.checksum);
+}
+
+/// `sweeps` fork/join sweeps ([`common::ForkJoin`]) on `g`, one batch
+/// each, three between syncs. Before each sweep one group gets a fresh
+/// host input: the write waits for that group's pending kernels, so the
+/// next batch is submitted while the rest of the previous one is still
+/// running. Returns the races reported and every group's final source
+/// value.
+fn fork_join_sweeps(g: &GrCuda, groups: usize, sweeps: usize, n: usize) -> (usize, Vec<f32>) {
+    let program = common::ForkJoin::new(g, groups, n);
+    let batch = program.batch();
+    for sweep in 0..sweeps {
+        program.groups[(sweep * 5) % groups][0].fill_f32(0.5 + sweep as f32);
+        g.launch_batch(&batch).unwrap();
+        if sweep % 3 == 2 {
+            g.sync();
+        }
+    }
+    g.sync();
+    let finals = program.groups.iter().map(|group| group[0].get_f32(0));
+    (g.races().len(), finals.collect())
+}
+
+#[test]
+fn evicting_a_refetched_array_keeps_its_in_flight_producer() {
+    // Regression: device memory of 10 arrays under the 80 the kernels
+    // write, everything on one GPU of a 2x8 cluster. An array is
+    // spilled while the kernel writing it is still queued, fetched back
+    // for its next reader, and dropped again (now a clean copy) before
+    // any of that has run. The drop used to leave the array without a
+    // producer, so the fetch for a second reader started beside the
+    // kernel still writing it: a race under the parallel scheduler,
+    // none under the serial one.
+    let n = 1 << 12;
+    let run = |options: Options| {
+        let cluster = Cluster::new(2, 8, TopologyKind::NvlinkPair, NicKind::InfinibandHdr)
+            .with_memory(
+                MemoryConfig::with_capacity(10 * n * 4).with_eviction(EvictionPolicy::CostAware),
+            );
+        let dev = DeviceProfile::tesla_p100();
+        let g = GrCuda::with_cluster(dev, &cluster, options, PlacementPolicy::SingleGpu);
+        let out = fork_join_sweeps(&g, 16, 8, n);
+        let memory = g.memory_stats();
+        assert!(memory.spilled_bytes > 0, "the written set must spill");
+        out
+    };
+    let (serial_races, serial) = run(Options::serial());
+    let (parallel_races, parallel) = run(Options::parallel());
+    assert_eq!(serial_races, 0);
+    assert_eq!(parallel_races, 0, "re-fetch must wait for the spill");
+    assert_eq!(parallel, serial);
+    assert!(serial.iter().all(|v| v.is_finite() && *v != 0.0));
 }
 
 #[test]
