@@ -12,6 +12,11 @@
 #      by their parent) count as zero.
 # (ii) Public-item census: `pub fn|struct|enum|trait|type|const` lines in
 #      the four library crates whose API the layers above program against.
+# (iii) Hash and tree collections on the launch path: occurrences of
+#      `HashMap|HashSet|BTreeMap|BTreeSet` in the non-test code (as in
+#      (i)) of the files a launch, its completion and its retirement run
+#      through. They were replaced by id-indexed tables; a change that
+#      puts one back shows up here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,3 +40,18 @@ printf 'non-test code lines  %-12s %6d\n' total "$total"
 public=$(grep -rEn "^\s*pub (fn|struct|enum|trait|type|const) " \
     crates/{grcuda,cuda-sim,gpu-sim,benchmarks}/src | wc -l)
 printf 'public items         %-12s %6d\n' "(4 crates)" "$public"
+
+launch_path=(
+    crates/dag/src/{graph,vertex}.rs
+    crates/grcuda/src/{context,stream_manager}.rs
+    crates/cuda-sim/src/context.rs
+    crates/gpu-sim/src/{engine,memory_manager}.rs
+)
+hashed=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests { next }
+    /^[[:space:]]*\/\// { next }
+    { n += gsub(/HashMap|HashSet|BTreeMap|BTreeSet/, "&") }
+    END { print n + 0 }' "${launch_path[@]}")
+printf 'hash/tree collections %-11s %6d\n' "(launch path)" "$hashed"

@@ -2,7 +2,7 @@
 //! management and host synchronization.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
 use gpu_sim::memgr::{MemoryManager, MemoryStats};
@@ -11,7 +11,7 @@ use gpu_sim::{
     TaskSpec, Time, Timeline, Topology, TopologyKind, TypedData, ValueId,
 };
 
-use crate::exec::KernelExec;
+use crate::exec::Launch;
 use crate::graph::CaptureState;
 use crate::memory::{ArrayState, MemEvent, MemEventKind, Residency, UnifiedArray};
 use crate::route::{route, Route};
@@ -45,8 +45,9 @@ pub(crate) struct Inner {
     pub(crate) engine: Engine,
     pub(crate) dev: DeviceProfile,
     n_devices: u32,
-    arrays: HashMap<ValueId, ArrayState>,
-    next_value: u64,
+    /// State of every allocation, indexed by `ValueId`: [`Cuda::alloc`]
+    /// mints ids densely from zero and nothing frees one.
+    arrays: Vec<ArrayState>,
     streams: Vec<StreamState>,
     pub(crate) events: Vec<EventTarget>,
     pub(crate) capture: Option<CaptureState>,
@@ -78,12 +79,8 @@ pub(crate) struct Inner {
     /// bookkeeping (built from the topology's [`gpu_sim::MemoryConfig`];
     /// unlimited by default, in which case every check is a no-op).
     memgr: MemoryManager,
-    /// Arrays brought in by a prefetch and not yet consumed by a kernel
-    /// on that device — the set prefetch *hits* are counted against.
-    /// Indexed by device.
-    prefetched: Vec<HashSet<ValueId>>,
     /// Eviction, prefetch and migration events awaiting
-    /// [`Cuda::take_mem_events`] (recorded only while enabled, so raw
+    /// [`Cuda::drain_mem_events`] (recorded only while enabled, so raw
     /// contexts that never drain them stay bounded).
     mem_events: Vec<MemEvent>,
     record_mem_events: bool,
@@ -135,8 +132,7 @@ impl Cuda {
                 engine,
                 dev,
                 n_devices: n as u32,
-                arrays: HashMap::new(),
-                next_value: 0,
+                arrays: Vec::new(),
                 streams: vec![StreamState::default()], // default stream, device 0
                 events: Vec::new(),
                 capture: None,
@@ -145,7 +141,6 @@ impl Cuda {
                 p2p_migrated: (0, 0),
                 cross_node_migrated: (0, 0),
                 memgr,
-                prefetched: vec![HashSet::new(); n],
                 mem_events: Vec::new(),
                 record_mem_events: false,
                 deps: Vec::new(),
@@ -200,7 +195,7 @@ impl Cuda {
     pub fn placement_probe(&self, a: &UnifiedArray, est: &mut [f64]) -> Option<u32> {
         let inner = self.inner.borrow();
         debug_assert_eq!(est.len(), inner.n_devices as usize);
-        let st = &inner.arrays[&a.id];
+        let st = inner.array(a.id);
         let topo = inner.engine.topology();
         let calib = inner.engine.calibration();
         for (d, acc) in est.iter_mut().enumerate() {
@@ -278,9 +273,18 @@ impl Cuda {
         self.inner.borrow_mut().record_mem_events = on;
     }
 
-    /// Drain the recorded [`MemEvent`]s.
+    /// Drain the recorded [`MemEvent`]s into `f`, oldest first, keeping
+    /// the buffer they were recorded in. `f` must not call back into
+    /// this context.
+    pub fn drain_mem_events(&self, f: impl FnMut(MemEvent)) {
+        self.inner.borrow_mut().mem_events.drain(..).for_each(f);
+    }
+
+    /// [`Cuda::drain_mem_events`] into a fresh list.
     pub fn take_mem_events(&self) -> Vec<MemEvent> {
-        std::mem::take(&mut self.inner.borrow_mut().mem_events)
+        let mut events = Vec::new();
+        self.drain_mem_events(|ev| events.push(ev));
+        events
     }
 
     /// Lifetime `(bytes, transfers)` per link, indexed like
@@ -377,32 +381,29 @@ impl Cuda {
 
     fn alloc(&self, data: TypedData) -> UnifiedArray {
         let mut inner = self.inner.borrow_mut();
-        let id = ValueId(inner.next_value);
-        inner.next_value += 1;
+        let id = ValueId(inner.arrays.len() as u64);
         let arr = UnifiedArray::new(id, data);
-        inner.arrays.insert(
-            id,
-            ArrayState {
-                residency: Residency::Host,
-                bytes: arr.byte_len(),
-                device: 0,
-                last_writer: None,
-                host_writer: None,
-                resident_cell: arr.resident.clone(),
-            },
-        );
+        inner.arrays.push(ArrayState {
+            residency: Residency::Host,
+            bytes: arr.byte_len(),
+            device: 0,
+            prefetched: false,
+            last_writer: None,
+            host_writer: None,
+            resident_cell: arr.resident.clone(),
+        });
         arr
     }
 
     /// Residency of an allocation.
     pub fn residency(&self, a: &UnifiedArray) -> Residency {
-        self.inner.borrow().arrays[&a.id].residency
+        self.inner.borrow().array(a.id).residency
     }
 
     /// The device holding the current device copy, if any.
     pub fn device_residency(&self, a: &UnifiedArray) -> Option<u32> {
         let inner = self.inner.borrow();
-        let st = &inner.arrays[&a.id];
+        let st = inner.array(a.id);
         st.residency.on_device().then_some(st.device)
     }
 
@@ -413,7 +414,7 @@ impl Cuda {
     /// next launch.
     pub fn host_written(&self, a: &UnifiedArray) {
         let mut inner = self.inner.borrow_mut();
-        let st = inner.arrays.get_mut(&a.id).expect("unknown array");
+        let st = state_mut(&mut inner.arrays, a.id);
         st.bytes = a.byte_len();
         st.host_writer = None;
         let device = st.device;
@@ -427,7 +428,7 @@ impl Cuda {
     pub fn host_read(&self, a: &UnifiedArray, bytes: usize) -> Time {
         let mut inner = self.inner.borrow_mut();
         let t0 = inner.engine.now();
-        let st = inner.arrays.get_mut(&a.id).expect("unknown array");
+        let st = state_mut(&mut inner.arrays, a.id);
         st.bytes = a.byte_len();
         let (residency, device, last_writer) = (st.residency, st.device, st.last_writer);
         match residency {
@@ -442,13 +443,14 @@ impl Cuda {
             }
             Residency::Both => {}
             Residency::Device => {
-                let (size, dev) = (bytes as f64, &inner.dev);
-                let spec = if dev.supports_page_faults() {
-                    let label = format!("umfault<-{:?}", a.id);
-                    TaskSpec::fault_migration(TaskKind::FaultD2H, label, u32::MAX, size, dev)
+                let size = bytes as f64;
+                let spec = if inner.dev.supports_page_faults() {
+                    let label = inner.label(format_args!("umfault<-{:?}", a.id));
+                    let kind = TaskKind::FaultD2H;
+                    TaskSpec::fault_migration(kind, label, u32::MAX, size, &inner.dev)
                 } else {
-                    let label = format!("d2h<-{:?}", a.id);
-                    TaskSpec::bulk_copy(TaskKind::CopyD2H, label, u32::MAX, size, dev)
+                    let label = inner.label(format_args!("d2h<-{:?}", a.id));
+                    TaskSpec::bulk_copy(TaskKind::CopyD2H, label, u32::MAX, size, &inner.dev)
                 };
                 // Whole-array state machine: after touching it the host
                 // can see it (pages migrate lazily; we charge only what
@@ -494,7 +496,7 @@ impl Cuda {
         }
         let target = inner.streams[stream.0 as usize].device;
         let bytes = a.byte_len();
-        let st = inner.arrays.get_mut(&a.id).expect("unknown array");
+        let st = state_mut(&mut inner.arrays, a.id);
         st.bytes = bytes;
         let route = route(st, target, inner.engine.topology());
         if route == Route::InPlace {
@@ -514,7 +516,7 @@ impl Cuda {
         let t = inner.execute(route, a.id, target, stream, Fetch::Prefetch);
         // A later kernel finding the array there counts as a prefetch
         // hit.
-        inner.prefetched[target as usize].insert(a.id);
+        state_mut(&mut inner.arrays, a.id).prefetched = true;
         inner.note(a.id, bytes, target, MemEventKind::Prefetched);
         t
     }
@@ -531,43 +533,46 @@ impl Cuda {
     /// is migrated first — eagerly at full bandwidth on pre-Pascal
     /// devices, or through the slow page-fault path on Pascal+ (unless it
     /// was prefetched).
-    pub fn launch(&self, stream: StreamId, exec: &KernelExec) -> Option<TaskId> {
+    ///
+    /// The launch is a borrowed [`Launch`]; a `&KernelExec` converts
+    /// into one.
+    pub fn launch<'a>(&self, stream: StreamId, exec: impl Into<Launch<'a>>) -> Option<TaskId> {
         self.launch_with_extra_deps(stream, exec, &[])
     }
 
     /// [`Cuda::launch`] with additional explicit dependencies (used by
     /// the grcuda scheduler to encode cross-stream DAG edges directly).
-    pub fn launch_with_extra_deps(
+    pub fn launch_with_extra_deps<'a>(
         &self,
         stream: StreamId,
-        exec: &KernelExec,
+        exec: impl Into<Launch<'a>>,
         extra_deps: &[TaskId],
     ) -> Option<TaskId> {
-        self.launch_inner(stream, exec, extra_deps, true)
+        self.launch_inner(stream, exec.into(), extra_deps, true)
     }
 
     /// [`Cuda::launch_with_extra_deps`] without the per-call host API
     /// charge — for batched submission paths that pay one amortized
     /// charge up front for the whole batch.
-    pub fn launch_uncharged(
+    pub fn launch_uncharged<'a>(
         &self,
         stream: StreamId,
-        exec: &KernelExec,
+        exec: impl Into<Launch<'a>>,
         extra_deps: &[TaskId],
     ) -> Option<TaskId> {
-        self.launch_inner(stream, exec, extra_deps, false)
+        self.launch_inner(stream, exec.into(), extra_deps, false)
     }
 
     fn launch_inner(
         &self,
         stream: StreamId,
-        exec: &KernelExec,
+        exec: Launch<'_>,
         extra_deps: &[TaskId],
         charge: bool,
     ) -> Option<TaskId> {
         let mut inner = self.inner.borrow_mut();
         if let Some(cap) = &mut inner.capture {
-            cap.record_kernel(stream, exec);
+            cap.record_kernel(stream, &exec);
             return None;
         }
         if charge {
@@ -717,19 +722,39 @@ enum Fetch {
 /// A DMA copy engine: `(link, direction)` into [`Inner::dma`].
 type DmaEngine = (LinkId, usize);
 
+/// State of allocation `v` in the id-indexed table, for writing (a free
+/// function so the other fields of [`Inner`] stay borrowable); an id
+/// this context never minted is a caller bug.
+fn state_mut(arrays: &mut [ArrayState], v: ValueId) -> &mut ArrayState {
+    arrays.get_mut(v.0 as usize).expect("unknown array")
+}
+
 fn count(counter: &mut (usize, usize), bytes: usize) {
     counter.0 += 1;
     counter.1 += bytes;
 }
 
 impl Inner {
+    /// State of an allocation of this context, for reading.
+    fn array(&self, v: ValueId) -> &ArrayState {
+        self.arrays.get(v.0 as usize).expect("unknown array")
+    }
+
+    /// A task label written into a string a completed task left behind.
+    fn label(&mut self, text: fmt::Arguments<'_>) -> String {
+        let mut label = self.engine.recycler().label();
+        label.write_fmt(text).expect("writing to a String");
+        label
+    }
+
     /// Shared kernel-submission path (used by direct launches and graph
     /// replays): migrate non-resident arguments, then submit the kernel
-    /// chained on the stream.
+    /// chained on the stream. The task's label, read/write lists and
+    /// payload are built from the engine's recycled buffers.
     pub(crate) fn submit_kernel(
         &mut self,
         stream: StreamId,
-        exec: &KernelExec,
+        exec: Launch<'_>,
         extra_deps: &[TaskId],
     ) -> TaskId {
         let kdev = self.streams[stream.0 as usize].device;
@@ -738,7 +763,7 @@ impl Inner {
         // argument must never evict a sibling.
         let mut pinned = std::mem::take(&mut self.pinned);
         pinned.clear();
-        for (v, _) in &exec.accesses {
+        for (v, _) in exec.accesses {
             if !pinned.contains(v) {
                 pinned.push(*v);
             }
@@ -746,15 +771,16 @@ impl Inner {
         for v in &pinned {
             let st = self
                 .arrays
-                .get(v)
+                .get_mut(v.0 as usize)
                 .expect("kernel argument not allocated here");
             let bytes = st.bytes;
             let route = route(st, kdev, self.engine.topology());
             if route == Route::InPlace {
                 // Already in place: bump the LRU clock, and credit the
                 // prefetcher if a prefetch put it there.
+                let prefetched = std::mem::take(&mut st.prefetched);
                 self.memgr.touch(kdev, *v);
-                if self.prefetched[kdev as usize].remove(v) {
+                if prefetched {
                     self.memgr.prefetcher.note_hit();
                 }
                 continue;
@@ -766,13 +792,25 @@ impl Inner {
         }
 
         let (solo, demand) = exec.cost.solo_profile(exec.grid, &self.dev);
-        let mut spec = TaskSpec::kernel(exec.name.clone(), stream.0);
+        let recycler = self.engine.recycler();
+        let mut label = recycler.label();
+        label.push_str(exec.name);
+        let mut spec = TaskSpec::kernel(label, stream.0);
+        spec.reads = recycler.values();
+        spec.writes = recycler.values();
+        for &(v, read_only) in exec.accesses {
+            if read_only {
+                spec.reads.push(v);
+            } else {
+                spec.writes.push(v);
+            }
+        }
+        let payload = recycler.kernel_payload(exec.body, exec.buffers, exec.scalars);
+        spec.on_complete = Some(payload);
         spec.device = kdev;
         spec.fixed_latency = self.dev.launch_overhead;
         spec.fluid_work = solo;
         spec.demand = demand;
-        spec.reads = exec.reads();
-        spec.writes = exec.writes();
         spec.meta.bytes = exec.cost.dram_bytes;
         spec.meta.flops32 = exec.cost.flops32;
         spec.meta.flops64 = exec.cost.flops64;
@@ -782,7 +820,6 @@ impl Inner {
         // beside the measured duration when the kernel completes.
         let elements = exec.buffers.iter().map(|b| b.len()).max().unwrap_or(0);
         spec.launch_shape = Some((exec.grid, elements));
-        spec.on_complete = Some(exec.make_payload());
 
         let mut deps = std::mem::take(&mut self.deps);
         deps.clear();
@@ -794,7 +831,7 @@ impl Inner {
 
         // A kernel that writes an array makes the device copy the only
         // current one.
-        for &(v, read_only) in &exec.accesses {
+        for &(v, read_only) in exec.accesses {
             if !read_only {
                 self.set_copies(v, Residency::Device, kdev, Some(t));
             }
@@ -821,10 +858,9 @@ impl Inner {
         stream: StreamId,
         fetch: Fetch,
     ) -> Option<TaskId> {
-        let st = &self.arrays[&v];
+        let st = self.array(v);
         let (bytes, src) = (st.bytes, st.device);
         let size = bytes as f64;
-        let topo = self.engine.topology();
         match route {
             Route::InPlace => return None,
             Route::HostLeg => {}
@@ -833,7 +869,8 @@ impl Inner {
             // opposite-direction traffic on the link's aggregate
             // bandwidth in the rate solver.
             Route::Peer(link) => {
-                let label = format!("p2p {v:?} d{src}->d{target}");
+                let label = self.label(format_args!("p2p {v:?} d{src}->d{target}"));
+                let topo = self.engine.topology();
                 let spec = TaskSpec::p2p_copy(label, stream.0, size, link, topo.link(link));
                 let dma = Some((link, (src > target) as usize));
                 count(&mut self.migrated, bytes);
@@ -850,13 +887,15 @@ impl Inner {
             // None of it blocks the host: each leg chains on the one
             // before through the array's `last_writer`.
             Route::Staged { nic } => {
-                let label = format!("migrate<-{v:?}");
+                let label = self.label(format_args!("migrate<-{v:?}"));
                 let d2h = TaskSpec::bulk_copy(TaskKind::CopyD2H, label, u32::MAX, size, &self.dev);
-                let d2h_engine = Some((topo.host_link(src), D2H));
+                let d2h_engine = Some((self.engine.topology().host_link(src), D2H));
                 let forward = nic.map(|link| {
+                    let topo = self.engine.topology();
                     let (sn, dn) = (topo.node_of(src), topo.node_of(target));
-                    let label = format!("nic {v:?} n{sn}->n{dn}");
-                    let spec = TaskSpec::p2p_copy(label, u32::MAX, size, link, topo.link(link));
+                    let label = self.label(format_args!("nic {v:?} n{sn}->n{dn}"));
+                    let link_spec = self.engine.topology().link(link);
+                    let spec = TaskSpec::p2p_copy(label, u32::MAX, size, link, link_spec);
                     (spec.on_device(target), Some((link, (sn > dn) as usize)))
                 });
                 let lands = (Residency::Both, src);
@@ -870,19 +909,19 @@ impl Inner {
                 self.note(v, bytes, target, MemEventKind::Migrated { p2p, cross_node });
             }
         }
-        let dev = &self.dev;
-        let (spec, dma) = if matches!(fetch, Fetch::Demand) && dev.supports_page_faults() {
+        let (spec, dma) = if matches!(fetch, Fetch::Demand) && self.dev.supports_page_faults() {
             // Fault-path migrations interleave page-by-page; they
             // contend through the fault controller, not a copy engine.
-            let (kind, label) = (TaskKind::FaultH2D, format!("umfault->{v:?}"));
-            let spec = TaskSpec::fault_migration(kind, label, stream.0, size, dev);
+            let label = self.label(format_args!("umfault->{v:?}"));
+            let kind = TaskKind::FaultH2D;
+            let spec = TaskSpec::fault_migration(kind, label, stream.0, size, &self.dev);
             (spec, None)
         } else {
             let label = match fetch {
-                Fetch::Demand => format!("h2d->{v:?}"),
-                Fetch::Prefetch => format!("prefetch {v:?}"),
+                Fetch::Demand => self.label(format_args!("h2d->{v:?}")),
+                Fetch::Prefetch => self.label(format_args!("prefetch {v:?}")),
             };
-            let spec = TaskSpec::bulk_copy(TaskKind::CopyH2D, label, stream.0, size, dev);
+            let spec = TaskSpec::bulk_copy(TaskKind::CopyH2D, label, stream.0, size, &self.dev);
             (spec, Some((self.engine.topology().host_link(target), H2D)))
         };
         let lands = (Residency::Both, target);
@@ -901,7 +940,7 @@ impl Inner {
     fn submit_leg(
         &mut self,
         v: ValueId,
-        spec: TaskSpec,
+        mut spec: TaskSpec,
         dma: Option<DmaEngine>,
         lands: (Residency, u32),
     ) -> TaskId {
@@ -909,7 +948,7 @@ impl Inner {
         let waits = [
             stream.and_then(|s| self.streams[s].last),
             dma.and_then(|(link, dir)| self.dma[link.0 as usize][dir]),
-            self.arrays[&v].last_writer,
+            self.array(v).last_writer,
         ];
         let mut deps = [TaskId(0); 3];
         let mut n = 0;
@@ -917,7 +956,9 @@ impl Inner {
             deps[n] = t;
             n += 1;
         }
-        let t = self.engine.submit(spec.reading(&[v]), &deps[..n]);
+        spec.reads = self.engine.recycler().values();
+        spec.reads.push(v);
+        let t = self.engine.submit(spec, &deps[..n]);
         if let Some(s) = stream {
             self.streams[s].last = Some(t);
         }
@@ -942,7 +983,7 @@ impl Inner {
         producer: Option<TaskId>,
     ) {
         let now = self.engine.now();
-        let st = self.arrays.get_mut(&v).expect("unknown array");
+        let st = state_mut(&mut self.arrays, v);
         let old = st.residency.on_device().then_some(st.device);
         let new = residency.on_device().then_some(device);
         // Whoever makes the host copy current produced it; it keeps its
@@ -959,8 +1000,8 @@ impl Inner {
         if old != new {
             let bytes = st.bytes;
             if let Some(od) = old {
+                st.prefetched = false;
                 self.memgr.remove(od, v, now);
-                self.prefetched[od as usize].remove(&v);
             }
             if let Some(nd) = new {
                 self.memgr.insert(nd, v, bytes, now);
@@ -1006,7 +1047,7 @@ impl Inner {
         // possible re-fetch one host-link leg; dirty data pays the spill
         // leg too, a host-staged round trip.
         let price = |vid: ValueId, vbytes: usize| {
-            let back = match self.arrays[&vid].residency {
+            let back = match self.array(vid).residency {
                 Residency::Device => Route::Staged { nic: None },
                 _ => Route::HostLeg,
             };
@@ -1037,13 +1078,13 @@ impl Inner {
     /// free. Either way the array becomes host-resident, and its next
     /// kernel use pays a fresh migration chained on the spill.
     fn evict(&mut self, device: u32, v: ValueId) {
-        let st = &self.arrays[&v];
+        let st = self.array(v);
         debug_assert!(st.residency.on_device() && st.device == device);
-        let bytes = st.bytes;
+        let (bytes, host_writer) = (st.bytes, st.host_writer);
         let spilled = if st.residency == Residency::Device {
             // The spill is the host copy's producer: host reads block on
             // it, and the next migration of this array chains after it.
-            let label = format!("evict<-{v:?}");
+            let label = self.label(format_args!("evict<-{v:?}"));
             let size = bytes as f64;
             let spill = TaskSpec::bulk_copy(TaskKind::CopyD2H, label, u32::MAX, size, &self.dev);
             let dma = Some((self.engine.topology().host_link(device), D2H));
@@ -1059,7 +1100,7 @@ impl Inner {
             // earlier eviction, and behind it the kernel that wrote the
             // data) may be too, and the next re-fetch has to wait for
             // it like the dropped one did.
-            self.set_copies(v, Residency::Host, device, st.host_writer);
+            self.set_copies(v, Residency::Host, device, host_writer);
             0
         };
         self.memgr.record_eviction(spilled);
@@ -1085,6 +1126,7 @@ impl Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::KernelExec;
     use gpu_sim::{Grid, KernelCost};
     use std::rc::Rc;
 
@@ -1105,6 +1147,37 @@ mod tests {
             vec![(arr.id, false)],
             Rc::new(|_| {}),
         )
+    }
+
+    #[test]
+    fn arrays_of_another_context_are_refused_by_name() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // `ours` has minted no id at all, so the stranger's handle falls
+        // outside its table: every entry point must say what is wrong,
+        // not fail on a bare index.
+        let stranger = ctx().alloc_f32(16);
+        let message = |f: &dyn Fn(&Cuda)| {
+            let ours = ctx();
+            let panic = catch_unwind(AssertUnwindSafe(|| f(&ours))).expect_err("must refuse");
+            let text = panic.downcast_ref::<&str>().map(|s| s.to_string());
+            text.or_else(|| panic.downcast_ref::<String>().cloned())
+                .expect("a panic message")
+        };
+        let unknown: [&dyn Fn(&Cuda); 5] = [
+            &|c| _ = c.residency(&stranger),
+            &|c| _ = c.host_read(&stranger, 4),
+            &|c| c.host_written(&stranger),
+            &|c| _ = c.prefetch_async(c.default_stream(), &stranger),
+            &|c| _ = c.placement_probe(&stranger, &mut [0.0]),
+        ];
+        for f in unknown {
+            assert!(message(f).contains("unknown array"));
+        }
+        let launch = |c: &Cuda| {
+            let k = simple_kernel(c, "k", &stranger, 0.1);
+            c.launch(c.default_stream(), &k);
+        };
+        assert!(message(&launch).contains("kernel argument not allocated here"));
     }
 
     #[test]
@@ -1894,6 +1967,7 @@ mod tests {
 #[cfg(test)]
 mod edge_tests {
     use super::*;
+    use crate::exec::KernelExec;
     use gpu_sim::{Grid, KernelCost};
     use std::rc::Rc;
 

@@ -2,11 +2,11 @@
 
 use std::rc::Rc;
 
-use gpu_sim::{DataBuffer, Grid, KernelCost, ValueId};
+use gpu_sim::{DataBuffer, Grid, KernelBody, KernelCost, ValueId};
 
 /// The functional implementation of a launch: runs on the host buffers
 /// when the simulated kernel completes.
-pub type KernelFunc = Rc<dyn Fn(&[DataBuffer])>;
+pub use gpu_sim::KernelFunc;
 
 /// Everything needed to execute one kernel launch: the launch
 /// configuration, the analytic cost, the argument buffers (for the
@@ -15,6 +15,8 @@ pub type KernelFunc = Rc<dyn Fn(&[DataBuffer])>;
 ///
 /// `KernelExec` is cloneable so CUDA Graphs can replay the same launch
 /// many times; the functional implementation is shared behind an `Rc`.
+/// It owns its parts; a [`Launch`] is the same launch borrowed, which
+/// is what the context takes.
 #[derive(Clone)]
 pub struct KernelExec {
     /// Kernel name (timeline label).
@@ -69,30 +71,65 @@ impl KernelExec {
             func,
         }
     }
+}
 
-    /// Values this launch writes.
-    pub fn writes(&self) -> Vec<ValueId> {
-        self.accesses
-            .iter()
-            .filter(|(_, ro)| !ro)
-            .map(|(v, _)| *v)
-            .collect()
+/// One kernel launch, borrowed from whoever assembled it: the form
+/// [`crate::Cuda::launch`] and its variants take, so a caller that
+/// launches from retained buffers (the grcuda scheduler) builds no
+/// owned descriptor per launch. `&KernelExec` converts into it.
+#[derive(Clone)]
+pub struct Launch<'a> {
+    /// Kernel name (timeline label).
+    pub name: &'a str,
+    /// Launch configuration.
+    pub grid: Grid,
+    /// Device-independent work description.
+    pub cost: KernelCost,
+    /// Argument buffers, passed to `body` in order.
+    pub buffers: &'a [DataBuffer],
+    /// Per-argument `(value, read_only)` access modes, index-aligned
+    /// with `buffers`.
+    pub accesses: &'a [(ValueId, bool)],
+    /// The functional implementation: runs on the host data when the
+    /// simulated kernel completes.
+    pub body: KernelBody,
+    /// Scalar arguments handed to a [`KernelBody::Fn`] body.
+    pub scalars: &'a [f64],
+}
+
+impl<'a> From<&'a KernelExec> for Launch<'a> {
+    fn from(exec: &'a KernelExec) -> Self {
+        Launch {
+            name: &exec.name,
+            grid: exec.grid,
+            cost: exec.cost,
+            buffers: &exec.buffers,
+            accesses: &exec.accesses,
+            body: KernelBody::Shared(Rc::clone(&exec.func)),
+            scalars: &[],
+        }
     }
+}
 
-    /// Values this launch only reads.
-    pub fn reads(&self) -> Vec<ValueId> {
-        self.accesses
-            .iter()
-            .filter(|(_, ro)| *ro)
-            .map(|(v, _)| *v)
-            .collect()
-    }
-
-    /// A closure running the functional implementation once.
-    pub fn make_payload(&self) -> Box<dyn FnOnce()> {
-        let func = Rc::clone(&self.func);
-        let buffers = self.buffers.clone();
-        Box::new(move || func(&buffers))
+impl Launch<'_> {
+    /// An owned copy, for launches recorded into a graph during stream
+    /// capture.
+    pub(crate) fn to_exec(&self) -> KernelExec {
+        let func: KernelFunc = match &self.body {
+            KernelBody::Shared(f) => Rc::clone(f),
+            KernelBody::Fn(f) => {
+                let (f, scalars) = (*f, self.scalars.to_vec());
+                Rc::new(move |buffers: &[DataBuffer]| f(buffers, &scalars))
+            }
+        };
+        KernelExec::new(
+            self.name,
+            self.grid,
+            self.cost,
+            self.buffers.to_vec(),
+            self.accesses.to_vec(),
+            func,
+        )
     }
 }
 
@@ -101,37 +138,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reads_and_writes_split_by_access_mode() {
-        let b = DataBuffer::f32_zeros(1);
-        let k = KernelExec::new(
-            "k",
-            Grid::d1(1, 32),
-            KernelCost::default(),
-            vec![b.clone(), b.clone()],
-            vec![(ValueId(0), true), (ValueId(1), false)],
-            Rc::new(|_| {}),
-        );
-        assert_eq!(k.reads(), vec![ValueId(0)]);
-        assert_eq!(k.writes(), vec![ValueId(1)]);
-    }
-
-    #[test]
     fn payload_executes_functional_impl() {
-        let b = DataBuffer::f32_zeros(2);
+        let c = crate::Cuda::new(gpu_sim::DeviceProfile::tesla_p100());
+        let a = c.alloc_f32(2);
         let k = KernelExec::new(
             "fill",
             Grid::d1(1, 32),
             KernelCost::default(),
-            vec![b.clone()],
-            vec![(ValueId(0), false)],
+            vec![a.buf.clone()],
+            vec![(a.id, false)],
             Rc::new(|bufs: &[DataBuffer]| {
                 for x in bufs[0].as_f32_mut().iter_mut() {
                     *x = 9.0;
                 }
             }),
         );
-        k.make_payload()();
-        assert_eq!(*b.as_f32(), vec![9.0, 9.0]);
+        // The owned descriptor and a borrowed launch with a plain
+        // function and scalars run the same way, once each.
+        c.launch(c.default_stream(), &k);
+        c.device_sync();
+        assert_eq!(*a.buf.as_f32(), vec![9.0, 9.0]);
+        let add: fn(&[DataBuffer], &[f64]) = |bufs, scalars| {
+            for x in bufs[0].as_f32_mut().iter_mut() {
+                *x += scalars[0] as f32;
+            }
+        };
+        let launch = Launch {
+            body: KernelBody::Fn(add),
+            scalars: &[0.5],
+            ..Launch::from(&k)
+        };
+        // A captured launch keeps its scalars when it is replayed.
+        c.begin_capture();
+        assert!(c.launch(c.default_stream(), launch.clone()).is_none());
+        let graph = c.end_capture();
+        c.launch(c.default_stream(), launch);
+        let done = graph.launch(&c);
+        c.task_sync(done);
+        c.device_sync();
+        assert_eq!(*a.buf.as_f32(), vec![10.0, 10.0]);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use gpu_sim::{TaskId, TaskSpec};
 
 use crate::context::{Cuda, StreamId};
-use crate::exec::KernelExec;
+use crate::exec::{KernelExec, Launch};
 
 /// Host-side cost of instantiating one graph node (paid on the first
 /// launch only; `cudaGraphInstantiate` analogue).
@@ -151,7 +151,7 @@ impl CudaGraph {
             }
             let dep_tasks: Vec<TaskId> = node.deps.iter().map(|d| task_of[d.0 as usize]).collect();
             let t = match &node.op {
-                GraphOp::Kernel(exec) => inner.submit_kernel(stream_of[i], exec, &dep_tasks),
+                GraphOp::Kernel(exec) => inner.submit_kernel(stream_of[i], exec.into(), &dep_tasks),
                 GraphOp::Empty => {
                     let spec = TaskSpec::marker("graph-join", stream_of[i].0);
                     inner.engine.submit(spec, &dep_tasks)
@@ -186,14 +186,14 @@ impl CaptureState {
         }
     }
 
-    pub(crate) fn record_kernel(&mut self, stream: StreamId, exec: &KernelExec) {
+    pub(crate) fn record_kernel(&mut self, stream: StreamId, exec: &Launch<'_>) {
         let deps: Vec<GraphNodeId> = self
             .tails
             .get(&stream.0)
             .map(|v| v.iter().map(|&i| GraphNodeId(i)).collect())
             .unwrap_or_default();
         self.nodes.push(GraphNode {
-            op: GraphOp::Kernel(exec.clone()),
+            op: GraphOp::Kernel(exec.to_exec()),
             deps,
             stream_hint: Some(stream.0),
         });

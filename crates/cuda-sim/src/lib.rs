@@ -36,7 +36,7 @@ pub mod memory;
 mod route;
 
 pub use context::{Cuda, EventId, StreamId};
-pub use exec::KernelExec;
+pub use exec::{KernelExec, Launch};
 pub use graph::{CudaGraph, GraphNodeId};
 pub use memory::{MemEvent, MemEventKind, Residency, UnifiedArray};
 

@@ -95,6 +95,10 @@ pub(crate) struct ArrayState {
     /// Which device holds the current device copy (meaningful while
     /// `residency.on_device()`; always 0 on single-device contexts).
     pub device: u32,
+    /// The device copy was brought in by a prefetch and no kernel has
+    /// used it yet — what a prefetch *hit* is counted against. Cleared
+    /// when a kernel finds it or the copy leaves the device.
+    pub prefetched: bool,
     /// The task that produced the current copy (a writing kernel, the
     /// transfer that last moved it, or the eviction spill that pushed it
     /// back to the host). Cross-device migrations chain their

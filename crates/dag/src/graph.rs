@@ -94,6 +94,13 @@ struct ValueState {
 /// O(lifetime launches). Ids of live vertices are stable across
 /// compaction; looking up a compacted id panics, exactly like looking up
 /// an id that was never allocated.
+///
+/// Compaction keeps what it reclaims: up to `RECYCLED_MAX` retired
+/// vertices (their label, argument, dependency-set, parent and child
+/// buffers) and as many reader lists of dropped value states wait for
+/// the next registrations, which re-initialise them in place. The DAG
+/// owns these buffers between launches; nothing observable distinguishes
+/// a recycled vertex from a fresh one.
 #[derive(Debug, Default, Clone)]
 pub struct ComputationDag {
     /// Stored vertices in ascending-id order: the live set plus retired
@@ -110,6 +117,39 @@ pub struct ComputationDag {
     /// Eviction/prefetch annotations, pruned with their vertices on
     /// compaction so they stay O(live computations) too.
     mem_notes: Vec<MemNote>,
+    /// Retired vertices reclaimed by [`ComputationDag::compact`], kept
+    /// for their buffers.
+    free_vertices: Vec<Vertex>,
+    /// Reader lists of the value states compaction dropped, emptied.
+    free_readers: Vec<Vec<VertexId>>,
+    /// Work stack of [`ComputationDag::retire`], empty between calls.
+    retire_stack: Vec<VertexId>,
+}
+
+/// Most retired vertices (and dropped reader lists) kept for reuse: the
+/// same bound as the engine's buffer pools (`gpu_sim::recycle::POOL_MAX`),
+/// sized so the window of launches between two synchronizations is
+/// re-registered from the free list entirely. Past it the rest is freed
+/// as before, so a burst does not pin its storage.
+const RECYCLED_MAX: usize = 384;
+
+/// Storage slot of `id` among `vertices` (ascending ids, all below
+/// `next_id`). Ids ascend by one wherever compaction left no gap, so the
+/// slot is guessed by counting back from the tail and verified; a gap —
+/// between the two, or after the newest stored vertex — can only make
+/// the guess land too early, and a search over the rest finds the id.
+fn slot_in(vertices: &[Vertex], next_id: u32, id: VertexId) -> Option<usize> {
+    if id.0 >= next_id {
+        return None;
+    }
+    let guess = vertices.len().saturating_sub((next_id - id.0) as usize);
+    match vertices.get(guess) {
+        Some(v) if v.id == id => Some(guess),
+        _ => vertices[guess..]
+            .binary_search_by_key(&id, |v| v.id)
+            .ok()
+            .map(|i| guess + i),
+    }
 }
 
 impl ComputationDag {
@@ -145,10 +185,10 @@ impl ComputationDag {
         self.values.len()
     }
 
-    /// Storage slot of a stored vertex (ids are stored in ascending
-    /// order, so a binary search suffices).
+    /// Storage slot of a stored vertex: O(1) unless a compaction gap
+    /// separates it from the newest vertex (see [`slot_in`]).
     fn slot(&self, id: VertexId) -> Option<usize> {
-        self.vertices.binary_search_by_key(&id, |v| v.id).ok()
+        slot_in(&self.vertices, self.next_id, id)
     }
 
     /// Look up a stored vertex, or `None` if the id was compacted away
@@ -197,13 +237,16 @@ impl ComputationDag {
     /// The dependency set of a vertex (exposed for tests that mirror the
     /// paper's Fig. 3/4 walk-throughs).
     pub fn dep_set(&self, id: VertexId) -> Vec<Value> {
-        self.vertex(id).dep_set.iter().copied().collect()
+        self.vertex(id).dep_set.clone()
     }
 
     /// Register a new computational element and infer its dependencies.
     ///
-    /// Returns the new vertex id and the (deduplicated) list of *active*
-    /// vertices it depends on. The rules follow the paper's Fig. 3:
+    /// Returns the new vertex id; `deps` is overwritten with the
+    /// (deduplicated) list of *active* vertices it depends on, in
+    /// discovery order. Nothing is allocated while recycled vertices
+    /// last and the caller's `deps` has room. The rules follow the
+    /// paper's Fig. 3:
     ///
     /// * read-only argument → depend on the value's last active writer;
     ///   the writer's dependency set is **not** consumed;
@@ -211,48 +254,60 @@ impl ComputationDag {
     ///   write if any (WAR), otherwise on the last writer (RAW/WAW);
     ///   either way the value is consumed from all previous holders'
     ///   dependency sets and this vertex becomes the value's writer.
-    pub fn add_computation(
+    pub fn register(
         &mut self,
         kind: ElementKind,
-        label: impl Into<String>,
-        args: Vec<ArgAccess>,
-    ) -> (VertexId, Vec<VertexId>) {
+        label: &str,
+        args: &[ArgAccess],
+        deps: &mut Vec<VertexId>,
+    ) -> VertexId {
         let id = VertexId(self.next_id);
         // Fail loudly rather than wrap: a wrapped id would land out of
         // order in the ascending-sorted storage and silently break the
-        // binary-search lookups (and with them, dependency inference).
+        // slot lookups (and with them, dependency inference).
         self.next_id = self
             .next_id
             .checked_add(1)
             .expect("vertex id space exhausted (2^32 computations)");
-        let vertex = Vertex::new(id, kind, label.into(), args.clone());
+        let vertex = match self.free_vertices.pop() {
+            Some(mut v) => {
+                v.reset(id, kind, label, args);
+                v
+            }
+            None => Vertex::new(id, kind, label, args),
+        };
         self.vertices.push(vertex);
 
-        let mut deps: Vec<VertexId> = Vec::new();
-        for arg in &args {
-            let state = self.values.entry_or_default(arg.value);
+        deps.clear();
+        for arg in args {
             if arg.read_only {
-                if let Some(w) = state.last_writer {
+                if let Some(w) = self.values.entry_or_default(arg.value).last_writer {
                     if w != id && self.is_dep_source(w, arg.value) {
-                        push_unique(&mut deps, w);
+                        push_unique(deps, w);
                         self.record_edge(w, id, arg.value, true);
                     }
                 }
-                let state = self.values.entry_or_default(arg.value);
-                state.readers_since_write.push(id);
+                let readers = &mut self.values.entry_or_default(arg.value).readers_since_write;
+                if readers.capacity() == 0 {
+                    if let Some(list) = self.free_readers.pop() {
+                        *readers = list;
+                    }
+                }
+                readers.push(id);
             } else {
                 // Writer: WAR on readers if any, else RAW/WAW on writer.
-                let readers = std::mem::take(
-                    &mut self.values.entry_or_default(arg.value).readers_since_write,
-                );
-                let prev_writer = self.values.entry_or_default(arg.value).last_writer;
+                // The value's reader list is borrowed for the scan and
+                // handed back empty, capacity kept.
+                let state = self.values.entry_or_default(arg.value);
+                let prev_writer = state.last_writer;
+                let mut readers = std::mem::take(&mut state.readers_since_write);
                 let mut found_dep = false;
-                for r in readers {
+                for &r in &readers {
                     if r == id {
                         continue;
                     }
                     if self.is_dep_source(r, arg.value) {
-                        push_unique(&mut deps, r);
+                        push_unique(deps, r);
                         self.record_edge(r, id, arg.value, false);
                         found_dep = true;
                     }
@@ -261,17 +316,20 @@ impl ComputationDag {
                 if let Some(w) = prev_writer {
                     if w != id {
                         if !found_dep && self.is_dep_source(w, arg.value) {
-                            push_unique(&mut deps, w);
+                            push_unique(deps, w);
                             self.record_edge(w, id, arg.value, false);
                         }
                         self.consume(w, arg.value);
                     }
                 }
-                self.values.entry_or_default(arg.value).last_writer = Some(id);
+                readers.clear();
+                let state = self.values.entry_or_default(arg.value);
+                state.readers_since_write = readers;
+                state.last_writer = Some(id);
             }
         }
 
-        for d in &deps {
+        for d in deps.iter() {
             if let Some(i) = self.slot(*d) {
                 self.vertices[i].children.push(id);
             }
@@ -279,7 +337,21 @@ impl ComputationDag {
         self.vertices
             .last_mut()
             .expect("vertex pushed above")
-            .parents = deps.clone();
+            .parents
+            .extend_from_slice(deps);
+        id
+    }
+
+    /// [`ComputationDag::register`] for callers that own their label and
+    /// argument list and want the dependency list returned.
+    pub fn add_computation(
+        &mut self,
+        kind: ElementKind,
+        label: impl Into<String>,
+        args: Vec<ArgAccess>,
+    ) -> (VertexId, Vec<VertexId>) {
+        let mut deps = Vec::new();
+        let id = self.register(kind, &label.into(), &args, &mut deps);
         (id, deps)
     }
 
@@ -303,7 +375,8 @@ impl ComputationDag {
         } else {
             ArgAccess::read(value)
         };
-        let (id, deps) = self.add_computation(ElementKind::ArrayAccess, label, vec![arg]);
+        let mut deps = Vec::new();
+        let id = self.register(ElementKind::ArrayAccess, &label.into(), &[arg], &mut deps);
         (Some(id), deps)
     }
 
@@ -338,7 +411,8 @@ impl ComputationDag {
     /// stream maps) along with them.
     pub fn retire(&mut self, id: VertexId) -> Vec<VertexId> {
         let mut retired = Vec::new();
-        let mut stack = vec![id];
+        let mut stack = std::mem::take(&mut self.retire_stack);
+        stack.push(id);
         while let Some(v) = stack.pop() {
             let Some(i) = self.slot(v) else {
                 continue; // already compacted away — long retired
@@ -351,6 +425,7 @@ impl ComputationDag {
             retired.push(v);
             stack.extend(self.vertices[i].parents.iter().copied());
         }
+        self.retire_stack = stack;
         retired
     }
 
@@ -371,27 +446,42 @@ impl ComputationDag {
             return 0;
         }
         let dropped = self.retired_stored;
-        self.vertices.retain(|v| v.active);
+        // Live vertices slide to the front in order; the retired tail
+        // goes to the free list instead of the allocator.
+        let mut live = 0;
+        for i in 0..self.vertices.len() {
+            if self.vertices[i].active {
+                self.vertices.swap(live, i);
+                live += 1;
+            }
+        }
+        let room = RECYCLED_MAX.saturating_sub(self.free_vertices.len());
+        let retired = self.vertices.drain(live..);
+        self.free_vertices.extend(retired.take(room));
         self.retired_stored = 0;
 
-        let vertices = &self.vertices;
-        let stored = |id: VertexId| vertices.binary_search_by_key(&id, |v| v.id).is_ok();
+        let (vertices, next_id) = (&self.vertices, self.next_id);
+        let stored = |id: VertexId| slot_in(vertices, next_id, id).is_some();
         self.edges.retain(|e| stored(e.from) && stored(e.to));
         self.mem_notes.retain(|n| stored(n.vertex));
 
         // A value state is only worth keeping while some referenced
         // vertex can still introduce a dependency through the value.
         let is_source = |id: VertexId, value: Value| {
-            vertices
-                .binary_search_by_key(&id, |v| v.id)
-                .is_ok_and(|i| vertices[i].active && vertices[i].dep_set.contains(&value))
+            slot_in(vertices, next_id, id)
+                .is_some_and(|i| vertices[i].active && vertices[i].dep_set.contains(&value))
         };
+        let free_readers = &mut self.free_readers;
         self.values.retain(|value, st| {
             st.readers_since_write.retain(|&r| is_source(r, value));
             if st.last_writer.is_some_and(|w| !is_source(w, value)) {
                 st.last_writer = None;
             }
-            st.last_writer.is_some() || !st.readers_since_write.is_empty()
+            let keep = st.last_writer.is_some() || !st.readers_since_write.is_empty();
+            if !keep && st.readers_since_write.capacity() > 0 && free_readers.len() < RECYCLED_MAX {
+                free_readers.push(std::mem::take(&mut st.readers_since_write));
+            }
+            keep
         });
         dropped
     }
@@ -417,7 +507,7 @@ impl ComputationDag {
     /// it).
     fn consume(&mut self, v: VertexId, value: Value) {
         if let Some(i) = self.slot(v) {
-            self.vertices[i].dep_set.remove(&value);
+            self.vertices[i].dep_set.retain(|held| *held != value);
         }
     }
 
@@ -935,6 +1025,32 @@ mod tests {
         }
         assert!(dag.maybe_compact() > 0, "mostly-dead storage compacts");
         assert_eq!(dag.stored_len(), 0);
+    }
+
+    #[test]
+    fn lookups_find_every_stored_vertex_across_compaction_gaps() {
+        // Twelve independent vertices; retiring a scattered third of
+        // them and compacting leaves gaps in the stored id sequence.
+        let mut dag = ComputationDag::new();
+        let ids: Vec<VertexId> = (0..12)
+            .map(|i| kernel(&mut dag, "k", vec![ArgAccess::write(Value(i))]).0)
+            .collect();
+        let gone = [0usize, 3, 4, 9];
+        for &i in &gone {
+            dag.retire(ids[i]);
+        }
+        dag.compact();
+        let (newest, _) = kernel(&mut dag, "k", vec![ArgAccess::write(Value(99))]);
+        for (i, &id) in ids.iter().enumerate() {
+            let found = dag.try_vertex(id).map(|v| v.id);
+            let want = (!gone.contains(&i)).then_some(id);
+            assert_eq!(found, want, "vertex {i}");
+        }
+        assert_eq!(dag.vertex(newest).id, newest);
+        // Ids never allocated answer politely too.
+        assert!(dag.try_vertex(VertexId(newest.0 + 1)).is_none());
+        assert!(dag.try_vertex(VertexId(u32::MAX)).is_none());
+        assert!(ComputationDag::new().try_vertex(VertexId(0)).is_none());
     }
 
     #[test]

@@ -214,6 +214,154 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Recycling is invisible.
+//
+// `compact` keeps retired vertices and dropped reader lists and hands
+// their buffers to later registrations. Differential check: the same
+// random program drives a DAG that compacts (and so recycles) whenever
+// the program says, and one that never compacts before the end, so all
+// of its vertices were built fresh. Every step must return the same
+// ids and dependencies, and what is stored must match field for field.
+// ---------------------------------------------------------------------
+
+/// One step of a program over the DAG's whole mutating surface.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Register a computation; the recycling side uses the borrowed
+    /// entry when `borrowed`, the owned wrapper otherwise.
+    Add {
+        op: Op,
+        label: usize,
+        library: bool,
+        borrowed: bool,
+        device: Option<u32>,
+    },
+    /// A CPU access (modeled only when it conflicts).
+    Access {
+        value: u64,
+        write: bool,
+    },
+    /// Retire the `nth` stored vertex (modulo the stored count) and its
+    /// ancestors.
+    Retire(usize),
+    RetireAll,
+    Compact,
+}
+
+/// Labels of different lengths, so a recycled label buffer that kept
+/// stale bytes would show.
+const LABELS: [&str; 3] = ["k", "scale", "a-rather-long-kernel-name"];
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    let add = || {
+        let parts = (
+            op_strategy(5),
+            0..LABELS.len(),
+            proptest::bool::ANY,
+            proptest::bool::ANY,
+            0..3u32,
+        );
+        parts.prop_map(|(op, label, library, borrowed, device)| Step::Add {
+            op,
+            label,
+            library,
+            borrowed,
+            device: device.checked_sub(1),
+        })
+    };
+    prop_oneof![
+        add(),
+        add(), // registrations outnumber everything else
+        add(),
+        (0..5u64, proptest::bool::ANY).prop_map(|(value, write)| Step::Access { value, write }),
+        (0..16usize).prop_map(Step::Retire),
+        Just(Step::RetireAll),
+        Just(Step::Compact),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn a_recycling_dag_is_indistinguishable_from_a_fresh_one(
+        steps in proptest::collection::vec(step_strategy(), 1..80)
+    ) {
+        let mut recycling = ComputationDag::new();
+        let mut fresh = ComputationDag::new();
+        let mut deps = Vec::new();
+        for step in &steps {
+            match step {
+                Step::Add { op, label, library, borrowed, device } => {
+                    let kind = if *library { ElementKind::Library } else { ElementKind::Kernel };
+                    let label = LABELS[*label];
+                    let (want, want_deps) = fresh.add_computation(kind, label, op.args.clone());
+                    let got = if *borrowed {
+                        recycling.register(kind, label, &op.args, &mut deps)
+                    } else {
+                        let (id, owned) = recycling.add_computation(kind, label, op.args.clone());
+                        deps = owned;
+                        id
+                    };
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(&deps, &want_deps);
+                    if let Some(d) = device {
+                        recycling.set_device(got, *d);
+                        fresh.set_device(want, *d);
+                    }
+                }
+                Step::Access { value, write } => {
+                    let got = recycling.add_array_access("cpu", Value(*value), *write);
+                    let want = fresh.add_array_access("cpu", Value(*value), *write);
+                    prop_assert_eq!(got, want);
+                }
+                Step::Retire(nth) => {
+                    if recycling.stored_len() > 0 {
+                        let id = recycling.vertices()[nth % recycling.stored_len()].id;
+                        prop_assert_eq!(recycling.retire(id), fresh.retire(id));
+                    }
+                }
+                Step::RetireAll => {
+                    recycling.retire_all();
+                    fresh.retire_all();
+                }
+                Step::Compact => {
+                    recycling.compact();
+                }
+            }
+            // Whatever the recycling side still stores reads exactly
+            // like the never-recycled vertex of the same id.
+            for v in recycling.vertices() {
+                prop_assert_eq!(format!("{v:?}"), format!("{:?}", fresh.vertex(v.id)));
+                prop_assert_eq!(recycling.dep_set(v.id), fresh.dep_set(v.id));
+            }
+            prop_assert_eq!(recycling.frontier(), fresh.frontier());
+            prop_assert_eq!(recycling.len(), fresh.len());
+        }
+        // Compacted once, the fresh DAG stores what the recycling one
+        // does: same vertices, edges, value states and render.
+        recycling.compact();
+        fresh.compact();
+        prop_assert_eq!(
+            format!("{:?}", recycling.vertices()),
+            format!("{:?}", fresh.vertices())
+        );
+        prop_assert_eq!(recycling.edges(), fresh.edges());
+        prop_assert_eq!(recycling.value_states_len(), fresh.value_states_len());
+        prop_assert_eq!(
+            crate::dot::to_dot(&recycling, "g"),
+            crate::dot::to_dot(&fresh, "g")
+        );
+        // And both go on inferring the same dependencies.
+        let probe: Vec<ArgAccess> = (0..5).map(|v| ArgAccess::write(Value(v))).collect();
+        prop_assert_eq!(
+            recycling.add_computation(ElementKind::Kernel, "probe", probe.clone()),
+            fresh.add_computation(ElementKind::Kernel, "probe", probe)
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
 // DenseMap/DenseSet window edges under a drain-style workload.
 //
 // The serving layer retires requests out of arrival order (fairness

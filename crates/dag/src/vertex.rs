@@ -1,7 +1,5 @@
 //! Vertices of the computation DAG.
 
-use std::collections::BTreeSet;
-
 /// Identifier of a computational element inside one [`crate::ComputationDag`].
 /// Monotonically increasing in submission order, so `a.0 < b.0` iff `a`
 /// was submitted before `b` — the property that makes the graph acyclic
@@ -72,8 +70,9 @@ pub struct Vertex {
     pub args: Vec<ArgAccess>,
     /// The *dependency set*: values through which this vertex can still
     /// introduce dependencies on future computations. Starts as all
-    /// argument values; shrinks as later writers consume them.
-    pub dep_set: BTreeSet<Value>,
+    /// argument values; shrinks as later writers consume them. Sorted
+    /// ascending, each value once.
+    pub dep_set: Vec<Value>,
     /// Direct parents (dependencies), deduplicated, in discovery order.
     pub parents: Vec<VertexId>,
     /// Direct children (dependents), in creation order. The stream
@@ -92,24 +91,48 @@ pub struct Vertex {
 }
 
 impl Vertex {
-    pub(crate) fn new(
-        id: VertexId,
-        kind: ElementKind,
-        label: String,
-        args: Vec<ArgAccess>,
-    ) -> Self {
-        let dep_set = args.iter().map(|a| a.value).collect();
-        Vertex {
+    pub(crate) fn new(id: VertexId, kind: ElementKind, label: &str, args: &[ArgAccess]) -> Self {
+        let mut v = Vertex {
             id,
             kind,
-            label,
-            args,
-            dep_set,
+            label: String::new(),
+            args: Vec::new(),
+            dep_set: Vec::new(),
             parents: Vec::new(),
             children: Vec::new(),
             active: true,
             device: None,
+        };
+        v.reset(id, kind, label, args);
+        v
+    }
+
+    /// Make this a freshly registered vertex again, keeping the heap
+    /// buffers of whatever it was before: how the DAG turns a retired
+    /// vertex into the next registration without allocating.
+    pub(crate) fn reset(
+        &mut self,
+        id: VertexId,
+        kind: ElementKind,
+        label: &str,
+        args: &[ArgAccess],
+    ) {
+        self.id = id;
+        self.kind = kind;
+        self.label.clear();
+        self.label.push_str(label);
+        self.args.clear();
+        self.args.extend_from_slice(args);
+        self.dep_set.clear();
+        for a in args {
+            if let Err(at) = self.dep_set.binary_search(&a.value) {
+                self.dep_set.insert(at, a.value);
+            }
         }
+        self.parents.clear();
+        self.children.clear();
+        self.active = true;
+        self.device = None;
     }
 
     /// True once the dependency set is empty: the vertex "can no longer
@@ -138,8 +161,8 @@ mod tests {
         let v = Vertex::new(
             VertexId(0),
             ElementKind::Kernel,
-            "k".into(),
-            vec![ArgAccess::write(Value(1)), ArgAccess::read(Value(2))],
+            "k",
+            &[ArgAccess::write(Value(1)), ArgAccess::read(Value(2))],
         );
         assert_eq!(v.dep_set.len(), 2);
         assert!(v.dep_set.contains(&Value(1)) && v.dep_set.contains(&Value(2)));
@@ -152,8 +175,8 @@ mod tests {
         let v = Vertex::new(
             VertexId(0),
             ElementKind::Kernel,
-            "k".into(),
-            vec![ArgAccess::write(Value(1)), ArgAccess::read(Value(2))],
+            "k",
+            &[ArgAccess::write(Value(1)), ArgAccess::read(Value(2))],
         );
         assert!(v.writes(Value(1)));
         assert!(!v.writes(Value(2)));
@@ -167,8 +190,8 @@ mod tests {
         let v = Vertex::new(
             VertexId(0),
             ElementKind::Kernel,
-            "k".into(),
-            vec![ArgAccess::read(Value(1)), ArgAccess::write(Value(1))],
+            "k",
+            &[ArgAccess::read(Value(1)), ArgAccess::write(Value(1))],
         );
         assert_eq!(v.dep_set.len(), 1);
     }

@@ -34,8 +34,6 @@
 //! autotuner that asks for it — for kernels that carry a launch shape
 //! ([`crate::TaskSpec::launch_shape`]).
 
-use std::collections::HashMap;
-
 use crate::cost::Grid;
 use crate::Time;
 
@@ -116,7 +114,13 @@ pub struct CalibrationStats {
 #[derive(Debug, Default)]
 pub struct Calibration {
     enabled: bool,
-    kernels: HashMap<String, KernelObs>,
+    /// Observations per kernel signature, sorted by name: a lookup is a
+    /// few string comparisons and iteration order is the names' order.
+    kernels: Vec<(String, KernelObs)>,
+    /// Position in `kernels` of the signature observed last. Completions
+    /// of one kernel come in runs, so most observations find their
+    /// signature with one comparison.
+    last: usize,
     /// Indexed like the engine topology's links.
     links: Vec<Ewma>,
     stats: CalibrationStats,
@@ -153,10 +157,18 @@ impl Calibration {
         if !self.enabled && cell.is_none() {
             return;
         }
-        let obs = match self.kernels.get_mut(label) {
-            Some(obs) => obs,
-            None => self.kernels.entry(label.to_string()).or_default(),
-        };
+        if self
+            .kernels
+            .get(self.last)
+            .is_none_or(|(name, _)| name != label)
+        {
+            self.last = self.find(label).unwrap_or_else(|at| {
+                self.kernels
+                    .insert(at, (label.to_string(), KernelObs::default()));
+                at
+            });
+        }
+        let obs = &mut self.kernels[self.last].1;
         if self.enabled {
             if obs.prior.samples == 0 {
                 self.stats.kernel_signatures += 1;
@@ -180,6 +192,13 @@ impl Calibration {
         }
     }
 
+    /// Position of a kernel signature in `kernels`, or where it would be
+    /// inserted.
+    fn find(&self, label: &str) -> Result<usize, usize> {
+        self.kernels
+            .binary_search_by(|(name, _)| name.as_str().cmp(label))
+    }
+
     /// Fold a completed transfer's `observed / solo` duration ratio into
     /// the decaying contention scale for its link. No-op while disabled.
     pub fn observe_transfer(&mut self, link: usize, observed: Time, solo: Time) {
@@ -200,15 +219,14 @@ impl Calibration {
         if !self.enabled {
             return None;
         }
-        self.kernels
-            .get(label)
-            .filter(|o| o.prior.samples > 0)
-            .map(|o| o.prior.mean)
+        let obs = &self.kernels[self.find(label).ok()?].1;
+        (obs.prior.samples > 0).then_some(obs.prior.mean)
     }
 
     /// Every cell of a kernel signature (none for an unknown one).
     fn all_cells(&self, kernel: &str) -> &[Cell] {
-        self.kernels.get(kernel).map_or(&[], |o| &o.cells)
+        self.find(kernel)
+            .map_or(&[], |i| self.kernels[i].1.cells.as_slice())
     }
 
     /// The cells of a kernel signature in one size bucket.
@@ -284,6 +302,7 @@ impl Calibration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn disabled_calibration_observes_nothing_and_scales_by_one() {
@@ -324,6 +343,35 @@ mod tests {
         }
         assert_eq!(c.link_scale(1), LINK_SCALE_CLAMP.1, "clamped");
         assert_eq!(c.stats().transfer_samples, 65);
+    }
+
+    #[test]
+    fn interleaved_signatures_keep_separate_books() {
+        // Signatures arrive out of name order and alternate, so both the
+        // sorted insert and the last-signature shortcut are exercised.
+        let mut c = Calibration::new();
+        c.set_enabled(true);
+        let grid = Grid::d1(4, 128);
+        for (round, label) in ["m", "b", "z", "b", "b", "a", "m", "z", "a"]
+            .into_iter()
+            .enumerate()
+        {
+            c.observe_kernel(label, (round + 1) as f64 * 1e-3, Some((grid, 1 << 10)));
+        }
+        let samples = |k| c.history_samples(k);
+        assert_eq!(
+            [samples("a"), samples("b"), samples("m"), samples("z")],
+            [2, 3, 2, 2]
+        );
+        assert_eq!(samples("c"), 0, "a name between two known ones");
+        assert_eq!(c.kernel_prior("nope"), None);
+        assert_eq!(c.stats().kernel_signatures, 4);
+        assert_eq!(c.stats().kernel_samples, 9);
+        // "a" saw rounds 6 and 9: its cell averages them.
+        let mean = c.mean_duration("a", 128, 1 << 10).unwrap();
+        assert!((mean - 7.5e-3).abs() < 1e-15);
+        let names: Vec<&str> = c.kernels.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["a", "b", "m", "z"], "kept in name order");
     }
 
     #[test]
@@ -455,7 +503,7 @@ mod tests {
         }
         assert_eq!(c.history_samples("k"), 10_000);
         assert_eq!(c.kernels.len(), 1);
-        assert_eq!(c.kernels["k"].cells.len(), 1, "one cell, not one record");
+        assert_eq!(c.all_cells("k").len(), 1, "one cell, not one record");
     }
 
     /// The per-launch record the history used to keep, and the formulas
@@ -545,7 +593,7 @@ mod tests {
                 }
             }
         }
-        let cells = c.kernels["k"].cells.len();
+        let cells = c.all_cells("k").len();
         assert!(cells <= blocks.len() * sizes.len(), "{cells} cells");
     }
 }

@@ -172,6 +172,12 @@ impl DataBuffer {
     pub fn same_buffer(&self, other: &DataBuffer) -> bool {
         Rc::ptr_eq(&self.inner, &other.inner)
     }
+
+    /// How many handles share this storage, this one included — what a
+    /// test asks to show that nothing kept a buffer alive.
+    pub fn handle_count(&self) -> usize {
+        Rc::strong_count(&self.inner)
+    }
 }
 
 #[cfg(test)]

@@ -17,14 +17,17 @@
 //! experiences time.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::calibrate::Calibration;
 use crate::cost::Grid;
 use crate::fluid::{progressive_fill, FillScratch};
 use crate::profile::DeviceProfile;
 use crate::race::{check_conflict, RaceReport};
-use crate::task::{capacities, ResourceDemand, TaskKind, TaskMeta, TaskSpec, NUM_RESOURCES};
+use crate::recycle::Recycler;
+use crate::task::{
+    capacities, Payload, ResourceDemand, TaskKind, TaskMeta, TaskSpec, NUM_RESOURCES,
+};
 use crate::timeline::{Interval, Timeline};
 use crate::topology::{LinkId, Topology};
 use crate::Time;
@@ -73,7 +76,7 @@ struct TaskState {
     demand: ResourceDemand,
     reads: Vec<crate::data::ValueId>,
     writes: Vec<crate::data::ValueId>,
-    on_complete: Option<Box<dyn FnOnce()>>,
+    on_complete: Option<Payload>,
     meta: TaskMeta,
     launch_shape: Option<(Grid, usize)>,
     phase: Phase,
@@ -186,9 +189,9 @@ pub struct Engine {
     link_transfers: Vec<usize>,
     now: Time,
     /// States of tasks `base..base + tasks.len()`. Ids below `base`
-    /// belong to completed tasks whose state was reclaimed by
-    /// [`Engine::compact_completed`]; ids are never reused.
-    tasks: Vec<TaskState>,
+    /// belong to completed tasks whose state was reclaimed from the
+    /// front by [`Engine::compact_completed`]; ids are never reused.
+    tasks: VecDeque<TaskState>,
     /// First task id still stored.
     base: u32,
     /// Task indices currently in the fluid phase.
@@ -218,6 +221,8 @@ pub struct Engine {
     /// tasks complete. The priors and scales are off by default (see
     /// [`crate::calibrate`]).
     calib: Calibration,
+    /// What completed tasks left behind, for the next submissions.
+    recycler: Recycler,
 }
 
 impl Engine {
@@ -259,7 +264,7 @@ impl Engine {
             link_bytes: vec![0.0; n_links],
             link_transfers: vec![0; n_links],
             now: 0.0,
-            tasks: Vec::new(),
+            tasks: VecDeque::new(),
             base: 0,
             active: Vec::new(),
             rates: Vec::new(),
@@ -272,7 +277,15 @@ impl Engine {
             races: Vec::new(),
             stats: EngineStats::default(),
             calib: Calibration::new(),
+            recycler: Recycler::default(),
         }
+    }
+
+    /// The buffers completed tasks left behind: build the next
+    /// [`TaskSpec`]'s label, read/write lists and kernel payload from
+    /// them and a steady-state submission allocates nothing.
+    pub fn recycler(&mut self) -> &mut Recycler {
+        &mut self.recycler
     }
 
     /// The online calibration state (see [`crate::calibrate`]).
@@ -354,7 +367,7 @@ impl Engine {
             );
         }
         let device = spec.device;
-        self.tasks.push(TaskState {
+        self.tasks.push_back(TaskState {
             kind: spec.kind,
             label: spec.label,
             stream: spec.stream,
@@ -369,7 +382,7 @@ impl Engine {
             meta: spec.meta,
             launch_shape: spec.launch_shape,
             phase: Phase::Waiting(open_deps),
-            dependents: Vec::new(),
+            dependents: self.recycler.dependents.take(),
             started: 0.0,
             rate: 1.0,
         });
@@ -408,16 +421,15 @@ impl Engine {
     /// (their handles keep answering [`Engine::is_complete`] with
     /// `true`). Called automatically when the device drains; harmless to
     /// call at any time. Returns the number of task states reclaimed.
+    /// Costs the prefix, not the pending tasks behind it; a completed
+    /// task's buffers already went to the recycler when it completed.
     pub fn compact_completed(&mut self) -> usize {
-        let done = self
-            .tasks
-            .iter()
-            .take_while(|t| matches!(t.phase, Phase::Done))
-            .count();
-        if done > 0 {
-            self.tasks.drain(..done);
-            self.base += done as u32;
+        let mut done = 0usize;
+        while matches!(self.tasks.front(), Some(t) if matches!(t.phase, Phase::Done)) {
+            self.tasks.pop_front();
+            done += 1;
         }
+        self.base += done as u32;
         done
     }
 
@@ -432,9 +444,12 @@ impl Engine {
     }
 
     /// Reset the timeline (e.g. after a warm-up iteration) without
-    /// touching task state. Virtual time keeps running.
+    /// touching task state. Virtual time keeps running. The intervals'
+    /// labels go back to the recycler.
     pub fn clear_timeline(&mut self) {
-        self.timeline.clear();
+        for iv in self.timeline.drain() {
+            self.recycler.labels.give(iv.label);
+        }
     }
 
     /// All data races detected so far.
@@ -876,11 +891,16 @@ impl Engine {
             _ => {}
         }
         self.timeline.push(iv);
-        if let Some(f) = self.tasks[i].on_complete.take() {
-            f();
+        // The task is done with its buffers: the race detector only
+        // looks at running tasks, and its dependents are released below.
+        let t = &mut self.tasks[i];
+        self.recycler.values.give(std::mem::take(&mut t.reads));
+        self.recycler.values.give(std::mem::take(&mut t.writes));
+        let dependents = std::mem::take(&mut t.dependents);
+        if let Some(payload) = t.on_complete.take() {
+            payload.run(&mut self.recycler);
         }
-        let dependents = std::mem::take(&mut self.tasks[i].dependents);
-        for d in dependents {
+        for &d in &dependents {
             let slot = self.slot(d.0);
             let ready = {
                 match &mut self.tasks[slot].phase {
@@ -895,6 +915,7 @@ impl Engine {
                 self.make_ready(d);
             }
         }
+        self.recycler.dependents.give(dependents);
     }
 
     /// Test oracle: refresh (incrementally) and assert the resulting
@@ -1055,6 +1076,51 @@ mod tests {
         );
         e.sync_task(t);
         assert!(e.is_complete(t));
+    }
+
+    #[test]
+    fn completed_tasks_leave_their_buffers_for_the_next_submissions() {
+        use crate::data::{DataBuffer, ValueId};
+        use crate::task::KernelBody;
+        let mut e = Engine::new(dev());
+        let out = DataBuffer::f32_zeros(1);
+        let store: fn(&[DataBuffer], &[f64]) = |b, s| b[0].as_f32_mut()[0] = s[0] as f32;
+        let payload =
+            e.recycler()
+                .kernel_payload(KernelBody::Fn(store), std::slice::from_ref(&out), &[7.0]);
+        let mut spec = TaskSpec::kernel("a-label-with-capacity", 0)
+            .fluid(1e-4)
+            .sm_frac(0.1)
+            .reading(&[ValueId(1)])
+            .writing(&[ValueId(2)]);
+        spec.on_complete = Some(payload);
+        let a = e.submit(spec, &[]);
+        let b = e.submit(TaskSpec::marker("after", 0), &[a]);
+        e.sync_task(b);
+        assert_eq!(out.as_f32()[0], 7.0, "the payload ran on its arguments");
+
+        // Read and write lists came back at completion, emptied; the
+        // label follows once the timeline lets go of it.
+        let r = e.recycler();
+        let lists = [r.values(), r.values(), r.values()];
+        let kept = lists.iter().filter(|l| l.capacity() > 0).count();
+        assert!(lists.iter().all(Vec::is_empty) && kept == 2);
+        assert_eq!(e.recycler().label().capacity(), 0, "still on the timeline");
+        e.clear_timeline();
+        let labels = [e.recycler().label(), e.recycler().label()];
+        assert!(labels.iter().all(String::is_empty));
+        let fits = |l: &String| l.capacity() >= "a-label-with-capacity".len();
+        assert!(labels.iter().any(fits), "both tasks' labels came back");
+        // The recycled argument list holds nothing alive.
+        let again = e.recycler().kernel_payload(KernelBody::Fn(store), &[], &[]);
+        let Payload::Kernel {
+            buffers, scalars, ..
+        } = again
+        else {
+            panic!("a kernel payload")
+        };
+        assert!(buffers.is_empty() && buffers.capacity() > 0);
+        assert!(scalars.is_empty() && scalars.capacity() > 0);
     }
 
     #[test]

@@ -28,9 +28,10 @@
 //! * Dependencies between tasks form a DAG inside the engine; CUDA streams
 //!   and events in the [`cuda-sim`] crate are realized as dependency chains
 //!   over this engine.
-//! * Each task may carry an `on_complete` closure that runs the kernel's
-//!   *functional* CPU implementation when the task finishes in virtual
-//!   time, so simulated programs also produce real, checkable numbers. A
+//! * Each task may carry an `on_complete` [`Payload`] that runs the
+//!   kernel's *functional* CPU implementation when the task finishes in
+//!   virtual time, so simulated programs also produce real, checkable
+//!   numbers. A
 //!   [`race`] detector flags temporally-overlapping tasks with conflicting
 //!   read/write sets — i.e. schedules where a scheduler forgot a
 //!   dependency.
@@ -68,6 +69,7 @@ pub mod profile;
 #[cfg(test)]
 mod prop_tests;
 pub mod race;
+pub mod recycle;
 pub mod task;
 pub mod timeline;
 pub mod topology;
@@ -83,7 +85,8 @@ pub use engine::{Engine, EngineStats, TaskId};
 pub use memory_manager::{EvictionPolicy, MemoryConfig, MemoryManager, MemoryStats};
 pub use profile::{Architecture, DeviceProfile};
 pub use race::RaceReport;
-pub use task::{ResourceDemand, TaskKind, TaskMeta, TaskSpec};
+pub use recycle::Recycler;
+pub use task::{KernelBody, KernelFunc, Payload, ResourceDemand, TaskKind, TaskMeta, TaskSpec};
 pub use timeline::{Interval, Timeline};
 pub use topology::{Cluster, Endpoint, Link, LinkId, NicKind, Topology, TopologyKind};
 

@@ -30,8 +30,6 @@
 //!   peak-resident bytes, prefetch hit rate: the `memory` section of the
 //!   scheduler's gauges.
 
-use std::collections::HashMap;
-
 use crate::data::ValueId;
 use crate::Time;
 
@@ -195,6 +193,7 @@ impl Prefetcher {
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
+    device: u32,
     bytes: usize,
     last_use: u64,
 }
@@ -203,7 +202,11 @@ struct Entry {
 /// [module docs](self)).
 pub struct MemoryManager {
     cfg: MemoryConfig,
-    resident: Vec<HashMap<ValueId, Entry>>,
+    /// The device copy of every allocation that has one, indexed by
+    /// `ValueId`: the layer above mints ids densely from zero and an
+    /// allocation has at most one device copy, so one table serves
+    /// every device and a lookup is an index.
+    resident: Vec<Option<Entry>>,
     resident_bytes: Vec<usize>,
     peak_resident: Vec<usize>,
     evictions: usize,
@@ -223,7 +226,7 @@ impl MemoryManager {
     pub fn new(n_devices: usize, cfg: MemoryConfig) -> Self {
         MemoryManager {
             cfg,
-            resident: vec![HashMap::new(); n_devices],
+            resident: Vec::new(),
             resident_bytes: vec![0; n_devices],
             peak_resident: vec![0; n_devices],
             evictions: 0,
@@ -262,9 +265,17 @@ impl MemoryManager {
         }
     }
 
+    /// The table slot of `v` while it holds a copy on `device`. An id
+    /// this manager has never seen has no slot.
+    fn slot_mut(&mut self, device: u32, v: ValueId) -> Option<&mut Option<Entry>> {
+        let slot = self.resident.get_mut(v.0 as usize)?;
+        slot.is_some_and(|e| e.device == device).then_some(slot)
+    }
+
     /// True if the allocation currently has a device copy here.
     pub fn contains(&self, device: u32, v: ValueId) -> bool {
-        self.resident[device as usize].contains_key(&v)
+        let entry = self.resident.get(v.0 as usize).copied().flatten();
+        entry.is_some_and(|e| e.device == device)
     }
 
     /// Bump the LRU clock for a resident allocation (a kernel touched
@@ -272,23 +283,33 @@ impl MemoryManager {
     pub fn touch(&mut self, device: u32, v: ValueId) {
         self.clock += 1;
         let clock = self.clock;
-        if let Some(e) = self.resident[device as usize].get_mut(&v) {
+        if let Some(Some(e)) = self.slot_mut(device, v) {
             e.last_use = clock;
         }
     }
 
     /// Record a new (or refreshed) device copy of `bytes` at time `now`.
+    /// A copy the allocation had on another device is dropped first: it
+    /// has one device copy at a time.
     pub fn insert(&mut self, device: u32, v: ValueId, bytes: usize, now: Time) {
         self.clock += 1;
         let d = device as usize;
-        let prev = self.resident[d].insert(
-            v,
-            Entry {
-                bytes,
-                last_use: self.clock,
-            },
-        );
-        self.resident_bytes[d] += bytes - prev.map_or(0, |e| e.bytes);
+        let at = v.0 as usize;
+        if self.resident.len() <= at {
+            self.resident.resize(at + 1, None);
+        }
+        let entry = Entry {
+            device,
+            bytes,
+            last_use: self.clock,
+        };
+        if let Some(prev) = self.resident[at].replace(entry) {
+            self.resident_bytes[prev.device as usize] -= prev.bytes;
+            if prev.device != device {
+                self.sample(prev.device as usize, now);
+            }
+        }
+        self.resident_bytes[d] += bytes;
         self.peak_resident[d] = self.peak_resident[d].max(self.resident_bytes[d]);
         if let Some(cap) = self.cfg.capacity {
             debug_assert!(
@@ -304,7 +325,7 @@ impl MemoryManager {
     /// write invalidation). Returns the bytes freed, if it was resident.
     pub fn remove(&mut self, device: u32, v: ValueId, now: Time) -> Option<usize> {
         let d = device as usize;
-        let bytes = self.resident[d].remove(&v).map(|e| e.bytes);
+        let bytes = self.slot_mut(device, v)?.take().map(|e| e.bytes);
         if let Some(b) = bytes {
             self.resident_bytes[d] -= b;
             self.sample(d, now);
@@ -327,8 +348,9 @@ impl MemoryManager {
     /// a candidate for [`EvictionPolicy::CostAware`]: spill time (zero
     /// for clean copies) plus re-fetch time over the actual link.
     ///
-    /// The selection is deterministic: candidates are fully ordered by
-    /// the policy key with the `ValueId` as the final tie-break. If the
+    /// The selection is deterministic: candidates come out of the table
+    /// in id order and are fully ordered by the policy key with the
+    /// `ValueId` as the final tie-break. If the
     /// evictable set cannot cover `need`, every evictable victim is
     /// returned and the caller decides how to fail.
     pub fn select_victims(
@@ -338,17 +360,20 @@ impl MemoryManager {
         pinned: &[ValueId],
         refetch_cost: impl Fn(ValueId, usize) -> f64,
     ) -> Vec<Victim> {
-        let mut candidates: Vec<(ValueId, Entry)> = self.resident[device as usize]
+        let mut candidates: Vec<(ValueId, Entry)> = self
+            .resident
             .iter()
-            .filter(|(v, _)| !pinned.contains(v))
-            .map(|(v, e)| (*v, *e))
+            .enumerate()
+            .filter_map(|(i, e)| Some((ValueId(i as u64), (*e)?)))
+            .filter(|(v, e)| e.device == device && !pinned.contains(v))
             .collect();
+        // The table hands candidates out in id order and the sorts are
+        // stable, so equal keys stay in id order: the tie-break needs no
+        // comparison of its own.
         match self.cfg.eviction {
-            EvictionPolicy::Lru => {
-                candidates.sort_by_key(|(v, e)| (e.last_use, *v));
-            }
+            EvictionPolicy::Lru => candidates.sort_by_key(|(_, e)| e.last_use),
             EvictionPolicy::LargestFirst => {
-                candidates.sort_by_key(|(v, e)| (std::cmp::Reverse(e.bytes), *v));
+                candidates.sort_by_key(|(_, e)| std::cmp::Reverse(e.bytes));
             }
             EvictionPolicy::CostAware => {
                 // Price every candidate once, then sort the priced list:
@@ -358,7 +383,7 @@ impl MemoryManager {
                     .drain(..)
                     .map(|c| (refetch_cost(c.0, c.1.bytes), c))
                     .collect();
-                priced.sort_by(|(ca, (va, _)), (cb, (vb, _))| ca.total_cmp(cb).then(va.cmp(vb)));
+                priced.sort_by(|(ca, _), (cb, _)| ca.total_cmp(cb));
                 candidates.extend(priced.into_iter().map(|(_, c)| c));
             }
         }
@@ -567,6 +592,34 @@ mod tests {
         // gets what exists and decides how to fail.
         let vs = m.select_victims(0, 900, &[V[0]], |_, _| 0.0);
         assert_eq!(vs.len(), 1);
+    }
+
+    #[test]
+    fn ids_the_manager_never_saw_are_inert() {
+        let mut m = limited(1000, EvictionPolicy::Lru);
+        m.insert(0, V[1], 300, 0.0);
+        // Below, between and far beyond the ids in the table; and a
+        // known id asked about on the wrong device.
+        for (device, v) in [(0, V[0]), (0, V[4]), (1, ValueId(u64::MAX)), (1, V[1])] {
+            assert!(!m.contains(device, v));
+            m.touch(device, v);
+            assert_eq!(m.remove(device, v, 1.0), None);
+        }
+        assert!(m.contains(0, V[1]));
+        assert_eq!(m.resident_bytes(0), 300);
+        assert_eq!(m.resident_bytes(1), 0);
+        let victims = m.select_victims(0, 1, &[], |_, _| 0.0);
+        assert_eq!(victims.len(), 1, "the misses left the one entry alone");
+    }
+
+    #[test]
+    fn a_copy_inserted_on_another_device_moves() {
+        let mut m = limited(1000, EvictionPolicy::Lru);
+        m.insert(0, V[0], 400, 0.0);
+        m.insert(1, V[0], 400, 1.0);
+        assert!(!m.contains(0, V[0]) && m.contains(1, V[0]));
+        assert_eq!((m.resident_bytes(0), m.resident_bytes(1)), (0, 400));
+        assert_eq!(m.timeline()[0].last(), Some(&(1.0, 0)));
     }
 
     #[test]

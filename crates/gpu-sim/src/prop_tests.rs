@@ -134,3 +134,144 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Victim selection over the id-indexed resident table, against a model
+// that keeps the resident set in a `BTreeMap`.
+// ---------------------------------------------------------------------
+
+use std::collections::BTreeMap;
+
+use crate::data::ValueId;
+use crate::memory_manager::{EvictionPolicy, MemoryConfig, MemoryManager, Victim};
+
+/// One update of the resident sets of a two-device manager.
+#[derive(Debug, Clone, Copy)]
+enum MemOp {
+    Insert {
+        device: u32,
+        value: u64,
+        bytes: usize,
+    },
+    Touch {
+        device: u32,
+        value: u64,
+    },
+    Remove {
+        device: u32,
+        value: u64,
+    },
+}
+
+fn mem_op_strategy() -> impl Strategy<Value = MemOp> {
+    let (device, value) = (0..2u32, 0..12u64);
+    prop_oneof![
+        (device.clone(), value.clone(), 1..6usize).prop_map(|(device, value, kib)| {
+            MemOp::Insert {
+                device,
+                value,
+                bytes: kib << 10,
+            }
+        }),
+        (device.clone(), value.clone(), 1..6usize).prop_map(|(device, value, kib)| {
+            MemOp::Insert {
+                device,
+                value,
+                bytes: kib << 10,
+            }
+        }),
+        (device.clone(), value.clone()).prop_map(|(device, value)| MemOp::Touch { device, value }),
+        (device, value).prop_map(|(device, value)| MemOp::Remove { device, value }),
+    ]
+}
+
+/// What [`MemoryManager::select_victims`] promises, written the plain
+/// way: the device's unpinned entries, fully ordered by the policy key
+/// with the id as tie-break, taken until `need` bytes are covered.
+fn model_victims(
+    resident: &BTreeMap<u64, (u32, usize, u64)>,
+    policy: EvictionPolicy,
+    device: u32,
+    need: usize,
+    pinned: &[ValueId],
+    cost: impl Fn(ValueId, usize) -> f64,
+) -> Vec<Victim> {
+    let mut candidates: Vec<(u64, usize, u64)> = resident
+        .iter()
+        .filter(|(v, (d, _, _))| *d == device && !pinned.contains(&ValueId(**v)))
+        .map(|(v, (_, bytes, last_use))| (*v, *bytes, *last_use))
+        .collect();
+    match policy {
+        EvictionPolicy::Lru => candidates.sort_by_key(|&(v, _, last_use)| (last_use, v)),
+        EvictionPolicy::LargestFirst => {
+            candidates.sort_by_key(|&(v, bytes, _)| (std::cmp::Reverse(bytes), v))
+        }
+        EvictionPolicy::CostAware => candidates.sort_by(|a, b| {
+            let (ca, cb) = (cost(ValueId(a.0), a.1), cost(ValueId(b.0), b.1));
+            ca.total_cmp(&cb).then(a.0.cmp(&b.0))
+        }),
+    }
+    let mut freed = 0;
+    candidates
+        .into_iter()
+        .take_while(|&(_, bytes, _)| {
+            let take = freed < need;
+            freed += bytes;
+            take
+        })
+        .map(|(v, bytes, _)| Victim {
+            value: ValueId(v),
+            bytes,
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn victims_match_a_btreemap_model_under_every_policy(
+        ops in proptest::collection::vec(mem_op_strategy(), 1..60),
+        need_kib in 0..40usize,
+        pinned in proptest::collection::vec(0..12u64, 0..3),
+    ) {
+        let pinned: Vec<ValueId> = pinned.into_iter().map(ValueId).collect();
+        // Ties on purpose: few distinct prices.
+        let cost = |v: ValueId, bytes: usize| ((v.0 * 7) % 3) as f64 + (bytes >> 12) as f64;
+        for policy in EvictionPolicy::ALL {
+            let cfg = MemoryConfig::with_capacity(usize::MAX).with_eviction(policy);
+            let mut manager = MemoryManager::new(2, cfg);
+            // value -> (device, bytes, last use), one copy per value.
+            let mut model: BTreeMap<u64, (u32, usize, u64)> = BTreeMap::new();
+            let mut clock = 0u64;
+            for (i, op) in ops.iter().enumerate() {
+                match *op {
+                    MemOp::Insert { device, value, bytes } => {
+                        clock += 1;
+                        manager.insert(device, ValueId(value), bytes, i as f64);
+                        model.insert(value, (device, bytes, clock));
+                    }
+                    MemOp::Touch { device, value } => {
+                        clock += 1;
+                        manager.touch(device, ValueId(value));
+                        if let Some(e) = model.get_mut(&value).filter(|e| e.0 == device) {
+                            e.2 = clock;
+                        }
+                    }
+                    MemOp::Remove { device, value } => {
+                        let here = model.get(&value).is_some_and(|e| e.0 == device);
+                        let want = here.then(|| model.remove(&value).expect("present").1);
+                        prop_assert_eq!(manager.remove(device, ValueId(value), i as f64), want);
+                    }
+                }
+            }
+            for device in 0..2 {
+                let bytes: usize = model.values().filter(|e| e.0 == device).map(|e| e.1).sum();
+                prop_assert_eq!(manager.resident_bytes(device), bytes);
+                let got = manager.select_victims(device, need_kib << 10, &pinned, cost);
+                let want = model_victims(&model, policy, device, need_kib << 10, &pinned, cost);
+                prop_assert_eq!(got, want, "{:?} on device {}", policy, device);
+            }
+        }
+    }
+}

@@ -1,8 +1,11 @@
 //! Task descriptions submitted to the [`crate::engine::Engine`].
 
+use std::rc::Rc;
+
 use crate::cost::Grid;
-use crate::data::ValueId;
+use crate::data::{DataBuffer, ValueId};
 use crate::profile::DeviceProfile;
+use crate::recycle::Recycler;
 use crate::Time;
 
 /// What kind of operation a task models. Drives timeline classification
@@ -129,6 +132,61 @@ pub struct TaskMeta {
     pub instructions: f64,
 }
 
+/// A kernel implementation shared behind an `Rc`: a closure over the
+/// argument buffers that captured whatever else it needs.
+pub type KernelFunc = Rc<dyn Fn(&[DataBuffer])>;
+
+/// The functional implementation of a kernel: what a
+/// [`Payload::Kernel`] calls on its argument buffers.
+#[derive(Clone)]
+pub enum KernelBody {
+    /// A plain function of the argument buffers and the launch's
+    /// scalars (the shape of `kernels::KernelFn`).
+    Fn(fn(&[DataBuffer], &[f64])),
+    /// A shared closure over the argument buffers.
+    Shared(KernelFunc),
+}
+
+/// What runs when a task completes in virtual time.
+pub enum Payload {
+    /// A kernel's functional implementation, carried as data: the
+    /// function and the arguments it is called with. Submitting one
+    /// allocates nothing when the two lists come from the engine's
+    /// [`Recycler`], which takes them back once the kernel has run.
+    Kernel {
+        /// The implementation.
+        body: KernelBody,
+        /// Argument buffers, in parameter order.
+        buffers: Vec<DataBuffer>,
+        /// Scalar arguments, in parameter order.
+        scalars: Vec<f64>,
+    },
+    /// Any other effect.
+    Closure(Box<dyn FnOnce()>),
+}
+
+impl Payload {
+    /// Run the payload, handing a kernel's argument lists to `recycler`
+    /// afterwards.
+    pub(crate) fn run(self, recycler: &mut Recycler) {
+        match self {
+            Payload::Kernel {
+                body,
+                buffers,
+                scalars,
+            } => {
+                match body {
+                    KernelBody::Fn(f) => f(&buffers, &scalars),
+                    KernelBody::Shared(f) => f(&buffers),
+                }
+                recycler.buffers.give(buffers);
+                recycler.scalars.give(scalars);
+            }
+            Payload::Closure(f) => f(),
+        }
+    }
+}
+
 /// A unit of simulated work. Construct with the builder-style helpers and
 /// submit via [`crate::engine::Engine::submit`].
 pub struct TaskSpec {
@@ -158,7 +216,7 @@ pub struct TaskSpec {
     pub writes: Vec<ValueId>,
     /// Functional payload executed at completion time (runs the kernel's
     /// CPU implementation, flips memory residency, ...).
-    pub on_complete: Option<Box<dyn FnOnce()>>,
+    pub on_complete: Option<Payload>,
     /// Raw counters for hardware metrics.
     pub meta: TaskMeta,
     /// Launch shape of a kernel task, `(grid, elements)`: its launch
@@ -336,7 +394,7 @@ impl TaskSpec {
 
     /// Attach a functional payload to run at completion.
     pub fn payload(mut self, f: impl FnOnce() + 'static) -> Self {
-        self.on_complete = Some(Box::new(f));
+        self.on_complete = Some(Payload::Closure(Box::new(f)));
         self
     }
 }

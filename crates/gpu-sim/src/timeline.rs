@@ -189,6 +189,12 @@ impl Timeline {
     pub fn clear(&mut self) {
         self.intervals.clear();
     }
+
+    /// Empty the timeline, handing the intervals out (the engine keeps
+    /// their labels).
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = Interval> + '_ {
+        self.intervals.drain(..)
+    }
 }
 
 #[cfg(test)]

@@ -10,17 +10,17 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use cuda_sim::{Cuda, KernelExec, MemEventKind, StreamId, UnifiedArray};
+use cuda_sim::{Cuda, Launch, MemEventKind, StreamId, UnifiedArray};
 use dag::{ArgAccess, ComputationDag, DenseMap, ElementKind, Value, VertexId};
 use gpu_sim::memgr::MemoryStats;
 use gpu_sim::{
-    Architecture, DataBuffer, DeviceProfile, EngineStats, Grid, RaceReport, TaskId, Time, Timeline,
-    Topology, TopologyKind,
+    Architecture, DataBuffer, DeviceProfile, EngineStats, Grid, KernelBody, RaceReport, TaskId,
+    Time, Timeline, Topology, TopologyKind, ValueId,
 };
 use kernels::KernelDef;
 
 use crate::array::DeviceArray;
-use crate::kernel::{distinct_arrays, Arg, BatchLaunch, Kernel, LaunchError};
+use crate::kernel::{arg_bytes, distinct_arrays, Arg, BatchLaunch, Kernel, LaunchError};
 use crate::nidl::{NidlError, NidlParam, Signature};
 use crate::options::{Options, PrefetchPolicy, SchedulePolicy};
 use crate::policy::{DeviceSelectionPolicy, PlacementCtx, PlacementPolicy};
@@ -38,9 +38,8 @@ pub(crate) struct Ctx {
     /// Device each live vertex was placed on (same lifecycle as the
     /// task/stream maps: retired with the vertex).
     pub vertex_device: DenseMap<VertexId, u32>,
-    /// Reused per-device vectors for placement consultation: allocated
-    /// once per runtime, not once per launch.
-    pub place_scratch: PlaceScratch,
+    /// Every list a launch assembles, kept from one launch to the next.
+    pub scratch: LaunchScratch,
     /// Declared-vs-actual effect metadata of every kernel built in this
     /// context, consumed by the schedule sanitizer ([`GrCuda::audit`]).
     /// Populated by [`GrCuda::build_kernel`]; never read on the launch
@@ -57,11 +56,25 @@ pub(crate) struct Ctx {
     pub partition_cut_bytes: usize,
 }
 
-/// Scratch buffers behind [`crate::PlacementCtx`]: the per-device
-/// vectors the launch path fills for every multi-device placement
-/// decision, reused across launches so the hot path allocates nothing.
+/// The launch path's working lists, owned by the context between
+/// launches so a launch allocates none of them: the argument split, the
+/// vertex's dependencies in their three forms, and the per-device
+/// vectors behind [`crate::PlacementCtx`]. Each launch overwrites what
+/// it uses; `buffers` — the only list holding array handles — is
+/// emptied again before the launch returns, so the runtime keeps no
+/// array alive on its own.
 #[derive(Default)]
-pub(crate) struct PlaceScratch {
+pub(crate) struct LaunchScratch {
+    buffers: Vec<DataBuffer>,
+    accesses: Vec<(ValueId, bool)>,
+    dag_args: Vec<ArgAccess>,
+    scalars: Vec<f64>,
+    /// The vertex's dependencies as the DAG inferred them, the subset
+    /// placed on the chosen device, and the engine tasks of those on
+    /// other streams.
+    deps: Vec<VertexId>,
+    same_device_deps: Vec<VertexId>,
+    dep_tasks: Vec<TaskId>,
     parent_devices: Vec<u32>,
     resident_bytes: Vec<usize>,
     est_transfer_time: Vec<f64>,
@@ -268,7 +281,7 @@ impl GrCuda {
                 vertex_task: DenseMap::new(),
                 vertex_stream: DenseMap::new(),
                 vertex_device: DenseMap::new(),
-                place_scratch: PlaceScratch::default(),
+                scratch: LaunchScratch::default(),
                 effects: crate::audit::EffectsTable::new(),
                 node_of,
                 partitioned_batches: 0,
@@ -739,15 +752,20 @@ impl GrCuda {
         args: &[Arg],
         kind: ElementKind,
     ) -> Result<u32, LaunchError> {
-        self.launch_validated_inner(kernel, grid, args, kind, true, None)
+        let capacity = self.device_capacity();
+        check_fits(kernel, args, capacity)?;
+        Ok(self.launch_validated_inner(kernel, grid, args, kind, true, None))
     }
 
     /// Submit a batch of kernel launches with one amortized host-side
     /// charge (CUDA-Graphs-style batched submission).
     ///
-    /// Every call is validated against its NIDL signature before
-    /// anything is submitted — a batch with a bad call enters the DAG
-    /// not at all. Under the parallel scheduler the host API and
+    /// Every call is validated before anything is submitted — against
+    /// its NIDL signature, for arrays of another runtime, and against
+    /// the device capacity ([`LaunchError::OutOfMemory`]) — and the
+    /// first bad call in order is the error: a batch with a bad call
+    /// enters the DAG not at all. Under the parallel scheduler the host
+    /// API and
     /// scheduling overheads are charged **once per batch** instead of
     /// once per launch, and the per-dependency event spins are skipped;
     /// dependency inference, placement, stream assignment and prefetch
@@ -786,6 +804,7 @@ impl GrCuda {
     /// assert_eq!(x.get_f32(0), 16.0); // 2² then 4²
     /// ```
     pub fn launch_batch(&self, calls: &[BatchLaunch<'_>]) -> Result<Vec<u32>, LaunchError> {
+        let capacity = self.device_capacity();
         for c in calls {
             c.kernel.validate(c.args)?;
             if !c.kernel.ctx.same_runtime(self) {
@@ -795,6 +814,7 @@ impl GrCuda {
                     index: c.args.iter().position(is_array).unwrap_or(0),
                 });
             }
+            check_fits(c.kernel, c.args, capacity)?;
         }
         let (amortize, overhead) = {
             let ctx = self.inner.borrow();
@@ -845,11 +865,15 @@ impl GrCuda {
                 ElementKind::Kernel,
                 !amortize,
                 node_hints.as_ref().map(|h| h[i]),
-            )?);
+            ));
         }
         Ok(devices)
     }
 
+    /// Schedule one launch the caller has validated and found to fit
+    /// ([`check_fits`]). Allocates nothing in steady state: its lists
+    /// live in [`LaunchScratch`], the arguments are read in place, and
+    /// the layers below recycle what earlier launches left behind.
     fn launch_validated_inner(
         &self,
         kernel: &Kernel,
@@ -858,71 +882,65 @@ impl GrCuda {
         kind: ElementKind,
         charge: bool,
         node_hint: Option<u32>,
-    ) -> Result<u32, LaunchError> {
-        let mut ctx = self.inner.borrow_mut();
-        let (sched_overhead, event_overhead) = ctx
-            .cuda
-            .machine(|dev, _| (dev.sched_overhead, dev.event_overhead));
+    ) -> u32 {
+        let Ctx {
+            cuda,
+            options,
+            dag,
+            streams,
+            placement,
+            vertex_task,
+            vertex_stream,
+            vertex_device,
+            scratch: s,
+            node_of,
+            ..
+        } = &mut *self.inner.borrow_mut();
+        let (sched_overhead, event_overhead) =
+            cuda.machine(|dev, _| (dev.sched_overhead, dev.event_overhead));
 
         // Split arguments by NIDL parameter kind.
-        let mut buffers: Vec<DataBuffer> = Vec::new();
-        let mut accesses: Vec<(gpu_sim::ValueId, bool)> = Vec::new();
-        let mut dag_args: Vec<ArgAccess> = Vec::new();
-        let mut scalars: Vec<f64> = Vec::new();
+        s.buffers.clear();
+        s.accesses.clear();
+        s.dag_args.clear();
+        s.scalars.clear();
         for (p, a) in kernel.sig.params.iter().zip(args) {
             match (p, a) {
                 (NidlParam::Pointer { read_only, .. }, Arg::Array(arr)) => {
-                    buffers.push(arr.arr.buf.clone());
-                    accesses.push((arr.arr.id, *read_only));
-                    dag_args.push(ArgAccess {
+                    s.buffers.push(arr.arr.buf.clone());
+                    s.accesses.push((arr.arr.id, *read_only));
+                    s.dag_args.push(ArgAccess {
                         value: Value(arr.arr.id.0),
                         read_only: *read_only,
                     });
                 }
-                (NidlParam::Scalar { .. }, Arg::Scalar(v)) => scalars.push(*v),
+                (NidlParam::Scalar { .. }, Arg::Scalar(v)) => s.scalars.push(*v),
                 _ => unreachable!("validated launch"),
             }
         }
 
-        // The distinct argument arrays and their total bytes: what must
-        // be resident on the chosen device for the kernel to run.
-        // Nothing can fit a launch whose arguments alone exceed a
-        // device's whole memory — that is a recoverable error, not a
-        // scheduling problem.
-        let (arrays, arg_bytes) = distinct_arrays(args);
-        if let Some(capacity) = ctx.cuda.device_capacity() {
-            if arg_bytes > capacity {
-                return Err(LaunchError::OutOfMemory {
-                    kernel: kernel.def.name.into(),
-                    needed: arg_bytes,
-                    capacity,
-                });
-            }
-        }
-
-        let cost = (kernel.def.cost)(&buffers, &scalars);
-        let func = kernel.def.func;
-        let payload_scalars = scalars.clone();
-        let exec = KernelExec::new(
-            kernel.def.name,
+        let name = kernel.def.name;
+        let launch = Launch {
+            name,
             grid,
-            cost,
-            buffers,
-            accesses,
-            Rc::new(move |bufs: &[DataBuffer]| func(bufs, &payload_scalars)),
-        );
+            cost: (kernel.def.cost)(&s.buffers, &s.scalars),
+            buffers: &s.buffers,
+            accesses: &s.accesses,
+            body: KernelBody::Fn(kernel.def.func),
+            scalars: &s.scalars,
+        };
 
         let chosen_device;
-        match ctx.options.schedule {
+        match options.schedule {
             SchedulePolicy::SerialSync => {
                 // The original scheduler: default stream, host blocks,
                 // no dependency computation, no prefetch.
-                let s = ctx.cuda.default_stream();
-                let t = ctx.cuda.launch(s, &exec).expect("not capturing");
-                ctx.cuda.task_sync(t);
+                let stream = cuda.default_stream();
+                let t = cuda.launch(stream, launch).expect("not capturing");
+                cuda.task_sync(t);
                 // No DAG to annotate in serial mode: drop the events so
                 // the buffer stays bounded.
-                ctx.cuda.take_mem_events();
+                cuda.drain_mem_events(|_| {});
                 chosen_device = 0;
             }
             SchedulePolicy::ParallelAsync => {
@@ -930,35 +948,27 @@ impl GrCuda {
                 // overheads" of §V-D — present, but small). Batched
                 // submission charges it once per batch instead.
                 if charge {
-                    ctx.cuda.host_spin(sched_overhead);
+                    cuda.host_spin(sched_overhead);
                 }
 
-                let (vid, mut deps) = ctx.dag.add_computation(kind, kernel.def.name, dag_args);
-                if !ctx.options.infer_dependencies {
+                let vid = dag.register(kind, name, &s.dag_args, &mut s.deps);
+                if !options.infer_dependencies {
                     // Failure injection: pretend nothing depends on
                     // anything. The race detector will object.
-                    deps.clear();
+                    s.deps.clear();
                 }
 
                 // Device selection (the policy layer): consulted with the
                 // vertex's DAG context — where the parents ran, which
                 // device already holds the argument bytes, how loaded
                 // each device is.
-                let n_dev = ctx.cuda.device_count();
+                let n_dev = cuda.device_count();
                 let device = if n_dev == 1 {
                     0
                 } else {
-                    let Ctx {
-                        placement,
-                        vertex_device,
-                        cuda,
-                        place_scratch: s,
-                        node_of,
-                        ..
-                    } = &mut *ctx;
                     s.parent_devices.clear();
-                    s.parent_devices
-                        .extend(deps.iter().filter_map(|&d| vertex_device.get(d).copied()));
+                    let device_of = |&d: &VertexId| vertex_device.get(d).copied();
+                    s.parent_devices.extend(s.deps.iter().filter_map(device_of));
                     s.resident_bytes.clear();
                     s.resident_bytes.resize(n_dev, 0);
                     // Per-candidate estimated transfer time: what moving
@@ -968,7 +978,7 @@ impl GrCuda {
                     // per gauge — not per device.
                     s.est_transfer_time.clear();
                     s.est_transfer_time.resize(n_dev, 0.0);
-                    for arr in &arrays {
+                    for arr in distinct_arrays(args) {
                         if let Some(d) = cuda.placement_probe(arr, &mut s.est_transfer_time) {
                             s.resident_bytes[d as usize] += arr.byte_len();
                         }
@@ -982,9 +992,9 @@ impl GrCuda {
                         est_transfer_time: &s.est_transfer_time,
                         inflight: &s.inflight,
                         free_bytes: &s.free_bytes,
-                        arg_bytes,
-                        kernel: kernel.def.name,
-                        duration_prior: cuda.calibration(|c| c.kernel_prior(kernel.def.name)),
+                        arg_bytes: arg_bytes(args),
+                        kernel: name,
+                        duration_prior: cuda.calibration(|c| c.kernel_prior(name)),
                         node_hint,
                         node_of,
                     })
@@ -992,83 +1002,73 @@ impl GrCuda {
                 if n_dev > 1 {
                     // Record the placement for the DOT render (single-GPU
                     // graphs stay undecorated, as the paper draws them).
-                    ctx.dag.set_device(vid, device);
+                    dag.set_device(vid, device);
                 }
-                ctx.vertex_device.insert(vid, device);
+                vertex_device.insert(vid, device);
                 chosen_device = device;
 
-                let Ctx {
-                    streams,
-                    vertex_stream,
-                    vertex_device,
-                    cuda,
-                    ..
-                } = &mut *ctx;
                 // Stream inheritance is a same-device affair: parents on
                 // other devices synchronize through events below.
-                let same_device_deps: Vec<VertexId> = deps
-                    .iter()
-                    .copied()
-                    .filter(|&d| vertex_device.get(d) == Some(&device))
-                    .collect();
-                let stream = streams.assign(vid, device, &same_device_deps, vertex_stream, cuda);
+                s.same_device_deps.clear();
+                let here = |d: &VertexId| vertex_device.get(*d) == Some(&device);
+                s.same_device_deps
+                    .extend(s.deps.iter().copied().filter(here));
+                let stream = streams.assign(vid, device, &s.same_device_deps, vertex_stream, cuda);
 
                 // Automatic prefetch (§IV-C): bulk-migrate non-resident
                 // arguments on the kernel's stream.
-                if ctx.options.prefetch == PrefetchPolicy::Auto {
-                    for arr in &arrays {
+                if options.prefetch == PrefetchPolicy::Auto {
+                    for arr in distinct_arrays(args) {
                         if charge {
-                            ctx.cuda.prefetch_async(stream, arr);
+                            cuda.prefetch_async(stream, arr);
                         } else {
-                            ctx.cuda.prefetch_async_uncharged(stream, arr);
+                            cuda.prefetch_async_uncharged(stream, arr);
                         }
                     }
                 }
 
                 // Cross-stream dependencies become events; same-stream
                 // ones are implied by stream ordering.
-                let mut dep_tasks: Vec<TaskId> = Vec::new();
-                for &d in &deps {
-                    if ctx.vertex_stream.get(d) != Some(&stream) {
-                        if let Some(&t) = ctx.vertex_task.get(d) {
-                            dep_tasks.push(t);
-                        }
+                s.dep_tasks.clear();
+                for &d in &s.deps {
+                    if vertex_stream.get(d) != Some(&stream) {
+                        s.dep_tasks.extend(vertex_task.get(d));
                     }
                 }
-                if charge && !dep_tasks.is_empty() {
-                    let ev = event_overhead * dep_tasks.len() as f64;
-                    ctx.cuda.host_spin(ev);
+                if charge && !s.dep_tasks.is_empty() {
+                    cuda.host_spin(event_overhead * s.dep_tasks.len() as f64);
                 }
 
                 let t = if charge {
-                    ctx.cuda.launch_with_extra_deps(stream, &exec, &dep_tasks)
+                    cuda.launch_with_extra_deps(stream, launch, &s.dep_tasks)
                 } else {
-                    ctx.cuda.launch_uncharged(stream, &exec, &dep_tasks)
+                    cuda.launch_uncharged(stream, launch, &s.dep_tasks)
                 }
                 .expect("not capturing");
-                ctx.vertex_task.insert(vid, t);
-                ctx.vertex_stream.insert(vid, stream);
+                vertex_task.insert(vid, t);
+                vertex_stream.insert(vid, stream);
                 // Annotate the DAG with what the unified-memory layer did
                 // while placing this computation: the evictions it
                 // forced and the prefetches issued ahead of it (rendered
                 // by `dag::to_dot` as orange/green note nodes), and the
                 // cross-device migrations it paid, stamped on the edge
                 // they satisfied with the bytes and the route taken.
-                for ev in ctx.cuda.take_mem_events() {
+                cuda.drain_mem_events(|ev| {
                     let value = Value(ev.value.0);
                     match ev.kind {
                         MemEventKind::Evicted { spilled } => {
-                            ctx.dag.annotate_evict(vid, value, ev.bytes, spilled)
+                            dag.annotate_evict(vid, value, ev.bytes, spilled)
                         }
-                        MemEventKind::Prefetched => ctx.dag.annotate_prefetch(vid, value, ev.bytes),
-                        MemEventKind::Migrated { p2p, cross_node } => ctx
-                            .dag
-                            .annotate_migration_route(vid, value, ev.bytes, p2p, cross_node),
+                        MemEventKind::Prefetched => dag.annotate_prefetch(vid, value, ev.bytes),
+                        MemEventKind::Migrated { p2p, cross_node } => {
+                            dag.annotate_migration_route(vid, value, ev.bytes, p2p, cross_node)
+                        }
                     }
-                }
+                });
             }
         }
-        Ok(chosen_device)
+        s.buffers.clear();
+        chosen_device
     }
 
     /// Intercepted CPU access to a managed array (called by
@@ -1146,6 +1146,25 @@ impl GrCuda {
             }
         }
     }
+}
+
+/// Nothing can fit a launch whose distinct argument arrays alone exceed
+/// a device's whole memory — a recoverable error, not a scheduling
+/// problem, raised before the launch (or any launch of its batch)
+/// touches the scheduler.
+fn check_fits(kernel: &Kernel, args: &[Arg], capacity: Option<usize>) -> Result<(), LaunchError> {
+    let Some(capacity) = capacity else {
+        return Ok(());
+    };
+    let needed = arg_bytes(args);
+    if needed > capacity {
+        return Err(LaunchError::OutOfMemory {
+            kernel: kernel.def.name.into(),
+            needed,
+            capacity,
+        });
+    }
+    Ok(())
 }
 
 impl Ctx {
@@ -1237,6 +1256,35 @@ mod tests {
         let streams: std::collections::HashSet<u32> = tl.kernels().map(|iv| iv.stream).collect();
         assert_eq!(streams.len(), 2, "independent kernels use distinct streams");
         assert!(g.races().is_empty());
+    }
+
+    #[test]
+    fn the_runtime_keeps_no_array_handle_after_a_launch() {
+        for opts in [Options::parallel(), Options::serial()] {
+            let g = GrCuda::new(DeviceProfile::tesla_p100(), opts);
+            let n = 1 << 10;
+            let (x, y) = (g.array_f32(n), g.array_f32(n));
+            let sc = g.build_kernel(&SCALE).unwrap();
+            let args = [
+                Arg::array(&x),
+                Arg::array(&y),
+                Arg::scalar(2.0),
+                Arg::scalar(n as f64),
+            ];
+            sc.launch(G, &args).unwrap();
+            // The launch's working lists stay with the context, but the
+            // one that held buffer handles is empty again ...
+            assert!(g.inner.borrow().scratch.buffers.is_empty());
+            assert!(!g.inner.borrow().scratch.accesses.is_empty());
+            g.sync();
+            g.clear_timeline();
+            // ... and once the kernel has run, so is every pool below:
+            // the handles in `args` and `x`/`y` are the only ones left.
+            drop(args);
+            let probe = x.raw_buffer();
+            drop(x);
+            assert_eq!(probe.handle_count(), 1);
+        }
     }
 
     #[test]

@@ -36,23 +36,22 @@ impl Arg {
 }
 
 /// The distinct arrays among a validated launch's arguments, in
-/// first-use order, and their total bytes — what must be resident on
-/// the chosen device for the kernel to run. The one place duplicates
-/// are folded: the scheduler's [`LaunchError::OutOfMemory`] check, its
-/// placement probe and prefetch loops, and the serving layer's
-/// admission control all use this answer.
-pub(crate) fn distinct_arrays(args: &[Arg]) -> (Vec<UnifiedArray>, usize) {
-    let mut arrays: Vec<UnifiedArray> = Vec::new();
-    let mut bytes = 0usize;
-    for a in args {
-        if let Arg::Array(arr) = a {
-            if !arrays.iter().any(|seen| seen.id == arr.arr.id) {
-                bytes += arr.arr.byte_len();
-                arrays.push(arr.arr.clone());
-            }
-        }
-    }
-    (arrays, bytes)
+/// first-use order — what must be resident on the chosen device for the
+/// kernel to run. The one place duplicates are folded: the scheduler's
+/// [`LaunchError::OutOfMemory`] check, its placement probe and prefetch
+/// loops, and the serving layer's admission control all use this
+/// answer. Borrowed from `args`, so asking allocates nothing.
+pub(crate) fn distinct_arrays(args: &[Arg]) -> impl Iterator<Item = &UnifiedArray> {
+    args.iter().enumerate().filter_map(move |(i, a)| {
+        let Arg::Array(arr) = a else { return None };
+        let seen = |b: &Arg| matches!(b, Arg::Array(other) if other.arr.id == arr.arr.id);
+        (!args[..i].iter().any(seen)).then_some(&arr.arr)
+    })
+}
+
+/// Total bytes of a launch's [`distinct_arrays`].
+pub(crate) fn arg_bytes(args: &[Arg]) -> usize {
+    distinct_arrays(args).map(UnifiedArray::byte_len).sum()
 }
 
 /// Errors raised when a launch does not match the kernel's NIDL

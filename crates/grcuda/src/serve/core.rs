@@ -31,7 +31,7 @@ use kernels::KernelDef;
 
 use crate::array::DeviceArray;
 use crate::context::GrCuda;
-use crate::kernel::{distinct_arrays, Arg, BatchLaunch, Kernel, LaunchError};
+use crate::kernel::{arg_bytes, Arg, BatchLaunch, Kernel, LaunchError};
 use crate::nidl::NidlParam;
 use crate::options::Options;
 use crate::policy::PlacementPolicy;
@@ -536,7 +536,7 @@ impl ServiceCore {
             // a can-never-fit launch is a clean per-tenant error, not a
             // mid-batch failure.
             if let Some(cap) = capacity {
-                let (_, needed) = distinct_arrays(&args);
+                let needed = arg_bytes(&args);
                 if needed > cap {
                     let tenant = self.tenant_mut(t)?;
                     tenant.rejected += 1;

@@ -34,6 +34,9 @@ pub struct StreamManager {
     /// How many streams were created in total (stat for the tests and
     /// the Fig. 6 stream-count checks).
     created: usize,
+    /// The parent list handed to the policy, rebuilt by every
+    /// [`StreamManager::assign`] in this one buffer.
+    parents: Vec<ParentStream>,
 }
 
 impl StreamManager {
@@ -50,6 +53,7 @@ impl StreamManager {
             pools: Vec::new(),
             claimed: DenseSet::new(),
             created: 0,
+            parents: Vec::new(),
         }
     }
 
@@ -84,16 +88,21 @@ impl StreamManager {
         while self.pools.len() <= device as usize {
             self.pools.push(Vec::new());
         }
-        let parents: Vec<ParentStream> = deps
-            .iter()
-            .filter_map(|&d| {
-                stream_of.get(d).map(|&s| ParentStream {
-                    vertex: d,
-                    stream: s,
-                    claimed: self.claimed.contains(d),
-                })
+        let StreamManager {
+            policy,
+            pools,
+            claimed,
+            created,
+            parents,
+        } = self;
+        parents.clear();
+        parents.extend(deps.iter().filter_map(|&d| {
+            stream_of.get(d).map(|&s| ParentStream {
+                vertex: d,
+                stream: s,
+                claimed: claimed.contains(d),
             })
-            .collect();
+        }));
         // A stream is reusable when everything enqueued on it has
         // completed; the runtime discovers this by polling events,
         // exactly like GrCUDA does with cudaEventQuery. The poll is
@@ -101,20 +110,20 @@ impl StreamManager {
         // inherit a parent's stream never pay for it.
         let is_idle = |s: StreamId| cuda.stream_query(s);
         let ctx = StreamRetrievalCtx {
-            parents: &parents,
-            pool: &self.pools[device as usize],
+            parents,
+            pool: &pools[device as usize],
             is_idle: &is_idle,
         };
-        match self.policy.retrieve(&ctx) {
+        match policy.retrieve(&ctx) {
             StreamChoice::Parent(i) => {
-                self.claimed.insert(parents[i].vertex);
+                claimed.insert(parents[i].vertex);
                 parents[i].stream
             }
             StreamChoice::Reuse(s) => s,
             StreamChoice::Create => {
                 let s = cuda.stream_create_on(device);
-                self.pools[device as usize].push(s);
-                self.created += 1;
+                pools[device as usize].push(s);
+                *created += 1;
                 s
             }
         }

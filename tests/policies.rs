@@ -571,6 +571,52 @@ fn out_of_memory_is_a_loud_launch_error() {
 }
 
 #[test]
+fn a_batch_with_a_call_that_cannot_fit_enters_the_scheduler_not_at_all() {
+    use grcuda::BatchLaunch;
+    use kernels::util::SCALE;
+    // Regression: the capacity check used to run per call at launch
+    // time, so `[ok, ok, too-big]` came back `Err` with the first two
+    // calls already in the DAG and on the engine.
+    let dev = DeviceProfile::tesla_p100();
+    let topo = Topology::pcie_only(2, &dev).with_memory(MemoryConfig::with_capacity(64 << 10));
+    let g = GrCuda::with_topology(dev, topo, Options::parallel(), PlacementPolicy::MemoryAware);
+    let scale = g.build_kernel(&SCALE).unwrap();
+    let small: Vec<DeviceArray> = (0..4).map(|_| g.array_f32(1 << 10)).collect();
+    let big: Vec<DeviceArray> = (0..2).map(|_| g.array_f32(1 << 16)).collect();
+    small[0].fill_f32(3.0);
+    small[2].fill_f32(5.0);
+    let fits = [
+        double_args(&small[0], &small[1]),
+        double_args(&small[2], &small[3]),
+    ];
+    let too_big = double_args(&big[0], &big[1]);
+    let call = |args, blocks| BatchLaunch {
+        kernel: &scale,
+        grid: Grid::d1(blocks, 256),
+        args,
+    };
+
+    let before = (g.dag_len(), g.stats().submitted, g.scheduler_stats());
+    let err = g
+        .launch_batch(&[call(&fits[0], 4), call(&fits[1], 4), call(&too_big, 64)])
+        .unwrap_err();
+    assert!(
+        matches!(err, grcuda::LaunchError::OutOfMemory { needed, .. } if needed == 2 * 4 * (1 << 16)),
+        "{err}"
+    );
+    let after = (g.dag_len(), g.stats().submitted, g.scheduler_stats());
+    assert_eq!(before, after, "nothing of the refused batch was scheduled");
+
+    // The same runtime takes the batch without the bad call.
+    g.launch_batch(&[call(&fits[0], 4), call(&fits[1], 4)])
+        .unwrap();
+    assert_eq!(small[1].get_f32(7), 6.0);
+    assert_eq!(small[3].get_f32(7), 10.0);
+    g.sync();
+    assert_eq!(g.races().len(), 0);
+}
+
+#[test]
 fn stream_aware_balances_an_embarrassingly_parallel_fanout() {
     // 8 independent pricing kernels on 4 devices: min-device-load
     // placement must reach every device and spread the work evenly.
