@@ -17,6 +17,8 @@
 #      (i)) of the files a launch, its completion and its retirement run
 #      through. They were replaced by id-indexed tables; a change that
 #      puts one back shows up here.
+# (iv) Bench binaries: entries under crates/bench/src/bin (one per paper
+#      artifact, plus `trajectory`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,3 +57,4 @@ hashed=$(awk '
     { n += gsub(/HashMap|HashSet|BTreeMap|BTreeSet/, "&") }
     END { print n + 0 }' "${launch_path[@]}")
 printf 'hash/tree collections %-11s %6d\n' "(launch path)" "$hashed"
+printf 'bench binaries       %-12s %6d\n' "(src/bin)" "$(ls crates/bench/src/bin | wc -l)"

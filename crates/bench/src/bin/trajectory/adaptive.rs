@@ -1,4 +1,4 @@
-//! Adaptive-scheduling smoke — the history loop closed end to end.
+//! Adaptive: the history loop closed end to end.
 //!
 //! Sweeps the mixed workload (transfer chain, oversubscription, fanout
 //! mix — see `benchmarks::mixed`) across every placement policy. The
@@ -11,18 +11,17 @@
 //! the best static policy on each one — including a strict >5% win on
 //! the fanout mix, the suite only history can win.
 //!
-//! Usage: `cargo run --release -p bench --bin adaptive [-- --smoke]
-//! [--json FILE]` (`--smoke` shrinks scales for CI; `--json` merges
-//! `adaptive.*` metrics into a flat `BENCH_sched.json`-style file).
+//! `--smoke` shrinks the scales. `adaptive.*` makespans gate
+//! lower-is-better, speedups over the best static policy
+//! higher-is-better, and the calibration sample count exactly.
 
-use bench::{emit_bench_json, ms, parse_bench_args, render_table, round_sig};
+use bench::{ms, render_table, round_sig};
 use benchmarks::{fanout_mix, mixed_makespans, MixedScale, MIXED_SUITES};
 use grcuda::PlacementPolicy;
 
-fn main() {
-    let (smoke, json_path) =
-        parse_bench_args(std::env::args().skip(1), true).unwrap_or_else(|e| panic!("{e}"));
-    let wall_start = std::time::Instant::now();
+use crate::metric::Metrics;
+
+pub fn run(smoke: bool, metrics: &mut Metrics) {
     let scale = if smoke {
         MixedScale::quick()
     } else {
@@ -52,7 +51,6 @@ fn main() {
         render_table(&["policy", "chain", "oversub", "fanout"], &rows)
     );
 
-    let mut json = Vec::new();
     for (i, &suite) in MIXED_SUITES.iter().enumerate() {
         let a = adaptive[i].1;
         let (best_policy, best) = statics
@@ -62,15 +60,12 @@ fn main() {
             .expect("static policies");
         let speedup = round_sig(best / a, 6);
         println!(
-            "RESULT adaptive suite={suite} adaptive_ms={:.3} best_static={} \
-             best_static_ms={:.3} speedup={speedup}",
-            a * 1e3,
-            best_policy.name(),
-            best * 1e3,
+            "{suite}: best static is {} — adaptive is {speedup}x",
+            best_policy.name()
         );
-        json.push((format!("adaptive.{suite}.makespan_ms"), a * 1e3));
-        json.push((format!("adaptive.{suite}.best_static_ms"), best * 1e3));
-        json.push((format!("adaptive.{suite}.speedup"), speedup));
+        metrics.lower(&format!("adaptive.{suite}.makespan_ms"), a * 1e3);
+        metrics.lower(&format!("adaptive.{suite}.best_static_ms"), best * 1e3);
+        metrics.higher(&format!("adaptive.{suite}.speedup"), speedup);
 
         // The acceptance bar: never worse than the best static (2%
         // headroom for exact ties), strictly better on the fanout.
@@ -100,14 +95,8 @@ fn main() {
     )
     .calib_kernel_samples;
     assert!(samples > 0, "calibration must observe kernel durations");
-    println!("RESULT adaptive calib kernel_samples={samples}");
-    json.push(("adaptive.calib.kernel.samples".to_string(), samples as f64));
+    metrics.exact("adaptive.calib.kernel.samples", samples as f64);
 
     println!("\n(acceptance: adaptive matched or beat the best static policy on");
     println!(" every suite and won the fanout mix outright, asserted)");
-
-    let wall = wall_start.elapsed().as_secs_f64();
-    json.push(("wall.adaptive.wall_s".to_string(), wall));
-    emit_bench_json(json_path.as_deref(), &json).expect("write bench json");
-    println!("\nRESULT adaptive ok wall_s={wall:.2}");
 }

@@ -1,26 +1,23 @@
-//! Block-size autotuning demo — the paper's §VI future work
+//! Autotune: block-size autotuning — the paper's §VI future work
 //! ("estimating the ideal block size based on data size and previous
 //! executions"), built on the §IV-A kernel history.
 //!
 //! Runs each 1-D benchmark kernel repeatedly through
-//! `Kernel::launch_autotuned`, then reports the per-kernel choice and
-//! how it compares to the worst candidate, as gated `autotune.*`
-//! metrics.
-//!
-//! Usage: `cargo run --release -p bench --bin autotune [-- --smoke]
-//! [--json FILE]` (`--smoke` shrinks the input for CI; `--json` merges
-//! `autotune.*` metrics into a flat `BENCH_sched.json`-style file).
+//! `Kernel::launch_autotuned` (`--smoke` shrinks the input) and asserts
+//! that the tuned choice strictly beats the worst explored candidate.
+//! Records, per kernel, the chosen block size and the history sample
+//! count — a choice and a count, gated exactly — and the tuned-vs-worst
+//! speedup.
 
-use bench::{emit_bench_json, ms, parse_bench_args, render_table, round_sig};
+use bench::{ms, render_table, round_sig};
+use gpu_sim::calibrate::CANDIDATE_BLOCK_SIZES;
 use gpu_sim::DeviceProfile;
-use grcuda::history::CANDIDATE_BLOCK_SIZES;
 use grcuda::{Arg, GrCuda, Options};
 use kernels::vec_ops::{REDUCE_SUM_DIFF, SQUARE};
 
-fn main() {
-    let (smoke, json_path) =
-        parse_bench_args(std::env::args().skip(1), true).unwrap_or_else(|e| panic!("{e}"));
-    let wall_start = std::time::Instant::now();
+use crate::metric::Metrics;
+
+pub fn run(smoke: bool, m: &mut Metrics) {
     let g = GrCuda::new(DeviceProfile::gtx1660_super(), Options::parallel());
     let n = if smoke { 1 << 20 } else { 1 << 22 };
     let x = g.array_f32(n);
@@ -33,8 +30,7 @@ fn main() {
     let reduce = g.build_kernel(&REDUCE_SUM_DIFF).unwrap();
 
     // Tuning loop: exploration (6 rounds) + a few exploitation rounds.
-    for round in 0..9 {
-        let _ = round;
+    for _ in 0..9 {
         square
             .launch_autotuned(64, &[Arg::array(&x), Arg::scalar(n as f64)])
             .unwrap();
@@ -56,7 +52,6 @@ fn main() {
     }
 
     let mut rows = Vec::new();
-    let mut json = Vec::new();
     for name in ["square", "reduce_sum_diff"] {
         let best = g.best_block_size(name, n).unwrap();
         let mut cells = vec![name.to_string(), format!("{best}")];
@@ -85,13 +80,9 @@ fn main() {
         );
         let samples = g.history_samples(name);
         let speedup = round_sig(worst / tuned, 6);
-        println!(
-            "RESULT autotune kernel={name} best_block={best} \
-             speedup_vs_worst={speedup} samples={samples}"
-        );
-        json.push((format!("autotune.{name}.best_block"), best as f64));
-        json.push((format!("autotune.{name}.speedup_vs_worst"), speedup));
-        json.push((format!("autotune.{name}.samples"), samples as f64));
+        m.exact(&format!("autotune.{name}.best_block"), best as f64);
+        m.higher(&format!("autotune.{name}.speedup_vs_worst"), speedup);
+        m.exact(&format!("autotune.{name}.samples"), samples as f64);
     }
     println!("\nBlock-size autotuner after 9 rounds (input: {n} elements, 64 blocks)");
     let mut headers = vec!["kernel", "chosen"];
@@ -105,9 +96,4 @@ fn main() {
     println!("(paper §V-C: with serial scheduling small blocks under-utilize the GPU;");
     println!(" the tuner discovers this automatically instead of requiring profiling)");
     assert_eq!(g.races().len(), 0);
-
-    let wall = wall_start.elapsed().as_secs_f64();
-    json.push(("wall.autotune.wall_s".to_string(), wall));
-    emit_bench_json(json_path.as_deref(), &json).expect("write bench json");
-    println!("\nRESULT autotune ok wall_s={wall:.2}");
 }

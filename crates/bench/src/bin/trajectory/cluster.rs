@@ -1,9 +1,8 @@
-//! Multi-node cluster scaling study — the scale-out layer on top of the
-//! unified scheduler core: one computation DAG and one engine span
-//! every GPU of every node of a `Cluster`, NIC links join the global
-//! max–min rate solve, batched launches go through the deterministic
-//! DAG partitioner, and `NodeAware` placement keeps each partition on
-//! its node.
+//! Cluster: multi-node scale-out on top of the unified scheduler
+//! core — one computation DAG and one engine span every GPU of every
+//! node of a `Cluster`, NIC links join the global max–min rate solve,
+//! batched launches go through the deterministic DAG partitioner, and
+//! `NodeAware` placement keeps each partition on its node.
 //!
 //! The sweep runs the three cluster suites (chain / fanout / mixed,
 //! see `benchmarks::cluster`) over 2/4/8 nodes × 4/8 GPUs per node,
@@ -17,23 +16,18 @@
 //! than round-robin, which pays a GPU→host→NIC→host→GPU route per
 //! chain step.
 //!
-//! Usage: `cargo run --release -p bench --bin cluster [-- --smoke]
-//! [--json FILE]` (`--smoke` restricts the sweep to 2×4 for CI;
-//! `--json` merges `cluster.*` metrics into a flat
-//! `BENCH_sched.json`-style file, all gated lower-is-better).
+//! `--smoke` restricts the sweep to 2×4. `cluster.*` (makespans,
+//! cross-node MiB, partition cut MiB) all gate lower-is-better.
 
-use bench::{emit_bench_json, ms, parse_bench_args, render_table};
+use bench::{ms, render_table};
 use benchmarks::{cluster_run, ClusterResult, ClusterSuite};
 use grcuda::PlacementPolicy;
 
+use crate::metric::Metrics;
+
 const POLICIES: [PlacementPolicy; 2] = [PlacementPolicy::NodeAware, PlacementPolicy::RoundRobin];
 
-fn main() {
-    let (smoke, json_path) =
-        parse_bench_args(std::env::args().skip(1), true).unwrap_or_else(|e| panic!("{e}"));
-    let wall_start = std::time::Instant::now();
-    let mut json: Vec<(String, f64)> = Vec::new();
-
+pub fn run(smoke: bool, m: &mut Metrics) {
     let configs: Vec<(usize, usize)> = if smoke {
         vec![(2, 4)]
     } else {
@@ -79,27 +73,18 @@ fn main() {
                     format!("{} ({:.1} MiB)", r.cross_node.0, mib(r.cross_node.1)),
                     format!("{:.1}", mib(r.cut_bytes)),
                 ]);
-                println!(
-                    "RESULT cluster nodes={nodes} gpus={gpus} suite={} policy={} \
-                     makespan_ms={:.3} cross_node_mib={:.2} cut_mib={:.2}",
-                    suite.name(),
-                    policy.name(),
-                    r.makespan * 1e3,
-                    mib(r.cross_node.1),
-                    mib(r.cut_bytes),
-                );
                 let prefix = format!("cluster.{nodes}x{gpus}.{}.{}", suite.name(), policy.name());
-                json.push((format!("{prefix}.makespan_ms"), r.makespan * 1e3));
-                json.push((format!("{prefix}.cross_node_mib"), mib(r.cross_node.1)));
+                m.lower(&format!("{prefix}.makespan_ms"), r.makespan * 1e3);
+                m.lower(&format!("{prefix}.cross_node_mib"), mib(r.cross_node.1));
                 results.insert((nodes, gpus, suite, policy), r);
             }
             // The cut is a property of the partitioner, not of
             // placement — record it once per configuration/suite.
             let cut = results[&(nodes, gpus, suite, PlacementPolicy::NodeAware)].cut_bytes;
-            json.push((
-                format!("cluster.{nodes}x{gpus}.{}.cut_mib", suite.name()),
+            m.lower(
+                &format!("cluster.{nodes}x{gpus}.{}.cut_mib", suite.name()),
                 mib(cut),
-            ));
+            );
         }
     }
 
@@ -144,9 +129,4 @@ fn main() {
     );
     println!("(acceptance: at 2x4 on the dependent chain, node-aware beat");
     println!(" round-robin on both cross-node bytes and makespan, asserted)");
-
-    let wall = wall_start.elapsed().as_secs_f64();
-    json.push(("wall.cluster.wall_s".to_string(), wall));
-    emit_bench_json(json_path.as_deref(), &json).expect("write bench json");
-    println!("\nRESULT cluster ok wall_s={wall:.2}");
 }

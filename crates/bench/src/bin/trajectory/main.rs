@@ -1,0 +1,129 @@
+//! The bench trajectory: eight sweeps in one process, each metric
+//! declared with the direction it is judged in, gated against the
+//! committed `BENCH_baseline.json`.
+//!
+//! ```text
+//! cargo run --release -p bench --bin trajectory -- [--smoke] [--refresh] [SUITE..] [OUT.json]
+//! ```
+//!
+//! * `SUITE..` — any of `soak sched multi_gpu audit serve adaptive
+//!   autotune cluster` (default: all eight, always in that order). Each
+//!   is a module of this binary whose header says what it sweeps and
+//!   asserts; an assertion failure panics the run. A subset gates only
+//!   the keys it produced.
+//! * `--smoke` — the reduced CI scale, which is the scale the baseline
+//!   records: only a smoke run is compared against it. A full-scale run
+//!   prints its metrics and checks what a run can fail on its own (a
+//!   non-finite value, a key produced twice, an absolute floor).
+//! * `OUT.json` — also write the run's flat `{"key": number}` map
+//!   there (the CI artifact).
+//! * `--refresh` — after an intentional change: rewrite the baseline
+//!   from this run (all suites, `--smoke`), for you to review with
+//!   `git diff` and commit.
+//!
+//! The gate prints one verdict line per key — `[ok]`/`[FAIL]`, the
+//! declared direction, the value and its baseline — and the process
+//! exits non-zero naming every failed key. [`metric`] holds the rules.
+
+mod adaptive;
+mod audit;
+mod autotune;
+mod cluster;
+mod metric;
+mod multi_gpu;
+mod sched;
+mod serve;
+mod soak;
+
+use bench::{read_bench_json, render_bench_json};
+use metric::Metrics;
+
+/// A sweep: `run(smoke, metrics)`.
+type Suite = (&'static str, fn(bool, &mut Metrics));
+
+const SUITES: [Suite; 8] = [
+    ("soak", soak::run),
+    ("sched", sched::run),
+    ("multi_gpu", multi_gpu::run),
+    ("audit", audit::run),
+    ("serve", serve::run),
+    ("adaptive", adaptive::run),
+    ("autotune", autotune::run),
+    ("cluster", cluster::run),
+];
+
+/// The committed baseline, at the workspace root.
+const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
+
+fn usage(problem: &str) -> ! {
+    let suites: Vec<&str> = SUITES.iter().map(|(name, _)| *name).collect();
+    eprintln!(
+        "trajectory: {problem}\n\
+         usage: trajectory [--smoke] [--refresh] [SUITE..] [OUT.json]\n\
+         suites: {}",
+        suites.join(" ")
+    );
+    std::process::exit(2);
+}
+
+fn main() {
+    let (mut smoke, mut refresh, mut out) = (false, false, None);
+    let mut named: Vec<String> = Vec::new();
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--refresh" => refresh = true,
+            name if SUITES.iter().any(|(suite, _)| *suite == name) => named.push(arg),
+            path if path.ends_with(".json") && out.is_none() => out = Some(arg),
+            other => usage(&format!("unknown argument `{other}`")),
+        }
+    }
+    let selected: Vec<&Suite> = SUITES
+        .iter()
+        .filter(|(name, _)| named.is_empty() || named.iter().any(|n| n == name))
+        .collect();
+    let complete = selected.len() == SUITES.len();
+    if refresh && !(smoke && complete) {
+        usage("--refresh rewrites the whole baseline: pass --smoke and no suite subset");
+    }
+
+    let mut metrics = Metrics::default();
+    for (name, run) in selected {
+        println!("=== {name} ===\n");
+        run(smoke, &mut metrics);
+        println!();
+    }
+    let json = render_bench_json(&metrics.flat());
+    if let Some(out) = &out {
+        std::fs::write(out, &json).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
+    }
+
+    // Only a smoke run has a baseline to be compared against, and a
+    // refresh is about to replace it: both are judged on their own.
+    let baseline = if smoke && !refresh {
+        println!("=== gate: against BENCH_baseline.json ===\n");
+        let content = std::fs::read_to_string(BASELINE)
+            .unwrap_or_else(|e| panic!("cannot read {BASELINE}: {e}"));
+        read_bench_json(&content).unwrap_or_else(|e| panic!("cannot parse {BASELINE}: {e}"))
+    } else {
+        println!("=== gate: no baseline to compare against ===\n");
+        Vec::new()
+    };
+    let failures = metrics.gate(&baseline, complete);
+    if !failures.is_empty() {
+        eprintln!("\ntrajectory: {} failure(s):", failures.len());
+        for f in &failures {
+            eprintln!("  {f}");
+        }
+        eprintln!(
+            "\nIf the change is intentional, rewrite the baseline and commit it:\n  \
+             cargo run --release -p bench --bin trajectory -- --smoke --refresh"
+        );
+        std::process::exit(1);
+    }
+    if refresh {
+        std::fs::write(BASELINE, &json).unwrap_or_else(|e| panic!("cannot write {BASELINE}: {e}"));
+        println!("\nrefreshed BENCH_baseline.json: review `git diff`, then commit it");
+    }
+    println!("\nRESULT trajectory ok");
+}

@@ -1,7 +1,7 @@
-//! Multi-GPU scaling study — the paper's §VI future work on the unified
-//! scheduler core: one computation DAG, one stream manager and one
-//! engine span 1–4 simulated devices, with placement decided per-kernel
-//! by a pluggable `DeviceSelectionPolicy` over a selectable interconnect
+//! Multi-GPU: the paper's §VI future work on the unified scheduler
+//! core — one computation DAG, one stream manager and one engine span
+//! 1–4 simulated devices, with placement decided per-kernel by a
+//! pluggable `DeviceSelectionPolicy` over a selectable interconnect
 //! `Topology`.
 //!
 //! Five parts:
@@ -27,13 +27,14 @@
 //!   ping-pongs data and pays host-mediated migrations. The sweep
 //!   asserts locality-aware migrates strictly fewer bytes.
 //!
-//! Usage: `cargo run --release -p bench --bin multi_gpu [-- --smoke]
-//! [--json FILE]` (`--smoke` shrinks scales/iterations for CI; `--json`
-//! merges machine-readable metrics into a flat `BENCH_sched.json`-style
-//! file). Every section also prints one-line `RESULT ...` records so CI
-//! logs show throughput at a glance.
+//! `--smoke` shrinks scales and iterations. Records the transfer
+//! chain's makespan, host-link MiB and migration count per topology ×
+//! policy (`chain.*`), migrated MiB by link on the NVLink-pair machine
+//! (so link-routing regressions show up), the oversubscription metrics
+//! per configuration (`oversub.*`) and the 4-device overlap percentages
+//! (`sweep.vec4.*`).
 
-use bench::{emit_bench_json, ms, parse_bench_args, render_table};
+use bench::{ms, render_table};
 use benchmarks::{
     oversub_capacity, oversub_configs, oversubscribe, run_multi_gpu, scales, transfer_chain, Bench,
     OversubResult, TransferChainResult,
@@ -43,6 +44,8 @@ use grcuda::{Arg, GrCuda, Options, PlacementPolicy};
 use kernels::black_scholes::BLACK_SCHOLES;
 use kernels::util::SCALE;
 use metrics::OverlapMetrics;
+
+use crate::metric::Metrics;
 
 const G: Grid = Grid {
     blocks: (64, 1, 1),
@@ -168,9 +171,9 @@ fn policy_sweep(smoke: bool) {
 }
 
 /// Transfer-chain workload across every interconnect preset and the
-/// three placement policies whose contrast it was built for. Returns
-/// the machine-readable metrics and asserts the acceptance bar.
-fn topology_sweep(smoke: bool) -> Vec<(String, f64)> {
+/// three placement policies whose contrast it was built for. Records
+/// the `chain.*` metrics and asserts the acceptance bar.
+fn topology_sweep(smoke: bool, m: &mut Metrics) {
     let n = if smoke { 1 << 18 } else { 1 << 20 };
     let iters = 8;
     let policies = [
@@ -179,7 +182,6 @@ fn topology_sweep(smoke: bool) -> Vec<(String, f64)> {
         PlacementPolicy::TransferAware,
     ];
     let mut rows = Vec::new();
-    let mut json = Vec::new();
     let mut results: std::collections::HashMap<
         (TopologyKind, PlacementPolicy),
         TransferChainResult,
@@ -207,23 +209,13 @@ fn topology_sweep(smoke: bool) -> Vec<(String, f64)> {
                 format!("{} ({} KiB)", r.migrations.0, r.migrations.1 / 1024),
                 format!("{} ({} KiB)", r.p2p_migrations.0, r.p2p_migrations.1 / 1024),
             ]);
-            println!(
-                "RESULT multi_gpu chain topo={} policy={} makespan_ms={:.3} \
-                 host_link_mib={:.1} migrations={} p2p_migrations={}",
-                topo.name(),
-                policy.name(),
-                r.makespan * 1e3,
-                r.host_link_bytes / (1 << 20) as f64,
-                r.migrations.0,
-                r.p2p_migrations.0,
-            );
             let prefix = format!("chain.{}.{}", topo.name(), policy.name());
-            json.push((format!("{prefix}.makespan_ms"), r.makespan * 1e3));
-            json.push((
-                format!("{prefix}.host_link_mib"),
+            m.lower(&format!("{prefix}.makespan_ms"), r.makespan * 1e3);
+            m.lower(
+                &format!("{prefix}.host_link_mib"),
                 r.host_link_bytes / (1 << 20) as f64,
-            ));
-            json.push((format!("{prefix}.migrations"), r.migrations.0 as f64));
+            );
+            m.exact(&format!("{prefix}.migrations"), r.migrations.0 as f64);
             results.insert((topo, policy), r);
         }
     }
@@ -242,8 +234,7 @@ fn topology_sweep(smoke: bool) -> Vec<(String, f64)> {
         )
     );
 
-    // Migrated bytes by link on the NVLink-pair machine (the CI
-    // trajectory records these so link-routing regressions show up).
+    // Migrated bytes by link on the NVLink-pair machine.
     let topo = Topology::preset(
         TopologyKind::NvlinkPair,
         benchmarks::TRANSFER_CHAIN_DEVICES,
@@ -255,14 +246,14 @@ fn topology_sweep(smoke: bool) -> Vec<(String, f64)> {
     ] {
         let r = &results[&(TopologyKind::NvlinkPair, policy)];
         for (i, link) in topo.links().iter().enumerate() {
-            json.push((
-                format!(
+            m.lower(
+                &format!(
                     "chain.nvlink-pair.{}.link.{}_mib",
                     policy.name(),
                     link.label()
                 ),
                 r.link_traffic[i].0 / (1 << 20) as f64,
-            ));
+            );
         }
     }
 
@@ -288,18 +279,16 @@ fn topology_sweep(smoke: bool) -> Vec<(String, f64)> {
     );
     println!("(acceptance: on nvlink-pair, transfer-aware beat round-robin and");
     println!(" byte-count locality on both makespan and host-link bytes, asserted)\n");
-    json
 }
 
 /// The finite-device-memory suite: capacity-aware vs capacity-blind
-/// scheduling under a working set ~2× one device's capacity. Returns
-/// machine-readable metrics and asserts the acceptance bar.
-fn oversubscribe_sweep(smoke: bool) -> Vec<(String, f64)> {
+/// scheduling under a working set ~2× one device's capacity. Records
+/// the `oversub.*` metrics and asserts the acceptance bar.
+fn oversubscribe_sweep(smoke: bool, m: &mut Metrics) {
     let n = if smoke { 1 << 16 } else { 1 << 18 };
     let iters = if smoke { 2 } else { 4 };
     let capacity = oversub_capacity(n);
     let mut rows = Vec::new();
-    let mut json = Vec::new();
     let mut results: Vec<(&'static str, OversubResult)> = Vec::new();
     let mut checksum = None;
     for (label, policy, eviction) in oversub_configs() {
@@ -322,21 +311,16 @@ fn oversubscribe_sweep(smoke: bool) -> Vec<(String, f64)> {
                 mib(r.peak_resident[1])
             ),
         ]);
-        println!(
-            "RESULT multi_gpu oversub config={label} makespan_ms={:.3} \
-             evictions={} spilled_mib={:.2} prefetch_hit_pct={:.1}",
-            r.makespan * 1e3,
-            r.evictions,
+        m.lower(&format!("oversub.{label}.makespan_ms"), r.makespan * 1e3);
+        m.exact(&format!("oversub.{label}.evictions"), r.evictions as f64);
+        m.lower(
+            &format!("oversub.{label}.spilled_mib"),
             mib(r.spilled_bytes),
+        );
+        m.higher(
+            &format!("oversub.{label}.prefetch_hit_pct"),
             r.prefetch_hit_rate * 100.0,
         );
-        json.push((format!("oversub.{label}.makespan_ms"), r.makespan * 1e3));
-        json.push((format!("oversub.{label}.evictions"), r.evictions as f64));
-        json.push((format!("oversub.{label}.spilled_mib"), mib(r.spilled_bytes)));
-        json.push((
-            format!("oversub.{label}.prefetch_hit_pct"),
-            r.prefetch_hit_rate * 100.0,
-        ));
         results.push((label, r));
     }
     println!(
@@ -376,20 +360,14 @@ fn oversubscribe_sweep(smoke: bool) -> Vec<(String, f64)> {
     );
     println!("(acceptance: capacity-aware beat capacity-blind on both makespan");
     println!(" and spilled bytes under oversubscription, asserted)\n");
-    json
 }
 
-fn main() {
-    let (smoke, json_path) =
-        parse_bench_args(std::env::args().skip(1), true).unwrap_or_else(|e| panic!("{e}"));
-    let wall_start = std::time::Instant::now();
-    let mut json: Vec<(String, f64)> = Vec::new();
-
+pub fn run(smoke: bool, m: &mut Metrics) {
     println!("Policy sweep: suites x 1/2/4 devices x placement policies\n");
     policy_sweep(smoke);
 
-    json.extend(topology_sweep(smoke));
-    json.extend(oversubscribe_sweep(smoke));
+    topology_sweep(smoke, m);
+    oversubscribe_sweep(smoke, m);
 
     // Scheduler-quality gauge for the trajectory: how much transfer time
     // hides behind computation on a migration-heavy 4-device run.
@@ -410,13 +388,8 @@ fn main() {
         .unwrap();
         r.run.valid.as_ref().expect("sweep run validates");
         let ov = OverlapMetrics::from_timeline(&r.run.timeline);
-        println!(
-            "RESULT multi_gpu overlap suite=VEC devices=4 tc_pct={:.1} tot_pct={:.1}",
-            ov.tc * 100.0,
-            ov.tot * 100.0
-        );
-        json.push(("sweep.vec4.overlap_tc_pct".to_string(), ov.tc * 100.0));
-        json.push(("sweep.vec4.overlap_tot_pct".to_string(), ov.tot * 100.0));
+        m.higher("sweep.vec4.overlap_tc_pct", ov.tc * 100.0);
+        m.higher("sweep.vec4.overlap_tot_pct", ov.tot * 100.0);
     }
 
     let npricing = if smoke { 1 << 17 } else { 1 << 20 };
@@ -479,9 +452,4 @@ fn main() {
     println!(" dependent chain gains nothing from more GPUs and round-robin");
     println!(" placement pays host-mediated migrations — locality-aware");
     println!(" placement avoids them: strictly fewer bytes, asserted above)");
-
-    let wall = wall_start.elapsed().as_secs_f64();
-    json.push(("wall.multi_gpu.wall_s".to_string(), wall));
-    emit_bench_json(json_path.as_deref(), &json).expect("write bench json");
-    println!("\nRESULT multi_gpu ok wall_s={wall:.2}");
 }

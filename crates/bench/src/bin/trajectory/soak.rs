@@ -1,47 +1,40 @@
-//! Long-running soak harness: bounded scheduler memory under sustained
-//! traffic.
+//! Soak: bounded scheduler memory under sustained traffic.
 //!
 //! The paper evaluates the scheduler on short benchmark runs; a
 //! production service issues kernels for the life of the process. This
-//! binary drives ~100k launches (default) through the GrCUDA scheduler —
-//! cycling every benchmark suite, refreshing streaming inputs, reading
-//! outputs and syncing periodically like a request loop would — and
-//! asserts after every sync that *all* scheduler-side state (live DAG
-//! vertices, stored vertices/edges/value states, stream claims, the
-//! vertex→task / vertex→stream maps, pending launch metadata and the
-//! engine's retained task states) is bounded by the live frontier, while
-//! the lifetime counters keep growing.
+//! sweep drives ~102k launches (~6k with `--smoke`) through the GrCUDA
+//! scheduler — cycling every benchmark suite, refreshing streaming
+//! inputs, reading outputs and syncing periodically like a request loop
+//! would — and asserts after every sync that *all* scheduler-side state
+//! (live DAG vertices, stored vertices/edges/value states, stream
+//! claims, the vertex→task / vertex→stream maps, pending launch
+//! metadata and the engine's retained task states) is bounded by the
+//! live frontier, while the lifetime counters keep growing.
 //!
 //! Each service request submits its whole kernel chain as **one**
 //! [`GrCuda::launch_batch`] — the batched-submission fast path that
 //! amortizes the host API and scheduling charges over the chain — and
-//! reads its outputs back every `--read-every` requests rather than
+//! reads its outputs back every [`READ_EVERY`] requests rather than
 //! after every one, like a pipelined service draining responses in
 //! groups.
 //!
-//! Run:  `cargo run --release -p bench --bin soak`
-//! CI:   `cargo run --release -p bench --bin soak -- --smoke --json BENCH_sched.json`
-//! Args: `--launches N` (total, default 102000), `--sync-every K`
-//!       (launches between full syncs, default 64), `--read-every R`
-//!       (requests between output reads, default 8), `--smoke`
-//!       (reduced iteration count for CI), `--json FILE` (merge
-//!       machine-readable metrics into a flat benchmark-JSON file).
-//!
-//! On success the last line is a one-line machine-readable record —
-//! `RESULT soak ok launches=.. wall_s=.. launches_per_s=..
-//! virtual_launches_per_s=..` — so CI logs show throughput at a glance.
-//! `launches_per_s` is wall-clock (machine-dependent, informational);
-//! `virtual_launches_per_s` is simulated-time throughput and fully
-//! deterministic, which is what the CI regression gate tracks.
+//! `soak.virtual_launches_per_s` is simulated-time throughput, fully
+//! deterministic, and carries the absolute floor of the "10× the
+//! scheduler hot path" acceptance bar (~24k/s seed → ≥ 240k/s).
 
-use std::time::Instant;
-
-use bench::{emit_bench_json, render_table};
+use bench::render_table;
 use benchmarks::{
     grcuda_arrays, read_grcuda_outputs, refresh_grcuda_arrays, scales, Bench, PlanArg,
 };
 use gpu_sim::DeviceProfile;
 use grcuda::{Arg, BatchLaunch, GrCuda, Options, SchedulerStats};
+
+use crate::metric::Metrics;
+
+/// Launches between full syncs.
+const SYNC_EVERY: usize = 64;
+/// Requests between output reads, and independent request slots.
+const READ_EVERY: usize = 8;
 
 struct SuiteReport {
     name: &'static str,
@@ -50,7 +43,6 @@ struct SuiteReport {
     peak_live: usize,
     peak_stored: usize,
     final_stored: usize,
-    wall_secs: f64,
     /// Simulated seconds of GPU time the suite's launches spanned.
     virtual_secs: f64,
 }
@@ -70,14 +62,14 @@ fn assert_drained(name: &str, launches: usize, st: &SchedulerStats, retained_tas
     assert_eq!(retained_tasks, 0, "engine task-state leak — {ctx}");
 }
 
-fn soak_suite(b: Bench, quota: usize, sync_every: usize, read_every: usize) -> SuiteReport {
+fn soak_suite(b: Bench, quota: usize) -> SuiteReport {
     let spec = b.build(scales::tiny(b));
     let g = GrCuda::new(DeviceProfile::tesla_p100(), Options::parallel());
-    // `read_every` independent request slots (double-buffering, like a
+    // `READ_EVERY` independent request slots (double-buffering, like a
     // pipelined service with R requests in flight): requests on
     // different slots share no arrays, so their chains overlap on the
     // device instead of serializing behind the previous request.
-    let slots: Vec<_> = (0..read_every).map(|_| grcuda_arrays(&g, &spec)).collect();
+    let slots: Vec<_> = (0..READ_EVERY).map(|_| grcuda_arrays(&g, &spec)).collect();
     let kernels: Vec<_> = spec
         .ops
         .iter()
@@ -110,12 +102,11 @@ fn soak_suite(b: Bench, quota: usize, sync_every: usize, read_every: usize) -> S
     // storage may additionally hold up to one compaction threshold of
     // retired garbage. Anything past this bound is a leak. Syncs are
     // checked at group boundaries, so the frontier can overshoot
-    // `sync_every` by at most one group of chains.
+    // `SYNC_EVERY` by at most one group of chains.
     let out_reads: usize = spec.outputs.iter().map(|(_, cnt)| *cnt).sum();
-    let live_bound = sync_every + read_every * spec.ops.len() + out_reads + 8;
+    let live_bound = SYNC_EVERY + READ_EVERY * spec.ops.len() + out_reads + 8;
     let stored_bound = 2 * live_bound + 64;
 
-    let start = Instant::now();
     let (mut launches, mut since_sync) = (0usize, 0usize);
     let (mut peak_live, mut peak_stored) = (0usize, 0usize);
     for arrays in &slots {
@@ -160,7 +151,7 @@ fn soak_suite(b: Bench, quota: usize, sync_every: usize, read_every: usize) -> S
             spec.name,
             st.stored_vertices
         );
-        if since_sync >= sync_every {
+        if since_sync >= SYNC_EVERY {
             g.sync();
             g.clear_timeline();
             assert_drained(
@@ -174,7 +165,7 @@ fn soak_suite(b: Bench, quota: usize, sync_every: usize, read_every: usize) -> S
         if launches >= quota {
             break;
         }
-        // Fine-grained response drain: one read per `read_every`
+        // Fine-grained response drain: one read per `READ_EVERY`
         // requests, rotating through the slots — the host reads that
         // slot's outputs (retiring its chains without a device-wide
         // sync) and refreshes its streaming inputs; the other slots
@@ -182,7 +173,7 @@ fn soak_suite(b: Bench, quota: usize, sync_every: usize, read_every: usize) -> S
         // dependencies when their next chain lands.
         read_grcuda_outputs(&spec, &slots[drain_slot]);
         refresh_grcuda_arrays(&spec, &slots[drain_slot]);
-        drain_slot = (drain_slot + 1) % read_every;
+        drain_slot = (drain_slot + 1) % READ_EVERY;
     }
     g.sync();
     g.clear_timeline();
@@ -206,65 +197,20 @@ fn soak_suite(b: Bench, quota: usize, sync_every: usize, read_every: usize) -> S
         peak_live,
         peak_stored,
         final_stored: st.stored_vertices,
-        wall_secs: start.elapsed().as_secs_f64(),
         virtual_secs: g.now(),
     }
 }
 
-fn main() {
-    let mut total_launches = 102_000usize;
-    let mut sync_every = 64usize;
-    let mut read_every = 8usize;
-    let mut explicit_launches = false;
-    let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--launches" => {
-                total_launches = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--launches N");
-                explicit_launches = true;
-            }
-            "--sync-every" => {
-                sync_every = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--sync-every K");
-            }
-            "--read-every" => {
-                read_every = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v: &usize| v > 0)
-                    .expect("--read-every R (positive)");
-            }
-            "--smoke" => {
-                if !explicit_launches {
-                    total_launches = 6_000;
-                }
-            }
-            "--json" => json_path = Some(args.next().expect("--json FILE")),
-            other => panic!(
-                "unknown argument `{other}` \
-                 (try --launches/--sync-every/--read-every/--smoke/--json FILE)"
-            ),
-        }
-    }
+pub fn run(smoke: bool, m: &mut Metrics) {
+    let total_launches = if smoke { 6_000usize } else { 102_000 };
     let quota = total_launches.div_ceil(Bench::ALL.len());
 
     println!(
-        "soak: ~{total_launches} launches over {} suites, full sync every {sync_every} \
-         launches, output reads every {read_every} requests\n",
+        "soak: ~{total_launches} launches over {} suites, full sync every {SYNC_EVERY} \
+         launches, output reads every {READ_EVERY} requests\n",
         Bench::ALL.len()
     );
-    let start = Instant::now();
-    let reports: Vec<SuiteReport> = Bench::ALL
-        .iter()
-        .map(|&b| soak_suite(b, quota, sync_every, read_every))
-        .collect();
-    let wall = start.elapsed().as_secs_f64();
+    let reports: Vec<SuiteReport> = Bench::ALL.iter().map(|&b| soak_suite(b, quota)).collect();
 
     let rows: Vec<Vec<String>> = reports
         .iter()
@@ -276,7 +222,6 @@ fn main() {
                 r.peak_live.to_string(),
                 r.peak_stored.to_string(),
                 r.final_stored.to_string(),
-                format!("{:.0}", r.launches as f64 / r.wall_secs),
             ]
         })
         .collect();
@@ -290,7 +235,6 @@ fn main() {
                 "peak live",
                 "peak stored",
                 "final stored",
-                "launches/s",
             ],
             &rows,
         )
@@ -298,21 +242,12 @@ fn main() {
 
     let launches: usize = reports.iter().map(|r| r.launches).sum();
     let virtual_secs: f64 = reports.iter().map(|r| r.virtual_secs).sum();
-    let wall_rate = launches as f64 / wall;
     let virtual_rate = launches as f64 / virtual_secs;
     println!(
-        "soak OK: {launches} launches in {wall:.2} s wall — sustained {wall_rate:.0} launches/s \
-         ({virtual_rate:.0}/simulated s); all scheduler maps drained to 0 after every sync"
+        "soak OK: {launches} launches, {virtual_rate:.0} per simulated second; \
+         all scheduler maps drained to 0 after every sync"
     );
-    let metrics = [
-        ("soak.launches".to_string(), launches as f64),
-        ("soak.virtual_launches_per_s".to_string(), virtual_rate),
-        ("wall.soak.launches_per_s".to_string(), wall_rate),
-        ("wall.soak.wall_s".to_string(), wall),
-    ];
-    emit_bench_json(json_path.as_deref(), &metrics).expect("write bench json");
-    println!(
-        "RESULT soak ok launches={launches} wall_s={wall:.2} \
-         launches_per_s={wall_rate:.0} virtual_launches_per_s={virtual_rate:.0}"
-    );
+    m.exact("soak.launches", launches as f64);
+    m.higher("soak.virtual_launches_per_s", virtual_rate)
+        .floor(240_000.0);
 }

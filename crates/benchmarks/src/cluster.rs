@@ -1,5 +1,5 @@
-//! Cluster-scale workloads: the multi-node suites behind the
-//! `bench --bin cluster` sweep.
+//! Cluster-scale workloads: the multi-node suites behind the bench
+//! trajectory's `cluster` sweep.
 //!
 //! Three batch-submitted suites stress the deterministic DAG
 //! partitioner (see `grcuda::partition`) and node-aware placement on a

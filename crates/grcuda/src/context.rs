@@ -1598,6 +1598,41 @@ mod tests {
         ms.launch(G, &[Arg::array(&x), Arg::scalar(5.0), Arg::scalar(8.0)])
             .unwrap();
         assert_eq!(x.get_f32(3), 5.0);
+
+        // Integer scalars: `n` is declared `sint32`, so a value that is
+        // not one is refused before anything enters the DAG — by a
+        // launch, by a batch (whose good first call is not submitted
+        // either) and by a library call — instead of reaching the
+        // kernel's conversion at the next sync.
+        let lib = g.register_library(&MEMSET_F32, G, true).unwrap();
+        let before = (g.dag_len(), g.stats().submitted);
+        let args = |n: f64| [Arg::array(&x), Arg::scalar(7.0), Arg::scalar(n)];
+        let good = args(8.0);
+        let refused = Err(crate::LaunchError::BadScalar {
+            kernel: "memset_f32".into(),
+            index: 2,
+        });
+        for bad in [f64::NAN, 7.5, 2f64.powi(31)] {
+            let bad = args(bad);
+            assert_eq!(ms.launch(G, &bad), refused);
+            assert_eq!(lib.call(&bad), refused);
+            let call = |args| BatchLaunch {
+                kernel: &ms,
+                grid: G,
+                args,
+            };
+            let batch = [call(&good), call(&bad)];
+            assert_eq!(g.launch_batch(&batch).map(|_| ()), refused);
+        }
+        assert_eq!((g.dag_len(), g.stats().submitted), before);
+        assert_eq!(x.get_f32(3), 5.0);
+        // A `float` parameter still takes any `f64`.
+        ms.launch(
+            G,
+            &[Arg::array(&x), Arg::scalar(f64::NAN), Arg::scalar(8.0)],
+        )
+        .unwrap();
+        assert!(x.get_f32(3).is_nan());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use kernels::KernelDef;
 
 use crate::array::DeviceArray;
 use crate::context::GrCuda;
-use crate::nidl::{NidlParam, Signature};
+use crate::nidl::{NidlParam, NidlType, Signature};
 
 /// A launch argument: a managed array or a scalar passed by copy.
 ///
@@ -95,6 +95,16 @@ pub enum LaunchError {
         /// Zero-based parameter index.
         index: usize,
     },
+    /// A scalar passed for an integer parameter (`sint32`, `sint64`) is
+    /// not a value of that type: NaN, infinite, fractional or outside
+    /// its range. Scalars ride as `f64` and the kernel converts them
+    /// back, so anything else would reach it as a different number.
+    BadScalar {
+        /// Kernel name.
+        kernel: String,
+        /// Zero-based parameter index.
+        index: usize,
+    },
     /// The launch's argument set is larger than any device's memory:
     /// even evicting every other resident array could not make it fit.
     /// Raised only under a finite [`gpu_sim::MemoryConfig`] capacity.
@@ -137,6 +147,11 @@ impl fmt::Display for LaunchError {
                 f,
                 "kernel `{kernel}` argument {index}: array belongs to another runtime"
             ),
+            LaunchError::BadScalar { kernel, index } => write!(
+                f,
+                "kernel `{kernel}` argument {index}: scalar is not a value of \
+                 the declared integer type"
+            ),
             LaunchError::OutOfMemory {
                 kernel,
                 needed,
@@ -151,6 +166,20 @@ impl fmt::Display for LaunchError {
 }
 
 impl std::error::Error for LaunchError {}
+
+/// Can a scalar parameter declared `ty` hold `v`? An integer parameter
+/// takes integral values inside its type's range, so the kernel's
+/// conversion back from `f64` is exact. The round trip through `i64`
+/// is the integrality test (a fraction is truncated, NaN lands on 0):
+/// one conversion each way, no call into libm on the launch path.
+fn scalar_fits(ty: NidlType, v: f64) -> bool {
+    let bound = match ty {
+        NidlType::Sint32 => 2f64.powi(31),
+        NidlType::Sint64 => 2f64.powi(63),
+        _ => return true,
+    };
+    (-bound..bound).contains(&v) && v as i64 as f64 == v
+}
 
 /// One entry of a batched submission ([`GrCuda::launch_batch`]): a
 /// kernel, its grid and its arguments, exactly as a standalone
@@ -229,6 +258,18 @@ impl Kernel {
     /// magnitude, then exploits the fastest observed one. Returns the
     /// grid it chose.
     ///
+    /// The history is §IV-A's: "We track each kernel's historical
+    /// performance and scheduling to allow the creation of heuristics
+    /// that guide future scheduling of the same kernel." It lives where
+    /// a kernel's duration becomes known: the engine records every
+    /// completed launch into [`gpu_sim::Calibration`] (per-signature
+    /// `(block size, size bucket)` cells over
+    /// [`gpu_sim::calibrate::CANDIDATE_BLOCK_SIZES`]), which also holds
+    /// the explore-then-exploit chooser used here. Read it through
+    /// [`crate::GrCuda::history_samples`],
+    /// [`crate::GrCuda::best_block_size`] and
+    /// [`crate::GrCuda::mean_kernel_duration`].
+    ///
     /// A launch's measurement reaches the tuner as soon as the simulator
     /// completes the kernel — at any [`crate::GrCuda::sync`], array read
     /// or other call that advances virtual time past its end — and not
@@ -256,8 +297,8 @@ impl Kernel {
         Ok(grid)
     }
 
-    /// Check arity, kinds and element types, and that every array
-    /// belongs to this kernel's runtime.
+    /// Check arity, kinds, element types and integer scalars, and that
+    /// every array belongs to this kernel's runtime.
     pub(crate) fn validate(&self, args: &[Arg]) -> Result<(), LaunchError> {
         if args.len() != self.sig.params.len() {
             return Err(LaunchError::ArityMismatch {
@@ -287,7 +328,14 @@ impl Kernel {
                         }
                     }
                 }
-                (NidlParam::Scalar { .. }, Arg::Scalar(_)) => {}
+                (NidlParam::Scalar { ty, .. }, Arg::Scalar(v)) => {
+                    if !scalar_fits(*ty, *v) {
+                        return Err(LaunchError::BadScalar {
+                            kernel: self.def.name.into(),
+                            index: i,
+                        });
+                    }
+                }
                 _ => {
                     return Err(LaunchError::KindMismatch {
                         kernel: self.def.name.into(),
@@ -297,5 +345,33 @@ impl Kernel {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn integer_scalars_take_exactly_their_types_values() {
+        let (i32_end, i64_end) = (2f64.powi(31), 2f64.powi(63));
+        for (ty, v, fits) in [
+            (NidlType::Sint32, 0.0, true),
+            (NidlType::Sint32, -i32_end, true),
+            (NidlType::Sint32, i32_end - 1.0, true),
+            (NidlType::Sint32, i32_end, false),
+            (NidlType::Sint32, -i32_end - 1.0, false),
+            (NidlType::Sint32, 0.5, false),
+            (NidlType::Sint32, f64::NAN, false),
+            (NidlType::Sint32, f64::NEG_INFINITY, false),
+            (NidlType::Sint64, i32_end, true),
+            (NidlType::Sint64, -i64_end, true),
+            (NidlType::Sint64, i64_end, false),
+            (NidlType::Sint64, f64::INFINITY, false),
+            (NidlType::Float, f64::NAN, true),
+            (NidlType::Double, 0.5, true),
+        ] {
+            assert_eq!(scalar_fits(ty, v), fits, "{ty:?} {v}");
+        }
     }
 }

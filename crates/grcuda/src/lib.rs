@@ -24,7 +24,8 @@
 //!    vertex→task/stream entries and compacts the DAG, so a service
 //!    issuing millions of launches does not grow without bound. The
 //!    gauges are exposed via [`GrCuda::scheduler_stats`]; the `soak`
-//!    binary in `crates/bench` asserts them under sustained traffic.
+//!    suite of `crates/bench`'s `trajectory` binary asserts them under
+//!    sustained traffic.
 //!
 //! The host program is written *as if it were serial* — launch kernels,
 //! read array elements — and the scheduler extracts the task parallelism:
@@ -59,7 +60,6 @@
 pub mod array;
 pub mod audit;
 pub mod context;
-pub mod history;
 pub mod kernel;
 pub mod library;
 pub mod nidl;

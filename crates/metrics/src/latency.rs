@@ -6,7 +6,7 @@
 //! **nearest-rank** definition — `value = sorted[ceil(q/100 · n) - 1]`
 //! — so every reported figure is an actual sample (no interpolation)
 //! and the result is bit-deterministic for a deterministic input
-//! vector, which is what lets `bench_gate` diff the keys exactly.
+//! vector, which is what lets the bench trajectory diff the keys exactly.
 
 /// Nearest-rank percentile of `samples` at `q` (in percent, `0 < q ≤
 /// 100`). Returns `None` on an empty vector. The input need not be

@@ -1,11 +1,11 @@
 //! Integration: scheduler memory is O(live computations), not
 //! O(lifetime launches).
 //!
-//! Miniature of the `soak` binary (`cargo run --release -p bench --bin
-//! soak`): repeated launch/sync cycles across real benchmark suites must
-//! leave every scheduler-side map and the DAG's stored vertex set
-//! bounded by the live frontier, while the lifetime counters keep
-//! growing.
+//! Miniature of the bench trajectory's `soak` suite (`cargo run
+//! --release -p bench --bin trajectory -- soak`): repeated launch/sync
+//! cycles across real benchmark suites must leave every scheduler-side
+//! map and the DAG's stored vertex set bounded by the live frontier,
+//! while the lifetime counters keep growing.
 
 use benchmarks::{grcuda_arrays, scales, Bench, PlanArg};
 use gpu_sim::{DeviceProfile, Grid, MemoryConfig, Topology};

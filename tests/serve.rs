@@ -404,6 +404,31 @@ fn malformed_requests_fail_cleanly() {
         deadline_us: None,
     };
     assert!(matches!(core.submit(t, bad), Err(ServeError::Invalid(_))));
+    // A NaN for SCALE's `sint32 n` is refused at submit too: admitted, it
+    // would panic a debug-built service for every tenant at the next
+    // sync. The other tenant's request, already queued, completes.
+    let other = core.add_tenant("other", 1);
+    let (ox, oy) = (
+        core.alloc(other, ElemKind::F32, 16).unwrap(),
+        core.alloc(other, ElemKind::F32, 16).unwrap(),
+    );
+    core.fill(other, ox, 2.0).unwrap();
+    let ok = core.register_kernel(other, &SCALE).unwrap();
+    let queued = RequestSpec {
+        calls: chain(1, ok, ok, ox, oy, 16),
+        deadline_us: None,
+    };
+    core.submit(other, queued).unwrap();
+    let mut bad = RequestSpec {
+        calls: chain(1, k, k, x, x, 16),
+        deadline_us: None,
+    };
+    bad.calls[0].args[3] = ArgSpec::Scalar(f64::NAN);
+    assert!(matches!(core.submit(t, bad), Err(ServeError::Invalid(_))));
+    core.drain_all();
+    assert_eq!(core.tenant_stats(other).unwrap().completed, 1);
+    assert_eq!(core.tenant_stats(t).unwrap().completed, 0);
+    assert_eq!(core.read(other, oy, 3).unwrap(), 3.0);
     // Empty request.
     assert!(matches!(
         core.submit(t, RequestSpec::default()),
