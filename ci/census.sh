@@ -12,6 +12,8 @@
 #      by their parent) count as zero.
 # (ii) Public-item census: `pub fn|struct|enum|trait|type|const` lines in
 #      the four library crates whose API the layers above program against.
+#      `pub trait` lines across every crate: each is a seam someone
+#      outside the defining module can implement.
 # (iii) Hash and tree collections on the launch path: occurrences of
 #      `HashMap|HashSet|BTreeMap|BTreeSet` in the non-test code (as in
 #      (i)) of the files a launch, its completion and its retirement run
@@ -42,6 +44,8 @@ printf 'non-test code lines  %-12s %6d\n' total "$total"
 public=$(grep -rEn "^\s*pub (fn|struct|enum|trait|type|const) " \
     crates/{grcuda,cuda-sim,gpu-sim,benchmarks}/src | wc -l)
 printf 'public items         %-12s %6d\n' "(4 crates)" "$public"
+printf 'pub traits           %-12s %6d\n' "(workspace)" \
+    "$(grep -rE "^\s*pub trait " crates/*/src | wc -l)"
 
 launch_path=(
     crates/dag/src/{graph,vertex}.rs

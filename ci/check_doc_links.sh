@@ -1,11 +1,17 @@
 #!/usr/bin/env bash
-# Check intra-repo markdown links in README.md and docs/*.md.
+# Check intra-repo markdown links and source anchors in README.md and
+# docs/*.md.
 #
 # A link breaks the build when its target file does not exist
 # (relative to the file containing the link) or, for a same-repo
 # `file.md#anchor` / `#anchor` link, when no heading in the target
 # renders to that GitHub-style anchor. External links (http/https) and
 # mailto links are ignored.
+#
+# A source anchor is a backticked `crates/<path>.rs` or
+# `crates/<path>.rs:<line>` (relative to the repo root; `*` globs
+# allowed). It breaks the build when no such file exists or the line
+# lies outside it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,13 +51,25 @@ scan() {
                     fi
                 fi
             done
+        grep -o '`crates/[^` ]*\.rs\(:[0-9]*\)\?`' "$doc" | tr -d '`' | sort -u |
+            while IFS= read -r anchor; do
+                path=${anchor%%:*}
+                if ! compgen -G "$path" >/dev/null; then
+                    echo "BROKEN ANCHOR in $doc: \`$anchor\` -> no file $path"
+                elif [ "$path" != "$anchor" ]; then
+                    line=${anchor#*:}
+                    if [ -z "$line" ] || [ "$line" -lt 1 ] || [ "$line" -gt "$(wc -l <"$path")" ]; then
+                        echo "BROKEN ANCHOR in $doc: \`$anchor\` -> no such line in $path"
+                    fi
+                fi
+            done
     done
 }
 
 errors=$(scan)
 if [ -n "$errors" ]; then
     echo "$errors"
-    echo "doc link check: FAILED ($(echo "$errors" | wc -l) broken link(s))"
+    echo "doc link check: FAILED ($(echo "$errors" | wc -l) broken link(s) or anchor(s))"
     exit 1
 fi
-echo "doc link check: all intra-repo links in README.md and docs/*.md resolve"
+echo "doc link check: all intra-repo links and source anchors in README.md and docs/*.md resolve"

@@ -632,7 +632,7 @@ impl GrCuda {
 
     /// The calibrated decaying-mean duration for a kernel signature, or
     /// `None` while calibration is off or has no samples for it. This
-    /// is the prior [`crate::policy::Adaptive`] weights its
+    /// is the prior [`crate::PlacementPolicy::Adaptive`] weights its
     /// predicted-seconds ledger by.
     pub fn kernel_duration_prior(&self, kernel: &str) -> Option<Time> {
         self.calibration(|c| c.kernel_prior(kernel))
@@ -1625,6 +1625,19 @@ mod tests {
             assert_eq!(g.launch_batch(&batch).map(|_| ()), refused);
         }
         assert_eq!((g.dag_len(), g.stats().submitted), before);
+        assert_eq!(x.get_f32(3), 5.0);
+        // A negative `n` *is* a `sint32`: it is accepted and, as a
+        // length, means no elements — a no-op through a launch and
+        // through a batch, in debug and release builds alike.
+        let sq = g.build_kernel(&SQUARE).unwrap();
+        let none = [Arg::array(&x), Arg::scalar(-1.0)];
+        sq.launch(G, &none).unwrap();
+        let batch = [BatchLaunch {
+            kernel: &sq,
+            grid: G,
+            args: &none,
+        }];
+        g.launch_batch(&batch).unwrap();
         assert_eq!(x.get_f32(3), 5.0);
         // A `float` parameter still takes any `f64`.
         ms.launch(

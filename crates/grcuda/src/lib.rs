@@ -79,10 +79,8 @@ pub use kernel::{Arg, BatchLaunch, Kernel, LaunchError};
 pub use library::Library;
 pub use nidl::{NidlError, NidlParam, NidlType, Signature};
 pub use options::{DepStreamPolicy, Options, PrefetchPolicy, SchedulePolicy, StreamReusePolicy};
-pub use partition::{partition_batch, BatchPartition, NodeAware};
-pub use policy::{
-    DeviceSelectionPolicy, MemoryAware, PlacementCtx, PlacementPolicy, StreamRetrievalPolicy,
-};
+pub use partition::{partition_batch, BatchPartition};
+pub use policy::{DeviceSelectionPolicy, PlacementCtx, PlacementPolicy};
 
 pub use context::ClusterStats;
 pub use gpu_sim::{

@@ -25,12 +25,10 @@
 //!    (ties: lowest vertex id) until the part reaches the share, then
 //!    start the next part.
 //!
-//! The companion [`NodeAware`] placement policy consumes the resulting
-//! per-vertex node hints: it narrows the placement context to the
-//! hinted node's GPUs and delegates the in-node choice to a wrapped
-//! single-box policy (transfer-aware by default).
-
-use crate::policy::{DeviceSelectionPolicy, PlacementCtx, PlacementPolicy};
+//! [`crate::PlacementPolicy::NodeAware`] consumes the resulting
+//! per-vertex node hints ([`crate::PlacementCtx::node_hint`]): it ranks
+//! only the hinted node's GPUs, the way transfer-aware placement ranks
+//! the whole machine.
 
 /// The result of partitioning one submitted batch across cluster nodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -243,102 +241,11 @@ pub fn partition_batch(items: &[Vec<(u64, usize)>], nodes: usize) -> BatchPartit
     }
 }
 
-/// Cluster-aware placement: honor the partitioner's node hint, delegate
-/// the GPU choice within the node to a wrapped single-box policy.
-///
-/// When a vertex carries a [`PlacementCtx::node_hint`] (set by the
-/// [`crate::GrCuda::launch_batch`] partitioning pre-pass on multi-node
-/// machines), the context is narrowed to that node's contiguous GPU
-/// range — residency, transfer estimates, load and headroom re-indexed
-/// in-node, out-of-node parents dropped — and the wrapped policy
-/// (transfer-aware by default, [`NodeAware::with_inner`] for others,
-/// e.g. [`crate::policy::Adaptive`]) picks among the node's GPUs.
-/// Vertices without a hint (single launches, single-node machines) are
-/// delegated unchanged, so outside a cluster this behaves exactly like
-/// its inner policy.
-pub struct NodeAware {
-    inner: Box<dyn DeviceSelectionPolicy>,
-    parents: Vec<u32>,
-}
-
-impl NodeAware {
-    /// Node-aware placement over the default in-node policy
-    /// (transfer-aware).
-    pub fn new() -> Self {
-        Self::with_inner(PlacementPolicy::TransferAware.build())
-    }
-
-    /// Node-aware placement over an explicit in-node policy.
-    pub fn with_inner(inner: Box<dyn DeviceSelectionPolicy>) -> Self {
-        Self {
-            inner,
-            parents: Vec::new(),
-        }
-    }
-}
-
-impl Default for NodeAware {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for NodeAware {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NodeAware")
-            .field("inner", &self.inner.name())
-            .finish()
-    }
-}
-
-impl DeviceSelectionPolicy for NodeAware {
-    fn name(&self) -> &'static str {
-        "node-aware"
-    }
-
-    fn select(&mut self, ctx: &PlacementCtx) -> u32 {
-        let Some(node) = ctx.node_hint else {
-            return self.inner.select(ctx);
-        };
-        // The hinted node's devices are a contiguous id range by
-        // cluster construction.
-        let Some(base) = ctx.node_of.iter().position(|&m| m == node) else {
-            return self.inner.select(ctx);
-        };
-        let len = ctx.node_of[base..]
-            .iter()
-            .take_while(|&&m| m == node)
-            .count();
-        if len == 0 || base + len > ctx.device_count {
-            return self.inner.select(ctx);
-        }
-        self.parents.clear();
-        for &d in ctx.parent_devices {
-            let d = d as usize;
-            if (base..base + len).contains(&d) {
-                self.parents.push((d - base) as u32);
-            }
-        }
-        let narrowed = PlacementCtx {
-            device_count: len,
-            parent_devices: &self.parents,
-            resident_bytes: &ctx.resident_bytes[base..base + len],
-            est_transfer_time: &ctx.est_transfer_time[base..base + len],
-            inflight: &ctx.inflight[base..base + len],
-            free_bytes: &ctx.free_bytes[base..base + len],
-            arg_bytes: ctx.arg_bytes,
-            kernel: ctx.kernel,
-            duration_prior: ctx.duration_prior,
-            node_hint: None,
-            node_of: &[],
-        };
-        base as u32 + self.inner.select(&narrowed).min(len as u32 - 1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::device::BASE_CTX;
+    use crate::policy::{PlacementCtx, PlacementPolicy};
 
     const MIB: usize = 1 << 20;
 
@@ -503,21 +410,16 @@ mod tests {
 
     #[test]
     fn node_aware_honors_the_hint_and_delegates_without_one() {
-        let mut p = NodeAware::new();
-        let node_of = [0, 0, 1, 1];
+        let mut p = PlacementPolicy::NodeAware.build();
         // Device 0 is globally cheapest, but the hint pins node 1.
         let ctx = PlacementCtx {
-            device_count: 4,
             parent_devices: &[0, 3],
             resident_bytes: &[0, 0, 0, 4096],
             est_transfer_time: &[0.0, 1e-3, 2e-3, 1e-3],
             inflight: &[0, 0, 5, 0],
-            free_bytes: &[usize::MAX; 4],
-            arg_bytes: 0,
-            kernel: "k",
-            duration_prior: None,
             node_hint: Some(1),
-            node_of: &node_of,
+            node_of: &[0, 0, 1, 1],
+            ..BASE_CTX
         };
         assert_eq!(p.select(&ctx), 3, "cheapest GPU within the hinted node");
         let unhinted = PlacementCtx {
@@ -529,20 +431,22 @@ mod tests {
 
     #[test]
     fn node_aware_falls_back_when_the_hint_names_no_device() {
-        let mut p = NodeAware::new();
+        let mut p = PlacementPolicy::NodeAware.build();
         let ctx = PlacementCtx {
             device_count: 2,
-            parent_devices: &[],
-            resident_bytes: &[0, 0],
             est_transfer_time: &[1e-3, 0.0],
-            inflight: &[0, 0],
-            free_bytes: &[usize::MAX; 2],
-            arg_bytes: 0,
-            kernel: "k",
-            duration_prior: None,
             node_hint: Some(7),
             node_of: &[0, 0],
+            ..BASE_CTX
         };
         assert_eq!(p.select(&ctx), 1, "unknown node: machine-wide choice");
+        // A node whose GPU range leaves the machine is no hint either.
+        let beyond = PlacementCtx {
+            est_transfer_time: &[0.0, 1e-3],
+            node_hint: Some(1),
+            node_of: &[0, 1, 1],
+            ..ctx
+        };
+        assert_eq!(p.select(&beyond), 0, "range past the last device");
     }
 }

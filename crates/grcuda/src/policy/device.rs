@@ -1,4 +1,4 @@
-//! Device-selection policies: where each computational element runs.
+//! Device selection: where each computational element runs.
 //!
 //! The paper's §VI names the hard part of multi-GPU scheduling:
 //! "it requires to compute data location and migration costs at run
@@ -6,6 +6,15 @@
 //! exactly that context per vertex — argument residency per device,
 //! parent placement, per-device in-flight load — and hands it to a
 //! [`DeviceSelectionPolicy`] to make the call.
+//!
+//! The built-in policies are one ranked selection over a preset table
+//! (the `preset` rows next to [`PlacementPolicy::build`]): a row names
+//! which devices are candidates and the lexicographic order they are
+//! ranked in. Every row ends in the device id, so a tie is broken where
+//! the row is declared, never by iteration order.
+
+use std::cmp::Ordering;
+use std::ops::Range;
 
 /// Run-time context for one placement decision. All slices are indexed
 /// by device id and sized to `device_count`.
@@ -41,23 +50,27 @@ pub struct PlacementCtx<'a> {
     /// Total bytes of this computation's distinct array arguments (what
     /// must be resident, somewhere, for it to run).
     pub arg_bytes: usize,
-    /// The computation's signature (its kernel name) — what
-    /// history-driven policies key their per-signature state by.
+    /// The computation's signature (its kernel name). Read by no
+    /// preset; retained for `benchmark/`; retire in the next benchmark
+    /// PR.
     pub kernel: &'a str,
     /// Decaying mean duration observed for this signature by online
     /// calibration, or `None` while calibration is off or has no
-    /// samples yet (see [`crate::Options::calibrate`]). This is the
-    /// per-signature weight [`crate::policy::Adaptive`] reweights
-    /// in-flight work by.
+    /// samples yet (see [`crate::Options::calibrate`]) — what a root
+    /// charges the predicted-seconds ledger. Read by one preset
+    /// ([`PlacementPolicy::Adaptive`]); retained for `benchmark/`;
+    /// retire in the next benchmark PR.
     pub duration_prior: Option<f64>,
     /// Cluster node the partitioning pre-pass assigned this vertex to
     /// (`None` for single launches, single-node machines, or when the
-    /// pre-pass is off). Only [`crate::partition::NodeAware`] consults
-    /// it; every other policy ignores the hint.
+    /// pre-pass is off). Read by one preset
+    /// ([`PlacementPolicy::NodeAware`]); retained for `benchmark/`;
+    /// retire in the next benchmark PR.
     pub node_hint: Option<u32>,
     /// Node of each device (indexed by device id), empty on single-node
-    /// machines — the map [`crate::partition::NodeAware`] uses to narrow
-    /// the context to the hinted node's GPU range.
+    /// machines — where the hinted node's GPU range is looked up. Read
+    /// by one preset ([`PlacementPolicy::NodeAware`]); retained for
+    /// `benchmark/`; retire in the next benchmark PR.
     pub node_of: &'a [u32],
 }
 
@@ -74,13 +87,36 @@ impl PlacementCtx<'_> {
     pub fn fits(&self, device: usize) -> bool {
         self.needed_bytes(device) <= self.free_bytes[device]
     }
+
+    /// The contiguous device-id range of the hinted node (contiguous by
+    /// cluster construction), or every device when there is no hint,
+    /// no device of that node, or the range leaves the machine.
+    fn hinted_node(&self) -> Range<usize> {
+        let all = 0..self.device_count;
+        let Some(node) = self.node_hint else {
+            return all;
+        };
+        let Some(base) = self.node_of.iter().position(|&m| m == node) else {
+            return all;
+        };
+        let of_node = self.node_of[base..].iter().take_while(|&&m| m == node);
+        let end = base + of_node.count();
+        if end > self.device_count {
+            all
+        } else {
+            base..end
+        }
+    }
 }
 
 /// Picks the device for each computational element at launch time.
 ///
-/// Implementations may keep state (e.g. a round-robin cursor); the
-/// scheduler calls [`DeviceSelectionPolicy::select`] exactly once per
-/// scheduled vertex, in submission order.
+/// This seam is a trait because it has a way in
+/// ([`crate::GrCuda::with_topology`] takes any boxed implementor) and
+/// implementors outside this crate. Implementations may keep state
+/// (e.g. a round-robin cursor); the scheduler calls
+/// [`DeviceSelectionPolicy::select`] exactly once per scheduled vertex,
+/// in submission order.
 pub trait DeviceSelectionPolicy {
     /// Short display name for tables and sweeps.
     fn name(&self) -> &'static str;
@@ -89,144 +125,136 @@ pub trait DeviceSelectionPolicy {
     fn select(&mut self, ctx: &PlacementCtx) -> u32;
 }
 
-/// Everything on device 0 — the single-GPU baseline for scaling studies.
-#[derive(Debug, Default)]
-pub struct SingleGpu;
-
-impl DeviceSelectionPolicy for SingleGpu {
-    fn name(&self) -> &'static str {
-        "single-gpu"
-    }
-
-    fn select(&mut self, _ctx: &PlacementCtx) -> u32 {
-        0
-    }
+/// One key of a preset's lexicographic ranking; the smaller key wins.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Term {
+    /// More resident argument bytes first (byte-count locality).
+    Resident,
+    /// Fewer in-flight tasks first.
+    Load,
+    /// Lower estimated transfer time first.
+    Transfer,
+    /// Lower transfer time plus, for a root, the device's predicted
+    /// outstanding seconds first; a dependent waits on its parents
+    /// regardless, so only its transfer time counts.
+    Queue,
+    /// More free bytes first.
+    Free,
+    /// The device under the round-robin cursor first, then onward.
+    Turn,
+    /// Lower device id first — the declared tie-break closing every row.
+    Id,
 }
 
-/// Cycle through the devices regardless of data location.
-#[derive(Debug, Default)]
-pub struct RoundRobin {
-    next: usize,
+/// When no candidate has room for the arguments eviction is
+/// unavoidable: go where the pressure is lowest, then cheapest.
+const NOTHING_FITS: &[Term] = &[Term::Free, Term::Transfer, Term::Id];
+
+/// One row of the decision-rule table: a name, two candidate filters
+/// and the order the surviving candidates are ranked in.
+#[derive(Debug, Clone, Copy)]
+struct Preset {
+    name: &'static str,
+    /// Only the hinted node's devices are candidates
+    /// (see [`PlacementCtx::node_hint`]).
+    node: bool,
+    /// Only candidates the arguments fit on are ranked — running
+    /// elsewhere would evict live data — unless [`NOTHING_FITS`].
+    fit: bool,
+    terms: &'static [Term],
 }
 
-impl DeviceSelectionPolicy for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn select(&mut self, ctx: &PlacementCtx) -> u32 {
-        let d = (self.next % ctx.device_count) as u32;
-        self.next += 1;
-        d
-    }
-}
-
-/// Minimize migrated bytes: run where the most argument bytes already
-/// live; break ties toward the least-loaded device, then the lowest id.
-#[derive(Debug, Default)]
-pub struct LocalityAware;
-
-impl DeviceSelectionPolicy for LocalityAware {
-    fn name(&self) -> &'static str {
-        "locality-aware"
-    }
-
-    fn select(&mut self, ctx: &PlacementCtx) -> u32 {
-        (0..ctx.device_count)
-            .min_by_key(|&d| (usize::MAX - ctx.resident_bytes[d], ctx.inflight[d], d))
-            .unwrap_or(0) as u32
-    }
-}
-
-/// Minimize per-device load: run on the device with the fewest in-flight
-/// tasks; break ties toward the most resident bytes, then the lowest id.
-/// The right default for embarrassingly-parallel fan-outs.
-#[derive(Debug, Default)]
-pub struct StreamAware;
-
-impl DeviceSelectionPolicy for StreamAware {
-    fn name(&self) -> &'static str {
-        "stream-aware"
-    }
-
-    fn select(&mut self, ctx: &PlacementCtx) -> u32 {
-        (0..ctx.device_count)
-            .min_by_key(|&d| (ctx.inflight[d], usize::MAX - ctx.resident_bytes[d], d))
-            .unwrap_or(0) as u32
-    }
-}
-
-/// Minimize estimated transfer *time*: run where moving the arguments
-/// costs the least, given link bandwidths — a fast peer link makes a
-/// remote replica cheap, a host-mediated migration makes it expensive,
-/// and a still-valid host copy costs one H2D leg anywhere. Ties break
-/// toward the least-loaded device, then the lowest id.
-///
-/// This is the cost-aware refinement of [`LocalityAware`]: byte counting
-/// treats every remote byte the same, so it happily drags data over two
-/// PCIe legs to chase a slightly larger replica that a single cheap leg
-/// (or an NVLink hop) would have avoided.
-#[derive(Debug, Default)]
-pub struct TransferAware;
-
-impl DeviceSelectionPolicy for TransferAware {
-    fn name(&self) -> &'static str {
-        "transfer-aware"
-    }
-
-    fn select(&mut self, ctx: &PlacementCtx) -> u32 {
-        (0..ctx.device_count)
-            .min_by(|&a, &b| {
-                ctx.est_transfer_time[a]
-                    .total_cmp(&ctx.est_transfer_time[b])
-                    .then(ctx.inflight[a].cmp(&ctx.inflight[b]))
-                    .then(a.cmp(&b))
-            })
-            .unwrap_or(0) as u32
-    }
-}
-
-/// Capacity-aware placement for finite device memory: *skip devices
-/// where the arguments do not fit* (running there would evict live data
-/// and thrash), then choose the cheapest fitting device by estimated
-/// transfer time (ties → load → id). When no device has the headroom,
-/// it degrades gracefully to the device with the most free bytes —
-/// eviction is then unavoidable, so pressure is at least minimized.
-///
-/// This is what [`TransferAware`] is missing under oversubscription:
-/// transfer-time estimates say "free, the data is resident" while every
-/// launch on the full device silently evicts someone else's working
-/// set.
-#[derive(Debug, Default)]
-pub struct MemoryAware;
-
-impl DeviceSelectionPolicy for MemoryAware {
-    fn name(&self) -> &'static str {
-        "memory-aware"
-    }
-
-    fn select(&mut self, ctx: &PlacementCtx) -> u32 {
-        let fitting = (0..ctx.device_count)
-            .filter(|&d| ctx.fits(d))
-            .min_by(|&a, &b| {
-                ctx.est_transfer_time[a]
-                    .total_cmp(&ctx.est_transfer_time[b])
-                    .then(ctx.inflight[a].cmp(&ctx.inflight[b]))
-                    .then(a.cmp(&b))
-            });
-        match fitting {
-            Some(d) => d as u32,
-            // Nothing fits: evicting is unavoidable, go where the
-            // pressure is lowest (ties → cheapest transfer → id).
-            None => (0..ctx.device_count)
-                .min_by(|&a, &b| {
-                    ctx.free_bytes[b]
-                        .cmp(&ctx.free_bytes[a])
-                        .then(ctx.est_transfer_time[a].total_cmp(&ctx.est_transfer_time[b]))
-                        .then(a.cmp(&b))
-                })
-                .unwrap_or(0) as u32,
+impl Preset {
+    const fn rank(name: &'static str, terms: &'static [Term]) -> Self {
+        Preset {
+            name,
+            node: false,
+            fit: false,
+            terms,
         }
+    }
+
+    const fn fitting(self) -> Self {
+        Preset { fit: true, ..self }
+    }
+
+    const fn in_hinted_node(self) -> Self {
+        Preset { node: true, ..self }
+    }
+}
+
+/// The one built-in [`DeviceSelectionPolicy`]: a preset and the state
+/// its terms read.
+#[derive(Debug)]
+struct Ranked {
+    preset: Preset,
+    /// Decisions taken so far — the cursor behind [`Term::Turn`].
+    turn: usize,
+    /// Predicted outstanding seconds per device behind [`Term::Queue`]:
+    /// each placed root adds its signature's duration prior to the
+    /// chosen device. Empty for presets that do not rank by `Queue`,
+    /// and never grows without calibration (no priors).
+    ledger: Vec<f64>,
+}
+
+impl DeviceSelectionPolicy for Ranked {
+    fn name(&self) -> &'static str {
+        self.preset.name
+    }
+
+    fn select(&mut self, ctx: &PlacementCtx) -> u32 {
+        let Preset {
+            node, fit, terms, ..
+        } = self.preset;
+        let root = ctx.parent_devices.is_empty();
+        let queued = terms.contains(&Term::Queue);
+        if queued {
+            if self.ledger.len() != ctx.device_count {
+                self.ledger = vec![0.0; ctx.device_count];
+            }
+            // All devices idle (a synchronization point): everything
+            // the ledger predicted has finished.
+            if ctx.inflight.iter().all(|&n| n == 0) {
+                self.ledger.fill(0.0);
+            }
+        }
+        let ledger = &self.ledger;
+        let queue = |d: usize| ctx.est_transfer_time[d] + if root { ledger[d] } else { 0.0 };
+        // Steps round the machine from the device whose turn it is.
+        let cursor = self.turn % ctx.device_count.max(1);
+        let turn = |d: usize| d + if d < cursor { ctx.device_count } else { 0 } - cursor;
+        // `a` against `b`: the first of `terms` that tells them apart.
+        let order = |terms: &[Term], a: usize, b: usize| {
+            let by = |term: &Term| match term {
+                Term::Resident => ctx.resident_bytes[b].cmp(&ctx.resident_bytes[a]),
+                Term::Load => ctx.inflight[a].cmp(&ctx.inflight[b]),
+                Term::Transfer => ctx.est_transfer_time[a].total_cmp(&ctx.est_transfer_time[b]),
+                Term::Queue => queue(a).total_cmp(&queue(b)),
+                Term::Free => ctx.free_bytes[b].cmp(&ctx.free_bytes[a]),
+                Term::Turn => turn(a).cmp(&turn(b)),
+                Term::Id => a.cmp(&b),
+            };
+            let decided = terms.iter().map(by).find(|o| o.is_ne());
+            decided.unwrap_or(Ordering::Equal)
+        };
+        let among = if node {
+            ctx.hinted_node()
+        } else {
+            0..ctx.device_count
+        };
+        let chosen = among
+            .clone()
+            .filter(|&d| !fit || ctx.fits(d))
+            .min_by(|&a, &b| order(terms, a, b))
+            .or_else(|| among.min_by(|&a, &b| order(NOTHING_FITS, a, b)))
+            .unwrap_or(0);
+        self.turn += 1;
+        if queued && root {
+            if let Some(prior) = ctx.duration_prior {
+                self.ledger[chosen] += prior;
+            }
+        }
+        chosen as u32
     }
 }
 
@@ -239,29 +267,37 @@ pub enum PlacementPolicy {
     SingleGpu,
     /// Cycle through the devices regardless of data location.
     RoundRobin,
-    /// Place where the most argument bytes already live (min-migration).
+    /// Place where the most argument bytes already live (min-migration);
+    /// ties go to the least-loaded device.
     LocalityAware,
     /// Place where the estimated transfer time is lowest (cost-aware:
-    /// sees link bandwidths, not just byte counts).
+    /// sees link bandwidths, not just byte counts — a fast peer link
+    /// makes a remote replica cheap, a host-mediated migration makes it
+    /// expensive); ties go to the least-loaded device.
     TransferAware,
-    /// Place on the least-loaded device (min-device-load).
+    /// Place on the least-loaded device (min-device-load); ties go to
+    /// the most resident bytes. The right default for
+    /// embarrassingly-parallel fan-outs.
     StreamAware,
-    /// Skip devices whose free memory cannot hold the arguments,
-    /// tie-break by transfer cost (capacity-aware: sees device memory,
-    /// not just links and load).
+    /// Skip devices whose free memory cannot hold the arguments, then
+    /// rank like transfer-aware (capacity-aware: sees device memory,
+    /// not just links and load). When nothing fits it goes where the
+    /// most bytes are free.
     MemoryAware,
-    /// History-driven placement: [`MemoryAware`]'s capacity filter and
-    /// transfer-cost ordering, plus a per-device ledger of *predicted
-    /// outstanding seconds* weighted by each signature's calibrated
-    /// duration prior — so independent fan-outs balance by how long
-    /// work actually takes, not by how many tasks are in flight.
-    /// Degrades to transfer-aware behavior while calibration is off.
+    /// History-driven placement: memory-aware's capacity filter, with
+    /// the transfer cost of a root augmented by a per-device ledger of
+    /// *predicted outstanding seconds* fed by each signature's
+    /// calibrated duration prior — so independent fan-outs balance by
+    /// how long work actually takes, not by how many tasks are in
+    /// flight. The ledger resets whenever every device is idle; while
+    /// calibration is off it never grows and this is exactly
+    /// memory-aware.
     Adaptive,
     /// Cluster-aware placement: honor the node hint the deterministic
-    /// batch partitioner assigned (see [`crate::partition`]), delegate
-    /// the in-node GPU choice to transfer-aware placement. Without a
-    /// hint (single launches, single-node machines) it behaves exactly
-    /// like [`PlacementPolicy::TransferAware`].
+    /// batch partitioner assigned (see [`crate::partition`]), rank the
+    /// node's GPUs like transfer-aware. Without a hint (single
+    /// launches, single-node machines) it behaves exactly like
+    /// [`PlacementPolicy::TransferAware`].
     NodeAware,
 }
 
@@ -278,8 +314,8 @@ impl PlacementPolicy {
         PlacementPolicy::NodeAware,
     ];
 
-    /// The static (history-blind) policies — what
-    /// [`crate::policy::Portfolio`] picks between per workload.
+    /// The static (history-blind) single-box policies — what sweeps
+    /// measure [`PlacementPolicy::Adaptive`] against.
     pub const STATIC: [PlacementPolicy; 6] = [
         PlacementPolicy::SingleGpu,
         PlacementPolicy::RoundRobin,
@@ -289,32 +325,33 @@ impl PlacementPolicy {
         PlacementPolicy::MemoryAware,
     ];
 
+    /// The preset table: this policy's decision rule.
+    const fn preset(self) -> Preset {
+        use Term::*;
+        match self {
+            Self::SingleGpu => Preset::rank("single-gpu", &[Id]),
+            Self::RoundRobin => Preset::rank("round-robin", &[Turn, Id]),
+            Self::LocalityAware => Preset::rank("locality-aware", &[Resident, Load, Id]),
+            Self::TransferAware => Preset::rank("transfer-aware", &[Transfer, Load, Id]),
+            Self::StreamAware => Preset::rank("stream-aware", &[Load, Resident, Id]),
+            Self::MemoryAware => Preset::rank("memory-aware", &[Transfer, Load, Id]).fitting(),
+            Self::Adaptive => Preset::rank("adaptive", &[Queue, Load, Id]).fitting(),
+            Self::NodeAware => Preset::rank("node-aware", &[Transfer, Load, Id]).in_hinted_node(),
+        }
+    }
+
     /// Instantiate the policy object the scheduler core consults.
     pub fn build(self) -> Box<dyn DeviceSelectionPolicy> {
-        match self {
-            PlacementPolicy::SingleGpu => Box::new(SingleGpu),
-            PlacementPolicy::RoundRobin => Box::new(RoundRobin::default()),
-            PlacementPolicy::LocalityAware => Box::new(LocalityAware),
-            PlacementPolicy::TransferAware => Box::new(TransferAware),
-            PlacementPolicy::StreamAware => Box::new(StreamAware),
-            PlacementPolicy::MemoryAware => Box::new(MemoryAware),
-            PlacementPolicy::Adaptive => Box::new(super::adaptive::Adaptive::default()),
-            PlacementPolicy::NodeAware => Box::new(crate::partition::NodeAware::new()),
-        }
+        Box::new(Ranked {
+            preset: self.preset(),
+            turn: 0,
+            ledger: Vec::new(),
+        })
     }
 
     /// Short display name for tables and sweeps.
     pub fn name(self) -> &'static str {
-        match self {
-            PlacementPolicy::SingleGpu => "single-gpu",
-            PlacementPolicy::RoundRobin => "round-robin",
-            PlacementPolicy::LocalityAware => "locality-aware",
-            PlacementPolicy::TransferAware => "transfer-aware",
-            PlacementPolicy::StreamAware => "stream-aware",
-            PlacementPolicy::MemoryAware => "memory-aware",
-            PlacementPolicy::Adaptive => "adaptive",
-            PlacementPolicy::NodeAware => "node-aware",
-        }
+        self.preset().name
     }
 }
 
@@ -324,177 +361,139 @@ impl From<PlacementPolicy> for Box<dyn DeviceSelectionPolicy> {
     }
 }
 
+/// Four roomy, idle devices on one node with nothing resident and every
+/// transfer free: the context the policy tests override field by field.
+#[cfg(test)]
+pub(crate) const BASE_CTX: PlacementCtx<'static> = PlacementCtx {
+    device_count: 4,
+    parent_devices: &[],
+    resident_bytes: &[0; 4],
+    est_transfer_time: &[0.0; 4],
+    inflight: &[0; 4],
+    free_bytes: &[usize::MAX; 4],
+    arg_bytes: 0,
+    kernel: "k",
+    duration_prior: None,
+    node_hint: None,
+    node_of: &[],
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
-    /// Zero transfer estimates everywhere: the byte/load policies under
-    /// test ignore them.
-    const FREE: [f64; 4] = [0.0; 4];
-    /// Unlimited headroom everywhere, likewise.
-    const ROOMY: [usize; 4] = [usize::MAX; 4];
-
-    fn ctx<'a>(
-        resident: &'a [usize],
-        inflight: &'a [usize],
-        parents: &'a [u32],
-    ) -> PlacementCtx<'a> {
+    fn ctx<'a>(resident: &'a [usize], inflight: &'a [usize]) -> PlacementCtx<'a> {
         PlacementCtx {
             device_count: resident.len(),
-            parent_devices: parents,
             resident_bytes: resident,
-            est_transfer_time: &FREE[..resident.len()],
             inflight,
-            free_bytes: &ROOMY[..resident.len()],
-            arg_bytes: 0,
-            kernel: "k",
-            duration_prior: None,
-            node_hint: None,
-            node_of: &[],
+            ..BASE_CTX
         }
     }
 
     #[test]
     fn round_robin_cycles() {
-        let mut p = RoundRobin::default();
-        let c = ctx(&[0, 0, 0], &[0, 0, 0], &[]);
+        let mut p = PlacementPolicy::RoundRobin.build();
+        let c = ctx(&[0, 0, 0], &[0, 0, 0]);
         let picks: Vec<u32> = (0..6).map(|_| p.select(&c)).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
     fn locality_follows_the_bytes() {
-        let mut p = LocalityAware;
-        assert_eq!(p.select(&ctx(&[0, 4096, 64], &[9, 9, 0], &[])), 1);
+        let mut p = PlacementPolicy::LocalityAware.build();
+        assert_eq!(p.select(&ctx(&[0, 4096, 64], &[9, 9, 0])), 1);
         // All-host data is placement-neutral: ties break to lighter load.
-        assert_eq!(p.select(&ctx(&[0, 0, 0], &[3, 1, 2], &[])), 1);
+        assert_eq!(p.select(&ctx(&[0, 0, 0], &[3, 1, 2])), 1);
         // Full tie: lowest device id.
-        assert_eq!(p.select(&ctx(&[0, 0], &[2, 2], &[])), 0);
+        assert_eq!(p.select(&ctx(&[0, 0], &[2, 2])), 0);
     }
 
     #[test]
     fn stream_aware_balances_load() {
-        let mut p = StreamAware;
-        assert_eq!(p.select(&ctx(&[0, 0, 0], &[4, 0, 2], &[])), 1);
+        let mut p = PlacementPolicy::StreamAware.build();
+        assert_eq!(p.select(&ctx(&[0, 0, 0], &[4, 0, 2])), 1);
         // Load tie: prefer the device that already holds data.
-        assert_eq!(p.select(&ctx(&[0, 128, 0], &[1, 1, 1], &[])), 1);
+        assert_eq!(p.select(&ctx(&[0, 128, 0], &[1, 1, 1])), 1);
     }
 
     #[test]
     fn transfer_aware_follows_the_cheapest_link_not_the_most_bytes() {
-        let mut p = TransferAware;
         // Device 1 holds more bytes, but reaching it costs a
         // host-mediated migration; device 0's data comes over a cheap
         // link. Byte counting would pick 1; cost-aware picks 0.
         let c = PlacementCtx {
             device_count: 2,
-            parent_devices: &[],
             resident_bytes: &[1024, 4096],
             est_transfer_time: &[0.2e-3, 1.5e-3],
             inflight: &[5, 0],
-            free_bytes: &ROOMY[..2],
-            arg_bytes: 0,
-            kernel: "k",
-            duration_prior: None,
-            node_hint: None,
-            node_of: &[],
+            ..BASE_CTX
         };
-        assert_eq!(p.select(&c), 0);
-        let mut loc = LocalityAware;
-        assert_eq!(loc.select(&c), 1, "byte counting chases the bigger pile");
+        assert_eq!(PlacementPolicy::TransferAware.build().select(&c), 0);
+        assert_eq!(
+            PlacementPolicy::LocalityAware.build().select(&c),
+            1,
+            "byte counting chases the bigger pile"
+        );
     }
 
     #[test]
     fn transfer_aware_breaks_cost_ties_by_load_then_id() {
-        let mut p = TransferAware;
+        let mut p = PlacementPolicy::TransferAware.build();
         let c = PlacementCtx {
             device_count: 3,
-            parent_devices: &[],
-            resident_bytes: &[0, 0, 0],
             est_transfer_time: &[1e-3, 1e-3, 1e-3],
             inflight: &[2, 1, 2],
-            free_bytes: &ROOMY[..3],
-            arg_bytes: 0,
-            kernel: "k",
-            duration_prior: None,
-            node_hint: None,
-            node_of: &[],
+            ..BASE_CTX
         };
         assert_eq!(p.select(&c), 1);
         let c2 = PlacementCtx {
-            device_count: 3,
-            parent_devices: &[],
-            resident_bytes: &[0, 0, 0],
-            est_transfer_time: &[1e-3, 1e-3, 1e-3],
             inflight: &[2, 2, 2],
-            free_bytes: &ROOMY[..3],
-            arg_bytes: 0,
-            kernel: "k",
-            duration_prior: None,
-            node_hint: None,
-            node_of: &[],
+            ..c
         };
         assert_eq!(p.select(&c2), 0, "full tie goes to the lowest id");
     }
 
     #[test]
     fn memory_aware_skips_devices_where_arguments_do_not_fit() {
-        let mut p = MemoryAware;
         // Device 0 is cheapest by transfer time but has no headroom for
         // the 4 KiB argument set; device 1 fits (2 KiB already resident
         // there, so only 2 KiB must land).
         let c = PlacementCtx {
             device_count: 2,
-            parent_devices: &[],
             resident_bytes: &[0, 2048],
             est_transfer_time: &[0.0, 1e-3],
             inflight: &[0, 4],
             free_bytes: &[1024, 2048],
             arg_bytes: 4096,
-            kernel: "k",
-            duration_prior: None,
-            node_hint: None,
-            node_of: &[],
+            ..BASE_CTX
         };
         assert!(!c.fits(0) && c.fits(1));
         assert_eq!(c.needed_bytes(1), 2048);
+        let mut p = PlacementPolicy::MemoryAware.build();
         assert_eq!(p.select(&c), 1, "the full device is skipped");
         // Transfer-aware walks straight into the full device.
-        let mut ta = TransferAware;
-        assert_eq!(ta.select(&c), 0);
+        assert_eq!(PlacementPolicy::TransferAware.build().select(&c), 0);
     }
 
     #[test]
     fn memory_aware_prefers_cheapest_fitting_then_degrades_to_most_free() {
-        let mut p = MemoryAware;
+        let mut p = PlacementPolicy::MemoryAware.build();
         // Both fit: cheapest transfer wins.
         let both = PlacementCtx {
             device_count: 2,
-            parent_devices: &[],
-            resident_bytes: &[0, 0],
             est_transfer_time: &[2e-3, 1e-3],
-            inflight: &[0, 0],
             free_bytes: &[1 << 20, 1 << 20],
             arg_bytes: 4096,
-            kernel: "k",
-            duration_prior: None,
-            node_hint: None,
-            node_of: &[],
+            ..BASE_CTX
         };
         assert_eq!(p.select(&both), 1);
         // Nothing fits: go where the pressure is lowest.
         let none = PlacementCtx {
-            device_count: 2,
-            parent_devices: &[],
-            resident_bytes: &[0, 0],
             est_transfer_time: &[0.0, 1e-3],
-            inflight: &[0, 0],
             free_bytes: &[256, 1024],
-            arg_bytes: 4096,
-            kernel: "k",
-            duration_prior: None,
-            node_hint: None,
-            node_of: &[],
+            ..both
         };
         assert_eq!(
             p.select(&none),
@@ -502,7 +501,7 @@ mod tests {
             "most free bytes when eviction is forced"
         );
         // Unlimited machines never skip anything.
-        let roomy = ctx(&[0, 0], &[1, 0], &[]);
+        let roomy = ctx(&[0, 0], &[1, 0]);
         assert_eq!(p.select(&roomy), 1, "falls back to transfer/load ordering");
     }
 
@@ -511,7 +510,231 @@ mod tests {
         for p in PlacementPolicy::ALL {
             assert_eq!(p.build().name(), p.name());
         }
-        assert_eq!(PlacementPolicy::ALL.len(), 8);
-        assert_eq!(PlacementPolicy::STATIC.len(), 6);
+        // The names key `benchmark/`'s per-policy metrics.
+        assert_eq!(
+            PlacementPolicy::ALL.map(PlacementPolicy::name),
+            [
+                "single-gpu",
+                "round-robin",
+                "locality-aware",
+                "transfer-aware",
+                "stream-aware",
+                "memory-aware",
+                "adaptive",
+                "node-aware"
+            ]
+        );
+        assert_eq!(PlacementPolicy::STATIC, PlacementPolicy::ALL[..6]);
+    }
+
+    #[test]
+    fn every_preset_row_ends_in_the_id_term() {
+        for p in PlacementPolicy::ALL {
+            assert_eq!(p.preset().terms.last(), Some(&Term::Id), "{}", p.name());
+        }
+        assert_eq!(NOTHING_FITS.last(), Some(&Term::Id));
+    }
+
+    /// SplitMix64 — the seeded stream the golden contexts are drawn from.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.below(from.len())]
+        }
+    }
+
+    const EPISODES: u64 = 2048;
+    const STEPS: usize = 64;
+
+    /// Every policy's choices over `EPISODES` seeded episodes of `STEPS`
+    /// decisions, one hex digit per choice. An episode is one machine
+    /// (1–16 devices, flat or clustered) and one instance of each
+    /// policy, so cursors and ledgers carry from decision to decision.
+    /// Also counts the kinds of context drawn, so the coverage the
+    /// goldens claim is asserted rather than assumed.
+    fn golden_run() -> (Vec<String>, BTreeMap<&'static str, usize>) {
+        let mut choices = vec![String::new(); PlacementPolicy::ALL.len()];
+        let mut seen = BTreeMap::new();
+        for episode in 0..EPISODES {
+            let mut rng = Rng(0x00D1_CE5E_ED00 + episode);
+            let mut policies = PlacementPolicy::ALL.map(PlacementPolicy::build);
+            let mut n = 1 + rng.below(16);
+            let width = 1 + rng.below(8);
+            let node_of: Vec<u32> = match rng.below(4) {
+                // Flat machine.
+                0 => Vec::new(),
+                // Clustered: contiguous nodes of `width` devices.
+                1 => (0..n).map(|d| (d / width) as u32).collect(),
+                // A map longer than the machine: the last node's range
+                // may leave it.
+                2 => (0..n + width).map(|d| (d / width) as u32).collect(),
+                // Interleaved nodes: only a node's first run counts.
+                _ => (0..n).map(|d| (d % 2) as u32).collect(),
+            };
+            let nodes = node_of.iter().max().map_or(0, |&m| m + 1);
+            let finite = rng.below(2) == 0;
+            let calibrated = rng.below(2) == 0;
+            for step in 0..STEPS {
+                if step == STEPS / 2 && rng.below(8) == 0 {
+                    n = 1 + rng.below(16);
+                }
+                let parents: Vec<u32> = (0..rng.below(4)).map(|_| rng.below(n) as u32).collect();
+                let arg_bytes = rng.pick(&[0, 4096, 1 << 20]);
+                let resident: Vec<usize> =
+                    (0..n).map(|_| rng.pick(&[0, 0, 1024, arg_bytes])).collect();
+                // Few distinct costs, so ties reach the later terms —
+                // or arbitrary ones, so the first term decides.
+                let tied = rng.below(3) > 0;
+                let est: Vec<f64> = (0..n)
+                    .map(|_| match tied {
+                        true => rng.pick(&[0.0, 0.0, 0.5e-3, 1e-3, 2e-3]),
+                        false => (rng.next() >> 11) as f64 * 1e-18,
+                    })
+                    .collect();
+                let idle = rng.below(6) == 0;
+                let inflight: Vec<usize> = (0..n)
+                    .map(|_| if idle { 0 } else { rng.below(4) })
+                    .collect();
+                let squeezed = rng.below(4) == 0;
+                let free: Vec<usize> = (0..n)
+                    .map(|_| match (finite, squeezed) {
+                        (false, _) => usize::MAX,
+                        (true, true) => rng.pick(&[0, 512, 2048]),
+                        (true, false) => rng.pick(&[0, 512, 4096, 1 << 20, 1 << 30]),
+                    })
+                    .collect();
+                let duration_prior =
+                    (calibrated && rng.below(5) > 0).then(|| rng.pick(&[0.25e-3, 1e-3, 3e-3]));
+                let node_hint = match rng.below(4) {
+                    0 => None,
+                    1 => Some(nodes + 7),
+                    _ => Some(rng.below(nodes as usize + 1) as u32),
+                };
+                let ctx = PlacementCtx {
+                    device_count: n,
+                    parent_devices: &parents,
+                    resident_bytes: &resident,
+                    est_transfer_time: &est,
+                    inflight: &inflight,
+                    free_bytes: &free,
+                    arg_bytes,
+                    duration_prior,
+                    node_hint,
+                    node_of: &node_of,
+                    ..BASE_CTX
+                };
+                let mut saw = |kind| *seen.entry(kind).or_insert(0) += 1;
+                saw(if parents.is_empty() {
+                    "root"
+                } else {
+                    "dependent"
+                });
+                if duration_prior.is_some() {
+                    saw("prior");
+                }
+                if inflight.iter().all(|&l| l == 0) {
+                    saw("all idle");
+                }
+                let fits = (0..n).any(|d| ctx.fits(d));
+                saw(if fits { "some fit" } else { "nothing fits" });
+                if let Some(node) = node_hint {
+                    let run = node_of.iter().skip_while(|&&m| m != node);
+                    let end = node_of.len() - run.clone().count()
+                        + run.take_while(|&&m| m == node).count();
+                    saw(match node_of.contains(&node) {
+                        false => "hint: unknown node",
+                        true if end > n => "hint: leaves the machine",
+                        true => "hint: in the machine",
+                    });
+                }
+                for (policy, out) in policies.iter_mut().zip(&mut choices) {
+                    let d = policy.select(&ctx);
+                    assert!((d as usize) < n, "{} chose {d} of {n}", policy.name());
+                    out.push(char::from_digit(d, 16).expect("at most 16 devices"));
+                }
+            }
+        }
+        (choices, seen)
+    }
+
+    /// FNV-1a over the choice digits.
+    fn digest(choices: &str) -> u64 {
+        choices.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
+    }
+
+    /// Recorded at the parent of the change that made the eight policies
+    /// one ranked selection, by running this generator against the eight
+    /// hand-written `select` bodies it replaced: per policy, the digest
+    /// of all 131 072 choices and the first episode's 64.
+    const GOLDEN: [(&str, u64, &str); 8] = [
+        (
+            "single-gpu",
+            6426949406222328613,
+            "0000000000000000000000000000000000000000000000000000000000000000",
+        ),
+        (
+            "round-robin",
+            6592207327781700238,
+            "0123450123450123450123450123450123450123450123450123450123450123",
+        ),
+        (
+            "locality-aware",
+            3021797365208952280,
+            "0052422544320232302032103113153105105355130542440111101212023005",
+        ),
+        (
+            "transfer-aware",
+            12490159692805835421,
+            "0210142405205323234001101213331341302514430210241041315001413540",
+        ),
+        (
+            "stream-aware",
+            6633115549074347246,
+            "0052052545325220300010003513131305102055430242400021121211042015",
+        ),
+        (
+            "memory-aware",
+            17499278831719376761,
+            "0220142555205403234022103211351441302544430510243111111002023500",
+        ),
+        (
+            "adaptive",
+            13758272351767735417,
+            "0220142555205403234022103211351441302544430510243111111002023500",
+        ),
+        (
+            "node-aware",
+            6205217328135456009,
+            "0110101101215113214000101211031341302514430010211041315001110510",
+        ),
+    ];
+
+    #[test]
+    fn ranked_selection_chooses_what_the_eight_bodies_chose() {
+        let (choices, seen) = golden_run();
+        let got: Vec<(&str, u64, &str)> = PlacementPolicy::ALL
+            .iter()
+            .zip(&choices)
+            .map(|(p, c)| (p.name(), digest(c), &c[..STEPS]))
+            .collect();
+        assert_eq!(got, GOLDEN);
+        assert_eq!(choices[0].len(), EPISODES as usize * STEPS);
+        assert_eq!(seen.len(), 9, "a kind of context never drawn: {seen:?}");
+        assert!(seen.values().all(|&n| n >= 1000), "thin coverage: {seen:?}");
     }
 }

@@ -128,7 +128,8 @@ pub struct RequestSpec {
     /// Launches in program order (dependencies are inferred, as always).
     pub calls: Vec<CallSpec>,
     /// Relative deadline in virtual microseconds, consumed by
-    /// deadline-aware fairness. `None` means best-effort.
+    /// deadline-aware fairness. `None` means best-effort; a non-finite
+    /// or negative value is refused as [`ServeError::Invalid`].
     pub deadline_us: Option<f64>,
 }
 
@@ -514,6 +515,11 @@ impl ServiceCore {
     pub fn submit(&mut self, t: TenantId, spec: RequestSpec) -> Result<RequestId, ServeError> {
         if spec.calls.is_empty() {
             return Err(ServeError::Invalid("request with no launches".into()));
+        }
+        if spec.deadline_us.is_some_and(|d| !d.is_finite() || d < 0.0) {
+            return Err(ServeError::Invalid(
+                "deadline must be finite and non-negative".into(),
+            ));
         }
         let capacity = self.g.device_capacity();
         let mut calls: Vec<(Kernel, Grid, Vec<Arg>)> = Vec::with_capacity(spec.calls.len());

@@ -91,7 +91,7 @@ impl FairnessPolicy for Fifo {
         ctx.backlogged().min_by(|&a, &b| {
             let ta = ctx.head_arrival[a].unwrap_or(f64::INFINITY);
             let tb = ctx.head_arrival[b].unwrap_or(f64::INFINITY);
-            ta.partial_cmp(&tb).unwrap().then(a.cmp(&b))
+            ta.total_cmp(&tb).then(a.cmp(&b))
         })
     }
 }
@@ -164,10 +164,7 @@ impl FairnessPolicy for DeadlineAware {
             let db = ctx.head_deadline[b].unwrap_or(f64::INFINITY);
             let ta = ctx.head_arrival[a].unwrap_or(f64::INFINITY);
             let tb = ctx.head_arrival[b].unwrap_or(f64::INFINITY);
-            da.partial_cmp(&db)
-                .unwrap()
-                .then(ta.partial_cmp(&tb).unwrap())
-                .then(a.cmp(&b))
+            da.total_cmp(&db).then(ta.total_cmp(&tb)).then(a.cmp(&b))
         })
     }
 }
@@ -215,6 +212,11 @@ mod tests {
             &[1, 1, 1],
         );
         assert_eq!(p.next_tenant(&c), Some(2));
+        // A NaN deadline (the service refuses one at submit) orders
+        // after every real one instead of panicking the pump.
+        let nan = [Some(f64::NAN), Some(9.0)];
+        let c = ctx(&[1, 1], &[Some(0.0), Some(1.0)], &nan, &[1, 1]);
+        assert_eq!(p.next_tenant(&c), Some(1));
     }
 
     #[test]

@@ -12,16 +12,14 @@ use cuda_sim::{Cuda, StreamId};
 use dag::{DenseMap, DenseSet, VertexId};
 
 use crate::options::{DepStreamPolicy, StreamReusePolicy};
-use crate::policy::{
-    make_stream_policy, ParentStream, StreamChoice, StreamRetrievalCtx, StreamRetrievalPolicy,
-};
 
-/// Stream allocation and reuse. The *mechanism* lives here — per-device
-/// stream pools, first-child claim bookkeeping, stream creation — while
-/// the *choice* is delegated to a [`StreamRetrievalPolicy`] consulted
-/// once per scheduled vertex.
+/// Stream allocation and reuse: per-device stream pools, first-child
+/// claim bookkeeping, stream creation, and the §IV-C rules that choose
+/// between them, parameterized by the two [`crate::Options`] axes
+/// ([`DepStreamPolicy`] × [`StreamReusePolicy`]).
 pub struct StreamManager {
-    policy: Box<dyn StreamRetrievalPolicy>,
+    dep_policy: DepStreamPolicy,
+    reuse_policy: StreamReusePolicy,
     /// Streams this manager has created, per device, in creation (FIFO)
     /// order. Streams never move between devices.
     pools: Vec<Vec<StreamId>>,
@@ -34,26 +32,17 @@ pub struct StreamManager {
     /// How many streams were created in total (stat for the tests and
     /// the Fig. 6 stream-count checks).
     created: usize,
-    /// The parent list handed to the policy, rebuilt by every
-    /// [`StreamManager::assign`] in this one buffer.
-    parents: Vec<ParentStream>,
 }
 
 impl StreamManager {
     /// A manager applying the paper's §IV-C policy pair, with empty pools.
     pub fn new(dep_policy: DepStreamPolicy, reuse_policy: StreamReusePolicy) -> Self {
-        Self::with_policy(make_stream_policy(dep_policy, reuse_policy))
-    }
-
-    /// A manager driven by a custom stream-retrieval policy — the
-    /// extension point for policies beyond the paper's matrix.
-    pub fn with_policy(policy: Box<dyn StreamRetrievalPolicy>) -> Self {
         StreamManager {
-            policy,
+            dep_policy,
+            reuse_policy,
             pools: Vec::new(),
             claimed: DenseSet::new(),
             created: 0,
-            parents: Vec::new(),
         }
     }
 
@@ -78,55 +67,48 @@ impl StreamManager {
     ///   create streams on the device.
     pub fn assign(
         &mut self,
-        vertex: VertexId,
+        _vertex: VertexId,
         device: u32,
         deps: &[VertexId],
         stream_of: &DenseMap<VertexId, StreamId>,
         cuda: &Cuda,
     ) -> StreamId {
-        let _ = vertex;
+        // Rule 1: inherit a parent's stream. "The first child is
+        // scheduled on the parent's stream to minimize synchronization
+        // events, while following children are scheduled on other
+        // streams" — so a claimed parent is passed over, except under
+        // the always-parent ablation.
+        let inherited = deps.iter().find_map(|&d| {
+            let claimable = match self.dep_policy {
+                DepStreamPolicy::FirstChildOnParent => !self.claimed.contains(d),
+                DepStreamPolicy::AlwaysParent => true,
+                DepStreamPolicy::AlwaysNew => false,
+            };
+            let stream = *stream_of.get(d)?;
+            claimable.then_some((d, stream))
+        });
+        if let Some((parent, stream)) = inherited {
+            self.claimed.insert(parent);
+            return stream;
+        }
         while self.pools.len() <= device as usize {
             self.pools.push(Vec::new());
         }
-        let StreamManager {
-            policy,
-            pools,
-            claimed,
-            created,
-            parents,
-        } = self;
-        parents.clear();
-        parents.extend(deps.iter().filter_map(|&d| {
-            stream_of.get(d).map(|&s| ParentStream {
-                vertex: d,
-                stream: s,
-                claimed: claimed.contains(d),
-            })
-        }));
-        // A stream is reusable when everything enqueued on it has
-        // completed; the runtime discovers this by polling events,
-        // exactly like GrCUDA does with cudaEventQuery. The poll is
-        // handed to the policy as a lazy predicate so launches that
-        // inherit a parent's stream never pay for it.
-        let is_idle = |s: StreamId| cuda.stream_query(s);
-        let ctx = StreamRetrievalCtx {
-            parents,
-            pool: &pools[device as usize],
-            is_idle: &is_idle,
-        };
-        match policy.retrieve(&ctx) {
-            StreamChoice::Parent(i) => {
-                claimed.insert(parents[i].vertex);
-                parents[i].stream
-            }
-            StreamChoice::Reuse(s) => s,
-            StreamChoice::Create => {
-                let s = cuda.stream_create_on(device);
-                pools[device as usize].push(s);
-                *created += 1;
-                s
+        let pool = &mut self.pools[device as usize];
+        // Rule 2: reuse the oldest pooled stream that has drained. The
+        // runtime discovers this by polling, exactly like GrCUDA does
+        // with cudaEventQuery — which a launch that inherited a stream
+        // above never pays for.
+        if self.reuse_policy == StreamReusePolicy::FifoReuse {
+            if let Some(&s) = pool.iter().find(|&&s| cuda.stream_query(s)) {
+                return s;
             }
         }
+        // Rule 3: create.
+        let s = cuda.stream_create_on(device);
+        pool.push(s);
+        self.created += 1;
+        s
     }
 
     /// Forget first-child claims for retired vertices (their streams are
@@ -146,11 +128,11 @@ impl StreamManager {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gpu_sim::DeviceProfile;
 
-    fn cuda() -> Cuda {
+    pub(crate) fn cuda() -> Cuda {
         Cuda::new(DeviceProfile::gtx1660_super())
     }
 
@@ -186,7 +168,7 @@ mod tests {
         assert_eq!(m.streams_created(), 2);
     }
 
-    fn make_busy(c: &Cuda, s: StreamId) {
+    pub(crate) fn make_busy(c: &Cuda, s: StreamId) {
         let a = c.alloc_f32(16);
         let k = cuda_sim::KernelExec::new(
             "busy",

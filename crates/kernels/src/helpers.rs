@@ -76,9 +76,10 @@ pub fn cached_f32(hot_elems: f64, reuse: f64, flops_total: f64) -> KernelCost {
 }
 
 /// Round a float scalar argument back to `usize` (scalars ride in the
-/// `&[f64]` argument list).
+/// `&[f64]` argument list). A negative value is a valid `sint32` and,
+/// as a length, no elements: the cast saturates to 0.
 pub fn s(x: f64) -> usize {
-    debug_assert!(x >= 0.0 && x.fract() == 0.0, "scalar {x} is not an index");
+    debug_assert!(x.fract() == 0.0, "scalar {x} is not an integer");
     x as usize
 }
 

@@ -7,8 +7,11 @@ use grcuda::serve::{
     ArgSpec, CallSpec, Client, ElemKind, Fairness, RequestSpec, ServeConfig, ServeError, Server,
     ServiceCore,
 };
-use grcuda::{DeviceProfile, EvictionPolicy, Grid, MemoryConfig, Options};
+use grcuda::{
+    DeviceProfile, EvictionPolicy, Grid, MemoryConfig, Options, PlacementPolicy, TopologyKind,
+};
 use kernels::util::{AXPY, SCALE};
+use kernels::vec_ops::SQUARE;
 use metrics::LatencySummary;
 
 fn base_config() -> ServeConfig {
@@ -386,7 +389,9 @@ fn clients_outliving_the_server_get_unavailable_not_a_panic() {
 
 #[test]
 fn malformed_requests_fail_cleanly() {
-    let mut core = ServiceCore::new(base_config());
+    // Deadline-aware, so a deadline that got past `submit` would be
+    // compared against the other tenant's at the next pump.
+    let mut core = ServiceCore::new(base_config().with_fairness(Fairness::DeadlineAware));
     let t = core.add_tenant("t", 1);
     assert!(matches!(
         core.alloc(t, ElemKind::F32, 0),
@@ -425,10 +430,37 @@ fn malformed_requests_fail_cleanly() {
     };
     bad.calls[0].args[3] = ArgSpec::Scalar(f64::NAN);
     assert!(matches!(core.submit(t, bad), Err(ServeError::Invalid(_))));
+    // So is a deadline no ordering can place: one NaN in the queue would
+    // take the pump down for both tenants.
+    for deadline in [f64::NAN, f64::INFINITY, -1.0] {
+        let bad = RequestSpec {
+            calls: chain(1, k, k, x, x, 16),
+            deadline_us: Some(deadline),
+        };
+        assert!(matches!(core.submit(t, bad), Err(ServeError::Invalid(_))));
+    }
+    let refused = core.tenant_stats(t).unwrap();
+    assert_eq!(
+        (refused.submitted, refused.rejected, refused.queued),
+        (0, 0, 0)
+    );
+    // A negative `sint32 n` is well-formed: a length of no elements.
+    core.fill(t, x, 3.0).unwrap();
+    let sq = core.register_kernel(t, &SQUARE).unwrap();
+    let no_op = RequestSpec {
+        calls: vec![CallSpec {
+            kernel: sq,
+            grid: Grid::d1(1, 32),
+            args: vec![ArgSpec::Array(x), ArgSpec::Scalar(-1.0)],
+        }],
+        deadline_us: Some(10.0),
+    };
+    core.submit(t, no_op).unwrap();
     core.drain_all();
     assert_eq!(core.tenant_stats(other).unwrap().completed, 1);
-    assert_eq!(core.tenant_stats(t).unwrap().completed, 0);
+    assert_eq!(core.tenant_stats(t).unwrap().completed, 1);
     assert_eq!(core.read(other, oy, 3).unwrap(), 3.0);
+    assert_eq!(core.read(t, x, 3).unwrap(), 3.0, "nothing squared");
     // Empty request.
     assert!(matches!(
         core.submit(t, RequestSpec::default()),
@@ -486,5 +518,73 @@ fn per_tenant_kernel_attribution_counts_signatures_at_admission() {
     assert_eq!(
         core.tenant_kernel_stats(b).unwrap(),
         vec![("scale".to_string(), 1)]
+    );
+}
+
+#[test]
+fn served_multi_device_placement_computes_what_one_device_does() {
+    let n = 1 << 12;
+    // Four tenants, three rounds of three-call chains each; returns
+    // every value read and how many devices the timeline shows.
+    let run = |config: ServeConfig| {
+        let mut core = ServiceCore::new(config);
+        let tenants: Vec<_> = (0..4)
+            .map(|i| {
+                let t = core.add_tenant(&format!("t{i}"), 1);
+                let x = core.alloc(t, ElemKind::F32, n).unwrap();
+                let y = core.alloc(t, ElemKind::F32, n).unwrap();
+                core.fill(t, x, 1.0 + i as f64).unwrap();
+                let sc = core.register_kernel(t, &SCALE).unwrap();
+                let ax = core.register_kernel(t, &AXPY).unwrap();
+                (t, x, y, sc, ax)
+            })
+            .collect();
+        for _round in 0..3 {
+            for &(t, x, y, sc, ax) in &tenants {
+                let calls = chain(3, sc, ax, x, y, n);
+                let deadline_us = None;
+                core.submit(t, RequestSpec { calls, deadline_us }).unwrap();
+            }
+        }
+        while core.pump() > 0 {}
+        let audit = core.runtime().audit();
+        assert!(audit.vertices > 0 && audit.is_clean(), "{audit}");
+        core.drain_all();
+        assert!(core.runtime().races().is_empty());
+        let timeline = core.runtime().timeline();
+        let mut devices: Vec<u32> = timeline.intervals().iter().map(|iv| iv.device).collect();
+        devices.sort_unstable();
+        devices.dedup();
+        let mut values = Vec::new();
+        for &(t, x, y, ..) in &tenants {
+            assert_eq!(core.tenant_stats(t).unwrap().completed, 3);
+            for i in [0, n / 2, n - 1] {
+                values.push(core.read(t, x, i).unwrap());
+                values.push(core.read(t, y, i).unwrap());
+            }
+        }
+        core.maintain();
+        let st = core.runtime().scheduler_stats();
+        let per_vertex = [
+            st.live_vertices,
+            st.stream_claims,
+            st.vertex_tasks,
+            st.vertex_streams,
+            st.vertex_devices,
+        ];
+        assert_eq!(per_vertex, [0; 5], "scheduler state drained");
+        (values, devices.len())
+    };
+    let (one, one_devices) = run(base_config());
+    let (four, four_devices) = run(base_config().with_devices(
+        4,
+        PlacementPolicy::TransferAware,
+        TopologyKind::NvlinkPair,
+    ));
+    assert_eq!(four, one);
+    assert_eq!(one_devices, 1);
+    assert!(
+        four_devices >= 2,
+        "{four_devices} device(s) in the timeline"
     );
 }
