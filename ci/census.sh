@@ -19,8 +19,8 @@
 #      (i)) of the files a launch, its completion and its retirement run
 #      through. They were replaced by id-indexed tables; a change that
 #      puts one back shows up here.
-# (iv) Bench binaries: entries under crates/bench/src/bin (one per paper
-#      artifact, plus `trajectory`).
+# (iv) Bench binaries: entries under crates/bench/src/bin (`trajectory`
+#      alone: the paper's artifacts are suites of it).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Check intra-repo markdown links and source anchors in README.md and
-# docs/*.md.
+# docs/*.md, the markdown files that source comments name, and the
+# fidelity table docs/FIDELITY.md quotes.
 #
 # A link breaks the build when its target file does not exist
 # (relative to the file containing the link) or, for a same-repo
@@ -12,6 +13,16 @@
 # `crates/<path>.rs:<line>` (relative to the repo root; `*` globs
 # allowed). It breaks the build when no such file exists or the line
 # lies outside it.
+#
+# A `*.md` named anywhere in crates/**/*.rs must exist at that path from
+# the repo root: a comment that sends the reader to a document is a
+# link too.
+#
+# The block between the `<!-- fidelity:begin` and `<!-- fidelity:end -->`
+# lines of docs/FIDELITY.md must be, byte for byte, the block
+# `trajectory --smoke` prints between the same lines (all nineteen
+# suites, about 35 s once built): the document's simulated-vs-paper
+# table is the run's, not a copy somebody has to remember to update.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,6 +75,19 @@ scan() {
                 fi
             done
     done
+    grep -rnoE '[A-Za-z0-9_./-]+\.md\b' crates --include='*.rs' |
+        while IFS=: read -r file line name; do
+            [ -e "$name" ] ||
+                echo "BROKEN REFERENCE in $file:$line: $name -> no such file (name it by its path from the repo root)"
+        done
+    fidelity_block() {
+        sed -n '/^<!-- fidelity:begin/,/^<!-- fidelity:end -->/p'
+    }
+    if ! run=$(cargo run --release --offline --quiet -p bench --bin trajectory -- --smoke 2>&1); then
+        echo "STALE TABLE in docs/FIDELITY.md: \`trajectory --smoke\` failed: $(echo "$run" | tail -n 5 | tr '\n' ' ')"
+    elif ! diff <(echo "$run" | fidelity_block) <(fidelity_block <docs/FIDELITY.md) >/dev/null; then
+        echo "STALE TABLE in docs/FIDELITY.md: the fidelity block is not what \`trajectory --smoke\` prints (copy the block from its output)"
+    fi
 }
 
 errors=$(scan)
@@ -72,4 +96,4 @@ if [ -n "$errors" ]; then
     echo "doc link check: FAILED ($(echo "$errors" | wc -l) broken link(s) or anchor(s))"
     exit 1
 fi
-echo "doc link check: all intra-repo links and source anchors in README.md and docs/*.md resolve"
+echo "doc link check: all intra-repo links and source anchors in README.md and docs/*.md resolve, every *.md named in crates/ exists, docs/FIDELITY.md quotes the current fidelity table"

@@ -6,13 +6,22 @@
 //! a verdict is a function of the metric, not of how its key happens to
 //! be spelled. Every gated metric is a simulated virtual-time quantity
 //! or a count, hence deterministic: a failure is a changed scheduling
-//! decision, not noise.
+//! decision, not noise. A number the source paper also reports carries
+//! the paper's value ([`Metric::paper`]) and is held to it as well.
 
 use std::collections::BTreeSet;
 
 /// How far a [`Better::Lower`] / [`Better::Higher`] metric may move the
 /// wrong way, relative to its baseline, before the gate fails.
 const TOLERANCE: f64 = 0.15;
+
+/// How far a metric may sit from the source paper's value for it, as a
+/// factor either way, whatever its own baseline says.
+const PAPER_BAND: f64 = 2.0;
+
+/// What opens the fidelity table, here and in `docs/FIDELITY.md`.
+const FIDELITY_HEAD: &str = "<!-- fidelity:begin (trajectory --smoke) -->\n\
+                             | key | simulated | paper | ratio |\n|---|---|---|---|\n";
 
 /// The direction a metric is judged in.
 #[derive(Clone, Copy)]
@@ -35,6 +44,8 @@ pub struct Metric {
     gate: bool,
     /// See [`Metric::floor`].
     floor: Option<f64>,
+    /// See [`Metric::paper`].
+    paper: Option<(f64, f64)>,
 }
 
 impl Metric {
@@ -44,6 +55,29 @@ impl Metric {
     /// optimization was sized for.
     pub fn floor(&mut self, floor: f64) {
         self.floor = Some(floor);
+    }
+
+    /// The source paper's value for this number — `lo == hi` — or the
+    /// range it gives. Enforced on top of the band around the baseline,
+    /// gated or not: the value must stay within a factor
+    /// [`PAPER_BAND`] of the range, so a model that drifts away from
+    /// the paper one refreshed baseline at a time still fails.
+    pub fn paper(&mut self, lo: f64, hi: f64) {
+        self.paper = Some((lo, hi));
+    }
+
+    /// The paper's value as printed, and the value over the nearest end
+    /// of the paper's range (1 inside it).
+    fn fidelity(&self) -> Option<(String, f64)> {
+        let (lo, hi) = self.paper?;
+        let paper = if lo == hi {
+            format!("{lo}")
+        } else {
+            format!("{lo}-{hi}")
+        };
+        // Not `clamp`: a malformed range must reach `judge`, not panic.
+        let nearest = self.value.max(lo).min(hi);
+        Some((paper, self.value / nearest))
     }
 
     /// Judge the value against the baseline's value for the same key
@@ -56,6 +90,15 @@ impl Metric {
         }
         if let Some(floor) = self.floor.filter(|&f| self.value < f) {
             return Err(format!("is below its absolute floor {floor}"));
+        }
+        if let Some((lo, hi)) = self.paper {
+            if !(lo.is_finite() && hi.is_finite() && 0.0 < lo && lo <= hi) {
+                return Err(format!("has a malformed paper reference [{lo}, {hi}]"));
+            }
+            let (min, max) = (lo / PAPER_BAND, hi * PAPER_BAND);
+            if !(min..=max).contains(&self.value) {
+                return Err(format!("leaves the paper band [{min}, {max}]"));
+            }
         }
         let Some(base) = base.filter(|_| self.gate) else {
             return Ok(());
@@ -94,6 +137,7 @@ impl Metrics {
             better,
             gate: true,
             floor: None,
+            paper: None,
         });
         self.0.last_mut().expect("just pushed")
     }
@@ -126,6 +170,21 @@ impl Metrics {
         self.0.iter().map(|m| (m.key.clone(), m.value)).collect()
     }
 
+    /// How far the run is from the source paper: one markdown table row
+    /// per metric that carries the paper's value — simulated, paper,
+    /// ratio — between the two marker lines `docs/FIDELITY.md` quotes it
+    /// between (`ci/check_doc_links.sh` compares the two blocks). `None`
+    /// when no such metric was produced.
+    pub fn fidelity_table(&self) -> Option<String> {
+        let row = |m: &Metric| {
+            let (paper, ratio) = m.fidelity()?;
+            let (key, value) = (&m.key, m.value);
+            Some(format!("| `{key}` | {value:.2} | {paper} | {ratio:.2} |\n"))
+        };
+        let rows: String = self.0.iter().filter_map(row).collect();
+        (!rows.is_empty()).then(|| format!("{FIDELITY_HEAD}{rows}<!-- fidelity:end -->"))
+    }
+
     /// Judge every metric against `baseline`, printing one verdict line
     /// per key with its declared direction, and return the failures
     /// (each names its key). A key the baseline lacks is reported as
@@ -147,10 +206,13 @@ impl Metrics {
                 (true, Better::Higher) => "higher",
                 (true, Better::Exact) => "exact",
             };
-            let against = match base {
+            let mut against = match base {
                 Some(base) => format!("baseline {base}"),
                 None => "no baseline value".into(),
             };
+            if let Some((paper, ratio)) = m.fidelity() {
+                against += &format!("; paper {paper}, ratio {ratio:.2}");
+            }
             let mark = if verdict.is_ok() { "[ok]" } else { "[FAIL]" };
             println!(
                 "  {mark:<6} {direction:<6} {}: {} ({against})",
@@ -226,6 +288,70 @@ mod tests {
             assert_eq!(m.gate(&baseline(100.0), true).is_empty(), ok, "{value}");
             assert_eq!(m.gate(&[], false).is_empty(), ok, "{value}");
         }
+    }
+
+    #[test]
+    fn a_paper_reference_is_held_on_top_of_the_baseline_band() {
+        // Declare `value` with the paper's range, gate it against a
+        // baseline equal to itself: only the reference can fail it.
+        let verdict = |declare: Declare, value: f64, (lo, hi): (f64, f64)| {
+            let mut m = Metrics::default();
+            declare(&mut m, "k", value).paper(lo, hi);
+            m.gate(&baseline(value), true)
+        };
+        let range = (0.6, 0.8);
+        let gated: [Declare; 4] = [
+            Metrics::lower,
+            Metrics::higher,
+            Metrics::exact,
+            Metrics::info, // recorded ungated, still band-checked
+        ];
+        for declare in gated {
+            for inside in [0.3, 0.6, 0.7, 0.8, 1.6] {
+                assert!(verdict(declare, inside, range).is_empty(), "{inside}");
+            }
+            for outside in [0.49 * 0.6, 2.01 * 0.8] {
+                let failures = verdict(declare, outside, range);
+                assert_eq!(failures.len(), 1, "{outside}");
+                assert!(failures[0].starts_with("k "), "{failures:?}");
+                assert!(
+                    failures[0].contains("paper band [0.3, 1.6]"),
+                    "{failures:?}"
+                );
+                assert!(failures[0].contains("paper 0.6-0.8"), "{failures:?}");
+            }
+            for bad in [
+                (f64::NAN, 1.0),
+                (1.0, f64::INFINITY),
+                (0.0, 1.0),
+                (2.0, 1.0),
+            ] {
+                let failures = verdict(declare, 1.0, bad);
+                assert!(failures[0].contains("malformed paper reference"), "{bad:?}");
+            }
+        }
+        // The baseline band still applies to a row inside its paper band.
+        let mut m = Metrics::default();
+        m.higher("k", 1.5).paper(1.44, 1.44);
+        assert!(!m.gate(&baseline(2.0), true).is_empty());
+        // The table quotes value, reference and ratio to the nearest end
+        // of the range; a run with no reference has no table.
+        let mut m = Metrics::default();
+        m.higher("a", 1.84).paper(1.61, 1.61);
+        m.higher("b", 0.13).paper(0.15, 0.2);
+        m.higher("c", 0.7).paper(0.6, 0.8);
+        m.lower("d", 5.0);
+        let table = m.fidelity_table().unwrap();
+        assert!(table.contains("| `a` | 1.84 | 1.61 | 1.14 |"), "{table}");
+        assert!(
+            table.contains("| `b` | 0.13 | 0.15-0.2 | 0.87 |"),
+            "{table}"
+        );
+        assert!(table.contains("| `c` | 0.70 | 0.6-0.8 | 1.00 |"), "{table}");
+        assert!(!table.contains("`d`"), "{table}");
+        let mut m = Metrics::default();
+        m.lower("d", 5.0);
+        assert!(m.fidelity_table().is_none());
     }
 
     #[test]

@@ -145,7 +145,7 @@ fn policy_sweep(smoke: bool) {
                     spec.name.to_string(),
                     format!("{n_dev}"),
                     policy.name().to_string(),
-                    ms(r.run.median_time()),
+                    ms(r.run.cold_time()),
                     format!("{}", r.devices_used),
                     format!("{migs} ({} KiB)", bytes / 1024),
                 ]);
@@ -159,7 +159,7 @@ fn policy_sweep(smoke: bool) {
                 "suite",
                 "GPUs",
                 "policy",
-                "median ms",
+                "first-iter ms",
                 "devs used",
                 "migrations"
             ],

@@ -1,15 +1,20 @@
 //! Table I — unified-memory footprint of each benchmark at the smallest
 //! and largest swept input size, per device.
 //!
-//! The paper sizes inputs to cover <10%..~90% of each GPU's memory.
+//! The paper sizes inputs to cover <10%..~90% of each GPU's memory (each
+//! benchmark swept up to the largest size that fits).
 //! Functional execution on the host forces our absolute sizes down by a
-//! constant factor (see EXPERIMENTS.md), so this table reports both the
-//! raw footprints and the device-memory fraction they would occupy after
-//! rescaling by that factor.
+//! constant factor per benchmark (`docs/FIDELITY.md`, "Scale factors"),
+//! so this table reports both the raw footprints and the device-memory
+//! fraction they would occupy after rescaling by that factor. It
+//! declares no metric: every cell is a constant of the plan builders.
 
 use bench::render_table;
 use benchmarks::{scales, Bench};
+
 use gpu_sim::DeviceProfile;
+
+use crate::metric::Metrics;
 
 /// Per-benchmark factor between the paper's top scale and ours (see
 /// `benchmarks::scales::top`).
@@ -24,11 +29,7 @@ fn paper_factor(b: Bench) -> f64 {
     }
 }
 
-fn gb(bytes: f64) -> String {
-    format!("{:.2} GB", bytes / 1e9)
-}
-
-fn main() {
+pub fn run(_smoke: bool, _metrics: &mut Metrics) {
     let devices = DeviceProfile::paper_devices();
     let mut rows = Vec::new();
     for b in Bench::ALL {
@@ -39,7 +40,7 @@ fn main() {
         let mut row = vec![
             b.name().to_string(),
             format!("{:.1} MB - {:.1} MB", lo / 1e6, hi / 1e6),
-            format!("{} - {}", gb(lo * f), gb(hi * f)),
+            format!("{:.2} GB - {:.2} GB", lo * f / 1e9, hi * f / 1e9),
         ];
         for dev in &devices {
             row.push(format!("{:.0}%", 100.0 * hi * f / dev.mem_bytes as f64));
@@ -53,19 +54,13 @@ fn main() {
     rows.push(mem_row);
 
     println!("Table I — memory footprint per benchmark (simulated sizes and paper-equivalent)");
-    println!(
-        "{}",
-        render_table(
-            &[
-                "bench",
-                "simulated footprint",
-                "paper-equivalent",
-                "960 max%",
-                "1660 max%",
-                "P100 max%"
-            ],
-            &rows
-        )
-    );
-    println!("(paper: each benchmark swept from <10% of memory up to the largest fitting size)");
+    let headers = [
+        "bench",
+        "simulated footprint",
+        "paper-equivalent",
+        "960 max%",
+        "1660 max%",
+        "P100 max%",
+    ];
+    println!("{}", render_table(&headers, &rows));
 }

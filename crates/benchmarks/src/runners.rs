@@ -31,11 +31,22 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// Median per-iteration time (the paper reports medians).
-    pub fn median_time(&self) -> f64 {
-        let mut t = self.iter_times.clone();
-        t.sort_by(|a, b| a.total_cmp(b));
-        t[t.len() / 2]
+    /// Time of the first iteration, which also pays the first-touch
+    /// transfer of every array the later ones find resident.
+    pub fn cold_time(&self) -> f64 {
+        self.iter_times[0]
+    }
+
+    /// Steady-state time: the last iteration of a run of at least two,
+    /// `None` for a single-iteration run (it only has a cold time). The
+    /// simulator is deterministic and iterations from the second on are
+    /// identical, so two iterations measure it and more only repeat
+    /// kernel arithmetic.
+    pub fn steady_time(&self) -> Option<f64> {
+        match self.iter_times.as_slice() {
+            [_, .., last] => Some(*last),
+            _ => None,
+        }
     }
 
     /// Panic unless the run validated and was race-free (test helper).
@@ -94,7 +105,7 @@ fn ro_flags(op: &PlanOp) -> Vec<bool> {
 }
 
 /// Build a cuda-sim launch descriptor for one op.
-fn make_exec(_spec: &BenchSpec, op: &PlanOp, arrays: &[UnifiedArray]) -> KernelExec {
+fn make_exec(op: &PlanOp, arrays: &[UnifiedArray]) -> KernelExec {
     let ro = ro_flags(op);
     let mut buffers = Vec::new();
     let mut accesses = Vec::new();
@@ -127,15 +138,10 @@ fn write_initial(arr: &UnifiedArray, data: &TypedData) {
 }
 
 fn read_outputs_cuda(c: &Cuda, spec: &BenchSpec, arrays: &[UnifiedArray]) {
-    let _ = spec;
     for (k, cnt) in &spec.outputs {
-        let bytes = cnt * elem_size(&spec.arrays[*k].init);
+        let bytes = cnt * spec.arrays[*k].init.elem_size();
         c.host_read(&arrays[*k], bytes);
     }
-}
-
-fn elem_size(d: &TypedData) -> usize {
-    d.elem_size()
 }
 
 // ---------------------------------------------------------------------
@@ -358,21 +364,18 @@ pub fn run_handtuned(
 ) -> RunResult {
     let c = Cuda::new(dev.clone());
     let arrays = alloc_cuda_arrays(&c, spec);
-    let execs: Vec<KernelExec> = spec
-        .ops
-        .iter()
-        .map(|op| make_exec(spec, op, &arrays))
-        .collect();
-    let nstreams = spec.ops.iter().map(|o| o.stream).max().unwrap_or(0) + 1;
-    let streams: Vec<StreamId> = (0..nstreams).map(|_| c.stream_create()).collect();
+    let (execs, streams) = by_hand(&c, spec, &arrays);
 
     // First-use stream of each array (where a skilled programmer would
-    // prefetch it).
-    let mut first_use: HashMap<usize, usize> = HashMap::new();
+    // prefetch it), in program order: the prefetches are issued in this
+    // order, so it must not be a hash map's.
+    let mut first_use: Vec<(usize, usize)> = Vec::new();
     for op in &spec.ops {
         for a in &op.args {
             if let PlanArg::Arr(k) = a {
-                first_use.entry(*k).or_insert(op.stream);
+                if !first_use.iter().any(|(seen, _)| seen == k) {
+                    first_use.push((*k, op.stream));
+                }
             }
         }
     }
@@ -386,28 +389,49 @@ pub fn run_handtuned(
                 c.prefetch_async(streams[*s], &arrays[*k]);
             }
         }
-        let mut events: Vec<Option<cuda_sim::EventId>> = vec![None; spec.ops.len()];
-        for (i, op) in spec.ops.iter().enumerate() {
-            for d in &op.deps {
-                if spec.ops[*d].stream != op.stream {
-                    let ev = events[*d].expect("event recorded for cross-stream parent");
-                    c.stream_wait_event(streams[op.stream], ev);
-                }
-            }
-            c.launch(streams[op.stream], &execs[i]);
-            // Record an event if any later op on another stream waits.
-            let needed = spec.ops[i + 1..]
-                .iter()
-                .any(|o| o.deps.contains(&i) && o.stream != op.stream);
-            if needed {
-                events[i] = Some(c.event_record(streams[op.stream]));
-            }
-        }
+        issue_by_hand(&c, spec, &execs, &streams);
         c.device_sync();
         read_outputs_cuda(&c, spec, &arrays);
         iter_times.push(c.timeline().gpu_span());
     }
     finish_cuda(c, spec, arrays, iter_times, iters)
+}
+
+/// The hand-written multi-stream form of a plan: its launch
+/// descriptors and one stream per Fig. 6 color.
+fn by_hand(
+    c: &Cuda,
+    spec: &BenchSpec,
+    arrays: &[UnifiedArray],
+) -> (Vec<KernelExec>, Vec<StreamId>) {
+    let nstreams = spec.ops.iter().map(|o| o.stream).max().unwrap_or(0) + 1;
+    (
+        spec.ops.iter().map(|op| make_exec(op, arrays)).collect(),
+        (0..nstreams).map(|_| c.stream_create()).collect(),
+    )
+}
+
+/// Issue the plan on its streams with an event for every cross-stream
+/// edge — executed by the hand-tuned baseline, recorded by the capture
+/// one.
+fn issue_by_hand(c: &Cuda, spec: &BenchSpec, execs: &[KernelExec], streams: &[StreamId]) {
+    let mut events: Vec<Option<cuda_sim::EventId>> = vec![None; spec.ops.len()];
+    for (i, op) in spec.ops.iter().enumerate() {
+        for d in &op.deps {
+            if spec.ops[*d].stream != op.stream {
+                let ev = events[*d].expect("event recorded for cross-stream parent");
+                c.stream_wait_event(streams[op.stream], ev);
+            }
+        }
+        c.launch(streams[op.stream], &execs[i]);
+        // Record an event if any later op on another stream waits.
+        let needed = spec.ops[i + 1..]
+            .iter()
+            .any(|o| o.deps.contains(&i) && o.stream != op.stream);
+        if needed {
+            events[i] = Some(c.event_record(streams[op.stream]));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -425,7 +449,7 @@ pub fn run_graph_manual(spec: &BenchSpec, dev: &DeviceProfile, iters: usize) -> 
     let mut nodes = Vec::with_capacity(spec.ops.len());
     for op in &spec.ops {
         let deps: Vec<cuda_sim::GraphNodeId> = op.deps.iter().map(|d| nodes[*d]).collect();
-        nodes.push(graph.add_kernel(make_exec(spec, op, &arrays), &deps));
+        nodes.push(graph.add_kernel(make_exec(op, &arrays), &deps));
     }
     run_graph(c, spec, arrays, graph, iters)
 }
@@ -436,31 +460,9 @@ pub fn run_graph_manual(spec: &BenchSpec, dev: &DeviceProfile, iters: usize) -> 
 pub fn run_graph_capture(spec: &BenchSpec, dev: &DeviceProfile, iters: usize) -> RunResult {
     let c = Cuda::new(dev.clone());
     let arrays = alloc_cuda_arrays(&c, spec);
-    let execs: Vec<KernelExec> = spec
-        .ops
-        .iter()
-        .map(|op| make_exec(spec, op, &arrays))
-        .collect();
-    let nstreams = spec.ops.iter().map(|o| o.stream).max().unwrap_or(0) + 1;
-    let streams: Vec<StreamId> = (0..nstreams).map(|_| c.stream_create()).collect();
-
+    let (execs, streams) = by_hand(&c, spec, &arrays);
     c.begin_capture();
-    let mut events: Vec<Option<cuda_sim::EventId>> = vec![None; spec.ops.len()];
-    for (i, op) in spec.ops.iter().enumerate() {
-        for d in &op.deps {
-            if spec.ops[*d].stream != op.stream {
-                let ev = events[*d].expect("event recorded for cross-stream parent");
-                c.stream_wait_event(streams[op.stream], ev);
-            }
-        }
-        c.launch(streams[op.stream], &execs[i]);
-        let needed = spec.ops[i + 1..]
-            .iter()
-            .any(|o| o.deps.contains(&i) && o.stream != op.stream);
-        if needed {
-            events[i] = Some(c.event_record(streams[op.stream]));
-        }
-    }
+    issue_by_hand(&c, spec, &execs, &streams);
     let graph = c.end_capture();
     run_graph(c, spec, arrays, graph, iters)
 }
@@ -669,12 +671,8 @@ mod tests {
         let spec = Bench::Vec.build(200_000);
         let ser = run_grcuda(&spec, &dev(), Options::serial(), 2);
         let par = run_grcuda(&spec, &dev(), Options::parallel(), 2);
-        assert!(
-            par.median_time() < ser.median_time(),
-            "parallel {} vs serial {}",
-            par.median_time(),
-            ser.median_time()
-        );
+        let (par, ser) = (par.steady_time().unwrap(), ser.steady_time().unwrap());
+        assert!(par < ser, "parallel {par} vs serial {ser}");
     }
 
     #[test]
@@ -687,14 +685,41 @@ mod tests {
     }
 
     #[test]
-    fn median_of_odd_iterations() {
-        let r = RunResult {
-            iter_times: vec![3.0, 1.0, 2.0],
-            timeline: Timeline::new(),
-            races: 0,
-            streams_used: 0,
-            valid: Ok(()),
-        };
-        assert_eq!(r.median_time(), 2.0);
+    fn steady_time_is_the_same_warm_iteration_however_long_the_run() {
+        // The measurement rule: iterations from the second on are
+        // identical, so the reported time must not depend on how many
+        // times somebody looped — and it must not be the first one.
+        type Runner = fn(&BenchSpec, usize) -> RunResult;
+        let runners: [(&str, Runner); 4] = [
+            ("serial", |s, n| run_grcuda(s, &dev(), Options::serial(), n)),
+            ("parallel", |s, n| {
+                run_grcuda(s, &dev(), Options::parallel(), n)
+            }),
+            ("graph", |s, n| run_graph_manual(s, &dev(), n)),
+            ("events", |s, n| run_handtuned(s, &dev(), true, n)),
+        ];
+        for b in Bench::ALL {
+            let spec = b.build(scales::tiny(b));
+            for (name, run) in runners {
+                let (one, two, three) = (run(&spec, 1), run(&spec, 2), run(&spec, 3));
+                assert_eq!(one.steady_time(), None, "{} {name}", b.name());
+                assert_eq!(one.cold_time(), two.cold_time(), "{} {name}", b.name());
+                let (t2, t3) = (two.steady_time().unwrap(), three.steady_time().unwrap());
+                assert!(
+                    (t2 - t3).abs() <= 1e-9 * t3,
+                    "{} {name}: steady {t2} after two iterations, {t3} after three",
+                    b.name()
+                );
+                assert_eq!(t3, three.iter_times[2], "{} {name}: not the last", b.name());
+                // Every array starts on the host, so the first
+                // iteration pays transfers the later ones do not.
+                assert!(
+                    two.cold_time() > t2,
+                    "{} {name}: cold {} must exceed steady {t2}",
+                    b.name(),
+                    two.cold_time()
+                );
+            }
+        }
     }
 }

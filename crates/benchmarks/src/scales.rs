@@ -4,8 +4,8 @@
 //! memory (Table I). The simulator reproduces timing from byte counts,
 //! but the *functional* kernel implementations run on the host CPU, so
 //! absolute sizes are scaled down by a constant factor per benchmark
-//! (documented in EXPERIMENTS.md); the five sweep points keep the
-//! paper's x-axis ratios `1 : 4 : 6 : 25 : 35`.
+//! (`docs/FIDELITY.md`, "Scale factors"); the five sweep points keep
+//! the paper's x-axis ratios `1 : 4 : 6 : 25 : 35`.
 
 use crate::Bench;
 

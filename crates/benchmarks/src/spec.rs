@@ -1,6 +1,7 @@
 //! Device-agnostic benchmark plans.
 
 use gpu_sim::{DataBuffer, Grid, TypedData};
+use grcuda::Signature;
 use kernels::KernelDef;
 
 /// One managed array of a benchmark.
@@ -111,11 +112,13 @@ impl BenchSpec {
                 .iter()
                 .filter(|a| matches!(a, PlanArg::Arr(_)))
                 .count();
-            let nidl_ptrs =
-                op.def.nidl.matches("pointer").count() + op.def.nidl.matches("ptr,").count();
-            if arrays != nidl_ptrs && !op.def.nidl.contains("ptr") {
+            let sig = Signature::parse(op.def.nidl)
+                .map_err(|e| format!("{}: op {i} ({}): {e}", self.name, op.def.name))?;
+            let passed = (arrays, op.args.len() - arrays);
+            let wanted = (sig.pointer_count(), sig.scalar_count());
+            if passed != wanted {
                 return Err(format!(
-                    "{}: op {i} ({}) passes {arrays} arrays, signature wants {nidl_ptrs}",
+                    "{}: op {i} ({}) passes {passed:?} (arrays, scalars), signature wants {wanted:?}",
                     self.name, op.def.name
                 ));
             }
@@ -129,22 +132,6 @@ impl BenchSpec {
             }
         }
         Ok(())
-    }
-
-    /// Execute the whole plan functionally on the CPU, in program order,
-    /// and return the final contents of every array — the reference any
-    /// scheduler's result must match bit-for-bit.
-    pub fn reference_final_state(&self) -> Vec<TypedData> {
-        let buffers: Vec<DataBuffer> = self
-            .arrays
-            .iter()
-            .map(|a| DataBuffer::new(a.init.clone()))
-            .collect();
-        for op in &self.ops {
-            let (bufs, scalars) = self.op_inputs(op, &buffers);
-            (op.def.func)(&bufs, &scalars);
-        }
-        buffers.iter().map(|b| b.data().clone()).collect()
     }
 
     /// Split an op's arguments into buffers and scalars against a
@@ -214,6 +201,7 @@ impl DataGen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runners::reference_after_iters;
     use kernels::util::SCALE;
 
     fn tiny_spec() -> BenchSpec {
@@ -256,7 +244,7 @@ mod tests {
     #[test]
     fn reference_executes_plan() {
         let s = tiny_spec();
-        let final_state = s.reference_final_state();
+        let final_state = reference_after_iters(&s, 1);
         assert_eq!(final_state[1], TypedData::F32(vec![2.0, 4.0]));
         // Initial specs untouched.
         assert_eq!(s.arrays[1].init, TypedData::F32(vec![0.0, 0.0]));
@@ -267,6 +255,17 @@ mod tests {
         let mut s = tiny_spec();
         s.check_well_formed().unwrap();
         s.outputs = vec![(9, 1)];
+        assert!(s.check_well_formed().is_err());
+    }
+
+    #[test]
+    fn well_formed_counts_arguments_against_the_parsed_signature() {
+        // One scalar short, then a scalar where an array belongs.
+        let mut s = tiny_spec();
+        s.ops[0].args.pop();
+        assert!(s.check_well_formed().unwrap_err().contains("scale"));
+        let mut s = tiny_spec();
+        s.ops[0].args[1] = PlanArg::Scalar(0.0);
         assert!(s.check_well_formed().is_err());
     }
 

@@ -228,6 +228,7 @@ pub fn build(scale: usize) -> BenchSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runners::reference_after_iters;
 
     #[test]
     fn legal_side_rounds_up() {
@@ -250,7 +251,7 @@ mod tests {
     #[test]
     fn similarity_score_is_a_probability() {
         let s = build(18);
-        let fin = s.reference_final_state();
+        let fin = reference_after_iters(&s, 1);
         match &fin[16] {
             TypedData::F32(o) => {
                 assert!(o[0] > 0.0 && o[0] < 1.0, "sigmoid output: {}", o[0]);
@@ -262,7 +263,7 @@ mod tests {
     #[test]
     fn embeddings_are_not_degenerate() {
         let s = build(18);
-        let fin = s.reference_final_state();
+        let fin = reference_after_iters(&s, 1);
         for idx in [5usize, 11] {
             match &fin[idx] {
                 TypedData::F32(e) => {

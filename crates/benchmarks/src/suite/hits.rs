@@ -204,6 +204,7 @@ pub fn build(scale: usize) -> BenchSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runners::reference_after_iters;
 
     #[test]
     fn plan_unrolls_three_iterations_on_two_streams() {
@@ -226,7 +227,7 @@ mod tests {
     #[test]
     fn scores_stay_normalized() {
         let s = build(64);
-        let fin = s.reference_final_state();
+        let fin = reference_after_iters(&s, 1);
         for idx in [6usize, 7] {
             match &fin[idx] {
                 TypedData::F32(v) => {

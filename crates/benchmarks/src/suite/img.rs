@@ -261,6 +261,7 @@ pub fn build(scale: usize) -> BenchSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runners::reference_after_iters;
 
     #[test]
     fn plan_uses_four_streams_and_eleven_kernels() {
@@ -273,7 +274,7 @@ mod tests {
     #[test]
     fn result_pixels_are_valid_intensities() {
         let s = build(32);
-        let fin = s.reference_final_state();
+        let fin = reference_after_iters(&s, 1);
         match &fin[13] {
             TypedData::F32(r) => {
                 assert!(r.iter().all(|&v| (0.0..=1.0).contains(&v) && v.is_finite()));
@@ -286,7 +287,7 @@ mod tests {
     #[test]
     fn extend_normalizes_the_mask_range() {
         let s = build(32);
-        let fin = s.reference_final_state();
+        let fin = reference_after_iters(&s, 1);
         match &fin[8] {
             TypedData::F32(m) => {
                 let max = m.iter().copied().fold(f32::MIN, f32::max);

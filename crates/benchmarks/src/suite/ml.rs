@@ -242,6 +242,7 @@ pub fn build(scale: usize) -> BenchSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runners::reference_after_iters;
 
     #[test]
     fn two_branches_on_two_streams() {
@@ -256,7 +257,7 @@ mod tests {
     #[test]
     fn predictions_are_valid_class_indices() {
         let s = build(64);
-        let fin = s.reference_final_state();
+        let fin = reference_after_iters(&s, 1);
         match &fin[9] {
             TypedData::I32(out) => {
                 assert!(out.iter().all(|&c| (0..CLASSES as i32).contains(&c)));
@@ -273,7 +274,7 @@ mod tests {
     #[test]
     fn both_classifier_outputs_are_probability_rows() {
         let s = build(32);
-        let fin = s.reference_final_state();
+        let fin = reference_after_iters(&s, 1);
         for idx in [4usize, 6] {
             match &fin[idx] {
                 TypedData::F32(m) => {

@@ -80,6 +80,7 @@ pub fn build(scale: usize) -> BenchSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runners::reference_after_iters;
 
     #[test]
     fn plan_shape_matches_fig4() {
@@ -93,7 +94,7 @@ mod tests {
     #[test]
     fn reference_result_is_sum_of_square_differences() {
         let s = build(256);
-        let final_state = s.reference_final_state();
+        let final_state = reference_after_iters(&s, 1);
         let (x0, y0) = match (&s.arrays[0].init, &s.arrays[1].init) {
             (TypedData::F32(x), TypedData::F32(y)) => (x.clone(), y.clone()),
             _ => unreachable!(),

@@ -1,4 +1,4 @@
-//! Graphviz DOT export of a computation DAG, used by the `fig6` binary to
+//! Graphviz DOT export of a computation DAG, used by the `fig6` suite to
 //! render the benchmark structures of the paper's Fig. 6 and by the
 //! multi-GPU scheduler to visualize device placement.
 

@@ -5,7 +5,8 @@
 //! 6 GB) and a Tesla P100 (Pascal, 12 GB, PCIe variant). Throughput numbers
 //! are public spec-sheet values; the calibration constants at the bottom
 //! (launch overheads, fault service characteristics, occupancy saturation
-//! knees) are documented in `EXPERIMENTS.md` and shared by every profile.
+//! knees) are documented in `docs/FIDELITY.md` ("Calibration constants")
+//! and shared by every profile.
 
 use serde::{Deserialize, Serialize};
 
@@ -182,7 +183,7 @@ impl DeviceProfile {
 
     /// Calibration constants shared by every profile. Placed here so a
     /// sensitivity sweep can tweak one place; values are justified in
-    /// EXPERIMENTS.md.
+    /// `docs/FIDELITY.md` ("Calibration constants").
     fn common() -> Self {
         DeviceProfile {
             name: String::new(),

@@ -176,15 +176,6 @@ impl Timeline {
         bounds.map_or(0.0, |(s, e)| e - s)
     }
 
-    /// Sum of kernel interval durations on one device (a per-device
-    /// busy-time gauge; overlapping kernels are counted per interval).
-    pub fn device_kernel_time(&self, device: u32) -> Time {
-        self.of_device(device)
-            .filter(|iv| iv.kind == TaskKind::Kernel)
-            .map(|iv| iv.duration())
-            .sum()
-    }
-
     /// Drop all recorded intervals (used between benchmark iterations).
     pub fn clear(&mut self) {
         self.intervals.clear();

@@ -630,14 +630,6 @@ impl GrCuda {
         self.calibration(|c| c.mean_duration(kernel, block_size, elements))
     }
 
-    /// The calibrated decaying-mean duration for a kernel signature, or
-    /// `None` while calibration is off or has no samples for it. This
-    /// is the prior [`crate::PlacementPolicy::Adaptive`] weights its
-    /// predicted-seconds ledger by.
-    pub fn kernel_duration_prior(&self, kernel: &str) -> Option<Time> {
-        self.calibration(|c| c.kernel_prior(kernel))
-    }
-
     /// Observation counters for the online calibration layer.
     pub fn calibration_stats(&self) -> gpu_sim::CalibrationStats {
         self.calibration(|c| c.stats())

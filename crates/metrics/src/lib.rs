@@ -13,8 +13,6 @@
 //!   combined with the execution timeline;
 //! * [`mod@critical_path`] — the contention-free execution-time bound of
 //!   Fig. 9 (longest dependency path using solo durations);
-//! * [`links`] — per-interconnect-link usage (busy time, bytes,
-//!   utilization) over host and peer links;
 //! * [`latency`] — nearest-rank per-request latency percentiles
 //!   (p50/p90/p99) for the multi-tenant serving benchmarks;
 //! * [`memory`] — per-device resident-bytes timelines under finite
@@ -30,7 +28,6 @@ pub mod critical_path;
 pub mod hardware;
 pub mod interval_ops;
 pub mod latency;
-pub mod links;
 pub mod memory;
 pub mod overlap;
 
@@ -39,6 +36,5 @@ pub use chrome_trace::to_chrome_trace;
 pub use critical_path::critical_path;
 pub use hardware::HardwareMetrics;
 pub use latency::{percentile, LatencySummary};
-pub use links::{link_usage, LinkUsage};
 pub use memory::MemoryTimeline;
 pub use overlap::OverlapMetrics;

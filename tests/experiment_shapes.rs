@@ -1,8 +1,11 @@
 //! Integration: the headline experimental shapes of the paper hold in
 //! the reproduction (coarse versions of Figs. 1, 7, 8, 9, 11, 12 — the
-//! full regenerators live in `crates/bench`).
+//! full regenerators are the `fig*` suites of `crates/bench`'s
+//! `trajectory`).
 
-use benchmarks::{contention_free_time_warm, run_graph_manual, run_grcuda, run_handtuned, Bench};
+use benchmarks::{
+    contention_free_time_warm, run_graph_manual, run_grcuda, run_handtuned, Bench, RunResult,
+};
 use gpu_sim::DeviceProfile;
 use grcuda::Options;
 use metrics::{HardwareMetrics, OverlapMetrics};
@@ -20,6 +23,12 @@ fn test_scale(b: Bench) -> usize {
     }
 }
 
+/// What every shape here is about: the steady state of a two-iteration
+/// run, not the first iteration's one-off transfers.
+fn steady(r: &RunResult) -> f64 {
+    r.steady_time().expect("two iterations")
+}
+
 #[test]
 fn fig7_parallel_beats_serial_on_fault_capable_devices() {
     for dev in [DeviceProfile::gtx1660_super(), DeviceProfile::tesla_p100()] {
@@ -30,7 +39,7 @@ fn fig7_parallel_beats_serial_on_fault_capable_devices() {
             let par = run_grcuda(&spec, &dev, Options::parallel(), 2);
             ser.assert_ok();
             par.assert_ok();
-            let speedup = ser.median_time() / par.median_time();
+            let speedup = steady(&ser) / steady(&par);
             assert!(
                 speedup > 0.95,
                 "{} on {}: parallel slower ({speedup:.2})",
@@ -59,7 +68,7 @@ fn fig7_p100_speedup_exceeds_gtx960_speedup() {
             let spec = b.build(test_scale(b));
             let ser = run_grcuda(&spec, dev, Options::serial(), 2);
             let par = run_grcuda(&spec, dev, Options::parallel(), 2);
-            acc += (ser.median_time() / par.median_time()).ln();
+            acc += (steady(&ser) / steady(&par)).ln();
         }
         (acc / 6.0).exp()
     };
@@ -79,10 +88,10 @@ fn fig8_grcuda_beats_graphs_on_streaming_and_matches_events() {
     gm.assert_ok();
     ht.assert_ok();
     assert!(
-        gm.median_time() / gr.median_time() > 1.1,
+        steady(&gm) / steady(&gr) > 1.1,
         "graphs must lose (no prefetch)"
     );
-    let parity = gr.median_time() / ht.median_time();
+    let parity = steady(&gr) / steady(&ht);
     assert!(
         (0.8..1.25).contains(&parity),
         "events parity violated: {parity:.2}"
@@ -98,7 +107,7 @@ fn fig9_bound_is_a_lower_bound_and_bs_contends_hardest() {
         let bound = contention_free_time_warm(&spec, &dev);
         let par = run_grcuda(&spec, &dev, Options::parallel(), 2);
         par.assert_ok();
-        let rel = bound / par.median_time();
+        let rel = bound / steady(&par);
         assert!(
             rel <= 1.05,
             "{}: measured beat the contention-free bound ({rel:.2})",
@@ -164,7 +173,7 @@ fn fig12_throughput_gain_tracks_speedup() {
     par.assert_ok();
     let hs = HardwareMetrics::from_timeline(&ser.timeline, &dev);
     let hp = HardwareMetrics::from_timeline(&par.timeline, &dev);
-    let speedup = ser.median_time() / par.median_time();
+    let speedup = steady(&ser) / steady(&par);
     let gain = hp.dram_throughput / hs.dram_throughput;
     assert!(
         (gain / speedup - 1.0).abs() < 0.30,
@@ -185,5 +194,5 @@ fn fig1_handtuned_wins_over_serial_cuda() {
     let serial = run_handtuned(&spec, &dev, false, 2);
     tuned.assert_ok();
     serial.assert_ok();
-    assert!(serial.median_time() > 1.15 * tuned.median_time());
+    assert!(steady(&serial) > 1.15 * steady(&tuned));
 }
