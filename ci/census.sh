@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Size census: how much non-test code and public surface the workspace
-# carries. Informational — simplicity PRs quote its before/after output
-# instead of re-deriving the counts by hand.
+# carries. Simplicity PRs quote its before/after output instead of
+# re-deriving the counts by hand; it fails (exit 1) when (vi) is not
+# zero, everything else is informational.
 #
 #   ci/census.sh
 #
@@ -21,8 +22,24 @@
 #      puts one back shows up here.
 # (iv) Bench binaries: entries under crates/bench/src/bin (`trajectory`
 #      alone: the paper's artifacts are suites of it).
+# (v)  `pub mod` declarations in the six library crates whose root is
+#      their API: each is a second path to every item inside it.
+# (vi) Public functions with no reader outside their crate. The six
+#      crates build under `#![warn(unreachable_pub)]`, so with clippy's
+#      `-D warnings` rustc already refuses a `pub` type, const or free
+#      function that nothing exports (and `dead_code` what nothing
+#      uses). What no lint can judge is a `pub fn` on an exported type
+#      or in a public module: for each one in the non-test code, the
+#      name must appear outside the crate's own `src/` — `.name` or
+#      `::name` for a method (indented), the bare word for a free
+#      function — in another crate, `tests/`, `examples/`,
+#      `crates/*/tests/` or `benchmark/`, comment lines excluded (so a
+#      doc example is not a reader). Unread names are printed; spend
+#      them (`pub(crate)`, private, or delete with their tests) rather
+#      than list them anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
 
 total=0
 for crate in crates/*/; do
@@ -62,3 +79,31 @@ hashed=$(awk '
     END { print n + 0 }' "${launch_path[@]}")
 printf 'hash/tree collections %-11s %6d\n' "(launch path)" "$hashed"
 printf 'bench binaries       %-12s %6d\n' "(src/bin)" "$(ls crates/bench/src/bin | wc -l)"
+
+api_crates=(gpu-sim cuda-sim dag grcuda metrics benchmarks)
+printf 'pub mod              %-12s %6d\n' "(6 crates)" \
+    "$(for c in "${api_crates[@]}"; do grep -rE "^\s*pub mod " "crates/$c/src"; done | wc -l)"
+
+unread=()
+for crate in "${api_crates[@]}"; do
+    outside=$(find crates/*/src crates/*/tests tests examples benchmark/src -name '*.rs' \
+        ! -path "crates/$crate/src/*" -print0 | xargs -0 awk '!/^[[:space:]]*\/\//')
+    while read -r kind name; do
+        if [ "$kind" = method ]; then pattern="(\.|::)$name\b"; else pattern="\b$name\b"; fi
+        grep -qE "$pattern" <<<"$outside" || unread+=("$crate::$name")
+    done < <(find "crates/$crate/src" -name '*.rs' ! -name 'prop_tests.rs' -print0 |
+        xargs -0 awk '
+            FNR == 1 { in_tests = 0 }
+            /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+            in_tests { next }
+            match($0, /^[[:space:]]*pub (const )?fn [a-z_0-9]+/) {
+                name = substr($0, RSTART, RLENGTH)
+                sub(/.*fn /, "", name)
+                print ($0 ~ /^pub/ ? "fn" : "method"), name
+            }' | sort -u)
+done
+printf 'public items with no reader outside their crate %d\n' "${#unread[@]}"
+if [ "${#unread[@]}" -gt 0 ]; then
+    printf '  %s\n' "${unread[@]}"
+    exit 1
+fi

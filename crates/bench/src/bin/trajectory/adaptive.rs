@@ -17,7 +17,7 @@
 
 use bench::{ms, render_table, round_sig};
 use benchmarks::{fanout_mix, mixed_makespans, MixedScale, MIXED_SUITES};
-use grcuda::PlacementPolicy;
+use grcuda::{Options, PlacementPolicy};
 
 use crate::metric::Metrics;
 
@@ -92,6 +92,7 @@ pub fn run(smoke: bool, metrics: &mut Metrics) {
         PlacementPolicy::Adaptive,
         scale.fanout_n,
         scale.fanout_rounds,
+        Options::parallel().with_calibration(true),
     )
     .calib_kernel_samples;
     assert!(samples > 0, "calibration must observe kernel durations");

@@ -28,7 +28,7 @@
 
 use bench::render_table;
 use benchmarks::{
-    grcuda_arrays, read_grcuda_outputs, refresh_grcuda_arrays, scales, Bench, BenchSpec, PlanArg,
+    grcuda_arrays, read_grcuda_outputs, refresh_grcuda_arrays, tiny, Bench, BenchSpec, PlanArg,
 };
 use gpu_sim::{DeviceProfile, Grid, Topology};
 use grcuda::{Arg, AuditReport, DeviceArray, GrCuda, Options, PlacementPolicy};
@@ -61,7 +61,7 @@ fn launch_and_audit(g: &GrCuda, spec: &BenchSpec) -> (Vec<DeviceArray>, AuditRep
 /// Run one suite under one placement policy and audit the complete
 /// inferred schedule before the host reads retire it.
 fn audit_suite(b: Bench, policy: PlacementPolicy, n_devices: usize) -> AuditReport {
-    let spec = b.build(scales::tiny(b));
+    let spec = b.build(tiny(b));
     let dev = DeviceProfile::tesla_p100();
     let topo = Topology::pcie_only(n_devices, &dev);
     let g = GrCuda::with_topology(dev, topo, Options::parallel(), policy);
@@ -81,7 +81,7 @@ fn audit_suite(b: Bench, policy: PlacementPolicy, n_devices: usize) -> AuditRepo
 /// is disabled too — its races are runtime machinery, not DAG
 /// vertices, and this injection measures the DAG-level violations.)
 fn inject_inference_off() -> AuditReport {
-    let spec = Bench::Vec.build(scales::tiny(Bench::Vec));
+    let spec = Bench::Vec.build(tiny(Bench::Vec));
     let g = GrCuda::new(
         DeviceProfile::tesla_p100(),
         Options::parallel()

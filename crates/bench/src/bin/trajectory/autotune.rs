@@ -10,8 +10,8 @@
 //! speedup.
 
 use bench::{ms, render_table, round_sig};
-use gpu_sim::calibrate::CANDIDATE_BLOCK_SIZES;
 use gpu_sim::DeviceProfile;
+use gpu_sim::CANDIDATE_BLOCK_SIZES;
 use grcuda::{Arg, GrCuda, Options};
 use kernels::vec_ops::{REDUCE_SUM_DIFF, SQUARE};
 

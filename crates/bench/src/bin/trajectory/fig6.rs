@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use bench::render_table;
-use benchmarks::{grcuda_arrays, run_grcuda, scales, Bench, PlanArg};
+use benchmarks::{grcuda_arrays, run_grcuda, tiny, Bench, PlanArg};
 use gpu_sim::DeviceProfile;
 use grcuda::{Arg, GrCuda, Options};
 
@@ -34,7 +34,7 @@ pub fn run(_smoke: bool, metrics: &mut Metrics) {
         res.assert_ok();
         // Rebuild the DAG alone (no timing) for the DOT dump.
         let tiny = Input {
-            scale: scales::tiny(b),
+            scale: tiny(b),
             ..Input::middle(b)
         };
         let spec = tiny.spec();

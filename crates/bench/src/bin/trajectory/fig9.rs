@@ -12,7 +12,7 @@
 //! scale.
 
 use bench::{ms, render_table, round_sig};
-use benchmarks::{contention_free_time_warm, Bench};
+use benchmarks::{contention_free_time, Bench};
 use gpu_sim::DeviceProfile;
 
 use crate::metric::Metrics;
@@ -23,7 +23,7 @@ pub fn run(smoke: bool, metrics: &mut Metrics) {
     let mut rows = Vec::new();
     let mut relatives: Vec<(Bench, f64)> = Vec::new();
     for (dev, input) in runs::sweep(&devices, smoke) {
-        let bound = contention_free_time_warm(&input.spec(), dev);
+        let bound = contention_free_time(&input.spec(), dev, true);
         let measured = steady(&runs::run(input, dev, Strategy::parallel()));
         let rel = bound / measured;
         relatives.push((input.bench, rel));

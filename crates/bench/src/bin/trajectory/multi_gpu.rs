@@ -36,7 +36,7 @@
 
 use bench::{ms, render_table};
 use benchmarks::{
-    oversub_capacity, oversub_configs, oversubscribe, run_multi_gpu, scales, transfer_chain, Bench,
+    oversub_capacity, oversub_configs, oversubscribe, run_multi_gpu, tiny, transfer_chain, Bench,
     OversubResult, TransferChainResult,
 };
 use gpu_sim::{DeviceProfile, Grid, Topology, TopologyKind};
@@ -120,9 +120,9 @@ fn policy_sweep(smoke: bool) {
     let mut rows = Vec::new();
     for b in Bench::ALL {
         let scale = if smoke {
-            scales::tiny(b)
+            tiny(b)
         } else {
-            scales::sweep(b)[1]
+            benchmarks::sweep(b)[1]
         };
         let spec = b.build(scale);
         for n_dev in [1usize, 2, 4] {
@@ -130,10 +130,11 @@ fn policy_sweep(smoke: bool) {
                 if n_dev == 1 && policy != PlacementPolicy::SingleGpu {
                     continue; // placement is moot on one device
                 }
+                let topo = Topology::pcie_only(n_dev, &dev);
                 let r =
-                    run_multi_gpu(&spec, &dev, Options::parallel(), n_dev, policy, iters).unwrap();
-                assert_eq!(r.run.races, 0, "{} x{n_dev} {policy:?}: raced", spec.name);
-                r.run.valid.as_ref().unwrap_or_else(|e| {
+                    run_multi_gpu(&spec, &dev, Options::parallel(), topo, policy, iters).unwrap();
+                assert_eq!(r.races, 0, "{} x{n_dev} {policy:?}: raced", spec.name);
+                r.valid.as_ref().unwrap_or_else(|e| {
                     panic!(
                         "{} x{n_dev} {policy:?} diverged from the reference \
                          (and thus from the single-GPU run): {e}",
@@ -145,8 +146,8 @@ fn policy_sweep(smoke: bool) {
                     spec.name.to_string(),
                     format!("{n_dev}"),
                     policy.name().to_string(),
-                    ms(r.run.cold_time()),
-                    format!("{}", r.devices_used),
+                    ms(r.cold_time()),
+                    format!("{}", r.timeline.devices_used().len()),
                     format!("{migs} ({} KiB)", bytes / 1024),
                 ]);
             }
@@ -189,7 +190,7 @@ fn topology_sweep(smoke: bool, m: &mut Metrics) {
     let mut checksum = None;
     for topo in TopologyKind::ALL {
         for policy in policies {
-            let r = transfer_chain(policy, topo, n, iters);
+            let r = transfer_chain(policy, topo, n, iters, Options::parallel());
             assert_eq!(r.races, 0, "{} {} raced", topo.name(), policy.name());
             match checksum {
                 None => checksum = Some(r.checksum),
@@ -292,7 +293,14 @@ fn oversubscribe_sweep(smoke: bool, m: &mut Metrics) {
     let mut results: Vec<(&'static str, OversubResult)> = Vec::new();
     let mut checksum = None;
     for (label, policy, eviction) in oversub_configs() {
-        let r = oversubscribe(policy, eviction, Some(capacity), n, iters);
+        let r = oversubscribe(
+            policy,
+            eviction,
+            Some(capacity),
+            n,
+            iters,
+            Options::parallel(),
+        );
         assert_eq!(r.races, 0, "{label} raced");
         match checksum {
             None => checksum = Some(r.checksum),
@@ -373,21 +381,22 @@ pub fn run(smoke: bool, m: &mut Metrics) {
     // hides behind computation on a migration-heavy 4-device run.
     {
         let spec = Bench::Vec.build(if smoke {
-            scales::tiny(Bench::Vec)
+            tiny(Bench::Vec)
         } else {
-            scales::sweep(Bench::Vec)[1]
+            benchmarks::sweep(Bench::Vec)[1]
         });
+        let dev = DeviceProfile::tesla_p100();
         let r = run_multi_gpu(
             &spec,
-            &DeviceProfile::tesla_p100(),
+            &dev,
             Options::parallel(),
-            4,
+            Topology::pcie_only(4, &dev),
             PlacementPolicy::StreamAware,
             2,
         )
         .unwrap();
-        r.run.valid.as_ref().expect("sweep run validates");
-        let ov = OverlapMetrics::from_timeline(&r.run.timeline);
+        r.valid.as_ref().expect("sweep run validates");
+        let ov = OverlapMetrics::from_timeline(&r.timeline);
         m.higher("sweep.vec4.overlap_tc_pct", ov.tc * 100.0);
         m.higher("sweep.vec4.overlap_tot_pct", ov.tot * 100.0);
     }

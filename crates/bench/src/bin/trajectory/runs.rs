@@ -18,8 +18,8 @@ use std::rc::Rc;
 
 use bench::{geomean, round_sig};
 use benchmarks::{
-    run_graph_capture, run_graph_manual, run_grcuda, run_handtuned, scales, Bench, BenchSpec,
-    RunResult,
+    default_scale, run_graph_capture, run_graph_manual, run_grcuda, run_handtuned, Bench,
+    BenchSpec, RunResult,
 };
 use gpu_sim::DeviceProfile;
 use grcuda::Options;
@@ -63,7 +63,7 @@ impl Input {
     pub fn middle(bench: Bench) -> Self {
         Input {
             bench,
-            scale: scales::default_scale(bench),
+            scale: default_scale(bench),
             block: None,
         }
     }
@@ -96,7 +96,7 @@ pub fn sweep(devices: &[DeviceProfile], smoke: bool) -> Vec<(&DeviceProfile, Inp
     let mut points = Vec::new();
     for dev in devices {
         for bench in Bench::ALL {
-            let all = scales::sweep(bench);
+            let all = benchmarks::sweep(bench);
             let picks = if smoke { &all[2..3] } else { &all[..] };
             let at = |&scale| Input {
                 scale,

@@ -27,12 +27,12 @@
 //! `benchmark/`'s `serve_tenants` workload.
 
 use bench::{render_table, round_sig};
-use gpu_sim::DeviceProfile;
+use gpu_sim::{DeviceProfile, EvictionPolicy, Grid, MemoryConfig};
 use grcuda::serve::{
     ArgSpec, CallSpec, ElemKind, Fairness, KernelRef, RequestSpec, ServeConfig, ServeError,
     ServiceCore, TenantId,
 };
-use grcuda::{EvictionPolicy, Grid, MemoryConfig, Options};
+use grcuda::Options;
 use kernels::util::{AXPY, SCALE};
 use metrics::LatencySummary;
 

@@ -23,9 +23,7 @@
 //! scheduler hot path" acceptance bar (~24k/s seed → ≥ 240k/s).
 
 use bench::render_table;
-use benchmarks::{
-    grcuda_arrays, read_grcuda_outputs, refresh_grcuda_arrays, scales, Bench, PlanArg,
-};
+use benchmarks::{grcuda_arrays, read_grcuda_outputs, refresh_grcuda_arrays, tiny, Bench, PlanArg};
 use gpu_sim::DeviceProfile;
 use grcuda::{Arg, BatchLaunch, GrCuda, Options, SchedulerStats};
 
@@ -63,7 +61,7 @@ fn assert_drained(name: &str, launches: usize, st: &SchedulerStats, retained_tas
 }
 
 fn soak_suite(b: Bench, quota: usize) -> SuiteReport {
-    let spec = b.build(scales::tiny(b));
+    let spec = b.build(tiny(b));
     let g = GrCuda::new(DeviceProfile::tesla_p100(), Options::parallel());
     // `READ_EVERY` independent request slots (double-buffering, like a
     // pipelined service with R requests in flight): requests on

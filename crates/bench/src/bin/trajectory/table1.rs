@@ -10,14 +10,14 @@
 //! declares no metric: every cell is a constant of the plan builders.
 
 use bench::render_table;
-use benchmarks::{scales, Bench};
+use benchmarks::Bench;
 
 use gpu_sim::DeviceProfile;
 
 use crate::metric::Metrics;
 
 /// Per-benchmark factor between the paper's top scale and ours (see
-/// `benchmarks::scales::top`).
+/// `top` in `crates/benchmarks/src/scales.rs`).
 fn paper_factor(b: Bench) -> f64 {
     match b {
         Bench::Vec => 7e8 / 14e6,
@@ -33,7 +33,7 @@ pub fn run(_smoke: bool, _metrics: &mut Metrics) {
     let devices = DeviceProfile::paper_devices();
     let mut rows = Vec::new();
     for b in Bench::ALL {
-        let sw = scales::sweep(b);
+        let sw = benchmarks::sweep(b);
         let lo = b.build(sw[0]).footprint_bytes() as f64;
         let hi = b.build(sw[4]).footprint_bytes() as f64;
         let f = paper_factor(b);

@@ -11,25 +11,16 @@
 use std::collections::HashMap;
 
 use gpu_sim::DeviceProfile;
-use metrics::critical_path::{critical_path, PathNode};
+use metrics::{critical_path, PathNode};
 
 use crate::spec::{BenchSpec, PlanArg};
 
-/// Contention-free completion time of one cold-start iteration (every
-/// array transferred) — see [`contention_free_time_warm`] for the
-/// steady-state variant used by Fig. 9.
-pub fn contention_free_time(spec: &BenchSpec, dev: &DeviceProfile) -> f64 {
-    bound_impl(spec, dev, false)
-}
-
-/// Contention-free completion time of a steady-state iteration: only the
-/// streaming inputs (re-written by the host each iteration) pay a
-/// transfer; everything else is already device-resident.
-pub fn contention_free_time_warm(spec: &BenchSpec, dev: &DeviceProfile) -> f64 {
-    bound_impl(spec, dev, true)
-}
-
-fn bound_impl(spec: &BenchSpec, dev: &DeviceProfile, warm: bool) -> f64 {
+/// Contention-free completion time of one iteration. Cold (`warm ==
+/// false`): every array is transferred. Warm — the steady state Fig. 9
+/// divides by: only the streaming inputs (re-written by the host each
+/// iteration) pay a transfer; everything else is already
+/// device-resident.
+pub fn contention_free_time(spec: &BenchSpec, dev: &DeviceProfile, warm: bool) -> f64 {
     let buffers: Vec<gpu_sim::DataBuffer> = spec
         .arrays
         .iter()
@@ -84,19 +75,19 @@ mod tests {
     fn bound_is_positive_and_scales() {
         let dev = DeviceProfile::gtx1660_super();
         for b in Bench::ALL {
-            let small = contention_free_time(&b.build(scales::tiny(b)), &dev);
+            let small = contention_free_time(&b.build(scales::tiny(b)), &dev, false);
             assert!(small > 0.0, "{:?}", b);
         }
-        let s1 = contention_free_time(&Bench::Vec.build(100_000), &dev);
-        let s2 = contention_free_time(&Bench::Vec.build(1_000_000), &dev);
+        let s1 = contention_free_time(&Bench::Vec.build(100_000), &dev, false);
+        let s2 = contention_free_time(&Bench::Vec.build(1_000_000), &dev, false);
         assert!(s2 > 2.0 * s1);
     }
 
     #[test]
     fn faster_device_has_lower_bound() {
         let spec = Bench::Ml.build(2_000);
-        let t960 = contention_free_time(&spec, &DeviceProfile::gtx960());
-        let tp100 = contention_free_time(&spec, &DeviceProfile::tesla_p100());
+        let t960 = contention_free_time(&spec, &DeviceProfile::gtx960(), false);
+        let tp100 = contention_free_time(&spec, &DeviceProfile::tesla_p100(), false);
         assert!(tp100 < t960, "{tp100} vs {t960}");
     }
 
@@ -106,7 +97,7 @@ mod tests {
         // durations + all transfers.
         let dev = DeviceProfile::tesla_p100();
         let spec = Bench::Img.build(64);
-        let bound = contention_free_time(&spec, &dev);
+        let bound = contention_free_time(&spec, &dev, false);
         let buffers: Vec<gpu_sim::DataBuffer> = spec
             .arrays
             .iter()

@@ -2,7 +2,7 @@
 //! trajectory's `cluster` sweep.
 //!
 //! Three batch-submitted suites stress the deterministic DAG
-//! partitioner (see `grcuda::partition`) and node-aware placement on a
+//! partitioner (see `grcuda::partition_batch`) and node-aware placement on a
 //! [`Cluster`] of NIC-joined nodes:
 //!
 //! * **chain** — `2 × nodes + 1` independent dependent chains, one
@@ -23,8 +23,8 @@
 //! traffic, the partitioner's cut size, and a checksum that must be
 //! identical across policies (placement moves work, never results).
 
-use gpu_sim::{DeviceProfile, Grid, TopologyKind};
-use grcuda::{Arg, BatchLaunch, Cluster, DeviceArray, GrCuda, NicKind, Options, PlacementPolicy};
+use gpu_sim::{Cluster, DeviceProfile, Grid, NicKind, TopologyKind};
+use grcuda::{Arg, BatchLaunch, DeviceArray, GrCuda, Options, PlacementPolicy};
 use kernels::util::SCALE;
 
 /// The three cluster suites, in sweep order.

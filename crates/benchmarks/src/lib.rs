@@ -1,5 +1,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # benchmarks — the paper's 6 task-parallel benchmarks
 //!
@@ -22,34 +23,27 @@
 //! sequential CPU reference execution of the same plan, and the
 //! simulator's race detector must stay silent.
 
-pub mod bound;
-pub mod cluster;
-pub mod mixed;
-pub mod oversub;
+mod bound;
+mod cluster;
+mod mixed;
+mod oversub;
 pub mod runners;
-pub mod scales;
-pub mod spec;
-pub mod suite;
-pub mod transfer;
+mod scales;
+mod spec;
+mod suite;
+mod transfer;
 
-pub use bound::{contention_free_time, contention_free_time_warm};
+pub use bound::contention_free_time;
 pub use cluster::{cluster_run, ClusterResult, ClusterSuite};
-pub use mixed::{
-    fanout_mix, fanout_mix_opts, mixed_makespans, mixed_options, FanoutMixResult, MixedScale,
-    FANOUT_DEVICES, MIXED_SUITES,
-};
-pub use oversub::{
-    oversub_capacity, oversub_configs, oversubscribe, oversubscribe_opts, OversubResult,
-    OVERSUB_DEVICES,
-};
+pub use mixed::{fanout_mix, mixed_makespans, FanoutMixResult, MixedScale, MIXED_SUITES};
+pub use oversub::{oversub_capacity, oversub_configs, oversubscribe, OversubResult};
 pub use runners::{
     grcuda_arrays, read_grcuda_outputs, refresh_grcuda_arrays, run_graph_capture, run_graph_manual,
-    run_grcuda, run_handtuned, run_multi_gpu, run_multi_gpu_topo, MultiRunResult, RunResult,
+    run_grcuda, run_handtuned, run_multi_gpu, RunResult,
 };
+pub use scales::{default_scale, sweep, tiny};
 pub use spec::{ArraySpec, BenchSpec, PlanArg, PlanOp};
-pub use transfer::{
-    transfer_chain, transfer_chain_opts, TransferChainResult, TRANSFER_CHAIN_DEVICES,
-};
+pub use transfer::{transfer_chain, TransferChainResult, TRANSFER_CHAIN_DEVICES};
 
 /// The six benchmarks, in the paper's figure order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

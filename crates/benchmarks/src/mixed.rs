@@ -30,13 +30,13 @@ use grcuda::{Arg, DeviceArray, GrCuda, Options, PlacementPolicy};
 use kernels::black_scholes::BLACK_SCHOLES;
 use kernels::image::GAUSSIAN_BLUR;
 
-use crate::oversub::{oversub_capacity, oversubscribe_opts};
-use crate::transfer::transfer_chain_opts;
+use crate::oversub::{oversub_capacity, oversubscribe};
+use crate::transfer::transfer_chain;
 
 /// Devices the fan-out is shaped for.
-pub const FANOUT_DEVICES: usize = 2;
+const FANOUT_DEVICES: usize = 2;
 /// Short kernels per round.
-pub const FANOUT_SHORTS: usize = 3;
+const FANOUT_SHORTS: usize = 3;
 /// Blur stencil diameter for the short kernels (compute ∝ diameter²,
 /// so the shorts' durations are compute- not transfer-dominated).
 const BLUR_DIAMETER: usize = 31;
@@ -60,19 +60,14 @@ pub struct FanoutMixResult {
 /// The options a policy naturally runs the mixed workload under:
 /// defaults for the static policies, defaults + online calibration for
 /// [`PlacementPolicy::Adaptive`] (which is history-blind without it).
-pub fn mixed_options(policy: PlacementPolicy) -> Options {
+fn natural_options(policy: PlacementPolicy) -> Options {
     Options::parallel().with_calibration(policy == PlacementPolicy::Adaptive)
 }
 
-/// Run the fanout mix under a policy with its natural options
-/// ([`mixed_options`]). `n` is the short kernels' element count;
-/// `rounds` the number of measured rounds (one warmup round is added).
-pub fn fanout_mix(policy: PlacementPolicy, n: usize, rounds: usize) -> FanoutMixResult {
-    fanout_mix_opts(policy, n, rounds, mixed_options(policy))
-}
-
-/// [`fanout_mix`] with explicit scheduler options.
-pub fn fanout_mix_opts(
+/// Run the fanout mix under a policy and scheduler options. `n` is the
+/// short kernels' element count; `rounds` the number of measured rounds
+/// (one warmup round is added).
+pub fn fanout_mix(
     policy: PlacementPolicy,
     n: usize,
     rounds: usize,
@@ -210,12 +205,13 @@ impl MixedScale {
 
 /// Makespans of one policy across every suite of the mixed workload
 /// (suite names from [`MIXED_SUITES`]), each run under the policy's
-/// natural options ([`mixed_options`]) and, for the oversubscription
+/// natural options (defaults, plus online calibration for
+/// [`PlacementPolicy::Adaptive`]) and, for the oversubscription
 /// suite, LRU eviction — eviction is held fixed so placement is the
 /// only variable under test.
 pub fn mixed_makespans(policy: PlacementPolicy, scale: &MixedScale) -> [(&'static str, f64); 3] {
-    let opts = mixed_options(policy);
-    let chain = transfer_chain_opts(
+    let opts = natural_options(policy);
+    let chain = transfer_chain(
         policy,
         TopologyKind::NvlinkPair,
         scale.chain_n,
@@ -223,7 +219,7 @@ pub fn mixed_makespans(policy: PlacementPolicy, scale: &MixedScale) -> [(&'stati
         opts,
     )
     .makespan;
-    let oversub = oversubscribe_opts(
+    let oversub = oversubscribe(
         policy,
         EvictionPolicy::Lru,
         Some(oversub_capacity(scale.oversub_n)),
@@ -232,7 +228,7 @@ pub fn mixed_makespans(policy: PlacementPolicy, scale: &MixedScale) -> [(&'stati
         opts,
     )
     .makespan;
-    let fanout = fanout_mix_opts(policy, scale.fanout_n, scale.fanout_rounds, opts).makespan;
+    let fanout = fanout_mix(policy, scale.fanout_n, scale.fanout_rounds, opts).makespan;
     [("chain", chain), ("oversub", oversub), ("fanout", fanout)]
 }
 
@@ -242,10 +238,15 @@ mod tests {
 
     const N: usize = 1 << 15;
 
+    /// Three measured rounds under the policy's natural options.
+    fn run(policy: PlacementPolicy) -> FanoutMixResult {
+        fanout_mix(policy, N, 3, natural_options(policy))
+    }
+
     #[test]
     fn fanout_mix_is_deterministic_and_race_free() {
-        let a = fanout_mix(PlacementPolicy::Adaptive, N, 3);
-        let b = fanout_mix(PlacementPolicy::Adaptive, N, 3);
+        let a = run(PlacementPolicy::Adaptive);
+        let b = run(PlacementPolicy::Adaptive);
         assert_eq!(a, b);
         assert_eq!(a.races, 0);
         assert!(a.checksum.is_finite());
@@ -257,13 +258,13 @@ mod tests {
 
     #[test]
     fn results_are_identical_across_policies() {
-        let reference = fanout_mix(PlacementPolicy::SingleGpu, N, 3);
+        let reference = run(PlacementPolicy::SingleGpu);
         assert_eq!(
             reference.calib_kernel_samples, 0,
             "statics run uncalibrated"
         );
         for policy in PlacementPolicy::ALL {
-            let r = fanout_mix(policy, N, 3);
+            let r = run(policy);
             assert_eq!(r.races, 0, "{policy:?} raced");
             assert_eq!(
                 r.checksum, reference.checksum,
@@ -274,9 +275,9 @@ mod tests {
 
     #[test]
     fn adaptive_strictly_beats_every_count_based_policy_on_the_fanout() {
-        let adaptive = fanout_mix(PlacementPolicy::Adaptive, N, 3);
+        let adaptive = run(PlacementPolicy::Adaptive);
         for policy in PlacementPolicy::STATIC {
-            let r = fanout_mix(policy, N, 3);
+            let r = run(policy);
             assert!(
                 adaptive.makespan < r.makespan * 0.95,
                 "{policy:?} ({} ms) should lose to adaptive ({} ms) by >5%",

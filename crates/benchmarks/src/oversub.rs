@@ -32,13 +32,13 @@
 //!   weights — zero spill traffic, one cheap re-fetch leg — so spilled
 //!   bytes collapse and the makespan with them.
 
-use gpu_sim::memgr::{EvictionPolicy, MemoryConfig};
 use gpu_sim::{DeviceProfile, Grid, Topology};
+use gpu_sim::{EvictionPolicy, MemoryConfig};
 use grcuda::{Arg, DeviceArray, GrCuda, Options, PlacementPolicy};
 use kernels::util::{JOIN, PIN};
 
 /// Devices the workload is shaped for.
-pub const OVERSUB_DEVICES: usize = 2;
+const OVERSUB_DEVICES: usize = 2;
 
 /// Number of mutable state arrays (the streamed working set).
 const N_STATES: usize = 8;
@@ -86,21 +86,10 @@ pub struct OversubResult {
 /// eviction policy, with per-device capacity `capacity` (use
 /// [`oversub_capacity`] for the standard ~2× oversubscription, or
 /// `None` for the unlimited baseline). `n` is the state-array element
-/// count; `iters` the number of full passes over the working set.
+/// count; `iters` the number of full passes over the working set;
+/// `options` the scheduler options (`Options::parallel()` for every
+/// committed metric, calibration on for adaptive runs).
 pub fn oversubscribe(
-    policy: PlacementPolicy,
-    eviction: EvictionPolicy,
-    capacity: Option<usize>,
-    n: usize,
-    iters: usize,
-) -> OversubResult {
-    oversubscribe_opts(policy, eviction, capacity, n, iters, Options::parallel())
-}
-
-/// [`oversubscribe`] with explicit scheduler options — what calibrated
-/// (adaptive) runs use; the plain entry point keeps the default options
-/// so committed metrics stay bit-identical.
-pub fn oversubscribe_opts(
     policy: PlacementPolicy,
     eviction: EvictionPolicy,
     capacity: Option<usize>,
@@ -219,6 +208,7 @@ mod tests {
                 Some(oversub_capacity(N)),
                 N,
                 2,
+                Options::parallel(),
             )
         };
         let a = run();
@@ -236,7 +226,14 @@ mod tests {
         // The unlimited run is the ground truth; every finite-capacity
         // policy combination must reproduce its numbers bit-exactly —
         // eviction and placement move data, never change it.
-        let reference = oversubscribe(PlacementPolicy::SingleGpu, EvictionPolicy::Lru, None, N, 2);
+        let reference = oversubscribe(
+            PlacementPolicy::SingleGpu,
+            EvictionPolicy::Lru,
+            None,
+            N,
+            2,
+            Options::parallel(),
+        );
         assert_eq!(reference.evictions, 0, "unlimited capacity never evicts");
         assert_eq!(reference.spilled_bytes, 0);
         for policy in [
@@ -246,7 +243,14 @@ mod tests {
             PlacementPolicy::StreamAware,
         ] {
             for eviction in EvictionPolicy::ALL {
-                let r = oversubscribe(policy, eviction, Some(oversub_capacity(N)), N, 2);
+                let r = oversubscribe(
+                    policy,
+                    eviction,
+                    Some(oversub_capacity(N)),
+                    N,
+                    2,
+                    Options::parallel(),
+                );
                 assert_eq!(r.races, 0, "{policy:?}/{eviction:?} raced");
                 assert_eq!(
                     r.checksum, reference.checksum,
@@ -264,6 +268,7 @@ mod tests {
             Some(oversub_capacity(N)),
             N,
             2,
+            Options::parallel(),
         );
         assert!(r.evictions > 0, "the suite must create memory pressure");
         assert!(r.spilled_bytes > 0, "LRU must spill dirty states");

@@ -10,8 +10,8 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::rc::Rc;
 
 use cuda_sim::{Cuda, CudaGraph, KernelExec, StreamId, UnifiedArray};
-use gpu_sim::{DataBuffer, DeviceProfile, Timeline, TypedData};
-use grcuda::{Arg, GrCuda, Options, PlacementPolicy, Signature, Topology};
+use gpu_sim::{DataBuffer, DeviceProfile, Timeline, Topology, TypedData};
+use grcuda::{Arg, GrCuda, Options, PlacementPolicy, Signature};
 
 use crate::spec::{BenchSpec, PlanArg, PlanOp};
 
@@ -26,6 +26,9 @@ pub struct RunResult {
     pub races: usize,
     /// Streams that carried GPU work in the last iteration.
     pub streams_used: usize,
+    /// Cross-device migrations performed, as `(count, bytes)`: `(0, 0)`
+    /// on one device.
+    pub migrations: (usize, usize),
     /// Bit-exact comparison against the sequential CPU reference.
     pub valid: Result<(), String>,
 }
@@ -262,6 +265,7 @@ fn run_on(g: &GrCuda, spec: &BenchSpec, iters: usize) -> Result<RunResult, Strin
         iter_times,
         streams_used: timeline.streams_used(),
         races: g.races().len(),
+        migrations: g.migration_stats(),
         valid: validate(spec, &buffers, iters),
         timeline,
     })
@@ -290,61 +294,22 @@ pub fn run_grcuda(
 // Multi-GPU runner (unified scheduler core, policy-driven placement)
 // ---------------------------------------------------------------------
 
-/// Outcome of one multi-GPU benchmark run: the usual [`RunResult`] plus
-/// placement accounting.
-#[derive(Debug)]
-pub struct MultiRunResult {
-    /// The validated run (timings, races, streams, bit-exact check).
-    pub run: RunResult,
-    /// Cross-device migrations performed, as `(count, bytes)`.
-    pub migrations: (usize, usize),
-    /// Devices that carried GPU work in the last iteration.
-    pub devices_used: usize,
-}
-
-impl MultiRunResult {
-    /// Panic unless the run validated and was race-free.
-    pub fn assert_ok(&self) {
-        self.run.assert_ok();
-    }
-}
-
-/// Run the spec through the unified scheduler on `n_devices` simulated
-/// devices over host (PCIe) links, with placement decided per-kernel by
-/// `policy`. Results are validated against the same sequential CPU
-/// reference as every other runner, so any two policies (or device
-/// counts) that validate are bit-identical to each other — the parity
-/// the policy sweep asserts.
-pub fn run_multi_gpu(
-    spec: &BenchSpec,
-    dev: &DeviceProfile,
-    options: Options,
-    n_devices: usize,
-    policy: PlacementPolicy,
-    iters: usize,
-) -> Result<MultiRunResult, String> {
-    let topo = Topology::pcie_only(n_devices, dev);
-    run_multi_gpu_topo(spec, dev, options, topo, policy, iters)
-}
-
-/// [`run_multi_gpu`] on an explicit machine — the same DAG scheduled
-/// over a different [`Topology`]. Validation is topology-independent:
+/// Run the spec through the unified scheduler on the machine `topo`,
+/// with placement decided per-kernel by `policy`. Results are validated
+/// against the same sequential CPU reference as every other runner, so
+/// any two policies, device counts or topologies that validate are
+/// bit-identical to each other — the parity the policy sweep asserts;
 /// links change transfer routes and timing, never results.
-pub fn run_multi_gpu_topo(
+pub fn run_multi_gpu(
     spec: &BenchSpec,
     dev: &DeviceProfile,
     options: Options,
     topo: Topology,
     policy: PlacementPolicy,
     iters: usize,
-) -> Result<MultiRunResult, String> {
+) -> Result<RunResult, String> {
     let g = GrCuda::with_topology(dev.clone(), topo, options, policy);
-    let run = run_on(&g, spec, iters)?;
-    Ok(MultiRunResult {
-        migrations: g.migration_stats(),
-        devices_used: run.timeline.devices_used().len(),
-        run,
-    })
+    run_on(&g, spec, iters)
 }
 
 // ---------------------------------------------------------------------
@@ -528,6 +493,7 @@ fn finish_cuda(
         iter_times,
         streams_used: timeline.streams_used(),
         races: c.races().len(),
+        migrations: c.migration_stats(),
         valid: validate(spec, &buffers, iters),
         timeline,
     }
@@ -604,17 +570,22 @@ mod tests {
         // the full suite x device x policy parity matrix lives in
         // `tests/policies.rs` and the CI `multi_gpu --smoke` sweep.
         let spec = Bench::Hits.build(scales::tiny(Bench::Hits));
+        let two = || Topology::pcie_only(2, &dev());
         let r = run_multi_gpu(
             &spec,
             &dev(),
             Options::parallel(),
-            2,
+            two(),
             PlacementPolicy::RoundRobin,
             2,
         )
         .unwrap();
         r.assert_ok();
-        assert_eq!(r.devices_used, 2, "round-robin must reach both devices");
+        assert_eq!(
+            r.timeline.devices_used().len(),
+            2,
+            "round-robin must reach both devices"
+        );
         assert!(r.migrations.0 >= 1, "HITS chains must migrate under RR");
 
         // A spec the runtime rejects is an error value, not a panic:
@@ -624,7 +595,7 @@ mod tests {
                 spec,
                 &dev(),
                 Options::parallel(),
-                2,
+                two(),
                 PlacementPolicy::RoundRobin,
                 1,
             )

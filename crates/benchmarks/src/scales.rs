@@ -10,11 +10,11 @@
 use crate::Bench;
 
 /// The paper's five x-axis points, as fractions of the top scale.
-pub const SWEEP_RATIOS: [f64; 5] = [1.0 / 35.0, 4.0 / 35.0, 6.0 / 35.0, 25.0 / 35.0, 1.0];
+const SWEEP_RATIOS: [f64; 5] = [1.0 / 35.0, 4.0 / 35.0, 6.0 / 35.0, 25.0 / 35.0, 1.0];
 
 /// Top (largest) scale per benchmark, chosen so a full sweep stays
 /// CPU-feasible while spanning >10x in footprint.
-pub fn top(b: Bench) -> usize {
+fn top(b: Bench) -> usize {
     match b {
         Bench::Vec => 14_000_000, // elements/vector (paper: 7e8)
         Bench::Bs => 1_400_000,   // options/stock   (paper: 7e7)

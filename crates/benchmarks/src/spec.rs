@@ -54,7 +54,7 @@ pub struct PlanOp {
 
 /// A host read that ends an iteration: `(array index, number of
 /// elements read)` — e.g. VEC's `res = Z[0]`.
-pub type OutputRead = (usize, usize);
+type OutputRead = (usize, usize);
 
 /// A complete benchmark description.
 #[derive(Debug, Clone)]
@@ -158,13 +158,13 @@ impl BenchSpec {
 }
 
 /// Deterministic xorshift data generator for benchmark inputs.
-pub struct DataGen {
+pub(crate) struct DataGen {
     state: u64,
 }
 
 impl DataGen {
     /// Seeded generator.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         DataGen {
             state: seed.wrapping_mul(0x9E3779B97F4A7C15) | 1,
         }
@@ -178,22 +178,22 @@ impl DataGen {
     }
 
     /// Uniform f64 in `[lo, hi)`.
-    pub fn f64(&mut self, lo: f64, hi: f64) -> f64 {
+    fn f64(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (hi - lo) * ((self.next() >> 11) as f64 / (1u64 << 53) as f64)
     }
 
     /// Uniform f32 in `[lo, hi)`.
-    pub fn f32(&mut self, lo: f32, hi: f32) -> f32 {
+    fn f32(&mut self, lo: f32, hi: f32) -> f32 {
         self.f64(lo as f64, hi as f64) as f32
     }
 
     /// A vector of uniform f32.
-    pub fn f32_vec(&mut self, n: usize, lo: f32, hi: f32) -> Vec<f32> {
+    pub(crate) fn f32_vec(&mut self, n: usize, lo: f32, hi: f32) -> Vec<f32> {
         (0..n).map(|_| self.f32(lo, hi)).collect()
     }
 
     /// A vector of uniform f64.
-    pub fn f64_vec(&mut self, n: usize, lo: f64, hi: f64) -> Vec<f64> {
+    pub(crate) fn f64_vec(&mut self, n: usize, lo: f64, hi: f64) -> Vec<f64> {
         (0..n).map(|_| self.f64(lo, hi)).collect()
     }
 }

@@ -12,14 +12,14 @@ use kernels::black_scholes::BLACK_SCHOLES;
 use crate::spec::{ArraySpec, BenchSpec, DataGen, PlanArg, PlanOp};
 
 /// Number of independent stocks (fixed by the paper).
-pub const STOCKS: usize = 10;
+const STOCKS: usize = 10;
 /// Default number of blocks.
-pub const NUM_BLOCKS: u32 = 64;
+const NUM_BLOCKS: u32 = 64;
 /// Default threads per block.
-pub const BLOCK_SIZE: u32 = 256;
+const BLOCK_SIZE: u32 = 256;
 
 /// Build B&S at `scale` = prices per stock.
-pub fn build(scale: usize) -> BenchSpec {
+pub(crate) fn build(scale: usize) -> BenchSpec {
     let mut gen = DataGen::new(1234);
     let grid = Grid::d1(NUM_BLOCKS, BLOCK_SIZE);
     let mut arrays = Vec::with_capacity(2 * STOCKS);

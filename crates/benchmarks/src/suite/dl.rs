@@ -11,17 +11,17 @@ use kernels::dl::{conv_out, CONCAT, CONV2D, DENSE, GAP, POOL2D};
 use crate::spec::{ArraySpec, BenchSpec, DataGen, PlanArg, PlanOp};
 
 /// Input channels.
-pub const C_IN: usize = 3;
+const C_IN: usize = 3;
 /// Channels after the first convolution.
-pub const C1: usize = 8;
+const C1: usize = 8;
 /// Channels after the second convolution (= embedding length).
-pub const C2: usize = 16;
+const C2: usize = 16;
 /// Convolution kernel edge.
-pub const K: usize = 3;
+const K: usize = 3;
 
 /// Round a requested side up so both poolings divide evenly
 /// (`side ≡ 2 (mod 4)`).
-pub fn legal_side(side: usize) -> usize {
+fn legal_side(side: usize) -> usize {
     let mut s = side.max(10);
     while s % 4 != 2 {
         s += 1;
@@ -30,7 +30,7 @@ pub fn legal_side(side: usize) -> usize {
 }
 
 /// Build DL at `scale` = input image side (adjusted by [`legal_side`]).
-pub fn build(scale: usize) -> BenchSpec {
+pub(crate) fn build(scale: usize) -> BenchSpec {
     let side = legal_side(scale);
     let o1 = conv_out(side, K); // after conv1
     let p1 = o1 / 2; // after pool1

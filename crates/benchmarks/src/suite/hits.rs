@@ -12,16 +12,16 @@ use kernels::hits::{random_graph_csr, DIVIDE, SPMV, SUM_REDUCE};
 use crate::spec::{ArraySpec, BenchSpec, PlanArg, PlanOp};
 
 /// Average out-degree of the synthetic graph (nnz = `DEGREE * n`).
-pub const DEGREE: usize = 8;
+const DEGREE: usize = 8;
 /// HITS iterations unrolled into the plan.
-pub const ITERATIONS: usize = 3;
+const ITERATIONS: usize = 3;
 /// Default number of blocks.
-pub const NUM_BLOCKS: u32 = 64;
+const NUM_BLOCKS: u32 = 64;
 /// Default threads per block.
-pub const BLOCK_SIZE: u32 = 256;
+const BLOCK_SIZE: u32 = 256;
 
 /// Build HITS at `scale` = number of graph vertices.
-pub fn build(scale: usize) -> BenchSpec {
+pub(crate) fn build(scale: usize) -> BenchSpec {
     let n = scale.max(2);
     let nf = n as f64;
     let grid = Grid::d1(NUM_BLOCKS, BLOCK_SIZE);

@@ -22,11 +22,11 @@ use kernels::image::{
 use crate::spec::{ArraySpec, BenchSpec, DataGen, PlanArg, PlanOp};
 
 /// 2-D block edge (paper: "we keep 2D blocks with size 8x8").
-pub const BLOCK_EDGE: u32 = 8;
+const BLOCK_EDGE: u32 = 8;
 
 /// Build IMG at `scale` = image side in pixels (the paper's x-axis is
 /// pixels per side).
-pub fn build(scale: usize) -> BenchSpec {
+pub(crate) fn build(scale: usize) -> BenchSpec {
     let side = scale;
     let n = side * side;
     let nf = n as f64;

@@ -20,16 +20,16 @@ use crate::spec::{ArraySpec, BenchSpec, DataGen, PlanArg, PlanOp};
 
 /// Feature count (fixed by the paper: "The input matrix has 200
 /// features").
-pub const FEATURES: usize = 200;
+const FEATURES: usize = 200;
 /// Number of classes.
-pub const CLASSES: usize = 10;
+const CLASSES: usize = 10;
 /// Default number of blocks.
-pub const NUM_BLOCKS: u32 = 64;
+const NUM_BLOCKS: u32 = 64;
 /// Default threads per block.
-pub const BLOCK_SIZE: u32 = 256;
+const BLOCK_SIZE: u32 = 256;
 
 /// Build ML at `scale` = number of input rows.
-pub fn build(scale: usize) -> BenchSpec {
+pub(crate) fn build(scale: usize) -> BenchSpec {
     let rows = scale;
     let mut gen = DataGen::new(2024);
     let grid = Grid::d1(NUM_BLOCKS, BLOCK_SIZE);

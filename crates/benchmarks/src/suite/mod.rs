@@ -1,8 +1,8 @@
 //! Generators for the six benchmark plans (§V-B, Fig. 6).
 
-pub mod bs;
-pub mod dl;
-pub mod hits;
-pub mod img;
-pub mod ml;
-pub mod vec;
+pub(crate) mod bs;
+pub(crate) mod dl;
+pub(crate) mod hits;
+pub(crate) mod img;
+pub(crate) mod ml;
+pub(crate) mod vec;

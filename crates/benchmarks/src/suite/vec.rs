@@ -16,12 +16,12 @@ use crate::spec::{ArraySpec, BenchSpec, DataGen, PlanArg, PlanOp};
 
 /// Default number of blocks (the paper tunes block counts for best
 /// serial performance; grid-stride kernels keep it fixed).
-pub const NUM_BLOCKS: u32 = 64;
+const NUM_BLOCKS: u32 = 64;
 /// Default threads per block.
-pub const BLOCK_SIZE: u32 = 256;
+const BLOCK_SIZE: u32 = 256;
 
 /// Build VEC at `scale` = elements per vector.
-pub fn build(scale: usize) -> BenchSpec {
+pub(crate) fn build(scale: usize) -> BenchSpec {
     let mut gen = DataGen::new(42);
     let grid = Grid::d1(NUM_BLOCKS, BLOCK_SIZE);
     let n = scale as f64;

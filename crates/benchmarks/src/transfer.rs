@@ -24,8 +24,8 @@
 //! [`grcuda::PlacementPolicy::RoundRobin`] ignores data entirely and
 //! additionally drags the big anchor weights around.
 
-use gpu_sim::{DeviceProfile, Grid, Topology};
-use grcuda::{Arg, DeviceArray, GrCuda, Options, PlacementPolicy, TopologyKind};
+use gpu_sim::{DeviceProfile, Grid, Topology, TopologyKind};
+use grcuda::{Arg, DeviceArray, GrCuda, Options, PlacementPolicy};
 use kernels::util::{JOIN, PIN, SCALE};
 use kernels::vec_ops::SQUARE;
 
@@ -55,20 +55,10 @@ pub struct TransferChainResult {
 
 /// Run the transfer chain under a placement policy on an interconnect
 /// preset. `n` is the element count of the input array `A` (the other
-/// arrays scale from it); `iters` the number of chain iterations.
+/// arrays scale from it); `iters` the number of chain iterations;
+/// `options` the scheduler options (`Options::parallel()` for every
+/// committed metric, calibration on for adaptive runs).
 pub fn transfer_chain(
-    policy: PlacementPolicy,
-    topology: TopologyKind,
-    n: usize,
-    iters: usize,
-) -> TransferChainResult {
-    transfer_chain_opts(policy, topology, n, iters, Options::parallel())
-}
-
-/// [`transfer_chain`] with explicit scheduler options — what calibrated
-/// (adaptive) runs use; the plain entry point keeps the default options
-/// so committed metrics stay bit-identical.
-pub fn transfer_chain_opts(
     policy: PlacementPolicy,
     topology: TopologyKind,
     n: usize,
@@ -181,12 +171,14 @@ mod tests {
             TopologyKind::NvlinkPair,
             4096,
             3,
+            Options::parallel(),
         );
         let b = transfer_chain(
             PlacementPolicy::TransferAware,
             TopologyKind::NvlinkPair,
             4096,
             3,
+            Options::parallel(),
         );
         assert_eq!(a, b);
         assert_eq!(a.races, 0);
@@ -195,10 +187,16 @@ mod tests {
 
     #[test]
     fn results_are_identical_across_policies_and_topologies() {
-        let reference = transfer_chain(PlacementPolicy::SingleGpu, TopologyKind::PcieOnly, 4096, 3);
+        let reference = transfer_chain(
+            PlacementPolicy::SingleGpu,
+            TopologyKind::PcieOnly,
+            4096,
+            3,
+            Options::parallel(),
+        );
         for topo in TopologyKind::ALL {
             for policy in PlacementPolicy::ALL {
-                let r = transfer_chain(policy, topo, 4096, 3);
+                let r = transfer_chain(policy, topo, 4096, 3, Options::parallel());
                 assert_eq!(r.races, 0, "{policy:?} on {topo:?} raced");
                 assert_eq!(
                     r.checksum, reference.checksum,

@@ -5,11 +5,11 @@ use std::cell::RefCell;
 use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
-use gpu_sim::memgr::{MemoryManager, MemoryStats};
 use gpu_sim::{
     Calibration, DeviceProfile, Engine, EngineStats, LinkId, RaceReport, TaskId, TaskKind,
     TaskSpec, Time, Timeline, Topology, TopologyKind, TypedData, ValueId,
 };
+use gpu_sim::{MemoryManager, MemoryStats};
 
 use crate::exec::Launch;
 use crate::graph::CaptureState;
@@ -280,13 +280,6 @@ impl Cuda {
         self.inner.borrow_mut().mem_events.drain(..).for_each(f);
     }
 
-    /// [`Cuda::drain_mem_events`] into a fresh list.
-    pub fn take_mem_events(&self) -> Vec<MemEvent> {
-        let mut events = Vec::new();
-        self.drain_mem_events(|ev| events.push(ev));
-        events
-    }
-
     /// Lifetime `(bytes, transfers)` per link, indexed like
     /// [`Topology::links`] — host links first, then peer links. Includes
     /// input staging and host reads, not just migrations.
@@ -390,7 +383,6 @@ impl Cuda {
             prefetched: false,
             last_writer: None,
             host_writer: None,
-            resident_cell: arr.resident.clone(),
         });
         arr
     }
@@ -646,16 +638,6 @@ impl Cuda {
         let mut inner = self.inner.borrow_mut();
         if let Some(t) = inner.streams[stream.0 as usize].last {
             inner.engine.sync_task(t);
-        }
-    }
-
-    /// Block the host until a specific event completes
-    /// (`cudaEventSynchronize`).
-    pub fn event_sync(&self, event: EventId) {
-        let mut inner = self.inner.borrow_mut();
-        match inner.events[event.0 as usize] {
-            EventTarget::Task(t) => inner.engine.sync_task(t),
-            EventTarget::CaptureNode(_) => panic!("cannot sync a capture-only event"),
         }
     }
 
@@ -973,8 +955,7 @@ impl Inner {
     /// `residency` (the device copy, if any, on `device`), produced by
     /// `producer`. The memory manager's record follows the device copy
     /// — a copy leaving a device forfeits its pending prefetch credit
-    /// there — and the cell behind [`UnifiedArray::resident_device`] is
-    /// refreshed.
+    /// there.
     fn set_copies(
         &mut self,
         v: ValueId,
@@ -996,7 +977,6 @@ impl Inner {
         st.residency = residency;
         st.device = new.unwrap_or(st.device);
         st.last_writer = producer;
-        st.resident_cell.set(new);
         if old != new {
             let bytes = st.bytes;
             if let Some(od) = old {
@@ -1518,7 +1498,8 @@ mod tests {
         let dev = c.device();
         let n = 1 << 20;
         let bytes = (n * 4) as f64;
-        let host_leg = gpu_sim::topology::HOST_LINK_LATENCY + bytes / dev.pcie_bw;
+        let topo = c.topology();
+        let host_leg = topo.link(topo.host_link(0)).latency + bytes / dev.pcie_bw;
         let a = c.alloc_f32(n);
         // Host-resident: one H2D leg (latency + transfer) to any device.
         for d in 0..4 {
@@ -1640,7 +1621,7 @@ mod tests {
                 );
                 let t = c.launch(s, &exec).unwrap();
                 c.task_sync(t);
-                assert_eq!(a.resident_device(), Some(0), "round {round} array {i}");
+                assert_eq!(c.device_residency(a), Some(0), "round {round} array {i}");
                 let st = c.memory_stats();
                 assert!(st.resident_bytes[0] <= 2 * 4 * n);
             }
@@ -1687,8 +1668,8 @@ mod tests {
         let st = c.memory_stats();
         assert_eq!(st.evictions, 1);
         assert_eq!(st.spilled_bytes, 0, "clean eviction is a free drop");
-        assert_eq!(clean.resident_device(), None);
-        assert_eq!(dirty.resident_device(), Some(0));
+        assert_eq!(c.device_residency(&clean), None);
+        assert_eq!(c.device_residency(&dirty), Some(0));
         // Now the dirty array is the victim: its eviction must spill.
         let k2 = simple_kernel(&c, "w2", &clean, 0.1);
         let t2 = c.launch(s, &k2).unwrap();
@@ -1761,7 +1742,7 @@ mod tests {
         let s = c.default_stream();
         c.prefetch_async(s, &clean);
         c.launch(c.stream_create(), &simple_kernel(&c, "w", &other, 0.1));
-        assert_eq!(clean.resident_device(), None, "dropped for `other`");
+        assert_eq!(c.device_residency(&clean), None, "dropped for `other`");
         assert!(!c.stream_query(s), "its prefetch is still in flight");
         assert_eq!(c.host_read(&clean, 4 * n), 0.0);
     }
@@ -1810,14 +1791,14 @@ mod tests {
         // A mid-sized incomer: largest-first evicts only the big array.
         let mid = c.alloc_f32(1 << 10);
         c.prefetch_async(s, &mid); // no headroom: prefetch skipped
-        assert_eq!(mid.resident_device(), None);
+        assert_eq!(c.device_residency(&mid), None);
         let k = simple_kernel(&c, "w", &mid, 0.1);
         let t = c.launch(s, &k).unwrap();
         c.task_sync(t);
         let st = c.memory_stats();
         assert_eq!(st.evictions, 1);
-        assert_eq!(a_big.resident_device(), None, "big victim goes first");
-        assert_eq!(a_small.resident_device(), Some(0));
+        assert_eq!(c.device_residency(&a_big), None, "big victim goes first");
+        assert_eq!(c.device_residency(&a_small), Some(0));
         assert_eq!(st.prefetch_skipped, 1, "headroom-less prefetch skipped");
     }
 
@@ -1895,7 +1876,7 @@ mod tests {
             c.memory_timeline()[0].is_empty(),
             "no samples when unlimited"
         );
-        assert_eq!(a.resident_device(), Some(0));
+        assert_eq!(c.device_residency(&a), Some(0));
     }
 
     #[test]
@@ -1903,17 +1884,22 @@ mod tests {
         use crate::memory::MemEventKind;
         let n = 1 << 10;
         let c = limited_ctx(4 * n, gpu_sim::EvictionPolicy::Lru);
+        let take = || {
+            let mut events = Vec::new();
+            c.drain_mem_events(|ev| events.push(ev));
+            events
+        };
         let s = c.default_stream();
         let a = c.alloc_f32(n);
         let b = c.alloc_f32(n);
         // Disabled by default: nothing accumulates.
         c.prefetch_async(s, &a);
-        assert!(c.take_mem_events().is_empty());
+        assert!(take().is_empty());
         c.record_mem_events(true);
         let k = simple_kernel(&c, "wb", &b, 0.1);
         let t = c.launch(s, &k).unwrap();
         c.task_sync(t);
-        let events = c.take_mem_events();
+        let events = take();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].value, a.id);
         assert_eq!(
@@ -1921,12 +1907,12 @@ mod tests {
             MemEventKind::Evicted { spilled: false },
             "the prefetched copy was clean"
         );
-        assert!(c.take_mem_events().is_empty(), "take drains");
+        assert!(take().is_empty(), "a drain empties the buffer");
         // Free the device (invalidate b's copy) so the next prefetch
         // has headroom and is actually issued — and recorded.
         c.host_written(&b);
         c.prefetch_async(s, &a);
-        let events = c.take_mem_events();
+        let events = take();
         assert!(events
             .iter()
             .any(|e| e.kind == MemEventKind::Prefetched && e.value == a.id));
@@ -1984,31 +1970,6 @@ mod edge_tests {
             vec![(arr.id, false)],
             Rc::new(|_| {}),
         )
-    }
-
-    #[test]
-    fn event_sync_blocks_until_the_event() {
-        let c = Cuda::new(DeviceProfile::gtx1660_super());
-        let a = c.alloc_f32(16);
-        c.prefetch_async(c.default_stream(), &a);
-        let k = KernelExec::new(
-            "k",
-            Grid::d1(64, 256),
-            KernelCost {
-                min_time: 2e-3,
-                ..Default::default()
-            },
-            vec![a.buf.clone()],
-            vec![(a.id, false)],
-            Rc::new(|_| {}),
-        );
-        let s = c.stream_create();
-        c.launch(s, &k);
-        let ev = c.event_record(s);
-        assert!(!c.stream_query(s));
-        c.event_sync(ev);
-        assert!(c.stream_query(s));
-        assert!(c.now() >= 2e-3);
     }
 
     #[test]

@@ -2,11 +2,7 @@
 
 use std::rc::Rc;
 
-use gpu_sim::{DataBuffer, Grid, KernelBody, KernelCost, ValueId};
-
-/// The functional implementation of a launch: runs on the host buffers
-/// when the simulated kernel completes.
-pub use gpu_sim::KernelFunc;
+use gpu_sim::{DataBuffer, Grid, KernelBody, KernelCost, KernelFunc, ValueId};
 
 /// Everything needed to execute one kernel launch: the launch
 /// configuration, the analytic cost, the argument buffers (for the

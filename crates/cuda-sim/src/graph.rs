@@ -29,7 +29,7 @@ use crate::exec::{KernelExec, Launch};
 
 /// Host-side cost of instantiating one graph node (paid on the first
 /// launch only; `cudaGraphInstantiate` analogue).
-pub const INSTANTIATE_OVERHEAD_PER_NODE: f64 = 10e-6;
+const INSTANTIATE_OVERHEAD_PER_NODE: f64 = 10e-6;
 
 /// Handle to a node inside a [`CudaGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,5 +1,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # cuda-sim — a CUDA-runtime-shaped API over the [`gpu_sim`] engine
 //!
@@ -22,28 +23,23 @@
 //!   through the fault controller) unless the data was *prefetched*
 //!   (full-bandwidth bulk copy); on pre-Pascal devices the runtime must
 //!   copy eagerly before each kernel;
-//! * **CUDA Graphs** ([`graph::CudaGraph`]): DAGs of operations with
+//! * **CUDA Graphs** ([`CudaGraph`]): DAGs of operations with
 //!   manually-specified dependencies, plus *stream capture* — the two
 //!   baselines the paper compares against in Fig. 8. Faithful to the
 //!   original API of the paper's era, prefetch operations cannot be
 //!   captured into a graph, which is exactly why the paper's scheduler
 //!   beats CUDA Graphs on fault-capable devices.
 
-pub mod context;
-pub mod exec;
-pub mod graph;
-pub mod memory;
+mod context;
+mod exec;
+mod graph;
+mod memory;
 mod route;
 
 pub use context::{Cuda, EventId, StreamId};
 pub use exec::{KernelExec, Launch};
 pub use graph::{CudaGraph, GraphNodeId};
 pub use memory::{MemEvent, MemEventKind, Residency, UnifiedArray};
-
-pub use gpu_sim::{
-    DeviceProfile, Endpoint, EvictionPolicy, Grid, KernelCost, Link, LinkId, MemoryConfig,
-    MemoryStats, TaskId, Time, Topology, TopologyKind,
-};
 
 #[cfg(test)]
 mod prop_tests;

@@ -1,8 +1,5 @@
 //! Unified-memory arrays and their residency state machine.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use gpu_sim::{DataBuffer, TypedData, ValueId};
 
 /// Where the up-to-date copy of a unified-memory allocation lives.
@@ -30,7 +27,7 @@ impl Residency {
     }
 
     /// Is the data available to the CPU without migration?
-    pub fn on_host(self) -> bool {
+    pub(crate) fn on_host(self) -> bool {
         matches!(self, Residency::Host | Residency::Both)
     }
 }
@@ -44,10 +41,6 @@ pub struct UnifiedArray {
     pub id: ValueId,
     /// Shared host-visible payload.
     pub buf: DataBuffer,
-    /// Device currently holding the device copy, mirrored from the
-    /// context's residency state machine on every transition (shared by
-    /// clones, like the allocation itself).
-    pub(crate) resident: Rc<Cell<Option<u32>>>,
 }
 
 impl UnifiedArray {
@@ -55,17 +48,7 @@ impl UnifiedArray {
         UnifiedArray {
             id,
             buf: DataBuffer::new(data),
-            resident: Rc::new(Cell::new(None)),
         }
-    }
-
-    /// The device holding the current device copy, if any — `None` for
-    /// host-only data (fresh allocations, CPU-written or evicted
-    /// arrays). Kept in sync by the owning context on every residency
-    /// transition; handy for tests that assert placement without
-    /// holding the context.
-    pub fn resident_device(&self) -> Option<u32> {
-        self.resident.get()
     }
 
     /// Number of elements.
@@ -112,9 +95,6 @@ pub(crate) struct ArrayState {
     /// dropped while its H2D is still queued hands the array back to
     /// what the host copy really waits for.
     pub host_writer: Option<gpu_sim::TaskId>,
-    /// Mirror of the residency device shared with the user-facing
-    /// [`UnifiedArray`] handles (see [`UnifiedArray::resident_device`]).
-    pub resident_cell: Rc<Cell<Option<u32>>>,
 }
 
 /// What the unified-memory layer did to an allocation — drained by the

@@ -15,8 +15,8 @@
 use proptest::prelude::*;
 use std::rc::Rc;
 
-use gpu_sim::memgr::{EvictionPolicy, MemoryConfig};
 use gpu_sim::{DeviceProfile, Grid, KernelCost, Topology, TopologyKind};
+use gpu_sim::{EvictionPolicy, MemoryConfig};
 
 use crate::context::Cuda;
 use crate::exec::KernelExec;
@@ -119,11 +119,11 @@ fn run_sequence(policy: EvictionPolicy, ops: &[Op]) {
                 // — must be resident on the kernel's device after the
                 // launch: the re-fetch happened before the read.
                 assert_eq!(
-                    arrays[*src].resident_device(),
+                    c.device_residency(&arrays[*src]),
                     Some(*device),
                     "op {i}: read argument not re-fetched onto device {device}"
                 );
-                assert_eq!(arrays[*dst].resident_device(), Some(*device));
+                assert_eq!(c.device_residency(&arrays[*dst]), Some(*device));
             }
             Op::HostRead(idx) => {
                 c.host_read(&arrays[*idx], 4);
@@ -134,7 +134,7 @@ fn run_sequence(policy: EvictionPolicy, ops: &[Op]) {
                 arrays[*idx].buf.as_f32_mut()[0] = *value;
                 c.host_written(&arrays[*idx]);
                 shadow[*idx] = *value;
-                assert_eq!(arrays[*idx].resident_device(), None);
+                assert_eq!(c.device_residency(&arrays[*idx]), None);
             }
         }
         check_capacity(&c);

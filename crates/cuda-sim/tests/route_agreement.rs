@@ -5,11 +5,8 @@
 
 use std::rc::Rc;
 
-use cuda_sim::{
-    Cuda, DeviceProfile, Grid, KernelCost, KernelExec, Residency, Topology, TopologyKind,
-    UnifiedArray,
-};
-use gpu_sim::{Cluster, NicKind};
+use cuda_sim::{Cuda, KernelExec, Residency, UnifiedArray};
+use gpu_sim::{Cluster, DeviceProfile, Grid, KernelCost, NicKind, Topology, TopologyKind};
 
 const N: usize = 1 << 18; // 1 MiB of f32
 const BYTES: f64 = (N * 4) as f64;

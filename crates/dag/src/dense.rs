@@ -64,8 +64,8 @@ impl DenseKey for crate::vertex::Value {
     }
 }
 
-/// An O(1), hash-free map over a sliding window of monotonic keys. See
-/// the [module docs](self) for the storage model.
+/// An O(1), hash-free map over a sliding window of monotonic keys (the
+/// storage model: the header of `dense.rs`).
 #[derive(Clone)]
 pub struct DenseMap<K: DenseKey, T> {
     /// Index of `slots[0]`. Meaningless while `slots` is empty.
@@ -174,7 +174,7 @@ impl<K: DenseKey, T> DenseMap<K, T> {
     }
 
     /// True if `key` has an entry.
-    pub fn contains_key(&self, key: K) -> bool {
+    pub(crate) fn contains_key(&self, key: K) -> bool {
         self.get(key).is_some()
     }
 
@@ -244,7 +244,7 @@ impl<K: DenseKey, T> DenseMap<K, T> {
     }
 
     /// Iterate the keys in ascending order.
-    pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
+    fn keys(&self) -> impl Iterator<Item = K> + '_ {
         self.iter().map(|(k, _)| k)
     }
 }

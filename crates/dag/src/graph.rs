@@ -44,20 +44,20 @@ pub struct DepEdge {
 /// [`ComputationDag::annotate_prefetch`] and rendered by
 /// [`crate::to_dot`] as auxiliary nodes hanging off the vertex.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemNote {
+pub(crate) struct MemNote {
     /// The computation whose scheduling caused the action.
-    pub vertex: VertexId,
+    pub(crate) vertex: VertexId,
     /// The array involved.
-    pub value: Value,
+    pub(crate) value: Value,
     /// Its size in bytes.
-    pub bytes: usize,
+    pub(crate) bytes: usize,
     /// What happened.
-    pub kind: MemNoteKind,
+    pub(crate) kind: MemNoteKind,
 }
 
 /// The kind of a [`MemNote`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemNoteKind {
+pub(crate) enum MemNoteKind {
     /// A resident array was evicted to make room for this computation's
     /// arguments; `spilled` is true when a real device→host copy moved
     /// the data (false for free drops of still-valid host copies).
@@ -197,15 +197,6 @@ impl ComputationDag {
         self.slot(id).map(|i| &self.vertices[i])
     }
 
-    /// Look up a vertex.
-    ///
-    /// # Panics
-    /// Panics if the vertex was reclaimed by [`ComputationDag::compact`].
-    pub fn vertex(&self, id: VertexId) -> &Vertex {
-        self.try_vertex(id)
-            .unwrap_or_else(|| panic!("vertex {id:?} is not stored (compacted or never added)"))
-    }
-
     /// All stored vertices in submission order.
     pub fn vertices(&self) -> &[Vertex] {
         &self.vertices
@@ -220,24 +211,6 @@ impl ComputationDag {
     /// Mutable view of the stored edges, for the redundancy stamper.
     pub(crate) fn edges_mut(&mut self) -> &mut [DepEdge] {
         &mut self.edges
-    }
-
-    /// The current frontier: active vertices whose dependency set is not
-    /// yet exhausted — the only vertices that can still be dependency
-    /// sources (§IV-A: "the scheduler updates the current graph
-    /// frontier").
-    pub fn frontier(&self) -> Vec<VertexId> {
-        self.vertices
-            .iter()
-            .filter(|v| v.active && !v.exhausted())
-            .map(|v| v.id)
-            .collect()
-    }
-
-    /// The dependency set of a vertex (exposed for tests that mirror the
-    /// paper's Fig. 3/4 walk-throughs).
-    pub fn dep_set(&self, id: VertexId) -> Vec<Value> {
-        self.vertex(id).dep_set.clone()
     }
 
     /// Register a new computational element and infer its dependencies.
@@ -381,7 +354,7 @@ impl ComputationDag {
     }
 
     /// Whether a CPU access to `value` would depend on active GPU work.
-    pub fn access_conflicts(&self, value: Value, write: bool) -> bool {
+    fn access_conflicts(&self, value: Value, write: bool) -> bool {
         let Some(state) = self.values.get(value) else {
             return false;
         };
@@ -601,7 +574,7 @@ impl ComputationDag {
 
     /// The stored eviction/prefetch annotations (pruned with their
     /// vertices on compaction).
-    pub fn mem_notes(&self) -> &[MemNote] {
+    pub(crate) fn mem_notes(&self) -> &[MemNote] {
         &self.mem_notes
     }
 }
@@ -609,6 +582,34 @@ impl ComputationDag {
 fn push_unique(v: &mut Vec<VertexId>, x: VertexId) {
     if !v.contains(&x) {
         v.push(x);
+    }
+}
+
+/// What this crate's unit tests ask of a DAG when they mirror the
+/// paper's Fig. 3/4 walk-throughs.
+#[cfg(test)]
+impl ComputationDag {
+    /// Look up a stored vertex.
+    pub(crate) fn vertex(&self, id: VertexId) -> &Vertex {
+        self.try_vertex(id)
+            .unwrap_or_else(|| panic!("vertex {id:?} is not stored (compacted or never added)"))
+    }
+
+    /// The current frontier: active vertices whose dependency set is not
+    /// yet exhausted — the only vertices that can still be dependency
+    /// sources (§IV-A: "the scheduler updates the current graph
+    /// frontier").
+    pub(crate) fn frontier(&self) -> Vec<VertexId> {
+        self.vertices
+            .iter()
+            .filter(|v| v.active && !v.dep_set.is_empty())
+            .map(|v| v.id)
+            .collect()
+    }
+
+    /// The dependency set of a vertex.
+    pub(crate) fn dep_set(&self, id: VertexId) -> Vec<Value> {
+        self.vertex(id).dep_set.clone()
     }
 }
 
@@ -865,7 +866,7 @@ mod tests {
             vec![ArgAccess::write(X), ArgAccess::write(Y)],
         );
         // K1's only dep-set entry was consumed by the writer K2.
-        assert!(dag.vertex(k1).exhausted());
+        assert!(dag.vertex(k1).dep_set.is_empty());
         assert_eq!(dag.frontier(), vec![k2]);
     }
 

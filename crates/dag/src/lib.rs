@@ -1,5 +1,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # dag — the computation DAG with automatic dependency inference
 //!
@@ -52,15 +53,15 @@
 //! lookups on the launch hot path while retirement trims the window back
 //! to the live frontier.
 
-pub mod dense;
-pub mod dot;
-pub mod graph;
-pub mod reach;
-pub mod vertex;
+mod dense;
+mod dot;
+mod graph;
+mod reach;
+mod vertex;
 
 pub use dense::{DenseKey, DenseMap, DenseSet};
 pub use dot::{to_dot, to_dot_clustered};
-pub use graph::{ComputationDag, DepEdge, MemNote, MemNoteKind};
+pub use graph::{ComputationDag, DepEdge};
 pub use reach::Reachability;
 pub use vertex::{ArgAccess, ElementKind, Value, Vertex, VertexId};
 

@@ -177,7 +177,7 @@ proptest! {
             let _ = dag.add_computation(ElementKind::Kernel, "op", op.args.clone());
             for id in dag.frontier() {
                 let v = dag.vertex(id);
-                prop_assert!(v.active && !v.exhausted());
+                prop_assert!(v.active && !v.dep_set.is_empty());
             }
         }
         dag.retire_all();

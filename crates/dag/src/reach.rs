@@ -95,7 +95,7 @@ impl Reachability {
 
     /// Whether `from` strictly happens-before `to` through the (kept)
     /// edges. False for unknown (compacted) ids and for `from == to`.
-    pub fn reaches(&self, from: VertexId, to: VertexId) -> bool {
+    fn reaches(&self, from: VertexId, to: VertexId) -> bool {
         let (Some(&f), Some(&t)) = (self.slot.get(from), self.slot.get(to)) else {
             return false;
         };

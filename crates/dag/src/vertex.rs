@@ -135,20 +135,9 @@ impl Vertex {
         self.device = None;
     }
 
-    /// True once the dependency set is empty: the vertex "can no longer
-    /// introduce dependencies" (§IV-A) and leaves the frontier.
-    pub fn exhausted(&self) -> bool {
-        self.dep_set.is_empty()
-    }
-
     /// Whether this vertex writes the given value.
     pub fn writes(&self, v: Value) -> bool {
         self.args.iter().any(|a| a.value == v && !a.read_only)
-    }
-
-    /// Whether this vertex reads (only) the given value.
-    pub fn reads_only(&self, v: Value) -> bool {
-        self.args.iter().any(|a| a.value == v && a.read_only)
     }
 }
 
@@ -166,7 +155,6 @@ mod tests {
         );
         assert_eq!(v.dep_set.len(), 2);
         assert!(v.dep_set.contains(&Value(1)) && v.dep_set.contains(&Value(2)));
-        assert!(!v.exhausted());
         assert!(v.active);
     }
 
@@ -180,8 +168,6 @@ mod tests {
         );
         assert!(v.writes(Value(1)));
         assert!(!v.writes(Value(2)));
-        assert!(v.reads_only(Value(2)));
-        assert!(!v.reads_only(Value(1)));
         assert!(!v.writes(Value(3)));
     }
 

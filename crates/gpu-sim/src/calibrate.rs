@@ -43,12 +43,12 @@ pub const CANDIDATE_BLOCK_SIZES: [u32; 6] = [32, 64, 128, 256, 512, 1024];
 /// Weight of the newest observation in the decaying mean. High enough
 /// to adapt within a handful of samples, low enough that one outlier
 /// (e.g. a cold-start transfer) does not dominate the prior.
-pub const DEFAULT_DECAY: f64 = 0.25;
+const DEFAULT_DECAY: f64 = 0.25;
 
 /// Contention scales are clamped to this range: a link estimate may be
 /// inflated or deflated by calibration, but never to the point where a
 /// single pathological window inverts every placement margin.
-pub const LINK_SCALE_CLAMP: (f64, f64) = (0.25, 4.0);
+const LINK_SCALE_CLAMP: (f64, f64) = (0.25, 4.0);
 
 /// One decaying-mean accumulator.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -109,8 +109,8 @@ pub struct CalibrationStats {
     pub kernel_signatures: usize,
 }
 
-/// The online calibration state owned by an [`crate::Engine`]. See the
-/// [module docs](self).
+/// The online calibration state owned by an [`crate::Engine`] (what it
+/// learns and how it is used: the header of `calibrate.rs`).
 #[derive(Debug, Default)]
 pub struct Calibration {
     enabled: bool,
@@ -146,7 +146,12 @@ impl Calibration {
     /// block-size cell of that configuration (always). Looks the
     /// signature up by `&str` and allocates only the first time it —
     /// or a new cell of it — is seen.
-    pub fn observe_kernel(&mut self, label: &str, duration: Time, shape: Option<(Grid, usize)>) {
+    pub(crate) fn observe_kernel(
+        &mut self,
+        label: &str,
+        duration: Time,
+        shape: Option<(Grid, usize)>,
+    ) {
         if !duration.is_finite() || duration < 0.0 {
             return;
         }
@@ -201,7 +206,7 @@ impl Calibration {
 
     /// Fold a completed transfer's `observed / solo` duration ratio into
     /// the decaying contention scale for its link. No-op while disabled.
-    pub fn observe_transfer(&mut self, link: usize, observed: Time, solo: Time) {
+    pub(crate) fn observe_transfer(&mut self, link: usize, observed: Time, solo: Time) {
         if !self.enabled || !solo.is_finite() || solo <= 0.0 || !observed.is_finite() {
             return;
         }

@@ -61,18 +61,13 @@ impl Grid {
     }
 
     /// Total number of blocks in the grid.
-    pub fn total_blocks(&self) -> u64 {
+    fn total_blocks(&self) -> u64 {
         self.blocks.0 as u64 * self.blocks.1 as u64 * self.blocks.2 as u64
     }
 
     /// Total number of threads per block.
-    pub fn threads_per_block(&self) -> u64 {
+    fn threads_per_block(&self) -> u64 {
         self.threads.0 as u64 * self.threads.1 as u64 * self.threads.2 as u64
-    }
-
-    /// Total threads in the launch.
-    pub fn total_threads(&self) -> u64 {
-        self.total_blocks() * self.threads_per_block()
     }
 }
 
@@ -131,7 +126,7 @@ impl KernelCost {
     }
 
     /// The inefficiency factor with the zero-default normalized to 1.
-    pub fn ineff(&self) -> f64 {
+    fn ineff(&self) -> f64 {
         if self.inefficiency < 1.0 {
             1.0
         } else {
@@ -155,7 +150,7 @@ impl KernelCost {
     /// Occupancy of a launch on a device: the fraction of resident-thread
     /// capacity this launch can fill, also limited by resident-block
     /// slots. Always in `(0, 1]`.
-    pub fn occupancy(grid: Grid, dev: &DeviceProfile) -> f64 {
+    fn occupancy(grid: Grid, dev: &DeviceProfile) -> f64 {
         let resident_blocks = (grid.total_blocks() as f64).min(dev.block_capacity());
         let resident_threads =
             (resident_blocks * grid.threads_per_block() as f64).min(dev.thread_capacity());
@@ -214,7 +209,6 @@ mod tests {
         let g = Grid::d2(8, 8, 16, 16);
         assert_eq!(g.total_blocks(), 64);
         assert_eq!(g.threads_per_block(), 256);
-        assert_eq!(g.total_threads(), 64 * 256);
     }
 
     #[test]

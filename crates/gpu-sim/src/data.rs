@@ -128,11 +128,6 @@ impl DataBuffer {
         Self::new(TypedData::I32(vec![0; n]))
     }
 
-    /// A zero-initialized u8 buffer of `n` elements.
-    pub fn u8_zeros(n: usize) -> Self {
-        Self::new(TypedData::U8(vec![0; n]))
-    }
-
     typed_accessors!(as_f32, as_f32_mut, F32, f32);
     typed_accessors!(as_f64, as_f64_mut, F64, f64);
     typed_accessors!(as_i32, as_i32_mut, I32, i32);
@@ -205,7 +200,7 @@ mod tests {
         assert_eq!(DataBuffer::f32_zeros(10).byte_len(), 40);
         assert_eq!(DataBuffer::f64_zeros(10).byte_len(), 80);
         assert_eq!(DataBuffer::i32_zeros(10).byte_len(), 40);
-        assert_eq!(DataBuffer::u8_zeros(10).byte_len(), 10);
+        assert_eq!(DataBuffer::new(TypedData::U8(vec![0; 10])).byte_len(), 10);
     }
 
     #[test]
@@ -220,6 +215,6 @@ mod tests {
         assert_eq!(DataBuffer::f32_zeros(1).type_name(), "float");
         assert_eq!(DataBuffer::f64_zeros(1).type_name(), "double");
         assert_eq!(DataBuffer::i32_zeros(1).type_name(), "sint32");
-        assert_eq!(DataBuffer::u8_zeros(1).type_name(), "char");
+        assert_eq!(DataBuffer::new(TypedData::U8(vec![0])).type_name(), "char");
     }
 }

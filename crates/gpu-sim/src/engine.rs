@@ -288,7 +288,7 @@ impl Engine {
         &mut self.recycler
     }
 
-    /// The online calibration state (see [`crate::calibrate`]).
+    /// The online calibration state.
     pub fn calibration(&self) -> &Calibration {
         &self.calib
     }
@@ -423,7 +423,7 @@ impl Engine {
     /// call at any time. Returns the number of task states reclaimed.
     /// Costs the prefix, not the pending tasks behind it; a completed
     /// task's buffers already went to the recycler when it completed.
-    pub fn compact_completed(&mut self) -> usize {
+    fn compact_completed(&mut self) -> usize {
         let mut done = 0usize;
         while matches!(self.tasks.front(), Some(t) if matches!(t.phase, Phase::Done)) {
             self.tasks.pop_front();
@@ -431,11 +431,6 @@ impl Engine {
         }
         self.base += done as u32;
         done
-    }
-
-    /// Number of submitted-but-unfinished tasks.
-    pub fn pending(&self) -> usize {
-        self.stats.submitted - self.stats.completed
     }
 
     /// The recorded execution timeline.
@@ -729,77 +724,37 @@ impl Engine {
         }
     }
 
-    /// The pre-incremental full solve over the whole active set — the
-    /// reference the incremental refresh must match bit for bit. Kept as
-    /// the debug-mode cross-check and the differential-test oracle.
+    /// The dense full solve over the whole active set — the reference
+    /// the incremental refresh must match bit for bit. Kept as the
+    /// debug-mode cross-check and the differential-test oracle. One
+    /// resource space of per-device blocks plus one slot per link; a
+    /// column no active task loads is skipped by the fill, so the same
+    /// solve is exact with and without link occupants, on one device
+    /// and on many.
     #[cfg(any(test, debug_assertions))]
     fn solve_rates_full(&self) -> Vec<f64> {
-        use crate::fluid::{max_min_rates, max_min_rates_vec};
-        let any_link = self
+        let n_dev = self.n_devices as usize;
+        let dev_caps = capacities(&self.dev);
+        let mut caps = Vec::with_capacity(n_dev * NUM_RESOURCES + self.topo.links().len());
+        for _ in 0..n_dev {
+            caps.extend_from_slice(&dev_caps);
+        }
+        caps.extend(self.topo.links().iter().map(|l| l.bandwidth));
+        let demands: Vec<Vec<f64>> = self
             .active
             .iter()
-            .any(|&i| self.tasks[self.slot(i)].link.is_some());
-        if any_link {
-            // Link occupants couple devices together: solve globally over
-            // one resource space of per-device blocks plus one slot per
-            // link. Demand vectors are small (devices × 7 + links) and the
-            // active set is the in-flight window, so this stays cheap.
-            let n_dev = self.n_devices as usize;
-            let dev_caps = capacities(&self.dev);
-            let mut caps = Vec::with_capacity(n_dev * NUM_RESOURCES + self.topo.links().len());
-            for _ in 0..n_dev {
-                caps.extend_from_slice(&dev_caps);
-            }
-            caps.extend(self.topo.links().iter().map(|l| l.bandwidth));
-            let demands: Vec<Vec<f64>> = self
-                .active
-                .iter()
-                .map(|&i| {
-                    let t = &self.tasks[self.slot(i)];
-                    let mut d = vec![0.0; caps.len()];
-                    let base = t.device as usize * NUM_RESOURCES;
-                    d[base..base + NUM_RESOURCES].copy_from_slice(&t.demand.as_vec());
-                    if let Some(l) = t.link {
-                        d[n_dev * NUM_RESOURCES + l.0 as usize] = t.demand.link_bps;
-                    }
-                    d
-                })
-                .collect();
-            max_min_rates_vec(&demands, &caps)
-        } else if self.n_devices == 1 {
-            let demands: Vec<ResourceDemand> = self
-                .active
-                .iter()
-                .map(|&i| self.tasks[self.slot(i)].demand)
-                .collect();
-            max_min_rates(&demands, &self.dev)
-        } else {
-            // Each device has its own resource pool: solve max–min
-            // fairness per device over that device's active tasks.
-            let mut rates = vec![1.0; self.active.len()];
-            let mut devices: Vec<u32> = self
-                .active
-                .iter()
-                .map(|&i| self.tasks[self.slot(i)].device)
-                .collect();
-            let positions = devices.clone();
-            devices.sort_unstable();
-            devices.dedup();
-            for d in devices {
-                let idxs: Vec<usize> = (0..self.active.len())
-                    .filter(|&k| positions[k] == d)
-                    .collect();
-                let demands: Vec<ResourceDemand> = idxs
-                    .iter()
-                    .map(|&k| self.tasks[self.slot(self.active[k])].demand)
-                    .collect();
-                let rs = max_min_rates(&demands, &self.dev);
-                for (k, r) in idxs.into_iter().zip(rs) {
-                    rates[k] = r;
+            .map(|&i| {
+                let t = &self.tasks[self.slot(i)];
+                let mut d = vec![0.0; caps.len()];
+                let base = t.device as usize * NUM_RESOURCES;
+                d[base..base + NUM_RESOURCES].copy_from_slice(&t.demand.as_vec());
+                if let Some(l) = t.link {
+                    d[n_dev * NUM_RESOURCES + l.0 as usize] = t.demand.link_bps;
                 }
-            }
-            rates
-        }
+                d
+            })
+            .collect();
+        crate::fluid::max_min_rates_vec(&demands, &caps)
     }
 
     /// Earliest fluid completion under current rates, if any task is
@@ -1113,12 +1068,9 @@ mod tests {
         assert!(labels.iter().any(fits), "both tasks' labels came back");
         // The recycled argument list holds nothing alive.
         let again = e.recycler().kernel_payload(KernelBody::Fn(store), &[], &[]);
-        let Payload::Kernel {
+        let Payload {
             buffers, scalars, ..
-        } = again
-        else {
-            panic!("a kernel payload")
-        };
+        } = again;
         assert!(buffers.is_empty() && buffers.capacity() > 0);
         assert!(scalars.is_empty() && scalars.capacity() > 0);
     }
@@ -1261,7 +1213,13 @@ mod tests {
             assert_eq!(*t, (0.0, 0), "host link {h} must be idle");
         }
         // Timeline intervals carry the link attribution.
-        assert_eq!(e.timeline().of_link(l01.0).count(), 2);
+        let on_link = |l: u32| {
+            e.timeline()
+                .transfers()
+                .filter(|iv| iv.link == Some(l))
+                .count()
+        };
+        assert_eq!(on_link(l01.0), 2);
         assert!(e
             .timeline()
             .transfers()
@@ -1282,8 +1240,8 @@ mod tests {
         let traffic = e.link_traffic();
         assert_eq!(traffic[0], (1e6, 1));
         assert_eq!(traffic[1], (2e6, 1));
-        assert_eq!(e.timeline().of_link(0).count(), 1);
-        assert_eq!(e.timeline().of_link(1).count(), 1);
+        let links: Vec<_> = e.timeline().transfers().map(|iv| iv.link).collect();
+        assert_eq!(links, [Some(0), Some(1)]);
     }
 
     #[test]
@@ -1430,18 +1388,16 @@ mod tests {
 
     #[test]
     fn on_complete_payload_runs_once() {
+        use crate::task::KernelBody;
         use std::cell::Cell;
         use std::rc::Rc;
         let hits = Rc::new(Cell::new(0));
         let h = hits.clone();
         let mut e = Engine::new(dev());
-        let a = e.submit(
-            TaskSpec::kernel("a", 0)
-                .fluid(1e-4)
-                .sm_frac(0.1)
-                .payload(move || h.set(h.get() + 1)),
-            &[],
-        );
+        let bump = KernelBody::Shared(Rc::new(move |_| h.set(h.get() + 1)));
+        let mut spec = TaskSpec::kernel("a", 0).fluid(1e-4).sm_frac(0.1);
+        spec.on_complete = Some(e.recycler().kernel_payload(bump, &[], &[]));
+        let a = e.submit(spec, &[]);
         e.sync_task(a);
         e.sync_all();
         assert_eq!(hits.get(), 1);

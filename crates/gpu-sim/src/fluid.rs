@@ -1,7 +1,7 @@
 //! Max–min fair rate allocation by progressive filling.
 //!
 //! At any instant the engine has a set of *active* tasks, each with a
-//! [`ResourceDemand`] describing the share of every device resource it
+//! [`crate::ResourceDemand`] describing the share of every device resource it
 //! would consume when running at full (solo) speed, i.e. rate `x = 1`.
 //! The allocator assigns each task a rate `x_i ∈ (0, 1]` such that for
 //! every resource `r`: `Σ_i x_i · d_i[r] ≤ cap[r]`, using the classic
@@ -14,33 +14,13 @@
 //! (two bandwidth-bound kernels at half speed) fall out of one mechanism,
 //! matching the phenomena measured in the paper's §V-E.
 
-use crate::profile::DeviceProfile;
-use crate::task::{capacities, ResourceDemand, NUM_RESOURCES};
-
-/// Compute max–min fair rates for `demands` on device `dev`.
-///
-/// Returns one rate in `(0, 1]` per task. A task with an all-zero demand
-/// vector (e.g. a host task) gets rate 1.
-pub fn max_min_rates(demands: &[ResourceDemand], dev: &DeviceProfile) -> Vec<f64> {
-    let caps = capacities(dev);
-    let dvecs: Vec<[f64; NUM_RESOURCES]> = demands.iter().map(|d| d.as_vec()).collect();
-    max_min_rates_raw(&dvecs, &caps)
-}
-
-/// Progressive filling over raw demand vectors — separated out for unit
-/// and property testing against arbitrary capacity vectors.
-pub fn max_min_rates_raw(
-    demands: &[[f64; NUM_RESOURCES]],
-    caps: &[f64; NUM_RESOURCES],
-) -> Vec<f64> {
-    solve(demands, caps)
-}
-
-/// Progressive filling over variable-length demand vectors: the global
-/// form used when interconnect links join the per-device resources in
-/// one solve (a peer link is shared by tasks on *different* devices, so
-/// link contention cannot be solved per device). All demand vectors must
-/// have the same length as `caps`.
+/// Max–min fair rates by progressive filling over one resource space:
+/// the global form, in which interconnect links join the per-device
+/// resources in one solve (a peer link is shared by tasks on *different*
+/// devices, so link contention cannot be solved per device). Returns one
+/// rate in `(0, 1]` per task; a task with an all-zero demand vector
+/// (e.g. a host task) gets rate 1. All demand vectors must have the same
+/// length as `caps`.
 pub fn max_min_rates_vec(demands: &[Vec<f64>], caps: &[f64]) -> Vec<f64> {
     // Validate shapes up front: a short demand vector would otherwise
     // panic deep inside the solve with an index error that names neither
@@ -189,10 +169,17 @@ pub(crate) fn progressive_fill<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::ResourceDemand;
+    use crate::profile::DeviceProfile;
+    use crate::task::{capacities, ResourceDemand, NUM_RESOURCES};
 
     fn dev() -> DeviceProfile {
         DeviceProfile::gtx1660_super()
+    }
+
+    /// Rates of typed demands on one device `dev`.
+    fn max_min_rates(demands: &[ResourceDemand], dev: &DeviceProfile) -> Vec<f64> {
+        let dvecs: Vec<[f64; NUM_RESOURCES]> = demands.iter().map(|d| d.as_vec()).collect();
+        solve(&dvecs, &capacities(dev))
     }
 
     fn sm(frac: f64) -> ResourceDemand {
@@ -373,7 +360,7 @@ mod tests {
             vec![[f64::NAN; NUM_RESOURCES]; 3],
         ];
         for demands in cases {
-            let rates = max_min_rates_raw(&demands, &caps);
+            let rates = solve(&demands, &caps);
             assert_eq!(rates.len(), demands.len());
             for x in rates {
                 assert!((1e-9..=1.0).contains(&x), "rate {x} out of range");
@@ -386,7 +373,7 @@ mod tests {
         let d = dev();
         let demands = [sm(1.0), sm(0.3), dram(d.dram_bw)];
         let fixed = max_min_rates(&demands, &d);
-        let caps = crate::task::capacities(&d).to_vec();
+        let caps = capacities(&d).to_vec();
         let dvecs: Vec<Vec<f64>> = demands.iter().map(|x| x.as_vec().to_vec()).collect();
         assert_eq!(fixed, max_min_rates_vec(&dvecs, &caps));
     }
@@ -395,6 +382,7 @@ mod tests {
 #[cfg(test)]
 mod prop {
     use super::*;
+    use crate::task::NUM_RESOURCES;
     use proptest::prelude::*;
 
     fn demand_strategy() -> impl Strategy<Value = [f64; NUM_RESOURCES]> {
@@ -507,7 +495,7 @@ mod prop {
             // Capacities fixed at 1.0 per resource; demands in [0,1) so a
             // single task is always feasible solo.
             let caps = [1.0; NUM_RESOURCES];
-            let rates = max_min_rates_raw(&demands, &caps);
+            let rates = solve(&demands, &caps);
             prop_assert_eq!(rates.len(), demands.len());
             for r in 0..NUM_RESOURCES {
                 let used: f64 = demands.iter().zip(&rates).map(|(d, x)| d[r] * x).sum();
@@ -548,7 +536,7 @@ mod prop {
                     out
                 })
                 .collect();
-            let float_rates = max_min_rates_raw(&demands, &caps);
+            let float_rates = solve(&demands, &caps);
             let exact_rates = exact_progressive_fill(&int_demands, SCALE);
             for (i, (fx, ex)) in float_rates.iter().zip(&exact_rates).enumerate() {
                 let exact = ex.to_f64().clamp(1e-9, 1.0);
@@ -573,10 +561,10 @@ mod prop {
             extra in demand_strategy(),
         ) {
             let caps = [1.0; NUM_RESOURCES];
-            let before = max_min_rates_raw(&base, &caps);
+            let before = solve(&base, &caps);
             let mut bigger = base.clone();
             bigger.push(extra);
-            let after = max_min_rates_raw(&bigger, &caps);
+            let after = solve(&bigger, &caps);
             for i in 0..base.len() {
                 prop_assert!(after[i] <= before[i] + 1e-9);
             }

@@ -1,5 +1,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # gpu-sim — a deterministic fluid-rate GPU simulator
 //!
@@ -31,10 +32,9 @@
 //! * Each task may carry an `on_complete` [`Payload`] that runs the
 //!   kernel's *functional* CPU implementation when the task finishes in
 //!   virtual time, so simulated programs also produce real, checkable
-//!   numbers. A
-//!   [`race`] detector flags temporally-overlapping tasks with conflicting
-//!   read/write sets — i.e. schedules where a scheduler forgot a
-//!   dependency.
+//!   numbers. A race detector ([`RaceReport`]) flags
+//!   temporally-overlapping tasks with conflicting read/write sets —
+//!   i.e. schedules where a scheduler forgot a dependency.
 //!
 //! The engine is fully deterministic: virtual time is `f64` seconds,
 //! event ties are broken by submission order, and no wall-clock or OS
@@ -49,36 +49,35 @@
 //!
 //! let mut eng = Engine::new(DeviceProfile::gtx1660_super());
 //! // Two independent 1 ms "kernels" that each demand 30% of the SMs:
-//! let a = eng.submit(
-//!     TaskSpec::kernel("a", 0).fluid(1e-3).sm_frac(0.3), &[]);
-//! let b = eng.submit(
-//!     TaskSpec::kernel("b", 1).fluid(1e-3).sm_frac(0.3), &[]);
+//! let kernel = |label, stream| {
+//!     let mut spec = TaskSpec::kernel(label, stream).fluid(1e-3);
+//!     spec.demand.sm_frac = 0.3;
+//!     spec
+//! };
+//! let a = eng.submit(kernel("a", 0), &[]);
+//! let b = eng.submit(kernel("b", 1), &[]);
 //! eng.sync_all();
 //! // They space-share: total elapsed ≈ 1 ms + overheads, not 2 ms.
 //! assert!(eng.now() < 1.5e-3);
 //! let _ = (a, b);
 //! ```
 
-pub mod calibrate;
-pub mod cost;
-pub mod data;
-pub mod engine;
+mod calibrate;
+mod cost;
+mod data;
+mod engine;
 pub mod fluid;
-pub mod memory_manager;
-pub mod profile;
+mod memory_manager;
+mod profile;
 #[cfg(test)]
 mod prop_tests;
-pub mod race;
-pub mod recycle;
-pub mod task;
-pub mod timeline;
-pub mod topology;
+mod race;
+mod recycle;
+mod task;
+mod timeline;
+mod topology;
 
-/// Shorthand for the capacity-aware memory-manager module (the name the
-/// layers above import it by).
-pub use memory_manager as memgr;
-
-pub use calibrate::{Calibration, CalibrationStats};
+pub use calibrate::{Calibration, CalibrationStats, CANDIDATE_BLOCK_SIZES};
 pub use cost::{Grid, KernelCost};
 pub use data::{DataBuffer, TypedData, ValueId};
 pub use engine::{Engine, EngineStats, TaskId};

@@ -86,11 +86,6 @@ pub struct MemoryConfig {
 }
 
 impl MemoryConfig {
-    /// The backward-compatible default: unlimited capacity.
-    pub fn unlimited() -> Self {
-        MemoryConfig::default()
-    }
-
     /// Finite capacity of `bytes` per device, LRU eviction.
     pub fn with_capacity(bytes: usize) -> Self {
         MemoryConfig {
@@ -106,7 +101,7 @@ impl MemoryConfig {
     }
 
     /// True when a capacity limit is configured.
-    pub fn is_limited(&self) -> bool {
+    fn is_limited(&self) -> bool {
         self.capacity.is_some()
     }
 }
@@ -198,8 +193,8 @@ struct Entry {
     last_use: u64,
 }
 
-/// Per-device resident-set accounting and victim selection (see the
-/// [module docs](self)).
+/// Per-device resident-set accounting and victim selection (the model:
+/// the header of `memory_manager.rs`).
 pub struct MemoryManager {
     cfg: MemoryConfig,
     /// The device copy of every allocation that has one, indexed by
@@ -237,19 +232,9 @@ impl MemoryManager {
         }
     }
 
-    /// The configuration this manager enforces.
-    pub fn config(&self) -> &MemoryConfig {
-        &self.cfg
-    }
-
     /// Capacity of a device (`None` = unlimited).
     pub fn capacity(&self, _device: u32) -> Option<usize> {
         self.cfg.capacity
-    }
-
-    /// True when a capacity limit is configured.
-    pub fn is_limited(&self) -> bool {
-        self.cfg.is_limited()
     }
 
     /// Bytes currently resident on a device.
@@ -463,8 +448,8 @@ mod tests {
 
     #[test]
     fn unlimited_never_needs_victims() {
-        let mut m = MemoryManager::new(1, MemoryConfig::unlimited());
-        assert!(!m.is_limited());
+        let mut m = MemoryManager::new(1, MemoryConfig::default());
+        assert!(!m.cfg.is_limited());
         assert_eq!(m.free_bytes(0), usize::MAX);
         m.insert(0, V[0], 1 << 40, 0.0);
         assert_eq!(m.shortfall(0, 1 << 40), 0);
@@ -628,7 +613,7 @@ mod tests {
         assert!(p.admit(1000, 400));
         assert!(!p.admit(100, 400));
         p.note_hit();
-        let mut m = MemoryManager::new(1, MemoryConfig::unlimited());
+        let mut m = MemoryManager::new(1, MemoryConfig::default());
         m.prefetcher = p;
         let st = m.stats();
         assert_eq!(
@@ -665,6 +650,6 @@ mod tests {
         assert!(c.is_limited());
         assert_eq!(c.capacity, Some(1 << 20));
         assert_eq!(c.eviction, EvictionPolicy::CostAware);
-        assert!(!MemoryConfig::unlimited().is_limited());
+        assert!(!MemoryConfig::default().is_limited());
     }
 }

@@ -42,7 +42,7 @@ impl Architecture {
 ///
 /// All bandwidths are bytes/second, all rates are per-second, all times are
 /// seconds. "Peak" values are theoretical; the cost model applies occupancy
-/// derating (see [`crate::cost`]).
+/// derating (see [`crate::KernelCost`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DeviceProfile {
     /// Human-readable device name as used in the paper's figures.
@@ -211,12 +211,12 @@ impl DeviceProfile {
     }
 
     /// Total resident-thread capacity of the device.
-    pub fn thread_capacity(&self) -> f64 {
+    pub(crate) fn thread_capacity(&self) -> f64 {
         (self.sms * self.max_threads_per_sm) as f64
     }
 
     /// Total resident-block capacity of the device.
-    pub fn block_capacity(&self) -> f64 {
+    pub(crate) fn block_capacity(&self) -> f64 {
         (self.sms * self.max_blocks_per_sm) as f64
     }
 
@@ -234,11 +234,11 @@ impl DeviceProfile {
 }
 
 /// One gibibyte (capacity contexts).
-pub const GB: u64 = 1024 * 1024 * 1024;
+const GB: u64 = 1024 * 1024 * 1024;
 /// One mebibyte.
-pub const MB: u64 = 1024 * 1024;
+const MB: u64 = 1024 * 1024;
 /// One gigabyte as a bandwidth factor (bytes/s contexts use decimal GB).
-pub const GBF: f64 = 1e9;
+const GBF: f64 = 1e9;
 
 #[cfg(test)]
 mod tests {

@@ -46,7 +46,7 @@ impl RaceReport {
     /// Whether `other` reports the same conflicting pair on the same
     /// value (ignoring when and where the overlap happened) — the
     /// engine's dedup key for repeated races.
-    pub fn same_pair(&self, other: &RaceReport) -> bool {
+    pub(crate) fn same_pair(&self, other: &RaceReport) -> bool {
         self.value == other.value && self.first == other.first && self.second == other.second
     }
 }

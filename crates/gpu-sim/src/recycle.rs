@@ -29,7 +29,7 @@ use crate::task::{KernelBody, Payload};
 /// costs `pipeline_batch` a tenth of its throughput, 1024 gains nothing
 /// over this; peak RSS does not follow the bound — the pools never hold
 /// more buffers than were in use at once.)
-pub const POOL_MAX: usize = 384;
+const POOL_MAX: usize = 384;
 
 /// A heap buffer that can be emptied and reused.
 pub(crate) trait Buffer: Default {
@@ -80,8 +80,8 @@ impl<T> Default for Pool<T> {
     }
 }
 
-/// The engine's store of reusable task buffers (see the [module
-/// docs](self)); reached through [`crate::Engine::recycler`].
+/// The engine's store of reusable task buffers (why and how: the header
+/// of `recycle.rs`); reached through [`crate::Engine::recycler`].
 #[derive(Default)]
 pub struct Recycler {
     pub(crate) labels: Pool<String>,
@@ -115,7 +115,7 @@ impl Recycler {
         b.extend_from_slice(buffers);
         let mut s = self.scalars.take();
         s.extend_from_slice(scalars);
-        Payload::Kernel {
+        Payload {
             body,
             buffers: b,
             scalars: s,
@@ -160,12 +160,9 @@ mod tests {
             std::slice::from_ref(&buf),
             &[1.0],
         );
-        let Payload::Kernel {
+        let Payload {
             buffers, scalars, ..
-        } = payload
-        else {
-            panic!("a kernel payload");
-        };
+        } = payload;
         assert_eq!(buf.handle_count(), 2, "the payload holds its own handle");
         r.buffers.give(buffers);
         r.scalars.give(scalars);

@@ -45,13 +45,8 @@ impl TaskKind {
     }
 
     /// True if the transfer moves data toward the device.
-    pub fn is_h2d(self) -> bool {
+    fn is_h2d(self) -> bool {
         matches!(self, TaskKind::CopyH2D | TaskKind::FaultH2D)
-    }
-
-    /// True for a direct device→device transfer.
-    pub fn is_p2p(self) -> bool {
-        matches!(self, TaskKind::CopyP2P)
     }
 }
 
@@ -137,7 +132,7 @@ pub struct TaskMeta {
 pub type KernelFunc = Rc<dyn Fn(&[DataBuffer])>;
 
 /// The functional implementation of a kernel: what a
-/// [`Payload::Kernel`] calls on its argument buffers.
+/// [`Payload`] calls on its argument buffers.
 #[derive(Clone)]
 pub enum KernelBody {
     /// A plain function of the argument buffers and the launch's
@@ -147,43 +142,30 @@ pub enum KernelBody {
     Shared(KernelFunc),
 }
 
-/// What runs when a task completes in virtual time.
-pub enum Payload {
-    /// A kernel's functional implementation, carried as data: the
-    /// function and the arguments it is called with. Submitting one
-    /// allocates nothing when the two lists come from the engine's
-    /// [`Recycler`], which takes them back once the kernel has run.
-    Kernel {
-        /// The implementation.
-        body: KernelBody,
-        /// Argument buffers, in parameter order.
-        buffers: Vec<DataBuffer>,
-        /// Scalar arguments, in parameter order.
-        scalars: Vec<f64>,
-    },
-    /// Any other effect.
-    Closure(Box<dyn FnOnce()>),
+/// What runs when a task completes in virtual time: a kernel's
+/// functional implementation, carried as data — the function and the
+/// arguments it is called with. Submitting one allocates nothing when
+/// the two lists come from the engine's [`Recycler`], which takes them
+/// back once the kernel has run.
+pub struct Payload {
+    /// The implementation.
+    pub body: KernelBody,
+    /// Argument buffers, in parameter order.
+    pub buffers: Vec<DataBuffer>,
+    /// Scalar arguments, in parameter order.
+    pub scalars: Vec<f64>,
 }
 
 impl Payload {
-    /// Run the payload, handing a kernel's argument lists to `recycler`
+    /// Run the payload, handing its argument lists to `recycler`
     /// afterwards.
     pub(crate) fn run(self, recycler: &mut Recycler) {
-        match self {
-            Payload::Kernel {
-                body,
-                buffers,
-                scalars,
-            } => {
-                match body {
-                    KernelBody::Fn(f) => f(&buffers, &scalars),
-                    KernelBody::Shared(f) => f(&buffers),
-                }
-                recycler.buffers.give(buffers);
-                recycler.scalars.give(scalars);
-            }
-            Payload::Closure(f) => f(),
+        match self.body {
+            KernelBody::Fn(f) => f(&self.buffers, &self.scalars),
+            KernelBody::Shared(f) => f(&self.buffers),
         }
+        recycler.buffers.give(self.buffers);
+        recycler.scalars.give(self.scalars);
     }
 }
 
@@ -223,7 +205,7 @@ pub struct TaskSpec {
     /// configuration and the element count of its largest argument
     /// buffer. The layer that submits real kernel launches stamps it so
     /// the engine can record it beside the measured duration when the
-    /// task completes (the block-size history of [`crate::calibrate`]).
+    /// task completes (the block-size history of [`crate::Calibration`]).
     /// `None`, the default, for every other task.
     pub launch_shape: Option<(Grid, usize)>,
 }
@@ -272,13 +254,6 @@ impl TaskSpec {
     /// Shorthand for a zero-duration marker (event analogue).
     pub fn marker(label: impl Into<String>, stream: u32) -> Self {
         Self::new(TaskKind::Marker, label, stream)
-    }
-
-    /// Shorthand for a host-side computation of duration `d`.
-    pub fn host(label: impl Into<String>, d: Time) -> Self {
-        let mut t = Self::new(TaskKind::Host, label, u32::MAX);
-        t.fixed_latency = d;
-        t
     }
 
     /// A bulk PCIe transfer of `bytes` in the given direction at full
@@ -367,34 +342,33 @@ impl TaskSpec {
         self.fixed_latency = seconds;
         self
     }
+}
 
+/// Builder shorthands of this crate's unit tests; the layers above fill
+/// the fields from recycled lists instead.
+#[cfg(test)]
+impl TaskSpec {
     /// Set the SM-fraction demand.
-    pub fn sm_frac(mut self, f: f64) -> Self {
+    pub(crate) fn sm_frac(mut self, f: f64) -> Self {
         self.demand.sm_frac = f;
         self
     }
 
     /// Set the DRAM-bandwidth demand (bytes/s at full rate).
-    pub fn dram(mut self, bps: f64) -> Self {
+    pub(crate) fn dram(mut self, bps: f64) -> Self {
         self.demand.dram_bps = bps;
         self
     }
 
     /// Declare values read by this task.
-    pub fn reading(mut self, vs: &[ValueId]) -> Self {
+    pub(crate) fn reading(mut self, vs: &[ValueId]) -> Self {
         self.reads.extend_from_slice(vs);
         self
     }
 
     /// Declare values written by this task.
-    pub fn writing(mut self, vs: &[ValueId]) -> Self {
+    pub(crate) fn writing(mut self, vs: &[ValueId]) -> Self {
         self.writes.extend_from_slice(vs);
-        self
-    }
-
-    /// Attach a functional payload to run at completion.
-    pub fn payload(mut self, f: impl FnOnce() + 'static) -> Self {
-        self.on_complete = Some(Payload::Closure(Box::new(f)));
         self
     }
 }
@@ -435,9 +409,7 @@ mod tests {
         assert!(!TaskKind::CopyD2H.is_h2d());
         assert!(!TaskKind::Kernel.is_transfer());
         assert!(TaskKind::CopyP2P.is_transfer());
-        assert!(TaskKind::CopyP2P.is_p2p());
         assert!(!TaskKind::CopyP2P.is_h2d());
-        assert!(!TaskKind::CopyH2D.is_p2p());
     }
 
     #[test]

@@ -134,18 +134,6 @@ impl Timeline {
         ids.len()
     }
 
-    /// Intervals that ran on a given device.
-    pub fn of_device(&self, device: u32) -> impl Iterator<Item = &Interval> {
-        self.intervals.iter().filter(move |iv| iv.device == device)
-    }
-
-    /// Transfer intervals that moved over a given interconnect link.
-    pub fn of_link(&self, link: u32) -> impl Iterator<Item = &Interval> {
-        self.intervals
-            .iter()
-            .filter(move |iv| iv.link == Some(link))
-    }
-
     /// Devices that carried GPU work (kernels or transfers), ascending.
     pub fn devices_used(&self) -> Vec<u32> {
         let mut ids: Vec<u32> = self

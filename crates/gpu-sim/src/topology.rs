@@ -19,33 +19,33 @@ use crate::Time;
 /// Default bandwidth of a device↔device (NVLink-style) link, bytes/s.
 /// Roughly the aggregate NVLink 1.0 bandwidth of the paper's era —
 /// a bit over 3× the PCIe 3.0 x16 link the presets pair it with.
-pub const NVLINK_BW: f64 = 40.0e9;
+const NVLINK_BW: f64 = 40.0e9;
 
 /// Default one-way latency charged per peer-to-peer transfer.
-pub const NVLINK_LATENCY: Time = 5e-6;
+const NVLINK_LATENCY: Time = 5e-6;
 
 /// Default latency of a host link transfer setup (matched by the bulk
 /// copy launch overhead the host links already charge).
-pub const HOST_LINK_LATENCY: Time = 4e-6;
+const HOST_LINK_LATENCY: Time = 4e-6;
 
 /// 25 Gbit/s Ethernet NIC bandwidth, bytes/s.
-pub const ETHERNET_25G_BW: f64 = 3.125e9;
+const ETHERNET_25G_BW: f64 = 3.125e9;
 
 /// One-way latency charged per transfer on a 25 GbE NIC link.
-pub const ETHERNET_25G_LATENCY: Time = 20e-6;
+const ETHERNET_25G_LATENCY: Time = 20e-6;
 
 /// HDR InfiniBand (200 Gbit/s) NIC bandwidth, bytes/s.
-pub const INFINIBAND_HDR_BW: f64 = 25.0e9;
+const INFINIBAND_HDR_BW: f64 = 25.0e9;
 
 /// One-way latency charged per transfer on an HDR InfiniBand link.
-pub const INFINIBAND_HDR_LATENCY: Time = 2e-6;
+const INFINIBAND_HDR_LATENCY: Time = 2e-6;
 
 /// NVSwitch-island inter-node fabric bandwidth, bytes/s — an
 /// NVLink-class fabric stretched across node boundaries.
-pub const NVSWITCH_ISLAND_BW: f64 = 40.0e9;
+const NVSWITCH_ISLAND_BW: f64 = 40.0e9;
 
 /// One-way latency charged per transfer on an NVSwitch-island link.
-pub const NVSWITCH_ISLAND_LATENCY: Time = 1e-6;
+const NVSWITCH_ISLAND_LATENCY: Time = 1e-6;
 
 /// Handle to a link in a [`Topology`] (index into [`Topology::links`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -88,16 +88,6 @@ impl Link {
             Endpoint::Node(n) => format!("n{n}"),
         };
         format!("{}-{}", end(self.a), end(self.b))
-    }
-
-    /// True for a device↔device (peer-to-peer capable) link.
-    pub fn is_d2d(&self) -> bool {
-        matches!((self.a, self.b), (Endpoint::Device(_), Endpoint::Device(_)))
-    }
-
-    /// True for a node↔node network (NIC) link.
-    pub fn is_nic(&self) -> bool {
-        matches!((self.a, self.b), (Endpoint::Node(_), Endpoint::Node(_)))
     }
 }
 
@@ -231,7 +221,7 @@ impl Topology {
     /// engine runs with (host transfers are timed against the profile;
     /// `Engine::with_topology` asserts the two agree). The presets pass
     /// `dev.pcie_bw`, which always satisfies this.
-    pub fn with_bandwidths(kind: TopologyKind, n: usize, host_bw: f64, d2d_bw: f64) -> Self {
+    fn with_bandwidths(kind: TopologyKind, n: usize, host_bw: f64, d2d_bw: f64) -> Self {
         assert!(n >= 1, "need at least one device");
         assert!(host_bw > 0.0 && d2d_bw > 0.0, "bandwidths must be positive");
         let mut links: Vec<Link> = (0..n as u32)
@@ -248,7 +238,7 @@ impl Topology {
 
     /// Give every device a finite memory (builder-style): capacity and
     /// eviction policy for the capacity-aware memory manager
-    /// ([`crate::memgr`]). The default is unlimited, which reproduces
+    /// ([`crate::MemoryManager`]). The default is unlimited, which reproduces
     /// the infinite-memory behavior bit-identically.
     pub fn with_memory(mut self, memory: MemoryConfig) -> Self {
         self.memory = memory;
@@ -441,7 +431,6 @@ impl NicKind {
 /// assert!(topo.d2d_link(3, 4).is_none());
 /// // ...cross-node traffic goes over the NIC link instead.
 /// let nic = topo.nic_link(0, 1).unwrap();
-/// assert!(topo.link(nic).is_nic());
 /// assert_eq!(topo.link(nic).label(), "n0-n1");
 ///
 /// // One node degenerates to the single-box preset, bit-identically.
@@ -483,16 +472,6 @@ impl Cluster {
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes
-    }
-
-    /// Devices per node.
-    pub fn gpus_per_node(&self) -> usize {
-        self.gpus_per_node
-    }
-
-    /// The NIC preset joining the nodes.
-    pub fn nic(&self) -> NicKind {
-        self.nic
     }
 
     /// Flatten into one machine-wide [`Topology`]: host links for every
@@ -546,6 +525,14 @@ mod tests {
         Topology::preset(kind, n, &DeviceProfile::tesla_p100())
     }
 
+    fn is_d2d(l: &Link) -> bool {
+        matches!((l.a, l.b), (Endpoint::Device(_), Endpoint::Device(_)))
+    }
+
+    fn is_nic(l: &Link) -> bool {
+        matches!((l.a, l.b), (Endpoint::Node(_), Endpoint::Node(_)))
+    }
+
     /// The expected device↔device pairs of each preset — the round-trip
     /// check that construction yields exactly the advertised link set.
     fn d2d_pairs(t: &Topology) -> Vec<(u32, u32)> {
@@ -568,7 +555,7 @@ mod tests {
                     let l = t.link(t.host_link(d));
                     assert_eq!(l.a, Endpoint::Host);
                     assert_eq!(l.b, Endpoint::Device(d));
-                    assert!(!l.is_d2d());
+                    assert!(!is_d2d(l));
                 }
             }
         }
@@ -661,7 +648,7 @@ mod tests {
                 assert_eq!(t.node_of(d), 0);
             }
             assert_eq!(t.nic_link(0, 1), None);
-            assert!(t.links().iter().all(|l| !l.is_nic()));
+            assert!(t.links().iter().all(|l| !is_nic(l)));
         }
     }
 
@@ -674,7 +661,7 @@ mod tests {
         // Host links first (one per device)...
         for d in 0..8 {
             assert_eq!(t.host_link(d), LinkId(d));
-            assert!(!t.link(LinkId(d)).is_d2d() && !t.link(LinkId(d)).is_nic());
+            assert!(!is_d2d(t.link(LinkId(d))) && !is_nic(t.link(LinkId(d))));
         }
         // ...then per-node NVLink pairs, offset by the node base...
         assert_eq!(d2d_pairs(&t), vec![(0, 1), (2, 3), (4, 5), (6, 7)]);
@@ -683,7 +670,7 @@ mod tests {
         let nic = t.nic_link(0, 1).unwrap();
         assert_eq!(nic.0 as usize, t.links().len() - 1);
         let l = t.link(nic);
-        assert!(l.is_nic());
+        assert!(is_nic(l));
         assert_eq!(l.bandwidth, INFINIBAND_HDR_BW);
         assert_eq!(l.latency, INFINIBAND_HDR_LATENCY);
         assert_eq!(t.nic_link(1, 0), Some(nic), "NIC links are bidirectional");
@@ -699,7 +686,7 @@ mod tests {
     fn cluster_nic_mesh_is_full_over_node_pairs() {
         let dev = DeviceProfile::tesla_p100();
         let t = Cluster::new(4, 2, TopologyKind::PcieOnly, NicKind::Ethernet25g).build(&dev);
-        let nic_links = t.links().iter().filter(|l| l.is_nic()).count();
+        let nic_links = t.links().iter().filter(|l| is_nic(l)).count();
         assert_eq!(nic_links, 6, "4 choose 2 node pairs");
         for a in 0..4 {
             for b in 0..4 {

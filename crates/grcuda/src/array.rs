@@ -94,7 +94,7 @@ impl DeviceArray {
     /// read, so this is an event wait on the producing streams, not a
     /// data access. Use it to observe completion of a chain (e.g. a
     /// served request) without pulling its output back to the host.
-    pub fn sync_writes(&self) {
+    pub(crate) fn sync_writes(&self) {
         self.ctx.await_writers(&self.arr);
     }
 

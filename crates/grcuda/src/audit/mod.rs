@@ -47,13 +47,9 @@ pub use lints::{Lint, LintKind};
 /// Which edges the soundness pass considers when deciding whether a
 /// conflicting pair is ordered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EdgeView {
+pub(crate) enum EdgeView {
     /// Every recorded edge — audit the schedule as inferred.
     Full,
-    /// Every edge except the one at this index into
-    /// [`ComputationDag::edges`] — the "what if inference had missed
-    /// this edge?" question of the no-false-negative property tests.
-    Without(usize),
     /// Only edges into CPU-access vertices — what the scheduler actually
     /// honors with dependency inference disabled: kernel launches drop
     /// their dependency lists, while CPU accesses still synchronize
@@ -68,37 +64,37 @@ pub enum EdgeView {
 /// the NIDL signature *declares* next to what the implementation
 /// *actually does* ([`KernelDef::writes`]).
 #[derive(Debug, Clone)]
-pub struct KernelEffects {
+struct KernelEffects {
     /// Kernel name (matches the DAG vertex label).
-    pub name: String,
+    name: String,
     /// Per pointer parameter: declared read-only (`const`/`in`).
-    pub nidl_read_only: Vec<bool>,
+    nidl_read_only: Vec<bool>,
     /// Per pointer parameter: declared pure-`out` (overwritten, never
     /// read) — the annotation that lets the dead-write lint fire.
-    pub declared_out: Vec<bool>,
+    declared_out: Vec<bool>,
     /// Per pointer parameter: the implementation writes it (ground
     /// truth, from [`KernelDef::writes`]).
-    pub writes: Vec<bool>,
+    writes: Vec<bool>,
 }
 
 /// Registry of effect metadata for every kernel built in a context,
 /// keyed by kernel name. Populated by [`crate::GrCuda::build_kernel`];
 /// consulted at audit time only (never on the launch hot path).
 #[derive(Debug, Clone, Default)]
-pub struct EffectsTable {
+pub(crate) struct EffectsTable {
     entries: Vec<KernelEffects>,
 }
 
 impl EffectsTable {
     /// An empty table (raw-DAG audits fall back to the per-argument
     /// access modes recorded in the DAG itself).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record a built kernel's declared and actual effects. Re-building
     /// a kernel with the same name replaces its entry.
-    pub fn register(&mut self, def: &KernelDef, sig: &Signature) {
+    pub(crate) fn register(&mut self, def: &KernelDef, sig: &Signature) {
         self.entries.retain(|e| e.name != def.name);
         let ptrs: Vec<_> = sig.params.iter().filter(|p| p.is_pointer()).collect();
         self.entries.push(KernelEffects {
@@ -109,18 +105,8 @@ impl EffectsTable {
         });
     }
 
-    /// Number of registered kernels.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no kernel was registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Effects of the kernel with this name, if registered.
-    pub fn get(&self, name: &str) -> Option<&KernelEffects> {
+    fn get(&self, name: &str) -> Option<&KernelEffects> {
         self.entries.iter().find(|e| e.name == name)
     }
 
@@ -128,7 +114,7 @@ impl EffectsTable {
     /// but actually written is a [`ScheduleViolation::DishonestSignature`]
     /// — the scheduler would treat the launch as a concurrent-safe read
     /// and under-synchronize it.
-    pub fn dishonest(&self) -> Vec<ScheduleViolation> {
+    fn dishonest(&self) -> Vec<ScheduleViolation> {
         let mut out = Vec::new();
         for e in &self.entries {
             for (i, (&ro, &w)) in e.nidl_read_only.iter().zip(&e.writes).enumerate() {
@@ -147,7 +133,7 @@ impl EffectsTable {
     /// that the implementation never writes. Legal ("not specifying
     /// arguments as read-only does not affect correctness") but each one
     /// costs parallelism the Fig. 3 read rules would have recovered.
-    pub fn overcautious_params(&self) -> usize {
+    fn overcautious_params(&self) -> usize {
         self.entries
             .iter()
             .flat_map(|e| e.nidl_read_only.iter().zip(&e.writes))
@@ -197,7 +183,7 @@ pub enum ScheduleViolation {
 
 impl ScheduleViolation {
     /// Short class tag for assertions and RESULT lines.
-    pub fn class(&self) -> &'static str {
+    fn class(&self) -> &'static str {
         match self {
             ScheduleViolation::UnorderedConflict {
                 kind: ConflictKind::WriteWrite,
@@ -263,8 +249,9 @@ pub struct AuditReport {
     pub redundant_edges: usize,
     /// Conflicting access pairs whose ordering was checked.
     pub checked_pairs: usize,
-    /// Declared-writable parameters that never write (informational;
-    /// see [`EffectsTable::overcautious_params`]).
+    /// Declared-writable parameters that never write (informational:
+    /// legal, but each one costs parallelism the Fig. 3 read rules would
+    /// have recovered).
     pub overcautious_params: usize,
 }
 
@@ -275,7 +262,8 @@ impl AuditReport {
         self.violations.is_empty()
     }
 
-    /// How many violations carry this [`ScheduleViolation::class`] tag.
+    /// How many violations carry this class tag: `unordered-write-write`,
+    /// `unordered-read-write` or `dishonest-signature`.
     pub fn class_count(&self, class: &str) -> usize {
         self.violations
             .iter()
@@ -315,25 +303,37 @@ impl fmt::Display for AuditReport {
 /// Audit a DAG against an effects table under an edge view. This is the
 /// whole sanitizer in one call; [`crate::GrCuda::audit`] wraps it with
 /// the context's own DAG, effects and view.
-pub fn audit_dag(dag: &ComputationDag, effects: &EffectsTable, view: EdgeView) -> AuditReport {
-    let full = Reachability::new(dag);
-    let redundant_edges = full.redundant_edges(dag).iter().filter(|&&r| r).count();
-
-    let accesses = soundness::collect_accesses(dag, effects);
-    let (mut violations, checked_pairs) = match view {
-        EdgeView::Full => soundness::unordered_conflicts(dag, &accesses, &full, true),
-        EdgeView::Without(k) => {
-            let reach = Reachability::without_edge(dag, k);
-            soundness::unordered_conflicts(dag, &accesses, &reach, true)
-        }
+pub(crate) fn audit_dag(
+    dag: &ComputationDag,
+    effects: &EffectsTable,
+    view: EdgeView,
+) -> AuditReport {
+    match view {
+        EdgeView::Full => audit_under(dag, effects, None, true),
         EdgeView::KernelDepsDropped => {
             let reach = Reachability::with_edges(dag, |_, e| {
                 dag.try_vertex(e.to)
                     .is_some_and(|v| v.kind == ElementKind::ArrayAccess)
             });
-            soundness::unordered_conflicts(dag, &accesses, &reach, false)
+            audit_under(dag, effects, Some(&reach), false)
         }
-    };
+    }
+}
+
+/// The audit with conflicting pairs judged ordered or not under `reach`
+/// (`None`: the reachability over every recorded edge, which edge
+/// redundancy is always counted against).
+fn audit_under(
+    dag: &ComputationDag,
+    effects: &EffectsTable,
+    reach: Option<&Reachability>,
+    retired_exempt: bool,
+) -> AuditReport {
+    let full = Reachability::new(dag);
+    let redundant_edges = full.redundant_edges(dag).iter().filter(|&&r| r).count();
+    let accesses = soundness::collect_accesses(dag, effects);
+    let (mut violations, checked_pairs) =
+        soundness::unordered_conflicts(dag, &accesses, reach.unwrap_or(&full), retired_exempt);
     violations.extend(effects.dishonest());
     let (dead_writes, never_read) = lints::liveness(dag, &accesses);
 
@@ -347,6 +347,23 @@ pub fn audit_dag(dag: &ComputationDag, effects: &EffectsTable, view: EdgeView) -
         checked_pairs,
         overcautious_params: effects.overcautious_params(),
     }
+}
+
+/// [`audit_dag`] with every edge except the one at index `k` of
+/// [`ComputationDag::edges`] — the "what if inference had missed this
+/// edge?" question of the no-false-negative property test.
+#[cfg(test)]
+pub(crate) fn audit_without_edge(
+    dag: &ComputationDag,
+    effects: &EffectsTable,
+    k: usize,
+) -> AuditReport {
+    audit_under(
+        dag,
+        effects,
+        Some(&Reachability::without_edge(dag, k)),
+        true,
+    )
 }
 
 #[cfg(test)]
@@ -656,7 +673,7 @@ mod tests {
 
         // Re-registering replaces, never duplicates.
         t.register(&liar, &lying_sig);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.entries.len(), 2);
         assert_eq!(t.dishonest().len(), 1);
     }
 

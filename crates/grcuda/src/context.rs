@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use cuda_sim::{Cuda, Launch, MemEventKind, StreamId, UnifiedArray};
 use dag::{ArgAccess, ComputationDag, DenseMap, ElementKind, Value, VertexId};
-use gpu_sim::memgr::MemoryStats;
+use gpu_sim::MemoryStats;
 use gpu_sim::{
     Architecture, DataBuffer, DeviceProfile, EngineStats, Grid, KernelBody, RaceReport, TaskId,
     Time, Timeline, Topology, TopologyKind, ValueId,
@@ -126,7 +126,7 @@ pub struct SchedulerStats {
 }
 
 /// The `cluster` section of [`SchedulerStats`]: what the multi-node
-/// layer did (see [`crate::partition`] and [`gpu_sim::Cluster`]).
+/// layer did (see [`crate::partition_batch`] and [`gpu_sim::Cluster`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClusterStats {
     /// Nodes in the machine (1 on single-box machines).
@@ -192,9 +192,8 @@ impl GrCuda {
     /// A built-in policy on an interconnect preset:
     ///
     /// ```
-    /// use grcuda::{
-    ///     Arg, DeviceProfile, GrCuda, Grid, Options, PlacementPolicy, Topology, TopologyKind,
-    /// };
+    /// use gpu_sim::{DeviceProfile, Grid, Topology, TopologyKind};
+    /// use grcuda::{Arg, GrCuda, Options, PlacementPolicy};
     /// use kernels::vec_ops::SQUARE;
     ///
     /// let dev = DeviceProfile::tesla_p100();
@@ -220,10 +219,8 @@ impl GrCuda {
     /// A custom policy:
     ///
     /// ```
-    /// use grcuda::{
-    ///     Arg, DeviceProfile, DeviceSelectionPolicy, GrCuda, Grid, Options, PlacementCtx,
-    ///     Topology,
-    /// };
+    /// use gpu_sim::{DeviceProfile, Grid, Topology};
+    /// use grcuda::{Arg, DeviceSelectionPolicy, GrCuda, Options, PlacementCtx};
     /// use kernels::vec_ops::SQUARE;
     ///
     /// /// Sticky placement: follow the first parent, else device 0.
@@ -307,7 +304,7 @@ impl GrCuda {
     /// [`GrCuda::with_topology`] over a multi-node [`gpu_sim::Cluster`]:
     /// one scheduler core spanning every GPU of every node, with NIC
     /// links in the same global rate solve, the deterministic batch
-    /// partitioner (see [`crate::partition`]) active on
+    /// partitioner (see [`crate::partition_batch`]) active on
     /// [`GrCuda::launch_batch`], and cross-node migrations routed
     /// GPU→host→NIC→host→GPU. Pair it with
     /// [`PlacementPolicy::NodeAware`] so placement honors the
@@ -319,10 +316,8 @@ impl GrCuda {
     /// # Examples
     ///
     /// ```
-    /// use grcuda::{
-    ///     Arg, BatchLaunch, Cluster, DeviceProfile, GrCuda, Grid, NicKind, Options,
-    ///     PlacementPolicy, TopologyKind,
-    /// };
+    /// use gpu_sim::{Cluster, DeviceProfile, Grid, NicKind, TopologyKind};
+    /// use grcuda::{Arg, BatchLaunch, GrCuda, Options, PlacementPolicy};
     /// use kernels::util::SCALE;
     ///
     /// // 2 nodes × 2 GPUs joined by InfiniBand HDR NICs.
@@ -455,9 +450,8 @@ impl GrCuda {
     }
 
     /// Per-device `(time, resident bytes)` step samples recorded while
-    /// a finite capacity is configured — feed them to
-    /// `metrics::MemoryTimeline` for peak/mean pressure analysis.
-    /// Cleared by [`GrCuda::clear_timeline`].
+    /// a finite capacity is configured. Cleared by
+    /// [`GrCuda::clear_timeline`].
     pub fn memory_timeline(&self) -> Vec<Vec<(Time, usize)>> {
         self.inner.borrow().cuda.memory_timeline()
     }
@@ -465,11 +459,6 @@ impl GrCuda {
     /// The device this runtime drives.
     pub fn device(&self) -> DeviceProfile {
         self.inner.borrow().cuda.device()
-    }
-
-    /// The scheduler configuration.
-    pub fn options(&self) -> Options {
-        self.inner.borrow().options
     }
 
     /// Current virtual time (seconds).
@@ -577,12 +566,12 @@ impl GrCuda {
     /// (signature honesty), count transitively-redundant edges
     /// (minimality — also stamped on the edges, so a subsequent
     /// [`GrCuda::dag_dot`] renders them dashed gray) and surface
-    /// dead-write / never-read liveness lints. See [`crate::audit`].
+    /// dead-write / never-read liveness lints. See [`crate::AuditReport`].
     ///
     /// With dependency inference disabled the audit automatically
-    /// switches to [`crate::EdgeView::KernelDepsDropped`] — the edges
-    /// the crippled scheduler actually honored — so failure-injection
-    /// runs can assert that every dynamic race has a static counterpart.
+    /// considers only the edges the crippled scheduler actually honored
+    /// (those into CPU accesses), so failure-injection runs can assert
+    /// that every dynamic race has a static counterpart.
     pub fn audit(&self) -> crate::audit::AuditReport {
         let mut ctx = self.inner.borrow_mut();
         ctx.dag.mark_redundant_edges();
@@ -774,7 +763,8 @@ impl GrCuda {
     /// # Examples
     ///
     /// ```
-    /// use grcuda::{Arg, BatchLaunch, DeviceProfile, GrCuda, Grid, Options};
+    /// use gpu_sim::{DeviceProfile, Grid};
+    /// use grcuda::{Arg, BatchLaunch, GrCuda, Options};
     /// use kernels::vec_ops::SQUARE;
     ///
     /// let g = GrCuda::new(DeviceProfile::tesla_p100(), Options::parallel());
@@ -1638,6 +1628,70 @@ mod tests {
         )
         .unwrap();
         assert!(x.get_f32(3).is_nan());
+
+        // A length past the end of the arrays is a valid `sint32` the
+        // runtime cannot judge (it does not know which scalar is a
+        // length): the launch is accepted and the kernel stops at its
+        // shortest buffer instead of indexing out of bounds when
+        // virtual time reaches it — through a launch and through a
+        // batch.
+        let scale = g.build_kernel(&SCALE).unwrap();
+        let (src, dst) = (g.array_f32(16), g.array_f32(16));
+        src.fill_f32(2.0);
+        let long = |a: f64| {
+            [
+                Arg::array(&src),
+                Arg::array(&dst),
+                Arg::scalar(a),
+                Arg::scalar(4096.0),
+            ]
+        };
+        scale.launch(G, &long(3.0)).unwrap();
+        g.sync();
+        assert_eq!(dst.to_vec_f32(), vec![6.0; 16]);
+        let args = long(5.0);
+        let batch = [BatchLaunch {
+            kernel: &scale,
+            grid: G,
+            args: &args,
+        }];
+        g.launch_batch(&batch).unwrap();
+        g.sync();
+        assert_eq!(dst.to_vec_f32(), vec![10.0; 16]);
+
+        // Degenerate launches — a zero-length array, a grid of no
+        // blocks, blocks of no threads — launch, finish in finite
+        // virtual time without a race, and leave scheduler and engine
+        // drained after a sync, under both schedulers.
+        for options in [Options::serial(), Options::parallel()] {
+            let g = GrCuda::new(DeviceProfile::tesla_p100(), options);
+            let sq = g.build_kernel(&SQUARE).unwrap();
+            let (empty, x) = (g.array_f32(0), g.array_f32(8));
+            x.fill_f32(3.0);
+            sq.launch(G, &[Arg::array(&empty), Arg::scalar(0.0)])
+                .unwrap();
+            for grid in [Grid::d1(0, 256), Grid::d1(4, 0)] {
+                sq.launch(grid, &[Arg::array(&x), Arg::scalar(8.0)])
+                    .unwrap();
+            }
+            g.sync();
+            assert!(g.now().is_finite(), "{options:?}");
+            assert!(g.races().is_empty(), "{options:?}");
+            assert_eq!(x.to_vec_f32(), vec![81.0; 8], "{options:?}");
+            let (st, engine) = (g.scheduler_stats(), g.stats());
+            assert_eq!(
+                (st.live_vertices, st.stored_vertices, st.stored_edges),
+                (0, 0, 0),
+                "{options:?}"
+            );
+            assert_eq!(
+                (st.value_states, st.stream_claims, st.vertex_tasks),
+                (0, 0, 0),
+                "{options:?}"
+            );
+            assert_eq!(engine.completed, engine.submitted, "{options:?}");
+            assert_eq!(engine.retained_tasks, 0, "{options:?}");
+        }
     }
 
     #[test]

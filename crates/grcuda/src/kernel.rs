@@ -222,7 +222,7 @@ impl Kernel {
     }
 
     /// Parsed signature.
-    pub fn signature(&self) -> &Signature {
+    pub(crate) fn signature(&self) -> &Signature {
         &self.sig
     }
 
@@ -264,7 +264,7 @@ impl Kernel {
     /// a kernel's duration becomes known: the engine records every
     /// completed launch into [`gpu_sim::Calibration`] (per-signature
     /// `(block size, size bucket)` cells over
-    /// [`gpu_sim::calibrate::CANDIDATE_BLOCK_SIZES`]), which also holds
+    /// [`gpu_sim::CANDIDATE_BLOCK_SIZES`]), which also holds
     /// the explore-then-exploit chooser used here. Read it through
     /// [`crate::GrCuda::history_samples`],
     /// [`crate::GrCuda::best_block_size`] and

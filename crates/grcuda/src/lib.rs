@@ -1,5 +1,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # grcuda — the paper's runtime scheduler
 //!
@@ -57,36 +58,27 @@
 //! assert_eq!(z.get_f32(0), (n as f32) * 3.0);
 //! ```
 
-pub mod array;
-pub mod audit;
-pub mod context;
-pub mod kernel;
-pub mod library;
-pub mod nidl;
-pub mod options;
-pub mod partition;
-pub mod policy;
+mod array;
+mod audit;
+mod context;
+mod kernel;
+mod library;
+mod nidl;
+mod options;
+mod partition;
+mod policy;
 pub mod serve;
 pub mod stream_manager;
 
 pub use array::DeviceArray;
-pub use audit::{
-    audit_dag, AuditReport, ConflictKind, EdgeView, EffectsTable, KernelEffects, Lint, LintKind,
-    ScheduleViolation,
-};
-pub use context::{GrCuda, SchedulerStats};
+pub use audit::{AuditReport, ConflictKind, Lint, LintKind, ScheduleViolation};
+pub use context::{ClusterStats, GrCuda, SchedulerStats};
 pub use kernel::{Arg, BatchLaunch, Kernel, LaunchError};
 pub use library::Library;
 pub use nidl::{NidlError, NidlParam, NidlType, Signature};
 pub use options::{DepStreamPolicy, Options, PrefetchPolicy, SchedulePolicy, StreamReusePolicy};
 pub use partition::{partition_batch, BatchPartition};
 pub use policy::{DeviceSelectionPolicy, PlacementCtx, PlacementPolicy};
-
-pub use context::ClusterStats;
-pub use gpu_sim::{
-    Cluster, DeviceProfile, EvictionPolicy, Grid, MemoryConfig, MemoryStats, NicKind, Topology,
-    TopologyKind,
-};
 
 #[cfg(test)]
 mod prop_tests;

@@ -59,11 +59,6 @@ impl Library {
         self.kernel.name()
     }
 
-    /// Whether calls participate in asynchronous scheduling.
-    pub fn is_stream_aware(&self) -> bool {
-        self.stream_aware
-    }
-
     /// Invoke the library function. Stream-aware: scheduled through the
     /// DAG like any kernel. Stream-oblivious: the device is drained
     /// before and after the call.
@@ -86,7 +81,6 @@ mod tests {
     use super::*;
     use crate::Options;
     use gpu_sim::DeviceProfile;
-    use kernels::util::{DOT, SCALE};
     use kernels::vec_ops::SQUARE;
 
     fn ctx() -> GrCuda {
@@ -146,41 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn library_calls_mix_with_kernels_in_the_dag() {
-        let g = ctx();
-        let n = 1 << 16;
-        let x = g.array_f32(n);
-        let y = g.array_f32(n);
-        let out = g.array_f32(1);
-        x.fill_f32(1.0);
-        // A stream-aware "cuBLAS-like" dot after a user kernel: the
-        // scheduler must chain them through y.
-        let scale = g.build_kernel(&SCALE).unwrap();
-        let cublas_dot = g.register_library(&DOT, G, true).unwrap();
-        scale
-            .launch(
-                G,
-                &[
-                    Arg::array(&x),
-                    Arg::array(&y),
-                    Arg::scalar(3.0),
-                    Arg::scalar(n as f64),
-                ],
-            )
-            .unwrap();
-        cublas_dot
-            .call(&[
-                Arg::array(&x),
-                Arg::array(&y),
-                Arg::array(&out),
-                Arg::scalar(n as f64),
-            ])
-            .unwrap();
-        assert_eq!(out.get_f32(0), n as f32 * 3.0);
-        assert!(g.races().is_empty());
-    }
-
-    #[test]
     fn library_validates_signatures() {
         let g = ctx();
         let x = g.array_f32(8);
@@ -190,7 +149,6 @@ mod tests {
             Err(LaunchError::ArityMismatch { .. })
         ));
         assert!(!format!("{lib:?}").is_empty());
-        assert!(lib.is_stream_aware());
         assert_eq!(lib.name(), "square");
     }
 }

@@ -54,7 +54,7 @@ impl NidlType {
     }
 
     /// The buffer type-name this NIDL type accepts (None = any).
-    pub fn buffer_type_name(self) -> Option<&'static str> {
+    pub(crate) fn buffer_type_name(self) -> Option<&'static str> {
         match self {
             NidlType::Float => Some("float"),
             NidlType::Double => Some("double"),
@@ -125,7 +125,7 @@ impl NidlParam {
     }
 
     /// Is this parameter a pure-`out` pointer (overwritten, never read)?
-    pub fn is_declared_out(&self) -> bool {
+    pub(crate) fn is_declared_out(&self) -> bool {
         matches!(
             self,
             NidlParam::Pointer {
@@ -156,7 +156,7 @@ pub struct NidlError {
 
 impl NidlError {
     /// 1-based column of the offending token (signatures are one line).
-    pub fn column(&self) -> usize {
+    fn column(&self) -> usize {
         self.offset + 1
     }
 }

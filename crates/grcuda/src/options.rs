@@ -171,11 +171,6 @@ impl Options {
         self.calibrate = on;
         self
     }
-
-    /// True for the parallel scheduler.
-    pub fn is_parallel(&self) -> bool {
-        self.schedule == SchedulePolicy::ParallelAsync
-    }
 }
 
 impl Default for Options {
@@ -195,7 +190,7 @@ mod tests {
         assert_eq!(o.stream_reuse, StreamReusePolicy::FifoReuse);
         assert_eq!(o.prefetch, PrefetchPolicy::Auto);
         assert!(o.visibility_restriction);
-        assert!(o.is_parallel());
+        assert_eq!(o.schedule, SchedulePolicy::ParallelAsync);
         assert!(!o.calibrate, "calibration is opt-in");
     }
 
@@ -209,7 +204,7 @@ mod tests {
     fn serial_baseline_never_prefetches() {
         let o = Options::serial();
         assert_eq!(o.prefetch, PrefetchPolicy::None);
-        assert!(!o.is_parallel());
+        assert_eq!(o.schedule, SchedulePolicy::SerialSync);
     }
 
     #[test]

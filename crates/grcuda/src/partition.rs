@@ -244,7 +244,7 @@ pub fn partition_batch(items: &[Vec<(u64, usize)>], nodes: usize) -> BatchPartit
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::device::BASE_CTX;
+    use crate::policy::BASE_CTX;
     use crate::policy::{PlacementCtx, PlacementPolicy};
 
     const MIB: usize = 1 << 20;

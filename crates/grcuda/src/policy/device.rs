@@ -78,13 +78,13 @@ impl PlacementCtx<'_> {
     /// Bytes that would have to *newly* land on a device to run this
     /// computation there: the argument set minus what is already
     /// resident on it.
-    pub fn needed_bytes(&self, device: usize) -> usize {
+    fn needed_bytes(&self, device: usize) -> usize {
         self.arg_bytes.saturating_sub(self.resident_bytes[device])
     }
 
     /// True when the computation's arguments fit the device's current
     /// headroom without evicting anything.
-    pub fn fits(&self, device: usize) -> bool {
+    fn fits(&self, device: usize) -> bool {
         self.needed_bytes(device) <= self.free_bytes[device]
     }
 
@@ -294,7 +294,7 @@ pub enum PlacementPolicy {
     /// memory-aware.
     Adaptive,
     /// Cluster-aware placement: honor the node hint the deterministic
-    /// batch partitioner assigned (see [`crate::partition`]), rank the
+    /// batch partitioner assigned (see [`crate::partition_batch`]), rank the
     /// node's GPUs like transfer-aware. Without a hint (single
     /// launches, single-node machines) it behaves exactly like
     /// [`PlacementPolicy::TransferAware`].

@@ -33,9 +33,12 @@
 //! never reorder conflicting accesses, because ordering always comes
 //! from the shared DAG.
 
-pub mod device;
+mod device;
 
 pub use device::{DeviceSelectionPolicy, PlacementCtx, PlacementPolicy};
+
+#[cfg(test)]
+pub(crate) use device::BASE_CTX;
 
 // Two test-only modules, named for what they assert; their paths are
 // the ids CI records these tests under.
@@ -44,7 +47,7 @@ pub use device::{DeviceSelectionPolicy, PlacementCtx, PlacementPolicy};
 #[cfg(test)]
 mod adaptive {
     mod tests {
-        use crate::policy::device::BASE_CTX;
+        use crate::policy::BASE_CTX;
         use crate::policy::{PlacementCtx, PlacementPolicy};
 
         fn root_ctx<'a>(

@@ -454,7 +454,7 @@ proptest! {
         pick in 0..1usize << 30,
     ) {
         use dag::{ArgAccess, ComputationDag, ElementKind, Reachability, Value};
-        use crate::audit::{audit_dag, EdgeView, EffectsTable, ScheduleViolation};
+        use crate::audit::{audit_dag, audit_without_edge, EdgeView, EffectsTable, ScheduleViolation};
         let mut d = ComputationDag::new();
         for (mask, written) in &ops {
             // One access per value; the `written` value writes, the rest
@@ -485,7 +485,7 @@ proptest! {
         }
         let k = load_bearing[pick % load_bearing.len()];
         let e = &d.edges()[k];
-        let report = audit_dag(&d, &effects, EdgeView::Without(k));
+        let report = audit_without_edge(&d, &effects, k);
         let names_the_pair = report.violations.iter().any(|v| matches!(
             v,
             ScheduleViolation::UnorderedConflict { first, second, .. }

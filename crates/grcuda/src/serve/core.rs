@@ -57,25 +57,11 @@ pub struct ArrayRef {
     pub(crate) index: u32,
 }
 
-impl ArrayRef {
-    /// The tenant that owns the array.
-    pub fn tenant(self) -> TenantId {
-        self.tenant
-    }
-}
-
 /// Handle to a built kernel inside a tenant's namespace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelRef {
     pub(crate) tenant: TenantId,
     pub(crate) index: u32,
-}
-
-impl KernelRef {
-    /// The tenant that owns the kernel.
-    pub fn tenant(self) -> TenantId {
-        self.tenant
-    }
 }
 
 /// Identifies one submitted request: the owning tenant plus a
@@ -716,7 +702,7 @@ impl ServiceCore {
     /// flight, complete the pipeline head) until the tenant has nothing
     /// queued or in flight. Other tenants' requests keep flowing —
     /// admission order is still the fairness policy's.
-    pub fn drain_tenant(&mut self, t: TenantId) -> Result<(), ServeError> {
+    pub(crate) fn drain_tenant(&mut self, t: TenantId) -> Result<(), ServeError> {
         self.tenant(t)?;
         loop {
             let queued = self.tenants[t.index()].queue.len();

@@ -80,7 +80,7 @@ impl Fairness {
 /// Global FIFO: the queued request that arrived earliest (any tenant)
 /// is admitted next; ties break toward the lower tenant id.
 #[derive(Debug, Default)]
-pub struct Fifo;
+struct Fifo;
 
 impl FairnessPolicy for Fifo {
     fn name(&self) -> &'static str {
@@ -101,14 +101,14 @@ impl FairnessPolicy for Fifo {
 /// queue can consume at most its weight share of each round before the
 /// cursor moves on, so well-behaved tenants keep their admission rate.
 #[derive(Debug, Default)]
-pub struct WeightedRoundRobin {
+struct WeightedRoundRobin {
     credit: Vec<u64>,
     cursor: usize,
 }
 
 impl WeightedRoundRobin {
     /// Fresh policy with no accumulated credit.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
@@ -151,7 +151,7 @@ impl FairnessPolicy for WeightedRoundRobin {
 /// no deadline sorts after every deadlined one; ties break by arrival
 /// time, then tenant id.
 #[derive(Debug, Default)]
-pub struct DeadlineAware;
+struct DeadlineAware;
 
 impl FairnessPolicy for DeadlineAware {
     fn name(&self) -> &'static str {

@@ -21,14 +21,16 @@
 //!   concurrently.
 //!
 //! Fairness under contention is pluggable via [`FairnessPolicy`]
-//! (global [`Fifo`], deficit [`WeightedRoundRobin`], and
-//! [`DeadlineAware`] earliest-deadline-first), mirroring how device
+//! (global [`Fairness::Fifo`], deficit [`Fairness::WeightedRoundRobin`],
+//! and [`Fairness::DeadlineAware`] earliest-deadline-first), mirroring
+//! how device
 //! placement is pluggable via
 //! [`DeviceSelectionPolicy`](crate::DeviceSelectionPolicy).
 //!
 //! ```
 //! use grcuda::serve::{ArgSpec, CallSpec, ElemKind, RequestSpec, ServeConfig, Server};
-//! use grcuda::{DeviceProfile, Grid, Options};
+//! use gpu_sim::{DeviceProfile, Grid};
+//! use grcuda::Options;
 //! use kernels::vec_ops::SQUARE;
 //!
 //! let server = Server::start(ServeConfig::new(
@@ -55,15 +57,13 @@
 //! server.shutdown();
 //! ```
 
-pub mod core;
-pub mod fairness;
-pub mod server;
+mod core;
+mod fairness;
+mod server;
 
 pub use self::core::{
     ArgSpec, ArrayRef, CallSpec, ElemKind, KernelRef, RequestId, RequestSpec, ServeConfig,
     ServeError, ServiceCore, TenantId, TenantStats,
 };
-pub use fairness::{
-    DeadlineAware, Fairness, FairnessCtx, FairnessPolicy, Fifo, WeightedRoundRobin,
-};
+pub use fairness::{Fairness, FairnessCtx, FairnessPolicy};
 pub use server::{Client, Server, ServiceReport};

@@ -153,11 +153,6 @@ pub struct Client {
 }
 
 impl Client {
-    /// The tenant this handle submits as.
-    pub fn tenant(&self) -> TenantId {
-        self.tenant
-    }
-
     fn rpc<T: Send + 'static>(
         &self,
         f: impl FnOnce(&mut ServiceCore, TenantId) -> Result<T, ServeError> + Send + 'static,
@@ -193,7 +188,8 @@ impl Client {
     ///
     /// ```
     /// use grcuda::serve::{ArgSpec, CallSpec, ElemKind, RequestSpec, ServeConfig, Server};
-    /// use grcuda::{DeviceProfile, Grid, Options};
+    /// use gpu_sim::{DeviceProfile, Grid};
+    /// use grcuda::Options;
     /// use kernels::util::SCALE;
     ///
     /// let server = Server::start(ServeConfig::new(

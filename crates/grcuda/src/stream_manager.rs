@@ -53,7 +53,7 @@ impl StreamManager {
 
     /// Outstanding first-child claims (a memory gauge: bounded by the
     /// live frontier once retirement forgets claims).
-    pub fn claims(&self) -> usize {
+    pub(crate) fn claims(&self) -> usize {
         self.claimed.len()
     }
 

@@ -60,8 +60,8 @@ fn bs_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let (strike, rate, vol, t) = params(scalars);
     let x = bufs[0].as_f64();
     let mut y = bufs[1].as_f64_mut();
-    for i in 0..n {
-        y[i] = price(x[i], strike, rate, vol, t);
+    for (y, &x) in y.iter_mut().zip(x.iter()).take(n) {
+        *y = price(x, strike, rate, vol, t);
     }
 }
 

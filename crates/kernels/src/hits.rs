@@ -34,6 +34,7 @@ fn spmv_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let vals = bufs[2].as_f32();
     let x = bufs[3].as_f32();
     let mut y = bufs[4].as_f32_mut();
+    let n = n.min(y.len()).min(rowptr.len().saturating_sub(1));
     for r in 0..n {
         let lo = rowptr[r] as usize;
         let hi = rowptr[r + 1] as usize;
@@ -96,8 +97,8 @@ fn divide_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let x = bufs[0].as_f32();
     let d = bufs[1].as_f32()[0].max(1e-12);
     let mut out = bufs[2].as_f32_mut();
-    for i in 0..n {
-        out[i] = x[i] / d;
+    for (out, x) in out.iter_mut().zip(x.iter()).take(n) {
+        *out = x / d;
     }
 }
 

@@ -173,8 +173,8 @@ fn unsharpen_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let img = bufs[0].as_f32();
     let blur = bufs[1].as_f32();
     let mut out = bufs[2].as_f32_mut();
-    for i in 0..n {
-        out[i] = (img[i] * (1.0 + amount) - blur[i] * amount).clamp(0.0, 1.0);
+    for ((out, img), blur) in out.iter_mut().zip(img.iter()).zip(blur.iter()).take(n) {
+        *out = (img * (1.0 + amount) - blur * amount).clamp(0.0, 1.0);
     }
 }
 
@@ -199,8 +199,9 @@ fn combine_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let y = bufs[1].as_f32();
     let m = bufs[2].as_f32();
     let mut out = bufs[3].as_f32_mut();
-    for i in 0..n {
-        out[i] = x[i] * m[i] + y[i] * (1.0 - m[i]);
+    let inputs = x.iter().zip(y.iter()).zip(m.iter());
+    for (out, ((x, y), m)) in out.iter_mut().zip(inputs).take(n) {
+        *out = x * m + y * (1.0 - m);
     }
 }
 
@@ -222,6 +223,7 @@ fn copy_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let n = s(scalars[0]);
     let x = bufs[0].as_f32();
     let mut out = bufs[1].as_f32_mut();
+    let n = n.min(x.len()).min(out.len());
     out[..n].copy_from_slice(&x[..n]);
 }
 

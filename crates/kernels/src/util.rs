@@ -44,8 +44,8 @@ fn axpy_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let n = s(scalars[1]);
     let x = bufs[0].as_f32();
     let mut y = bufs[1].as_f32_mut();
-    for i in 0..n {
-        y[i] += a * x[i];
+    for (y, x) in y.iter_mut().zip(x.iter()).take(n) {
+        *y += a * x;
     }
 }
 
@@ -68,8 +68,8 @@ fn scale_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let n = s(scalars[1]);
     let x = bufs[0].as_f32();
     let mut out = bufs[1].as_f32_mut();
-    for i in 0..n {
-        out[i] = a * x[i];
+    for (out, x) in out.iter_mut().zip(x.iter()).take(n) {
+        *out = a * x;
     }
 }
 
@@ -124,8 +124,12 @@ fn pin_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let sn = s(scalars[1]);
     let w = bufs[0].as_f32();
     let mut st = bufs[1].as_f32_mut();
-    for i in 0..sn {
-        st[i] = 0.5 * st[i] + 1e-6 * w[i % wn];
+    let wn = wn.min(w.len());
+    if wn == 0 {
+        return;
+    }
+    for (i, st) in st.iter_mut().enumerate().take(sn) {
+        *st = 0.5 * *st + 1e-6 * w[i % wn];
     }
 }
 
@@ -157,8 +161,12 @@ fn join_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let a = bufs[0].as_f32();
     let st = bufs[1].as_f32();
     let mut j = bufs[2].as_f32_mut();
-    for i in 0..jn {
-        j[i] = a[(3 * i + 1) % an] + st[(5 * i + 2) % sn];
+    let (an, sn) = (an.min(a.len()), sn.min(st.len()));
+    if an == 0 || sn == 0 {
+        return;
+    }
+    for (i, j) in j.iter_mut().enumerate().take(jn) {
+        *j = a[(3 * i + 1) % an] + st[(5 * i + 2) % sn];
     }
 }
 
@@ -180,7 +188,9 @@ pub static COPY_F32: KernelDef = KernelDef {
 fn copy_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let n = s(scalars[0]);
     let x = bufs[0].as_f32();
-    bufs[1].as_f32_mut()[..n].copy_from_slice(&x[..n]);
+    let mut out = bufs[1].as_f32_mut();
+    let n = n.min(x.len()).min(out.len());
+    out[..n].copy_from_slice(&x[..n]);
 }
 
 fn copy_cost(bufs: &[DataBuffer], _scalars: &[f64]) -> KernelCost {
@@ -204,36 +214,14 @@ fn scale_i32_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let n = s(scalars[1]);
     let x = bufs[0].as_i32();
     let mut out = bufs[1].as_i32_mut();
-    for i in 0..n {
-        out[i] = (a * x[i] as i64).clamp(i32::MIN as i64, i32::MAX as i64) as i32;
+    for (out, &x) in out.iter_mut().zip(x.iter()).take(n) {
+        *out = (a * x as i64).clamp(i32::MIN as i64, i32::MAX as i64) as i32;
     }
 }
 
 fn scale_i32_cost(bufs: &[DataBuffer], _scalars: &[f64]) -> KernelCost {
     let n = bufs[0].len() as f64;
     streaming_f32(n, n, 1.0)
-}
-
-/// `memset_u8(x, value, n)`: fill a byte (`char`) array with a constant.
-pub static MEMSET_U8: KernelDef = KernelDef {
-    name: "memset_u8",
-    nidl: "pointer char, float, sint32",
-    func: memset_u8_func,
-    cost: memset_u8_cost,
-    writes: &[true],
-};
-
-fn memset_u8_func(bufs: &[DataBuffer], scalars: &[f64]) {
-    let value = scalars[0] as u8;
-    let n = s(scalars[1]);
-    for v in bufs[0].as_u8_mut().iter_mut().take(n) {
-        *v = value;
-    }
-}
-
-fn memset_u8_cost(bufs: &[DataBuffer], _scalars: &[f64]) -> KernelCost {
-    // Byte elements: a quarter of the f32 streaming traffic.
-    streaming_f32(0.0, bufs[0].len() as f64 / 4.0, 0.0)
 }
 
 /// `threshold_u8(x, out, t, n)`: binarize a byte image,
@@ -252,8 +240,8 @@ fn threshold_u8_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let n = s(scalars[1]);
     let x = bufs[0].as_u8();
     let mut out = bufs[1].as_u8_mut();
-    for i in 0..n {
-        out[i] = if x[i] >= t { 255 } else { 0 };
+    for (out, &x) in out.iter_mut().zip(x.iter()).take(n) {
+        *out = if x >= t { 255 } else { 0 };
     }
 }
 
@@ -276,13 +264,6 @@ mod tests {
         let x = DataBuffer::f32_zeros(3);
         memset_func(std::slice::from_ref(&x), &[2.5, 3.0]);
         assert_eq!(*x.as_f32(), vec![2.5; 3]);
-    }
-
-    #[test]
-    fn memset_u8_fills() {
-        let x = DataBuffer::new(TypedData::U8(vec![0; 4]));
-        memset_u8_func(std::slice::from_ref(&x), &[9.0, 3.0]);
-        assert_eq!(*x.as_u8(), vec![9, 9, 9, 0]);
     }
 
     #[test]

@@ -18,36 +18,6 @@ pub struct PathNode {
     pub deps: Vec<usize>,
 }
 
-/// Busy time per device: the union of each device's kernel/transfer
-/// intervals (overlap counted once), in device order. On a multi-GPU
-/// schedule this is the per-device utilization report, and its maximum
-/// ([`device_busy_bound`]) lower-bounds the makespan the same way the
-/// dependency critical path does: no placement can finish before the
-/// busiest device drains.
-pub fn per_device_busy(tl: &gpu_sim::Timeline) -> Vec<(u32, f64)> {
-    use crate::interval_ops::covered_at_least;
-    tl.devices_used()
-        .into_iter()
-        .map(|d| {
-            let spans: Vec<(f64, f64)> = tl
-                .of_device(d)
-                .filter(|iv| iv.kind == gpu_sim::TaskKind::Kernel || iv.kind.is_transfer())
-                .map(|iv| (iv.start, iv.end))
-                .collect();
-            (d, covered_at_least(&spans, 1))
-        })
-        .collect()
-}
-
-/// The busiest device's busy time — a placement-independent lower bound
-/// on the multi-GPU makespan (see [`per_device_busy`]).
-pub fn device_busy_bound(tl: &gpu_sim::Timeline) -> f64 {
-    per_device_busy(tl)
-        .into_iter()
-        .map(|(_, b)| b)
-        .fold(0.0, f64::max)
-}
-
 /// Longest-path finish time over a topologically-ordered DAG.
 ///
 /// # Panics
@@ -107,29 +77,5 @@ mod tests {
     fn forward_dependency_panics() {
         let g = [n(1.0, &[1]), n(1.0, &[])];
         critical_path(&g);
-    }
-
-    #[test]
-    fn device_busy_accounts_overlap_once_per_device() {
-        use gpu_sim::{Interval, TaskKind, TaskMeta, Timeline};
-        let mut t = Timeline::new();
-        for (i, (device, start, end)) in [(0u32, 0.0, 2.0), (0, 1.0, 3.0), (1, 0.0, 1.0)]
-            .into_iter()
-            .enumerate()
-        {
-            t.push_for_test(Interval {
-                task: i as u32,
-                kind: TaskKind::Kernel,
-                stream: i as u32,
-                device,
-                link: None,
-                label: format!("k{i}"),
-                start,
-                end,
-                meta: TaskMeta::default(),
-            });
-        }
-        assert_eq!(per_device_busy(&t), vec![(0, 3.0), (1, 1.0)]);
-        assert_eq!(device_busy_bound(&t), 3.0);
     }
 }

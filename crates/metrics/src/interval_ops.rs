@@ -1,10 +1,10 @@
 //! Set operations over time intervals `[start, end)`.
 
 /// A half-open time interval.
-pub type Span = (f64, f64);
+pub(crate) type Span = (f64, f64);
 
 /// Merge overlapping/touching intervals into a sorted disjoint union.
-pub fn union(mut spans: Vec<Span>) -> Vec<Span> {
+pub(crate) fn union(mut spans: Vec<Span>) -> Vec<Span> {
     spans.retain(|s| s.1 > s.0);
     spans.sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut out: Vec<Span> = Vec::with_capacity(spans.len());
@@ -17,14 +17,9 @@ pub fn union(mut spans: Vec<Span>) -> Vec<Span> {
     out
 }
 
-/// Total measure of a disjoint union.
-pub fn measure(spans: &[Span]) -> f64 {
-    spans.iter().map(|s| s.1 - s.0).sum()
-}
-
 /// Measure of the intersection between one interval and a disjoint
 /// union.
-pub fn overlap_with(span: Span, disjoint: &[Span]) -> f64 {
+pub(crate) fn overlap_with(span: Span, disjoint: &[Span]) -> f64 {
     let mut acc = 0.0;
     for &(a, b) in disjoint {
         if b <= span.0 {
@@ -40,7 +35,7 @@ pub fn overlap_with(span: Span, disjoint: &[Span]) -> f64 {
 
 /// Time covered by at least `k` of the given (possibly overlapping)
 /// intervals.
-pub fn covered_at_least(spans: &[Span], k: usize) -> f64 {
+pub(crate) fn covered_at_least(spans: &[Span], k: usize) -> f64 {
     let mut events: Vec<(f64, i32)> = Vec::with_capacity(spans.len() * 2);
     for &(a, b) in spans {
         if b > a {
@@ -65,6 +60,11 @@ pub fn covered_at_least(spans: &[Span], k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Total measure of a disjoint union.
+    pub(super) fn measure(spans: &[Span]) -> f64 {
+        spans.iter().map(|s| s.1 - s.0).sum()
+    }
 
     #[test]
     fn union_merges_overlaps() {
@@ -106,6 +106,7 @@ mod tests {
 
 #[cfg(test)]
 mod prop {
+    use super::tests::measure;
     use super::*;
     use proptest::prelude::*;
 

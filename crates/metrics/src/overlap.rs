@@ -36,30 +36,6 @@ impl OverlapMetrics {
         )
     }
 
-    /// Overlap classes restricted to one device's intervals — the
-    /// per-device utilization view of a multi-GPU schedule.
-    pub fn for_device(tl: &Timeline, device: u32) -> OverlapMetrics {
-        Self::from_spans(
-            tl.of_device(device)
-                .filter(|iv| iv.kind == gpu_sim::TaskKind::Kernel)
-                .map(|iv| (iv.start, iv.end))
-                .collect(),
-            tl.of_device(device)
-                .filter(|iv| iv.kind.is_transfer())
-                .map(|iv| (iv.start, iv.end))
-                .collect(),
-        )
-    }
-
-    /// Per-device overlap metrics for every device that carried GPU
-    /// work, in device order.
-    pub fn per_device(tl: &Timeline) -> Vec<(u32, OverlapMetrics)> {
-        tl.devices_used()
-            .into_iter()
-            .map(|d| (d, Self::for_device(tl, d)))
-            .collect()
-    }
-
     fn from_spans(kernels: Vec<Span>, transfers: Vec<Span>) -> OverlapMetrics {
         let kernel_total: f64 = kernels.iter().map(|s| s.1 - s.0).sum();
         let transfer_total: f64 = transfers.iter().map(|s| s.1 - s.0).sum();
@@ -196,38 +172,5 @@ mod tests {
     fn empty_timeline_is_all_zero() {
         let m = OverlapMetrics::from_timeline(&Timeline::new());
         assert_eq!(m, OverlapMetrics::default());
-    }
-
-    #[test]
-    fn per_device_metrics_split_by_device() {
-        let mut t = Timeline::new();
-        // Device 0: kernel fully overlapped by a transfer. Device 1: a
-        // lone kernel. Mixing them would dilute device 0's CT.
-        for (i, (kind, device, start, end)) in [
-            (TaskKind::Kernel, 0u32, 0.0, 2.0),
-            (TaskKind::CopyH2D, 0, 0.0, 2.0),
-            (TaskKind::Kernel, 1, 0.0, 2.0),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            t.push_for_test(Interval {
-                task: i as u32,
-                kind,
-                stream: i as u32,
-                device,
-                link: None,
-                label: format!("op{i}"),
-                start,
-                end,
-                meta: TaskMeta::default(),
-            });
-        }
-        let per = OverlapMetrics::per_device(&t);
-        assert_eq!(per.len(), 2);
-        assert_eq!(per[0].0, 0);
-        assert!((per[0].1.ct - 1.0).abs() < 1e-12);
-        assert_eq!(per[1].0, 1);
-        assert_eq!(per[1].1, OverlapMetrics::default(), "no overlap on dev 1");
     }
 }

@@ -31,12 +31,12 @@
 //!
 //! Run: `cargo run --release --example soak_service`
 
-use gpu_sim::DeviceProfile;
+use gpu_sim::{DeviceProfile, Grid};
 use grcuda::serve::{
     ArgSpec, ArrayRef, CallSpec, ElemKind, Fairness, KernelRef, RequestSpec, ServeConfig, Server,
     TenantStats,
 };
-use grcuda::{Grid, Options};
+use grcuda::Options;
 use kernels::util::{AXPY, SCALE};
 use kernels::vec_ops::{REDUCE_SUM_DIFF, SQUARE};
 use metrics::LatencySummary;

@@ -17,9 +17,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use gpu_sim::{DeviceProfile, EvictionPolicy, Grid, MemoryConfig, NicKind, TopologyKind};
+use gpu_sim::{Cluster, DeviceProfile, EvictionPolicy, Grid, MemoryConfig, NicKind, TopologyKind};
 use grcuda::serve::{ArgSpec, CallSpec, ElemKind, RequestSpec, ServeConfig, ServiceCore};
-use grcuda::{Arg, Cluster, GrCuda, Options, PlacementPolicy};
+use grcuda::{Arg, GrCuda, Options, PlacementPolicy};
 use kernels::util::SCALE;
 
 mod common;

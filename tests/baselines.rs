@@ -2,7 +2,7 @@
 //! events, CUDA Graphs manual, CUDA Graphs capture) compute exactly the
 //! same results as the GrCUDA scheduler, race-free.
 
-use benchmarks::{run_graph_capture, run_graph_manual, run_grcuda, run_handtuned, scales, Bench};
+use benchmarks::{run_graph_capture, run_graph_manual, run_grcuda, run_handtuned, tiny, Bench};
 use gpu_sim::DeviceProfile;
 use grcuda::Options;
 
@@ -10,7 +10,7 @@ use grcuda::Options;
 fn all_baselines_validate_on_all_benchmarks() {
     let dev = DeviceProfile::gtx1660_super();
     for b in Bench::ALL {
-        let spec = b.build(scales::tiny(b));
+        let spec = b.build(tiny(b));
         run_handtuned(&spec, &dev, true, 2).assert_ok();
         run_handtuned(&spec, &dev, false, 2).assert_ok();
         run_graph_manual(&spec, &dev, 2).assert_ok();
@@ -23,7 +23,7 @@ fn baselines_validate_on_pre_pascal_hardware() {
     // The GTX 960 path uses eager copies instead of fault migrations.
     let dev = DeviceProfile::gtx960();
     for b in [Bench::Vec, Bench::Img, Bench::Hits] {
-        let spec = b.build(scales::tiny(b));
+        let spec = b.build(tiny(b));
         run_handtuned(&spec, &dev, true, 2).assert_ok();
         run_graph_manual(&spec, &dev, 2).assert_ok();
         run_graph_capture(&spec, &dev, 2).assert_ok();
@@ -33,7 +33,7 @@ fn baselines_validate_on_pre_pascal_hardware() {
 #[test]
 fn graph_replay_is_deterministic() {
     let dev = DeviceProfile::tesla_p100();
-    let spec = Bench::Ml.build(scales::tiny(Bench::Ml));
+    let spec = Bench::Ml.build(tiny(Bench::Ml));
     let a = run_graph_manual(&spec, &dev, 3);
     let b = run_graph_manual(&spec, &dev, 3);
     a.assert_ok();

@@ -7,7 +7,7 @@
 //! map and the DAG's stored vertex set bounded by the live frontier,
 //! while the lifetime counters keep growing.
 
-use benchmarks::{grcuda_arrays, scales, Bench, PlanArg};
+use benchmarks::{grcuda_arrays, tiny, Bench, PlanArg};
 use gpu_sim::{DeviceProfile, Grid, MemoryConfig, Topology};
 use grcuda::{Arg, DeviceArray, GrCuda, Options, PlacementPolicy};
 use kernels::util::SCALE;
@@ -37,7 +37,7 @@ fn copy_args(src: &DeviceArray, dst: &DeviceArray) -> [Arg; 4] {
 /// Drive `cycles` full passes of a suite's kernel chain with a sync at
 /// the end of each, returning the peak stored-vertex count observed.
 fn soak(b: Bench, cycles: usize) -> usize {
-    let spec = b.build(scales::tiny(b));
+    let spec = b.build(tiny(b));
     let g = GrCuda::new(DeviceProfile::tesla_p100(), Options::parallel());
     let arrays = grcuda_arrays(&g, &spec);
     let kernels: Vec<_> = spec
@@ -88,7 +88,7 @@ fn soak(b: Bench, cycles: usize) -> usize {
 #[test]
 fn every_suite_keeps_scheduler_state_bounded() {
     for b in Bench::ALL {
-        let spec = b.build(scales::tiny(b));
+        let spec = b.build(tiny(b));
         let peak = soak(b, 25);
         // Between syncs at most one cycle of ops is stored (live chain +
         // retired garbage below the compaction threshold).
@@ -186,7 +186,7 @@ fn history_is_bounded_by_configurations_not_by_launches() {
     // 10 000 launches of one kernel at one grid: every one is a sample,
     // all of them in a single (block size, size bucket) cell — the
     // store's size is asserted where it is visible, in
-    // `gpu_sim::calibrate`'s tests; here the whole stack must agree on
+    // `crates/gpu-sim/src/calibrate.rs`'s tests; here the whole stack must agree on
     // the count with nothing left behind on the scheduler side.
     let g = GrCuda::new(DeviceProfile::tesla_p100(), Options::parallel());
     use kernels::vec_ops::SQUARE;
@@ -231,7 +231,7 @@ fn multi_gpu_soak_drains_all_scheduler_maps_after_every_sync() {
         PlacementPolicy::StreamAware,
     ] {
         for b in [Bench::Vec, Bench::Ml] {
-            let spec = b.build(scales::tiny(b));
+            let spec = b.build(tiny(b));
             let m = machine(MemoryConfig::default(), policy);
             let arrays = grcuda_arrays(&m, &spec);
             let kernels: Vec<_> = spec
@@ -353,8 +353,8 @@ fn cluster_soak_drains_the_cluster_section_after_every_sync() {
     // 2-node cluster must leave the cluster section of scheduler_stats
     // drained after each sync — per-node in-flight work back to zero —
     // while the partition and cross-node counters stay monotone.
-    use gpu_sim::TopologyKind;
-    use grcuda::{BatchLaunch, Cluster, NicKind};
+    use gpu_sim::{Cluster, NicKind, TopologyKind};
+    use grcuda::BatchLaunch;
 
     let cluster = Cluster::new(2, 2, TopologyKind::PcieOnly, NicKind::Ethernet25g);
     let m = GrCuda::with_cluster(

@@ -2,14 +2,14 @@
 //! match the structures the paper draws in Fig. 6 — without ever being
 //! told the plan's explicit edges.
 
-use benchmarks::{scales, Bench, PlanArg};
+use benchmarks::{tiny, Bench, PlanArg};
 use gpu_sim::{DeviceProfile, Grid, TopologyKind};
 use grcuda::{Arg, GrCuda, Options, PlacementPolicy, PrefetchPolicy};
 
 /// Replay a benchmark through the scheduler and return (DAG size,
 /// inferred edges as (from, to) pairs over op indices).
 fn inferred_structure(b: Bench) -> (usize, Vec<(usize, usize)>) {
-    let spec = b.build(scales::tiny(b));
+    let spec = b.build(tiny(b));
     let g = GrCuda::new(DeviceProfile::tesla_p100(), Options::parallel());
     let arrays = benchmarks::grcuda_arrays(&g, &spec);
     // Vertex ids of kernel ops, in launch order. (CPU writes during
@@ -77,7 +77,7 @@ fn inferred_edges_cover_every_planned_edge() {
     // declares (it may add equivalent transitive edges but must never
     // miss a required ordering).
     for b in Bench::ALL {
-        let spec = b.build(scales::tiny(b));
+        let spec = b.build(tiny(b));
         let (_, edges) = inferred_structure(b);
         for (i, op) in spec.ops.iter().enumerate() {
             for &d in &op.deps {
@@ -126,6 +126,44 @@ fn reachable(edges: &[(usize, usize)], from: usize, to: usize) -> bool {
         }
     }
     false
+}
+
+/// Library calls (§IV-A) are vertices like any kernel: a stream-aware
+/// "cuBLAS-like" dot after a user kernel is chained through the array
+/// they share.
+#[test]
+fn library_calls_mix_with_kernels_in_the_dag() {
+    use kernels::util::{DOT, SCALE};
+    let g = GrCuda::new(DeviceProfile::tesla_p100(), Options::parallel());
+    let grid = Grid::d1(64, 256);
+    let n = 1 << 16;
+    let x = g.array_f32(n);
+    let y = g.array_f32(n);
+    let out = g.array_f32(1);
+    x.fill_f32(1.0);
+    let scale = g.build_kernel(&SCALE).unwrap();
+    let cublas_dot = g.register_library(&DOT, grid, true).unwrap();
+    scale
+        .launch(
+            grid,
+            &[
+                Arg::array(&x),
+                Arg::array(&y),
+                Arg::scalar(3.0),
+                Arg::scalar(n as f64),
+            ],
+        )
+        .unwrap();
+    cublas_dot
+        .call(&[
+            Arg::array(&x),
+            Arg::array(&y),
+            Arg::array(&out),
+            Arg::scalar(n as f64),
+        ])
+        .unwrap();
+    assert_eq!(out.get_f32(0), n as f32 * 3.0);
+    assert!(g.races().is_empty());
 }
 
 /// A `scale` chain under round-robin placement on `topo`: kernel `i`

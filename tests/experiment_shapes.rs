@@ -4,7 +4,7 @@
 //! `trajectory`).
 
 use benchmarks::{
-    contention_free_time_warm, run_graph_manual, run_grcuda, run_handtuned, Bench, RunResult,
+    contention_free_time, run_graph_manual, run_grcuda, run_handtuned, Bench, RunResult,
 };
 use gpu_sim::DeviceProfile;
 use grcuda::Options;
@@ -104,7 +104,7 @@ fn fig9_bound_is_a_lower_bound_and_bs_contends_hardest() {
     let mut rels = Vec::new();
     for b in Bench::ALL {
         let spec = b.build(test_scale(b));
-        let bound = contention_free_time_warm(&spec, &dev);
+        let bound = contention_free_time(&spec, &dev, true);
         let par = run_grcuda(&spec, &dev, Options::parallel(), 2);
         par.assert_ok();
         let rel = bound / steady(&par);

@@ -71,7 +71,7 @@ fn autotuner_explores_then_converges() {
     );
 
     // And the tuned configuration is at least as fast as the worst one.
-    let worst = gpu_sim::calibrate::CANDIDATE_BLOCK_SIZES
+    let worst = gpu_sim::CANDIDATE_BLOCK_SIZES
         .iter()
         .filter_map(|&b| g.mean_kernel_duration("square", b, n))
         .fold(0.0f64, f64::max);

@@ -5,7 +5,7 @@
 //! tests disable dependency inference and check that dependent
 //! benchmarks are flagged.
 
-use benchmarks::{run_grcuda, scales, Bench};
+use benchmarks::{run_grcuda, tiny, Bench};
 use gpu_sim::DeviceProfile;
 use grcuda::Options;
 
@@ -29,7 +29,7 @@ fn broken_scheduler_races_on_every_dependent_benchmark() {
     for b in [Bench::Vec, Bench::Img, Bench::Ml, Bench::Hits, Bench::Dl] {
         // Large enough that kernels are still in flight when their
         // (ignored) dependents launch.
-        let scale = scales::tiny(b) * 8;
+        let scale = tiny(b) * 8;
         let spec = b.build(scale);
         let r = run_grcuda(&spec, &DeviceProfile::tesla_p100(), broken(), 1);
         assert!(
@@ -45,7 +45,7 @@ fn independent_benchmark_survives_broken_scheduler() {
     // B&S has no inter-kernel dependencies at all: even the broken
     // scheduler is correct on it. This guards against the race detector
     // over-reporting.
-    let spec = Bench::Bs.build(scales::tiny(Bench::Bs) * 8);
+    let spec = Bench::Bs.build(tiny(Bench::Bs) * 8);
     let r = run_grcuda(&spec, &DeviceProfile::tesla_p100(), broken(), 1);
     assert_eq!(
         r.races, 0,
@@ -58,7 +58,7 @@ fn independent_benchmark_survives_broken_scheduler() {
 fn correct_scheduler_is_race_free_at_the_same_scales() {
     // The positive control for the negative control.
     for b in [Bench::Vec, Bench::Img, Bench::Ml, Bench::Hits, Bench::Dl] {
-        let spec = b.build(scales::tiny(b) * 8);
+        let spec = b.build(tiny(b) * 8);
         let r = run_grcuda(&spec, &DeviceProfile::tesla_p100(), Options::parallel(), 1);
         r.assert_ok();
     }

@@ -5,13 +5,15 @@
 mod common;
 
 use benchmarks::{
-    cluster_run, mixed_makespans, oversub_capacity, oversubscribe, run_grcuda, run_multi_gpu,
-    scales, transfer_chain, Bench, ClusterSuite, MixedScale,
+    cluster_run, mixed_makespans, oversub_capacity, oversubscribe, run_grcuda, run_multi_gpu, tiny,
+    transfer_chain, Bench, ClusterSuite, MixedScale,
 };
-use gpu_sim::{DeviceProfile, EvictionPolicy, Grid, MemoryConfig, Topology, TopologyKind};
+use gpu_sim::{
+    Cluster, DeviceProfile, EvictionPolicy, Grid, MemoryConfig, NicKind, Topology, TopologyKind,
+};
 use grcuda::{
-    Arg, Cluster, DepStreamPolicy, DeviceArray, GrCuda, NicKind, Options, PlacementPolicy,
-    PrefetchPolicy, StreamReusePolicy,
+    Arg, DepStreamPolicy, DeviceArray, GrCuda, Options, PlacementPolicy, PrefetchPolicy,
+    StreamReusePolicy,
 };
 
 /// `n` Tesla P100s on an interconnect preset.
@@ -34,7 +36,7 @@ fn double_args(src: &DeviceArray, dst: &DeviceArray) -> [Arg; 4] {
 #[test]
 fn every_policy_combination_is_correct() {
     let dev = DeviceProfile::tesla_p100();
-    let spec = Bench::Ml.build(scales::tiny(Bench::Ml));
+    let spec = Bench::Ml.build(tiny(Bench::Ml));
     for dep in [
         DepStreamPolicy::FirstChildOnParent,
         DepStreamPolicy::AlwaysParent,
@@ -59,7 +61,7 @@ fn every_policy_combination_is_correct() {
 fn visibility_restriction_toggle_is_correct_on_maxwell() {
     let dev = DeviceProfile::gtx960();
     for b in [Bench::Vec, Bench::Hits] {
-        let spec = b.build(scales::tiny(b));
+        let spec = b.build(tiny(b));
         for vis in [true, false] {
             let opts = Options::parallel().with_visibility_restriction(vis);
             run_grcuda(&spec, &dev, opts, 2).assert_ok();
@@ -160,7 +162,7 @@ fn transfer_aware_beats_byte_count_locality_on_an_nvlink_pair() {
     // while all three compute identical results.
     let n = 1 << 18;
     let iters = 8;
-    let run = |p| transfer_chain(p, TopologyKind::NvlinkPair, n, iters);
+    let run = |p| transfer_chain(p, TopologyKind::NvlinkPair, n, iters, Options::parallel());
     let rr = run(PlacementPolicy::RoundRobin);
     let loc = run(PlacementPolicy::LocalityAware);
     let ta = run(PlacementPolicy::TransferAware);
@@ -366,7 +368,7 @@ fn peer_links_accelerate_migration_heavy_schedules() {
     // that migrates every iteration, and its migrations must actually
     // ride the peer links.
     let n = 1 << 18;
-    let run = |t| transfer_chain(PlacementPolicy::LocalityAware, t, n, 8);
+    let run = |t| transfer_chain(PlacementPolicy::LocalityAware, t, n, 8, Options::parallel());
     let pcie = run(TopologyKind::PcieOnly);
     let nvswitch = run(TopologyKind::FullyConnected);
     assert!(pcie.migrations.0 > 0, "the workload must migrate under LA");
@@ -402,6 +404,7 @@ fn memory_aware_cost_aware_beats_transfer_aware_lru_when_oversubscribed() {
         cap,
         n,
         iters,
+        Options::parallel(),
     );
     let blind = oversubscribe(
         PlacementPolicy::TransferAware,
@@ -409,6 +412,7 @@ fn memory_aware_cost_aware_beats_transfer_aware_lru_when_oversubscribed() {
         cap,
         n,
         iters,
+        Options::parallel(),
     );
     assert_eq!(aware.races, 0);
     assert_eq!(blind.races, 0);
@@ -444,7 +448,16 @@ fn cost_aware_eviction_spills_strictly_less_than_lru_at_fixed_placement() {
     // so its spill traffic must be strictly lower than LRU's.
     let n = 1 << 16;
     let cap = Some(oversub_capacity(n));
-    let run = |ev| oversubscribe(PlacementPolicy::MemoryAware, ev, cap, n, 4);
+    let run = |ev| {
+        oversubscribe(
+            PlacementPolicy::MemoryAware,
+            ev,
+            cap,
+            n,
+            4,
+            Options::parallel(),
+        )
+    };
     let cost = run(EvictionPolicy::CostAware);
     let lru = run(EvictionPolicy::Lru);
     assert!(lru.spilled_bytes > 0, "LRU must pay dirty spills: {lru:?}");
@@ -469,6 +482,7 @@ fn unlimited_capacity_is_bit_identical_and_eviction_free() {
         None,
         n,
         2,
+        Options::parallel(),
     );
     assert_eq!(unlimited.evictions, 0);
     assert_eq!(unlimited.spilled_bytes, 0);
@@ -478,6 +492,7 @@ fn unlimited_capacity_is_bit_identical_and_eviction_free() {
         Some(oversub_capacity(n)),
         n,
         2,
+        Options::parallel(),
     );
     assert!(limited.evictions > 0, "finite capacity must evict here");
     assert_eq!(unlimited.checksum, limited.checksum);
@@ -673,12 +688,12 @@ fn placement_policies_compute_identical_results_on_every_suite() {
     // bit-exactly against the same sequential CPU reference).
     let dev = DeviceProfile::tesla_p100();
     for b in Bench::ALL {
-        let spec = b.build(scales::tiny(b));
+        let spec = b.build(tiny(b));
         for policy in PlacementPolicy::ALL {
-            let r = run_multi_gpu(&spec, &dev, Options::parallel(), 4, policy, 2).unwrap();
-            assert_eq!(r.run.races, 0, "{} {policy:?}", spec.name);
-            r.run
-                .valid
+            let topo = Topology::pcie_only(4, &dev);
+            let r = run_multi_gpu(&spec, &dev, Options::parallel(), topo, policy, 2).unwrap();
+            assert_eq!(r.races, 0, "{} {policy:?}", spec.name);
+            r.valid
                 .as_ref()
                 .unwrap_or_else(|e| panic!("{} {policy:?}: {e}", spec.name));
         }
@@ -741,7 +756,7 @@ fn adaptive_matches_the_best_static_policy_on_every_suite_of_the_mixed_workload(
 #[test]
 fn always_new_stream_policy_creates_more_streams() {
     let dev = DeviceProfile::tesla_p100();
-    let spec = Bench::Bs.build(scales::tiny(Bench::Bs) * 16);
+    let spec = Bench::Bs.build(tiny(Bench::Bs) * 16);
     let fifo = run_grcuda(&spec, &dev, Options::parallel(), 2);
     let fresh = run_grcuda(
         &spec,

@@ -3,7 +3,7 @@
 //! central correctness claim ("the host code can be written as if it
 //! were run sequentially").
 
-use benchmarks::{run_grcuda, scales, Bench};
+use benchmarks::{run_grcuda, tiny, Bench};
 use gpu_sim::DeviceProfile;
 use grcuda::Options;
 
@@ -11,7 +11,7 @@ use grcuda::Options;
 fn every_benchmark_matches_the_reference_on_every_device() {
     for dev in DeviceProfile::paper_devices() {
         for b in Bench::ALL {
-            let spec = b.build(scales::tiny(b));
+            let spec = b.build(tiny(b));
             for opts in [Options::serial(), Options::parallel()] {
                 let r = run_grcuda(&spec, &dev, opts, 2);
                 assert_eq!(r.races, 0, "{} on {}: races", b.name(), dev.name);
@@ -29,7 +29,7 @@ fn parallel_and_serial_produce_bitwise_identical_outputs() {
     // compare their final arrays directly.
     let dev = DeviceProfile::tesla_p100();
     for b in Bench::ALL {
-        let spec = b.build(scales::tiny(b));
+        let spec = b.build(tiny(b));
         let reference = benchmarks::runners::reference_after_iters(&spec, 2);
         for opts in [Options::serial(), Options::parallel()] {
             let r = run_grcuda(&spec, &dev, opts, 2);
@@ -43,7 +43,7 @@ fn parallel_and_serial_produce_bitwise_identical_outputs() {
 fn multi_iteration_streaming_stays_correct() {
     let dev = DeviceProfile::gtx1660_super();
     for b in [Bench::Vec, Bench::Bs, Bench::Ml] {
-        let spec = b.build(scales::tiny(b));
+        let spec = b.build(tiny(b));
         run_grcuda(&spec, &dev, Options::parallel(), 5).assert_ok();
     }
 }
@@ -54,7 +54,7 @@ fn iterative_in_place_benchmarks_stay_correct_across_iterations() {
     // hardest case for dependency inference.
     let dev = DeviceProfile::tesla_p100();
     for b in [Bench::Hits, Bench::Img] {
-        let spec = b.build(scales::tiny(b));
+        let spec = b.build(tiny(b));
         run_grcuda(&spec, &dev, Options::parallel(), 4).assert_ok();
     }
 }

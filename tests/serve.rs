@@ -3,13 +3,12 @@
 //! device memory, fairness-policy latency behavior, and the threaded
 //! `Server`/`Client` front-end under genuinely concurrent submitters.
 
+use gpu_sim::{DeviceProfile, EvictionPolicy, Grid, MemoryConfig, TopologyKind};
 use grcuda::serve::{
     ArgSpec, CallSpec, Client, ElemKind, Fairness, RequestSpec, ServeConfig, ServeError, Server,
     ServiceCore,
 };
-use grcuda::{
-    DeviceProfile, EvictionPolicy, Grid, MemoryConfig, Options, PlacementPolicy, TopologyKind,
-};
+use grcuda::{Options, PlacementPolicy};
 use kernels::util::{AXPY, SCALE};
 use kernels::vec_ops::SQUARE;
 use metrics::LatencySummary;
@@ -456,11 +455,26 @@ fn malformed_requests_fail_cleanly() {
         deadline_us: Some(10.0),
     };
     core.submit(t, no_op).unwrap();
+    // A length past the end of the arrays cannot be refused (the
+    // service does not know which scalar is a length): it is admitted,
+    // and the kernel stops at its shortest buffer instead of taking the
+    // pump down for both tenants when virtual time reaches it.
+    let y = core.alloc(t, ElemKind::F32, 16).unwrap();
+    let long = RequestSpec {
+        calls: chain(1, k, k, x, y, 4096),
+        deadline_us: None,
+    };
+    core.submit(t, long).unwrap();
     core.drain_all();
     assert_eq!(core.tenant_stats(other).unwrap().completed, 1);
-    assert_eq!(core.tenant_stats(t).unwrap().completed, 1);
+    assert_eq!(core.tenant_stats(t).unwrap().completed, 2);
     assert_eq!(core.read(other, oy, 3).unwrap(), 3.0);
     assert_eq!(core.read(t, x, 3).unwrap(), 3.0, "nothing squared");
+    assert_eq!(
+        core.read(t, y, 15).unwrap(),
+        4.5,
+        "scaled to the last element"
+    );
     // Empty request.
     assert!(matches!(
         core.submit(t, RequestSpec::default()),
