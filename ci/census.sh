@@ -10,7 +10,12 @@
 #      the lines above the file's first `#[cfg(test)]`, blank and
 #      comment-only (`//`, `///`, `//!`) lines excluded. Files that are
 #      test-only modules (`prop_tests.rs`, declared under `#[cfg(test)]`
-#      by their parent) count as zero.
+#      by their parent) count as zero. The rule is checked, not assumed:
+#      an indented `#[cfg(test)]` above a file's test module (a test
+#      helper in the middle of an `impl`) would hide every line below it
+#      from (i), (iii) and (vi), so the census names it and exits 1
+#      before counting anything. Put such helpers in the test module (a
+#      second `impl` block there).
 # (ii) Public-item census: `pub fn|struct|enum|trait|type|const` lines in
 #      the four library crates whose API the layers above program against.
 #      `pub trait` lines across every crate: each is a seam someone
@@ -40,6 +45,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+early=$(find crates/*/src -name '*.rs' ! -name 'prop_tests.rs' -print0 | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /^[[:space:]]+#\[cfg\(test\)\]/ { print "  " FILENAME ":" FNR }')
+if [ -n "$early" ]; then
+    printf '#[cfg(test)] above the test module: the lines below it would not be counted\n%s\n' "$early"
+    exit 1
+fi
 
 total=0
 for crate in crates/*/; do

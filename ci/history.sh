@@ -22,6 +22,11 @@
 #                 tests/alloc_budget.rs (the `4x window` repeats are
 #                 left out: they are held to the same budget)
 #
+#   census_note   PR 23's record alone, added by hand: what the census
+#                 reads on that record's parent once it no longer stops
+#                 at a mid-`impl` `#[cfg(test)]` (record 22's line counts
+#                 were taken with the script that did)
+#
 # A value a file does not give is left out, never guessed. Records for
 # PRs 13-21 were back-filled once: `keys` from the BENCH_baseline.json
 # committed by that PR (the gate holds the two equal; the host-time

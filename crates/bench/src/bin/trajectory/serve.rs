@@ -27,12 +27,12 @@
 //! `benchmark/`'s `serve_tenants` workload.
 
 use bench::{render_table, round_sig};
-use gpu_sim::{DeviceProfile, EvictionPolicy, Grid, MemoryConfig};
+use gpu_sim::{DeviceProfile, EvictionPolicy, Grid, MemoryConfig, Topology};
 use grcuda::serve::{
     ArgSpec, CallSpec, ElemKind, Fairness, KernelRef, RequestSpec, ServeConfig, ServeError,
     ServiceCore, TenantId,
 };
-use grcuda::Options;
+use grcuda::{Options, PlacementPolicy};
 use kernels::util::{AXPY, SCALE};
 use metrics::LatencySummary;
 
@@ -158,8 +158,10 @@ fn run_fairness(fairness: Fairness, rounds: usize) -> f64 {
 /// recoverable per-tenant error while another tenant's work completes.
 fn run_admission() {
     let n = 1 << 10;
-    let config = ServeConfig::new(DeviceProfile::tesla_p100(), Options::parallel())
-        .with_memory(MemoryConfig::with_capacity(3 * 4 * n).with_eviction(EvictionPolicy::Lru));
+    let dev = DeviceProfile::tesla_p100();
+    let memory = MemoryConfig::with_capacity(3 * 4 * n).with_eviction(EvictionPolicy::Lru);
+    let machine = Topology::pcie_only(1, &dev).with_memory(memory);
+    let config = ServeConfig::new(dev, Options::parallel()).on(machine, PlacementPolicy::SingleGpu);
     let mut core = ServiceCore::new(config);
     let greedy = core.add_tenant("greedy", 1);
     let modest = setup_tenant(&mut core, "modest", 1);

@@ -136,10 +136,6 @@ fn make_exec(op: &PlanOp, arrays: &[UnifiedArray]) -> KernelExec {
     )
 }
 
-fn write_initial(arr: &UnifiedArray, data: &TypedData) {
-    *arr.buf.data_mut() = data.clone();
-}
-
 fn read_outputs_cuda(c: &Cuda, spec: &BenchSpec, arrays: &[UnifiedArray]) {
     for (k, cnt) in &spec.outputs {
         let bytes = cnt * spec.arrays[*k].init.elem_size();
@@ -157,42 +153,16 @@ fn read_outputs_cuda(c: &Cuda, spec: &BenchSpec, arrays: &[UnifiedArray]) {
 pub fn grcuda_arrays(g: &GrCuda, spec: &BenchSpec) -> Vec<grcuda::DeviceArray> {
     spec.arrays
         .iter()
-        .map(|a| match &a.init {
-            TypedData::F32(v) => {
-                let d = g.array_f32(v.len());
-                d.copy_from_f32(v);
-                d
-            }
-            TypedData::F64(v) => {
-                let d = g.array_f64(v.len());
-                d.copy_from_f64(v);
-                d
-            }
-            TypedData::I32(v) => {
-                let d = g.array_i32(v.len());
-                d.copy_from_i32(v);
-                d
-            }
-            TypedData::U8(v) => {
-                let d = g.array_u8(v.len());
-                d.copy_from_u8(v);
-                d
-            }
-        })
+        .map(|a| g.array(a.init.clone()))
         .collect()
 }
 
 /// Re-write streaming inputs (`refresh_each_iter`) with their initial
 /// contents, as each iteration of the paper's benchmarks does.
 pub fn refresh_grcuda_arrays(spec: &BenchSpec, arrays: &[grcuda::DeviceArray]) {
-    for (i, a) in spec.arrays.iter().enumerate() {
+    for (a, arr) in spec.arrays.iter().zip(arrays) {
         if a.refresh_each_iter {
-            match &a.init {
-                TypedData::F32(v) => arrays[i].copy_from_f32(v),
-                TypedData::F64(v) => arrays[i].copy_from_f64(v),
-                TypedData::I32(v) => arrays[i].copy_from_i32(v),
-                TypedData::U8(v) => arrays[i].copy_from_u8(v),
-            }
+            arr.copy_from(&a.init);
         }
     }
 }
@@ -202,20 +172,7 @@ pub fn refresh_grcuda_arrays(spec: &BenchSpec, arrays: &[grcuda::DeviceArray]) {
 pub fn read_grcuda_outputs(spec: &BenchSpec, arrays: &[grcuda::DeviceArray]) {
     for (k, cnt) in &spec.outputs {
         for i in 0..*cnt {
-            match &spec.arrays[*k].init {
-                TypedData::F32(_) => {
-                    arrays[*k].get_f32(i);
-                }
-                TypedData::F64(_) => {
-                    arrays[*k].get_f64(i);
-                }
-                TypedData::I32(_) => {
-                    arrays[*k].get_i32(i);
-                }
-                TypedData::U8(_) => {
-                    arrays[*k].get_u8(i);
-                }
-            }
+            arrays[*k].get(i);
         }
     }
 }
@@ -458,23 +415,14 @@ fn run_graph(
 fn alloc_cuda_arrays(c: &Cuda, spec: &BenchSpec) -> Vec<UnifiedArray> {
     spec.arrays
         .iter()
-        .map(|a| {
-            let arr = match &a.init {
-                TypedData::F32(v) => c.alloc_f32(v.len()),
-                TypedData::F64(v) => c.alloc_f64(v.len()),
-                TypedData::I32(v) => c.alloc_i32(v.len()),
-                TypedData::U8(v) => c.alloc_u8(v.len()),
-            };
-            write_initial(&arr, &a.init);
-            arr
-        })
+        .map(|a| c.alloc(a.init.clone()))
         .collect()
 }
 
 fn refresh_cuda(c: &Cuda, spec: &BenchSpec, arrays: &[UnifiedArray]) {
     for (i, a) in spec.arrays.iter().enumerate() {
         if a.refresh_each_iter {
-            write_initial(&arrays[i], &a.init);
+            arrays[i].buf.data_mut().copy_from(&a.init);
             c.host_written(&arrays[i]);
         }
     }

@@ -372,7 +372,9 @@ impl Cuda {
         self.alloc(TypedData::U8(vec![0; n]))
     }
 
-    fn alloc(&self, data: TypedData) -> UnifiedArray {
+    /// Allocate a unified-memory array holding `data`: the element type
+    /// is the data's, the contents are there from the start.
+    pub fn alloc(&self, data: TypedData) -> UnifiedArray {
         let mut inner = self.inner.borrow_mut();
         let id = ValueId(inner.arrays.len() as u64);
         let arr = UnifiedArray::new(id, data);

@@ -68,6 +68,45 @@ impl TypedData {
             TypedData::U8(_) => "char",
         }
     }
+
+    /// Element `i` of any element type, cast up to `f64` (exact for all
+    /// four). Panics when `i` is out of bounds, like indexing.
+    pub fn get(&self, i: usize) -> f64 {
+        match self {
+            TypedData::F32(v) => f64::from(v[i]),
+            TypedData::F64(v) => v[i],
+            TypedData::I32(v) => f64::from(v[i]),
+            TypedData::U8(v) => f64::from(v[i]),
+        }
+    }
+
+    /// Set every element to `v`, cast to the element type the way `as`
+    /// does (saturating, NaN to zero for the integer types).
+    pub fn fill(&mut self, v: f64) {
+        match self {
+            TypedData::F32(d) => d.fill(v as f32),
+            TypedData::F64(d) => d.fill(v),
+            TypedData::I32(d) => d.fill(v as i32),
+            TypedData::U8(d) => d.fill(v as u8),
+        }
+    }
+
+    /// Copy `src` over the first `src.len()` elements. Panics when the
+    /// element types differ or `src` is longer, like the typed
+    /// accessors of [`DataBuffer`] and `copy_from_slice`.
+    pub fn copy_from(&mut self, src: &TypedData) {
+        match (self, src) {
+            (TypedData::F32(d), TypedData::F32(s)) => d[..s.len()].copy_from_slice(s),
+            (TypedData::F64(d), TypedData::F64(s)) => d[..s.len()].copy_from_slice(s),
+            (TypedData::I32(d), TypedData::I32(s)) => d[..s.len()].copy_from_slice(s),
+            (TypedData::U8(d), TypedData::U8(s)) => d[..s.len()].copy_from_slice(s),
+            (d, s) => panic!(
+                "copy of {} data into a {} buffer",
+                s.type_name(),
+                d.type_name()
+            ),
+        }
+    }
 }
 
 /// A shared, mutable, type-tagged buffer. Cheap to clone (reference
@@ -208,6 +247,34 @@ mod tests {
     fn type_mismatch_panics() {
         let a = DataBuffer::f64_zeros(1);
         let _ = a.as_f32();
+    }
+
+    #[test]
+    fn type_erased_access_agrees_with_the_typed_accessors() {
+        let bufs = [
+            DataBuffer::f32_zeros(4),
+            DataBuffer::f64_zeros(4),
+            DataBuffer::i32_zeros(4),
+            DataBuffer::new(TypedData::U8(vec![0; 4])),
+        ];
+        for b in &bufs {
+            b.data_mut().fill(7.9);
+        }
+        assert_eq!(*bufs[0].as_f32(), vec![7.9f32; 4]);
+        assert_eq!(*bufs[1].as_f64(), vec![7.9f64; 4]);
+        assert_eq!(*bufs[2].as_i32(), vec![7; 4]);
+        assert_eq!(*bufs[3].as_u8(), vec![7u8; 4]);
+        bufs[2].data_mut().copy_from(&TypedData::I32(vec![-3, 5]));
+        assert_eq!(*bufs[2].as_i32(), vec![-3, 5, 7, 7]);
+        let read: Vec<f64> = bufs.iter().map(|b| b.data().get(0)).collect();
+        assert_eq!(read, [f64::from(7.9f32), 7.9, -3.0, 7.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "copy of double data into a float buffer")]
+    fn typed_copy_refuses_another_element_type() {
+        let a = DataBuffer::f32_zeros(1);
+        a.data_mut().copy_from(&TypedData::F64(vec![1.0]));
     }
 
     #[test]

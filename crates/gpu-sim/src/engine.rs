@@ -873,18 +873,6 @@ impl Engine {
         self.recycler.dependents.give(dependents);
     }
 
-    /// Test oracle: refresh (incrementally) and assert the resulting
-    /// rates are bit-identical to the full whole-active-set solve.
-    #[cfg(test)]
-    pub(crate) fn assert_rates_match_full_solve(&mut self) {
-        self.refresh_rates();
-        assert_eq!(
-            self.rates,
-            self.solve_rates_full(),
-            "incremental component solve diverged from the full solve"
-        );
-    }
-
     /// Move a latent task whose fixed-latency timer just expired into the
     /// fluid phase (or complete it immediately if it carries no fluid
     /// work).
@@ -1552,6 +1540,19 @@ mod prop {
     use crate::task::TaskSpec;
     use crate::topology::{Topology, TopologyKind};
     use proptest::prelude::*;
+
+    impl Engine {
+        /// Test oracle: refresh (incrementally) and assert the resulting
+        /// rates are bit-identical to the full whole-active-set solve.
+        fn assert_rates_match_full_solve(&mut self) {
+            self.refresh_rates();
+            assert_eq!(
+                self.rates,
+                self.solve_rates_full(),
+                "incremental component solve diverged from the full solve"
+            );
+        }
+    }
 
     proptest! {
         /// Differential test for the incremental rate solver: drive

@@ -25,8 +25,6 @@ pub enum TaskKind {
     FaultH2D,
     /// On-demand unified-memory migration back to the host.
     FaultD2H,
-    /// Host-side computation occupying only the CPU.
-    Host,
     /// Zero-duration synchronization marker (CUDA event analogue).
     Marker,
 }

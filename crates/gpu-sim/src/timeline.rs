@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn span_covers_kernels_and_transfers_only() {
         let mut t = Timeline::new();
-        t.push(iv(TaskKind::Host, 9, 0.0, 10.0)); // host work ignored
+        t.push(iv(TaskKind::Marker, 9, 0.0, 10.0)); // not GPU work: ignored
         t.push(iv(TaskKind::CopyH2D, 0, 1.0, 2.0));
         t.push(iv(TaskKind::Kernel, 0, 2.0, 5.0));
         assert_eq!(t.gpu_start(), Some(1.0));

@@ -250,11 +250,6 @@ impl Topology {
         &self.memory
     }
 
-    /// Which preset built this topology.
-    pub fn kind(&self) -> TopologyKind {
-        self.kind
-    }
-
     /// Number of devices spanned.
     pub fn device_count(&self) -> usize {
         self.n_devices as usize
@@ -372,7 +367,7 @@ impl NicKind {
     ];
 
     /// Aggregate NIC bandwidth in bytes/s.
-    pub fn bandwidth(self) -> f64 {
+    fn bandwidth(self) -> f64 {
         match self {
             NicKind::Ethernet25g => ETHERNET_25G_BW,
             NicKind::InfinibandHdr => INFINIBAND_HDR_BW,
@@ -381,7 +376,7 @@ impl NicKind {
     }
 
     /// One-way latency charged per transfer.
-    pub fn latency(self) -> Time {
+    fn latency(self) -> Time {
         match self {
             NicKind::Ethernet25g => ETHERNET_25G_LATENCY,
             NicKind::InfinibandHdr => INFINIBAND_HDR_LATENCY,
@@ -622,7 +617,7 @@ mod tests {
     fn kind_names_round_trip() {
         for kind in TopologyKind::ALL {
             assert_eq!(TopologyKind::parse(kind.name()), Some(kind));
-            assert_eq!(topo(kind, 4).kind(), kind);
+            assert_eq!(topo(kind, 4).kind, kind);
         }
         assert_eq!(TopologyKind::parse("nope"), None);
     }

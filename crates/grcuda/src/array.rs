@@ -83,7 +83,7 @@ impl DeviceArray {
     }
 
     /// NIDL element-type name (`float`, `double`, `sint32`, `char`).
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         self.arr.buf.type_name()
     }
 
@@ -104,6 +104,29 @@ impl DeviceArray {
     /// accessors, which synchronize with in-flight GPU work.
     pub fn raw_buffer(&self) -> gpu_sim::DataBuffer {
         self.arr.buf.clone()
+    }
+
+    /// Read one element of any element type, cast up to `f64` — charged
+    /// and synchronized like the typed `get_*` (one element's bytes).
+    pub fn get(&self, i: usize) -> f64 {
+        let elem = self.arr.buf.data().elem_size();
+        self.ctx.host_access(&self.arr, elem, false);
+        self.arr.buf.data().get(i)
+    }
+
+    /// Fill the whole array from the CPU with `v` cast to the element
+    /// type — charged like the typed `fill_*` (the array's bytes).
+    pub fn fill(&self, v: f64) {
+        self.ctx.host_access(&self.arr, self.arr.byte_len(), true);
+        self.arr.buf.data_mut().fill(v);
+    }
+
+    /// Copy host data of the array's element type over its first
+    /// `src.len()` elements — charged like the typed `copy_from_*`
+    /// (`src`'s bytes). Panics on another element type, as they do.
+    pub fn copy_from(&self, src: &gpu_sim::TypedData) {
+        self.ctx.host_access(&self.arr, src.byte_len(), true);
+        self.arr.buf.data_mut().copy_from(src);
     }
 
     typed_array_api!(

@@ -15,7 +15,7 @@ use dag::{ArgAccess, ComputationDag, DenseMap, ElementKind, Value, VertexId};
 use gpu_sim::MemoryStats;
 use gpu_sim::{
     Architecture, DataBuffer, DeviceProfile, EngineStats, Grid, KernelBody, RaceReport, TaskId,
-    Time, Timeline, Topology, TopologyKind, ValueId,
+    Time, Timeline, Topology, TopologyKind, TypedData, ValueId,
 };
 use kernels::KernelDef;
 
@@ -439,16 +439,6 @@ impl GrCuda {
         self.inner.borrow().cuda.memory_stats()
     }
 
-    /// Per-device memory capacity in bytes under a finite
-    /// [`gpu_sim::MemoryConfig`], `None` when memory is unlimited. A
-    /// launch whose distinct argument bytes exceed this fails with
-    /// [`crate::LaunchError::OutOfMemory`]; the serving layer's
-    /// admission control applies the same bound before a request is
-    /// queued.
-    pub fn device_capacity(&self) -> Option<usize> {
-        self.inner.borrow().cuda.device_capacity()
-    }
-
     /// Per-device `(time, resident bytes)` step samples recorded while
     /// a finite capacity is configured. Cleared by
     /// [`GrCuda::clear_timeline`].
@@ -470,36 +460,34 @@ impl GrCuda {
     // allocation — GrCUDA's `polyglot.eval("grcuda", "float[n]")`
     // ------------------------------------------------------------------
 
-    /// Allocate a managed `float[n]` array.
-    pub fn array_f32(&self, n: usize) -> DeviceArray {
+    /// Allocate a managed array holding `data` — the element type is
+    /// the data's. A fresh allocation is host-resident, so the contents
+    /// are in place without a host write being charged.
+    pub fn array(&self, data: TypedData) -> DeviceArray {
         DeviceArray {
             ctx: self.clone(),
-            arr: self.inner.borrow().cuda.alloc_f32(n),
+            arr: self.inner.borrow().cuda.alloc(data),
         }
+    }
+
+    /// Allocate a managed `float[n]` array.
+    pub fn array_f32(&self, n: usize) -> DeviceArray {
+        self.array(TypedData::F32(vec![0.0; n]))
     }
 
     /// Allocate a managed `double[n]` array.
     pub fn array_f64(&self, n: usize) -> DeviceArray {
-        DeviceArray {
-            ctx: self.clone(),
-            arr: self.inner.borrow().cuda.alloc_f64(n),
-        }
+        self.array(TypedData::F64(vec![0.0; n]))
     }
 
     /// Allocate a managed `sint32[n]` array.
     pub fn array_i32(&self, n: usize) -> DeviceArray {
-        DeviceArray {
-            ctx: self.clone(),
-            arr: self.inner.borrow().cuda.alloc_i32(n),
-        }
+        self.array(TypedData::I32(vec![0; n]))
     }
 
     /// Allocate a managed `char[n]` array.
     pub fn array_u8(&self, n: usize) -> DeviceArray {
-        DeviceArray {
-            ctx: self.clone(),
-            arr: self.inner.borrow().cuda.alloc_u8(n),
-        }
+        self.array(TypedData::U8(vec![0; n]))
     }
 
     // ------------------------------------------------------------------
@@ -720,22 +708,36 @@ impl GrCuda {
     // the scheduler proper
     // ------------------------------------------------------------------
 
-    /// Launch a validated kernel or library call (called by
-    /// [`Kernel::launch`] and [`crate::Library::call`]). Returns the
-    /// device the placement policy chose (always 0 on single-device
-    /// runtimes and under the serial scheduler), or a loud
-    /// [`LaunchError::OutOfMemory`] when no device's memory can hold
-    /// the argument set even after evicting everything else.
-    pub(crate) fn launch_validated(
-        &self,
-        kernel: &Kernel,
-        grid: Grid,
-        args: &[Arg],
-        kind: ElementKind,
-    ) -> Result<u32, LaunchError> {
-        let capacity = self.device_capacity();
-        check_fits(kernel, args, capacity)?;
-        Ok(self.launch_validated_inner(kernel, grid, args, kind, true, None))
+    /// Accept or refuse one call, before anything of it (or of its
+    /// batch) touches the scheduler: the arguments match the kernel's
+    /// NIDL signature ([`Kernel::validate`]), kernel and arrays are this
+    /// runtime's, and the distinct argument arrays fit a device's
+    /// memory — nothing can place a launch whose arguments alone exceed
+    /// it, even after evicting everything else. Every way in asks here:
+    /// [`Kernel::launch_placed`], [`Kernel::launch_autotuned`],
+    /// [`crate::Library::call`], [`GrCuda::launch_batch`] and the
+    /// serving layer's admission control.
+    pub(crate) fn accept(&self, kernel: &Kernel, args: &[Arg]) -> Result<(), LaunchError> {
+        kernel.validate(args)?;
+        if !kernel.ctx.same_runtime(self) {
+            let is_array = |a: &Arg| matches!(a, Arg::Array(_));
+            return Err(LaunchError::ForeignArray {
+                kernel: kernel.def.name.into(),
+                index: args.iter().position(is_array).unwrap_or(0),
+            });
+        }
+        let Some(capacity) = self.inner.borrow().cuda.device_capacity() else {
+            return Ok(());
+        };
+        let needed = arg_bytes(args);
+        if needed > capacity {
+            return Err(LaunchError::OutOfMemory {
+                kernel: kernel.def.name.into(),
+                needed,
+                capacity,
+            });
+        }
+        Ok(())
     }
 
     /// Submit a batch of kernel launches with one amortized host-side
@@ -786,17 +788,8 @@ impl GrCuda {
     /// assert_eq!(x.get_f32(0), 16.0); // 2² then 4²
     /// ```
     pub fn launch_batch(&self, calls: &[BatchLaunch<'_>]) -> Result<Vec<u32>, LaunchError> {
-        let capacity = self.device_capacity();
         for c in calls {
-            c.kernel.validate(c.args)?;
-            if !c.kernel.ctx.same_runtime(self) {
-                let is_array = |a: &Arg| matches!(a, Arg::Array(_));
-                return Err(LaunchError::ForeignArray {
-                    kernel: c.kernel.def.name.into(),
-                    index: c.args.iter().position(is_array).unwrap_or(0),
-                });
-            }
-            check_fits(c.kernel, c.args, capacity)?;
+            self.accept(c.kernel, c.args)?;
         }
         let (amortize, overhead) = {
             let ctx = self.inner.borrow();
@@ -840,7 +833,7 @@ impl GrCuda {
         };
         let mut devices = Vec::with_capacity(calls.len());
         for (i, c) in calls.iter().enumerate() {
-            devices.push(self.launch_validated_inner(
+            devices.push(self.launch_accepted(
                 c.kernel,
                 c.grid,
                 c.args,
@@ -852,11 +845,15 @@ impl GrCuda {
         Ok(devices)
     }
 
-    /// Schedule one launch the caller has validated and found to fit
-    /// ([`check_fits`]). Allocates nothing in steady state: its lists
-    /// live in [`LaunchScratch`], the arguments are read in place, and
-    /// the layers below recycle what earlier launches left behind.
-    fn launch_validated_inner(
+    /// Schedule one launch the caller has had accepted
+    /// ([`GrCuda::accept`]); returns the device the placement policy
+    /// chose (always 0 on single-device runtimes and under the serial
+    /// scheduler). `charge` is false for a batch that paid its host
+    /// overhead once up front; `node_hint` is the batch partitioner's.
+    /// Allocates nothing in steady state: its lists live in
+    /// [`LaunchScratch`], the arguments are read in place, and the
+    /// layers below recycle what earlier launches left behind.
+    pub(crate) fn launch_accepted(
         &self,
         kernel: &Kernel,
         grid: Grid,
@@ -1130,25 +1127,6 @@ impl GrCuda {
     }
 }
 
-/// Nothing can fit a launch whose distinct argument arrays alone exceed
-/// a device's whole memory — a recoverable error, not a scheduling
-/// problem, raised before the launch (or any launch of its batch)
-/// touches the scheduler.
-fn check_fits(kernel: &Kernel, args: &[Arg], capacity: Option<usize>) -> Result<(), LaunchError> {
-    let Some(capacity) = capacity else {
-        return Ok(());
-    };
-    let needed = arg_bytes(args);
-    if needed > capacity {
-        return Err(LaunchError::OutOfMemory {
-            kernel: kernel.def.name.into(),
-            needed,
-            capacity,
-        });
-    }
-    Ok(())
-}
-
 impl Ctx {
     /// The full-synchronization retire path, shared by [`GrCuda::sync`]
     /// and the pre-Pascal `host_access` branch: every vertex is retired,
@@ -1169,6 +1147,7 @@ mod tests {
     use crate::Arg;
     use kernels::util::{AXPY, COPY_F32, DOT, MEMSET_F32, SCALE};
     use kernels::vec_ops::{REDUCE_SUM_DIFF, SQUARE};
+    use kernels::{dl::POOL2D, hits::SPMV, image::SOBEL, ml::NB_ROW_MAX};
 
     fn parallel(dev: DeviceProfile) -> GrCuda {
         GrCuda::new(dev, Options::parallel())
@@ -1658,6 +1637,43 @@ mod tests {
         g.launch_batch(&batch).unwrap();
         g.sync();
         assert_eq!(dst.to_vec_f32(), vec![10.0; 16]);
+
+        // Shapes and index arrays are the caller's as well. One kernel
+        // per module that indexes by them — image, ml, dl, and HITS's
+        // CSR columns — given a shape (or a column) its 16-element
+        // buffers cannot hold: accepted, and when virtual time reaches
+        // it the kernel returns without writing — through a launch and
+        // through a batch.
+        let (ones, out) = (g.array_f32(16), g.array_f32(16));
+        ones.fill_f32(1.0);
+        let [rowptr, colidx] = [[0, 2], [0, 99]].map(|v| g.array(TypedData::I32(v.to_vec())));
+        let shaped = |dims: &[f64]| -> Vec<Arg> {
+            let arrays = [Arg::array(&ones), Arg::array(&out)];
+            arrays
+                .into_iter()
+                .chain(dims.iter().map(|&d| Arg::scalar(d)))
+                .collect()
+        };
+        let mut csr = vec![Arg::array(&rowptr), Arg::array(&colidx), Arg::array(&ones)];
+        csr.extend(shaped(&[1.0]));
+        let oversized = [
+            (&SOBEL, shaped(&[4096.0, 4096.0])),
+            (&NB_ROW_MAX, shaped(&[4096.0, 10.0])),
+            (&POOL2D, shaped(&[64.0, 64.0, 64.0])),
+            (&SPMV, csr),
+        ];
+        for (def, args) in &oversized {
+            let kernel = &g.build_kernel(def).unwrap();
+            kernel.launch(G, args).unwrap();
+            let batch = [BatchLaunch {
+                kernel,
+                grid: G,
+                args,
+            }];
+            g.launch_batch(&batch).unwrap();
+            g.sync();
+            assert_eq!(out.to_vec_f32(), vec![0.0; 16], "{}", def.name);
+        }
 
         // Degenerate launches — a zero-length array, a grid of no
         // blocks, blocks of no threads — launch, finish in finite

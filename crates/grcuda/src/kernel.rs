@@ -237,18 +237,21 @@ impl Kernel {
     /// placement policy chose (always 0 on single-device runtimes) —
     /// how callers observe scheduling decisions without changing them.
     pub fn launch_placed(&self, grid: Grid, args: &[Arg]) -> Result<u32, LaunchError> {
-        self.validate(args)?;
-        self.ctx
-            .launch_validated(self, grid, args, dag::ElementKind::Kernel)
+        self.launch_as(dag::ElementKind::Kernel, grid, args)
     }
 
-    /// Launch as a pre-registered library call (same scheduling, tagged
-    /// as [`dag::ElementKind::Library`] in the DAG).
-    pub(crate) fn launch_as_library(&self, grid: Grid, args: &[Arg]) -> Result<(), LaunchError> {
-        self.validate(args)?;
-        self.ctx
-            .launch_validated(self, grid, args, dag::ElementKind::Library)?;
-        Ok(())
+    /// Have the call accepted ([`GrCuda::accept`]) and hand it to the
+    /// scheduler as a `kind` element: a kernel, or a pre-registered
+    /// library call (same scheduling, tagged
+    /// [`dag::ElementKind::Library`] in the DAG).
+    pub(crate) fn launch_as(
+        &self,
+        kind: dag::ElementKind,
+        grid: Grid,
+        args: &[Arg],
+    ) -> Result<u32, LaunchError> {
+        self.ctx.accept(self, args)?;
+        Ok(self.ctx.launch_accepted(self, grid, args, kind, true, None))
     }
 
     /// Launch with an **autotuned** 1-D block size (the paper's §VI
@@ -281,7 +284,7 @@ impl Kernel {
     /// `blocks` is the fixed 1-D block count (the paper tunes only the
     /// threads-per-block dimension).
     pub fn launch_autotuned(&self, blocks: u32, args: &[Arg]) -> Result<Grid, LaunchError> {
-        self.validate(args)?;
+        self.ctx.accept(self, args)?;
         let elements = args
             .iter()
             .filter_map(|a| match a {
@@ -293,12 +296,13 @@ impl Kernel {
         let bs = self.ctx.choose_block_size(self.def.name, elements);
         let grid = Grid::d1(blocks, bs);
         self.ctx
-            .launch_validated(self, grid, args, dag::ElementKind::Kernel)?;
+            .launch_accepted(self, grid, args, dag::ElementKind::Kernel, true, None);
         Ok(grid)
     }
 
     /// Check arity, kinds, element types and integer scalars, and that
-    /// every array belongs to this kernel's runtime.
+    /// every array belongs to this kernel's runtime — the signature half
+    /// of [`GrCuda::accept`], its one caller.
     pub(crate) fn validate(&self, args: &[Arg]) -> Result<(), LaunchError> {
         if args.len() != self.sig.params.len() {
             return Err(LaunchError::ArityMismatch {

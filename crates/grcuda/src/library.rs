@@ -63,13 +63,17 @@ impl Library {
     /// DAG like any kernel. Stream-oblivious: the device is drained
     /// before and after the call.
     pub fn call(&self, args: &[Arg]) -> Result<(), LaunchError> {
+        let launch = || {
+            let kind = dag::ElementKind::Library;
+            self.kernel.launch_as(kind, self.grid, args).map(|_| ())
+        };
         if self.stream_aware {
-            self.kernel.launch_as_library(self.grid, args)
+            launch()
         } else {
             // Correctness fallback: the library may use internal streams
             // we cannot see, so nothing may be in flight around it.
             self.kernel.ctx.sync();
-            let r = self.kernel.launch_as_library(self.grid, args);
+            let r = launch();
             self.kernel.ctx.sync();
             r
         }

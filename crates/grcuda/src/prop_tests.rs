@@ -524,6 +524,25 @@ proptest! {
 // ---------------------------------------------------------------------
 
 use crate::serve::{ArgSpec, CallSpec, ElemKind, Fairness, RequestSpec, ServeConfig, ServiceCore};
+use crate::PlacementPolicy;
+use gpu_sim::{Cluster, NicKind, Topology, TopologyKind};
+
+/// The three machines `tests/serve.rs` serves on: one GPU, four GPUs
+/// NVLinked in pairs, two nodes of two.
+fn serve_machine(idx: usize, dev: &DeviceProfile) -> (Topology, PlacementPolicy) {
+    let pairs = TopologyKind::NvlinkPair;
+    match idx {
+        0 => (Topology::pcie_only(1, dev), PlacementPolicy::SingleGpu),
+        1 => (
+            Topology::preset(pairs, 4, dev),
+            PlacementPolicy::TransferAware,
+        ),
+        _ => (
+            Cluster::new(2, 2, pairs, NicKind::InfinibandHdr).build(dev),
+            PlacementPolicy::NodeAware,
+        ),
+    }
+}
 
 /// One random request of a random tenant: a 1–3 call chain over the
 /// tenant's two arrays, optionally deadlined, optionally followed by an
@@ -556,8 +575,11 @@ fn serve_req_strategy() -> impl Strategy<Value = ServeReq> {
 /// per-request latencies in completion order.
 type ServeSig = (Vec<IntervalSig>, u64, Vec<Vec<u64>>);
 
-fn run_serve_script(script: &[ServeReq], fairness: Fairness) -> ServeSig {
-    let config = ServeConfig::new(DeviceProfile::tesla_p100(), Options::parallel())
+fn run_serve_script(script: &[ServeReq], fairness: Fairness, machine: usize) -> ServeSig {
+    let dev = DeviceProfile::tesla_p100();
+    let (topology, placement) = serve_machine(machine, &dev);
+    let config = ServeConfig::new(dev, Options::parallel())
+        .on(topology, placement)
         .with_fairness(fairness)
         .with_pipeline(4, 2);
     let mut core = ServiceCore::new(config);
@@ -710,20 +732,25 @@ proptest! {
 
     /// Replaying the same multi-tenant arrival order through the service
     /// core produces a **bit-identical** virtual timeline, final clock
-    /// and per-request latency vector — under every fairness policy.
+    /// and per-request latency vector — under every fairness rule, on
+    /// one GPU, several, and a cluster.
     #[test]
     fn serving_is_deterministic_for_a_given_arrival_order(
         script in proptest::collection::vec(serve_req_strategy(), 1..20),
         fairness_idx in 0..3usize,
+        machine in 0..3usize,
     ) {
         let fairness = [
             Fairness::Fifo,
             Fairness::WeightedRoundRobin,
             Fairness::DeadlineAware,
         ][fairness_idx];
-        let a = run_serve_script(&script, fairness);
-        let b = run_serve_script(&script, fairness);
-        prop_assert_eq!(&a.0, &b.0, "timelines diverged under {:?} on {:?}", fairness, script);
+        let a = run_serve_script(&script, fairness, machine);
+        let b = run_serve_script(&script, fairness, machine);
+        prop_assert_eq!(
+            &a.0, &b.0,
+            "timelines diverged under {:?} on machine {} for {:?}", fairness, machine, script
+        );
         prop_assert_eq!(a.1, b.1, "final virtual time diverged under {:?}", fairness);
         prop_assert_eq!(&a.2, &b.2, "latencies diverged under {:?}", fairness);
     }

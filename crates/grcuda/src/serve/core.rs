@@ -14,7 +14,7 @@
 //!   tenant that created it; using another tenant's handle fails with
 //!   [`ServeError::CrossTenant`] before touching the scheduler.
 //! * **Admission control** — a request whose launches could never fit
-//!   device memory (PR 5's finite [`MemoryConfig`]) is rejected at
+//!   device memory (a finite [`gpu_sim::MemoryConfig`]) is rejected at
 //!   submit time with a recoverable [`ServeError::Rejected`]; the core
 //!   and the other tenants are unaffected.
 //! * **Bounded pipelining** — admitted requests are coalesced through
@@ -26,25 +26,26 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use gpu_sim::{DeviceProfile, Grid, MemoryConfig, Topology, TopologyKind, TypedData};
+use gpu_sim::{DeviceProfile, Grid, Topology, TypedData};
 use kernels::KernelDef;
 
 use crate::array::DeviceArray;
 use crate::context::GrCuda;
-use crate::kernel::{arg_bytes, Arg, BatchLaunch, Kernel, LaunchError};
+use crate::kernel::{Arg, BatchLaunch, Kernel, LaunchError};
 use crate::nidl::NidlParam;
 use crate::options::Options;
 use crate::policy::PlacementPolicy;
 
-use super::fairness::{Fairness, FairnessCtx, FairnessPolicy};
+use super::fairness::{Admission, Fairness};
 
 /// Identifies one tenant of a service core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TenantId(pub(crate) u32);
 
 impl TenantId {
-    /// Zero-based tenant index (also the fairness-policy index).
-    pub fn index(self) -> usize {
+    /// Zero-based tenant index (the order tenants registered in, and
+    /// the last tie-break of every fairness rule).
+    fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -172,17 +173,15 @@ impl std::error::Error for ServeError {}
 pub struct ServeConfig {
     /// Simulated device profile.
     pub device: DeviceProfile,
-    /// Number of identical devices behind the scheduler.
-    pub devices: usize,
+    /// The machine behind the scheduler — devices, interconnect, nodes
+    /// and device memory (a finite capacity enables admission control's
+    /// rejection path) — as every other runtime takes it
+    /// ([`GrCuda::with_topology`]).
+    pub topology: Topology,
     /// Scheduler options.
     pub options: Options,
     /// Device-placement policy.
     pub placement: PlacementPolicy,
-    /// Interconnect preset.
-    pub topology: TopologyKind,
-    /// Device-memory model (finite capacities enable admission
-    /// control's rejection path).
-    pub memory: MemoryConfig,
     /// Which tenant's request is admitted next under contention.
     pub fairness: Fairness,
     /// Maximum requests in flight; beyond it the oldest request is
@@ -194,23 +193,21 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A single-device service with FIFO fairness and a 16-request
-    /// pipeline window.
+    /// A single-device service with unlimited device memory, FIFO
+    /// fairness and a 16-request pipeline window.
     pub fn new(device: DeviceProfile, options: Options) -> Self {
         ServeConfig {
+            topology: Topology::pcie_only(1, &device),
             device,
-            devices: 1,
             options,
             placement: PlacementPolicy::SingleGpu,
-            topology: TopologyKind::PcieOnly,
-            memory: MemoryConfig::default(),
             fairness: Fairness::Fifo,
             window: 16,
             batch_limit: 8,
         }
     }
 
-    /// Replace the fairness policy.
+    /// Replace the fairness rule.
     pub fn with_fairness(mut self, fairness: Fairness) -> Self {
         self.fairness = fairness;
         self
@@ -223,23 +220,14 @@ impl ServeConfig {
         self
     }
 
-    /// Replace the device-memory model.
-    pub fn with_memory(mut self, memory: MemoryConfig) -> Self {
-        self.memory = memory;
-        self
-    }
-
-    /// Span `n` identical devices with the given placement policy and
-    /// topology.
-    pub fn with_devices(
-        mut self,
-        n: usize,
-        placement: PlacementPolicy,
-        topology: TopologyKind,
-    ) -> Self {
-        self.devices = n.max(1);
-        self.placement = placement;
+    /// Serve on `topology` — any machine a [`Topology`] describes: a
+    /// preset over several devices, a flattened [`gpu_sim::Cluster`],
+    /// either with finite memory — placing launches with `placement`.
+    /// Its host links must be the device profile's, as for
+    /// [`GrCuda::with_topology`].
+    pub fn on(mut self, topology: Topology, placement: PlacementPolicy) -> Self {
         self.topology = topology;
+        self.placement = placement;
         self
     }
 }
@@ -270,12 +258,12 @@ pub struct TenantStats {
 
 /// A request accepted by admission control, waiting in its tenant's
 /// queue with fully resolved (owned) launch arguments.
-struct PendingRequest {
-    id: RequestId,
-    arrival: f64,
-    deadline: Option<f64>,
-    calls: Vec<(Kernel, Grid, Vec<Arg>)>,
-    written: Vec<DeviceArray>,
+pub(super) struct PendingRequest {
+    pub(super) id: RequestId,
+    pub(super) arrival: f64,
+    pub(super) deadline: Option<f64>,
+    pub(super) calls: Vec<(Kernel, Grid, Vec<Arg>)>,
+    pub(super) written: Vec<DeviceArray>,
 }
 
 /// A request whose launches have been submitted to the scheduler.
@@ -285,12 +273,14 @@ struct InFlight {
     written: Vec<DeviceArray>,
 }
 
-struct Tenant {
+/// One row of the tenant table. The fairness rules read `weight` and
+/// the head of `queue` straight off it ([`Admission::next`]).
+pub(super) struct Tenant {
     name: String,
-    weight: u32,
+    pub(super) weight: u32,
     arrays: Vec<DeviceArray>,
     kernels: Vec<Kernel>,
-    queue: VecDeque<PendingRequest>,
+    pub(super) queue: VecDeque<PendingRequest>,
     submitted: u64,
     completed: u64,
     rejected: u64,
@@ -302,10 +292,28 @@ struct Tenant {
     latencies: Vec<f64>,
 }
 
+impl Tenant {
+    pub(super) fn new(name: &str, weight: u32) -> Self {
+        Tenant {
+            name: name.to_string(),
+            weight,
+            arrays: Vec::new(),
+            kernels: Vec::new(),
+            queue: VecDeque::new(),
+            submitted: 0,
+            completed: 0,
+            rejected: 0,
+            launches: 0,
+            kernel_launches: BTreeMap::new(),
+            latencies: Vec::new(),
+        }
+    }
+}
+
 /// The deterministic multi-tenant service core. See the module docs.
 pub struct ServiceCore {
     g: GrCuda,
-    fairness: Box<dyn FairnessPolicy + Send>,
+    admission: Admission,
     window: usize,
     batch_limit: usize,
     tenants: Vec<Tenant>,
@@ -315,12 +323,14 @@ pub struct ServiceCore {
 impl ServiceCore {
     /// Build a core (and its scheduler runtime) from a configuration.
     pub fn new(config: ServeConfig) -> Self {
-        let topo = Topology::preset(config.topology, config.devices, &config.device)
-            .with_memory(config.memory);
-        let g = GrCuda::with_topology(config.device, topo, config.options, config.placement);
         ServiceCore {
-            g,
-            fairness: config.fairness.build(),
+            g: GrCuda::with_topology(
+                config.device,
+                config.topology,
+                config.options,
+                config.placement,
+            ),
+            admission: Admission::new(config.fairness),
             window: config.window.max(1),
             batch_limit: config.batch_limit.max(1),
             tenants: Vec::new(),
@@ -341,19 +351,7 @@ impl ServiceCore {
     /// Register a tenant with a weighted-round-robin share.
     pub fn add_tenant(&mut self, name: &str, weight: u32) -> TenantId {
         let id = TenantId(self.tenants.len() as u32);
-        self.tenants.push(Tenant {
-            name: name.to_string(),
-            weight,
-            arrays: Vec::new(),
-            kernels: Vec::new(),
-            queue: VecDeque::new(),
-            submitted: 0,
-            completed: 0,
-            rejected: 0,
-            launches: 0,
-            kernel_launches: BTreeMap::new(),
-            latencies: Vec::new(),
-        });
+        self.tenants.push(Tenant::new(name, weight));
         id
     }
 
@@ -400,12 +398,12 @@ impl ServiceCore {
         if n == 0 {
             return Err(ServeError::Invalid("zero-length allocation".into()));
         }
-        let arr = match kind {
-            ElemKind::F32 => self.g.array_f32(n),
-            ElemKind::F64 => self.g.array_f64(n),
-            ElemKind::I32 => self.g.array_i32(n),
-            ElemKind::U8 => self.g.array_u8(n),
-        };
+        let arr = self.g.array(match kind {
+            ElemKind::F32 => TypedData::F32(vec![0.0; n]),
+            ElemKind::F64 => TypedData::F64(vec![0.0; n]),
+            ElemKind::I32 => TypedData::I32(vec![0; n]),
+            ElemKind::U8 => TypedData::U8(vec![0; n]),
+        });
         let tenant = self.tenant_mut(t)?;
         tenant.arrays.push(arr);
         Ok(ArrayRef {
@@ -431,24 +429,13 @@ impl ServiceCore {
                 arr.len()
             )));
         }
-        match data {
-            TypedData::F32(v) => arr.copy_from_f32(v),
-            TypedData::F64(v) => arr.copy_from_f64(v),
-            TypedData::I32(v) => arr.copy_from_i32(v),
-            TypedData::U8(v) => arr.copy_from_u8(v),
-        }
+        arr.copy_from(data);
         Ok(())
     }
 
     /// Fill a tenant array with a scalar (cast to the element type).
     pub fn fill(&mut self, t: TenantId, r: ArrayRef, v: f64) -> Result<(), ServeError> {
-        let arr = self.resolve_array(t, r)?;
-        match arr.type_name() {
-            "float" => arr.fill_f32(v as f32),
-            "double" => arr.fill_f64(v),
-            "sint32" => arr.fill_i32(v as i32),
-            _ => arr.fill_u8(v as u8),
-        }
+        self.resolve_array(t, r)?.fill(v);
         Ok(())
     }
 
@@ -470,8 +457,7 @@ impl ServiceCore {
             }
         }
         self.drain_tenant(t)?;
-        let arr = self.resolve_array(t, r)?;
-        Ok(read_elem(arr, i))
+        Ok(self.resolve_array(t, r)?.get(i))
     }
 
     /// Build a kernel in the tenant's namespace.
@@ -507,7 +493,6 @@ impl ServiceCore {
                 "deadline must be finite and non-negative".into(),
             ));
         }
-        let capacity = self.g.device_capacity();
         let mut calls: Vec<(Kernel, Grid, Vec<Arg>)> = Vec::with_capacity(spec.calls.len());
         let mut written: Vec<DeviceArray> = Vec::new();
         for c in &spec.calls {
@@ -519,25 +504,17 @@ impl ServiceCore {
                     ArgSpec::Scalar(v) => args.push(Arg::Scalar(*v)),
                 }
             }
-            kernel
-                .validate(&args)
-                .map_err(|e| ServeError::Invalid(e.to_string()))?;
-            // Admission control: the distinct-argument-bytes bound the
-            // scheduler enforces per launch (the same helper computes
-            // both), applied *before* the request enters the queue — so
-            // a can-never-fit launch is a clean per-tenant error, not a
+            // Admission control is the scheduler's own acceptance check
+            // applied *before* the request enters the queue — so a
+            // can-never-fit launch is a clean per-tenant error, not a
             // mid-batch failure.
-            if let Some(cap) = capacity {
-                let needed = arg_bytes(&args);
-                if needed > cap {
-                    let tenant = self.tenant_mut(t)?;
-                    tenant.rejected += 1;
-                    return Err(ServeError::Rejected(LaunchError::OutOfMemory {
-                        kernel: kernel.name().into(),
-                        needed,
-                        capacity: cap,
-                    }));
+            match self.g.accept(&kernel, &args) {
+                Ok(()) => {}
+                Err(e @ LaunchError::OutOfMemory { .. }) => {
+                    self.tenant_mut(t)?.rejected += 1;
+                    return Err(ServeError::Rejected(e));
                 }
+                Err(e) => return Err(ServeError::Invalid(e.to_string())),
             }
             for (p, a) in kernel.signature().params.iter().zip(&args) {
                 if let (
@@ -584,7 +561,7 @@ impl ServiceCore {
     }
 
     /// One pump cycle: make room in the pipeline window, ask the
-    /// fairness policy which tenants' head requests to admit, and
+    /// fairness rule which tenants' head requests to admit, and
     /// submit them as **one** coalesced [`GrCuda::launch_batch`] — the
     /// host-API and scheduling overheads are charged once for the whole
     /// cross-tenant cycle. Returns the number of requests admitted.
@@ -602,25 +579,7 @@ impl ServiceCore {
         let room = self.batch_limit.min(self.window - self.inflight.len());
         let mut admitted: Vec<PendingRequest> = Vec::new();
         for _ in 0..room {
-            let n = self.tenants.len();
-            let mut queued = Vec::with_capacity(n);
-            let mut head_arrival = Vec::with_capacity(n);
-            let mut head_deadline = Vec::with_capacity(n);
-            let mut weights = Vec::with_capacity(n);
-            for t in &self.tenants {
-                queued.push(t.queue.len());
-                head_arrival.push(t.queue.front().map(|r| r.arrival));
-                head_deadline.push(t.queue.front().and_then(|r| r.deadline));
-                weights.push(t.weight);
-            }
-            let ctx = FairnessCtx {
-                queued: &queued,
-                head_arrival: &head_arrival,
-                head_deadline: &head_deadline,
-                weights: &weights,
-                now: self.g.now(),
-            };
-            let Some(ti) = self.fairness.next_tenant(&ctx) else {
+            let Some(ti) = self.admission.next(&self.tenants) else {
                 break;
             };
             let Some(req) = self.tenants[ti].queue.pop_front() else {
@@ -701,7 +660,7 @@ impl ServiceCore {
     /// Drain one tenant: pump (and, when its requests are merely in
     /// flight, complete the pipeline head) until the tenant has nothing
     /// queued or in flight. Other tenants' requests keep flowing —
-    /// admission order is still the fairness policy's.
+    /// admission order is still the fairness rule's.
     pub(crate) fn drain_tenant(&mut self, t: TenantId) -> Result<(), ServeError> {
         self.tenant(t)?;
         loop {
@@ -711,13 +670,9 @@ impl ServiceCore {
                 return Ok(());
             }
             if queued > 0 {
-                if self.pump() == 0 && !self.complete_oldest() {
-                    // Queue non-empty but the policy admitted nothing
-                    // and nothing is in flight: admit by pumping again
-                    // after the policy replenishes; guaranteed by the
-                    // built-ins, defended against for custom policies.
-                    self.pump();
-                }
+                // Every rule admits somebody while anybody is queued,
+                // and a cycle always opens at least one slot.
+                self.pump();
             } else {
                 self.complete_oldest();
             }
@@ -775,15 +730,5 @@ impl ServiceCore {
             self.g.sync();
             self.g.clear_timeline();
         }
-    }
-}
-
-/// Read one element, dispatching on the array's element type.
-fn read_elem(arr: &DeviceArray, i: usize) -> f64 {
-    match arr.type_name() {
-        "float" => arr.get_f32(i) as f64,
-        "double" => arr.get_f64(i),
-        "sint32" => arr.get_i32(i) as f64,
-        _ => arr.get_u8(i) as f64,
     }
 }

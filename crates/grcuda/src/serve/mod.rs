@@ -20,12 +20,16 @@
 //!   submission queue, so any number of OS threads can submit
 //!   concurrently.
 //!
-//! Fairness under contention is pluggable via [`FairnessPolicy`]
-//! (global [`Fairness::Fifo`], deficit [`Fairness::WeightedRoundRobin`],
-//! and [`Fairness::DeadlineAware`] earliest-deadline-first), mirroring
-//! how device
-//! placement is pluggable via
-//! [`DeviceSelectionPolicy`](crate::DeviceSelectionPolicy).
+//! Fairness under contention is one of three [`Fairness`] rules —
+//! global [`Fairness::Fifo`], deficit [`Fairness::WeightedRoundRobin`]
+//! and [`Fairness::DeadlineAware`] earliest-deadline-first — picked in
+//! [`ServeConfig`] and read by one function over the tenant table, with
+//! every tie-break declared there (`serve/fairness.rs`). It is not a
+//! seam: a fourth rule costs one enum variant and one key in that
+//! function. The machine is a seam, and the same one every other
+//! runtime has: [`ServeConfig::on`] takes any [`gpu_sim::Topology`] —
+//! several devices, a flattened [`gpu_sim::Cluster`], finite memory —
+//! and a [`PlacementPolicy`](crate::PlacementPolicy).
 //!
 //! ```
 //! use grcuda::serve::{ArgSpec, CallSpec, ElemKind, RequestSpec, ServeConfig, Server};
@@ -65,5 +69,5 @@ pub use self::core::{
     ArgSpec, ArrayRef, CallSpec, ElemKind, KernelRef, RequestId, RequestSpec, ServeConfig,
     ServeError, ServiceCore, TenantId, TenantStats,
 };
-pub use fairness::{Fairness, FairnessCtx, FairnessPolicy};
+pub use fairness::Fairness;
 pub use server::{Client, Server, ServiceReport};

@@ -2,9 +2,9 @@
 //! `Send + Clone` client handles feeding it over an mpsc queue.
 //!
 //! [`GrCuda`](crate::GrCuda) is an `Rc`-based handle and cannot cross
-//! threads, so the [`Server`] ships only the (fully `Send`)
-//! [`ServeConfig`] to its service thread and builds the
-//! [`ServiceCore`] there. Each [`Client`] is an mpsc sender plus a
+//! threads, so the [`Server`] ships only the [`ServeConfig`] — plain
+//! data, the machine included (a [`gpu_sim::Topology`]), so fully
+//! `Send` — to its service thread and builds the [`ServiceCore`] there. Each [`Client`] is an mpsc sender plus a
 //! tenant id: cloning is cheap, every clone submits into the same
 //! tenant namespace, and handles from different clients cannot be
 //! mixed (the core rejects cross-tenant handles).

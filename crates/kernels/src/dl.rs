@@ -12,7 +12,7 @@
 
 use gpu_sim::{DataBuffer, KernelCost};
 
-use crate::helpers::{cached_f32, s, streaming_f32};
+use crate::helpers::{cached_f32, holds, s, streaming_f32};
 use crate::KernelDef;
 
 /// `conv2d(x, w, y, in_c, h, w_dim, out_c, k)`: valid-padding 2-D
@@ -37,11 +37,19 @@ fn conv2d_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let w_dim = s(scalars[2]);
     let out_c = s(scalars[3]);
     let k = s(scalars[4]);
-    let oh = conv_out(h, k);
-    let ow = conv_out(w_dim, k);
+    // A filter larger than the image has no valid position.
+    let (Some(oh), Some(ow)) = ((h + 1).checked_sub(k), (w_dim + 1).checked_sub(k)) else {
+        return;
+    };
     let x = bufs[0].as_f32();
     let w = bufs[1].as_f32();
     let mut y = bufs[2].as_f32_mut();
+    if !(holds(x.len(), &[in_c, h, w_dim])
+        && holds(w.len(), &[out_c, in_c, k, k])
+        && holds(y.len(), &[out_c, oh, ow]))
+    {
+        return;
+    }
     for oc in 0..out_c {
         for r in 0..oh {
             for c in 0..ow {
@@ -100,6 +108,9 @@ fn pool2d_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let ow = w / 2;
     let x = bufs[0].as_f32();
     let mut y = bufs[1].as_f32_mut();
+    if !(holds(x.len(), &[ch, h, w]) && holds(y.len(), &[ch, oh, ow])) {
+        return;
+    }
     for c in 0..ch {
         for r in 0..oh {
             for q in 0..ow {
@@ -131,6 +142,9 @@ fn gap_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let hw = s(scalars[1]);
     let x = bufs[0].as_f32();
     let mut y = bufs[1].as_f32_mut();
+    if !(holds(x.len(), &[ch, hw]) && holds(y.len(), &[ch])) {
+        return;
+    }
     for c in 0..ch {
         let sum: f64 = x[c * hw..(c + 1) * hw].iter().map(|&v| v as f64).sum();
         y[c] = (sum / hw as f64) as f32;
@@ -159,6 +173,9 @@ fn concat_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let a = bufs[0].as_f32();
     let b = bufs[1].as_f32();
     let mut out = bufs[2].as_f32_mut();
+    if na > a.len() || nb > b.len() || na.checked_add(nb).is_none_or(|n| n > out.len()) {
+        return;
+    }
     out[..na].copy_from_slice(&a[..na]);
     out[na..na + nb].copy_from_slice(&b[..nb]);
 }
@@ -182,13 +199,17 @@ fn dense_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let n = s(scalars[0]);
     let x = bufs[0].as_f32();
     let w = bufs[1].as_f32();
+    let mut out = bufs[2].as_f32_mut();
+    let Some(score) = out.first_mut() else {
+        return;
+    };
     let acc: f64 = x
         .iter()
         .zip(w.iter())
         .take(n)
         .map(|(&a, &b)| a as f64 * b as f64)
         .sum();
-    bufs[2].as_f32_mut()[0] = (1.0 / (1.0 + (-acc).exp())) as f32;
+    *score = (1.0 / (1.0 + (-acc).exp())) as f32;
 }
 
 fn dense_cost(bufs: &[DataBuffer], _scalars: &[f64]) -> KernelCost {

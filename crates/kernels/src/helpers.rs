@@ -83,9 +83,32 @@ pub fn s(x: f64) -> usize {
     x as usize
 }
 
+/// Does a buffer of `len` elements hold a `dims[0] × dims[1] × …`
+/// array? A launch's shape scalars are its caller's — in a service, a
+/// tenant's — and reach the kernel unjudged (the runtime does not know
+/// which scalar is a dimension). A decoder that indexes by them asks
+/// this of every buffer first and returns without writing when one is
+/// too short, instead of taking down whoever is advancing virtual time.
+/// A product that overflows `usize` fits nowhere.
+pub(crate) fn holds(len: usize, dims: &[usize]) -> bool {
+    dims.iter()
+        .try_fold(1usize, |p, &d| p.checked_mul(d))
+        .is_some_and(|p| p <= len)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn holds_compares_the_checked_product() {
+        assert!(holds(12, &[3, 4]));
+        assert!(holds(12, &[2, 2, 3]));
+        assert!(!holds(11, &[3, 4]));
+        assert!(holds(0, &[0, usize::MAX]));
+        assert!(!holds(usize::MAX, &[usize::MAX, 2]));
+        assert!(holds(1, &[]));
+    }
 
     #[test]
     fn streaming_cost_scales_linearly() {

@@ -36,11 +36,20 @@ fn spmv_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let mut y = bufs[4].as_f32_mut();
     let n = n.min(y.len()).min(rowptr.len().saturating_sub(1));
     for r in 0..n {
-        let lo = rowptr[r] as usize;
-        let hi = rowptr[r + 1] as usize;
+        // The CSR arrays are the caller's data like any other: a row
+        // extent outside `vals`/`colidx` (a negative entry is a huge
+        // one) or a column outside `x` ends the kernel with that row
+        // and the ones after it unwritten.
+        let (lo, hi) = (rowptr[r] as usize, rowptr[r + 1] as usize);
+        let (Some(vals), Some(cols)) = (vals.get(lo..hi), colidx.get(lo..hi)) else {
+            return;
+        };
         let mut acc = 0.0f64;
-        for k in lo..hi {
-            acc += vals[k] as f64 * x[colidx[k] as usize] as f64;
+        for (&v, &c) in vals.iter().zip(cols) {
+            let Some(&xv) = x.get(c as usize) else {
+                return;
+            };
+            acc += v as f64 * xv as f64;
         }
         y[r] = acc as f32;
     }

@@ -11,7 +11,7 @@
 
 use gpu_sim::{DataBuffer, KernelCost};
 
-use crate::helpers::{cached_f32, reduction_f32, s, streaming_f32};
+use crate::helpers::{cached_f32, holds, reduction_f32, s, streaming_f32};
 use crate::KernelDef;
 
 /// `gaussian_blur(img, out, rows, cols, kernel, diameter)`: 2-D
@@ -31,6 +31,15 @@ fn blur_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let img = bufs[0].as_f32();
     let mut out = bufs[1].as_f32_mut();
     let kern = bufs[2].as_f32();
+    // The last weight read is (2·radius, 2·radius) of rows `diameter`
+    // wide — past `diameter²` when the diameter is even.
+    let taps = (diameter / 2 * 2).checked_mul(diameter + 1);
+    let shape = [rows, cols];
+    if !(holds(img.len(), &shape) && holds(out.len(), &shape))
+        || taps.is_none_or(|last| last >= kern.len())
+    {
+        return;
+    }
     let radius = (diameter / 2) as isize;
     for r in 0..rows as isize {
         for c in 0..cols as isize {
@@ -72,6 +81,9 @@ fn sobel_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let cols = s(scalars[1]);
     let img = bufs[0].as_f32();
     let mut out = bufs[1].as_f32_mut();
+    if !(holds(img.len(), &[rows, cols]) && holds(out.len(), &[rows, cols])) {
+        return;
+    }
     const GX: [[f32; 3]; 3] = [[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]];
     const GY: [[f32; 3]; 3] = [[-1.0, -2.0, -1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 1.0]];
     for r in 0..rows as isize {

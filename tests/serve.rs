@@ -3,7 +3,9 @@
 //! device memory, fairness-policy latency behavior, and the threaded
 //! `Server`/`Client` front-end under genuinely concurrent submitters.
 
-use gpu_sim::{DeviceProfile, EvictionPolicy, Grid, MemoryConfig, TopologyKind};
+use gpu_sim::{
+    Cluster, DeviceProfile, EvictionPolicy, Grid, MemoryConfig, NicKind, Topology, TopologyKind,
+};
 use grcuda::serve::{
     ArgSpec, CallSpec, Client, ElemKind, Fairness, RequestSpec, ServeConfig, ServeError, Server,
     ServiceCore,
@@ -11,6 +13,7 @@ use grcuda::serve::{
 use grcuda::{Options, PlacementPolicy};
 use kernels::util::{AXPY, SCALE};
 use kernels::vec_ops::SQUARE;
+use kernels::{dl::POOL2D, hits::SPMV, image::SOBEL, ml::NB_ROW_MAX};
 use metrics::LatencySummary;
 
 fn base_config() -> ServeConfig {
@@ -103,8 +106,9 @@ fn cross_tenant_handles_are_rejected() {
 fn admission_control_rejects_impossible_launches_without_stalling_others() {
     let n = 1 << 10; // 4 KiB arrays
     let capacity = 3 * 4 * n; // three arrays per device
-    let config = base_config()
-        .with_memory(MemoryConfig::with_capacity(capacity).with_eviction(EvictionPolicy::Lru));
+    let memory = MemoryConfig::with_capacity(capacity).with_eviction(EvictionPolicy::Lru);
+    let machine = Topology::pcie_only(1, &DeviceProfile::tesla_p100()).with_memory(memory);
+    let config = base_config().on(machine, PlacementPolicy::SingleGpu);
     let mut core = ServiceCore::new(config);
 
     let greedy = core.add_tenant("greedy", 1);
@@ -465,9 +469,44 @@ fn malformed_requests_fail_cleanly() {
         deadline_us: None,
     };
     core.submit(t, long).unwrap();
+    // Nor can a shape, or a CSR column, the arrays cannot hold: one
+    // kernel per module that indexes by them, in one request. Each
+    // returns without writing instead of indexing out of bounds.
+    let out = core.alloc(t, ElemKind::F32, 16).unwrap();
+    let rowptr = core.alloc(t, ElemKind::I32, 2).unwrap();
+    let colidx = core.alloc(t, ElemKind::I32, 2).unwrap();
+    let csr = [(rowptr, [0, 2]), (colidx, [0, 99])];
+    for (r, v) in csr {
+        let data = gpu_sim::TypedData::I32(v.to_vec());
+        core.write(t, r, &data).unwrap();
+    }
+    let mut oversized = Vec::new();
+    for (def, arrays, dims) in [
+        (&SOBEL, vec![x, out], vec![4096.0, 4096.0]),
+        (&NB_ROW_MAX, vec![x, out], vec![4096.0, 10.0]),
+        (&POOL2D, vec![x, out], vec![64.0, 64.0, 64.0]),
+        (&SPMV, vec![rowptr, colidx, x, x, out], vec![1.0]),
+    ] {
+        let arrays = arrays.into_iter().map(ArgSpec::Array);
+        oversized.push(CallSpec {
+            kernel: core.register_kernel(t, def).unwrap(),
+            grid: Grid::d1(1, 32),
+            args: arrays
+                .chain(dims.into_iter().map(ArgSpec::Scalar))
+                .collect(),
+        });
+    }
+    let oversized = RequestSpec {
+        calls: oversized,
+        deadline_us: None,
+    };
+    core.submit(t, oversized).unwrap();
     core.drain_all();
     assert_eq!(core.tenant_stats(other).unwrap().completed, 1);
-    assert_eq!(core.tenant_stats(t).unwrap().completed, 2);
+    assert_eq!(core.tenant_stats(t).unwrap().completed, 3);
+    for i in [0, 15] {
+        assert_eq!(core.read(t, out, i).unwrap(), 0.0, "nothing written");
+    }
     assert_eq!(core.read(other, oy, 3).unwrap(), 3.0);
     assert_eq!(core.read(t, x, 3).unwrap(), 3.0, "nothing squared");
     assert_eq!(
@@ -539,7 +578,8 @@ fn per_tenant_kernel_attribution_counts_signatures_at_admission() {
 fn served_multi_device_placement_computes_what_one_device_does() {
     let n = 1 << 12;
     // Four tenants, three rounds of three-call chains each; returns
-    // every value read and how many devices the timeline shows.
+    // every value read, how many devices the timeline shows and how
+    // many nodes the runtime spans.
     let run = |config: ServeConfig| {
         let mut core = ServiceCore::new(config);
         let tenants: Vec<_> = (0..4)
@@ -587,18 +627,24 @@ fn served_multi_device_placement_computes_what_one_device_does() {
             st.vertex_devices,
         ];
         assert_eq!(per_vertex, [0; 5], "scheduler state drained");
-        (values, devices.len())
+        let nodes = core.runtime().node_count();
+        (values, devices.len(), nodes)
     };
-    let (one, one_devices) = run(base_config());
-    let (four, four_devices) = run(base_config().with_devices(
-        4,
+    let dev = DeviceProfile::tesla_p100();
+    let (one, one_devices, one_nodes) = run(base_config());
+    let (four, four_devices, _) = run(base_config().on(
+        Topology::preset(TopologyKind::NvlinkPair, 4, &dev),
         PlacementPolicy::TransferAware,
-        TopologyKind::NvlinkPair,
     ));
+    // A served cluster is the same call: two nodes of two GPUs.
+    let cluster = Cluster::new(2, 2, TopologyKind::NvlinkPair, NicKind::InfinibandHdr);
+    let (clustered, cluster_devices, cluster_nodes) =
+        run(base_config().on(cluster.build(&dev), PlacementPolicy::NodeAware));
     assert_eq!(four, one);
-    assert_eq!(one_devices, 1);
-    assert!(
-        four_devices >= 2,
-        "{four_devices} device(s) in the timeline"
-    );
+    assert_eq!(clustered, one);
+    assert_eq!((one_devices, one_nodes), (1, 1));
+    assert_eq!(cluster_nodes, 2);
+    for (name, devices) in [("4 GPUs", four_devices), ("2x2", cluster_devices)] {
+        assert!(devices >= 2, "{name}: {devices} device(s) in the timeline");
+    }
 }
