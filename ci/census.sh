@@ -34,14 +34,11 @@
 #      `-D warnings` rustc already refuses a `pub` type, const or free
 #      function that nothing exports (and `dead_code` what nothing
 #      uses). What no lint can judge is a `pub fn` on an exported type
-#      or in a public module: for each one in the non-test code, the
-#      name must appear outside the crate's own `src/` — `.name` or
-#      `::name` for a method (indented), the bare word for a free
-#      function — in another crate, `tests/`, `examples/`,
-#      `crates/*/tests/` or `benchmark/`, comment lines excluded (so a
-#      doc example is not a reader). Unread names are printed; spend
-#      them (`pub(crate)`, private, or delete with their tests) rather
-#      than list them anywhere.
+#      or in a public module, so ci/unread.sh asks the compiler one
+#      function at a time (about 5 minutes): made `pub(crate)` alone, a
+#      function that still compiles everywhere is unread. Its names are
+#      printed; spend them (`pub(crate)`, private, or delete with their
+#      tests) rather than list them anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -97,26 +94,4 @@ api_crates=(gpu-sim cuda-sim dag grcuda metrics benchmarks)
 printf 'pub mod              %-12s %6d\n' "(6 crates)" \
     "$(for c in "${api_crates[@]}"; do grep -rE "^\s*pub mod " "crates/$c/src"; done | wc -l)"
 
-unread=()
-for crate in "${api_crates[@]}"; do
-    outside=$(find crates/*/src crates/*/tests tests examples benchmark/src -name '*.rs' \
-        ! -path "crates/$crate/src/*" -print0 | xargs -0 awk '!/^[[:space:]]*\/\//')
-    while read -r kind name; do
-        if [ "$kind" = method ]; then pattern="(\.|::)$name\b"; else pattern="\b$name\b"; fi
-        grep -qE "$pattern" <<<"$outside" || unread+=("$crate::$name")
-    done < <(find "crates/$crate/src" -name '*.rs' ! -name 'prop_tests.rs' -print0 |
-        xargs -0 awk '
-            FNR == 1 { in_tests = 0 }
-            /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
-            in_tests { next }
-            match($0, /^[[:space:]]*pub (const )?fn [a-z_0-9]+/) {
-                name = substr($0, RSTART, RLENGTH)
-                sub(/.*fn /, "", name)
-                print ($0 ~ /^pub/ ? "fn" : "method"), name
-            }' | sort -u)
-done
-printf 'public items with no reader outside their crate %d\n' "${#unread[@]}"
-if [ "${#unread[@]}" -gt 0 ]; then
-    printf '  %s\n' "${unread[@]}"
-    exit 1
-fi
+ci/unread.sh

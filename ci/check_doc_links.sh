@@ -12,7 +12,11 @@
 # A source anchor is a backticked `crates/<path>.rs` or
 # `crates/<path>.rs:<line>` (relative to the repo root; `*` globs
 # allowed). It breaks the build when no such file exists or the line
-# lies outside it.
+# lies outside it. A backticked `name` or `Type::name` written directly
+# before one — `Engine::complete` (`crates/gpu-sim/src/engine.rs`), or
+# joined by "in" — must be defined in that file (`fn name`, or
+# `struct|enum|trait|type|const|static Name`): a renamed function leaves
+# its old name in the prose, and the file it points at still exists.
 #
 # A `*.md` named anywhere in crates/**/*.rs must exist at that path from
 # the repo root: a comment that sends the reader to a document is a
@@ -73,6 +77,20 @@ scan() {
                         echo "BROKEN ANCHOR in $doc: \`$anchor\` -> no such line in $path"
                     fi
                 fi
+            done
+        tr '\n' ' ' <"$doc" |
+            grep -oE '`[A-Za-z_][A-Za-z0-9_:]*(\(\))?`[ (]*(in )?[ (]*`crates/[^` ]*\.rs(:[0-9]+)?`' |
+            while IFS= read -r pair; do
+                name=${pair#\`}
+                name=${name%%\`*}
+                name=${name%()}
+                path=${pair##*\`crates/}
+                path=crates/${path%\`}
+                path=${path%%:*}
+                compgen -G "$path" >/dev/null || continue # reported above
+                # shellcheck disable=SC2086 # the anchor may be a glob
+                grep -qE "\b(fn|struct|enum|trait|type|const|static) ${name##*::}\b" $path ||
+                    echo "STALE NAME in $doc: \`$name\` is not defined in $path"
             done
     done
     grep -rnoE '[A-Za-z0-9_./-]+\.md\b' crates --include='*.rs' |

@@ -47,7 +47,8 @@ keys=$(tr -d ' \n' <"$keys_file")
 census=$(awk '
     function item(name, value) { out = out (out == "" ? "" : ",") "\"" name "\":" value }
     /^non-test code lines/ { lines = lines (lines == "" ? "" : ",") "\"" $4 "\":" $5; next }
-    /^public items with no reader/ { unread = $NF; next }
+    /^public functions with no reader/ { unread = $NF; next }
+    /^public functions/ { item("public_fns", $NF) }
     /^public items/ { item("public_items", $NF) }
     /^pub traits/ { item("pub_traits", $NF) }
     /^hash\/tree collections/ { item("launch_path_hash_tree", $NF) }

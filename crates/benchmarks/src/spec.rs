@@ -18,7 +18,7 @@ pub struct ArraySpec {
 
 impl ArraySpec {
     /// Size in bytes.
-    pub fn byte_len(&self) -> usize {
+    pub(crate) fn byte_len(&self) -> usize {
         self.init.byte_len()
     }
 }

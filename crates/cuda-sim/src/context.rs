@@ -43,8 +43,9 @@ struct StreamState {
 
 pub(crate) struct Inner {
     pub(crate) engine: Engine,
+    /// The engine's device profile, copied once: every copy leg and
+    /// launch reads it between `&mut self` calls.
     pub(crate) dev: DeviceProfile,
-    n_devices: u32,
     /// State of every allocation, indexed by `ValueId`: [`Cuda::alloc`]
     /// mints ids densely from zero and nothing frees one.
     arrays: Vec<ArrayState>,
@@ -131,7 +132,6 @@ impl Cuda {
             inner: Rc::new(RefCell::new(Inner {
                 engine,
                 dev,
-                n_devices: n as u32,
                 arrays: Vec::new(),
                 streams: vec![StreamState::default()], // default stream, device 0
                 events: Vec::new(),
@@ -149,28 +149,18 @@ impl Cuda {
         }
     }
 
-    /// The device profile this context simulates.
-    pub fn device(&self) -> DeviceProfile {
-        self.inner.borrow().dev.clone()
-    }
-
     /// Number of identical devices in this context.
     pub fn device_count(&self) -> usize {
-        self.inner.borrow().n_devices as usize
-    }
-
-    /// Submitted-but-unfinished tasks on a device (in-flight load gauge).
-    pub fn device_load(&self, device: u32) -> usize {
-        self.inner.borrow().engine.device_load(device)
+        self.inner.borrow().engine.device_count()
     }
 
     /// Fill `out` with every device's in-flight load under a single
     /// borrow — the per-launch placement path calls this once instead
-    /// of polling [`Cuda::device_load`] per device.
+    /// of polling per device.
     pub fn device_loads_into(&self, out: &mut Vec<usize>) {
         let inner = self.inner.borrow();
         out.clear();
-        out.extend((0..inner.n_devices).map(|d| inner.engine.device_load(d)));
+        out.extend((0..inner.engine.device_count() as u32).map(|d| inner.engine.device_load(d)));
     }
 
     /// Fill `out` with every device's free memory bytes under a single
@@ -178,7 +168,7 @@ impl Cuda {
     pub fn free_device_bytes_into(&self, out: &mut Vec<usize>) {
         let inner = self.inner.borrow();
         out.clear();
-        out.extend((0..inner.n_devices).map(|d| inner.memgr.free_bytes(d)));
+        out.extend((0..inner.engine.device_count() as u32).map(|d| inner.memgr.free_bytes(d)));
     }
 
     /// One-borrow placement probe for one argument array: adds to
@@ -194,7 +184,7 @@ impl Cuda {
     /// current device copy, if any.
     pub fn placement_probe(&self, a: &UnifiedArray, est: &mut [f64]) -> Option<u32> {
         let inner = self.inner.borrow();
-        debug_assert_eq!(est.len(), inner.n_devices as usize);
+        debug_assert_eq!(est.len(), inner.engine.device_count());
         let st = inner.array(a.id);
         let topo = inner.engine.topology();
         let calib = inner.engine.calibration();
@@ -233,17 +223,10 @@ impl Cuda {
         self.inner.borrow().cross_node_migrated
     }
 
-    /// Read the device profile and the interconnect topology in place:
-    /// what a per-launch caller uses instead of the copies
-    /// [`Cuda::device`] and [`Cuda::topology`] hand out.
+    /// Read the device profile and the interconnect topology in place.
     pub fn machine<R>(&self, f: impl FnOnce(&DeviceProfile, &Topology) -> R) -> R {
         let inner = self.inner.borrow();
         f(&inner.dev, inner.engine.topology())
-    }
-
-    /// The interconnect topology of this context (a copy).
-    pub fn topology(&self) -> Topology {
-        self.inner.borrow().engine.topology().clone()
     }
 
     /// Memory gauges of the capacity-aware memory manager: per-device
@@ -256,13 +239,6 @@ impl Cuda {
     /// The configured per-device capacity (`None` = unlimited).
     pub fn device_capacity(&self) -> Option<usize> {
         self.inner.borrow().memgr.capacity(0)
-    }
-
-    /// Per-device `(time, resident bytes)` step samples, recorded while
-    /// a finite capacity is configured. Cleared by
-    /// [`Cuda::clear_timeline`], like the execution timeline.
-    pub fn memory_timeline(&self) -> Vec<Vec<(Time, usize)>> {
-        self.inner.borrow().memgr.timeline().to_vec()
     }
 
     /// Enable (or disable) recording of eviction, prefetch and migration
@@ -293,7 +269,7 @@ impl Cuda {
     pub fn host_link_bytes(&self) -> f64 {
         let inner = self.inner.borrow();
         let traffic = inner.engine.link_traffic();
-        (0..inner.n_devices as usize).map(|d| traffic[d].0).sum()
+        (0..inner.engine.device_count()).map(|d| traffic[d].0).sum()
     }
 
     /// Enable (or disable) online calibration: from then on every
@@ -337,7 +313,10 @@ impl Cuda {
     /// Create a new independent stream on a specific device.
     pub fn stream_create_on(&self, device: u32) -> StreamId {
         let mut inner = self.inner.borrow_mut();
-        assert!(device < inner.n_devices, "unknown device {device}");
+        assert!(
+            (device as usize) < inner.engine.device_count(),
+            "unknown device {device}"
+        );
         inner.streams.push(StreamState { last: None, device });
         StreamId(inner.streams.len() as u32 - 1)
     }
@@ -669,12 +648,9 @@ impl Cuda {
         self.inner.borrow().engine.timeline().clone()
     }
 
-    /// Reset the timeline between measured iterations (the memory
-    /// manager's resident-bytes samples are cleared with it).
+    /// Reset the timeline between measured iterations.
     pub fn clear_timeline(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.engine.clear_timeline();
-        inner.memgr.clear_timeline();
+        self.inner.borrow_mut().engine.clear_timeline();
     }
 
     /// Data races detected so far.
@@ -965,7 +941,6 @@ impl Inner {
         device: u32,
         producer: Option<TaskId>,
     ) {
-        let now = self.engine.now();
         let st = state_mut(&mut self.arrays, v);
         let old = st.residency.on_device().then_some(st.device);
         let new = residency.on_device().then_some(device);
@@ -983,10 +958,10 @@ impl Inner {
             let bytes = st.bytes;
             if let Some(od) = old {
                 st.prefetched = false;
-                self.memgr.remove(od, v, now);
+                self.memgr.remove(od, v);
             }
             if let Some(nd) = new {
-                self.memgr.insert(nd, v, bytes, now);
+                self.memgr.insert(nd, v, bytes, self.engine.now());
             }
         }
     }
@@ -1443,7 +1418,7 @@ mod tests {
         assert_eq!(tl.of_kind(TaskKind::CopyP2P).count(), 1);
         assert_eq!(tl.of_kind(TaskKind::CopyD2H).count(), 0, "no staging");
         let copy = tl.of_kind(TaskKind::CopyP2P).next().unwrap();
-        let lid = p2p.topology().d2d_link(0, 1).unwrap();
+        let lid = p2p.machine(|_, topo| topo.d2d_link(0, 1)).unwrap();
         assert_eq!(copy.link, Some(lid.0));
         // Ordering held: consumer waits for the P2P copy.
         let prod = tl.kernels().find(|iv| iv.label == "produce").unwrap();
@@ -1497,10 +1472,9 @@ mod tests {
             c.placement_probe(a, &mut est);
             est[d]
         };
-        let dev = c.device();
+        let (dev, topo) = c.machine(|dev, topo| (dev.clone(), topo.clone()));
         let n = 1 << 20;
         let bytes = (n * 4) as f64;
-        let topo = c.topology();
         let host_leg = topo.link(topo.host_link(0)).latency + bytes / dev.pcie_bw;
         let a = c.alloc_f32(n);
         // Host-resident: one H2D leg (latency + transfer) to any device.
@@ -1646,10 +1620,6 @@ mod tests {
             assert_eq!(a.buf.as_f32()[7], 2.0);
         }
         assert!(c.races().is_empty());
-        // The resident-bytes timeline recorded the pressure.
-        let mt = c.memory_timeline();
-        assert!(mt[0].iter().any(|&(_, b)| b == 2 * 4 * n));
-        assert!(mt[0].windows(2).all(|w| w[0].0 <= w[1].0), "time-ordered");
     }
 
     #[test]
@@ -1862,6 +1832,8 @@ mod tests {
 
     #[test]
     fn unlimited_contexts_never_evict_and_skip_sampling() {
+        // Nothing samples resident bytes any more (the memory timeline
+        // had no reader); the test keeps the name the suite lists it under.
         let c = ctx();
         let a = c.alloc_f32(1 << 20);
         c.prefetch_async(c.default_stream(), &a);
@@ -1874,10 +1846,6 @@ mod tests {
         assert_eq!(st.evictions, 0);
         assert_eq!(st.capacity, None);
         assert_eq!(st.resident_bytes[0], 4 << 20, "residency is still tracked");
-        assert!(
-            c.memory_timeline()[0].is_empty(),
-            "no samples when unlimited"
-        );
         assert_eq!(c.device_residency(&a), Some(0));
     }
 

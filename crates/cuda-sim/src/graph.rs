@@ -89,16 +89,6 @@ impl CudaGraph {
         GraphNodeId(self.nodes.len() as u32 - 1)
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True if the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Launch the graph (`cudaGraphLaunch` analogue). The first launch
     /// pays the instantiation overhead; later launches only pay a single
     /// API call. Returns a marker task that completes when every node
@@ -322,7 +312,7 @@ mod tests {
         let s1 = c.stream_create();
         assert!(c.launch(s1, &kern("k1", &a, 1.0, true)).is_none());
         let g = c.end_capture();
-        assert_eq!(g.len(), 1);
+        assert_eq!(g.nodes.len(), 1);
         assert_eq!(
             c.timeline().kernels().count(),
             0,
@@ -465,7 +455,7 @@ mod edge_tests {
     fn empty_graph_launch_completes_immediately() {
         let c = Cuda::new(DeviceProfile::gtx1660_super());
         let g = CudaGraph::new();
-        assert!(g.is_empty());
+        assert!(g.nodes.is_empty());
         let done = g.launch(&c);
         c.task_sync(done);
         assert_eq!(c.timeline().kernels().count(), 0);
@@ -476,7 +466,7 @@ mod edge_tests {
         let c = Cuda::new(DeviceProfile::tesla_p100());
         c.begin_capture();
         let g = c.end_capture();
-        assert_eq!(g.len(), 0);
+        assert_eq!(g.nodes.len(), 0);
         let done = g.launch(&c);
         c.task_sync(done);
     }

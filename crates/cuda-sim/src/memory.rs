@@ -22,7 +22,7 @@ pub enum Residency {
 
 impl Residency {
     /// Is the data available to a kernel without migration?
-    pub fn on_device(self) -> bool {
+    pub(crate) fn on_device(self) -> bool {
         matches!(self, Residency::Device | Residency::Both)
     }
 

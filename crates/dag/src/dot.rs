@@ -36,27 +36,20 @@ const DEVICE_COLORS: [&str; 8] = [
 /// (`spilled` when a real device→host copy moved the data, `dropped`
 /// for free drops of clean copies), and each ahead-of-launch prefetch
 /// as a green note node with a dotted edge *into* the vertex.
-pub fn to_dot(dag: &ComputationDag, title: &str) -> String {
-    render(dag, title, &[])
-}
-
-/// [`to_dot`] with cluster-node boundaries drawn: devices are grouped
-/// by `node_of` (indexed by device id, as [`gpu_sim`-style] topologies
-/// report it) and every node's placed vertices are boxed in a Graphviz
-/// `subgraph cluster_N`. Migration edges that crossed a node boundary
-/// (stamped via
+///
+/// A non-empty `node_of` draws cluster-node boundaries: devices are
+/// grouped by `node_of` (indexed by device id, as [`gpu_sim`-style]
+/// topologies report it) and every node's placed vertices are boxed in
+/// a Graphviz `subgraph cluster_N`. Migration edges that crossed a node
+/// boundary (stamped via
 /// [`crate::graph::ComputationDag::annotate_migration_route`]) are
 /// drawn bold magenta with a `cross-node` tag, visually separating NIC
 /// round trips from in-node peer or host-staged moves. Unplaced
-/// vertices render outside any box; an empty `node_of` degrades to the
-/// plain single-box render.
+/// vertices render outside any box; an empty `node_of` is the plain
+/// single-box drawing.
 ///
 /// [`gpu_sim`-style]: ../gpu_sim/index.html
-pub fn to_dot_clustered(dag: &ComputationDag, title: &str, node_of: &[u32]) -> String {
-    render(dag, title, node_of)
-}
-
-fn render(dag: &ComputationDag, title: &str, node_of: &[u32]) -> String {
+pub fn to_dot(dag: &ComputationDag, title: &str, node_of: &[u32]) -> String {
     let mut out = String::new();
     out.push_str(&format!("digraph \"{}\" {{\n", escape(title)));
     out.push_str("  rankdir=TB;\n  node [shape=ellipse, fontname=\"monospace\"];\n");
@@ -219,7 +212,7 @@ mod tests {
             "K2",
             vec![ArgAccess::read(Value(0)), ArgAccess::write(Value(1))],
         );
-        let dot = to_dot(&dag, "t");
+        let dot = to_dot(&dag, "t", &[]);
         assert!(dot.starts_with("digraph"));
         assert!(dot.contains("n0 ->") || dot.contains("n0 -> n1"));
         assert!(dot.contains("K1"));
@@ -238,7 +231,7 @@ mod tests {
             "K\"x\"",
             vec![ArgAccess::write(Value(0))],
         );
-        let dot = to_dot(&dag, "a\"b");
+        let dot = to_dot(&dag, "a\"b", &[]);
         assert!(dot.contains("K\\\"x\\\""));
         assert!(dot.contains("a\\\"b"));
     }
@@ -256,7 +249,7 @@ mod tests {
         dag.set_device(k1, 0);
         dag.set_device(k2, 1);
         dag.annotate_migration_route(k2, Value(0), 4 << 20, false, false);
-        let dot = to_dot(&dag, "multi");
+        let dot = to_dot(&dag, "multi", &[]);
         assert!(dot.contains("@dev0") && dot.contains("@dev1"));
         assert!(dot.contains("fillcolor=lightblue"));
         assert!(dot.contains("fillcolor=palegreen"));
@@ -296,7 +289,7 @@ mod tests {
         let p2p_edges: Vec<_> = dag.edges().iter().filter(|e| e.p2p).collect();
         assert_eq!(p2p_edges.len(), 1);
         assert_eq!((p2p_edges[0].from, p2p_edges[0].to), (k1, k2));
-        let dot = to_dot(&dag, "links");
+        let dot = to_dot(&dag, "links", &[]);
         assert!(dot.contains("4.0 MiB migrated (p2p)"));
         assert!(dot.contains("style=bold, color=blue"));
         assert!(dot.contains("3.0 KiB migrated (via host)"));
@@ -333,7 +326,7 @@ mod tests {
         assert_eq!(stamped.len(), 1, "one migration, one labeled edge");
         assert_eq!(stamped[0].from, r1, "the cross-device parent carries it");
         assert_eq!(stamped[0].to, w2);
-        let dot = to_dot(&dag, "t");
+        let dot = to_dot(&dag, "t", &[]);
         assert_eq!(dot.matches("migrated").count(), 1);
     }
 
@@ -348,7 +341,7 @@ mod tests {
         dag.annotate_evict(k2, Value(0), 2 << 20, true);
         dag.annotate_evict(k2, Value(2), 512, false);
         assert_eq!(dag.mem_notes().len(), 3);
-        let dot = to_dot(&dag, "mem");
+        let dot = to_dot(&dag, "mem", &[]);
         assert!(dot.contains("prefetch v0\\n2.0 MiB"));
         assert!(dot.contains("evict v0\\n2.0 MiB spilled"));
         assert!(dot.contains("evict v2\\n512 B dropped"));
@@ -362,7 +355,7 @@ mod tests {
         dag2.retire(k1);
         dag2.compact();
         assert!(dag2.mem_notes().is_empty());
-        assert!(!to_dot(&dag2, "mem").contains("evict"));
+        assert!(!to_dot(&dag2, "mem", &[]).contains("evict"));
     }
 
     #[test]
@@ -394,9 +387,12 @@ mod tests {
             "K3",
             vec![ArgAccess::read(Value(1)), ArgAccess::read(Value(2))],
         );
-        assert!(!to_dot(&dag, "t").contains("redundant"), "not stamped yet");
+        assert!(
+            !to_dot(&dag, "t", &[]).contains("redundant"),
+            "not stamped yet"
+        );
         assert_eq!(dag.mark_redundant_edges(), 1);
-        let dot = to_dot(&dag, "t");
+        let dot = to_dot(&dag, "t", &[]);
         assert_eq!(dot.matches("(redundant)").count(), 1);
         assert_eq!(dot.matches("style=dashed, color=gray").count(), 1);
     }
@@ -424,7 +420,7 @@ mod tests {
         dag.set_device(k3, 3);
         dag.annotate_migration_route(k3, Value(1), 1 << 20, true, false);
         let node_of = [0, 0, 1, 1];
-        let dot = to_dot_clustered(&dag, "cluster", &node_of);
+        let dot = to_dot(&dag, "cluster", &node_of);
         // One box per node, each holding its vertices.
         assert!(dot.contains("subgraph cluster_0"));
         assert!(dot.contains("subgraph cluster_1"));
@@ -438,10 +434,8 @@ mod tests {
         assert_eq!(dot.matches("color=magenta").count(), 1);
         assert!(dot.contains("1.0 MiB migrated (p2p)"));
         assert_eq!(dot.matches("color=blue").count(), 1);
-        // The plain render stays box-free (single-box path untouched).
-        assert!(!to_dot(&dag, "plain").contains("subgraph"));
-        // An empty map degrades to the plain render.
-        assert_eq!(to_dot_clustered(&dag, "plain", &[]), to_dot(&dag, "plain"));
+        // An empty map is the plain, box-free render.
+        assert!(!to_dot(&dag, "plain", &[]).contains("subgraph"));
     }
 
     #[test]
@@ -452,7 +446,7 @@ mod tests {
         let (_, _) =
             dag.add_computation(ElementKind::Kernel, "K2", vec![ArgAccess::read(Value(0))]);
         dag.set_device(k1, 1);
-        let dot = to_dot_clustered(&dag, "partial", &[0, 0, 1, 1]);
+        let dot = to_dot(&dag, "partial", &[0, 0, 1, 1]);
         assert!(dot.contains("subgraph cluster_0"), "placed vertex boxed");
         assert!(!dot.contains("subgraph cluster_1"), "empty nodes omitted");
         let close = dot.rfind('}').unwrap();
@@ -465,7 +459,7 @@ mod tests {
         let mut dag = ComputationDag::new();
         let (_, _) =
             dag.add_computation(ElementKind::Kernel, "K", vec![ArgAccess::write(Value(0))]);
-        let dot = to_dot(&dag, "plain");
+        let dot = to_dot(&dag, "plain", &[]);
         assert!(!dot.contains("@dev"));
         assert!(!dot.contains("fillcolor"));
     }

@@ -27,7 +27,7 @@ pub struct DepEdge {
     /// True when the migration crossed a cluster-node boundary (a
     /// GPU→host→NIC→host→GPU route; meaningful only when
     /// `migrated_bytes > 0`). Rendered with its own color by
-    /// [`crate::to_dot_clustered`].
+    /// [`crate::to_dot`].
     pub cross_node: bool,
     /// True when the edge is individually redundant: a parallel edge or
     /// transitive path orders the same pair, so dropping just this edge
@@ -302,11 +302,6 @@ impl ComputationDag {
             }
         }
 
-        for d in deps.iter() {
-            if let Some(i) = self.slot(*d) {
-                self.vertices[i].children.push(id);
-            }
-        }
         self.vertices
             .last_mut()
             .expect("vertex pushed above")
@@ -868,23 +863,6 @@ mod tests {
         // K1's only dep-set entry was consumed by the writer K2.
         assert!(dag.vertex(k1).dep_set.is_empty());
         assert_eq!(dag.frontier(), vec![k2]);
-    }
-
-    #[test]
-    fn first_child_ordering_is_recorded() {
-        let mut dag = ComputationDag::new();
-        let (k1, _) = kernel(&mut dag, "K1", vec![ArgAccess::write(X)]);
-        let (k2, _) = kernel(
-            &mut dag,
-            "K2",
-            vec![ArgAccess::read(X), ArgAccess::write(Y)],
-        );
-        let (k3, _) = kernel(
-            &mut dag,
-            "K3",
-            vec![ArgAccess::read(X), ArgAccess::write(Z)],
-        );
-        assert_eq!(dag.vertex(k1).children, vec![k2, k3]);
     }
 
     #[test]

@@ -60,7 +60,7 @@ mod reach;
 mod vertex;
 
 pub use dense::{DenseKey, DenseMap, DenseSet};
-pub use dot::{to_dot, to_dot_clustered};
+pub use dot::to_dot;
 pub use graph::{ComputationDag, DepEdge};
 pub use reach::Reachability;
 pub use vertex::{ArgAccess, ElementKind, Value, Vertex, VertexId};

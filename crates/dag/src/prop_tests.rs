@@ -349,8 +349,8 @@ proptest! {
         prop_assert_eq!(recycling.edges(), fresh.edges());
         prop_assert_eq!(recycling.value_states_len(), fresh.value_states_len());
         prop_assert_eq!(
-            crate::dot::to_dot(&recycling, "g"),
-            crate::dot::to_dot(&fresh, "g")
+            crate::dot::to_dot(&recycling, "g", &[]),
+            crate::dot::to_dot(&fresh, "g", &[])
         );
         // And both go on inferring the same dependencies.
         let probe: Vec<ArgAccess> = (0..5).map(|v| ArgAccess::write(Value(v))).collect();
@@ -484,10 +484,12 @@ proptest! {
             let got: Vec<(u32, u64)> = map.iter().map(|(k, v)| (k, *v)).collect();
             let want: Vec<(u32, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
             prop_assert_eq!(got, want, "map iteration diverged after {:?}", op);
-            let got_set: Vec<u32> = set.iter().collect();
-            let mut want_set: Vec<u32> = model_set.iter().copied().collect();
-            want_set.sort_unstable();
-            prop_assert_eq!(got_set, want_set, "set iteration diverged after {:?}", op);
+            // Equal sizes (above) and every model member present: equal sets.
+            prop_assert!(
+                model_set.iter().all(|&k| set.contains(k)),
+                "set membership diverged after {:?}",
+                op
+            );
             // The trimmed window is exactly the live key span.
             match (model.iter().next(), model.iter().next_back()) {
                 (Some((&lo, _)), Some((&hi, _))) => {

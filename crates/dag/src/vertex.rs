@@ -75,9 +75,6 @@ pub struct Vertex {
     pub dep_set: Vec<Value>,
     /// Direct parents (dependencies), deduplicated, in discovery order.
     pub parents: Vec<VertexId>,
-    /// Direct children (dependents), in creation order. The stream
-    /// manager schedules the *first* child on the parent's stream.
-    pub children: Vec<VertexId>,
     /// Whether the vertex is still *active*: not yet synchronized by the
     /// CPU. Only active vertices can be dependency sources.
     pub active: bool,
@@ -99,7 +96,6 @@ impl Vertex {
             args: Vec::new(),
             dep_set: Vec::new(),
             parents: Vec::new(),
-            children: Vec::new(),
             active: true,
             device: None,
         };
@@ -130,14 +126,8 @@ impl Vertex {
             }
         }
         self.parents.clear();
-        self.children.clear();
         self.active = true;
         self.device = None;
-    }
-
-    /// Whether this vertex writes the given value.
-    pub fn writes(&self, v: Value) -> bool {
-        self.args.iter().any(|a| a.value == v && !a.read_only)
     }
 }
 
@@ -156,19 +146,6 @@ mod tests {
         assert_eq!(v.dep_set.len(), 2);
         assert!(v.dep_set.contains(&Value(1)) && v.dep_set.contains(&Value(2)));
         assert!(v.active);
-    }
-
-    #[test]
-    fn access_predicates() {
-        let v = Vertex::new(
-            VertexId(0),
-            ElementKind::Kernel,
-            "k",
-            &[ArgAccess::write(Value(1)), ArgAccess::read(Value(2))],
-        );
-        assert!(v.writes(Value(1)));
-        assert!(!v.writes(Value(2)));
-        assert!(!v.writes(Value(3)));
     }
 
     #[test]

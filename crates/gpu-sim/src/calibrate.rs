@@ -128,7 +128,7 @@ pub struct Calibration {
 
 impl Calibration {
     /// A disabled calibration with no observations.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

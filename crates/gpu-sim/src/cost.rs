@@ -105,20 +105,6 @@ pub struct KernelCost {
 }
 
 impl KernelCost {
-    /// Element-wise sum of two costs (useful when fusing conceptual
-    /// phases of a kernel into one launch).
-    pub fn add(&self, o: &KernelCost) -> KernelCost {
-        KernelCost {
-            flops32: self.flops32 + o.flops32,
-            flops64: self.flops64 + o.flops64,
-            dram_bytes: self.dram_bytes + o.dram_bytes,
-            l2_bytes: self.l2_bytes + o.l2_bytes,
-            instructions: self.instructions + o.instructions,
-            min_time: self.min_time.max(o.min_time),
-            inefficiency: self.ineff().max(o.ineff()),
-        }
-    }
-
     /// Builder-style: set the latency-boundedness factor.
     pub fn with_inefficiency(mut self, k: f64) -> KernelCost {
         self.inefficiency = k;
@@ -131,19 +117,6 @@ impl KernelCost {
             1.0
         } else {
             self.inefficiency
-        }
-    }
-
-    /// Scale every extensive quantity by `k` (latency floor unchanged).
-    pub fn scale(&self, k: f64) -> KernelCost {
-        KernelCost {
-            flops32: self.flops32 * k,
-            flops64: self.flops64 * k,
-            dram_bytes: self.dram_bytes * k,
-            l2_bytes: self.l2_bytes * k,
-            instructions: self.instructions * k,
-            min_time: self.min_time,
-            inefficiency: self.inefficiency,
         }
     }
 

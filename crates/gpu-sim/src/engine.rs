@@ -20,14 +20,11 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::calibrate::Calibration;
-use crate::cost::Grid;
 use crate::fluid::{progressive_fill, FillScratch};
 use crate::profile::DeviceProfile;
 use crate::race::{check_conflict, RaceReport};
 use crate::recycle::Recycler;
-use crate::task::{
-    capacities, Payload, ResourceDemand, TaskKind, TaskMeta, TaskSpec, NUM_RESOURCES,
-};
+use crate::task::{capacities, TaskKind, TaskSpec, NUM_RESOURCES};
 use crate::timeline::{Interval, Timeline};
 use crate::topology::{LinkId, Topology};
 use crate::Time;
@@ -65,27 +62,18 @@ enum Phase {
 }
 
 struct TaskState {
-    kind: TaskKind,
-    /// Moved into the timeline interval when the task completes.
-    label: String,
-    stream: u32,
-    device: u32,
-    link: Option<LinkId>,
-    fixed_latency: Time,
-    fluid_work: Time,
-    demand: ResourceDemand,
-    reads: Vec<crate::data::ValueId>,
-    writes: Vec<crate::data::ValueId>,
-    on_complete: Option<Payload>,
-    meta: TaskMeta,
-    launch_shape: Option<(Grid, usize)>,
+    /// The task as submitted. When it completes its label moves into
+    /// the timeline interval, and its read/write lists and payload go
+    /// to the recycler.
+    spec: TaskSpec,
     phase: Phase,
     dependents: Vec<TaskId>,
     /// When the task became ready (start of its timeline interval).
     started: Time,
-    /// Rate from the last solve that covered this task's component.
-    /// Valid while the task is active and its component is clean: the
-    /// incremental refresh reuses it instead of re-solving.
+    /// Rate from the last solve that covered this task's component —
+    /// the only place a rate is kept. Valid while the task is active: a
+    /// refresh re-solves the members of dirty components and leaves
+    /// everyone else's alone.
     rate: f64,
 }
 
@@ -96,10 +84,6 @@ pub struct EngineStats {
     pub submitted: usize,
     /// Tasks completed so far.
     pub completed: usize,
-    /// Sum of kernel interval durations (includes overlap).
-    pub kernel_time: Time,
-    /// Sum of transfer interval durations (includes overlap).
-    pub transfer_time: Time,
     /// Number of data races detected.
     pub races: usize,
     /// Task states currently held in memory. A fully-drained engine
@@ -196,14 +180,11 @@ pub struct Engine {
     base: u32,
     /// Task indices currently in the fluid phase.
     active: Vec<u32>,
-    /// Cached rates aligned with `active`; rebuilt when `rates_dirty`.
-    rates: Vec<f64>,
-    rates_dirty: bool,
     /// Rate-solve nodes (device `d` is node `d`, link `l` is node
     /// `n_devices + l`) whose active-set membership changed since the
     /// last rate refresh, in transition order, repeats allowed. Seeds
     /// the incremental solve: only connected components touching one of
-    /// them are re-solved.
+    /// them are re-solved, and an empty list means every rate is current.
     dirty: Vec<u32>,
     /// Retained working storage of [`Engine::refresh_rates`].
     solve: SolveScratch,
@@ -267,8 +248,6 @@ impl Engine {
             tasks: VecDeque::new(),
             base: 0,
             active: Vec::new(),
-            rates: Vec::new(),
-            rates_dirty: false,
             dirty: Vec::new(),
             solve: SolveScratch::new(n + n_links),
             latent: BinaryHeap::new(),
@@ -297,11 +276,6 @@ impl Engine {
     /// enable it ([`Calibration::set_enabled`]).
     pub fn calibration_mut(&mut self) -> &mut Calibration {
         &mut self.calib
-    }
-
-    /// The device this engine simulates.
-    pub fn device(&self) -> &DeviceProfile {
-        &self.dev
     }
 
     /// Number of identical devices this engine simulates.
@@ -368,19 +342,7 @@ impl Engine {
         }
         let device = spec.device;
         self.tasks.push_back(TaskState {
-            kind: spec.kind,
-            label: spec.label,
-            stream: spec.stream,
-            device: spec.device,
-            link: spec.link,
-            fixed_latency: spec.fixed_latency,
-            fluid_work: spec.fluid_work,
-            demand: spec.demand,
-            reads: spec.reads,
-            writes: spec.writes,
-            on_complete: spec.on_complete,
-            meta: spec.meta,
-            launch_shape: spec.launch_shape,
+            spec,
             phase: Phase::Waiting(open_deps),
             dependents: self.recycler.dependents.take(),
             started: 0.0,
@@ -454,9 +416,11 @@ impl Engine {
 
     /// Aggregate counters.
     pub fn stats(&self) -> EngineStats {
-        let mut s = self.stats;
-        s.retained_tasks = self.tasks.len();
-        s
+        EngineStats {
+            races: self.races.len(),
+            retained_tasks: self.tasks.len(),
+            ..self.stats
+        }
     }
 
     /// Let the virtual host spend `dt` seconds of its own time (API call
@@ -507,14 +471,15 @@ impl Engine {
         self.tasks[i].started = self.now;
         self.detect_races(id.0);
         let i = self.slot(id.0);
-        let at = self.now + self.tasks[i].fixed_latency;
+        let at = self.now + self.tasks[i].spec.fixed_latency;
         self.tasks[i].phase = Phase::Latent;
         self.latent.push(Reverse((TimeKey(at), id.0)));
     }
 
     fn detect_races(&mut self, new_id: u32) {
         let new_idx = self.slot(new_id);
-        if self.tasks[new_idx].reads.is_empty() && self.tasks[new_idx].writes.is_empty() {
+        let new = &self.tasks[new_idx].spec;
+        if new.reads.is_empty() && new.writes.is_empty() {
             return;
         }
         // Only Latent and Active tasks can race with the newcomer, and
@@ -529,35 +494,14 @@ impl Engine {
             }
             let other = &self.tasks[self.slot(j)];
             debug_assert!(matches!(other.phase, Phase::Latent | Phase::Active(_)));
-            let new = &self.tasks[new_idx];
-            if let Some(r) = check_conflict(
-                self.now,
-                &crate::race::TaskAccess {
-                    label: &other.label,
-                    device: other.device,
-                    stream: other.stream,
-                    reads: &other.reads,
-                    writes: &other.writes,
-                },
-                &crate::race::TaskAccess {
-                    label: &new.label,
-                    device: new.device,
-                    stream: new.stream,
-                    reads: &new.reads,
-                    writes: &new.writes,
-                },
-            ) {
-                found.push(r);
-            }
+            found.extend(check_conflict(self.now, &other.spec, new));
         }
         // Dedup repeated reports of the same conflicting pair: a broken
         // scheduler re-racing the same kernels every iteration yields one
-        // report per (first, second, value), keeping `races` — and the
-        // `stats.races` counter, which always equals `races().len()` —
-        // bounded by the number of distinct conflicts.
+        // report per (first, second, value), keeping `races` bounded by
+        // the number of distinct conflicts.
         for r in found {
             if !self.races.iter().any(|seen| seen.same_pair(&r)) {
-                self.stats.races += 1;
                 self.races.push(r);
             }
         }
@@ -571,18 +515,18 @@ impl Engine {
     /// endpoints, so marking them finds every component that needs a
     /// re-solve.
     fn mark_transition(&mut self, slot: usize) {
-        let t = &self.tasks[slot];
+        let t = &self.tasks[slot].spec;
         self.dirty.push(t.device);
         if let Some(l) = t.link {
             self.dirty.push(self.n_devices + l.0);
         }
     }
 
-    /// Recompute `rates` for the current active set, re-solving only the
+    /// Bring the active tasks' rates up to date, re-solving only the
     /// connected components (devices coupled by shared links) whose
     /// membership changed since the last refresh, each over only the
     /// resources its members occupy; tasks in clean components keep
-    /// their cached rate. The cost follows the active set and the
+    /// the rate they have. The cost follows the active set and the
     /// transitions since the last refresh, not the width of the machine.
     ///
     /// This is bit-identical to the dense full solve
@@ -595,7 +539,7 @@ impl Engine {
     /// residuals — so each component's freeze sequence is independent
     /// of the others, and of the columns nobody in it demands.
     fn refresh_rates(&mut self) {
-        if !self.rates_dirty {
+        if self.dirty.is_empty() {
             return;
         }
         let Engine {
@@ -605,7 +549,6 @@ impl Engine {
             tasks,
             base,
             active,
-            rates,
             dirty,
             solve: s,
             stats,
@@ -617,7 +560,7 @@ impl Engine {
         // occupant couples its device to its link, so chains of shared
         // links merge devices into one component.
         for &i in active.iter() {
-            let t = &tasks[(i - base) as usize];
+            let t = &tasks[(i - base) as usize].spec;
             if let Some(l) = t.link {
                 let a = find(&mut s.parent, t.device);
                 let b = find(&mut s.parent, n_dev + l.0);
@@ -633,18 +576,12 @@ impl Engine {
             s.comp_dirty[root as usize] = true;
         }
 
-        // Scatter cached rates for clean components; list dirty
-        // components' active positions for re-solving.
-        rates.clear();
-        rates.resize(active.len(), 1.0);
+        // List dirty components' active positions for re-solving.
         s.work.clear();
         for (k, &i) in active.iter().enumerate() {
-            let t = &tasks[(i - base) as usize];
-            let root = find(&mut s.parent, t.device);
+            let root = find(&mut s.parent, tasks[(i - base) as usize].spec.device);
             if s.comp_dirty[root as usize] {
                 s.work.push((root, k as u32));
-            } else {
-                rates[k] = t.rate;
             }
         }
         s.work.sort_unstable();
@@ -663,7 +600,7 @@ impl Engine {
             s.devices.clear();
             s.links.clear();
             for &(_, k) in members {
-                let t = &tasks[(active[k as usize] - base) as usize];
+                let t = &tasks[(active[k as usize] - base) as usize].spec;
                 s.devices.push(t.device);
                 s.links.extend(t.link.map(|l| l.0));
             }
@@ -682,7 +619,7 @@ impl Engine {
             s.demands.clear();
             s.demands.resize(members.len() * width, 0.0);
             for (row, &(_, k)) in s.demands.chunks_exact_mut(width).zip(members) {
-                let t = &tasks[(active[k as usize] - base) as usize];
+                let t = &tasks[(active[k as usize] - base) as usize].spec;
                 let block = col(&s.devices, t.device) * NUM_RESOURCES;
                 row[block..block + NUM_RESOURCES].copy_from_slice(&t.demand.as_vec());
                 if let Some(l) = t.link {
@@ -693,7 +630,6 @@ impl Engine {
             let demand = |i: usize| &s.demands[i * width..(i + 1) * width];
             progressive_fill(demand, &s.caps, &mut s.fill, &mut s.rates);
             for (&(_, k), &r) in members.iter().zip(&s.rates) {
-                rates[k as usize] = r;
                 tasks[(active[k as usize] - base) as usize].rate = r;
             }
         }
@@ -706,22 +642,31 @@ impl Engine {
             s.comp_dirty[root as usize] = false;
         }
         for &i in active.iter() {
-            let t = &tasks[(i - base) as usize];
+            let t = &tasks[(i - base) as usize].spec;
             if let Some(l) = t.link {
                 s.parent[t.device as usize] = t.device;
                 s.parent[(n_dev + l.0) as usize] = n_dev + l.0;
             }
         }
-        self.rates_dirty = false;
 
         #[cfg(debug_assertions)]
-        {
-            let full = self.solve_rates_full();
-            assert_eq!(
-                self.rates, full,
-                "incremental component solve diverged from the full solve"
-            );
-        }
+        self.assert_rates_match_full_solve();
+    }
+
+    /// The oracle's comparison: every active task's stored rate is, bit
+    /// for bit, what the dense full solve gives it.
+    #[cfg(any(test, debug_assertions))]
+    fn assert_rates_match_full_solve(&self) {
+        let stored: Vec<f64> = self
+            .active
+            .iter()
+            .map(|&i| self.tasks[self.slot(i)].rate)
+            .collect();
+        assert_eq!(
+            stored,
+            self.solve_rates_full(),
+            "incremental component solve diverged from the full solve"
+        );
     }
 
     /// The dense full solve over the whole active set — the reference
@@ -744,7 +689,7 @@ impl Engine {
             .active
             .iter()
             .map(|&i| {
-                let t = &self.tasks[self.slot(i)];
+                let t = &self.tasks[self.slot(i)].spec;
                 let mut d = vec![0.0; caps.len()];
                 let base = t.device as usize * NUM_RESOURCES;
                 d[base..base + NUM_RESOURCES].copy_from_slice(&t.demand.as_vec());
@@ -761,12 +706,13 @@ impl Engine {
     /// active. Ties resolved toward the lowest task id by scan order.
     fn next_completion(&self) -> Option<(Time, u32)> {
         let mut best: Option<(Time, u32)> = None;
-        for (k, &i) in self.active.iter().enumerate() {
-            let remaining = match self.tasks[self.slot(i)].phase {
+        for &i in &self.active {
+            let task = &self.tasks[self.slot(i)];
+            let remaining = match task.phase {
                 Phase::Active(r) => r,
                 _ => unreachable!("active list holds non-active task"),
             };
-            let t = self.now + remaining / self.rates[k];
+            let t = self.now + remaining / task.rate;
             if best.is_none_or(|(bt, bi)| t < bt || (t == bt && i < bi)) {
                 best = Some((t, i));
             }
@@ -782,9 +728,10 @@ impl Engine {
             return;
         }
         let base = self.base;
-        for (k, &i) in self.active.iter().enumerate() {
-            if let Phase::Active(r) = &mut self.tasks[(i - base) as usize].phase {
-                *r = (*r - self.rates[k] * dt).max(0.0);
+        for &i in &self.active {
+            let task = &mut self.tasks[(i - base) as usize];
+            if let Phase::Active(r) = &mut task.phase {
+                *r = (*r - task.rate * dt).max(0.0);
             }
         }
         self.now = t;
@@ -792,34 +739,31 @@ impl Engine {
 
     fn complete(&mut self, idx: u32) {
         let i = self.slot(idx);
-        self.tasks[i].phase = Phase::Done;
+        let task = &mut self.tasks[i];
+        task.phase = Phase::Done;
+        let started = task.started;
+        let dependents = std::mem::take(&mut task.dependents);
+        let t = &mut task.spec;
         self.stats.completed += 1;
-        self.inflight[self.tasks[i].device as usize] -= 1;
+        self.inflight[t.device as usize] -= 1;
         // Transfers are attributed to the link they moved over: peer
         // copies carry their link explicitly; host-side copies and fault
         // migrations use their device's host link.
-        let link = match self.tasks[i].kind {
-            k if k.is_transfer() => self.tasks[i]
-                .link
-                .or_else(|| Some(self.topo.host_link(self.tasks[i].device))),
-            _ => self.tasks[i].link,
+        let link = match t.kind {
+            k if k.is_transfer() => t.link.or_else(|| Some(self.topo.host_link(t.device))),
+            _ => t.link,
         };
         let iv = Interval {
             task: idx,
-            kind: self.tasks[i].kind,
-            stream: self.tasks[i].stream,
-            device: self.tasks[i].device,
+            kind: t.kind,
+            stream: t.stream,
+            device: t.device,
             link: link.map(|l| l.0),
-            label: std::mem::take(&mut self.tasks[i].label),
-            start: self.tasks[i].started,
+            label: std::mem::take(&mut t.label),
+            start: started,
             end: self.now,
-            meta: self.tasks[i].meta,
+            meta: t.meta,
         };
-        match iv.kind {
-            TaskKind::Kernel => self.stats.kernel_time += iv.duration(),
-            k if k.is_transfer() => self.stats.transfer_time += iv.duration(),
-            _ => {}
-        }
         if iv.kind.is_transfer() {
             if let Some(l) = link {
                 self.link_bytes[l.0 as usize] += iv.meta.bytes;
@@ -833,12 +777,12 @@ impl Engine {
         // the specs were submitted with).
         match iv.kind {
             TaskKind::Kernel => {
-                let shape = self.tasks[i].launch_shape;
-                self.calib.observe_kernel(&iv.label, iv.duration(), shape);
+                self.calib
+                    .observe_kernel(&iv.label, iv.duration(), t.launch_shape);
             }
             k if k.is_transfer() => {
                 if let Some(l) = link {
-                    let solo = self.tasks[i].fixed_latency + self.tasks[i].fluid_work;
+                    let solo = t.fixed_latency + t.fluid_work;
                     self.calib
                         .observe_transfer(l.0 as usize, iv.duration(), solo);
                 }
@@ -848,10 +792,8 @@ impl Engine {
         self.timeline.push(iv);
         // The task is done with its buffers: the race detector only
         // looks at running tasks, and its dependents are released below.
-        let t = &mut self.tasks[i];
         self.recycler.values.give(std::mem::take(&mut t.reads));
         self.recycler.values.give(std::mem::take(&mut t.writes));
-        let dependents = std::mem::take(&mut t.dependents);
         if let Some(payload) = t.on_complete.take() {
             payload.run(&mut self.recycler);
         }
@@ -879,10 +821,9 @@ impl Engine {
     fn activate(&mut self, idx: u32) {
         let i = self.slot(idx);
         debug_assert!(matches!(self.tasks[i].phase, Phase::Latent));
-        if self.tasks[i].fluid_work > 0.0 {
-            self.tasks[i].phase = Phase::Active(self.tasks[i].fluid_work);
+        if self.tasks[i].spec.fluid_work > 0.0 {
+            self.tasks[i].phase = Phase::Active(self.tasks[i].spec.fluid_work);
             self.active.push(idx);
-            self.rates_dirty = true;
             self.mark_transition(i);
         } else {
             self.complete(idx);
@@ -931,7 +872,7 @@ impl Engine {
                         "simulation deadlock: task {:?} (`{}`) can never complete \
                          (no runnable events; a dependency was never satisfied)",
                         s,
-                        self.tasks[self.slot(s.0)].label
+                        self.tasks[self.slot(s.0)].spec.label
                     );
                 }
                 Some(((et, idx), is_activation)) => {
@@ -970,7 +911,6 @@ impl Engine {
                         // A fluid completion: the chosen task's remaining
                         // work reached zero (up to float error).
                         self.active.retain(|&i| i != idx);
-                        self.rates_dirty = true;
                         self.mark_transition(self.slot(idx));
                         self.complete(idx);
                     }
@@ -983,7 +923,8 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::TaskSpec;
+    use crate::cost::Grid;
+    use crate::task::Payload;
 
     fn dev() -> DeviceProfile {
         DeviceProfile::gtx1660_super()
@@ -1133,6 +1074,39 @@ mod tests {
         assert_eq!(e.timeline().devices_used(), vec![0, 1]);
         assert!((e.timeline().device_span(0) - 1e-3).abs() < 1e-9);
         assert_eq!(e.timeline().device_span(2), 0.0);
+
+        // Nor does one device's churn re-solve the other: a long kernel
+        // on device 1 (DRAM-bound to rate 0.5 on its own) keeps the rate
+        // it has while five short kernels activate and complete on
+        // device 0 — reused at each of those refreshes, never re-solved.
+        let d = dev();
+        let mut e = pcie(d.clone(), 2);
+        let long = TaskSpec::kernel("long", 0).on_device(1).fluid(1e-2);
+        e.submit(long.sm_frac(1.0).dram(2.0 * d.dram_bw), &[]);
+        e.advance_host(1e-4);
+        let before = e.stats();
+        assert_eq!((before.rate_refreshes, before.rate_tasks_solved), (1, 1));
+        let mut last = None;
+        for _ in 0..5 {
+            let deps: Vec<TaskId> = last.into_iter().collect();
+            let short = TaskSpec::kernel("short", 1).fluid(1e-3).sm_frac(1.0);
+            last = Some(e.submit(short, &deps));
+        }
+        e.sync_task(last.unwrap());
+        let after = e.stats();
+        let refreshes = after.rate_refreshes - before.rate_refreshes;
+        assert_eq!(
+            refreshes, 9,
+            "five activations and the four completions between"
+        );
+        assert_eq!(
+            after.rate_tasks_reused - before.rate_tasks_reused,
+            refreshes
+        );
+        assert_eq!(after.rate_tasks_solved - before.rate_tasks_solved, 5);
+        e.sync_all();
+        assert!((e.timeline().device_span(1) - 2e-2).abs() < 1e-9);
+        assert!((e.timeline().device_span(0) - 5e-3).abs() < 1e-9);
     }
 
     #[test]
@@ -1492,7 +1466,6 @@ mod tests {
         let s = e.stats();
         assert_eq!(s.submitted, 2);
         assert_eq!(s.completed, 2);
-        assert!(s.kernel_time > 0.0 && s.transfer_time > 0.0);
     }
 
     #[test]
@@ -1542,15 +1515,11 @@ mod prop {
     use proptest::prelude::*;
 
     impl Engine {
-        /// Test oracle: refresh (incrementally) and assert the resulting
-        /// rates are bit-identical to the full whole-active-set solve.
-        fn assert_rates_match_full_solve(&mut self) {
+        /// Test oracle: refresh (incrementally), then compare with the
+        /// full whole-active-set solve.
+        fn refreshed_rates_match_full_solve(&mut self) {
             self.refresh_rates();
-            assert_eq!(
-                self.rates,
-                self.solve_rates_full(),
-                "incremental component solve diverged from the full solve"
-            );
+            self.assert_rates_match_full_solve();
         }
     }
 
@@ -1600,14 +1569,14 @@ mod prop {
                 };
                 let deps: Vec<TaskId> = if chain { prev.into_iter().collect() } else { Vec::new() };
                 prev = Some(e.submit(spec, &deps));
-                e.assert_rates_match_full_solve();
+                e.refreshed_rates_match_full_solve();
                 if i % 5 == 4 {
                     e.advance_host(2e-4);
-                    e.assert_rates_match_full_solve();
+                    e.refreshed_rates_match_full_solve();
                 }
             }
             e.sync_all();
-            e.assert_rates_match_full_solve();
+            e.refreshed_rates_match_full_solve();
         }
 
         /// The sparse component solve against the dense oracle on the
@@ -1661,16 +1630,16 @@ mod prop {
                 };
                 let deps: Vec<TaskId> = if then == 0 { prev.into_iter().collect() } else { Vec::new() };
                 prev = Some(e.submit(spec, &deps));
-                e.assert_rates_match_full_solve();
+                e.refreshed_rates_match_full_solve();
                 match then {
                     1 => e.advance_host(1.5e-4),
                     2 => e.sync_task(prev.unwrap()),
                     _ => {}
                 }
-                e.assert_rates_match_full_solve();
+                e.refreshed_rates_match_full_solve();
             }
             e.sync_all();
-            e.assert_rates_match_full_solve();
+            e.refreshed_rates_match_full_solve();
             prop_assert!(e.solve.parent.iter().enumerate().all(|(x, &p)| p == x as u32));
             prop_assert!(e.solve.comp_dirty.iter().all(|&c| !c));
         }

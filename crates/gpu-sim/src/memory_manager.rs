@@ -57,20 +57,6 @@ impl EvictionPolicy {
         EvictionPolicy::LargestFirst,
         EvictionPolicy::CostAware,
     ];
-
-    /// Short display name for tables and sweeps.
-    pub fn name(self) -> &'static str {
-        match self {
-            EvictionPolicy::Lru => "lru",
-            EvictionPolicy::LargestFirst => "largest-first",
-            EvictionPolicy::CostAware => "cost-aware",
-        }
-    }
-
-    /// Parse a sweep/CLI name produced by [`EvictionPolicy::name`].
-    pub fn parse(s: &str) -> Option<EvictionPolicy> {
-        EvictionPolicy::ALL.into_iter().find(|p| p.name() == s)
-    }
 }
 
 /// Device-memory configuration of a simulated machine.
@@ -98,11 +84,6 @@ impl MemoryConfig {
     pub fn with_eviction(mut self, policy: EvictionPolicy) -> Self {
         self.eviction = policy;
         self
-    }
-
-    /// True when a capacity limit is configured.
-    fn is_limited(&self) -> bool {
-        self.capacity.is_some()
     }
 }
 
@@ -208,10 +189,6 @@ pub struct MemoryManager {
     spilled_bytes: usize,
     /// Monotonic use clock driving LRU ordering.
     clock: u64,
-    /// Per-device `(time, resident bytes)` step samples, recorded only
-    /// under a finite capacity (the timeline the metrics crate renders).
-    /// Cleared alongside the engine timeline.
-    samples: Vec<Vec<(Time, usize)>>,
     /// Ahead-of-launch prefetch admission and hit accounting.
     pub prefetcher: Prefetcher,
 }
@@ -227,7 +204,6 @@ impl MemoryManager {
             evictions: 0,
             spilled_bytes: 0,
             clock: 0,
-            samples: vec![Vec::new(); n_devices],
             prefetcher: Prefetcher::default(),
         }
     }
@@ -257,12 +233,6 @@ impl MemoryManager {
         slot.is_some_and(|e| e.device == device).then_some(slot)
     }
 
-    /// True if the allocation currently has a device copy here.
-    pub fn contains(&self, device: u32, v: ValueId) -> bool {
-        let entry = self.resident.get(v.0 as usize).copied().flatten();
-        entry.is_some_and(|e| e.device == device)
-    }
-
     /// Bump the LRU clock for a resident allocation (a kernel touched
     /// it).
     pub fn touch(&mut self, device: u32, v: ValueId) {
@@ -273,10 +243,11 @@ impl MemoryManager {
         }
     }
 
-    /// Record a new (or refreshed) device copy of `bytes` at time `now`.
-    /// A copy the allocation had on another device is dropped first: it
-    /// has one device copy at a time.
-    pub fn insert(&mut self, device: u32, v: ValueId, bytes: usize, now: Time) {
+    /// Record a new (or refreshed) device copy of `bytes`. A copy the
+    /// allocation had on another device is dropped first: it has one
+    /// device copy at a time. (Nothing reads the time any more; the
+    /// parameter is part of the signature `benchmark/` calls.)
+    pub fn insert(&mut self, device: u32, v: ValueId, bytes: usize, _now: Time) {
         self.clock += 1;
         let d = device as usize;
         let at = v.0 as usize;
@@ -290,9 +261,6 @@ impl MemoryManager {
         };
         if let Some(prev) = self.resident[at].replace(entry) {
             self.resident_bytes[prev.device as usize] -= prev.bytes;
-            if prev.device != device {
-                self.sample(prev.device as usize, now);
-            }
         }
         self.resident_bytes[d] += bytes;
         self.peak_resident[d] = self.peak_resident[d].max(self.resident_bytes[d]);
@@ -303,17 +271,14 @@ impl MemoryManager {
                 self.resident_bytes[d]
             );
         }
-        self.sample(d, now);
     }
 
     /// Drop the record of a device copy (eviction, migration away, host
     /// write invalidation). Returns the bytes freed, if it was resident.
-    pub fn remove(&mut self, device: u32, v: ValueId, now: Time) -> Option<usize> {
-        let d = device as usize;
+    pub fn remove(&mut self, device: u32, v: ValueId) -> Option<usize> {
         let bytes = self.slot_mut(device, v)?.take().map(|e| e.bytes);
         if let Some(b) = bytes {
-            self.resident_bytes[d] -= b;
-            self.sample(d, now);
+            self.resident_bytes[device as usize] -= b;
         }
         bytes
     }
@@ -407,33 +372,6 @@ impl MemoryManager {
             prefetch_skipped: self.prefetcher.skipped,
         }
     }
-
-    /// Per-device `(time, resident bytes)` step samples (recorded only
-    /// under a finite capacity; the metrics crate turns them into
-    /// resident-bytes timelines).
-    pub fn timeline(&self) -> &[Vec<(Time, usize)>] {
-        &self.samples
-    }
-
-    /// Drop the recorded samples (called with the engine's
-    /// `clear_timeline`, so long services stay bounded). Counters and
-    /// the resident sets are untouched.
-    pub fn clear_timeline(&mut self) {
-        for s in &mut self.samples {
-            s.clear();
-        }
-    }
-
-    fn sample(&mut self, d: usize, now: Time) {
-        if !self.cfg.is_limited() {
-            return; // unlimited runs keep the zero-overhead fast path
-        }
-        let bytes = self.resident_bytes[d];
-        match self.samples[d].last_mut() {
-            Some((t, b)) if *t == now => *b = bytes,
-            _ => self.samples[d].push((now, bytes)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -449,13 +387,11 @@ mod tests {
     #[test]
     fn unlimited_never_needs_victims() {
         let mut m = MemoryManager::new(1, MemoryConfig::default());
-        assert!(!m.cfg.is_limited());
+        assert_eq!(m.capacity(0), None);
         assert_eq!(m.free_bytes(0), usize::MAX);
         m.insert(0, V[0], 1 << 40, 0.0);
         assert_eq!(m.shortfall(0, 1 << 40), 0);
         assert_eq!(m.resident_bytes(0), 1 << 40);
-        // No samples in the unlimited fast path.
-        assert!(m.timeline()[0].is_empty());
     }
 
     #[test]
@@ -467,17 +403,12 @@ mod tests {
         assert_eq!(m.resident_bytes(0), 900);
         assert_eq!(m.free_bytes(0), 100);
         assert_eq!(m.resident_bytes(1), 100);
-        assert_eq!(m.remove(0, V[0], 2.0), Some(400));
-        assert_eq!(m.remove(0, V[0], 2.0), None, "double remove is inert");
+        assert_eq!(m.remove(0, V[0]), Some(400));
+        assert_eq!(m.remove(0, V[0]), None, "double remove is inert");
         assert_eq!(m.resident_bytes(0), 500);
         let st = m.stats();
         assert_eq!(st.peak_resident, vec![900, 100]);
         assert_eq!(st.total_resident(), 600);
-        // Step samples recorded per change, coalesced per instant.
-        assert_eq!(m.timeline()[0].len(), 3);
-        m.clear_timeline();
-        assert!(m.timeline()[0].is_empty());
-        assert_eq!(m.resident_bytes(0), 500, "clearing keeps the gauges");
     }
 
     #[test]
@@ -586,11 +517,9 @@ mod tests {
         // Below, between and far beyond the ids in the table; and a
         // known id asked about on the wrong device.
         for (device, v) in [(0, V[0]), (0, V[4]), (1, ValueId(u64::MAX)), (1, V[1])] {
-            assert!(!m.contains(device, v));
             m.touch(device, v);
-            assert_eq!(m.remove(device, v, 1.0), None);
+            assert_eq!(m.remove(device, v), None);
         }
-        assert!(m.contains(0, V[1]));
         assert_eq!(m.resident_bytes(0), 300);
         assert_eq!(m.resident_bytes(1), 0);
         let victims = m.select_victims(0, 1, &[], |_, _| 0.0);
@@ -602,9 +531,9 @@ mod tests {
         let mut m = limited(1000, EvictionPolicy::Lru);
         m.insert(0, V[0], 400, 0.0);
         m.insert(1, V[0], 400, 1.0);
-        assert!(!m.contains(0, V[0]) && m.contains(1, V[0]));
         assert_eq!((m.resident_bytes(0), m.resident_bytes(1)), (0, 400));
-        assert_eq!(m.timeline()[0].last(), Some(&(1.0, 0)));
+        assert_eq!(m.remove(0, V[0]), None);
+        assert_eq!(m.remove(1, V[0]), Some(400));
     }
 
     #[test]
@@ -636,20 +565,11 @@ mod tests {
     }
 
     #[test]
-    fn policy_names_round_trip() {
-        for p in EvictionPolicy::ALL {
-            assert_eq!(EvictionPolicy::parse(p.name()), Some(p));
-        }
-        assert_eq!(EvictionPolicy::parse("nope"), None);
-        assert_eq!(EvictionPolicy::default(), EvictionPolicy::Lru);
-    }
-
-    #[test]
     fn config_builders() {
         let c = MemoryConfig::with_capacity(1 << 20).with_eviction(EvictionPolicy::CostAware);
-        assert!(c.is_limited());
         assert_eq!(c.capacity, Some(1 << 20));
         assert_eq!(c.eviction, EvictionPolicy::CostAware);
-        assert!(!MemoryConfig::default().is_limited());
+        assert_eq!(MemoryConfig::default().capacity, None);
+        assert_eq!(MemoryConfig::default().eviction, EvictionPolicy::Lru);
     }
 }

@@ -32,7 +32,7 @@ impl Architecture {
     /// Whether unified memory can be migrated on demand by page faults
     /// (and therefore whether `cudaMemPrefetchAsync`-style bulk prefetch
     /// is meaningful).
-    pub fn supports_page_faults(self) -> bool {
+    fn supports_page_faults(self) -> bool {
         !matches!(self, Architecture::Maxwell)
     }
 }
@@ -68,9 +68,6 @@ pub struct DeviceProfile {
     pub dram_bw: f64,
     /// L2 cache bandwidth, bytes/s.
     pub l2_bw: f64,
-    /// L2 cache size in bytes (informational; used by a couple of cost
-    /// models to decide how much traffic is filtered by L2).
-    pub l2_size: u64,
     /// Effective PCIe bandwidth per direction, bytes/s. The paper's hosts
     /// use PCIe 3.0 x16 (~12 GB/s effective).
     pub pcie_bw: f64,
@@ -118,7 +115,6 @@ impl DeviceProfile {
             instr_rate: 8.0 * 1.18e9 * 128.0,
             dram_bw: 112.0 * GBF,
             l2_bw: 300.0 * GBF,
-            l2_size: MB,
             pcie_bw: 12.0 * GBF,
             fault_bw: 3.0 * GBF,
             fault_latency: 20e-6,
@@ -142,7 +138,6 @@ impl DeviceProfile {
             instr_rate: 22.0 * 1.78e9 * 128.0,
             dram_bw: 336.0 * GBF,
             l2_bw: 750.0 * GBF,
-            l2_size: MB + MB / 2,
             pcie_bw: 12.0 * GBF,
             fault_bw: 6.5 * GBF,
             fault_latency: 15e-6,
@@ -167,7 +162,6 @@ impl DeviceProfile {
             instr_rate: 56.0 * 1.3e9 * 128.0,
             dram_bw: 549.0 * GBF,
             l2_bw: 1200.0 * GBF,
-            l2_size: 4 * MB,
             pcie_bw: 12.0 * GBF,
             fault_bw: 7.5 * GBF,
             fault_latency: 15e-6,
@@ -197,7 +191,6 @@ impl DeviceProfile {
             instr_rate: 1e12,
             dram_bw: 100.0 * GBF,
             l2_bw: 300.0 * GBF,
-            l2_size: MB,
             pcie_bw: 12.0 * GBF,
             fault_bw: 4.0 * GBF,
             fault_latency: 15e-6,
@@ -235,8 +228,6 @@ impl DeviceProfile {
 
 /// One gibibyte (capacity contexts).
 const GB: u64 = 1024 * 1024 * 1024;
-/// One mebibyte.
-const MB: u64 = 1024 * 1024;
 /// One gigabyte as a bandwidth factor (bytes/s contexts use decimal GB).
 const GBF: f64 = 1e9;
 

@@ -261,7 +261,7 @@ proptest! {
                     MemOp::Remove { device, value } => {
                         let here = model.get(&value).is_some_and(|e| e.0 == device);
                         let want = here.then(|| model.remove(&value).expect("present").1);
-                        prop_assert_eq!(manager.remove(device, ValueId(value), i as f64), want);
+                        prop_assert_eq!(manager.remove(device, ValueId(value)), want);
                     }
                 }
             }

@@ -16,6 +16,7 @@
 //! stream of copies.
 
 use crate::data::ValueId;
+use crate::task::TaskSpec;
 use crate::Time;
 
 /// A detected pair of concurrently-active tasks with conflicting access
@@ -73,50 +74,32 @@ impl std::fmt::Display for RaceReport {
     }
 }
 
-/// One task's identity and access sets, as race detection sees it.
-pub(crate) struct TaskAccess<'a> {
-    /// Task label (kernel name).
-    pub label: &'a str,
-    /// Device the task runs on.
-    pub device: u32,
-    /// Stream the task runs on.
-    pub stream: u32,
-    /// Values the task reads.
-    pub reads: &'a [ValueId],
-    /// Values the task writes.
-    pub writes: &'a [ValueId],
-}
-
 /// Check a starting task against one already-active task; returns a
 /// report if their access sets conflict.
-pub(crate) fn check_conflict(
-    now: Time,
-    active: &TaskAccess<'_>,
-    new: &TaskAccess<'_>,
-) -> Option<RaceReport> {
+pub(crate) fn check_conflict(now: Time, active: &TaskSpec, new: &TaskSpec) -> Option<RaceReport> {
     let report = |value: ValueId, write_write: bool| RaceReport {
         at: now,
         value,
-        first: active.label.to_string(),
+        first: active.label.clone(),
         first_device: active.device,
         first_stream: active.stream,
-        second: new.label.to_string(),
+        second: new.label.clone(),
         second_device: new.device,
         second_stream: new.stream,
         write_write,
     };
     // write/write first: it is the stronger report.
-    for w in new.writes {
+    for w in &new.writes {
         if active.writes.contains(w) {
             return Some(report(*w, true));
         }
     }
-    for w in new.writes {
+    for w in &new.writes {
         if active.reads.contains(w) {
             return Some(report(*w, false));
         }
     }
-    for r in new.reads {
+    for r in &new.reads {
         if active.writes.contains(r) {
             return Some(report(*r, false));
         }
@@ -131,14 +114,8 @@ mod tests {
     const V: ValueId = ValueId(7);
     const W: ValueId = ValueId(8);
 
-    fn task<'a>(label: &'a str, reads: &'a [ValueId], writes: &'a [ValueId]) -> TaskAccess<'a> {
-        TaskAccess {
-            label,
-            device: 0,
-            stream: 0,
-            reads,
-            writes,
-        }
+    fn task(label: &str, reads: &[ValueId], writes: &[ValueId]) -> TaskSpec {
+        TaskSpec::kernel(label, 0).reading(reads).writing(writes)
     }
 
     #[test]
@@ -172,20 +149,8 @@ mod tests {
 
     #[test]
     fn report_attributes_device_and_stream() {
-        let a = TaskAccess {
-            label: "k1",
-            device: 1,
-            stream: 3,
-            reads: &[],
-            writes: &[V],
-        };
-        let b = TaskAccess {
-            label: "k2",
-            device: 0,
-            stream: 5,
-            reads: &[V],
-            writes: &[],
-        };
+        let a = TaskSpec::kernel("k1", 3).on_device(1).writing(&[V]);
+        let b = TaskSpec::kernel("k2", 5).reading(&[V]);
         let r = check_conflict(0.25, &a, &b).unwrap();
         assert_eq!((r.first_device, r.first_stream), (1, 3));
         assert_eq!((r.second_device, r.second_stream), (0, 5));

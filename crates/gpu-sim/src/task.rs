@@ -226,7 +226,7 @@ impl std::fmt::Debug for TaskSpec {
 
 impl TaskSpec {
     /// A blank task of the given kind on a presentation stream.
-    pub fn new(kind: TaskKind, label: impl Into<String>, stream: u32) -> Self {
+    fn new(kind: TaskKind, label: impl Into<String>, stream: u32) -> Self {
         TaskSpec {
             kind,
             label: label.into(),

@@ -164,11 +164,6 @@ impl Timeline {
         bounds.map_or(0.0, |(s, e)| e - s)
     }
 
-    /// Drop all recorded intervals (used between benchmark iterations).
-    pub fn clear(&mut self) {
-        self.intervals.clear();
-    }
-
     /// Empty the timeline, handing the intervals out (the engine keeps
     /// their labels).
     pub(crate) fn drain(&mut self) -> impl Iterator<Item = Interval> + '_ {

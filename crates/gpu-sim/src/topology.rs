@@ -125,11 +125,6 @@ impl TopologyKind {
             TopologyKind::Ring => "ring",
         }
     }
-
-    /// Parse a sweep/CLI name produced by [`TopologyKind::name`].
-    pub fn parse(s: &str) -> Option<TopologyKind> {
-        TopologyKind::ALL.into_iter().find(|k| k.name() == s)
-    }
 }
 
 /// The interconnect of a simulated machine: `n` devices, one host link
@@ -137,7 +132,6 @@ impl TopologyKind {
 /// multi-node [`Cluster`], the node↔node NIC links after those.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
-    kind: TopologyKind,
     n_devices: u32,
     /// Links `0..n_devices` are the host links (link `d` serves device
     /// `d`); then the device↔device links; then (multi-node machines
@@ -165,13 +159,7 @@ impl Topology {
     /// Assemble a machine from its links (host links first) and index
     /// the device↔device and node↔node links by endpoint pair. Where
     /// two links join the same pair the lower link id answers.
-    fn from_links(
-        kind: TopologyKind,
-        links: Vec<Link>,
-        memory: MemoryConfig,
-        node_of: Vec<u32>,
-        n_nodes: u32,
-    ) -> Self {
+    fn from_links(links: Vec<Link>, memory: MemoryConfig, node_of: Vec<u32>, n_nodes: u32) -> Self {
         let n = node_of.len();
         let mut d2d = vec![None; n * n];
         let mut nic = vec![None; (n_nodes * n_nodes) as usize];
@@ -193,7 +181,6 @@ impl Topology {
             }
         }
         Topology {
-            kind,
             n_devices: n as u32,
             links,
             memory,
@@ -233,7 +220,7 @@ impl Topology {
             })
             .collect();
         push_d2d_links(&mut links, kind, 0, n, d2d_bw);
-        Self::from_links(kind, links, MemoryConfig::default(), vec![0; n], 1)
+        Self::from_links(links, MemoryConfig::default(), vec![0; n], 1)
     }
 
     /// Give every device a finite memory (builder-style): capacity and
@@ -383,20 +370,6 @@ impl NicKind {
             NicKind::NvswitchIsland => NVSWITCH_ISLAND_LATENCY,
         }
     }
-
-    /// Short display name for tables and sweeps.
-    pub fn name(self) -> &'static str {
-        match self {
-            NicKind::Ethernet25g => "ethernet-25g",
-            NicKind::InfinibandHdr => "infiniband-hdr",
-            NicKind::NvswitchIsland => "nvswitch-island",
-        }
-    }
-
-    /// Parse a sweep/CLI name produced by [`NicKind::name`].
-    pub fn parse(s: &str) -> Option<NicKind> {
-        NicKind::ALL.into_iter().find(|k| k.name() == s)
-    }
 }
 
 /// A two-tier machine description: `nodes` identical nodes, each an
@@ -464,11 +437,6 @@ impl Cluster {
         self
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes
-    }
-
     /// Flatten into one machine-wide [`Topology`]: host links for every
     /// device first, then each node's device↔device wiring (device ids
     /// are contiguous per node), then the NIC full mesh over node pairs.
@@ -502,13 +470,7 @@ impl Cluster {
             }
         }
         let node_of = (0..n).map(|d| (d / self.gpus_per_node) as u32).collect();
-        Topology::from_links(
-            self.node_kind,
-            links,
-            self.memory.clone(),
-            node_of,
-            self.nodes as u32,
-        )
+        Topology::from_links(links, self.memory.clone(), node_of, self.nodes as u32)
     }
 }
 
@@ -614,21 +576,12 @@ mod tests {
     }
 
     #[test]
-    fn kind_names_round_trip() {
-        for kind in TopologyKind::ALL {
-            assert_eq!(TopologyKind::parse(kind.name()), Some(kind));
-            assert_eq!(topo(kind, 4).kind, kind);
-        }
-        assert_eq!(TopologyKind::parse("nope"), None);
-    }
-
-    #[test]
     fn nic_names_round_trip_and_presets_order_by_speed() {
+        // The name half went with `NicKind::{name, parse}`, which nothing
+        // called; the test keeps the name the suite lists it under.
         for nic in NicKind::ALL {
-            assert_eq!(NicKind::parse(nic.name()), Some(nic));
             assert!(nic.bandwidth() > 0.0 && nic.latency() > 0.0);
         }
-        assert_eq!(NicKind::parse("token-ring"), None);
         assert!(NicKind::Ethernet25g.bandwidth() < NicKind::InfinibandHdr.bandwidth());
         assert!(NicKind::InfinibandHdr.bandwidth() < NicKind::NvswitchIsland.bandwidth());
         assert!(NicKind::Ethernet25g.latency() > NicKind::NvswitchIsland.latency());

@@ -116,7 +116,7 @@ impl DeviceArray {
 
     /// Fill the whole array from the CPU with `v` cast to the element
     /// type — charged like the typed `fill_*` (the array's bytes).
-    pub fn fill(&self, v: f64) {
+    pub(crate) fn fill(&self, v: f64) {
         self.ctx.host_access(&self.arr, self.arr.byte_len(), true);
         self.arr.buf.data_mut().fill(v);
     }

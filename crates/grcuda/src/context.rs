@@ -134,9 +134,8 @@ pub struct ClusterStats {
     /// Submitted-but-unfinished tasks per node — the per-device load
     /// gauge summed over each node's GPUs. Drains to zero at sync.
     pub node_inflight: Vec<usize>,
-    /// Lifetime cross-node migrations performed (NIC legs submitted).
-    pub cross_node_migrations: usize,
-    /// Lifetime bytes carried over NIC links by those migrations.
+    /// Lifetime bytes carried over NIC links by cross-node migrations
+    /// (the count is [`GrCuda::cross_node_migration_stats`]).
     pub cross_node_bytes: usize,
     /// Batches the deterministic partitioning pre-pass sharded.
     pub partitioned_batches: usize,
@@ -416,11 +415,6 @@ impl GrCuda {
             .machine(|_, topo| topo.node_count())
     }
 
-    /// The interconnect topology this runtime schedules over.
-    pub fn topology(&self) -> Topology {
-        self.inner.borrow().cuda.topology()
-    }
-
     /// Lifetime `(bytes, transfers)` per interconnect link, indexed like
     /// [`Topology::links`] (host links first, then peer links).
     pub fn link_traffic(&self) -> Vec<(f64, usize)> {
@@ -437,18 +431,6 @@ impl GrCuda {
     /// `memory` section of [`GrCuda::scheduler_stats`], standalone).
     pub fn memory_stats(&self) -> MemoryStats {
         self.inner.borrow().cuda.memory_stats()
-    }
-
-    /// Per-device `(time, resident bytes)` step samples recorded while
-    /// a finite capacity is configured. Cleared by
-    /// [`GrCuda::clear_timeline`].
-    pub fn memory_timeline(&self) -> Vec<Vec<(Time, usize)>> {
-        self.inner.borrow().cuda.memory_timeline()
-    }
-
-    /// The device this runtime drives.
-    pub fn device(&self) -> DeviceProfile {
-        self.inner.borrow().cuda.device()
     }
 
     /// Current virtual time (seconds).
@@ -643,19 +625,19 @@ impl GrCuda {
     /// long-running service watches (see [`SchedulerStats`]).
     pub fn scheduler_stats(&self) -> SchedulerStats {
         let ctx = self.inner.borrow();
-        let topo = ctx.cuda.topology();
         let mut loads = Vec::new();
         ctx.cuda.device_loads_into(&mut loads);
-        let mut node_inflight = vec![0usize; topo.node_count()];
-        for (d, &l) in loads.iter().enumerate() {
-            node_inflight[topo.node_of(d as u32) as usize] += l;
-        }
-        let (cross_node_migrations, cross_node_bytes) = ctx.cuda.cross_node_migration_stats();
+        let node_inflight = ctx.cuda.machine(|_, topo| {
+            let mut per_node = vec![0usize; topo.node_count()];
+            for (d, &l) in loads.iter().enumerate() {
+                per_node[topo.node_of(d as u32) as usize] += l;
+            }
+            per_node
+        });
         let cluster = ClusterStats {
-            nodes: topo.node_count(),
+            nodes: node_inflight.len(),
             node_inflight,
-            cross_node_migrations,
-            cross_node_bytes,
+            cross_node_bytes: ctx.cuda.cross_node_migration_stats().1,
             partitioned_batches: ctx.partitioned_batches,
             partition_cut_bytes: ctx.partition_cut_bytes,
         };
@@ -687,11 +669,7 @@ impl GrCuda {
     /// are colored distinctly.
     pub fn dag_dot(&self, title: &str) -> String {
         let ctx = self.inner.borrow();
-        if ctx.node_of.is_empty() {
-            dag::to_dot(&ctx.dag, title)
-        } else {
-            dag::to_dot_clustered(&ctx.dag, title, &ctx.node_of)
-        }
+        dag::to_dot(&ctx.dag, title, &ctx.node_of)
     }
 
     /// Number of computational elements registered so far.

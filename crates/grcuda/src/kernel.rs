@@ -217,7 +217,7 @@ impl fmt::Debug for Kernel {
 
 impl Kernel {
     /// Kernel name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         self.def.name
     }
 

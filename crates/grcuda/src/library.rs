@@ -54,11 +54,6 @@ impl GrCuda {
 }
 
 impl Library {
-    /// Function name.
-    pub fn name(&self) -> &'static str {
-        self.kernel.name()
-    }
-
     /// Invoke the library function. Stream-aware: scheduled through the
     /// DAG like any kernel. Stream-oblivious: the device is drained
     /// before and after the call.
@@ -152,7 +147,6 @@ mod tests {
             lib.call(&[Arg::array(&x)]),
             Err(LaunchError::ArityMismatch { .. })
         ));
-        assert!(!format!("{lib:?}").is_empty());
-        assert_eq!(lib.name(), "square");
+        assert!(format!("{lib:?}").contains("square"));
     }
 }

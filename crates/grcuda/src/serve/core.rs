@@ -249,20 +249,20 @@ pub struct TenantStats {
     pub launches: u64,
     /// Requests waiting in the tenant's queue.
     pub queued: usize,
-    /// Requests currently in flight on the device.
-    pub inflight: usize,
     /// Virtual latency (seconds) of every completed request, in
     /// completion order.
     pub latencies: Vec<f64>,
 }
 
 /// A request accepted by admission control, waiting in its tenant's
-/// queue with fully resolved (owned) launch arguments.
+/// queue with resolved (owned) launch arguments. A call names its
+/// kernel the way the caller did — by index into the tenant's kernel
+/// table, which holds it for as long as the service runs.
 pub(super) struct PendingRequest {
     pub(super) id: RequestId,
     pub(super) arrival: f64,
     pub(super) deadline: Option<f64>,
-    pub(super) calls: Vec<(Kernel, Grid, Vec<Arg>)>,
+    pub(super) calls: Vec<(u32, Grid, Vec<Arg>)>,
     pub(super) written: Vec<DeviceArray>,
 }
 
@@ -493,10 +493,10 @@ impl ServiceCore {
                 "deadline must be finite and non-negative".into(),
             ));
         }
-        let mut calls: Vec<(Kernel, Grid, Vec<Arg>)> = Vec::with_capacity(spec.calls.len());
+        let mut calls: Vec<(u32, Grid, Vec<Arg>)> = Vec::with_capacity(spec.calls.len());
         let mut written: Vec<DeviceArray> = Vec::new();
         for c in &spec.calls {
-            let kernel = self.resolve_kernel(t, c.kernel)?.clone();
+            let kernel = self.resolve_kernel(t, c.kernel)?;
             let mut args: Vec<Arg> = Vec::with_capacity(c.args.len());
             for a in &c.args {
                 match a {
@@ -508,7 +508,7 @@ impl ServiceCore {
             // applied *before* the request enters the queue — so a
             // can-never-fit launch is a clean per-tenant error, not a
             // mid-batch failure.
-            match self.g.accept(&kernel, &args) {
+            match self.g.accept(kernel, &args) {
                 Ok(()) => {}
                 Err(e @ LaunchError::OutOfMemory { .. }) => {
                     self.tenant_mut(t)?.rejected += 1;
@@ -532,7 +532,7 @@ impl ServiceCore {
                     }
                 }
             }
-            calls.push((kernel, c.grid, args));
+            calls.push((c.kernel.index, c.grid, args));
         }
         let arrival = self.g.now();
         let tenant = self.tenant_mut(t)?;
@@ -585,12 +585,11 @@ impl ServiceCore {
             let Some(req) = self.tenants[ti].queue.pop_front() else {
                 break;
             };
-            self.tenants[ti].launches += req.calls.len() as u64;
-            for (k, _, _) in &req.calls {
-                *self.tenants[ti]
-                    .kernel_launches
-                    .entry(k.name())
-                    .or_insert(0) += 1;
+            let tenant = &mut self.tenants[ti];
+            tenant.launches += req.calls.len() as u64;
+            for &(k, _, _) in &req.calls {
+                let name = tenant.kernels[k as usize].name();
+                *tenant.kernel_launches.entry(name).or_insert(0) += 1;
             }
             admitted.push(req);
         }
@@ -600,8 +599,9 @@ impl ServiceCore {
         let batch: Vec<BatchLaunch<'_>> = admitted
             .iter()
             .flat_map(|r| {
-                r.calls.iter().map(|(k, grid, args)| BatchLaunch {
-                    kernel: k,
+                let kernels = &self.tenants[r.id.tenant.index()].kernels;
+                r.calls.iter().map(move |(k, grid, args)| BatchLaunch {
+                    kernel: &kernels[*k as usize],
                     grid: *grid,
                     args,
                 })
@@ -690,7 +690,6 @@ impl ServiceCore {
             rejected: tenant.rejected,
             launches: tenant.launches,
             queued: tenant.queue.len(),
-            inflight: self.inflight.iter().filter(|r| r.id.tenant == t).count(),
             latencies: tenant.latencies.clone(),
         })
     }

@@ -47,7 +47,7 @@ impl StreamManager {
     }
 
     /// Total streams created so far (all devices).
-    pub fn streams_created(&self) -> usize {
+    pub(crate) fn streams_created(&self) -> usize {
         self.created
     }
 
