@@ -11,11 +11,15 @@
 //!   deterministic virtual host time per launch;
 //! * **pipeline** — a multi-GPU round-robin pipeline (8 disjoint
 //!   chains × 4 devices) that exercises placement, the per-device
-//!   scratch bookkeeping and the incremental rate solver, reporting
-//!   the pipeline's virtual throughput, the solver's cache hit rate and
-//!   the three counts behind it (`sched.rate_*`, gated exactly: a
-//!   change to `Engine::refresh_rates` that visits more tasks shows up
-//!   as a count, not as a guess from a trace).
+//!   scratch bookkeeping, the incremental rate solver and the race
+//!   check, reporting the pipeline's virtual throughput, the solver's
+//!   cache hit rate and the exact counts behind the engine's advance
+//!   loop, gated exactly so a change that visits more shows up as a
+//!   count, not as a guess from a trace: the three `sched.rate_*`
+//!   counts of `Engine::refresh_rates`, and `sched.race_scans`, the
+//!   ready tasks the in-flight value table flagged for a pair-by-pair
+//!   scan — 0 on this race-free pipeline, whose tasks are each checked
+//!   against their own arguments only.
 //!
 //! The same at both scales: there is no reduced variant.
 
@@ -162,4 +166,5 @@ pub fn run(_smoke: bool, m: &mut Metrics) {
     m.exact("sched.rate_refreshes", st.rate_refreshes as f64);
     m.exact("sched.rate_tasks_solved", st.rate_tasks_solved as f64);
     m.exact("sched.rate_tasks_reused", st.rate_tasks_reused as f64);
+    m.exact("sched.race_scans", st.race_scans as f64);
 }

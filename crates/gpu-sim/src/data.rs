@@ -10,7 +10,15 @@ use std::cell::{Ref, RefCell, RefMut};
 use std::rc::Rc;
 
 /// Identity of a logical value (an allocation) for dependency tracking and
-/// race detection. Assigned by the memory manager in `cuda-sim`.
+/// race detection.
+///
+/// Ids are dense: `Cuda::alloc` in `cuda-sim` mints them from zero, one
+/// per allocation, and never retires one. Three tables index by the id
+/// instead of hashing it — `cuda-sim`'s array states (`Inner::arrays`),
+/// the [`MemoryManager`](crate::MemoryManager)'s resident table and the
+/// [`Engine`](crate::Engine)'s values in flight — and each grows to the
+/// largest id it has seen, so an id far beyond the others costs memory
+/// in proportion to the id, not to the number of values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ValueId(pub u64);
 

@@ -20,6 +20,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::calibrate::Calibration;
+use crate::data::ValueId;
 use crate::fluid::{progressive_fill, FillScratch};
 use crate::profile::DeviceProfile;
 use crate::race::{check_conflict, RaceReport};
@@ -100,6 +101,59 @@ pub struct EngineStats {
     /// of being re-solved. `reused / (solved + reused)` is the
     /// incremental solver's hit rate.
     pub rate_tasks_reused: usize,
+    /// Ready tasks the in-flight value table flagged and the engine then
+    /// compared one by one with every task in flight. The table is
+    /// exact, so each of them has a real race: a race-free program
+    /// reads 0.
+    pub race_scans: usize,
+}
+
+/// How many tasks in flight read and write one value.
+#[derive(Clone, Copy, Default)]
+struct Holders {
+    writers: u32,
+    readers: u32,
+}
+
+/// Readers and writers of every value among the tasks in flight — ready
+/// but unfinished: the latent heap and the active list — indexed by the
+/// dense [`ValueId`]. A task's arguments enter when it becomes ready and
+/// leave when it completes, so a drained engine's table is zero
+/// everywhere, and the table grows to the largest id seen, never with
+/// the number of tasks run.
+#[derive(Default)]
+struct ValuesInFlight {
+    holders: Vec<Holders>,
+}
+
+impl ValuesInFlight {
+    /// Whether `t` conflicts with a task in flight: a write with any
+    /// writer or reader of its value, a read with a writer — the
+    /// question `check_conflict` answers pair by pair, asked of all
+    /// pairs at once in O(arguments).
+    fn conflicts(&self, t: &TaskSpec) -> bool {
+        let held = |v: &ValueId| self.holders.get(v.0 as usize).copied().unwrap_or_default();
+        t.writes
+            .iter()
+            .map(held)
+            .any(|h| h.writers > 0 || h.readers > 0)
+            || t.reads.iter().map(held).any(|h| h.writers > 0)
+    }
+
+    /// Count `t`'s arguments into flight (`entering`) or out of it.
+    fn update(&mut self, t: &TaskSpec, entering: bool) {
+        for (values, write) in [(&t.writes, true), (&t.reads, false)] {
+            for v in values {
+                let at = v.0 as usize;
+                if self.holders.len() <= at {
+                    self.holders.resize(at + 1, Holders::default());
+                }
+                let Holders { writers, readers } = &mut self.holders[at];
+                let n = if write { writers } else { readers };
+                *n = if entering { *n + 1 } else { *n - 1 };
+            }
+        }
+    }
 }
 
 /// Working storage of the incremental rate refresh, kept across
@@ -180,6 +234,9 @@ pub struct Engine {
     base: u32,
     /// Task indices currently in the fluid phase.
     active: Vec<u32>,
+    /// How many of them occupy a link. While none does, every rate-solve
+    /// component is one device and the union-find forest is not needed.
+    active_on_links: usize,
     /// Rate-solve nodes (device `d` is node `d`, link `l` is node
     /// `n_devices + l`) whose active-set membership changed since the
     /// last rate refresh, in transition order, repeats allowed. Seeds
@@ -195,6 +252,13 @@ pub struct Engine {
     /// policies consult it on every launch.
     inflight: Vec<usize>,
     timeline: Timeline,
+    /// Values in flight: what a task becoming ready is checked against.
+    values_in_flight: ValuesInFlight,
+    /// Test and debug builds can have every ready task compared pair by
+    /// pair, whatever the table says: the always-scan reference of the
+    /// race-table property.
+    #[cfg(any(test, debug_assertions))]
+    scan_every_ready_task: bool,
     races: Vec<RaceReport>,
     stats: EngineStats,
     /// Online calibration: per-kernel-signature duration priors and
@@ -248,11 +312,15 @@ impl Engine {
             tasks: VecDeque::new(),
             base: 0,
             active: Vec::new(),
+            active_on_links: 0,
             dirty: Vec::new(),
             solve: SolveScratch::new(n + n_links),
             latent: BinaryHeap::new(),
             inflight: vec![0; n],
             timeline: Timeline::new(),
+            values_in_flight: ValuesInFlight::default(),
+            #[cfg(any(test, debug_assertions))]
+            scan_every_ready_task: false,
             races: Vec::new(),
             stats: EngineStats::default(),
             calib: Calibration::new(),
@@ -464,8 +532,8 @@ impl Engine {
     // internals
     // ------------------------------------------------------------------
 
-    /// Mark a task ready: record its start, run race detection against
-    /// every currently-running task, and schedule its activation event.
+    /// Mark a task ready: record its start, check it for races against
+    /// every task in flight, and schedule its activation event.
     fn make_ready(&mut self, id: TaskId) {
         let i = self.slot(id.0);
         self.tasks[i].started = self.now;
@@ -476,12 +544,47 @@ impl Engine {
         self.latent.push(Reverse((TimeKey(at), id.0)));
     }
 
+    /// Race detection for a task becoming ready, by value: the in-flight
+    /// table says in O(arguments) whether any latent or active task
+    /// conflicts with it, and only a task it flags — one with a real
+    /// race — is compared with each of them for the reports
+    /// ([`Engine::scan_races`]). The task's own arguments then join the
+    /// table until it completes. Debug and test builds hold every
+    /// verdict to the scan.
     fn detect_races(&mut self, new_id: u32) {
-        let new_idx = self.slot(new_id);
-        let new = &self.tasks[new_idx].spec;
+        let new = &self.tasks[self.slot(new_id)].spec;
         if new.reads.is_empty() && new.writes.is_empty() {
             return;
         }
+        // Checked before its own arguments count, so that a task reading
+        // and writing one value does not conflict with itself.
+        let flagged = self.values_in_flight.conflicts(new);
+        self.values_in_flight.update(new, true);
+        #[cfg(any(test, debug_assertions))]
+        let flagged = {
+            self.assert_table_matches_scan(new_id, flagged);
+            flagged || self.scan_every_ready_task
+        };
+        if !flagged {
+            return;
+        }
+        self.stats.race_scans += 1;
+        // Dedup repeated reports of the same conflicting pair: a broken
+        // scheduler re-racing the same kernels every iteration yields one
+        // report per (first, second, value), keeping `races` bounded by
+        // the number of distinct conflicts.
+        for r in self.scan_races(new_id) {
+            if !self.races.iter().any(|seen| seen.same_pair(&r)) {
+                self.races.push(r);
+            }
+        }
+    }
+
+    /// Every conflict of a task becoming ready with a task in flight, in
+    /// scan order: the all-pairs rule the in-flight table answers for,
+    /// and the reports of a task it flags.
+    fn scan_races(&self, new_id: u32) -> Vec<RaceReport> {
+        let new = &self.tasks[self.slot(new_id)].spec;
         // Only Latent and Active tasks can race with the newcomer, and
         // those are exactly the `latent` heap and `active` list — scan
         // them instead of the whole lifetime task vector, so long-running
@@ -496,15 +599,19 @@ impl Engine {
             debug_assert!(matches!(other.phase, Phase::Latent | Phase::Active(_)));
             found.extend(check_conflict(self.now, &other.spec, new));
         }
-        // Dedup repeated reports of the same conflicting pair: a broken
-        // scheduler re-racing the same kernels every iteration yields one
-        // report per (first, second, value), keeping `races` bounded by
-        // the number of distinct conflicts.
-        for r in found {
-            if !self.races.iter().any(|seen| seen.same_pair(&r)) {
-                self.races.push(r);
-            }
-        }
+        found
+    }
+
+    /// The race oracle's comparison: the table flags a ready task exactly
+    /// when the all-pairs scan finds at least one report for it.
+    #[cfg(any(test, debug_assertions))]
+    fn assert_table_matches_scan(&self, new_id: u32, flagged: bool) {
+        assert_eq!(
+            flagged,
+            !self.scan_races(new_id).is_empty(),
+            "in-flight value table diverged from the all-pairs race scan on `{}`",
+            self.tasks[self.slot(new_id)].spec.label
+        );
     }
 
     /// Record that a task entered or left the active set: its device —
@@ -513,12 +620,18 @@ impl Engine {
     /// device and (optionally) one link, any component whose membership
     /// changed necessarily contains one of the transitioning task's two
     /// endpoints, so marking them finds every component that needs a
-    /// re-solve.
-    fn mark_transition(&mut self, slot: usize) {
+    /// re-solve. A link occupant also moves the count of them that tells
+    /// the refresh whether any component spans more than one device.
+    fn mark_transition(&mut self, slot: usize, entered: bool) {
         let t = &self.tasks[slot].spec;
         self.dirty.push(t.device);
         if let Some(l) = t.link {
             self.dirty.push(self.n_devices + l.0);
+            if entered {
+                self.active_on_links += 1;
+            } else {
+                self.active_on_links -= 1;
+            }
         }
     }
 
@@ -538,6 +651,11 @@ impl Engine {
     /// freezing them subtracts exact zeros from every other component's
     /// residuals — so each component's freeze sequence is independent
     /// of the others, and of the columns nobody in it demands.
+    ///
+    /// What the active set holds picks the work: while no active task
+    /// occupies a link, every component is one device and the forest is
+    /// neither built nor reset; a component no link couples is one
+    /// device's seven columns, its rows copied straight from its members.
     fn refresh_rates(&mut self) {
         if self.dirty.is_empty() {
             return;
@@ -549,23 +667,29 @@ impl Engine {
             tasks,
             base,
             active,
+            active_on_links,
             dirty,
             solve: s,
             stats,
             ..
         } = self;
         let (n_dev, base) = (*n_devices, *base);
+        // Without link occupants the forest stays at rest, where `find`
+        // is the identity.
+        let coupled = *active_on_links > 0;
 
         // Union-find over device and link nodes: each active link
         // occupant couples its device to its link, so chains of shared
         // links merge devices into one component.
-        for &i in active.iter() {
-            let t = &tasks[(i - base) as usize].spec;
-            if let Some(l) = t.link {
-                let a = find(&mut s.parent, t.device);
-                let b = find(&mut s.parent, n_dev + l.0);
-                if a != b {
-                    s.parent[a as usize] = b;
+        if coupled {
+            for &i in active.iter() {
+                let t = &tasks[(i - base) as usize].spec;
+                if let Some(l) = t.link {
+                    let a = find(&mut s.parent, t.device);
+                    let b = find(&mut s.parent, n_dev + l.0);
+                    if a != b {
+                        s.parent[a as usize] = b;
+                    }
                 }
             }
         }
@@ -597,35 +721,48 @@ impl Engine {
             // ascending): every column left out carries zero load there
             // and never binds, so ties break the same way and the rates
             // come out bit-identical.
-            s.devices.clear();
-            s.links.clear();
-            for &(_, k) in members {
-                let t = &tasks[(active[k as usize] - base) as usize].spec;
-                s.devices.push(t.device);
-                s.links.extend(t.link.map(|l| l.0));
-            }
-            s.devices.sort_unstable();
-            s.devices.dedup();
-            s.links.sort_unstable();
-            s.links.dedup();
-            let link_cols = s.devices.len() * NUM_RESOURCES;
-            let width = link_cols + s.links.len();
+            let spec = |k: u32| &tasks[(active[k as usize] - base) as usize].spec;
             s.caps.clear();
-            for _ in &s.devices {
-                s.caps.extend_from_slice(&dev_caps);
-            }
-            let bandwidth = |&l: &u32| topo.link(LinkId(l)).bandwidth;
-            s.caps.extend(s.links.iter().map(bandwidth));
             s.demands.clear();
-            s.demands.resize(members.len() * width, 0.0);
-            for (row, &(_, k)) in s.demands.chunks_exact_mut(width).zip(members) {
-                let t = &tasks[(active[k as usize] - base) as usize].spec;
-                let block = col(&s.devices, t.device) * NUM_RESOURCES;
-                row[block..block + NUM_RESOURCES].copy_from_slice(&t.demand.as_vec());
-                if let Some(l) = t.link {
-                    row[link_cols + col(&s.links, l.0)] = t.demand.link_bps;
+            let width = if !coupled || members.iter().all(|&(_, k)| spec(k).link.is_none()) {
+                // No link couples the members, so they share one device:
+                // its block is every column, and each row is a member's
+                // demand as it stands.
+                s.caps.extend_from_slice(&dev_caps);
+                for &(_, k) in members {
+                    s.demands.extend_from_slice(&spec(k).demand.as_vec());
                 }
-            }
+                NUM_RESOURCES
+            } else {
+                s.devices.clear();
+                s.links.clear();
+                for &(_, k) in members {
+                    let t = spec(k);
+                    s.devices.push(t.device);
+                    s.links.extend(t.link.map(|l| l.0));
+                }
+                s.devices.sort_unstable();
+                s.devices.dedup();
+                s.links.sort_unstable();
+                s.links.dedup();
+                let link_cols = s.devices.len() * NUM_RESOURCES;
+                let width = link_cols + s.links.len();
+                for _ in &s.devices {
+                    s.caps.extend_from_slice(&dev_caps);
+                }
+                let bandwidth = |&l: &u32| topo.link(LinkId(l)).bandwidth;
+                s.caps.extend(s.links.iter().map(bandwidth));
+                s.demands.resize(members.len() * width, 0.0);
+                for (row, &(_, k)) in s.demands.chunks_exact_mut(width).zip(members) {
+                    let t = spec(k);
+                    let block = col(&s.devices, t.device) * NUM_RESOURCES;
+                    row[block..block + NUM_RESOURCES].copy_from_slice(&t.demand.as_vec());
+                    if let Some(l) = t.link {
+                        row[link_cols + col(&s.links, l.0)] = t.demand.link_bps;
+                    }
+                }
+                width
+            };
             s.rates.resize(members.len(), 0.0);
             let demand = |i: usize| &s.demands[i * width..(i + 1) * width];
             progressive_fill(demand, &s.caps, &mut s.fill, &mut s.rates);
@@ -641,11 +778,13 @@ impl Engine {
             let root = find(&mut s.parent, node);
             s.comp_dirty[root as usize] = false;
         }
-        for &i in active.iter() {
-            let t = &tasks[(i - base) as usize].spec;
-            if let Some(l) = t.link {
-                s.parent[t.device as usize] = t.device;
-                s.parent[(n_dev + l.0) as usize] = n_dev + l.0;
+        if coupled {
+            for &i in active.iter() {
+                let t = &tasks[(i - base) as usize].spec;
+                if let Some(l) = t.link {
+                    s.parent[t.device as usize] = t.device;
+                    s.parent[(n_dev + l.0) as usize] = n_dev + l.0;
+                }
             }
         }
 
@@ -790,8 +929,10 @@ impl Engine {
             _ => {}
         }
         self.timeline.push(iv);
-        // The task is done with its buffers: the race detector only
-        // looks at running tasks, and its dependents are released below.
+        // The task is done with its buffers: its arguments leave the
+        // in-flight table before its dependents are released below, and
+        // the race detector looks at nothing else of a finished task.
+        self.values_in_flight.update(t, false);
         self.recycler.values.give(std::mem::take(&mut t.reads));
         self.recycler.values.give(std::mem::take(&mut t.writes));
         if let Some(payload) = t.on_complete.take() {
@@ -824,7 +965,7 @@ impl Engine {
         if self.tasks[i].spec.fluid_work > 0.0 {
             self.tasks[i].phase = Phase::Active(self.tasks[i].spec.fluid_work);
             self.active.push(idx);
-            self.mark_transition(i);
+            self.mark_transition(i, true);
         } else {
             self.complete(idx);
         }
@@ -911,7 +1052,7 @@ impl Engine {
                         // A fluid completion: the chosen task's remaining
                         // work reached zero (up to float error).
                         self.active.retain(|&i| i != idx);
-                        self.mark_transition(self.slot(idx));
+                        self.mark_transition(self.slot(idx), false);
                         self.complete(idx);
                     }
                 }
@@ -942,13 +1083,26 @@ mod tests {
         let mut last = None;
         for round in 0..50 {
             for i in 0..4 {
+                // Each writes its own value and reads a shared one: no
+                // race, and every count goes up before it comes down.
                 let label = format!("k{round}.{i}");
-                let t = e.submit(TaskSpec::kernel(label, i).fluid(1e-4).sm_frac(0.2), &[]);
+                let spec = TaskSpec::kernel(label, i).fluid(1e-4).sm_frac(0.2);
+                let t = e.submit(
+                    spec.reading(&[ValueId(4)]).writing(&[ValueId(i.into())]),
+                    &[],
+                );
                 last = Some(t);
             }
             e.sync_all();
             assert_eq!(e.stats().retained_tasks, 0, "drain reclaims everything");
+            let holders = &e.values_in_flight.holders;
+            assert_eq!(holders.len(), 5, "the table spans the ids seen");
+            assert!(
+                holders.iter().all(|h| h.writers == 0 && h.readers == 0),
+                "a drained engine has no value in flight"
+            );
         }
+        assert_eq!(e.stats().races, 0);
         assert_eq!(e.stats().submitted, 200);
         assert_eq!(e.stats().completed, 200);
         // Reclaimed handles still answer queries, and depending on them
@@ -1025,8 +1179,9 @@ mod tests {
 
     #[test]
     fn races_are_detected_after_reclamation() {
-        // The race scan walks the in-flight sets; make sure reclaiming
-        // old tasks doesn't confuse the id bookkeeping.
+        // The race check reads the values in flight and scans the
+        // in-flight sets; make sure reclaiming old tasks confuses
+        // neither the value counts nor the id bookkeeping.
         let mut e = Engine::new(dev());
         let v = crate::data::ValueId(7);
         let t = e.submit(
@@ -1387,6 +1542,29 @@ mod tests {
         e.sync_all();
         assert_eq!(e.races().len(), 1);
         assert!(e.races()[0].write_write);
+        assert_eq!(e.stats().race_scans, 1, "only the second writer is scanned");
+    }
+
+    #[test]
+    fn races_are_found_between_ids_far_apart() {
+        // The in-flight table is indexed by id: one far from the others
+        // grows it to that id and is still matched.
+        let (near, far) = (ValueId(0), ValueId(1 << 16));
+        let mut e = Engine::new(dev());
+        let spec = |label: &str, stream| TaskSpec::kernel(label, stream).fluid(1e-3).sm_frac(0.1);
+        e.submit(spec("near", 0).writing(&[near]), &[]);
+        e.submit(spec("far", 1).writing(&[far]), &[]);
+        e.submit(spec("reader", 2).reading(&[far]), &[]);
+        e.sync_all();
+        assert_eq!(e.races().len(), 1);
+        let r = &e.races()[0];
+        assert_eq!(
+            (r.value, r.first.as_str(), r.second.as_str()),
+            (far, "far", "reader")
+        );
+        assert!(!r.write_write);
+        assert_eq!(e.stats().race_scans, 1);
+        assert_eq!(e.values_in_flight.holders.len(), (1 << 16) + 1);
     }
 
     #[test]
@@ -1446,6 +1624,7 @@ mod tests {
         );
         e.sync_all();
         assert!(e.races().is_empty());
+        assert_eq!(e.stats().race_scans, 0, "the writer left the table first");
     }
 
     // Note on deadlocks: `submit` only accepts dependencies on tasks that
@@ -1642,6 +1821,57 @@ mod prop {
             e.refreshed_rates_match_full_solve();
             prop_assert!(e.solve.parent.iter().enumerate().all(|(x, &p)| p == x as u32));
             prop_assert!(e.solve.comp_dirty.iter().all(|&c| !c));
+        }
+
+        /// The in-flight value table against the all-pairs scan it
+        /// replaces, fed conflicts: read and write sets drawn from four
+        /// values, random dependencies, latencies, zero-work tasks, host
+        /// advances and task syncs. `races()` must be, report for report
+        /// and in order, what an engine that scans every ready task
+        /// records (test builds also hold each verdict to the scan), and
+        /// a drained engine holds no value in flight.
+        #[test]
+        fn value_table_reports_what_the_scan_reports(
+            n_dev in 1usize..3,
+            ops in proptest::collection::vec(
+                (0u8..16, 0u8..16, 0usize..4, 0u32..20, 0u8..4), 1..32),
+        ) {
+            let d = DeviceProfile::gtx1660_super();
+            let values = |mask: u8| -> Vec<ValueId> {
+                (0..4).filter(|b| mask >> b & 1 == 1).map(ValueId).collect()
+            };
+            let run = |scan_every_ready_task: bool| {
+                let mut e = Engine::with_topology(d.clone(), Topology::pcie_only(n_dev, &d));
+                e.scan_every_ready_task = scan_every_ready_task;
+                let mut ids: Vec<TaskId> = Vec::new();
+                for (i, &(reads, writes, back, work, then)) in ops.iter().enumerate() {
+                    let spec = TaskSpec::kernel(format!("k{i}"), i as u32)
+                        .on_device(i as u32 % n_dev as u32)
+                        .latency(if work % 3 == 0 { 1e-5 } else { 0.0 })
+                        .fluid(work as f64 * 1e-4)
+                        .sm_frac(0.3)
+                        .reading(&values(reads))
+                        .writing(&values(writes));
+                    let deps: Vec<TaskId> =
+                        i.checked_sub(back).filter(|_| back > 0).map(|j| ids[j]).into_iter().collect();
+                    let t = e.submit(spec, &deps);
+                    ids.push(t);
+                    match then {
+                        1 => e.advance_host(7e-5),
+                        2 => e.sync_task(t),
+                        _ => {}
+                    }
+                }
+                e.sync_all();
+                let drained = e.values_in_flight.holders.iter().all(|h| h.writers == 0 && h.readers == 0);
+                (e.races().to_vec(), e.stats().race_scans, drained)
+            };
+            let (races, scans, drained) = run(false);
+            let (reference, reference_scans, reference_drained) = run(true);
+            prop_assert_eq!(&races, &reference);
+            prop_assert!(drained && reference_drained);
+            prop_assert!(scans <= reference_scans);
+            prop_assert_eq!(scans == 0, races.is_empty());
         }
     }
 }
