@@ -19,12 +19,19 @@
 //!   counts of `Engine::refresh_rates`, and `sched.race_scans`, the
 //!   ready tasks the in-flight value table flagged for a pair-by-pair
 //!   scan — 0 on this race-free pipeline, whose tasks are each checked
-//!   against their own arguments only.
+//!   against their own arguments only;
+//! * **placement context** — one fixed batched program on a 2 × 2
+//!   cluster under each of the eight presets, gating exactly the
+//!   `Cuda::placement_probe` calls per launch
+//!   (`sched.placement_probes_per_launch.<preset>`): one per distinct
+//!   argument array for a preset that reads transfer estimates, 0 for
+//!   the four that do not (`single-gpu`, `round-robin`,
+//!   `locality-aware`, `stream-aware`).
 //!
 //! The same at both scales: there is no reduced variant.
 
 use bench::{render_table, round_sig};
-use gpu_sim::{DeviceProfile, Grid, Topology};
+use gpu_sim::{Cluster, DeviceProfile, Grid, NicKind, Topology, TopologyKind};
 use grcuda::{Arg, BatchLaunch, GrCuda, Options, PlacementPolicy};
 use kernels::util::SCALE;
 
@@ -35,6 +42,52 @@ const SUBMIT_LAUNCHES: usize = 64;
 /// Pipeline shape: disjoint chains × rounds over 4 devices.
 const PIPE_CHAINS: usize = 8;
 const PIPE_ROUNDS: usize = 24;
+
+/// `Cuda::placement_probe` calls per launch under `policy`: four
+/// ping-pong chains, one batch per round, six rounds, on two nodes of
+/// two GPUs.
+fn probes_per_launch(policy: PlacementPolicy) -> f64 {
+    let (chains, rounds, n) = (4, 6, 1 << 12);
+    let dev = DeviceProfile::tesla_p100();
+    let cluster = Cluster::new(2, 2, TopologyKind::PcieOnly, NicKind::InfinibandHdr);
+    let g = GrCuda::with_topology(
+        dev.clone(),
+        cluster.build(&dev),
+        Options::parallel(),
+        policy,
+    );
+    let scale = g.build_kernel(&SCALE).expect("signature parses");
+    let arrays: Vec<_> = (0..2 * chains).map(|_| g.array_f32(n)).collect();
+    for a in &arrays {
+        a.fill_f32(1.0);
+    }
+    for round in 0..rounds {
+        let args: Vec<[Arg; 4]> = arrays
+            .chunks(2)
+            .map(|pair| {
+                let (src, dst) = (&pair[round % 2], &pair[1 - round % 2]);
+                [
+                    Arg::array(src),
+                    Arg::array(dst),
+                    Arg::scalar(1.01),
+                    Arg::scalar(n as f64),
+                ]
+            })
+            .collect();
+        let calls: Vec<BatchLaunch<'_>> = args
+            .iter()
+            .map(|args| BatchLaunch {
+                kernel: &scale,
+                grid: Grid::d1(8, 128),
+                args,
+            })
+            .collect();
+        g.launch_batch(&calls).expect("placement batch");
+    }
+    g.sync();
+    assert!(g.races().is_empty());
+    g.scheduler_stats().placement_probes as f64 / (chains * rounds) as f64
+}
 
 /// Virtual host µs per launch of a submission closure.
 fn time_submit(g: &GrCuda, submit: impl FnOnce()) -> f64 {
@@ -167,4 +220,17 @@ pub fn run(_smoke: bool, m: &mut Metrics) {
     m.exact("sched.rate_tasks_solved", st.rate_tasks_solved as f64);
     m.exact("sched.rate_tasks_reused", st.rate_tasks_reused as f64);
     m.exact("sched.race_scans", st.race_scans as f64);
+
+    // --- placement context: what assembling it prices, per preset ---
+    let mut rows = Vec::new();
+    for policy in PlacementPolicy::ALL {
+        let probes = probes_per_launch(policy);
+        rows.push(vec![policy.name().to_string(), format!("{probes}")]);
+        let key = format!("sched.placement_probes_per_launch.{}", policy.name());
+        m.exact(&key, probes);
+    }
+    println!(
+        "\n{}",
+        render_table(&["policy", "placement probes / launch"], &rows)
+    );
 }

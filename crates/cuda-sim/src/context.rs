@@ -1469,7 +1469,8 @@ mod tests {
         let c = Cuda::new_multi_topo(DeviceProfile::tesla_p100(), 4, TopologyKind::NvlinkPair);
         let estimate = |a: &UnifiedArray, d: usize| {
             let mut est = vec![0.0; 4];
-            c.placement_probe(a, &mut est);
+            let holder = c.placement_probe(a, &mut est);
+            assert_eq!(c.device_residency(a), holder, "residency without prices");
             est[d]
         };
         let (dev, topo) = c.machine(|dev, topo| (dev.clone(), topo.clone()));
@@ -1481,11 +1482,13 @@ mod tests {
         for d in 0..4 {
             assert!((estimate(&a, d) - host_leg).abs() < 1e-12);
         }
+        assert_eq!(c.device_residency(&a), None);
         // Device-only on dev 0 after a writing kernel.
         let k = simple_kernel(&c, "w", &a, 0.1);
         let t = c.launch(c.default_stream(), &k).unwrap();
         c.task_sync(t);
         assert_eq!(estimate(&a, 0), 0.0);
+        assert_eq!(c.device_residency(&a), Some(0));
         let linked = estimate(&a, 1);
         let crossed = estimate(&a, 2);
         assert!(

@@ -50,10 +50,14 @@ pub(crate) struct Ctx {
     /// untouched by the cluster layer.
     pub node_of: Vec<u32>,
     /// Batches the deterministic partitioning pre-pass sharded across
-    /// nodes (lifetime counter; see [`crate::partition`]).
+    /// nodes for a policy that reads node hints (lifetime counter; see
+    /// [`crate::partition`]).
     pub partitioned_batches: usize,
     /// Cut bytes accumulated across all partitioned batches.
     pub partition_cut_bytes: usize,
+    /// [`Cuda::placement_probe`] calls made to price placement contexts
+    /// (lifetime counter).
+    pub placement_probes: usize,
 }
 
 /// The launch path's working lists, owned by the context between
@@ -112,6 +116,12 @@ pub struct SchedulerStats {
     /// scheduler side. Retained for `benchmark/`; retire in the next
     /// benchmark PR.
     pub launch_infos: usize,
+    /// Lifetime [`cuda_sim::Cuda::placement_probe`] calls: one per
+    /// distinct array argument of a multi-device launch whose policy
+    /// reads transfer estimates ([`crate::Reads::transfer`]), each
+    /// pricing that array on every device. 0 under a policy that does
+    /// not, and on one device.
+    pub placement_probes: usize,
     /// Device-memory gauges from the capacity-aware memory manager:
     /// per-device resident/peak bytes, evictions, spilled bytes and
     /// prefetch hit accounting. With the default unlimited capacity the
@@ -137,9 +147,12 @@ pub struct ClusterStats {
     /// Lifetime bytes carried over NIC links by cross-node migrations
     /// (the count is [`GrCuda::cross_node_migration_stats`]).
     pub cross_node_bytes: usize,
-    /// Batches the deterministic partitioning pre-pass sharded.
+    /// Batches the deterministic partitioning pre-pass sharded. It runs
+    /// only for a policy that reads node hints ([`crate::Reads::node`]),
+    /// so this stays 0 under every other.
     pub partitioned_batches: usize,
-    /// Cut bytes accumulated across all partitioned batches.
+    /// Cut bytes accumulated across all partitioned batches (0 under a
+    /// policy that does not read node hints, like the count).
     pub partition_cut_bytes: usize,
 }
 
@@ -282,6 +295,7 @@ impl GrCuda {
                 node_of,
                 partitioned_batches: 0,
                 partition_cut_bytes: 0,
+                placement_probes: 0,
             })),
         }
     }
@@ -304,8 +318,8 @@ impl GrCuda {
     /// one scheduler core spanning every GPU of every node, with NIC
     /// links in the same global rate solve, the deterministic batch
     /// partitioner (see [`crate::partition_batch`]) active on
-    /// [`GrCuda::launch_batch`], and cross-node migrations routed
-    /// GPU→host→NIC→host→GPU. Pair it with
+    /// [`GrCuda::launch_batch`] for a policy that reads node hints, and
+    /// cross-node migrations routed GPU→host→NIC→host→GPU. Pair it with
     /// [`PlacementPolicy::NodeAware`] so placement honors the
     /// partition; a one-node cluster is bit-identical to
     /// [`GrCuda::with_topology`] on the node's preset. Shorthand for
@@ -652,6 +666,7 @@ impl GrCuda {
             vertex_streams: ctx.vertex_stream.len(),
             vertex_devices: ctx.vertex_device.len(),
             launch_infos: 0,
+            placement_probes: ctx.placement_probes,
             memory: ctx.cuda.memory_stats(),
             cluster,
         }
@@ -783,11 +798,11 @@ impl GrCuda {
         // Multi-node machines: the batch is a whole subgraph, so shard
         // it across nodes before per-vertex placement (see
         // [`crate::partition`]). The hints only steer policies that
-        // consult them ([`PlacementPolicy::NodeAware`]); single-node
-        // machines skip the pre-pass entirely.
+        // read them ([`crate::Reads::node`]), so every other policy and
+        // every single-node machine skips the pre-pass entirely.
         let node_hints: Option<Vec<u32>> = {
             let mut ctx = self.inner.borrow_mut();
-            if ctx.node_of.is_empty() || calls.is_empty() {
+            if ctx.node_of.is_empty() || calls.is_empty() || !ctx.placement.reads().node {
                 None
             } else {
                 let nodes = ctx.cuda.machine(|_, topo| topo.node_count());
@@ -851,6 +866,7 @@ impl GrCuda {
             vertex_device,
             scratch: s,
             node_of,
+            placement_probes,
             ..
         } = &mut *self.inner.borrow_mut();
         let (sched_overhead, event_overhead) =
@@ -918,7 +934,8 @@ impl GrCuda {
                 // Device selection (the policy layer): consulted with the
                 // vertex's DAG context — where the parents ran, which
                 // device already holds the argument bytes, how loaded
-                // each device is.
+                // each device is. Transfer prices are computed only for a
+                // policy that reads them, and are all 0 otherwise.
                 let n_dev = cuda.device_count();
                 let device = if n_dev == 1 {
                     0
@@ -928,15 +945,23 @@ impl GrCuda {
                     s.parent_devices.extend(s.deps.iter().filter_map(device_of));
                     s.resident_bytes.clear();
                     s.resident_bytes.resize(n_dev, 0);
-                    // Per-candidate estimated transfer time: what moving
-                    // this computation's arguments to each device would
-                    // cost over the actual links (each distinct array
-                    // counted once). One borrow per distinct array, one
-                    // per gauge — not per device.
                     s.est_transfer_time.clear();
                     s.est_transfer_time.resize(n_dev, 0.0);
+                    let priced = placement.reads().transfer;
                     for arr in distinct_arrays(args) {
-                        if let Some(d) = cuda.placement_probe(arr, &mut s.est_transfer_time) {
+                        // Per-candidate estimated transfer time: what
+                        // moving this computation's arguments to each
+                        // device would cost over the actual links (each
+                        // distinct array counted once, O(devices) each),
+                        // with residency as a by-product; residency alone
+                        // is one lookup.
+                        let holder = if priced {
+                            *placement_probes += 1;
+                            cuda.placement_probe(arr, &mut s.est_transfer_time)
+                        } else {
+                            cuda.device_residency(arr)
+                        };
+                        if let Some(d) = holder {
                             s.resident_bytes[d as usize] += arr.byte_len();
                         }
                     }

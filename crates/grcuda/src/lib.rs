@@ -78,7 +78,7 @@ pub use library::Library;
 pub use nidl::{NidlError, NidlParam, NidlType, Signature};
 pub use options::{DepStreamPolicy, Options, PrefetchPolicy, SchedulePolicy, StreamReusePolicy};
 pub use partition::{partition_batch, BatchPartition};
-pub use policy::{DeviceSelectionPolicy, PlacementCtx, PlacementPolicy};
+pub use policy::{DeviceSelectionPolicy, PlacementCtx, PlacementPolicy, Reads};
 
 #[cfg(test)]
 mod prop_tests;

@@ -3,21 +3,31 @@
 //! The paper's §VI names the hard part of multi-GPU scheduling:
 //! "it requires to compute data location and migration costs at run
 //! time to identify the optimal scheduling". The scheduler core computes
-//! exactly that context per vertex — argument residency per device,
-//! parent placement, per-device in-flight load — and hands it to a
-//! [`DeviceSelectionPolicy`] to make the call.
+//! that context per vertex — argument residency per device, parent
+//! placement, per-device in-flight load — and hands it to a
+//! [`DeviceSelectionPolicy`] to make the call. It computes only what
+//! the policy declares it reads ([`DeviceSelectionPolicy::reads`]): a
+//! policy that never looks at transfer costs is never priced a route,
+//! and one that never looks at node hints never has its batches
+//! partitioned.
 //!
 //! The built-in policies are one ranked selection over a preset table
 //! (the `preset` rows next to [`PlacementPolicy::build`]): a row names
 //! which devices are candidates and the lexicographic order they are
-//! ranked in. Every row ends in the device id, so a tie is broken where
-//! the row is declared, never by iteration order.
+//! ranked in, and what it reads follows from the row. Every row ends in
+//! the device id, so a tie is broken where the row is declared, never
+//! by iteration order.
 
 use std::cmp::Ordering;
 use std::ops::Range;
 
 /// Run-time context for one placement decision. All slices are indexed
 /// by device id and sized to `device_count`.
+///
+/// The scheduler prices transfers and partitions a batch only when the
+/// policy's [`DeviceSelectionPolicy::reads`] names them; a part left
+/// out is handed over neutral — the value [`Reads`] names beside its
+/// flag.
 #[derive(Debug, Clone, Copy)]
 pub struct PlacementCtx<'a> {
     /// Number of devices available.
@@ -38,7 +48,8 @@ pub struct PlacementCtx<'a> {
     /// host-link legs (plus the NIC leg across nodes) when a migration
     /// must stage through the host, zero for data already in place.
     /// Unlike `resident_bytes`, this sees link *speed*, not just byte
-    /// counts.
+    /// counts. Priced only when [`Reads::transfer`] is set: O(devices)
+    /// per argument array.
     pub est_transfer_time: &'a [f64],
     /// Submitted-but-unfinished tasks per device (kernels, copies and
     /// markers alike) — the load gauge.
@@ -62,10 +73,10 @@ pub struct PlacementCtx<'a> {
     /// retire in the next benchmark PR.
     pub duration_prior: Option<f64>,
     /// Cluster node the partitioning pre-pass assigned this vertex to
-    /// (`None` for single launches, single-node machines, or when the
-    /// pre-pass is off). Read by one preset
-    /// ([`PlacementPolicy::NodeAware`]); retained for `benchmark/`;
-    /// retire in the next benchmark PR.
+    /// (`None` for single launches, single-node machines, or a policy
+    /// without [`Reads::node`], for which the pre-pass does not run).
+    /// Read by one preset ([`PlacementPolicy::NodeAware`]); retained for
+    /// `benchmark/`; retire in the next benchmark PR.
     pub node_hint: Option<u32>,
     /// Node of each device (indexed by device id), empty on single-node
     /// machines — where the hinted node's GPU range is looked up. Read
@@ -123,6 +134,37 @@ pub trait DeviceSelectionPolicy {
 
     /// Choose a device in `0..ctx.device_count`.
     fn select(&mut self, ctx: &PlacementCtx) -> u32;
+
+    /// The costly parts of the context [`DeviceSelectionPolicy::select`]
+    /// reads; the scheduler computes only those. The default is both,
+    /// which is always sound. A policy that declares less must choose
+    /// the same device when the parts it leaves out are neutral.
+    fn reads(&self) -> Reads {
+        Reads::default()
+    }
+}
+
+/// The costly parts of a [`PlacementCtx`] a policy reads. A part left
+/// out is not computed: it is handed over with the neutral value named
+/// here. Every other part is always filled. The default is both parts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reads {
+    /// [`PlacementCtx::est_transfer_time`], which prices every argument
+    /// on every device (all 0 when left out).
+    pub transfer: bool,
+    /// [`PlacementCtx::node_hint`]: on a cluster,
+    /// [`crate::GrCuda::launch_batch`] runs the partitioning pre-pass
+    /// only for a policy that reads it (`None` when left out).
+    pub node: bool,
+}
+
+impl Default for Reads {
+    fn default() -> Self {
+        Reads {
+            transfer: true,
+            node: true,
+        }
+    }
 }
 
 /// One key of a preset's lexicographic ranking; the smaller key wins.
@@ -180,6 +222,18 @@ impl Preset {
 
     const fn in_hinted_node(self) -> Self {
         Preset { node: true, ..self }
+    }
+
+    /// What ranking by this row reads: transfer prices when a term or,
+    /// under `fit`, [`NOTHING_FITS`] ranks by them, node hints under the
+    /// node filter.
+    fn reads(&self) -> Reads {
+        let fallback: &[Term] = if self.fit { NOTHING_FITS } else { &[] };
+        let prices = |t: &Term| matches!(t, Term::Transfer | Term::Queue);
+        Reads {
+            transfer: self.terms.iter().chain(fallback).any(prices),
+            node: self.node,
+        }
     }
 }
 
@@ -255,6 +309,10 @@ impl DeviceSelectionPolicy for Ranked {
             }
         }
         chosen as u32
+    }
+
+    fn reads(&self) -> Reads {
+        self.preset.reads()
     }
 }
 
@@ -535,6 +593,31 @@ mod tests {
         assert_eq!(NOTHING_FITS.last(), Some(&Term::Id));
     }
 
+    #[test]
+    fn each_preset_reads_what_its_row_ranks_and_filters_by() {
+        let flags = |r: Reads| [r.transfer, r.node];
+        let (t, f) = (true, false);
+        // transfer, node
+        let table = [
+            [f, f],
+            [f, f],
+            [f, f],
+            [t, f],
+            [f, f],
+            [t, f],
+            [t, f],
+            [t, t],
+        ];
+        for (p, want) in PlacementPolicy::ALL.iter().zip(table) {
+            assert_eq!(flags(p.build().reads()), want, "{}", p.name());
+        }
+        assert_eq!(
+            flags(Reads::default()),
+            [t, t],
+            "a custom policy sees it all"
+        );
+    }
+
     /// SplitMix64 — the seeded stream the golden contexts are drawn from.
     struct Rng(u64);
 
@@ -559,10 +642,27 @@ mod tests {
     const EPISODES: u64 = 2048;
     const STEPS: usize = 64;
 
+    /// `ctx` as the scheduler assembles it for a policy that reads
+    /// `reads`: every part left out neutral (at most 16 devices).
+    fn assembled<'a>(ctx: &PlacementCtx<'a>, reads: Reads) -> PlacementCtx<'a> {
+        let no_cost = &[0.0; 16];
+        PlacementCtx {
+            est_transfer_time: if reads.transfer {
+                ctx.est_transfer_time
+            } else {
+                &no_cost[..ctx.device_count]
+            },
+            node_hint: ctx.node_hint.filter(|_| reads.node),
+            ..*ctx
+        }
+    }
+
     /// Every policy's choices over `EPISODES` seeded episodes of `STEPS`
     /// decisions, one hex digit per choice. An episode is one machine
     /// (1–16 devices, flat or clustered) and one instance of each
     /// policy, so cursors and ledgers carry from decision to decision.
+    /// Each policy has a twin that sees only what its `reads()` names,
+    /// the rest neutral, and must choose the same device every time.
     /// Also counts the kinds of context drawn, so the coverage the
     /// goldens claim is asserted rather than assumed.
     fn golden_run() -> (Vec<String>, BTreeMap<&'static str, usize>) {
@@ -571,6 +671,7 @@ mod tests {
         for episode in 0..EPISODES {
             let mut rng = Rng(0x00D1_CE5E_ED00 + episode);
             let mut policies = PlacementPolicy::ALL.map(PlacementPolicy::build);
+            let mut twins = PlacementPolicy::ALL.map(PlacementPolicy::build);
             let mut n = 1 + rng.below(16);
             let width = 1 + rng.below(8);
             let node_of: Vec<u32> = match rng.below(4) {
@@ -660,9 +761,17 @@ mod tests {
                         true => "hint: in the machine",
                     });
                 }
-                for (policy, out) in policies.iter_mut().zip(&mut choices) {
+                let all = policies.iter_mut().zip(&mut twins).zip(&mut choices);
+                for ((policy, twin), out) in all {
                     let d = policy.select(&ctx);
                     assert!((d as usize) < n, "{} chose {d} of {n}", policy.name());
+                    assert_eq!(
+                        twin.select(&assembled(&ctx, twin.reads())),
+                        d,
+                        "{} reads more than it declares: {:?}",
+                        policy.name(),
+                        twin.reads()
+                    );
                     out.push(char::from_digit(d, 16).expect("at most 16 devices"));
                 }
             }

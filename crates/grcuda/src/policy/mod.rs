@@ -12,11 +12,14 @@
 //!   of the vertex being scheduled ([`PlacementCtx`]): where its parents
 //!   ran, how many argument bytes already reside on each device, what
 //!   moving the rest would cost, each device's in-flight load and free
-//!   memory. The eight built-ins ([`PlacementPolicy`]) are one ranked
-//!   selection over a preset table — a row is two candidate filters
-//!   (the partitioner's hinted node, the devices the arguments fit on)
-//!   and a lexicographic order ending in the device id — so a new
-//!   policy is a new row (see [`device`]).
+//!   memory — transfer prices and the partitioner's node hint assembled
+//!   only when the policy declares it reads them ([`Reads`]; the
+//!   default is both). The eight
+//!   built-ins ([`PlacementPolicy`]) are one ranked selection over a
+//!   preset table — a row is two candidate filters (the partitioner's
+//!   hinted node, the devices the arguments fit on) and a lexicographic
+//!   order ending in the device id — so a new policy is a new row, and
+//!   what it reads follows from the row (see [`device`]).
 //! * **Stream retrieval** (not a trait: one rule set, no way in for
 //!   another) — which CUDA stream on the chosen device carries it.
 //!   [`crate::stream_manager::StreamManager::assign`] applies the
@@ -35,7 +38,7 @@
 
 mod device;
 
-pub use device::{DeviceSelectionPolicy, PlacementCtx, PlacementPolicy};
+pub use device::{DeviceSelectionPolicy, PlacementCtx, PlacementPolicy, Reads};
 
 #[cfg(test)]
 pub(crate) use device::BASE_CTX;

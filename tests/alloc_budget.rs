@@ -255,14 +255,16 @@ const LIVE_BYTES_BOUND: isize = 1024;
 // that made the launch path recycle its buffers, and rounded up: 0.0625
 // on one P100, 1.54 and 4.78 on the cluster (22.79, 27.88 and 30.83 at
 // its parent), 0.67 for the interactive chains — all of it the modelled
-// host read at the end of a chain. The service cycle was 8.13 then,
-// 6.46 since admission reads queue heads off the tenant table (the
-// four per-slot context vectors were 20 of a cycle's 97.5 allocations)
-// and is 5.46 since a queued call names its kernel by index instead of
-// holding a clone of it (a parameter list per call).
+// host read at the end of a chain. `single-gpu` on the cluster is 3.3:
+// `launch_batch` builds the partitioner's input only for a policy that
+// reads node hints, which `single-gpu` does not. The service cycle
+// was 8.13 then, 6.46 since admission reads queue heads off the tenant
+// table (the four per-slot context vectors were 20 of a cycle's 97.5
+// allocations) and is 5.46 since a queued call names its kernel by
+// index instead of holding a clone of it (a parameter list per call).
 const ONE_GPU_BUDGET: f64 = 1.0;
 const CLUSTER_NODE_AWARE_BUDGET: f64 = 2.0;
-const CLUSTER_SINGLE_GPU_BUDGET: f64 = 5.0;
+const CLUSTER_SINGLE_GPU_BUDGET: f64 = 4.0;
 const INTERACTIVE_BUDGET: f64 = 1.0;
 const SERVICE_BUDGET: f64 = 6.0;
 

@@ -4,6 +4,9 @@
 
 mod common;
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use benchmarks::{
     cluster_run, mixed_makespans, oversub_capacity, oversubscribe, run_grcuda, run_multi_gpu, tiny,
     transfer_chain, Bench, ClusterSuite, MixedScale,
@@ -12,8 +15,8 @@ use gpu_sim::{
     Cluster, DeviceProfile, EvictionPolicy, Grid, MemoryConfig, NicKind, Topology, TopologyKind,
 };
 use grcuda::{
-    Arg, DepStreamPolicy, DeviceArray, GrCuda, Options, PlacementPolicy, PrefetchPolicy,
-    StreamReusePolicy,
+    Arg, BatchLaunch, DepStreamPolicy, DeviceArray, DeviceSelectionPolicy, GrCuda, Options,
+    PlacementCtx, PlacementPolicy, PrefetchPolicy, StreamReusePolicy,
 };
 
 /// `n` Tesla P100s on an interconnect preset.
@@ -256,9 +259,75 @@ fn node_aware_beats_round_robin_across_a_cluster() {
         rr.makespan
     );
     assert_eq!(na.checksum, rr.checksum, "placement changed the numbers");
-    // Both runs went through the same batch partitioner.
+    // The partitioner runs only for a policy that reads node hints:
+    // every NodeAware batch, no round-robin one.
     assert_eq!(na.partitioned_batches, steps);
-    assert_eq!(na.partitioned_batches, rr.partitioned_batches);
+    assert_eq!(rr.partitioned_batches, 0);
+}
+
+/// A policy that declares nothing (so the default: it reads every part
+/// of the context) and records the node hint and transfer estimates it
+/// is handed.
+struct Recorder(Rc<RefCell<Vec<Seen>>>);
+
+/// A node hint and the transfer estimates per device.
+type Seen = (Option<u32>, Vec<f64>);
+
+impl DeviceSelectionPolicy for Recorder {
+    fn name(&self) -> &'static str {
+        "recorder"
+    }
+
+    fn select(&mut self, ctx: &PlacementCtx) -> u32 {
+        let seen = (ctx.node_hint, ctx.est_transfer_time.to_vec());
+        self.0.borrow_mut().push(seen);
+        0
+    }
+}
+
+#[test]
+fn a_custom_policy_is_handed_the_whole_context() {
+    let seen = Rc::default();
+    let policy: Box<dyn DeviceSelectionPolicy> = Box::new(Recorder(Rc::clone(&seen)));
+    let dev = DeviceProfile::tesla_p100();
+    let cluster = Cluster::new(2, 2, TopologyKind::PcieOnly, NicKind::InfinibandHdr);
+    let g = GrCuda::with_topology(
+        dev.clone(),
+        cluster.build(&dev),
+        Options::parallel(),
+        policy,
+    );
+    let scale = g.build_kernel(&kernels::util::SCALE).unwrap();
+    let arrays: Vec<DeviceArray> = (0..4).map(|_| g.array_f32(1 << 12)).collect();
+    for a in &arrays {
+        a.fill_f32(1.0);
+    }
+    let args = [
+        double_args(&arrays[0], &arrays[1]),
+        double_args(&arrays[2], &arrays[3]),
+    ];
+    let calls: Vec<BatchLaunch<'_>> = args
+        .iter()
+        .map(|args| BatchLaunch {
+            kernel: &scale,
+            grid: Grid::d1(16, 256),
+            args,
+        })
+        .collect();
+    g.launch_batch(&calls).unwrap();
+    g.sync();
+    let seen = seen.borrow();
+    assert_eq!(seen.len(), 2);
+    for (hint, est) in seen.iter() {
+        assert!(hint.is_some(), "the batch was partitioned for it");
+        assert!(
+            est.len() == 4 && est.iter().all(|&t| t > 0.0),
+            "host-written arguments priced on every device: {est:?}"
+        );
+    }
+    let st = g.scheduler_stats();
+    assert_eq!(st.cluster.partitioned_batches, 1);
+    assert_eq!(st.placement_probes, 4, "two distinct arrays per call");
 }
 
 /// Every observable the committed bench metrics are built from, plus
