@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # The repository benchmark's own checks, short enough for every CI run:
-# the benchmark package's unit tests, then a 2-second pass of the four
+# the benchmark package's unit tests, then a 2-second pass of the five
 # workloads that between them cross every layer of the launch path and
 # every way of driving it (a 2x8 cluster with finite memory; one GPU
-# batched, one GPU with a host write and read around every chain, and
-# through the service core). Every pass validates
+# batched, one GPU with a host write and read around every chain,
+# through the service core; and the paper's six suites through the
+# public runners, whose sequential reference runs on a second thread
+# beside the run it checks). Every pass validates
 # each value read against the sequential reference interpreter, the
 # race detector and the drained-state checks, so a runtime change that
 # breaks the benchmark's validation fails here rather than at the
@@ -20,7 +22,7 @@ manifest=benchmark/Cargo.toml
 
 cargo test --release --offline --quiet --manifest-path "$manifest"
 
-for workload in placement_cluster pipeline_batch interactive_sync serve_tenants; do
+for workload in placement_cluster pipeline_batch interactive_sync serve_tenants paper_suites; do
     result=$(cargo run --release --offline --quiet --manifest-path "$manifest" -- \
         --workload "$workload" --seconds "$seconds" | tail -n 1)
     case "$result" in

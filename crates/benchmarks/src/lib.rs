@@ -19,9 +19,13 @@
 //! | [`runners::run_graph_capture`] | CUDA Graphs via stream capture |
 //!
 //! The GrCUDA runner deliberately ignores the stream/dependency hints:
-//! the scheduler must rediscover them. Every run is validated against a
-//! sequential CPU reference execution of the same plan, and the
-//! simulator's race detector must stay silent.
+//! the scheduler must rediscover them. Every run is validated, bit for
+//! bit, against a sequential CPU reference execution of the same plan,
+//! and the simulator's race detector must stay silent. The GrCUDA
+//! runners start the reference on a second thread once the runtime has
+//! accepted the whole program, so it runs beside the run it checks; the
+//! CUDA baselines keep it inline, because the benchmark reads their
+//! host time minus their kernel time (see [`runners`]).
 
 mod bound;
 mod cluster;

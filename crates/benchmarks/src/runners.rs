@@ -5,9 +5,23 @@
 //! execution, from the first kernel scheduling until the end of
 //! execution"), the last iteration's timeline, and a bit-exact
 //! validation against the sequential CPU reference.
+//!
+//! Where the reference runs. The GrCUDA runners ([`run_grcuda`],
+//! [`run_multi_gpu`]) first have the runtime accept every call of the
+//! program ([`grcuda::Kernel::accepts`]); only then do they start the
+//! reference on a second, scoped thread and run the program on the
+//! calling one, so a refused program starts nothing and the reference
+//! overlaps the run. It shares no buffer with the run, so the verdict
+//! is a pure function of the program, not of which thread finishes
+//! first. The CUDA
+//! baselines compute the reference inline after their run: callers
+//! time them by host time minus kernel-function time, and kernel time
+//! spent beside the run on another thread would be subtracted from a
+//! span it did not lengthen.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::rc::Rc;
+use std::{mem, panic, thread};
 
 use cuda_sim::{Cuda, CudaGraph, KernelExec, StreamId, UnifiedArray};
 use gpu_sim::{DataBuffer, DeviceProfile, Timeline, Topology, TypedData};
@@ -63,7 +77,8 @@ impl RunResult {
 
 /// The reference final state after `iters` iterations (streaming inputs
 /// are re-written with their initial contents at the top of each
-/// iteration, exactly as the runners do).
+/// iteration, exactly as the runners do). It builds its own buffers and
+/// shares none with a run, so it may be worked on any thread.
 pub fn reference_after_iters(spec: &BenchSpec, iters: usize) -> Vec<TypedData> {
     let buffers: Vec<DataBuffer> = spec
         .arrays
@@ -73,7 +88,7 @@ pub fn reference_after_iters(spec: &BenchSpec, iters: usize) -> Vec<TypedData> {
     for _ in 0..iters {
         for (i, a) in spec.arrays.iter().enumerate() {
             if a.refresh_each_iter {
-                *buffers[i].data_mut() = a.init.clone();
+                buffers[i].data_mut().copy_from(&a.init);
             }
         }
         for op in &spec.ops {
@@ -81,13 +96,18 @@ pub fn reference_after_iters(spec: &BenchSpec, iters: usize) -> Vec<TypedData> {
             (op.def.func)(&bufs, &scalars);
         }
     }
-    buffers.iter().map(|b| b.data().clone()).collect()
+    // Nothing else holds these buffers: move the final contents out.
+    buffers
+        .iter()
+        .map(|b| mem::replace(&mut *b.data_mut(), TypedData::U8(Vec::new())))
+        .collect()
 }
 
-fn validate(spec: &BenchSpec, buffers: &[DataBuffer], iters: usize) -> Result<(), String> {
-    let reference = reference_after_iters(spec, iters);
-    for (i, (got, want)) in buffers.iter().zip(&reference).enumerate() {
-        if *got.data() != *want {
+/// Compare a run's final arrays with the reference bit for bit: a NaN
+/// matches the same NaN, and −0.0 is not 0.0.
+fn validate(spec: &BenchSpec, got: &[DataBuffer], want: &[TypedData]) -> Result<(), String> {
+    for (i, (got, want)) in got.iter().zip(want).enumerate() {
+        if !same_bits(&got.data(), want) {
             return Err(format!(
                 "{}: array {} (`{}`) deviates from the sequential reference",
                 spec.name, i, spec.arrays[i].name
@@ -95,6 +115,20 @@ fn validate(spec: &BenchSpec, buffers: &[DataBuffer], iters: usize) -> Result<()
         }
     }
     Ok(())
+}
+
+fn same_bits(a: &TypedData, b: &TypedData) -> bool {
+    match (a, b) {
+        (TypedData::F32(x), TypedData::F32(y)) => {
+            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+        }
+        (TypedData::F64(x), TypedData::F64(y)) => {
+            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+        }
+        (TypedData::I32(x), TypedData::I32(y)) => x == y,
+        (TypedData::U8(x), TypedData::U8(y)) => x == y,
+        _ => false,
+    }
 }
 
 /// Per-signature read-only flags for the pointer arguments, in order.
@@ -181,7 +215,8 @@ pub fn read_grcuda_outputs(spec: &BenchSpec, arrays: &[grcuda::DeviceArray]) {
 /// runner shares: whatever machine `g` was built over, the spec runs
 /// the same way. Stream and dependency hints in the plan are ignored —
 /// the scheduler infers everything. A spec whose kernel signatures or
-/// launch arguments the runtime rejects is an `Err` naming the kernel.
+/// launch arguments the runtime rejects is an `Err` naming the kernel,
+/// returned before anything runs, the reference included (module doc).
 fn run_on(g: &GrCuda, spec: &BenchSpec, iters: usize) -> Result<RunResult, String> {
     let arrays = grcuda_arrays(g, spec);
     let mut kernels: HashMap<&'static str, grcuda::Kernel> = HashMap::new();
@@ -193,13 +228,11 @@ fn run_on(g: &GrCuda, spec: &BenchSpec, iters: usize) -> Result<RunResult, Strin
             slot.insert(kernel);
         }
     }
-
-    let mut iter_times = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        refresh_grcuda_arrays(spec, &arrays);
-        g.clear_timeline();
-        for op in &spec.ops {
-            let args: Vec<Arg> = op
+    let calls: Vec<(&grcuda::Kernel, Vec<Arg>)> = spec
+        .ops
+        .iter()
+        .map(|op| {
+            let args = op
                 .args
                 .iter()
                 .map(|a| match a {
@@ -207,14 +240,33 @@ fn run_on(g: &GrCuda, spec: &BenchSpec, iters: usize) -> Result<RunResult, Strin
                     PlanArg::Scalar(v) => Arg::scalar(*v),
                 })
                 .collect();
-            kernels[op.def.name]
-                .launch(op.grid, &args)
-                .map_err(|e| format!("{}: {e}", spec.name))?;
-        }
-        read_grcuda_outputs(spec, &arrays);
-        g.sync();
-        iter_times.push(g.timeline().gpu_span());
+            (&kernels[op.def.name], args)
+        })
+        .collect();
+    for (kernel, args) in &calls {
+        kernel
+            .accepts(args)
+            .map_err(|e| format!("{}: {e}", spec.name))?;
     }
+
+    let (iter_times, reference) = thread::scope(|s| {
+        let reference = s.spawn(|| reference_after_iters(spec, iters));
+        let mut iter_times = Vec::with_capacity(iters);
+        for _ in 0..iters {
+            refresh_grcuda_arrays(spec, &arrays);
+            g.clear_timeline();
+            for ((kernel, args), op) in calls.iter().zip(&spec.ops) {
+                kernel
+                    .launch(op.grid, args)
+                    .expect("the runtime accepted every call before the run");
+            }
+            read_grcuda_outputs(spec, &arrays);
+            g.sync();
+            iter_times.push(g.timeline().gpu_span());
+        }
+        let reference = reference.join().unwrap_or_else(|p| panic::resume_unwind(p));
+        (iter_times, reference)
+    });
 
     let buffers: Vec<DataBuffer> = arrays.iter().map(|a| a.raw_buffer()).collect();
     let timeline = g.timeline();
@@ -223,7 +275,7 @@ fn run_on(g: &GrCuda, spec: &BenchSpec, iters: usize) -> Result<RunResult, Strin
         streams_used: timeline.streams_used(),
         races: g.races().len(),
         migrations: g.migration_stats(),
-        valid: validate(spec, &buffers, iters),
+        valid: validate(spec, &buffers, &reference),
         timeline,
     })
 }
@@ -442,7 +494,7 @@ fn finish_cuda(
         streams_used: timeline.streams_used(),
         races: c.races().len(),
         migrations: c.migration_stats(),
-        valid: validate(spec, &buffers, iters),
+        valid: validate(spec, &buffers, &reference_after_iters(spec, iters)),
         timeline,
     }
 }
@@ -554,9 +606,74 @@ mod tests {
             ..*bad.ops[0].def
         }));
         assert!(run(&bad).unwrap_err().contains(bad.ops[0].def.name));
-        let mut short = spec;
+        let mut short = spec.clone();
         short.ops[0].args.pop();
         assert!(run(&short).unwrap_err().contains("arguments"));
+
+        // The whole program is accepted before the reference starts:
+        // each of these would panic the reference's `spmv` (a `sint32`
+        // array read as float, a fractional size), and a panic there
+        // would reach this thread through the join.
+        let mut wrong_type = spec.clone();
+        wrong_type.arrays[0].init = TypedData::F32(vec![0.0; spec.arrays[0].init.len()]);
+        let mut fractional = spec;
+        let last = fractional.ops[0].args.last_mut().unwrap();
+        let PlanArg::Scalar(n) = *last else {
+            panic!("`spmv` ends with its row count")
+        };
+        *last = PlanArg::Scalar(n + 0.5);
+        for refused in [wrong_type, fractional] {
+            let e = run(&refused).unwrap_err();
+            assert!(e.contains("`spmv`"), "{e}");
+        }
+    }
+
+    /// A spec of two one-element arrays, `x` (float) and `y` (double),
+    /// with no ops, so its reference is `want`; `got` is checked
+    /// against it.
+    fn check_bits(want: (f32, f64), got: (f32, f64)) -> Result<(), String> {
+        use crate::spec::ArraySpec;
+        let spec = BenchSpec {
+            name: "BITS",
+            arrays: vec![
+                ArraySpec {
+                    name: "x",
+                    init: TypedData::F32(vec![want.0]),
+                    refresh_each_iter: false,
+                },
+                ArraySpec {
+                    name: "y",
+                    init: TypedData::F64(vec![want.1]),
+                    refresh_each_iter: false,
+                },
+            ],
+            ops: vec![],
+            outputs: vec![],
+            scale: 1,
+        };
+        let got = [
+            DataBuffer::new(TypedData::F32(vec![got.0])),
+            DataBuffer::new(TypedData::F64(vec![got.1])),
+        ];
+        validate(&spec, &got, &reference_after_iters(&spec, 1))
+    }
+
+    #[test]
+    fn a_nan_result_validates() {
+        check_bits((f32::NAN, f64::NAN), (f32::NAN, f64::NAN)).unwrap();
+    }
+
+    #[test]
+    fn a_sign_flipped_zero_is_refused() {
+        let e = check_bits((0.0, 1.5), (-0.0, 1.5)).unwrap_err();
+        assert!(e.contains("(`x`)"), "{e}");
+    }
+
+    #[test]
+    fn one_flipped_bit_is_refused() {
+        let flipped = f64::from_bits(1.5f64.to_bits() ^ 1);
+        let e = check_bits((0.0, 1.5), (0.0, flipped)).unwrap_err();
+        assert!(e.contains("(`y`)"), "{e}");
     }
 
     #[test]

@@ -709,7 +709,8 @@ impl GrCuda {
     /// it, even after evicting everything else. Every way in asks here:
     /// [`Kernel::launch_placed`], [`Kernel::launch_autotuned`],
     /// [`crate::Library::call`], [`GrCuda::launch_batch`] and the
-    /// serving layer's admission control.
+    /// serving layer's admission control; [`Kernel::accepts`] asks
+    /// without launching.
     pub(crate) fn accept(&self, kernel: &Kernel, args: &[Arg]) -> Result<(), LaunchError> {
         kernel.validate(args)?;
         if !kernel.ctx.same_runtime(self) {

@@ -240,6 +240,15 @@ impl Kernel {
         self.launch_as(dag::ElementKind::Kernel, grid, args)
     }
 
+    /// Whether the runtime would accept this call — the acceptance check
+    /// every launch path asks first — with nothing submitted: the error
+    /// [`Kernel::launch`] would return for these arguments, or `Ok` when
+    /// it would schedule them. Lets a caller refuse a whole program
+    /// before any of it runs.
+    pub fn accepts(&self, args: &[Arg]) -> Result<(), LaunchError> {
+        self.ctx.accept(self, args)
+    }
+
     /// Have the call accepted ([`GrCuda::accept`]) and hand it to the
     /// scheduler as a `kind` element: a kernel, or a pre-registered
     /// library call (same scheduling, tagged

@@ -41,6 +41,20 @@ fn broken_scheduler_races_on_every_dependent_benchmark() {
 }
 
 #[test]
+fn broken_scheduler_fails_validation_on_the_dependent_benchmarks() {
+    // The race detector is one alarm; the comparison with the
+    // sequential reference is the other, and it must fire on its own.
+    for b in [Bench::Img, Bench::Ml, Bench::Hits, Bench::Dl] {
+        let spec = b.build(tiny(b) * 8);
+        let r = run_grcuda(&spec, &DeviceProfile::tesla_p100(), broken(), 1);
+        let e = r
+            .valid
+            .expect_err(&format!("{}: validated with inference disabled", b.name()));
+        assert!(e.contains("deviates from the sequential reference"), "{e}");
+    }
+}
+
+#[test]
 fn independent_benchmark_survives_broken_scheduler() {
     // B&S has no inter-kernel dependencies at all: even the broken
     // scheduler is correct on it. This guards against the race detector
