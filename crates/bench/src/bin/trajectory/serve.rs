@@ -3,7 +3,7 @@
 //!
 //! The serving layer driven as a deterministic
 //! [`grcuda::serve::ServiceCore`], so every `serve.*` key is a
-//! virtual-time quantity, bit-reproducible across machines. Three
+//! virtual-time quantity, bit-reproducible across machines. Two
 //! phases:
 //!
 //! 1. **Contention**: the same per-client workload with 1 client and
@@ -18,21 +18,20 @@
 //! 2. **Fairness**: three bulk tenants flood long chains while a
 //!    latency-sensitive tenant submits short deadlined requests.
 //!    Deadline-aware fairness must put its p99 strictly below FIFO's.
-//! 3. **Admission** (asserted only): under finite device memory, a
-//!    request that could never fit is rejected as a recoverable
-//!    per-tenant error while other tenants keep completing.
 //!
-//! The threaded `Server` front-end is covered by `tests/serve.rs`
-//! (completeness, isolation, race-freedom) and measured by
-//! `benchmark/`'s `serve_tenants` workload.
+//! Admission control (a request that could never fit is rejected as a
+//! recoverable per-tenant error while other tenants keep completing)
+//! and the threaded `Server` front-end (completeness, isolation,
+//! race-freedom) are covered by `tests/serve.rs`; the front-end is
+//! measured by `benchmark/`'s `serve_tenants` workload.
 
 use bench::{render_table, round_sig};
-use gpu_sim::{DeviceProfile, EvictionPolicy, Grid, MemoryConfig, Topology};
+use gpu_sim::{DeviceProfile, Grid};
 use grcuda::serve::{
-    ArgSpec, CallSpec, ElemKind, Fairness, KernelRef, RequestSpec, ServeConfig, ServeError,
-    ServiceCore, TenantId,
+    ArgSpec, CallSpec, ElemKind, Fairness, KernelRef, RequestSpec, ServeConfig, ServiceCore,
+    TenantId,
 };
-use grcuda::{Options, PlacementPolicy};
+use grcuda::Options;
 use kernels::util::{AXPY, SCALE};
 use metrics::LatencySummary;
 
@@ -154,47 +153,6 @@ fn run_fairness(fairness: Fairness, rounds: usize) -> f64 {
     summary.p99 * 1e6
 }
 
-/// Admission phase: a can-never-fit request must come back as a
-/// recoverable per-tenant error while another tenant's work completes.
-fn run_admission() {
-    let n = 1 << 10;
-    let dev = DeviceProfile::tesla_p100();
-    let memory = MemoryConfig::with_capacity(3 * 4 * n).with_eviction(EvictionPolicy::Lru);
-    let machine = Topology::pcie_only(1, &dev).with_memory(memory);
-    let config = ServeConfig::new(dev, Options::parallel()).on(machine, PlacementPolicy::SingleGpu);
-    let mut core = ServiceCore::new(config);
-    let greedy = core.add_tenant("greedy", 1);
-    let modest = setup_tenant(&mut core, "modest", 1);
-    let big = core.alloc(greedy, ElemKind::F32, 4 * n).unwrap();
-    let kg = core.register_kernel(greedy, &SCALE).unwrap();
-    let impossible = RequestSpec {
-        calls: vec![CallSpec {
-            kernel: kg,
-            grid: Grid::d1(16, 256),
-            args: vec![
-                ArgSpec::Array(big),
-                ArgSpec::Array(big),
-                ArgSpec::Scalar(1.0),
-                ArgSpec::Scalar((4 * n) as f64),
-            ],
-        }],
-        deadline_us: None,
-    };
-    match core.submit(greedy, impossible) {
-        Err(ServeError::Rejected(_)) => {}
-        other => panic!("expected admission rejection, got {other:?}"),
-    }
-    for _ in 0..8 {
-        core.submit(modest.id, request(&modest, N)).unwrap();
-        core.pump();
-    }
-    core.drain_all();
-    let gs = core.tenant_stats(greedy).unwrap();
-    let ms = core.tenant_stats(modest.id).unwrap();
-    assert_eq!((gs.rejected, gs.completed), (1, 0));
-    assert_eq!((ms.rejected, ms.completed), (0, 8));
-}
-
 pub fn run(smoke: bool, m: &mut Metrics) {
     let requests = if smoke { 40usize } else { 200 };
     let clients = 8usize;
@@ -218,9 +176,6 @@ pub fn run(smoke: bool, m: &mut Metrics) {
         deadline_p99 < fifo_p99,
         "deadline-aware p99 {deadline_p99:.2}µs not below FIFO p99 {fifo_p99:.2}µs"
     );
-
-    // Phase 3: admission.
-    run_admission();
 
     let rows = vec![
         vec![

@@ -160,7 +160,7 @@ proptest! {
     #[test]
     fn capacity_is_never_exceeded_and_reads_are_never_stale(
         ops in proptest::collection::vec(op_strategy(), 1..40),
-        policy_idx in 0..3usize,
+        policy_idx in 0..EvictionPolicy::ALL.len(),
     ) {
         run_sequence(EvictionPolicy::ALL[policy_idx], &ops);
     }

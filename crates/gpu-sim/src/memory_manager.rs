@@ -39,9 +39,6 @@ pub enum EvictionPolicy {
     /// Evict the least-recently-used resident allocation first.
     #[default]
     Lru,
-    /// Evict the largest resident allocation first (frees the most
-    /// bytes per spill task).
-    LargestFirst,
     /// Evict the allocation whose *round-trip cost* is cheapest: the
     /// time to spill it (zero when a valid host copy already exists —
     /// the device copy is simply dropped) plus the time to re-fetch it
@@ -52,11 +49,7 @@ pub enum EvictionPolicy {
 
 impl EvictionPolicy {
     /// All built-in policies, in sweep order.
-    pub const ALL: [EvictionPolicy; 3] = [
-        EvictionPolicy::Lru,
-        EvictionPolicy::LargestFirst,
-        EvictionPolicy::CostAware,
-    ];
+    pub const ALL: [EvictionPolicy; 2] = [EvictionPolicy::Lru, EvictionPolicy::CostAware];
 }
 
 /// Device-memory configuration of a simulated machine.
@@ -322,9 +315,6 @@ impl MemoryManager {
         // comparison of its own.
         match self.cfg.eviction {
             EvictionPolicy::Lru => candidates.sort_by_key(|(_, e)| e.last_use),
-            EvictionPolicy::LargestFirst => {
-                candidates.sort_by_key(|(_, e)| std::cmp::Reverse(e.bytes));
-            }
             EvictionPolicy::CostAware => {
                 // Price every candidate once, then sort the priced list:
                 // a comparator that priced on demand would call
@@ -439,22 +429,6 @@ mod tests {
         let vs = m.select_victims(0, 400, &[], |_, _| 0.0);
         assert_eq!(vs.len(), 2);
         assert_eq!(vs[1].value, V[2]);
-    }
-
-    #[test]
-    fn largest_first_frees_the_most_per_victim() {
-        let mut m = limited(2000, EvictionPolicy::LargestFirst);
-        m.insert(0, V[0], 100, 0.0);
-        m.insert(0, V[1], 900, 0.0);
-        m.insert(0, V[2], 500, 0.0);
-        let vs = m.select_victims(0, 600, &[], |_, _| 0.0);
-        assert_eq!(
-            vs,
-            vec![Victim {
-                value: V[1],
-                bytes: 900
-            }]
-        );
     }
 
     #[test]

@@ -203,9 +203,6 @@ fn model_victims(
         .collect();
     match policy {
         EvictionPolicy::Lru => candidates.sort_by_key(|&(v, _, last_use)| (last_use, v)),
-        EvictionPolicy::LargestFirst => {
-            candidates.sort_by_key(|&(v, bytes, _)| (std::cmp::Reverse(bytes), v))
-        }
         EvictionPolicy::CostAware => candidates.sort_by(|a, b| {
             let (ca, cb) = (cost(ValueId(a.0), a.1), cost(ValueId(b.0), b.1));
             ca.total_cmp(&cb).then(a.0.cmp(&b.0))

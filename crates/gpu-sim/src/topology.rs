@@ -192,35 +192,15 @@ impl Topology {
     }
 
     /// Build a preset topology for `n` devices, with host links at the
-    /// device's PCIe bandwidth and NVLink-class device↔device links.
+    /// device's PCIe bandwidth and NVLink-class device↔device links: a
+    /// one-node [`Cluster`], which has no NIC links.
     pub fn preset(kind: TopologyKind, n: usize, dev: &DeviceProfile) -> Self {
-        Self::with_bandwidths(kind, n, dev.pcie_bw, NVLINK_BW)
+        Cluster::new(1, n, kind, NicKind::InfinibandHdr).build(dev)
     }
 
     /// Host-links-only topology (what [`TopologyKind::PcieOnly`] builds).
     pub fn pcie_only(n: usize, dev: &DeviceProfile) -> Self {
         Self::preset(TopologyKind::PcieOnly, n, dev)
-    }
-
-    /// Build a preset with explicit host-link and peer-link bandwidths.
-    ///
-    /// `host_bw` must match the PCIe bandwidth of the device profile the
-    /// engine runs with (host transfers are timed against the profile;
-    /// `Engine::with_topology` asserts the two agree). The presets pass
-    /// `dev.pcie_bw`, which always satisfies this.
-    fn with_bandwidths(kind: TopologyKind, n: usize, host_bw: f64, d2d_bw: f64) -> Self {
-        assert!(n >= 1, "need at least one device");
-        assert!(host_bw > 0.0 && d2d_bw > 0.0, "bandwidths must be positive");
-        let mut links: Vec<Link> = (0..n as u32)
-            .map(|d| Link {
-                a: Endpoint::Host,
-                b: Endpoint::Device(d),
-                bandwidth: host_bw,
-                latency: HOST_LINK_LATENCY,
-            })
-            .collect();
-        push_d2d_links(&mut links, kind, 0, n, d2d_bw);
-        Self::from_links(links, MemoryConfig::default(), vec![0; n], 1)
     }
 
     /// Give every device a finite memory (builder-style): capacity and
@@ -293,12 +273,12 @@ impl Topology {
 
 /// Append the device↔device links of a preset wired over devices
 /// `base..base + n` (one node's worth of peer wiring).
-fn push_d2d_links(links: &mut Vec<Link>, kind: TopologyKind, base: u32, n: usize, d2d_bw: f64) {
+fn push_d2d_links(links: &mut Vec<Link>, kind: TopologyKind, base: u32, n: usize) {
     let mut pair = |a: u32, b: u32| {
         links.push(Link {
             a: Endpoint::Device(base + a.min(b)),
             b: Endpoint::Device(base + a.max(b)),
-            bandwidth: d2d_bw,
+            bandwidth: NVLINK_BW,
             latency: NVLINK_LATENCY,
         });
     };
@@ -440,7 +420,12 @@ impl Cluster {
     /// Flatten into one machine-wide [`Topology`]: host links for every
     /// device first, then each node's device↔device wiring (device ids
     /// are contiguous per node), then the NIC full mesh over node pairs.
+    ///
+    /// `dev.pcie_bw` must be positive; it is also what the engine times
+    /// host transfers against (`Engine::with_topology` asserts the two
+    /// agree).
     pub fn build(&self, dev: &DeviceProfile) -> Topology {
+        assert!(dev.pcie_bw > 0.0, "bandwidths must be positive");
         let n = self.nodes * self.gpus_per_node;
         let mut links: Vec<Link> = (0..n as u32)
             .map(|d| Link {
@@ -456,7 +441,6 @@ impl Cluster {
                 self.node_kind,
                 (node * self.gpus_per_node) as u32,
                 self.gpus_per_node,
-                NVLINK_BW,
             );
         }
         for a in 0..self.nodes as u32 {

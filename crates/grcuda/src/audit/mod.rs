@@ -29,8 +29,8 @@
 //! Entry points: [`crate::GrCuda::audit`] for a built program, or
 //! [`audit_dag`] for a raw [`ComputationDag`] (property tests audit
 //! hand-built DAGs with an empty [`EffectsTable`]). Debug builds also
-//! audit automatically on [`crate::GrCuda::sync`] unless
-//! [`crate::Options::audit_on_sync`] is off.
+//! audit automatically on [`crate::GrCuda::sync`] (`grcuda`'s own tests
+//! can opt out, to run a schedule they know is broken).
 
 mod lints;
 mod soundness;
@@ -181,23 +181,6 @@ pub enum ScheduleViolation {
     },
 }
 
-impl ScheduleViolation {
-    /// Short class tag for assertions and RESULT lines.
-    fn class(&self) -> &'static str {
-        match self {
-            ScheduleViolation::UnorderedConflict {
-                kind: ConflictKind::WriteWrite,
-                ..
-            } => "unordered-write-write",
-            ScheduleViolation::UnorderedConflict {
-                kind: ConflictKind::ReadWrite,
-                ..
-            } => "unordered-read-write",
-            ScheduleViolation::DishonestSignature { .. } => "dishonest-signature",
-        }
-    }
-}
-
 impl fmt::Display for ScheduleViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -260,15 +243,6 @@ impl AuditReport {
     /// not affect cleanliness.
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// How many violations carry this class tag: `unordered-write-write`,
-    /// `unordered-read-write` or `dishonest-signature`.
-    pub fn class_count(&self, class: &str) -> usize {
-        self.violations
-            .iter()
-            .filter(|v| v.class() == class)
-            .count()
     }
 }
 
@@ -379,6 +353,35 @@ mod tests {
         threads: (128, 1, 1),
     };
 
+    impl ScheduleViolation {
+        /// Short class tag for assertions.
+        fn class(&self) -> &'static str {
+            match self {
+                ScheduleViolation::UnorderedConflict {
+                    kind: ConflictKind::WriteWrite,
+                    ..
+                } => "unordered-write-write",
+                ScheduleViolation::UnorderedConflict {
+                    kind: ConflictKind::ReadWrite,
+                    ..
+                } => "unordered-read-write",
+                ScheduleViolation::DishonestSignature { .. } => "dishonest-signature",
+            }
+        }
+    }
+
+    impl AuditReport {
+        /// How many violations carry this class tag:
+        /// `unordered-write-write`, `unordered-read-write` or
+        /// `dishonest-signature`.
+        pub(crate) fn class_count(&self, class: &str) -> usize {
+            self.violations
+                .iter()
+                .filter(|v| v.class() == class)
+                .count()
+        }
+    }
+
     /// `memset` with a signature that *lies*: the pointer is declared
     /// `const` but the implementation (ground truth: `writes`) fills it.
     fn lying_memset() -> kernels::KernelDef {
@@ -483,7 +486,7 @@ mod tests {
         let report = g.audit();
         assert_eq!(report.class_count("dishonest-signature"), 1, "{report}");
         assert_eq!(report.class_count("unordered-write-write"), 1, "{report}");
-        assert!(!report.is_clean());
+        assert_eq!(report.violations.len(), 2, "nothing else: {report}");
         g.sync(); // hook disabled above, so this runs the schedule
         assert!(
             g.races().is_empty(),
@@ -572,6 +575,13 @@ mod tests {
         // Audit *before* any sync: retirement would compact the evidence.
         let report = g.audit();
         assert!(report.class_count("unordered-write-write") >= 1, "{report}");
+        let unordered = report.class_count("unordered-write-write")
+            + report.class_count("unordered-read-write");
+        assert_eq!(
+            report.violations.len(),
+            unordered,
+            "inference off yields only unordered conflicts: {report}"
+        );
         // With inference off the debug hook never fires (it would trip
         // by design), so sync() just runs the broken schedule.
         g.sync();

@@ -33,11 +33,9 @@ pub(crate) struct Ctx {
     pub streams: StreamManager,
     /// Per-vertex device placement decided by [`Ctx::placement`].
     pub placement: Box<dyn DeviceSelectionPolicy>,
-    pub vertex_task: DenseMap<VertexId, TaskId>,
-    pub vertex_stream: DenseMap<VertexId, StreamId>,
-    /// Device each live vertex was placed on (same lifecycle as the
-    /// task/stream maps: retired with the vertex).
-    pub vertex_device: DenseMap<VertexId, u32>,
+    /// Where each live vertex runs: one record per launch, dropped when
+    /// the vertex retires.
+    pub placed: DenseMap<VertexId, Placed>,
     /// Every list a launch assembles, kept from one launch to the next.
     pub scratch: LaunchScratch,
     /// Declared-vs-actual effect metadata of every kernel built in this
@@ -58,6 +56,22 @@ pub(crate) struct Ctx {
     /// [`Cuda::placement_probe`] calls made to price placement contexts
     /// (lifetime counter).
     pub placement_probes: usize,
+}
+
+/// A launched computational element: the engine task it became, the
+/// stream it was queued on and the device the policy chose.
+#[derive(Clone, Copy)]
+pub(crate) struct Placed {
+    pub task: TaskId,
+    pub stream: StreamId,
+    pub device: u32,
+}
+
+/// What [`StreamManager::assign`] reads of a parent.
+impl From<Placed> for StreamId {
+    fn from(p: Placed) -> StreamId {
+        p.stream
+    }
 }
 
 /// The launch path's working lists, owned by the context between
@@ -105,11 +119,13 @@ pub struct SchedulerStats {
     pub value_states: usize,
     /// Outstanding first-child stream claims.
     pub stream_claims: usize,
-    /// vertex → engine-task map entries.
+    /// Live vertices with a launch record (task, stream and device are
+    /// one record per vertex, so the three gauges are equal; all three
+    /// stay for `benchmark/`).
     pub vertex_tasks: usize,
-    /// vertex → stream map entries.
+    /// Equal to [`SchedulerStats::vertex_tasks`].
     pub vertex_streams: usize,
-    /// vertex → device map entries.
+    /// Equal to [`SchedulerStats::vertex_tasks`].
     pub vertex_devices: usize,
     /// Always 0: a launch's metadata now travels with its engine task
     /// and is recorded when the task completes, so nothing waits on the
@@ -287,9 +303,7 @@ impl GrCuda {
                 dag: ComputationDag::new(),
                 streams: StreamManager::new(options.dep_stream, options.stream_reuse),
                 placement: placement.into(),
-                vertex_task: DenseMap::new(),
-                vertex_stream: DenseMap::new(),
-                vertex_device: DenseMap::new(),
+                placed: DenseMap::new(),
                 scratch: LaunchScratch::default(),
                 effects: crate::audit::EffectsTable::new(),
                 node_of,
@@ -394,9 +408,9 @@ impl GrCuda {
 
     /// Cross-device migrations performed so far as `(count, bytes)` —
     /// the run-time migration-cost accounting the paper's §VI calls for.
-    /// Peer-to-peer and host-mediated migrations combined; see
-    /// [`GrCuda::p2p_migration_stats`] / [`GrCuda::host_migration_stats`]
-    /// for the split.
+    /// Peer-to-peer and host-mediated migrations combined; the
+    /// host-mediated ones are these less
+    /// [`GrCuda::p2p_migration_stats`].
     pub fn migration_stats(&self) -> (usize, usize) {
         self.inner.borrow().cuda.migration_stats()
     }
@@ -405,12 +419,6 @@ impl GrCuda {
     /// `(count, bytes)`.
     pub fn p2p_migration_stats(&self) -> (usize, usize) {
         self.inner.borrow().cuda.p2p_migration_stats()
-    }
-
-    /// Cross-device migrations that staged through the host, as
-    /// `(count, bytes)`.
-    pub fn host_migration_stats(&self) -> (usize, usize) {
-        self.inner.borrow().cuda.host_migration_stats()
     }
 
     /// Cross-**node** migrations performed so far as `(count, bytes)`
@@ -509,8 +517,8 @@ impl GrCuda {
     // ------------------------------------------------------------------
 
     /// Synchronize the whole device, retire every DAG vertex and reclaim
-    /// all per-vertex scheduler state (DAG storage, stream claims, task
-    /// and stream maps) — after a `sync()` the scheduler's footprint is
+    /// all per-vertex scheduler state (DAG storage, stream claims, launch
+    /// records) — after a `sync()` the scheduler's footprint is
     /// back to its empty-frontier baseline no matter how many launches
     /// preceded it.
     pub fn sync(&self) {
@@ -662,9 +670,9 @@ impl GrCuda {
             stored_edges: ctx.dag.edges().len(),
             value_states: ctx.dag.value_states_len(),
             stream_claims: ctx.streams.claims(),
-            vertex_tasks: ctx.vertex_task.len(),
-            vertex_streams: ctx.vertex_stream.len(),
-            vertex_devices: ctx.vertex_device.len(),
+            vertex_tasks: ctx.placed.len(),
+            vertex_streams: ctx.placed.len(),
+            vertex_devices: ctx.placed.len(),
             launch_infos: 0,
             placement_probes: ctx.placement_probes,
             memory: ctx.cuda.memory_stats(),
@@ -862,9 +870,7 @@ impl GrCuda {
             dag,
             streams,
             placement,
-            vertex_task,
-            vertex_stream,
-            vertex_device,
+            placed,
             scratch: s,
             node_of,
             placement_probes,
@@ -942,7 +948,7 @@ impl GrCuda {
                     0
                 } else {
                     s.parent_devices.clear();
-                    let device_of = |&d: &VertexId| vertex_device.get(d).copied();
+                    let device_of = |&d: &VertexId| placed.get(d).map(|p| p.device);
                     s.parent_devices.extend(s.deps.iter().filter_map(device_of));
                     s.resident_bytes.clear();
                     s.resident_bytes.resize(n_dev, 0);
@@ -987,16 +993,15 @@ impl GrCuda {
                     // graphs stay undecorated, as the paper draws them).
                     dag.set_device(vid, device);
                 }
-                vertex_device.insert(vid, device);
                 chosen_device = device;
 
                 // Stream inheritance is a same-device affair: parents on
                 // other devices synchronize through events below.
                 s.same_device_deps.clear();
-                let here = |d: &VertexId| vertex_device.get(*d) == Some(&device);
+                let here = |d: &VertexId| placed.get(*d).is_some_and(|p| p.device == device);
                 s.same_device_deps
                     .extend(s.deps.iter().copied().filter(here));
-                let stream = streams.assign(vid, device, &s.same_device_deps, vertex_stream, cuda);
+                let stream = streams.assign(vid, device, &s.same_device_deps, placed, cuda);
 
                 // Automatic prefetch (§IV-C): bulk-migrate non-resident
                 // arguments on the kernel's stream.
@@ -1014,9 +1019,8 @@ impl GrCuda {
                 // ones are implied by stream ordering.
                 s.dep_tasks.clear();
                 for &d in &s.deps {
-                    if vertex_stream.get(d) != Some(&stream) {
-                        s.dep_tasks.extend(vertex_task.get(d));
-                    }
+                    let other_stream = placed.get(d).filter(|p| p.stream != stream);
+                    s.dep_tasks.extend(other_stream.map(|p| p.task));
                 }
                 if charge && !s.dep_tasks.is_empty() {
                     cuda.host_spin(event_overhead * s.dep_tasks.len() as f64);
@@ -1028,8 +1032,14 @@ impl GrCuda {
                     cuda.launch_uncharged(stream, launch, &s.dep_tasks)
                 }
                 .expect("not capturing");
-                vertex_task.insert(vid, t);
-                vertex_stream.insert(vid, stream);
+                placed.insert(
+                    vid,
+                    Placed {
+                        task: t,
+                        stream,
+                        device,
+                    },
+                );
                 // Annotate the DAG with what the unified-memory layer did
                 // while placing this computation: the evictions it
                 // forced and the prefetches issued ahead of it (rendered
@@ -1097,7 +1107,7 @@ impl GrCuda {
                     // Without the visibility trick, the CPU may not touch
                     // managed memory while any kernel runs: full sync —
                     // the same retire path `sync()` takes, so stream
-                    // claims and vertex maps are reclaimed here too
+                    // claims and launch records are reclaimed here too
                     // instead of leaking until the next `sync()`.
                     ctx.cuda.device_sync();
                     ctx.retire_everything();
@@ -1108,8 +1118,8 @@ impl GrCuda {
                     let (vertex, deps) = ctx.dag.add_array_access(label, Value(arr.id.0), write);
                     if let Some(v) = vertex {
                         for &d in &deps {
-                            if let Some(&t) = ctx.vertex_task.get(d) {
-                                ctx.cuda.task_sync(t);
+                            if let Some(p) = ctx.placed.get(d) {
+                                ctx.cuda.task_sync(p.task);
                             }
                         }
                         // The access is synchronous: it and everything
@@ -1119,9 +1129,7 @@ impl GrCuda {
                         let retired = ctx.dag.retire(v);
                         ctx.streams.forget(&retired);
                         for &r in &retired {
-                            ctx.vertex_task.remove(r);
-                            ctx.vertex_stream.remove(r);
-                            ctx.vertex_device.remove(r);
+                            ctx.placed.remove(r);
                         }
                         ctx.dag.maybe_compact();
                     }
@@ -1139,9 +1147,7 @@ impl Ctx {
         self.dag.retire_all();
         self.dag.compact();
         self.streams.forget_all();
-        self.vertex_task.clear();
-        self.vertex_stream.clear();
-        self.vertex_device.clear();
+        self.placed.clear();
     }
 }
 

@@ -62,15 +62,17 @@ impl StreamManager {
     /// * `deps` — the computation's parents *on the same device*, in
     ///   discovery order (cross-device parents synchronize through
     ///   events, never through stream inheritance);
-    /// * `stream_of` — the stream each parent ran on;
+    /// * `stream_of` — what each parent ran on: its stream, or a record
+    ///   that names it (the runtime passes its per-vertex launch
+    ///   records);
     /// * `cuda` — used to poll stream emptiness for FIFO reuse and to
     ///   create streams on the device.
-    pub fn assign(
+    pub fn assign<S: Copy + Into<StreamId>>(
         &mut self,
         _vertex: VertexId,
         device: u32,
         deps: &[VertexId],
-        stream_of: &DenseMap<VertexId, StreamId>,
+        stream_of: &DenseMap<VertexId, S>,
         cuda: &Cuda,
     ) -> StreamId {
         // Rule 1: inherit a parent's stream. "The first child is
@@ -84,7 +86,7 @@ impl StreamManager {
                 DepStreamPolicy::AlwaysParent => true,
                 DepStreamPolicy::AlwaysNew => false,
             };
-            let stream = *stream_of.get(d)?;
+            let stream: StreamId = (*stream_of.get(d)?).into();
             claimable.then_some((d, stream))
         });
         if let Some((parent, stream)) = inherited {
@@ -147,7 +149,7 @@ pub(crate) mod tests {
     fn independent_computations_get_distinct_streams() {
         let c = cuda();
         let mut m = mgr();
-        let map = DenseMap::new();
+        let map: DenseMap<VertexId, StreamId> = DenseMap::new();
         let s1 = m.assign(VertexId(0), 0, &[], &map, &c);
         // Make s1 busy so it cannot be reused.
         let a = c.alloc_f32(16);
@@ -203,7 +205,7 @@ pub(crate) mod tests {
     fn empty_streams_are_reused_in_fifo_order() {
         let c = cuda();
         let mut m = mgr();
-        let map = DenseMap::new();
+        let map: DenseMap<VertexId, StreamId> = DenseMap::new();
         let s1 = m.assign(VertexId(0), 0, &[], &map, &c);
         // Nothing was ever launched on s1 → it is empty → reused.
         let s2 = m.assign(VertexId(1), 0, &[], &map, &c);
@@ -227,7 +229,7 @@ pub(crate) mod tests {
     fn always_new_reuse_policy_never_reuses() {
         let c = cuda();
         let mut m = StreamManager::new(DepStreamPolicy::AlwaysNew, StreamReusePolicy::AlwaysNew);
-        let map = DenseMap::new();
+        let map: DenseMap<VertexId, StreamId> = DenseMap::new();
         let s1 = m.assign(VertexId(0), 0, &[], &map, &c);
         let s2 = m.assign(VertexId(1), 0, &[], &map, &c);
         assert_ne!(s1, s2);
@@ -238,7 +240,7 @@ pub(crate) mod tests {
     fn fifo_reuse_picks_the_oldest_empty_stream() {
         let c = cuda();
         let mut m = mgr();
-        let map = DenseMap::new();
+        let map: DenseMap<VertexId, StreamId> = DenseMap::new();
         // Force three distinct streams into the pool by keeping each busy
         // while the next one is assigned.
         let s1 = m.assign(VertexId(0), 0, &[], &map, &c);
@@ -260,7 +262,7 @@ pub(crate) mod tests {
     fn busy_streams_become_reusable_after_drain() {
         let c = cuda();
         let mut m = mgr();
-        let map = DenseMap::new();
+        let map: DenseMap<VertexId, StreamId> = DenseMap::new();
         let s1 = m.assign(VertexId(0), 0, &[], &map, &c);
         make_busy(&c, s1);
         // While s1 is busy a new stream is created...

@@ -115,10 +115,10 @@ fn single_stream_child_policy_reduces_concurrency() {
     );
 }
 
-/// Drive a strictly serial kernel chain through a 2-device scheduler and
-/// report `(migration count, migrated bytes, final y[7])`.
-fn dependent_chain(policy: PlacementPolicy) -> (usize, usize, f32) {
-    let g = machine(2, TopologyKind::PcieOnly, policy);
+/// Drive a strictly serial kernel chain through an `n_dev`-device
+/// scheduler and report `(migration count, migrated bytes, final y[7])`.
+fn dependent_chain(n_dev: usize, policy: PlacementPolicy) -> (usize, usize, f32) {
+    let g = machine(n_dev, TopologyKind::PcieOnly, policy);
     let n = 1 << 18;
     let x = g.array_f32(n);
     let y = g.array_f32(n);
@@ -141,19 +141,28 @@ fn locality_aware_beats_round_robin_on_a_dependent_chain() {
     // The chain has zero parallelism: the only thing placement can do is
     // avoid moving data. Locality-aware must migrate strictly fewer
     // bytes than round-robin — and both must compute the same numbers.
-    let (rr_migs, rr_bytes, rr_val) = dependent_chain(PlacementPolicy::RoundRobin);
-    let (loc_migs, loc_bytes, loc_val) = dependent_chain(PlacementPolicy::LocalityAware);
-    assert!(
-        rr_migs >= 4,
-        "round-robin must ping-pong the chain: {rr_migs}"
-    );
-    assert_eq!(loc_migs, 0, "locality-aware must keep the chain in place");
-    assert!(
-        loc_bytes < rr_bytes,
-        "locality-aware must migrate strictly fewer bytes: {loc_bytes} vs {rr_bytes}"
-    );
-    assert_eq!(rr_val, loc_val, "placement must not change results");
-    assert_eq!(rr_val, 128.0, "2^7 after 8 doublings read from y");
+    for n_dev in [2, 4] {
+        let (rr_migs, rr_bytes, rr_val) = dependent_chain(n_dev, PlacementPolicy::RoundRobin);
+        let (loc_migs, loc_bytes, loc_val) = dependent_chain(n_dev, PlacementPolicy::LocalityAware);
+        assert!(
+            rr_migs >= 4,
+            "{n_dev} GPUs: round-robin must ping-pong the chain: {rr_migs}"
+        );
+        assert_eq!(
+            loc_migs, 0,
+            "{n_dev} GPUs: locality-aware must keep the chain in place"
+        );
+        assert!(
+            loc_bytes < rr_bytes,
+            "{n_dev} GPUs: locality-aware must migrate strictly fewer bytes: \
+             {loc_bytes} vs {rr_bytes}"
+        );
+        assert_eq!(
+            rr_val, loc_val,
+            "{n_dev} GPUs: placement must not change results"
+        );
+        assert_eq!(rr_val, 128.0, "2^7 after 8 doublings read from y");
+    }
 }
 
 #[test]
@@ -362,11 +371,12 @@ fn observables(g: GrCuda) -> Observables {
     }
     g.sync();
     assert_eq!(g.races().len(), 0);
+    let (all, p2p) = (g.migration_stats(), g.p2p_migration_stats());
     Observables {
         makespan: g.now(),
         timeline: format!("{:?}", g.timeline().intervals()),
-        migrations: g.migration_stats(),
-        host_migrations: g.host_migration_stats(),
+        migrations: all,
+        host_migrations: (all.0 - p2p.0, all.1 - p2p.1),
         host_link_bytes: g.host_link_bytes(),
         data: x.to_vec_f32(),
     }
@@ -752,19 +762,22 @@ fn stream_aware_balances_an_embarrassingly_parallel_fanout() {
 #[test]
 fn placement_policies_compute_identical_results_on_every_suite() {
     // The acceptance bar of the unified scheduler: for every benchmark
-    // suite, the numeric results under SingleGpu, RoundRobin,
-    // LocalityAware and StreamAware are identical (each run is verified
-    // bit-exactly against the same sequential CPU reference).
+    // suite, the numeric results under every placement policy on 2 and
+    // 4 devices are identical (each run is verified bit-exactly against
+    // the same sequential CPU reference; tests/scheduler_equivalence.rs
+    // covers one device).
     let dev = DeviceProfile::tesla_p100();
     for b in Bench::ALL {
         let spec = b.build(tiny(b));
-        for policy in PlacementPolicy::ALL {
-            let topo = Topology::pcie_only(4, &dev);
-            let r = run_multi_gpu(&spec, &dev, Options::parallel(), topo, policy, 2).unwrap();
-            assert_eq!(r.races, 0, "{} {policy:?}", spec.name);
-            r.valid
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{} {policy:?}: {e}", spec.name));
+        for n_dev in [2, 4] {
+            for policy in PlacementPolicy::ALL {
+                let topo = Topology::pcie_only(n_dev, &dev);
+                let r = run_multi_gpu(&spec, &dev, Options::parallel(), topo, policy, 2).unwrap();
+                assert_eq!(r.races, 0, "{} x{n_dev} {policy:?}", spec.name);
+                r.valid
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("{} x{n_dev} {policy:?}: {e}", spec.name));
+            }
         }
     }
 }
