@@ -8,15 +8,13 @@
 #   ci/ab.sh HEAD . interactive_sync,serve_tenants 4 5
 #   ci/ab.sh HEAD HEAD pipeline_batch 10 5         # A/A: must not say "gain"
 #
-# PARENT and CHANGE are commits, or `.` for the working tree as it stands
-# (tracked and untracked files, `.gitignore`d ones left out). Each side is
-# exported into its own directory under a temporary one (`git archive`,
-# so nothing is registered in the repository and nothing is left behind)
-# and built there into its own target directory; the benchmark command is
-# BENCHMARK.json's, run from that side's checkout, so the two binaries
-# never share a build. `workloads` is one name or a comma-separated list
-# (each pair runs each of them: one build serves them all). Defaults:
-# pipeline_batch, 10 pairs, BENCHMARK.json's run_seconds. Pair i runs
+# PARENT and CHANGE are commits, or `.` for the working tree as it stands.
+# Each side is exported and built in its own directory (ci/sides.sh); the
+# benchmark command is BENCHMARK.json's, run from that side's checkout, so
+# the two binaries never share a build. `workloads` is one name or a
+# comma-separated list (each pair runs each of them: one build serves
+# them all). Defaults: pipeline_batch, 10 pairs, BENCHMARK.json's
+# run_seconds. Pair i runs
 # PARENT first when i is odd and CHANGE first when it is even, so a slow
 # phase of the machine lands on both sides.
 #
@@ -46,28 +44,14 @@ seconds=${5:-$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))[
 shift $(($# < 5 ? $# : 5))
 extra=("$@")
 
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
-
-export_side() { # rev dir
-    mkdir -p "$2"
-    if [ "$1" = . ]; then
-        git ls-files -z --cached --others --exclude-standard |
-            tar --null -T - --ignore-failed-read -cf - 2>/dev/null | tar -x -C "$2"
-    else
-        git archive "$(git rev-parse --verify "$1^{commit}")" | tar -x -C "$2"
-    fi
-}
+source ci/sides.sh
 
 mapfile -t command < <(python3 -c 'import json; print("\n".join(json.load(open("BENCHMARK.json"))["command"]))')
-for side in parent change; do
-    rev=$parent
-    [ $side = change ] && rev=$change
-    echo "building $side ($rev)" >&2
-    export_side "$rev" "$tmp/$side"
-    (cd "$tmp/$side" && CARGO_TARGET_DIR="$tmp/$side.target" \
-        cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
-done
+build() { # side rev
+    echo "building $1 ($2)" >&2
+    cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+}
+for_each_side build
 
 run() { # side workload pair
     echo "pair $3: $2, $1" >&2

@@ -7,25 +7,25 @@
 //! The sweep runs the three cluster suites (chain / fanout / mixed,
 //! see `benchmarks::cluster`) over 2/4/8 nodes × 4/8 GPUs per node,
 //! contrasting partition-honoring `NodeAware` placement against
-//! partition-blind `RoundRobin` across all GPUs. Every run must be
-//! race-free and checksum-identical across policies.
+//! partition-blind `RoundRobin` across all GPUs. Each run is checked
+//! once: race-free, and the same answer, bit for bit, as the first
+//! policy's run of its configuration and suite.
 //!
-//! The acceptance bar (asserted here and in `tests/policies.rs`): at
-//! 2 nodes × 4 GPUs on the dependent-chain suite, `NodeAware` yields
-//! **zero** cross-node migration traffic and strictly lower makespan
-//! than round-robin, which pays a GPU→host→NIC→host→GPU route per
-//! chain step.
+//! The acceptance bar is asserted by `tests/policies.rs` on the
+//! `--smoke` inputs: at 2 nodes × 4 GPUs on the dependent-chain suite,
+//! `NodeAware` yields **zero** cross-node migration traffic and
+//! strictly lower makespan than round-robin, which pays a
+//! GPU→host→NIC→host→GPU route per chain step.
 //!
 //! `--smoke` restricts the sweep to 2×4. `cluster.*` (makespans,
 //! cross-node MiB, partition cut MiB) all gate lower-is-better.
 
 use bench::{ms, render_table};
-use benchmarks::{cluster_run, ClusterResult, ClusterSuite};
+use benchmarks::{cluster_run, ClusterSuite};
 use grcuda::PlacementPolicy;
 
+use crate::check;
 use crate::metric::Metrics;
-
-const POLICIES: [PlacementPolicy; 2] = [PlacementPolicy::NodeAware, PlacementPolicy::RoundRobin];
 
 pub fn run(smoke: bool, m: &mut Metrics) {
     let configs: Vec<(usize, usize)> = if smoke {
@@ -38,53 +38,35 @@ pub fn run(smoke: bool, m: &mut Metrics) {
 
     let mib = |b: usize| b as f64 / (1 << 20) as f64;
     let mut rows = Vec::new();
-    let mut results: std::collections::HashMap<
-        (usize, usize, ClusterSuite, PlacementPolicy),
-        ClusterResult,
-    > = std::collections::HashMap::new();
-
     for &(nodes, gpus) in &configs {
         for suite in ClusterSuite::ALL {
-            let mut checksum = None;
-            for policy in POLICIES {
+            let mut first = None;
+            for policy in [PlacementPolicy::NodeAware, PlacementPolicy::RoundRobin] {
                 let r = cluster_run(suite, policy, nodes, gpus, n, steps);
-                assert_eq!(
-                    r.races,
-                    0,
-                    "{nodes}x{gpus} {} {}: raced",
-                    suite.name(),
-                    policy.name()
-                );
-                match checksum {
-                    None => checksum = Some(r.checksum),
-                    Some(c) => assert_eq!(
-                        r.checksum,
-                        c,
-                        "{nodes}x{gpus} {} {} changed the numbers",
-                        suite.name(),
-                        policy.name()
-                    ),
-                }
+                let prefix = format!("cluster.{nodes}x{gpus}.{}.{}", suite.name(), policy.name());
+                check(&r, first.as_ref(), &prefix);
+                let cross_node = r.runtime.cross_node_migration_stats();
+                let cut = r.runtime.scheduler_stats().cluster.partition_cut_bytes;
                 rows.push(vec![
                     format!("{nodes}x{gpus}"),
                     suite.name().to_string(),
                     policy.name().to_string(),
                     ms(r.makespan),
-                    format!("{} ({:.1} MiB)", r.cross_node.0, mib(r.cross_node.1)),
-                    format!("{:.1}", mib(r.cut_bytes)),
+                    format!("{} ({:.1} MiB)", cross_node.0, mib(cross_node.1)),
+                    format!("{:.1}", mib(cut)),
                 ]);
-                let prefix = format!("cluster.{nodes}x{gpus}.{}.{}", suite.name(), policy.name());
                 m.lower(&format!("{prefix}.makespan_ms"), r.makespan * 1e3);
-                m.lower(&format!("{prefix}.cross_node_mib"), mib(r.cross_node.1));
-                results.insert((nodes, gpus, suite, policy), r);
+                m.lower(&format!("{prefix}.cross_node_mib"), mib(cross_node.1));
+                // The cut is a property of the partitioner, not of
+                // placement: record it once, from the node-aware run.
+                if policy == PlacementPolicy::NodeAware {
+                    m.lower(
+                        &format!("cluster.{nodes}x{gpus}.{}.cut_mib", suite.name()),
+                        mib(cut),
+                    );
+                }
+                first.get_or_insert(r);
             }
-            // The cut is a property of the partitioner, not of
-            // placement — record it once per configuration/suite.
-            let cut = results[&(nodes, gpus, suite, PlacementPolicy::NodeAware)].cut_bytes;
-            m.lower(
-                &format!("cluster.{nodes}x{gpus}.{}.cut_mib", suite.name()),
-                mib(cut),
-            );
         }
     }
 
@@ -103,30 +85,4 @@ pub fn run(smoke: bool, m: &mut Metrics) {
             &rows
         )
     );
-
-    // The acceptance bar, on the configuration every run (smoke
-    // included) covers.
-    let na = &results[&(2, 4, ClusterSuite::Chain, PlacementPolicy::NodeAware)];
-    let rr = &results[&(2, 4, ClusterSuite::Chain, PlacementPolicy::RoundRobin)];
-    assert_eq!(
-        na.cross_node,
-        (0, 0),
-        "node-aware must keep partitioned chains off the NICs"
-    );
-    assert!(
-        na.cross_node.1 < rr.cross_node.1,
-        "node-aware must move strictly fewer cross-node bytes than \
-         round-robin on the chain: {} vs {}",
-        na.cross_node.1,
-        rr.cross_node.1
-    );
-    assert!(
-        na.makespan < rr.makespan,
-        "node-aware must yield strictly lower makespan than round-robin \
-         on the chain: {} vs {}",
-        na.makespan,
-        rr.makespan
-    );
-    println!("(acceptance: at 2x4 on the dependent chain, node-aware beat");
-    println!(" round-robin on both cross-node bytes and makespan, asserted)");
 }

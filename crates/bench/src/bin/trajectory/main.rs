@@ -61,6 +61,7 @@ mod table1;
 use std::sync::atomic::Ordering;
 
 use bench::{read_bench_json, render_bench_json};
+use benchmarks::Experiment;
 use metric::Metrics;
 
 /// A suite: `run(smoke, metrics)`.
@@ -87,6 +88,17 @@ const SUITES: [Suite; 19] = [
     ("fig12", fig12::run),
     ("ablation", ablation::run),
 ];
+
+/// The one check a recorded placement experiment gets: it is race-free
+/// and computed, bit for bit, what `first` (its sweep's first run, `None`
+/// for that run itself) did. The acceptance bars are `tests/policies.rs`'s.
+fn check(r: &Experiment, first: Option<&Experiment>, what: &str) {
+    assert!(r.runtime.races().is_empty(), "{what} raced");
+    assert!(
+        first.is_none_or(|f| r.same_answer(f)),
+        "{what} changed the numbers"
+    );
+}
 
 /// The committed baseline, at the workspace root.
 const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");

@@ -29,6 +29,7 @@
 
 mod bound;
 mod cluster;
+mod experiment;
 mod mixed;
 mod oversub;
 pub mod runners;
@@ -38,16 +39,17 @@ mod suite;
 mod transfer;
 
 pub use bound::contention_free_time;
-pub use cluster::{cluster_run, ClusterResult, ClusterSuite};
-pub use mixed::{fanout_mix, mixed_makespans, FanoutMixResult, MixedScale, MIXED_SUITES};
-pub use oversub::{oversub_capacity, oversub_configs, oversubscribe, OversubResult};
+pub use cluster::{cluster_run, ClusterSuite};
+pub use experiment::Experiment;
+pub use mixed::{fanout_mix, mixed_runs, MixedScale};
+pub use oversub::{oversub_capacity, oversub_configs, oversubscribe};
 pub use runners::{
     grcuda_arrays, read_grcuda_outputs, refresh_grcuda_arrays, run_graph_capture, run_graph_manual,
     run_grcuda, run_handtuned, run_multi_gpu, RunResult,
 };
 pub use scales::{default_scale, sweep, tiny};
 pub use spec::{ArraySpec, BenchSpec, PlanArg, PlanOp};
-pub use transfer::{transfer_chain, TransferChainResult, TRANSFER_CHAIN_DEVICES};
+pub use transfer::{transfer_chain, TRANSFER_CHAIN_DEVICES};
 
 /// The six benchmarks, in the paper's figure order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

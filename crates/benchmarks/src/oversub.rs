@@ -31,11 +31,16 @@
 //!   ([`gpu_sim::EvictionPolicy::CostAware`]) prefers dropping clean
 //!   weights — zero spill traffic, one cheap re-fetch leg — so spilled
 //!   bytes collapse and the makespan with them.
+//!
+//! The run ends reading every state and output back whole: they are its
+//! [`Experiment`] answer. `tests/policies.rs` asserts the contrast.
 
-use gpu_sim::{DeviceProfile, Grid, Topology};
+use gpu_sim::{DeviceProfile, Grid, Topology, TypedData};
 use gpu_sim::{EvictionPolicy, MemoryConfig};
 use grcuda::{Arg, DeviceArray, GrCuda, Options, PlacementPolicy};
 use kernels::util::{JOIN, PIN};
+
+use crate::Experiment;
 
 /// Devices the workload is shaped for.
 const OVERSUB_DEVICES: usize = 2;
@@ -57,31 +62,6 @@ fn anchor_bytes(n: usize) -> usize {
     n // n/4 f32 elements
 }
 
-/// What one oversubscription run measured.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OversubResult {
-    /// Simulated makespan in seconds.
-    pub makespan: f64,
-    /// Device copies evicted (clean drops included).
-    pub evictions: usize,
-    /// Bytes moved device→host by eviction spill copies.
-    pub spilled_bytes: usize,
-    /// Peak resident bytes per device.
-    pub peak_resident: Vec<usize>,
-    /// Prefetches issued / hits / skipped-for-headroom.
-    pub prefetch: (usize, usize, usize),
-    /// Hits over issued prefetches.
-    pub prefetch_hit_rate: f64,
-    /// Bytes moved over the host (PCIe) links, spills included.
-    pub host_link_bytes: f64,
-    /// Checksum over states and outputs — identical across every
-    /// placement policy, eviction policy and capacity (scheduling moves
-    /// work and data, never changes results).
-    pub checksum: f64,
-    /// Data races observed (must be 0).
-    pub races: usize,
-}
-
 /// Run the oversubscription suite under a placement policy and an
 /// eviction policy, with per-device capacity `capacity` (use
 /// [`oversub_capacity`] for the standard ~2× oversubscription, or
@@ -96,7 +76,7 @@ pub fn oversubscribe(
     n: usize,
     iters: usize,
     options: Options,
-) -> OversubResult {
+) -> Experiment {
     let grid = Grid::d1(64, 256);
     let memory = MemoryConfig { capacity, eviction };
     let dev = DeviceProfile::tesla_p100();
@@ -155,23 +135,16 @@ pub fn oversubscribe(
     }
     g.sync();
 
-    let checksum = states
+    // The host reads take whole arrays, and they are the answer.
+    let outputs = states
         .iter()
-        .chain(outs.iter())
-        .flat_map(|a| a.to_vec_f32())
-        .map(|x| x as f64)
-        .sum::<f64>();
-    let st = g.memory_stats();
-    OversubResult {
+        .chain(&outs)
+        .map(|a| TypedData::F32(a.to_vec_f32()))
+        .collect();
+    Experiment {
         makespan: g.now(),
-        evictions: st.evictions,
-        spilled_bytes: st.spilled_bytes,
-        peak_resident: st.peak_resident.clone(),
-        prefetch: (st.prefetch_issued, st.prefetch_hits, st.prefetch_skipped),
-        prefetch_hit_rate: st.prefetch_hit_rate(),
-        host_link_bytes: g.host_link_bytes(),
-        checksum,
-        races: g.races().len(),
+        runtime: g,
+        outputs,
     }
 }
 
@@ -211,13 +184,14 @@ mod tests {
                 Options::parallel(),
             )
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b);
-        assert_eq!(a.races, 0);
-        assert!(a.checksum.is_finite());
-        for &p in &a.peak_resident {
-            assert!(p <= oversub_capacity(N), "capacity held: {a:?}");
+        let (a, b) = (run(), run());
+        assert_eq!(a.makespan, b.makespan);
+        assert_eq!(a.runtime.memory_stats(), b.runtime.memory_stats());
+        assert_eq!(a.runtime.host_link_bytes(), b.runtime.host_link_bytes());
+        assert!(a.same_answer(&b));
+        assert!(a.runtime.races().is_empty());
+        for &p in &a.runtime.memory_stats().peak_resident {
+            assert!(p <= oversub_capacity(N), "capacity held: {p}");
         }
     }
 
@@ -234,8 +208,9 @@ mod tests {
             2,
             Options::parallel(),
         );
-        assert_eq!(reference.evictions, 0, "unlimited capacity never evicts");
-        assert_eq!(reference.spilled_bytes, 0);
+        let memory = reference.runtime.memory_stats();
+        assert_eq!(memory.evictions, 0, "unlimited capacity never evicts");
+        assert_eq!(memory.spilled_bytes, 0);
         for policy in [
             PlacementPolicy::MemoryAware,
             PlacementPolicy::TransferAware,
@@ -251,9 +226,12 @@ mod tests {
                     2,
                     Options::parallel(),
                 );
-                assert_eq!(r.races, 0, "{policy:?}/{eviction:?} raced");
-                assert_eq!(
-                    r.checksum, reference.checksum,
+                assert!(
+                    r.runtime.races().is_empty(),
+                    "{policy:?}/{eviction:?} raced"
+                );
+                assert!(
+                    r.same_answer(&reference),
                     "{policy:?}/{eviction:?} changed the numbers"
                 );
             }
@@ -270,7 +248,11 @@ mod tests {
             2,
             Options::parallel(),
         );
-        assert!(r.evictions > 0, "the suite must create memory pressure");
-        assert!(r.spilled_bytes > 0, "LRU must spill dirty states");
+        let memory = r.runtime.memory_stats();
+        assert!(
+            memory.evictions > 0,
+            "the suite must create memory pressure"
+        );
+        assert!(memory.spilled_bytes > 0, "LRU must spill dirty states");
     }
 }

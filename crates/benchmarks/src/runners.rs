@@ -117,7 +117,7 @@ fn validate(spec: &BenchSpec, got: &[DataBuffer], want: &[TypedData]) -> Result<
     Ok(())
 }
 
-fn same_bits(a: &TypedData, b: &TypedData) -> bool {
+pub(crate) fn same_bits(a: &TypedData, b: &TypedData) -> bool {
     match (a, b) {
         (TypedData::F32(x), TypedData::F32(y)) => {
             x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())

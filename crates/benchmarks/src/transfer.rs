@@ -23,35 +23,20 @@
 //! the join next to `S` on device 2 instead.
 //! [`grcuda::PlacementPolicy::RoundRobin`] ignores data entirely and
 //! additionally drags the big anchor weights around.
+//!
+//! The run ends reading `J`, `S` and `T` back whole: they are its
+//! [`Experiment`] answer. `tests/policies.rs` asserts the contrast.
 
-use gpu_sim::{DeviceProfile, Grid, Topology, TopologyKind};
+use gpu_sim::{DeviceProfile, Grid, Topology, TopologyKind, TypedData};
 use grcuda::{Arg, DeviceArray, GrCuda, Options, PlacementPolicy};
 use kernels::util::{JOIN, PIN, SCALE};
 use kernels::vec_ops::SQUARE;
 
+use crate::Experiment;
+
 /// Devices the workload is shaped for (two NVLink islands on the
 /// `nvlink-pair` preset).
 pub const TRANSFER_CHAIN_DEVICES: usize = 4;
-
-/// What one transfer-chain run measured.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransferChainResult {
-    /// Simulated makespan in seconds.
-    pub makespan: f64,
-    /// Total cross-device migrations `(count, bytes)`.
-    pub migrations: (usize, usize),
-    /// Migrations that went over peer links `(count, bytes)`.
-    pub p2p_migrations: (usize, usize),
-    /// Bytes moved over the host (PCIe) links, staging included.
-    pub host_link_bytes: f64,
-    /// Per-link `(bytes, transfers)`, indexed like the topology's links.
-    pub link_traffic: Vec<(f64, usize)>,
-    /// Checksum over the outputs — identical across policies and
-    /// topologies (placement moves work, never changes results).
-    pub checksum: f64,
-    /// Data races observed (must be 0).
-    pub races: usize,
-}
 
 /// Run the transfer chain under a placement policy on an interconnect
 /// preset. `n` is the element count of the input array `A` (the other
@@ -64,7 +49,7 @@ pub fn transfer_chain(
     n: usize,
     iters: usize,
     options: Options,
-) -> TransferChainResult {
+) -> Experiment {
     let grid = Grid::d1(64, 256);
     let dev = DeviceProfile::tesla_p100();
     let topo = Topology::preset(topology, TRANSFER_CHAIN_DEVICES, &dev);
@@ -138,25 +123,12 @@ pub fn transfer_chain(
     }
     g.sync();
 
-    let checksum = j
-        .to_vec_f32()
-        .iter()
-        .chain(s.to_vec_f32().iter())
-        .map(|&x| x as f64)
-        .sum::<f64>()
-        + t.to_vec_f32()[..16.min(n)]
-            .iter()
-            .map(|&x| x as f64)
-            .sum::<f64>();
-
-    TransferChainResult {
+    // The host reads take whole arrays, and they are the answer.
+    let outputs = [&j, &s, &t].map(|a| TypedData::F32(a.to_vec_f32())).into();
+    Experiment {
         makespan: g.now(),
-        migrations: g.migration_stats(),
-        p2p_migrations: g.p2p_migration_stats(),
-        host_link_bytes: g.host_link_bytes(),
-        link_traffic: g.link_traffic(),
-        checksum,
-        races: g.races().len(),
+        runtime: g,
+        outputs,
     }
 }
 
@@ -166,23 +138,26 @@ mod tests {
 
     #[test]
     fn transfer_chain_is_deterministic_and_race_free() {
-        let a = transfer_chain(
-            PlacementPolicy::TransferAware,
-            TopologyKind::NvlinkPair,
-            4096,
-            3,
-            Options::parallel(),
+        let run = || {
+            transfer_chain(
+                PlacementPolicy::TransferAware,
+                TopologyKind::NvlinkPair,
+                4096,
+                3,
+                Options::parallel(),
+            )
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.makespan, b.makespan);
+        assert_eq!(a.runtime.migration_stats(), b.runtime.migration_stats());
+        assert_eq!(
+            a.runtime.p2p_migration_stats(),
+            b.runtime.p2p_migration_stats()
         );
-        let b = transfer_chain(
-            PlacementPolicy::TransferAware,
-            TopologyKind::NvlinkPair,
-            4096,
-            3,
-            Options::parallel(),
-        );
-        assert_eq!(a, b);
-        assert_eq!(a.races, 0);
-        assert!(a.checksum.is_finite());
+        assert_eq!(a.runtime.host_link_bytes(), b.runtime.host_link_bytes());
+        assert_eq!(a.runtime.link_traffic(), b.runtime.link_traffic());
+        assert!(a.same_answer(&b));
+        assert!(a.runtime.races().is_empty());
     }
 
     #[test]
@@ -197,9 +172,9 @@ mod tests {
         for topo in TopologyKind::ALL {
             for policy in PlacementPolicy::ALL {
                 let r = transfer_chain(policy, topo, 4096, 3, Options::parallel());
-                assert_eq!(r.races, 0, "{policy:?} on {topo:?} raced");
-                assert_eq!(
-                    r.checksum, reference.checksum,
+                assert!(r.runtime.races().is_empty(), "{policy:?} on {topo:?} raced");
+                assert!(
+                    r.same_answer(&reference),
                     "{policy:?} on {topo:?} changed the numbers"
                 );
             }

@@ -502,23 +502,14 @@ impl Cuda {
     /// The launch is a borrowed [`Launch`]; a `&KernelExec` converts
     /// into one.
     pub fn launch<'a>(&self, stream: StreamId, exec: impl Into<Launch<'a>>) -> Option<TaskId> {
-        self.launch_with_extra_deps(stream, exec, &[])
+        self.launch_inner(stream, exec.into(), &[], true)
     }
 
-    /// [`Cuda::launch`] with additional explicit dependencies (used by
-    /// the grcuda scheduler to encode cross-stream DAG edges directly).
-    pub fn launch_with_extra_deps<'a>(
-        &self,
-        stream: StreamId,
-        exec: impl Into<Launch<'a>>,
-        extra_deps: &[TaskId],
-    ) -> Option<TaskId> {
-        self.launch_inner(stream, exec.into(), extra_deps, true)
-    }
-
-    /// [`Cuda::launch_with_extra_deps`] without the per-call host API
-    /// charge — for batched submission paths that pay one amortized
-    /// charge up front for the whole batch.
+    /// [`Cuda::launch`] without the per-call host API charge, with
+    /// additional explicit dependencies (the grcuda scheduler encodes
+    /// cross-stream DAG edges with them). The caller pays the host API
+    /// overhead itself: once per call with [`Cuda::host_spin`], or once
+    /// up front for a whole batch.
     pub fn launch_uncharged<'a>(
         &self,
         stream: StreamId,

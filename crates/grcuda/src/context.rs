@@ -876,8 +876,8 @@ impl GrCuda {
             placement_probes,
             ..
         } = &mut *self.inner.borrow_mut();
-        let (sched_overhead, event_overhead) =
-            cuda.machine(|dev, _| (dev.sched_overhead, dev.event_overhead));
+        let (sched_overhead, event_overhead, api_overhead) =
+            cuda.machine(|d, _| (d.sched_overhead, d.event_overhead, d.host_api_overhead));
 
         // Split arguments by NIDL parameter kind.
         s.buffers.clear();
@@ -1026,12 +1026,12 @@ impl GrCuda {
                     cuda.host_spin(event_overhead * s.dep_tasks.len() as f64);
                 }
 
-                let t = if charge {
-                    cuda.launch_with_extra_deps(stream, launch, &s.dep_tasks)
-                } else {
-                    cuda.launch_uncharged(stream, launch, &s.dep_tasks)
+                if charge {
+                    cuda.host_spin(api_overhead);
                 }
-                .expect("not capturing");
+                let t = cuda
+                    .launch_uncharged(stream, launch, &s.dep_tasks)
+                    .expect("not capturing");
                 placed.insert(
                     vid,
                     Placed {

@@ -27,7 +27,8 @@ fn machine(gpus: usize, policy: PlacementPolicy) -> GrCuda {
     GrCuda::with_topology(dev, topo, Options::parallel(), policy)
 }
 
-fn price_books(gpus: usize, policy: PlacementPolicy) -> (f64, usize, f32) {
+/// Makespan, migrations and every book's prices as bit patterns.
+fn price_books(gpus: usize, policy: PlacementPolicy) -> (f64, usize, Vec<Vec<u64>>) {
     let g = machine(gpus, policy);
     let price = g.build_kernel(&BLACK_SCHOLES).unwrap();
     let n = OPTIONS_PER_BOOK;
@@ -62,8 +63,9 @@ fn price_books(gpus: usize, policy: PlacementPolicy) -> (f64, usize, f32) {
     }
     g.sync();
     assert!(g.races().is_empty());
-    let checksum: f32 = books.iter().map(|(_, p)| p.to_vec_f64()[0] as f32).sum();
-    (g.now(), g.migration_stats().0, checksum)
+    let bits = |p: &grcuda::DeviceArray| p.to_vec_f64().iter().map(|x| x.to_bits()).collect();
+    let prices = books.iter().map(|(_, p)| bits(p)).collect();
+    (g.now(), g.migration_stats().0, prices)
 }
 
 fn dependent_chain(gpus: usize, policy: PlacementPolicy) -> (f64, usize) {
@@ -94,11 +96,14 @@ fn dependent_chain(gpus: usize, policy: PlacementPolicy) -> (f64, usize) {
 
 fn main() {
     println!("Independent books ({BOOKS} x {OPTIONS_PER_BOOK} options, f64):");
-    let (base, _, check1) = price_books(1, PlacementPolicy::SingleGpu);
+    let (base, _, prices1) = price_books(1, PlacementPolicy::SingleGpu);
     println!("  1 GPU : {:7.2} ms (1.00x)", base * 1e3);
     for gpus in [2usize, 4] {
-        let (t, migs, check) = price_books(gpus, PlacementPolicy::LocalityAware);
-        assert_eq!(check, check1, "results must not depend on the device count");
+        let (t, migs, prices) = price_books(gpus, PlacementPolicy::LocalityAware);
+        assert!(
+            prices == prices1,
+            "results must not depend on the device count"
+        );
         println!(
             "  {gpus} GPUs: {:7.2} ms ({:.2}x), {migs} migrations",
             t * 1e3,

@@ -8,8 +8,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use benchmarks::{
-    cluster_run, mixed_makespans, oversub_capacity, oversubscribe, run_grcuda, run_multi_gpu, tiny,
-    transfer_chain, Bench, ClusterSuite, MixedScale,
+    cluster_run, mixed_runs, oversub_capacity, oversubscribe, run_grcuda, run_multi_gpu, tiny,
+    transfer_chain, Bench, ClusterSuite, Experiment, MixedScale,
 };
 use gpu_sim::{
     Cluster, DeviceProfile, EvictionPolicy, Grid, MemoryConfig, NicKind, Topology, TopologyKind,
@@ -116,8 +116,8 @@ fn single_stream_child_policy_reduces_concurrency() {
 }
 
 /// Drive a strictly serial kernel chain through an `n_dev`-device
-/// scheduler and report `(migration count, migrated bytes, final y[7])`.
-fn dependent_chain(n_dev: usize, policy: PlacementPolicy) -> (usize, usize, f32) {
+/// scheduler and report `(migration count, migrated bytes, final y)`.
+fn dependent_chain(n_dev: usize, policy: PlacementPolicy) -> (usize, usize, Vec<f32>) {
     let g = machine(n_dev, TopologyKind::PcieOnly, policy);
     let n = 1 << 18;
     let x = g.array_f32(n);
@@ -133,7 +133,7 @@ fn dependent_chain(n_dev: usize, policy: PlacementPolicy) -> (usize, usize, f32)
     g.sync();
     assert_eq!(g.races().len(), 0);
     let (migs, bytes) = g.migration_stats();
-    (migs, bytes, y.get_f32(7))
+    (migs, bytes, y.to_vec_f32())
 }
 
 #[test]
@@ -157,21 +157,26 @@ fn locality_aware_beats_round_robin_on_a_dependent_chain() {
             "{n_dev} GPUs: locality-aware must migrate strictly fewer bytes: \
              {loc_bytes} vs {rr_bytes}"
         );
+        // 128.0 has one bit pattern, so equal values are equal bits.
+        assert!(
+            rr_val.iter().all(|&v| v == 128.0),
+            "{n_dev} GPUs: 2^7 after 8 doublings read from y"
+        );
         assert_eq!(
             rr_val, loc_val,
             "{n_dev} GPUs: placement must not change results"
         );
-        assert_eq!(rr_val, 128.0, "2^7 after 8 doublings read from y");
     }
 }
 
 #[test]
 fn transfer_aware_beats_byte_count_locality_on_an_nvlink_pair() {
-    // The tentpole acceptance check: on the dependent transfer-chain
-    // workload over an NVLink-pair machine, cost-aware placement must
-    // yield strictly lower simulated makespan AND strictly fewer
-    // host-link bytes than both round-robin and byte-count locality —
-    // while all three compute identical results.
+    // The tentpole acceptance check, on the `trajectory --smoke` topology
+    // sweep's inputs: on the dependent transfer-chain workload over an
+    // NVLink-pair machine, cost-aware placement must yield strictly
+    // lower simulated makespan AND strictly fewer host-link bytes than
+    // both round-robin and byte-count locality — while all three
+    // compute identical results.
     let n = 1 << 18;
     let iters = 8;
     let run = |p| transfer_chain(p, TopologyKind::NvlinkPair, n, iters, Options::parallel());
@@ -179,7 +184,7 @@ fn transfer_aware_beats_byte_count_locality_on_an_nvlink_pair() {
     let loc = run(PlacementPolicy::LocalityAware);
     let ta = run(PlacementPolicy::TransferAware);
     for (name, r) in [("round-robin", &rr), ("locality", &loc), ("transfer", &ta)] {
-        assert_eq!(r.races, 0, "{name} raced");
+        assert!(r.runtime.races().is_empty(), "{name} raced");
     }
     assert!(
         ta.makespan < loc.makespan,
@@ -193,33 +198,40 @@ fn transfer_aware_beats_byte_count_locality_on_an_nvlink_pair() {
         ta.makespan,
         rr.makespan
     );
+    let host_bytes = |r: &Experiment| r.runtime.host_link_bytes();
     assert!(
-        ta.host_link_bytes < loc.host_link_bytes,
+        host_bytes(&ta) < host_bytes(&loc),
         "transfer-aware must move fewer bytes over the host links than \
          locality: {} vs {}",
-        ta.host_link_bytes,
-        loc.host_link_bytes
+        host_bytes(&ta),
+        host_bytes(&loc)
     );
     assert!(
-        ta.host_link_bytes < rr.host_link_bytes,
+        host_bytes(&ta) < host_bytes(&rr),
         "transfer-aware must move fewer bytes over the host links than \
          round-robin: {} vs {}",
-        ta.host_link_bytes,
-        rr.host_link_bytes
+        host_bytes(&ta),
+        host_bytes(&rr)
     );
     // Byte-count locality pays host-mediated round trips for the chain
     // state every iteration; cost-aware placement avoids migrating it at
     // all (it moves the host-backed input instead, one cheap leg).
-    assert!(loc.migrations.0 >= iters, "locality ping-pongs the state");
-    assert_eq!(ta.migrations, (0, 0), "transfer-aware pins the state");
+    let loc_migrations = loc.runtime.migration_stats().0;
+    assert!(loc_migrations >= iters, "locality ping-pongs the state");
+    assert_eq!(
+        ta.runtime.migration_stats(),
+        (0, 0),
+        "transfer-aware pins the state"
+    );
     // Placement must never change the numbers.
-    assert_eq!(ta.checksum, rr.checksum);
-    assert_eq!(ta.checksum, loc.checksum);
+    assert!(ta.same_answer(&rr));
+    assert!(ta.same_answer(&loc));
 }
 
 #[test]
 fn node_aware_beats_round_robin_across_a_cluster() {
-    // The multi-node acceptance check: at 2 nodes × 4 GPUs on the
+    // The multi-node acceptance check, on the `trajectory --smoke`
+    // cluster sweep's inputs (2 nodes × 4 GPUs) and on 2 × 2: on the
     // dependent-chain suite, partition-honoring NodeAware placement
     // must move strictly fewer cross-node bytes AND yield strictly
     // lower makespan than round-robin across all GPUs — while both
@@ -227,51 +239,37 @@ fn node_aware_beats_round_robin_across_a_cluster() {
     // node-local component, so NodeAware never touches a NIC at all;
     // round-robin rotates each chain across the node boundary and pays
     // a GPU→host→NIC→host→GPU route per step.
-    let (nodes, gpus, n, steps) = (2, 4, 1 << 16, 6);
-    let na = cluster_run(
-        ClusterSuite::Chain,
-        PlacementPolicy::NodeAware,
-        nodes,
-        gpus,
-        n,
-        steps,
-    );
-    let rr = cluster_run(
-        ClusterSuite::Chain,
-        PlacementPolicy::RoundRobin,
-        nodes,
-        gpus,
-        n,
-        steps,
-    );
-    assert_eq!(na.races, 0);
-    assert_eq!(rr.races, 0);
-    assert_eq!(
-        na.cross_node,
-        (0, 0),
-        "node-aware must keep partitioned chains off the NICs"
-    );
-    assert!(
-        rr.cross_node.1 > 0,
-        "round-robin must pay cross-node routes on the chain: {rr:?}"
-    );
-    assert!(
-        na.cross_node.1 < rr.cross_node.1,
-        "node-aware must move strictly fewer cross-node bytes: {} vs {}",
-        na.cross_node.1,
-        rr.cross_node.1
-    );
-    assert!(
-        na.makespan < rr.makespan,
-        "node-aware must yield strictly lower makespan: {} vs {}",
-        na.makespan,
-        rr.makespan
-    );
-    assert_eq!(na.checksum, rr.checksum, "placement changed the numbers");
-    // The partitioner runs only for a policy that reads node hints:
-    // every NodeAware batch, no round-robin one.
-    assert_eq!(na.partitioned_batches, steps);
-    assert_eq!(rr.partitioned_batches, 0);
+    for (nodes, gpus, n, steps) in [(2, 4, 1 << 16, 6), (2, 2, 4096, 6)] {
+        let run = |policy| cluster_run(ClusterSuite::Chain, policy, nodes, gpus, n, steps);
+        let na = run(PlacementPolicy::NodeAware);
+        let rr = run(PlacementPolicy::RoundRobin);
+        let at = format!("{nodes}x{gpus}");
+        assert!(na.runtime.races().is_empty(), "{at}");
+        assert!(rr.runtime.races().is_empty(), "{at}");
+        let na_cross = na.runtime.cross_node_migration_stats();
+        let rr_cross = rr.runtime.cross_node_migration_stats();
+        assert_eq!(
+            na_cross,
+            (0, 0),
+            "{at}: node-aware must keep partitioned chains off the NICs"
+        );
+        assert!(
+            rr_cross.1 > 0,
+            "{at}: round-robin must pay cross-node routes on the chain"
+        );
+        assert!(
+            na.makespan < rr.makespan,
+            "{at}: node-aware must yield strictly lower makespan: {} vs {}",
+            na.makespan,
+            rr.makespan
+        );
+        assert!(na.same_answer(&rr), "{at}: placement changed the numbers");
+        // The partitioner runs only for a policy that reads node hints:
+        // every NodeAware batch, no round-robin one.
+        let batches = |r: &Experiment| r.runtime.scheduler_stats().cluster.partitioned_batches;
+        assert_eq!(batches(&na), steps, "{at}");
+        assert_eq!(batches(&rr), 0, "{at}");
+    }
 }
 
 /// A policy that declares nothing (so the default: it reads every part
@@ -450,10 +448,14 @@ fn peer_links_accelerate_migration_heavy_schedules() {
     let run = |t| transfer_chain(PlacementPolicy::LocalityAware, t, n, 8, Options::parallel());
     let pcie = run(TopologyKind::PcieOnly);
     let nvswitch = run(TopologyKind::FullyConnected);
-    assert!(pcie.migrations.0 > 0, "the workload must migrate under LA");
-    assert_eq!(pcie.p2p_migrations, (0, 0));
+    assert!(
+        pcie.runtime.migration_stats().0 > 0,
+        "the workload must migrate under LA"
+    );
+    assert_eq!(pcie.runtime.p2p_migration_stats(), (0, 0));
     assert_eq!(
-        nvswitch.p2p_migrations.0, nvswitch.migrations.0,
+        nvswitch.runtime.p2p_migration_stats().0,
+        nvswitch.runtime.migration_stats().0,
         "every migration uses a peer link when all pairs are wired"
     );
     assert!(
@@ -462,61 +464,56 @@ fn peer_links_accelerate_migration_heavy_schedules() {
         nvswitch.makespan,
         pcie.makespan
     );
-    assert!(nvswitch.host_link_bytes < pcie.host_link_bytes);
-    assert_eq!(nvswitch.checksum, pcie.checksum);
+    assert!(nvswitch.runtime.host_link_bytes() < pcie.runtime.host_link_bytes());
+    assert!(nvswitch.same_answer(&pcie));
 }
 
 #[test]
 fn memory_aware_cost_aware_beats_transfer_aware_lru_when_oversubscribed() {
-    // The tentpole acceptance check for finite device memory: with
-    // per-device capacity at roughly half the working set, capacity-
-    // aware scheduling (MemoryAware placement + cost-aware eviction)
-    // must yield strictly lower makespan AND strictly fewer spilled
-    // bytes than capacity-blind scheduling (TransferAware + LRU) —
-    // while both compute identical results.
+    // The tentpole acceptance check for finite device memory, at 2
+    // passes (the `trajectory --smoke` oversubscription sweep's inputs)
+    // and 4: with per-device capacity at roughly half the working set,
+    // capacity-aware scheduling (MemoryAware placement + cost-aware
+    // eviction) must yield strictly lower makespan AND strictly fewer
+    // spilled bytes than capacity-blind scheduling (TransferAware +
+    // LRU) — while both compute identical results.
     let n = 1 << 16;
-    let iters = 4;
     let cap = Some(oversub_capacity(n));
-    let aware = oversubscribe(
-        PlacementPolicy::MemoryAware,
-        EvictionPolicy::CostAware,
-        cap,
-        n,
-        iters,
-        Options::parallel(),
-    );
-    let blind = oversubscribe(
-        PlacementPolicy::TransferAware,
-        EvictionPolicy::Lru,
-        cap,
-        n,
-        iters,
-        Options::parallel(),
-    );
-    assert_eq!(aware.races, 0);
-    assert_eq!(blind.races, 0);
-    assert!(
-        blind.evictions > 0 && blind.spilled_bytes > 0,
-        "the workload must oversubscribe the capacity-blind schedule: {blind:?}"
-    );
-    assert!(
-        aware.makespan < blind.makespan,
-        "capacity-aware must yield strictly lower makespan: {} vs {}",
-        aware.makespan,
-        blind.makespan
-    );
-    assert!(
-        aware.spilled_bytes < blind.spilled_bytes,
-        "capacity-aware must spill strictly fewer bytes: {} vs {}",
-        aware.spilled_bytes,
-        blind.spilled_bytes
-    );
-    // Capacity-blind placement chases the anchor onto one device and
-    // thrashes it; capacity-aware spreads the working set.
-    assert_eq!(blind.peak_resident[1], 0, "transfer-aware never leaves d0");
-    assert!(aware.peak_resident.iter().all(|&p| p > 0));
-    // Scheduling never changes the numbers.
-    assert_eq!(aware.checksum, blind.checksum);
+    for iters in [2, 4] {
+        let run =
+            |policy, eviction| oversubscribe(policy, eviction, cap, n, iters, Options::parallel());
+        let aware = run(PlacementPolicy::MemoryAware, EvictionPolicy::CostAware);
+        let blind = run(PlacementPolicy::TransferAware, EvictionPolicy::Lru);
+        assert!(aware.runtime.races().is_empty(), "{iters} passes");
+        assert!(blind.runtime.races().is_empty(), "{iters} passes");
+        let (aware_memory, blind_memory) =
+            (aware.runtime.memory_stats(), blind.runtime.memory_stats());
+        assert!(
+            blind_memory.evictions > 0 && blind_memory.spilled_bytes > 0,
+            "{iters} passes: the workload must oversubscribe the capacity-blind schedule"
+        );
+        assert!(
+            aware.makespan < blind.makespan,
+            "{iters} passes: capacity-aware must yield strictly lower makespan: {} vs {}",
+            aware.makespan,
+            blind.makespan
+        );
+        assert!(
+            aware_memory.spilled_bytes < blind_memory.spilled_bytes,
+            "{iters} passes: capacity-aware must spill strictly fewer bytes: {} vs {}",
+            aware_memory.spilled_bytes,
+            blind_memory.spilled_bytes
+        );
+        // Capacity-blind placement chases the anchor onto one device and
+        // thrashes it; capacity-aware spreads the working set.
+        assert_eq!(
+            blind_memory.peak_resident[1], 0,
+            "{iters} passes: transfer-aware never leaves d0"
+        );
+        assert!(aware_memory.peak_resident.iter().all(|&p| p > 0));
+        // Scheduling never changes the numbers.
+        assert!(aware.same_answer(&blind), "{iters} passes");
+    }
 }
 
 #[test]
@@ -539,14 +536,15 @@ fn cost_aware_eviction_spills_strictly_less_than_lru_at_fixed_placement() {
     };
     let cost = run(EvictionPolicy::CostAware);
     let lru = run(EvictionPolicy::Lru);
-    assert!(lru.spilled_bytes > 0, "LRU must pay dirty spills: {lru:?}");
+    let spilled = |r: &Experiment| r.runtime.memory_stats().spilled_bytes;
+    assert!(spilled(&lru) > 0, "LRU must pay dirty spills");
     assert!(
-        cost.spilled_bytes < lru.spilled_bytes,
+        spilled(&cost) < spilled(&lru),
         "cost-aware must spill strictly fewer bytes: {} vs {}",
-        cost.spilled_bytes,
-        lru.spilled_bytes
+        spilled(&cost),
+        spilled(&lru)
     );
-    assert_eq!(cost.checksum, lru.checksum);
+    assert!(cost.same_answer(&lru));
 }
 
 #[test]
@@ -555,26 +553,26 @@ fn unlimited_capacity_is_bit_identical_and_eviction_free() {
     // must never evict, never spill, and produce the same numbers as
     // any finite-capacity run.
     let n = 1 << 14;
-    let unlimited = oversubscribe(
-        PlacementPolicy::MemoryAware,
-        EvictionPolicy::CostAware,
-        None,
-        n,
-        2,
-        Options::parallel(),
+    let run = |capacity| {
+        oversubscribe(
+            PlacementPolicy::MemoryAware,
+            EvictionPolicy::CostAware,
+            capacity,
+            n,
+            2,
+            Options::parallel(),
+        )
+    };
+    let unlimited = run(None);
+    let memory = unlimited.runtime.memory_stats();
+    assert_eq!(memory.evictions, 0);
+    assert_eq!(memory.spilled_bytes, 0);
+    let limited = run(Some(oversub_capacity(n)));
+    assert!(
+        limited.runtime.memory_stats().evictions > 0,
+        "finite capacity must evict here"
     );
-    assert_eq!(unlimited.evictions, 0);
-    assert_eq!(unlimited.spilled_bytes, 0);
-    let limited = oversubscribe(
-        PlacementPolicy::MemoryAware,
-        EvictionPolicy::CostAware,
-        Some(oversub_capacity(n)),
-        n,
-        2,
-        Options::parallel(),
-    );
-    assert!(limited.evictions > 0, "finite capacity must evict here");
-    assert_eq!(unlimited.checksum, limited.checksum);
+    assert!(unlimited.same_answer(&limited));
 }
 
 /// `sweeps` fork/join sweeps ([`common::ForkJoin`]) on `g`, one batch
@@ -784,16 +782,18 @@ fn placement_policies_compute_identical_results_on_every_suite() {
 
 #[test]
 fn adaptive_matches_the_best_static_policy_on_every_suite_of_the_mixed_workload() {
-    // The history loop's acceptance bar: across a mixed workload
-    // (transfer chain + oversubscription + fanout mix), the
-    // history-driven Adaptive policy matches or beats the best static
-    // policy on *every* suite, and no static policy manages the same —
-    // each one loses at least one suite to Adaptive outright.
-    let scale = MixedScale::quick();
-    let adaptive = mixed_makespans(PlacementPolicy::Adaptive, &scale);
+    // The history loop's acceptance bar, on the `trajectory --smoke`
+    // adaptive sweep's inputs: across a mixed workload (transfer chain
+    // + oversubscription + fanout mix), the history-driven Adaptive
+    // policy matches or beats the best static policy on *every* suite,
+    // and no static policy manages the same — each one loses at least
+    // one suite to Adaptive outright.
+    let scale = MixedScale::smoke();
+    let makespans = |p| mixed_runs(p, &scale).map(|(suite, r)| (suite, r.makespan));
+    let adaptive = makespans(PlacementPolicy::Adaptive);
     let statics: Vec<(PlacementPolicy, [(&str, f64); 3])> = PlacementPolicy::STATIC
         .iter()
-        .map(|&p| (p, mixed_makespans(p, &scale)))
+        .map(|&p| (p, makespans(p)))
         .collect();
 
     for (i, &(suite, a)) in adaptive.iter().enumerate() {
