@@ -85,9 +85,11 @@ pub fn reference_after_iters(spec: &BenchSpec, iters: usize) -> Vec<TypedData> {
         .iter()
         .map(|a| DataBuffer::new(a.init.clone()))
         .collect();
-    for _ in 0..iters {
+    for iter in 0..iters {
+        // The buffers start as `init`: the first refresh would copy it
+        // over itself.
         for (i, a) in spec.arrays.iter().enumerate() {
-            if a.refresh_each_iter {
+            if a.refresh_each_iter && iter > 0 {
                 buffers[i].data_mut().copy_from(&a.init);
             }
         }
@@ -117,18 +119,40 @@ fn validate(spec: &BenchSpec, got: &[DataBuffer], want: &[TypedData]) -> Result<
     Ok(())
 }
 
+/// Whether two arrays hold the same type, length and bits (see
+/// [`validate`]). It runs after the join on the critical path, so the
+/// float arms compare a chunk at a time, OR-ing the XOR of every pair's
+/// bits without a branch, and stop at the first chunk that differs.
 pub(crate) fn same_bits(a: &TypedData, b: &TypedData) -> bool {
     match (a, b) {
         (TypedData::F32(x), TypedData::F32(y)) => {
-            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+            same_words(x, y, |p: &f32, q: &f32| p.to_bits() ^ q.to_bits())
         }
         (TypedData::F64(x), TypedData::F64(y)) => {
-            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+            same_words(x, y, |p: &f64, q: &f64| p.to_bits() ^ q.to_bits())
         }
         (TypedData::I32(x), TypedData::I32(y)) => x == y,
         (TypedData::U8(x), TypedData::U8(y)) => x == y,
         _ => false,
     }
+}
+
+/// Elements [`same_words`] compares between two early exits.
+const SAME_BITS_CHUNK: usize = 512;
+
+fn same_words<T, W>(x: &[T], y: &[T], diff: impl Fn(&T, &T) -> W) -> bool
+where
+    W: Default + PartialEq + std::ops::BitOr<Output = W>,
+{
+    x.len() == y.len()
+        && x.chunks(SAME_BITS_CHUNK)
+            .zip(y.chunks(SAME_BITS_CHUNK))
+            .all(|(p, q)| {
+                p.iter()
+                    .zip(q)
+                    .fold(W::default(), |d, (p, q)| d | diff(p, q))
+                    == W::default()
+            })
 }
 
 /// Per-signature read-only flags for the pointer arguments, in order.
@@ -674,6 +698,32 @@ mod tests {
         let flipped = f64::from_bits(1.5f64.to_bits() ^ 1);
         let e = check_bits((0.0, 1.5), (0.0, flipped)).unwrap_err();
         assert!(e.contains("(`y`)"), "{e}");
+    }
+
+    #[test]
+    fn same_bits_sees_every_bit_the_length_and_the_type() {
+        use TypedData::{F32, F64, I32};
+        assert!(!same_bits(&F32(vec![-0.0]), &F32(vec![0.0])));
+        assert!(!same_bits(&F64(vec![0.0]), &F64(vec![-0.0])));
+        let nan = |payload: u32| f32::from_bits(0x7fc0_0000 | payload);
+        assert!(same_bits(&F32(vec![nan(1)]), &F32(vec![nan(1)])));
+        assert!(!same_bits(&F32(vec![nan(1)]), &F32(vec![nan(2)])));
+        // One element differs, in the last, partial chunk.
+        let n = 2 * SAME_BITS_CHUNK + 3;
+        let x: Vec<f64> = (0..n).map(|i| i as f64 / 7.0).collect();
+        let mut y = x.clone();
+        y[n - 2] = f64::from_bits(y[n - 2].to_bits() ^ 1);
+        assert!(same_bits(&F64(x.clone()), &F64(x.clone())));
+        assert!(!same_bits(&F64(x.clone()), &F64(y)));
+        let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
+        let mut y32 = x32.clone();
+        y32[n - 1] = -y32[n - 1];
+        assert!(same_bits(&F32(x32.clone()), &F32(x32.clone())));
+        assert!(!same_bits(&F32(x32.clone()), &F32(y32)));
+        // A prefix is not the array, nor is the same bits as another type.
+        assert!(!same_bits(&F64(x[..n - 1].to_vec()), &F64(x)));
+        assert!(!same_bits(&F32(x32[..n - 1].to_vec()), &F32(x32)));
+        assert!(!same_bits(&F32(vec![0.0]), &I32(vec![0])));
     }
 
     #[test]

@@ -50,24 +50,58 @@ fn conv2d_func(bufs: &[DataBuffer], scalars: &[f64]) {
     {
         return;
     }
+    let shape = Conv { in_c, h, w_dim, k };
     for oc in 0..out_c {
+        let wf = &w[oc * in_c * k * k..(oc + 1) * in_c * k * k];
         for r in 0..oh {
-            for c in 0..ow {
-                let mut acc = 0.0f64;
-                for ic in 0..in_c {
-                    for kr in 0..k {
-                        for kc in 0..k {
-                            let xv = x[ic * h * w_dim + (r + kr) * w_dim + (c + kc)];
-                            let wv = w[oc * in_c * k * k + ic * k * k + kr * k + kc];
-                            acc += xv as f64 * wv as f64;
-                        }
-                    }
-                }
-                // ReLU
-                y[oc * oh * ow + r * ow + c] = (acc.max(0.0)) as f32;
+            let yr = &mut y[(oc * oh + r) * ow..(oc * oh + r + 1) * ow];
+            let mut lanes = yr.chunks_exact_mut(CONV_LANES);
+            for (i, out) in lanes.by_ref().enumerate() {
+                out.copy_from_slice(&conv_lanes::<CONV_LANES>(&x, wf, shape, r, i * CONV_LANES));
+            }
+            let rest = lanes.into_remainder();
+            for (c, out) in (ow - rest.len()..).zip(rest) {
+                [*out] = conv_lanes::<1>(&x, wf, shape, r, c);
             }
         }
     }
+}
+
+/// Output columns one pass of [`conv_lanes`] settles side by side.
+const CONV_LANES: usize = 8;
+
+/// Geometry of a valid convolution: input channels, input height and
+/// width, filter side.
+#[derive(Clone, Copy)]
+struct Conv {
+    in_c: usize,
+    h: usize,
+    w_dim: usize,
+    k: usize,
+}
+
+/// Output row `r`, columns `c..c + L` of the output channel whose filter
+/// is `wf`, ReLU applied. Each output sums `x · w` in `f64` over input
+/// channel, filter row and filter column ascending: the same chain
+/// whatever `L` and its neighbours.
+fn conv_lanes<const L: usize>(x: &[f32], wf: &[f32], g: Conv, r: usize, c: usize) -> [f32; L] {
+    let Conv { in_c, h, w_dim, k } = g;
+    let mut acc = [0.0f64; L];
+    for ic in 0..in_c {
+        for kr in 0..k {
+            let wr = &wf[(ic * k + kr) * k..][..k];
+            let start = ic * h * w_dim + (r + kr) * w_dim + c;
+            let xr = &x[start..start + L + k - 1];
+            for (kc, &wv) in wr.iter().enumerate() {
+                let xs: &[f32; L] = xr[kc..kc + L].try_into().expect("L inputs");
+                for (a, &xv) in acc.iter_mut().zip(xs) {
+                    *a += xv as f64 * wv as f64;
+                }
+            }
+        }
+    }
+    // ReLU
+    acc.map(|a| a.max(0.0) as f32)
 }
 
 fn conv2d_cost(bufs: &[DataBuffer], scalars: &[f64]) -> KernelCost {
@@ -222,7 +256,88 @@ fn dense_cost(bufs: &[DataBuffer], _scalars: &[f64]) -> KernelCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{corpus, same_as_reference};
     use gpu_sim::TypedData;
+
+    /// `conv2d_func` as first written, one output at a time: the oracle
+    /// the lane version must match bit for bit.
+    fn conv2d_reference(bufs: &[DataBuffer], scalars: &[f64]) {
+        let in_c = s(scalars[0]);
+        let h = s(scalars[1]);
+        let w_dim = s(scalars[2]);
+        let out_c = s(scalars[3]);
+        let k = s(scalars[4]);
+        let (Some(oh), Some(ow)) = ((h + 1).checked_sub(k), (w_dim + 1).checked_sub(k)) else {
+            return;
+        };
+        let x = bufs[0].as_f32();
+        let w = bufs[1].as_f32();
+        let mut y = bufs[2].as_f32_mut();
+        if !(holds(x.len(), &[in_c, h, w_dim])
+            && holds(w.len(), &[out_c, in_c, k, k])
+            && holds(y.len(), &[out_c, oh, ow]))
+        {
+            return;
+        }
+        for oc in 0..out_c {
+            for r in 0..oh {
+                for c in 0..ow {
+                    let mut acc = 0.0f64;
+                    for ic in 0..in_c {
+                        for kr in 0..k {
+                            for kc in 0..k {
+                                let xv = x[ic * h * w_dim + (r + kr) * w_dim + (c + kc)];
+                                let wv = w[oc * in_c * k * k + ic * k * k + kr * k + kc];
+                                acc += xv as f64 * wv as f64;
+                            }
+                        }
+                    }
+                    y[oc * oh * ow + r * ow + c] = (acc.max(0.0)) as f32;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn conv2d_matches_its_sequential_reference_bit_for_bit() {
+        // Output widths narrower than one lane array, one exactly, and
+        // with remainders; filters from none to wider than the input.
+        for (h, w_dim) in [
+            (1usize, 1usize),
+            (3, 3),
+            (5, 4),
+            (4, 9),
+            (6, 10),
+            (3, 19),
+            (21, 21),
+        ] {
+            for k in 0..=4 {
+                for (in_c, out_c) in [(0, 1), (1, 0), (1, 1), (2, 3), (3, 2)] {
+                    for specials in [false, true] {
+                        let seed = (h * 1000 + w_dim * 100 + k * 10 + in_c) as u64;
+                        let y_len =
+                            out_c * (h + 1).saturating_sub(k) * (w_dim + 1).saturating_sub(k);
+                        let inputs = [
+                            corpus(in_c * h * w_dim, seed, specials),
+                            corpus(out_c * in_c * k * k, seed + 1, specials),
+                            corpus(y_len, seed + 2, false),
+                        ];
+                        let scalars = [in_c, h, w_dim, out_c, k].map(|v| v as f64);
+                        let case =
+                            format!("{in_c}x{h}x{w_dim} to {out_c} k{k} specials {specials}");
+                        same_as_reference(
+                            conv2d_func,
+                            conv2d_reference,
+                            &inputs,
+                            2,
+                            &scalars,
+                            &case,
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn buf(v: Vec<f32>) -> DataBuffer {
         DataBuffer::new(TypedData::F32(v))

@@ -40,20 +40,113 @@ fn blur_func(bufs: &[DataBuffer], scalars: &[f64]) {
     {
         return;
     }
-    let radius = (diameter / 2) as isize;
-    for r in 0..rows as isize {
-        for c in 0..cols as isize {
-            let mut acc = 0.0f32;
-            for dr in -radius..=radius {
-                for dc in -radius..=radius {
-                    let rr = (r + dr).clamp(0, rows as isize - 1) as usize;
-                    let cc = (c + dc).clamp(0, cols as isize - 1) as usize;
-                    let ki = ((dr + radius) * diameter as isize + (dc + radius)) as usize;
-                    acc += img[rr * cols + cc] * kern[ki];
+    let pass = Stencil {
+        img: &img,
+        rows,
+        cols,
+        diameter,
+        weights: [&kern],
+    };
+    pass.run(&mut out, |[acc]| acc);
+}
+
+/// Output columns one interior step of [`Stencil::run`] settles side by
+/// side.
+const LANES: usize = 16;
+
+/// A correlation of a `rows × cols` image with `N` weight grids at once
+/// (blur has one, Sobel two). A pixel's taps run `dr` then `dc`
+/// ascending over `-radius..=radius` (`radius = diameter / 2`), reading
+/// weight `(dr + radius) · diameter + (dc + radius)` and the clamped
+/// pixel, and each sum is an `f32` add of `pixel * weight` per tap: the
+/// same sequence whether the pixel is settled alone on the clamped
+/// border or beside its neighbours where no tap needs a column clamp.
+struct Stencil<'a, const N: usize> {
+    img: &'a [f32],
+    rows: usize,
+    cols: usize,
+    diameter: usize,
+    weights: [&'a [f32]; N],
+}
+
+impl<const N: usize> Stencil<'_, N> {
+    /// Write `finish(sums)` of every pixel's `N` sums to `out`: `LANES`
+    /// interior pixels at a time, then the interior's remainder one at a
+    /// time, and the border one clamped pixel at a time.
+    fn run(&self, out: &mut [f32], finish: impl Fn([f32; N]) -> f32) {
+        let radius = self.diameter / 2;
+        // The columns whose taps all land inside the row.
+        let interior = radius..self.cols.saturating_sub(radius).max(radius);
+        for r in 0..self.rows {
+            let out = &mut out[r * self.cols..(r + 1) * self.cols];
+            let mut c = 0;
+            while c < self.cols {
+                let fits = |lanes: usize| interior.contains(&c) && c + lanes <= interior.end;
+                c += if fits(LANES) {
+                    self.settle::<LANES>(r, c, &mut out[c..], &finish)
+                } else if fits(1) {
+                    self.settle::<1>(r, c, &mut out[c..], &finish)
+                } else {
+                    out[c] = finish(self.clamped(r, c));
+                    1
+                };
+            }
+        }
+    }
+
+    /// Offset of the image row under tap row `dr` (`0..=2·radius`) of
+    /// output row `r`, clamped to the image.
+    fn row(&self, r: usize, dr: usize) -> usize {
+        (r + dr)
+            .saturating_sub(self.diameter / 2)
+            .min(self.rows - 1)
+            * self.cols
+    }
+
+    /// The sums of pixel `(r, c)`, every tap clamped.
+    fn clamped(&self, r: usize, c: usize) -> [f32; N] {
+        let radius = self.diameter / 2;
+        let mut acc = [0.0f32; N];
+        for dr in 0..2 * radius + 1 {
+            let row = self.row(r, dr);
+            for dc in 0..2 * radius + 1 {
+                let p = self.img[row + (c + dc).saturating_sub(radius).min(self.cols - 1)];
+                for (a, w) in acc.iter_mut().zip(self.weights) {
+                    *a += p * w[dr * self.diameter + dc];
                 }
             }
-            out[r as usize * cols + c as usize] = acc;
         }
+        acc
+    }
+
+    /// Write `finish` of the sums of the `L` interior pixels from
+    /// `(r, c)` to `out[..L]`, one lane each; returns `L`.
+    fn settle<const L: usize>(
+        &self,
+        r: usize,
+        c: usize,
+        out: &mut [f32],
+        finish: impl Fn([f32; N]) -> f32,
+    ) -> usize {
+        let radius = self.diameter / 2;
+        let mut acc = [[0.0f32; L]; N];
+        for dr in 0..2 * radius + 1 {
+            let start = self.row(r, dr) + c - radius;
+            let window = &self.img[start..start + L + 2 * radius];
+            for dc in 0..2 * radius + 1 {
+                let px: &[f32; L] = window[dc..dc + L].try_into().expect("L pixels");
+                for (a, w) in acc.iter_mut().zip(self.weights) {
+                    let w = w[dr * self.diameter + dc];
+                    for (a, p) in a.iter_mut().zip(px) {
+                        *a += p * w;
+                    }
+                }
+            }
+        }
+        for (l, o) in out[..L].iter_mut().enumerate() {
+            *o = finish(std::array::from_fn(|k| acc[k][l]));
+        }
+        L
     }
 }
 
@@ -84,25 +177,19 @@ fn sobel_func(bufs: &[DataBuffer], scalars: &[f64]) {
     if !(holds(img.len(), &[rows, cols]) && holds(out.len(), &[rows, cols])) {
         return;
     }
-    const GX: [[f32; 3]; 3] = [[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]];
-    const GY: [[f32; 3]; 3] = [[-1.0, -2.0, -1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 1.0]];
-    for r in 0..rows as isize {
-        for c in 0..cols as isize {
-            let mut gx = 0.0f32;
-            let mut gy = 0.0f32;
-            for dr in -1..=1isize {
-                for dc in -1..=1isize {
-                    let rr = (r + dr).clamp(0, rows as isize - 1) as usize;
-                    let cc = (c + dc).clamp(0, cols as isize - 1) as usize;
-                    let p = img[rr * cols + cc];
-                    gx += p * GX[(dr + 1) as usize][(dc + 1) as usize];
-                    gy += p * GY[(dr + 1) as usize][(dc + 1) as usize];
-                }
-            }
-            out[r as usize * cols + c as usize] = (gx * gx + gy * gy).sqrt();
-        }
-    }
+    let pass = Stencil {
+        img: &img,
+        rows,
+        cols,
+        diameter: 3,
+        weights: [&SOBEL_X, &SOBEL_Y],
+    };
+    pass.run(&mut out, |[gx, gy]| (gx * gx + gy * gy).sqrt());
 }
+
+/// The Sobel weights, row-major 3 × 3.
+const SOBEL_X: [f32; 9] = [-1.0, 0.0, 1.0, -2.0, 0.0, 2.0, -1.0, 0.0, 1.0];
+const SOBEL_Y: [f32; 9] = [-1.0, -2.0, -1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 1.0];
 
 fn sobel_cost(bufs: &[DataBuffer], _scalars: &[f64]) -> KernelCost {
     let n = bufs[0].len() as f64;
@@ -266,10 +353,126 @@ pub fn gaussian_kernel(diameter: usize, sigma: f64) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{corpus, same_as_reference};
     use gpu_sim::TypedData;
 
     fn img(v: Vec<f32>) -> DataBuffer {
         DataBuffer::new(TypedData::F32(v))
+    }
+
+    /// `blur_func` as first written, one clamped pixel at a time: the
+    /// oracle the lane version must match bit for bit.
+    fn blur_reference(bufs: &[DataBuffer], scalars: &[f64]) {
+        let rows = s(scalars[0]);
+        let cols = s(scalars[1]);
+        let diameter = s(scalars[2]);
+        let img = bufs[0].as_f32();
+        let mut out = bufs[1].as_f32_mut();
+        let kern = bufs[2].as_f32();
+        let taps = (diameter / 2 * 2).checked_mul(diameter + 1);
+        let shape = [rows, cols];
+        if !(holds(img.len(), &shape) && holds(out.len(), &shape))
+            || taps.is_none_or(|last| last >= kern.len())
+        {
+            return;
+        }
+        let radius = (diameter / 2) as isize;
+        for r in 0..rows as isize {
+            for c in 0..cols as isize {
+                let mut acc = 0.0f32;
+                for dr in -radius..=radius {
+                    for dc in -radius..=radius {
+                        let rr = (r + dr).clamp(0, rows as isize - 1) as usize;
+                        let cc = (c + dc).clamp(0, cols as isize - 1) as usize;
+                        let ki = ((dr + radius) * diameter as isize + (dc + radius)) as usize;
+                        acc += img[rr * cols + cc] * kern[ki];
+                    }
+                }
+                out[r as usize * cols + c as usize] = acc;
+            }
+        }
+    }
+
+    /// `sobel_func` as first written (see [`blur_reference`]).
+    fn sobel_reference(bufs: &[DataBuffer], scalars: &[f64]) {
+        let rows = s(scalars[0]);
+        let cols = s(scalars[1]);
+        let img = bufs[0].as_f32();
+        let mut out = bufs[1].as_f32_mut();
+        if !(holds(img.len(), &[rows, cols]) && holds(out.len(), &[rows, cols])) {
+            return;
+        }
+        const GX: [[f32; 3]; 3] = [[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]];
+        const GY: [[f32; 3]; 3] = [[-1.0, -2.0, -1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 1.0]];
+        for r in 0..rows as isize {
+            for c in 0..cols as isize {
+                let mut gx = 0.0f32;
+                let mut gy = 0.0f32;
+                for dr in -1..=1isize {
+                    for dc in -1..=1isize {
+                        let rr = (r + dr).clamp(0, rows as isize - 1) as usize;
+                        let cc = (c + dc).clamp(0, cols as isize - 1) as usize;
+                        let p = img[rr * cols + cc];
+                        gx += p * GX[(dr + 1) as usize][(dc + 1) as usize];
+                        gy += p * GY[(dr + 1) as usize][(dc + 1) as usize];
+                    }
+                }
+                out[r as usize * cols + c as usize] = (gx * gx + gy * gy).sqrt();
+            }
+        }
+    }
+
+    /// Image shapes around the lane width and the stencil: empty, one
+    /// row or column, narrower or shorter than the stencil, one lane
+    /// array and a remainder.
+    const SHAPES: [(usize, usize); 14] = [
+        (0, 5),
+        (5, 0),
+        (1, 1),
+        (1, 40),
+        (40, 1),
+        (2, 3),
+        (3, 2),
+        (5, 15),
+        (7, 16),
+        (6, 17),
+        (4, 20),
+        (3, 33),
+        (37, 37),
+        (9, 50),
+    ];
+
+    #[test]
+    fn blur_matches_its_sequential_reference_bit_for_bit() {
+        for (i, (rows, cols)) in SHAPES.into_iter().enumerate() {
+            for diameter in 1..=7 {
+                for specials in [false, true] {
+                    let seed = (i * 8 + diameter) as u64;
+                    let n = rows * cols;
+                    let inputs = [
+                        corpus(n, seed, specials),
+                        corpus(n, seed + 1000, false),
+                        corpus((diameter + 1) * (diameter + 1), seed + 2000, specials),
+                    ];
+                    let scalars = [rows as f64, cols as f64, diameter as f64];
+                    let case = format!("{rows}x{cols} d{diameter} specials {specials}");
+                    same_as_reference(blur_func, blur_reference, &inputs, 1, &scalars, &case);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sobel_matches_its_sequential_reference_bit_for_bit() {
+        for (i, (rows, cols)) in SHAPES.into_iter().enumerate() {
+            for specials in [false, true] {
+                let n = rows * cols;
+                let inputs = [corpus(n, i as u64, specials), corpus(n, 99, false)];
+                let scalars = [rows as f64, cols as f64];
+                let case = format!("{rows}x{cols} specials {specials}");
+                same_as_reference(sobel_func, sobel_reference, &inputs, 1, &scalars, &case);
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,17 @@
 //! cited in §V-B (NVIDIA samples, LightSpMV, an open-source Gaussian
 //! blur); the functional implementations here are written from the same
 //! specifications.
+//!
+//! **Operation order is part of a kernel's definition.** The suites'
+//! recorded answers (`tests/suite_digests.rs`) must not move, so the
+//! sequence of floating-point operations that produces each output —
+//! its operand casts, its tap or feature order, no reassociation, no
+//! fused multiply-add — is fixed. The order *across* outputs is free: a body
+//! may settle several independent outputs side by side (the lane
+//! arrays of `matmul`, `rr_normalize`, `conv2d`, `gaussian_blur` and
+//! `sobel`) as long as each one's own chain is unchanged. Each such
+//! body keeps its first, one-output-at-a-time loop nest in its tests as
+//! the oracle it is compared with.
 
 pub mod black_scholes;
 pub mod dl;
@@ -131,6 +142,79 @@ pub fn all_kernels() -> Vec<&'static KernelDef> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `n` inputs for a kernel's oracle test, from `seed`: of either
+    /// sign, a third each ±2²⁴ exactly, full mantissas near 1 and full
+    /// mantissas near 2⁻²⁴ — so the large terms of a sum cancel and what
+    /// is left shows the order the small ones were added in, even in
+    /// `f64` — and with `specials` one in about twenty a NaN, ±0, ±∞ or
+    /// a subnormal.
+    pub(crate) fn corpus(n: usize, seed: u64, specials: bool) -> Vec<f32> {
+        const SPECIAL: [f32; 8] = [
+            f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1e-40,
+            -3e-42,
+            f32::MIN_POSITIVE,
+        ];
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let r = state >> 11;
+                if specials && r.is_multiple_of(20) {
+                    SPECIAL[(r / 20 % 8) as usize]
+                } else {
+                    let sign = if (r >> 52) & 1 == 1 { -1.0 } else { 1.0 };
+                    let mantissa = 1.0 + (r % 8_388_593) as f32 / 8_388_608.0;
+                    sign * match (r >> 23) % 3 {
+                        0 => 16_777_216.0,
+                        1 => mantissa,
+                        _ => mantissa / 16_777_216.0,
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Run kernel body `new` and its `reference` on copies of the same
+    /// `inputs` and panic, naming `case` and the first element that
+    /// differs, unless buffer `out_at` ends with the same bits in both.
+    /// A NaN matches any NaN: Rust leaves the sign and payload of a NaN
+    /// an operation makes unspecified (the compiler may swap an add's
+    /// operands, and x86 keeps the first's NaN), so an order of
+    /// operations fixes that an output is NaN, not which one.
+    pub(crate) fn same_as_reference(
+        new: KernelFn,
+        reference: KernelFn,
+        inputs: &[Vec<f32>],
+        out_at: usize,
+        scalars: &[f64],
+        case: &str,
+    ) {
+        let run = |f: KernelFn| {
+            let mut bufs: Vec<DataBuffer> = inputs
+                .iter()
+                .map(|v| DataBuffer::new(gpu_sim::TypedData::F32(v.clone())))
+                .collect();
+            f(&bufs, scalars);
+            bufs.swap_remove(out_at).as_f32().clone()
+        };
+        let (got, want) = (run(new), run(reference));
+        assert_eq!(got.len(), want.len(), "{case}: length");
+        let same = |g: f32, w: f32| g.to_bits() == w.to_bits() || g.is_nan() && w.is_nan();
+        if let Some(i) = (0..got.len()).find(|&i| !same(got[i], want[i])) {
+            panic!(
+                "{case}: element {i} is {:?}, the reference {:?}",
+                got[i], want[i]
+            );
+        }
+    }
 
     #[test]
     fn suite_has_33_kernels() {

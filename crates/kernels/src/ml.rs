@@ -31,23 +31,35 @@ fn rr_normalize_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let features = s(scalars[1]);
     let x = bufs[0].as_f32();
     let mut z = bufs[1].as_f32_mut();
-    if !(holds(x.len(), &[rows, features]) && holds(z.len(), &[rows, features])) {
+    // No features, nothing to standardize (and no row width to split by).
+    if features == 0 || !(holds(x.len(), &[rows, features]) && holds(z.len(), &[rows, features])) {
         return;
     }
-    for j in 0..features {
-        let mut mean = 0.0f64;
-        for i in 0..rows {
-            mean += x[i * features + j] as f64;
+    // Row-major sweeps with one accumulator per column: each column's
+    // sums still add its rows in ascending order.
+    let x_rows = || x.chunks_exact(features).take(rows);
+    let mut mean = vec![0.0f64; features];
+    for row in x_rows() {
+        for (m, &v) in mean.iter_mut().zip(row) {
+            *m += v as f64;
         }
-        mean /= rows as f64;
-        let mut var = 0.0f64;
-        for i in 0..rows {
-            let d = x[i * features + j] as f64 - mean;
-            var += d * d;
+    }
+    for m in &mut mean {
+        *m /= rows as f64;
+    }
+    let mut sd = vec![0.0f64; features];
+    for row in x_rows() {
+        for ((var, &v), m) in sd.iter_mut().zip(row).zip(&mean) {
+            let d = v as f64 - m;
+            *var += d * d;
         }
-        let std = (var / rows as f64).sqrt().max(1e-12);
-        for i in 0..rows {
-            z[i * features + j] = ((x[i * features + j] as f64 - mean) / std) as f32;
+    }
+    for s in &mut sd {
+        *s = (*s / rows as f64).sqrt().max(1e-12);
+    }
+    for (zr, row) in z.chunks_exact_mut(features).zip(x_rows()) {
+        for (((z, &v), m), s) in zr.iter_mut().zip(row).zip(&mean).zip(&sd) {
+            *z = ((v as f64 - m) / s) as f32;
         }
     }
 }
@@ -94,13 +106,48 @@ fn matmul_func(bufs: &[DataBuffer], scalars: &[f64]) {
     {
         return;
     }
-    for i in 0..rows {
-        for c in 0..classes {
-            let mut acc = 0.0f64;
-            for j in 0..features {
-                acc += a[i * features + j] as f64 * b[c * features + j] as f64;
+    let mut block = vec![[0.0f64; ROW_LANES]; features];
+    let mut i = 0;
+    while i + ROW_LANES <= rows {
+        dot_lanes(&a, &b, &mut out, i, classes, &mut block);
+        i += ROW_LANES;
+    }
+    let mut row = vec![[0.0f64; 1]; features];
+    for i in i..rows {
+        dot_lanes(&a, &b, &mut out, i, classes, &mut row);
+    }
+}
+
+/// Rows one pass of [`dot_lanes`] settles side by side.
+const ROW_LANES: usize = 8;
+
+/// Every class's scores of rows `i..i + L`: `block` (one entry per
+/// feature) first takes the rows' features cast to `f64`, then each
+/// score sums `a · b` over the features in ascending order — the same
+/// chain whatever `L` and its neighbours.
+fn dot_lanes<const L: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    i: usize,
+    classes: usize,
+    block: &mut [[f64; L]],
+) {
+    let features = block.len();
+    for (j, col) in block.iter_mut().enumerate() {
+        for (l, v) in col.iter_mut().enumerate() {
+            *v = a[(i + l) * features + j] as f64;
+        }
+    }
+    for c in 0..classes {
+        let mut acc = [0.0f64; L];
+        for (col, &bv) in block.iter().zip(&b[c * features..(c + 1) * features]) {
+            for (acc, &av) in acc.iter_mut().zip(col) {
+                *acc += av * bv as f64;
             }
-            out[i * classes + c] = acc as f32;
+        }
+        for (l, acc) in acc.into_iter().enumerate() {
+            out[(i + l) * classes + c] = acc as f32;
         }
     }
 }
@@ -320,10 +367,118 @@ fn argmax_cost(bufs: &[DataBuffer], _scalars: &[f64]) -> KernelCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{corpus, same_as_reference};
     use gpu_sim::TypedData;
 
     fn buf(v: Vec<f32>) -> DataBuffer {
         DataBuffer::new(TypedData::F32(v))
+    }
+
+    /// `rr_normalize_func` as first written, three strided walks per
+    /// column: the oracle the row-major sweeps must match bit for bit.
+    fn rr_normalize_reference(bufs: &[DataBuffer], scalars: &[f64]) {
+        let rows = s(scalars[0]);
+        let features = s(scalars[1]);
+        let x = bufs[0].as_f32();
+        let mut z = bufs[1].as_f32_mut();
+        if !(holds(x.len(), &[rows, features]) && holds(z.len(), &[rows, features])) {
+            return;
+        }
+        for j in 0..features {
+            let mut mean = 0.0f64;
+            for i in 0..rows {
+                mean += x[i * features + j] as f64;
+            }
+            mean /= rows as f64;
+            let mut var = 0.0f64;
+            for i in 0..rows {
+                let d = x[i * features + j] as f64 - mean;
+                var += d * d;
+            }
+            let std = (var / rows as f64).sqrt().max(1e-12);
+            for i in 0..rows {
+                z[i * features + j] = ((x[i * features + j] as f64 - mean) / std) as f32;
+            }
+        }
+    }
+
+    /// `matmul_func` as first written, one dot product at a time (see
+    /// [`rr_normalize_reference`]).
+    fn matmul_reference(bufs: &[DataBuffer], scalars: &[f64]) {
+        let rows = s(scalars[0]);
+        let features = s(scalars[1]);
+        let classes = s(scalars[2]);
+        let a = bufs[0].as_f32();
+        let b = bufs[1].as_f32();
+        let mut out = bufs[2].as_f32_mut();
+        if !(holds(a.len(), &[rows, features])
+            && holds(b.len(), &[classes, features])
+            && holds(out.len(), &[rows, classes]))
+        {
+            return;
+        }
+        for i in 0..rows {
+            for c in 0..classes {
+                let mut acc = 0.0f64;
+                for j in 0..features {
+                    acc += a[i * features + j] as f64 * b[c * features + j] as f64;
+                }
+                out[i * classes + c] = acc as f32;
+            }
+        }
+    }
+
+    #[test]
+    fn rr_normalize_matches_its_sequential_reference_bit_for_bit() {
+        for rows in [0, 1, 2, 7, 33] {
+            for features in [0, 1, 3, 10, 13, 200] {
+                for specials in [false, true] {
+                    let n = rows * features;
+                    let seed = (rows * 1000 + features) as u64;
+                    let inputs = [corpus(n, seed, specials), corpus(n, seed + 1, false)];
+                    let scalars = [rows as f64, features as f64];
+                    let case = format!("{rows}x{features} specials {specials}");
+                    same_as_reference(
+                        rr_normalize_func,
+                        rr_normalize_reference,
+                        &inputs,
+                        1,
+                        &scalars,
+                        &case,
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_matches_its_sequential_reference_bit_for_bit() {
+        // Row counts below, at and past the lane width; the class
+        // counts 1, 3, 10 (the ML suite's) and 13; feature counts from none up.
+        for rows in [0, 1, 7, 8, 9, 17, 30] {
+            for classes in [1, 3, 10, 13] {
+                for features in [0, 1, 5, 31] {
+                    for specials in [false, true] {
+                        let seed = (rows * 10_000 + classes * 100 + features) as u64;
+                        let inputs = [
+                            corpus(rows * features, seed, specials),
+                            corpus(classes * features, seed + 1, specials),
+                            corpus(rows * classes, seed + 2, false),
+                        ];
+                        let scalars = [rows as f64, features as f64, classes as f64];
+                        let case = format!("{rows}x{features} by {classes} specials {specials}");
+                        same_as_reference(
+                            matmul_func,
+                            matmul_reference,
+                            &inputs,
+                            2,
+                            &scalars,
+                            &case,
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
