@@ -39,6 +39,11 @@
 #      function that still compiles everywhere is unread. Its names are
 #      printed; spend them (`pub(crate)`, private, or delete with their
 #      tests) rather than list them anywhere.
+# (vii) Test size per crate, the other side of (i): the lines from each
+#      file's first `#[cfg(test)]` on, whole `prop_tests.rs` files and
+#      the crate's `tests/` directory (the root package's `tests/` as
+#      `(root)`), counted by the same rules as (i); and the `#[test]`
+#      functions among them (doc tests not counted).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,6 +72,32 @@ for crate in crates/*/; do
     total=$((total + lines))
 done
 printf 'non-test code lines  %-12s %6d\n' total "$total"
+
+# (vii), see the header.
+test_total=0 tests_total=0
+for dir in crates/*/ .; do
+    name=$(basename "$dir")
+    [ "$dir" = . ] && name='(root)'
+    files=()
+    [ "$dir" = . ] || mapfile -t files < <(find "$dir/src" -name '*.rs')
+    [ -d "$dir/tests" ] && mapfile -t -O ${#files[@]} files < <(find "$dir/tests" -name '*.rs')
+    [ ${#files[@]} -gt 0 ] || continue
+    lines=$(awk '
+        FNR == 1 { in_tests = FILENAME ~ /prop_tests\.rs$|\/tests\// }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests { next }
+        /^[[:space:]]*$/ { next }
+        /^[[:space:]]*\/\// { next }
+        { n++ }
+        END { print n + 0 }' "${files[@]}")
+    tests=$(cat "${files[@]}" | grep -cE '^[[:space:]]*#\[test\]' || true)
+    printf 'test lines           %-12s %6d\n' "$name" "$lines"
+    printf 'tests                %-12s %6d\n' "$name" "$tests"
+    test_total=$((test_total + lines))
+    tests_total=$((tests_total + tests))
+done
+printf 'test lines           %-12s %6d\n' total "$test_total"
+printf 'tests                %-12s %6d\n' total "$tests_total"
 
 public=$(grep -rEn "^\s*pub (fn|struct|enum|trait|type|const) " \
     crates/{grcuda,cuda-sim,gpu-sim,benchmarks}/src | wc -l)

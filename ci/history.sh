@@ -16,8 +16,9 @@
 #                 so record N+1's `parent` is record N's commit; the
 #                 back-filled records also carry `commit`)
 #   keys          every `trajectory --smoke` key, as written
-#   census        ci/census.sh's lines: `non_test_code_lines` per crate
-#                 and total, then one number per remaining line
+#   census        ci/census.sh's lines: `non_test_code_lines`,
+#                 `test_lines` and `tests` per crate and total, then one
+#                 number per remaining line
 #   alloc_budget  allocations per launch of the five windows of
 #                 tests/alloc_budget.rs (the `4x window` repeats are
 #                 left out: they are held to the same budget)
@@ -46,7 +47,10 @@ keys=$(tr -d ' \n' <"$keys_file")
 
 census=$(awk '
     function item(name, value) { out = out (out == "" ? "" : ",") "\"" name "\":" value }
-    /^non-test code lines/ { lines = lines (lines == "" ? "" : ",") "\"" $4 "\":" $5; next }
+    function add(list, name, value) { return list (list == "" ? "" : ",") "\"" name "\":" value }
+    /^non-test code lines/ { lines = add(lines, $4, $5); next }
+    /^test lines/ { test_lines = add(test_lines, $3, $4); next }
+    /^tests / { tests = add(tests, $2, $3); next }
     /^public functions with no reader/ { unread = $NF; next }
     /^public functions/ { item("public_fns", $NF) }
     /^public items/ { item("public_items", $NF) }
@@ -56,7 +60,9 @@ census=$(awk '
     /^pub mod/ { item("pub_mod", $NF) }
     END {
         if (unread != "") item("unread_public_fns", unread)
-        printf "{\"non_test_code_lines\":{%s}%s%s}", lines, (out == "" ? "" : ","), out
+        printf "{\"non_test_code_lines\":{%s}", lines
+        if (test_lines != "") printf ",\"test_lines\":{%s},\"tests\":{%s}", test_lines, tests
+        printf "%s%s}", (out == "" ? "" : ","), out
     }' "$census_file")
 
 alloc=$(grep ' allocations per launch' "$alloc_file" | grep -v '4x window' | sort |

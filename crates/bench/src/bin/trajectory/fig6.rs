@@ -56,7 +56,8 @@ pub fn run(_smoke: bool, metrics: &mut Metrics) {
         }
         g.sync();
         let planned = spec.planned_streams();
-        let cells = [spec.ops.len(), planned, res.streams_used, g.dag_len()];
+        let vertices = g.scheduler_stats().lifetime_vertices;
+        let cells = [spec.ops.len(), planned, res.streams_used, vertices];
         let mut row = vec![b.name().to_string()];
         row.extend(cells.map(|n| n.to_string()));
         rows.push(row);

@@ -125,7 +125,7 @@ fn oversubscribe_sweep(smoke: bool, m: &mut Metrics) {
             Options::parallel(),
         );
         check(&r, first.as_ref(), label);
-        let st = r.runtime.memory_stats();
+        let st = r.runtime.scheduler_stats().memory;
         rows.push(vec![
             label.to_string(),
             ms(r.makespan),

@@ -180,7 +180,7 @@ fn soak_suite(b: Bench, quota: usize) -> SuiteReport {
     assert!(g.races().is_empty(), "{}: scheduler raced", spec.name);
     assert_eq!(
         st.lifetime_vertices,
-        g.dag_len(),
+        g.scheduler_stats().lifetime_vertices,
         "lifetime gauge matches the DAG"
     );
     assert!(

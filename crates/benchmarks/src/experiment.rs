@@ -4,7 +4,7 @@
 //! [`crate::oversubscribe`], [`crate::fanout_mix`],
 //! [`crate::cluster_run`]) return the runtime they ran on, the makespan
 //! and the whole answer. Counters are read through the runtime's own
-//! accessors (`migration_stats`, `memory_stats`,
+//! accessors (`migration_stats`, `scheduler_stats().memory`,
 //! `scheduler_stats().cluster`, `calibration_stats`, `races`, …), not
 //! through copies, and "placement moves work, never results" is one
 //! bit-exact comparison of answers.

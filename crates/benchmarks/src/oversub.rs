@@ -186,11 +186,14 @@ mod tests {
         };
         let (a, b) = (run(), run());
         assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.runtime.memory_stats(), b.runtime.memory_stats());
+        assert_eq!(
+            a.runtime.scheduler_stats().memory,
+            b.runtime.scheduler_stats().memory
+        );
         assert_eq!(a.runtime.host_link_bytes(), b.runtime.host_link_bytes());
         assert!(a.same_answer(&b));
         assert!(a.runtime.races().is_empty());
-        for &p in &a.runtime.memory_stats().peak_resident {
+        for &p in &a.runtime.scheduler_stats().memory.peak_resident {
             assert!(p <= oversub_capacity(N), "capacity held: {p}");
         }
     }
@@ -208,7 +211,7 @@ mod tests {
             2,
             Options::parallel(),
         );
-        let memory = reference.runtime.memory_stats();
+        let memory = reference.runtime.scheduler_stats().memory;
         assert_eq!(memory.evictions, 0, "unlimited capacity never evicts");
         assert_eq!(memory.spilled_bytes, 0);
         for policy in [
@@ -248,7 +251,7 @@ mod tests {
             2,
             Options::parallel(),
         );
-        let memory = r.runtime.memory_stats();
+        let memory = r.runtime.scheduler_stats().memory;
         assert!(
             memory.evictions > 0,
             "the suite must create memory pressure"

@@ -597,14 +597,6 @@ impl Cuda {
         }
     }
 
-    /// Block the host until the stream drains (`cudaStreamSynchronize`).
-    pub fn stream_sync(&self, stream: StreamId) {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(t) = inner.streams[stream.0 as usize].last {
-            inner.engine.sync_task(t);
-        }
-    }
-
     /// Block the host until a specific task completes.
     pub fn task_sync(&self, t: TaskId) {
         self.inner.borrow_mut().engine.sync_task(t);
@@ -1069,6 +1061,16 @@ mod tests {
     use crate::exec::KernelExec;
     use gpu_sim::{Grid, KernelCost};
     use std::rc::Rc;
+
+    impl Cuda {
+        /// Block the host until the stream drains (`cudaStreamSynchronize`).
+        fn stream_sync(&self, stream: StreamId) {
+            let mut inner = self.inner.borrow_mut();
+            if let Some(t) = inner.streams[stream.0 as usize].last {
+                inner.engine.sync_task(t);
+            }
+        }
+    }
 
     fn ctx() -> Cuda {
         Cuda::new(DeviceProfile::gtx1660_super())

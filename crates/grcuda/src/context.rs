@@ -356,7 +356,7 @@ impl GrCuda {
     ///     PlacementPolicy::NodeAware,
     /// );
     /// assert_eq!(g.device_count(), 4);
-    /// assert_eq!(g.node_count(), 2);
+    /// assert_eq!(g.scheduler_stats().cluster.nodes, 2);
     ///
     /// // Two independent chains, batch-submitted: the partitioner keeps
     /// // each chain on one node, so nothing crosses the NICs.
@@ -428,15 +428,6 @@ impl GrCuda {
         self.inner.borrow().cuda.cross_node_migration_stats()
     }
 
-    /// Number of cluster nodes this runtime spans (1 on single-box
-    /// machines).
-    pub fn node_count(&self) -> usize {
-        self.inner
-            .borrow()
-            .cuda
-            .machine(|_, topo| topo.node_count())
-    }
-
     /// Lifetime `(bytes, transfers)` per interconnect link, indexed like
     /// [`Topology::links`] (host links first, then peer links).
     pub fn link_traffic(&self) -> Vec<(f64, usize)> {
@@ -447,12 +438,6 @@ impl GrCuda {
     /// — staging, host reads, and host-mediated migration legs.
     pub fn host_link_bytes(&self) -> f64 {
         self.inner.borrow().cuda.host_link_bytes()
-    }
-
-    /// Device-memory gauges of the capacity-aware memory manager (the
-    /// `memory` section of [`GrCuda::scheduler_stats`], standalone).
-    pub fn memory_stats(&self) -> MemoryStats {
-        self.inner.borrow().cuda.memory_stats()
     }
 
     /// Current virtual time (seconds).
@@ -693,11 +678,6 @@ impl GrCuda {
     pub fn dag_dot(&self, title: &str) -> String {
         let ctx = self.inner.borrow();
         dag::to_dot(&ctx.dag, title, &ctx.node_of)
-    }
-
-    /// Number of computational elements registered so far.
-    pub fn dag_len(&self) -> usize {
-        self.inner.borrow().dag.len()
     }
 
     /// Let the virtual host spend `dt` seconds on its own work.
@@ -1345,7 +1325,7 @@ mod tests {
         // The access was modeled and the long kernel was NOT drained by
         // the read: only x's producing stream was synchronized.
         assert!(
-            g.dag_len() >= 3,
+            g.scheduler_stats().lifetime_vertices >= 3,
             "access was modeled as a computational element"
         );
         let st = g.stats();
@@ -1378,7 +1358,7 @@ mod tests {
         let g = p100();
         let x = g.array_f32(16);
         let _ = x.get_f32(0); // GPU idle: free access
-        assert_eq!(g.dag_len(), 0);
+        assert_eq!(g.scheduler_stats().lifetime_vertices, 0);
     }
 
     #[test]
@@ -1576,7 +1556,8 @@ mod tests {
         // either) and by a library call — instead of reaching the
         // kernel's conversion at the next sync.
         let lib = g.register_library(&MEMSET_F32, G, true).unwrap();
-        let before = (g.dag_len(), g.stats().submitted);
+        let state = || (g.scheduler_stats().lifetime_vertices, g.stats().submitted);
+        let before = state();
         let args = |n: f64| [Arg::array(&x), Arg::scalar(7.0), Arg::scalar(n)];
         let good = args(8.0);
         let refused = Err(crate::LaunchError::BadScalar {
@@ -1595,7 +1576,7 @@ mod tests {
             let batch = [call(&good), call(&bad)];
             assert_eq!(g.launch_batch(&batch).map(|_| ()), refused);
         }
-        assert_eq!((g.dag_len(), g.stats().submitted), before);
+        assert_eq!(state(), before);
         assert_eq!(x.get_f32(3), 5.0);
         // A negative `n` *is* a `sint32`: it is accepted and, as a
         // length, means no elements — a no-op through a launch and
@@ -1762,8 +1743,8 @@ mod tests {
         let batch = [call(&ms, &good), call(&their_ms, &bad)];
         foreign(g.launch_batch(&batch).map(|_| ()), "memset_f32", 0);
 
-        for rt in [&g, &other] {
-            assert_eq!(rt.dag_len(), 0, "nothing entered either DAG");
+        for st in [g.scheduler_stats(), other.scheduler_stats()] {
+            assert_eq!(st.lifetime_vertices, 0, "nothing entered either DAG");
         }
         assert_eq!((ours.get_f32(3), theirs.get_f32(3)), (1.0, 1.0));
         // Each runtime still launches on its own arrays.
@@ -2112,6 +2093,55 @@ mod tests {
         for (_, y) in &arrays {
             assert!(y.to_vec_f64().iter().all(|&p| p > 0.0));
         }
+    }
+
+    #[test]
+    fn a_node_aware_batch_records_the_cut_it_was_partitioned_with() {
+        // One chain of eight calls on two one-GPU nodes: the component
+        // is too heavy for one node, so the partitioner splits it.
+        let dev = DeviceProfile::tesla_p100();
+        let cluster = gpu_sim::Cluster::new(
+            2,
+            1,
+            TopologyKind::PcieOnly,
+            gpu_sim::NicKind::InfinibandHdr,
+        );
+        let g = GrCuda::with_cluster(
+            dev,
+            &cluster,
+            Options::parallel(),
+            PlacementPolicy::NodeAware,
+        );
+        let n = 1 << 12;
+        let scale = g.build_kernel(&SCALE).unwrap();
+        let arrays: Vec<_> = (0..9).map(|_| g.array_f32(n)).collect();
+        let args: Vec<[Arg; 4]> = arrays
+            .windows(2)
+            .map(|w| map_args(&w[0], &w[1], 2.0, n))
+            .collect();
+        let calls: Vec<BatchLaunch<'_>> = args
+            .iter()
+            .map(|args| BatchLaunch {
+                kernel: &scale,
+                grid: G,
+                args,
+            })
+            .collect();
+        g.launch_batch(&calls).unwrap();
+        let items: Vec<Vec<(u64, usize)>> = args
+            .iter()
+            .map(|args| {
+                let arrays = args.iter().filter_map(|a| match a {
+                    Arg::Array(arr) => Some((arr.arr.id.0, arr.arr.byte_len())),
+                    Arg::Scalar(_) => None,
+                });
+                arrays.collect()
+            })
+            .collect();
+        let cut = crate::partition::partition_batch(&items, 2).cut_bytes;
+        assert!(cut > 0, "the chain is split");
+        let st = g.scheduler_stats().cluster;
+        assert_eq!((st.partitioned_batches, st.partition_cut_bytes), (1, cut));
     }
 
     #[test]

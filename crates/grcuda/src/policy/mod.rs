@@ -43,8 +43,8 @@ pub use device::{DeviceSelectionPolicy, PlacementCtx, PlacementPolicy, Reads};
 #[cfg(test)]
 pub(crate) use device::BASE_CTX;
 
-// Two test-only modules, named for what they assert; their paths are
-// the ids CI records these tests under.
+// A test-only module, named for what it asserts; its path is the id
+// CI records these tests under.
 
 /// The adaptive preset's ledger, observed through the choices it causes.
 #[cfg(test)]
@@ -149,121 +149,6 @@ mod adaptive {
             // behind it.
             assert_eq!(p.select(&root_ctx(&[0.0, 0.0], &[1, 1], None)), 1);
             assert_eq!(p.select(&dependent), 0);
-        }
-    }
-}
-
-/// The §IV-C stream rules, observed where
-/// [`crate::stream_manager::StreamManager::assign`] applies them.
-#[cfg(test)]
-mod stream {
-    mod tests {
-        use cuda_sim::{Cuda, StreamId};
-        use dag::{DenseMap, VertexId};
-
-        use crate::stream_manager::tests::{cuda, make_busy};
-        use crate::stream_manager::StreamManager;
-        use crate::{DepStreamPolicy, StreamReusePolicy};
-
-        /// Three busy root vertices 0, 1, 2 on three pooled streams of
-        /// device 0, with vertex 0's stream already claimed by a child.
-        fn three_busy_parents(
-            m: &mut StreamManager,
-            c: &Cuda,
-        ) -> (DenseMap<VertexId, StreamId>, Vec<StreamId>) {
-            let mut map = DenseMap::new();
-            let mut streams = Vec::new();
-            for v in 0..3 {
-                let s = m.assign(VertexId(v), 0, &[], &map, c);
-                map.insert(VertexId(v), s);
-                make_busy(c, s);
-                streams.push(s);
-            }
-            assert_eq!(
-                m.assign(VertexId(3), 0, &[VertexId(0)], &map, c),
-                streams[0]
-            );
-            (map, streams)
-        }
-
-        /// A context on which none of `pool` exists: polling one of them
-        /// there indexes out of bounds, so an `assign` that returns
-        /// did not poll.
-        fn polling_panics(pool: &[StreamId]) -> Cuda {
-            let trap = cuda();
-            assert!(pool.iter().all(|s| s.0 as usize >= trap.stream_count()));
-            trap
-        }
-
-        #[test]
-        fn first_child_takes_first_unclaimed_parent() {
-            let c = cuda();
-            let mut m = StreamManager::new(
-                DepStreamPolicy::FirstChildOnParent,
-                StreamReusePolicy::FifoReuse,
-            );
-            let (map, streams) = three_busy_parents(&mut m, &c);
-            let deps = [VertexId(0), VertexId(1)];
-            // Inheriting a parent's stream does not poll the pool.
-            let s = m.assign(VertexId(4), 0, &deps, &map, &polling_panics(&streams));
-            assert_eq!(s, streams[1], "parent 0 is claimed, parent 1 is not");
-            assert_eq!(m.claims(), 2);
-        }
-
-        #[test]
-        fn all_parents_claimed_falls_back_to_fifo_then_create() {
-            let c = cuda();
-            let mut m = StreamManager::new(
-                DepStreamPolicy::FirstChildOnParent,
-                StreamReusePolicy::FifoReuse,
-            );
-            let (map, streams) = three_busy_parents(&mut m, &c);
-            let deps = [VertexId(0)];
-            // Every pooled stream busy: create.
-            let fresh = m.assign(VertexId(4), 0, &deps, &map, &c);
-            assert!(!streams.contains(&fresh));
-            assert_eq!(m.streams_created(), 4);
-            make_busy(&c, fresh);
-            // Streams 1 and 2 drain, stream 0 stays busy: the oldest
-            // drained stream wins, not the oldest stream.
-            c.stream_sync(streams[2]);
-            make_busy(&c, streams[0]);
-            assert!(!c.stream_query(streams[0]) && c.stream_query(streams[1]));
-            assert_eq!(m.assign(VertexId(5), 0, &deps, &map, &c), streams[1]);
-            assert_eq!(m.streams_created(), 4);
-        }
-
-        #[test]
-        fn always_new_ignores_parents_and_pool() {
-            let c = cuda();
-            let mut m =
-                StreamManager::new(DepStreamPolicy::AlwaysNew, StreamReusePolicy::AlwaysNew);
-            let mut map = DenseMap::new();
-            let parent = m.assign(VertexId(0), 0, &[], &map, &c);
-            map.insert(VertexId(0), parent);
-            // The parent is unclaimed and its stream drained; neither
-            // matters, and nothing is polled.
-            let s = m.assign(VertexId(1), 0, &[VertexId(0)], &map, &c);
-            assert_ne!(s, parent);
-            assert_eq!((m.streams_created(), m.claims()), (2, 0));
-        }
-
-        #[test]
-        fn always_parent_reuses_for_every_child() {
-            let c = cuda();
-            let mut m =
-                StreamManager::new(DepStreamPolicy::AlwaysParent, StreamReusePolicy::FifoReuse);
-            let (map, streams) = three_busy_parents(&mut m, &c);
-            // Parent 0 is claimed already; always-parent takes its
-            // stream again, without polling the pool.
-            let s = m.assign(
-                VertexId(4),
-                0,
-                &[VertexId(0)],
-                &map,
-                &polling_panics(&streams),
-            );
-            assert_eq!(s, streams[0]);
         }
     }
 }

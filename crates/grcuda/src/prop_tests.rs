@@ -367,7 +367,11 @@ fn launch_batch_validates_before_submitting() {
         g.launch_batch(&calls),
         Err(crate::LaunchError::ArityMismatch { .. })
     ));
-    assert_eq!(g.dag_len(), 0, "a rejected batch must submit nothing");
+    assert_eq!(
+        g.scheduler_stats().lifetime_vertices,
+        0,
+        "a rejected batch must submit nothing"
+    );
 }
 
 proptest! {

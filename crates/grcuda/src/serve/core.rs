@@ -185,10 +185,11 @@ pub struct ServeConfig {
     /// Which tenant's request is admitted next under contention.
     pub fairness: Fairness,
     /// Maximum requests in flight; beyond it the oldest request is
-    /// completed (synchronized + latency-stamped) to make room.
+    /// completed (synchronized + latency-stamped) to make room. 0 is
+    /// treated as 1.
     pub window: usize,
     /// Maximum requests admitted per pump cycle — one coalesced
-    /// [`GrCuda::launch_batch`] submission.
+    /// [`GrCuda::launch_batch`] submission. 0 is treated as 1.
     pub batch_limit: usize,
 }
 
@@ -215,8 +216,8 @@ impl ServeConfig {
 
     /// Replace the pipeline window and per-cycle admission budget.
     pub fn with_pipeline(mut self, window: usize, batch_limit: usize) -> Self {
-        self.window = window.max(1);
-        self.batch_limit = batch_limit.max(1);
+        self.window = window;
+        self.batch_limit = batch_limit;
         self
     }
 

@@ -130,12 +130,21 @@ impl StreamManager {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use gpu_sim::DeviceProfile;
 
-    pub(crate) fn cuda() -> Cuda {
+    fn cuda() -> Cuda {
         Cuda::new(DeviceProfile::gtx1660_super())
+    }
+
+    /// A context on which none of `pool` exists: polling one of them
+    /// there indexes out of bounds, so an `assign` that returns did not
+    /// poll.
+    fn polling_panics(pool: &[StreamId]) -> Cuda {
+        let trap = cuda();
+        assert!(pool.iter().all(|s| s.0 as usize >= trap.stream_count()));
+        trap
     }
 
     fn mgr() -> StreamManager {
@@ -145,32 +154,7 @@ pub(crate) mod tests {
         )
     }
 
-    #[test]
-    fn independent_computations_get_distinct_streams() {
-        let c = cuda();
-        let mut m = mgr();
-        let map: DenseMap<VertexId, StreamId> = DenseMap::new();
-        let s1 = m.assign(VertexId(0), 0, &[], &map, &c);
-        // Make s1 busy so it cannot be reused.
-        let a = c.alloc_f32(16);
-        let k = cuda_sim::KernelExec::new(
-            "busy",
-            gpu_sim::Grid::d1(1, 32),
-            gpu_sim::KernelCost {
-                min_time: 1.0,
-                ..Default::default()
-            },
-            vec![a.buf.clone()],
-            vec![(a.id, false)],
-            std::rc::Rc::new(|_| {}),
-        );
-        c.launch(s1, &k);
-        let s2 = m.assign(VertexId(1), 0, &[], &map, &c);
-        assert_ne!(s1, s2);
-        assert_eq!(m.streams_created(), 2);
-    }
-
-    pub(crate) fn make_busy(c: &Cuda, s: StreamId) {
+    fn make_busy(c: &Cuda, s: StreamId) {
         let a = c.alloc_f32(16);
         let k = cuda_sim::KernelExec::new(
             "busy",
@@ -221,19 +205,29 @@ pub(crate) mod tests {
         let p = VertexId(0);
         let sp = m.assign(p, 0, &[], &map, &c);
         map.insert(p, sp);
+        make_busy(&c, sp);
         assert_eq!(m.assign(VertexId(1), 0, &[p], &map, &c), sp);
-        assert_eq!(m.assign(VertexId(2), 0, &[p], &map, &c), sp);
+        // The parent is claimed and busy; always-parent takes its stream
+        // again, without polling the pool.
+        let s = m.assign(VertexId(2), 0, &[p], &map, &polling_panics(&[sp]));
+        assert_eq!(s, sp);
     }
 
     #[test]
     fn always_new_reuse_policy_never_reuses() {
         let c = cuda();
         let mut m = StreamManager::new(DepStreamPolicy::AlwaysNew, StreamReusePolicy::AlwaysNew);
-        let map: DenseMap<VertexId, StreamId> = DenseMap::new();
+        let mut map = DenseMap::new();
         let s1 = m.assign(VertexId(0), 0, &[], &map, &c);
         let s2 = m.assign(VertexId(1), 0, &[], &map, &c);
         assert_ne!(s1, s2);
         assert_eq!(m.streams_created(), 2);
+        // A child of an unclaimed parent whose stream has drained gets
+        // neither: always-new ignores parents and pool alike.
+        map.insert(VertexId(0), s1);
+        let s3 = m.assign(VertexId(2), 0, &[VertexId(0)], &map, &c);
+        assert!(s3 != s1 && s3 != s2);
+        assert_eq!((m.streams_created(), m.claims()), (3, 0));
     }
 
     #[test]
@@ -256,6 +250,11 @@ pub(crate) mod tests {
         c.device_sync();
         assert_eq!(m.assign(VertexId(3), 0, &[], &map, &c), s1);
         assert_eq!(m.streams_created(), 3, "reuse must not create streams");
+        // With s1 busy again, the oldest *drained* stream wins, not the
+        // oldest stream.
+        make_busy(&c, s1);
+        assert_eq!(m.assign(VertexId(4), 0, &[], &map, &c), s2);
+        assert_eq!(m.streams_created(), 3);
     }
 
     #[test]
@@ -292,9 +291,11 @@ pub(crate) mod tests {
         // First child of A takes A's stream.
         assert_eq!(m.assign(VertexId(2), 0, &[pa], &map, &c), sa);
         // A join of (A, B): A's stream is already claimed, so the join
-        // inherits B's stream rather than allocating a new one.
-        assert_eq!(m.assign(VertexId(3), 0, &[pa, pb], &map, &c), sb);
-        assert_eq!(m.streams_created(), 2);
+        // inherits B's stream rather than allocating a new one — and,
+        // inheriting, polls no stream.
+        let join = m.assign(VertexId(3), 0, &[pa, pb], &map, &polling_panics(&[sa, sb]));
+        assert_eq!(join, sb);
+        assert_eq!((m.streams_created(), m.claims()), (2, 2));
     }
 
     #[test]
@@ -330,8 +331,10 @@ pub(crate) mod tests {
         let p = VertexId(0);
         let sp = m.assign(p, 0, &[], &map, &c);
         map.insert(p, sp);
+        make_busy(&c, sp); // so that reuse cannot hand sp back either
         let _ = m.assign(VertexId(1), 0, &[p], &map, &c); // claims p's stream
         m.forget(&[p]);
+        assert_eq!(m.claims(), 0);
         // After forgetting, a new child may claim the parent stream again.
         let s = m.assign(VertexId(2), 0, &[p], &map, &c);
         assert_eq!(s, sp);

@@ -14,7 +14,7 @@ fn inferred_structure(b: Bench) -> (usize, Vec<(usize, usize)>) {
     let arrays = benchmarks::grcuda_arrays(&g, &spec);
     // Vertex ids of kernel ops, in launch order. (CPU writes during
     // init may also appear in the DAG; we only map kernels.)
-    let base = g.dag_len();
+    let base = g.scheduler_stats().lifetime_vertices;
     for op in &spec.ops {
         let k = g.build_kernel(op.def).unwrap();
         let args: Vec<Arg> = op
@@ -52,7 +52,7 @@ fn inferred_structure(b: Bench) -> (usize, Vec<(usize, usize)>) {
             }
         }
     }
-    (g.dag_len(), edges)
+    (g.scheduler_stats().lifetime_vertices, edges)
 }
 
 #[test]

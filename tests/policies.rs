@@ -417,7 +417,7 @@ fn single_node_clusters_are_bit_identical_to_the_single_box_path() {
             ),
         ];
         for (constructor, g) in rows {
-            assert_eq!(g.node_count(), 1);
+            assert_eq!(g.scheduler_stats().cluster.nodes, 1);
             assert_eq!(
                 observables(g),
                 boxed,
@@ -486,8 +486,10 @@ fn memory_aware_cost_aware_beats_transfer_aware_lru_when_oversubscribed() {
         let blind = run(PlacementPolicy::TransferAware, EvictionPolicy::Lru);
         assert!(aware.runtime.races().is_empty(), "{iters} passes");
         assert!(blind.runtime.races().is_empty(), "{iters} passes");
-        let (aware_memory, blind_memory) =
-            (aware.runtime.memory_stats(), blind.runtime.memory_stats());
+        let (aware_memory, blind_memory) = (
+            aware.runtime.scheduler_stats().memory,
+            blind.runtime.scheduler_stats().memory,
+        );
         assert!(
             blind_memory.evictions > 0 && blind_memory.spilled_bytes > 0,
             "{iters} passes: the workload must oversubscribe the capacity-blind schedule"
@@ -536,7 +538,7 @@ fn cost_aware_eviction_spills_strictly_less_than_lru_at_fixed_placement() {
     };
     let cost = run(EvictionPolicy::CostAware);
     let lru = run(EvictionPolicy::Lru);
-    let spilled = |r: &Experiment| r.runtime.memory_stats().spilled_bytes;
+    let spilled = |r: &Experiment| r.runtime.scheduler_stats().memory.spilled_bytes;
     assert!(spilled(&lru) > 0, "LRU must pay dirty spills");
     assert!(
         spilled(&cost) < spilled(&lru),
@@ -564,12 +566,12 @@ fn unlimited_capacity_is_bit_identical_and_eviction_free() {
         )
     };
     let unlimited = run(None);
-    let memory = unlimited.runtime.memory_stats();
+    let memory = unlimited.runtime.scheduler_stats().memory;
     assert_eq!(memory.evictions, 0);
     assert_eq!(memory.spilled_bytes, 0);
     let limited = run(Some(oversub_capacity(n)));
     assert!(
-        limited.runtime.memory_stats().evictions > 0,
+        limited.runtime.scheduler_stats().memory.evictions > 0,
         "finite capacity must evict here"
     );
     assert!(unlimited.same_answer(&limited));
@@ -615,7 +617,7 @@ fn evicting_a_refetched_array_keeps_its_in_flight_producer() {
         let dev = DeviceProfile::tesla_p100();
         let g = GrCuda::with_cluster(dev, &cluster, options, PlacementPolicy::SingleGpu);
         let out = fork_join_sweeps(&g, 16, 8, n);
-        let memory = g.memory_stats();
+        let memory = g.scheduler_stats().memory;
         assert!(memory.spilled_bytes > 0, "the written set must spill");
         out
     };
@@ -688,7 +690,7 @@ fn a_batch_with_a_call_that_cannot_fit_enters_the_scheduler_not_at_all() {
         args,
     };
 
-    let before = (g.dag_len(), g.stats().submitted, g.scheduler_stats());
+    let before = (g.stats().submitted, g.scheduler_stats());
     let err = g
         .launch_batch(&[call(&fits[0], 4), call(&fits[1], 4), call(&too_big, 64)])
         .unwrap_err();
@@ -696,7 +698,7 @@ fn a_batch_with_a_call_that_cannot_fit_enters_the_scheduler_not_at_all() {
         matches!(err, grcuda::LaunchError::OutOfMemory { needed, .. } if needed == 2 * 4 * (1 << 16)),
         "{err}"
     );
-    let after = (g.dag_len(), g.stats().submitted, g.scheduler_stats());
+    let after = (g.stats().submitted, g.scheduler_stats());
     assert_eq!(before, after, "nothing of the refused batch was scheduled");
 
     // The same runtime takes the batch without the bad call.

@@ -401,6 +401,12 @@ fn malformed_requests_fail_cleanly() {
         Err(ServeError::Invalid(_))
     ));
     let x = core.alloc(t, ElemKind::F32, 16).unwrap();
+    // A read at the length or at the largest index is refused before it
+    // reaches the array: indexing there would panic the service thread,
+    // and with it every tenant.
+    for i in [16, usize::MAX] {
+        assert!(matches!(core.read(t, x, i), Err(ServeError::Invalid(_))));
+    }
     let k = core.register_kernel(t, &SCALE).unwrap();
     // Arity mismatch caught at submit, not at pump.
     let bad = RequestSpec {
@@ -627,7 +633,7 @@ fn served_multi_device_placement_computes_what_one_device_does() {
             st.vertex_devices,
         ];
         assert_eq!(per_vertex, [0; 5], "scheduler state drained");
-        let nodes = core.runtime().node_count();
+        let nodes = core.runtime().scheduler_stats().cluster.nodes;
         (values, devices.len(), nodes)
     };
     let dev = DeviceProfile::tesla_p100();
