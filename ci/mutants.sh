@@ -22,9 +22,13 @@
 #   --no-fail-fast`: a failing binary must not hide the ones after it)
 #   and the script prints every failing test as `BINARY::TEST`, where
 #   BINARY is the crate of a unit-test binary, the file stem of an
-#   integration test, `doc:CRATE` for a doc test. About 3-4 minutes per
-#   mutant on two cores, so a one-off run, not a CI step; the exit
-#   status is as above, with any failing test counting as a kill.
+#   integration test, `doc:CRATE` for a doc test (named without its
+#   `(line N)`, which moves with every edit above it). About 2-4
+#   minutes per mutant on two cores, so a one-off run, not a CI step;
+#   the exit status is as above, with any failing test counting as a
+#   kill. ci/mutants.matrix is the committed output of the whole list:
+#   a change that deletes or folds tests runs `--all` on its own side
+#   and diffs against it.
 #
 # Set TMPDIR to where the export and its target directory may go.
 set -euo pipefail
@@ -129,6 +133,7 @@ kill_set() {
         /^ *Doc-tests / { bin = "doc:" $2 }
         /^---- .* stdout ----$/ {
             t = $0; sub(/^---- /, "", t); sub(/ stdout ----$/, "", t)
+            if (bin ~ /^doc:/) sub(/ \(line [0-9]+\)$/, "", t)
             print bin "::" t
         }
         /process didn.t exit successfully.*signal/ { print bin "::(killed by a signal)" }' <<<"$out"

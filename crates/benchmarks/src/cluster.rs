@@ -182,58 +182,3 @@ pub fn cluster_run(
         outputs,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cluster_runs_are_deterministic_and_race_free() {
-        let run = || {
-            cluster_run(
-                ClusterSuite::Chain,
-                PlacementPolicy::NodeAware,
-                2,
-                2,
-                4096,
-                4,
-            )
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(
-            a.runtime.cross_node_migration_stats(),
-            b.runtime.cross_node_migration_stats()
-        );
-        assert_eq!(a.runtime.migration_stats(), b.runtime.migration_stats());
-        assert_eq!(
-            a.runtime.scheduler_stats().cluster,
-            b.runtime.scheduler_stats().cluster
-        );
-        assert!(a.same_answer(&b));
-        assert!(a.runtime.races().is_empty());
-        assert!(a.runtime.scheduler_stats().cluster.partitioned_batches >= 4);
-    }
-
-    #[test]
-    fn every_suite_computes_the_same_answer_across_policies() {
-        for suite in ClusterSuite::ALL {
-            let mut first: Option<Experiment> = None;
-            for policy in [
-                PlacementPolicy::NodeAware,
-                PlacementPolicy::RoundRobin,
-                PlacementPolicy::TransferAware,
-            ] {
-                let r = cluster_run(suite, policy, 2, 2, 2048, 3);
-                assert!(
-                    r.runtime.races().is_empty(),
-                    "{} {policy:?} raced",
-                    suite.name()
-                );
-                let same = r.same_answer(first.as_ref().unwrap_or(&r));
-                assert!(same, "{} {policy:?} changed the numbers", suite.name());
-                first.get_or_insert(r);
-            }
-        }
-    }
-}

@@ -221,42 +221,3 @@ pub fn mixed_runs(policy: PlacementPolicy, scale: &MixedScale) -> [(&'static str
     let fanout = fanout_mix(policy, scale.fanout_n, scale.fanout_rounds, opts);
     [("chain", chain), ("oversub", oversub), ("fanout", fanout)]
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const N: usize = 1 << 15;
-
-    /// Three measured rounds under the policy's natural options.
-    fn run(policy: PlacementPolicy) -> Experiment {
-        fanout_mix(policy, N, 3, natural_options(policy))
-    }
-
-    #[test]
-    fn fanout_mix_is_deterministic_and_race_free() {
-        let a = run(PlacementPolicy::Adaptive);
-        let b = run(PlacementPolicy::Adaptive);
-        assert_eq!(a.makespan, b.makespan);
-        assert!(a.same_answer(&b));
-        assert!(a.runtime.races().is_empty());
-        let samples = a.runtime.calibration_stats().kernel_samples;
-        assert_eq!(samples, b.runtime.calibration_stats().kernel_samples);
-        assert!(samples > 0, "adaptive runs calibrated");
-    }
-
-    #[test]
-    fn results_are_identical_across_policies() {
-        let reference = run(PlacementPolicy::SingleGpu);
-        assert_eq!(
-            reference.runtime.calibration_stats().kernel_samples,
-            0,
-            "statics run uncalibrated"
-        );
-        for policy in PlacementPolicy::ALL {
-            let r = run(policy);
-            assert!(r.runtime.races().is_empty(), "{policy:?} raced");
-            assert!(r.same_answer(&reference), "{policy:?} changed the numbers");
-        }
-    }
-}

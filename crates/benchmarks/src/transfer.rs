@@ -131,53 +131,3 @@ pub fn transfer_chain(
         outputs,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn transfer_chain_is_deterministic_and_race_free() {
-        let run = || {
-            transfer_chain(
-                PlacementPolicy::TransferAware,
-                TopologyKind::NvlinkPair,
-                4096,
-                3,
-                Options::parallel(),
-            )
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.runtime.migration_stats(), b.runtime.migration_stats());
-        assert_eq!(
-            a.runtime.p2p_migration_stats(),
-            b.runtime.p2p_migration_stats()
-        );
-        assert_eq!(a.runtime.host_link_bytes(), b.runtime.host_link_bytes());
-        assert_eq!(a.runtime.link_traffic(), b.runtime.link_traffic());
-        assert!(a.same_answer(&b));
-        assert!(a.runtime.races().is_empty());
-    }
-
-    #[test]
-    fn results_are_identical_across_policies_and_topologies() {
-        let reference = transfer_chain(
-            PlacementPolicy::SingleGpu,
-            TopologyKind::PcieOnly,
-            4096,
-            3,
-            Options::parallel(),
-        );
-        for topo in TopologyKind::ALL {
-            for policy in PlacementPolicy::ALL {
-                let r = transfer_chain(policy, topo, 4096, 3, Options::parallel());
-                assert!(r.runtime.races().is_empty(), "{policy:?} on {topo:?} raced");
-                assert!(
-                    r.same_answer(&reference),
-                    "{policy:?} on {topo:?} changed the numbers"
-                );
-            }
-        }
-    }
-}

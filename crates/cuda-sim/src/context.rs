@@ -1906,29 +1906,6 @@ mod tests {
             "unsynchronized writers must be flagged"
         );
     }
-}
-
-#[cfg(test)]
-mod edge_tests {
-    use super::*;
-    use crate::exec::KernelExec;
-    use gpu_sim::{Grid, KernelCost};
-    use std::rc::Rc;
-
-    fn simple_kernel(c: &Cuda, name: &str, arr: &UnifiedArray, ms: f64) -> KernelExec {
-        let _ = c;
-        KernelExec::new(
-            name,
-            Grid::d1(4096, 256),
-            KernelCost {
-                min_time: ms * 1e-3,
-                ..Default::default()
-            },
-            vec![arr.buf.clone()],
-            vec![(arr.id, false)],
-            Rc::new(|_| {}),
-        )
-    }
 
     #[test]
     fn host_spin_lets_background_work_finish() {

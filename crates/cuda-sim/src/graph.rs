@@ -444,12 +444,6 @@ mod tests {
         c.begin_capture();
         c.begin_capture();
     }
-}
-
-#[cfg(test)]
-mod edge_tests {
-    use super::*;
-    use gpu_sim::DeviceProfile;
 
     #[test]
     fn empty_graph_launch_completes_immediately() {

@@ -518,17 +518,12 @@ impl GrCuda {
         ctx.retire_everything();
     }
 
-    /// The debug-mode half of [`GrCuda::sync`]: audit unless the user
-    /// opted out or inference is off (failure injection would trip it
-    /// by design — those runs audit explicitly and assert on the
-    /// violation class instead).
+    /// The debug-mode half of [`GrCuda::sync`]: audit unless inference
+    /// is off (failure injection would trip it by design — those runs
+    /// audit explicitly and assert on the violation class instead).
     #[cfg(debug_assertions)]
     fn debug_audit_on_sync(&self) {
-        let enabled = {
-            let ctx = self.inner.borrow();
-            ctx.options.audit_on_sync && ctx.options.infer_dependencies
-        };
-        if enabled {
+        if self.inner.borrow().options.infer_dependencies {
             let report = self.audit();
             assert!(
                 report.is_clean(),
@@ -1135,7 +1130,7 @@ impl Ctx {
 mod tests {
     use super::*;
     use crate::Arg;
-    use kernels::util::{AXPY, COPY_F32, DOT, MEMSET_F32, SCALE};
+    use kernels::util::{AXPY, MEMSET_F32, SCALE};
     use kernels::vec_ops::{REDUCE_SUM_DIFF, SQUARE};
     use kernels::{dl::POOL2D, hits::SPMV, image::SOBEL, ml::NB_ROW_MAX};
 
@@ -1151,45 +1146,6 @@ mod tests {
         blocks: (64, 1, 1),
         threads: (256, 1, 1),
     };
-
-    #[test]
-    fn quickstart_vec_produces_correct_result() {
-        for dev in DeviceProfile::paper_devices() {
-            for opts in [Options::parallel(), Options::serial()] {
-                let g = GrCuda::new(dev.clone(), opts);
-                let n = 1 << 14;
-                let x = g.array_f32(n);
-                let y = g.array_f32(n);
-                let z = g.array_f32(1);
-                x.fill_f32(3.0);
-                y.fill_f32(2.0);
-                let sq = g.build_kernel(&SQUARE).unwrap();
-                let red = g.build_kernel(&REDUCE_SUM_DIFF).unwrap();
-                sq.launch(G, &[Arg::array(&x), Arg::scalar(n as f64)])
-                    .unwrap();
-                sq.launch(G, &[Arg::array(&y), Arg::scalar(n as f64)])
-                    .unwrap();
-                red.launch(
-                    G,
-                    &[
-                        Arg::array(&x),
-                        Arg::array(&y),
-                        Arg::array(&z),
-                        Arg::scalar(n as f64),
-                    ],
-                )
-                .unwrap();
-                assert_eq!(
-                    z.get_f32(0),
-                    (n as f32) * 5.0,
-                    "{} {:?}",
-                    dev.name,
-                    opts.schedule
-                );
-                assert!(g.races().is_empty(), "{}", dev.name);
-            }
-        }
-    }
 
     #[test]
     fn independent_squares_run_on_two_streams() {
@@ -1754,32 +1710,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_and_dot_chain_synchronizes_correctly() {
-        let g = p100();
-        let n = 1 << 16;
-        let a = g.array_f32(n);
-        let b = g.array_f32(n);
-        let out = g.array_f32(1);
-        a.fill_f32(2.0);
-        let cp = g.build_kernel(&COPY_F32).unwrap();
-        let dt = g.build_kernel(&DOT).unwrap();
-        cp.launch(G, &[Arg::array(&a), Arg::array(&b), Arg::scalar(n as f64)])
-            .unwrap();
-        dt.launch(
-            G,
-            &[
-                Arg::array(&a),
-                Arg::array(&b),
-                Arg::array(&out),
-                Arg::scalar(n as f64),
-            ],
-        )
-        .unwrap();
-        assert_eq!(out.get_f32(0), (n as f32) * 4.0);
-        assert!(g.races().is_empty());
-    }
-
-    #[test]
     fn a_history_sample_appears_when_its_kernel_completes() {
         // A long kernel is launched first (lower task id), a short one
         // second; the short one completes first. Each sample is recorded
@@ -1822,40 +1752,6 @@ mod tests {
     }
 
     #[test]
-    fn history_accumulates_duplicate_samples_for_one_signature() {
-        // Several identical launches of one kernel signature must each
-        // land as a distinct sample (no dedup, no overwrite), and a
-        // mixed batch must split by label.
-        let g = p100();
-        let n = 1 << 14;
-        let x = g.array_f32(n);
-        let y = g.array_f32(n);
-        let sq = g.build_kernel(&SQUARE).unwrap();
-        let sc = g.build_kernel(&SCALE).unwrap();
-        for _ in 0..3 {
-            sq.launch(G, &[Arg::array(&x), Arg::scalar(n as f64)])
-                .unwrap();
-        }
-        sc.launch(
-            G,
-            &[
-                Arg::array(&x),
-                Arg::array(&y),
-                Arg::scalar(2.0),
-                Arg::scalar(n as f64),
-            ],
-        )
-        .unwrap();
-        g.sync();
-        assert_eq!(g.history_samples("square"), 3);
-        assert_eq!(g.history_samples("scale"), 1);
-        // All three squares ran the same configuration, so the mean is
-        // one kernel's duration, not a 3× sum.
-        let d = g.mean_kernel_duration("square", 256, n).unwrap();
-        assert!(d > 0.0 && d < 1.0, "per-sample mean, not a sum: {d}");
-    }
-
-    #[test]
     fn unknown_signatures_are_inert() {
         let g = p100();
         // Nothing launched: unknown signatures report "no data" rather
@@ -1876,136 +1772,6 @@ mod tests {
         // double-count the existing ones.
         g.sync();
         assert_eq!(g.history_samples("square"), 1);
-    }
-
-    #[test]
-    fn retire_and_compact_neither_lose_nor_duplicate_samples() {
-        // sync() retires the DAG and compacts storage; the history is
-        // not part of that state, so later launches keep adding to it.
-        let g = p100();
-        let n = 1 << 14;
-        let x = g.array_f32(n);
-        let sq = g.build_kernel(&SQUARE).unwrap();
-        for round in 1..=3 {
-            sq.launch(G, &[Arg::array(&x), Arg::scalar(n as f64)])
-                .unwrap();
-            g.sync(); // retire_everything(): retire + compact
-            assert_eq!(g.history_samples("square"), round);
-            assert_eq!(
-                g.scheduler_stats().launch_infos,
-                0,
-                "no launch metadata is kept on the scheduler side"
-            );
-        }
-    }
-
-    #[test]
-    fn clearing_the_timeline_keeps_history_samples() {
-        let g = p100();
-        let n = 1 << 14;
-        let x = g.array_f32(n);
-        let sq = g.build_kernel(&SQUARE).unwrap();
-        for _ in 0..4 {
-            sq.launch(G, &[Arg::array(&x), Arg::scalar(n as f64)])
-                .unwrap();
-            g.sync();
-            // Clearing between iterations must neither leave metadata
-            // behind nor lose the samples of already-completed kernels.
-            g.clear_timeline();
-            assert_eq!(g.scheduler_stats().launch_infos, 0);
-        }
-        assert_eq!(g.history_samples("square"), 4);
-    }
-
-    #[test]
-    fn maxwell_full_sync_branch_reclaims_scheduler_state() {
-        // The pre-Pascal visibility branch takes the same retire path as
-        // `sync()`: claims, vertex maps and DAG storage are all
-        // reclaimed, and completed kernels are in the history.
-        let g = GrCuda::new(
-            DeviceProfile::gtx960(),
-            Options::parallel().with_visibility_restriction(false),
-        );
-        let n = 1 << 20;
-        let x = g.array_f32(n);
-        let y = g.array_f32(n);
-        let sq = g.build_kernel(&SQUARE).unwrap();
-        sq.launch(G, &[Arg::array(&x), Arg::scalar(n as f64)])
-            .unwrap();
-        sq.launch(G, &[Arg::array(&y), Arg::scalar(n as f64)])
-            .unwrap();
-        // Touching any array forces the full device sync.
-        let w = g.array_f32(4);
-        let _ = w.get_f32(0);
-        let st = g.scheduler_stats();
-        assert_eq!(st.live_vertices, 0);
-        assert_eq!(st.stored_vertices, 0);
-        assert_eq!(st.stream_claims, 0);
-        assert_eq!(st.vertex_tasks, 0);
-        assert_eq!(st.vertex_streams, 0);
-        assert_eq!(st.launch_infos, 0);
-        assert_eq!(
-            g.history_samples("square"),
-            2,
-            "full-sync branch completes the kernels like sync() does"
-        );
-    }
-
-    #[test]
-    fn scheduler_state_is_bounded_across_launch_sync_cycles() {
-        let g = p100();
-        let n = 1 << 14;
-        let sq = g.build_kernel(&SQUARE).unwrap();
-        let x = g.array_f32(n);
-        let y = g.array_f32(n);
-        for cycle in 0..100 {
-            x.fill_f32(1.0);
-            sq.launch(G, &[Arg::array(&x), Arg::scalar(n as f64)])
-                .unwrap();
-            sq.launch(G, &[Arg::array(&y), Arg::scalar(n as f64)])
-                .unwrap();
-            g.sync();
-            g.clear_timeline();
-            let st = g.scheduler_stats();
-            assert_eq!(st.live_vertices, 0, "cycle {cycle}");
-            assert_eq!(st.stored_vertices, 0, "cycle {cycle}");
-            assert_eq!(st.stored_edges, 0, "cycle {cycle}");
-            assert_eq!(st.value_states, 0, "cycle {cycle}");
-            assert_eq!(st.stream_claims, 0, "cycle {cycle}");
-            assert_eq!(st.vertex_tasks, 0, "cycle {cycle}");
-            assert_eq!(st.vertex_streams, 0, "cycle {cycle}");
-            assert_eq!(st.launch_infos, 0, "cycle {cycle}");
-            assert_eq!(g.stats().retained_tasks, 0, "cycle {cycle}");
-        }
-        // Lifetime counters keep the full story.
-        assert!(g.scheduler_stats().lifetime_vertices >= 200);
-        assert!(g.history_samples("square") >= 200);
-    }
-
-    #[test]
-    fn fine_grained_reads_also_reclaim_vertex_state() {
-        // No full sync() at all: every cycle retires its chain through a
-        // CPU read. The maps must still track only the live frontier.
-        let g = p100();
-        let n = 1 << 12;
-        let sq = g.build_kernel(&SQUARE).unwrap();
-        let x = g.array_f32(n);
-        for _ in 0..300 {
-            sq.launch(G, &[Arg::array(&x), Arg::scalar(n as f64)])
-                .unwrap();
-            let _ = x.get_f32(0); // retires the chain
-        }
-        let st = g.scheduler_stats();
-        assert!(st.lifetime_vertices >= 600, "launches + modeled accesses");
-        assert!(
-            st.stored_vertices <= 80,
-            "auto-compaction keeps storage near the live frontier: {st:?}"
-        );
-        assert_eq!(st.vertex_tasks, 0, "every launched vertex was retired");
-        assert_eq!(st.vertex_streams, 0);
-        assert_eq!(st.stream_claims, 0);
-        g.sync();
-        assert_eq!(g.scheduler_stats().stored_vertices, 0);
     }
 
     #[test]
@@ -2164,45 +1930,6 @@ mod tests {
     }
 
     #[test]
-    fn locality_aware_keeps_chains_on_one_device() {
-        let g = mgpu(2, PlacementPolicy::LocalityAware);
-        let n = 1 << 16;
-        let x = g.array_f32(n);
-        let y = g.array_f32(n);
-        x.copy_from_f32(&vec![1.0; n]);
-        let scale = g.build_kernel(&SCALE).unwrap();
-        let axpy = g.build_kernel(&AXPY).unwrap();
-        let d1 = scale.launch_placed(G, &map_args(&x, &y, 2.0, n)).unwrap();
-        let d2 = axpy.launch_placed(G, &map_args(&x, &y, 1.0, n)).unwrap();
-        assert_eq!(
-            d1, d2,
-            "locality-aware placement must not migrate the chain"
-        );
-        assert_eq!(g.migration_stats().0, 0);
-        g.sync();
-        assert_eq!(y.get_f32(7), 3.0);
-    }
-
-    #[test]
-    fn round_robin_pays_migrations_on_dependent_chains() {
-        let g = mgpu(2, PlacementPolicy::RoundRobin);
-        let n = 1 << 16;
-        let x = g.array_f32(n);
-        let y = g.array_f32(n);
-        x.copy_from_f32(&vec![1.0; n]);
-        let scale = g.build_kernel(&SCALE).unwrap();
-        let axpy = g.build_kernel(&AXPY).unwrap();
-        scale.launch(G, &map_args(&x, &y, 2.0, n)).unwrap();
-        axpy.launch(G, &map_args(&x, &y, 1.0, n)).unwrap();
-        let (migs, bytes) = g.migration_stats();
-        assert!(migs >= 1, "round-robin must migrate the dependent data");
-        assert!(bytes >= n * 4);
-        g.sync();
-        assert_eq!(y.get_f32(7), 3.0, "migration must preserve values");
-        assert_eq!(g.races().len(), 0);
-    }
-
-    #[test]
     fn two_gpus_scale_independent_throughput() {
         use kernels::black_scholes::BLACK_SCHOLES;
         let run = |n_dev: usize| -> f64 {
@@ -2229,36 +1956,6 @@ mod tests {
             two < 0.75 * one,
             "2 GPUs must be markedly faster: {two} vs {one}"
         );
-    }
-
-    #[test]
-    fn stream_aware_balances_a_fanout_across_all_devices() {
-        use kernels::black_scholes::BLACK_SCHOLES;
-        let g = mgpu(4, PlacementPolicy::StreamAware);
-        let n = 1 << 18;
-        let bs = g.build_kernel(&BLACK_SCHOLES).unwrap();
-        let mut placements = Vec::new();
-        let mut ys = Vec::new();
-        for _ in 0..8 {
-            let x = g.array_f64(n);
-            let y = g.array_f64(n);
-            x.copy_from_f64(&vec![100.0; n]);
-            placements.push(bs.launch_placed(G, &bs_args(&x, &y, n)).unwrap());
-            ys.push(y);
-        }
-        g.sync();
-        let mut used = placements.clone();
-        used.sort_unstable();
-        used.dedup();
-        assert_eq!(
-            used,
-            vec![0, 1, 2, 3],
-            "min-load placement must reach every device: {placements:?}"
-        );
-        assert_eq!(g.races().len(), 0);
-        for y in &ys {
-            assert!(y.get_f64(0) > 0.0);
-        }
     }
 
     #[test]
@@ -2322,43 +2019,5 @@ mod tests {
             input.iter().map(|v| 6 * v).collect::<Vec<_>>()
         );
         assert_eq!(g.races().len(), 0);
-    }
-
-    #[test]
-    fn single_gpu_policy_matches_plain_grcuda_semantics() {
-        let g = mgpu(3, PlacementPolicy::SingleGpu);
-        let n = 4096;
-        let x = g.array_f32(n);
-        let y = g.array_f32(n);
-        x.copy_from_f32(&vec![3.0; n]);
-        let scale = g.build_kernel(&SCALE).unwrap();
-        scale.launch(G, &map_args(&x, &y, 2.0, n)).unwrap();
-        assert_eq!(y.get_f32(0), 6.0);
-        assert_eq!(g.device_count(), 3);
-        assert_eq!(g.timeline().devices_used(), vec![0]);
-        assert_eq!(g.migration_stats().0, 0);
-    }
-
-    #[test]
-    fn unified_core_exposes_scheduler_stats_and_drains_on_sync() {
-        let g = mgpu(2, PlacementPolicy::RoundRobin);
-        let n = 1 << 14;
-        let x = g.array_f32(n);
-        let y = g.array_f32(n);
-        x.copy_from_f32(&vec![1.0; n]);
-        let scale = g.build_kernel(&SCALE).unwrap();
-        for _ in 0..6 {
-            scale.launch(G, &map_args(&x, &y, 1.5, n)).unwrap();
-        }
-        assert!(g.scheduler_stats().live_vertices > 0, "DAG is shared");
-        g.sync();
-        let st = g.scheduler_stats();
-        assert_eq!(st.live_vertices, 0);
-        assert_eq!(st.stored_vertices, 0);
-        assert_eq!(st.stream_claims, 0);
-        assert_eq!(st.vertex_tasks, 0);
-        assert_eq!(st.vertex_streams, 0);
-        assert_eq!(st.vertex_devices, 0);
-        assert_eq!(g.stats().retained_tasks, 0);
     }
 }

@@ -77,15 +77,6 @@ pub struct Options {
     /// race detector — the negative control showing the dependency
     /// machinery is load-bearing.
     pub infer_dependencies: bool,
-    /// Debug-mode schedule sanitizer (always `true` outside this
-    /// crate's tests, which turn it off to sync a schedule they know is
-    /// broken). When enabled, debug builds run [`crate::GrCuda::audit`]
-    /// on every [`crate::GrCuda::sync`] (before the DAG is retired) and
-    /// panic on any [`crate::ScheduleViolation`]. Compiled out entirely
-    /// in release builds, so the launch hot path never pays for it; has
-    /// no effect when `infer_dependencies` is off (failure-injection
-    /// runs audit explicitly instead).
-    pub(crate) audit_on_sync: bool,
     /// Online calibration (default `false`). When enabled, every
     /// completed kernel feeds a decaying per-signature duration prior
     /// and every completed transfer feeds its link's observed
@@ -107,7 +98,6 @@ impl Options {
             prefetch: PrefetchPolicy::Auto,
             visibility_restriction: true,
             infer_dependencies: true,
-            audit_on_sync: true,
             calibrate: false,
         }
     }
@@ -121,7 +111,6 @@ impl Options {
             prefetch: PrefetchPolicy::None,
             visibility_restriction: true,
             infer_dependencies: true,
-            audit_on_sync: true,
             calibrate: false,
         }
     }
@@ -176,15 +165,6 @@ impl Default for Options {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl Options {
-        /// Builder-style: toggle the debug-mode sanitizer run on every
-        /// `sync()` (see [`Options::audit_on_sync`]).
-        pub(crate) fn with_sync_audit(mut self, on: bool) -> Self {
-            self.audit_on_sync = on;
-            self
-        }
-    }
 
     #[test]
     fn defaults_match_the_paper() {

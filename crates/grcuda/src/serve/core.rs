@@ -394,17 +394,24 @@ impl ServiceCore {
             .ok_or(ServeError::BadHandle(r.index))
     }
 
-    /// Allocate an array in the tenant's namespace.
+    /// Allocate an array in the tenant's namespace. An unknown tenant
+    /// allocates nothing; no elements, or more than an address space
+    /// holds, is [`ServeError::Invalid`].
     pub fn alloc(&mut self, t: TenantId, kind: ElemKind, n: usize) -> Result<ArrayRef, ServeError> {
+        self.tenant(t)?;
         if n == 0 {
             return Err(ServeError::Invalid("zero-length allocation".into()));
         }
-        let arr = self.g.array(match kind {
-            ElemKind::F32 => TypedData::F32(vec![0.0; n]),
-            ElemKind::F64 => TypedData::F64(vec![0.0; n]),
-            ElemKind::I32 => TypedData::I32(vec![0; n]),
-            ElemKind::U8 => TypedData::U8(vec![0; n]),
-        });
+        let data = match kind {
+            ElemKind::F32 => zeros(n, 0.0).map(TypedData::F32),
+            ElemKind::F64 => zeros(n, 0.0).map(TypedData::F64),
+            ElemKind::I32 => zeros(n, 0).map(TypedData::I32),
+            ElemKind::U8 => zeros(n, 0).map(TypedData::U8),
+        };
+        let data = data.ok_or_else(|| {
+            ServeError::Invalid(format!("{n} elements overflow the address space"))
+        })?;
+        let arr = self.g.array(data);
         let tenant = self.tenant_mut(t)?;
         tenant.arrays.push(arr);
         Ok(ArrayRef {
@@ -731,4 +738,13 @@ impl ServiceCore {
             self.g.clear_timeline();
         }
     }
+}
+
+/// `n` copies of `zero`, or `None` when their byte length overflows
+/// `isize::MAX` (the most one allocation may hold: asking for more
+/// panics, and behind a `Server` that would take every tenant down).
+fn zeros<T: Clone>(n: usize, zero: T) -> Option<Vec<T>> {
+    let bytes = n.checked_mul(std::mem::size_of::<T>());
+    let fits = bytes.is_some_and(|b| b <= isize::MAX as usize);
+    fits.then(|| vec![zero; n])
 }

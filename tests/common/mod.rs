@@ -1,11 +1,16 @@
-//! The fork/join program shared by the integration tests that need a
-//! batch with cross-group traffic. It is modelled on one sweep of
-//! `fork_join` in `benchmark/src/gen.rs` (the `placement_cluster`
-//! workload), which this package cannot depend on: same five launches
-//! per group, without the read-only arrays, and with a fixed partner
-//! formula where the benchmark draws partners from its seeded
-//! generator. The tests that use it assert on their own runs, not on
-//! agreement with the benchmark, so the two may differ.
+//! What more than one integration test needs: the scheduler's drained
+//! state ([`assert_drained`]) and a batch with cross-group traffic
+//! ([`ForkJoin`]). Each test binary compiles this module and uses part
+//! of it.
+//!
+//! The fork/join program is modelled on one sweep of `fork_join` in
+//! `benchmark/src/gen.rs` (the `placement_cluster` workload), which this
+//! package cannot depend on: same five launches per group, without the
+//! read-only arrays, and with a fixed partner formula where the
+//! benchmark draws partners from its seeded generator. The tests that
+//! use it assert on their own runs, not on agreement with the benchmark,
+//! so the two may differ.
+#![allow(dead_code)]
 
 use gpu_sim::Grid;
 use grcuda::{Arg, BatchLaunch, DeviceArray, GrCuda, Kernel};
@@ -74,5 +79,25 @@ impl ForkJoin {
                 args,
             })
             .collect()
+    }
+}
+
+/// Panic, naming `ctx`, unless the scheduler is back to its
+/// empty-frontier baseline: nothing of the DAG stored (vertices, edges,
+/// value states), no stream claim, no launch record and no engine task
+/// state kept.
+pub fn assert_drained(g: &GrCuda, ctx: &str) {
+    let st = g.scheduler_stats();
+    let left = [
+        ("live vertices", st.live_vertices),
+        ("stored vertices", st.stored_vertices),
+        ("stored edges", st.stored_edges),
+        ("value states", st.value_states),
+        ("stream claims", st.stream_claims),
+        ("launch records", st.vertex_tasks),
+        ("engine task states", g.stats().retained_tasks),
+    ];
+    for (what, n) in left {
+        assert_eq!(n, 0, "{what} left — {ctx}: {st:?}");
     }
 }

@@ -3,7 +3,8 @@
 //! The simulator's race detector and the bit-exact validation are only
 //! meaningful if they actually fire when the scheduler misbehaves. These
 //! tests disable dependency inference and check that dependent
-//! benchmarks are flagged.
+//! benchmarks are flagged. The positive control, the correct scheduler
+//! at the same scales, is a row of `tests/scheduler_equivalence.rs`.
 
 use benchmarks::{run_grcuda, tiny, Bench};
 use gpu_sim::DeviceProfile;
@@ -66,14 +67,4 @@ fn independent_benchmark_survives_broken_scheduler() {
         "B&S kernels are independent — no races expected"
     );
     r.valid.expect("independent kernels stay correct");
-}
-
-#[test]
-fn correct_scheduler_is_race_free_at_the_same_scales() {
-    // The positive control for the negative control.
-    for b in [Bench::Vec, Bench::Img, Bench::Ml, Bench::Hits, Bench::Dl] {
-        let spec = b.build(tiny(b) * 8);
-        let r = run_grcuda(&spec, &DeviceProfile::tesla_p100(), Options::parallel(), 1);
-        r.assert_ok();
-    }
 }

@@ -1,6 +1,8 @@
-//! Integration: every stream-management policy combination (§IV-C) and
-//! every device-selection policy is correct; policies only change
-//! performance and placement, never results.
+//! Integration: placement, eviction and stream policies change
+//! performance and placement, never results (one table says so for every
+//! policy), and each acceptance bar that ranks one policy above another.
+//! That every stream-management combination (§IV-C) is correct is a row
+//! of `tests/scheduler_equivalence.rs`.
 
 mod common;
 
@@ -8,8 +10,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use benchmarks::{
-    cluster_run, mixed_runs, oversub_capacity, oversubscribe, run_grcuda, run_multi_gpu, tiny,
-    transfer_chain, Bench, ClusterSuite, Experiment, MixedScale,
+    cluster_run, fanout_mix, mixed_runs, oversub_capacity, oversubscribe, run_grcuda,
+    run_multi_gpu, tiny, transfer_chain, Bench, ClusterSuite, Experiment, MixedScale,
 };
 use gpu_sim::{
     Cluster, DeviceProfile, EvictionPolicy, Grid, MemoryConfig, NicKind, Topology, TopologyKind,
@@ -34,42 +36,6 @@ fn double_args(src: &DeviceArray, dst: &DeviceArray) -> [Arg; 4] {
         Arg::scalar(2.0),
         Arg::scalar(src.len() as f64),
     ]
-}
-
-#[test]
-fn every_policy_combination_is_correct() {
-    let dev = DeviceProfile::tesla_p100();
-    let spec = Bench::Ml.build(tiny(Bench::Ml));
-    for dep in [
-        DepStreamPolicy::FirstChildOnParent,
-        DepStreamPolicy::AlwaysParent,
-        DepStreamPolicy::AlwaysNew,
-    ] {
-        for reuse in [StreamReusePolicy::FifoReuse, StreamReusePolicy::AlwaysNew] {
-            for pf in [PrefetchPolicy::Auto, PrefetchPolicy::None] {
-                let opts = Options::parallel()
-                    .with_dep_stream(dep)
-                    .with_stream_reuse(reuse)
-                    .with_prefetch(pf);
-                let r = run_grcuda(&spec, &dev, opts, 2);
-                assert_eq!(r.races, 0, "{dep:?}/{reuse:?}/{pf:?}");
-                r.valid
-                    .unwrap_or_else(|e| panic!("{dep:?}/{reuse:?}/{pf:?}: {e}"));
-            }
-        }
-    }
-}
-
-#[test]
-fn visibility_restriction_toggle_is_correct_on_maxwell() {
-    let dev = DeviceProfile::gtx960();
-    for b in [Bench::Vec, Bench::Hits] {
-        let spec = b.build(tiny(b));
-        for vis in [true, false] {
-            let opts = Options::parallel().with_visibility_restriction(vis);
-            run_grcuda(&spec, &dev, opts, 2).assert_ok();
-        }
-    }
 }
 
 #[test]
@@ -115,57 +81,97 @@ fn single_stream_child_policy_reduces_concurrency() {
     );
 }
 
-/// Drive a strictly serial kernel chain through an `n_dev`-device
-/// scheduler and report `(migration count, migrated bytes, final y)`.
-fn dependent_chain(n_dev: usize, policy: PlacementPolicy) -> (usize, usize, Vec<f32>) {
+/// One link of a dependent chain: `kernel(src, dst, factor, n)`, from
+/// `x` to `y` when `forward`, else back.
+type Step = (&'static kernels::KernelDef, bool, f64);
+
+/// What a dependent chain did under one policy.
+struct ChainRun {
+    migrations: (usize, usize),
+    makespan: f64,
+    /// The device of every launch, in order.
+    devices: Vec<u32>,
+    y: Vec<f32>,
+}
+
+/// Drive a strictly serial kernel chain over `x` (all ones) and `y` of
+/// `n` floats through an `n_dev`-device scheduler.
+fn dependent_chain(n_dev: usize, policy: PlacementPolicy, n: usize, steps: &[Step]) -> ChainRun {
     let g = machine(n_dev, TopologyKind::PcieOnly, policy);
-    let n = 1 << 18;
     let x = g.array_f32(n);
     let y = g.array_f32(n);
     x.copy_from_f32(&vec![1.0; n]);
-    let scale = g.build_kernel(&kernels::util::SCALE).unwrap();
-    for i in 0..8 {
-        let (src, dst) = if i % 2 == 0 { (&x, &y) } else { (&y, &x) };
-        scale
-            .launch(Grid::d1(64, 256), &double_args(src, dst))
-            .unwrap();
+    let mut devices = Vec::new();
+    for &(def, forward, factor) in steps {
+        let kernel = g.build_kernel(def).unwrap();
+        let (src, dst) = if forward { (&x, &y) } else { (&y, &x) };
+        let args = [
+            Arg::array(src),
+            Arg::array(dst),
+            Arg::scalar(factor),
+            Arg::scalar(n as f64),
+        ];
+        devices.push(kernel.launch_placed(Grid::d1(64, 256), &args).unwrap());
     }
     g.sync();
     assert_eq!(g.races().len(), 0);
-    let (migs, bytes) = g.migration_stats();
-    (migs, bytes, y.to_vec_f32())
+    ChainRun {
+        migrations: g.migration_stats(),
+        makespan: g.now(),
+        devices,
+        y: y.to_vec_f32(),
+    }
 }
 
 #[test]
 fn locality_aware_beats_round_robin_on_a_dependent_chain() {
-    // The chain has zero parallelism: the only thing placement can do is
-    // avoid moving data. Locality-aware must migrate strictly fewer
-    // bytes than round-robin — and both must compute the same numbers.
-    for n_dev in [2, 4] {
-        let (rr_migs, rr_bytes, rr_val) = dependent_chain(n_dev, PlacementPolicy::RoundRobin);
-        let (loc_migs, loc_bytes, loc_val) = dependent_chain(n_dev, PlacementPolicy::LocalityAware);
+    // A chain has zero parallelism: the only thing placement can do is
+    // avoid moving data. Locality-aware keeps every launch on one device
+    // and migrates nothing; round-robin ping-pongs the chain, pays
+    // strictly more bytes and a longer schedule — and both compute the
+    // same numbers.
+    use kernels::util::{AXPY, SCALE};
+    let doublings: Vec<Step> = (0..8).map(|i| (&SCALE, i % 2 == 0, 2.0)).collect();
+    let growth: Vec<Step> = (0..6).map(|i| (&SCALE, i % 2 == 0, 1.01)).collect();
+    let scale_then_axpy: Vec<Step> = vec![(&SCALE, true, 2.0), (&AXPY, true, 1.0)];
+    // (devices, n, steps, every element of y, round-robin migrations at
+    // least). 128.0 and 3.0 have one bit pattern each, so equal values
+    // are equal bits.
+    let rows = [
+        (2, 1 << 18, &doublings, Some(128.0), 4),
+        (4, 1 << 18, &doublings, Some(128.0), 4),
+        (2, 1 << 20, &growth, None, 3),
+        (2, 1 << 16, &scale_then_axpy, Some(3.0), 1),
+    ];
+    for (n_dev, n, steps, y, rr_least) in rows {
+        let at = format!("{n_dev} GPUs, {} steps over {n}", steps.len());
+        let rr = dependent_chain(n_dev, PlacementPolicy::RoundRobin, n, steps);
+        let loc = dependent_chain(n_dev, PlacementPolicy::LocalityAware, n, steps);
         assert!(
-            rr_migs >= 4,
-            "{n_dev} GPUs: round-robin must ping-pong the chain: {rr_migs}"
+            rr.migrations.0 >= rr_least && rr.migrations.1 >= 4 * n,
+            "{at}: round-robin must ping-pong the chain: {:?}",
+            rr.migrations
         );
         assert_eq!(
-            loc_migs, 0,
-            "{n_dev} GPUs: locality-aware must keep the chain in place"
+            loc.migrations,
+            (0, 0),
+            "{at}: locality-aware must keep the chain in place"
         );
         assert!(
-            loc_bytes < rr_bytes,
-            "{n_dev} GPUs: locality-aware must migrate strictly fewer bytes: \
-             {loc_bytes} vs {rr_bytes}"
+            loc.devices.iter().all(|&d| d == loc.devices[0]),
+            "{at}: locality-aware moved the chain: {:?}",
+            loc.devices
         );
-        // 128.0 has one bit pattern, so equal values are equal bits.
         assert!(
-            rr_val.iter().all(|&v| v == 128.0),
-            "{n_dev} GPUs: 2^7 after 8 doublings read from y"
+            loc.makespan < rr.makespan,
+            "{at}: locality {} must beat round-robin {}",
+            loc.makespan,
+            rr.makespan
         );
-        assert_eq!(
-            rr_val, loc_val,
-            "{n_dev} GPUs: placement must not change results"
-        );
+        if let Some(v) = y {
+            assert!(rr.y.iter().all(|&e| e == v), "{at}: y is not {v}");
+        }
+        assert_eq!(rr.y, loc.y, "{at}: placement must not change results");
     }
 }
 
@@ -719,6 +725,7 @@ fn stream_aware_balances_an_embarrassingly_parallel_fanout() {
     let bs = g.build_kernel(&BLACK_SCHOLES).unwrap();
     let n = 1 << 18;
     let mut counts = vec![0usize; 4];
+    let mut prices = Vec::new();
     for _ in 0..8 {
         let x = g.array_f64(n);
         let y = g.array_f64(n);
@@ -738,9 +745,16 @@ fn stream_aware_balances_an_embarrassingly_parallel_fanout() {
             )
             .unwrap();
         counts[d as usize] += 1;
+        prices.push(y);
     }
     g.sync();
     assert_eq!(g.races().len(), 0);
+    for y in &prices {
+        assert!(
+            y.to_vec_f64().iter().all(|&p| p > 0.0),
+            "every option priced"
+        );
+    }
     assert!(
         counts.iter().all(|&c| c >= 1),
         "every device must carry work: {counts:?}"
@@ -759,24 +773,188 @@ fn stream_aware_balances_an_embarrassingly_parallel_fanout() {
     assert!(times.iter().all(|&t| t > 0.0), "{times:?}");
 }
 
-#[test]
-fn placement_policies_compute_identical_results_on_every_suite() {
-    // The acceptance bar of the unified scheduler: for every benchmark
-    // suite, the numeric results under every placement policy on 2 and
-    // 4 devices are identical (each run is verified bit-exactly against
-    // the same sequential CPU reference; tests/scheduler_equivalence.rs
-    // covers one device).
-    let dev = DeviceProfile::tesla_p100();
+/// One run of the placement table: what ran, and its runtime's view.
+struct Placed {
+    at: String,
+    policy: PlacementPolicy,
+    races: usize,
+    devices_used: Vec<u32>,
+    migrations: usize,
+    /// The verdict on the answer: bit-equal to the row's reference run,
+    /// or for a suite to the sequential CPU reference.
+    answer: Result<(), String>,
+}
+
+impl Placed {
+    fn experiment(
+        at: String,
+        policy: PlacementPolicy,
+        r: &Experiment,
+        reference: &Experiment,
+    ) -> Self {
+        let answer = if r.same_answer(reference) {
+            Ok(())
+        } else {
+            Err("changed the numbers".to_string())
+        };
+        Placed {
+            at,
+            policy,
+            races: r.runtime.races().len(),
+            devices_used: r.runtime.timeline().devices_used(),
+            migrations: r.runtime.migration_stats().0,
+            answer,
+        }
+    }
+}
+
+/// The transfer chain under every policy on every interconnect preset,
+/// against one device over PCIe.
+fn transfer_rows() -> Vec<Placed> {
+    let run = |policy, topo| transfer_chain(policy, topo, 4096, 3, Options::parallel());
+    let reference = run(PlacementPolicy::SingleGpu, TopologyKind::PcieOnly);
+    let mut placed = Vec::new();
+    for topo in TopologyKind::ALL {
+        for policy in PlacementPolicy::ALL {
+            let at = format!("transfer chain, {policy:?} on {topo:?}");
+            placed.push(Placed::experiment(
+                at,
+                policy,
+                &run(policy, topo),
+                &reference,
+            ));
+        }
+    }
+    placed
+}
+
+/// The oversubscription suite under every eviction policy and four
+/// placements at half the working set, against unlimited memory.
+fn oversub_rows() -> Vec<Placed> {
+    let n = 1 << 14;
+    let run = |policy, eviction, capacity| {
+        oversubscribe(policy, eviction, capacity, n, 2, Options::parallel())
+    };
+    let single = PlacementPolicy::SingleGpu;
+    let reference = run(single, EvictionPolicy::Lru, None);
+    let memory = reference.runtime.scheduler_stats().memory;
+    assert_eq!(
+        (memory.evictions, memory.spilled_bytes),
+        (0, 0),
+        "unlimited capacity never evicts"
+    );
+    let unlimited = "oversubscription, unlimited".to_string();
+    let mut placed = vec![Placed::experiment(
+        unlimited, single, &reference, &reference,
+    )];
+    for policy in [
+        PlacementPolicy::MemoryAware,
+        PlacementPolicy::TransferAware,
+        PlacementPolicy::RoundRobin,
+        PlacementPolicy::StreamAware,
+    ] {
+        for eviction in EvictionPolicy::ALL {
+            let r = run(policy, eviction, Some(oversub_capacity(n)));
+            let at = format!("oversubscription, {policy:?}/{eviction:?}");
+            placed.push(Placed::experiment(at, policy, &r, &reference));
+        }
+    }
+    placed
+}
+
+/// The fanout mix under every policy and its natural options, against
+/// one device.
+fn mixed_rows() -> Vec<Placed> {
+    let run = |policy| {
+        let options = Options::parallel().with_calibration(policy == PlacementPolicy::Adaptive);
+        fanout_mix(policy, 1 << 15, 3, options)
+    };
+    let reference = run(PlacementPolicy::SingleGpu);
+    assert_eq!(
+        reference.runtime.calibration_stats().kernel_samples,
+        0,
+        "statics run uncalibrated"
+    );
+    let mut placed = Vec::new();
+    for policy in PlacementPolicy::ALL {
+        let at = format!("fanout mix, {policy:?}");
+        placed.push(Placed::experiment(at, policy, &run(policy), &reference));
+    }
+    placed
+}
+
+/// Every cluster suite on 2 nodes of 2 GPUs under three policies,
+/// against the first.
+fn cluster_rows() -> Vec<Placed> {
+    let mut placed = Vec::new();
+    for suite in ClusterSuite::ALL {
+        let run = |policy| cluster_run(suite, policy, 2, 2, 2048, 3);
+        let reference = run(PlacementPolicy::NodeAware);
+        for policy in [
+            PlacementPolicy::NodeAware,
+            PlacementPolicy::RoundRobin,
+            PlacementPolicy::TransferAware,
+        ] {
+            let at = format!("cluster {}, {policy:?}", suite.name());
+            placed.push(Placed::experiment(at, policy, &run(policy), &reference));
+        }
+    }
+    placed
+}
+
+/// The six benchmark suites under every policy on three PCIe machines,
+/// each run checked bit for bit against the sequential CPU reference
+/// (`tests/scheduler_equivalence.rs` covers one device).
+fn suite_rows() -> Vec<Placed> {
+    let p100 = DeviceProfile::tesla_p100();
+    let machines = [(&p100, 2), (&DeviceProfile::gtx1660_super(), 3), (&p100, 4)];
+    let mut placed = Vec::new();
     for b in Bench::ALL {
         let spec = b.build(tiny(b));
-        for n_dev in [2, 4] {
+        for (dev, n_dev) in machines {
             for policy in PlacementPolicy::ALL {
-                let topo = Topology::pcie_only(n_dev, &dev);
-                let r = run_multi_gpu(&spec, &dev, Options::parallel(), topo, policy, 2).unwrap();
-                assert_eq!(r.races, 0, "{} x{n_dev} {policy:?}", spec.name);
-                r.valid
-                    .as_ref()
-                    .unwrap_or_else(|e| panic!("{} x{n_dev} {policy:?}: {e}", spec.name));
+                let topo = Topology::pcie_only(n_dev, dev);
+                let at = format!("{} on {n_dev} x {}, {policy:?}", spec.name, dev.name);
+                let r = run_multi_gpu(&spec, dev, Options::parallel(), topo, policy, 2)
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                placed.push(Placed {
+                    at,
+                    policy,
+                    races: r.races,
+                    devices_used: r.timeline.devices_used(),
+                    migrations: r.migrations.0,
+                    answer: r.valid,
+                });
+            }
+        }
+    }
+    placed
+}
+
+#[test]
+fn placement_policies_compute_identical_results_on_every_suite() {
+    // The acceptance bar of the unified scheduler: placement, eviction
+    // and topology move work, never results. One table over the four
+    // placement experiments and the six benchmark suites; every run is
+    // race-free and bit-equal to its row's reference, and the
+    // single-GPU policy keeps everything on device 0 of a bigger
+    // machine without a migration.
+    let rows: [fn() -> Vec<Placed>; 5] = [
+        transfer_rows,
+        oversub_rows,
+        mixed_rows,
+        cluster_rows,
+        suite_rows,
+    ];
+    for row in rows {
+        for run in row() {
+            assert_eq!(run.races, 0, "{} raced", run.at);
+            if let Err(e) = &run.answer {
+                panic!("{}: {e}", run.at);
+            }
+            if run.policy == PlacementPolicy::SingleGpu {
+                assert_eq!(run.devices_used, [0], "{}", run.at);
+                assert_eq!(run.migrations, 0, "{}", run.at);
             }
         }
     }

@@ -3,6 +3,8 @@
 //! device memory, fairness-policy latency behavior, and the threaded
 //! `Server`/`Client` front-end under genuinely concurrent submitters.
 
+mod common;
+
 use gpu_sim::{
     Cluster, DeviceProfile, EvictionPolicy, Grid, MemoryConfig, NicKind, Topology, TopologyKind,
 };
@@ -396,10 +398,27 @@ fn malformed_requests_fail_cleanly() {
     // compared against the other tenant's at the next pump.
     let mut core = ServiceCore::new(base_config().with_fairness(Fairness::DeadlineAware));
     let t = core.add_tenant("t", 1);
-    assert!(matches!(
-        core.alloc(t, ElemKind::F32, 0),
-        Err(ServeError::Invalid(_))
-    ));
+    // No elements, or more bytes than one allocation may hold, is
+    // refused: allocating `usize::MAX` elements would panic the
+    // service thread.
+    for (kind, n) in [
+        (ElemKind::F32, 0),
+        (ElemKind::F32, usize::MAX),
+        (ElemKind::F64, usize::MAX / 8 + 1),
+        (ElemKind::F32, isize::MAX as usize / 4 + 1),
+    ] {
+        let refused = core.alloc(t, kind, n);
+        assert!(matches!(refused, Err(ServeError::Invalid(_))), "{n}");
+    }
+    // A tenant another core registered is unknown here, and is refused
+    // before anything is allocated.
+    let mut elsewhere = ServiceCore::new(base_config());
+    elsewhere.add_tenant("first", 1);
+    let stranger = elsewhere.add_tenant("second", 1);
+    for n in [16, usize::MAX] {
+        let refused = core.alloc(stranger, ElemKind::F32, n);
+        assert_eq!(refused, Err(ServeError::UnknownTenant(1)));
+    }
     let x = core.alloc(t, ElemKind::F32, 16).unwrap();
     // A read at the length or at the largest index is refused before it
     // reaches the array: indexing there would panic the service thread,
@@ -624,15 +643,7 @@ fn served_multi_device_placement_computes_what_one_device_does() {
             }
         }
         core.maintain();
-        let st = core.runtime().scheduler_stats();
-        let per_vertex = [
-            st.live_vertices,
-            st.stream_claims,
-            st.vertex_tasks,
-            st.vertex_streams,
-            st.vertex_devices,
-        ];
-        assert_eq!(per_vertex, [0; 5], "scheduler state drained");
+        common::assert_drained(core.runtime(), "served, then maintained");
         let nodes = core.runtime().scheduler_stats().cluster.nodes;
         (values, devices.len(), nodes)
     };
