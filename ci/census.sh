@@ -23,8 +23,9 @@
 # (iii) Hash and tree collections on the launch path: occurrences of
 #      `HashMap|HashSet|BTreeMap|BTreeSet` in the non-test code (as in
 #      (i)) of the files a launch, its completion and its retirement run
-#      through. They were replaced by id-indexed tables; a change that
-#      puts one back shows up here.
+#      through, and of the serve core's submit/pump/complete path. They
+#      were replaced by id-indexed tables; a change that puts one back
+#      shows up here.
 # (iv) Bench binaries: entries under crates/bench/src/bin (`trajectory`
 #      alone: the paper's artifacts are suites of it).
 # (v)  `pub mod` declarations in the six library crates whose root is
@@ -110,6 +111,7 @@ launch_path=(
     crates/grcuda/src/{context,stream_manager}.rs
     crates/cuda-sim/src/context.rs
     crates/gpu-sim/src/{engine,memory_manager}.rs
+    crates/grcuda/src/serve/{core,fairness}.rs
 )
 hashed=$(awk '
     FNR == 1 { in_tests = 0 }

@@ -56,7 +56,7 @@ pub fn run(smoke: bool, metrics: &mut Metrics) {
             adaptive = makespans;
             // Calibration fed the decisions: the fanout run accumulated
             // per-kernel duration observations.
-            samples = runs[2].1.runtime.calibration_stats().kernel_samples;
+            samples = runs[2].1.runtime.snapshot().calibration.kernel_samples;
         } else {
             statics.push((policy, makespans));
         }

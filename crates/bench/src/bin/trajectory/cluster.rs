@@ -45,18 +45,18 @@ pub fn run(smoke: bool, m: &mut Metrics) {
                 let r = cluster_run(suite, policy, nodes, gpus, n, steps);
                 let prefix = format!("cluster.{nodes}x{gpus}.{}.{}", suite.name(), policy.name());
                 check(&r, first.as_ref(), &prefix);
-                let cross_node = r.runtime.cross_node_migration_stats();
-                let cut = r.runtime.scheduler_stats().cluster.partition_cut_bytes;
+                let st = r.runtime.snapshot();
+                let (cross_node, cut) = (st.migrations.cross_node, st.cluster.partition_cut_bytes);
                 rows.push(vec![
                     format!("{nodes}x{gpus}"),
                     suite.name().to_string(),
                     policy.name().to_string(),
                     ms(r.makespan),
-                    format!("{} ({:.1} MiB)", cross_node.0, mib(cross_node.1)),
+                    format!("{} ({:.1} MiB)", cross_node.count, mib(cross_node.bytes)),
                     format!("{:.1}", mib(cut)),
                 ]);
                 m.lower(&format!("{prefix}.makespan_ms"), r.makespan * 1e3);
-                m.lower(&format!("{prefix}.cross_node_mib"), mib(cross_node.1));
+                m.lower(&format!("{prefix}.cross_node_mib"), mib(cross_node.bytes));
                 // The cut is a property of the partitioner, not of
                 // placement: record it once, from the node-aware run.
                 if policy == PlacementPolicy::NodeAware {

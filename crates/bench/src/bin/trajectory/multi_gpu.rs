@@ -67,23 +67,29 @@ fn topology_sweep(smoke: bool, m: &mut Metrics) {
             let r = transfer_chain(policy, topo, n, iters, Options::parallel());
             let prefix = format!("chain.{}.{}", topo.name(), policy.name());
             check(&r, first.as_ref(), &prefix);
-            let g = &r.runtime;
-            let (migrations, p2p) = (g.migration_stats(), g.p2p_migration_stats());
+            let st = r.runtime.snapshot();
+            let (migrations, p2p) = (st.migrations.all, st.migrations.p2p);
             rows.push(vec![
                 topo.name().to_string(),
                 policy.name().to_string(),
                 ms(r.makespan),
-                format!("{:.1}", mib(g.host_link_bytes())),
-                format!("{} ({} KiB)", migrations.0, migrations.1 / 1024),
-                format!("{} ({} KiB)", p2p.0, p2p.1 / 1024),
+                format!("{:.1}", mib(st.host_link_bytes())),
+                format!("{} ({} KiB)", migrations.count, migrations.bytes / 1024),
+                format!("{} ({} KiB)", p2p.count, p2p.bytes / 1024),
             ]);
             m.lower(&format!("{prefix}.makespan_ms"), r.makespan * 1e3);
-            m.lower(&format!("{prefix}.host_link_mib"), mib(g.host_link_bytes()));
-            m.exact(&format!("{prefix}.migrations"), migrations.0 as f64);
+            m.lower(
+                &format!("{prefix}.host_link_mib"),
+                mib(st.host_link_bytes()),
+            );
+            m.exact(&format!("{prefix}.migrations"), migrations.count as f64);
             if topo == TopologyKind::NvlinkPair && policy != PlacementPolicy::RoundRobin {
-                let links = nvlink_pair.links().iter().zip(g.link_traffic());
-                for (link, (bytes, _)) in links {
-                    m.lower(&format!("{prefix}.link.{}_mib", link.label()), mib(bytes));
+                let links = nvlink_pair.links().iter().zip(&st.links);
+                for (link, traffic) in links {
+                    m.lower(
+                        &format!("{prefix}.link.{}_mib", link.label()),
+                        mib(traffic.bytes),
+                    );
                 }
             }
             first.get_or_insert(r);
@@ -125,7 +131,7 @@ fn oversubscribe_sweep(smoke: bool, m: &mut Metrics) {
             Options::parallel(),
         );
         check(&r, first.as_ref(), label);
-        let st = r.runtime.scheduler_stats().memory;
+        let st = r.runtime.snapshot().memory;
         rows.push(vec![
             label.to_string(),
             ms(r.makespan),

@@ -86,7 +86,7 @@ fn probes_per_launch(policy: PlacementPolicy) -> f64 {
     }
     g.sync();
     assert!(g.races().is_empty());
-    g.scheduler_stats().placement_probes as f64 / (chains * rounds) as f64
+    g.snapshot().placement_probes as f64 / (chains * rounds) as f64
 }
 
 /// Virtual host µs per launch of a submission closure.
@@ -184,7 +184,7 @@ pub fn run(_smoke: bool, m: &mut Metrics) {
     }
     pipe.sync();
     let pipe_rate = pipe_launches as f64 / (pipe.now() - v0);
-    let st = pipe.stats();
+    let st = pipe.snapshot().engine;
     let solver_touched = st.rate_tasks_solved + st.rate_tasks_reused;
     let hit_pct = 100.0 * st.rate_tasks_reused as f64 / solver_touched.max(1) as f64;
     assert!(

@@ -25,7 +25,7 @@
 use bench::render_table;
 use benchmarks::{grcuda_arrays, read_grcuda_outputs, refresh_grcuda_arrays, tiny, Bench, PlanArg};
 use gpu_sim::DeviceProfile;
-use grcuda::{Arg, BatchLaunch, GrCuda, Options, SchedulerStats};
+use grcuda::{Arg, BatchLaunch, GrCuda, Options, Snapshot};
 
 use crate::metric::Metrics;
 
@@ -40,22 +40,17 @@ struct SuiteReport {
     lifetime_vertices: usize,
     peak_live: usize,
     peak_stored: usize,
-    final_stored: usize,
     /// Simulated seconds of GPU time the suite's launches spanned.
     virtual_secs: f64,
 }
 
 /// Panic with context unless the post-sync scheduler footprint is back
 /// to the empty-frontier baseline.
-fn assert_drained(name: &str, launches: usize, st: &SchedulerStats, retained_tasks: usize) {
-    let ctx = format!("{name} after {launches} launches: {st:?}");
-    assert_eq!(st.live_vertices, 0, "live vertices leak — {ctx}");
-    assert_eq!(st.stored_vertices, 0, "stored vertices leak — {ctx}");
-    assert_eq!(st.stored_edges, 0, "edge leak — {ctx}");
-    assert_eq!(st.value_states, 0, "value-state leak — {ctx}");
-    assert_eq!(st.stream_claims, 0, "stream-claim leak — {ctx}");
-    assert_eq!(st.vertex_tasks, 0, "vertex→task leak — {ctx}");
-    assert_eq!(retained_tasks, 0, "engine task-state leak — {ctx}");
+fn assert_drained(name: &str, launches: usize, st: &Snapshot) {
+    assert!(
+        st.is_drained(),
+        "{name} after {launches} launches: state leaks — {st:?}"
+    );
 }
 
 fn soak_suite(b: Bench, quota: usize) -> SuiteReport {
@@ -132,7 +127,7 @@ fn soak_suite(b: Bench, quota: usize) -> SuiteReport {
         g.launch_batch(&calls).expect("suite launches validate");
         launches += calls.len();
         since_sync += calls.len();
-        let st = g.scheduler_stats();
+        let st = g.snapshot();
         peak_live = peak_live.max(st.live_vertices);
         peak_stored = peak_stored.max(st.stored_vertices);
         assert!(
@@ -150,12 +145,7 @@ fn soak_suite(b: Bench, quota: usize) -> SuiteReport {
         if since_sync >= SYNC_EVERY {
             g.sync();
             g.clear_timeline();
-            assert_drained(
-                spec.name,
-                launches,
-                &g.scheduler_stats(),
-                g.stats().retained_tasks,
-            );
+            assert_drained(spec.name, launches, &g.snapshot());
             since_sync = 0;
         }
         if launches >= quota {
@@ -173,14 +163,9 @@ fn soak_suite(b: Bench, quota: usize) -> SuiteReport {
     }
     g.sync();
     g.clear_timeline();
-    let st = g.scheduler_stats();
-    assert_drained(spec.name, launches, &st, g.stats().retained_tasks);
+    let st = g.snapshot();
+    assert_drained(spec.name, launches, &st);
     assert!(g.races().is_empty(), "{}: scheduler raced", spec.name);
-    assert_eq!(
-        st.lifetime_vertices,
-        g.scheduler_stats().lifetime_vertices,
-        "lifetime gauge matches the DAG"
-    );
     assert!(
         st.lifetime_vertices >= launches,
         "every launch was registered"
@@ -192,7 +177,6 @@ fn soak_suite(b: Bench, quota: usize) -> SuiteReport {
         lifetime_vertices: st.lifetime_vertices,
         peak_live,
         peak_stored,
-        final_stored: st.stored_vertices,
         virtual_secs: g.now(),
     }
 }
@@ -217,7 +201,6 @@ pub fn run(smoke: bool, m: &mut Metrics) {
                 r.lifetime_vertices.to_string(),
                 r.peak_live.to_string(),
                 r.peak_stored.to_string(),
-                r.final_stored.to_string(),
             ]
         })
         .collect();
@@ -230,7 +213,6 @@ pub fn run(smoke: bool, m: &mut Metrics) {
                 "lifetime vertices",
                 "peak live",
                 "peak stored",
-                "final stored",
             ],
             &rows,
         )

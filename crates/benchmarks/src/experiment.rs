@@ -3,11 +3,11 @@
 //! The four scheduler-contrast programs ([`crate::transfer_chain`],
 //! [`crate::oversubscribe`], [`crate::fanout_mix`],
 //! [`crate::cluster_run`]) return the runtime they ran on, the makespan
-//! and the whole answer. Counters are read through the runtime's own
-//! accessors (`migration_stats`, `scheduler_stats().memory`,
-//! `scheduler_stats().cluster`, `calibration_stats`, `races`, …), not
-//! through copies, and "placement moves work, never results" is one
-//! bit-exact comparison of answers.
+//! and the whole answer. Counters are read from the runtime's own
+//! snapshot (`GrCuda::snapshot`: migrations, memory, cluster,
+//! calibration, …) and races from `races`, not through copies, and
+//! "placement moves work, never results" is one bit-exact comparison of
+//! answers.
 
 use gpu_sim::TypedData;
 use grcuda::GrCuda;
@@ -55,15 +55,7 @@ mod tests {
 
     /// Everything a run reports besides its answer.
     fn counters(r: &Experiment) -> impl PartialEq + std::fmt::Debug {
-        let g = &r.runtime;
-        (
-            r.makespan,
-            g.scheduler_stats(),
-            g.calibration_stats(),
-            (g.migration_stats(), g.p2p_migration_stats()),
-            g.cross_node_migration_stats(),
-            (g.host_link_bytes(), g.link_traffic()),
-        )
+        (r.makespan, r.runtime.snapshot())
     }
 
     #[test]
@@ -90,7 +82,7 @@ mod tests {
                     oversubscribe(policy, eviction, capacity, N, 2, Options::parallel())
                 },
                 |r| {
-                    let memory = r.runtime.scheduler_stats().memory;
+                    let memory = r.runtime.snapshot().memory;
                     for &p in &memory.peak_resident {
                         assert!(p <= oversub_capacity(N), "capacity held: {p}");
                     }
@@ -103,7 +95,7 @@ mod tests {
                     fanout_mix(PlacementPolicy::Adaptive, 1 << 15, 3, options)
                 },
                 |r| {
-                    let samples = r.runtime.calibration_stats().kernel_samples;
+                    let samples = r.runtime.snapshot().calibration.kernel_samples;
                     assert!(samples > 0, "adaptive runs calibrated");
                 },
             ),
@@ -120,7 +112,7 @@ mod tests {
                     )
                 },
                 |r| {
-                    let cluster = r.runtime.scheduler_stats().cluster;
+                    let cluster = r.runtime.snapshot().cluster;
                     assert!(cluster.partitioned_batches >= 4, "{cluster:?}");
                 },
             ),

@@ -182,7 +182,7 @@ mod tests {
             2,
             Options::parallel(),
         );
-        let memory = r.runtime.scheduler_stats().memory;
+        let memory = r.runtime.snapshot().memory;
         assert!(
             memory.evictions > 0,
             "the suite must create memory pressure"

@@ -23,7 +23,7 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::rc::Rc;
 use std::{mem, panic, thread};
 
-use cuda_sim::{Cuda, CudaGraph, KernelExec, StreamId, UnifiedArray};
+use cuda_sim::{Cuda, CudaGraph, KernelExec, Moved, StreamId, UnifiedArray};
 use gpu_sim::{DataBuffer, DeviceProfile, Timeline, Topology, TypedData};
 use grcuda::{Arg, GrCuda, Options, PlacementPolicy, Signature};
 
@@ -40,9 +40,8 @@ pub struct RunResult {
     pub races: usize,
     /// Streams that carried GPU work in the last iteration.
     pub streams_used: usize,
-    /// Cross-device migrations performed, as `(count, bytes)`: `(0, 0)`
-    /// on one device.
-    pub migrations: (usize, usize),
+    /// Cross-device migrations performed: none on one device.
+    pub migrations: Moved,
     /// Bit-exact comparison against the sequential CPU reference.
     pub valid: Result<(), String>,
 }
@@ -298,7 +297,7 @@ fn run_on(g: &GrCuda, spec: &BenchSpec, iters: usize) -> Result<RunResult, Strin
         iter_times,
         streams_used: timeline.streams_used(),
         races: g.races().len(),
-        migrations: g.migration_stats(),
+        migrations: g.snapshot().migrations.all,
         valid: validate(spec, &buffers, &reference),
         timeline,
     })
@@ -517,7 +516,7 @@ fn finish_cuda(
         iter_times,
         streams_used: timeline.streams_used(),
         races: c.races().len(),
-        migrations: c.migration_stats(),
+        migrations: c.stats().migrations.all,
         valid: validate(spec, &buffers, &reference_after_iters(spec, iters)),
         timeline,
     }
@@ -610,7 +609,7 @@ mod tests {
             2,
             "round-robin must reach both devices"
         );
-        assert!(r.migrations.0 >= 1, "HITS chains must migrate under RR");
+        assert!(r.migrations.count >= 1, "HITS chains must migrate under RR");
 
         // A spec the runtime rejects is an error value, not a panic:
         // first an unparsable signature, then a launch short one argument.

@@ -6,8 +6,9 @@ use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
 use gpu_sim::{
-    Calibration, DeviceProfile, Engine, EngineStats, LinkId, RaceReport, TaskId, TaskKind,
-    TaskSpec, Time, Timeline, Topology, TopologyKind, TypedData, ValueId,
+    Calibration, CalibrationStats, DeviceProfile, Engine, EngineStats, LinkId, LinkTraffic,
+    RaceReport, TaskId, TaskKind, TaskSpec, Time, Timeline, Topology, TopologyKind, TypedData,
+    ValueId,
 };
 use gpu_sim::{MemoryManager, MemoryStats};
 
@@ -64,18 +65,9 @@ pub(crate) struct Inner {
     /// implicit); on peer and NIC links `[0]` is low→high endpoint
     /// order, `[1]` the reverse.
     dma: Vec<[Option<TaskId>; 2]>,
-    /// Cross-device migrations performed, as `(count, bytes)`: the
-    /// run-time migration-cost accounting the paper's §VI calls for.
-    /// Counts both peer-to-peer and host-mediated migrations.
-    migrated: (usize, usize),
-    /// The subset of `migrated` that went over a direct peer link
-    /// instead of staging through the host.
-    p2p_migrated: (usize, usize),
-    /// NIC legs of cross-node migrations: host-mediated migrations whose
-    /// source and target devices sit on different cluster nodes
-    /// additionally forward the host copy over the NIC link between the
-    /// nodes. Zero on single-node machines.
-    cross_node_migrated: (usize, usize),
+    /// Cross-device migrations performed: the run-time migration-cost
+    /// accounting the paper's §VI calls for.
+    migrations: Migrations,
     /// Capacity accounting, eviction-victim selection and prefetch
     /// bookkeeping (built from the topology's [`gpu_sim::MemoryConfig`];
     /// unlimited by default, in which case every check is a no-op).
@@ -137,9 +129,7 @@ impl Cuda {
                 events: Vec::new(),
                 capture: None,
                 dma: vec![[None; 2]; n_links],
-                migrated: (0, 0),
-                p2p_migrated: (0, 0),
-                cross_node_migrated: (0, 0),
+                migrations: Migrations::default(),
                 memgr,
                 mem_events: Vec::new(),
                 record_mem_events: false,
@@ -195,37 +185,10 @@ impl Cuda {
         st.residency.on_device().then_some(st.device)
     }
 
-    /// Cross-device migrations performed so far as `(count, bytes)`,
-    /// peer-to-peer and host-mediated combined.
-    pub fn migration_stats(&self) -> (usize, usize) {
-        self.inner.borrow().migrated
-    }
-
-    /// Cross-device migrations that went over a direct peer link, as
-    /// `(count, bytes)`.
-    pub fn p2p_migration_stats(&self) -> (usize, usize) {
-        self.inner.borrow().p2p_migrated
-    }
-
-    /// NIC legs of cross-node migrations, as `(count, bytes)`: the
-    /// subset of host-mediated migrations whose source and target
-    /// devices sit on different cluster nodes. Always zero on a
-    /// single-node machine.
-    pub fn cross_node_migration_stats(&self) -> (usize, usize) {
-        self.inner.borrow().cross_node_migrated
-    }
-
     /// Read the device profile and the interconnect topology in place.
     pub fn machine<R>(&self, f: impl FnOnce(&DeviceProfile, &Topology) -> R) -> R {
         let inner = self.inner.borrow();
         f(&inner.dev, inner.engine.topology())
-    }
-
-    /// Memory gauges of the capacity-aware memory manager: per-device
-    /// resident and peak-resident bytes, evictions, spilled bytes,
-    /// prefetch hit accounting.
-    pub fn memory_stats(&self) -> MemoryStats {
-        self.inner.borrow().memgr.stats()
     }
 
     /// The configured per-device capacity (`None` = unlimited).
@@ -246,22 +209,6 @@ impl Cuda {
     /// this context.
     pub fn drain_mem_events(&self, f: impl FnMut(MemEvent)) {
         self.inner.borrow_mut().mem_events.drain(..).for_each(f);
-    }
-
-    /// Lifetime `(bytes, transfers)` per link, indexed like
-    /// [`Topology::links`] — host links first, then peer links. Includes
-    /// input staging and host reads, not just migrations.
-    pub fn link_traffic(&self) -> Vec<(f64, usize)> {
-        self.inner.borrow().engine.link_traffic()
-    }
-
-    /// Total bytes moved over the host (PCIe) links so far, in either
-    /// direction: staging, host reads, and the legs of host-mediated
-    /// migrations. The gauge transfer-aware placement tries to minimize.
-    pub fn host_link_bytes(&self) -> f64 {
-        let inner = self.inner.borrow();
-        let traffic = inner.engine.link_traffic();
-        (0..inner.engine.device_count()).map(|d| traffic[d].0).sum()
     }
 
     /// Enable (or disable) online calibration: from then on every
@@ -311,11 +258,6 @@ impl Cuda {
         );
         inner.streams.push(StreamState { last: None, device });
         StreamId(inner.streams.len() as u32 - 1)
-    }
-
-    /// Number of streams ever created (including the default stream).
-    pub fn stream_count(&self) -> usize {
-        self.inner.borrow().streams.len()
     }
 
     // ------------------------------------------------------------------
@@ -633,9 +575,73 @@ impl Cuda {
         self.inner.borrow().engine.races().to_vec()
     }
 
-    /// Engine counters.
-    pub fn stats(&self) -> EngineStats {
-        self.inner.borrow().engine.stats()
+    /// Everything this context counts, read under one borrow: see
+    /// [`Counters`].
+    pub fn stats(&self) -> Counters {
+        let inner = self.inner.borrow();
+        Counters {
+            engine: inner.engine.stats(),
+            memory: inner.memgr.stats(),
+            calibration: inner.engine.calibration().stats(),
+            migrations: inner.migrations,
+            links: inner.engine.link_traffic().to_vec(),
+            streams: inner.streams.len(),
+        }
+    }
+}
+
+/// Everything a [`Cuda`] context counts, taken at one instant by
+/// [`Cuda::stats`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Counters {
+    /// Engine counters: tasks submitted, completed and retained, races
+    /// and the rate solver's work.
+    pub engine: EngineStats,
+    /// Memory gauges of the capacity-aware memory manager: per-device
+    /// resident and peak-resident bytes, evictions, spilled bytes,
+    /// prefetch hit accounting.
+    pub memory: MemoryStats,
+    /// Observation counters of the online calibration layer.
+    pub calibration: CalibrationStats,
+    /// Cross-device migrations performed.
+    pub migrations: Migrations,
+    /// Lifetime traffic per link, indexed like [`Topology::links`] (host
+    /// links first, then peer and NIC links). Includes input staging and
+    /// host reads, not just migrations.
+    pub links: Vec<LinkTraffic>,
+    /// Streams ever created, the default stream included.
+    pub streams: usize,
+}
+
+/// Cross-device migrations of a context, each as a [`Moved`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Migrations {
+    /// Every cross-device migration, peer-to-peer and host-mediated
+    /// combined; the host-mediated ones are these less `p2p`.
+    pub all: Moved,
+    /// The migrations that went over a direct peer link instead of
+    /// staging through the host.
+    pub p2p: Moved,
+    /// NIC legs of cross-node migrations: the host-mediated migrations
+    /// whose source and target devices sit on different cluster nodes
+    /// also forward the host copy over the NIC link between the nodes.
+    /// Zero on single-node machines.
+    pub cross_node: Moved,
+}
+
+/// How many copies moved, and how many bytes they carried.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Moved {
+    /// Copies.
+    pub count: usize,
+    /// Bytes they carried.
+    pub bytes: usize,
+}
+
+impl Moved {
+    fn add(&mut self, bytes: usize) {
+        self.count += 1;
+        self.bytes += bytes;
     }
 }
 
@@ -662,11 +668,6 @@ type DmaEngine = (LinkId, usize);
 /// this context never minted is a caller bug.
 fn state_mut(arrays: &mut [ArrayState], v: ValueId) -> &mut ArrayState {
     arrays.get_mut(v.0 as usize).expect("unknown array")
-}
-
-fn count(counter: &mut (usize, usize), bytes: usize) {
-    counter.0 += 1;
-    counter.1 += bytes;
 }
 
 impl Inner {
@@ -808,8 +809,8 @@ impl Inner {
                 let topo = self.engine.topology();
                 let spec = TaskSpec::p2p_copy(label, stream.0, size, link, topo.link(link));
                 let dma = Some((link, (src > target) as usize));
-                count(&mut self.migrated, bytes);
-                count(&mut self.p2p_migrated, bytes);
+                self.migrations.all.add(bytes);
+                self.migrations.p2p.add(bytes);
                 let (p2p, cross_node) = (true, false);
                 self.note(v, bytes, target, MemEventKind::Migrated { p2p, cross_node });
                 let lands = (Residency::Device, target);
@@ -834,10 +835,10 @@ impl Inner {
                     (spec.on_device(target), Some((link, (sn > dn) as usize)))
                 });
                 let lands = (Residency::Both, src);
-                count(&mut self.migrated, bytes);
+                self.migrations.all.add(bytes);
                 self.submit_leg(v, d2h.on_device(src), d2h_engine, lands);
                 if let Some((spec, dma)) = forward {
-                    count(&mut self.cross_node_migrated, bytes);
+                    self.migrations.cross_node.add(bytes);
                     self.submit_leg(v, spec, dma, lands);
                 }
                 let (p2p, cross_node) = (false, nic.is_some());
@@ -1353,9 +1354,8 @@ mod tests {
         let k2 = simple_kernel(&c, "consume", &a, 1.0);
         let t = c.launch(s1, &k2).unwrap();
         c.task_sync(t);
-        let (migs, mig_bytes) = c.migration_stats();
-        assert_eq!(migs, 1);
-        assert_eq!(mig_bytes, bytes);
+        let all = Moved { count: 1, bytes };
+        assert_eq!(c.stats().migrations.all, all);
         assert!(c.races().is_empty());
         let tl = c.timeline();
         let prod = tl.kernels().find(|iv| iv.label == "produce").unwrap();
@@ -1392,14 +1392,19 @@ mod tests {
 
         // Host-mediated migrations are the total less the peer ones: all
         // of `host`'s, none of `p2p`'s.
-        assert_eq!(host.migration_stats(), (1, 16 << 20));
-        assert_eq!(host.p2p_migration_stats(), (0, 0));
+        let moved = Moved {
+            count: 1,
+            bytes: 16 << 20,
+        };
+        let (host_st, p2p_st) = (host.stats(), p2p.stats());
+        assert_eq!(host_st.migrations.all, moved);
+        assert_eq!(host_st.migrations.p2p, Moved::default());
         let tl = host.timeline();
         assert_eq!(tl.of_kind(TaskKind::CopyP2P).count(), 0);
         assert!(tl.of_kind(TaskKind::CopyD2H).count() >= 1, "staging leg");
 
-        assert_eq!(p2p.migration_stats(), (1, 16 << 20));
-        assert_eq!(p2p.p2p_migration_stats(), (1, 16 << 20));
+        assert_eq!(p2p_st.migrations.all, moved);
+        assert_eq!(p2p_st.migrations.p2p, moved);
         let tl = p2p.timeline();
         assert_eq!(tl.of_kind(TaskKind::CopyP2P).count(), 1);
         assert_eq!(tl.of_kind(TaskKind::CopyD2H).count(), 0, "no staging");
@@ -1419,11 +1424,13 @@ mod tests {
             host.now()
         );
         // Migration traffic landed on the peer link, not the host links.
-        let traffic = p2p.link_traffic();
-        assert_eq!(traffic[lid.0 as usize].1, 1);
-        assert!((traffic[lid.0 as usize].0 - (16 << 20) as f64).abs() < 0.5);
+        let peer = p2p_st.links[lid.0 as usize];
+        assert_eq!(peer.transfers, 1);
+        assert!((peer.bytes - (16 << 20) as f64).abs() < 0.5);
+        let host_bytes =
+            |st: &Counters| -> f64 { st.links.iter().filter(|l| l.host).map(|l| l.bytes).sum() };
         assert!(
-            p2p.host_link_bytes() < host.host_link_bytes(),
+            host_bytes(&p2p_st) < host_bytes(&host_st),
             "p2p must take migration bytes off the host links"
         );
     }
@@ -1447,7 +1454,7 @@ mod tests {
         let tl = c.timeline();
         assert_eq!(tl.of_kind(TaskKind::CopyP2P).count(), 1);
         assert_eq!(tl.of_kind(TaskKind::CopyD2H).count(), 0);
-        assert_eq!(c.p2p_migration_stats().0, 1);
+        assert_eq!(c.stats().migrations.p2p.count, 1);
     }
 
     #[test]
@@ -1548,7 +1555,7 @@ mod tests {
         let t = c.launch(s1, &k1).unwrap();
         c.task_sync(t);
         c.device_sync();
-        assert_eq!(c.migration_stats(), (0, 0));
+        assert_eq!(c.stats().migrations.all, Moved::default());
         assert!(c.races().is_empty());
     }
 
@@ -1587,11 +1594,11 @@ mod tests {
                 let t = c.launch(s, &exec).unwrap();
                 c.task_sync(t);
                 assert_eq!(c.device_residency(a), Some(0), "round {round} array {i}");
-                let st = c.memory_stats();
+                let st = c.stats().memory;
                 assert!(st.resident_bytes[0] <= 2 * 4 * n);
             }
         }
-        let st = c.memory_stats();
+        let st = c.stats().memory;
         assert!(st.evictions >= 3, "three-array cycle must thrash: {st:?}");
         assert!(
             st.spilled_bytes >= 4 * n,
@@ -1626,7 +1633,7 @@ mod tests {
         let k = simple_kernel(&c, "w", &dirty, 0.1);
         let t = c.launch(s, &k).unwrap();
         c.task_sync(t);
-        let st = c.memory_stats();
+        let st = c.stats().memory;
         assert_eq!(st.evictions, 1);
         assert_eq!(st.spilled_bytes, 0, "clean eviction is a free drop");
         assert_eq!(c.device_residency(&clean), None);
@@ -1635,7 +1642,7 @@ mod tests {
         let k2 = simple_kernel(&c, "w2", &clean, 0.1);
         let t2 = c.launch(s, &k2).unwrap();
         c.task_sync(t2);
-        let st = c.memory_stats();
+        let st = c.stats().memory;
         assert_eq!(st.evictions, 2);
         assert_eq!(st.spilled_bytes, bytes, "dirty eviction pays a D2H spill");
         assert_eq!(
@@ -1728,7 +1735,7 @@ mod tests {
             let k3 = simple_kernel(&c, "w3", &third, 0.1);
             let t3 = c.launch(s, &k3).unwrap();
             c.task_sync(t3);
-            c.memory_stats()
+            c.stats().memory
         };
         let lru = run(gpu_sim::EvictionPolicy::Lru);
         assert_eq!(lru.evictions, 1);
@@ -1756,7 +1763,7 @@ mod tests {
         let k = simple_kernel(&c, "w", &mid, 0.1);
         let t = c.launch(s, &k).unwrap();
         c.task_sync(t);
-        let st = c.memory_stats();
+        let st = c.stats().memory;
         assert!(st.evictions >= 1);
         assert_eq!(c.device_residency(&mid), Some(0));
         assert_eq!(st.prefetch_skipped, 1, "headroom-less prefetch skipped");
@@ -1768,12 +1775,12 @@ mod tests {
         let a = c.alloc_f32(1 << 10);
         let s = c.default_stream();
         c.prefetch_async(s, &a);
-        let st = c.memory_stats();
+        let st = c.stats().memory;
         assert_eq!((st.prefetch_issued, st.prefetch_hits), (1, 0));
         let k = simple_kernel(&c, "k", &a, 0.1);
         let t = c.launch(s, &k).unwrap();
         c.task_sync(t);
-        let st = c.memory_stats();
+        let st = c.stats().memory;
         assert_eq!(st.prefetch_hits, 1);
         assert!((st.prefetch_hit_rate() - 1.0).abs() < 1e-12);
         // A second launch of the same (now resident) array is not
@@ -1781,7 +1788,7 @@ mod tests {
         let k2 = simple_kernel(&c, "k2", &a, 0.1);
         let t2 = c.launch(s, &k2).unwrap();
         c.task_sync(t2);
-        assert_eq!(c.memory_stats().prefetch_hits, 1);
+        assert_eq!(c.stats().memory.prefetch_hits, 1);
     }
 
     #[test]
@@ -1830,7 +1837,7 @@ mod tests {
         let mut free = Vec::new();
         c.free_device_bytes_into(&mut free);
         assert_eq!(free, [usize::MAX]);
-        let st = c.memory_stats();
+        let st = c.stats().memory;
         assert_eq!(st.evictions, 0);
         assert_eq!(st.capacity, None);
         assert_eq!(st.resident_bytes[0], 4 << 20, "residency is still tracked");
@@ -1958,10 +1965,10 @@ mod tests {
     #[test]
     fn stream_count_tracks_creation() {
         let c = Cuda::new(DeviceProfile::gtx960());
-        assert_eq!(c.stream_count(), 1); // default stream
+        assert_eq!(c.stats().streams, 1); // default stream
         c.stream_create();
         c.stream_create();
-        assert_eq!(c.stream_count(), 3);
+        assert_eq!(c.stats().streams, 3);
     }
 
     #[test]
@@ -2018,14 +2025,16 @@ mod tests {
         let k2 = simple_kernel(&c, "consume", &a, 0.5);
         let t = c.launch(s2, &k2).unwrap();
         c.task_sync(t);
-        let (n, bytes) = c.cross_node_migration_stats();
-        assert_eq!(n, 1);
-        assert_eq!(bytes, 4 << 20);
+        let st = c.stats();
+        let moved = Moved {
+            count: 1,
+            bytes: 4 << 20,
+        };
+        assert_eq!(st.migrations.cross_node, moved);
         // The NIC link carried exactly that transfer.
-        let nic = topo.nic_link(0, 1).unwrap();
-        let traffic = c.link_traffic();
-        assert_eq!(traffic[nic.0 as usize].1, 1);
-        assert!((traffic[nic.0 as usize].0 - (4 << 20) as f64).abs() < 1.0);
+        let nic = st.links[topo.nic_link(0, 1).unwrap().0 as usize];
+        assert_eq!(nic.transfers, 1);
+        assert!((nic.bytes - (4 << 20) as f64).abs() < 1.0);
         assert_eq!(c.races().len(), 0);
     }
 
@@ -2048,9 +2057,13 @@ mod tests {
         let k1 = simple_kernel(&c, "consume", &a, 0.5);
         let t = c.launch(s1, &k1).unwrap();
         c.task_sync(t);
-        assert_eq!(c.cross_node_migration_stats(), (0, 0));
-        assert!(c.migration_stats().0 >= 1, "the migration itself happened");
+        let st = c.stats();
+        assert_eq!(st.migrations.cross_node, Moved::default());
+        assert!(
+            st.migrations.all.count >= 1,
+            "the migration itself happened"
+        );
         let nic = topo.nic_link(0, 1).unwrap();
-        assert_eq!(c.link_traffic()[nic.0 as usize], (0.0, 0));
+        assert_eq!(st.links[nic.0 as usize], LinkTraffic::default());
     }
 }

@@ -36,7 +36,7 @@ mod graph;
 mod memory;
 mod route;
 
-pub use context::{Cuda, EventId, StreamId};
+pub use context::{Counters, Cuda, EventId, Migrations, Moved, StreamId};
 pub use exec::{KernelExec, Launch};
 pub use graph::{CudaGraph, GraphNodeId};
 pub use memory::{MemEvent, MemEventKind, Residency, UnifiedArray};

@@ -98,7 +98,7 @@ fn run_sequence(policy: EvictionPolicy, ops: &[Op]) {
     let mut shadow = [0f32; N_ARRAYS];
 
     let check_capacity = |c: &Cuda| {
-        let st = c.memory_stats();
+        let st = c.stats().memory;
         for (d, &r) in st.resident_bytes.iter().enumerate() {
             assert!(
                 r <= CAPACITY,
@@ -150,7 +150,7 @@ fn run_sequence(policy: EvictionPolicy, ops: &[Op]) {
     // The oversubscribed working set must actually have exercised the
     // eviction machinery on busy sequences; on short ones this is
     // trivially satisfied.
-    let st = c.memory_stats();
+    let st = c.stats().memory;
     assert!(st.peak_resident.iter().all(|&p| p <= CAPACITY));
 }
 
@@ -193,7 +193,7 @@ fn a_dense_sequence_actually_evicts() {
             let t = c.launch(stream, &exec).unwrap();
             c.task_sync(t);
         }
-        let st = c.memory_stats();
+        let st = c.stats().memory;
         assert!(
             st.evictions > 0,
             "{policy:?}: oversubscribed sequence must evict"

@@ -68,7 +68,7 @@ fn migrate(topo: &Topology, start: Start, target: u32, path: Path) -> (f64, Vec<
 
     let mut est = vec![0.0; topo.device_count()];
     c.placement_probe(&a, &mut est);
-    let before = c.link_traffic();
+    let before = c.stats().links;
     let s = c.stream_create_on(target);
     match path {
         Path::Prefetch => {
@@ -83,11 +83,15 @@ fn migrate(topo: &Topology, start: Start, target: u32, path: Path) -> (f64, Vec<
     assert!(c.races().is_empty());
 
     let mut moved = Vec::new();
-    for (i, (old, new)) in before.iter().zip(c.link_traffic()).enumerate() {
+    for (i, (old, new)) in before.iter().zip(c.stats().links).enumerate() {
         if new != *old {
-            assert_eq!(new.1 - old.1, 1, "one transfer per crossed link");
+            assert_eq!(
+                new.transfers - old.transfers,
+                1,
+                "one transfer per crossed link"
+            );
             assert!(
-                (new.0 - old.0 - BYTES).abs() < 0.5,
+                (new.bytes - old.bytes - BYTES).abs() < 0.5,
                 "the whole array crosses"
             );
             moved.push(topo.links()[i].label());

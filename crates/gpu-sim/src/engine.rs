@@ -108,6 +108,17 @@ pub struct EngineStats {
     pub race_scans: usize,
 }
 
+/// Lifetime traffic of one interconnect link.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LinkTraffic {
+    /// Bytes moved over the link, in either direction.
+    pub bytes: f64,
+    /// Transfers that crossed it.
+    pub transfers: usize,
+    /// Whether it is a device's host (PCIe) link.
+    pub host: bool,
+}
+
 /// How many tasks in flight read and write one value.
 #[derive(Clone, Copy, Default)]
 struct Holders {
@@ -219,12 +230,10 @@ pub struct Engine {
     /// join the per-device resources in the rate solve whenever a task
     /// in the active set occupies a link.
     topo: Topology,
-    /// Bytes moved over each link so far (host links by transfer
+    /// Traffic over each link so far (host links by transfer
     /// direction/device, peer links by task attribution). Indexed like
     /// [`Topology::links`]; survives [`Engine::clear_timeline`].
-    link_bytes: Vec<f64>,
-    /// Transfers completed per link, aligned with `link_bytes`.
-    link_transfers: Vec<usize>,
+    links: Vec<LinkTraffic>,
     now: Time,
     /// States of tasks `base..base + tasks.len()`. Ids below `base`
     /// belong to completed tasks whose state was reclaimed from the
@@ -286,7 +295,9 @@ impl Engine {
     /// they run on.
     pub fn with_topology(dev: DeviceProfile, topo: Topology) -> Self {
         let n = topo.device_count();
-        let n_links = topo.links().len();
+        // Links `0..n` are the devices' host links.
+        let mut links = vec![LinkTraffic::default(); topo.links().len()];
+        links[..n].iter_mut().for_each(|l| l.host = true);
         // Host-side copies are timed against the device profile's PCIe
         // bandwidth (bulk-copy specs and the per-device h2d/d2h
         // capacities both come from `dev.pcie_bw`), so a topology whose
@@ -306,15 +317,15 @@ impl Engine {
             dev,
             n_devices: n as u32,
             topo,
-            link_bytes: vec![0.0; n_links],
-            link_transfers: vec![0; n_links],
+            // Sized before `links` moves in.
+            solve: SolveScratch::new(n + links.len()),
+            links,
             now: 0.0,
             tasks: VecDeque::new(),
             base: 0,
             active: Vec::new(),
             active_on_links: 0,
             dirty: Vec::new(),
-            solve: SolveScratch::new(n + n_links),
             latent: BinaryHeap::new(),
             inflight: vec![0; n],
             timeline: Timeline::new(),
@@ -356,15 +367,11 @@ impl Engine {
         &self.topo
     }
 
-    /// Lifetime `(bytes, transfers)` moved over each link, indexed like
-    /// [`Topology::links`] (host links first, then peer links). Unlike
-    /// the timeline this is never cleared.
-    pub fn link_traffic(&self) -> Vec<(f64, usize)> {
-        self.link_bytes
-            .iter()
-            .zip(&self.link_transfers)
-            .map(|(&b, &t)| (b, t))
-            .collect()
+    /// Lifetime traffic over each link, indexed like [`Topology::links`]
+    /// (host links first, then peer and NIC links). Unlike the timeline
+    /// this is never cleared.
+    pub fn link_traffic(&self) -> &[LinkTraffic] {
+        &self.links
     }
 
     /// Submitted-but-unfinished tasks currently placed on a device — the
@@ -905,8 +912,9 @@ impl Engine {
         };
         if iv.kind.is_transfer() {
             if let Some(l) = link {
-                self.link_bytes[l.0 as usize] += iv.meta.bytes;
-                self.link_transfers[l.0 as usize] += 1;
+                let traffic = &mut self.links[l.0 as usize];
+                traffic.bytes += iv.meta.bytes;
+                traffic.transfers += 1;
             }
         }
         // Every completion is a calibration observation, recorded here
@@ -1069,6 +1077,22 @@ mod tests {
 
     fn dev() -> DeviceProfile {
         DeviceProfile::gtx1660_super()
+    }
+
+    #[test]
+    fn the_test_build_runs_the_debug_oracles() {
+        // `assert_rates_match_full_solve`, `assert_table_matches_scan`
+        // and the scheduler's sync audit run only where debug
+        // assertions are on: the workspace's `[profile.dev]` may raise
+        // the opt-level, never switch them off. Checked when the test
+        // is compiled, so a test build without them (`--release`
+        // included) does not build.
+        const {
+            assert!(
+                cfg!(debug_assertions),
+                "tests built without debug assertions skip the in-engine oracles"
+            )
+        }
     }
 
     /// An engine over `n` devices joined by host (PCIe) links only.
@@ -1323,11 +1347,14 @@ mod tests {
             e.now()
         );
         // Link traffic is attributed per link; host links stay idle.
-        let traffic = e.link_traffic();
-        assert_eq!(traffic[l01.0 as usize], (2.0 * bw * 1e-3, 2));
-        assert_eq!(traffic[l23.0 as usize], (bw * 1e-3, 1));
-        for (h, t) in traffic.iter().take(4).enumerate() {
-            assert_eq!(*t, (0.0, 0), "host link {h} must be idle");
+        let traffic = |l: LinkId| {
+            let t = e.link_traffic()[l.0 as usize];
+            (t.bytes, t.transfers)
+        };
+        assert_eq!(traffic(l01), (2.0 * bw * 1e-3, 2));
+        assert_eq!(traffic(l23), (bw * 1e-3, 1));
+        for h in 0..4 {
+            assert_eq!(traffic(LinkId(h)), (0.0, 0), "host link {h} must be idle");
         }
         // Timeline intervals carry the link attribution.
         let on_link = |l: u32| {
@@ -1354,9 +1381,12 @@ mod tests {
         );
         e.sync_task(c0);
         e.sync_task(c1);
-        let traffic = e.link_traffic();
-        assert_eq!(traffic[0], (1e6, 1));
-        assert_eq!(traffic[1], (2e6, 1));
+        let traffic: Vec<_> = e
+            .link_traffic()
+            .iter()
+            .map(|t| (t.bytes, t.transfers))
+            .collect();
+        assert_eq!(traffic, [(1e6, 1), (2e6, 1)]);
         let links: Vec<_> = e.timeline().transfers().map(|iv| iv.link).collect();
         assert_eq!(links, [Some(0), Some(1)]);
     }

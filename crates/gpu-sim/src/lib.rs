@@ -80,7 +80,7 @@ mod topology;
 pub use calibrate::{Calibration, CalibrationStats, CANDIDATE_BLOCK_SIZES};
 pub use cost::{Grid, KernelCost};
 pub use data::{DataBuffer, TypedData, ValueId};
-pub use engine::{Engine, EngineStats, TaskId};
+pub use engine::{Engine, EngineStats, LinkTraffic, TaskId};
 pub use memory_manager::{EvictionPolicy, MemoryConfig, MemoryManager, MemoryStats};
 pub use profile::{Architecture, DeviceProfile};
 pub use race::RaceReport;

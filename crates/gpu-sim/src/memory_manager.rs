@@ -121,11 +121,6 @@ impl MemoryStats {
             self.prefetch_hits as f64 / self.prefetch_issued as f64
         }
     }
-
-    /// Bytes resident across all devices.
-    pub fn total_resident(&self) -> usize {
-        self.resident_bytes.iter().sum()
-    }
 }
 
 /// Ahead-of-launch prefetch admission and hit accounting (see the
@@ -398,7 +393,7 @@ mod tests {
         assert_eq!(m.resident_bytes(0), 500);
         let st = m.stats();
         assert_eq!(st.peak_resident, vec![900, 100]);
-        assert_eq!(st.total_resident(), 600);
+        assert_eq!(st.resident_bytes.iter().sum::<usize>(), 600);
     }
 
     #[test]

@@ -489,7 +489,7 @@ mod tests {
         // panic on the violations above: let the host wait past the end
         // of both kernels.
         g.host_spin(1.0);
-        let stats = g.stats();
+        let stats = g.snapshot().engine;
         assert_eq!(stats.completed, stats.submitted, "both kernels ran");
         assert!(
             g.races().is_empty(),

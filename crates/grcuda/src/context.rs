@@ -10,13 +10,13 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use cuda_sim::{Cuda, Launch, MemEventKind, StreamId, UnifiedArray};
+use cuda_sim::{Cuda, Launch, MemEventKind, Migrations, Moved, StreamId, UnifiedArray};
 use dag::{ArgAccess, ComputationDag, DenseMap, ElementKind, Value, VertexId};
-use gpu_sim::MemoryStats;
 use gpu_sim::{
     Architecture, DataBuffer, DeviceProfile, EngineStats, Grid, KernelBody, RaceReport, TaskId,
     Time, Timeline, Topology, TopologyKind, TypedData, ValueId,
 };
+use gpu_sim::{CalibrationStats, LinkTraffic, MemoryStats};
 use kernels::KernelDef;
 
 use crate::array::DeviceArray;
@@ -100,12 +100,15 @@ pub(crate) struct LaunchScratch {
     free_bytes: Vec<usize>,
 }
 
-/// Sizes of the scheduler-side bookkeeping (§IV-B state). On a
-/// long-running service these gauges must track the *live* frontier: the
-/// lifetime counters keep growing, everything else stays bounded across
-/// launch/sync cycles.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SchedulerStats {
+/// Everything a runtime reports, taken at one instant by
+/// [`GrCuda::snapshot`]: the sizes of the scheduler-side bookkeeping
+/// (§IV-B state) and every counter of the simulated device context
+/// beneath it. On a long-running service the bookkeeping gauges must
+/// track the *live* frontier ([`Snapshot::is_drained`] after a full
+/// sync): the lifetime counters keep growing, everything else stays
+/// bounded across launch/sync cycles.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Snapshot {
     /// Computational elements ever registered in the DAG.
     pub lifetime_vertices: usize,
     /// DAG vertices currently stored (live + retired awaiting
@@ -123,9 +126,9 @@ pub struct SchedulerStats {
     /// one record per vertex, so the three gauges are equal; all three
     /// stay for `benchmark/`).
     pub vertex_tasks: usize,
-    /// Equal to [`SchedulerStats::vertex_tasks`].
+    /// Equal to [`Snapshot::vertex_tasks`].
     pub vertex_streams: usize,
-    /// Equal to [`SchedulerStats::vertex_tasks`].
+    /// Equal to [`Snapshot::vertex_tasks`].
     pub vertex_devices: usize,
     /// Always 0: a launch's metadata now travels with its engine task
     /// and is recorded when the task completes, so nothing waits on the
@@ -144,25 +147,55 @@ pub struct SchedulerStats {
     /// eviction/spill counters stay zero; residency and prefetch
     /// accounting are tracked either way.
     pub memory: MemoryStats,
-    /// Multi-node gauges: per-node in-flight load, cross-node migration
-    /// accounting and the partitioning pre-pass counters. On single-box
-    /// machines this is the one-node degenerate form (no NIC links, no
-    /// partitioning, every counter zero).
+    /// Multi-node gauges: per-node in-flight load and the partitioning
+    /// pre-pass counters. On single-box machines this is the one-node
+    /// degenerate form (no partitioning, every counter zero).
     pub cluster: ClusterStats,
+    /// Engine counters: tasks submitted, completed and retained, races
+    /// and the rate solver's work.
+    pub engine: EngineStats,
+    /// Observation counters of the online calibration layer.
+    pub calibration: CalibrationStats,
+    /// Cross-device migrations performed so far — the run-time
+    /// migration-cost accounting the paper's §VI calls for — in all,
+    /// over peer links, and the NIC legs of cross-node routes.
+    pub migrations: Migrations,
+    /// Lifetime traffic per interconnect link, indexed like
+    /// [`Topology::links`] (host links first, then peer and NIC links).
+    pub links: Vec<LinkTraffic>,
+    /// Streams of the device context, the default stream included.
+    pub streams: usize,
+    /// Streams the stream manager has created.
+    pub streams_created: usize,
 }
 
-/// The `cluster` section of [`SchedulerStats`]: what the multi-node
-/// layer did (see [`crate::partition_batch`] and [`gpu_sim::Cluster`]).
+impl Snapshot {
+    /// Total bytes moved over the host (PCIe) links in either direction
+    /// — staging, host reads, and host-mediated migration legs. The
+    /// gauge transfer-aware placement tries to minimize.
+    pub fn host_link_bytes(&self) -> f64 {
+        self.links.iter().filter(|l| l.host).map(|l| l.bytes).sum()
+    }
+
+    /// Whether the scheduler is back to its empty-frontier baseline:
+    /// nothing of the DAG stored (vertices, edges, value states), no
+    /// stream claim, no launch record and no engine task state kept —
+    /// what every retire path must leave after a full sync.
+    pub fn is_drained(&self) -> bool {
+        let dag = self.live_vertices + self.stored_vertices + self.stored_edges + self.value_states;
+        dag + self.stream_claims + self.vertex_tasks + self.engine.retained_tasks == 0
+    }
+}
+
+/// The `cluster` section of [`Snapshot`]: what the multi-node layer did
+/// (see [`crate::partition_batch`] and [`gpu_sim::Cluster`]); the NIC
+/// legs of cross-node migrations are [`Migrations::cross_node`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClusterStats {
-    /// Nodes in the machine (1 on single-box machines).
-    pub nodes: usize,
     /// Submitted-but-unfinished tasks per node — the per-device load
-    /// gauge summed over each node's GPUs. Drains to zero at sync.
+    /// gauge summed over each node's GPUs, one entry per node (one on
+    /// single-box machines). Drains to zero at sync.
     pub node_inflight: Vec<usize>,
-    /// Lifetime bytes carried over NIC links by cross-node migrations
-    /// (the count is [`GrCuda::cross_node_migration_stats`]).
-    pub cross_node_bytes: usize,
     /// Batches the deterministic partitioning pre-pass sharded. It runs
     /// only for a policy that reads node hints ([`crate::Reads::node`]),
     /// so this stays 0 under every other.
@@ -170,6 +203,12 @@ pub struct ClusterStats {
     /// Cut bytes accumulated across all partitioned batches (0 under a
     /// policy that does not read node hints, like the count).
     pub partition_cut_bytes: usize,
+}
+
+/// A [`Moved`] as the `(count, bytes)` pair the migration views retained
+/// for `benchmark/` return.
+fn pair(m: Moved) -> (usize, usize) {
+    (m.count, m.bytes)
 }
 
 /// The GrCUDA runtime: allocate arrays, build kernels, launch, read
@@ -193,7 +232,7 @@ impl GrCuda {
     /// computation DAG, one stream manager with per-device pools, one
     /// engine. So multi-GPU launches get dependency inference,
     /// first-child stream claims, retire/compact and
-    /// [`GrCuda::scheduler_stats`] exactly like single-GPU ones, and
+    /// [`GrCuda::snapshot`] exactly like single-GPU ones, and
     /// every policy computes bit-identical results (ordering always
     /// comes from the shared DAG; policies only move work).
     ///
@@ -356,7 +395,7 @@ impl GrCuda {
     ///     PlacementPolicy::NodeAware,
     /// );
     /// assert_eq!(g.device_count(), 4);
-    /// assert_eq!(g.scheduler_stats().cluster.nodes, 2);
+    /// assert_eq!(g.snapshot().cluster.node_inflight.len(), 2);
     ///
     /// // Two independent chains, batch-submitted: the partitioner keeps
     /// // each chain on one node, so nothing crosses the NICs.
@@ -383,7 +422,7 @@ impl GrCuda {
     ///     .collect();
     /// g.launch_batch(&calls).unwrap();
     /// g.sync();
-    /// assert_eq!(g.cross_node_migration_stats(), (0, 0));
+    /// assert_eq!(g.snapshot().migrations.cross_node.count, 0);
     /// ```
     pub fn with_cluster(
         dev: DeviceProfile,
@@ -406,38 +445,35 @@ impl GrCuda {
         self.inner.borrow().cuda.device_count()
     }
 
-    /// Cross-device migrations performed so far as `(count, bytes)` —
-    /// the run-time migration-cost accounting the paper's §VI calls for.
-    /// Peer-to-peer and host-mediated migrations combined; the
-    /// host-mediated ones are these less
-    /// [`GrCuda::p2p_migration_stats`].
+    /// [`Snapshot::migrations`]`.all` as `(count, bytes)`. Retained for
+    /// `benchmark/`; retire in the next benchmark PR.
     pub fn migration_stats(&self) -> (usize, usize) {
-        self.inner.borrow().cuda.migration_stats()
+        pair(self.snapshot().migrations.all)
     }
 
-    /// Cross-device migrations that went over a direct peer link, as
-    /// `(count, bytes)`.
+    /// [`Snapshot::migrations`]`.p2p` as `(count, bytes)`. Retained for
+    /// `benchmark/`; retire in the next benchmark PR.
     pub fn p2p_migration_stats(&self) -> (usize, usize) {
-        self.inner.borrow().cuda.p2p_migration_stats()
+        pair(self.snapshot().migrations.p2p)
     }
 
-    /// Cross-**node** migrations performed so far as `(count, bytes)`
-    /// — the NIC legs of GPU→host→NIC→host→GPU routes. Always `(0, 0)`
-    /// on single-node machines.
+    /// [`Snapshot::migrations`]`.cross_node` as `(count, bytes)`.
+    /// Retained for `benchmark/`; retire in the next benchmark PR.
     pub fn cross_node_migration_stats(&self) -> (usize, usize) {
-        self.inner.borrow().cuda.cross_node_migration_stats()
+        pair(self.snapshot().migrations.cross_node)
     }
 
-    /// Lifetime `(bytes, transfers)` per interconnect link, indexed like
-    /// [`Topology::links`] (host links first, then peer links).
+    /// [`Snapshot::links`] as `(bytes, transfers)` pairs. Retained for
+    /// `benchmark/`; retire in the next benchmark PR.
     pub fn link_traffic(&self) -> Vec<(f64, usize)> {
-        self.inner.borrow().cuda.link_traffic()
+        let links = self.snapshot().links;
+        links.iter().map(|l| (l.bytes, l.transfers)).collect()
     }
 
-    /// Total bytes moved over the host (PCIe) links in either direction
-    /// — staging, host reads, and host-mediated migration legs.
+    /// [`Snapshot::host_link_bytes`]. Retained for `benchmark/`; retire
+    /// in the next benchmark PR.
     pub fn host_link_bytes(&self) -> f64 {
-        self.inner.borrow().cuda.host_link_bytes()
+        self.snapshot().host_link_bytes()
     }
 
     /// Current virtual time (seconds).
@@ -591,11 +627,6 @@ impl GrCuda {
         self.calibration(|c| c.mean_duration(kernel, block_size, elements))
     }
 
-    /// Observation counters for the online calibration layer.
-    pub fn calibration_stats(&self) -> gpu_sim::CalibrationStats {
-        self.calibration(|c| c.stats())
-    }
-
     /// Execution timeline snapshot.
     pub fn timeline(&self) -> Timeline {
         self.inner.borrow().cuda.timeline()
@@ -618,32 +649,40 @@ impl GrCuda {
         self.inner.borrow().cuda.races()
     }
 
-    /// Engine counters.
+    /// [`Snapshot::engine`]. Retained for `benchmark/`; retire in the
+    /// next benchmark PR.
     pub fn stats(&self) -> EngineStats {
-        self.inner.borrow().cuda.stats()
+        self.snapshot().engine
     }
 
-    /// Scheduler-side bookkeeping sizes — the memory gauges a
-    /// long-running service watches (see [`SchedulerStats`]).
-    pub fn scheduler_stats(&self) -> SchedulerStats {
+    /// [`GrCuda::snapshot`]. Retained for `benchmark/`; retire in the
+    /// next benchmark PR.
+    pub fn scheduler_stats(&self) -> Snapshot {
+        self.snapshot()
+    }
+
+    /// [`Snapshot::streams_created`]. Retained for `benchmark/`; retire
+    /// in the next benchmark PR.
+    pub fn streams_created(&self) -> usize {
+        self.snapshot().streams_created
+    }
+
+    /// Everything this runtime reports, read under one borrow: the
+    /// scheduler's bookkeeping gauges and every counter of the device
+    /// context (see [`Snapshot`]).
+    pub fn snapshot(&self) -> Snapshot {
         let ctx = self.inner.borrow();
+        let c = ctx.cuda.stats();
         let mut loads = Vec::new();
         ctx.cuda.device_loads_into(&mut loads);
-        let node_inflight = ctx.cuda.machine(|_, topo| {
-            let mut per_node = vec![0usize; topo.node_count()];
-            for (d, &l) in loads.iter().enumerate() {
-                per_node[topo.node_of(d as u32) as usize] += l;
-            }
-            per_node
-        });
-        let cluster = ClusterStats {
-            nodes: node_inflight.len(),
-            node_inflight,
-            cross_node_bytes: ctx.cuda.cross_node_migration_stats().1,
-            partitioned_batches: ctx.partitioned_batches,
-            partition_cut_bytes: ctx.partition_cut_bytes,
-        };
-        SchedulerStats {
+        // `node_of` is empty on one node, and a node's devices are
+        // contiguous, so the last device's node is the last node.
+        let node = |d: usize| ctx.node_of.get(d).map_or(0, |&n| n as usize);
+        let mut node_inflight = vec![0; node(loads.len() - 1) + 1];
+        for (d, &l) in loads.iter().enumerate() {
+            node_inflight[node(d)] += l;
+        }
+        Snapshot {
             lifetime_vertices: ctx.dag.len(),
             stored_vertices: ctx.dag.stored_len(),
             live_vertices: ctx.dag.live_len(),
@@ -655,14 +694,19 @@ impl GrCuda {
             vertex_devices: ctx.placed.len(),
             launch_infos: 0,
             placement_probes: ctx.placement_probes,
-            memory: ctx.cuda.memory_stats(),
-            cluster,
+            memory: c.memory,
+            cluster: ClusterStats {
+                node_inflight,
+                partitioned_batches: ctx.partitioned_batches,
+                partition_cut_bytes: ctx.partition_cut_bytes,
+            },
+            engine: c.engine,
+            calibration: c.calibration,
+            migrations: c.migrations,
+            links: c.links,
+            streams: c.streams,
+            streams_created: ctx.streams.streams_created(),
         }
-    }
-
-    /// Number of streams the stream manager has created.
-    pub fn streams_created(&self) -> usize {
-        self.inner.borrow().streams.streams_created()
     }
 
     /// The computation DAG rendered as Graphviz DOT (current frontier
@@ -1231,7 +1275,7 @@ mod tests {
             ks[0].stream, ks[1].stream,
             "first child rides the parent's stream"
         );
-        assert_eq!(g.streams_created(), 1);
+        assert_eq!(g.snapshot().streams_created, 1);
     }
 
     #[test]
@@ -1281,10 +1325,10 @@ mod tests {
         // The access was modeled and the long kernel was NOT drained by
         // the read: only x's producing stream was synchronized.
         assert!(
-            g.scheduler_stats().lifetime_vertices >= 3,
+            g.snapshot().lifetime_vertices >= 3,
             "access was modeled as a computational element"
         );
-        let st = g.stats();
+        let st = g.snapshot().engine;
         assert!(
             st.completed < st.submitted,
             "the long kernel must still be in flight after reading x"
@@ -1314,7 +1358,7 @@ mod tests {
         let g = p100();
         let x = g.array_f32(16);
         let _ = x.get_f32(0); // GPU idle: free access
-        assert_eq!(g.scheduler_stats().lifetime_vertices, 0);
+        assert_eq!(g.snapshot().lifetime_vertices, 0);
     }
 
     #[test]
@@ -1369,7 +1413,7 @@ mod tests {
             .unwrap();
         let tl = g.timeline();
         assert_eq!(tl.streams_used(), 1);
-        assert_eq!(g.streams_created(), 0);
+        assert_eq!(g.snapshot().streams_created, 0);
     }
 
     #[test]
@@ -1473,7 +1517,7 @@ mod tests {
         // Touch an unrelated array: still forces a device sync.
         let w = g.array_f32(4);
         let _ = w.get_f32(0);
-        let st = g.stats();
+        let st = g.snapshot().engine;
         assert_eq!(
             st.completed, st.submitted,
             "device fully drained by the access"
@@ -1512,7 +1556,12 @@ mod tests {
         // either) and by a library call — instead of reaching the
         // kernel's conversion at the next sync.
         let lib = g.register_library(&MEMSET_F32, G, true).unwrap();
-        let state = || (g.scheduler_stats().lifetime_vertices, g.stats().submitted);
+        let state = || {
+            (
+                g.snapshot().lifetime_vertices,
+                g.snapshot().engine.submitted,
+            )
+        };
         let before = state();
         let args = |n: f64| [Arg::array(&x), Arg::scalar(7.0), Arg::scalar(n)];
         let good = args(8.0);
@@ -1641,19 +1690,9 @@ mod tests {
             assert!(g.now().is_finite(), "{options:?}");
             assert!(g.races().is_empty(), "{options:?}");
             assert_eq!(x.to_vec_f32(), vec![81.0; 8], "{options:?}");
-            let (st, engine) = (g.scheduler_stats(), g.stats());
-            assert_eq!(
-                (st.live_vertices, st.stored_vertices, st.stored_edges),
-                (0, 0, 0),
-                "{options:?}"
-            );
-            assert_eq!(
-                (st.value_states, st.stream_claims, st.vertex_tasks),
-                (0, 0, 0),
-                "{options:?}"
-            );
-            assert_eq!(engine.completed, engine.submitted, "{options:?}");
-            assert_eq!(engine.retained_tasks, 0, "{options:?}");
+            let st = g.snapshot();
+            assert!(st.is_drained(), "{options:?}: {st:?}");
+            assert_eq!(st.engine.completed, st.engine.submitted, "{options:?}");
         }
     }
 
@@ -1699,7 +1738,7 @@ mod tests {
         let batch = [call(&ms, &good), call(&their_ms, &bad)];
         foreign(g.launch_batch(&batch).map(|_| ()), "memset_f32", 0);
 
-        for st in [g.scheduler_stats(), other.scheduler_stats()] {
+        for st in [g.snapshot(), other.snapshot()] {
             assert_eq!(st.lifetime_vertices, 0, "nothing entered either DAG");
         }
         assert_eq!((ours.get_f32(3), theirs.get_f32(3)), (1.0, 1.0));
@@ -1738,7 +1777,7 @@ mod tests {
         assert_eq!(g.history_samples("square"), 1);
         assert!(g.mean_kernel_duration("square", 256, n_short).is_some());
         assert_eq!(g.mean_kernel_duration("square", 256, n_long), None);
-        let st = g.stats();
+        let st = g.snapshot().engine;
         assert!(st.completed < st.submitted, "long kernel still running");
         // Now the long (lower-task-id) kernel completes: its sample
         // appears too.
@@ -1787,7 +1826,7 @@ mod tests {
             g.sync();
         }
         // One stream suffices: after each sync it is empty and reused.
-        assert_eq!(g.streams_created(), 1);
+        assert_eq!(g.snapshot().streams_created, 1);
     }
 
     // --------------------------------------------------------------
@@ -1906,7 +1945,7 @@ mod tests {
             .collect();
         let cut = crate::partition::partition_batch(&items, 2).cut_bytes;
         assert!(cut > 0, "the chain is split");
-        let st = g.scheduler_stats().cluster;
+        let st = g.snapshot().cluster;
         assert_eq!((st.partitioned_batches, st.partition_cut_bytes), (1, cut));
     }
 
@@ -1979,9 +2018,9 @@ mod tests {
             .launch_placed(G, &map_args(&y, &z, 1.0, n))
             .unwrap();
         assert_ne!(d1, d2, "round robin spreads the chain");
-        let (migs, bytes) = g.migration_stats();
-        assert!(migs >= 1, "dependent u8 data must migrate");
-        assert!(bytes >= n);
+        let migs = g.snapshot().migrations.all;
+        assert!(migs.count >= 1, "dependent u8 data must migrate");
+        assert!(migs.bytes >= n);
         g.sync();
         let want: Vec<u8> = input
             .iter()
@@ -2009,7 +2048,10 @@ mod tests {
         // device under round-robin and must migrate the i32 data.
         let d2 = scale.launch_placed(G, &map_args(&y, &x, 2.0, n)).unwrap();
         assert_ne!(d1, d2);
-        assert!(g.migration_stats().0 >= 1, "i32 chain must migrate");
+        assert!(
+            g.snapshot().migrations.all.count >= 1,
+            "i32 chain must migrate"
+        );
         g.sync();
         let want: Vec<i32> = input.iter().map(|v| 3 * v).collect();
         assert_eq!(y.to_vec_i32(), want);

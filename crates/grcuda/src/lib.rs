@@ -24,7 +24,7 @@
 //!    full-sync branch) drops the retired vertices' stream claims and
 //!    vertex→task/stream entries and compacts the DAG, so a service
 //!    issuing millions of launches does not grow without bound. The
-//!    gauges are exposed via [`GrCuda::scheduler_stats`]; the `soak`
+//!    gauges are exposed via [`GrCuda::snapshot`]; the `soak`
 //!    suite of `crates/bench`'s `trajectory` binary asserts them under
 //!    sustained traffic.
 //!
@@ -72,7 +72,7 @@ pub mod stream_manager;
 
 pub use array::DeviceArray;
 pub use audit::{AuditReport, ConflictKind, Lint, LintKind, ScheduleViolation};
-pub use context::{ClusterStats, GrCuda, SchedulerStats};
+pub use context::{ClusterStats, GrCuda, Snapshot};
 pub use kernel::{Arg, BatchLaunch, Kernel, LaunchError};
 pub use library::Library;
 pub use nidl::{NidlError, NidlParam, NidlType, Signature};

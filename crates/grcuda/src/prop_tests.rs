@@ -368,7 +368,7 @@ fn launch_batch_validates_before_submitting() {
         Err(crate::LaunchError::ArityMismatch { .. })
     ));
     assert_eq!(
-        g.scheduler_stats().lifetime_vertices,
+        g.snapshot().lifetime_vertices,
         0,
         "a rejected batch must submit nothing"
     );

@@ -24,7 +24,7 @@
 //!   which synchronizes exactly its producing chain, timestamps its
 //!   virtual latency, and lets the scheduler retire the chain's state.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use gpu_sim::{DeviceProfile, Grid, Topology, TypedData};
 use kernels::KernelDef;
@@ -248,6 +248,12 @@ pub struct TenantStats {
     pub rejected: u64,
     /// Kernel launches submitted to the scheduler.
     pub launches: u64,
+    /// Those launches by kernel signature, in signature order — who ran
+    /// what, the attribution that lets an operator (or a calibration
+    /// consumer) explain where a tenant's device time went. Counted at
+    /// admission, like `launches`; a signature never launched has no
+    /// row.
+    pub kernels: Vec<(String, u64)>,
     /// Requests waiting in the tenant's queue.
     pub queued: usize,
     /// Virtual latency (seconds) of every completed request, in
@@ -276,20 +282,19 @@ struct InFlight {
 
 /// One row of the tenant table. The fairness rules read `weight` and
 /// the head of `queue` straight off it ([`Admission::next`]).
+#[derive(Default)]
 pub(super) struct Tenant {
     name: String,
     pub(super) weight: u32,
     arrays: Vec<DeviceArray>,
     kernels: Vec<Kernel>,
+    /// Launches admitted per entry of `kernels`, indexed like it.
+    kernel_launches: Vec<u64>,
     pub(super) queue: VecDeque<PendingRequest>,
     submitted: u64,
     completed: u64,
     rejected: u64,
     launches: u64,
-    // Launches by kernel signature — the per-tenant attribution the
-    // history/calibration layer keys by (BTreeMap for deterministic
-    // iteration order in stats output).
-    kernel_launches: BTreeMap<&'static str, u64>,
     latencies: Vec<f64>,
 }
 
@@ -298,15 +303,29 @@ impl Tenant {
         Tenant {
             name: name.to_string(),
             weight,
-            arrays: Vec::new(),
-            kernels: Vec::new(),
-            queue: VecDeque::new(),
-            submitted: 0,
-            completed: 0,
-            rejected: 0,
-            launches: 0,
-            kernel_launches: BTreeMap::new(),
-            latencies: Vec::new(),
+            ..Tenant::default()
+        }
+    }
+
+    /// The tenant's [`TenantStats`], launches merged by kernel name.
+    fn stats(&self) -> TenantStats {
+        let names = self.kernels.iter().map(Kernel::name);
+        let mut kernels: Vec<_> = names.zip(self.kernel_launches.iter().copied()).collect();
+        kernels.retain(|&(_, n)| n > 0);
+        kernels.sort_by_key(|&(name, _)| name);
+        // One row per signature: a kernel registered twice is one name.
+        let rows = kernels.chunk_by(|a, b| a.0 == b.0);
+        let kernels = rows.map(|r| (r[0].0.to_string(), r.iter().map(|&(_, n)| n).sum()));
+        TenantStats {
+            name: self.name.clone(),
+            weight: self.weight,
+            submitted: self.submitted,
+            completed: self.completed,
+            rejected: self.rejected,
+            launches: self.launches,
+            kernels: kernels.collect(),
+            queued: self.queue.len(),
+            latencies: self.latencies.clone(),
         }
     }
 }
@@ -481,6 +500,7 @@ impl ServiceCore {
             .map_err(|e| ServeError::Invalid(format!("kernel `{}`: {e}", def.name)))?;
         let tenant = self.tenant_mut(t)?;
         tenant.kernels.push(k);
+        tenant.kernel_launches.push(0);
         Ok(KernelRef {
             tenant: t,
             index: (tenant.kernels.len() - 1) as u32,
@@ -561,11 +581,7 @@ impl ServiceCore {
 
     /// True when no request is queued or in flight.
     pub fn idle(&self) -> bool {
-        self.inflight_count() == 0 && self.tenants.iter().all(|t| t.queue.is_empty())
-    }
-
-    fn inflight_count(&self) -> usize {
-        self.inflight.len()
+        self.inflight.is_empty() && self.tenants.iter().all(|t| t.queue.is_empty())
     }
 
     /// One pump cycle: make room in the pipeline window, ask the
@@ -596,8 +612,7 @@ impl ServiceCore {
             let tenant = &mut self.tenants[ti];
             tenant.launches += req.calls.len() as u64;
             for &(k, _, _) in &req.calls {
-                let name = tenant.kernels[k as usize].name();
-                *tenant.kernel_launches.entry(name).or_insert(0) += 1;
+                tenant.kernel_launches[k as usize] += 1;
             }
             admitted.push(req);
         }
@@ -689,49 +704,23 @@ impl ServiceCore {
 
     /// Snapshot one tenant's statistics.
     pub fn tenant_stats(&self, t: TenantId) -> Result<TenantStats, ServeError> {
-        let tenant = self.tenant(t)?;
-        Ok(TenantStats {
-            name: tenant.name.clone(),
-            weight: tenant.weight,
-            submitted: tenant.submitted,
-            completed: tenant.completed,
-            rejected: tenant.rejected,
-            launches: tenant.launches,
-            queued: tenant.queue.len(),
-            latencies: tenant.latencies.clone(),
-        })
-    }
-
-    /// Per-kernel-signature launch counts for one tenant, in signature
-    /// order — who ran what, the attribution that lets an operator (or
-    /// a calibration consumer) explain where a tenant's device time
-    /// went. Counts are attributed at admission, like
-    /// [`TenantStats::launches`].
-    pub fn tenant_kernel_stats(&self, t: TenantId) -> Result<Vec<(String, u64)>, ServeError> {
-        let tenant = self.tenant(t)?;
-        Ok(tenant
-            .kernel_launches
-            .iter()
-            .map(|(k, &n)| (k.to_string(), n))
-            .collect())
+        self.tenant(t).map(Tenant::stats)
     }
 
     /// Snapshot every tenant's statistics, in tenant-id order.
     pub fn all_stats(&self) -> Vec<TenantStats> {
-        (0..self.tenants.len())
-            .map(|i| {
-                self.tenant_stats(TenantId(i as u32))
-                    .expect("tenant exists")
-            })
-            .collect()
+        self.tenants.iter().map(Tenant::stats).collect()
     }
 
     /// Housekeeping for long-lived services: when fully idle, sync the
     /// scheduler (running its retire audit) and drop the accumulated
-    /// timeline so a service processing millions of requests stays
+    /// timeline, so the scheduler's state and the timeline stay
     /// O(live work). Both are pure reclamation — the kernel history was
-    /// recorded as each kernel completed and is untouched. No-op while
-    /// anything is queued or in flight.
+    /// recorded as each kernel completed and is untouched. The service
+    /// itself does not stay O(live work): every tenant keeps one latency
+    /// per completed request for as long as the core runs (see
+    /// [`TenantStats::latencies`]). No-op while anything is queued or in
+    /// flight.
     pub fn maintain(&mut self) {
         if self.idle() {
             self.g.sync();

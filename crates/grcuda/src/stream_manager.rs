@@ -143,7 +143,7 @@ mod tests {
     /// poll.
     fn polling_panics(pool: &[StreamId]) -> Cuda {
         let trap = cuda();
-        assert!(pool.iter().all(|s| s.0 as usize >= trap.stream_count()));
+        assert!(pool.iter().all(|s| s.0 as usize >= trap.stats().streams));
         trap
     }
 

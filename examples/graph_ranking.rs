@@ -151,7 +151,7 @@ fn main() {
     );
     println!(
         "\nDAG after 8 iterations: {} computational elements, {} streams, 0 races",
-        g.scheduler_stats().lifetime_vertices,
+        g.snapshot().lifetime_vertices,
         g.timeline().streams_used()
     );
 }

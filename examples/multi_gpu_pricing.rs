@@ -65,7 +65,7 @@ fn price_books(gpus: usize, policy: PlacementPolicy) -> (f64, usize, Vec<Vec<u64
     assert!(g.races().is_empty());
     let bits = |p: &grcuda::DeviceArray| p.to_vec_f64().iter().map(|x| x.to_bits()).collect();
     let prices = books.iter().map(|(_, p)| bits(p)).collect();
-    (g.now(), g.migration_stats().0, prices)
+    (g.now(), g.snapshot().migrations.all.count, prices)
 }
 
 fn dependent_chain(gpus: usize, policy: PlacementPolicy) -> (f64, usize) {
@@ -91,7 +91,7 @@ fn dependent_chain(gpus: usize, policy: PlacementPolicy) -> (f64, usize) {
         .unwrap();
     }
     g.sync();
-    (g.now(), g.migration_stats().0)
+    (g.now(), g.snapshot().migrations.all.count)
 }
 
 fn main() {

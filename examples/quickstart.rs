@@ -65,7 +65,10 @@ fn main() {
         "Execution timeline:\n{}",
         render_timeline(&g.timeline(), 90)
     );
-    println!("streams created by the scheduler: {}", g.streams_created());
+    println!(
+        "streams created by the scheduler: {}",
+        g.snapshot().streams_created
+    );
     println!("data races detected: {}", g.races().len());
     assert!(g.races().is_empty());
 }

@@ -60,7 +60,7 @@ fn run(dev: DeviceProfile, options: Options) -> (f64, usize, f32) {
     g.sync();
     let elapsed = g.now() - t0;
     assert!(g.races().is_empty());
-    (elapsed, g.streams_created(), checksum)
+    (elapsed, g.snapshot().streams_created, checksum)
 }
 
 fn main() {

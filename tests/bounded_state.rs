@@ -65,10 +65,10 @@ fn soak(g: &GrCuda, b: Bench, cycles: usize, sync: bool) -> usize {
                 .collect();
             k.launch(op.grid, &args).unwrap();
             launches += 1;
-            peak_stored = peak_stored.max(g.scheduler_stats().stored_vertices);
+            peak_stored = peak_stored.max(g.snapshot().stored_vertices);
         }
         let ctx = format!("{} cycle {cycle}", spec.name);
-        assert!(g.scheduler_stats().live_vertices > 0, "{ctx}: DAG is live");
+        assert!(g.snapshot().live_vertices > 0, "{ctx}: DAG is live");
         read_grcuda_outputs(&spec, &arrays);
         if sync {
             g.sync();
@@ -76,7 +76,7 @@ fn soak(g: &GrCuda, b: Bench, cycles: usize, sync: bool) -> usize {
         g.clear_timeline();
         assert_drained(g, &ctx);
     }
-    let st = g.scheduler_stats();
+    let st = g.snapshot();
     assert!(
         st.lifetime_vertices >= launches,
         "{}: lifetime counter kept the full story",
@@ -188,7 +188,7 @@ fn fine_grained_service_loop_stays_bounded_without_full_syncs() {
             kernel.launch(gpu_sim::Grid::d1(16, 256), &args).unwrap();
             let want = if in_place { v * v } else { 2.0 * v };
             assert_eq!(out.get_f32(7), want, "{}: req {req}", def.name);
-            let st = g.scheduler_stats();
+            let st = g.snapshot();
             peak_stored = peak_stored.max(st.stored_vertices);
             assert_eq!(
                 g.history_samples(def.name),
@@ -198,13 +198,13 @@ fn fine_grained_service_loop_stays_bounded_without_full_syncs() {
             assert_eq!(st.vertex_tasks, 0, "req {req}: chain retired on read");
             assert_eq!(st.stream_claims, 0, "req {req}");
             assert!(
-                g.stats().retained_tasks <= 16,
+                st.engine.retained_tasks <= 16,
                 "req {req}: engine retains completed task states on the \
                  fine-grained path: {}",
-                g.stats().retained_tasks
+                st.engine.retained_tasks
             );
         }
-        let st = g.scheduler_stats();
+        let st = g.snapshot();
         assert!(
             st.lifetime_vertices >= 2 * requests,
             "launches + modeled accesses"
@@ -307,7 +307,7 @@ fn history_is_bounded_by_configurations_not_by_launches() {
 
 #[test]
 fn finite_memory_soak_drains_to_the_live_working_set() {
-    // The `memory` section of scheduler_stats under a finite capacity:
+    // The `memory` section of the snapshot under a finite capacity:
     // across launch/sync cycles over an oversubscribed working set, the
     // per-device resident bytes must never exceed the capacity, and
     // after every sync() they must be bounded by the live working set
@@ -334,21 +334,22 @@ fn finite_memory_soak_drains_to_the_live_working_set() {
         for i in 0..arrays.len() {
             let (src, dst) = (&arrays[i], &arrays[(i + 1) % arrays.len()]);
             scale.launch(GRID, &copy_args(src, dst)).unwrap();
-            let mem = m.scheduler_stats().memory;
+            let mem = m.snapshot().memory;
             for (d, &r) in mem.resident_bytes.iter().enumerate() {
                 assert!(r <= capacity, "cycle {cycle}: device {d} over capacity");
             }
         }
         m.sync();
         m.clear_timeline();
-        let st = m.scheduler_stats();
+        let st = m.snapshot();
         let ctx = format!("cycle {cycle}: {:?}", st.memory);
         // Everything per-vertex drained, as always...
         assert_drained(&m, &ctx);
         // ...and the memory section drains to the live working set:
         // what remains resident is real array data, within capacity.
         assert_eq!(st.memory.capacity, Some(capacity), "{ctx}");
-        assert!(st.memory.total_resident() <= working_set, "{ctx}");
+        let resident: usize = st.memory.resident_bytes.iter().sum();
+        assert!(resident <= working_set, "{ctx}");
         for (d, &r) in st.memory.resident_bytes.iter().enumerate() {
             assert!(r <= capacity, "{ctx}: device {d}");
             assert!(st.memory.peak_resident[d] <= capacity, "{ctx}: device {d}");
@@ -363,7 +364,7 @@ fn finite_memory_soak_drains_to_the_live_working_set() {
 #[test]
 fn cluster_soak_drains_the_cluster_section_after_every_sync() {
     // The multi-node path: repeated partitioned batch rounds on a
-    // 2-node cluster must leave the cluster section of scheduler_stats
+    // 2-node cluster must leave the cluster section of the snapshot
     // drained after each sync — per-node in-flight work back to zero —
     // while the partition and cross-node counters stay monotone.
     use gpu_sim::{Cluster, NicKind, TopologyKind};
@@ -405,15 +406,14 @@ fn cluster_soak_drains_the_cluster_section_after_every_sync() {
         m.launch_batch(&calls).unwrap();
         m.sync();
         m.clear_timeline();
-        let st = m.scheduler_stats();
+        let st = m.snapshot();
         let ctx = format!("cycle {cycle}: {:?}", st.cluster);
-        assert_eq!(st.cluster.nodes, 2, "{ctx}");
         assert_eq!(st.cluster.node_inflight, vec![0, 0], "{ctx}");
         assert_drained(&m, &ctx);
         assert!(st.cluster.partitioned_batches > last_batches, "{ctx}");
         last_batches = st.cluster.partitioned_batches;
         assert_eq!(
-            st.cluster.cross_node_bytes, 0,
+            st.migrations.cross_node.bytes, 0,
             "{ctx}: node-local components never cross the NICs"
         );
     }
@@ -437,7 +437,7 @@ fn sync_after_heavy_traffic_resets_to_empty_frontier_baseline() {
         }
         g.sync();
     }
-    assert_eq!(g.scheduler_stats().lifetime_vertices, 1000);
+    assert_eq!(g.snapshot().lifetime_vertices, 1000);
     assert_drained(&g, "after 250 rounds");
     // History survived the whole run (no samples lost).
     g.clear_timeline();

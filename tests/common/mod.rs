@@ -83,21 +83,8 @@ impl ForkJoin {
 }
 
 /// Panic, naming `ctx`, unless the scheduler is back to its
-/// empty-frontier baseline: nothing of the DAG stored (vertices, edges,
-/// value states), no stream claim, no launch record and no engine task
-/// state kept.
+/// empty-frontier baseline ([`grcuda::Snapshot::is_drained`]).
 pub fn assert_drained(g: &GrCuda, ctx: &str) {
-    let st = g.scheduler_stats();
-    let left = [
-        ("live vertices", st.live_vertices),
-        ("stored vertices", st.stored_vertices),
-        ("stored edges", st.stored_edges),
-        ("value states", st.value_states),
-        ("stream claims", st.stream_claims),
-        ("launch records", st.vertex_tasks),
-        ("engine task states", g.stats().retained_tasks),
-    ];
-    for (what, n) in left {
-        assert_eq!(n, 0, "{what} left — {ctx}: {st:?}");
-    }
+    let st = g.snapshot();
+    assert!(st.is_drained(), "scheduler state left — {ctx}: {st:?}");
 }

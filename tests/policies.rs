@@ -13,12 +13,13 @@ use benchmarks::{
     cluster_run, fanout_mix, mixed_runs, oversub_capacity, oversubscribe, run_grcuda,
     run_multi_gpu, tiny, transfer_chain, Bench, ClusterSuite, Experiment, MixedScale,
 };
+use cuda_sim::Moved;
 use gpu_sim::{
     Cluster, DeviceProfile, EvictionPolicy, Grid, MemoryConfig, NicKind, Topology, TopologyKind,
 };
 use grcuda::{
     Arg, BatchLaunch, DepStreamPolicy, DeviceArray, DeviceSelectionPolicy, GrCuda, Options,
-    PlacementCtx, PlacementPolicy, PrefetchPolicy, StreamReusePolicy,
+    PlacementCtx, PlacementPolicy, PrefetchPolicy, Snapshot, StreamReusePolicy,
 };
 
 /// `n` Tesla P100s on an interconnect preset.
@@ -87,7 +88,7 @@ type Step = (&'static kernels::KernelDef, bool, f64);
 
 /// What a dependent chain did under one policy.
 struct ChainRun {
-    migrations: (usize, usize),
+    migrations: Moved,
     makespan: f64,
     /// The device of every launch, in order.
     devices: Vec<u32>,
@@ -116,7 +117,7 @@ fn dependent_chain(n_dev: usize, policy: PlacementPolicy, n: usize, steps: &[Ste
     g.sync();
     assert_eq!(g.races().len(), 0);
     ChainRun {
-        migrations: g.migration_stats(),
+        migrations: g.snapshot().migrations.all,
         makespan: g.now(),
         devices,
         y: y.to_vec_f32(),
@@ -148,13 +149,13 @@ fn locality_aware_beats_round_robin_on_a_dependent_chain() {
         let rr = dependent_chain(n_dev, PlacementPolicy::RoundRobin, n, steps);
         let loc = dependent_chain(n_dev, PlacementPolicy::LocalityAware, n, steps);
         assert!(
-            rr.migrations.0 >= rr_least && rr.migrations.1 >= 4 * n,
+            rr.migrations.count >= rr_least && rr.migrations.bytes >= 4 * n,
             "{at}: round-robin must ping-pong the chain: {:?}",
             rr.migrations
         );
         assert_eq!(
             loc.migrations,
-            (0, 0),
+            Moved::default(),
             "{at}: locality-aware must keep the chain in place"
         );
         assert!(
@@ -204,7 +205,7 @@ fn transfer_aware_beats_byte_count_locality_on_an_nvlink_pair() {
         ta.makespan,
         rr.makespan
     );
-    let host_bytes = |r: &Experiment| r.runtime.host_link_bytes();
+    let host_bytes = |r: &Experiment| r.runtime.snapshot().host_link_bytes();
     assert!(
         host_bytes(&ta) < host_bytes(&loc),
         "transfer-aware must move fewer bytes over the host links than \
@@ -222,11 +223,11 @@ fn transfer_aware_beats_byte_count_locality_on_an_nvlink_pair() {
     // Byte-count locality pays host-mediated round trips for the chain
     // state every iteration; cost-aware placement avoids migrating it at
     // all (it moves the host-backed input instead, one cheap leg).
-    let loc_migrations = loc.runtime.migration_stats().0;
+    let loc_migrations = loc.runtime.snapshot().migrations.all.count;
     assert!(loc_migrations >= iters, "locality ping-pongs the state");
     assert_eq!(
-        ta.runtime.migration_stats(),
-        (0, 0),
+        ta.runtime.snapshot().migrations.all,
+        Moved::default(),
         "transfer-aware pins the state"
     );
     // Placement must never change the numbers.
@@ -252,15 +253,15 @@ fn node_aware_beats_round_robin_across_a_cluster() {
         let at = format!("{nodes}x{gpus}");
         assert!(na.runtime.races().is_empty(), "{at}");
         assert!(rr.runtime.races().is_empty(), "{at}");
-        let na_cross = na.runtime.cross_node_migration_stats();
-        let rr_cross = rr.runtime.cross_node_migration_stats();
+        let na_cross = na.runtime.snapshot().migrations.cross_node;
+        let rr_cross = rr.runtime.snapshot().migrations.cross_node;
         assert_eq!(
             na_cross,
-            (0, 0),
+            Moved::default(),
             "{at}: node-aware must keep partitioned chains off the NICs"
         );
         assert!(
-            rr_cross.1 > 0,
+            rr_cross.bytes > 0,
             "{at}: round-robin must pay cross-node routes on the chain"
         );
         assert!(
@@ -272,7 +273,7 @@ fn node_aware_beats_round_robin_across_a_cluster() {
         assert!(na.same_answer(&rr), "{at}: placement changed the numbers");
         // The partitioner runs only for a policy that reads node hints:
         // every NodeAware batch, no round-robin one.
-        let batches = |r: &Experiment| r.runtime.scheduler_stats().cluster.partitioned_batches;
+        let batches = |r: &Experiment| r.runtime.snapshot().cluster.partitioned_batches;
         assert_eq!(batches(&na), steps, "{at}");
         assert_eq!(batches(&rr), 0, "{at}");
     }
@@ -338,20 +339,19 @@ fn a_custom_policy_is_handed_the_whole_context() {
             "host-written arguments priced on every device: {est:?}"
         );
     }
-    let st = g.scheduler_stats();
+    let st = g.snapshot();
     assert_eq!(st.cluster.partitioned_batches, 1);
     assert_eq!(st.placement_probes, 4, "two distinct arrays per call");
 }
 
-/// Every observable the committed bench metrics are built from, plus
-/// the full timeline (every interval's ids, placement and exact times).
+/// Every observable the committed bench metrics are built from — the
+/// whole snapshot — plus the full timeline (every interval's ids,
+/// placement and exact times).
 #[derive(Debug, PartialEq)]
 struct Observables {
     makespan: f64,
     timeline: String,
-    migrations: (usize, usize),
-    host_migrations: (usize, usize),
-    host_link_bytes: f64,
+    snapshot: Snapshot,
     data: Vec<f32>,
 }
 
@@ -375,13 +375,10 @@ fn observables(g: GrCuda) -> Observables {
     }
     g.sync();
     assert_eq!(g.races().len(), 0);
-    let (all, p2p) = (g.migration_stats(), g.p2p_migration_stats());
     Observables {
         makespan: g.now(),
         timeline: format!("{:?}", g.timeline().intervals()),
-        migrations: all,
-        host_migrations: (all.0 - p2p.0, all.1 - p2p.1),
-        host_link_bytes: g.host_link_bytes(),
+        snapshot: g.snapshot(),
         data: x.to_vec_f32(),
     }
 }
@@ -423,7 +420,7 @@ fn single_node_clusters_are_bit_identical_to_the_single_box_path() {
             ),
         ];
         for (constructor, g) in rows {
-            assert_eq!(g.scheduler_stats().cluster.nodes, 1);
+            assert_eq!(g.snapshot().cluster.node_inflight.len(), 1);
             assert_eq!(
                 observables(g),
                 boxed,
@@ -455,13 +452,13 @@ fn peer_links_accelerate_migration_heavy_schedules() {
     let pcie = run(TopologyKind::PcieOnly);
     let nvswitch = run(TopologyKind::FullyConnected);
     assert!(
-        pcie.runtime.migration_stats().0 > 0,
+        pcie.runtime.snapshot().migrations.all.count > 0,
         "the workload must migrate under LA"
     );
-    assert_eq!(pcie.runtime.p2p_migration_stats(), (0, 0));
+    assert_eq!(pcie.runtime.snapshot().migrations.p2p, Moved::default());
+    let migrations = nvswitch.runtime.snapshot().migrations;
     assert_eq!(
-        nvswitch.runtime.p2p_migration_stats().0,
-        nvswitch.runtime.migration_stats().0,
+        migrations.p2p.count, migrations.all.count,
         "every migration uses a peer link when all pairs are wired"
     );
     assert!(
@@ -470,7 +467,8 @@ fn peer_links_accelerate_migration_heavy_schedules() {
         nvswitch.makespan,
         pcie.makespan
     );
-    assert!(nvswitch.runtime.host_link_bytes() < pcie.runtime.host_link_bytes());
+    let host_bytes = |r: &Experiment| r.runtime.snapshot().host_link_bytes();
+    assert!(host_bytes(&nvswitch) < host_bytes(&pcie));
     assert!(nvswitch.same_answer(&pcie));
 }
 
@@ -493,8 +491,8 @@ fn memory_aware_cost_aware_beats_transfer_aware_lru_when_oversubscribed() {
         assert!(aware.runtime.races().is_empty(), "{iters} passes");
         assert!(blind.runtime.races().is_empty(), "{iters} passes");
         let (aware_memory, blind_memory) = (
-            aware.runtime.scheduler_stats().memory,
-            blind.runtime.scheduler_stats().memory,
+            aware.runtime.snapshot().memory,
+            blind.runtime.snapshot().memory,
         );
         assert!(
             blind_memory.evictions > 0 && blind_memory.spilled_bytes > 0,
@@ -544,7 +542,7 @@ fn cost_aware_eviction_spills_strictly_less_than_lru_at_fixed_placement() {
     };
     let cost = run(EvictionPolicy::CostAware);
     let lru = run(EvictionPolicy::Lru);
-    let spilled = |r: &Experiment| r.runtime.scheduler_stats().memory.spilled_bytes;
+    let spilled = |r: &Experiment| r.runtime.snapshot().memory.spilled_bytes;
     assert!(spilled(&lru) > 0, "LRU must pay dirty spills");
     assert!(
         spilled(&cost) < spilled(&lru),
@@ -572,12 +570,12 @@ fn unlimited_capacity_is_bit_identical_and_eviction_free() {
         )
     };
     let unlimited = run(None);
-    let memory = unlimited.runtime.scheduler_stats().memory;
+    let memory = unlimited.runtime.snapshot().memory;
     assert_eq!(memory.evictions, 0);
     assert_eq!(memory.spilled_bytes, 0);
     let limited = run(Some(oversub_capacity(n)));
     assert!(
-        limited.runtime.scheduler_stats().memory.evictions > 0,
+        limited.runtime.snapshot().memory.evictions > 0,
         "finite capacity must evict here"
     );
     assert!(unlimited.same_answer(&limited));
@@ -623,7 +621,7 @@ fn evicting_a_refetched_array_keeps_its_in_flight_producer() {
         let dev = DeviceProfile::tesla_p100();
         let g = GrCuda::with_cluster(dev, &cluster, options, PlacementPolicy::SingleGpu);
         let out = fork_join_sweeps(&g, 16, 8, n);
-        let memory = g.scheduler_stats().memory;
+        let memory = g.snapshot().memory;
         assert!(memory.spilled_bytes > 0, "the written set must spill");
         out
     };
@@ -696,7 +694,7 @@ fn a_batch_with_a_call_that_cannot_fit_enters_the_scheduler_not_at_all() {
         args,
     };
 
-    let before = (g.stats().submitted, g.scheduler_stats());
+    let before = g.snapshot();
     let err = g
         .launch_batch(&[call(&fits[0], 4), call(&fits[1], 4), call(&too_big, 64)])
         .unwrap_err();
@@ -704,7 +702,7 @@ fn a_batch_with_a_call_that_cannot_fit_enters_the_scheduler_not_at_all() {
         matches!(err, grcuda::LaunchError::OutOfMemory { needed, .. } if needed == 2 * 4 * (1 << 16)),
         "{err}"
     );
-    let after = (g.stats().submitted, g.scheduler_stats());
+    let after = g.snapshot();
     assert_eq!(before, after, "nothing of the refused batch was scheduled");
 
     // The same runtime takes the batch without the bad call.
@@ -802,7 +800,7 @@ impl Placed {
             policy,
             races: r.runtime.races().len(),
             devices_used: r.runtime.timeline().devices_used(),
-            migrations: r.runtime.migration_stats().0,
+            migrations: r.runtime.snapshot().migrations.all.count,
             answer,
         }
     }
@@ -837,7 +835,7 @@ fn oversub_rows() -> Vec<Placed> {
     };
     let single = PlacementPolicy::SingleGpu;
     let reference = run(single, EvictionPolicy::Lru, None);
-    let memory = reference.runtime.scheduler_stats().memory;
+    let memory = reference.runtime.snapshot().memory;
     assert_eq!(
         (memory.evictions, memory.spilled_bytes),
         (0, 0),
@@ -871,7 +869,7 @@ fn mixed_rows() -> Vec<Placed> {
     };
     let reference = run(PlacementPolicy::SingleGpu);
     assert_eq!(
-        reference.runtime.calibration_stats().kernel_samples,
+        reference.runtime.snapshot().calibration.kernel_samples,
         0,
         "statics run uncalibrated"
     );
@@ -922,7 +920,7 @@ fn suite_rows() -> Vec<Placed> {
                     policy,
                     races: r.races,
                     devices_used: r.timeline.devices_used(),
-                    migrations: r.migrations.0,
+                    migrations: r.migrations.count,
                     answer: r.valid,
                 });
             }

@@ -567,13 +567,24 @@ fn per_tenant_kernel_attribution_counts_signatures_at_admission() {
     let xb = core.alloc(b, ElemKind::F32, n).unwrap();
     let yb = core.alloc(b, ElemKind::F32, n).unwrap();
     let scb = core.register_kernel(b, &SCALE).unwrap();
+    // Registered twice: still one `scale` row.
+    let sca2 = core.register_kernel(a, &SCALE).unwrap();
 
-    // Alice submits a 4-call SCALE/AXPY chain (two of each signature),
-    // Bob a single SCALE. Attribution is per tenant AND per signature.
+    // Alice submits a 4-call SCALE/AXPY chain (two of each signature)
+    // and a one-call SCALE through her second handle, Bob a single
+    // SCALE. Attribution is per tenant AND per signature.
     core.submit(
         a,
         RequestSpec {
             calls: chain(4, sca, axa, xa, ya, n),
+            deadline_us: None,
+        },
+    )
+    .unwrap();
+    core.submit(
+        a,
+        RequestSpec {
+            calls: chain(1, sca2, axa, xa, ya, n),
             deadline_us: None,
         },
     )
@@ -587,14 +598,14 @@ fn per_tenant_kernel_attribution_counts_signatures_at_admission() {
     )
     .unwrap();
     // Counts are attributed at admission (pump), not at submit.
-    assert!(core.tenant_kernel_stats(a).unwrap().is_empty());
+    assert!(core.tenant_stats(a).unwrap().kernels.is_empty());
     core.drain_all();
     assert_eq!(
-        core.tenant_kernel_stats(a).unwrap(),
-        vec![("axpy".to_string(), 2), ("scale".to_string(), 2)]
+        core.tenant_stats(a).unwrap().kernels,
+        vec![("axpy".to_string(), 2), ("scale".to_string(), 3)]
     );
     assert_eq!(
-        core.tenant_kernel_stats(b).unwrap(),
+        core.tenant_stats(b).unwrap().kernels,
         vec![("scale".to_string(), 1)]
     );
 }
@@ -644,7 +655,7 @@ fn served_multi_device_placement_computes_what_one_device_does() {
         }
         core.maintain();
         common::assert_drained(core.runtime(), "served, then maintained");
-        let nodes = core.runtime().scheduler_stats().cluster.nodes;
+        let nodes = core.runtime().snapshot().cluster.node_inflight.len();
         (values, devices.len(), nodes)
     };
     let dev = DeviceProfile::tesla_p100();
