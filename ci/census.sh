@@ -45,6 +45,11 @@
 #      the crate's `tests/` directory (the root package's `tests/` as
 #      `(root)`), counted by the same rules as (i); and the `#[test]`
 #      functions among them (doc tests not counted).
+# (viii) Settable options: the `pub` fields of the structs a caller
+#      configures the runtime with (`grcuda::Options`,
+#      `grcuda::serve::ServeConfig`, `gpu_sim::MemoryConfig`). Each is a
+#      knob every layer below must honour; a change that adds or removes
+#      one shows it here the way (ii) shows public items.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -126,5 +131,22 @@ printf 'bench binaries       %-12s %6d\n' "(src/bin)" "$(ls crates/bench/src/bin
 api_crates=(gpu-sim cuda-sim dag grcuda metrics benchmarks)
 printf 'pub mod              %-12s %6d\n' "(6 crates)" \
     "$(for c in "${api_crates[@]}"; do grep -rE "^\s*pub mod " "crates/$c/src"; done | wc -l)"
+
+# (viii), see the header: fields from `pub struct NAME {` to its `}`.
+option_structs=(
+    "Options crates/grcuda/src/options.rs"
+    "ServeConfig crates/grcuda/src/serve/core.rs"
+    "MemoryConfig crates/gpu-sim/src/memory_manager.rs"
+)
+knobs=0
+for entry in "${option_structs[@]}"; do
+    read -r name file <<<"$entry"
+    n=$(awk -v open="^pub struct $name \\{" '$0 ~ open { in_struct = 1; next }
+        in_struct && /^}/ { in_struct = 0 }
+        in_struct && /^    pub / { n++ }
+        END { print n + 0 }' "$file")
+    knobs=$((knobs + n))
+done
+printf 'settable options     %-12s %6d\n' "(3 structs)" "$knobs"
 
 ci/unread.sh

@@ -58,6 +58,7 @@ census=$(awk '
     /^hash\/tree collections/ { item("launch_path_hash_tree", $NF) }
     /^bench binaries/ { item("bench_binaries", $NF) }
     /^pub mod/ { item("pub_mod", $NF) }
+    /^settable options/ { item("settable_options", $NF) }
     END {
         if (unread != "") item("unread_public_fns", unread)
         printf "{\"non_test_code_lines\":{%s}", lines

@@ -9,11 +9,13 @@
 //! output arrays are informational counters.
 //!
 //! That the sanitizer catches what it should is checked by the tests of
-//! `grcuda`'s audit module: inference turned off yields only unordered
-//! conflicts, and a lying `const` signature exactly one
-//! dishonest-signature and one unordered write/write pair while the
-//! dynamic race detector stays silent. `tests/failure_injection.rs`
-//! checks that inference turned off races and fails validation.
+//! `grcuda`'s audit module: a hand-written chain with its events left
+//! out yields only unordered conflicts, covering every dynamic race, and
+//! a lying `const` signature exactly one dishonest-signature and one
+//! unordered write/write pair while the dynamic race detector stays
+//! silent. `tests/failure_injection.rs` checks that each suite's plan
+//! with its dependencies left out races or fails validation wherever
+//! it has a dependency to lose.
 //!
 //! `--smoke` trims the device sweep to 2 devices. The `audit.*` counts
 //! gate exactly (violations and dead writes at zero), except

@@ -193,7 +193,7 @@ impl ComputationDag {
 
     /// Look up a stored vertex, or `None` if the id was compacted away
     /// (or never allocated).
-    pub fn try_vertex(&self, id: VertexId) -> Option<&Vertex> {
+    pub(crate) fn try_vertex(&self, id: VertexId) -> Option<&Vertex> {
         self.slot(id).map(|i| &self.vertices[i])
     }
 

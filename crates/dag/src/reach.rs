@@ -43,22 +43,15 @@ pub struct Reachability {
 impl Reachability {
     /// Closure over every stored edge.
     pub fn new(dag: &ComputationDag) -> Self {
-        Self::without_edge(dag, usize::MAX)
-    }
-
-    /// Closure with the edge at index `skip` (into [`ComputationDag::edges`])
-    /// removed — the "what if inference had not recorded this edge?"
-    /// question the sanitizer's no-false-negative check asks. Pass
-    /// `usize::MAX` (or any out-of-range index) to keep all edges.
-    pub fn without_edge(dag: &ComputationDag, skip: usize) -> Self {
-        Self::with_edges(dag, |k, _| k != skip)
+        Self::with_edges(dag, |_, _| true)
     }
 
     /// Closure over the subset of stored edges for which `keep` returns
     /// true (called with each edge's index into [`ComputationDag::edges`]
-    /// and the edge itself). This is how the sanitizer audits *views* of
-    /// the schedule — e.g. "what the scheduler actually honored with
-    /// dependency inference disabled".
+    /// and the edge itself). The sanitizer's tests ask with it what a
+    /// schedule that honored fewer edges would order: `|k, _| k != skip`
+    /// is "what if inference had not recorded edge `skip`?", and
+    /// `|_, _| false` is a program that synchronizes nothing.
     pub fn with_edges(
         dag: &ComputationDag,
         mut keep: impl FnMut(usize, &crate::graph::DepEdge) -> bool,
@@ -227,10 +220,10 @@ mod tests {
             vec![ArgAccess::read(Y), ArgAccess::write(Z)],
         );
         assert_eq!(dag.edges().len(), 2);
-        let r0 = Reachability::without_edge(&dag, 0);
+        let r0 = Reachability::with_edges(&dag, |k, _| k != 0);
         assert!(!r0.ordered(k1, k2) && !r0.ordered(k1, k3));
         assert!(r0.ordered(k2, k3));
-        let r1 = Reachability::without_edge(&dag, 1);
+        let r1 = Reachability::with_edges(&dag, |k, _| k != 1);
         assert!(r1.ordered(k1, k2) && !r1.ordered(k2, k3));
     }
 
@@ -322,7 +315,7 @@ mod tests {
         let full = Reachability::new(&dag);
         let flags = full.redundant_edges(&dag);
         for (k, e) in dag.edges().iter().enumerate() {
-            let without = Reachability::without_edge(&dag, k);
+            let without = Reachability::with_edges(&dag, |j, _| j != k);
             assert_eq!(
                 without.ordered(e.from, e.to),
                 flags[k],

@@ -6,8 +6,8 @@
 //! tasks are *simultaneously active* with a write/read or write/write
 //! conflict on the same value, a [`RaceReport`] is recorded. A correct
 //! scheduler produces zero reports on every benchmark (integration-tested);
-//! a deliberately broken scheduler (dependency inference disabled) must
-//! produce at least one (failure-injection tests).
+//! a deliberately broken schedule (a benchmark's plan issued with its
+//! dependencies left out) must produce them (`tests/failure_injection.rs`).
 //!
 //! Reports carry the device and stream each party ran on, and the engine
 //! deduplicates repeated reports of the same `(first, second, value)`

@@ -29,37 +29,27 @@
 //! Entry points: [`crate::GrCuda::audit`] for a built program, or
 //! [`audit_dag`] for a raw [`ComputationDag`] (property tests audit
 //! hand-built DAGs with an empty [`EffectsTable`]). Debug builds also
-//! audit automatically on [`crate::GrCuda::sync`] whenever dependency
-//! inference is on (a test that runs a schedule it knows is broken lets
-//! the host wait past its end instead).
+//! audit automatically on every [`crate::GrCuda::sync`] (a test that
+//! runs a schedule it knows is broken lets the host wait past its end
+//! instead).
+//!
+//! The audit's power is shown on broken *programs*, never on a broken
+//! runtime: the tests below run a hand-written chain with its events
+//! left out and audit the same calls under only the edges that program
+//! honors, and the seeded defect `scheduler-drops-kernel-dependencies`
+//! in `ci/mutants.txt` breaks the scheduler itself.
 
 mod lints;
 mod soundness;
 
 use std::fmt;
 
-use dag::{ComputationDag, ElementKind, Reachability, Value, VertexId};
+use dag::{ComputationDag, Reachability, Value, VertexId};
 use kernels::KernelDef;
 
 use crate::nidl::Signature;
 
 pub use lints::{Lint, LintKind};
-
-/// Which edges the soundness pass considers when deciding whether a
-/// conflicting pair is ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EdgeView {
-    /// Every recorded edge — audit the schedule as inferred.
-    Full,
-    /// Only edges into CPU-access vertices — what the scheduler actually
-    /// honors with dependency inference disabled: kernel launches drop
-    /// their dependency lists, while CPU accesses still synchronize
-    /// theirs. Used to prove every dynamic race report has a static
-    /// counterpart. In this view retired vertices are *not* exempt from
-    /// conflict checking (retirement walked edges the scheduler ignored,
-    /// so it proves nothing).
-    KernelDepsDropped,
-}
 
 /// Per-pointer-parameter effect metadata for one registered kernel: what
 /// the NIDL signature *declares* next to what the implementation
@@ -275,40 +265,27 @@ impl fmt::Display for AuditReport {
     }
 }
 
-/// Audit a DAG against an effects table under an edge view. This is the
-/// whole sanitizer in one call; [`crate::GrCuda::audit`] wraps it with
-/// the context's own DAG, effects and view.
-pub(crate) fn audit_dag(
-    dag: &ComputationDag,
-    effects: &EffectsTable,
-    view: EdgeView,
-) -> AuditReport {
-    match view {
-        EdgeView::Full => audit_under(dag, effects, None, true),
-        EdgeView::KernelDepsDropped => {
-            let reach = Reachability::with_edges(dag, |_, e| {
-                dag.try_vertex(e.to)
-                    .is_some_and(|v| v.kind == ElementKind::ArrayAccess)
-            });
-            audit_under(dag, effects, Some(&reach), false)
-        }
-    }
+/// Audit a DAG against an effects table over every recorded edge. This
+/// is the whole sanitizer in one call; [`crate::GrCuda::audit`] wraps it
+/// with the context's own DAG and effects.
+pub(crate) fn audit_dag(dag: &ComputationDag, effects: &EffectsTable) -> AuditReport {
+    audit_under(dag, effects, None)
 }
 
 /// The audit with conflicting pairs judged ordered or not under `reach`
 /// (`None`: the reachability over every recorded edge, which edge
-/// redundancy is always counted against).
-fn audit_under(
+/// redundancy is always counted against). Tests pass a subset of the
+/// edges to ask "what if the schedule had not honored the rest?".
+pub(crate) fn audit_under(
     dag: &ComputationDag,
     effects: &EffectsTable,
     reach: Option<&Reachability>,
-    retired_exempt: bool,
 ) -> AuditReport {
     let full = Reachability::new(dag);
     let redundant_edges = full.redundant_edges(dag).iter().filter(|&&r| r).count();
     let accesses = soundness::collect_accesses(dag, effects);
     let (mut violations, checked_pairs) =
-        soundness::unordered_conflicts(dag, &accesses, reach.unwrap_or(&full), retired_exempt);
+        soundness::unordered_conflicts(dag, &accesses, reach.unwrap_or(&full));
     violations.extend(effects.dishonest());
     let (dead_writes, never_read) = lints::liveness(dag, &accesses);
 
@@ -322,23 +299,6 @@ fn audit_under(
         checked_pairs,
         overcautious_params: effects.overcautious_params(),
     }
-}
-
-/// [`audit_dag`] with every edge except the one at index `k` of
-/// [`ComputationDag::edges`] — the "what if inference had missed this
-/// edge?" question of the no-false-negative property test.
-#[cfg(test)]
-pub(crate) fn audit_without_edge(
-    dag: &ComputationDag,
-    effects: &EffectsTable,
-    k: usize,
-) -> AuditReport {
-    audit_under(
-        dag,
-        effects,
-        Some(&Reachability::without_edge(dag, k)),
-        true,
-    )
 }
 
 #[cfg(test)]
@@ -518,55 +478,77 @@ mod tests {
         g.sync();
     }
 
-    /// Failure injection: with inference disabled the audit switches to
-    /// the kernel-deps-dropped view and flags the dependent chain the
-    /// scheduler no longer orders — and every *dynamic* race report has
-    /// a static counterpart (dynamic ⊆ static).
+    /// Dynamic ⊆ static: a hand-written chain of three kernels, each on
+    /// its own stream with no events, races at run time; its DAG audited
+    /// under the edges that program honors (none) reports only unordered
+    /// conflicts, and among them a counterpart of every race. Prefetch
+    /// staging tasks are runtime machinery, not DAG vertices, so the
+    /// program issues none: the property is stated over computational
+    /// elements.
     #[test]
-    fn disabled_inference_is_flagged_and_covers_dynamic_races() {
-        // Prefetch staging tasks are runtime machinery, not DAG
-        // vertices: their races (caused by the same missing deps) have
-        // no static counterpart by construction, so turn prefetch off
-        // to state the ⊆ property over computational elements.
-        let g = GrCuda::new(
-            DeviceProfile::tesla_p100(),
-            Options::parallel()
-                .without_dependency_inference()
-                .with_prefetch(crate::PrefetchPolicy::None),
-        );
+    fn dropped_dependencies_are_flagged_and_cover_dynamic_races() {
+        use cuda_sim::{Cuda, Launch};
+        use dag::{ArgAccess, ElementKind};
+        use gpu_sim::{KernelBody, TypedData};
+
+        let cuda = Cuda::new(DeviceProfile::tesla_p100());
         let n = 1 << 14;
-        let x = g.array_f32(n);
-        let y = g.array_f32(n);
-        x.fill_f32(1.0);
-        y.fill_f32(1.0);
-        let ax = g.build_kernel(&AXPY).unwrap();
-        for _ in 0..3 {
-            ax.launch(
-                G,
-                &[
-                    Arg::array(&x),
-                    Arg::array(&y),
-                    Arg::scalar(1.0),
-                    Arg::scalar(n as f64),
-                ],
-            )
-            .unwrap();
+        let x = cuda.alloc(TypedData::F32(vec![1.0; n]));
+        let y = cuda.alloc(TypedData::F32(vec![1.0; n]));
+        let z = cuda.alloc(TypedData::F32(vec![0.0; 1]));
+        let chain = [
+            (&SQUARE, vec![&x], vec![n as f64]),
+            (&AXPY, vec![&x, &y], vec![1.0, n as f64]),
+            (&REDUCE_SUM_DIFF, vec![&x, &y, &z], vec![n as f64]),
+        ];
+        let mut dag = ComputationDag::new();
+        let mut effects = EffectsTable::new();
+        for (def, arrays, scalars) in &chain {
+            let sig = Signature::parse(def.nidl).unwrap();
+            effects.register(def, &sig);
+            let read_only = sig
+                .params
+                .iter()
+                .filter(|p| p.is_pointer())
+                .map(|p| p.is_read_only());
+            let accesses: Vec<_> = arrays.iter().map(|a| a.id).zip(read_only).collect();
+            let buffers: Vec<_> = arrays.iter().map(|a| a.buf.clone()).collect();
+            let launch = Launch {
+                name: def.name,
+                grid: G,
+                cost: (def.cost)(&buffers, scalars),
+                buffers: &buffers,
+                accesses: &accesses,
+                body: KernelBody::Fn(def.func),
+                scalars,
+            };
+            cuda.launch(cuda.stream_create(), launch);
+            let args: Vec<_> = accesses
+                .iter()
+                .map(|&(id, read_only)| ArgAccess {
+                    value: Value(id.0),
+                    read_only,
+                })
+                .collect();
+            dag.register(ElementKind::Kernel, def.name, &args, &mut Vec::new());
         }
-        // Audit *before* any sync: retirement would compact the evidence.
-        let report = g.audit();
-        assert!(report.class_count("unordered-write-write") >= 1, "{report}");
+        cuda.device_sync();
+
+        let report = audit_under(
+            &dag,
+            &effects,
+            Some(&Reachability::with_edges(&dag, |_, _| false)),
+        );
+        assert!(report.class_count("unordered-read-write") >= 1, "{report}");
         let unordered = report.class_count("unordered-write-write")
             + report.class_count("unordered-read-write");
         assert_eq!(
             report.violations.len(),
             unordered,
-            "inference off yields only unordered conflicts: {report}"
+            "dropped dependencies yield only unordered conflicts: {report}"
         );
-        // With inference off the debug hook never fires (it would trip
-        // by design), so sync() just runs the broken schedule.
-        g.sync();
-        let races = g.races();
-        assert!(!races.is_empty(), "the negative control must race");
+        let races = cuda.races();
+        assert!(!races.is_empty(), "the chain without events must race");
         for r in &races {
             let covered = report.violations.iter().any(|v| match v {
                 ScheduleViolation::UnorderedConflict {
@@ -709,7 +691,7 @@ mod tests {
             "K3",
             vec![ArgAccess::read(y), ArgAccess::read(z)],
         );
-        let report = audit_dag(&d, &EffectsTable::new(), EdgeView::Full);
+        let report = audit_dag(&d, &EffectsTable::new());
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.redundant_edges, 1);
         assert_eq!(report.edges, 3);

@@ -85,19 +85,16 @@ pub(crate) fn collect_accesses(dag: &ComputationDag, effects: &EffectsTable) -> 
 /// Check every conflicting access pair for happens-before ordering under
 /// `reach`. Returns the violations plus the number of pairs checked.
 ///
-/// `exempt_inactive` skips pairs whose earlier vertex is retired: when
-/// the recorded edges are the edges the scheduler honored, a retired
-/// vertex was synchronized with the CPU before the later access was
-/// submitted (retirement is transitive to ancestors, so an
-/// active-to-active path can never run through a retired vertex — if
-/// the pair had needed an edge, one would exist). Under
-/// [`super::EdgeView::KernelDepsDropped`] the exemption must be off:
-/// retirement walked edges the scheduler ignored, so it proves nothing.
+/// Pairs whose earlier vertex is retired are exempt: the recorded edges
+/// are the edges the scheduler honored, so a retired vertex was
+/// synchronized with the CPU before the later access was submitted
+/// (retirement is transitive to ancestors, so an active-to-active path
+/// can never run through a retired vertex — if the pair had needed an
+/// edge, one would exist).
 pub(crate) fn unordered_conflicts(
     dag: &ComputationDag,
     accesses: &AccessMap,
     reach: &Reachability,
-    exempt_inactive: bool,
 ) -> (Vec<ScheduleViolation>, usize) {
     let vertices = dag.vertices();
     let mut violations = Vec::new();
@@ -113,7 +110,7 @@ pub(crate) fn unordered_conflicts(
                 if reach.ordered(a.id, b.id) {
                     continue;
                 }
-                if exempt_inactive && !a.active {
+                if !a.active {
                     continue;
                 }
                 violations.push(ScheduleViolation::UnorderedConflict {

@@ -548,24 +548,16 @@ impl GrCuda {
         // test that produced it. Compiled out in release, so the soak
         // throughput floor never pays for it.
         #[cfg(debug_assertions)]
-        self.debug_audit_on_sync();
-        let mut ctx = self.inner.borrow_mut();
-        ctx.cuda.device_sync();
-        ctx.retire_everything();
-    }
-
-    /// The debug-mode half of [`GrCuda::sync`]: audit unless inference
-    /// is off (failure injection would trip it by design — those runs
-    /// audit explicitly and assert on the violation class instead).
-    #[cfg(debug_assertions)]
-    fn debug_audit_on_sync(&self) {
-        if self.inner.borrow().options.infer_dependencies {
+        {
             let report = self.audit();
             assert!(
                 report.is_clean(),
                 "schedule sanitizer found violations at sync():\n{report}"
             );
         }
+        let mut ctx = self.inner.borrow_mut();
+        ctx.cuda.device_sync();
+        ctx.retire_everything();
     }
 
     /// Run the schedule sanitizer over the current DAG: prove every
@@ -576,19 +568,15 @@ impl GrCuda {
     /// [`GrCuda::dag_dot`] renders them dashed gray) and surface
     /// dead-write / never-read liveness lints. See [`crate::AuditReport`].
     ///
-    /// With dependency inference disabled the audit automatically
-    /// considers only the edges the crippled scheduler actually honored
-    /// (those into CPU accesses), so failure-injection runs can assert
-    /// that every dynamic race has a static counterpart.
+    /// The edges audited are the ones the scheduler honors: every
+    /// inferred dependency becomes a stream order or an event. A
+    /// schedule that drops some of them is a different program; the
+    /// audit module's tests build one by hand and audit its DAG under
+    /// only the edges it kept.
     pub fn audit(&self) -> crate::audit::AuditReport {
         let mut ctx = self.inner.borrow_mut();
         ctx.dag.mark_redundant_edges();
-        let view = if ctx.options.infer_dependencies {
-            crate::audit::EdgeView::Full
-        } else {
-            crate::audit::EdgeView::KernelDepsDropped
-        };
-        crate::audit::audit_dag(&ctx.dag, &ctx.effects, view)
+        crate::audit::audit_dag(&ctx.dag, &ctx.effects)
     }
 
     /// Read the engine's calibration state — the one store behind the
@@ -951,11 +939,6 @@ impl GrCuda {
                 }
 
                 let vid = dag.register(kind, name, &s.dag_args, &mut s.deps);
-                if !options.infer_dependencies {
-                    // Failure injection: pretend nothing depends on
-                    // anything. The race detector will object.
-                    s.deps.clear();
-                }
 
                 // Device selection (the policy layer): consulted with the
                 // vertex's DAG context — where the parents ran, which

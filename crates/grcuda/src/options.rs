@@ -70,13 +70,6 @@ pub struct Options {
     /// streams using *that* array even on Maxwell; when disabled, any
     /// CPU access on Maxwell must synchronize the whole device.
     pub visibility_restriction: bool,
-    /// **Failure-injection switch** (default `true`). When disabled, the
-    /// parallel scheduler skips dependency inference entirely and runs
-    /// every computation concurrently. Programs with real data
-    /// dependencies then produce wrong results and trip the simulator's
-    /// race detector — the negative control showing the dependency
-    /// machinery is load-bearing.
-    pub infer_dependencies: bool,
     /// Online calibration (default `false`). When enabled, every
     /// completed kernel feeds a decaying per-signature duration prior
     /// and every completed transfer feeds its link's observed
@@ -97,7 +90,6 @@ impl Options {
             stream_reuse: StreamReusePolicy::FifoReuse,
             prefetch: PrefetchPolicy::Auto,
             visibility_restriction: true,
-            infer_dependencies: true,
             calibrate: false,
         }
     }
@@ -110,7 +102,6 @@ impl Options {
             stream_reuse: StreamReusePolicy::FifoReuse,
             prefetch: PrefetchPolicy::None,
             visibility_restriction: true,
-            infer_dependencies: true,
             calibrate: false,
         }
     }
@@ -136,13 +127,6 @@ impl Options {
     /// Builder-style: toggle the pre-Pascal visibility restriction.
     pub fn with_visibility_restriction(mut self, on: bool) -> Self {
         self.visibility_restriction = on;
-        self
-    }
-
-    /// Builder-style: disable dependency inference (failure injection;
-    /// see [`Options::infer_dependencies`]).
-    pub fn without_dependency_inference(mut self) -> Self {
-        self.infer_dependencies = false;
         self
     }
 

@@ -458,7 +458,7 @@ proptest! {
         pick in 0..1usize << 30,
     ) {
         use dag::{ArgAccess, ComputationDag, ElementKind, Reachability, Value};
-        use crate::audit::{audit_dag, audit_without_edge, EdgeView, EffectsTable, ScheduleViolation};
+        use crate::audit::{audit_dag, audit_under, EffectsTable, ScheduleViolation};
         let mut d = ComputationDag::new();
         for (mask, written) in &ops {
             // One access per value; the `written` value writes, the rest
@@ -477,7 +477,7 @@ proptest! {
             d.add_computation(ElementKind::Kernel, "K", args);
         }
         let effects = EffectsTable::new();
-        let full = audit_dag(&d, &effects, EdgeView::Full);
+        let full = audit_dag(&d, &effects);
         prop_assert!(full.is_clean(), "{full}");
 
         let flags = Reachability::new(&d).redundant_edges(&d);
@@ -489,7 +489,8 @@ proptest! {
         }
         let k = load_bearing[pick % load_bearing.len()];
         let e = &d.edges()[k];
-        let report = audit_without_edge(&d, &effects, k);
+        let without_k = Reachability::with_edges(&d, |j, _| j != k);
+        let report = audit_under(&d, &effects, Some(&without_k));
         let names_the_pair = report.violations.iter().any(|v| matches!(
             v,
             ScheduleViolation::UnorderedConflict { first, second, .. }

@@ -1,70 +1,73 @@
-//! Negative controls: breaking the scheduler must break the programs.
+//! Negative controls: a program that drops its dependencies must be
+//! caught.
 //!
-//! The simulator's race detector and the bit-exact validation are only
-//! meaningful if they actually fire when the scheduler misbehaves. These
-//! tests disable dependency inference and check that dependent
-//! benchmarks are flagged. The positive control, the correct scheduler
-//! at the same scales, is a row of `tests/scheduler_equivalence.rs`.
+//! The simulator's race detector and the bit-exact validation against
+//! the sequential reference are only meaningful if they fire when a
+//! schedule under-synchronizes. The broken schedule here is a
+//! hand-written *program*: each benchmark's plan issued through the
+//! hand-tuned CUDA baseline with every dependency (and so every event)
+//! left out. A broken *scheduler* is the seeded defect
+//! `scheduler-drops-kernel-dependencies` in `ci/mutants.txt`. The
+//! positive control, the inferred schedule at the same scales, is a row
+//! of `tests/scheduler_equivalence.rs`.
 
-use benchmarks::{run_grcuda, tiny, Bench};
+use benchmarks::{run_handtuned, tiny, Bench, BenchSpec};
 use gpu_sim::DeviceProfile;
-use grcuda::Options;
 
-fn broken() -> Options {
-    Options::parallel().without_dependency_inference()
+/// Where the stripped program issues each op.
+#[derive(Debug, Clone, Copy)]
+enum Streams {
+    /// Every op on a stream of its own: nothing orders anything.
+    OnePerOp,
+    /// The paper's Fig. 6 assignment: ops that share a stream stay in
+    /// order, only the cross-stream events are gone.
+    Fig6,
 }
 
-#[test]
-fn broken_scheduler_races_on_vec() {
-    // square(X) and reduce(X, Y, Z) run concurrently without the edge.
-    let spec = Bench::Vec.build(200_000);
-    let r = run_grcuda(&spec, &DeviceProfile::tesla_p100(), broken(), 1);
-    assert!(
-        r.races > 0,
-        "the race detector must flag the missing dependency"
-    );
-}
-
-#[test]
-fn broken_scheduler_races_on_every_dependent_benchmark() {
-    for b in [Bench::Vec, Bench::Img, Bench::Ml, Bench::Hits, Bench::Dl] {
-        // Large enough that kernels are still in flight when their
-        // (ignored) dependents launch.
-        let scale = tiny(b) * 8;
-        let spec = b.build(scale);
-        let r = run_grcuda(&spec, &DeviceProfile::tesla_p100(), broken(), 1);
-        assert!(
-            r.races > 0,
-            "{}: no race detected with inference disabled",
-            b.name()
-        );
+/// `b`'s plan at eight times its tiny scale (large enough that kernels
+/// are still in flight when their dependents launch) with every
+/// dependency removed.
+fn without_dependencies(b: Bench, streams: Streams) -> BenchSpec {
+    let mut spec = b.build(tiny(b) * 8);
+    for (i, op) in spec.ops.iter_mut().enumerate() {
+        op.deps.clear();
+        if let Streams::OnePerOp = streams {
+            op.stream = i;
+        }
     }
+    spec
 }
 
+/// Each row: the races the detector reports on the stripped program,
+/// and whether its answer still equals the sequential reference. B&S
+/// has no inter-kernel dependencies, so it stays race-free and correct
+/// (the detector does not over-report). VEC's one race happens not to
+/// change its answer, so there the detector is the alarm that fires.
+/// IMG on its Fig. 6 streams races nowhere, yet its answer is wrong:
+/// the detector sees overlap, not order inversion, so validation must
+/// fire on its own.
 #[test]
-fn broken_scheduler_fails_validation_on_the_dependent_benchmarks() {
-    // The race detector is one alarm; the comparison with the
-    // sequential reference is the other, and it must fire on its own.
-    for b in [Bench::Img, Bench::Ml, Bench::Hits, Bench::Dl] {
-        let spec = b.build(tiny(b) * 8);
-        let r = run_grcuda(&spec, &DeviceProfile::tesla_p100(), broken(), 1);
-        let e = r
-            .valid
-            .expect_err(&format!("{}: validated with inference disabled", b.name()));
-        assert!(e.contains("deviates from the sequential reference"), "{e}");
+fn a_program_without_dependencies_is_caught() {
+    let rows = [
+        (Bench::Vec, Streams::OnePerOp, 1, true),
+        (Bench::Img, Streams::OnePerOp, 2, false),
+        (Bench::Ml, Streams::OnePerOp, 6, false),
+        (Bench::Hits, Streams::OnePerOp, 16, false),
+        (Bench::Dl, Streams::OnePerOp, 7, false),
+        (Bench::Bs, Streams::OnePerOp, 0, true),
+        (Bench::Img, Streams::Fig6, 0, false),
+    ];
+    for (b, streams, races, validates) in rows {
+        let spec = without_dependencies(b, streams);
+        let r = run_handtuned(&spec, &DeviceProfile::tesla_p100(), true, 1);
+        let row = format!("{} on {streams:?}", b.name());
+        assert_eq!(r.races, races, "{row}: races");
+        assert_eq!(r.valid.is_ok(), validates, "{row}: {:?}", r.valid);
+        if let Err(e) = &r.valid {
+            assert!(
+                e.contains("deviates from the sequential reference"),
+                "{row}: {e}"
+            );
+        }
     }
-}
-
-#[test]
-fn independent_benchmark_survives_broken_scheduler() {
-    // B&S has no inter-kernel dependencies at all: even the broken
-    // scheduler is correct on it. This guards against the race detector
-    // over-reporting.
-    let spec = Bench::Bs.build(tiny(Bench::Bs) * 8);
-    let r = run_grcuda(&spec, &DeviceProfile::tesla_p100(), broken(), 1);
-    assert_eq!(
-        r.races, 0,
-        "B&S kernels are independent — no races expected"
-    );
-    r.valid.expect("independent kernels stay correct");
 }
