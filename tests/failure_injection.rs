@@ -38,26 +38,34 @@ fn without_dependencies(b: Bench, streams: Streams) -> BenchSpec {
     spec
 }
 
-/// Each row: the races the detector reports on the stripped program,
-/// and whether its answer still equals the sequential reference. B&S
-/// has no inter-kernel dependencies, so it stays race-free and correct
-/// (the detector does not over-report). VEC's one race happens not to
-/// change its answer, so there the detector is the alarm that fires.
-/// IMG on its Fig. 6 streams races nowhere, yet its answer is wrong:
-/// the detector sees overlap, not order inversion, so validation must
-/// fire on its own.
-#[test]
-fn a_program_without_dependencies_is_caught() {
-    let rows = [
-        (Bench::Vec, Streams::OnePerOp, 1, true),
-        (Bench::Img, Streams::OnePerOp, 2, false),
-        (Bench::Ml, Streams::OnePerOp, 6, false),
-        (Bench::Hits, Streams::OnePerOp, 16, false),
-        (Bench::Dl, Streams::OnePerOp, 7, false),
-        (Bench::Bs, Streams::OnePerOp, 0, true),
-        (Bench::Img, Streams::Fig6, 0, false),
-    ];
-    for (b, streams, races, validates) in rows {
+/// Each row: a benchmark, where its stripped program issues each op,
+/// the races the detector reports on it, and whether its answer still
+/// equals the sequential reference. B&S has no inter-kernel
+/// dependencies, so it stays race-free and correct (the detector does
+/// not over-report). VEC's one race happens not to change its answer,
+/// so there the detector is the alarm that fires. IMG on its Fig. 6
+/// streams races nowhere, yet its answer is wrong: the detector sees
+/// overlap, not order inversion, so validation must fire on its own.
+/// Each test below checks the rows its claim is about.
+const ROWS: [(Bench, Streams, usize, bool); 7] = [
+    (Bench::Vec, Streams::OnePerOp, 1, true),
+    (Bench::Img, Streams::OnePerOp, 2, false),
+    (Bench::Ml, Streams::OnePerOp, 6, false),
+    (Bench::Hits, Streams::OnePerOp, 16, false),
+    (Bench::Dl, Streams::OnePerOp, 7, false),
+    (Bench::Bs, Streams::OnePerOp, 0, true),
+    (Bench::Img, Streams::Fig6, 0, false),
+];
+
+/// Runs every row of `ROWS` that `pick` selects (at least one) and
+/// checks its races and its validation.
+fn check_rows(pick: impl Fn(Bench, Streams) -> bool) {
+    let mut checked = 0;
+    for (b, streams, races, validates) in ROWS {
+        if !pick(b, streams) {
+            continue;
+        }
+        checked += 1;
         let spec = without_dependencies(b, streams);
         let r = run_handtuned(&spec, &DeviceProfile::tesla_p100(), true, 1);
         let row = format!("{} on {streams:?}", b.name());
@@ -70,4 +78,34 @@ fn a_program_without_dependencies_is_caught() {
             );
         }
     }
+    assert!(checked > 0, "no row selected");
+}
+
+/// square(X) and reduce(X, Y, Z) run concurrently without the edge.
+#[test]
+fn broken_scheduler_races_on_vec() {
+    check_rows(|b, _| b == Bench::Vec);
+}
+
+/// Every suite with a dependency to lose races once its ops share no
+/// stream and no event.
+#[test]
+fn broken_scheduler_races_on_every_dependent_benchmark() {
+    check_rows(|b, streams| matches!(streams, Streams::OnePerOp) && b != Bench::Bs);
+}
+
+/// The race detector is one alarm; the comparison with the sequential
+/// reference is the other, and it must fire on its own (the IMG row on
+/// its Fig. 6 streams fails validation with no race).
+#[test]
+fn broken_scheduler_fails_validation_on_the_dependent_benchmarks() {
+    check_rows(|b, _| matches!(b, Bench::Img | Bench::Ml | Bench::Hits | Bench::Dl));
+}
+
+/// B&S has no inter-kernel dependencies at all: even stripped of them
+/// it is race-free and correct, which guards against the race detector
+/// over-reporting.
+#[test]
+fn independent_benchmark_survives_broken_scheduler() {
+    check_rows(|b, _| b == Bench::Bs);
 }
