@@ -17,7 +17,8 @@
 #      before counting anything. Put such helpers in the test module (a
 #      second `impl` block there).
 # (ii) Public-item census: `pub fn|struct|enum|trait|type|const` lines in
-#      the four library crates whose API the layers above program against.
+#      the six library crates whose API the layers above program against
+#      (the crates (v) and ci/unread.sh scan).
 #      `pub trait` lines across every crate: each is a seam someone
 #      outside the defining module can implement.
 # (iii) Hash and tree collections on the launch path: occurrences of
@@ -105,9 +106,11 @@ done
 printf 'test lines           %-12s %6d\n' total "$test_total"
 printf 'tests                %-12s %6d\n' total "$tests_total"
 
-public=$(grep -rEn "^\s*pub (fn|struct|enum|trait|type|const) " \
-    crates/{grcuda,cuda-sim,gpu-sim,benchmarks}/src | wc -l)
-printf 'public items         %-12s %6d\n' "(4 crates)" "$public"
+api_crates=(gpu-sim cuda-sim dag grcuda metrics benchmarks)
+public=$(for c in "${api_crates[@]}"; do
+    grep -rE "^\s*pub (fn|struct|enum|trait|type|const) " "crates/$c/src"
+done | wc -l)
+printf 'public items         %-12s %6d\n' "(6 crates)" "$public"
 printf 'pub traits           %-12s %6d\n' "(workspace)" \
     "$(grep -rE "^\s*pub trait " crates/*/src | wc -l)"
 
@@ -128,7 +131,6 @@ hashed=$(awk '
 printf 'hash/tree collections %-11s %6d\n' "(launch path)" "$hashed"
 printf 'bench binaries       %-12s %6d\n' "(src/bin)" "$(ls crates/bench/src/bin | wc -l)"
 
-api_crates=(gpu-sim cuda-sim dag grcuda metrics benchmarks)
 printf 'pub mod              %-12s %6d\n' "(6 crates)" \
     "$(for c in "${api_crates[@]}"; do grep -rE "^\s*pub mod " "crates/$c/src"; done | wc -l)"
 

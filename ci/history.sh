@@ -23,10 +23,11 @@
 #                 tests/alloc_budget.rs (the `4x window` repeats are
 #                 left out: they are held to the same budget)
 #
-#   census_note   PR 23's record alone, added by hand: what the census
-#                 reads on that record's parent once it no longer stops
-#                 at a mid-`impl` `#[cfg(test)]` (record 22's line counts
-#                 were taken with the script that did)
+#   census_note   added by hand where a census rule changed: PR 23's
+#                 record (what the census reads on that record's parent
+#                 once it no longer stops at a mid-`impl` `#[cfg(test)]`;
+#                 record 22's line counts were taken with the script that
+#                 did) and PR 35's (`public_items` widened to six crates)
 #
 # A value a file does not give is left out, never guessed. Records for
 # PRs 13-21 were back-filled once: `keys` from the BENCH_baseline.json

@@ -53,12 +53,12 @@ pub fn run(smoke: bool, m: &mut Metrics) {
 
     let mut rows = Vec::new();
     for name in ["square", "reduce_sum_diff"] {
-        let best = g.best_block_size(name, n).unwrap();
+        let best = g.calibration(|c| c.best_block_size(name, n)).unwrap();
         let mut cells = vec![name.to_string(), format!("{best}")];
         let mut tuned = None;
         let mut worst: f64 = 0.0;
         for &bs in &CANDIDATE_BLOCK_SIZES {
-            cells.push(match g.mean_kernel_duration(name, bs, n) {
+            cells.push(match g.calibration(|c| c.mean_duration(name, bs, n)) {
                 Some(d) => {
                     if bs == best {
                         tuned = Some(d);
@@ -78,7 +78,7 @@ pub fn run(smoke: bool, m: &mut Metrics) {
             tuned < worst,
             "{name}: tuned bs={best} ({tuned}) must beat the worst candidate ({worst})"
         );
-        let samples = g.history_samples(name);
+        let samples = g.calibration(|c| c.history_samples(name));
         let speedup = round_sig(worst / tuned, 6);
         m.exact(&format!("autotune.{name}.best_block"), best as f64);
         m.higher(&format!("autotune.{name}.speedup_vs_worst"), speedup);

@@ -32,7 +32,7 @@
 //! history loop's acceptance bar on it at [`MixedScale::smoke`].
 
 use gpu_sim::{DeviceProfile, EvictionPolicy, Grid, Topology, TopologyKind};
-use grcuda::{Arg, DeviceArray, GrCuda, Options, PlacementPolicy};
+use grcuda::{Arg, DeviceArray, DeviceSelectionPolicy, GrCuda, Options, PlacementPolicy};
 use kernels::black_scholes::BLACK_SCHOLES;
 use kernels::image::GAUSSIAN_BLUR;
 
@@ -55,11 +55,12 @@ fn natural_options(policy: PlacementPolicy) -> Options {
     Options::parallel().with_calibration(policy == PlacementPolicy::Adaptive)
 }
 
-/// Run the fanout mix under a policy and scheduler options. `n` is the
-/// short kernels' element count; `rounds` the number of measured rounds
-/// (one warmup round is added).
+/// Run the fanout mix under a placement policy (a [`PlacementPolicy`]
+/// or a custom one) and scheduler options. `n` is the short kernels'
+/// element count; `rounds` the number of measured rounds (one warmup
+/// round is added).
 pub fn fanout_mix(
-    policy: PlacementPolicy,
+    policy: impl Into<Box<dyn DeviceSelectionPolicy>>,
     n: usize,
     rounds: usize,
     options: Options,

@@ -166,21 +166,20 @@ impl Cuda {
     /// data resident there — `0` when already resident, one host-link
     /// leg when a valid host copy exists, one peer-link leg over a
     /// direct link, two host-link legs (plus the NIC leg across nodes)
-    /// for host-mediated migrations; every leg `latency + bytes /
-    /// bandwidth`, scaled by the link's calibrated contention. This is
-    /// the per-candidate cost transfer-aware placement minimizes —
-    /// transfer *time*, not raw bytes — priced along the very route the
-    /// migration will take. Returns the device holding the array's
-    /// current device copy, if any.
+    /// for host-mediated migrations; every leg an uncontended `latency +
+    /// bytes / bandwidth`. This is the per-candidate cost
+    /// transfer-aware placement minimizes — transfer *time*, not raw
+    /// bytes — priced along the very route the migration will take.
+    /// Returns the device holding the array's current device copy, if
+    /// any.
     pub fn placement_probe(&self, a: &UnifiedArray, est: &mut [f64]) -> Option<u32> {
         let inner = self.inner.borrow();
         debug_assert_eq!(est.len(), inner.engine.device_count());
         let st = inner.array(a.id);
         let topo = inner.engine.topology();
-        let calib = inner.engine.calibration();
         for (d, acc) in est.iter_mut().enumerate() {
             let target = d as u32;
-            *acc += route(st, target, topo).cost(st.bytes, target, topo, calib);
+            *acc += route(st, target, topo).cost(st.bytes, target, topo);
         }
         st.residency.on_device().then_some(st.device)
     }
@@ -211,19 +210,15 @@ impl Cuda {
         self.inner.borrow_mut().mem_events.drain(..).for_each(f);
     }
 
-    /// Enable (or disable) online calibration: from then on every
-    /// completed kernel feeds a decaying per-signature duration prior
-    /// ([`gpu_sim::Calibration::kernel_prior`]) and every completed
-    /// transfer feeds its link's contention scale, which multiplies into
-    /// [`Cuda::placement_probe`].
-    /// Off by default: a default context estimates and measures
-    /// bit-identically to one built before calibration existed.
-    pub fn enable_calibration(&self, on: bool) {
-        self.inner
-            .borrow_mut()
-            .engine
-            .calibration_mut()
-            .set_enabled(on);
+    /// Enable online calibration for the rest of this context's life:
+    /// from then on every completed kernel feeds a decaying
+    /// per-signature duration prior
+    /// ([`gpu_sim::Calibration::kernel_prior`]). Off by default: a
+    /// default context measures bit-identically to one built before
+    /// calibration existed. The block-size history is recorded either
+    /// way.
+    pub fn enable_calibration(&self) {
+        self.inner.borrow_mut().engine.enable_calibration();
     }
 
     /// Read the engine's calibration state: the per-signature duration
@@ -973,7 +968,7 @@ impl Inner {
         if need == 0 {
             return;
         }
-        let (topo, calib) = (self.engine.topology(), self.engine.calibration());
+        let topo = self.engine.topology();
         // Cost-aware victim pricing — what bringing the victim back would
         // cost over the device's actual link: a still-valid host copy
         // makes the spill free (the device copy is just dropped) and the
@@ -984,7 +979,7 @@ impl Inner {
                 Residency::Device => Route::Staged { nic: None },
                 _ => Route::HostLeg,
             };
-            back.cost(vbytes, device, topo, calib)
+            back.cost(vbytes, device, topo)
         };
         let victims = self.memgr.select_victims(device, need, pinned, price);
         let freed: usize = victims.iter().map(|vic| vic.bytes).sum();

@@ -4,7 +4,7 @@
 //! submitted (`Inner::execute` in [`crate::context`]) both consume its
 //! answer, so what is priced is what moves.
 
-use gpu_sim::{Calibration, LinkId, Time, Topology};
+use gpu_sim::{LinkId, Time, Topology};
 
 use crate::memory::{ArrayState, Residency};
 
@@ -51,20 +51,12 @@ impl Route {
     /// one uncontended `latency + bytes / bandwidth` leg per link
     /// crossed. Every leg carries its link's fixed latency, so small
     /// arrays do not spuriously favor the host-mediated route (two legs,
-    /// two setups) over a low-latency peer link. Each leg is scaled by
-    /// the link's observed contention; `link_scale` is exactly 1.0 while
-    /// calibration is off, keeping the default estimate bit-identical.
+    /// two setups) over a low-latency peer link.
     #[inline]
-    pub(crate) fn cost(
-        self,
-        bytes: usize,
-        target: u32,
-        topo: &Topology,
-        calib: &Calibration,
-    ) -> Time {
+    pub(crate) fn cost(self, bytes: usize, target: u32, topo: &Topology) -> Time {
         let leg = |l: LinkId| {
             let link = topo.link(l);
-            (link.latency + bytes as f64 / link.bandwidth) * calib.link_scale(l.0 as usize)
+            link.latency + bytes as f64 / link.bandwidth
         };
         match self {
             Route::InPlace => 0.0,

@@ -1,22 +1,18 @@
-//! Online calibration: what completed tasks *measured*, fed back into
+//! Online calibration: what completed kernels *measured*, fed back into
 //! the estimates and heuristics the layers above plan with.
 //!
 //! §IV-A: "We track each kernel's historical performance and scheduling
 //! to allow the creation of heuristics that guide future scheduling of
 //! the same kernel." The engine's cost model predicts solo durations
-//! analytically; the scheduler's transfer-time estimates assume
-//! uncontended links. Both are good priors and both drift under load —
-//! concurrent transfers share link bandwidth, co-running kernels slow
-//! each other down. This module closes the measurement→decision loop:
-//! every completed task is an observation, recorded from the one place
-//! its duration becomes known (the engine's completion step) into
+//! analytically, a good prior that drifts under load: co-running
+//! kernels slow each other down. This module closes the
+//! measurement→decision loop: every completed kernel is an observation,
+//! recorded from the one place its duration becomes known (the engine's
+//! completion step) into
 //!
 //! * a **per-kernel-signature duration prior** (decaying mean of the
 //!   measured wall duration per task label), consumed by
-//!   history-driven placement policies,
-//! * a **per-link contention scale** (decaying mean of
-//!   `observed / solo` duration per link), consumed by the
-//!   transfer-time estimators above the engine, and
+//!   history-driven placement policies, and
 //! * a **per-kernel-signature block-size history** (§VI: "estimating
 //!   the ideal block size based on data size and previous executions"):
 //!   `(block size, size bucket) → (Σ duration, launches)` cells behind
@@ -24,13 +20,11 @@
 //!   [`Calibration::choose_block_size`]. Its memory is O(signatures ×
 //!   block sizes × buckets), independent of the launch count.
 //!
-//! The prior and the link scales are **off by default** and skipped
-//! entirely while disabled, so a default-configured engine behaves —
-//! and benchmarks measure — bit-identically to one built before this
-//! module existed. [`Calibration::link_scale`] returns exactly `1.0`
-//! whenever it has nothing to say (disabled, or no samples for the
-//! link), and multiplying an estimate by `1.0` is bit-exact. The
-//! block-size history is always on — it feeds no estimate, only the
+//! The prior is **off until enabled**, once, for the engine's lifetime
+//! ([`crate::Engine::enable_calibration`]); while off it is skipped
+//! entirely, so a default-configured engine behaves — and benchmarks
+//! measure — bit-identically to one built before this module existed.
+//! The block-size history is always on — it feeds no estimate, only the
 //! autotuner that asks for it — for kernels that carry a launch shape
 //! ([`crate::TaskSpec::launch_shape`]).
 
@@ -42,16 +36,11 @@ pub const CANDIDATE_BLOCK_SIZES: [u32; 6] = [32, 64, 128, 256, 512, 1024];
 
 /// Weight of the newest observation in the decaying mean. High enough
 /// to adapt within a handful of samples, low enough that one outlier
-/// (e.g. a cold-start transfer) does not dominate the prior.
+/// (e.g. a cold-start launch) does not dominate the prior.
 const DEFAULT_DECAY: f64 = 0.25;
 
-/// Contention scales are clamped to this range: a link estimate may be
-/// inflated or deflated by calibration, but never to the point where a
-/// single pathological window inverts every placement margin.
-const LINK_SCALE_CLAMP: (f64, f64) = (0.25, 4.0);
-
 /// One decaying-mean accumulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Default)]
 struct Ewma {
     mean: f64,
     samples: u64,
@@ -103,10 +92,6 @@ fn size_bucket(elements: usize) -> u32 {
 pub struct CalibrationStats {
     /// Kernel completions observed into duration priors.
     pub kernel_samples: u64,
-    /// Transfer completions observed into link contention scales.
-    pub transfer_samples: u64,
-    /// Distinct kernel signatures (labels) with at least one sample.
-    pub kernel_signatures: usize,
 }
 
 /// The online calibration state owned by an [`crate::Engine`] (what it
@@ -121,8 +106,6 @@ pub struct Calibration {
     /// of one kernel come in runs, so most observations find their
     /// signature with one comparison.
     last: usize,
-    /// Indexed like the engine topology's links.
-    links: Vec<Ewma>,
     stats: CalibrationStats,
 }
 
@@ -132,12 +115,11 @@ impl Calibration {
         Self::default()
     }
 
-    /// Turn the duration prior and the link scales (observation and
-    /// estimate scaling) on or off. Accumulated observations survive a
-    /// disable/enable cycle; they simply stop being collected and
-    /// consulted while off. The block-size history is not affected.
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
+    /// Turn the duration prior on: from now on every completed kernel
+    /// feeds it and [`Calibration::kernel_prior`] answers. Nothing turns
+    /// it off again. The block-size history is not affected.
+    pub(crate) fn enable(&mut self) {
+        self.enabled = true;
     }
 
     /// Record a completed kernel: its measured duration feeds the
@@ -175,9 +157,6 @@ impl Calibration {
         }
         let obs = &mut self.kernels[self.last].1;
         if self.enabled {
-            if obs.prior.samples == 0 {
-                self.stats.kernel_signatures += 1;
-            }
             obs.prior.observe(duration, DEFAULT_DECAY);
             self.stats.kernel_samples += 1;
         }
@@ -202,19 +181,6 @@ impl Calibration {
     fn find(&self, label: &str) -> Result<usize, usize> {
         self.kernels
             .binary_search_by(|(name, _)| name.as_str().cmp(label))
-    }
-
-    /// Fold a completed transfer's `observed / solo` duration ratio into
-    /// the decaying contention scale for its link. No-op while disabled.
-    pub(crate) fn observe_transfer(&mut self, link: usize, observed: Time, solo: Time) {
-        if !self.enabled || !solo.is_finite() || solo <= 0.0 || !observed.is_finite() {
-            return;
-        }
-        if self.links.len() <= link {
-            self.links.resize(link + 1, Ewma::default());
-        }
-        self.links[link].observe(observed / solo, DEFAULT_DECAY);
-        self.stats.transfer_samples += 1;
     }
 
     /// Decaying mean duration observed for a kernel signature, or `None`
@@ -284,20 +250,6 @@ impl Calibration {
             .map(Cell::mean)
     }
 
-    /// Multiplier for a link's estimated transfer legs: the clamped
-    /// decaying mean of observed contention on that link. Exactly `1.0`
-    /// while disabled or with no samples, so scaling an estimate by it
-    /// is bit-exact in the default configuration.
-    pub fn link_scale(&self, link: usize) -> f64 {
-        if !self.enabled {
-            return 1.0;
-        }
-        match self.links.get(link) {
-            Some(e) if e.samples > 0 => e.mean.clamp(LINK_SCALE_CLAMP.0, LINK_SCALE_CLAMP.1),
-            _ => 1.0,
-        }
-    }
-
     /// Aggregate sample counters.
     pub fn stats(&self) -> CalibrationStats {
         self.stats
@@ -310,20 +262,17 @@ mod tests {
     use std::collections::HashMap;
 
     #[test]
-    fn disabled_calibration_observes_nothing_and_scales_by_one() {
+    fn disabled_calibration_observes_nothing() {
         let mut c = Calibration::new();
         c.observe_kernel("k", 1e-3, None);
-        c.observe_transfer(0, 2e-3, 1e-3);
         assert_eq!(c.stats(), CalibrationStats::default());
         assert_eq!(c.kernel_prior("k"), None);
-        assert_eq!(c.link_scale(0), 1.0);
-        assert_eq!(c.link_scale(99), 1.0);
     }
 
     #[test]
     fn kernel_prior_is_a_decaying_mean() {
         let mut c = Calibration::new();
-        c.set_enabled(true);
+        c.enable();
         c.observe_kernel("k", 1e-3, None);
         assert_eq!(c.kernel_prior("k"), Some(1e-3), "first sample seeds");
         c.observe_kernel("k", 2e-3, None);
@@ -333,21 +282,6 @@ mod tests {
         assert!((p - expect).abs() < 1e-15);
         assert_eq!(c.kernel_prior("other"), None);
         assert_eq!(c.stats().kernel_samples, 2);
-        assert_eq!(c.stats().kernel_signatures, 1);
-    }
-
-    #[test]
-    fn link_scale_tracks_contention_and_clamps() {
-        let mut c = Calibration::new();
-        c.set_enabled(true);
-        c.observe_transfer(1, 3e-3, 1e-3); // 3x slower than solo
-        assert!((c.link_scale(1) - 3.0).abs() < 1e-12);
-        assert_eq!(c.link_scale(0), 1.0, "unobserved link is neutral");
-        for _ in 0..64 {
-            c.observe_transfer(1, 1.0, 1e-9); // pathological ratio
-        }
-        assert_eq!(c.link_scale(1), LINK_SCALE_CLAMP.1, "clamped");
-        assert_eq!(c.stats().transfer_samples, 65);
     }
 
     #[test]
@@ -355,7 +289,7 @@ mod tests {
         // Signatures arrive out of name order and alternate, so both the
         // sorted insert and the last-signature shortcut are exercised.
         let mut c = Calibration::new();
-        c.set_enabled(true);
+        c.enable();
         let grid = Grid::d1(4, 128);
         for (round, label) in ["m", "b", "z", "b", "b", "a", "m", "z", "a"]
             .into_iter()
@@ -370,7 +304,6 @@ mod tests {
         );
         assert_eq!(samples("c"), 0, "a name between two known ones");
         assert_eq!(c.kernel_prior("nope"), None);
-        assert_eq!(c.stats().kernel_signatures, 4);
         assert_eq!(c.stats().kernel_samples, 9);
         // "a" saw rounds 6 and 9: its cell averages them.
         let mean = c.mean_duration("a", 128, 1 << 10).unwrap();
@@ -380,28 +313,12 @@ mod tests {
     }
 
     #[test]
-    fn re_enabling_keeps_accumulated_observations() {
-        let mut c = Calibration::new();
-        c.set_enabled(true);
-        c.observe_kernel("k", 5e-4, None);
-        c.set_enabled(false);
-        assert_eq!(c.kernel_prior("k"), None, "silent while off");
-        c.observe_kernel("k", 9e9, None); // dropped
-        c.set_enabled(true);
-        assert_eq!(c.kernel_prior("k"), Some(5e-4));
-        assert_eq!(c.stats().kernel_samples, 1);
-    }
-
-    #[test]
     fn garbage_observations_are_rejected() {
         let mut c = Calibration::new();
-        c.set_enabled(true);
+        c.enable();
         c.observe_kernel("k", f64::NAN, None);
         c.observe_kernel("k", -1.0, None);
-        c.observe_transfer(0, 1e-3, 0.0);
-        c.observe_transfer(0, 1e-3, -2.0);
         assert_eq!(c.stats().kernel_samples, 0);
-        assert_eq!(c.stats().transfer_samples, 0);
     }
 
     // --------------------------------------------------------------
@@ -428,10 +345,10 @@ mod tests {
         assert_eq!(c.stats(), CalibrationStats::default(), "prior stays off");
         assert_eq!(c.kernel_prior("k"), None);
         // Enabling the prior later starts it from its own first sample.
-        c.set_enabled(true);
+        c.enable();
         launch(&mut c, 128, 4096, 4e-3);
         assert_eq!(c.kernel_prior("k"), Some(4e-3));
-        assert_eq!(c.stats().kernel_signatures, 1);
+        assert_eq!(c.stats().kernel_samples, 1);
         assert_eq!(c.history_samples("k"), 2);
     }
 

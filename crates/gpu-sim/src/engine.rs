@@ -271,8 +271,8 @@ pub struct Engine {
     races: Vec<RaceReport>,
     stats: EngineStats,
     /// Online calibration: per-kernel-signature duration priors and
-    /// block-size history and per-link contention scales, recorded as
-    /// tasks complete. The priors and scales are off by default (see
+    /// block-size history, recorded as kernels complete. The priors are
+    /// off until [`Engine::enable_calibration`] (see
     /// [`crate::calibrate`]).
     calib: Calibration,
     /// What completed tasks left behind, for the next submissions.
@@ -351,10 +351,10 @@ impl Engine {
         &self.calib
     }
 
-    /// Mutable access to the calibration state — how the layers above
-    /// enable it ([`Calibration::set_enabled`]).
-    pub fn calibration_mut(&mut self) -> &mut Calibration {
-        &mut self.calib
+    /// Turn the calibration's duration prior on for the rest of this
+    /// engine's life ([`Calibration::kernel_prior`]).
+    pub fn enable_calibration(&mut self) {
+        self.calib.enable();
     }
 
     /// Number of identical devices this engine simulates.
@@ -917,24 +917,12 @@ impl Engine {
                 traffic.transfers += 1;
             }
         }
-        // Every completion is a calibration observation, recorded here
-        // and nowhere else: kernels feed their signature's duration
-        // prior and block-size history, transfers feed their link's
-        // contention scale (observed wall duration over the solo time
-        // the specs were submitted with).
-        match iv.kind {
-            TaskKind::Kernel => {
-                self.calib
-                    .observe_kernel(&iv.label, iv.duration(), t.launch_shape);
-            }
-            k if k.is_transfer() => {
-                if let Some(l) = link {
-                    let solo = t.fixed_latency + t.fluid_work;
-                    self.calib
-                        .observe_transfer(l.0 as usize, iv.duration(), solo);
-                }
-            }
-            _ => {}
+        // Every completed kernel is a calibration observation, recorded
+        // here and nowhere else: it feeds its signature's duration prior
+        // and block-size history.
+        if iv.kind == TaskKind::Kernel {
+            self.calib
+                .observe_kernel(&iv.label, iv.duration(), t.launch_shape);
         }
         self.timeline.push(iv);
         // The task is done with its buffers: its arguments leave the

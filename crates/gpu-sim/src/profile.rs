@@ -77,7 +77,9 @@ pub struct DeviceProfile {
     pub fault_bw: f64,
     /// Fixed service latency of a fault migration batch.
     pub fault_latency: f64,
-    /// Kernel launch overhead (host API + device dispatch).
+    /// Kernel launch overhead (host API + device dispatch). Bulk copies
+    /// charge it too, and it is every host link's latency
+    /// ([`crate::Cluster::build`]).
     pub launch_overhead: f64,
     /// Overhead of recording or waiting on an event.
     pub event_overhead: f64,

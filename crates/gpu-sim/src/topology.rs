@@ -24,10 +24,6 @@ const NVLINK_BW: f64 = 40.0e9;
 /// Default one-way latency charged per peer-to-peer transfer.
 const NVLINK_LATENCY: Time = 5e-6;
 
-/// Default latency of a host link transfer setup (matched by the bulk
-/// copy launch overhead the host links already charge).
-const HOST_LINK_LATENCY: Time = 4e-6;
-
 /// 25 Gbit/s Ethernet NIC bandwidth, bytes/s.
 const ETHERNET_25G_BW: f64 = 3.125e9;
 
@@ -423,7 +419,8 @@ impl Cluster {
     ///
     /// `dev.pcie_bw` must be positive; it is also what the engine times
     /// host transfers against (`Engine::with_topology` asserts the two
-    /// agree).
+    /// agree). A host link's latency is `dev.launch_overhead`, the setup
+    /// every bulk copy over it is charged.
     pub fn build(&self, dev: &DeviceProfile) -> Topology {
         assert!(dev.pcie_bw > 0.0, "bandwidths must be positive");
         let n = self.nodes * self.gpus_per_node;
@@ -432,7 +429,7 @@ impl Cluster {
                 a: Endpoint::Host,
                 b: Endpoint::Device(d),
                 bandwidth: dev.pcie_bw,
-                latency: HOST_LINK_LATENCY,
+                latency: dev.launch_overhead,
             })
             .collect();
         for node in 0..self.nodes {

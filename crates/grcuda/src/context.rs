@@ -276,7 +276,7 @@ impl GrCuda {
     /// x.copy_from_f32(&vec![3.0; n]);
     /// let square = g.build_kernel(&SQUARE).unwrap();
     /// square
-    ///     .launch_placed(Grid::d1(16, 256), &[Arg::array(&x), Arg::scalar(n as f64)])
+    ///     .launch(Grid::d1(16, 256), &[Arg::array(&x), Arg::scalar(n as f64)])
     ///     .unwrap();
     /// g.sync();
     /// assert_eq!(x.get_f32(0), 9.0);
@@ -333,7 +333,7 @@ impl GrCuda {
         // because the drain keeps the buffer bounded.
         cuda.record_mem_events(true);
         if options.calibrate {
-            cuda.enable_calibration(true);
+            cuda.enable_calibration();
         }
         GrCuda {
             inner: Rc::new(RefCell::new(Ctx {
@@ -579,40 +579,21 @@ impl GrCuda {
         crate::audit::audit_dag(&ctx.dag, &ctx.effects)
     }
 
-    /// Read the engine's calibration state — the one store behind the
-    /// kernel-history and calibration readouts below.
-    fn calibration<R>(&self, f: impl FnOnce(&gpu_sim::Calibration) -> R) -> R {
+    /// Read the engine's calibration state: the per-signature duration
+    /// priors ([`Options::calibrate`]) and the block-size history every
+    /// completed 1-D kernel launch is recorded into (see
+    /// [`Kernel::launch_autotuned`] for when that is) —
+    /// [`gpu_sim::Calibration::history_samples`],
+    /// [`gpu_sim::Calibration::best_block_size`] and
+    /// [`gpu_sim::Calibration::mean_duration`] among them.
+    pub fn calibration<R>(&self, f: impl FnOnce(&gpu_sim::Calibration) -> R) -> R {
         self.inner.borrow().cuda.calibration(f)
-    }
-
-    /// Measured 1-D executions recorded for a kernel — one per launch
-    /// the simulator has completed (see [`Kernel::launch_autotuned`] for
-    /// when that is).
-    pub fn history_samples(&self, kernel: &str) -> usize {
-        self.calibration(|c| c.history_samples(kernel))
-    }
-
-    /// The autotuner's current best block size for a kernel at a given
-    /// input magnitude (None until it has data).
-    pub fn best_block_size(&self, kernel: &str, elements: usize) -> Option<u32> {
-        self.calibration(|c| c.best_block_size(kernel, elements))
     }
 
     /// The block size the autotuner would pick right now
     /// (explore-then-exploit; 256 with no information).
     pub(crate) fn choose_block_size(&self, kernel: &str, elements: usize) -> u32 {
         self.calibration(|c| c.choose_block_size(kernel, elements, 256))
-    }
-
-    /// Mean measured duration of a (kernel, block size) pair at this
-    /// input magnitude, if any executions were recorded.
-    pub fn mean_kernel_duration(
-        &self,
-        kernel: &str,
-        block_size: u32,
-        elements: usize,
-    ) -> Option<Time> {
-        self.calibration(|c| c.mean_duration(kernel, block_size, elements))
     }
 
     /// Execution timeline snapshot.
@@ -722,7 +703,7 @@ impl GrCuda {
     /// runtime's, and the distinct argument arrays fit a device's
     /// memory — nothing can place a launch whose arguments alone exceed
     /// it, even after evicting everything else. Every way in asks here:
-    /// [`Kernel::launch_placed`], [`Kernel::launch_autotuned`],
+    /// [`Kernel::launch`], [`Kernel::launch_autotuned`],
     /// [`crate::Library::call`], [`GrCuda::launch_batch`] and the
     /// serving layer's admission control; [`Kernel::accepts`] asks
     /// without launching.
@@ -1554,7 +1535,7 @@ mod tests {
         });
         for bad in [f64::NAN, 7.5, 2f64.powi(31)] {
             let bad = args(bad);
-            assert_eq!(ms.launch(G, &bad), refused);
+            assert_eq!(ms.launch(G, &bad).map(|_| ()), refused);
             assert_eq!(lib.call(&bad), refused);
             let call = |args| BatchLaunch {
                 kernel: &ms,
@@ -1696,7 +1677,7 @@ mod tests {
         let ms = g.build_kernel(&MEMSET_F32).unwrap();
         let their_ms = other.build_kernel(&MEMSET_F32).unwrap();
 
-        foreign(ms.launch(G, &args(&theirs)), "memset_f32", 0);
+        foreign(ms.launch(G, &args(&theirs)).map(|_| ()), "memset_f32", 0);
         let mixed = [
             Arg::array(&ours),
             Arg::array(&theirs),
@@ -1704,7 +1685,7 @@ mod tests {
             Arg::scalar(8.0),
         ];
         let scale = g.build_kernel(&SCALE).unwrap();
-        foreign(scale.launch(G, &mixed), "scale", 1);
+        foreign(scale.launch(G, &mixed).map(|_| ()), "scale", 1);
         let lib = g.register_library(&MEMSET_F32, G, true).unwrap();
         foreign(lib.call(&args(&theirs)), "memset_f32", 0);
         // Batches check every call up front — the good first call is
@@ -1752,22 +1733,33 @@ mod tests {
             &[Arg::array(&y), Arg::scalar(n_short as f64)],
         )
         .unwrap();
-        assert_eq!(g.history_samples("square"), 0, "nothing completed yet");
+        assert_eq!(
+            g.calibration(|c| c.history_samples("square")),
+            0,
+            "nothing completed yet"
+        );
         // Sync only the short kernel (fine-grained read, no `sync()`):
         // its sample is visible at once, while the long one is in flight
         // and has left none.
         let _ = y.get_f32(0);
-        assert_eq!(g.history_samples("square"), 1);
-        assert!(g.mean_kernel_duration("square", 256, n_short).is_some());
-        assert_eq!(g.mean_kernel_duration("square", 256, n_long), None);
+        assert_eq!(g.calibration(|c| c.history_samples("square")), 1);
+        assert!(g
+            .calibration(|c| c.mean_duration("square", 256, n_short))
+            .is_some());
+        assert_eq!(
+            g.calibration(|c| c.mean_duration("square", 256, n_long)),
+            None
+        );
         let st = g.snapshot().engine;
         assert!(st.completed < st.submitted, "long kernel still running");
         // Now the long (lower-task-id) kernel completes: its sample
         // appears too.
         g.sync();
-        assert!(g.mean_kernel_duration("square", 256, n_long).is_some());
+        assert!(g
+            .calibration(|c| c.mean_duration("square", 256, n_long))
+            .is_some());
         assert_eq!(
-            g.history_samples("square"),
+            g.calibration(|c| c.history_samples("square")),
             2,
             "out-of-order completion must not lose history samples"
         );
@@ -1778,9 +1770,15 @@ mod tests {
         let g = p100();
         // Nothing launched: unknown signatures report "no data" rather
         // than panicking or fabricating values.
-        assert_eq!(g.history_samples("nonexistent"), 0);
-        assert_eq!(g.best_block_size("nonexistent", 1 << 14), None);
-        assert_eq!(g.mean_kernel_duration("nonexistent", 256, 1 << 14), None);
+        assert_eq!(g.calibration(|c| c.history_samples("nonexistent")), 0);
+        assert_eq!(
+            g.calibration(|c| c.best_block_size("nonexistent", 1 << 14)),
+            None
+        );
+        assert_eq!(
+            g.calibration(|c| c.mean_duration("nonexistent", 256, 1 << 14)),
+            None
+        );
         // After real samples exist, unknown signatures still miss.
         let n = 1 << 14;
         let x = g.array_f32(n);
@@ -1788,12 +1786,16 @@ mod tests {
         sq.launch(G, &[Arg::array(&x), Arg::scalar(n as f64)])
             .unwrap();
         g.sync();
-        assert_eq!(g.history_samples("square"), 1);
-        assert_eq!(g.history_samples("sqaure"), 0, "no fuzzy matching");
+        assert_eq!(g.calibration(|c| c.history_samples("square")), 1);
+        assert_eq!(
+            g.calibration(|c| c.history_samples("sqaure")),
+            0,
+            "no fuzzy matching"
+        );
         // A second sync finds no new completions and must not
         // double-count the existing ones.
         g.sync();
-        assert_eq!(g.history_samples("square"), 1);
+        assert_eq!(g.calibration(|c| c.history_samples("square")), 1);
     }
 
     #[test]
@@ -1941,7 +1943,7 @@ mod tests {
         let arrays = bs_arrays(&g, 4, n);
         let mut placements = Vec::new();
         for (x, y) in &arrays {
-            placements.push(bs.launch_placed(G, &bs_args(x, y, n)).unwrap());
+            placements.push(bs.launch(G, &bs_args(x, y, n)).unwrap());
         }
         g.sync();
         assert_eq!(placements, vec![0, 1, 0, 1]);
@@ -1994,12 +1996,8 @@ mod tests {
         // Op 1 lands on device 0 (taking the host u8 data with a plain
         // H2D); op 2 lands on device 1 and must *migrate* y — the chain
         // exercises both u8 data paths.
-        let d1 = threshold
-            .launch_placed(G, &map_args(&x, &y, 128.0, n))
-            .unwrap();
-        let d2 = threshold
-            .launch_placed(G, &map_args(&y, &z, 1.0, n))
-            .unwrap();
+        let d1 = threshold.launch(G, &map_args(&x, &y, 128.0, n)).unwrap();
+        let d2 = threshold.launch(G, &map_args(&y, &z, 1.0, n)).unwrap();
         assert_ne!(d1, d2, "round robin spreads the chain");
         let migs = g.snapshot().migrations.all;
         assert!(migs.count >= 1, "dependent u8 data must migrate");
@@ -2026,10 +2024,10 @@ mod tests {
         x.copy_from_i32(&input);
         assert_eq!(x.to_vec_i32(), input, "host round-trip before any launch");
         let scale = g.build_kernel(&SCALE_I32).unwrap();
-        let d1 = scale.launch_placed(G, &map_args(&x, &y, 3.0, n)).unwrap();
+        let d1 = scale.launch(G, &map_args(&x, &y, 3.0, n)).unwrap();
         // Second step reads y (produced on d1) — lands on the other
         // device under round-robin and must migrate the i32 data.
-        let d2 = scale.launch_placed(G, &map_args(&y, &x, 2.0, n)).unwrap();
+        let d2 = scale.launch(G, &map_args(&y, &x, 2.0, n)).unwrap();
         assert_ne!(d1, d2);
         assert!(
             g.snapshot().migrations.all.count >= 1,

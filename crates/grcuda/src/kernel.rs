@@ -228,15 +228,10 @@ impl Kernel {
 
     /// Validate arguments against the NIDL signature and hand the launch
     /// to the scheduler. Returns when the launch is *scheduled* (parallel
-    /// policy) or *complete* (serial policy).
-    pub fn launch(&self, grid: Grid, args: &[Arg]) -> Result<(), LaunchError> {
-        self.launch_placed(grid, args).map(|_| ())
-    }
-
-    /// [`Kernel::launch`], additionally reporting the device the
-    /// placement policy chose (always 0 on single-device runtimes) —
-    /// how callers observe scheduling decisions without changing them.
-    pub fn launch_placed(&self, grid: Grid, args: &[Arg]) -> Result<u32, LaunchError> {
+    /// policy) or *complete* (serial policy), with the device the
+    /// placement policy chose (always 0 on single-device runtimes) — how
+    /// callers observe scheduling decisions without changing them.
+    pub fn launch(&self, grid: Grid, args: &[Arg]) -> Result<u32, LaunchError> {
         self.launch_as(dag::ElementKind::Kernel, grid, args)
     }
 
@@ -278,9 +273,7 @@ impl Kernel {
     /// `(block size, size bucket)` cells over
     /// [`gpu_sim::CANDIDATE_BLOCK_SIZES`]), which also holds
     /// the explore-then-exploit chooser used here. Read it through
-    /// [`crate::GrCuda::history_samples`],
-    /// [`crate::GrCuda::best_block_size`] and
-    /// [`crate::GrCuda::mean_kernel_duration`].
+    /// [`crate::GrCuda::calibration`].
     ///
     /// A launch's measurement reaches the tuner as soon as the simulator
     /// completes the kernel — at any [`crate::GrCuda::sync`], array read

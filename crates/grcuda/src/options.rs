@@ -72,12 +72,12 @@ pub struct Options {
     pub visibility_restriction: bool,
     /// Online calibration (default `false`). When enabled, every
     /// completed kernel feeds a decaying per-signature duration prior
-    /// and every completed transfer feeds its link's observed
-    /// contention scale, which multiplies into the transfer-time
-    /// estimates placement policies see — closing the
-    /// measurement→decision loop the history module opens. Off by
-    /// default so every previously-committed simulated metric stays
-    /// bit-identical.
+    /// that placement policies see as
+    /// [`crate::PlacementCtx::duration_prior`] — closing the
+    /// measurement→decision loop the history module opens. It is
+    /// switched on once, when the runtime is built, and stays on. The
+    /// block-size history is recorded either way. Off by default so
+    /// every previously-committed simulated metric stays bit-identical.
     pub calibrate: bool,
 }
 
@@ -130,7 +130,7 @@ impl Options {
         self
     }
 
-    /// Builder-style: toggle online calibration (see
+    /// Builder-style: set online calibration, the duration prior (see
     /// [`Options::calibrate`]). The natural companion of
     /// [`crate::PlacementPolicy::Adaptive`], which is history-blind
     /// without it.

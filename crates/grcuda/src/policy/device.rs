@@ -42,8 +42,8 @@ pub struct PlacementCtx<'a> {
     /// Estimated seconds to make every argument resident on each
     /// candidate device, summed by [`cuda_sim::Cuda::placement_probe`]
     /// along the route each migration would actually take: one
-    /// `latency + bytes / bandwidth` leg per link crossed (scaled by the
-    /// link's contention when calibration is on) — a host-link leg from
+    /// uncontended `latency + bytes / bandwidth` leg per link crossed
+    /// (calibration does not touch it) — a host-link leg from
     /// a valid host copy, a peer-link leg over a direct link, two
     /// host-link legs (plus the NIC leg across nodes) when a migration
     /// must stage through the host, zero for data already in place.

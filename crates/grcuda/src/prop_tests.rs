@@ -258,49 +258,57 @@ fn run_program(steps: &[Step], opts: Options, dev: DeviceProfile) -> (Vec<Vec<f3
 
     for s in steps {
         match *s {
-            Step::Scale { src, dst, a } => scale
-                .launch(
-                    grid,
-                    &[
-                        Arg::array(&arrays[src]),
-                        Arg::array(&arrays[dst]),
-                        Arg::scalar(a as f64),
-                        Arg::scalar(nf),
-                    ],
-                )
-                .unwrap(),
-            Step::Axpy { src, dst, a } => axpy
-                .launch(
-                    grid,
-                    &[
-                        Arg::array(&arrays[src]),
-                        Arg::array(&arrays[dst]),
-                        Arg::scalar(a as f64),
-                        Arg::scalar(nf),
-                    ],
-                )
-                .unwrap(),
-            Step::Copy { src, dst } => copy
-                .launch(
-                    grid,
-                    &[
-                        Arg::array(&arrays[src]),
-                        Arg::array(&arrays[dst]),
-                        Arg::scalar(nf),
-                    ],
-                )
-                .unwrap(),
-            Step::Dot { a, b, dst } => dot
-                .launch(
-                    grid,
-                    &[
-                        Arg::array(&arrays[a]),
-                        Arg::array(&arrays[b]),
-                        Arg::array(&arrays[dst]),
-                        Arg::scalar(nf),
-                    ],
-                )
-                .unwrap(),
+            Step::Scale { src, dst, a } => {
+                _ = scale
+                    .launch(
+                        grid,
+                        &[
+                            Arg::array(&arrays[src]),
+                            Arg::array(&arrays[dst]),
+                            Arg::scalar(a as f64),
+                            Arg::scalar(nf),
+                        ],
+                    )
+                    .unwrap()
+            }
+            Step::Axpy { src, dst, a } => {
+                _ = axpy
+                    .launch(
+                        grid,
+                        &[
+                            Arg::array(&arrays[src]),
+                            Arg::array(&arrays[dst]),
+                            Arg::scalar(a as f64),
+                            Arg::scalar(nf),
+                        ],
+                    )
+                    .unwrap()
+            }
+            Step::Copy { src, dst } => {
+                _ = copy
+                    .launch(
+                        grid,
+                        &[
+                            Arg::array(&arrays[src]),
+                            Arg::array(&arrays[dst]),
+                            Arg::scalar(nf),
+                        ],
+                    )
+                    .unwrap()
+            }
+            Step::Dot { a, b, dst } => {
+                _ = dot
+                    .launch(
+                        grid,
+                        &[
+                            Arg::array(&arrays[a]),
+                            Arg::array(&arrays[b]),
+                            Arg::array(&arrays[dst]),
+                            Arg::scalar(nf),
+                        ],
+                    )
+                    .unwrap()
+            }
             Step::HostRead { arr, i } => {
                 let _ = arrays[arr].get_f32(i);
             }

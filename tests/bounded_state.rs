@@ -191,7 +191,7 @@ fn fine_grained_service_loop_stays_bounded_without_full_syncs() {
             let st = g.snapshot();
             peak_stored = peak_stored.max(st.stored_vertices);
             assert_eq!(
-                g.history_samples(def.name),
+                g.calibration(|c| c.history_samples(def.name)),
                 req + 1,
                 "req {req}: the read completed the kernel, so its sample is in"
             );
@@ -243,10 +243,14 @@ fn serial_mode_launch_loop_records_every_sample_and_keeps_no_metadata() {
             ],
         )
         .unwrap();
-        assert_eq!(g.history_samples("scale"), req + 1, "launch {req} blocked");
+        assert_eq!(
+            g.calibration(|c| c.history_samples("scale")),
+            req + 1,
+            "launch {req} blocked"
+        );
         assert_eq!(y.get_f32(7), 2.0 * req as f32);
     }
-    assert_eq!(g.history_samples("scale"), 400);
+    assert_eq!(g.calibration(|c| c.history_samples("scale")), 400);
 }
 
 #[test]
@@ -265,7 +269,11 @@ fn history_is_bounded_by_configurations_not_by_launches() {
     let x = g.array_f32(n);
     let y = g.array_f32(n);
     let grid = gpu_sim::Grid::d1(1, 256);
-    assert_eq!(g.history_samples("square"), 0, "nothing completed yet");
+    assert_eq!(
+        g.calibration(|c| c.history_samples("square")),
+        0,
+        "nothing completed yet"
+    );
     let mut durations = Vec::new();
     for round in 0..100 {
         // The squares overwrite what SCALE reads, so they wait for it,
@@ -285,16 +293,25 @@ fn history_is_bounded_by_configurations_not_by_launches() {
         let squares = timeline.kernels().filter(|iv| iv.label == "square");
         durations.extend(squares.map(|iv| iv.duration()));
         g.clear_timeline();
-        assert_eq!(g.history_samples("square"), 100 * (round + 1));
-        assert_eq!(g.history_samples("scale"), round + 1, "split by signature");
+        assert_eq!(
+            g.calibration(|c| c.history_samples("square")),
+            100 * (round + 1)
+        );
+        assert_eq!(
+            g.calibration(|c| c.history_samples("scale")),
+            round + 1,
+            "split by signature"
+        );
     }
-    assert_eq!(g.history_samples("square"), 10_000);
-    assert_eq!(g.best_block_size("square", n), Some(256));
+    assert_eq!(g.calibration(|c| c.history_samples("square")), 10_000);
+    assert_eq!(g.calibration(|c| c.best_block_size("square", n)), Some(256));
     for other in [32, 64, 128, 512, 1024] {
-        assert_eq!(g.mean_kernel_duration("square", other, n), None);
+        assert_eq!(g.calibration(|c| c.mean_duration("square", other, n)), None);
     }
     // The cell keeps the per-sample mean, not a sum.
-    let mean = g.mean_kernel_duration("square", 256, n).unwrap();
+    let mean = g
+        .calibration(|c| c.mean_duration("square", 256, n))
+        .unwrap();
     let (lo, hi) = durations
         .iter()
         .fold((f64::MAX, 0.0f64), |(lo, hi), &d| (lo.min(d), hi.max(d)));
@@ -441,5 +458,5 @@ fn sync_after_heavy_traffic_resets_to_empty_frontier_baseline() {
     assert_drained(&g, "after 250 rounds");
     // History survived the whole run (no samples lost).
     g.clear_timeline();
-    assert_eq!(g.history_samples("square"), 1000);
+    assert_eq!(g.calibration(|c| c.history_samples("square")), 1000);
 }

@@ -188,7 +188,7 @@ fn chain_migration_edges(topo: &gpu_sim::Topology, prefetch: PrefetchPolicy) -> 
             Arg::scalar(2.0),
             Arg::scalar(n as f64),
         ];
-        let placed = scale.launch_placed(Grid::d1(4, 256), &args).unwrap();
+        let placed = scale.launch(Grid::d1(4, 256), &args).unwrap();
         assert_eq!(placed as usize, i, "round-robin walks the devices");
     }
     let dot = g.dag_dot("chain");

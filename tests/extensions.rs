@@ -51,8 +51,10 @@ fn autotuner_explores_then_converges() {
     // And the tuned configuration is at least as fast as the worst one.
     let worst = gpu_sim::CANDIDATE_BLOCK_SIZES
         .iter()
-        .filter_map(|&b| g.mean_kernel_duration("square", b, n))
+        .filter_map(|&b| g.calibration(|c| c.mean_duration("square", b, n)))
         .fold(0.0f64, f64::max);
-    let best = g.mean_kernel_duration("square", exploit, n).unwrap();
+    let best = g
+        .calibration(|c| c.mean_duration("square", exploit, n))
+        .unwrap();
     assert!(best <= worst + 1e-12);
 }

@@ -112,7 +112,7 @@ fn dependent_chain(n_dev: usize, policy: PlacementPolicy, n: usize, steps: &[Ste
             Arg::scalar(factor),
             Arg::scalar(n as f64),
         ];
-        devices.push(kernel.launch_placed(Grid::d1(64, 256), &args).unwrap());
+        devices.push(kernel.launch(Grid::d1(64, 256), &args).unwrap());
     }
     g.sync();
     assert_eq!(g.races().len(), 0);
@@ -342,6 +342,25 @@ fn a_custom_policy_is_handed_the_whole_context() {
     let st = g.snapshot();
     assert_eq!(st.cluster.partitioned_batches, 1);
     assert_eq!(st.placement_probes, 4, "two distinct arrays per call");
+
+    // Calibration learns kernel durations, not link speeds: once the
+    // fanout mix's earlier rounds have completed host copies over the
+    // links it prices, a calibrated runtime still hands a policy the
+    // uncalibrated transfer estimates, bit for bit.
+    let estimates = |calibrate: bool| {
+        let seen = Rc::default();
+        let policy: Box<dyn DeviceSelectionPolicy> = Box::new(Recorder(Rc::clone(&seen)));
+        fanout_mix(
+            policy,
+            1 << 15,
+            3,
+            Options::parallel().with_calibration(calibrate),
+        );
+        seen.take()
+    };
+    let calibrated = estimates(true);
+    assert_eq!(calibrated.len(), 16, "four launches a round, four rounds");
+    assert_eq!(calibrated, estimates(false));
 }
 
 /// Every observable the committed bench metrics are built from — the
@@ -729,7 +748,7 @@ fn stream_aware_balances_an_embarrassingly_parallel_fanout() {
         let y = g.array_f64(n);
         x.copy_from_f64(&vec![100.0; n]);
         let d = bs
-            .launch_placed(
+            .launch(
                 Grid::d1(64, 256),
                 &[
                     Arg::array(&x),
