@@ -1,10 +1,10 @@
 //! Adaptive: the history loop closed end to end.
 //!
 //! Sweeps the mixed workload (transfer chain, oversubscription, fanout
-//! mix — see `benchmarks::mixed`) across every placement policy. The
-//! static policies run with default options; `adaptive` runs with
-//! online calibration enabled ([`grcuda::Options::with_calibration`]),
-//! which is what feeds its per-kernel duration priors.
+//! mix — see `benchmarks::mixed`) across every placement policy, all
+//! under `Options::parallel()`. Every runtime learns per-kernel
+//! duration priors as its kernels complete; `adaptive` is the one
+//! policy that reads them.
 //!
 //! Each run is checked once: race-free, and the same answer, bit for
 //! bit, as the first static policy's run of its suite. The acceptance
@@ -56,13 +56,13 @@ pub fn run(smoke: bool, metrics: &mut Metrics) {
             adaptive = makespans;
             // Calibration fed the decisions: the fanout run accumulated
             // per-kernel duration observations.
-            samples = runs[2].1.runtime.snapshot().calibration.kernel_samples;
+            samples = runs[2].1.runtime.snapshot().kernel_samples;
         } else {
             statics.push((policy, makespans));
         }
         first.get_or_insert(runs);
     }
-    println!("Mixed workload x placement policies (adaptive runs calibrated)\n");
+    println!("Mixed workload x placement policies\n");
     println!(
         "{}",
         render_table(&["policy", "chain", "oversub", "fanout"], &rows)

@@ -64,7 +64,7 @@ fn topology_sweep(smoke: bool, m: &mut Metrics) {
     let mut first = None;
     for topo in TopologyKind::ALL {
         for policy in policies {
-            let r = transfer_chain(policy, topo, n, iters, Options::parallel());
+            let r = transfer_chain(policy, topo, n, iters);
             let prefix = format!("chain.{}.{}", topo.name(), policy.name());
             check(&r, first.as_ref(), &prefix);
             let st = r.runtime.snapshot();
@@ -122,14 +122,7 @@ fn oversubscribe_sweep(smoke: bool, m: &mut Metrics) {
     let mut rows = Vec::new();
     let mut first = None;
     for (label, policy, eviction) in oversub_configs() {
-        let r = oversubscribe(
-            policy,
-            eviction,
-            Some(capacity),
-            n,
-            iters,
-            Options::parallel(),
-        );
+        let r = oversubscribe(policy, eviction, Some(capacity), n, iters);
         check(&r, first.as_ref(), label);
         let st = r.runtime.snapshot().memory;
         rows.push(vec![

@@ -5,9 +5,9 @@
 //! [`crate::cluster_run`]) return the runtime they ran on, the makespan
 //! and the whole answer. Counters are read from the runtime's own
 //! snapshot (`GrCuda::snapshot`: migrations, memory, cluster,
-//! calibration, …) and races from `races`, not through copies, and
-//! "placement moves work, never results" is one bit-exact comparison of
-//! answers.
+//! calibration samples, …) and races from `races`, not through copies,
+//! and "placement moves work, never results" is one bit-exact
+//! comparison of answers.
 
 use gpu_sim::TypedData;
 use grcuda::GrCuda;
@@ -43,7 +43,7 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use gpu_sim::{EvictionPolicy, TopologyKind};
-    use grcuda::{Options, PlacementPolicy};
+    use grcuda::PlacementPolicy;
 
     use crate::{
         cluster_run, fanout_mix, oversub_capacity, oversubscribe, transfer_chain, ClusterSuite,
@@ -69,7 +69,7 @@ mod tests {
                 "transfer chain",
                 || {
                     let (policy, topo) = (PlacementPolicy::TransferAware, TopologyKind::NvlinkPair);
-                    transfer_chain(policy, topo, 4096, 3, Options::parallel())
+                    transfer_chain(policy, topo, 4096, 3)
                 },
                 |_| {},
             ),
@@ -79,7 +79,7 @@ mod tests {
                     let (policy, eviction) =
                         (PlacementPolicy::MemoryAware, EvictionPolicy::CostAware);
                     let capacity = Some(oversub_capacity(N));
-                    oversubscribe(policy, eviction, capacity, N, 2, Options::parallel())
+                    oversubscribe(policy, eviction, capacity, N, 2)
                 },
                 |r| {
                     let memory = r.runtime.snapshot().memory;
@@ -90,13 +90,10 @@ mod tests {
             ),
             (
                 "fanout mix",
-                || {
-                    let options = Options::parallel().with_calibration(true);
-                    fanout_mix(PlacementPolicy::Adaptive, 1 << 15, 3, options)
-                },
+                || fanout_mix(PlacementPolicy::Adaptive, 1 << 15, 3),
                 |r| {
-                    let samples = r.runtime.snapshot().calibration.kernel_samples;
-                    assert!(samples > 0, "adaptive runs calibrated");
+                    let samples = r.runtime.snapshot().kernel_samples;
+                    assert!(samples > 0, "completed kernels are observed");
                 },
             ),
             (

@@ -18,8 +18,9 @@
 //! transfer/memory-aware policies' in-flight tie-break) all see "one
 //! task here, one task there" and give the heavy kernel's device a
 //! short kernel too: makespan ≈ heavy + short. A policy that knows the
-//! *durations* — [`grcuda::PlacementPolicy::Adaptive`] with online
-//! calibration ([`grcuda::Options::calibrate`]) — charges the heavy
+//! *durations* — [`grcuda::PlacementPolicy::Adaptive`], reading the
+//! duration prior online calibration keeps for every signature
+//! ([`grcuda::PlacementCtx::duration_prior`]) — charges the heavy
 //! kernel's predicted seconds to its device and routes all three shorts
 //! to the other one: makespan ≈ max(heavy, 3·short), strictly better
 //! whenever heavy ≥ 3·short. The first round is an unmeasured warmup
@@ -48,27 +49,19 @@ const FANOUT_SHORTS: usize = 3;
 /// so the shorts' durations are compute- not transfer-dominated).
 const BLUR_DIAMETER: usize = 31;
 
-/// The options a policy naturally runs the mixed workload under:
-/// defaults for the static policies, defaults + online calibration for
-/// [`PlacementPolicy::Adaptive`] (which is history-blind without it).
-fn natural_options(policy: PlacementPolicy) -> Options {
-    Options::parallel().with_calibration(policy == PlacementPolicy::Adaptive)
-}
-
 /// Run the fanout mix under a placement policy (a [`PlacementPolicy`]
-/// or a custom one) and scheduler options. `n` is the short kernels'
-/// element count; `rounds` the number of measured rounds (one warmup
-/// round is added).
+/// or a custom one) with the paper's parallel scheduler
+/// (`Options::parallel()`). `n` is the short kernels' element count;
+/// `rounds` the number of measured rounds (one warmup round is added).
 pub fn fanout_mix(
     policy: impl Into<Box<dyn DeviceSelectionPolicy>>,
     n: usize,
     rounds: usize,
-    options: Options,
 ) -> Experiment {
     let grid = Grid::d1(256, 256);
     let dev = DeviceProfile::gtx1660_super();
     let topo = Topology::pcie_only(FANOUT_DEVICES, &dev);
-    let g = GrCuda::with_topology(dev, topo, options, policy);
+    let g = GrCuda::with_topology(dev, topo, Options::parallel(), policy);
     let heavy = g
         .build_kernel(&BLACK_SCHOLES)
         .expect("BLACK_SCHOLES is a registered signature");
@@ -197,19 +190,16 @@ impl MixedScale {
 }
 
 /// One policy's runs of every suite of the mixed workload, named and in
-/// sweep order (`chain`, `oversub`, `fanout`), each under the policy's
-/// natural options (defaults, plus online calibration for
-/// [`PlacementPolicy::Adaptive`]) and, for the oversubscription suite,
-/// LRU eviction — eviction is held fixed so placement is the only
-/// variable under test.
+/// sweep order (`chain`, `oversub`, `fanout`), each under
+/// `Options::parallel()` and, for the oversubscription suite, LRU
+/// eviction — eviction is held fixed so placement is the only variable
+/// under test.
 pub fn mixed_runs(policy: PlacementPolicy, scale: &MixedScale) -> [(&'static str, Experiment); 3] {
-    let opts = natural_options(policy);
     let chain = transfer_chain(
         policy,
         TopologyKind::NvlinkPair,
         scale.chain_n,
         scale.chain_iters,
-        opts,
     );
     let oversub = oversubscribe(
         policy,
@@ -217,8 +207,7 @@ pub fn mixed_runs(policy: PlacementPolicy, scale: &MixedScale) -> [(&'static str
         Some(oversub_capacity(scale.oversub_n)),
         scale.oversub_n,
         scale.oversub_iters,
-        opts,
     );
-    let fanout = fanout_mix(policy, scale.fanout_n, scale.fanout_rounds, opts);
+    let fanout = fanout_mix(policy, scale.fanout_n, scale.fanout_rounds);
     [("chain", chain), ("oversub", oversub), ("fanout", fanout)]
 }

@@ -63,25 +63,23 @@ fn anchor_bytes(n: usize) -> usize {
 }
 
 /// Run the oversubscription suite under a placement policy and an
-/// eviction policy, with per-device capacity `capacity` (use
+/// eviction policy, with the paper's parallel scheduler
+/// (`Options::parallel()`) and per-device capacity `capacity` (use
 /// [`oversub_capacity`] for the standard ~2× oversubscription, or
 /// `None` for the unlimited baseline). `n` is the state-array element
-/// count; `iters` the number of full passes over the working set;
-/// `options` the scheduler options (`Options::parallel()` for every
-/// committed metric, calibration on for adaptive runs).
+/// count; `iters` the number of full passes over the working set.
 pub fn oversubscribe(
     policy: PlacementPolicy,
     eviction: EvictionPolicy,
     capacity: Option<usize>,
     n: usize,
     iters: usize,
-    options: Options,
 ) -> Experiment {
     let grid = Grid::d1(64, 256);
     let memory = MemoryConfig { capacity, eviction };
     let dev = DeviceProfile::tesla_p100();
     let topo = Topology::pcie_only(OVERSUB_DEVICES, &dev).with_memory(memory);
-    let g = GrCuda::with_topology(dev, topo, options, policy);
+    let g = GrCuda::with_topology(dev, topo, Options::parallel(), policy);
     let pin = g.build_kernel(&PIN).expect("PIN is a registered signature");
     let join = g
         .build_kernel(&JOIN)
@@ -180,7 +178,6 @@ mod tests {
             Some(oversub_capacity(N)),
             N,
             2,
-            Options::parallel(),
         );
         let memory = r.runtime.snapshot().memory;
         assert!(

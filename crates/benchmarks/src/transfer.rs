@@ -39,21 +39,19 @@ use crate::Experiment;
 pub const TRANSFER_CHAIN_DEVICES: usize = 4;
 
 /// Run the transfer chain under a placement policy on an interconnect
-/// preset. `n` is the element count of the input array `A` (the other
-/// arrays scale from it); `iters` the number of chain iterations;
-/// `options` the scheduler options (`Options::parallel()` for every
-/// committed metric, calibration on for adaptive runs).
+/// preset, with the paper's parallel scheduler (`Options::parallel()`).
+/// `n` is the element count of the input array `A` (the other arrays
+/// scale from it); `iters` the number of chain iterations.
 pub fn transfer_chain(
     policy: PlacementPolicy,
     topology: TopologyKind,
     n: usize,
     iters: usize,
-    options: Options,
 ) -> Experiment {
     let grid = Grid::d1(64, 256);
     let dev = DeviceProfile::tesla_p100();
     let topo = Topology::preset(topology, TRANSFER_CHAIN_DEVICES, &dev);
-    let g = GrCuda::with_topology(dev, topo, options, policy);
+    let g = GrCuda::with_topology(dev, topo, Options::parallel(), policy);
     let [square, scale, pin, join] = [&SQUARE, &SCALE, &PIN, &JOIN].map(|def| {
         g.build_kernel(def)
             .expect("the chain's kernels are registered signatures")

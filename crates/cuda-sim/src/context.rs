@@ -6,9 +6,8 @@ use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
 use gpu_sim::{
-    Calibration, CalibrationStats, DeviceProfile, Engine, EngineStats, LinkId, LinkTraffic,
-    RaceReport, TaskId, TaskKind, TaskSpec, Time, Timeline, Topology, TopologyKind, TypedData,
-    ValueId,
+    Calibration, DeviceProfile, Engine, EngineStats, LinkId, LinkTraffic, RaceReport, TaskId,
+    TaskKind, TaskSpec, Time, Timeline, Topology, TopologyKind, TypedData, ValueId,
 };
 use gpu_sim::{MemoryManager, MemoryStats};
 
@@ -210,21 +209,11 @@ impl Cuda {
         self.inner.borrow_mut().mem_events.drain(..).for_each(f);
     }
 
-    /// Enable online calibration for the rest of this context's life:
-    /// from then on every completed kernel feeds a decaying
-    /// per-signature duration prior
-    /// ([`gpu_sim::Calibration::kernel_prior`]). Off by default: a
-    /// default context measures bit-identically to one built before
-    /// calibration existed. The block-size history is recorded either
-    /// way.
-    pub fn enable_calibration(&self) {
-        self.inner.borrow_mut().engine.enable_calibration();
-    }
-
     /// Read the engine's calibration state: the per-signature duration
-    /// priors, the sample counters, and the block-size history every
-    /// completed kernel launch — direct, serial or graph replay — is
-    /// recorded into as the simulator completes it.
+    /// priors ([`gpu_sim::Calibration::kernel_prior`]), their sample
+    /// count, and the block-size history. Every completed kernel launch
+    /// — direct, serial or graph replay — is recorded into both as the
+    /// simulator completes it, from the context's construction on.
     pub fn calibration<R>(&self, f: impl FnOnce(&Calibration) -> R) -> R {
         f(self.inner.borrow().engine.calibration())
     }
@@ -577,7 +566,7 @@ impl Cuda {
         Counters {
             engine: inner.engine.stats(),
             memory: inner.memgr.stats(),
-            calibration: inner.engine.calibration().stats(),
+            kernel_samples: inner.engine.calibration().kernel_samples(),
             migrations: inner.migrations,
             links: inner.engine.link_traffic().to_vec(),
             streams: inner.streams.len(),
@@ -596,8 +585,9 @@ pub struct Counters {
     /// resident and peak-resident bytes, evictions, spilled bytes,
     /// prefetch hit accounting.
     pub memory: MemoryStats,
-    /// Observation counters of the online calibration layer.
-    pub calibration: CalibrationStats,
+    /// Kernel completions observed into the calibration's duration
+    /// priors.
+    pub kernel_samples: u64,
     /// Cross-device migrations performed.
     pub migrations: Migrations,
     /// Lifetime traffic per link, indexed like [`Topology::links`] (host

@@ -108,7 +108,7 @@ impl CudaGraph {
         let n = self.nodes.len();
         let mut stream_of: Vec<StreamId> = Vec::with_capacity(n);
         let mut claimed = vec![false; n];
-        for (i, node) in self.nodes.iter().enumerate() {
+        for node in &self.nodes {
             let s = match node.stream_hint {
                 Some(h) => {
                     let sid = StreamId(h);
@@ -128,7 +128,6 @@ impl CudaGraph {
                 }
             };
             stream_of.push(s);
-            let _ = i;
         }
 
         // Submit nodes in construction order (a topological order by

@@ -20,13 +20,13 @@
 //!   [`Calibration::choose_block_size`]. Its memory is O(signatures ×
 //!   block sizes × buckets), independent of the launch count.
 //!
-//! The prior is **off until enabled**, once, for the engine's lifetime
-//! ([`crate::Engine::enable_calibration`]); while off it is skipped
-//! entirely, so a default-configured engine behaves — and benchmarks
-//! measure — bit-identically to one built before this module existed.
-//! The block-size history is always on — it feeds no estimate, only the
-//! autotuner that asks for it — for kernels that carry a launch shape
-//! ([`crate::TaskSpec::launch_shape`]).
+//! Both are recorded from the engine's construction on. A signature
+//! has no prior until its first kernel completes, so the first round of
+//! a workload is placed without one. The prior feeds only placement
+//! that asks for it ([`Calibration::kernel_prior`]); the block-size
+//! history feeds no estimate, only the autotuner that asks for it, and
+//! only kernels that carry a launch shape
+//! ([`crate::TaskSpec::launch_shape`]) fill it.
 
 use crate::cost::Grid;
 use crate::Time;
@@ -87,18 +87,10 @@ fn size_bucket(elements: usize) -> u32 {
     (elements.max(1) as f64).log2().round() as u32
 }
 
-/// Aggregate sample counters, exposed for reporting and smoke gates.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CalibrationStats {
-    /// Kernel completions observed into duration priors.
-    pub kernel_samples: u64,
-}
-
 /// The online calibration state owned by an [`crate::Engine`] (what it
 /// learns and how it is used: the header of `calibrate.rs`).
 #[derive(Debug, Default)]
 pub struct Calibration {
-    enabled: bool,
     /// Observations per kernel signature, sorted by name: a lookup is a
     /// few string comparisons and iteration order is the names' order.
     kernels: Vec<(String, KernelObs)>,
@@ -106,28 +98,22 @@ pub struct Calibration {
     /// of one kernel come in runs, so most observations find their
     /// signature with one comparison.
     last: usize,
-    stats: CalibrationStats,
+    /// Kernel completions observed into duration priors.
+    kernel_samples: u64,
 }
 
 impl Calibration {
-    /// A disabled calibration with no observations.
+    /// A calibration with no observations.
     pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Turn the duration prior on: from now on every completed kernel
-    /// feeds it and [`Calibration::kernel_prior`] answers. Nothing turns
-    /// it off again. The block-size history is not affected.
-    pub(crate) fn enable(&mut self) {
-        self.enabled = true;
-    }
-
     /// Record a completed kernel: its measured duration feeds the
-    /// decaying prior for its signature (while enabled) and, when the
-    /// task carried a 1-D launch `shape` (`(grid, elements)`), the
-    /// block-size cell of that configuration (always). Looks the
-    /// signature up by `&str` and allocates only the first time it —
-    /// or a new cell of it — is seen.
+    /// decaying prior for its signature and, when the task carried a
+    /// 1-D launch `shape` (`(grid, elements)`), the block-size cell of
+    /// that configuration. Looks the signature up by `&str` and
+    /// allocates only the first time it — or a new cell of it — is
+    /// seen.
     pub(crate) fn observe_kernel(
         &mut self,
         label: &str,
@@ -141,9 +127,6 @@ impl Calibration {
         let cell = shape
             .filter(|(grid, _)| grid.threads.1 == 1 && grid.threads.2 == 1)
             .map(|(grid, elements)| (grid.threads.0, size_bucket(elements)));
-        if !self.enabled && cell.is_none() {
-            return;
-        }
         if self
             .kernels
             .get(self.last)
@@ -156,10 +139,8 @@ impl Calibration {
             });
         }
         let obs = &mut self.kernels[self.last].1;
-        if self.enabled {
-            obs.prior.observe(duration, DEFAULT_DECAY);
-            self.stats.kernel_samples += 1;
-        }
+        obs.prior.observe(duration, DEFAULT_DECAY);
+        self.kernel_samples += 1;
         if let Some((block_size, size_bucket)) = cell {
             let at = |c: &Cell| c.block_size == block_size && c.size_bucket == size_bucket;
             let i = obs.cells.iter().position(at).unwrap_or_else(|| {
@@ -184,12 +165,9 @@ impl Calibration {
     }
 
     /// Decaying mean duration observed for a kernel signature, or `None`
-    /// while disabled or with no samples — the *task-duration prior*
-    /// history-driven placement weighs in-flight work by.
+    /// until one of its kernels has completed — the *task-duration
+    /// prior* history-driven placement weighs in-flight work by.
     pub fn kernel_prior(&self, label: &str) -> Option<Time> {
-        if !self.enabled {
-            return None;
-        }
         let obs = &self.kernels[self.find(label).ok()?].1;
         (obs.prior.samples > 0).then_some(obs.prior.mean)
     }
@@ -250,9 +228,9 @@ impl Calibration {
             .map(Cell::mean)
     }
 
-    /// Aggregate sample counters.
-    pub fn stats(&self) -> CalibrationStats {
-        self.stats
+    /// Kernel completions observed into duration priors.
+    pub fn kernel_samples(&self) -> u64 {
+        self.kernel_samples
     }
 }
 
@@ -262,17 +240,8 @@ mod tests {
     use std::collections::HashMap;
 
     #[test]
-    fn disabled_calibration_observes_nothing() {
-        let mut c = Calibration::new();
-        c.observe_kernel("k", 1e-3, None);
-        assert_eq!(c.stats(), CalibrationStats::default());
-        assert_eq!(c.kernel_prior("k"), None);
-    }
-
-    #[test]
     fn kernel_prior_is_a_decaying_mean() {
         let mut c = Calibration::new();
-        c.enable();
         c.observe_kernel("k", 1e-3, None);
         assert_eq!(c.kernel_prior("k"), Some(1e-3), "first sample seeds");
         c.observe_kernel("k", 2e-3, None);
@@ -281,7 +250,7 @@ mod tests {
         let expect = (1.0 - DEFAULT_DECAY) * 1e-3 + DEFAULT_DECAY * 2e-3;
         assert!((p - expect).abs() < 1e-15);
         assert_eq!(c.kernel_prior("other"), None);
-        assert_eq!(c.stats().kernel_samples, 2);
+        assert_eq!(c.kernel_samples(), 2);
     }
 
     #[test]
@@ -289,7 +258,6 @@ mod tests {
         // Signatures arrive out of name order and alternate, so both the
         // sorted insert and the last-signature shortcut are exercised.
         let mut c = Calibration::new();
-        c.enable();
         let grid = Grid::d1(4, 128);
         for (round, label) in ["m", "b", "z", "b", "b", "a", "m", "z", "a"]
             .into_iter()
@@ -304,7 +272,7 @@ mod tests {
         );
         assert_eq!(samples("c"), 0, "a name between two known ones");
         assert_eq!(c.kernel_prior("nope"), None);
-        assert_eq!(c.stats().kernel_samples, 9);
+        assert_eq!(c.kernel_samples(), 9);
         // "a" saw rounds 6 and 9: its cell averages them.
         let mean = c.mean_duration("a", 128, 1 << 10).unwrap();
         assert!((mean - 7.5e-3).abs() < 1e-15);
@@ -315,10 +283,9 @@ mod tests {
     #[test]
     fn garbage_observations_are_rejected() {
         let mut c = Calibration::new();
-        c.enable();
         c.observe_kernel("k", f64::NAN, None);
         c.observe_kernel("k", -1.0, None);
-        assert_eq!(c.stats().kernel_samples, 0);
+        assert_eq!(c.kernel_samples(), 0);
     }
 
     // --------------------------------------------------------------
@@ -335,21 +302,6 @@ mod tests {
         assert_eq!(size_bucket(1000), size_bucket(1100));
         assert_ne!(size_bucket(1000), size_bucket(100_000));
         assert_eq!(size_bucket(0), 0);
-    }
-
-    #[test]
-    fn block_size_history_is_recorded_while_the_prior_is_disabled() {
-        let mut c = Calibration::new();
-        launch(&mut c, 128, 4096, 2e-3);
-        assert_eq!(c.history_samples("k"), 1);
-        assert_eq!(c.stats(), CalibrationStats::default(), "prior stays off");
-        assert_eq!(c.kernel_prior("k"), None);
-        // Enabling the prior later starts it from its own first sample.
-        c.enable();
-        launch(&mut c, 128, 4096, 4e-3);
-        assert_eq!(c.kernel_prior("k"), Some(4e-3));
-        assert_eq!(c.stats().kernel_samples, 1);
-        assert_eq!(c.history_samples("k"), 2);
     }
 
     #[test]

@@ -271,8 +271,7 @@ pub struct Engine {
     races: Vec<RaceReport>,
     stats: EngineStats,
     /// Online calibration: per-kernel-signature duration priors and
-    /// block-size history, recorded as kernels complete. The priors are
-    /// off until [`Engine::enable_calibration`] (see
+    /// block-size history, recorded as kernels complete (see
     /// [`crate::calibrate`]).
     calib: Calibration,
     /// What completed tasks left behind, for the next submissions.
@@ -349,12 +348,6 @@ impl Engine {
     /// The online calibration state.
     pub fn calibration(&self) -> &Calibration {
         &self.calib
-    }
-
-    /// Turn the calibration's duration prior on for the rest of this
-    /// engine's life ([`Calibration::kernel_prior`]).
-    pub fn enable_calibration(&mut self) {
-        self.calib.enable();
     }
 
     /// Number of identical devices this engine simulates.

@@ -77,7 +77,7 @@ mod task;
 mod timeline;
 mod topology;
 
-pub use calibrate::{Calibration, CalibrationStats, CANDIDATE_BLOCK_SIZES};
+pub use calibrate::{Calibration, CANDIDATE_BLOCK_SIZES};
 pub use cost::{Grid, KernelCost};
 pub use data::{DataBuffer, TypedData, ValueId};
 pub use engine::{Engine, EngineStats, LinkTraffic, TaskId};

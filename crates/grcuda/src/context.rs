@@ -16,7 +16,7 @@ use gpu_sim::{
     Architecture, DataBuffer, DeviceProfile, EngineStats, Grid, KernelBody, RaceReport, TaskId,
     Time, Timeline, Topology, TopologyKind, TypedData, ValueId,
 };
-use gpu_sim::{CalibrationStats, LinkTraffic, MemoryStats};
+use gpu_sim::{LinkTraffic, MemoryStats};
 use kernels::KernelDef;
 
 use crate::array::DeviceArray;
@@ -154,8 +154,9 @@ pub struct Snapshot {
     /// Engine counters: tasks submitted, completed and retained, races
     /// and the rate solver's work.
     pub engine: EngineStats,
-    /// Observation counters of the online calibration layer.
-    pub calibration: CalibrationStats,
+    /// Kernel completions observed into the calibration's duration
+    /// priors.
+    pub kernel_samples: u64,
     /// Cross-device migrations performed so far — the run-time
     /// migration-cost accounting the paper's §VI calls for — in all,
     /// over peer links, and the NIC legs of cross-node routes.
@@ -332,9 +333,6 @@ impl GrCuda {
         // launch to annotate its DAG; recording is safe to leave on
         // because the drain keeps the buffer bounded.
         cuda.record_mem_events(true);
-        if options.calibrate {
-            cuda.enable_calibration();
-        }
         GrCuda {
             inner: Rc::new(RefCell::new(Ctx {
                 cuda,
@@ -579,10 +577,12 @@ impl GrCuda {
         crate::audit::audit_dag(&ctx.dag, &ctx.effects)
     }
 
-    /// Read the engine's calibration state: the per-signature duration
-    /// priors ([`Options::calibrate`]) and the block-size history every
-    /// completed 1-D kernel launch is recorded into (see
-    /// [`Kernel::launch_autotuned`] for when that is) —
+    /// Read the engine's calibration state, learned from every kernel
+    /// this runtime has completed: the per-signature duration priors
+    /// placement sees as [`crate::PlacementCtx::duration_prior`], and
+    /// the block-size history every completed 1-D kernel launch is
+    /// recorded into (see [`Kernel::launch_autotuned`] for when that
+    /// is) —
     /// [`gpu_sim::Calibration::history_samples`],
     /// [`gpu_sim::Calibration::best_block_size`] and
     /// [`gpu_sim::Calibration::mean_duration`] among them.
@@ -670,7 +670,7 @@ impl GrCuda {
                 partition_cut_bytes: ctx.partition_cut_bytes,
             },
             engine: c.engine,
-            calibration: c.calibration,
+            kernel_samples: c.kernel_samples,
             migrations: c.migrations,
             links: c.links,
             streams: c.streams,
@@ -1738,14 +1738,15 @@ mod tests {
             0,
             "nothing completed yet"
         );
+        assert_eq!(g.calibration(|c| c.kernel_prior("square")), None);
         // Sync only the short kernel (fine-grained read, no `sync()`):
         // its sample is visible at once, while the long one is in flight
-        // and has left none.
+        // and has left none. Its duration seeds the signature's prior.
         let _ = y.get_f32(0);
         assert_eq!(g.calibration(|c| c.history_samples("square")), 1);
-        assert!(g
-            .calibration(|c| c.mean_duration("square", 256, n_short))
-            .is_some());
+        let short = g.calibration(|c| c.mean_duration("square", 256, n_short));
+        assert!(short.is_some());
+        assert_eq!(g.calibration(|c| c.kernel_prior("square")), short);
         assert_eq!(
             g.calibration(|c| c.mean_duration("square", 256, n_long)),
             None

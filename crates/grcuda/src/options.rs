@@ -70,15 +70,6 @@ pub struct Options {
     /// streams using *that* array even on Maxwell; when disabled, any
     /// CPU access on Maxwell must synchronize the whole device.
     pub visibility_restriction: bool,
-    /// Online calibration (default `false`). When enabled, every
-    /// completed kernel feeds a decaying per-signature duration prior
-    /// that placement policies see as
-    /// [`crate::PlacementCtx::duration_prior`] — closing the
-    /// measurement→decision loop the history module opens. It is
-    /// switched on once, when the runtime is built, and stays on. The
-    /// block-size history is recorded either way. Off by default so
-    /// every previously-committed simulated metric stays bit-identical.
-    pub calibrate: bool,
 }
 
 impl Options {
@@ -90,7 +81,6 @@ impl Options {
             stream_reuse: StreamReusePolicy::FifoReuse,
             prefetch: PrefetchPolicy::Auto,
             visibility_restriction: true,
-            calibrate: false,
         }
     }
 
@@ -102,7 +92,6 @@ impl Options {
             stream_reuse: StreamReusePolicy::FifoReuse,
             prefetch: PrefetchPolicy::None,
             visibility_restriction: true,
-            calibrate: false,
         }
     }
 
@@ -129,15 +118,6 @@ impl Options {
         self.visibility_restriction = on;
         self
     }
-
-    /// Builder-style: set online calibration, the duration prior (see
-    /// [`Options::calibrate`]). The natural companion of
-    /// [`crate::PlacementPolicy::Adaptive`], which is history-blind
-    /// without it.
-    pub fn with_calibration(mut self, on: bool) -> Self {
-        self.calibrate = on;
-        self
-    }
 }
 
 impl Default for Options {
@@ -158,13 +138,6 @@ mod tests {
         assert_eq!(o.prefetch, PrefetchPolicy::Auto);
         assert!(o.visibility_restriction);
         assert_eq!(o.schedule, SchedulePolicy::ParallelAsync);
-        assert!(!o.calibrate, "calibration is opt-in");
-    }
-
-    #[test]
-    fn calibration_is_a_builder_toggle() {
-        assert!(Options::parallel().with_calibration(true).calibrate);
-        assert!(!Options::serial().calibrate);
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub struct PlacementCtx<'a> {
     /// PR.
     pub kernel: &'a str,
     /// Decaying mean duration observed for this signature by online
-    /// calibration, or `None` while calibration is off or has no
-    /// samples yet (see [`crate::Options::calibrate`]) — what a root
+    /// calibration ([`gpu_sim::Calibration::kernel_prior`]), or `None`
+    /// until a kernel of the signature has completed — what a root
     /// charges the predicted-seconds ledger. Read by one preset
     /// ([`PlacementPolicy::Adaptive`]); retained for `benchmark/`;
     /// retire in the next benchmark PR.
@@ -246,8 +246,8 @@ struct Ranked {
     turn: usize,
     /// Predicted outstanding seconds per device behind [`Term::Queue`]:
     /// each placed root adds its signature's duration prior to the
-    /// chosen device. Empty for presets that do not rank by `Queue`,
-    /// and never grows without calibration (no priors).
+    /// chosen device. Empty for presets that do not rank by `Queue`;
+    /// a root whose signature has no prior yet charges nothing.
     ledger: Vec<f64>,
 }
 
@@ -347,9 +347,7 @@ pub enum PlacementPolicy {
     /// *predicted outstanding seconds* fed by each signature's
     /// calibrated duration prior — so independent fan-outs balance by
     /// how long work actually takes, not by how many tasks are in
-    /// flight. The ledger resets whenever every device is idle; while
-    /// calibration is off it never grows and this is exactly
-    /// memory-aware.
+    /// flight. The ledger resets whenever every device is idle.
     Adaptive,
     /// Cluster-aware placement: honor the node hint the deterministic
     /// batch partitioner assigned (see [`crate::partition_batch`]), rank the

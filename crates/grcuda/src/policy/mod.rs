@@ -88,7 +88,7 @@ mod adaptive {
         #[test]
         fn without_priors_it_is_transfer_aware() {
             let mut p = PlacementPolicy::Adaptive.build();
-            // No calibration: the ledger never grows, so placement follows
+            // No priors yet: the ledger never grows, so placement follows
             // transfer estimates (ties → load → id) exactly.
             assert_eq!(p.select(&root_ctx(&[2e-3, 1e-3], &[0, 5], None)), 1);
             assert_eq!(p.select(&root_ctx(&[1e-3, 1e-3], &[3, 1], None)), 1);

@@ -186,7 +186,7 @@ fn transfer_aware_beats_byte_count_locality_on_an_nvlink_pair() {
     // compute identical results.
     let n = 1 << 18;
     let iters = 8;
-    let run = |p| transfer_chain(p, TopologyKind::NvlinkPair, n, iters, Options::parallel());
+    let run = |p| transfer_chain(p, TopologyKind::NvlinkPair, n, iters);
     let rr = run(PlacementPolicy::RoundRobin);
     let loc = run(PlacementPolicy::LocalityAware);
     let ta = run(PlacementPolicy::TransferAware);
@@ -280,12 +280,12 @@ fn node_aware_beats_round_robin_across_a_cluster() {
 }
 
 /// A policy that declares nothing (so the default: it reads every part
-/// of the context) and records the node hint and transfer estimates it
-/// is handed.
+/// of the context) and records the node hint, transfer estimates and
+/// duration prior it is handed.
 struct Recorder(Rc<RefCell<Vec<Seen>>>);
 
-/// A node hint and the transfer estimates per device.
-type Seen = (Option<u32>, Vec<f64>);
+/// A node hint, the transfer estimates per device and a duration prior.
+type Seen = (Option<u32>, Vec<f64>, Option<f64>);
 
 impl DeviceSelectionPolicy for Recorder {
     fn name(&self) -> &'static str {
@@ -293,7 +293,11 @@ impl DeviceSelectionPolicy for Recorder {
     }
 
     fn select(&mut self, ctx: &PlacementCtx) -> u32 {
-        let seen = (ctx.node_hint, ctx.est_transfer_time.to_vec());
+        let seen = (
+            ctx.node_hint,
+            ctx.est_transfer_time.to_vec(),
+            ctx.duration_prior,
+        );
         self.0.borrow_mut().push(seen);
         0
     }
@@ -332,7 +336,7 @@ fn a_custom_policy_is_handed_the_whole_context() {
     g.sync();
     let seen = seen.borrow();
     assert_eq!(seen.len(), 2);
-    for (hint, est) in seen.iter() {
+    for (hint, est, _) in seen.iter() {
         assert!(hint.is_some(), "the batch was partitioned for it");
         assert!(
             est.len() == 4 && est.iter().all(|&t| t > 0.0),
@@ -343,24 +347,19 @@ fn a_custom_policy_is_handed_the_whole_context() {
     assert_eq!(st.cluster.partitioned_batches, 1);
     assert_eq!(st.placement_probes, 4, "two distinct arrays per call");
 
-    // Calibration learns kernel durations, not link speeds: once the
-    // fanout mix's earlier rounds have completed host copies over the
-    // links it prices, a calibrated runtime still hands a policy the
-    // uncalibrated transfer estimates, bit for bit.
-    let estimates = |calibrate: bool| {
-        let seen = Rc::default();
-        let policy: Box<dyn DeviceSelectionPolicy> = Box::new(Recorder(Rc::clone(&seen)));
-        fanout_mix(
-            policy,
-            1 << 15,
-            3,
-            Options::parallel().with_calibration(calibrate),
-        );
-        seen.take()
-    };
-    let calibrated = estimates(true);
-    assert_eq!(calibrated.len(), 16, "four launches a round, four rounds");
-    assert_eq!(calibrated, estimates(false));
+    // Every runtime learns kernel durations: in the fanout mix (one
+    // heavy and three short launches a round, a sync after each), no
+    // signature has a prior in the first round, and every launch after
+    // it is handed the prior its signature's completed kernels left.
+    let seen = Rc::default();
+    let policy: Box<dyn DeviceSelectionPolicy> = Box::new(Recorder(Rc::clone(&seen)));
+    fanout_mix(policy, 1 << 15, 3);
+    let priors: Vec<Option<f64>> = seen.take().into_iter().map(|s| s.2).collect();
+    assert_eq!(priors.len(), 16, "four launches a round, four rounds");
+    for (i, prior) in priors.iter().enumerate() {
+        let round = i / 4;
+        assert_eq!(prior.is_some(), round > 0, "launch {i}: {priors:?}");
+    }
 }
 
 /// Every observable the committed bench metrics are built from — the
@@ -467,7 +466,7 @@ fn peer_links_accelerate_migration_heavy_schedules() {
     // that migrates every iteration, and its migrations must actually
     // ride the peer links.
     let n = 1 << 18;
-    let run = |t| transfer_chain(PlacementPolicy::LocalityAware, t, n, 8, Options::parallel());
+    let run = |t| transfer_chain(PlacementPolicy::LocalityAware, t, n, 8);
     let pcie = run(TopologyKind::PcieOnly);
     let nvswitch = run(TopologyKind::FullyConnected);
     assert!(
@@ -503,8 +502,7 @@ fn memory_aware_cost_aware_beats_transfer_aware_lru_when_oversubscribed() {
     let n = 1 << 16;
     let cap = Some(oversub_capacity(n));
     for iters in [2, 4] {
-        let run =
-            |policy, eviction| oversubscribe(policy, eviction, cap, n, iters, Options::parallel());
+        let run = |policy, eviction| oversubscribe(policy, eviction, cap, n, iters);
         let aware = run(PlacementPolicy::MemoryAware, EvictionPolicy::CostAware);
         let blind = run(PlacementPolicy::TransferAware, EvictionPolicy::Lru);
         assert!(aware.runtime.races().is_empty(), "{iters} passes");
@@ -549,16 +547,7 @@ fn cost_aware_eviction_spills_strictly_less_than_lru_at_fixed_placement() {
     // so its spill traffic must be strictly lower than LRU's.
     let n = 1 << 16;
     let cap = Some(oversub_capacity(n));
-    let run = |ev| {
-        oversubscribe(
-            PlacementPolicy::MemoryAware,
-            ev,
-            cap,
-            n,
-            4,
-            Options::parallel(),
-        )
-    };
+    let run = |ev| oversubscribe(PlacementPolicy::MemoryAware, ev, cap, n, 4);
     let cost = run(EvictionPolicy::CostAware);
     let lru = run(EvictionPolicy::Lru);
     let spilled = |r: &Experiment| r.runtime.snapshot().memory.spilled_bytes;
@@ -585,7 +574,6 @@ fn unlimited_capacity_is_bit_identical_and_eviction_free() {
             capacity,
             n,
             2,
-            Options::parallel(),
         )
     };
     let unlimited = run(None);
@@ -828,7 +816,7 @@ impl Placed {
 /// The transfer chain under every policy on every interconnect preset,
 /// against one device over PCIe.
 fn transfer_rows() -> Vec<Placed> {
-    let run = |policy, topo| transfer_chain(policy, topo, 4096, 3, Options::parallel());
+    let run = |policy, topo| transfer_chain(policy, topo, 4096, 3);
     let reference = run(PlacementPolicy::SingleGpu, TopologyKind::PcieOnly);
     let mut placed = Vec::new();
     for topo in TopologyKind::ALL {
@@ -849,9 +837,7 @@ fn transfer_rows() -> Vec<Placed> {
 /// placements at half the working set, against unlimited memory.
 fn oversub_rows() -> Vec<Placed> {
     let n = 1 << 14;
-    let run = |policy, eviction, capacity| {
-        oversubscribe(policy, eviction, capacity, n, 2, Options::parallel())
-    };
+    let run = |policy, eviction, capacity| oversubscribe(policy, eviction, capacity, n, 2);
     let single = PlacementPolicy::SingleGpu;
     let reference = run(single, EvictionPolicy::Lru, None);
     let memory = reference.runtime.snapshot().memory;
@@ -879,19 +865,10 @@ fn oversub_rows() -> Vec<Placed> {
     placed
 }
 
-/// The fanout mix under every policy and its natural options, against
-/// one device.
+/// The fanout mix under every policy, against one device.
 fn mixed_rows() -> Vec<Placed> {
-    let run = |policy| {
-        let options = Options::parallel().with_calibration(policy == PlacementPolicy::Adaptive);
-        fanout_mix(policy, 1 << 15, 3, options)
-    };
+    let run = |policy| fanout_mix(policy, 1 << 15, 3);
     let reference = run(PlacementPolicy::SingleGpu);
-    assert_eq!(
-        reference.runtime.snapshot().calibration.kernel_samples,
-        0,
-        "statics run uncalibrated"
-    );
     let mut placed = Vec::new();
     for policy in PlacementPolicy::ALL {
         let at = format!("fanout mix, {policy:?}");
