@@ -2,7 +2,6 @@
 //! management and host synchronization.
 
 use std::cell::RefCell;
-use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
 use gpu_sim::{
@@ -336,12 +335,10 @@ impl Cuda {
             Residency::Device => {
                 let size = bytes as f64;
                 let spec = if inner.dev.supports_page_faults() {
-                    let label = inner.label(format_args!("umfault<-{:?}", a.id));
                     let kind = TaskKind::FaultD2H;
-                    TaskSpec::fault_migration(kind, label, u32::MAX, size, &inner.dev)
+                    TaskSpec::fault_migration(kind, "umfault", u32::MAX, size, &inner.dev)
                 } else {
-                    let label = inner.label(format_args!("d2h<-{:?}", a.id));
-                    TaskSpec::bulk_copy(TaskKind::CopyD2H, label, u32::MAX, size, &inner.dev)
+                    TaskSpec::bulk_copy(TaskKind::CopyD2H, "d2h", u32::MAX, size, &inner.dev)
                 };
                 // Whole-array state machine: after touching it the host
                 // can see it (pages migrate lazily; we charge only what
@@ -481,7 +478,7 @@ impl Cuda {
         let overhead = inner.dev.event_overhead;
         inner.engine.advance_host(overhead);
         let StreamState { last, device } = inner.streams[stream.0 as usize];
-        let spec = TaskSpec::marker(format!("event s{}", stream.0), stream.0).on_device(device);
+        let spec = TaskSpec::marker("event", stream.0).on_device(device);
         let t = inner.engine.submit(spec, last.as_slice());
         inner.streams[stream.0 as usize].last = Some(t);
         inner.events.push(EventTarget::Task(t));
@@ -508,9 +505,10 @@ impl Cuda {
             }
         };
         let StreamState { last, device } = inner.streams[stream.0 as usize];
-        let deps: Vec<TaskId> = last.into_iter().chain([ev_task]).collect();
-        let spec = TaskSpec::marker(format!("wait s{}", stream.0), stream.0).on_device(device);
-        let t = inner.engine.submit(spec, &deps);
+        // The stream's tail (if any), then the event.
+        let deps = [last.unwrap_or(ev_task), ev_task];
+        let spec = TaskSpec::marker("wait", stream.0).on_device(device);
+        let t = inner.engine.submit(spec, &deps[last.is_none() as usize..]);
         inner.streams[stream.0 as usize].last = Some(t);
     }
 
@@ -661,16 +659,9 @@ impl Inner {
         self.arrays.get(v.0 as usize).expect("unknown array")
     }
 
-    /// A task label written into a string a completed task left behind.
-    fn label(&mut self, text: fmt::Arguments<'_>) -> String {
-        let mut label = self.engine.recycler().label();
-        label.write_fmt(text).expect("writing to a String");
-        label
-    }
-
     /// Shared kernel-submission path (used by direct launches and graph
     /// replays): migrate non-resident arguments, then submit the kernel
-    /// chained on the stream. The task's label, read/write lists and
+    /// chained on the stream. The task's read/write lists and
     /// payload are built from the engine's recycled buffers.
     pub(crate) fn submit_kernel(
         &mut self,
@@ -714,9 +705,7 @@ impl Inner {
 
         let (solo, demand) = exec.cost.solo_profile(exec.grid, &self.dev);
         let recycler = self.engine.recycler();
-        let mut label = recycler.label();
-        label.push_str(exec.name);
-        let mut spec = TaskSpec::kernel(label, stream.0);
+        let mut spec = TaskSpec::kernel(exec.name, stream.0);
         spec.reads = recycler.values();
         spec.writes = recycler.values();
         for &(v, read_only) in exec.accesses {
@@ -790,9 +779,8 @@ impl Inner {
             // opposite-direction traffic on the link's aggregate
             // bandwidth in the rate solver.
             Route::Peer(link) => {
-                let label = self.label(format_args!("p2p {v:?} d{src}->d{target}"));
                 let topo = self.engine.topology();
-                let spec = TaskSpec::p2p_copy(label, stream.0, size, link, topo.link(link));
+                let spec = TaskSpec::p2p_copy("p2p", stream.0, size, link, topo.link(link));
                 let dma = Some((link, (src > target) as usize));
                 self.migrations.all.add(bytes);
                 self.migrations.p2p.add(bytes);
@@ -808,15 +796,13 @@ impl Inner {
             // None of it blocks the host: each leg chains on the one
             // before through the array's `last_writer`.
             Route::Staged { nic } => {
-                let label = self.label(format_args!("migrate<-{v:?}"));
-                let d2h = TaskSpec::bulk_copy(TaskKind::CopyD2H, label, u32::MAX, size, &self.dev);
+                let d2h =
+                    TaskSpec::bulk_copy(TaskKind::CopyD2H, "migrate", u32::MAX, size, &self.dev);
                 let d2h_engine = Some((self.engine.topology().host_link(src), D2H));
                 let forward = nic.map(|link| {
                     let topo = self.engine.topology();
                     let (sn, dn) = (topo.node_of(src), topo.node_of(target));
-                    let label = self.label(format_args!("nic {v:?} n{sn}->n{dn}"));
-                    let link_spec = self.engine.topology().link(link);
-                    let spec = TaskSpec::p2p_copy(label, u32::MAX, size, link, link_spec);
+                    let spec = TaskSpec::p2p_copy("nic", u32::MAX, size, link, topo.link(link));
                     (spec.on_device(target), Some((link, (sn > dn) as usize)))
                 });
                 let lands = (Residency::Both, src);
@@ -833,14 +819,13 @@ impl Inner {
         let (spec, dma) = if matches!(fetch, Fetch::Demand) && self.dev.supports_page_faults() {
             // Fault-path migrations interleave page-by-page; they
             // contend through the fault controller, not a copy engine.
-            let label = self.label(format_args!("umfault->{v:?}"));
             let kind = TaskKind::FaultH2D;
-            let spec = TaskSpec::fault_migration(kind, label, stream.0, size, &self.dev);
+            let spec = TaskSpec::fault_migration(kind, "umfault", stream.0, size, &self.dev);
             (spec, None)
         } else {
             let label = match fetch {
-                Fetch::Demand => self.label(format_args!("h2d->{v:?}")),
-                Fetch::Prefetch => self.label(format_args!("prefetch {v:?}")),
+                Fetch::Demand => "h2d",
+                Fetch::Prefetch => "prefetch",
             };
             let spec = TaskSpec::bulk_copy(TaskKind::CopyH2D, label, stream.0, size, &self.dev);
             (spec, Some((self.engine.topology().host_link(target), H2D)))
@@ -1002,9 +987,8 @@ impl Inner {
         let spilled = if st.residency == Residency::Device {
             // The spill is the host copy's producer: host reads block on
             // it, and the next migration of this array chains after it.
-            let label = self.label(format_args!("evict<-{v:?}"));
             let size = bytes as f64;
-            let spill = TaskSpec::bulk_copy(TaskKind::CopyD2H, label, u32::MAX, size, &self.dev);
+            let spill = TaskSpec::bulk_copy(TaskKind::CopyD2H, "evict", u32::MAX, size, &self.dev);
             let dma = Some((self.engine.topology().host_link(device), D2H));
             let lands = (Residency::Host, device);
             self.submit_leg(v, spill.on_device(device), dma, lands);
@@ -1062,7 +1046,7 @@ mod tests {
         Cuda::new(DeviceProfile::gtx1660_super())
     }
 
-    fn simple_kernel(c: &Cuda, name: &str, arr: &UnifiedArray, ms: f64) -> KernelExec {
+    fn simple_kernel(c: &Cuda, name: &'static str, arr: &UnifiedArray, ms: f64) -> KernelExec {
         let _ = c;
         KernelExec::new(
             name,
@@ -1237,7 +1221,7 @@ mod tests {
         let s1 = c.stream_create();
         let s2 = c.stream_create();
         // Two small-occupancy kernels.
-        let mk = |name: &str, arr: &UnifiedArray| {
+        let mk = |name: &'static str, arr: &UnifiedArray| {
             KernelExec::new(
                 name,
                 Grid::d1(64, 32),
@@ -1595,7 +1579,7 @@ mod tests {
         let tl = c.timeline();
         assert!(tl
             .transfers()
-            .any(|iv| iv.label.starts_with("evict<-") && iv.kind == TaskKind::CopyD2H));
+            .any(|iv| iv.label == "evict" && iv.kind == TaskKind::CopyD2H));
         for a in &arrays {
             c.host_read(a, 4 * n);
             assert_eq!(a.buf.as_f32()[7], 2.0);
@@ -1633,9 +1617,10 @@ mod tests {
         assert_eq!(
             c.timeline()
                 .transfers()
-                .filter(|iv| iv.label.starts_with("evict<-"))
-                .count(),
-            1
+                .filter(|iv| iv.label == "evict")
+                .map(|iv| iv.value)
+                .collect::<Vec<_>>(),
+            [Some(dirty.id)]
         );
     }
 
@@ -1676,14 +1661,15 @@ mod tests {
         c.task_sync(last);
         assert_eq!(c.races(), vec![], "the second fetch waits for the spill");
         let tl = c.timeline();
-        let spill_of_a = format!("evict<-{:?}", a.id);
-        let spilled = tl.transfers().find(|iv| iv.label == spill_of_a).unwrap();
+        let of_a = |iv: &&gpu_sim::Interval| iv.value == Some(a.id);
+        let spilled = tl
+            .transfers()
+            .filter(of_a)
+            .find(|iv| iv.label == "evict")
+            .unwrap();
         // The first fetch of `a` served its writer; the two after it
         // are the re-fetches.
-        let fetches: Vec<_> = tl
-            .of_kind(TaskKind::FaultH2D)
-            .filter(|iv| iv.label.ends_with(&format!("{:?}", a.id)))
-            .collect();
+        let fetches: Vec<_> = tl.of_kind(TaskKind::FaultH2D).filter(of_a).collect();
         assert_eq!(fetches.len(), 3);
         assert!(fetches[1..].iter().all(|iv| iv.start >= spilled.end));
 
@@ -1800,14 +1786,141 @@ mod tests {
         // migration in and the eviction spill out — the blocked read
         // charged no third one.
         let tl = c.timeline();
-        let a_label = format!("{:?}", a.id);
+        let legs_of_a = tl.transfers().filter(|iv| iv.value == Some(a.id));
         assert_eq!(
-            tl.transfers()
-                .filter(|iv| iv.label.contains(&a_label))
-                .count(),
-            2
+            legs_of_a.map(|iv| iv.label).collect::<Vec<_>>(),
+            ["umfault", "evict"]
         );
         assert!(c.races().is_empty());
+    }
+
+    /// Every route a copy takes, one row each: the transfer intervals
+    /// the row leaves, in completion order, as (kind, name, array,
+    /// device, link). The fixed names tell a spill from a migration from
+    /// a host read; the array, device and link fields carry what the
+    /// names do not. Kernels and markers record no array.
+    #[test]
+    fn every_copy_leg_names_its_operation_and_records_its_array() {
+        use gpu_sim::{Cluster, NicKind};
+        type Leg = (TaskKind, &'static str, Option<ValueId>, u32, Option<u32>);
+        // A one-argument kernel on a fresh stream of `device`, waited for.
+        fn kernel(c: &Cuda, a: &UnifiedArray, device: u32, read_only: bool) {
+            let mut k = simple_kernel(c, "k", a, 0.1);
+            k.accesses[0].1 = read_only;
+            let t = c.launch(c.stream_create_on(device), &k).unwrap();
+            c.task_sync(t);
+        }
+        let (p100, gtx960) = (DeviceProfile::tesla_p100(), DeviceProfile::gtx960());
+        let (fault_in, fault_out) = (TaskKind::FaultH2D, TaskKind::FaultD2H);
+        let (h2d, d2h, p2p) = (TaskKind::CopyH2D, TaskKind::CopyD2H, TaskKind::CopyP2P);
+        let one = |dev: &DeviceProfile| Topology::pcie_only(1, dev);
+        let nvlink = Topology::preset(TopologyKind::NvlinkPair, 2, &p100);
+        let pcie = Topology::preset(TopologyKind::PcieOnly, 2, &p100);
+        let cluster = Cluster::new(2, 1, TopologyKind::PcieOnly, NicKind::Ethernet25g).build(&p100);
+        // Host links come first in every topology, one per device.
+        let host = |d: u32| Some(pcie.host_link(d).0);
+        let peer = Some(nvlink.d2d_link(0, 1).unwrap().0);
+        let nic = Some(cluster.nic_link(0, 1).unwrap().0);
+        let ctx =
+            |dev: &DeviceProfile, topo: &Topology| Cuda::with_topology(dev.clone(), topo.clone());
+        let mut rows: Vec<(&str, Cuda, Vec<Leg>)> = Vec::new();
+
+        let c = ctx(&gtx960, &one(&gtx960));
+        let a = c.alloc_f32(256);
+        kernel(&c, &a, 0, true);
+        rows.push(("host leg", c, vec![(h2d, "h2d", Some(a.id), 0, host(0))]));
+
+        let c = ctx(&p100, &one(&p100));
+        let a = c.alloc_f32(256);
+        kernel(&c, &a, 0, true);
+        let legs = vec![(fault_in, "umfault", Some(a.id), 0, host(0))];
+        rows.push(("demand fault", c, legs));
+
+        let c = ctx(&p100, &one(&p100));
+        let a = c.alloc_f32(256);
+        c.prefetch_async(c.default_stream(), &a);
+        rows.push((
+            "prefetch",
+            c,
+            vec![(h2d, "prefetch", Some(a.id), 0, host(0))],
+        ));
+
+        let c = ctx(&p100, &nvlink);
+        let a = c.alloc_f32(256);
+        kernel(&c, &a, 0, false);
+        kernel(&c, &a, 1, true);
+        let legs = vec![
+            (fault_in, "umfault", Some(a.id), 0, host(0)),
+            (p2p, "p2p", Some(a.id), 1, peer),
+        ];
+        rows.push(("peer", c, legs));
+
+        let c = ctx(&p100, &pcie);
+        let a = c.alloc_f32(256);
+        kernel(&c, &a, 0, false);
+        kernel(&c, &a, 1, true);
+        let legs = vec![
+            (fault_in, "umfault", Some(a.id), 0, host(0)),
+            (d2h, "migrate", Some(a.id), 0, host(0)),
+            (fault_in, "umfault", Some(a.id), 1, host(1)),
+        ];
+        rows.push(("staged", c, legs));
+
+        let c = ctx(&p100, &cluster);
+        let a = c.alloc_f32(256);
+        kernel(&c, &a, 0, false);
+        kernel(&c, &a, 1, true);
+        let legs = vec![
+            (fault_in, "umfault", Some(a.id), 0, host(0)),
+            (d2h, "migrate", Some(a.id), 0, host(0)),
+            (p2p, "nic", Some(a.id), 1, nic),
+            (fault_in, "umfault", Some(a.id), 1, host(1)),
+        ];
+        rows.push(("staged with a NIC leg", c, legs));
+
+        // Room for one array: writing `b` spills the dirty `a`.
+        let c = limited_ctx(4 << 8, gpu_sim::EvictionPolicy::Lru);
+        let (a, b) = (c.alloc_f32(256), c.alloc_f32(256));
+        kernel(&c, &a, 0, false);
+        kernel(&c, &b, 0, false);
+        let legs = vec![
+            (fault_in, "umfault", Some(a.id), 0, host(0)),
+            (d2h, "evict", Some(a.id), 0, host(0)),
+            (fault_in, "umfault", Some(b.id), 0, host(0)),
+        ];
+        rows.push(("eviction spill", c, legs));
+
+        let c = ctx(&p100, &one(&p100));
+        let a = c.alloc_f32(256);
+        kernel(&c, &a, 0, false);
+        c.host_read(&a, 4 << 8);
+        let legs = vec![
+            (fault_in, "umfault", Some(a.id), 0, host(0)),
+            (fault_out, "umfault", Some(a.id), 0, host(0)),
+        ];
+        rows.push(("host read, fault", c, legs));
+
+        let c = ctx(&gtx960, &one(&gtx960));
+        let a = c.alloc_f32(256);
+        kernel(&c, &a, 0, false);
+        c.host_read(&a, 4 << 8);
+        let legs = vec![
+            (h2d, "h2d", Some(a.id), 0, host(0)),
+            (d2h, "d2h", Some(a.id), 0, host(0)),
+        ];
+        rows.push(("host read, bulk", c, legs));
+
+        for (route, c, want) in rows {
+            c.device_sync();
+            let tl = c.timeline();
+            let legs = tl.transfers();
+            let got: Vec<Leg> = legs
+                .map(|iv| (iv.kind, iv.label, iv.value, iv.device, iv.link))
+                .collect();
+            assert_eq!(got, want, "{route}");
+            let mut others = tl.intervals().iter().filter(|iv| !iv.kind.is_transfer());
+            assert!(others.all(|iv| iv.value.is_none()), "{route}");
+        }
     }
 
     #[test]

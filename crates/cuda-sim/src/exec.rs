@@ -16,7 +16,7 @@ use gpu_sim::{DataBuffer, Grid, KernelBody, KernelCost, KernelFunc, ValueId};
 #[derive(Clone)]
 pub struct KernelExec {
     /// Kernel name (timeline label).
-    pub name: String,
+    pub name: &'static str,
     /// Launch configuration.
     pub grid: Grid,
     /// Device-independent work description.
@@ -46,7 +46,7 @@ impl KernelExec {
     /// Build a launch descriptor. `accesses` must be index-aligned with
     /// `buffers`.
     pub fn new(
-        name: impl Into<String>,
+        name: &'static str,
         grid: Grid,
         cost: KernelCost,
         buffers: Vec<DataBuffer>,
@@ -59,7 +59,7 @@ impl KernelExec {
             "buffers/accesses must be aligned"
         );
         KernelExec {
-            name: name.into(),
+            name,
             grid,
             cost,
             buffers,
@@ -76,7 +76,7 @@ impl KernelExec {
 #[derive(Clone)]
 pub struct Launch<'a> {
     /// Kernel name (timeline label).
-    pub name: &'a str,
+    pub name: &'static str,
     /// Launch configuration.
     pub grid: Grid,
     /// Device-independent work description.
@@ -96,7 +96,7 @@ pub struct Launch<'a> {
 impl<'a> From<&'a KernelExec> for Launch<'a> {
     fn from(exec: &'a KernelExec) -> Self {
         Launch {
-            name: &exec.name,
+            name: exec.name,
             grid: exec.grid,
             cost: exec.cost,
             buffers: &exec.buffers,

@@ -254,7 +254,12 @@ mod tests {
         Cuda::new(DeviceProfile::gtx1660_super())
     }
 
-    fn kern(name: &str, arr: &crate::memory::UnifiedArray, ms: f64, write: bool) -> KernelExec {
+    fn kern(
+        name: &'static str,
+        arr: &crate::memory::UnifiedArray,
+        ms: f64,
+        write: bool,
+    ) -> KernelExec {
         KernelExec::new(
             name,
             Grid::d1(64, 128),

@@ -27,7 +27,7 @@ enum Path {
     Fault,
 }
 
-fn kernel(name: &str, a: &UnifiedArray, read_only: bool) -> KernelExec {
+fn kernel(name: &'static str, a: &UnifiedArray, read_only: bool) -> KernelExec {
     KernelExec::new(
         name,
         Grid::d1(64, 256),

@@ -75,7 +75,7 @@ pub fn to_dot(dag: &ComputationDag, title: &str, node_of: &[u32]) -> String {
         format!(
             "  n{} [label=\"{}{}\\n{{{}}}\"{}];\n",
             v.id.0,
-            escape(&v.label),
+            escape(v.label),
             label_dev,
             set.join(","),
             attrs,

@@ -96,7 +96,7 @@ struct ValueState {
 /// an id that was never allocated.
 ///
 /// Compaction keeps what it reclaims: up to `RECYCLED_MAX` retired
-/// vertices (their label, argument, dependency-set, parent and child
+/// vertices (their argument, dependency-set, parent and child
 /// buffers) and as many reader lists of dropped value states wait for
 /// the next registrations, which re-initialise them in place. The DAG
 /// owns these buffers between launches; nothing observable distinguishes
@@ -230,7 +230,7 @@ impl ComputationDag {
     pub fn register(
         &mut self,
         kind: ElementKind,
-        label: &str,
+        label: &'static str,
         args: &[ArgAccess],
         deps: &mut Vec<VertexId>,
     ) -> VertexId {
@@ -310,16 +310,16 @@ impl ComputationDag {
         id
     }
 
-    /// [`ComputationDag::register`] for callers that own their label and
-    /// argument list and want the dependency list returned.
+    /// [`ComputationDag::register`] for callers that own their argument
+    /// list and want the dependency list returned.
     pub fn add_computation(
         &mut self,
         kind: ElementKind,
-        label: impl Into<String>,
+        label: &'static str,
         args: Vec<ArgAccess>,
     ) -> (VertexId, Vec<VertexId>) {
         let mut deps = Vec::new();
-        let id = self.register(kind, &label.into(), &args, &mut deps);
+        let id = self.register(kind, label, &args, &mut deps);
         (id, deps)
     }
 
@@ -331,7 +331,7 @@ impl ComputationDag {
     /// GPU work and had to be modeled, or `(None, vec![])` if it is free.
     pub fn add_array_access(
         &mut self,
-        label: impl Into<String>,
+        label: &'static str,
         value: Value,
         write: bool,
     ) -> (Option<VertexId>, Vec<VertexId>) {
@@ -344,7 +344,7 @@ impl ComputationDag {
             ArgAccess::read(value)
         };
         let mut deps = Vec::new();
-        let id = self.register(ElementKind::ArrayAccess, &label.into(), &[arg], &mut deps);
+        let id = self.register(ElementKind::ArrayAccess, label, &[arg], &mut deps);
         (Some(id), deps)
     }
 
@@ -620,7 +620,7 @@ mod tests {
 
     fn kernel(
         dag: &mut ComputationDag,
-        label: &str,
+        label: &'static str,
         args: Vec<ArgAccess>,
     ) -> (VertexId, Vec<VertexId>) {
         dag.add_computation(ElementKind::Kernel, label, args)

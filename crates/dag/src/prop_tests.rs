@@ -248,8 +248,8 @@ enum Step {
     Compact,
 }
 
-/// Labels of different lengths, so a recycled label buffer that kept
-/// stale bytes would show.
+/// Several names, so a recycled vertex that kept its old name would
+/// show.
 const LABELS: [&str; 3] = ["k", "scale", "a-rather-long-kernel-name"];
 
 fn step_strategy() -> impl Strategy<Value = Step> {

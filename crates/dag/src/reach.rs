@@ -161,7 +161,7 @@ mod tests {
     const Y: Value = Value(1);
     const Z: Value = Value(2);
 
-    fn kernel(dag: &mut ComputationDag, label: &str, args: Vec<ArgAccess>) -> VertexId {
+    fn kernel(dag: &mut ComputationDag, label: &'static str, args: Vec<ArgAccess>) -> VertexId {
         dag.add_computation(ElementKind::Kernel, label, args).0
     }
 

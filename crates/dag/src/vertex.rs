@@ -64,8 +64,9 @@ pub struct Vertex {
     pub id: VertexId,
     /// Element class.
     pub kind: ElementKind,
-    /// Display label (kernel name etc.).
-    pub label: String,
+    /// Name of the element: the kernel's declared name, or a fixed tag
+    /// for a CPU access.
+    pub label: &'static str,
     /// The argument list the element was created with.
     pub args: Vec<ArgAccess>,
     /// The *dependency set*: values through which this vertex can still
@@ -88,11 +89,16 @@ pub struct Vertex {
 }
 
 impl Vertex {
-    pub(crate) fn new(id: VertexId, kind: ElementKind, label: &str, args: &[ArgAccess]) -> Self {
+    pub(crate) fn new(
+        id: VertexId,
+        kind: ElementKind,
+        label: &'static str,
+        args: &[ArgAccess],
+    ) -> Self {
         let mut v = Vertex {
             id,
             kind,
-            label: String::new(),
+            label,
             args: Vec::new(),
             dep_set: Vec::new(),
             parents: Vec::new(),
@@ -110,13 +116,12 @@ impl Vertex {
         &mut self,
         id: VertexId,
         kind: ElementKind,
-        label: &str,
+        label: &'static str,
         args: &[ArgAccess],
     ) {
         self.id = id;
         self.kind = kind;
-        self.label.clear();
-        self.label.push_str(label);
+        self.label = label;
         self.args.clear();
         self.args.extend_from_slice(args);
         self.dep_set.clear();

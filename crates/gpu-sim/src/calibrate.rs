@@ -93,7 +93,7 @@ fn size_bucket(elements: usize) -> u32 {
 pub struct Calibration {
     /// Observations per kernel signature, sorted by name: a lookup is a
     /// few string comparisons and iteration order is the names' order.
-    kernels: Vec<(String, KernelObs)>,
+    kernels: Vec<(&'static str, KernelObs)>,
     /// Position in `kernels` of the signature observed last. Completions
     /// of one kernel come in runs, so most observations find their
     /// signature with one comparison.
@@ -111,12 +111,11 @@ impl Calibration {
     /// Record a completed kernel: its measured duration feeds the
     /// decaying prior for its signature and, when the task carried a
     /// 1-D launch `shape` (`(grid, elements)`), the block-size cell of
-    /// that configuration. Looks the signature up by `&str` and
-    /// allocates only the first time it — or a new cell of it — is
-    /// seen.
+    /// that configuration. Allocates only the first time a signature —
+    /// or a new cell of it — is seen.
     pub(crate) fn observe_kernel(
         &mut self,
-        label: &str,
+        label: &'static str,
         duration: Time,
         shape: Option<(Grid, usize)>,
     ) {
@@ -130,11 +129,10 @@ impl Calibration {
         if self
             .kernels
             .get(self.last)
-            .is_none_or(|(name, _)| name != label)
+            .is_none_or(|&(name, _)| name != label)
         {
             self.last = self.find(label).unwrap_or_else(|at| {
-                self.kernels
-                    .insert(at, (label.to_string(), KernelObs::default()));
+                self.kernels.insert(at, (label, KernelObs::default()));
                 at
             });
         }
@@ -161,7 +159,7 @@ impl Calibration {
     /// inserted.
     fn find(&self, label: &str) -> Result<usize, usize> {
         self.kernels
-            .binary_search_by(|(name, _)| name.as_str().cmp(label))
+            .binary_search_by(|(name, _)| (*name).cmp(label))
     }
 
     /// Decaying mean duration observed for a kernel signature, or `None`
@@ -276,7 +274,7 @@ mod tests {
         // "a" saw rounds 6 and 9: its cell averages them.
         let mean = c.mean_duration("a", 128, 1 << 10).unwrap();
         assert!((mean - 7.5e-3).abs() < 1e-15);
-        let names: Vec<&str> = c.kernels.iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<&str> = c.kernels.iter().map(|&(n, _)| n).collect();
         assert_eq!(names, ["a", "b", "m", "z"], "kept in name order");
     }
 

@@ -63,9 +63,8 @@ enum Phase {
 }
 
 struct TaskState {
-    /// The task as submitted. When it completes its label moves into
-    /// the timeline interval, and its read/write lists and payload go
-    /// to the recycler.
+    /// The task as submitted. When it completes its read/write lists
+    /// and payload go to the recycler.
     spec: TaskSpec,
     phase: Phase,
     dependents: Vec<TaskId>,
@@ -339,8 +338,8 @@ impl Engine {
     }
 
     /// The buffers completed tasks left behind: build the next
-    /// [`TaskSpec`]'s label, read/write lists and kernel payload from
-    /// them and a steady-state submission allocates nothing.
+    /// [`TaskSpec`]'s read/write lists and kernel payload from them and
+    /// a steady-state submission allocates nothing.
     pub fn recycler(&mut self) -> &mut Recycler {
         &mut self.recycler
     }
@@ -469,12 +468,9 @@ impl Engine {
     }
 
     /// Reset the timeline (e.g. after a warm-up iteration) without
-    /// touching task state. Virtual time keeps running. The intervals'
-    /// labels go back to the recycler.
+    /// touching task state. Virtual time keeps running.
     pub fn clear_timeline(&mut self) {
-        for iv in self.timeline.drain() {
-            self.recycler.labels.give(iv.label);
-        }
+        self.timeline.clear();
     }
 
     /// All data races detected so far.
@@ -898,7 +894,12 @@ impl Engine {
             stream: t.stream,
             device: t.device,
             link: link.map(|l| l.0),
-            label: std::mem::take(&mut t.label),
+            label: t.label,
+            // A copy task reads the one array it moves.
+            value: match t.kind {
+                k if k.is_transfer() => t.reads.first().copied(),
+                _ => None,
+            },
             start: started,
             end: self.now,
             meta: t.meta,
@@ -915,7 +916,7 @@ impl Engine {
         // and block-size history.
         if iv.kind == TaskKind::Kernel {
             self.calib
-                .observe_kernel(&iv.label, iv.duration(), t.launch_shape);
+                .observe_kernel(iv.label, iv.duration(), t.launch_shape);
         }
         self.timeline.push(iv);
         // The task is done with its buffers: its arguments leave the
@@ -1086,11 +1087,11 @@ mod tests {
     fn drained_engine_reclaims_task_states() {
         let mut e = Engine::new(dev());
         let mut last = None;
-        for round in 0..50 {
+        for _ in 0..50 {
             for i in 0..4 {
                 // Each writes its own value and reads a shared one: no
                 // race, and every count goes up before it comes down.
-                let label = format!("k{round}.{i}");
+                let label = ["k0", "k1", "k2", "k3"][i as usize];
                 let spec = TaskSpec::kernel(label, i).fluid(1e-4).sm_frac(0.2);
                 let t = e.submit(
                     spec.reading(&[ValueId(4)]).writing(&[ValueId(i.into())]),
@@ -1131,7 +1132,7 @@ mod tests {
         let payload =
             e.recycler()
                 .kernel_payload(KernelBody::Fn(store), std::slice::from_ref(&out), &[7.0]);
-        let mut spec = TaskSpec::kernel("a-label-with-capacity", 0)
+        let mut spec = TaskSpec::kernel("store", 0)
             .fluid(1e-4)
             .sm_frac(0.1)
             .reading(&[ValueId(1)])
@@ -1142,18 +1143,11 @@ mod tests {
         e.sync_task(b);
         assert_eq!(out.as_f32()[0], 7.0, "the payload ran on its arguments");
 
-        // Read and write lists came back at completion, emptied; the
-        // label follows once the timeline lets go of it.
+        // Read and write lists came back at completion, emptied.
         let r = e.recycler();
         let lists = [r.values(), r.values(), r.values()];
         let kept = lists.iter().filter(|l| l.capacity() > 0).count();
         assert!(lists.iter().all(Vec::is_empty) && kept == 2);
-        assert_eq!(e.recycler().label().capacity(), 0, "still on the timeline");
-        e.clear_timeline();
-        let labels = [e.recycler().label(), e.recycler().label()];
-        assert!(labels.iter().all(String::is_empty));
-        let fits = |l: &String| l.capacity() >= "a-label-with-capacity".len();
-        assert!(labels.iter().any(fits), "both tasks' labels came back");
         // The recycled argument list holds nothing alive.
         let again = e.recycler().kernel_payload(KernelBody::Fn(store), &[], &[]);
         let Payload {
@@ -1562,17 +1556,15 @@ mod tests {
         // grows it to that id and is still matched.
         let (near, far) = (ValueId(0), ValueId(1 << 16));
         let mut e = Engine::new(dev());
-        let spec = |label: &str, stream| TaskSpec::kernel(label, stream).fluid(1e-3).sm_frac(0.1);
+        let spec =
+            |label: &'static str, stream| TaskSpec::kernel(label, stream).fluid(1e-3).sm_frac(0.1);
         e.submit(spec("near", 0).writing(&[near]), &[]);
         e.submit(spec("far", 1).writing(&[far]), &[]);
         e.submit(spec("reader", 2).reading(&[far]), &[]);
         e.sync_all();
         assert_eq!(e.races().len(), 1);
         let r = &e.races()[0];
-        assert_eq!(
-            (r.value, r.first.as_str(), r.second.as_str()),
-            (far, "far", "reader")
-        );
+        assert_eq!((r.value, r.first, r.second), (far, "far", "reader"));
         assert!(!r.write_write);
         assert_eq!(e.stats().race_scans, 1);
         assert_eq!(e.values_in_flight.holders.len(), (1 << 16) + 1);
@@ -1661,7 +1653,7 @@ mod tests {
     #[test]
     fn completion_records_the_launch_shape_where_the_duration_is_known() {
         let mut e = Engine::new(dev());
-        let shaped = |label: &str, stream, work, threads| {
+        let shaped = |label: &'static str, stream, work, threads| {
             let mut spec = TaskSpec::kernel(label, stream).fluid(work).sm_frac(0.1);
             spec.launch_shape = Some((Grid::d1(64, threads), 1 << 14));
             spec
@@ -1737,7 +1729,7 @@ mod prop {
                 let stream = i as u32;
                 let spec = match (kind, topo.d2d_link(dev_a, dev_b)) {
                     (2, Some(l)) => TaskSpec::p2p_copy(
-                        format!("p{i}"),
+                        "p",
                         stream,
                         topo.link(l).bandwidth * w,
                         l,
@@ -1746,13 +1738,13 @@ mod prop {
                     .on_device(dev_a),
                     (1, _) => TaskSpec::bulk_copy(
                         TaskKind::CopyH2D,
-                        format!("c{i}"),
+                        "c",
                         stream,
                         d.pcie_bw * w,
                         &d,
                     )
                     .on_device(dev_a),
-                    _ => TaskSpec::kernel(format!("k{i}"), stream)
+                    _ => TaskSpec::kernel("k", stream)
                         .on_device(dev_a)
                         .fluid(w)
                         .sm_frac(0.8),
@@ -1801,7 +1793,7 @@ mod prop {
                 let stream = i as u32;
                 let copy = |l: LinkId, on: u32| {
                     let link = topo.link(l);
-                    TaskSpec::p2p_copy(format!("p{i}"), stream, link.bandwidth * w, l, link)
+                    TaskSpec::p2p_copy("p", stream, link.bandwidth * w, l, link)
                         .on_device(on)
                 };
                 let nic = topo.nic_link(topo.node_of(dev_a), topo.node_of(dev_b));
@@ -1809,10 +1801,10 @@ mod prop {
                     (2, Some(l), _) => copy(l, dev_b),
                     (3, _, Some(l)) => copy(l, dev_b),
                     (1, _, _) => {
-                        TaskSpec::bulk_copy(TaskKind::CopyD2H, format!("c{i}"), stream, d.pcie_bw * w, &d)
+                        TaskSpec::bulk_copy(TaskKind::CopyD2H, "c", stream, d.pcie_bw * w, &d)
                             .on_device(dev_a)
                     }
-                    _ => TaskSpec::kernel(format!("k{i}"), stream)
+                    _ => TaskSpec::kernel("k", stream)
                         .on_device(dev_a)
                         .fluid(w)
                         .sm_frac(0.8)
@@ -1856,7 +1848,11 @@ mod prop {
                 e.scan_every_ready_task = scan_every_ready_task;
                 let mut ids: Vec<TaskId> = Vec::new();
                 for (i, &(reads, writes, back, work, then)) in ops.iter().enumerate() {
-                    let spec = TaskSpec::kernel(format!("k{i}"), i as u32)
+                    // A distinct name per task, so the race dedup keeps
+                    // every pair apart (the few leaked bytes are the
+                    // test's).
+                    let name: &'static str = Box::leak(format!("k{i}").into_boxed_str());
+                    let spec = TaskSpec::kernel(name, i as u32)
                         .on_device(i as u32 % n_dev as u32)
                         .latency(if work % 3 == 0 { 1e-5 } else { 0.0 })
                         .fluid(work as f64 * 1e-4)

@@ -47,7 +47,7 @@ fn run(tasks: &[RandomTask], dev: DeviceProfile) -> (f64, Vec<(f64, f64)>) {
             .iter()
             .filter_map(|&off| i.checked_sub(off).map(|j| ids[j]))
             .collect();
-        let spec = TaskSpec::kernel(format!("k{i}"), i as u32)
+        let spec = TaskSpec::kernel("k", i as u32)
             .fluid(t.work_us as f64 * 1e-6)
             .sm_frac(t.sm_pct as f64 / 100.0);
         ids.push(e.submit(spec, &deps));
@@ -110,7 +110,7 @@ proptest! {
                 .iter()
                 .filter_map(|&off| i.checked_sub(off).map(|j| ids[j]))
                 .collect();
-            let spec = TaskSpec::kernel(format!("k{i}"), i as u32)
+            let spec = TaskSpec::kernel("k", i as u32)
                 .fluid(t.work_us as f64 * 1e-6)
                 .sm_frac(t.sm_pct as f64 / 100.0);
             ids.push(e.submit(spec, &deps));

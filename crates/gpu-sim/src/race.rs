@@ -21,20 +21,20 @@ use crate::Time;
 
 /// A detected pair of concurrently-active tasks with conflicting access
 /// to the same value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RaceReport {
     /// Virtual time at which the overlap began.
     pub at: Time,
     /// The value both tasks touch.
     pub value: ValueId,
-    /// Label of the earlier-started task.
-    pub first: String,
+    /// Name of the earlier-started task ([`crate::TaskSpec::label`]).
+    pub first: &'static str,
     /// Device the earlier-started task ran on.
     pub first_device: u32,
     /// Stream the earlier-started task ran on.
     pub first_stream: u32,
-    /// Label of the later-started task.
-    pub second: String,
+    /// Name of the later-started task.
+    pub second: &'static str,
     /// Device the later-started task ran on.
     pub second_device: u32,
     /// Stream the later-started task ran on.
@@ -46,7 +46,10 @@ pub struct RaceReport {
 impl RaceReport {
     /// Whether `other` reports the same conflicting pair on the same
     /// value (ignoring when and where the overlap happened) — the
-    /// engine's dedup key for repeated races.
+    /// engine's dedup key for repeated races, `(first, second, value)`.
+    /// Kernel names identify kernels; a transfer's fixed name carries no
+    /// route, so the same pair of copy legs racing over different links
+    /// on the same value is one report.
     pub(crate) fn same_pair(&self, other: &RaceReport) -> bool {
         self.value == other.value && self.first == other.first && self.second == other.second
     }
@@ -80,10 +83,10 @@ pub(crate) fn check_conflict(now: Time, active: &TaskSpec, new: &TaskSpec) -> Op
     let report = |value: ValueId, write_write: bool| RaceReport {
         at: now,
         value,
-        first: active.label.clone(),
+        first: active.label,
         first_device: active.device,
         first_stream: active.stream,
-        second: new.label.clone(),
+        second: new.label,
         second_device: new.device,
         second_stream: new.stream,
         write_write,
@@ -114,7 +117,7 @@ mod tests {
     const V: ValueId = ValueId(7);
     const W: ValueId = ValueId(8);
 
-    fn task(label: &str, reads: &[ValueId], writes: &[ValueId]) -> TaskSpec {
+    fn task(label: &'static str, reads: &[ValueId], writes: &[ValueId]) -> TaskSpec {
         TaskSpec::kernel(label, 0).reading(reads).writing(writes)
     }
 
@@ -161,11 +164,11 @@ mod tests {
     #[test]
     fn same_pair_ignores_time_and_placement() {
         let r1 = check_conflict(0.5, &task("k1", &[], &[V]), &task("k2", &[], &[V])).unwrap();
-        let mut r2 = r1.clone();
+        let mut r2 = r1;
         r2.at = 9.0;
         r2.first_stream = 4;
         assert!(r1.same_pair(&r2));
-        let mut r3 = r1.clone();
+        let mut r3 = r1;
         r3.value = W;
         assert!(!r1.same_pair(&r3));
     }

@@ -1,18 +1,18 @@
 //! Buffers that outlive the task they were allocated for.
 //!
 //! A steady-state launch submits tasks shaped like the ones that just
-//! completed: a label, a read list, a write list, a dependents list, a
-//! kernel's argument buffers and scalars. The engine therefore keeps
-//! what a completed task leaves behind — emptied, capacity intact — in
-//! a [`Recycler`], and the layer that builds the next [`TaskSpec`] takes
-//! its buffers from there instead of from the allocator.
+//! completed: a read list, a write list, a dependents list, a kernel's
+//! argument buffers and scalars (its name is a `&'static str` and
+//! needs no buffer). The engine therefore keeps what a completed task
+//! leaves behind — emptied, capacity intact — in a [`Recycler`], and
+//! the layer that builds the next [`TaskSpec`] takes its buffers from
+//! there instead of from the allocator.
 //!
 //! Ownership between launches: a buffer belongs to the task carrying it
-//! from submission to completion (a label then moves on to the task's
-//! timeline interval until [`crate::Engine::clear_timeline`]), and to
-//! the recycler otherwise. Each pool keeps at most [`POOL_MAX`] buffers
-//! and frees the rest, so what is retained follows the in-flight window
-//! and never the number of tasks run. Pooled buffers are always empty:
+//! from submission to completion, and to the recycler otherwise. Each
+//! pool keeps at most [`POOL_MAX`] buffers and frees the rest, so what
+//! is retained follows the in-flight window and never the number of
+//! tasks run. Pooled buffers are always empty:
 //! no array stays alive because a launch once used it.
 //!
 //! [`TaskSpec`]: crate::TaskSpec
@@ -35,15 +35,6 @@ const POOL_MAX: usize = 384;
 pub(crate) trait Buffer: Default {
     fn capacity(&self) -> usize;
     fn clear(&mut self);
-}
-
-impl Buffer for String {
-    fn capacity(&self) -> usize {
-        String::capacity(self)
-    }
-    fn clear(&mut self) {
-        String::clear(self);
-    }
 }
 
 impl<T> Buffer for Vec<T> {
@@ -84,7 +75,6 @@ impl<T> Default for Pool<T> {
 /// of `recycle.rs`); reached through [`crate::Engine::recycler`].
 #[derive(Default)]
 pub struct Recycler {
-    pub(crate) labels: Pool<String>,
     pub(crate) values: Pool<Vec<ValueId>>,
     pub(crate) dependents: Pool<Vec<TaskId>>,
     pub(crate) buffers: Pool<Vec<DataBuffer>>,
@@ -92,11 +82,6 @@ pub struct Recycler {
 }
 
 impl Recycler {
-    /// An empty string for a [`crate::TaskSpec::label`].
-    pub fn label(&mut self) -> String {
-        self.labels.take()
-    }
-
     /// An empty list for [`crate::TaskSpec::reads`] or
     /// [`crate::TaskSpec::writes`].
     pub fn values(&mut self) -> Vec<ValueId> {
@@ -130,12 +115,12 @@ mod tests {
     #[test]
     fn a_given_buffer_comes_back_empty_with_its_capacity() {
         let mut r = Recycler::default();
-        let mut label = r.label();
-        assert_eq!(label.capacity(), 0, "nothing to reuse yet");
-        label.push_str("scale");
-        let capacity = label.capacity();
-        r.labels.give(label);
-        let again = r.label();
+        let mut list = r.values();
+        assert_eq!(list.capacity(), 0, "nothing to reuse yet");
+        list.push(ValueId(3));
+        let capacity = list.capacity();
+        r.values.give(list);
+        let again = r.values();
         assert!(again.is_empty());
         assert_eq!(again.capacity(), capacity);
     }

@@ -172,8 +172,9 @@ impl Payload {
 pub struct TaskSpec {
     /// Operation class.
     pub kind: TaskKind,
-    /// Display label (kernel name, "H2D x", ...).
-    pub label: String,
+    /// Name of the operation: the kernel's declared name, or a fixed
+    /// name for a copy leg or marker (`"h2d"`, `"evict"`, `"event"`, ...).
+    pub label: &'static str,
     /// Stream attribution for the timeline (purely presentational; actual
     /// ordering comes from the dependency edges the caller supplies).
     pub stream: u32,
@@ -226,10 +227,10 @@ impl std::fmt::Debug for TaskSpec {
 
 impl TaskSpec {
     /// A blank task of the given kind on a presentation stream.
-    fn new(kind: TaskKind, label: impl Into<String>, stream: u32) -> Self {
+    fn new(kind: TaskKind, label: &'static str, stream: u32) -> Self {
         TaskSpec {
             kind,
-            label: label.into(),
+            label,
             stream,
             device: 0,
             link: None,
@@ -245,12 +246,12 @@ impl TaskSpec {
     }
 
     /// Shorthand for a kernel task.
-    pub fn kernel(label: impl Into<String>, stream: u32) -> Self {
+    pub fn kernel(label: &'static str, stream: u32) -> Self {
         Self::new(TaskKind::Kernel, label, stream)
     }
 
     /// Shorthand for a zero-duration marker (event analogue).
-    pub fn marker(label: impl Into<String>, stream: u32) -> Self {
+    pub fn marker(label: &'static str, stream: u32) -> Self {
         Self::new(TaskKind::Marker, label, stream)
     }
 
@@ -258,7 +259,7 @@ impl TaskSpec {
     /// link rate, plus the launch overhead of the copy call.
     pub fn bulk_copy(
         kind: TaskKind,
-        label: impl Into<String>,
+        label: &'static str,
         stream: u32,
         bytes: f64,
         dev: &DeviceProfile,
@@ -281,7 +282,7 @@ impl TaskSpec {
     /// its aggregate bandwidth in the fluid solver; copies on different
     /// links are independent.
     pub fn p2p_copy(
-        label: impl Into<String>,
+        label: &'static str,
         stream: u32,
         bytes: f64,
         link_id: crate::topology::LinkId,
@@ -301,7 +302,7 @@ impl TaskSpec {
     /// the bottleneck the paper observes when prefetching is disabled.
     pub fn fault_migration(
         kind: TaskKind,
-        label: impl Into<String>,
+        label: &'static str,
         stream: u32,
         bytes: f64,
         dev: &DeviceProfile,

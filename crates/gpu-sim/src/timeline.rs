@@ -6,11 +6,13 @@
 //! hardware-utilization numbers of Fig. 12; the `bench` crate renders them
 //! as the ASCII execution timeline of Fig. 10.
 
+use crate::data::ValueId;
 use crate::task::{TaskKind, TaskMeta};
 use crate::Time;
 
-/// One completed task on the simulated timeline.
-#[derive(Debug, Clone)]
+/// One completed task on the simulated timeline: plain data, so a
+/// snapshot of the timeline is one copy of its intervals.
+#[derive(Debug, Clone, Copy)]
 pub struct Interval {
     /// Engine-assigned task id.
     pub task: u32,
@@ -25,8 +27,13 @@ pub struct Interval {
     /// copies, the device's host link for bulk copies and fault
     /// migrations, `None` for non-transfers.
     pub link: Option<u32>,
-    /// Display label.
-    pub label: String,
+    /// Name of the operation: the kernel's name, or the fixed name of a
+    /// copy leg or marker ([`crate::TaskSpec::label`]). What a transfer
+    /// moved and where are the fields beside it.
+    pub label: &'static str,
+    /// The array a transfer moved (the value its copy task reads),
+    /// recorded when the task completes; `None` for kernels and markers.
+    pub value: Option<ValueId>,
     /// When the task became ready and started its fixed-latency phase.
     pub start: Time,
     /// When the task completed.
@@ -164,10 +171,9 @@ impl Timeline {
         bounds.map_or(0.0, |(s, e)| e - s)
     }
 
-    /// Empty the timeline, handing the intervals out (the engine keeps
-    /// their labels).
-    pub(crate) fn drain(&mut self) -> impl Iterator<Item = Interval> + '_ {
-        self.intervals.drain(..)
+    /// Forget every recorded interval.
+    pub(crate) fn clear(&mut self) {
+        self.intervals.clear();
     }
 }
 
@@ -182,7 +188,8 @@ mod tests {
             stream,
             device: 0,
             link: None,
-            label: String::new(),
+            label: "",
+            value: None,
             start,
             end,
             meta: TaskMeta::default(),

@@ -17,7 +17,7 @@ pub enum LintKind {
         /// The overwriting vertex.
         overwriter: VertexId,
         /// Its label.
-        overwriter_label: String,
+        overwriter_label: &'static str,
     },
     /// The value is written but no stored computation reads it *after
     /// its last write* — the final result is never consumed. (Reads
@@ -36,7 +36,7 @@ pub struct Lint {
     /// The writing vertex.
     pub writer: VertexId,
     /// Its label.
-    pub writer_label: String,
+    pub writer_label: &'static str,
     /// Why the write is wasted.
     pub kind: LintKind,
 }
@@ -90,10 +90,10 @@ pub(crate) fn liveness(dag: &ComputationDag, accesses: &AccessMap) -> (Vec<Lint>
                         dead.push(Lint {
                             value,
                             writer: a.id,
-                            writer_label: vertices[a.slot].label.clone(),
+                            writer_label: vertices[a.slot].label,
                             kind: LintKind::DeadWrite {
                                 overwriter: b.id,
-                                overwriter_label: vertices[b.slot].label.clone(),
+                                overwriter_label: vertices[b.slot].label,
                             },
                         });
                     }
@@ -110,7 +110,7 @@ pub(crate) fn liveness(dag: &ComputationDag, accesses: &AccessMap) -> (Vec<Lint>
                 never.push(Lint {
                     value,
                     writer: w.id,
-                    writer_label: vertices[w.slot].label.clone(),
+                    writer_label: vertices[w.slot].label,
                     kind: LintKind::NeverRead,
                 });
             }

@@ -57,7 +57,7 @@ pub use lints::{Lint, LintKind};
 #[derive(Debug, Clone)]
 struct KernelEffects {
     /// Kernel name (matches the DAG vertex label).
-    name: String,
+    name: &'static str,
     /// Per pointer parameter: declared read-only (`const`/`in`).
     nidl_read_only: Vec<bool>,
     /// Per pointer parameter: declared pure-`out` (overwritten, never
@@ -89,7 +89,7 @@ impl EffectsTable {
         self.entries.retain(|e| e.name != def.name);
         let ptrs: Vec<_> = sig.params.iter().filter(|p| p.is_pointer()).collect();
         self.entries.push(KernelEffects {
-            name: def.name.to_string(),
+            name: def.name,
             nidl_read_only: ptrs.iter().map(|p| p.is_read_only()).collect(),
             declared_out: ptrs.iter().map(|p| p.is_declared_out()).collect(),
             writes: def.writes.to_vec(),
@@ -111,7 +111,7 @@ impl EffectsTable {
             for (i, (&ro, &w)) in e.nidl_read_only.iter().zip(&e.writes).enumerate() {
                 if ro && w {
                     out.push(ScheduleViolation::DishonestSignature {
-                        kernel: e.name.clone(),
+                        kernel: e.name,
                         param: i,
                     });
                 }
@@ -154,11 +154,11 @@ pub enum ScheduleViolation {
         /// The earlier-submitted vertex.
         first: VertexId,
         /// Its label (kernel name or CPU-access tag).
-        first_label: String,
+        first_label: &'static str,
         /// The later-submitted vertex.
         second: VertexId,
         /// Its label.
-        second_label: String,
+        second_label: &'static str,
         /// The value both touch.
         value: Value,
     },
@@ -166,7 +166,7 @@ pub enum ScheduleViolation {
     /// writes the buffer ([`KernelDef::writes`]).
     DishonestSignature {
         /// The lying kernel.
-        kernel: String,
+        kernel: &'static str,
         /// Zero-based pointer-parameter index.
         param: usize,
     },
@@ -558,8 +558,8 @@ mod tests {
                     ..
                 } => {
                     value.0 == r.value.0
-                        && ((first_label == &r.first && second_label == &r.second)
-                            || (first_label == &r.second && second_label == &r.first))
+                        && ((*first_label == r.first && *second_label == r.second)
+                            || (*first_label == r.second && *second_label == r.first))
                 }
                 ScheduleViolation::DishonestSignature { .. } => false,
             });
@@ -595,7 +595,7 @@ mod tests {
         assert_eq!(lint.writer_label, "memset_f32");
         assert!(matches!(
             &lint.kind,
-            LintKind::DeadWrite { overwriter_label, .. } if overwriter_label == "memset_out"
+            LintKind::DeadWrite { overwriter_label, .. } if *overwriter_label == "memset_out"
         ));
         g.sync();
         assert_eq!(
@@ -640,7 +640,7 @@ mod tests {
         assert_eq!(bad[0].class(), "dishonest-signature");
         assert!(matches!(
             &bad[0],
-            ScheduleViolation::DishonestSignature { kernel, param: 0 } if kernel == "memset_lying"
+            ScheduleViolation::DishonestSignature { kernel, param: 0 } if *kernel == "memset_lying"
         ));
 
         // Re-registering replaces, never duplicates.

@@ -42,7 +42,7 @@ pub(crate) fn collect_accesses(dag: &ComputationDag, effects: &EffectsTable) -> 
     for (slot, v) in dag.vertices().iter().enumerate() {
         let entry = match v.kind {
             ElementKind::Kernel | ElementKind::Library => effects
-                .get(&v.label)
+                .get(v.label)
                 .filter(|e| e.writes.len() == v.args.len()),
             ElementKind::ArrayAccess => None,
         };
@@ -120,9 +120,9 @@ pub(crate) fn unordered_conflicts(
                         ConflictKind::ReadWrite
                     },
                     first: a.id,
-                    first_label: vertices[a.slot].label.clone(),
+                    first_label: vertices[a.slot].label,
                     second: b.id,
-                    second_label: vertices[b.slot].label.clone(),
+                    second_label: vertices[b.slot].label,
                     value,
                 });
             }

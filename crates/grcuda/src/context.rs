@@ -1077,7 +1077,7 @@ impl GrCuda {
     /// The dependency-synchronization half of a fine-grained CPU access:
     /// wait for exactly the streams operating on `arr` (per the paper's
     /// access-time policy) and retire the synchronized chain.
-    fn sync_array_deps(&self, arr: &UnifiedArray, label: &str, write: bool) {
+    fn sync_array_deps(&self, arr: &UnifiedArray, label: &'static str, write: bool) {
         let mut ctx = self.inner.borrow_mut();
         match ctx.options.schedule {
             SchedulePolicy::SerialSync => {
@@ -1304,9 +1304,9 @@ mod tests {
         let ks: Vec<_> = tl.kernels().collect();
         assert_eq!(ks.len(), 2);
         let (short, long) = if ks[0].end <= ks[1].end {
-            (ks[0].clone(), ks[1].clone())
+            (*ks[0], *ks[1])
         } else {
-            (ks[1].clone(), ks[0].clone())
+            (*ks[1], *ks[0])
         };
         assert_ne!(short.stream, long.stream);
         assert!(short.end <= t_read + 1e-12, "read waited for its producer");

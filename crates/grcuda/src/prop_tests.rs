@@ -118,9 +118,19 @@ fn kernel_step_strategy() -> impl Strategy<Value = Step> {
 }
 
 /// One timeline interval projected to everything the simulation
-/// determines: task id, kind, stream, device, link, label and the exact
-/// bit patterns of its start/end times.
-type IntervalSig = (u32, String, u32, u32, Option<u32>, String, u64, u64);
+/// determines: task id, kind, stream, device, link, label, array and
+/// the exact bit patterns of its start/end times.
+type IntervalSig = (
+    u32,
+    String,
+    u32,
+    u32,
+    Option<u32>,
+    &'static str,
+    Option<u64>,
+    u64,
+    u64,
+);
 
 /// The timeline projected to [`IntervalSig`] rows.
 fn timeline_sig(g: &GrCuda) -> Vec<IntervalSig> {
@@ -134,7 +144,8 @@ fn timeline_sig(g: &GrCuda) -> Vec<IntervalSig> {
                 iv.stream,
                 iv.device,
                 iv.link,
-                iv.label.clone(),
+                iv.label,
+                iv.value.map(|v| v.0),
                 iv.start.to_bits(),
                 iv.end.to_bits(),
             )

@@ -12,7 +12,7 @@
 use gpu_sim::{DataBuffer, KernelCost};
 
 use crate::helpers::{cached_f32, holds, reduction_f32, s, streaming_f32};
-use crate::KernelDef;
+use crate::{util, KernelDef};
 
 /// `gaussian_blur(img, out, rows, cols, kernel, diameter)`: 2-D
 /// convolution with a precomputed Gaussian kernel.
@@ -309,27 +309,15 @@ fn combine_cost(bufs: &[DataBuffer], _scalars: &[f64]) -> KernelCost {
     streaming_f32(3.0 * n, n, 4.0)
 }
 
-/// `copy(x, out, n)`: pixel copy (the pipeline stages frames with it).
+/// `copy(x, out, n)`: pixel copy (the pipeline stages frames with it):
+/// [`crate::util::COPY_F32`]'s body under the pipeline's own name.
 pub static COPY_IMG: KernelDef = KernelDef {
     name: "copy_img",
     nidl: "const pointer float, pointer float, sint32",
-    func: copy_func,
-    cost: copy_cost,
+    func: util::copy_func,
+    cost: util::copy_cost,
     writes: &[false, true],
 };
-
-fn copy_func(bufs: &[DataBuffer], scalars: &[f64]) {
-    let n = s(scalars[0]);
-    let x = bufs[0].as_f32();
-    let mut out = bufs[1].as_f32_mut();
-    let n = n.min(x.len()).min(out.len());
-    out[..n].copy_from_slice(&x[..n]);
-}
-
-fn copy_cost(bufs: &[DataBuffer], _scalars: &[f64]) -> KernelCost {
-    let n = bufs[0].len() as f64;
-    streaming_f32(n, n, 0.0)
-}
 
 /// Build a normalized Gaussian kernel of the given diameter and sigma
 /// (helper for the IMG benchmark and its tests).
@@ -574,7 +562,7 @@ mod tests {
     fn copy_copies() {
         let x = img(vec![1.0, 2.0, 3.0]);
         let out = DataBuffer::f32_zeros(3);
-        copy_func(&[x, out.clone()], &[3.0]);
+        (COPY_IMG.func)(&[x, out.clone()], &[3.0]);
         assert_eq!(*out.as_f32(), vec![1.0, 2.0, 3.0]);
     }
 

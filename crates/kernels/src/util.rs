@@ -185,7 +185,7 @@ pub static COPY_F32: KernelDef = KernelDef {
     writes: &[false, true],
 };
 
-fn copy_func(bufs: &[DataBuffer], scalars: &[f64]) {
+pub(crate) fn copy_func(bufs: &[DataBuffer], scalars: &[f64]) {
     let n = s(scalars[0]);
     let x = bufs[0].as_f32();
     let mut out = bufs[1].as_f32_mut();
@@ -193,7 +193,7 @@ fn copy_func(bufs: &[DataBuffer], scalars: &[f64]) {
     out[..n].copy_from_slice(&x[..n]);
 }
 
-fn copy_cost(bufs: &[DataBuffer], _scalars: &[f64]) -> KernelCost {
+pub(crate) fn copy_cost(bufs: &[DataBuffer], _scalars: &[f64]) -> KernelCost {
     let n = bufs[0].len() as f64;
     streaming_f32(n, n, 0.0)
 }

@@ -79,14 +79,15 @@ mod tests {
     use super::*;
     use gpu_sim::{Interval, TaskMeta};
 
-    fn iv(kind: TaskKind, stream: u32, start: f64, end: f64, label: &str) -> Interval {
+    fn iv(kind: TaskKind, stream: u32, start: f64, end: f64, label: &'static str) -> Interval {
         Interval {
             task: 0,
             kind,
             stream,
             device: 0,
             link: None,
-            label: label.into(),
+            label,
+            value: None,
             start,
             end,
             meta: TaskMeta::default(),

@@ -3,7 +3,8 @@
 //!
 //! Each stream becomes a "thread", kernels and transfers become complete
 //! (`"ph": "X"`) events with microsecond timestamps — the visual
-//! equivalent of the paper's Fig. 10, but interactive. Write the output
+//! equivalent of the paper's Fig. 10, but interactive. A transfer's
+//! `args` name the array it moved (`"value"`). Write the output
 //! to a file and load it at <https://ui.perfetto.dev>.
 
 use gpu_sim::{TaskKind, Timeline};
@@ -50,10 +51,13 @@ pub fn to_chrome_trace(tl: &Timeline, process_name: &str) -> String {
             TaskKind::FaultH2D | TaskKind::FaultD2H => "um-fault",
             _ => "other",
         };
+        let value = iv
+            .value
+            .map_or(String::new(), |v| format!(",\"value\":{}", v.0));
         out.push_str(&format!(
             ",\n  {{\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
-             \"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"bytes\":{},\"task\":{}}}}}",
-            escape(&iv.label),
+             \"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"bytes\":{},\"task\":{}{value}}}}}",
+            escape(iv.label),
             tid(iv.stream),
             iv.start * 1e6,
             iv.duration() * 1e6,
@@ -81,16 +85,17 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{Interval, TaskMeta};
+    use gpu_sim::{Interval, TaskMeta, ValueId};
 
-    fn iv(kind: TaskKind, stream: u32, start: f64, end: f64, label: &str) -> Interval {
+    fn iv(kind: TaskKind, stream: u32, start: f64, end: f64, label: &'static str) -> Interval {
         Interval {
             task: 7,
             kind,
             stream,
             device: 0,
             link: None,
-            label: label.into(),
+            label,
+            value: None,
             start,
             end,
             meta: TaskMeta {
@@ -116,6 +121,21 @@ mod tests {
         assert!(s.contains("\"name\":\"square\""));
         assert!(s.contains("\"ts\":1000.000"));
         assert!(s.contains("\"dur\":2000.000"));
+    }
+
+    #[test]
+    fn transfer_events_name_the_array_they_moved() {
+        let mut tl = Timeline::new();
+        let moved = Interval {
+            value: Some(ValueId(3)),
+            ..iv(TaskKind::CopyD2H, u32::MAX, 0.0, 1e-3, "evict")
+        };
+        tl.push_for_test(moved);
+        tl.push_for_test(iv(TaskKind::Kernel, 0, 1e-3, 2e-3, "square"));
+        let s = to_chrome_trace(&tl, "t");
+        assert!(s.contains("\"name\":\"evict\""));
+        assert!(s.contains("\"args\":{\"bytes\":128,\"task\":7,\"value\":3}"));
+        assert_eq!(s.matches("\"value\"").count(), 1, "kernels move no array");
     }
 
     #[test]

@@ -71,7 +71,8 @@ mod tests {
             stream: 0,
             device: 0,
             link: None,
-            label: "k".into(),
+            label: "k",
+            value: None,
             start,
             end,
             meta: TaskMeta {

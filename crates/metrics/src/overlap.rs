@@ -97,7 +97,8 @@ mod tests {
                 stream: i as u32,
                 device: 0,
                 link: None,
-                label: format!("op{i}"),
+                label: "op",
+                value: None,
                 start,
                 end,
                 meta: TaskMeta::default(),
