@@ -1,7 +1,8 @@
 //! Contention-free execution-time bound (Fig. 9).
 //!
 //! Builds a [`metrics::critical_path()`] instance from a benchmark plan:
-//! every input array contributes a full-bandwidth transfer node, every
+//! every input array contributes a transfer node over the device's host
+//! link (its latency plus the bytes at full bandwidth), every
 //! kernel a node with its *solo* duration on the target device, linked by
 //! the plan's dependency edges. The result is the finish time on a
 //! hypothetical machine where nothing ever contends — the denominator of
@@ -10,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use gpu_sim::DeviceProfile;
+use gpu_sim::{DeviceProfile, Topology};
 use metrics::{critical_path, PathNode};
 
 use crate::spec::{BenchSpec, PlanArg};
@@ -26,6 +27,8 @@ pub fn contention_free_time(spec: &BenchSpec, dev: &DeviceProfile, warm: bool) -
         .iter()
         .map(|a| gpu_sim::DataBuffer::new(a.init.clone()))
         .collect();
+    let topo = Topology::pcie_only(1, dev);
+    let host = topo.link(topo.host_link(0));
 
     let mut nodes: Vec<PathNode> = Vec::new();
     // One transfer node per array, created lazily at first use.
@@ -42,8 +45,7 @@ pub fn contention_free_time(spec: &BenchSpec, dev: &DeviceProfile, warm: bool) -
                 }
                 let t = *transfer_node.entry(*k).or_insert_with(|| {
                     nodes.push(PathNode {
-                        duration: spec.arrays[*k].byte_len() as f64 / dev.pcie_bw
-                            + dev.launch_overhead,
+                        duration: host.latency + spec.arrays[*k].byte_len() as f64 / host.bandwidth,
                         deps: vec![],
                     });
                     nodes.len() - 1

@@ -5,7 +5,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use gpu_sim::{
-    Calibration, DeviceProfile, Engine, EngineStats, LinkId, LinkTraffic, RaceReport, TaskId,
+    Calibration, DeviceProfile, Engine, EngineStats, Link, LinkId, LinkTraffic, RaceReport, TaskId,
     TaskKind, TaskSpec, Time, Timeline, Topology, TopologyKind, TypedData, ValueId,
 };
 use gpu_sim::{MemoryManager, MemoryStats};
@@ -42,8 +42,9 @@ struct StreamState {
 
 pub(crate) struct Inner {
     pub(crate) engine: Engine,
-    /// The engine's device profile, copied once: every copy leg and
-    /// launch reads it between `&mut self` calls.
+    /// The engine's device profile, copied once: every launch and fault
+    /// migration reads it between `&mut self` calls (a bulk copy reads
+    /// its host link instead).
     pub(crate) dev: DeviceProfile,
     /// State of every allocation, indexed by `ValueId`: [`Cuda::alloc`]
     /// mints ids densely from zero and nothing frees one.
@@ -338,7 +339,8 @@ impl Cuda {
                     let kind = TaskKind::FaultD2H;
                     TaskSpec::fault_migration(kind, "umfault", u32::MAX, size, &inner.dev)
                 } else {
-                    TaskSpec::bulk_copy(TaskKind::CopyD2H, "d2h", u32::MAX, size, &inner.dev)
+                    let host = inner.host_leg(device, D2H).0;
+                    TaskSpec::bulk_copy(TaskKind::CopyD2H, "d2h", u32::MAX, size, host)
                 };
                 // Whole-array state machine: after touching it the host
                 // can see it (pages migrate lazily; we charge only what
@@ -405,7 +407,7 @@ impl Cuda {
         // A later kernel finding the array there counts as a prefetch
         // hit.
         state_mut(&mut inner.arrays, a.id).prefetched = true;
-        inner.note(a.id, bytes, target, MemEventKind::Prefetched);
+        inner.note(a.id, bytes, MemEventKind::Prefetched);
         t
     }
 
@@ -785,7 +787,7 @@ impl Inner {
                 self.migrations.all.add(bytes);
                 self.migrations.p2p.add(bytes);
                 let (p2p, cross_node) = (true, false);
-                self.note(v, bytes, target, MemEventKind::Migrated { p2p, cross_node });
+                self.note(v, bytes, MemEventKind::Migrated { p2p, cross_node });
                 let lands = (Residency::Device, target);
                 return Some(self.submit_leg(v, spec.on_device(target), dma, lands));
             }
@@ -796,9 +798,8 @@ impl Inner {
             // None of it blocks the host: each leg chains on the one
             // before through the array's `last_writer`.
             Route::Staged { nic } => {
-                let d2h =
-                    TaskSpec::bulk_copy(TaskKind::CopyD2H, "migrate", u32::MAX, size, &self.dev);
-                let d2h_engine = Some((self.engine.topology().host_link(src), D2H));
+                let (host, d2h_engine) = self.host_leg(src, D2H);
+                let d2h = TaskSpec::bulk_copy(TaskKind::CopyD2H, "migrate", u32::MAX, size, host);
                 let forward = nic.map(|link| {
                     let topo = self.engine.topology();
                     let (sn, dn) = (topo.node_of(src), topo.node_of(target));
@@ -813,7 +814,7 @@ impl Inner {
                     self.submit_leg(v, spec, dma, lands);
                 }
                 let (p2p, cross_node) = (false, nic.is_some());
-                self.note(v, bytes, target, MemEventKind::Migrated { p2p, cross_node });
+                self.note(v, bytes, MemEventKind::Migrated { p2p, cross_node });
             }
         }
         let (spec, dma) = if matches!(fetch, Fetch::Demand) && self.dev.supports_page_faults() {
@@ -827,11 +828,19 @@ impl Inner {
                 Fetch::Demand => "h2d",
                 Fetch::Prefetch => "prefetch",
             };
-            let spec = TaskSpec::bulk_copy(TaskKind::CopyH2D, label, stream.0, size, &self.dev);
-            (spec, Some((self.engine.topology().host_link(target), H2D)))
+            let (host, dma) = self.host_leg(target, H2D);
+            let spec = TaskSpec::bulk_copy(TaskKind::CopyH2D, label, stream.0, size, host);
+            (spec, dma)
         };
         let lands = (Residency::Both, target);
         Some(self.submit_leg(v, spec.on_device(target), dma, lands))
+    }
+
+    /// `device`'s host link, which times the bulk copies between the
+    /// host and the device, and its DMA engine in direction `dir`.
+    fn host_leg(&self, device: u32, dir: usize) -> (&Link, Option<DmaEngine>) {
+        let link = self.engine.topology().host_link(device);
+        (self.engine.topology().link(link), Some((link, dir)))
     }
 
     /// Submit one copy of `v` — a leg of a migration, an eviction spill
@@ -913,14 +922,9 @@ impl Inner {
     }
 
     /// Record a [`MemEvent`] for the layer above, while it is listening.
-    fn note(&mut self, value: ValueId, bytes: usize, device: u32, kind: MemEventKind) {
+    fn note(&mut self, value: ValueId, bytes: usize, kind: MemEventKind) {
         if self.record_mem_events {
-            self.mem_events.push(MemEvent {
-                value,
-                bytes,
-                device,
-                kind,
-            });
+            self.mem_events.push(MemEvent { value, bytes, kind });
         }
     }
 
@@ -988,8 +992,8 @@ impl Inner {
             // The spill is the host copy's producer: host reads block on
             // it, and the next migration of this array chains after it.
             let size = bytes as f64;
-            let spill = TaskSpec::bulk_copy(TaskKind::CopyD2H, "evict", u32::MAX, size, &self.dev);
-            let dma = Some((self.engine.topology().host_link(device), D2H));
+            let (host, dma) = self.host_leg(device, D2H);
+            let spill = TaskSpec::bulk_copy(TaskKind::CopyD2H, "evict", u32::MAX, size, host);
             let lands = (Residency::Host, device);
             self.submit_leg(v, spill.on_device(device), dma, lands);
             bytes
@@ -1009,7 +1013,7 @@ impl Inner {
         let kind = MemEventKind::Evicted {
             spilled: spilled > 0,
         };
-        self.note(v, bytes, device, kind);
+        self.note(v, bytes, kind);
     }
 
     /// Ensure a stream id exists (graph replay may ask for fresh ones).
@@ -1435,10 +1439,10 @@ mod tests {
             assert_eq!(c.device_residency(a), holder, "residency without prices");
             est[d]
         };
-        let (dev, topo) = c.machine(|dev, topo| (dev.clone(), topo.clone()));
+        let host = c.machine(|_, topo| topo.link(topo.host_link(0)).clone());
         let n = 1 << 20;
         let bytes = (n * 4) as f64;
-        let host_leg = topo.link(topo.host_link(0)).latency + bytes / dev.pcie_bw;
+        let host_leg = host.latency + bytes / host.bandwidth;
         let a = c.alloc_f32(n);
         // Host-resident: one H2D leg (latency + transfer) to any device.
         for d in 0..4 {
@@ -1798,7 +1802,7 @@ mod tests {
     /// the row leaves, in completion order, as (kind, name, array,
     /// device, link). The fixed names tell a spill from a migration from
     /// a host read; the array, device and link fields carry what the
-    /// names do not. Kernels and markers record no array.
+    /// names do not. Kernels record no array.
     #[test]
     fn every_copy_leg_names_its_operation_and_records_its_array() {
         use gpu_sim::{Cluster, NicKind};
@@ -1918,8 +1922,7 @@ mod tests {
                 .map(|iv| (iv.kind, iv.label, iv.value, iv.device, iv.link))
                 .collect();
             assert_eq!(got, want, "{route}");
-            let mut others = tl.intervals().iter().filter(|iv| !iv.kind.is_transfer());
-            assert!(others.all(|iv| iv.value.is_none()), "{route}");
+            assert!(tl.kernels().all(|iv| iv.value.is_none()), "{route}");
         }
     }
 

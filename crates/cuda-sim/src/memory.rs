@@ -106,8 +106,6 @@ pub struct MemEvent {
     pub value: ValueId,
     /// Its size in bytes.
     pub bytes: usize,
-    /// The device the event happened on.
-    pub device: u32,
     /// What happened.
     pub kind: MemEventKind,
 }
@@ -126,7 +124,7 @@ pub enum MemEventKind {
     /// The allocation was bulk-prefetched ahead of a launch.
     Prefetched,
     /// The only current copy sat on another device and was migrated to
-    /// [`MemEvent::device`] — the route actually taken, whether a
+    /// the device that needs it — the route actually taken, whether a
     /// prefetch or a launch triggered it.
     Migrated {
         /// True when the copy went over a direct peer link; false when

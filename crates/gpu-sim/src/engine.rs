@@ -221,7 +221,10 @@ fn find(parent: &mut [u32], mut x: u32) -> u32 {
 
 /// The simulator engine. See the [crate docs](crate) for the model.
 pub struct Engine {
-    dev: DeviceProfile,
+    /// Each device's resource capacities, aligned with
+    /// [`crate::task::ResourceDemand::as_vec`]: built once from the
+    /// profile and the device's host link, read by every rate solve.
+    dev_caps: Vec<[f64; NUM_RESOURCES]>,
     /// Number of identical devices this engine simulates. Tasks carry a
     /// device id; only tasks on the same device share its resources.
     n_devices: u32,
@@ -290,29 +293,18 @@ impl Engine {
     /// progress independently. Peer links become machine-wide resources
     /// in the fluid solver: concurrent [`TaskSpec::p2p_copy`] tasks on
     /// the same link share its aggregate bandwidth, whichever devices
-    /// they run on.
+    /// they run on. A device's host link is what its host copies
+    /// ([`TaskSpec::bulk_copy`]) contend for, in each direction.
     pub fn with_topology(dev: DeviceProfile, topo: Topology) -> Self {
         let n = topo.device_count();
         // Links `0..n` are the devices' host links.
         let mut links = vec![LinkTraffic::default(); topo.links().len()];
         links[..n].iter_mut().for_each(|l| l.host = true);
-        // Host-side copies are timed against the device profile's PCIe
-        // bandwidth (bulk-copy specs and the per-device h2d/d2h
-        // capacities both come from `dev.pcie_bw`), so a topology whose
-        // host links claim a different rate would be silently ignored —
-        // fail loudly instead. The presets always satisfy this.
-        for d in 0..n as u32 {
-            let host_bw = topo.link(topo.host_link(d)).bandwidth;
-            assert!(
-                (host_bw - dev.pcie_bw).abs() < 1e-6 * dev.pcie_bw,
-                "host link of device {d} declares {host_bw} B/s but the device \
-                 profile's PCIe bandwidth is {} B/s — host transfers are timed \
-                 against the profile, so the two must match",
-                dev.pcie_bw
-            );
-        }
         Engine {
-            dev,
+            dev_caps: topo.links()[..n]
+                .iter()
+                .map(|host| capacities(&dev, host))
+                .collect(),
             n_devices: n as u32,
             topo,
             // Sized before `links` moves in.
@@ -657,7 +649,7 @@ impl Engine {
             return;
         }
         let Engine {
-            dev,
+            dev_caps,
             n_devices,
             topo,
             tasks,
@@ -709,7 +701,6 @@ impl Engine {
         stats.rate_tasks_solved += s.work.len();
         stats.rate_tasks_reused += active.len() - s.work.len();
 
-        let dev_caps = capacities(dev);
         let col = |ids: &[u32], id: u32| ids.binary_search(&id).expect("a member's own id");
         for members in s.work.chunk_by(|a, b| a.0 == b.0) {
             // Solve over only the resources the members occupy, in the
@@ -724,7 +715,8 @@ impl Engine {
                 // No link couples the members, so they share one device:
                 // its block is every column, and each row is a member's
                 // demand as it stands.
-                s.caps.extend_from_slice(&dev_caps);
+                s.caps
+                    .extend_from_slice(&dev_caps[spec(members[0].1).device as usize]);
                 for &(_, k) in members {
                     s.demands.extend_from_slice(&spec(k).demand.as_vec());
                 }
@@ -743,8 +735,8 @@ impl Engine {
                 s.links.dedup();
                 let link_cols = s.devices.len() * NUM_RESOURCES;
                 let width = link_cols + s.links.len();
-                for _ in &s.devices {
-                    s.caps.extend_from_slice(&dev_caps);
+                for &d in &s.devices {
+                    s.caps.extend_from_slice(&dev_caps[d as usize]);
                 }
                 let bandwidth = |&l: &u32| topo.link(LinkId(l)).bandwidth;
                 s.caps.extend(s.links.iter().map(bandwidth));
@@ -814,11 +806,7 @@ impl Engine {
     #[cfg(any(test, debug_assertions))]
     fn solve_rates_full(&self) -> Vec<f64> {
         let n_dev = self.n_devices as usize;
-        let dev_caps = capacities(&self.dev);
-        let mut caps = Vec::with_capacity(n_dev * NUM_RESOURCES + self.topo.links().len());
-        for _ in 0..n_dev {
-            caps.extend_from_slice(&dev_caps);
-        }
+        let mut caps = self.dev_caps.concat();
         caps.extend(self.topo.links().iter().map(|l| l.bandwidth));
         let demands: Vec<Vec<f64>> = self
             .active
@@ -918,7 +906,11 @@ impl Engine {
             self.calib
                 .observe_kernel(iv.label, iv.duration(), t.launch_shape);
         }
-        self.timeline.push(iv);
+        // A marker orders work and does none: it leaves no interval, so
+        // the timeline holds exactly the GPU work its readers measure.
+        if iv.kind != TaskKind::Marker {
+            self.timeline.push(iv);
+        }
         // The task is done with its buffers: its arguments leave the
         // in-flight table before its dependents are released below, and
         // the race detector looks at nothing else of a finished task.
@@ -1081,6 +1073,12 @@ mod tests {
     fn pcie(d: DeviceProfile, n: usize) -> Engine {
         let topo = Topology::pcie_only(n, &d);
         Engine::with_topology(d, topo)
+    }
+
+    /// A bulk copy of `bytes` over `device`'s host link, placed there.
+    fn host_copy(e: &Engine, kind: TaskKind, stream: u32, bytes: f64, device: u32) -> TaskSpec {
+        let host = e.topology().link(e.topology().host_link(device));
+        TaskSpec::bulk_copy(kind, "x", stream, bytes, host).on_device(device)
     }
 
     #[test]
@@ -1347,13 +1345,9 @@ mod tests {
 
     #[test]
     fn host_transfers_are_charged_to_their_device_host_link() {
-        let d = dev();
-        let mut e = pcie(d.clone(), 2);
-        let c0 = e.submit(TaskSpec::bulk_copy(TaskKind::CopyH2D, "x", 0, 1e6, &d), &[]);
-        let c1 = e.submit(
-            TaskSpec::bulk_copy(TaskKind::CopyD2H, "y", 1, 2e6, &d).on_device(1),
-            &[],
-        );
+        let mut e = pcie(dev(), 2);
+        let c0 = e.submit(host_copy(&e, TaskKind::CopyH2D, 0, 1e6, 0), &[]);
+        let c1 = e.submit(host_copy(&e, TaskKind::CopyD2H, 1, 2e6, 1), &[]);
         e.sync_task(c0);
         e.sync_task(c1);
         let traffic: Vec<_> = e
@@ -1456,7 +1450,7 @@ mod tests {
         let d = dev();
         let mut e = Engine::new(d.clone());
         let c = e.submit(
-            TaskSpec::bulk_copy(TaskKind::CopyH2D, "x", 1, d.pcie_bw * 1e-3, &d),
+            host_copy(&e, TaskKind::CopyH2D, 1, d.pcie_bw * 1e-3, 0),
             &[],
         );
         let k = e.submit(TaskSpec::kernel("k", 0).fluid(1e-3).sm_frac(1.0), &[]);
@@ -1474,6 +1468,49 @@ mod tests {
         let b = e.submit(TaskSpec::kernel("b", 1).fluid(1e-3).sm_frac(0.1), &[m]);
         e.sync_task(b);
         assert!((e.now() - 2e-3).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_marker_completes_with_no_interval() {
+        let mut e = Engine::new(dev());
+        let a = e.submit(TaskSpec::kernel("a", 0).fluid(1e-3).sm_frac(0.1), &[]);
+        let m = e.submit(TaskSpec::marker("ev", 0), &[a]);
+        e.sync_task(m);
+        assert!(e.is_complete(m));
+        assert_eq!(e.stats().completed, 2);
+        let tasks: Vec<u32> = e.timeline().intervals().iter().map(|iv| iv.task).collect();
+        assert_eq!(tasks, [a.0], "only the kernel is GPU work");
+    }
+
+    #[test]
+    fn host_copies_are_timed_by_their_link() {
+        // Host links slower than the profile's PCIe and with a longer
+        // setup: the links, not the profile, time every host copy.
+        let d = dev();
+        let slow = DeviceProfile {
+            pcie_bw: d.pcie_bw / 4.0,
+            launch_overhead: 5.0 * d.launch_overhead,
+            ..d.clone()
+        };
+        let mut e = Engine::with_topology(d, Topology::pcie_only(2, &slow));
+        let host = e.topology().link(e.topology().host_link(1)).clone();
+        let bytes = 1e6;
+        let solo = host.latency + bytes / host.bandwidth;
+        let c = e.submit(host_copy(&e, TaskKind::CopyH2D, 0, bytes, 1), &[]);
+        e.sync_task(c);
+        assert!((e.now() - solo).abs() < 1e-12, "{} vs {solo}", e.now());
+        // Two copies in one direction share the link's bandwidth.
+        let t0 = e.now();
+        let a = e.submit(host_copy(&e, TaskKind::CopyD2H, 0, bytes, 1), &[]);
+        let b = e.submit(host_copy(&e, TaskKind::CopyD2H, 1, bytes, 1), &[]);
+        e.sync_task(a);
+        e.sync_task(b);
+        let shared = host.latency + 2.0 * bytes / host.bandwidth;
+        assert!(
+            (e.now() - t0 - shared).abs() < 1e-12,
+            "{} vs {shared}",
+            e.now() - t0
+        );
     }
 
     #[test]
@@ -1637,12 +1674,8 @@ mod tests {
 
     #[test]
     fn stats_accumulate() {
-        let d = dev();
-        let mut e = Engine::new(d.clone());
-        let c = e.submit(
-            TaskSpec::bulk_copy(TaskKind::CopyH2D, "x", 0, d.pcie_bw * 1e-3, &d),
-            &[],
-        );
+        let mut e = Engine::new(dev());
+        let c = e.submit(host_copy(&e, TaskKind::CopyH2D, 0, 1e7, 0), &[]);
         let k = e.submit(TaskSpec::kernel("k", 0).fluid(2e-3).sm_frac(0.5), &[c]);
         e.sync_task(k);
         let s = e.stats();
@@ -1736,14 +1769,11 @@ mod prop {
                         topo.link(l),
                     )
                     .on_device(dev_a),
-                    (1, _) => TaskSpec::bulk_copy(
-                        TaskKind::CopyH2D,
-                        "c",
-                        stream,
-                        d.pcie_bw * w,
-                        &d,
-                    )
-                    .on_device(dev_a),
+                    (1, _) => {
+                        let host = topo.link(topo.host_link(dev_a));
+                        TaskSpec::bulk_copy(TaskKind::CopyH2D, "c", stream, host.bandwidth * w, host)
+                            .on_device(dev_a)
+                    }
                     _ => TaskSpec::kernel("k", stream)
                         .on_device(dev_a)
                         .fluid(w)
@@ -1801,7 +1831,8 @@ mod prop {
                     (2, Some(l), _) => copy(l, dev_b),
                     (3, _, Some(l)) => copy(l, dev_b),
                     (1, _, _) => {
-                        TaskSpec::bulk_copy(TaskKind::CopyD2H, "c", stream, d.pcie_bw * w, &d)
+                        let host = topo.link(topo.host_link(dev_a));
+                        TaskSpec::bulk_copy(TaskKind::CopyD2H, "c", stream, host.bandwidth * w, host)
                             .on_device(dev_a)
                     }
                     _ => TaskSpec::kernel("k", stream)

@@ -171,15 +171,22 @@ mod tests {
     use super::*;
     use crate::profile::DeviceProfile;
     use crate::task::{capacities, ResourceDemand, NUM_RESOURCES};
+    use crate::topology::Topology;
 
     fn dev() -> DeviceProfile {
         DeviceProfile::gtx1660_super()
     }
 
+    /// Capacities of the one device of a `dev` machine.
+    fn caps(dev: &DeviceProfile) -> [f64; NUM_RESOURCES] {
+        let topo = Topology::pcie_only(1, dev);
+        capacities(dev, topo.link(topo.host_link(0)))
+    }
+
     /// Rates of typed demands on one device `dev`.
     fn max_min_rates(demands: &[ResourceDemand], dev: &DeviceProfile) -> Vec<f64> {
         let dvecs: Vec<[f64; NUM_RESOURCES]> = demands.iter().map(|d| d.as_vec()).collect();
-        solve(&dvecs, &capacities(dev))
+        solve(&dvecs, &caps(dev))
     }
 
     fn sm(frac: f64) -> ResourceDemand {
@@ -373,9 +380,8 @@ mod tests {
         let d = dev();
         let demands = [sm(1.0), sm(0.3), dram(d.dram_bw)];
         let fixed = max_min_rates(&demands, &d);
-        let caps = capacities(&d).to_vec();
         let dvecs: Vec<Vec<f64>> = demands.iter().map(|x| x.as_vec().to_vec()).collect();
-        assert_eq!(fixed, max_min_rates_vec(&dvecs, &caps));
+        assert_eq!(fixed, max_min_rates_vec(&dvecs, &caps(&d)));
     }
 }
 

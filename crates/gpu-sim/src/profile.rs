@@ -69,7 +69,9 @@ pub struct DeviceProfile {
     /// L2 cache bandwidth, bytes/s.
     pub l2_bw: f64,
     /// Effective PCIe bandwidth per direction, bytes/s. The paper's hosts
-    /// use PCIe 3.0 x16 (~12 GB/s effective).
+    /// use PCIe 3.0 x16 (~12 GB/s effective). It is what
+    /// [`crate::Cluster::build`] gives every host link; host copies are
+    /// timed by their link.
     pub pcie_bw: f64,
     /// Effective bandwidth of *on-demand* unified-memory page-fault
     /// migration. Much lower than bulk copies: the fault path is
@@ -77,9 +79,9 @@ pub struct DeviceProfile {
     pub fault_bw: f64,
     /// Fixed service latency of a fault migration batch.
     pub fault_latency: f64,
-    /// Kernel launch overhead (host API + device dispatch). Bulk copies
-    /// charge it too, and it is every host link's latency
-    /// ([`crate::Cluster::build`]).
+    /// Kernel launch overhead (host API + device dispatch). It is also
+    /// every host link's latency ([`crate::Cluster::build`]), which each
+    /// bulk copy over the link is charged.
     pub launch_overhead: f64,
     /// Overhead of recording or waiting on an event.
     pub event_overhead: f64,

@@ -31,41 +31,26 @@ use crate::task::{KernelBody, Payload};
 /// more buffers than were in use at once.)
 const POOL_MAX: usize = 384;
 
-/// A heap buffer that can be emptied and reused.
-pub(crate) trait Buffer: Default {
-    fn capacity(&self) -> usize;
-    fn clear(&mut self);
-}
+/// Empty lists of `E` awaiting reuse.
+pub(crate) struct Pool<E>(Vec<Vec<E>>);
 
-impl<T> Buffer for Vec<T> {
-    fn capacity(&self) -> usize {
-        Vec::capacity(self)
-    }
-    fn clear(&mut self) {
-        Vec::clear(self);
-    }
-}
-
-/// Empty buffers of one type awaiting reuse.
-pub(crate) struct Pool<T>(Vec<T>);
-
-impl<T: Buffer> Pool<T> {
-    /// An empty buffer: a recycled one while they last.
-    pub(crate) fn take(&mut self) -> T {
+impl<E> Pool<E> {
+    /// An empty list: a recycled one while they last.
+    pub(crate) fn take(&mut self) -> Vec<E> {
         self.0.pop().unwrap_or_default()
     }
 
-    /// Keep `buffer` (emptied) for a later [`Pool::take`], unless it
-    /// owns no memory or the pool is full.
-    pub(crate) fn give(&mut self, mut buffer: T) {
-        if buffer.capacity() > 0 && self.0.len() < POOL_MAX {
-            buffer.clear();
-            self.0.push(buffer);
+    /// Keep `list` (emptied) for a later [`Pool::take`], unless it owns
+    /// no memory or the pool is full.
+    pub(crate) fn give(&mut self, mut list: Vec<E>) {
+        if list.capacity() > 0 && self.0.len() < POOL_MAX {
+            list.clear();
+            self.0.push(list);
         }
     }
 }
 
-impl<T> Default for Pool<T> {
+impl<E> Default for Pool<E> {
     fn default() -> Self {
         Pool(Vec::new())
     }
@@ -75,10 +60,10 @@ impl<T> Default for Pool<T> {
 /// of `recycle.rs`); reached through [`crate::Engine::recycler`].
 #[derive(Default)]
 pub struct Recycler {
-    pub(crate) values: Pool<Vec<ValueId>>,
-    pub(crate) dependents: Pool<Vec<TaskId>>,
-    pub(crate) buffers: Pool<Vec<DataBuffer>>,
-    pub(crate) scalars: Pool<Vec<f64>>,
+    pub(crate) values: Pool<ValueId>,
+    pub(crate) dependents: Pool<TaskId>,
+    pub(crate) buffers: Pool<DataBuffer>,
+    pub(crate) scalars: Pool<f64>,
 }
 
 impl Recycler {

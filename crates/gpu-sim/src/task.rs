@@ -6,6 +6,7 @@ use crate::cost::Grid;
 use crate::data::{DataBuffer, ValueId};
 use crate::profile::DeviceProfile;
 use crate::recycle::Recycler;
+use crate::topology::{Link, LinkId};
 use crate::Time;
 
 /// What kind of operation a task models. Drives timeline classification
@@ -25,13 +26,14 @@ pub enum TaskKind {
     FaultH2D,
     /// On-demand unified-memory migration back to the host.
     FaultD2H,
-    /// Zero-duration synchronization marker (CUDA event analogue).
+    /// Zero-duration synchronization marker (CUDA event analogue): it
+    /// orders the tasks around it and leaves no timeline interval.
     Marker,
 }
 
 impl TaskKind {
     /// True for the bulk-copy, peer-to-peer and fault-migration kinds.
-    pub fn is_transfer(self) -> bool {
+    pub(crate) fn is_transfer(self) -> bool {
         matches!(
             self,
             TaskKind::CopyH2D
@@ -96,15 +98,17 @@ impl ResourceDemand {
     }
 }
 
-/// Resource capacities of a device, aligned with [`ResourceDemand::as_vec`].
-pub(crate) fn capacities(dev: &DeviceProfile) -> [f64; NUM_RESOURCES] {
+/// Resource capacities of a device behind its host link, aligned with
+/// [`ResourceDemand::as_vec`]: the on-device resources come from the
+/// profile, both copy directions from the link.
+pub(crate) fn capacities(dev: &DeviceProfile, host: &Link) -> [f64; NUM_RESOURCES] {
     [
         1.0,
         dev.dram_bw,
         dev.l2_bw,
         dev.fp64_flops,
-        dev.pcie_bw,
-        dev.pcie_bw,
+        host.bandwidth,
+        host.bandwidth,
         1.0,
     ]
 }
@@ -184,7 +188,7 @@ pub struct TaskSpec {
     /// Interconnect link the task occupies, if any (peer-to-peer
     /// copies). Link capacity is shared machine-wide: tasks on the same
     /// link contend even when they run on different devices.
-    pub link: Option<crate::topology::LinkId>,
+    pub link: Option<LinkId>,
     /// Contention-independent setup latency (launch overhead etc.).
     pub fixed_latency: Time,
     /// Solo duration of the contention-scaled phase.
@@ -255,23 +259,25 @@ impl TaskSpec {
         Self::new(TaskKind::Marker, label, stream)
     }
 
-    /// A bulk PCIe transfer of `bytes` in the given direction at full
-    /// link rate, plus the launch overhead of the copy call.
+    /// A bulk transfer of `bytes` in the given direction over a
+    /// device's host link, `host`: its latency, then the bytes at the
+    /// link's full rate. Concurrent copies in one direction share the
+    /// link's bandwidth in the fluid solver.
     pub fn bulk_copy(
         kind: TaskKind,
         label: &'static str,
         stream: u32,
         bytes: f64,
-        dev: &DeviceProfile,
+        host: &Link,
     ) -> Self {
         assert!(kind.is_transfer(), "bulk_copy needs a transfer kind");
         let mut t = Self::new(kind, label, stream);
-        t.fixed_latency = dev.launch_overhead;
-        t.fluid_work = bytes / dev.pcie_bw;
+        t.fixed_latency = host.latency;
+        t.fluid_work = bytes / host.bandwidth;
         if kind.is_h2d() {
-            t.demand.h2d_bps = dev.pcie_bw;
+            t.demand.h2d_bps = host.bandwidth;
         } else {
-            t.demand.d2h_bps = dev.pcie_bw;
+            t.demand.d2h_bps = host.bandwidth;
         }
         t.meta.bytes = bytes;
         t
@@ -285,8 +291,8 @@ impl TaskSpec {
         label: &'static str,
         stream: u32,
         bytes: f64,
-        link_id: crate::topology::LinkId,
-        link: &crate::topology::Link,
+        link_id: LinkId,
+        link: &Link,
     ) -> Self {
         let mut t = Self::new(TaskKind::CopyP2P, label, stream);
         t.link = Some(link_id);
@@ -375,20 +381,28 @@ impl TaskSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::{Topology, TopologyKind};
+
+    /// The host link of a one-GPU machine of `dev`.
+    fn host_link(dev: &DeviceProfile) -> Link {
+        let topo = Topology::pcie_only(1, dev);
+        topo.link(topo.host_link(0)).clone()
+    }
 
     #[test]
     fn bulk_copy_duration_is_bytes_over_link() {
-        let dev = DeviceProfile::tesla_p100();
-        let t = TaskSpec::bulk_copy(TaskKind::CopyH2D, "x", 0, 12e9, &dev);
+        let host = host_link(&DeviceProfile::tesla_p100());
+        let t = TaskSpec::bulk_copy(TaskKind::CopyH2D, "x", 0, host.bandwidth, &host);
         assert!((t.fluid_work - 1.0).abs() < 1e-9);
-        assert_eq!(t.demand.h2d_bps, dev.pcie_bw);
+        assert_eq!(t.fixed_latency, host.latency);
+        assert_eq!(t.demand.h2d_bps, host.bandwidth);
         assert_eq!(t.demand.d2h_bps, 0.0);
     }
 
     #[test]
     fn fault_migration_is_slower_and_exclusive() {
         let dev = DeviceProfile::tesla_p100();
-        let bulk = TaskSpec::bulk_copy(TaskKind::CopyH2D, "x", 0, 1e9, &dev);
+        let bulk = TaskSpec::bulk_copy(TaskKind::CopyH2D, "x", 0, 1e9, &host_link(&dev));
         let fault = TaskSpec::fault_migration(TaskKind::FaultH2D, "x", 0, 1e9, &dev);
         assert!(fault.fluid_work > bulk.fluid_work);
         assert_eq!(fault.demand.fault_frac, 1.0);
@@ -397,8 +411,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "transfer kind")]
     fn bulk_copy_rejects_kernel_kind() {
-        let dev = DeviceProfile::gtx960();
-        let _ = TaskSpec::bulk_copy(TaskKind::Kernel, "x", 0, 1.0, &dev);
+        let host = host_link(&DeviceProfile::gtx960());
+        let _ = TaskSpec::bulk_copy(TaskKind::Kernel, "x", 0, 1.0, &host);
     }
 
     #[test]
@@ -413,7 +427,6 @@ mod tests {
 
     #[test]
     fn p2p_copy_charges_the_link() {
-        use crate::topology::{Topology, TopologyKind};
         let dev = DeviceProfile::tesla_p100();
         let topo = Topology::preset(TopologyKind::FullyConnected, 2, &dev);
         let lid = topo.d2d_link(0, 1).unwrap();
@@ -426,7 +439,8 @@ mod tests {
         assert_eq!(t.demand.h2d_bps, 0.0, "peer copies bypass the host links");
         assert_eq!(t.demand.d2h_bps, 0.0);
         // Much faster than the host-mediated pair of PCIe legs.
-        let host = TaskSpec::bulk_copy(TaskKind::CopyD2H, "x", 0, link.bandwidth, &dev);
-        assert!(t.fluid_work < host.fluid_work);
+        let host = topo.link(topo.host_link(0));
+        let staged = TaskSpec::bulk_copy(TaskKind::CopyD2H, "x", 0, link.bandwidth, host);
+        assert!(t.fluid_work < staged.fluid_work);
     }
 }

@@ -1,6 +1,8 @@
 //! Execution-timeline recording.
 //!
-//! Every completed task leaves an [`Interval`] behind. The `metrics`
+//! Every completed kernel and transfer leaves an [`Interval`] behind;
+//! a marker ([`TaskKind::Marker`]) orders work and does none, so it
+//! leaves nothing and every interval is GPU work. The `metrics`
 //! crate post-processes these intervals into the overlap fractions
 //! (CT/TC/CC/TOT) of the paper's Fig. 10–11 and into the per-benchmark
 //! hardware-utilization numbers of Fig. 12; the `bench` crate renders them
@@ -10,8 +12,8 @@ use crate::data::ValueId;
 use crate::task::{TaskKind, TaskMeta};
 use crate::Time;
 
-/// One completed task on the simulated timeline: plain data, so a
-/// snapshot of the timeline is one copy of its intervals.
+/// One completed kernel or transfer on the simulated timeline: plain
+/// data, so a snapshot of the timeline is one copy of its intervals.
 #[derive(Debug, Clone, Copy)]
 pub struct Interval {
     /// Engine-assigned task id.
@@ -28,11 +30,11 @@ pub struct Interval {
     /// migrations, `None` for non-transfers.
     pub link: Option<u32>,
     /// Name of the operation: the kernel's name, or the fixed name of a
-    /// copy leg or marker ([`crate::TaskSpec::label`]). What a transfer
-    /// moved and where are the fields beside it.
+    /// copy leg ([`crate::TaskSpec::label`]). What a transfer moved and
+    /// where are the fields beside it.
     pub label: &'static str,
     /// The array a transfer moved (the value its copy task reads),
-    /// recorded when the task completes; `None` for kernels and markers.
+    /// recorded when the task completes; `None` for kernels.
     pub value: Option<ValueId>,
     /// When the task became ready and started its fixed-latency phase.
     pub start: Time,
@@ -49,7 +51,8 @@ impl Interval {
     }
 }
 
-/// An append-only record of completed tasks, ordered by completion time.
+/// An append-only record of the GPU work done — completed kernels and
+/// transfers, never markers — ordered by completion time.
 #[derive(Debug, Default, Clone)]
 pub struct Timeline {
     intervals: Vec<Interval>,
@@ -61,14 +64,9 @@ impl Timeline {
         Self::default()
     }
 
-    /// Record a completed task.
-    pub(crate) fn push(&mut self, iv: Interval) {
-        self.intervals.push(iv);
-    }
-
-    /// Append a synthetic interval — for building timelines by hand in
-    /// tests and analysis tools (the engine uses the internal path).
-    pub fn push_for_test(&mut self, iv: Interval) {
+    /// Record a completed kernel or transfer (the engine's path, and
+    /// how tests and analysis tools build a timeline by hand).
+    pub fn push(&mut self, iv: Interval) {
         self.intervals.push(iv);
     }
 
@@ -95,21 +93,19 @@ impl Timeline {
         self.intervals.iter().filter(|iv| iv.kind.is_transfer())
     }
 
-    /// Earliest start over all GPU-side intervals (kernels + transfers),
-    /// i.e. the paper's "first kernel scheduling" instant.
+    /// Earliest start over all intervals, i.e. the paper's "first
+    /// kernel scheduling" instant.
     pub fn gpu_start(&self) -> Option<Time> {
         self.intervals
             .iter()
-            .filter(|iv| iv.kind == TaskKind::Kernel || iv.kind.is_transfer())
             .map(|iv| iv.start)
             .fold(None, |m, t| Some(m.map_or(t, |m: f64| m.min(t))))
     }
 
-    /// Latest end over all GPU-side intervals.
+    /// Latest end over all intervals.
     pub fn gpu_end(&self) -> Option<Time> {
         self.intervals
             .iter()
-            .filter(|iv| iv.kind == TaskKind::Kernel || iv.kind.is_transfer())
             .map(|iv| iv.end)
             .fold(None, |m, t| Some(m.map_or(t, |m: f64| m.max(t))))
     }
@@ -131,9 +127,7 @@ impl Timeline {
         let mut ids: Vec<u32> = self
             .intervals
             .iter()
-            .filter(|iv| {
-                (iv.kind == TaskKind::Kernel || iv.kind.is_transfer()) && iv.stream != u32::MAX
-            })
+            .filter(|iv| iv.stream != u32::MAX)
             .map(|iv| iv.stream)
             .collect();
         ids.sort_unstable();
@@ -143,12 +137,7 @@ impl Timeline {
 
     /// Devices that carried GPU work (kernels or transfers), ascending.
     pub fn devices_used(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self
-            .intervals
-            .iter()
-            .filter(|iv| iv.kind == TaskKind::Kernel || iv.kind.is_transfer())
-            .map(|iv| iv.device)
-            .collect();
+        let mut ids: Vec<u32> = self.intervals.iter().map(|iv| iv.device).collect();
         ids.sort_unstable();
         ids.dedup();
         ids
@@ -160,7 +149,7 @@ impl Timeline {
     pub fn device_span(&self, device: u32) -> Time {
         let mut bounds: Option<(Time, Time)> = None;
         for iv in &self.intervals {
-            if iv.device != device || !(iv.kind == TaskKind::Kernel || iv.kind.is_transfer()) {
+            if iv.device != device {
                 continue;
             }
             bounds = Some(match bounds {
@@ -199,7 +188,6 @@ mod tests {
     #[test]
     fn span_covers_kernels_and_transfers_only() {
         let mut t = Timeline::new();
-        t.push(iv(TaskKind::Marker, 9, 0.0, 10.0)); // not GPU work: ignored
         t.push(iv(TaskKind::CopyH2D, 0, 1.0, 2.0));
         t.push(iv(TaskKind::Kernel, 0, 2.0, 5.0));
         assert_eq!(t.gpu_start(), Some(1.0));

@@ -417,10 +417,9 @@ impl Cluster {
     /// device first, then each node's device↔device wiring (device ids
     /// are contiguous per node), then the NIC full mesh over node pairs.
     ///
-    /// `dev.pcie_bw` must be positive; it is also what the engine times
-    /// host transfers against (`Engine::with_topology` asserts the two
-    /// agree). A host link's latency is `dev.launch_overhead`, the setup
-    /// every bulk copy over it is charged.
+    /// Each host link takes `dev.pcie_bw` (which must be positive) as its
+    /// bandwidth and `dev.launch_overhead` as its latency; from then on
+    /// the link alone times the host copies over it.
     pub fn build(&self, dev: &DeviceProfile) -> Topology {
         assert!(dev.pcie_bw > 0.0, "bandwidths must be positive");
         let n = self.nodes * self.gpus_per_node;

@@ -224,8 +224,6 @@ impl ServeConfig {
     /// Serve on `topology` — any machine a [`Topology`] describes: a
     /// preset over several devices, a flattened [`gpu_sim::Cluster`],
     /// either with finite memory — placing launches with `placement`.
-    /// Its host links must be the device profile's, as for
-    /// [`GrCuda::with_topology`].
     pub fn on(mut self, topology: Topology, placement: PlacementPolicy) -> Self {
         self.topology = topology;
         self.placement = placement;

@@ -26,7 +26,7 @@ pub fn render_timeline(tl: &Timeline, width: usize) -> String {
     // Collect GPU streams in first-use order.
     let mut streams: Vec<u32> = Vec::new();
     for iv in tl.intervals() {
-        if (iv.kind == TaskKind::Kernel || iv.kind.is_transfer()) && !streams.contains(&iv.stream) {
+        if !streams.contains(&iv.stream) {
             streams.push(iv.stream);
         }
     }
@@ -40,7 +40,7 @@ pub fn render_timeline(tl: &Timeline, width: usize) -> String {
     for &s in &streams {
         let mut row = vec![b' '; width];
         for iv in tl.intervals() {
-            if iv.stream != s || !(iv.kind == TaskKind::Kernel || iv.kind.is_transfer()) {
+            if iv.stream != s {
                 continue;
             }
             let (a, b) = (scale(iv.start), scale(iv.end).max(scale(iv.start)));
@@ -97,9 +97,9 @@ mod tests {
     #[test]
     fn renders_streams_and_legend() {
         let mut tl = Timeline::new();
-        tl.push_for_test(iv(TaskKind::CopyH2D, 0, 0.0, 1.0, "x"));
-        tl.push_for_test(iv(TaskKind::Kernel, 0, 1.0, 3.0, "square"));
-        tl.push_for_test(iv(TaskKind::Kernel, 1, 0.5, 2.0, "square"));
+        tl.push(iv(TaskKind::CopyH2D, 0, 0.0, 1.0, "x"));
+        tl.push(iv(TaskKind::Kernel, 0, 1.0, 3.0, "square"));
+        tl.push(iv(TaskKind::Kernel, 1, 0.5, 2.0, "square"));
         let s = render_timeline(&tl, 40);
         assert!(s.contains("s0"));
         assert!(s.contains("s1"));

@@ -19,12 +19,7 @@ pub fn to_chrome_trace(tl: &Timeline, process_name: &str) -> String {
          \"args\":{{\"name\":\"{}\"}}}}",
         escape(process_name)
     ));
-    let mut streams: Vec<u32> = tl
-        .intervals()
-        .iter()
-        .filter(|iv| iv.kind == TaskKind::Kernel || iv.kind.is_transfer())
-        .map(|iv| iv.stream)
-        .collect();
+    let mut streams: Vec<u32> = tl.intervals().iter().map(|iv| iv.stream).collect();
     streams.sort_unstable();
     streams.dedup();
     for &s in &streams {
@@ -40,9 +35,6 @@ pub fn to_chrome_trace(tl: &Timeline, process_name: &str) -> String {
         ));
     }
     for iv in tl.intervals() {
-        if iv.kind != TaskKind::Kernel && !iv.kind.is_transfer() {
-            continue;
-        }
         let cat = match iv.kind {
             TaskKind::Kernel => "kernel",
             TaskKind::CopyH2D => "h2d",
@@ -108,8 +100,8 @@ mod tests {
     #[test]
     fn trace_is_wellformed_json_array() {
         let mut tl = Timeline::new();
-        tl.push_for_test(iv(TaskKind::CopyH2D, 0, 0.0, 1e-3, "x"));
-        tl.push_for_test(iv(TaskKind::Kernel, 1, 1e-3, 3e-3, "square"));
+        tl.push(iv(TaskKind::CopyH2D, 0, 0.0, 1e-3, "x"));
+        tl.push(iv(TaskKind::Kernel, 1, 1e-3, 3e-3, "square"));
         let s = to_chrome_trace(&tl, "VEC");
         assert!(s.trim_start().starts_with('['));
         assert!(s.trim_end().ends_with(']'));
@@ -130,8 +122,8 @@ mod tests {
             value: Some(ValueId(3)),
             ..iv(TaskKind::CopyD2H, u32::MAX, 0.0, 1e-3, "evict")
         };
-        tl.push_for_test(moved);
-        tl.push_for_test(iv(TaskKind::Kernel, 0, 1e-3, 2e-3, "square"));
+        tl.push(moved);
+        tl.push(iv(TaskKind::Kernel, 0, 1e-3, 2e-3, "square"));
         let s = to_chrome_trace(&tl, "t");
         assert!(s.contains("\"name\":\"evict\""));
         assert!(s.contains("\"args\":{\"bytes\":128,\"task\":7,\"value\":3}"));
@@ -141,7 +133,7 @@ mod tests {
     #[test]
     fn host_stream_maps_to_tid_zero() {
         let mut tl = Timeline::new();
-        tl.push_for_test(iv(TaskKind::FaultD2H, u32::MAX, 0.0, 1e-6, "umfault"));
+        tl.push(iv(TaskKind::FaultD2H, u32::MAX, 0.0, 1e-6, "umfault"));
         let s = to_chrome_trace(&tl, "t");
         assert!(s.contains("\"tid\":0"));
         assert!(s.contains("um-fault"));
@@ -150,19 +142,9 @@ mod tests {
     #[test]
     fn labels_with_quotes_are_escaped() {
         let mut tl = Timeline::new();
-        tl.push_for_test(iv(TaskKind::Kernel, 0, 0.0, 1.0, "k\"q\""));
+        tl.push(iv(TaskKind::Kernel, 0, 0.0, 1.0, "k\"q\""));
         let s = to_chrome_trace(&tl, "p\"n");
         assert!(s.contains("k\\\"q\\\""));
         assert!(s.contains("p\\\"n"));
-    }
-
-    #[test]
-    fn markers_and_host_tasks_are_excluded() {
-        let mut tl = Timeline::new();
-        tl.push_for_test(iv(TaskKind::Marker, 0, 0.0, 0.0, "ev"));
-        tl.push_for_test(iv(TaskKind::Marker, 0, 0.0, 1.0, "cpu"));
-        let s = to_chrome_trace(&tl, "t");
-        assert!(!s.contains("\"name\":\"ev\""));
-        assert!(!s.contains("\"name\":\"cpu\""));
     }
 }

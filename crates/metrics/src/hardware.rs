@@ -94,7 +94,7 @@ mod tests {
     #[test]
     fn throughput_is_bytes_over_span() {
         let mut tl = Timeline::new();
-        tl.push_for_test(kernel_iv(0.0, 2.0, 100e9, 1e9, 4e9));
+        tl.push(kernel_iv(0.0, 2.0, 100e9, 1e9, 4e9));
         let m = HardwareMetrics::from_timeline(&tl, &DeviceProfile::gtx1660_super());
         assert!((m.dram_throughput - 50e9).abs() < 1.0);
         assert!((m.l2_throughput - 100e9).abs() < 1.0);
@@ -107,11 +107,11 @@ mod tests {
         // Same work in half the time → 2x every rate metric (the paper's
         // Fig. 12 observation).
         let mut slow = Timeline::new();
-        slow.push_for_test(kernel_iv(0.0, 1.0, 10e9, 1e9, 1e9));
-        slow.push_for_test(kernel_iv(1.0, 2.0, 10e9, 1e9, 1e9));
+        slow.push(kernel_iv(0.0, 1.0, 10e9, 1e9, 1e9));
+        slow.push(kernel_iv(1.0, 2.0, 10e9, 1e9, 1e9));
         let mut fast = Timeline::new();
-        fast.push_for_test(kernel_iv(0.0, 1.0, 10e9, 1e9, 1e9));
-        fast.push_for_test(kernel_iv(0.0, 1.0, 10e9, 1e9, 1e9));
+        fast.push(kernel_iv(0.0, 1.0, 10e9, 1e9, 1e9));
+        fast.push(kernel_iv(0.0, 1.0, 10e9, 1e9, 1e9));
         let dev = DeviceProfile::gtx1660_super();
         let ms = HardwareMetrics::from_timeline(&slow, &dev);
         let mf = HardwareMetrics::from_timeline(&fast, &dev);
@@ -126,7 +126,7 @@ mod tests {
         let mut tl = Timeline::new();
         // instructions = 1 second worth of full issue on all SMs → IPC
         // equals the issue width baked into clock_hz bookkeeping (128).
-        tl.push_for_test(kernel_iv(0.0, 1.0, 0.0, dev.instr_rate, 0.0));
+        tl.push(kernel_iv(0.0, 1.0, 0.0, dev.instr_rate, 0.0));
         let m = HardwareMetrics::from_timeline(&tl, &dev);
         assert!((m.ipc - 128.0).abs() < 1e-6);
     }

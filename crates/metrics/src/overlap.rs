@@ -91,7 +91,7 @@ mod tests {
         // Build through the public-ish surface: reconstruct intervals.
         let mut t = Timeline::new();
         for (i, &(kind, start, end)) in entries.iter().enumerate() {
-            t.push_for_test(Interval {
+            t.push(Interval {
                 task: i as u32,
                 kind,
                 stream: i as u32,
