@@ -8,9 +8,10 @@
 #
 # (i)  Non-test code lines per crate: for every crates/<crate>/src/**.rs,
 #      the lines above the file's first `#[cfg(test)]`, blank and
-#      comment-only (`//`, `///`, `//!`) lines excluded. Files that are
-#      test-only modules (`prop_tests.rs`, declared under `#[cfg(test)]`
-#      by their parent) count as zero. The rule is checked, not assumed:
+#      comment-only (`//`, `///`, `//!`) lines excluded. Test-only files
+#      count as zero: a file whose parent declares it under
+#      `#[cfg(test)]` (`mod NAME;` on the next line), whatever its name
+#      (ci/test_files.sh). The rule is checked, not assumed:
 #      an indented `#[cfg(test)]` above a file's test module (a test
 #      helper in the middle of an `impl`) would hide every line below it
 #      from (i), (iii) and (vi), so the census names it and exits 1
@@ -42,8 +43,8 @@
 #      printed; spend them (`pub(crate)`, private, or delete with their
 #      tests) rather than list them anywhere.
 # (vii) Test size per crate, the other side of (i): the lines from each
-#      file's first `#[cfg(test)]` on, whole `prop_tests.rs` files and
-#      the crate's `tests/` directory (the root package's `tests/` as
+#      file's first `#[cfg(test)]` on, whole test-only files (as in (i))
+#      and the crate's `tests/` directory (the root package's `tests/` as
 #      `(root)`), counted by the same rules as (i); and the `#[test]`
 #      functions among them (doc tests not counted).
 # (viii) Settable options: the `pub` fields of the structs a caller
@@ -53,8 +54,9 @@
 #      one shows it here the way (ii) shows public items.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source ci/test_files.sh
 
-early=$(find crates/*/src -name '*.rs' ! -name 'prop_tests.rs' -print0 | xargs -0 awk '
+early=$(non_test_sources crates/*/src | xargs awk '
     FNR == 1 { in_tests = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
     !in_tests && /^[[:space:]]+#\[cfg\(test\)\]/ { print "  " FILENAME ":" FNR }')
@@ -66,8 +68,7 @@ fi
 total=0
 for crate in crates/*/; do
     name=$(basename "$crate")
-    lines=$(find "$crate/src" -name '*.rs' ! -name 'prop_tests.rs' -print0 |
-        xargs -0 awk '
+    lines=$(non_test_sources "$crate/src" | xargs awk '
             FNR == 1 { in_tests = 0 }
             /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
             in_tests { next }
@@ -81,6 +82,7 @@ done
 printf 'non-test code lines  %-12s %6d\n' total "$total"
 
 # (vii), see the header.
+test_only=$(test_only_files)
 test_total=0 tests_total=0
 for dir in crates/*/ .; do
     name=$(basename "$dir")
@@ -89,8 +91,9 @@ for dir in crates/*/ .; do
     [ "$dir" = . ] || mapfile -t files < <(find "$dir/src" -name '*.rs')
     [ -d "$dir/tests" ] && mapfile -t -O ${#files[@]} files < <(find "$dir/tests" -name '*.rs')
     [ ${#files[@]} -gt 0 ] || continue
-    lines=$(awk '
-        FNR == 1 { in_tests = FILENAME ~ /prop_tests\.rs$|\/tests\// }
+    lines=$(awk -v test_only="$test_only" '
+        BEGIN { n_only = split(test_only, only, "\n"); for (i = 1; i <= n_only; i++) whole[only[i]] = 1 }
+        FNR == 1 { f = FILENAME; gsub(/\/\/+/, "/", f); in_tests = (f in whole) || f ~ /\/tests\// }
         /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
         !in_tests { next }
         /^[[:space:]]*$/ { next }

@@ -31,6 +31,7 @@ trap 'rm -rf "$work"' EXIT
 tar -cf - --exclude=./.git --exclude=./target --exclude=./.bench_build \
     --exclude=./benchmark/target . | tar -xf - -C "$work"
 cd "$work"
+source ci/test_files.sh
 
 check() {
     CARGO_TARGET_DIR=$work/target cargo check --offline --quiet --workspace --all-targets &&
@@ -44,10 +45,10 @@ if ! check >"$work/log" 2>&1; then
 fi
 
 # file, line, line of the enclosing `impl` (0 for a free function),
-# `Type::name` — non-test code only, as in census (i).
+# `Type::name` — non-test code only, as in census (i): test-only files
+# (ci/test_files.sh) left out.
 candidates=$(for crate in gpu-sim cuda-sim dag grcuda metrics benchmarks; do
-    find "crates/$crate/src" -name '*.rs' ! -name 'prop_tests.rs' -print0 | sort -z |
-        xargs -0 awk '
+    non_test_sources "crates/$crate/src" | sort | xargs awk '
             FNR == 1 { in_tests = 0; owner = ""; impl_line = 0 }
             /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
             in_tests { next }

@@ -59,7 +59,16 @@ pub enum Endpoint {
     Node(u32),
 }
 
-/// A bidirectional interconnect link with an aggregate capacity.
+/// A bidirectional interconnect link. How its [`Link::bandwidth`] is
+/// shared depends on the kind of link:
+///
+/// * a host link grants `bandwidth` to each direction: an H2D and a D2H
+///   copy on one device each run at the full rate;
+/// * a peer or NIC link shares `bandwidth` between both directions:
+///   every transfer in flight on it, either way, contends for it.
+///
+/// On every link, copies in the same direction also queue on one DMA
+/// engine per link and direction, which `cuda-sim` keeps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     /// One endpoint (the host for host links, the lower device id for
@@ -67,8 +76,8 @@ pub struct Link {
     pub a: Endpoint,
     /// The other endpoint.
     pub b: Endpoint,
-    /// Aggregate bandwidth in bytes/s shared by all transfers in flight
-    /// on this link.
+    /// Bandwidth in bytes/s: per direction on a host link, shared by
+    /// both directions on a peer or NIC link (see [`Link`]).
     pub bandwidth: f64,
     /// Fixed per-transfer setup latency.
     pub latency: Time,

@@ -27,8 +27,9 @@
 //!   informational: a pre-read audit flags every output array).
 //!
 //! Entry points: [`crate::GrCuda::audit`] for a built program, or
-//! [`audit_dag`] for a raw [`ComputationDag`] (property tests audit
-//! hand-built DAGs with an empty [`EffectsTable`]). Debug builds also
+//! [`audit_dag`] for a raw [`ComputationDag`] ([`audit_under`] judges
+//! the ordering under a subset of its edges, as the small-scope checker
+//! does with each load-bearing edge taken away). Debug builds also
 //! audit automatically on every [`crate::GrCuda::sync`] (a test that
 //! runs a schedule it knows is broken lets the host wait past its end
 //! instead).

@@ -1150,6 +1150,18 @@ mod tests {
         parallel(DeviceProfile::tesla_p100())
     }
 
+    impl GrCuda {
+        /// Read the scheduler's DAG and effects table, for tests that
+        /// audit the inferred schedule with edges taken away.
+        pub(crate) fn with_dag<R>(
+            &self,
+            f: impl FnOnce(&ComputationDag, &crate::audit::EffectsTable) -> R,
+        ) -> R {
+            let ctx = self.inner.borrow();
+            f(&ctx.dag, &ctx.effects)
+        }
+    }
+
     const G: Grid = Grid {
         blocks: (64, 1, 1),
         threads: (256, 1, 1),

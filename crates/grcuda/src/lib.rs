@@ -82,3 +82,5 @@ pub use policy::{DeviceSelectionPolicy, PlacementCtx, PlacementPolicy, Reads};
 
 #[cfg(test)]
 mod prop_tests;
+#[cfg(test)]
+mod small_scope;

@@ -1,337 +1,17 @@
-//! End-to-end property tests: random programs through the *full* stack
-//! (scheduler → streams/events → engine → functional execution) must be
-//! observationally equivalent to serial execution and race-free.
-//!
-//! This is the whole paper's claim quantified over program space, not
-//! just over the six benchmarks.
+//! Fixed-input checks of batched submission, and the property tests the
+//! small-scope checker (`crate::small_scope`) does not cover: the batch
+//! partitioner over random sharing structures, and serving determinism
+//! over random multi-tenant arrival orders.
 
 use proptest::prelude::*;
 
 use gpu_sim::{DeviceProfile, Grid};
-use kernels::util::{AXPY, COPY_F32, DOT, SCALE};
-use kernels::KernelDef;
+use kernels::util::{AXPY, COPY_F32, SCALE};
 
-use crate::{Arg, BatchLaunch, DeviceArray, GrCuda, Kernel, Options};
+use crate::small_scope::{oracle, run, timeline_bits, Access, Step, MAX_ARRAYS};
+use crate::{Arg, BatchLaunch, GrCuda, Options};
 
-const N_ARRAYS: usize = 4;
 const ARRAY_LEN: usize = 257; // odd on purpose: catches off-by-ones
-
-/// One random program step over a small pool of arrays.
-#[derive(Debug, Clone, Copy)]
-enum Step {
-    /// `dst ← a · src` (reads src, writes dst).
-    Scale { src: usize, dst: usize, a: i32 },
-    /// `dst ← a · src + dst` (reads src, read-writes dst).
-    Axpy { src: usize, dst: usize, a: i32 },
-    /// `dst ← src`.
-    Copy { src: usize, dst: usize },
-    /// `dst[0] ← aᵀ·b` (reads a and b — possibly the same array).
-    Dot { a: usize, b: usize, dst: usize },
-    /// Host reads element `i` of array `arr` (forces precise sync).
-    HostRead { arr: usize, i: usize },
-    /// Host overwrites array `arr` with a constant.
-    HostFill { arr: usize, v: i32 },
-}
-
-fn step_strategy() -> impl Strategy<Value = Step> {
-    // Writable destinations must differ from read sources: the kernels'
-    // functional implementations (like most real CUDA kernels) do not
-    // support aliased in/out pointers, and GrCUDA's managed environment
-    // is what rules aliasing out in the first place (§IV-A).
-    let arr = 0..N_ARRAYS;
-    let distinct = |s: usize, d: usize| {
-        if s == d {
-            (s, (d + 1) % N_ARRAYS)
-        } else {
-            (s, d)
-        }
-    };
-    prop_oneof![
-        (arr.clone(), arr.clone(), -3..4i32).prop_map(move |(s, d, a)| {
-            let (src, dst) = distinct(s, d);
-            Step::Scale { src, dst, a }
-        }),
-        (arr.clone(), arr.clone(), -3..4i32).prop_map(move |(s, d, a)| {
-            let (src, dst) = distinct(s, d);
-            Step::Axpy { src, dst, a }
-        }),
-        (arr.clone(), arr.clone()).prop_map(move |(s, d)| {
-            let (src, dst) = distinct(s, d);
-            Step::Copy { src, dst }
-        }),
-        (arr.clone(), arr.clone(), arr.clone()).prop_map(move |(a, b, d)| {
-            // `a` and `b` may alias (both read-only); `dst` must differ.
-            let dst = if d == a || d == b {
-                (a.max(b) + 1) % N_ARRAYS
-            } else {
-                d
-            };
-            let dst = if dst == a || dst == b {
-                (dst + 1) % N_ARRAYS
-            } else {
-                dst
-            };
-            Step::Dot { a, b, dst }
-        }),
-        (arr.clone(), 0..ARRAY_LEN).prop_map(|(a, i)| Step::HostRead { arr: a, i }),
-        (arr, -2..3i32).prop_map(|(a, v)| Step::HostFill { arr: a, v }),
-    ]
-}
-
-/// Kernel-only steps (no host accesses): the shapes a batch can hold.
-fn kernel_step_strategy() -> impl Strategy<Value = Step> {
-    let arr = 0..N_ARRAYS;
-    let distinct = |s: usize, d: usize| {
-        if s == d {
-            (s, (d + 1) % N_ARRAYS)
-        } else {
-            (s, d)
-        }
-    };
-    prop_oneof![
-        (arr.clone(), arr.clone(), -3..4i32).prop_map(move |(s, d, a)| {
-            let (src, dst) = distinct(s, d);
-            Step::Scale { src, dst, a }
-        }),
-        (arr.clone(), arr.clone(), -3..4i32).prop_map(move |(s, d, a)| {
-            let (src, dst) = distinct(s, d);
-            Step::Axpy { src, dst, a }
-        }),
-        (arr.clone(), arr.clone()).prop_map(move |(s, d)| {
-            let (src, dst) = distinct(s, d);
-            Step::Copy { src, dst }
-        }),
-        (arr.clone(), arr.clone(), arr).prop_map(move |(a, b, d)| {
-            let dst = if d == a || d == b {
-                (a.max(b) + 1) % N_ARRAYS
-            } else {
-                d
-            };
-            let dst = if dst == a || dst == b {
-                (dst + 1) % N_ARRAYS
-            } else {
-                dst
-            };
-            Step::Dot { a, b, dst }
-        }),
-    ]
-}
-
-/// One timeline interval projected to everything the simulation
-/// determines: task id, kind, stream, device, link, label, array and
-/// the exact bit patterns of its start/end times.
-type IntervalSig = (
-    u32,
-    String,
-    u32,
-    u32,
-    Option<u32>,
-    &'static str,
-    Option<u64>,
-    u64,
-    u64,
-);
-
-/// The timeline projected to [`IntervalSig`] rows.
-fn timeline_sig(g: &GrCuda) -> Vec<IntervalSig> {
-    g.timeline()
-        .intervals()
-        .iter()
-        .map(|iv| {
-            (
-                iv.task,
-                format!("{:?}", iv.kind),
-                iv.stream,
-                iv.device,
-                iv.link,
-                iv.label,
-                iv.value.map(|v| v.0),
-                iv.start.to_bits(),
-                iv.end.to_bits(),
-            )
-        })
-        .collect()
-}
-
-/// The program's four kernels, in the order [`kernel_calls`] indexes.
-fn program_kernels(g: &GrCuda) -> [Kernel; 4] {
-    let k = |def: &KernelDef| g.build_kernel(def).unwrap();
-    [k(&SCALE), k(&AXPY), k(&COPY_F32), k(&DOT)]
-}
-
-/// A kernel-only program as `(index into program_kernels, args)` calls.
-fn kernel_calls(steps: &[Step], arrays: &[DeviceArray]) -> Vec<(usize, Vec<Arg>)> {
-    let nf = ARRAY_LEN as f64;
-    steps
-        .iter()
-        .map(|s| match *s {
-            Step::Scale { src, dst, a } => (
-                0,
-                vec![
-                    Arg::array(&arrays[src]),
-                    Arg::array(&arrays[dst]),
-                    Arg::scalar(a as f64),
-                    Arg::scalar(nf),
-                ],
-            ),
-            Step::Axpy { src, dst, a } => (
-                1,
-                vec![
-                    Arg::array(&arrays[src]),
-                    Arg::array(&arrays[dst]),
-                    Arg::scalar(a as f64),
-                    Arg::scalar(nf),
-                ],
-            ),
-            Step::Copy { src, dst } => (
-                2,
-                vec![
-                    Arg::array(&arrays[src]),
-                    Arg::array(&arrays[dst]),
-                    Arg::scalar(nf),
-                ],
-            ),
-            Step::Dot { a, b, dst } => (
-                3,
-                vec![
-                    Arg::array(&arrays[a]),
-                    Arg::array(&arrays[b]),
-                    Arg::array(&arrays[dst]),
-                    Arg::scalar(nf),
-                ],
-            ),
-            Step::HostRead { .. } | Step::HostFill { .. } => {
-                unreachable!("kernel-only programs")
-            }
-        })
-        .collect()
-}
-
-/// Run a kernel-only program either as one [`GrCuda::launch_batch`] or
-/// as serial per-call launches. Returns final array contents, the full
-/// timeline signature, the bit pattern of the final virtual time, the
-/// race count, and the host time spent *submitting* (before the sync).
-type BatchRun = (Vec<Vec<f32>>, Vec<IntervalSig>, u64, usize, f64);
-
-fn run_kernel_program(steps: &[Step], dev: DeviceProfile, batch: bool) -> BatchRun {
-    let g = GrCuda::new(dev, Options::parallel());
-    let arrays: Vec<_> = (0..N_ARRAYS).map(|_| g.array_f32(ARRAY_LEN)).collect();
-    for (i, a) in arrays.iter().enumerate() {
-        let init: Vec<f32> = (0..ARRAY_LEN)
-            .map(|j| ((i * 31 + j * 7) % 11) as f32 - 5.0)
-            .collect();
-        a.copy_from_f32(&init);
-    }
-    let grid = Grid::d1(16, 64);
-    let kernels = program_kernels(&g);
-    let calls = kernel_calls(steps, &arrays);
-    let t0 = g.now();
-    if batch {
-        let batch_calls: Vec<BatchLaunch<'_>> = calls
-            .iter()
-            .map(|(ki, args)| BatchLaunch {
-                kernel: &kernels[*ki],
-                grid,
-                args,
-            })
-            .collect();
-        g.launch_batch(&batch_calls).unwrap();
-    } else {
-        for (ki, args) in &calls {
-            kernels[*ki].launch(grid, args).unwrap();
-        }
-    }
-    let submit_time = g.now() - t0;
-    g.sync();
-    (
-        arrays.iter().map(|a| a.to_vec_f32()).collect(),
-        timeline_sig(&g),
-        g.now().to_bits(),
-        g.races().len(),
-        submit_time,
-    )
-}
-
-/// Execute a program and return the final contents of every array.
-fn run_program(steps: &[Step], opts: Options, dev: DeviceProfile) -> (Vec<Vec<f32>>, usize) {
-    let g = GrCuda::new(dev, opts);
-    let arrays: Vec<_> = (0..N_ARRAYS).map(|_| g.array_f32(ARRAY_LEN)).collect();
-    for (i, a) in arrays.iter().enumerate() {
-        let init: Vec<f32> = (0..ARRAY_LEN)
-            .map(|j| ((i * 31 + j * 7) % 11) as f32 - 5.0)
-            .collect();
-        a.copy_from_f32(&init);
-    }
-    let grid = Grid::d1(16, 64);
-    let nf = ARRAY_LEN as f64;
-    let k = |def: &KernelDef| g.build_kernel(def).unwrap();
-    let (scale, axpy, copy, dot) = (k(&SCALE), k(&AXPY), k(&COPY_F32), k(&DOT));
-
-    for s in steps {
-        match *s {
-            Step::Scale { src, dst, a } => {
-                _ = scale
-                    .launch(
-                        grid,
-                        &[
-                            Arg::array(&arrays[src]),
-                            Arg::array(&arrays[dst]),
-                            Arg::scalar(a as f64),
-                            Arg::scalar(nf),
-                        ],
-                    )
-                    .unwrap()
-            }
-            Step::Axpy { src, dst, a } => {
-                _ = axpy
-                    .launch(
-                        grid,
-                        &[
-                            Arg::array(&arrays[src]),
-                            Arg::array(&arrays[dst]),
-                            Arg::scalar(a as f64),
-                            Arg::scalar(nf),
-                        ],
-                    )
-                    .unwrap()
-            }
-            Step::Copy { src, dst } => {
-                _ = copy
-                    .launch(
-                        grid,
-                        &[
-                            Arg::array(&arrays[src]),
-                            Arg::array(&arrays[dst]),
-                            Arg::scalar(nf),
-                        ],
-                    )
-                    .unwrap()
-            }
-            Step::Dot { a, b, dst } => {
-                _ = dot
-                    .launch(
-                        grid,
-                        &[
-                            Arg::array(&arrays[a]),
-                            Arg::array(&arrays[b]),
-                            Arg::array(&arrays[dst]),
-                            Arg::scalar(nf),
-                        ],
-                    )
-                    .unwrap()
-            }
-            Step::HostRead { arr, i } => {
-                let _ = arrays[arr].get_f32(i);
-            }
-            Step::HostFill { arr, v } => {
-                arrays[arr].fill_f32(v as f32);
-            }
-        }
-    }
-    g.sync();
-    let races = g.races().len();
-    (arrays.iter().map(|a| a.to_vec_f32()).collect(), races)
-}
 
 /// With real overheads, a batch pays the host API + scheduling charge
 /// once instead of once per launch: submission time must shrink by
@@ -339,16 +19,17 @@ fn run_program(steps: &[Step], opts: Options, dev: DeviceProfile) -> (Vec<Vec<f3
 #[test]
 fn batched_submission_amortizes_host_overheads() {
     let steps: Vec<Step> = (0..24)
-        .map(|i| Step::Scale {
-            src: i % 2,
-            dst: 2 + (i % 2),
-            a: 2,
+        .map(|i| {
+            let mut acc = [Access::None; MAX_ARRAYS];
+            acc[i % 2] = Access::Const;
+            acc[2 + i % 2] = Access::InOut;
+            Step::Launch(acc)
         })
         .collect();
-    let dev = DeviceProfile::tesla_p100();
-    let (s_arrays, _, _, _, serial_submit) = run_kernel_program(&steps, dev.clone(), false);
-    let (b_arrays, _, _, _, batch_submit) = run_kernel_program(&steps, dev, true);
-    assert_eq!(s_arrays, b_arrays, "amortization must not change results");
+    let want = oracle(&steps);
+    let runtime = || GrCuda::new(DeviceProfile::tesla_p100(), Options::parallel());
+    let (serial_submit, _) = run(&runtime(), &steps, &want, false, false);
+    let (batch_submit, _) = run(&runtime(), &steps, &want, true, false);
     assert!(
         batch_submit < serial_submit / 8.0,
         "batch submission {batch_submit} vs serial {serial_submit}"
@@ -391,154 +72,6 @@ fn launch_batch_validates_before_submitting() {
         0,
         "a rejected batch must submit nothing"
     );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Any random program produces the same results under the parallel
-    /// scheduler as under serial execution, with no data races, on every
-    /// device generation (Maxwell's eager-copy path included).
-    #[test]
-    fn parallel_equals_serial_on_random_programs(
-        steps in proptest::collection::vec(step_strategy(), 1..24),
-        dev_idx in 0..3usize,
-    ) {
-        let dev = DeviceProfile::paper_devices()[dev_idx].clone();
-        let (serial, races_s) = run_program(&steps, Options::serial(), dev.clone());
-        let (parallel, races_p) = run_program(&steps, Options::parallel(), dev);
-        prop_assert_eq!(races_s, 0);
-        prop_assert_eq!(races_p, 0, "parallel scheduler raced on {:?}", steps);
-        prop_assert_eq!(serial, parallel, "results diverged on {:?}", steps);
-    }
-
-    /// With the host-side charges zeroed, batched submission is
-    /// **bit-identical** to serial submission: same DAG-driven task
-    /// ids, streams, placements and exact start/end times — the batch
-    /// only removes host time, and here there is none to remove.
-    #[test]
-    fn batched_submission_is_bit_identical_under_zero_overheads(
-        steps in proptest::collection::vec(kernel_step_strategy(), 1..20),
-    ) {
-        let mut dev = DeviceProfile::tesla_p100();
-        dev.host_api_overhead = 0.0;
-        dev.sched_overhead = 0.0;
-        dev.event_overhead = 0.0;
-        let (s_arrays, s_sig, s_now, s_races, _) = run_kernel_program(&steps, dev.clone(), false);
-        let (b_arrays, b_sig, b_now, b_races, _) = run_kernel_program(&steps, dev, true);
-        prop_assert_eq!(s_races, 0);
-        prop_assert_eq!(b_races, 0, "batched submission raced on {:?}", steps);
-        prop_assert_eq!(&s_sig, &b_sig, "timelines diverged on {:?}", steps);
-        prop_assert_eq!(s_now, b_now, "final virtual time diverged on {:?}", steps);
-        prop_assert_eq!(s_arrays, b_arrays, "results diverged on {:?}", steps);
-    }
-
-    /// No false positives: the audit of a correctly-inferred schedule is
-    /// clean on any random program, under every placement policy. (The
-    /// sanitizer re-derives the ordering obligations independently from
-    /// the access modes, so agreement here is two implementations
-    /// cross-checking each other over program space.)
-    #[test]
-    fn audit_of_inferred_schedule_is_clean_under_all_policies(
-        steps in proptest::collection::vec(kernel_step_strategy(), 1..16),
-    ) {
-        use crate::PlacementPolicy;
-        for policy in PlacementPolicy::ALL {
-            let dev = DeviceProfile::tesla_p100();
-            let topo = gpu_sim::Topology::pcie_only(2, &dev);
-            let mg = GrCuda::with_topology(dev, topo, Options::parallel(), policy);
-            let arrays: Vec<_> = (0..N_ARRAYS).map(|_| mg.array_f32(ARRAY_LEN)).collect();
-            let grid = Grid::d1(16, 64);
-            let kernels = program_kernels(&mg);
-            for (ki, args) in kernel_calls(&steps, &arrays) {
-                kernels[ki].launch(grid, &args).unwrap();
-            }
-            // Audit before the sync retires the schedule away.
-            let report = mg.audit();
-            prop_assert!(
-                report.is_clean(),
-                "{policy:?} audit found violations on {steps:?}:\n{report}"
-            );
-            prop_assert!(report.dead_writes.is_empty(), "{policy:?}:\n{report}");
-            mg.sync();
-            prop_assert_eq!(mg.races().len(), 0, "{:?}", policy);
-        }
-    }
-
-    /// No false negatives: deleting any single load-bearing (non-
-    /// redundant) inferred edge always produces at least one violation
-    /// naming exactly that edge's endpoints.
-    #[test]
-    fn deleting_one_inferred_edge_is_always_caught(
-        ops in proptest::collection::vec(
-            (proptest::collection::vec(proptest::bool::ANY, 4..5), 0..4usize),
-            2..20,
-        ),
-        pick in 0..1usize << 30,
-    ) {
-        use dag::{ArgAccess, ComputationDag, ElementKind, Reachability, Value};
-        use crate::audit::{audit_dag, audit_under, EffectsTable, ScheduleViolation};
-        let mut d = ComputationDag::new();
-        for (mask, written) in &ops {
-            // One access per value; the `written` value writes, the rest
-            // of the mask reads — every op touches at least one value.
-            let args: Vec<ArgAccess> = (0..4)
-                .filter_map(|v| {
-                    if v == *written {
-                        Some(ArgAccess::write(Value(v as u64)))
-                    } else if mask[v] {
-                        Some(ArgAccess::read(Value(v as u64)))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            d.add_computation(ElementKind::Kernel, "K", args);
-        }
-        let effects = EffectsTable::new();
-        let full = audit_dag(&d, &effects);
-        prop_assert!(full.is_clean(), "{full}");
-
-        let flags = Reachability::new(&d).redundant_edges(&d);
-        let load_bearing: Vec<usize> = (0..d.edges().len())
-            .filter(|&k| !flags[k])
-            .collect();
-        if load_bearing.is_empty() {
-            return Ok(()); // every edge covered elsewhere: nothing to delete
-        }
-        let k = load_bearing[pick % load_bearing.len()];
-        let e = &d.edges()[k];
-        let without_k = Reachability::with_edges(&d, |j, _| j != k);
-        let report = audit_under(&d, &effects, Some(&without_k));
-        let names_the_pair = report.violations.iter().any(|v| matches!(
-            v,
-            ScheduleViolation::UnorderedConflict { first, second, .. }
-                if *first == e.from && *second == e.to
-        ));
-        prop_assert!(
-            names_the_pair,
-            "deleting edge {k} ({:?}→{:?} on {:?}) went unnoticed:\n{report}",
-            e.from, e.to, e.value
-        );
-    }
-
-    /// All stream policies agree with each other.
-    #[test]
-    fn all_policies_agree_on_random_programs(
-        steps in proptest::collection::vec(step_strategy(), 1..16),
-    ) {
-        use crate::{DepStreamPolicy, StreamReusePolicy};
-        let dev = DeviceProfile::tesla_p100();
-        let (baseline, _) = run_program(&steps, Options::serial(), dev.clone());
-        for dep in [DepStreamPolicy::FirstChildOnParent, DepStreamPolicy::AlwaysParent, DepStreamPolicy::AlwaysNew] {
-            for reuse in [StreamReusePolicy::FifoReuse, StreamReusePolicy::AlwaysNew] {
-                let opts = Options::parallel().with_dep_stream(dep).with_stream_reuse(reuse);
-                let (got, races) = run_program(&steps, opts, dev.clone());
-                prop_assert_eq!(races, 0, "{:?}/{:?}", dep, reuse);
-                prop_assert_eq!(&got, &baseline, "{:?}/{:?} diverged", dep, reuse);
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -595,9 +128,9 @@ fn serve_req_strategy() -> impl Strategy<Value = ServeReq> {
 }
 
 /// Everything the service run determines, bit-exactly: the full
-/// timeline signature, the final virtual time, and every tenant's
-/// per-request latencies in completion order.
-type ServeSig = (Vec<IntervalSig>, u64, Vec<Vec<u64>>);
+/// timeline with the final virtual time, and every tenant's per-request
+/// latencies in completion order.
+type ServeSig = (String, Vec<Vec<u64>>);
 
 fn run_serve_script(script: &[ServeReq], fairness: Fairness, machine: usize) -> ServeSig {
     let dev = DeviceProfile::tesla_p100();
@@ -654,11 +187,7 @@ fn run_serve_script(script: &[ServeReq], fairness: Fairness, machine: usize) -> 
         .iter()
         .map(|s| s.latencies.iter().map(|l| l.to_bits()).collect())
         .collect();
-    (
-        timeline_sig(core.runtime()),
-        core.now().to_bits(),
-        latencies,
-    )
+    (timeline_bits(core.runtime()), latencies)
 }
 
 // ---------------------------------------------------------------------
@@ -773,9 +302,8 @@ proptest! {
         let b = run_serve_script(&script, fairness, machine);
         prop_assert_eq!(
             &a.0, &b.0,
-            "timelines diverged under {:?} on machine {} for {:?}", fairness, machine, script
+            "timelines or final times diverged under {:?} on machine {} for {:?}", fairness, machine, script
         );
-        prop_assert_eq!(a.1, b.1, "final virtual time diverged under {:?}", fairness);
-        prop_assert_eq!(&a.2, &b.2, "latencies diverged under {:?}", fairness);
+        prop_assert_eq!(&a.1, &b.1, "latencies diverged under {:?}", fairness);
     }
 }
