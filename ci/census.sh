@@ -52,6 +52,9 @@
 #      `grcuda::serve::ServeConfig`, `gpu_sim::MemoryConfig`). Each is a
 #      knob every layer below must honour; a change that adds or removes
 #      one shows it here the way (ii) shows public items.
+# (ix) Vendored crates: the offline stand-ins under vendor/ (directories
+#      with a Cargo.toml), each a dependency the workspace carries in
+#      place of a registry crate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 source ci/test_files.sh
@@ -153,5 +156,6 @@ for entry in "${option_structs[@]}"; do
     knobs=$((knobs + n))
 done
 printf 'settable options     %-12s %6d\n' "(3 structs)" "$knobs"
+printf 'vendored crates      %-12s %6d\n' "(vendor/)" "$(ls vendor/*/Cargo.toml | wc -l)"
 
 ci/unread.sh

@@ -60,6 +60,7 @@ census=$(awk '
     /^bench binaries/ { item("bench_binaries", $NF) }
     /^pub mod/ { item("pub_mod", $NF) }
     /^settable options/ { item("settable_options", $NF) }
+    /^vendored crates/ { item("vendored_crates", $NF) }
     END {
         if (unread != "") item("unread_public_fns", unread)
         printf "{\"non_test_code_lines\":{%s}", lines

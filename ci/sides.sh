@@ -3,7 +3,10 @@
 # each is a commit, or `.` for the working tree as it stands (tracked and
 # untracked files, `.gitignore`d ones left out).
 #
-# It makes `tmp`, a temporary directory removed on exit, and defines
+# It makes `tmp`, a temporary directory removed on exit, also when the
+# run is stopped with INT or TERM (bash runs no EXIT trap when it dies of
+# an untrapped signal; a trapped one waits for the command in progress,
+# then exits through the EXIT trap), and defines
 # `for_each_side CMD...`: for `parent`, then `change`, it exports that
 # side into `$tmp/SIDE` (`git archive`, so nothing is registered in the
 # repository and nothing is left behind) and runs `CMD... SIDE REV` from
@@ -12,6 +15,8 @@
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+trap 'exit 130' INT
+trap 'exit 143' TERM
 
 export_side() { # rev dir
     mkdir -p "$2"

@@ -27,7 +27,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/unread.XXXXXX")
+# Removed on every exit: a stop by INT or TERM exits through the EXIT
+# trap once the command in progress returns.
 trap 'rm -rf "$work"' EXIT
+trap 'exit 130' INT
+trap 'exit 143' TERM
 tar -cf - --exclude=./.git --exclude=./target --exclude=./.bench_build \
     --exclude=./benchmark/target . | tar -xf - -C "$work"
 cd "$work"

@@ -1724,10 +1724,13 @@ mod tests {
 
 #[cfg(test)]
 mod prop {
+    //! Differential checks of the rate solver and of the in-flight value
+    //! table, each over every program of a few steps drawn from a fixed
+    //! alphabet, so a check's verdict depends only on its bound.
     use super::*;
+    use crate::prop_tests::{first_use, sequences};
     use crate::task::TaskSpec;
-    use crate::topology::{Topology, TopologyKind};
-    use proptest::prelude::*;
+    use crate::topology::{Cluster, NicKind, Topology, TopologyKind};
 
     impl Engine {
         /// Test oracle: refresh (incrementally), then compare with the
@@ -1738,178 +1741,279 @@ mod prop {
         }
     }
 
-    proptest! {
-        /// Differential test for the incremental rate solver: drive
-        /// randomized mixes of kernels, host copies and p2p copies over
-        /// randomized device counts and dependency chains, and after
-        /// every submission / host advance assert the incrementally
-        /// maintained rates are bit-identical to the full
-        /// whole-active-set solve.
-        #[test]
-        fn incremental_solver_matches_full_solve(
-            n_dev in 1usize..5,
-            ops in proptest::collection::vec(
-                (0u8..3, 0u32..4, 0u32..4, 1u32..20, proptest::bool::ANY), 1..24),
-        ) {
-            let d = DeviceProfile::gtx1660_super();
-            let topo = Topology::preset(TopologyKind::FullyConnected, n_dev, &d);
-            let mut e = Engine::with_topology(d.clone(), topo.clone());
-            let mut prev: Option<TaskId> = None;
-            for (i, &(kind, da, db, work, chain)) in ops.iter().enumerate() {
-                let dev_a = da % n_dev as u32;
-                let dev_b = db % n_dev as u32;
-                let w = work as f64 * 1e-4;
-                let stream = i as u32;
-                let spec = match (kind, topo.d2d_link(dev_a, dev_b)) {
-                    (2, Some(l)) => TaskSpec::p2p_copy(
-                        "p",
-                        stream,
-                        topo.link(l).bandwidth * w,
-                        l,
-                        topo.link(l),
-                    )
-                    .on_device(dev_a),
-                    (1, _) => {
-                        let host = topo.link(topo.host_link(dev_a));
-                        TaskSpec::bulk_copy(TaskKind::CopyH2D, "c", stream, host.bandwidth * w, host)
-                            .on_device(dev_a)
-                    }
-                    _ => TaskSpec::kernel("k", stream)
-                        .on_device(dev_a)
-                        .fluid(w)
-                        .sm_frac(0.8),
-                };
-                let deps: Vec<TaskId> = if chain { prev.into_iter().collect() } else { Vec::new() };
-                prev = Some(e.submit(spec, &deps));
-                e.refreshed_rates_match_full_solve();
-                if i % 5 == 4 {
-                    e.advance_host(2e-4);
+    /// A task of a solver program.
+    #[derive(Debug, Clone, Copy)]
+    enum Task {
+        /// A kernel on most of a device's SMs and DRAM bandwidth.
+        Kernel(u32),
+        /// A copy between the host and a device.
+        Host(u32, TaskKind),
+        /// A copy over the peer link of `from` and `to`, or over their
+        /// nodes' NIC link when they have none, placed on `on`.
+        Copy { from: u32, to: u32, on: u32 },
+    }
+
+    /// One step of a solver program.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// Submit a task, after the previous one when the flag is set.
+        Submit(Task, bool),
+        /// The host advances 150 µs.
+        Advance,
+        /// The host waits for the last task.
+        Sync,
+    }
+
+    impl Step {
+        fn devices(self) -> Vec<u32> {
+            match self {
+                Step::Submit(Task::Kernel(d) | Task::Host(d, _), _) => vec![d],
+                Step::Submit(Task::Copy { from, to, .. }, _) => vec![from, to],
+                Step::Advance | Step::Sync => Vec::new(),
+            }
+        }
+    }
+
+    /// Each task submitted alone and after the previous task, then a
+    /// host advance and a sync.
+    fn alphabet(tasks: impl IntoIterator<Item = Task>) -> Vec<Step> {
+        let submits = tasks
+            .into_iter()
+            .flat_map(|t| [false, true].map(|c| Step::Submit(t, c)));
+        submits.chain([Step::Advance, Step::Sync]).collect()
+    }
+
+    /// Run `program` on `topo`, holding the incrementally maintained
+    /// rates bit-identical to the full whole-active-set solve after
+    /// every submission and host step. Task `i` does 1, 3 or 2 units of
+    /// 100 µs work by `i % 3`, so the tasks of one program end apart.
+    fn solve_program(topo: &Topology, program: &[Step]) -> Engine {
+        let d = DeviceProfile::tesla_p100();
+        let mut e = Engine::with_topology(d.clone(), topo.clone());
+        let mut prev: Option<TaskId> = None;
+        for (i, &step) in program.iter().enumerate() {
+            let w = [1.0, 3.0, 2.0][i % 3] * 1e-4;
+            let stream = i as u32;
+            let (task, chained) = match step {
+                Step::Submit(task, chained) => (task, chained),
+                Step::Advance => {
+                    e.advance_host(1.5e-4);
                     e.refreshed_rates_match_full_solve();
+                    continue;
                 }
-            }
-            e.sync_all();
-            e.refreshed_rates_match_full_solve();
-        }
-
-        /// The sparse component solve against the dense oracle on the
-        /// machines whose components are interesting: NVLink pairs
-        /// (two-device islands), a ring (one link chains every device
-        /// together), and clusters whose NIC couples whole nodes. Mixes
-        /// kernels, host copies, peer copies and NIC forwards placed on
-        /// a third device, so components span several device blocks and
-        /// links, sit beside idle devices, or consist of a lone copy
-        /// whose link nobody else occupies.
-        #[test]
-        fn sparse_component_solve_matches_full_solve(
-            machine in 0usize..5,
-            ops in proptest::collection::vec(
-                (0u8..4, 0u32..16, 0u32..16, 1u32..20, 0u8..4), 1..32),
-        ) {
-            use crate::topology::{Cluster, NicKind};
-            let d = DeviceProfile::tesla_p100();
-            let topo = match machine {
-                0 => Topology::preset(TopologyKind::NvlinkPair, 6, &d),
-                1 => Topology::preset(TopologyKind::Ring, 5, &d),
-                2 => Cluster::new(2, 4, TopologyKind::NvlinkPair, NicKind::InfinibandHdr).build(&d),
-                3 => Cluster::new(3, 2, TopologyKind::PcieOnly, NicKind::Ethernet25g).build(&d),
-                _ => Cluster::new(2, 8, TopologyKind::NvlinkPair, NicKind::InfinibandHdr).build(&d),
+                Step::Sync => {
+                    if let Some(t) = prev {
+                        e.sync_task(t);
+                    }
+                    e.refreshed_rates_match_full_solve();
+                    continue;
+                }
             };
-            let n_dev = topo.device_count() as u32;
-            let mut e = Engine::with_topology(d.clone(), topo.clone());
-            let mut prev: Option<TaskId> = None;
-            for (i, &(kind, da, db, work, then)) in ops.iter().enumerate() {
-                let (dev_a, dev_b) = (da % n_dev, db % n_dev);
-                let w = work as f64 * 1e-4;
-                let stream = i as u32;
-                let copy = |l: LinkId, on: u32| {
+            let spec = match task {
+                Task::Kernel(device) => {
+                    let k = TaskSpec::kernel("k", stream).on_device(device).fluid(w);
+                    k.sm_frac(0.8).dram(d.dram_bw * 0.6)
+                }
+                Task::Host(device, kind) => {
+                    let host = topo.link(topo.host_link(device));
+                    let copy = TaskSpec::bulk_copy(kind, "c", stream, host.bandwidth * w, host);
+                    copy.on_device(device)
+                }
+                Task::Copy { from, to, on } => {
+                    let nic = || topo.nic_link(topo.node_of(from), topo.node_of(to));
+                    let l = topo.d2d_link(from, to).or_else(nic).expect("a linked pair");
                     let link = topo.link(l);
-                    TaskSpec::p2p_copy("p", stream, link.bandwidth * w, l, link)
-                        .on_device(on)
-                };
-                let nic = topo.nic_link(topo.node_of(dev_a), topo.node_of(dev_b));
-                let spec = match (kind, topo.d2d_link(dev_a, dev_b), nic) {
-                    (2, Some(l), _) => copy(l, dev_b),
-                    (3, _, Some(l)) => copy(l, dev_b),
-                    (1, _, _) => {
-                        let host = topo.link(topo.host_link(dev_a));
-                        TaskSpec::bulk_copy(TaskKind::CopyD2H, "c", stream, host.bandwidth * w, host)
-                            .on_device(dev_a)
-                    }
-                    _ => TaskSpec::kernel("k", stream)
-                        .on_device(dev_a)
-                        .fluid(w)
-                        .sm_frac(0.8)
-                        .dram(d.dram_bw * 0.6),
-                };
-                let deps: Vec<TaskId> = if then == 0 { prev.into_iter().collect() } else { Vec::new() };
-                prev = Some(e.submit(spec, &deps));
-                e.refreshed_rates_match_full_solve();
-                match then {
-                    1 => e.advance_host(1.5e-4),
-                    2 => e.sync_task(prev.unwrap()),
-                    _ => {}
+                    TaskSpec::p2p_copy("p", stream, link.bandwidth * w, l, link).on_device(on)
                 }
-                e.refreshed_rates_match_full_solve();
-            }
-            e.sync_all();
+            };
+            let deps: Vec<TaskId> = prev.filter(|_| chained).into_iter().collect();
+            prev = Some(e.submit(spec, &deps));
             e.refreshed_rates_match_full_solve();
-            prop_assert!(e.solve.parent.iter().enumerate().all(|(x, &p)| p == x as u32));
-            prop_assert!(e.solve.comp_dirty.iter().all(|&c| !c));
         }
+        e.sync_all();
+        e.refreshed_rates_match_full_solve();
+        e
+    }
 
-        /// The in-flight value table against the all-pairs scan it
-        /// replaces, fed conflicts: read and write sets drawn from four
-        /// values, random dependencies, latencies, zero-work tasks, host
-        /// advances and task syncs. `races()` must be, report for report
-        /// and in order, what an engine that scans every ready task
-        /// records (test builds also hold each verdict to the scan), and
-        /// a drained engine holds no value in flight.
-        #[test]
-        fn value_table_reports_what_the_scan_reports(
-            n_dev in 1usize..3,
-            ops in proptest::collection::vec(
-                (0u8..16, 0u8..16, 0usize..4, 0u32..20, 0u8..4), 1..32),
-        ) {
-            let d = DeviceProfile::gtx1660_super();
-            let values = |mask: u8| -> Vec<ValueId> {
-                (0..4).filter(|b| mask >> b & 1 == 1).map(ValueId).collect()
-            };
-            let run = |scan_every_ready_task: bool| {
-                let mut e = Engine::with_topology(d.clone(), Topology::pcie_only(n_dev, &d));
-                e.scan_every_ready_task = scan_every_ready_task;
-                let mut ids: Vec<TaskId> = Vec::new();
-                for (i, &(reads, writes, back, work, then)) in ops.iter().enumerate() {
-                    // A distinct name per task, so the race dedup keeps
-                    // every pair apart (the few leaked bytes are the
-                    // test's).
-                    let name: &'static str = Box::leak(format!("k{i}").into_boxed_str());
-                    let spec = TaskSpec::kernel(name, i as u32)
-                        .on_device(i as u32 % n_dev as u32)
-                        .latency(if work % 3 == 0 { 1e-5 } else { 0.0 })
-                        .fluid(work as f64 * 1e-4)
-                        .sm_frac(0.3)
-                        .reading(&values(reads))
-                        .writing(&values(writes));
-                    let deps: Vec<TaskId> =
-                        i.checked_sub(back).filter(|_| back > 0).map(|j| ids[j]).into_iter().collect();
-                    let t = e.submit(spec, &deps);
-                    ids.push(t);
-                    match then {
-                        1 => e.advance_host(7e-5),
-                        2 => e.sync_task(t),
-                        _ => {}
-                    }
-                }
-                e.sync_all();
-                let drained = e.values_in_flight.holders.iter().all(|h| h.writers == 0 && h.readers == 0);
-                (e.races().to_vec(), e.stats().race_scans, drained)
-            };
-            let (races, scans, drained) = run(false);
-            let (reference, reference_scans, reference_drained) = run(true);
-            prop_assert_eq!(&races, &reference);
-            prop_assert!(drained && reference_drained);
-            prop_assert!(scans <= reference_scans);
-            prop_assert_eq!(scans == 0, races.is_empty());
+    /// Differential test for the incremental rate solver on three fully
+    /// connected GPUs: every program of at most three steps (devices
+    /// numbered in order of first use) over kernels, host-to-device
+    /// copies and peer copies on every device and pair, each alone or
+    /// after the previous task, host advances and syncs.
+    #[test]
+    fn incremental_solver_matches_full_solve() {
+        let topo = Topology::preset(
+            TopologyKind::FullyConnected,
+            3,
+            &DeviceProfile::tesla_p100(),
+        );
+        let mut tasks = Vec::new();
+        for a in 0..3 {
+            tasks.extend([Task::Kernel(a), Task::Host(a, TaskKind::CopyH2D)]);
+            for b in (0..3).filter(|&b| b != a) {
+                tasks.push(Task::Copy {
+                    from: a,
+                    to: b,
+                    on: a,
+                });
+            }
         }
+        let alphabet = alphabet(tasks);
+        let mut checked = 0;
+        for program in sequences(alphabet.len(), 3) {
+            let program: Vec<Step> = program.iter().map(|&s| alphabet[s]).collect();
+            if first_use(program.iter().flat_map(|s| s.devices()).map(u64::from)) {
+                solve_program(&topo, &program);
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 3_180);
+    }
+
+    /// The sparse component solve against the dense oracle on the
+    /// machines whose components are interesting: NVLink pairs
+    /// (two-device islands), a ring (one link chains every device
+    /// together), and clusters whose NIC couples whole nodes. On each,
+    /// every program of at most three steps over kernels on devices 0, 1
+    /// and the last, a device-to-host copy on device 0, and a copy from
+    /// 0 to 1, from 1 to the last and from 0 to the last over their peer
+    /// or NIC link wherever there is one, placed on the receiver; each
+    /// alone or after the previous task, and host advances and syncs. So
+    /// components span several device blocks and links, sit beside idle
+    /// devices, or consist of a lone copy whose link nobody else
+    /// occupies.
+    #[test]
+    fn sparse_component_solve_matches_full_solve() {
+        let d = DeviceProfile::tesla_p100();
+        let machines = [
+            Topology::preset(TopologyKind::NvlinkPair, 6, &d),
+            Topology::preset(TopologyKind::Ring, 5, &d),
+            Cluster::new(2, 4, TopologyKind::NvlinkPair, NicKind::InfinibandHdr).build(&d),
+            Cluster::new(3, 2, TopologyKind::PcieOnly, NicKind::Ethernet25g).build(&d),
+            Cluster::new(2, 8, TopologyKind::NvlinkPair, NicKind::InfinibandHdr).build(&d),
+        ];
+        let mut checked = 0;
+        for topo in &machines {
+            let last = topo.device_count() as u32 - 1;
+            let mut tasks = vec![
+                Task::Kernel(0),
+                Task::Kernel(1),
+                Task::Kernel(last),
+                Task::Host(0, TaskKind::CopyD2H),
+            ];
+            for (from, to) in [(0, 1), (1, last), (0, last)] {
+                let nic = topo.nic_link(topo.node_of(from), topo.node_of(to));
+                if topo.d2d_link(from, to).or(nic).is_some() {
+                    tasks.push(Task::Copy { from, to, on: to });
+                }
+            }
+            let alphabet = alphabet(tasks);
+            for program in sequences(alphabet.len(), 3) {
+                let program: Vec<Step> = program.iter().map(|&s| alphabet[s]).collect();
+                let e = solve_program(topo, &program);
+                let mut roots = e.solve.parent.iter().enumerate();
+                assert!(roots.all(|(x, &p)| p == x as u32));
+                assert!(e.solve.comp_dirty.iter().all(|&c| !c));
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 16_528);
+    }
+
+    /// The in-flight value table against the all-pairs scan it
+    /// replaces, fed conflicts: on one GPU and on two, every program of
+    /// at most three steps (values numbered in order of first use) over
+    /// kernels giving each of two values no access, a read or a write,
+    /// each alone or after the previous kernel, host advances and syncs
+    /// of the last kernel. Kernel `i` runs on device `i % devices`, does
+    /// 2, 0 or 1 units of 100 µs work by `i % 3` (zero-work tasks
+    /// included) and has a 10 µs latency when `i` is even. `races()`
+    /// must be, report for report and in order, what an engine that
+    /// scans every ready task records (test builds also hold each
+    /// verdict to the scan), and a drained engine holds no value in
+    /// flight.
+    #[test]
+    fn value_table_reports_what_the_scan_reports() {
+        /// One step: a kernel's accesses (base-3 digit `v` of the code
+        /// gives value `v` none, a read or a write) and whether it runs
+        /// after the previous kernel, or a host step.
+        #[derive(Debug, Clone, Copy)]
+        enum Op {
+            Kernel { code: usize, chained: bool },
+            Advance,
+            Sync,
+        }
+        let access = |code: usize, v: usize| code / 3usize.pow(v as u32) % 3;
+        let mut alphabet: Vec<Op> = (0..9)
+            .flat_map(|code| [false, true].map(|chained| Op::Kernel { code, chained }))
+            .collect();
+        alphabet.extend([Op::Advance, Op::Sync]);
+        let d = DeviceProfile::gtx1660_super();
+        let mut checked = 0;
+        for program in sequences(alphabet.len(), 3) {
+            let ops: Vec<Op> = program.iter().map(|&s| alphabet[s]).collect();
+            let values = ops.iter().flat_map(|op| match *op {
+                Op::Kernel { code, .. } => (0..2).filter(|&v| access(code, v) > 0).collect(),
+                _ => Vec::new(),
+            });
+            if !first_use(values.map(|v| v as u64)) {
+                continue;
+            }
+            for n_dev in 1..=2u32 {
+                let run = |scan_every_ready_task: bool| {
+                    let mut e =
+                        Engine::with_topology(d.clone(), Topology::pcie_only(n_dev as usize, &d));
+                    e.scan_every_ready_task = scan_every_ready_task;
+                    let mut last: Option<TaskId> = None;
+                    for (i, &op) in ops.iter().enumerate() {
+                        let (code, chained) = match op {
+                            Op::Kernel { code, chained } => (code, chained),
+                            Op::Advance => {
+                                e.advance_host(7e-5);
+                                continue;
+                            }
+                            Op::Sync => {
+                                if let Some(t) = last {
+                                    e.sync_task(t);
+                                }
+                                continue;
+                            }
+                        };
+                        let with = |a: usize| -> Vec<ValueId> {
+                            (0..2)
+                                .filter(|&v| access(code, v) == a)
+                                .map(|v| ValueId(v as u64))
+                                .collect()
+                        };
+                        // A name per step, so the race dedup keeps every
+                        // pair apart.
+                        let spec = TaskSpec::kernel(["k0", "k1", "k2"][i], i as u32)
+                            .on_device(i as u32 % n_dev)
+                            .latency(if i % 2 == 0 { 1e-5 } else { 0.0 })
+                            .fluid([2.0, 0.0, 1.0][i % 3] * 1e-4)
+                            .sm_frac(0.3)
+                            .reading(&with(1))
+                            .writing(&with(2));
+                        let deps: Vec<TaskId> = last.filter(|_| chained).into_iter().collect();
+                        last = Some(e.submit(spec, &deps));
+                    }
+                    e.sync_all();
+                    let drained = e
+                        .values_in_flight
+                        .holders
+                        .iter()
+                        .all(|h| h.writers == 0 && h.readers == 0);
+                    (e.races().to_vec(), e.stats().race_scans, drained)
+                };
+                let (races, scans, drained) = run(false);
+                let (reference, reference_scans, reference_drained) = run(true);
+                assert_eq!(races, reference, "{ops:?} on {n_dev} GPUs");
+                assert!(drained && reference_drained, "{ops:?} on {n_dev} GPUs");
+                assert!(scans <= reference_scans, "{ops:?} on {n_dev} GPUs");
+                assert_eq!(scans == 0, races.is_empty(), "{ops:?} on {n_dev} GPUs");
+            }
+            checked += 1;
+        }
+        assert_eq!(checked, 6_336);
     }
 }

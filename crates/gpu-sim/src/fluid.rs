@@ -388,12 +388,8 @@ mod tests {
 #[cfg(test)]
 mod prop {
     use super::*;
+    use crate::prop_tests::sequences;
     use crate::task::NUM_RESOURCES;
-    use proptest::prelude::*;
-
-    fn demand_strategy() -> impl Strategy<Value = [f64; NUM_RESOURCES]> {
-        proptest::array::uniform7(0.0f64..1.0)
-    }
 
     /// Exact rational `p/q` with `q > 0`, reduced — the reference
     /// arithmetic for the float-drift regression test. Demands are small
@@ -493,87 +489,109 @@ mod prop {
         rates
     }
 
-    proptest! {
-        /// Allocated rates never violate any capacity constraint and are
-        /// always within (0, 1].
-        #[test]
-        fn rates_are_feasible(demands in proptest::collection::vec(demand_strategy(), 0..12)) {
-            // Capacities fixed at 1.0 per resource; demands in [0,1) so a
-            // single task is always feasible solo.
-            let caps = [1.0; NUM_RESOURCES];
+    /// The demand levels, in eighths of a unit capacity.
+    const LEVELS: [i128; 3] = [0, 3, 8];
+    const SCALE: i128 = 8;
+    /// How many resources a demand may load. The others stay zero, and
+    /// a column no task demands changes no rate (`progressive_fill`).
+    const LOADED: u32 = 3;
+
+    /// Every task set of 1 to `len` tasks, as integer eighths and as
+    /// the float demands the solver sees: each task loads each of the
+    /// first three resources at 0, 3/8 or the whole capacity (27
+    /// demand vectors, the zero one included).
+    fn task_sets(len: u32) -> impl Iterator<Item = Vec<[i128; NUM_RESOURCES]>> {
+        let vectors: Vec<[i128; NUM_RESOURCES]> = (0..3usize.pow(LOADED))
+            .map(|code| {
+                let mut d = [0; NUM_RESOURCES];
+                for (r, v) in d.iter_mut().take(LOADED as usize).enumerate() {
+                    *v = LEVELS[code / 3usize.pow(r as u32) % 3];
+                }
+                d
+            })
+            .collect();
+        sequences(vectors.len(), len).map(move |s| s.iter().map(|&v| vectors[v]).collect())
+    }
+
+    fn as_f64(tasks: &[[i128; NUM_RESOURCES]]) -> Vec<[f64; NUM_RESOURCES]> {
+        tasks
+            .iter()
+            .map(|d| d.map(|v| v as f64 / SCALE as f64))
+            .collect()
+    }
+
+    /// Allocated rates never violate any capacity constraint and are
+    /// always within (0, 1]: every set of up to three tasks (20 439).
+    #[test]
+    fn rates_are_feasible() {
+        let caps = [1.0; NUM_RESOURCES];
+        assert!(solve::<[f64; NUM_RESOURCES]>(&[], &caps).is_empty());
+        let mut checked = 0;
+        for tasks in task_sets(3) {
+            let demands = as_f64(&tasks);
             let rates = solve(&demands, &caps);
-            prop_assert_eq!(rates.len(), demands.len());
+            assert_eq!(rates.len(), demands.len());
             for r in 0..NUM_RESOURCES {
                 let used: f64 = demands.iter().zip(&rates).map(|(d, x)| d[r] * x).sum();
-                prop_assert!(used <= 1.0 + 1e-6, "resource {} over capacity: {}", r, used);
+                assert!(
+                    used <= 1.0 + 1e-6,
+                    "resource {r} over capacity: {used} for {tasks:?}"
+                );
             }
             for (x, d) in rates.iter().zip(&demands) {
-                prop_assert!(*x > 0.0 && *x <= 1.0);
+                assert!(*x > 0.0 && *x <= 1.0, "{tasks:?}");
                 // A task contending on nothing must run at full speed.
                 if d.iter().all(|&v| v == 0.0) {
-                    prop_assert_eq!(*x, 1.0);
+                    assert_eq!(*x, 1.0, "{tasks:?}");
                 }
             }
+            checked += 1;
         }
+        assert_eq!(checked, 20_439);
+    }
 
-        /// Float-drift regression (the residual-clamp bugfix): every
-        /// returned rate is at least the fair share computed by the same
-        /// algorithm in exact rational arithmetic, minus epsilon. Before
-        /// the clamp, drift below zero could freeze late tasks at the
-        /// 1e-9 floor even though their exact fair share was large.
-        #[test]
-        fn rates_match_exact_rational_fair_share(
-            raw_demands in proptest::collection::vec(
-                proptest::array::uniform7(0u8..9), 1..6),
-        ) {
-            const SCALE: i128 = 8;
-            let int_demands: Vec<[i128; NUM_RESOURCES]> = raw_demands
-                .iter()
-                .map(|d| d.map(i128::from))
-                .collect();
-            let caps = [1.0; NUM_RESOURCES];
-            let demands: Vec<[f64; NUM_RESOURCES]> = int_demands
-                .iter()
-                .map(|d| {
-                    let mut out = [0.0; NUM_RESOURCES];
-                    for (o, v) in out.iter_mut().zip(d.iter()) {
-                        *o = *v as f64 / SCALE as f64;
-                    }
-                    out
-                })
-                .collect();
-            let float_rates = solve(&demands, &caps);
-            let exact_rates = exact_progressive_fill(&int_demands, SCALE);
+    /// Float-drift regression (the residual-clamp bugfix): every
+    /// returned rate is the fair share computed by the same algorithm
+    /// in exact rational arithmetic, within epsilon. Before the clamp,
+    /// drift below zero could freeze late tasks at the 1e-9 floor even
+    /// though their exact fair share was large. Every set of up to
+    /// three tasks (20 439).
+    #[test]
+    fn rates_match_exact_rational_fair_share() {
+        let caps = [1.0; NUM_RESOURCES];
+        for tasks in task_sets(3) {
+            let float_rates = solve(&as_f64(&tasks), &caps);
+            let exact_rates = exact_progressive_fill(&tasks, SCALE);
             for (i, (fx, ex)) in float_rates.iter().zip(&exact_rates).enumerate() {
                 let exact = ex.to_f64().clamp(1e-9, 1.0);
-                prop_assert!(
-                    *fx >= exact - 1e-9,
-                    "task {} collapsed: float rate {} below exact fair share {}",
-                    i, fx, exact
-                );
-                prop_assert!(
-                    *fx <= exact + 1e-9,
-                    "task {} inflated: float rate {} above exact fair share {}",
-                    i, fx, exact
+                assert!(
+                    (fx - exact).abs() <= 1e-9,
+                    "task {i}: float rate {fx}, exact fair share {exact} for {tasks:?}"
                 );
             }
         }
+    }
 
-        /// Adding a task never increases anyone's rate (monotonicity of
-        /// progressive filling).
-        #[test]
-        fn adding_load_never_speeds_others_up(
-            base in proptest::collection::vec(demand_strategy(), 1..8),
-            extra in demand_strategy(),
-        ) {
-            let caps = [1.0; NUM_RESOURCES];
-            let before = solve(&base, &caps);
-            let mut bigger = base.clone();
-            bigger.push(extra);
-            let after = solve(&bigger, &caps);
-            for i in 0..base.len() {
-                prop_assert!(after[i] <= before[i] + 1e-9);
-            }
+    /// Adding a task never raises the lowest rate of the others: their
+    /// new rates are feasible without it, and max-min filling maximizes
+    /// the lowest rate. (It can raise another rate: with A = (3/8, 0)
+    /// and B = (1, 1) both run at 8/11, bound by the first resource;
+    /// add C = (0, 1) and B and C freeze at 1/2 on the second, which
+    /// leaves A alone at full speed.) Every set of one or two tasks
+    /// with every task added (20 412 pairs).
+    #[test]
+    fn adding_load_never_raises_the_lowest_rate() {
+        let caps = [1.0; NUM_RESOURCES];
+        let mut checked = 0;
+        for bigger in task_sets(3).filter(|t| t.len() > 1) {
+            let bigger = as_f64(&bigger);
+            let base = &bigger[..bigger.len() - 1];
+            let lowest = |rates: &[f64]| rates.iter().copied().fold(1.0, f64::min);
+            let before = lowest(&solve(base, &caps));
+            let after = lowest(&solve(&bigger, &caps)[..base.len()]);
+            assert!(after <= before + 1e-9, "{after} > {before} for {bigger:?}");
+            checked += 1;
         }
+        assert_eq!(checked, 20_412);
     }
 }

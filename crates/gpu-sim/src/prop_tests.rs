@@ -1,52 +1,74 @@
-//! Property tests of the discrete-event engine: conservation laws and
-//! determinism that must hold for any workload.
-
-use proptest::prelude::*;
+//! Exhaustive checks of the discrete-event engine and the memory
+//! manager: each property holds on every input up to a stated bound,
+//! each input enumerated once, in canonical order, so a check's verdict
+//! depends only on its bound. Conservation laws and determinism hold for
+//! every workload of up to four kernels; victim selection matches its
+//! model on every short history of two devices.
 
 use crate::engine::{Engine, TaskId};
 use crate::profile::DeviceProfile;
 use crate::task::TaskSpec;
 
-/// A randomly-shaped workload: per task, (fluid work µs, SM fraction %,
-/// dependency back-offsets).
+/// Every sequence of 1 to `len` symbols drawn from `0..n`: shorter ones
+/// first, each length in lexicographic order.
+pub(crate) fn sequences(n: usize, len: u32) -> impl Iterator<Item = Vec<usize>> {
+    (1..=len).flat_map(move |l| {
+        (0..n.pow(l)).map(move |code| (0..l).rev().map(|p| code / n.pow(p) % n).collect())
+    })
+}
+
+/// Whether ids (devices, values) are numbered in order of first use,
+/// which leaves out most renamings of an input already enumerated.
+pub(crate) fn first_use(ids: impl IntoIterator<Item = u64>) -> bool {
+    let mut next = 0;
+    ids.into_iter().all(|id| {
+        next += u64::from(id == next);
+        id < next
+    })
+}
+
+/// One kernel of a workload: its solo time, its SM share and how many
+/// submissions back each of its dependencies is.
 #[derive(Debug, Clone)]
-struct RandomTask {
+struct Kernel {
     work_us: u32,
     sm_pct: u32,
     dep_offsets: Vec<usize>,
 }
 
-fn tasks_strategy() -> impl Strategy<Value = Vec<RandomTask>> {
-    proptest::collection::vec(
-        (
-            1u32..500,
-            1u32..100,
-            proptest::collection::vec(1usize..4, 0..3),
-        ),
-        1..24,
-    )
-    .prop_map(|v| {
-        v.into_iter()
-            .map(|(work_us, sm_pct, dep_offsets)| RandomTask {
-                work_us,
-                sm_pct,
-                dep_offsets,
-            })
-            .collect()
-    })
+/// Every workload of 1 to 4 kernels: each 100 or 300 µs long, on 40 % or
+/// 70 % of the SMs (two of the first share the machine, any pair with
+/// the second contends), depending on any subset of the one or two
+/// kernels submitted just before it. 8 740 workloads.
+fn workloads() -> impl Iterator<Item = Vec<Kernel>> {
+    let alphabet: Vec<Kernel> = (0..16)
+        .map(|s| Kernel {
+            work_us: [100, 300][s & 1],
+            sm_pct: [40, 70][s >> 1 & 1],
+            dep_offsets: [1, 2]
+                .into_iter()
+                .filter(|o| s >> (1 + o) & 1 == 1)
+                .collect(),
+        })
+        .collect();
+    sequences(alphabet.len(), 4)
+        .map(move |w| w.iter().map(|&s| alphabet[s].clone()).collect::<Vec<_>>())
+        // An offset past the first kernel names nothing: such a
+        // workload is the same as the one without it.
+        .filter(|w: &Vec<Kernel>| {
+            w.iter()
+                .enumerate()
+                .all(|(i, k)| k.dep_offsets.iter().all(|&o| o <= i))
+        })
 }
 
 /// Submit the workload and return (makespan, per-task (start, end)
 /// indexed by submission order).
-fn run(tasks: &[RandomTask], dev: DeviceProfile) -> (f64, Vec<(f64, f64)>) {
+fn run(tasks: &[Kernel], dev: DeviceProfile) -> (f64, Vec<(f64, f64)>) {
     let mut e = Engine::new(dev);
     let mut ids: Vec<TaskId> = Vec::new();
     for (i, t) in tasks.iter().enumerate() {
-        let deps: Vec<TaskId> = t
-            .dep_offsets
-            .iter()
-            .filter_map(|&off| i.checked_sub(off).map(|j| ids[j]))
-            .collect();
+        let deps: Vec<TaskId> = t.dep_offsets.iter().map(|&off| ids[i - off]).collect();
         let spec = TaskSpec::kernel("k", i as u32)
             .fluid(t.work_us as f64 * 1e-6)
             .sm_frac(t.sm_pct as f64 / 100.0);
@@ -60,76 +82,76 @@ fn run(tasks: &[RandomTask], dev: DeviceProfile) -> (f64, Vec<(f64, f64)>) {
     (e.now(), spans)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Makespan is bounded below by the longest task and above by the
-    /// serial sum (work conservation: sharing never creates or destroys
-    /// work).
-    #[test]
-    fn makespan_is_bounded(tasks in tasks_strategy()) {
+/// Makespan is bounded below by the longest task and above by the
+/// serial sum (work conservation: sharing never creates or destroys
+/// work).
+#[test]
+fn makespan_is_bounded() {
+    let mut checked = 0;
+    for tasks in workloads() {
         let (makespan, spans) = run(&tasks, DeviceProfile::gtx1660_super());
-        let longest = tasks.iter().map(|t| t.work_us as f64 * 1e-6).fold(0.0, f64::max);
+        let longest = tasks
+            .iter()
+            .map(|t| t.work_us as f64 * 1e-6)
+            .fold(0.0, f64::max);
         let total: f64 = tasks.iter().map(|t| t.work_us as f64 * 1e-6).sum();
-        prop_assert!(makespan >= longest - 1e-12, "{makespan} < longest {longest}");
-        prop_assert!(makespan <= total + 1e-9, "{makespan} > serial sum {total}");
-        prop_assert_eq!(spans.len(), tasks.len());
+        assert!(
+            makespan >= longest - 1e-12,
+            "{makespan} < longest {longest}: {tasks:?}"
+        );
+        assert!(
+            makespan <= total + 1e-9,
+            "{makespan} > serial sum {total}: {tasks:?}"
+        );
+        assert_eq!(spans.len(), tasks.len());
+        checked += 1;
     }
+    assert_eq!(checked, 8_740);
+}
 
-    /// Every task runs at least as long as its solo duration (contention
-    /// only slows things down), and intervals are well-formed.
-    #[test]
-    fn contention_never_speeds_a_task_up(tasks in tasks_strategy()) {
+/// Every task runs at least as long as its solo duration (contention
+/// only slows things down), and intervals are well-formed.
+#[test]
+fn contention_never_speeds_a_task_up() {
+    for tasks in workloads() {
         let (_, spans) = run(&tasks, DeviceProfile::tesla_p100());
         for (i, ((s, e), t)) in spans.iter().zip(&tasks).enumerate() {
             let dur = e - s;
             let solo = t.work_us as f64 * 1e-6;
-            prop_assert!(dur >= solo - 1e-12, "task {i} beat its solo time: {dur} < {solo}");
-            prop_assert!(e >= s);
+            assert!(
+                dur >= solo - 1e-12,
+                "task {i} beat its solo time: {dur} < {solo}: {tasks:?}"
+            );
+            assert!(e >= s);
         }
     }
+}
 
-    /// The engine is deterministic: same workload, same timeline.
-    #[test]
-    fn engine_is_deterministic(tasks in tasks_strategy()) {
+/// The engine is deterministic: same workload, same timeline.
+#[test]
+fn engine_is_deterministic() {
+    for tasks in workloads() {
         let a = run(&tasks, DeviceProfile::gtx960());
         let b = run(&tasks, DeviceProfile::gtx960());
-        prop_assert_eq!(a.0, b.0);
-        prop_assert_eq!(a.1, b.1);
+        assert_eq!(a, b, "{tasks:?}");
     }
+}
 
-    /// Dependencies are respected: a task never starts before each of
-    /// its dependencies ends.
-    #[test]
-    fn dependencies_order_execution(tasks in tasks_strategy()) {
-        let mut e = Engine::new(DeviceProfile::gtx1660_super());
-        let mut ids = Vec::new();
-        for (i, t) in tasks.iter().enumerate() {
-            let deps: Vec<TaskId> = t
-                .dep_offsets
-                .iter()
-                .filter_map(|&off| i.checked_sub(off).map(|j| ids[j]))
-                .collect();
-            let spec = TaskSpec::kernel("k", i as u32)
-                .fluid(t.work_us as f64 * 1e-6)
-                .sm_frac(t.sm_pct as f64 / 100.0);
-            ids.push(e.submit(spec, &deps));
-        }
-        e.sync_all();
-        let mut span_of = vec![(0.0f64, 0.0f64); tasks.len()];
-        for iv in e.timeline().intervals() {
-            span_of[iv.task as usize] = (iv.start, iv.end);
-        }
+/// Dependencies are respected: a task never starts before each of its
+/// dependencies ends.
+#[test]
+fn dependencies_order_execution() {
+    for tasks in workloads() {
+        let (_, spans) = run(&tasks, DeviceProfile::gtx1660_super());
         for (i, t) in tasks.iter().enumerate() {
             for &off in &t.dep_offsets {
-                if let Some(j) = i.checked_sub(off) {
-                    prop_assert!(
-                        span_of[i].0 >= span_of[j].1 - 1e-12,
-                        "task {i} started at {} before dep {j} ended at {}",
-                        span_of[i].0,
-                        span_of[j].1
-                    );
-                }
+                let j = i - off;
+                assert!(
+                    spans[i].0 >= spans[j].1 - 1e-12,
+                    "task {i} started at {} before dep {j} ended at {}: {tasks:?}",
+                    spans[i].0,
+                    spans[j].1
+                );
             }
         }
     }
@@ -163,26 +185,14 @@ enum MemOp {
     },
 }
 
-fn mem_op_strategy() -> impl Strategy<Value = MemOp> {
-    let (device, value) = (0..2u32, 0..12u64);
-    prop_oneof![
-        (device.clone(), value.clone(), 1..6usize).prop_map(|(device, value, kib)| {
-            MemOp::Insert {
-                device,
-                value,
-                bytes: kib << 10,
-            }
-        }),
-        (device.clone(), value.clone(), 1..6usize).prop_map(|(device, value, kib)| {
-            MemOp::Insert {
-                device,
-                value,
-                bytes: kib << 10,
-            }
-        }),
-        (device.clone(), value.clone()).prop_map(|(device, value)| MemOp::Touch { device, value }),
-        (device, value).prop_map(|(device, value)| MemOp::Remove { device, value }),
-    ]
+impl MemOp {
+    fn value(self) -> u64 {
+        match self {
+            MemOp::Insert { value, .. }
+            | MemOp::Touch { value, .. }
+            | MemOp::Remove { value, .. } => value,
+        }
+    }
 }
 
 /// What [`MemoryManager::select_victims`] promises, written the plain
@@ -223,18 +233,36 @@ fn model_victims(
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn victims_match_a_btreemap_model_under_every_policy(
-        ops in proptest::collection::vec(mem_op_strategy(), 1..60),
-        need_kib in 0..40usize,
-        pinned in proptest::collection::vec(0..12u64, 0..3),
-    ) {
-        let pinned: Vec<ValueId> = pinned.into_iter().map(ValueId).collect();
-        // Ties on purpose: few distinct prices.
-        let cost = |v: ValueId, bytes: usize| ((v.0 * 7) % 3) as f64 + (bytes >> 12) as f64;
+/// Every history of 1 to 3 updates over two devices and three values of
+/// 1 or 2 KiB (values numbered in order of first use), under both
+/// policies; then on each device every need of 0, 1, 3 and 6 KiB, with
+/// nothing or value 0 pinned. 2 696 histories.
+#[test]
+fn victims_match_a_btreemap_model_under_every_policy() {
+    let mut alphabet = Vec::new();
+    for device in 0..2 {
+        for value in 0..3 {
+            alphabet.extend([1, 2].map(|kib| MemOp::Insert {
+                device,
+                value,
+                bytes: kib << 10,
+            }));
+            alphabet.extend([
+                MemOp::Touch { device, value },
+                MemOp::Remove { device, value },
+            ]);
+        }
+    }
+    // Ties on purpose, and prices that do not follow first use: values
+    // 0 and 2 cost the same at the same size.
+    let cost = |v: ValueId, bytes: usize| (v.0 % 2) as f64 + (bytes >> 11) as f64;
+    let pins = [vec![], vec![ValueId(0)]];
+    let mut checked = 0;
+    for ops in sequences(alphabet.len(), 3) {
+        let ops: Vec<MemOp> = ops.iter().map(|&o| alphabet[o]).collect();
+        if !first_use(ops.iter().map(|op| op.value())) {
+            continue;
+        }
         for policy in EvictionPolicy::ALL {
             let cfg = MemoryConfig::with_capacity(usize::MAX).with_eviction(policy);
             let mut manager = MemoryManager::new(2, cfg);
@@ -243,7 +271,11 @@ proptest! {
             let mut clock = 0u64;
             for (i, op) in ops.iter().enumerate() {
                 match *op {
-                    MemOp::Insert { device, value, bytes } => {
+                    MemOp::Insert {
+                        device,
+                        value,
+                        bytes,
+                    } => {
                         clock += 1;
                         manager.insert(device, ValueId(value), bytes, i as f64);
                         model.insert(value, (device, bytes, clock));
@@ -258,17 +290,26 @@ proptest! {
                     MemOp::Remove { device, value } => {
                         let here = model.get(&value).is_some_and(|e| e.0 == device);
                         let want = here.then(|| model.remove(&value).expect("present").1);
-                        prop_assert_eq!(manager.remove(device, ValueId(value)), want);
+                        assert_eq!(manager.remove(device, ValueId(value)), want, "{ops:?}");
                     }
                 }
             }
             for device in 0..2 {
                 let bytes: usize = model.values().filter(|e| e.0 == device).map(|e| e.1).sum();
-                prop_assert_eq!(manager.resident_bytes(device), bytes);
-                let got = manager.select_victims(device, need_kib << 10, &pinned, cost);
-                let want = model_victims(&model, policy, device, need_kib << 10, &pinned, cost);
-                prop_assert_eq!(got, want, "{:?} on device {}", policy, device);
+                assert_eq!(manager.resident_bytes(device), bytes, "{ops:?}");
+                for need in [0, 1 << 10, 3 << 10, 6 << 10] {
+                    for pinned in &pins {
+                        let got = manager.select_victims(device, need, pinned, cost);
+                        let want = model_victims(&model, policy, device, need, pinned, cost);
+                        assert_eq!(
+                            got, want,
+                            "{policy:?} on device {device}, need {need}: {ops:?}"
+                        );
+                    }
+                }
             }
         }
+        checked += 1;
     }
+    assert_eq!(checked, 2_696);
 }

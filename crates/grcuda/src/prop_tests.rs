@@ -1,9 +1,8 @@
-//! Fixed-input checks of batched submission, and the property tests the
-//! small-scope checker (`crate::small_scope`) does not cover: the batch
-//! partitioner over random sharing structures, and serving determinism
-//! over random multi-tenant arrival orders.
-
-use proptest::prelude::*;
+//! Fixed-input checks of batched submission, and the properties the
+//! small-scope checker (`crate::small_scope`) does not cover, each
+//! checked on every input up to a stated bound: the batch partitioner
+//! over every small sharing structure, and serving determinism over
+//! every short multi-tenant arrival order.
 
 use gpu_sim::{DeviceProfile, Grid};
 use kernels::util::{AXPY, COPY_F32, SCALE};
@@ -101,30 +100,58 @@ fn serve_machine(idx: usize, dev: &DeviceProfile) -> (Topology, PlacementPolicy)
     }
 }
 
-/// One random request of a random tenant: a 1–3 call chain over the
-/// tenant's two arrays, optionally deadlined, optionally followed by an
+/// Every sequence of 1 to `len` symbols drawn from `0..n`: shorter ones
+/// first, each length in lexicographic order.
+fn sequences(n: usize, len: u32) -> impl Iterator<Item = Vec<usize>> {
+    (1..=len).flat_map(move |l| {
+        (0..n.pow(l)).map(move |code| (0..l).rev().map(|p| code / n.pow(p) % n).collect())
+    })
+}
+
+/// Whether ids (tenants, values) are numbered in order of first use,
+/// which leaves out most renamings of an input already enumerated.
+fn first_use(ids: impl IntoIterator<Item = u64>) -> bool {
+    let mut next = 0;
+    ids.into_iter().all(|id| {
+        next += u64::from(id == next);
+        id < next
+    })
+}
+
+/// One request: a chain of calls over the tenant's two arrays
+/// (`(kernel, source)`: SCALE or AXPY, reading x or y and writing the
+/// other), with a 20 µs deadline or none, optionally followed by an
 /// explicit pump cycle.
 #[derive(Debug, Clone)]
 struct ServeReq {
     tenant: usize,
-    calls: Vec<(usize, usize, i32)>,
-    deadline: usize,
+    calls: &'static [(usize, usize)],
+    deadline: bool,
     pump_after: bool,
 }
 
-fn serve_req_strategy() -> impl Strategy<Value = ServeReq> {
-    (
-        0..3usize,
-        proptest::collection::vec((0..2usize, 0..2usize, -3..4i32), 1..4),
-        0..3usize,
-        proptest::bool::ANY,
-    )
-        .prop_map(|(tenant, calls, deadline, pump_after)| ServeReq {
-            tenant,
-            calls,
-            deadline,
-            pump_after,
+/// Every script of one or two requests (tenants numbered in order of
+/// first use), each of tenant 0 or 1, with one of three chains — scale
+/// x into y; axpy y into x; both — with or without a deadline and a
+/// pump after it: 300 scripts.
+fn serve_scripts() -> impl Iterator<Item = Vec<ServeReq>> {
+    const CHAINS: [&[(usize, usize)]; 3] = [&[(0, 0)], &[(1, 1)], &[(0, 0), (1, 1)]];
+    let alphabet: Vec<ServeReq> = (0..24)
+        .map(|s| ServeReq {
+            tenant: s % 2,
+            calls: CHAINS[s / 2 % 3],
+            deadline: s / 6 % 2 == 1,
+            pump_after: s / 12 == 1,
         })
+        .collect();
+    sequences(alphabet.len(), 2)
+        .map(move |script| {
+            script
+                .iter()
+                .map(|&r| alphabet[r].clone())
+                .collect::<Vec<_>>()
+        })
+        .filter(|script| first_use(script.iter().map(|r| r.tenant as u64)))
 }
 
 /// Everything the service run determines, bit-exactly: the full
@@ -156,21 +183,22 @@ fn run_serve_script(script: &[ServeReq], fairness: Fairness, machine: usize) -> 
         let calls = req
             .calls
             .iter()
-            .map(|&(k, src, a)| {
+            .map(|&(k, src)| {
                 let (s, d) = if src == 0 { (x, y) } else { (y, x) };
+                let a = [2.0, -1.0][k];
                 CallSpec {
                     kernel: if k == 0 { sc } else { ax },
                     grid: Grid::d1(16, 64),
                     args: vec![
                         ArgSpec::Array(s),
                         ArgSpec::Array(d),
-                        ArgSpec::Scalar(a as f64),
+                        ArgSpec::Scalar(a),
                         ArgSpec::Scalar(ARRAY_LEN as f64),
                     ],
                 }
             })
             .collect();
-        let deadline_us = [None, Some(20.0), Some(200.0)][req.deadline];
+        let deadline_us = req.deadline.then_some(20.0);
         core.submit(t, RequestSpec { calls, deadline_us }).unwrap();
         if req.pump_after {
             core.pump();
@@ -196,114 +224,116 @@ fn run_serve_script(script: &[ServeReq], fairness: Fairness, machine: usize) -> 
 // numerology may leak into node assignments.
 // ---------------------------------------------------------------------
 
-/// A random batch: each item is a small bag of `(value id, bytes)`.
-fn batch_strategy() -> impl Strategy<Value = Vec<Vec<(u64, usize)>>> {
-    proptest::collection::vec(
-        proptest::collection::vec((0..12u64, 1..5usize), 0..4),
-        1..14,
-    )
-    .prop_map(|items| {
-        items
-            .into_iter()
-            .map(|item| {
-                item.into_iter()
-                    .map(|(v, kib)| (v, kib << 10))
-                    .collect::<Vec<_>>()
-            })
+/// Every batch of 1 to 5 items, each item a set of values 0, 1 and 2
+/// (the empty set included) of 1, 2 and 3 KiB, with values numbered in
+/// order of first use: 14 288 batches.
+fn batches() -> impl Iterator<Item = Vec<Vec<(u64, usize)>>> {
+    let item = |set: usize| -> Vec<(u64, usize)> {
+        (0..3u64)
+            .filter(|v| set >> v & 1 == 1)
+            .map(|v| (v, (v as usize + 1) << 10))
             .collect()
-    })
+    };
+    sequences(8, 5)
+        .map(move |sets| sets.into_iter().map(item).collect::<Vec<_>>())
+        .filter(|items| first_use(items.iter().flatten().map(|&(v, _)| v)))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// Re-partitioning the same batch gives bit-identical assignments
+/// (two calls build distinct, differently-seeded HashMaps — any
+/// iteration-order dependence would show up here), and relabeling every
+/// value id through an injective map changes nothing either: the
+/// partition depends on the *sharing structure*, not the ids. Every
+/// batch of `batches` on 1, 2, 3 and 4 nodes.
+#[test]
+fn partitioner_is_deterministic_and_label_independent() {
+    use crate::partition::partition_batch;
+    let mut checked = 0;
+    for items in batches() {
+        for nodes in 1..=4 {
+            let a = partition_batch(&items, nodes);
+            let b = partition_batch(&items, nodes);
+            assert_eq!(a, b, "same input diverged on {items:?}");
 
-    /// Re-partitioning the same batch gives bit-identical assignments
-    /// (two calls build distinct, differently-seeded HashMaps — any
-    /// iteration-order dependence would show up here), and relabeling
-    /// every value id through an injective map changes nothing either:
-    /// the partition depends on the *sharing structure*, not the ids.
-    #[test]
-    fn partitioner_is_deterministic_and_label_independent(
-        items in batch_strategy(),
-        nodes in 1..5usize,
-    ) {
-        use crate::partition::partition_batch;
-        let a = partition_batch(&items, nodes);
-        let b = partition_batch(&items, nodes);
-        prop_assert_eq!(&a, &b, "same input diverged on {:?}", items);
-
-        let relabeled: Vec<Vec<(u64, usize)>> = items
-            .iter()
-            .map(|item| {
-                item.iter()
-                    .map(|&(v, bytes)| (v.wrapping_mul(1_000_003).wrapping_add(17), bytes))
-                    .collect()
-            })
-            .collect();
-        let c = partition_batch(&relabeled, nodes);
-        prop_assert_eq!(&a, &c, "relabeling moved items on {:?}", items);
-
-        // Structural sanity: every item lands on a real node, the part
-        // count is honest, and a 1-node "cluster" never partitions.
-        prop_assert_eq!(a.assignment.len(), items.len());
-        prop_assert!(a.assignment.iter().all(|&n| (n as usize) < nodes));
-        prop_assert!(a.parts <= nodes);
-        if nodes == 1 {
-            prop_assert!(a.assignment.iter().all(|&n| n == 0));
-            prop_assert_eq!(a.cut_bytes, 0);
-        }
-        let total: usize = {
-            let mut seen = std::collections::HashSet::new();
-            items
+            let relabeled: Vec<Vec<(u64, usize)>> = items
                 .iter()
-                .flatten()
-                .filter(|&&(v, _)| seen.insert(v))
-                .map(|&(_, b)| b)
-                .sum()
-        };
-        prop_assert!(a.cut_bytes <= total * nodes, "cut exceeds all replicas");
+                .map(|item| {
+                    item.iter()
+                        .map(|&(v, bytes)| (v.wrapping_mul(1_000_003).wrapping_add(17), bytes))
+                        .collect()
+                })
+                .collect();
+            let c = partition_batch(&relabeled, nodes);
+            assert_eq!(a, c, "relabeling moved items on {items:?}");
 
-        // Items that share a value must share a node unless the
-        // partitioner explicitly counted that value as cut.
-        if a.cut_bytes == 0 {
-            let mut home: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-            for (i, item) in items.iter().enumerate() {
-                for &(v, _) in item {
-                    let node = *home.entry(v).or_insert(a.assignment[i]);
-                    prop_assert_eq!(
-                        node, a.assignment[i],
-                        "zero cut but value {} spans nodes", v
-                    );
+            // Structural sanity: every item lands on a real node, the
+            // part count is honest, and a 1-node "cluster" never
+            // partitions.
+            assert_eq!(a.assignment.len(), items.len());
+            assert!(a.assignment.iter().all(|&n| (n as usize) < nodes));
+            assert!(a.parts <= nodes);
+            if nodes == 1 {
+                assert!(a.assignment.iter().all(|&n| n == 0));
+                assert_eq!(a.cut_bytes, 0);
+            }
+            let total: usize = {
+                let mut seen = std::collections::HashSet::new();
+                items
+                    .iter()
+                    .flatten()
+                    .filter(|&&(v, _)| seen.insert(v))
+                    .map(|&(_, b)| b)
+                    .sum()
+            };
+            assert!(
+                a.cut_bytes <= total * nodes,
+                "cut exceeds all replicas on {items:?}"
+            );
+
+            // Items that share a value must share a node unless the
+            // partitioner explicitly counted that value as cut.
+            if a.cut_bytes == 0 {
+                let mut home: std::collections::HashMap<u64, u32> =
+                    std::collections::HashMap::new();
+                for (i, item) in items.iter().enumerate() {
+                    for &(v, _) in item {
+                        let node = *home.entry(v).or_insert(a.assignment[i]);
+                        assert_eq!(
+                            node, a.assignment[i],
+                            "zero cut but value {v} spans nodes: {items:?}"
+                        );
+                    }
                 }
             }
         }
+        checked += 1;
     }
+    assert_eq!(checked, 14_288);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Replaying the same multi-tenant arrival order through the service
-    /// core produces a **bit-identical** virtual timeline, final clock
-    /// and per-request latency vector — under every fairness rule, on
-    /// one GPU, several, and a cluster.
-    #[test]
-    fn serving_is_deterministic_for_a_given_arrival_order(
-        script in proptest::collection::vec(serve_req_strategy(), 1..20),
-        fairness_idx in 0..3usize,
-        machine in 0..3usize,
-    ) {
-        let fairness = [
+/// Replaying the same multi-tenant arrival order through the service
+/// core produces a **bit-identical** virtual timeline, final clock and
+/// per-request latency vector — under every fairness rule, on one GPU,
+/// several, and a cluster: every script of `serve_scripts`.
+#[test]
+fn serving_is_deterministic_for_a_given_arrival_order() {
+    let mut checked = 0;
+    for script in serve_scripts() {
+        for fairness in [
             Fairness::Fifo,
             Fairness::WeightedRoundRobin,
             Fairness::DeadlineAware,
-        ][fairness_idx];
-        let a = run_serve_script(&script, fairness, machine);
-        let b = run_serve_script(&script, fairness, machine);
-        prop_assert_eq!(
-            &a.0, &b.0,
-            "timelines or final times diverged under {:?} on machine {} for {:?}", fairness, machine, script
-        );
-        prop_assert_eq!(&a.1, &b.1, "latencies diverged under {:?}", fairness);
+        ] {
+            for machine in 0..3 {
+                let a = run_serve_script(&script, fairness, machine);
+                let b = run_serve_script(&script, fairness, machine);
+                assert_eq!(
+                    a, b,
+                    "runs diverged under {fairness:?} on machine {machine} for {script:?}"
+                );
+            }
+        }
+        checked += 1;
     }
+    assert_eq!(checked, 300);
 }
