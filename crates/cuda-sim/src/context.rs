@@ -5,8 +5,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use gpu_sim::{
-    Calibration, DeviceProfile, Engine, EngineStats, Link, LinkId, LinkTraffic, RaceReport, TaskId,
-    TaskKind, TaskSpec, Time, Timeline, Topology, TopologyKind, TypedData, ValueId,
+    Calibration, DeviceProfile, Dir, Engine, EngineStats, Link, LinkId, LinkTraffic, RaceReport,
+    TaskId, TaskKind, TaskSpec, Time, Timeline, Topology, TopologyKind, TypedData, ValueId,
 };
 use gpu_sim::{MemoryManager, MemoryStats};
 
@@ -53,16 +53,16 @@ pub(crate) struct Inner {
     pub(crate) events: Vec<EventTarget>,
     pub(crate) capture: Option<CaptureState>,
     /// Per-link, per-direction DMA copy engines (the last copy queued on
-    /// each), indexed by link id. Bulk copies in the same direction
-    /// serialize through a single engine, like real hardware — the
-    /// reason the paper's VEC benchmark shows zero
+    /// each), indexed by link id and then by the [`gpu_sim::Dir`] a
+    /// copy's [`TaskSpec::link`] names. Bulk copies in the same
+    /// direction serialize through a single engine, like real hardware —
+    /// the reason the paper's VEC benchmark shows zero
     /// computation/computation overlap: the second vector's data arrives
     /// only after the first vector's copy is done. Opposite directions
-    /// run concurrently and contend on the link's aggregate bandwidth in
-    /// the rate solver. A device's host link has its [`H2D`] and [`D2H`]
-    /// engines (host reads block the virtual host, so their ordering is
-    /// implicit); on peer and NIC links `[0]` is low→high endpoint
-    /// order, `[1]` the reverse.
+    /// run concurrently; how they share the link's bandwidth is the rate
+    /// solver's rule. Host reads and fault migrations queue on no engine
+    /// (a host read blocks the virtual host, so its ordering is
+    /// implicit).
     dma: Vec<[Option<TaskId>; 2]>,
     /// Cross-device migrations performed: the run-time migration-cost
     /// accounting the paper's §VI calls for.
@@ -335,18 +335,18 @@ impl Cuda {
             Residency::Both => {}
             Residency::Device => {
                 let size = bytes as f64;
+                let (id, host) = inner.host_leg(device);
                 let spec = if inner.dev.supports_page_faults() {
                     let kind = TaskKind::FaultD2H;
-                    TaskSpec::fault_migration(kind, "umfault", u32::MAX, size, &inner.dev)
+                    TaskSpec::fault_migration(kind, "umfault", u32::MAX, size, id, &inner.dev)
                 } else {
-                    let host = inner.host_leg(device, D2H).0;
-                    TaskSpec::bulk_copy(TaskKind::CopyD2H, "d2h", u32::MAX, size, host)
+                    TaskSpec::bulk_copy(TaskKind::CopyD2H, "d2h", u32::MAX, size, id, host)
                 };
                 // Whole-array state machine: after touching it the host
                 // can see it (pages migrate lazily; we charge only what
                 // was touched but flip the flag).
                 let lands = (Residency::Both, device);
-                let t = inner.submit_leg(a.id, spec.on_device(device), None, lands);
+                let t = inner.submit_leg(a.id, spec.on_device(device), false, lands);
                 inner.engine.sync_task(t);
             }
         }
@@ -630,10 +630,6 @@ impl Moved {
     }
 }
 
-/// Direction slots of a host link's entry in [`Inner::dma`].
-const H2D: usize = 0;
-const D2H: usize = 1;
-
 /// Why an array is being made resident — decides the shape of the H2D
 /// leg.
 #[derive(Debug, Clone, Copy)]
@@ -644,9 +640,6 @@ enum Fetch {
     /// `cudaMemPrefetchAsync`: a bulk copy at full link bandwidth.
     Prefetch,
 }
-
-/// A DMA copy engine: `(link, direction)` into [`Inner::dma`].
-type DmaEngine = (LinkId, usize);
 
 /// State of allocation `v` in the id-indexed table, for writing (a free
 /// function so the other fields of [`Inner`] stay borrowable); an id
@@ -777,19 +770,17 @@ impl Inner {
             Route::InPlace => return None,
             Route::HostLeg => {}
             // Direct peer-to-peer DMA: no host involvement, no H2D leg,
-            // and the host copy stays stale. Contends with
-            // opposite-direction traffic on the link's aggregate
-            // bandwidth in the rate solver.
+            // and the host copy stays stale.
             Route::Peer(link) => {
                 let topo = self.engine.topology();
-                let spec = TaskSpec::p2p_copy("p2p", stream.0, size, link, topo.link(link));
-                let dma = Some((link, (src > target) as usize));
+                let dir = if src < target { Dir::AToB } else { Dir::BToA };
+                let spec = TaskSpec::p2p_copy("p2p", stream.0, size, link, dir, topo.link(link));
                 self.migrations.all.add(bytes);
                 self.migrations.p2p.add(bytes);
                 let (p2p, cross_node) = (true, false);
                 self.note(v, bytes, MemEventKind::Migrated { p2p, cross_node });
                 let lands = (Residency::Device, target);
-                return Some(self.submit_leg(v, spec.on_device(target), dma, lands));
+                return Some(self.submit_leg(v, spec.on_device(target), true, lands));
             }
             // Host-mediated: a bulk D2H on the source device makes the
             // host copy current again; across nodes it lands in the
@@ -798,71 +789,73 @@ impl Inner {
             // None of it blocks the host: each leg chains on the one
             // before through the array's `last_writer`.
             Route::Staged { nic } => {
-                let (host, d2h_engine) = self.host_leg(src, D2H);
-                let d2h = TaskSpec::bulk_copy(TaskKind::CopyD2H, "migrate", u32::MAX, size, host);
+                let (id, host) = self.host_leg(src);
+                let d2h =
+                    TaskSpec::bulk_copy(TaskKind::CopyD2H, "migrate", u32::MAX, size, id, host);
                 let forward = nic.map(|link| {
                     let topo = self.engine.topology();
                     let (sn, dn) = (topo.node_of(src), topo.node_of(target));
-                    let spec = TaskSpec::p2p_copy("nic", u32::MAX, size, link, topo.link(link));
-                    (spec.on_device(target), Some((link, (sn > dn) as usize)))
+                    let dir = if sn < dn { Dir::AToB } else { Dir::BToA };
+                    TaskSpec::p2p_copy("nic", u32::MAX, size, link, dir, topo.link(link))
                 });
                 let lands = (Residency::Both, src);
                 self.migrations.all.add(bytes);
-                self.submit_leg(v, d2h.on_device(src), d2h_engine, lands);
-                if let Some((spec, dma)) = forward {
+                self.submit_leg(v, d2h.on_device(src), true, lands);
+                if let Some(spec) = forward {
                     self.migrations.cross_node.add(bytes);
-                    self.submit_leg(v, spec, dma, lands);
+                    self.submit_leg(v, spec.on_device(target), true, lands);
                 }
                 let (p2p, cross_node) = (false, nic.is_some());
                 self.note(v, bytes, MemEventKind::Migrated { p2p, cross_node });
             }
         }
-        let (spec, dma) = if matches!(fetch, Fetch::Demand) && self.dev.supports_page_faults() {
+        let (id, host) = self.host_leg(target);
+        let (spec, queues) = if matches!(fetch, Fetch::Demand) && self.dev.supports_page_faults() {
             // Fault-path migrations interleave page-by-page; they
             // contend through the fault controller, not a copy engine.
             let kind = TaskKind::FaultH2D;
-            let spec = TaskSpec::fault_migration(kind, "umfault", stream.0, size, &self.dev);
-            (spec, None)
+            let spec = TaskSpec::fault_migration(kind, "umfault", stream.0, size, id, &self.dev);
+            (spec, false)
         } else {
             let label = match fetch {
                 Fetch::Demand => "h2d",
                 Fetch::Prefetch => "prefetch",
             };
-            let (host, dma) = self.host_leg(target, H2D);
-            let spec = TaskSpec::bulk_copy(TaskKind::CopyH2D, label, stream.0, size, host);
-            (spec, dma)
+            let spec = TaskSpec::bulk_copy(TaskKind::CopyH2D, label, stream.0, size, id, host);
+            (spec, true)
         };
         let lands = (Residency::Both, target);
-        Some(self.submit_leg(v, spec.on_device(target), dma, lands))
+        Some(self.submit_leg(v, spec.on_device(target), queues, lands))
     }
 
-    /// `device`'s host link, which times the bulk copies between the
-    /// host and the device, and its DMA engine in direction `dir`.
-    fn host_leg(&self, device: u32, dir: usize) -> (&Link, Option<DmaEngine>) {
+    /// `device`'s host link, which carries the copies between the host
+    /// and the device: its id and the link.
+    fn host_leg(&self, device: u32) -> (LinkId, &Link) {
         let link = self.engine.topology().host_link(device);
-        (self.engine.topology().link(link), Some((link, dir)))
+        (link, self.engine.topology().link(link))
     }
 
     /// Submit one copy of `v` — a leg of a migration, an eviction spill
     /// or a host read — chained on the stream it is issued on (legs
     /// that run beside the streams carry the `u32::MAX` stream id), on
-    /// the DMA engine it serializes through, and on whatever produced
-    /// the copy it reads (a writing kernel or the previous leg,
-    /// possibly still queued). The stream and the engine then advance
-    /// to it and the array's copies become `lands`: residency flips at
-    /// submission time, so these dependencies are what carries the
-    /// ordering.
+    /// the DMA engine of the link and direction it names when it
+    /// `queues`, and on whatever produced the copy it reads (a writing
+    /// kernel or the previous leg, possibly still queued). The stream
+    /// and the engine then advance to it and the array's copies become
+    /// `lands`: residency flips at submission time, so these
+    /// dependencies are what carries the ordering.
     fn submit_leg(
         &mut self,
         v: ValueId,
         mut spec: TaskSpec,
-        dma: Option<DmaEngine>,
+        queues: bool,
         lands: (Residency, u32),
     ) -> TaskId {
         let stream = (spec.stream != u32::MAX).then_some(spec.stream as usize);
+        let dma = spec.link.filter(|_| queues);
         let waits = [
             stream.and_then(|s| self.streams[s].last),
-            dma.and_then(|(link, dir)| self.dma[link.0 as usize][dir]),
+            dma.and_then(|(l, dir)| self.dma[l.0 as usize][dir as usize]),
             self.array(v).last_writer,
         ];
         let mut deps = [TaskId(0); 3];
@@ -877,8 +870,8 @@ impl Inner {
         if let Some(s) = stream {
             self.streams[s].last = Some(t);
         }
-        if let Some((link, dir)) = dma {
-            self.dma[link.0 as usize][dir] = Some(t);
+        if let Some((l, dir)) = dma {
+            self.dma[l.0 as usize][dir as usize] = Some(t);
         }
         self.set_copies(v, lands.0, lands.1, Some(t));
         t
@@ -992,10 +985,10 @@ impl Inner {
             // The spill is the host copy's producer: host reads block on
             // it, and the next migration of this array chains after it.
             let size = bytes as f64;
-            let (host, dma) = self.host_leg(device, D2H);
-            let spill = TaskSpec::bulk_copy(TaskKind::CopyD2H, "evict", u32::MAX, size, host);
+            let (id, host) = self.host_leg(device);
+            let spill = TaskSpec::bulk_copy(TaskKind::CopyD2H, "evict", u32::MAX, size, id, host);
             let lands = (Residency::Host, device);
-            self.submit_leg(v, spill.on_device(device), dma, lands);
+            self.submit_leg(v, spill.on_device(device), true, lands);
             bytes
         } else {
             // A valid host copy exists: drop the device copy for free.

@@ -6,16 +6,10 @@
 //! the inferred dependencies compute the sequential answer is checked on
 //! every small program by `grcuda`'s small-scope checker.
 
+use exhaustive::{first_use, sequences};
+
 use crate::graph::ComputationDag;
 use crate::vertex::{ArgAccess, ElementKind, Value, VertexId};
-
-/// Every sequence of 1 to `len` symbols drawn from `0..n`: shorter ones
-/// first, each length in lexicographic order.
-fn sequences(n: usize, len: u32) -> impl Iterator<Item = Vec<usize>> {
-    (1..=len).flat_map(move |l| {
-        (0..n.pow(l)).map(move |code| (0..l).rev().map(|p| code / n.pow(p) % n).collect())
-    })
-}
 
 /// Launch `o` of the `3^values - 1` over `values` values: base-3 digit
 /// `v` of `o + 1` gives value `v` no access, a read or a write.
@@ -29,22 +23,12 @@ fn launch(o: usize, values: u32) -> Vec<ArgAccess> {
         .collect()
 }
 
-/// Whether values are numbered in order of first use, which leaves out
-/// most renamings of a program already enumerated.
-fn first_use(values: impl IntoIterator<Item = Value>) -> bool {
-    let mut next = 0;
-    values.into_iter().all(|v| {
-        next += u64::from(v.0 == next);
-        v.0 < next
-    })
-}
-
 /// Every program of 1 to `len` launches over at most `values` values,
 /// numbered in order of first use.
 fn programs(len: u32, values: u32) -> impl Iterator<Item = Vec<Vec<ArgAccess>>> {
     sequences(3usize.pow(values) - 1, len)
         .map(move |p| p.iter().map(|&o| launch(o, values)).collect::<Vec<_>>())
-        .filter(|p| first_use(p.iter().flatten().map(|a| a.value)))
+        .filter(|p| first_use(p.iter().flatten().map(|a| a.value.0)))
 }
 
 /// Dependency sets only ever shrink, and a read-only launch shrinks
@@ -263,8 +247,8 @@ fn a_recycling_dag_is_indistinguishable_from_a_fresh_one() {
     let mut checked = 0;
     for program in sequences(alphabet.len(), 3) {
         let values = program.iter().flat_map(|&s| match &alphabet[s] {
-            Step::Add(args) => args.iter().map(|a| a.value).collect(),
-            &Step::Access { value, .. } => vec![Value(value)],
+            Step::Add(args) => args.iter().map(|a| a.value.0).collect(),
+            &Step::Access { value, .. } => vec![value],
             _ => Vec::new(),
         });
         if !first_use(values) {

@@ -160,10 +160,7 @@ impl KernelCost {
             dram_bps: self.dram_bytes / solo,
             l2_bps: self.l2_bytes / solo,
             fp64_flops: self.flops64 / solo,
-            h2d_bps: 0.0,
-            d2h_bps: 0.0,
-            fault_frac: 0.0,
-            link_bps: 0.0,
+            ..ResourceDemand::default()
         };
         (solo, demand)
     }

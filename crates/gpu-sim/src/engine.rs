@@ -25,10 +25,49 @@ use crate::fluid::{progressive_fill, FillScratch};
 use crate::profile::DeviceProfile;
 use crate::race::{check_conflict, RaceReport};
 use crate::recycle::Recycler;
-use crate::task::{capacities, TaskKind, TaskSpec, NUM_RESOURCES};
+use crate::task::{TaskKind, TaskSpec};
 use crate::timeline::{Interval, Timeline};
-use crate::topology::{LinkId, Topology};
+use crate::topology::{Link, LinkId, Topology};
 use crate::Time;
+
+/// Columns of a device's block in the rate solve: `sm`, `dram`, `l2`,
+/// `fp64`, the two directions of its host link, `fault`.
+pub(crate) const NUM_RESOURCES: usize = 7;
+
+/// A device's block of capacities behind its host link, aligned with
+/// the rows of [`columns`]: the on-device resources come from the
+/// profile, each direction of the host link from the link.
+pub(crate) fn capacities(dev: &DeviceProfile, host: &Link) -> [f64; NUM_RESOURCES] {
+    let bw = host.bandwidth;
+    [1.0, dev.dram_bw, dev.l2_bw, dev.fp64_flops, bw, bw, 1.0]
+}
+
+/// The link rule, in one place: where a task's demand lands in the rate
+/// solve of a machine of `n_devices` devices. It returns the task's row
+/// over its device's block and the peer or NIC link whose one column
+/// its `link_bps` loads, if any. A host link (links `0..n_devices`) is
+/// full duplex: its two directions are two columns of its device's
+/// block, each with the link's whole bandwidth. A peer or NIC link is
+/// one column, shared by the copies going either way.
+pub(crate) fn columns(n_devices: u32, t: &TaskSpec) -> ([f64; NUM_RESOURCES], Option<u32>) {
+    let d = &t.demand;
+    let mut row = [
+        d.sm_frac,
+        d.dram_bps,
+        d.l2_bps,
+        d.fp64_flops,
+        0.0,
+        0.0,
+        d.fault_frac,
+    ];
+    match t.link {
+        Some((l, dir)) if l.0 < n_devices => {
+            row[4 + dir as usize] = d.link_bps;
+            (row, None)
+        }
+        link => (row, link.map(|(l, _)| l.0)),
+    }
+}
 
 /// Handle to a submitted task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -221,9 +260,9 @@ fn find(parent: &mut [u32], mut x: u32) -> u32 {
 
 /// The simulator engine. See the [crate docs](crate) for the model.
 pub struct Engine {
-    /// Each device's resource capacities, aligned with
-    /// [`crate::task::ResourceDemand::as_vec`]: built once from the
-    /// profile and the device's host link, read by every rate solve.
+    /// Each device's resource capacities, aligned with the rows of
+    /// [`columns`]: built once from the profile and the device's host
+    /// link, read by every rate solve.
     dev_caps: Vec<[f64; NUM_RESOURCES]>,
     /// Number of identical devices this engine simulates. Tasks carry a
     /// device id; only tasks on the same device share its resources.
@@ -393,10 +432,14 @@ impl Engine {
             "task placed on unknown device {}",
             spec.device
         );
-        if let Some(l) = spec.link {
+        if let Some((l, _)) = spec.link {
+            // A host link's copy must sit on that link's own device.
+            let own =
+                columns(self.n_devices, &spec).1.is_some() || self.topo.host_link(spec.device) == l;
             assert!(
-                (l.0 as usize) < self.topo.links().len(),
-                "task placed on unknown link {l:?}"
+                (l.0 as usize) < self.topo.links().len() && own,
+                "task on device {} placed on unknown or foreign link {l:?}",
+                spec.device
             );
         }
         let device = spec.device;
@@ -603,18 +646,19 @@ impl Engine {
     }
 
     /// Record that a task entered or left the active set: its device —
-    /// and link, if any — seed the dirty set for the next incremental
-    /// rate refresh. Because every active task couples exactly its
-    /// device and (optionally) one link, any component whose membership
-    /// changed necessarily contains one of the transitioning task's two
-    /// endpoints, so marking them finds every component that needs a
-    /// re-solve. A link occupant also moves the count of them that tells
-    /// the refresh whether any component spans more than one device.
+    /// and the peer or NIC link it shares, if any — seed the dirty set
+    /// for the next incremental rate refresh. Because every active task
+    /// couples exactly its device and (optionally) one shared link, any
+    /// component whose membership changed necessarily contains one of
+    /// the transitioning task's two endpoints, so marking them finds
+    /// every component that needs a re-solve. A shared-link occupant
+    /// also moves the count of them that tells the refresh whether any
+    /// component spans more than one device.
     fn mark_transition(&mut self, slot: usize, entered: bool) {
         let t = &self.tasks[slot].spec;
         self.dirty.push(t.device);
-        if let Some(l) = t.link {
-            self.dirty.push(self.n_devices + l.0);
+        if let Some(l) = columns(self.n_devices, t).1 {
+            self.dirty.push(self.n_devices + l);
             if entered {
                 self.active_on_links += 1;
             } else {
@@ -641,9 +685,9 @@ impl Engine {
     /// of the others, and of the columns nobody in it demands.
     ///
     /// What the active set holds picks the work: while no active task
-    /// occupies a link, every component is one device and the forest is
-    /// neither built nor reset; a component no link couples is one
-    /// device's seven columns, its rows copied straight from its members.
+    /// occupies a shared link, every component is one device and the
+    /// forest is neither built nor reset; a component no link couples is
+    /// one device's seven columns, one row per member from [`columns`].
     fn refresh_rates(&mut self) {
         if self.dirty.is_empty() {
             return;
@@ -666,15 +710,15 @@ impl Engine {
         // is the identity.
         let coupled = *active_on_links > 0;
 
-        // Union-find over device and link nodes: each active link
-        // occupant couples its device to its link, so chains of shared
-        // links merge devices into one component.
+        // Union-find over device and link nodes: each active occupant of
+        // a shared link couples its device to its link, so chains of
+        // shared links merge devices into one component.
         if coupled {
             for &i in active.iter() {
                 let t = &tasks[(i - base) as usize].spec;
-                if let Some(l) = t.link {
+                if let Some(l) = columns(n_dev, t).1 {
                     let a = find(&mut s.parent, t.device);
-                    let b = find(&mut s.parent, n_dev + l.0);
+                    let b = find(&mut s.parent, n_dev + l);
                     if a != b {
                         s.parent[a as usize] = b;
                     }
@@ -711,14 +755,15 @@ impl Engine {
             let spec = |k: u32| &tasks[(active[k as usize] - base) as usize].spec;
             s.caps.clear();
             s.demands.clear();
-            let width = if !coupled || members.iter().all(|&(_, k)| spec(k).link.is_none()) {
+            let unshared = |&(_, k): &(u32, u32)| columns(n_dev, spec(k)).1.is_none();
+            let width = if !coupled || members.iter().all(unshared) {
                 // No link couples the members, so they share one device:
-                // its block is every column, and each row is a member's
-                // demand as it stands.
+                // its block is every column, and a member's row from
+                // `columns` is its whole row.
                 s.caps
                     .extend_from_slice(&dev_caps[spec(members[0].1).device as usize]);
                 for &(_, k) in members {
-                    s.demands.extend_from_slice(&spec(k).demand.as_vec());
+                    s.demands.extend_from_slice(&columns(n_dev, spec(k)).0);
                 }
                 NUM_RESOURCES
             } else {
@@ -727,7 +772,7 @@ impl Engine {
                 for &(_, k) in members {
                     let t = spec(k);
                     s.devices.push(t.device);
-                    s.links.extend(t.link.map(|l| l.0));
+                    s.links.extend(columns(n_dev, t).1);
                 }
                 s.devices.sort_unstable();
                 s.devices.dedup();
@@ -744,9 +789,10 @@ impl Engine {
                 for (row, &(_, k)) in s.demands.chunks_exact_mut(width).zip(members) {
                     let t = spec(k);
                     let block = col(&s.devices, t.device) * NUM_RESOURCES;
-                    row[block..block + NUM_RESOURCES].copy_from_slice(&t.demand.as_vec());
-                    if let Some(l) = t.link {
-                        row[link_cols + col(&s.links, l.0)] = t.demand.link_bps;
+                    let (own, link) = columns(n_dev, t);
+                    row[block..block + NUM_RESOURCES].copy_from_slice(&own);
+                    if let Some(l) = link {
+                        row[link_cols + col(&s.links, l)] = t.demand.link_bps;
                     }
                 }
                 width
@@ -761,7 +807,8 @@ impl Engine {
 
         // Back to the rest state, touching only what this refresh did:
         // the dirty roots, then the forest edges (every non-identity
-        // parent belongs to an active link occupant's device or link).
+        // parent belongs to an active shared-link occupant's device or
+        // link).
         for node in dirty.drain(..) {
             let root = find(&mut s.parent, node);
             s.comp_dirty[root as usize] = false;
@@ -769,9 +816,9 @@ impl Engine {
         if coupled {
             for &i in active.iter() {
                 let t = &tasks[(i - base) as usize].spec;
-                if let Some(l) = t.link {
+                if let Some(l) = columns(n_dev, t).1 {
                     s.parent[t.device as usize] = t.device;
-                    s.parent[(n_dev + l.0) as usize] = n_dev + l.0;
+                    s.parent[(n_dev + l) as usize] = n_dev + l;
                 }
             }
         }
@@ -815,9 +862,10 @@ impl Engine {
                 let t = &self.tasks[self.slot(i)].spec;
                 let mut d = vec![0.0; caps.len()];
                 let base = t.device as usize * NUM_RESOURCES;
-                d[base..base + NUM_RESOURCES].copy_from_slice(&t.demand.as_vec());
-                if let Some(l) = t.link {
-                    d[n_dev * NUM_RESOURCES + l.0 as usize] = t.demand.link_bps;
+                let (row, link) = columns(self.n_devices, t);
+                d[base..base + NUM_RESOURCES].copy_from_slice(&row);
+                if let Some(l) = link {
+                    d[n_dev * NUM_RESOURCES + l as usize] = t.demand.link_bps;
                 }
                 d
             })
@@ -869,13 +917,8 @@ impl Engine {
         let t = &mut task.spec;
         self.stats.completed += 1;
         self.inflight[t.device as usize] -= 1;
-        // Transfers are attributed to the link they moved over: peer
-        // copies carry their link explicitly; host-side copies and fault
-        // migrations use their device's host link.
-        let link = match t.kind {
-            k if k.is_transfer() => t.link.or_else(|| Some(self.topo.host_link(t.device))),
-            _ => t.link,
-        };
+        // A transfer is attributed to the link it names.
+        let link = t.link.map(|(l, _)| l);
         let iv = Interval {
             task: idx,
             kind: t.kind,
@@ -892,12 +935,10 @@ impl Engine {
             end: self.now,
             meta: t.meta,
         };
-        if iv.kind.is_transfer() {
-            if let Some(l) = link {
-                let traffic = &mut self.links[l.0 as usize];
-                traffic.bytes += iv.meta.bytes;
-                traffic.transfers += 1;
-            }
+        if let Some(l) = link {
+            let traffic = &mut self.links[l.0 as usize];
+            traffic.bytes += iv.meta.bytes;
+            traffic.transfers += 1;
         }
         // Every completed kernel is a calibration observation, recorded
         // here and nowhere else: it feeds its signature's duration prior
@@ -1048,6 +1089,7 @@ mod tests {
     use super::*;
     use crate::cost::Grid;
     use crate::task::Payload;
+    use crate::topology::Dir;
 
     fn dev() -> DeviceProfile {
         DeviceProfile::gtx1660_super()
@@ -1077,8 +1119,8 @@ mod tests {
 
     /// A bulk copy of `bytes` over `device`'s host link, placed there.
     fn host_copy(e: &Engine, kind: TaskKind, stream: u32, bytes: f64, device: u32) -> TaskSpec {
-        let host = e.topology().link(e.topology().host_link(device));
-        TaskSpec::bulk_copy(kind, "x", stream, bytes, host).on_device(device)
+        let id = e.topology().host_link(device);
+        TaskSpec::bulk_copy(kind, "x", stream, bytes, id, e.topology().link(id)).on_device(device)
     }
 
     #[test]
@@ -1295,15 +1337,15 @@ mod tests {
         // Two copies share link 0-1 even though they sit on different
         // devices; a third copy on link 2-3 is unaffected.
         let a = e.submit(
-            TaskSpec::p2p_copy("a", 0, bw * 1e-3, l01, topo.link(l01)).on_device(0),
+            TaskSpec::p2p_copy("a", 0, bw * 1e-3, l01, Dir::AToB, topo.link(l01)).on_device(0),
             &[],
         );
         let b = e.submit(
-            TaskSpec::p2p_copy("b", 1, bw * 1e-3, l01, topo.link(l01)).on_device(1),
+            TaskSpec::p2p_copy("b", 1, bw * 1e-3, l01, Dir::AToB, topo.link(l01)).on_device(1),
             &[],
         );
         let c = e.submit(
-            TaskSpec::p2p_copy("c", 2, bw * 1e-3, l23, topo.link(l23)).on_device(2),
+            TaskSpec::p2p_copy("c", 2, bw * 1e-3, l23, Dir::AToB, topo.link(l23)).on_device(2),
             &[],
         );
         e.sync_task(c);
@@ -1511,6 +1553,56 @@ mod tests {
             "{} vs {shared}",
             e.now() - t0
         );
+    }
+
+    /// The link rule, one row per link class and pair of directions:
+    /// two copies of one size start together on a 2 × 2 cluster, and
+    /// each takes its link's latency plus the bytes at the share of the
+    /// bandwidth the rule gives it. A host link is full duplex, a peer or
+    /// NIC link is one column that both directions share, and copies in
+    /// one direction share every link.
+    #[test]
+    fn each_link_class_shares_its_bandwidth_by_direction() {
+        use crate::topology::{Cluster, NicKind, TopologyKind};
+        use Dir::{AToB, BToA};
+        let d = dev();
+        let topo = Cluster::new(2, 2, TopologyKind::NvlinkPair, NicKind::InfinibandHdr).build(&d);
+        let host = topo.host_link(0);
+        let peer = topo.d2d_link(0, 1).unwrap();
+        let nic = topo.nic_link(0, 1).unwrap();
+        // (link, the two copies' directions, whether each runs at the
+        // link's full rate)
+        let rows = [
+            (host, [AToB, AToB], false),
+            (host, [AToB, BToA], true),
+            (peer, [AToB, AToB], false),
+            (peer, [AToB, BToA], false),
+            (nic, [AToB, AToB], false),
+            (nic, [AToB, BToA], false),
+        ];
+        for (l, dirs, full) in rows {
+            let mut e = Engine::with_topology(d.clone(), topo.clone());
+            let link = topo.link(l);
+            for dir in dirs {
+                let bytes = link.bandwidth * 1e-3;
+                let spec = if l == host {
+                    let kind = [TaskKind::CopyH2D, TaskKind::CopyD2H][dir as usize];
+                    TaskSpec::bulk_copy(kind, "x", 0, bytes, l, link)
+                } else {
+                    TaskSpec::p2p_copy("x", 0, bytes, l, dir, link)
+                };
+                assert_eq!(spec.link, Some((l, dir)));
+                e.submit(spec, &[]);
+            }
+            e.sync_all();
+            let want = link.latency + if full { 1e-3 } else { 2e-3 };
+            let row = (link.label(), dirs);
+            assert!(
+                (e.now() - want).abs() < 1e-12,
+                "{row:?}: {} vs {want}",
+                e.now()
+            );
+        }
     }
 
     #[test]
@@ -1728,9 +1820,9 @@ mod prop {
     //! table, each over every program of a few steps drawn from a fixed
     //! alphabet, so a check's verdict depends only on its bound.
     use super::*;
-    use crate::prop_tests::{first_use, sequences};
     use crate::task::TaskSpec;
-    use crate::topology::{Cluster, NicKind, Topology, TopologyKind};
+    use crate::topology::{Cluster, Dir, NicKind, Topology, TopologyKind};
+    use exhaustive::{first_use, sequences};
 
     impl Engine {
         /// Test oracle: refresh (incrementally), then compare with the
@@ -1815,15 +1907,15 @@ mod prop {
                     k.sm_frac(0.8).dram(d.dram_bw * 0.6)
                 }
                 Task::Host(device, kind) => {
-                    let host = topo.link(topo.host_link(device));
-                    let copy = TaskSpec::bulk_copy(kind, "c", stream, host.bandwidth * w, host);
+                    let (id, host) = (topo.host_link(device), topo.link(topo.host_link(device)));
+                    let copy = TaskSpec::bulk_copy(kind, "c", stream, host.bandwidth * w, id, host);
                     copy.on_device(device)
                 }
                 Task::Copy { from, to, on } => {
                     let nic = || topo.nic_link(topo.node_of(from), topo.node_of(to));
                     let l = topo.d2d_link(from, to).or_else(nic).expect("a linked pair");
-                    let link = topo.link(l);
-                    TaskSpec::p2p_copy("p", stream, link.bandwidth * w, l, link).on_device(on)
+                    let (link, dir) = (topo.link(l), if from < to { Dir::AToB } else { Dir::BToA });
+                    TaskSpec::p2p_copy("p", stream, link.bandwidth * w, l, dir, link).on_device(on)
                 }
             };
             let deps: Vec<TaskId> = prev.filter(|_| chained).into_iter().collect();

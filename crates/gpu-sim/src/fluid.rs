@@ -169,38 +169,53 @@ pub(crate) fn progressive_fill<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{capacities, columns, NUM_RESOURCES};
     use crate::profile::DeviceProfile;
-    use crate::task::{capacities, ResourceDemand, NUM_RESOURCES};
-    use crate::topology::Topology;
+    use crate::task::{TaskKind, TaskSpec};
+    use crate::topology::{LinkId, Topology};
+
+    type Row = [f64; NUM_RESOURCES];
 
     fn dev() -> DeviceProfile {
         DeviceProfile::gtx1660_super()
     }
 
     /// Capacities of the one device of a `dev` machine.
-    fn caps(dev: &DeviceProfile) -> [f64; NUM_RESOURCES] {
+    fn caps(dev: &DeviceProfile) -> Row {
         let topo = Topology::pcie_only(1, dev);
         capacities(dev, topo.link(topo.host_link(0)))
     }
 
-    /// Rates of typed demands on one device `dev`.
-    fn max_min_rates(demands: &[ResourceDemand], dev: &DeviceProfile) -> Vec<f64> {
-        let dvecs: Vec<[f64; NUM_RESOURCES]> = demands.iter().map(|d| d.as_vec()).collect();
-        solve(&dvecs, &caps(dev))
+    /// Rates of the rows of tasks on one device `dev`.
+    fn max_min_rates(demands: &[Row], dev: &DeviceProfile) -> Vec<f64> {
+        solve(demands, &caps(dev))
     }
 
-    fn sm(frac: f64) -> ResourceDemand {
-        ResourceDemand {
-            sm_frac: frac,
-            ..Default::default()
-        }
+    /// The row a task places on the one device of a machine.
+    fn row(t: TaskSpec) -> Row {
+        columns(1, &t).0
     }
 
-    fn dram(bps: f64) -> ResourceDemand {
-        ResourceDemand {
-            dram_bps: bps,
-            ..Default::default()
-        }
+    fn sm(frac: f64) -> Row {
+        row(TaskSpec::kernel("k", 0).sm_frac(frac))
+    }
+
+    fn dram(bps: f64) -> Row {
+        row(TaskSpec::kernel("k", 0).dram(bps))
+    }
+
+    /// A host→device copy over the device's host link (PCIe).
+    fn h2d(dev: &DeviceProfile) -> Row {
+        let topo = Topology::pcie_only(1, dev);
+        let host = topo.link(LinkId(0));
+        row(TaskSpec::bulk_copy(
+            TaskKind::CopyH2D,
+            "c",
+            0,
+            1.0,
+            LinkId(0),
+            host,
+        ))
     }
 
     #[test]
@@ -244,11 +259,7 @@ mod tests {
         // level is nearly 1.
         let d = dev();
         let heavy = dram(d.dram_bw);
-        let light = ResourceDemand {
-            sm_frac: 0.2,
-            dram_bps: d.dram_bw * 0.01,
-            ..Default::default()
-        };
+        let light = row(TaskSpec::kernel("k", 0).sm_frac(0.2).dram(d.dram_bw * 0.01));
         let r = max_min_rates(&[heavy, light], &d);
         // level t = cap / (1.01 * cap) ≈ 0.990
         assert!(r[0] > 0.98 && r[0] < 1.0);
@@ -269,27 +280,22 @@ mod tests {
     #[test]
     fn transfer_and_kernel_do_not_contend() {
         let d = dev();
-        let copy = ResourceDemand {
-            h2d_bps: d.pcie_bw,
-            ..Default::default()
-        };
-        let kern = ResourceDemand {
-            sm_frac: 1.0,
-            dram_bps: d.dram_bw * 0.5,
-            ..Default::default()
-        };
-        let r = max_min_rates(&[copy, kern], &d);
+        let kern = row(TaskSpec::kernel("k", 0).sm_frac(1.0).dram(d.dram_bw * 0.5));
+        let r = max_min_rates(&[h2d(&d), kern], &d);
         assert_eq!(r, vec![1.0, 1.0]);
     }
 
     #[test]
     fn fault_controller_serializes_migrations() {
         let d = dev();
-        let fault = ResourceDemand {
-            fault_frac: 1.0,
-            h2d_bps: d.fault_bw,
-            ..Default::default()
-        };
+        let fault = row(TaskSpec::fault_migration(
+            TaskKind::FaultH2D,
+            "f",
+            0,
+            1.0,
+            LinkId(0),
+            &d,
+        ));
         let r = max_min_rates(&[fault, fault], &d);
         assert!((r[0] - 0.5).abs() < 1e-12);
         assert!((r[1] - 0.5).abs() < 1e-12);
@@ -297,7 +303,7 @@ mod tests {
 
     #[test]
     fn zero_demand_tasks_run_free() {
-        let r = max_min_rates(&[ResourceDemand::default(), sm(1.0), sm(1.0)], &dev());
+        let r = max_min_rates(&[[0.0; NUM_RESOURCES], sm(1.0), sm(1.0)], &dev());
         assert_eq!(r[0], 1.0);
         assert!((r[1] - 0.5).abs() < 1e-12);
     }
@@ -307,11 +313,7 @@ mod tests {
         // B&S issues 10 independent H2D transfers; each should get a
         // tenth of the link.
         let d = dev();
-        let copy = ResourceDemand {
-            h2d_bps: d.pcie_bw,
-            ..Default::default()
-        };
-        let r = max_min_rates(&vec![copy; 10], &d);
+        let r = max_min_rates(&[h2d(&d); 10], &d);
         for x in r {
             assert!((x - 0.1).abs() < 1e-12);
         }
@@ -380,7 +382,7 @@ mod tests {
         let d = dev();
         let demands = [sm(1.0), sm(0.3), dram(d.dram_bw)];
         let fixed = max_min_rates(&demands, &d);
-        let dvecs: Vec<Vec<f64>> = demands.iter().map(|x| x.as_vec().to_vec()).collect();
+        let dvecs: Vec<Vec<f64>> = demands.iter().map(|x| x.to_vec()).collect();
         assert_eq!(fixed, max_min_rates_vec(&dvecs, &caps(&d)));
     }
 }
@@ -388,8 +390,8 @@ mod tests {
 #[cfg(test)]
 mod prop {
     use super::*;
-    use crate::prop_tests::sequences;
-    use crate::task::NUM_RESOURCES;
+    use crate::engine::NUM_RESOURCES;
+    use exhaustive::sequences;
 
     /// Exact rational `p/q` with `q > 0`, reduced — the reference
     /// arithmetic for the float-drift regression test. Demands are small

@@ -87,7 +87,7 @@ pub use race::RaceReport;
 pub use recycle::Recycler;
 pub use task::{KernelBody, KernelFunc, Payload, ResourceDemand, TaskKind, TaskMeta, TaskSpec};
 pub use timeline::{Interval, Timeline};
-pub use topology::{Cluster, Endpoint, Link, LinkId, NicKind, Topology, TopologyKind};
+pub use topology::{Cluster, Dir, Endpoint, Link, LinkId, NicKind, Topology, TopologyKind};
 
 /// Virtual time, in seconds.
 pub type Time = f64;

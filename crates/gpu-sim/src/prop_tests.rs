@@ -5,27 +5,11 @@
 //! every workload of up to four kernels; victim selection matches its
 //! model on every short history of two devices.
 
+use exhaustive::{first_use, sequences};
+
 use crate::engine::{Engine, TaskId};
 use crate::profile::DeviceProfile;
 use crate::task::TaskSpec;
-
-/// Every sequence of 1 to `len` symbols drawn from `0..n`: shorter ones
-/// first, each length in lexicographic order.
-pub(crate) fn sequences(n: usize, len: u32) -> impl Iterator<Item = Vec<usize>> {
-    (1..=len).flat_map(move |l| {
-        (0..n.pow(l)).map(move |code| (0..l).rev().map(|p| code / n.pow(p) % n).collect())
-    })
-}
-
-/// Whether ids (devices, values) are numbered in order of first use,
-/// which leaves out most renamings of an input already enumerated.
-pub(crate) fn first_use(ids: impl IntoIterator<Item = u64>) -> bool {
-    let mut next = 0;
-    ids.into_iter().all(|id| {
-        next += u64::from(id == next);
-        id < next
-    })
-}
 
 /// One kernel of a workload: its solo time, its SM share and how many
 /// submissions back each of its dependencies is.

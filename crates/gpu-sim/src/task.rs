@@ -6,7 +6,7 @@ use crate::cost::Grid;
 use crate::data::{DataBuffer, ValueId};
 use crate::profile::DeviceProfile;
 use crate::recycle::Recycler;
-use crate::topology::{Link, LinkId};
+use crate::topology::{Dir, Link, LinkId};
 use crate::Time;
 
 /// What kind of operation a task models. Drives timeline classification
@@ -44,9 +44,13 @@ impl TaskKind {
         )
     }
 
-    /// True if the transfer moves data toward the device.
-    fn is_h2d(self) -> bool {
-        matches!(self, TaskKind::CopyH2D | TaskKind::FaultH2D)
+    /// The way a host-side transfer of this kind crosses its host link,
+    /// whose `a` end is the host.
+    fn host_dir(self) -> Dir {
+        match self {
+            TaskKind::CopyH2D | TaskKind::FaultH2D => Dir::AToB,
+            _ => Dir::BToA,
+        }
     }
 }
 
@@ -65,52 +69,13 @@ pub struct ResourceDemand {
     pub l2_bps: f64,
     /// Double-precision throughput demand, FLOP/s.
     pub fp64_flops: f64,
-    /// PCIe host→device bandwidth demand, bytes/s.
-    pub h2d_bps: f64,
-    /// PCIe device→host bandwidth demand, bytes/s.
-    pub d2h_bps: f64,
     /// Fraction of the unified-memory fault controller.
     pub fault_frac: f64,
-    /// Interconnect-link bandwidth demand, bytes/s, charged to the link
-    /// named by [`TaskSpec::link`]. Links are machine-wide resources (a
-    /// peer link is shared by both of its devices), so this component is
-    /// solved globally rather than per device, outside the fixed
-    /// per-device resource vector.
+    /// Link bandwidth demand, bytes/s, in the direction
+    /// [`TaskSpec::link`] names: the only demand a copy places on a
+    /// link. Which bandwidth that is — one direction of a host link, or
+    /// a peer or NIC link both directions share — the engine decides.
     pub link_bps: f64,
-}
-
-/// The shared-resource index space used by the fluid solver.
-/// Order matters only internally.
-pub(crate) const NUM_RESOURCES: usize = 7;
-
-impl ResourceDemand {
-    /// Demand as a fixed-size vector aligned with [`capacities`].
-    pub(crate) fn as_vec(&self) -> [f64; NUM_RESOURCES] {
-        [
-            self.sm_frac,
-            self.dram_bps,
-            self.l2_bps,
-            self.fp64_flops,
-            self.h2d_bps,
-            self.d2h_bps,
-            self.fault_frac,
-        ]
-    }
-}
-
-/// Resource capacities of a device behind its host link, aligned with
-/// [`ResourceDemand::as_vec`]: the on-device resources come from the
-/// profile, both copy directions from the link.
-pub(crate) fn capacities(dev: &DeviceProfile, host: &Link) -> [f64; NUM_RESOURCES] {
-    [
-        1.0,
-        dev.dram_bw,
-        dev.l2_bw,
-        dev.fp64_flops,
-        host.bandwidth,
-        host.bandwidth,
-        1.0,
-    ]
 }
 
 /// Extra bookkeeping carried by a task for the metrics crate: the raw
@@ -185,10 +150,11 @@ pub struct TaskSpec {
     /// Device the task occupies. Tasks on different devices never contend
     /// for device resources: the fluid solver allocates rates per device.
     pub device: u32,
-    /// Interconnect link the task occupies, if any (peer-to-peer
-    /// copies). Link capacity is shared machine-wide: tasks on the same
-    /// link contend even when they run on different devices.
-    pub link: Option<LinkId>,
+    /// The link a copy moves over and its direction along it; every
+    /// copy constructor sets it, and a host link's copy sits on that
+    /// link's own device. Tasks on one peer or NIC link contend even
+    /// when they run on different devices.
+    pub link: Option<(LinkId, Dir)>,
     /// Contention-independent setup latency (launch overhead etc.).
     pub fixed_latency: Time,
     /// Solo duration of the contention-scaled phase.
@@ -259,70 +225,69 @@ impl TaskSpec {
         Self::new(TaskKind::Marker, label, stream)
     }
 
+    /// This task as a copy of `bytes` over `link` in direction `on.1`:
+    /// its latency, then the bytes at the link's full rate.
+    fn over(mut self, bytes: f64, on: (LinkId, Dir), link: &Link) -> Self {
+        self.link = Some(on);
+        self.fixed_latency = link.latency;
+        self.fluid_work = bytes / link.bandwidth;
+        self.demand.link_bps = link.bandwidth;
+        self.meta.bytes = bytes;
+        self
+    }
+
     /// A bulk transfer of `bytes` in the given direction over a
-    /// device's host link, `host`: its latency, then the bytes at the
-    /// link's full rate. Concurrent copies in one direction share the
-    /// link's bandwidth in the fluid solver.
+    /// device's host link `host`, whose id is `host_id`. Concurrent
+    /// copies in one direction share the link's bandwidth in the fluid
+    /// solver.
     pub fn bulk_copy(
         kind: TaskKind,
         label: &'static str,
         stream: u32,
         bytes: f64,
+        host_id: LinkId,
         host: &Link,
     ) -> Self {
         assert!(kind.is_transfer(), "bulk_copy needs a transfer kind");
-        let mut t = Self::new(kind, label, stream);
-        t.fixed_latency = host.latency;
-        t.fluid_work = bytes / host.bandwidth;
-        if kind.is_h2d() {
-            t.demand.h2d_bps = host.bandwidth;
-        } else {
-            t.demand.d2h_bps = host.bandwidth;
-        }
-        t.meta.bytes = bytes;
-        t
+        let on = (host_id, kind.host_dir());
+        Self::new(kind, label, stream).over(bytes, on, host)
     }
 
     /// A direct device→device copy of `bytes` over an interconnect link
-    /// at the link's full rate. Concurrent copies on the same link share
-    /// its aggregate bandwidth in the fluid solver; copies on different
-    /// links are independent.
+    /// in direction `dir` at the link's full rate. Concurrent copies on
+    /// the same link share its aggregate bandwidth in the fluid solver,
+    /// whichever way they go; copies on different links are
+    /// independent.
     pub fn p2p_copy(
         label: &'static str,
         stream: u32,
         bytes: f64,
         link_id: LinkId,
+        dir: Dir,
         link: &Link,
     ) -> Self {
-        let mut t = Self::new(TaskKind::CopyP2P, label, stream);
-        t.link = Some(link_id);
-        t.fixed_latency = link.latency;
-        t.fluid_work = bytes / link.bandwidth;
-        t.demand.link_bps = link.bandwidth;
-        t.meta.bytes = bytes;
-        t
+        Self::new(TaskKind::CopyP2P, label, stream).over(bytes, (link_id, dir), link)
     }
 
-    /// An on-demand unified-memory migration of `bytes`: slower than a
-    /// bulk copy and serialized through the fault controller, which is
-    /// the bottleneck the paper observes when prefetching is disabled.
+    /// An on-demand unified-memory migration of `bytes` over host link
+    /// `host`: slower than a bulk copy and serialized through the fault
+    /// controller, which is the bottleneck the paper observes when
+    /// prefetching is disabled.
     pub fn fault_migration(
         kind: TaskKind,
         label: &'static str,
         stream: u32,
         bytes: f64,
+        host: LinkId,
         dev: &DeviceProfile,
     ) -> Self {
         assert!(kind.is_transfer(), "fault_migration needs a transfer kind");
         let mut t = Self::new(kind, label, stream);
+        t.link = Some((host, kind.host_dir()));
         t.fixed_latency = dev.fault_latency;
         t.fluid_work = bytes / dev.fault_bw;
         t.demand.fault_frac = 1.0; // exclusive use of the fault controller
-        if kind.is_h2d() {
-            t.demand.h2d_bps = dev.fault_bw;
-        } else {
-            t.demand.d2h_bps = dev.fault_bw;
-        }
+        t.demand.link_bps = dev.fault_bw;
         t.meta.bytes = bytes;
         t
     }
@@ -392,37 +357,38 @@ mod tests {
     #[test]
     fn bulk_copy_duration_is_bytes_over_link() {
         let host = host_link(&DeviceProfile::tesla_p100());
-        let t = TaskSpec::bulk_copy(TaskKind::CopyH2D, "x", 0, host.bandwidth, &host);
+        let t = TaskSpec::bulk_copy(TaskKind::CopyH2D, "x", 0, host.bandwidth, LinkId(0), &host);
         assert!((t.fluid_work - 1.0).abs() < 1e-9);
         assert_eq!(t.fixed_latency, host.latency);
-        assert_eq!(t.demand.h2d_bps, host.bandwidth);
-        assert_eq!(t.demand.d2h_bps, 0.0);
+        assert_eq!(t.link, Some((LinkId(0), Dir::AToB)));
+        assert_eq!(t.demand.link_bps, host.bandwidth);
     }
 
     #[test]
     fn fault_migration_is_slower_and_exclusive() {
         let dev = DeviceProfile::tesla_p100();
-        let bulk = TaskSpec::bulk_copy(TaskKind::CopyH2D, "x", 0, 1e9, &host_link(&dev));
-        let fault = TaskSpec::fault_migration(TaskKind::FaultH2D, "x", 0, 1e9, &dev);
+        let bulk = TaskSpec::bulk_copy(TaskKind::CopyH2D, "x", 0, 1e9, LinkId(0), &host_link(&dev));
+        let fault = TaskSpec::fault_migration(TaskKind::FaultH2D, "x", 0, 1e9, LinkId(0), &dev);
         assert!(fault.fluid_work > bulk.fluid_work);
         assert_eq!(fault.demand.fault_frac, 1.0);
+        assert_eq!(fault.link, bulk.link);
     }
 
     #[test]
     #[should_panic(expected = "transfer kind")]
     fn bulk_copy_rejects_kernel_kind() {
         let host = host_link(&DeviceProfile::gtx960());
-        let _ = TaskSpec::bulk_copy(TaskKind::Kernel, "x", 0, 1.0, &host);
+        let _ = TaskSpec::bulk_copy(TaskKind::Kernel, "x", 0, 1.0, LinkId(0), &host);
     }
 
     #[test]
     fn kind_predicates() {
         assert!(TaskKind::FaultH2D.is_transfer());
-        assert!(TaskKind::FaultH2D.is_h2d());
-        assert!(!TaskKind::CopyD2H.is_h2d());
+        assert_eq!(TaskKind::FaultH2D.host_dir(), Dir::AToB);
+        assert_eq!(TaskKind::CopyD2H.host_dir(), Dir::BToA);
+        assert_eq!(TaskKind::FaultD2H.host_dir(), Dir::BToA);
         assert!(!TaskKind::Kernel.is_transfer());
         assert!(TaskKind::CopyP2P.is_transfer());
-        assert!(!TaskKind::CopyP2P.is_h2d());
     }
 
     #[test]
@@ -431,16 +397,14 @@ mod tests {
         let topo = Topology::preset(TopologyKind::FullyConnected, 2, &dev);
         let lid = topo.d2d_link(0, 1).unwrap();
         let link = topo.link(lid);
-        let t = TaskSpec::p2p_copy("x", 0, link.bandwidth, lid, link);
+        let t = TaskSpec::p2p_copy("x", 0, link.bandwidth, lid, Dir::BToA, link);
         assert_eq!(t.kind, TaskKind::CopyP2P);
-        assert_eq!(t.link, Some(lid));
+        assert_eq!(t.link, Some((lid, Dir::BToA)));
         assert!((t.fluid_work - 1.0).abs() < 1e-9);
         assert_eq!(t.demand.link_bps, link.bandwidth);
-        assert_eq!(t.demand.h2d_bps, 0.0, "peer copies bypass the host links");
-        assert_eq!(t.demand.d2h_bps, 0.0);
         // Much faster than the host-mediated pair of PCIe legs.
-        let host = topo.link(topo.host_link(0));
-        let staged = TaskSpec::bulk_copy(TaskKind::CopyD2H, "x", 0, link.bandwidth, host);
+        let (hid, host) = (topo.host_link(0), topo.link(topo.host_link(0)));
+        let staged = TaskSpec::bulk_copy(TaskKind::CopyD2H, "x", 0, link.bandwidth, hid, host);
         assert!(t.fluid_work < staged.fluid_work);
     }
 }

@@ -7,10 +7,12 @@
 //! direct peer-to-peer DMA instead of staging through the host.
 //!
 //! Links are first-class resources in the fluid rate solver: every
-//! transfer is charged to the link it moves over, and concurrent
-//! transfers on the same link share its bandwidth max–min fairly. A
-//! device-to-device link is modeled with a single aggregate capacity for
-//! both directions (the common way NVLink bandwidth is quoted).
+//! transfer names the link it moves over and its [`Dir`] along it, and
+//! concurrent transfers on the same link share its bandwidth max–min
+//! fairly. Which bandwidth a transfer shares is decided in one place,
+//! the engine's `columns`: a host link is full duplex, while a
+//! device-to-device or NIC link is a single aggregate capacity for both
+//! directions (the common way NVLink bandwidth is quoted).
 
 use crate::memory_manager::MemoryConfig;
 use crate::profile::DeviceProfile;
@@ -47,6 +49,16 @@ const NVSWITCH_ISLAND_LATENCY: Time = 1e-6;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub u32);
 
+/// Which way a copy crosses its [`Link`]: host→device on a host link,
+/// lower→higher id on a peer or NIC link is [`Dir::AToB`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Dir {
+    /// From [`Link::a`] to [`Link::b`].
+    AToB,
+    /// From [`Link::b`] to [`Link::a`].
+    BToA,
+}
+
 /// One endpoint of a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Endpoint {
@@ -60,7 +72,8 @@ pub enum Endpoint {
 }
 
 /// A bidirectional interconnect link. How its [`Link::bandwidth`] is
-/// shared depends on the kind of link:
+/// shared depends on the kind of link, a rule the engine's `columns`
+/// alone applies:
 ///
 /// * a host link grants `bandwidth` to each direction: an H2D and a D2H
 ///   copy on one device each run at the full rate;

@@ -81,6 +81,7 @@ fn launch_batch_validates_before_submitting() {
 
 use crate::serve::{ArgSpec, CallSpec, ElemKind, Fairness, RequestSpec, ServeConfig, ServiceCore};
 use crate::PlacementPolicy;
+use exhaustive::{first_use, sequences};
 use gpu_sim::{Cluster, NicKind, Topology, TopologyKind};
 
 /// The three machines `tests/serve.rs` serves on: one GPU, four GPUs
@@ -98,24 +99,6 @@ fn serve_machine(idx: usize, dev: &DeviceProfile) -> (Topology, PlacementPolicy)
             PlacementPolicy::NodeAware,
         ),
     }
-}
-
-/// Every sequence of 1 to `len` symbols drawn from `0..n`: shorter ones
-/// first, each length in lexicographic order.
-fn sequences(n: usize, len: u32) -> impl Iterator<Item = Vec<usize>> {
-    (1..=len).flat_map(move |l| {
-        (0..n.pow(l)).map(move |code| (0..l).rev().map(|p| code / n.pow(p) % n).collect())
-    })
-}
-
-/// Whether ids (tenants, values) are numbered in order of first use,
-/// which leaves out most renamings of an input already enumerated.
-fn first_use(ids: impl IntoIterator<Item = u64>) -> bool {
-    let mut next = 0;
-    ids.into_iter().all(|id| {
-        next += u64::from(id == next);
-        id < next
-    })
 }
 
 /// One request: a chain of calls over the tenant's two arrays

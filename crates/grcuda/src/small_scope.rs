@@ -38,6 +38,7 @@
 use std::sync::OnceLock;
 
 use dag::Reachability;
+use exhaustive::first_use;
 use gpu_sim::{
     Cluster, DataBuffer, DeviceProfile, EvictionPolicy, Grid, KernelCost, MemoryConfig, NicKind,
     Topology, TopologyKind,
@@ -179,15 +180,6 @@ fn canonical(p: &[Step], perms: &[Vec<usize>]) -> bool {
     (perms.iter()).all(|perm| p.iter().copied().le(p.iter().map(|s| s.relabel(perm))))
 }
 
-/// Whether `p` numbers its arrays in order of first use.
-fn first_use(p: &[Step]) -> bool {
-    let mut next = 0;
-    (p.iter().flat_map(Step::arrays)).all(|a| {
-        next += usize::from(a == next);
-        a < next
-    })
-}
-
 /// Every program of 1 to `steps` steps over at most `arrays` arrays,
 /// each once, in canonical form, sorted. A prefix out of first-use order
 /// is not extended: no canonical program has one.
@@ -201,7 +193,7 @@ pub(crate) fn programs(steps: usize, arrays: usize) -> Vec<Vec<Step>> {
     ) {
         for &s in alphabet {
             p.push(s);
-            if first_use(p) {
+            if first_use(p.iter().flat_map(Step::arrays).map(|a| a as u64)) {
                 if canonical(p, perms) {
                     out.push(p.clone());
                 }

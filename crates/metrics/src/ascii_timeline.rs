@@ -8,9 +8,10 @@ use gpu_sim::{TaskKind, Timeline};
 
 /// Render a timeline as one text row per stream.
 ///
-/// Kernels draw as `K`/name segments, host→device transfers as `>`,
-/// device→host as `<`, fault migrations as `f`. `width` is the chart
-/// width in characters.
+/// Kernels draw as `#`, host→device transfers as `>`, device→host as
+/// `<`, peer copies as `=`, fault migrations as `f` (and markers, which
+/// the engine never records, as `|`). `width` is the chart width in
+/// characters.
 pub fn render_timeline(tl: &Timeline, width: usize) -> String {
     let Some(t0) = tl.gpu_start() else {
         return String::from("(empty timeline)\n");
@@ -50,7 +51,7 @@ pub fn render_timeline(tl: &Timeline, width: usize) -> String {
                 TaskKind::CopyD2H => b'<',
                 TaskKind::CopyP2P => b'=',
                 TaskKind::FaultH2D | TaskKind::FaultD2H => b'f',
-                _ => b'?',
+                TaskKind::Marker => b'|',
             };
             for c in row.iter_mut().take(b + 1).skip(a) {
                 *c = fill;

@@ -41,7 +41,7 @@ pub fn to_chrome_trace(tl: &Timeline, process_name: &str) -> String {
             TaskKind::CopyD2H => "d2h",
             TaskKind::CopyP2P => "p2p",
             TaskKind::FaultH2D | TaskKind::FaultD2H => "um-fault",
-            _ => "other",
+            TaskKind::Marker => "marker",
         };
         let value = iv
             .value

@@ -108,6 +108,7 @@ mod tests {
 mod prop {
     use super::tests::measure;
     use super::*;
+    use exhaustive::sequences;
 
     /// Every list of 1 to 4 spans with integer ends in `0..=3`, empty
     /// ones included (10 spans, 11 110 lists): each overlap, nesting,
@@ -117,12 +118,7 @@ mod prop {
         let spans: Vec<Span> = (0..4)
             .flat_map(|a| (a..4).map(move |b| (f64::from(a), f64::from(b))))
             .collect();
-        let n = spans.len();
-        (1..=4u32).flat_map(move |l| {
-            let spans = spans.clone();
-            (0..n.pow(l))
-                .map(move |code| (0..l).rev().map(|p| spans[code / n.pow(p) % n]).collect())
-        })
+        sequences(spans.len(), 4).map(move |s| s.iter().map(|&i| spans[i]).collect())
     }
 
     #[test]
